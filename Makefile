@@ -1,11 +1,12 @@
 # Tier-1 verification plus the race/bench targets the telemetry PR added.
 #
-#   make check           # vet + build + tests with -race + verify + load + cluster + segment + rebalance gates
+#   make check           # vet + build + tests with -race + verify + load + cluster + segment + rebalance gates + natbench build
 #   make check-verify    # golden runs, conservation invariants, parser fuzzing
 #   make check-load      # sharded-store stress + admission + loadgen soaks, -race
 #   make check-cluster   # multi-node routing/replication/failover + chaos soak, -race
 #   make check-segment   # segment engine: crash windows, fuzz seeds, goldens, -race
 #   make check-rebalance # elastic scale-in/out: ring property, epoch, soaks, goldens, -race
+#   make check-bench     # the benchmark module builds and its smoke run passes
 #   make bench         # regression benchmark suite -> BENCH_9.json
 #   make bench-paper   # full reproduction driver (tables/figures + ablations)
 
@@ -19,9 +20,9 @@ BENCHTIME ?= 300ms
 
 .PHONY: check vet build test race bench bench-paper bench-telemetry \
 	check-reliability check-verify check-load check-cluster check-segment \
-	check-rebalance fuzz-seeds
+	check-rebalance check-bench fuzz-seeds
 
-check: vet build race check-verify check-load check-cluster check-segment check-rebalance
+check: vet build race check-verify check-load check-cluster check-segment check-rebalance check-bench
 
 vet:
 	$(GO) vet ./...
@@ -157,12 +158,22 @@ check-rebalance:
 	$(GO) test -race -short -run 'TestClusterScaleOutTransfersOwnership|TestClusterDrainViaFrontEndpoint|TestFrontFencesDuringCutover|TestTwoFrontsConvergeOnEpoch|TestChaosSoakScaleOut|TestChaosSoakDrain' ./internal/cluster/
 	$(GO) test -race -short -run 'TestClusterGoldenJoinMidRun|TestClusterGoldenDrainMidRun' ./internal/verify/
 
+# benchmarks/ is a module of its own, so `go build ./... && go test ./...`
+# at the root never compiles it. This does: an internal/ API change that
+# breaks natbench fails here, not at the next benchmark run. The tests
+# include a smoke run of every workload at ~1/50 scale.
+check-bench:
+	cd benchmarks && $(GO) test ./...
+
 # The segment-storage gate, under the race detector:
 #   1. the segment engine suite — encode/decode round-trips, the
 #      merge-order substitution contract against the sharded store,
 #      dedupe handoff across the flush boundary, crash-window
 #      regressions (truncated tail, torn footer, kill between flush and
-#      handoff, tmp leftovers, compaction supersession healing);
+#      handoff, tmp leftovers, compaction supersession healing), and the
+#      sealed-segment scanner (per-file-decode property at 1 and 4
+#      workers, reads racing Compact/ExtractRouters, a bad segment left
+#      out whole);
 #   2. the incremental-analysis equivalence suite — partial folds,
 #      merges, and the live dashboard against the batch figures;
 #   3. the segment-backed verify goldens — the storage engine swapped in

@@ -22,6 +22,7 @@
 package analysis
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -66,6 +67,19 @@ func NewPartial() *Partial {
 		roster: make(map[string]string),
 		flows:  make(map[FlowKey]*flowTotals),
 	}
+}
+
+// Grow reserves room for rc more rows of every kind kept verbatim, so a
+// caller that knows what it is about to fold (a segment store knows from
+// its footers) pays one allocation per kind rather than a doubling
+// series. Flows collapse into aggregates and take no hint.
+func (p *Partial) Grow(rc dataset.RowCounts) {
+	p.uptime = slices.Grow(p.uptime, rc.Uptime)
+	p.capacity = slices.Grow(p.capacity, rc.Capacity)
+	p.counts = slices.Grow(p.counts, rc.Counts)
+	p.sightings = slices.Grow(p.sightings, rc.Sightings)
+	p.wifi = slices.Grow(p.wifi, rc.WiFi)
+	p.throughput = slices.Grow(p.throughput, rc.Throughput)
 }
 
 // Fold accumulates one chunk of rows. The chunk is not retained and not

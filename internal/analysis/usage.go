@@ -45,28 +45,38 @@ func DiurnalDevices(st *dataset.Store) (weekday, weekend stats.HourBins) {
 	return weekday, weekend
 }
 
+// capacityRuns collects one home's positive capacity measurements per
+// direction.
+type capacityRuns struct {
+	ups, downs []float64
+}
+
+func (m *capacityRuns) add(c dataset.CapacityMeasure) {
+	if c.UpBps > 0 {
+		m.ups = append(m.ups, c.UpBps)
+	}
+	if c.DownBps > 0 {
+		m.downs = append(m.downs, c.DownBps)
+	}
+}
+
+func medianOrZero(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	return stats.Median(xs)
+}
+
 // HomeCapacity returns a home's median measured capacity per direction
 // over the Capacity data set.
 func HomeCapacity(st *dataset.Store, id string) (upBps, downBps float64) {
-	var ups, downs []float64
+	var m capacityRuns
 	for _, c := range st.Capacity {
-		if c.RouterID != id {
-			continue
-		}
-		if c.UpBps > 0 {
-			ups = append(ups, c.UpBps)
-		}
-		if c.DownBps > 0 {
-			downs = append(downs, c.DownBps)
+		if c.RouterID == id {
+			m.add(c)
 		}
 	}
-	if len(ups) > 0 {
-		upBps = stats.Median(ups)
-	}
-	if len(downs) > 0 {
-		downBps = stats.Median(downs)
-	}
-	return
+	return medianOrZero(m.ups), medianOrZero(m.downs)
 }
 
 // LinkSaturation is one Fig. 15 point: a home's capacity vs its 95th
@@ -77,29 +87,51 @@ type LinkSaturation struct {
 	CapacityBps float64
 	P95Bps      float64
 	Utilization float64 // P95 / capacity; can exceed 1 under bufferbloat
+	// Minutes counts the link's throughput samples, MinutesOver those
+	// whose peak exceeded the measured capacity (Fig. 16).
+	Minutes, MinutesOver int
 }
 
 // Saturation computes Fig. 15: per home and direction, the 95th
 // percentile of per-minute peak throughput against measured capacity,
-// over minutes with any traffic.
+// over minutes with any traffic. One pass groups the throughput samples
+// by link and one groups the capacity measurements by home.
 func Saturation(st *dataset.Store) []LinkSaturation {
-	type key struct {
+	type link struct {
 		id, dir string
 	}
-	peaks := map[key][]float64{}
+	peaks := map[link][]float64{}
 	for _, s := range st.Throughput {
-		k := key{s.RouterID, s.Dir}
+		k := link{s.RouterID, s.Dir}
 		peaks[k] = append(peaks[k], s.PeakBps)
+	}
+	caps := map[string]*capacityRuns{}
+	for _, c := range st.Capacity {
+		m := caps[c.RouterID]
+		if m == nil {
+			m = &capacityRuns{}
+			caps[c.RouterID] = m
+		}
+		m.add(c)
 	}
 	var out []LinkSaturation
 	for k, ps := range peaks {
-		up, down := HomeCapacity(st, k.id)
-		capBps := down
-		if k.dir == "up" {
-			capBps = up
-		}
-		if capBps <= 0 || len(ps) == 0 {
+		m := caps[k.id]
+		if m == nil {
 			continue
+		}
+		capBps := medianOrZero(m.downs)
+		if k.dir == "up" {
+			capBps = medianOrZero(m.ups)
+		}
+		if capBps <= 0 {
+			continue
+		}
+		over := 0
+		for _, p := range ps {
+			if p > capBps {
+				over++
+			}
 		}
 		p95 := stats.Percentile(ps, 95)
 		out = append(out, LinkSaturation{
@@ -108,6 +140,8 @@ func Saturation(st *dataset.Store) []LinkSaturation {
 			CapacityBps: capBps,
 			P95Bps:      p95,
 			Utilization: p95 / capBps,
+			Minutes:     len(ps),
+			MinutesOver: over,
 		})
 	}
 	sort.Slice(out, func(i, j int) bool {

@@ -36,6 +36,8 @@ type Dashboard struct {
 // immediately.
 func NewDashboard(src *segment.Store, w Windows) (*Dashboard, error) {
 	d := &Dashboard{src: src, win: w, base: analysis.NewPartial()}
+	// The store's footers already say how much the replay will fold.
+	d.base.Grow(src.RowCounts())
 	if err := src.Subscribe(d.fold); err != nil {
 		return nil, err
 	}

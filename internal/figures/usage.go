@@ -71,13 +71,14 @@ func busiestTrafficHome(st *dataset.Store) string {
 }
 
 // Fig15 reproduces the saturation scatter.
-func Fig15(st *dataset.Store) *Report {
+func Fig15(st *dataset.Store) *Report { return fig15(analysis.Saturation(st)) }
+
+func fig15(sats []analysis.LinkSaturation) *Report {
 	r := &Report{
 		ID:         "Figure 15",
 		Title:      "95th-percentile link utilization vs measured capacity",
 		PaperClaim: "most homes <50% utilization; only two saturate; some uplinks exceed 1.0 (bufferbloat)",
 	}
-	sats := analysis.Saturation(st)
 	if len(sats) == 0 {
 		r.add("(no traffic data)")
 		return r
@@ -113,27 +114,22 @@ func Fig15(st *dataset.Store) *Report {
 }
 
 // Fig16 reproduces the bufferbloat case studies.
-func Fig16(st *dataset.Store) *Report {
+func Fig16(st *dataset.Store) *Report { return fig16(analysis.Saturation(st)) }
+
+func fig16(sats []analysis.LinkSaturation) *Report {
 	r := &Report{
 		ID:         "Figure 16",
 		Title:      "Homes whose uplink utilization exceeds measured capacity",
 		PaperClaim: "a continuous uploader saturates the uplink; bufferbloat makes measured throughput exceed capacity",
 	}
 	found := 0
-	for _, s := range analysis.Saturation(st) {
+	for _, s := range sats {
 		if s.Dir != "up" || s.Utilization <= 1 {
 			continue
 		}
 		found++
-		series := analysis.UtilizationSeries(st, s.RouterID, "up")
-		overMin := 0
-		for _, p := range series {
-			if p.PeakBps > s.CapacityBps {
-				overMin++
-			}
-		}
 		r.add("home=%s upCapacity=%.2f Mbps p95=%.2f Mbps util=%.2f  minutes>capacity=%d/%d",
-			s.RouterID, s.CapacityBps/1e6, s.P95Bps/1e6, s.Utilization, overMin, len(series))
+			s.RouterID, s.CapacityBps/1e6, s.P95Bps/1e6, s.Utilization, s.MinutesOver, s.Minutes)
 	}
 	if found == 0 {
 		r.add("(no oversaturating homes in this run)")
@@ -276,11 +272,12 @@ func Fig20(st *dataset.Store) *Report {
 
 // All regenerates every exhibit in paper order.
 func All(st *dataset.Store, w Windows) []*Report {
+	sats := analysis.Saturation(st) // Fig. 15 and 16 read the same links
 	return []*Report{
 		Table1(st), Table2(st),
 		Fig3(st, w), Fig4(st, w), Fig5(st, w), Fig6(st, w),
 		Fig7(st), Fig8(st), Fig9(st), Table5(st), Fig10(st), Fig11(st), Fig12(st),
-		Fig13(st), Fig14(st), Fig15(st), Fig16(st), Fig17(st), Fig18(st), Fig19(st), Fig20(st),
+		Fig13(st), Fig14(st), fig15(sats), fig16(sats), Fig17(st), Fig18(st), Fig19(st), Fig20(st),
 	}
 }
 

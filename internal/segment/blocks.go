@@ -28,33 +28,20 @@ func encodeUptime(rows []dataset.UptimeReport) []byte {
 	return e.buf
 }
 
-func (r *Reader) uptime() ([]dataset.UptimeReport, error) {
-	d, n, err := r.block(blkUptime)
-	if err != nil || d == nil || n == 0 {
-		return nil, err
+func (r *Reader) uptime(rows []dataset.UptimeReport) error {
+	d, err := r.block(blkUptime, len(rows))
+	if err != nil || d == nil {
+		return err
 	}
-	rows := make([]dataset.UptimeReport, n)
 	var routers strUndict
 	for i := range rows {
-		if rows[i].RouterID, err = routers.decode(d); err != nil {
-			return nil, err
-		}
+		rows[i].RouterID = routers.decode(d)
 	}
-	ts, err := decodeTimes(d, n)
-	if err != nil {
-		return nil, err
-	}
+	decodeTimes(d, rows, func(r *dataset.UptimeReport) *time.Time { return &r.ReportedAt })
 	for i := range rows {
-		rows[i].ReportedAt = ts[i]
+		rows[i].Uptime = time.Duration(d.varint())
 	}
-	for i := range rows {
-		v, err := d.varint()
-		if err != nil {
-			return nil, err
-		}
-		rows[i].Uptime = time.Duration(v)
-	}
-	return rows, nil
+	return d.err
 }
 
 func encodeCapacity(rows []dataset.CapacityMeasure) []byte {
@@ -77,36 +64,23 @@ func encodeCapacity(rows []dataset.CapacityMeasure) []byte {
 	return e.buf
 }
 
-func (r *Reader) capacity() ([]dataset.CapacityMeasure, error) {
-	d, n, err := r.block(blkCapacity)
-	if err != nil || d == nil || n == 0 {
-		return nil, err
+func (r *Reader) capacity(rows []dataset.CapacityMeasure) error {
+	d, err := r.block(blkCapacity, len(rows))
+	if err != nil || d == nil {
+		return err
 	}
-	rows := make([]dataset.CapacityMeasure, n)
 	var routers strUndict
 	for i := range rows {
-		if rows[i].RouterID, err = routers.decode(d); err != nil {
-			return nil, err
-		}
+		rows[i].RouterID = routers.decode(d)
 	}
-	ts, err := decodeTimes(d, n)
-	if err != nil {
-		return nil, err
+	decodeTimes(d, rows, func(r *dataset.CapacityMeasure) *time.Time { return &r.MeasuredAt })
+	for i := range rows {
+		rows[i].UpBps = d.f64()
 	}
 	for i := range rows {
-		rows[i].MeasuredAt = ts[i]
+		rows[i].DownBps = d.f64()
 	}
-	for i := range rows {
-		if rows[i].UpBps, err = d.f64(); err != nil {
-			return nil, err
-		}
-	}
-	for i := range rows {
-		if rows[i].DownBps, err = d.f64(); err != nil {
-			return nil, err
-		}
-	}
-	return rows, nil
+	return d.err
 }
 
 func encodeCounts(rows []dataset.DeviceCount) []byte {
@@ -132,39 +106,26 @@ func encodeCounts(rows []dataset.DeviceCount) []byte {
 	return e.buf
 }
 
-func (r *Reader) counts() ([]dataset.DeviceCount, error) {
-	d, n, err := r.block(blkCounts)
-	if err != nil || d == nil || n == 0 {
-		return nil, err
+func (r *Reader) counts(rows []dataset.DeviceCount) error {
+	d, err := r.block(blkCounts, len(rows))
+	if err != nil || d == nil {
+		return err
 	}
-	rows := make([]dataset.DeviceCount, n)
 	var routers strUndict
 	for i := range rows {
-		if rows[i].RouterID, err = routers.decode(d); err != nil {
-			return nil, err
-		}
+		rows[i].RouterID = routers.decode(d)
 	}
-	ts, err := decodeTimes(d, n)
-	if err != nil {
-		return nil, err
+	decodeTimes(d, rows, func(r *dataset.DeviceCount) *time.Time { return &r.At })
+	for i := range rows {
+		rows[i].Wired = int(d.varint())
 	}
 	for i := range rows {
-		rows[i].At = ts[i]
+		rows[i].W24 = int(d.varint())
 	}
-	for _, fld := range []func(*dataset.DeviceCount) *int{
-		func(c *dataset.DeviceCount) *int { return &c.Wired },
-		func(c *dataset.DeviceCount) *int { return &c.W24 },
-		func(c *dataset.DeviceCount) *int { return &c.W5 },
-	} {
-		for i := range rows {
-			v, err := d.varint()
-			if err != nil {
-				return nil, err
-			}
-			*fld(&rows[i]) = int(v)
-		}
+	for i := range rows {
+		rows[i].W5 = int(d.varint())
 	}
-	return rows, nil
+	return d.err
 }
 
 func encodeSightings(rows []dataset.DeviceSighting) []byte {
@@ -187,38 +148,23 @@ func encodeSightings(rows []dataset.DeviceSighting) []byte {
 	return e.buf
 }
 
-func (r *Reader) sightings() ([]dataset.DeviceSighting, error) {
-	d, n, err := r.block(blkSightings)
-	if err != nil || d == nil || n == 0 {
-		return nil, err
+func (r *Reader) sightings(rows []dataset.DeviceSighting) error {
+	d, err := r.block(blkSightings, len(rows))
+	if err != nil || d == nil {
+		return err
 	}
-	rows := make([]dataset.DeviceSighting, n)
 	var routers strUndict
 	for i := range rows {
-		if rows[i].RouterID, err = routers.decode(d); err != nil {
-			return nil, err
-		}
+		rows[i].RouterID = routers.decode(d)
 	}
-	ts, err := decodeTimes(d, n)
-	if err != nil {
-		return nil, err
+	decodeTimes(d, rows, func(r *dataset.DeviceSighting) *time.Time { return &r.At })
+	for i := range rows {
+		rows[i].Device = d.mac()
 	}
 	for i := range rows {
-		rows[i].At = ts[i]
+		rows[i].Kind = dataset.ConnKind(d.uvarint())
 	}
-	for i := range rows {
-		if rows[i].Device, err = d.mac(); err != nil {
-			return nil, err
-		}
-	}
-	for i := range rows {
-		v, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		rows[i].Kind = dataset.ConnKind(v)
-	}
-	return rows, nil
+	return d.err
 }
 
 func encodeWiFi(rows []dataset.WiFiScan) []byte {
@@ -247,44 +193,29 @@ func encodeWiFi(rows []dataset.WiFiScan) []byte {
 	return e.buf
 }
 
-func (r *Reader) wifi() ([]dataset.WiFiScan, error) {
-	d, n, err := r.block(blkWiFi)
-	if err != nil || d == nil || n == 0 {
-		return nil, err
+func (r *Reader) wifi(rows []dataset.WiFiScan) error {
+	d, err := r.block(blkWiFi, len(rows))
+	if err != nil || d == nil {
+		return err
 	}
-	rows := make([]dataset.WiFiScan, n)
 	var routers, bands strUndict
 	for i := range rows {
-		if rows[i].RouterID, err = routers.decode(d); err != nil {
-			return nil, err
-		}
+		rows[i].RouterID = routers.decode(d)
 	}
-	ts, err := decodeTimes(d, n)
-	if err != nil {
-		return nil, err
+	decodeTimes(d, rows, func(r *dataset.WiFiScan) *time.Time { return &r.At })
+	for i := range rows {
+		rows[i].Band = bands.decode(d)
 	}
 	for i := range rows {
-		rows[i].At = ts[i]
+		rows[i].Channel = int(d.varint())
 	}
 	for i := range rows {
-		if rows[i].Band, err = bands.decode(d); err != nil {
-			return nil, err
-		}
+		rows[i].VisibleAPs = int(d.varint())
 	}
-	for _, fld := range []func(*dataset.WiFiScan) *int{
-		func(s *dataset.WiFiScan) *int { return &s.Channel },
-		func(s *dataset.WiFiScan) *int { return &s.VisibleAPs },
-		func(s *dataset.WiFiScan) *int { return &s.Clients },
-	} {
-		for i := range rows {
-			v, err := d.varint()
-			if err != nil {
-				return nil, err
-			}
-			*fld(&rows[i]) = int(v)
-		}
+	for i := range rows {
+		rows[i].Clients = int(d.varint())
 	}
-	return rows, nil
+	return d.err
 }
 
 func encodeFlows(rows []dataset.FlowRecord) []byte {
@@ -325,60 +256,42 @@ func encodeFlows(rows []dataset.FlowRecord) []byte {
 	return e.buf
 }
 
-func (r *Reader) flows() ([]dataset.FlowRecord, error) {
-	d, n, err := r.block(blkFlows)
-	if err != nil || d == nil || n == 0 {
-		return nil, err
+func (r *Reader) flows(rows []dataset.FlowRecord) error {
+	d, err := r.block(blkFlows, len(rows))
+	if err != nil || d == nil {
+		return err
 	}
-	rows := make([]dataset.FlowRecord, n)
 	var routers, domains, protos strUndict
 	for i := range rows {
-		if rows[i].RouterID, err = routers.decode(d); err != nil {
-			return nil, err
-		}
+		rows[i].RouterID = routers.decode(d)
 	}
 	for i := range rows {
-		if rows[i].Device, err = d.mac(); err != nil {
-			return nil, err
-		}
+		rows[i].Device = d.mac()
 	}
 	for i := range rows {
-		if rows[i].Domain, err = domains.decode(d); err != nil {
-			return nil, err
-		}
+		rows[i].Domain = domains.decode(d)
 	}
 	for i := range rows {
-		if rows[i].Proto, err = protos.decode(d); err != nil {
-			return nil, err
-		}
+		rows[i].Proto = protos.decode(d)
 	}
-	ts, err := decodeTimes(d, n)
-	if err != nil {
-		return nil, err
+	decodeTimes(d, rows, func(r *dataset.FlowRecord) *time.Time { return &r.First })
+	decodeTimes(d, rows, func(r *dataset.FlowRecord) *time.Time { return &r.Last })
+	for i := range rows {
+		rows[i].UpBytes = d.varint()
 	}
 	for i := range rows {
-		rows[i].First = ts[i]
-	}
-	if ts, err = decodeTimes(d, n); err != nil {
-		return nil, err
+		rows[i].DownBytes = d.varint()
 	}
 	for i := range rows {
-		rows[i].Last = ts[i]
+		rows[i].UpPkts = d.varint()
 	}
-	for _, fld := range []func(*dataset.FlowRecord) *int64{
-		func(f *dataset.FlowRecord) *int64 { return &f.UpBytes },
-		func(f *dataset.FlowRecord) *int64 { return &f.DownBytes },
-		func(f *dataset.FlowRecord) *int64 { return &f.UpPkts },
-		func(f *dataset.FlowRecord) *int64 { return &f.DownPkts },
-		func(f *dataset.FlowRecord) *int64 { return &f.Conns },
-	} {
-		for i := range rows {
-			if *fld(&rows[i]), err = d.varint(); err != nil {
-				return nil, err
-			}
-		}
+	for i := range rows {
+		rows[i].DownPkts = d.varint()
 	}
-	return rows, nil
+	for i := range rows {
+		rows[i].Conns = d.varint()
+	}
+	return d.err
 }
 
 func encodeThroughput(rows []dataset.ThroughputSample) []byte {
@@ -404,41 +317,26 @@ func encodeThroughput(rows []dataset.ThroughputSample) []byte {
 	return e.buf
 }
 
-func (r *Reader) throughput() ([]dataset.ThroughputSample, error) {
-	d, n, err := r.block(blkThroughput)
-	if err != nil || d == nil || n == 0 {
-		return nil, err
+func (r *Reader) throughput(rows []dataset.ThroughputSample) error {
+	d, err := r.block(blkThroughput, len(rows))
+	if err != nil || d == nil {
+		return err
 	}
-	rows := make([]dataset.ThroughputSample, n)
 	var routers, dirs strUndict
 	for i := range rows {
-		if rows[i].RouterID, err = routers.decode(d); err != nil {
-			return nil, err
-		}
+		rows[i].RouterID = routers.decode(d)
 	}
-	ts, err := decodeTimes(d, n)
-	if err != nil {
-		return nil, err
+	decodeTimes(d, rows, func(r *dataset.ThroughputSample) *time.Time { return &r.Minute })
+	for i := range rows {
+		rows[i].Dir = dirs.decode(d)
 	}
 	for i := range rows {
-		rows[i].Minute = ts[i]
+		rows[i].PeakBps = d.f64()
 	}
 	for i := range rows {
-		if rows[i].Dir, err = dirs.decode(d); err != nil {
-			return nil, err
-		}
+		rows[i].TotalBytes = d.varint()
 	}
-	for i := range rows {
-		if rows[i].PeakBps, err = d.f64(); err != nil {
-			return nil, err
-		}
-	}
-	for i := range rows {
-		if rows[i].TotalBytes, err = d.varint(); err != nil {
-			return nil, err
-		}
-	}
-	return rows, nil
+	return d.err
 }
 
 func encodeKeys(keys []Key) []byte {
@@ -454,21 +352,16 @@ func encodeKeys(keys []Key) []byte {
 }
 
 func decodeKeys(d *dec, n int) ([]Key, error) {
-	if n == 0 {
-		return nil, nil
-	}
 	out := make([]Key, n)
 	var routers strUndict
-	var err error
 	for i := range out {
-		if out[i].Router, err = routers.decode(d); err != nil {
-			return nil, err
-		}
+		out[i].Router = routers.decode(d)
 	}
 	for i := range out {
-		if out[i].Key, err = d.str(); err != nil {
-			return nil, err
-		}
+		out[i].Key = d.str()
+	}
+	if d.err != nil {
+		return nil, d.err
 	}
 	return out, nil
 }

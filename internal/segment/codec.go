@@ -58,64 +58,87 @@ func (d *strDict) encode(e *enc, s string) {
 	e.bytes([]byte(s))
 }
 
-// dec walks one block's payload.
+// dec walks one block's payload. The first failed read sticks in err
+// and every read after it returns a zero value, so a column loop runs
+// with no check per value and its caller reports d.err once.
 type dec struct {
 	buf []byte
 	off int
+	err error
+}
+
+// fail records the first error and drops the buffer, so whatever is
+// read next fails too.
+func (d *dec) fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+	d.buf, d.off = nil, 0
 }
 
 func (d *dec) remaining() int { return len(d.buf) - d.off }
 
-func (d *dec) uvarint() (uint64, error) {
+func (d *dec) uvarint() uint64 {
 	v, n := binary.Uvarint(d.buf[d.off:])
 	if n <= 0 {
-		return 0, errCorrupt
+		d.fail(errCorrupt)
+		return 0
 	}
 	d.off += n
-	return v, nil
+	return v
 }
 
-func (d *dec) varint() (int64, error) {
+func (d *dec) varint() int64 {
 	v, n := binary.Varint(d.buf[d.off:])
 	if n <= 0 {
-		return 0, errCorrupt
+		d.fail(errCorrupt)
+		return 0
 	}
 	d.off += n
-	return v, nil
+	return v
 }
 
-func (d *dec) take(n int) ([]byte, error) {
+// take returns the next n bytes, or nil (never a short slice) on failure.
+func (d *dec) take(n int) []byte {
 	if n < 0 || d.remaining() < n {
-		return nil, errCorrupt
+		d.fail(errCorrupt)
+		return nil
 	}
 	b := d.buf[d.off : d.off+n]
 	d.off += n
-	return b, nil
+	return b
 }
 
-func (d *dec) f64() (float64, error) {
-	b, err := d.take(8)
-	if err != nil {
-		return 0, err
+func (d *dec) byte() byte {
+	if b := d.take(1); b != nil {
+		return b[0]
 	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b)), nil
+	return 0
+}
+
+func (d *dec) u32() uint32 {
+	if b := d.take(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
+	}
+	return 0
+}
+
+func (d *dec) f64() float64 {
+	if b := d.take(8); b != nil {
+		return math.Float64frombits(binary.LittleEndian.Uint64(b))
+	}
+	return 0
 }
 
 // str decodes one length-prefixed string (used by footers and the key
 // block, where no dictionary applies).
-func (d *dec) str() (string, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return "", err
-	}
+func (d *dec) str() string {
+	n := d.uvarint()
 	if n > uint64(d.remaining()) {
-		return "", errCorrupt
+		d.fail(errCorrupt)
+		return ""
 	}
-	b, err := d.take(int(n))
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
+	return string(d.take(int(n)))
 }
 
 func (e *enc) str(s string) {
@@ -128,23 +151,21 @@ type strUndict struct {
 	dict []string
 }
 
-func (d *strUndict) decode(dd *dec) (string, error) {
-	ref, err := dd.uvarint()
-	if err != nil {
-		return "", err
+func (u *strUndict) decode(d *dec) string {
+	ref := d.uvarint()
+	if d.err != nil {
+		return ""
 	}
 	if ref == 0 {
-		s, err := dd.str()
-		if err != nil {
-			return "", err
-		}
-		d.dict = append(d.dict, s)
-		return s, nil
+		s := d.str()
+		u.dict = append(u.dict, s)
+		return s
 	}
-	if ref > uint64(len(d.dict)) {
-		return "", fmt.Errorf("%w: string ref %d beyond dictionary of %d", errCorrupt, ref, len(d.dict))
+	if ref > uint64(len(u.dict)) {
+		d.fail(fmt.Errorf("%w: string ref %d beyond dictionary of %d", errCorrupt, ref, len(u.dict)))
+		return ""
 	}
-	return d.dict[ref-1], nil
+	return u.dict[ref-1]
 }
 
 // encodeTimes writes one time column: a list of zero-value row indexes
@@ -176,60 +197,47 @@ func encodeTimes(e *enc, ts []time.Time) {
 	}
 }
 
-// decodeTimes reads a column of n timestamps.
-func decodeTimes(d *dec, n int) ([]time.Time, error) {
-	nz, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
+// decodeTimes reads one time column straight into rows, at(&rows[i])
+// naming the field. The zero-index list is sorted, so one cursor walks
+// it beside the row index.
+func decodeTimes[T any](d *dec, rows []T, at func(*T) *time.Time) {
+	n := len(rows)
+	nz := d.uvarint()
 	if nz > uint64(n) {
-		return nil, fmt.Errorf("%w: %d zero-time rows in a column of %d", errCorrupt, nz, n)
+		d.fail(fmt.Errorf("%w: %d zero-time rows in a column of %d", errCorrupt, nz, n))
+		return
 	}
-	zero := make(map[int]bool, nz)
+	zeros := make([]int, nz)
 	prevIdx := -1
-	for i := uint64(0); i < nz; i++ {
-		v, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
+	for i := range zeros {
+		v := d.uvarint()
 		if v >= uint64(n) || int(v) <= prevIdx {
-			return nil, fmt.Errorf("%w: zero-time index %d out of order or range", errCorrupt, v)
+			d.fail(fmt.Errorf("%w: zero-time index %d out of order or range", errCorrupt, v))
+			return
 		}
 		prevIdx = int(v)
-		zero[int(v)] = true
+		zeros[i] = prevIdx
 	}
-	out := make([]time.Time, n)
-	prevSec := int64(0)
-	for i := 0; i < n; i++ {
-		if zero[i] {
+	sec := int64(0)
+	for i := range rows {
+		if len(zeros) > 0 && zeros[0] == i {
+			zeros = zeros[1:]
+			*at(&rows[i]) = time.Time{}
 			continue
 		}
-		dsec, err := d.varint()
-		if err != nil {
-			return nil, err
-		}
-		nsec, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
+		sec += d.varint()
+		nsec := d.uvarint()
 		if nsec >= uint64(time.Second) {
-			return nil, fmt.Errorf("%w: %d nanoseconds within a second", errCorrupt, nsec)
+			d.fail(fmt.Errorf("%w: %d nanoseconds within a second", errCorrupt, nsec))
+			return
 		}
-		sec := prevSec + dsec
-		prevSec = sec
-		out[i] = time.Unix(sec, int64(nsec)).UTC()
+		*at(&rows[i]) = time.Unix(sec, int64(nsec)).UTC()
 	}
-	return out, nil
 }
 
 func (e *enc) mac(a mac.Addr) { e.bytes(a[:]) }
 
-func (d *dec) mac() (mac.Addr, error) {
-	var a mac.Addr
-	b, err := d.take(len(a))
-	if err != nil {
-		return a, err
-	}
-	copy(a[:], b)
-	return a, nil
+func (d *dec) mac() (a mac.Addr) {
+	copy(a[:], d.take(len(a)))
+	return a
 }

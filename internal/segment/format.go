@@ -260,104 +260,49 @@ func NewReader(b []byte) (*Reader, error) {
 
 func (r *Reader) parseFooter(footer []byte, blockEnd uint64) error {
 	d := &dec{buf: footer}
-	v, err := d.uvarint()
-	if err != nil {
-		return err
-	}
-	if v != formatVersion {
+	if v := d.uvarint(); d.err == nil && v != formatVersion {
 		return fmt.Errorf("segment: unsupported format version %d", v)
 	}
 	m := &r.meta
-	if m.Seq.First, err = d.uvarint(); err != nil {
-		return err
-	}
-	if m.Seq.Last, err = d.uvarint(); err != nil {
-		return err
-	}
+	m.Seq.First = d.uvarint()
+	m.Seq.Last = d.uvarint()
 	if m.Seq.Last < m.Seq.First {
 		return fmt.Errorf("%w: inverted seq range", errCorrupt)
 	}
-	nr, err := d.uvarint()
-	if err != nil {
-		return err
-	}
+	nr := d.uvarint()
 	if nr > uint64(d.remaining()) {
 		return fmt.Errorf("%w: replaces count %d", errCorrupt, nr)
 	}
-	for i := uint64(0); i < nr; i++ {
-		var sr SeqRange
-		if sr.First, err = d.uvarint(); err != nil {
-			return err
-		}
-		if sr.Last, err = d.uvarint(); err != nil {
-			return err
-		}
-		m.Replaces = append(m.Replaces, sr)
+	for i := uint64(0); i < nr && d.err == nil; i++ {
+		m.Replaces = append(m.Replaces, SeqRange{First: d.uvarint(), Last: d.uvarint()})
 	}
-	hasRange, err := d.take(1)
-	if err != nil {
-		return err
-	}
-	if hasRange[0] > 1 {
+	switch d.byte() {
+	case 0:
+	case 1:
+		m.HasTimeRange = true
+		m.MinTime = decodeFooterTime(d)
+		m.MaxTime = decodeFooterTime(d)
+	default:
 		return fmt.Errorf("%w: bad time-range flag", errCorrupt)
 	}
-	if hasRange[0] == 1 {
-		m.HasTimeRange = true
-		ts, err := decodeFooterTime(d)
-		if err != nil {
-			return err
-		}
-		m.MinTime = ts
-		if ts, err = decodeFooterTime(d); err != nil {
-			return err
-		}
-		m.MaxTime = ts
-	}
-	nRoster, err := d.uvarint()
-	if err != nil {
-		return err
-	}
+	nRoster := d.uvarint()
 	if nRoster > uint64(d.remaining()) {
 		return fmt.Errorf("%w: roster count %d", errCorrupt, nRoster)
 	}
 	m.Roster = make(map[string]string, nRoster)
-	for i := uint64(0); i < nRoster; i++ {
-		id, err := d.str()
-		if err != nil {
-			return err
-		}
-		cc, err := d.str()
-		if err != nil {
-			return err
-		}
-		m.Roster[id] = cc
+	for i := uint64(0); i < nRoster && d.err == nil; i++ {
+		id := d.str()
+		m.Roster[id] = d.str()
 	}
-	nb, err := d.uvarint()
-	if err != nil {
-		return err
-	}
+	nb := d.uvarint()
 	if nb > maxBlocks {
 		return fmt.Errorf("%w: %d blocks", errCorrupt, nb)
 	}
 	for i := uint64(0); i < nb; i++ {
-		var b blockRef
-		if b.kind, err = d.uvarint(); err != nil {
-			return err
+		b := blockRef{kind: d.uvarint(), off: d.uvarint(), len: d.uvarint(), rows: d.uvarint(), crc: d.u32()}
+		if d.err != nil {
+			break
 		}
-		if b.off, err = d.uvarint(); err != nil {
-			return err
-		}
-		if b.len, err = d.uvarint(); err != nil {
-			return err
-		}
-		if b.rows, err = d.uvarint(); err != nil {
-			return err
-		}
-		cb, err := d.take(4)
-		if err != nil {
-			return err
-		}
-		b.crc = uint32(cb[0]) | uint32(cb[1])<<8 | uint32(cb[2])<<16 | uint32(cb[3])<<24
 		if b.off < uint64(len(magicHead)) || b.off+b.len < b.off || b.off+b.len > blockEnd {
 			return fmt.Errorf("%w: block %d spans [%d,%d) outside payload", errCorrupt, b.kind, b.off, b.off+b.len)
 		}
@@ -387,83 +332,97 @@ func (r *Reader) parseFooter(footer []byte, blockEnd uint64) error {
 		}
 	}
 	m.Rows.Routers = len(m.Roster)
-	return nil
+	return d.err
 }
 
-func decodeFooterTime(d *dec) (time.Time, error) {
-	sec, err := d.varint()
-	if err != nil {
-		return time.Time{}, err
-	}
-	nsec, err := d.uvarint()
-	if err != nil {
-		return time.Time{}, err
-	}
+func decodeFooterTime(d *dec) time.Time {
+	sec := d.varint()
+	nsec := d.uvarint()
 	if nsec >= uint64(time.Second) {
-		return time.Time{}, fmt.Errorf("%w: footer time nanoseconds", errCorrupt)
+		d.fail(fmt.Errorf("%w: footer time nanoseconds", errCorrupt))
 	}
-	return time.Unix(sec, int64(nsec)).UTC(), nil
+	return time.Unix(sec, int64(nsec)).UTC()
 }
 
 // Meta returns the parsed footer metadata.
 func (r *Reader) Meta() Meta { return r.meta }
 
-// block returns the CRC-validated payload decoder for kind, or nil if
-// the segment has no such block.
-func (r *Reader) block(kind uint64) (*dec, int, error) {
+// block returns the CRC-validated payload decoder for kind, or nil when
+// there is nothing to decode (no such block, or an empty one). want is
+// the row count the caller sized its window for; a block that holds any
+// other number is refused before a byte of the window is written.
+func (r *Reader) block(kind uint64, want int) (*dec, error) {
 	for _, b := range r.meta.blocks {
 		if b.kind != kind {
 			continue
 		}
 		payload := r.buf[b.off : b.off+b.len]
 		if crc32.ChecksumIEEE(payload) != b.crc {
-			return nil, 0, fmt.Errorf("%w: block %d CRC mismatch", errCorrupt, kind)
+			return nil, fmt.Errorf("%w: block %d CRC mismatch", errCorrupt, kind)
 		}
-		return &dec{buf: payload}, int(b.rows), nil
+		if b.rows != uint64(want) {
+			return nil, fmt.Errorf("segment: block %d holds %d rows, window is %d", kind, b.rows, want)
+		}
+		if want == 0 {
+			return nil, nil
+		}
+		return &dec{buf: payload}, nil
 	}
-	return nil, 0, nil
+	if want != 0 {
+		return nil, fmt.Errorf("segment: no block %d, window is %d", kind, want)
+	}
+	return nil, nil
 }
 
 // Keys decodes the idempotency-key block.
 func (r *Reader) Keys() ([]Key, error) {
-	d, n, err := r.block(blkKeys)
+	d, err := r.block(blkKeys, r.meta.KeyRows)
 	if err != nil || d == nil {
 		return nil, err
 	}
-	return decodeKeys(d, n)
+	return decodeKeys(d, r.meta.KeyRows)
 }
 
 // Rows decodes every data-set block into a plain Store (arrival order
 // preserved). The returned store has no heartbeat log and an empty
 // dedupe index — segments carry neither.
 func (r *Reader) Rows() (*dataset.Store, error) {
-	st := &dataset.Store{RouterCountry: make(map[string]string, len(r.meta.Roster))}
-	for id, cc := range r.meta.Roster {
-		st.RouterCountry[id] = cc
-	}
-	var err error
-	if st.Uptime, err = r.uptime(); err != nil {
-		return nil, err
-	}
-	if st.Capacity, err = r.capacity(); err != nil {
-		return nil, err
-	}
-	if st.Counts, err = r.counts(); err != nil {
-		return nil, err
-	}
-	if st.Sightings, err = r.sightings(); err != nil {
-		return nil, err
-	}
-	if st.WiFi, err = r.wifi(); err != nil {
-		return nil, err
-	}
-	if st.Flows, err = r.flows(); err != nil {
-		return nil, err
-	}
-	if st.Throughput, err = r.throughput(); err != nil {
+	st := newWindow(r.meta.Rows, dataset.RowCounts{})
+	addRoster(st.RouterCountry, r.meta.Roster)
+	if err := r.RowsInto(st); err != nil {
 		return nil, err
 	}
 	return st, nil
+}
+
+// RowsInto decodes every data-set block over w's row slices, which the
+// caller has sized to the footer's counts (Meta().Rows) — typically
+// disjoint windows of one larger output, so several segments decode
+// side by side with no copy. Every element is overwritten; nothing
+// outside the slices is touched, and a block whose row count differs
+// from its slice's length is refused rather than decoded short or long
+// (the file was rewritten since the caller read its footer). w's
+// roster is left alone.
+func (r *Reader) RowsInto(w *dataset.Store) error {
+	if err := r.uptime(w.Uptime); err != nil {
+		return err
+	}
+	if err := r.capacity(w.Capacity); err != nil {
+		return err
+	}
+	if err := r.counts(w.Counts); err != nil {
+		return err
+	}
+	if err := r.sightings(w.Sightings); err != nil {
+		return err
+	}
+	if err := r.wifi(w.WiFi); err != nil {
+		return err
+	}
+	if err := r.flows(w.Flows); err != nil {
+		return err
+	}
+	return r.throughput(w.Throughput)
 }
 
 // Decode is the one-shot convenience: parse, validate, and decode

@@ -48,10 +48,7 @@ func (s *Store) ExtractRouters(match func(string) bool) (*dataset.Store, []datas
 
 	moved := &dataset.Store{RouterCountry: make(map[string]string)}
 
-	s.segMu.RLock()
-	files := append([]segFile(nil), s.segs...)
-	frozen := s.frozen
-	s.segMu.RUnlock()
+	files, frozen, mem := s.view() // flushMu pins all three: rotation needs it
 
 	for _, f := range files {
 		b, err := os.ReadFile(f.path)
@@ -90,9 +87,6 @@ func (s *Store) ExtractRouters(match func(string) bool) (*dataset.Store, []datas
 		appendStore(moved, hit)
 	}
 
-	s.rot.RLock()
-	mem := s.mem
-	s.rot.RUnlock()
 	hit, keys := mem.sh.ExtractRouters(match)
 	mem.rows.Add(-int64(rowsOf(hit)))
 	appendStore(moved, hit)

@@ -41,6 +41,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -192,7 +193,15 @@ func (s *Store) load() error {
 	if err != nil {
 		return fmt.Errorf("segment: %w", err)
 	}
-	var files []segFile
+	// Each file is read once: its key block decodes while the bytes are
+	// at hand and waits (with its error, which only matters if the file
+	// turns out to be live) for the dedupe seeding below.
+	type loaded struct {
+		segFile
+		keys   []Key
+		keyErr error
+	}
+	var files []loaded
 	for _, ent := range ents {
 		name := ent.Name()
 		path := filepath.Join(s.opt.Dir, name)
@@ -221,7 +230,8 @@ func (s *Store) load() error {
 			}
 			continue
 		}
-		files = append(files, segFile{path: path, meta: r.Meta()})
+		keys, err := r.Keys()
+		files = append(files, loaded{segFile{path: path, meta: r.Meta()}, keys, err})
 	}
 	sort.Slice(files, func(i, j int) bool {
 		if files[i].meta.Seq.First != files[j].meta.Seq.First {
@@ -249,39 +259,22 @@ func (s *Store) load() error {
 		}
 		live = append(live, f)
 	}
-	s.segs = append([]segFile(nil), live...)
-	for _, f := range s.segs {
+	// Re-seed dedupe from every surviving segment, oldest first, so the
+	// FIFO eviction window matches a store that never restarted.
+	for _, f := range live {
+		s.segs = append(s.segs, f.segFile)
 		if f.meta.Seq.Last >= s.nextSeq {
 			s.nextSeq = f.meta.Seq.Last + 1
 		}
-		for id, cc := range f.meta.Roster {
-			s.roster[id] = cc
+		addRoster(s.roster, f.meta.Roster)
+		if f.keyErr != nil {
+			return fmt.Errorf("segment: %s: %w", filepath.Base(f.path), f.keyErr)
 		}
-	}
-	// Re-seed dedupe from every surviving segment, oldest first, so the
-	// FIFO eviction window matches a store that never restarted.
-	for _, f := range s.segs {
-		keys, err := s.readKeys(f)
-		if err != nil {
-			return err
-		}
-		for _, k := range keys {
+		for _, k := range f.keys {
 			s.mem.sh.Apply(k.Router, k.Key, func(*dataset.Store) {})
 		}
 	}
 	return nil
-}
-
-func (s *Store) readKeys(f segFile) ([]Key, error) {
-	b, err := os.ReadFile(f.path)
-	if err != nil {
-		return nil, fmt.Errorf("segment: %w", err)
-	}
-	r, err := NewReader(b)
-	if err != nil {
-		return nil, fmt.Errorf("segment: reread %s: %w", f.path, err)
-	}
-	return r.Keys()
 }
 
 // Close stops background work and flushes the memtable so every
@@ -437,7 +430,7 @@ func (s *Store) flushLocked() error {
 	}
 
 	if !s.opt.NoCompaction {
-		if err := s.compactLocked(); err != nil {
+		if err := s.compactLocked(s.opt.CompactAt); err != nil {
 			s.flushErr.Store(err.Error())
 		}
 	}
@@ -463,9 +456,7 @@ func (s *Store) commitFrozen() error {
 
 	s.segMu.Lock()
 	s.segs = append(s.segs, segFile{path: path, meta: metaOf(snap, seq, nil, len(old.keys))})
-	for id, cc := range snap.RouterCountry {
-		s.roster[id] = cc
-	}
+	addRoster(s.roster, snap.RouterCountry)
 	s.frozen = nil
 	subs := make([]func(*dataset.Store), len(s.onSeal))
 	copy(subs, s.onSeal)
@@ -484,20 +475,33 @@ func metaOf(snap *dataset.Store, seq SeqRange, replaces []SeqRange, keyRows int)
 	m := Meta{Seq: seq, Replaces: replaces, KeyRows: keyRows}
 	m.MinTime, m.MaxTime, m.HasTimeRange = timeRange(snap)
 	m.Roster = make(map[string]string, len(snap.RouterCountry))
-	for id, cc := range snap.RouterCountry {
-		m.Roster[id] = cc
-	}
-	m.Rows = dataset.RowCounts{
-		Routers:    len(snap.RouterCountry),
-		Uptime:     len(snap.Uptime),
-		Capacity:   len(snap.Capacity),
-		Counts:     len(snap.Counts),
-		Sightings:  len(snap.Sightings),
-		WiFi:       len(snap.WiFi),
-		Flows:      len(snap.Flows),
-		Throughput: len(snap.Throughput),
-	}
+	addRoster(m.Roster, snap.RouterCountry)
+	m.Rows = countsOf(snap)
 	return m
+}
+
+func countsOf(st *dataset.Store) dataset.RowCounts {
+	return dataset.RowCounts{
+		Routers:    len(st.RouterCountry),
+		Uptime:     len(st.Uptime),
+		Capacity:   len(st.Capacity),
+		Counts:     len(st.Counts),
+		Sightings:  len(st.Sightings),
+		WiFi:       len(st.WiFi),
+		Flows:      len(st.Flows),
+		Throughput: len(st.Throughput),
+	}
+}
+
+// addCounts adds o's per-kind row counts to rc (Routers is not a sum).
+func addCounts(rc *dataset.RowCounts, o dataset.RowCounts) {
+	rc.Uptime += o.Uptime
+	rc.Capacity += o.Capacity
+	rc.Counts += o.Counts
+	rc.Sightings += o.Sightings
+	rc.WiFi += o.WiFi
+	rc.Flows += o.Flows
+	rc.Throughput += o.Throughput
 }
 
 func segName(seq SeqRange) string {
@@ -539,15 +543,15 @@ func writeAtomic(path string, b []byte) error {
 }
 
 // compactLocked folds the oldest run of seq-adjacent segments whose
-// time ranges overlap into one segment when the live count exceeds
-// CompactAt. Only adjacent-in-seq runs are eligible — compaction must
-// not reorder rows — and the output records the replaced seq ranges so
-// a crash between its rename and the input deletion heals at open.
-func (s *Store) compactLocked() error {
-	s.segMu.RLock()
-	segs := append([]segFile(nil), s.segs...)
-	s.segMu.RUnlock()
-	if len(segs) <= s.opt.CompactAt {
+// time ranges overlap into one segment when more than minSegs are live.
+// Only adjacent-in-seq runs are eligible — compaction must not reorder
+// rows — and the output records the replaced seq ranges so a crash
+// between its rename and the input deletion heals at open. It scans
+// with one worker: it runs beside ingest and leaves the other CPUs to
+// the appliers.
+func (s *Store) compactLocked(minSegs int) error {
+	segs, _, _ := s.view()
+	if len(segs) <= minSegs {
 		return nil
 	}
 	run := pickCompactRun(segs, maxCompactInputs)
@@ -555,30 +559,17 @@ func (s *Store) compactLocked() error {
 		return nil
 	}
 
-	merged := &dataset.Store{RouterCountry: make(map[string]string)}
+	merged, window := presized(run, dataset.RowCounts{})
 	var keys []Key
 	var replaces []SeqRange
-	for _, f := range run {
-		b, err := os.ReadFile(f.path)
-		if err != nil {
-			return fmt.Errorf("segment: compact: %w", err)
-		}
-		st, ks, _, err := Decode(b)
-		if err != nil {
-			return fmt.Errorf("segment: compact %s: %w", f.path, err)
-		}
-		merged.Uptime = append(merged.Uptime, st.Uptime...)
-		merged.Capacity = append(merged.Capacity, st.Capacity...)
-		merged.Counts = append(merged.Counts, st.Counts...)
-		merged.Sightings = append(merged.Sightings, st.Sightings...)
-		merged.WiFi = append(merged.WiFi, st.WiFi...)
-		merged.Flows = append(merged.Flows, st.Flows...)
-		merged.Throughput = append(merged.Throughput, st.Throughput...)
-		for id, cc := range st.RouterCountry {
-			merged.RouterCountry[id] = cc
-		}
+	if _, err := scan(run, 1, window, func(i int, r *Reader, _ *dataset.Store) error {
+		ks, err := r.Keys()
 		keys = append(keys, ks...)
-		replaces = append(replaces, f.meta.Seq)
+		addRoster(merged.RouterCountry, r.meta.Roster)
+		replaces = append(replaces, run[i].meta.Seq)
+		return err
+	}); err != nil {
+		return fmt.Errorf("segment: compact: %w", err)
 	}
 	seq := SeqRange{First: run[0].meta.Seq.First, Last: run[len(run)-1].meta.Seq.Last}
 	b := Encode(merged, keys, seq, replaces)
@@ -659,78 +650,94 @@ func pickCompactRun(segs []segFile, maxIn int) []segFile {
 }
 
 // Compact runs one compaction pass regardless of thresholds (tests and
-// ops tooling).
+// ops tooling): CompactAt gates only the pass that follows a flush.
 func (s *Store) Compact() error {
 	s.flushMu.Lock()
 	defer s.flushMu.Unlock()
-	return s.compactLocked()
+	return s.compactLocked(0)
 }
 
 // Merge implements dataset.IngestStore: the batch view. Sealed segments
-// decode from disk in seq order, then the sealed-but-uncommitted
-// generation (if a flush is mid-commit), then the live memtable.
+// decode from disk in seq order — concurrently, each into its own window
+// of the footer-presized output (see scan) — then the
+// sealed-but-uncommitted generation (if a flush is mid-commit), then the
+// live memtable.
 //
-// A compaction can delete a segment file between this function's
-// snapshot of the list and the read; that attempt restarts with a fresh
-// snapshot, and after a few restarts it runs under flushMu, which
-// excludes compaction entirely.
+// A compaction or an extract can delete or rewrite a segment file
+// between this function's snapshot of the list and the read; that
+// attempt restarts with a fresh snapshot, and after a few restarts it
+// runs under flushMu, which excludes both entirely.
 func (s *Store) Merge() *dataset.Store {
 	for i := 0; i < 3; i++ {
 		if out, ok := s.mergeOnce(true); ok {
 			return out
 		}
 	}
-	// Authoritative pass: no compaction can race now. A segment that
-	// still fails to read here is corrupt on disk; skipping it beats
-	// returning nothing (upstream redelivery + dedupe recover its rows
-	// on the next restart, when Open quarantines it).
+	// Authoritative pass: nothing can race now. A segment that still
+	// fails to read here is corrupt on disk; skipping it beats returning
+	// nothing (upstream redelivery + dedupe recover its rows on the next
+	// restart, when Open quarantines it).
 	s.flushMu.Lock()
 	defer s.flushMu.Unlock()
 	out, _ := s.mergeOnce(false)
 	return out
 }
 
-func (s *Store) mergeOnce(strict bool) (*dataset.Store, bool) {
-	out := &dataset.Store{
-		Heartbeats:    s.hb,
-		RouterCountry: make(map[string]string),
-	}
+// view snapshots the three tiers a reader concatenates: sealed segments,
+// the sealed-but-uncommitted generation (nil if none), the live memtable.
+func (s *Store) view() (segs []segFile, frozen, mem *memtable) {
 	s.rot.RLock()
-	mem := s.mem
+	defer s.rot.RUnlock()
 	s.segMu.RLock()
-	segs := append([]segFile(nil), s.segs...)
-	frozen := s.frozen
-	s.segMu.RUnlock()
-	s.rot.RUnlock()
+	defer s.segMu.RUnlock()
+	return append([]segFile(nil), s.segs...), s.frozen, s.mem
+}
 
-	for _, f := range segs {
-		st, err := readRows(f.path)
-		if err != nil {
-			if strict {
-				return nil, false
-			}
-			s.flushErr.Store(err.Error())
-			continue
+func (s *Store) mergeOnce(strict bool) (*dataset.Store, bool) {
+	segs, frozen, mem := s.view()
+
+	// The in-memory generations merge first so the output can be sized
+	// for them too; they are appended last.
+	var tail []*dataset.Store
+	var spare dataset.RowCounts
+	if frozen != nil {
+		tail = append(tail, frozen.sh.Merge())
+	}
+	tail = append(tail, mem.sh.Merge())
+	for _, st := range tail {
+		addCounts(&spare, countsOf(st))
+	}
+
+	var out *dataset.Store
+	for {
+		var window func(int) *dataset.Store
+		out, window = presized(segs, spare)
+		bad, err := scan(segs, runtime.GOMAXPROCS(0), window, func(_ int, r *Reader, _ *dataset.Store) error {
+			addRoster(out.RouterCountry, r.meta.Roster)
+			return nil
+		})
+		if err == nil {
+			break
 		}
+		if strict {
+			return nil, false
+		}
+		// The output is sized without the failed segment and scanned
+		// again: its rows are missing, nobody else's are displaced.
+		s.flushErr.Store(err.Error())
+		segs = append(segs[:bad:bad], segs[bad+1:]...)
+	}
+	out.Heartbeats = s.hb
+	for _, st := range tail {
 		appendStore(out, st)
 	}
-	if frozen != nil {
-		appendStore(out, frozen.sh.Merge())
-	}
-	appendStore(out, mem.sh.Merge())
 	return out, true
 }
 
-func readRows(path string) (*dataset.Store, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("segment: %w", err)
+func addRoster(dst, src map[string]string) {
+	for id, cc := range src {
+		dst[id] = cc
 	}
-	r, err := NewReader(b)
-	if err != nil {
-		return nil, fmt.Errorf("segment: %s: %w", filepath.Base(path), err)
-	}
-	return r.Rows()
 }
 
 func appendStore(dst, src *dataset.Store) {
@@ -741,9 +748,7 @@ func appendStore(dst, src *dataset.Store) {
 	dst.WiFi = append(dst.WiFi, src.WiFi...)
 	dst.Flows = append(dst.Flows, src.Flows...)
 	dst.Throughput = append(dst.Throughput, src.Throughput...)
-	for id, cc := range src.RouterCountry {
-		dst.RouterCountry[id] = cc
-	}
+	addRoster(dst.RouterCountry, src.RouterCountry)
 }
 
 // Tail returns the rows not yet covered by a sealed segment (the
@@ -755,12 +760,7 @@ func (s *Store) Tail() *dataset.Store {
 		Heartbeats:    s.hb,
 		RouterCountry: make(map[string]string),
 	}
-	s.rot.RLock()
-	mem := s.mem
-	s.segMu.RLock()
-	frozen := s.frozen
-	s.segMu.RUnlock()
-	s.rot.RUnlock()
+	_, frozen, mem := s.view()
 	if frozen != nil {
 		appendStore(out, frozen.sh.Merge())
 	}
@@ -769,23 +769,24 @@ func (s *Store) Tail() *dataset.Store {
 }
 
 // Subscribe registers fn to receive every sealed segment's rows as an
-// immutable chunk: first each existing on-disk segment (decoded, in seq
-// order), then every future seal, with no gap and no duplicate. fn runs
-// on the flushing goroutine and must not call back into the store; the
+// immutable chunk: first each existing on-disk segment (in seq order, on
+// the caller's goroutine, while the next few decode ahead — see scan),
+// then every future seal, with no gap and no duplicate. fn runs on the
+// flushing goroutine and must not call back into the store; the
 // chunk is never touched by the store again, so fn may retain it but
 // must not mutate it (other subscribers see the same chunk).
 func (s *Store) Subscribe(fn func(chunk *dataset.Store)) error {
 	s.flushMu.Lock()
 	defer s.flushMu.Unlock()
-	s.segMu.RLock()
-	segs := append([]segFile(nil), s.segs...)
-	s.segMu.RUnlock()
-	for _, f := range segs {
-		st, err := readRows(f.path)
-		if err != nil {
-			return fmt.Errorf("segment: replay: %w", err)
-		}
-		fn(st)
+	segs, _, _ := s.view()
+	if _, err := scan(segs, runtime.GOMAXPROCS(0),
+		func(i int) *dataset.Store { return newWindow(segs[i].meta.Rows, dataset.RowCounts{}) },
+		func(_ int, r *Reader, chunk *dataset.Store) error {
+			addRoster(chunk.RouterCountry, r.meta.Roster)
+			fn(chunk)
+			return nil
+		}); err != nil {
+		return fmt.Errorf("segment: replay: %w", err)
 	}
 	s.segMu.Lock()
 	s.onSeal = append(s.onSeal, fn)
@@ -809,25 +810,16 @@ func (s *Store) RowCounts() dataset.RowCounts {
 	s.segMu.RUnlock()
 	s.rot.RUnlock()
 
-	add := func(o dataset.RowCounts) {
-		rc.Uptime += o.Uptime
-		rc.Capacity += o.Capacity
-		rc.Counts += o.Counts
-		rc.Sightings += o.Sightings
-		rc.WiFi += o.WiFi
-		rc.Flows += o.Flows
-		rc.Throughput += o.Throughput
-	}
 	for _, f := range segs {
-		add(f.meta.Rows)
+		addCounts(&rc, f.meta.Rows)
 	}
 	if frozen != nil {
-		add(frozen.sh.RowCounts())
+		addCounts(&rc, frozen.sh.RowCounts())
 		for id := range frozen.sh.Roster() {
 			roster[id] = struct{}{}
 		}
 	}
-	add(mem.sh.RowCounts())
+	addCounts(&rc, mem.sh.RowCounts())
 	for id := range mem.sh.Roster() {
 		roster[id] = struct{}{}
 	}
