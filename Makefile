@@ -7,16 +7,13 @@
 #   make check-segment   # segment engine: crash windows, fuzz seeds, goldens, -race
 #   make check-rebalance # elastic scale-in/out: ring property, epoch, soaks, goldens, -race
 #   make check-bench     # the benchmark module builds and its smoke run passes
-#   make bench         # regression benchmark suite -> BENCH_9.json
+#   make bench PR=<n>  # natbench, five sets of all four workloads -> BENCH_<n>.json, compared with the previous one
 #   make bench-paper   # full reproduction driver (tables/figures + ablations)
 
 GO ?= go
 
 # Per-target budget for the short fuzz shake-out in check-verify.
 FUZZTIME ?= 10s
-
-# Fixed per-benchmark budget so BENCH_*.json files are comparable run to run.
-BENCHTIME ?= 300ms
 
 .PHONY: check vet build test race bench bench-paper bench-telemetry \
 	check-reliability check-verify check-load check-cluster check-segment \
@@ -36,35 +33,20 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The scale-regression suite. Fixed -benchtime keeps runs comparable;
-# bench-report turns the text output into BENCH_9.json (per-benchmark
-# metrics plus the derived ratios — single-core caveat notes are now
-# attached automatically to every parallelism-derived metric whenever
-# num_cpu=1, so the JSON is self-describing on any runner).
-# BenchmarkIngestBatchTraced rides the same regex and tracks the tracing
-# on/off delta on the ingest hot path (budget: <5% median overhead);
-# BenchmarkIngestBatchWire compares the NPB1 binary batch encoding
-# against JSON (targets: >= 5x rows/s/core, >= 10x fewer allocs/batch);
-# the cluster trio prices the front tier; the segment/figures quartet
-# prices the storage engine — flush throughput
-# (segment_flush_rows_per_sec), segment-scan vs in-memory analysis
-# (segment_scan_overhead), and the incremental dashboard refresh vs full
-# recomputation (incremental_figure_speedup).
+# The repository's one benchmark and its checked-in trajectory: natbench
+# (benchmarks/, catalogue in BENCHMARK.json) runs all four workloads
+# five times and the result file IS BENCH_<n>.json — header with commit,
+# nproc and GOMAXPROCS, medians and quartiles per metric. It is then
+# compared with the highest-numbered earlier natbench-format file
+# (BENCH_5..9.json are the retired microbenchmark format, kept as
+# history); the compare is a report, not a gate — the box is too noisy
+# to fail a build on. About 20 minutes; run nothing else beside it.
 bench:
-	{ \
-	  $(GO) test -run='^$$' -bench='BenchmarkStoreAppend|BenchmarkDedupeMark|BenchmarkStoreSave|BenchmarkShardedMerge' \
-	    -benchtime=$(BENCHTIME) -benchmem ./internal/dataset/ && \
-	  $(GO) test -run='^$$' -bench='BenchmarkIngestBatch' -benchtime=$(BENCHTIME) -benchmem ./internal/collector/ && \
-	  $(GO) test -run='^$$' -bench='BenchmarkSpoolDrain' -benchtime=$(BENCHTIME) -benchmem ./internal/spool/ && \
-	  $(GO) test -run='^$$' -bench='BenchmarkWorldRunHome' -benchtime=$(BENCHTIME) -benchmem ./internal/world/ && \
-	  $(GO) test -run='^$$' -bench='BenchmarkLoadgenEndToEnd' -benchtime=$(BENCHTIME) -benchmem ./internal/loadgen/ && \
-	  $(GO) test -run='^$$' -bench='BenchmarkRingLookup|BenchmarkFrontRouteBatch|BenchmarkHandoffReplay' \
-	    -benchtime=$(BENCHTIME) -benchmem ./internal/cluster/ && \
-	  $(GO) test -run='^$$' -bench='BenchmarkSegmentFlush|BenchmarkSegmentReopen' \
-	    -benchtime=$(BENCHTIME) -benchmem ./internal/segment/ && \
-	  $(GO) test -run='^$$' -bench='BenchmarkAnalysisScan|BenchmarkFigureRefresh' \
-	    -benchtime=$(BENCHTIME) -benchmem ./internal/figures/ ; \
-	} | $(GO) run ./cmd/bench-report -pr 9 -out BENCH_9.json
+	@test -n "$(PR)" || { echo "usage: make bench PR=<n>"; exit 2; }
+	bash benchmarks/run.sh repeat -n 5 -seed 100 -out BENCH_$(PR).json
+	@prev=$$(grep -l '"frozen_rows_per_s"' BENCH_*.json | sed 's/[^0-9]//g' | awk '$$1 < $(PR)' | sort -n | tail -1); \
+	if [ -n "$$prev" ]; then bash benchmarks/run.sh compare BENCH_$$prev.json BENCH_$(PR).json || true; \
+	else echo "BENCH_$(PR).json is the first natbench-format file: nothing to compare with"; fi
 
 # The full paper-reproduction driver (tables/figures + ablations).
 bench-paper:
@@ -95,7 +77,7 @@ check-reliability:
 #   4. a short fuzz shake-out of every wire/disk parser ($(FUZZTIME)
 #      each) on top of their checked-in seed corpora.
 check-verify: fuzz-seeds
-	$(GO) test -race ./internal/verify/
+	$(GO) test -race -timeout 60m ./internal/verify/
 	$(GO) test -race -run 'TestThroughput|TestWriterReaderRoundTrip|TestReaderTruncatedStream|TestJournal' \
 		./internal/gateway/ ./internal/pcap/ ./internal/spool/
 	$(GO) test -run='^$$' -fuzz='FuzzParse' -fuzztime=$(FUZZTIME) ./internal/dns/
@@ -103,6 +85,7 @@ check-verify: fuzz-seeds
 	$(GO) test -run='^$$' -fuzz='FuzzDecode' -fuzztime=$(FUZZTIME) ./internal/packet/
 	$(GO) test -run='^$$' -fuzz='FuzzJournalReplay' -fuzztime=$(FUZZTIME) ./internal/spool/
 	$(GO) test -run='^$$' -fuzz='FuzzRequestDecode' -fuzztime=$(FUZZTIME) ./internal/collector/
+	$(GO) test -run='^$$' -fuzz='FuzzCodec' -fuzztime=$(FUZZTIME) ./internal/codec/
 	$(GO) test -run='^$$' -fuzz='FuzzWireDecode' -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -run='^$$' -fuzz='FuzzSegmentDecode' -fuzztime=$(FUZZTIME) ./internal/segment/
 
@@ -189,4 +172,4 @@ check-segment:
 
 # Replay the checked-in fuzz corpora as plain unit tests (fast, -race).
 fuzz-seeds:
-	$(GO) test -race -run 'Fuzz' ./internal/dns/ ./internal/pcap/ ./internal/packet/ ./internal/spool/ ./internal/collector/ ./internal/wire/ ./internal/cluster/ ./internal/segment/
+	$(GO) test -race -run 'Fuzz' ./internal/dns/ ./internal/pcap/ ./internal/packet/ ./internal/spool/ ./internal/collector/ ./internal/codec/ ./internal/wire/ ./internal/cluster/ ./internal/segment/

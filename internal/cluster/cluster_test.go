@@ -322,6 +322,57 @@ func TestClusterFailoverReplaysJournal(t *testing.T) {
 // node that comes back empty pulls key manifests before taking writes,
 // so a retry of a write acked during its absence dedupes instead of
 // double-applying.
+// TestManifestWithholdsRebornJoinersOrphans pins the race behind the
+// chaos soak's lost rows: a reborn node pulls its join manifests before
+// it gossips, so a peer that has not yet judged the previous life dead
+// still believes the owner holds the rows of the frames it journaled
+// for it — and served their keys. Seeded with those keys, the reborn
+// owner flattened the failover replay of the same frames to duplicates
+// and the rows were gone for good. The requester's own Member entry
+// carries its incarnation; a newer one than the peer knows must
+// withhold the unreplayed frames' keys, in both manifest modes.
+func TestManifestWithholdsRebornJoinersOrphans(t *testing.T) {
+	tc := startTestCluster(t, 2, 2)
+	owner, holder := tc.nodes[0], tc.nodes[1]
+	it := uptimeItem("rt-orphan", 1)
+	frame := &Message{Kind: MsgReplicate, Replicate: &Replicate{
+		Owner: owner.ID(), Successors: []string{holder.ID()}, Batch: wire.AppendBatch(nil, []wire.Item{it})}}
+	if _, err := postCtrl(holder.httpc, holder.CtrlAddr(), "/cluster/replicate", frame, 5*time.Second); err != nil {
+		t.Fatalf("replicate: %v", err)
+	}
+	self, ok := holder.ms.lookup(owner.ID())
+	if !ok {
+		t.Fatal("holder does not know the owner")
+	}
+	served := func(inc uint64, targeted bool) int {
+		t.Helper()
+		self.Incarnation = inc
+		req := &ManifestRequest{Joiner: owner.ID(), Members: []Member{self}}
+		if targeted {
+			req.Routers = []string{"rt-orphan"}
+		}
+		m, err := postCtrl(holder.httpc, holder.CtrlAddr(), "/cluster/manifest",
+			&Message{Kind: MsgManifestRequest, ManifestReq: req}, 5*time.Second)
+		if err != nil {
+			t.Fatalf("manifest: %v", err)
+		}
+		keys := 0
+		for _, en := range m.ManifestResp.Entries {
+			keys += len(en.Keys)
+		}
+		return keys
+	}
+	known := self.Incarnation
+	for _, targeted := range []bool{false, true} {
+		if got := served(known, targeted); got != 1 {
+			t.Errorf("targeted=%v: %d keys served to the owner's known life, want the journaled 1", targeted, got)
+		}
+		if got := served(known+1, targeted); got != 0 {
+			t.Errorf("targeted=%v: %d keys of an unreplayed frame served to a reborn owner, want 0", targeted, got)
+		}
+	}
+}
+
 func TestClusterRejoinManifestSeedsDedupe(t *testing.T) {
 	nodeA, err := NewNode(NodeConfig{ID: "node-a",
 		UDPAddr: "127.0.0.1:0", HTTPAddr: "127.0.0.1:0", CtrlAddr: "127.0.0.1:0",

@@ -1,19 +1,24 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"fmt"
+
+	"natpeek/internal/codec"
 )
 
 // The control plane speaks a small binary protocol ("NPC1") over plain
 // HTTP POSTs between peers: membership gossip, the key manifests a
 // rejoining node pulls to rebuild its dedupe index, and the replicate
-// frames the front fans out to a write's successor nodes. Like NPB1 it
-// is length-prefixed varint framing with a bounds-checked decoder —
-// counts and lengths are validated against the remaining input before a
-// single byte of them is allocated, and trailing bytes after a complete
-// message are an error, never silently ignored. The codec is fuzzed
-// (FuzzControlDecode) with checked-in seed corpora.
+// frames the front fans out to a write's successor nodes. This file is
+// the NPC1 schema — which field comes next — over internal/codec, which
+// owns the varint framing and the bounds checks: counts and lengths are
+// validated against the remaining input before a single byte of them is
+// allocated, and trailing bytes after a complete message are an error,
+// never silently ignored. What NPC1 keeps for itself is canonical form:
+// flag and presence bytes have one legal value each and empty lists
+// decode to nil, so a relayed message re-encodes to the bytes it came
+// from. The codec is fuzzed (FuzzControlDecode) with checked-in seed
+// corpora.
 
 // ctrlMagic starts every NPC1 buffer ("natpeek control, version 1").
 const ctrlMagic = "NPC1"
@@ -203,410 +208,170 @@ type Message struct {
 // AppendMessage encodes a message onto dst and returns the extended
 // buffer.
 func AppendMessage(dst []byte, m *Message) []byte {
-	e := ctrlEncoder{buf: append(dst, ctrlMagic...)}
-	e.buf = append(e.buf, byte(m.Kind))
+	e := &codec.Enc{Buf: append(dst, ctrlMagic...)}
+	e.Byte(byte(m.Kind))
 	switch m.Kind {
 	case MsgGossip:
-		e.str(m.Gossip.From)
-		e.members(m.Gossip.Members)
-		e.epoch(m.Gossip.Cur)
-		e.epoch(m.Gossip.Next)
+		e.Str(m.Gossip.From)
+		putMembers(e, m.Gossip.Members)
+		putEpoch(e, m.Gossip.Cur)
+		putEpoch(e, m.Gossip.Next)
 	case MsgManifestRequest:
-		e.str(m.ManifestReq.Joiner)
-		e.members(m.ManifestReq.Members)
-		e.uvarint(uint64(len(m.ManifestReq.Routers)))
-		for _, rt := range m.ManifestReq.Routers {
-			e.str(rt)
-		}
+		e.Str(m.ManifestReq.Joiner)
+		putMembers(e, m.ManifestReq.Members)
+		putStrs(e, m.ManifestReq.Routers)
 	case MsgManifestResponse:
-		e.str(m.ManifestResp.From)
-		e.uvarint(uint64(len(m.ManifestResp.Entries)))
-		for _, en := range m.ManifestResp.Entries {
-			e.str(en.Router)
-			e.uvarint(uint64(len(en.Keys)))
-			for _, k := range en.Keys {
-				e.str(k)
-			}
-		}
+		e.Str(m.ManifestResp.From)
+		putEntries(e, m.ManifestResp.Entries)
 	case MsgReplicate:
-		e.str(m.Replicate.Owner)
-		e.uvarint(uint64(len(m.Replicate.Successors)))
-		for _, s := range m.Replicate.Successors {
-			e.str(s)
-		}
-		e.uvarint(uint64(len(m.Replicate.Batch)))
-		e.buf = append(e.buf, m.Replicate.Batch...)
+		e.Str(m.Replicate.Owner)
+		putStrs(e, m.Replicate.Successors)
+		e.Bytes(m.Replicate.Batch)
 	case MsgTransferRequest:
-		e.str(m.TransferReq.From)
-		e.epoch(m.TransferReq.Epoch)
+		e.Str(m.TransferReq.From)
+		putEpoch(e, m.TransferReq.Epoch)
 	case MsgTransferResponse:
-		e.str(m.TransferResp.From)
-		e.uvarint(m.TransferResp.Rows)
+		e.Str(m.TransferResp.From)
+		e.Uvarint(m.TransferResp.Rows)
 	case MsgTransferKeys:
-		e.str(m.TransferKeys.From)
-		e.uvarint(uint64(len(m.TransferKeys.Entries)))
-		for _, en := range m.TransferKeys.Entries {
-			e.str(en.Router)
-			e.uvarint(uint64(len(en.Keys)))
-			for _, k := range en.Keys {
-				e.str(k)
-			}
-		}
+		e.Str(m.TransferKeys.From)
+		putEntries(e, m.TransferKeys.Entries)
 	case MsgDrain:
-		e.str(m.Drain.Node)
+		e.Str(m.Drain.Node)
 	}
-	return e.buf
+	return e.Buf
 }
 
-type ctrlEncoder struct{ buf []byte }
-
-func (e *ctrlEncoder) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
-
-func (e *ctrlEncoder) str(s string) {
-	e.uvarint(uint64(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
-func (e *ctrlEncoder) members(ms []Member) {
-	e.uvarint(uint64(len(ms)))
-	for _, m := range ms {
-		e.str(m.ID)
-		e.buf = append(e.buf, byte(m.Role))
-		e.str(m.CtrlAddr)
-		e.str(m.DataAddr)
-		e.uvarint(m.Incarnation)
-		e.uvarint(m.Beat)
-		e.uvarint(m.EpochVersion)
-		var flags byte
-		if m.Joining {
-			flags |= memberFlagJoining
+// DecodeMessage decodes one NPC1 message. The whole buffer must be
+// exactly one message: trailing bytes are an error. Each message's
+// fields are read straight through in wire order (a composite literal
+// evaluates its fields in source order) and the decoder's sticky error
+// is checked once, at the end.
+func DecodeMessage(buf []byte) (*Message, error) {
+	d := codec.NewDec(buf)
+	d.Magic(ctrlMagic)
+	m := &Message{Kind: MsgKind(d.Byte())}
+	switch m.Kind {
+	case MsgGossip:
+		m.Gossip = &Gossip{From: d.Str(), Members: getMembers(d), Cur: getEpoch(d), Next: getEpoch(d)}
+	case MsgManifestRequest:
+		m.ManifestReq = &ManifestRequest{Joiner: d.Str(), Members: getMembers(d), Routers: getStrs(d)}
+	case MsgManifestResponse:
+		m.ManifestResp = &ManifestResponse{From: d.Str(), Entries: getEntries(d)}
+	case MsgReplicate:
+		// The batch is copied out (callers journal it past the request
+		// buffer's lifetime) and always non-nil, so an empty one
+		// re-encodes identically.
+		m.Replicate = &Replicate{Owner: d.Str(), Successors: getStrs(d), Batch: append([]byte{}, d.Bytes()...)}
+	case MsgTransferRequest:
+		m.TransferReq = &TransferRequest{From: d.Str(), Epoch: getEpoch(d)}
+	case MsgTransferResponse:
+		m.TransferResp = &TransferResponse{From: d.Str(), Rows: d.Uvarint()}
+	case MsgTransferKeys:
+		m.TransferKeys = &TransferKeys{From: d.Str(), Entries: getEntries(d)}
+	case MsgDrain:
+		m.Drain = &Drain{Node: d.Str()}
+	default:
+		if d.OK() {
+			return nil, fmt.Errorf("cluster: unknown control message kind %d", m.Kind)
 		}
-		e.buf = append(e.buf, flags)
 	}
+	if err := d.End(); err != nil {
+		return nil, fmt.Errorf("cluster: corrupt control message: %w", err)
+	}
+	return m, nil
+}
+
+// Lists decode by appending, never by sizing from the claimed count,
+// and stop at the first failure; an empty list stays nil so a message
+// re-encodes to the bytes it came from.
+
+func putStrs(e *codec.Enc, ss []string) {
+	e.Uvarint(uint64(len(ss)))
+	for _, s := range ss {
+		e.Str(s)
+	}
+}
+
+func getStrs(d *codec.Dec) (out []string) {
+	for n := d.Count(); n > 0 && d.OK(); n-- {
+		out = append(out, d.Str())
+	}
+	return out
+}
+
+// Manifest responses and transfer-keys pushes carry the same list: per
+// router, the idempotency keys applied for it.
+func putEntries(e *codec.Enc, ens []ManifestEntry) {
+	e.Uvarint(uint64(len(ens)))
+	for _, en := range ens {
+		e.Str(en.Router)
+		putStrs(e, en.Keys)
+	}
+}
+
+func getEntries(d *codec.Dec) (out []ManifestEntry) {
+	for n := d.Count(); n > 0 && d.OK(); n-- {
+		out = append(out, ManifestEntry{Router: d.Str(), Keys: getStrs(d)})
+	}
+	return out
 }
 
 // memberFlagJoining marks a Member still mid-join (see Member.Joining).
 // Unknown flag bits are a decode error, keeping the encoding canonical.
 const memberFlagJoining = 1 << 0
 
-// epoch encodes an optional RingEpoch: a presence byte, then version,
-// committed flag, and the node list.
-func (e *ctrlEncoder) epoch(ep *RingEpoch) {
-	if ep == nil {
-		e.buf = append(e.buf, 0)
-		return
-	}
-	e.buf = append(e.buf, 1)
-	e.uvarint(ep.Version)
-	var c byte
-	if ep.Committed {
-		c = 1
-	}
-	e.buf = append(e.buf, c)
-	e.uvarint(uint64(len(ep.Nodes)))
-	for _, id := range ep.Nodes {
-		e.str(id)
+func putMembers(e *codec.Enc, ms []Member) {
+	e.Uvarint(uint64(len(ms)))
+	for _, m := range ms {
+		e.Str(m.ID)
+		e.Byte(byte(m.Role))
+		e.Str(m.CtrlAddr)
+		e.Str(m.DataAddr)
+		e.Uvarint(m.Incarnation)
+		e.Uvarint(m.Beat)
+		e.Uvarint(m.EpochVersion)
+		var flags byte
+		if m.Joining {
+			flags |= memberFlagJoining
+		}
+		e.Byte(flags)
 	}
 }
 
-// DecodeMessage decodes one NPC1 message. The whole buffer must be
-// exactly one message: trailing bytes are an error.
-func DecodeMessage(buf []byte) (*Message, error) {
-	d := ctrlDecoder{buf: buf}
-	if len(buf) < len(ctrlMagic)+1 || string(buf[:len(ctrlMagic)]) != ctrlMagic {
-		return nil, fmt.Errorf("cluster: control message lacks NPC1 magic")
-	}
-	d.pos = len(ctrlMagic)
-	m := &Message{Kind: MsgKind(buf[d.pos])}
-	d.pos++
-	var err error
-	switch m.Kind {
-	case MsgGossip:
-		g := &Gossip{}
-		if g.From, err = d.str(); err == nil {
-			g.Members, err = d.members()
-		}
-		if err == nil {
-			g.Cur, err = d.epoch()
-		}
-		if err == nil {
-			g.Next, err = d.epoch()
-		}
-		m.Gossip = g
-	case MsgManifestRequest:
-		r := &ManifestRequest{}
-		if r.Joiner, err = d.str(); err != nil {
-			break
-		}
-		if r.Members, err = d.members(); err != nil {
-			break
-		}
-		var n int
-		if n, err = d.count(); err != nil {
-			break
-		}
-		for i := 0; i < n; i++ {
-			var rt string
-			if rt, err = d.str(); err != nil {
-				break
-			}
-			r.Routers = append(r.Routers, rt)
-		}
-		m.ManifestReq = r
-	case MsgManifestResponse:
-		r := &ManifestResponse{}
-		if r.From, err = d.str(); err != nil {
-			break
-		}
-		var n int
-		if n, err = d.count(); err != nil {
-			break
-		}
-		for i := 0; i < n && err == nil; i++ {
-			var en ManifestEntry
-			if en.Router, err = d.str(); err != nil {
-				break
-			}
-			var nk int
-			if nk, err = d.count(); err != nil {
-				break
-			}
-			for j := 0; j < nk; j++ {
-				var k string
-				if k, err = d.str(); err != nil {
-					break
-				}
-				en.Keys = append(en.Keys, k)
-			}
-			r.Entries = append(r.Entries, en)
-		}
-		m.ManifestResp = r
-	case MsgReplicate:
-		r := &Replicate{}
-		if r.Owner, err = d.str(); err != nil {
-			break
-		}
-		var n int
-		if n, err = d.count(); err != nil {
-			break
-		}
-		for i := 0; i < n; i++ {
-			var s string
-			if s, err = d.str(); err != nil {
-				break
-			}
-			r.Successors = append(r.Successors, s)
-		}
-		if err == nil {
-			var b []byte
-			if b, err = d.strBytes(); err == nil {
-				// Copy out (callers journal batches past the request
-				// buffer's lifetime); always non-nil so an empty batch
-				// re-encodes identically.
-				r.Batch = append([]byte{}, b...)
-			}
-		}
-		m.Replicate = r
-	case MsgTransferRequest:
-		r := &TransferRequest{}
-		if r.From, err = d.str(); err == nil {
-			r.Epoch, err = d.epoch()
-		}
-		m.TransferReq = r
-	case MsgTransferResponse:
-		r := &TransferResponse{}
-		if r.From, err = d.str(); err == nil {
-			r.Rows, err = d.uvarint()
-		}
-		m.TransferResp = r
-	case MsgTransferKeys:
-		r := &TransferKeys{}
-		if r.From, err = d.str(); err != nil {
-			break
-		}
-		var n int
-		if n, err = d.count(); err != nil {
-			break
-		}
-		for i := 0; i < n && err == nil; i++ {
-			var en ManifestEntry
-			if en.Router, err = d.str(); err != nil {
-				break
-			}
-			var nk int
-			if nk, err = d.count(); err != nil {
-				break
-			}
-			for j := 0; j < nk; j++ {
-				var k string
-				if k, err = d.str(); err != nil {
-					break
-				}
-				en.Keys = append(en.Keys, k)
-			}
-			r.Entries = append(r.Entries, en)
-		}
-		m.TransferKeys = r
-	case MsgDrain:
-		r := &Drain{}
-		r.Node, err = d.str()
-		m.Drain = r
-	default:
-		return nil, fmt.Errorf("cluster: unknown control message kind %d", m.Kind)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if d.pos != len(d.buf) {
-		return nil, fmt.Errorf("cluster: %d trailing bytes after control message", len(d.buf)-d.pos)
-	}
-	return m, nil
-}
-
-type ctrlDecoder struct {
-	buf []byte
-	pos int
-}
-
-func (d *ctrlDecoder) corrupt(what string) error {
-	return fmt.Errorf("cluster: corrupt control message: %s at offset %d", what, d.pos)
-}
-
-func (d *ctrlDecoder) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.buf[d.pos:])
-	if n <= 0 {
-		return 0, d.corrupt("uvarint")
-	}
-	d.pos += n
-	return v, nil
-}
-
-// count reads a list length and bounds it by the remaining input —
-// every element costs at least one encoded byte, so a count exceeding
-// the bytes left is forged and rejected before any allocation sized
-// from it.
-func (d *ctrlDecoder) count() (int, error) {
-	v, err := d.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > uint64(len(d.buf)-d.pos) {
-		return 0, d.corrupt("count exceeds input")
-	}
-	return int(v), nil
-}
-
-func (d *ctrlDecoder) strBytes() ([]byte, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(d.buf)-d.pos) {
-		return nil, d.corrupt("length exceeds input")
-	}
-	b := d.buf[d.pos : d.pos+int(n)]
-	d.pos += int(n)
-	return b, nil
-}
-
-func (d *ctrlDecoder) str() (string, error) {
-	b, err := d.strBytes()
-	return string(b), err
-}
-
-func (d *ctrlDecoder) byte() (byte, error) {
-	if d.pos >= len(d.buf) {
-		return 0, d.corrupt("truncated")
-	}
-	b := d.buf[d.pos]
-	d.pos++
-	return b, nil
-}
-
-func (d *ctrlDecoder) members() ([]Member, error) {
-	n, err := d.count()
-	if err != nil {
-		return nil, err
-	}
-	var out []Member
-	for i := 0; i < n; i++ {
-		var m Member
-		if m.ID, err = d.str(); err != nil {
-			return nil, err
-		}
-		role, err := d.byte()
-		if err != nil {
-			return nil, err
-		}
-		if role > byte(RoleFront) {
-			return nil, d.corrupt("unknown role")
-		}
-		m.Role = Role(role)
-		if m.CtrlAddr, err = d.str(); err != nil {
-			return nil, err
-		}
-		if m.DataAddr, err = d.str(); err != nil {
-			return nil, err
-		}
-		if m.Incarnation, err = d.uvarint(); err != nil {
-			return nil, err
-		}
-		if m.Beat, err = d.uvarint(); err != nil {
-			return nil, err
-		}
-		if m.EpochVersion, err = d.uvarint(); err != nil {
-			return nil, err
-		}
-		flags, err := d.byte()
-		if err != nil {
-			return nil, err
+func getMembers(d *codec.Dec) (out []Member) {
+	for n := d.Count(); n > 0 && d.OK(); n-- {
+		m := Member{ID: d.Str(), Role: Role(d.Byte()), CtrlAddr: d.Str(), DataAddr: d.Str(),
+			Incarnation: d.Uvarint(), Beat: d.Uvarint(), EpochVersion: d.Uvarint()}
+		flags := d.Byte()
+		if m.Role > RoleFront {
+			d.Failf("unknown role %d", m.Role)
 		}
 		if flags&^memberFlagJoining != 0 {
-			return nil, d.corrupt("unknown member flags")
+			d.Failf("unknown member flags %#x", flags)
 		}
 		m.Joining = flags&memberFlagJoining != 0
 		out = append(out, m)
 	}
-	return out, nil
+	return out
 }
 
-// epoch decodes an optional RingEpoch (presence byte, version,
-// committed flag, node list). Presence and committed bytes outside
-// {0,1} are rejected so every valid message has exactly one encoding.
-func (d *ctrlDecoder) epoch() (*RingEpoch, error) {
-	p, err := d.byte()
-	if err != nil {
-		return nil, err
+// An optional RingEpoch is a presence byte, then version, committed
+// flag, and the node list. Presence and committed bytes outside {0,1}
+// are rejected (codec Bool) so every valid message has exactly one
+// encoding.
+func putEpoch(e *codec.Enc, ep *RingEpoch) {
+	e.Bool(ep != nil)
+	if ep != nil {
+		e.Uvarint(ep.Version)
+		e.Bool(ep.Committed)
+		putStrs(e, ep.Nodes)
 	}
-	switch p {
-	case 0:
-		return nil, nil
-	case 1:
-	default:
-		return nil, d.corrupt("epoch presence byte")
+}
+
+func getEpoch(d *codec.Dec) *RingEpoch {
+	if !d.Bool() {
+		return nil
 	}
-	e := &RingEpoch{}
-	if e.Version, err = d.uvarint(); err != nil {
-		return nil, err
-	}
-	c, err := d.byte()
-	if err != nil {
-		return nil, err
-	}
-	if c > 1 {
-		return nil, d.corrupt("epoch committed byte")
-	}
-	e.Committed = c == 1
-	n, err := d.count()
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		var id string
-		if id, err = d.str(); err != nil {
-			return nil, err
-		}
-		e.Nodes = append(e.Nodes, id)
-	}
-	return e, nil
+	return &RingEpoch{Version: d.Uvarint(), Committed: d.Bool(), Nodes: getStrs(d)}
 }

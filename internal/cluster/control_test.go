@@ -2,7 +2,11 @@ package cluster
 
 import (
 	"bytes"
+	"fmt"
+	"os"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -71,6 +75,31 @@ func TestControlRoundTrip(t *testing.T) {
 		if again := AppendMessage(nil, got); !bytes.Equal(buf, again) {
 			t.Errorf("%s: re-encode is not byte-stable", name)
 		}
+	}
+}
+
+// TestEncodingMatchesParent pins "same bytes on the control plane":
+// every sample message must encode to exactly what the hand-rolled
+// encoder produced at the commit before NPC1 became a schema over
+// internal/codec (testdata/parent_npc1.txt, "name hex" per line, was
+// written there).
+func TestEncodingMatchesParent(t *testing.T) {
+	want, err := os.ReadFile("testdata/parent_npc1.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	msgs := sampleMessages()
+	names := make([]string, 0, len(msgs))
+	for name := range msgs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var got strings.Builder
+	for _, name := range names {
+		fmt.Fprintf(&got, "%s %x\n", name, AppendMessage(nil, msgs[name]))
+	}
+	if got.String() != string(want) {
+		t.Fatalf("NPC1 bytes changed:\ngot\n%swant\n%s", got.String(), want)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"natpeek/internal/collector"
+	"natpeek/internal/dataset"
 	"natpeek/internal/heartbeat"
 	"natpeek/internal/telemetry"
 	"natpeek/internal/trace"
@@ -782,7 +783,7 @@ func routerOfItem(it *wire.Item) string {
 			return r
 		}
 	}
-	return keyRouter(it.Key)
+	return dataset.KeyRouter(it.Key)
 }
 
 // routerOfDirect extracts the routing key from a direct /v1/* body.
@@ -800,16 +801,7 @@ func routerOfDirect(endpoint string, body []byte, key string) string {
 			return reg.RouterID
 		}
 	}
-	return keyRouter(key)
-}
-
-// keyRouter is the idempotency-key fallback: keys are router-prefixed
-// ("<router>:<nonce>:...") by both the spool and loadgen.
-func keyRouter(key string) string {
-	if i := strings.IndexByte(key, ':'); i > 0 {
-		return key[:i]
-	}
-	return ""
+	return dataset.KeyRouter(key)
 }
 
 // gunzipBounded inflates a gzip body, refusing to expand past limit.

@@ -362,10 +362,11 @@ func (n *Node) seedRouterKeys(router string) {
 		}
 	}
 	store := n.srv.Sharded()
+	self, _ := n.ms.lookup(n.cfg.ID) // carries our incarnation, see handleManifest
 	for _, donor := range donors {
 		m, err := postCtrl(n.httpc, donor.CtrlAddr, "/cluster/manifest", &Message{
 			Kind:        MsgManifestRequest,
-			ManifestReq: &ManifestRequest{Joiner: n.cfg.ID, Routers: []string{router}},
+			ManifestReq: &ManifestRequest{Joiner: n.cfg.ID, Members: []Member{self}, Routers: []string{router}},
 		}, 5*time.Second)
 		if err != nil || m.Kind != MsgManifestResponse {
 			n.log.Warn("first-write key pull failed", "router", router, "peer", donor.ID, "err", err)
@@ -662,6 +663,16 @@ func (n *Node) handleManifest(w http.ResponseWriter, r *http.Request) {
 	for _, mv := range n.ms.view() {
 		state[mv.ID] = mv.State
 		incs[mv.ID] = mv.Incarnation
+	}
+	// The requester speaks for its own incarnation: a reborn joiner pulls
+	// manifests before it gossips, so this node may still believe the
+	// previous life is alive — and would then serve the keys of frames
+	// whose rows died with it (see the carve-out below).
+	for _, mem := range req.Members {
+		if mem.ID == req.Joiner && mem.Incarnation > incs[mem.ID] {
+			incs[mem.ID] = mem.Incarnation
+			state[mem.ID] = StateAlive
+		}
 	}
 	n.mu.Lock()
 	// A manifest entry is the union of keys this node applied and keys

@@ -471,51 +471,24 @@ func (n *Node) restoreItems(items []wire.Item) {
 	for i := range items {
 		it := &items[i]
 		router := routerOfItem(it)
-		switch p := &it.Payload; p.Kind {
-		case wire.KindUptime:
-			store.Append(router, func(s *dataset.Store) { s.Uptime = append(s.Uptime, p.Uptime) })
-		case wire.KindCapacity:
-			store.Append(router, func(s *dataset.Store) { s.Capacity = append(s.Capacity, p.Capacity) })
-		case wire.KindDevices:
-			store.Append(router, func(s *dataset.Store) {
-				if p.Count != (dataset.DeviceCount{}) {
-					s.Counts = append(s.Counts, p.Count)
-				}
-				s.Sightings = append(s.Sightings, p.Sightings...)
-			})
-		case wire.KindWiFi:
-			store.Append(router, func(s *dataset.Store) { s.WiFi = append(s.WiFi, p.WiFi...) })
-		case wire.KindFlows:
-			store.Append(router, func(s *dataset.Store) { s.Flows = append(s.Flows, p.Flows...) })
-		case wire.KindThroughput:
-			store.Append(router, func(s *dataset.Store) { s.Throughput = append(s.Throughput, p.Throughput...) })
-		case wire.KindRaw:
-			n.restoreRawItem(store, router, it)
+		switch {
+		case it.Payload.Kind != wire.KindRaw:
+			store.Append(router, it.Payload.AppendTo)
+		case it.Endpoint == "/v1/register":
+			var reg struct {
+				RouterID string `json:"router_id"`
+				Country  string `json:"country"`
+			}
+			if json.Unmarshal(it.Payload.Raw, &reg) == nil && reg.RouterID != "" {
+				store.Append(reg.RouterID, func(s *dataset.Store) { s.RouterCountry[reg.RouterID] = reg.Country })
+			}
+		default: // a sightings-only census body
+			if p, err := wire.ParseJSON(it.Endpoint, it.Payload.Raw); err == nil {
+				store.Append(router, p.AppendTo)
+			}
 		}
 	}
 	n.log.Warn("restored undelivered transfer items", "items", len(items))
-}
-
-// restoreRawItem handles the two raw transfer forms: register bodies
-// and sightings-only census bodies.
-func (n *Node) restoreRawItem(store dataset.IngestStore, router string, it *wire.Item) {
-	switch it.Endpoint {
-	case "/v1/register":
-		var reg struct {
-			RouterID string `json:"router_id"`
-			Country  string `json:"country"`
-		}
-		if json.Unmarshal(it.Payload.Raw, &reg) == nil && reg.RouterID != "" {
-			store.Append(reg.RouterID, func(s *dataset.Store) { s.RouterCountry[reg.RouterID] = reg.Country })
-		}
-	case "/v1/devices":
-		var up struct {
-			Sightings []dataset.DeviceSighting `json:"sightings"`
-		}
-		if json.Unmarshal(it.Payload.Raw, &up) == nil && len(up.Sightings) > 0 {
-			store.Append(router, func(s *dataset.Store) { s.Sightings = append(s.Sightings, up.Sightings...) })
-		}
-	}
 }
 
 // pushKeys streams the moved routers' idempotency keys to their new

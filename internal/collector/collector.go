@@ -68,22 +68,9 @@ const maxUploadBytes = 8 << 20
 const DefaultMaxInflight = 256
 
 // applyFunc decodes one endpoint's payload outside any store lock and
-// returns the originating router plus the mutation to run under that
-// router's shard lock.
+// returns the originating router (it picks the store shard) plus the
+// mutation to run under that router's shard lock.
 type applyFunc func(body json.RawMessage) (string, func(*dataset.Store), error)
-
-// decodeApply builds an applyFunc from a router extractor and a typed
-// store mutation. The router ID picks the store shard, so extraction
-// happens at decode time, outside any lock.
-func decodeApply[T any](router func(T) string, apply func(*dataset.Store, T)) applyFunc {
-	return func(body json.RawMessage) (string, func(*dataset.Store), error) {
-		var v T
-		if err := json.Unmarshal(body, &v); err != nil {
-			return "", nil, err
-		}
-		return router(v), func(st *dataset.Store) { apply(st, v) }, nil
-	}
-}
 
 // Server is the collection server. The store is lock-striped
 // (dataset.Sharded): uploads for different routers decode and append
@@ -224,85 +211,32 @@ func Endpoints() []string {
 // newAppliers builds the decode table for every logical upload
 // endpoint. It is a package-level constructor (rather than inline in
 // NewServer) so request decoding can be exercised — and fuzzed —
-// without sockets or a live server.
+// without sockets or a live server. The six measurement endpoints
+// decode into the same wire.Payload an NPB1 item carries and share its
+// Router and AppendTo, so the two encodings cannot drift on placement
+// or on what counts as a row.
 func newAppliers() map[string]applyFunc {
-	return map[string]applyFunc{
-		"/v1/register": decodeApplyRegister(),
-		"/v1/uptime": decodeApply(
-			func(r dataset.UptimeReport) string { return r.RouterID },
-			func(st *dataset.Store, r dataset.UptimeReport) {
-				st.Uptime = append(st.Uptime, r)
-			}),
-		"/v1/capacity": decodeApply(
-			func(c dataset.CapacityMeasure) string { return c.RouterID },
-			func(st *dataset.Store, c dataset.CapacityMeasure) {
-				st.Capacity = append(st.Capacity, c)
-			}),
-		"/v1/devices": decodeApply(
-			func(up censusUpload) string {
-				if up.Count.RouterID != "" {
-					return up.Count.RouterID
-				}
-				return firstRouter(up.Sightings, func(s dataset.DeviceSighting) string { return s.RouterID })
-			},
-			func(st *dataset.Store, up censusUpload) {
-				// A zero-value count means the upload carries only
-				// sightings (cluster rebalancing streams the two row
-				// sets separately); appending it would invent a row.
-				if up.Count != (dataset.DeviceCount{}) {
-					st.Counts = append(st.Counts, up.Count)
-				}
-				st.Sightings = append(st.Sightings, up.Sightings...)
-			}),
-		"/v1/wifi": decodeApply(
-			func(scans []dataset.WiFiScan) string {
-				return firstRouter(scans, func(s dataset.WiFiScan) string { return s.RouterID })
-			},
-			func(st *dataset.Store, scans []dataset.WiFiScan) {
-				st.WiFi = append(st.WiFi, scans...)
-			}),
-		"/v1/traffic/flows": decodeApply(
-			func(fl []dataset.FlowRecord) string {
-				return firstRouter(fl, func(f dataset.FlowRecord) string { return f.RouterID })
-			},
-			func(st *dataset.Store, fl []dataset.FlowRecord) {
-				st.Flows = append(st.Flows, fl...)
-			}),
-		"/v1/traffic/throughput": decodeApply(
-			func(ts []dataset.ThroughputSample) string {
-				return firstRouter(ts, func(t dataset.ThroughputSample) string { return t.RouterID })
-			},
-			func(st *dataset.Store, ts []dataset.ThroughputSample) {
-				st.Throughput = append(st.Throughput, ts...)
-			}),
-	}
-}
-
-// firstRouter shard-routes a slice payload by its first row's router. A
-// payload always carries one router's rows (each gateway uploads its
-// own); an empty slice routes to the empty-ID shard, which is safe.
-func firstRouter[T any](rows []T, id func(T) string) string {
-	if len(rows) == 0 {
-		return ""
-	}
-	return id(rows[0])
-}
-
-// decodeApplyRegister validates registration on top of the generic
-// decode (a router must have an ID).
-func decodeApplyRegister() applyFunc {
-	inner := decodeApply(
-		func(req registerReq) string { return req.RouterID },
-		func(st *dataset.Store, req registerReq) {
-			st.RouterCountry[req.RouterID] = req.Country
-		})
-	return func(body json.RawMessage) (string, func(*dataset.Store), error) {
-		var req registerReq
-		if err := json.Unmarshal(body, &req); err != nil || req.RouterID == "" {
-			return "", nil, fmt.Errorf("bad register")
+	m := map[string]applyFunc{"/v1/register": applyRegister}
+	for k := wire.KindUptime; k <= wire.KindThroughput; k++ { // every typed kind
+		endpoint := k.Endpoint()
+		m[endpoint] = func(body json.RawMessage) (string, func(*dataset.Store), error) {
+			p, err := wire.ParseJSON(endpoint, body)
+			if err != nil {
+				return "", nil, err
+			}
+			return p.Router(), p.AppendTo, nil
 		}
-		return inner(body)
 	}
+	return m
+}
+
+// applyRegister decodes a registration (a router must have an ID).
+func applyRegister(body json.RawMessage) (string, func(*dataset.Store), error) {
+	var req registerReq
+	if err := json.Unmarshal(body, &req); err != nil || req.RouterID == "" {
+		return "", nil, fmt.Errorf("bad register")
+	}
+	return req.RouterID, func(st *dataset.Store) { st.RouterCountry[req.RouterID] = req.Country }, nil
 }
 
 // UDPAddr returns the heartbeat address.
@@ -775,11 +709,6 @@ func (s *Server) shutdown(graceful bool) error {
 type registerReq struct {
 	RouterID string `json:"router_id"`
 	Country  string `json:"country"`
-}
-
-type censusUpload struct {
-	Count     dataset.DeviceCount      `json:"count"`
-	Sightings []dataset.DeviceSighting `json:"sightings"`
 }
 
 // Stats summarizes what the server has collected.
@@ -1373,7 +1302,7 @@ func (c *Client) CapacityMeasure(m dataset.CapacityMeasure) { c.enqueue("/v1/cap
 
 // DeviceCensus implements gateway.Sink.
 func (c *Client) DeviceCensus(count dataset.DeviceCount, sightings []dataset.DeviceSighting) {
-	c.enqueue("/v1/devices", censusUpload{Count: count, Sightings: sightings})
+	c.enqueue("/v1/devices", wire.Census{Count: count, Sightings: sightings})
 }
 
 // WiFiScan implements gateway.Sink.

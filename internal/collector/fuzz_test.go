@@ -70,7 +70,7 @@ func FuzzRequestDecode(f *testing.F) {
 		// Round-trip every typed payload the client can encode.
 		roundTrip[dataset.UptimeReport](t, data)
 		roundTrip[dataset.CapacityMeasure](t, data)
-		roundTrip[censusUpload](t, data)
+		roundTrip[wire.Census](t, data)
 		roundTrip[[]dataset.WiFiScan](t, data)
 		roundTrip[[]dataset.FlowRecord](t, data)
 		roundTrip[[]dataset.ThroughputSample](t, data)

@@ -19,7 +19,6 @@ import (
 	"sync"
 	"time"
 
-	"natpeek/internal/dataset"
 	"natpeek/internal/trace"
 	"natpeek/internal/wire"
 )
@@ -206,34 +205,6 @@ func (b *batchIngest) finish(w http.ResponseWriter) {
 	json.NewEncoder(w).Encode(b.res)
 }
 
-// payloadApplier applies one decoded binary payload under its shard
-// lock. One value lives per request and the apply method value is bound
-// once, so the per-item cost is a pointer store — no closure allocation
-// and no interface boxing per item (the decoded rows are copied by the
-// store's appends while the shard lock is held, which is what makes the
-// decoder's scratch reuse safe).
-type payloadApplier struct{ p *wire.Payload }
-
-func (ap *payloadApplier) apply(st *dataset.Store) {
-	switch p := ap.p; p.Kind {
-	case wire.KindUptime:
-		st.Uptime = append(st.Uptime, p.Uptime)
-	case wire.KindCapacity:
-		st.Capacity = append(st.Capacity, p.Capacity)
-	case wire.KindDevices:
-		if p.Count != (dataset.DeviceCount{}) {
-			st.Counts = append(st.Counts, p.Count)
-		}
-		st.Sightings = append(st.Sightings, p.Sightings...)
-	case wire.KindWiFi:
-		st.WiFi = append(st.WiFi, p.WiFi...)
-	case wire.KindFlows:
-		st.Flows = append(st.Flows, p.Flows...)
-	case wire.KindThroughput:
-		st.Throughput = append(st.Throughput, p.Throughput...)
-	}
-}
-
 var decoderPool = sync.Pool{New: func() any { return new(wire.Decoder) }}
 
 // handleBatchWire ingests an NPB1-encoded batch. Typed payloads skip
@@ -257,9 +228,11 @@ func (s *Server) handleBatchWire(w http.ResponseWriter, body []byte, decodeStart
 	}
 	var b batchIngest
 	b.begin(s, decodeStart)
-	var ap payloadApplier
-	applyFn := ap.apply
+	// One item is decoded over and over and its AppendTo bound once, so
+	// the per-item cost is no closure allocation and no interface
+	// boxing.
 	var it wire.Item
+	applyFn := it.Payload.AppendTo
 	for {
 		err := d.Next(&it)
 		if err == io.EOF {
@@ -280,7 +253,6 @@ func (s *Server) handleBatchWire(w http.ResponseWriter, body []byte, decodeStart
 		}
 		applyStart := time.Now()
 		s.mItems.With(it.Endpoint).Inc()
-		ap.p = &it.Payload
 		applied := s.ingest(it.Endpoint, it.Key, it.Payload.Router(), applyFn)
 		t = b.settle(applied, t, lazyKey, it.Trace, it.Endpoint, applyStart)
 		if t != nil && t.Router == "" {

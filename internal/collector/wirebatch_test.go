@@ -8,7 +8,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -256,19 +258,40 @@ func normalizeRows(t *testing.T, st *dataset.Store, router string) string {
 // encoding must be invisible to the dataset.
 func TestBinaryBatchMatchesJSON(t *testing.T) {
 	stores := map[WireMode]string{}
+	placed := map[WireMode]string{}
 	for mode, name := range map[WireMode]string{WireJSON: "json-router", WireBinary: "bin-router"} {
 		srv, err := NewServer("127.0.0.1:0", "127.0.0.1:0", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { srv.Close() })
+		var mu sync.Mutex
+		var routed []string
+		srv.SetIngestObserver(func(endpoint, _, router string, _ bool) {
+			mu.Lock()
+			routed = append(routed, endpoint+" -> "+router)
+			mu.Unlock()
+		})
 		cli := wireModeClient(t, srv, name, WithWireFormat(mode))
 		driveSink(cli, name)
+		// A census that carries sightings only (what cluster rebalancing
+		// streams): no count row may be invented, and both encodings must
+		// place it by its first sighting's router.
+		cli.DeviceCensus(dataset.DeviceCount{}, []dataset.DeviceSighting{
+			{RouterID: name, At: t0.Add(time.Minute), Device: mac.MustParse("a4:b1:97:0a:0b:0c"), Kind: dataset.Wired}})
 		flush(t, cli)
+		if st := srv.Store(); len(st.Counts) != 1 || len(st.Sightings) != 2 {
+			t.Fatalf("%s: %d count rows and %d sightings, want 1 and 2", name, len(st.Counts), len(st.Sightings))
+		}
 		stores[mode] = normalizeRows(t, srv.Store(), name)
+		sort.Strings(routed)
+		placed[mode] = strings.ReplaceAll(strings.Join(routed, "\n"), name, "ROUTER")
 	}
 	if stores[WireJSON] != stores[WireBinary] {
 		t.Fatalf("stores differ:\njson   %s\nbinary %s", stores[WireJSON], stores[WireBinary])
+	}
+	if placed[WireJSON] != placed[WireBinary] || strings.Contains(placed[WireBinary]+"\n", "-> \n") {
+		t.Fatalf("shard routing differs or is empty:\njson\n%s\nbinary\n%s", placed[WireJSON], placed[WireBinary])
 	}
 }
 

@@ -2,194 +2,29 @@ package dataset
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 )
 
-// The store-append benchmarks are the heart of the scale trajectory
-// (BENCH_*.json). The measured unit is one upload apply exactly as the
-// collector performs it: check the idempotency key, then append the
-// upload's rows, atomically. mode=single-lock is the seed architecture —
-// one mutex in front of a plain Store and its AppliedIndex, which every
-// upload serialized through — and mode=sharded is the striped
-// replacement. make bench records both at 1/2/4/8 goroutines; the
-// acceptance gate is sharded ≥ 2x single-lock throughput at 8.
-//
-// Both variants cap slice growth the same way (reset at benchCap rows)
-// so arbitrarily large b.N measures applies, not allocator churn.
-
-const (
-	benchCap          = 1 << 13
-	benchRowsPerApply = 4       // a realistic upload carries a handful of rows
-	benchRoutersPerG  = 64      // each worker cycles its own router pool
-	benchBurst        = 8       // consecutive applies per router (spool batches are per-router)
-	benchWarmup       = 1 << 16 // applies before the clock starts
-)
-
-var benchRow = UptimeReport{
-	RouterID:   "bench-router",
-	ReportedAt: time.Date(2013, 4, 1, 0, 0, 0, 0, time.UTC),
-	Uptime:     42 * time.Second,
-}
-
-// runAppliers spreads b.N upload applies across g goroutines. Each worker
-// owns a disjoint router pool (the fleet case: contention comes from the
-// store, not from row identity) and stamps every apply with a fresh
-// idempotency key, built with one small allocation per op — the same cost
-// an HTTP header string carries in the real ingest path.
-//
-// An untimed warmup pass runs first so both modes are measured at steady
-// state: with the growth cap in applyUpload, a fresh store spends its
-// first tens of thousands of applies growing (and memmoving) slices, and
-// the striped store has NumShards times as many slices to fill. Without
-// the warmup that allocation phase, not the apply path, dominates short
-// benchtime runs.
-func runAppliers(b *testing.B, g int, applyOne func(worker int, router, key string)) {
-	b.Helper()
-	pass := func(per int, keyspace uint64) {
-		var wg sync.WaitGroup
-		for w := 0; w < g; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				routers := make([]string, benchRoutersPerG)
-				for i := range routers {
-					routers[i] = fmt.Sprintf("bench-%03d-%03d", w, i)
-				}
-				buf := make([]byte, 0, 64)
-				for i := 0; i < per; i++ {
-					router := routers[(i/benchBurst)%benchRoutersPerG]
-					buf = append(buf[:0], router...)
-					buf = append(buf, ':')
-					buf = appendUint(buf, keyspace+uint64(w))
-					buf = append(buf, ':')
-					buf = appendUint(buf, uint64(i))
-					applyOne(w, router, string(buf))
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
-	pass(benchWarmup/g, 1<<32) // warmup keys can never collide with timed keys
-	b.ResetTimer()
-	pass(b.N/g, 0)
-}
-
-func appendUint(b []byte, v uint64) []byte {
-	if v == 0 {
-		return append(b, '0')
-	}
-	var tmp [20]byte
-	i := len(tmp)
-	for v > 0 {
-		i--
-		tmp[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return append(b, tmp[i:]...)
-}
-
-// applyUpload appends one upload's worth of rows, with the same growth
-// cap in both modes.
-func applyUpload(st *Store, router string) {
-	if len(st.Uptime) >= benchCap {
-		st.Uptime = st.Uptime[:0]
-	}
-	row := benchRow
-	row.RouterID = router
-	for i := 0; i < benchRowsPerApply; i++ {
-		st.Uptime = append(st.Uptime, row)
-	}
-}
-
-func BenchmarkStoreAppend(b *testing.B) {
-	goroutines := []int{1, 2, 4, 8}
-
-	for _, g := range goroutines {
-		b.Run(fmt.Sprintf("mode=single-lock/goroutines=%d", g), func(b *testing.B) {
-			var mu sync.Mutex
-			st := NewStore()
-			b.ReportAllocs()
-			runAppliers(b, g, func(w int, router, key string) {
-				mu.Lock()
-				if st.Applied.Mark(key) {
-					applyUpload(st, router)
-				}
-				mu.Unlock()
-			})
-			reportUploadsPerSec(b)
-		})
-	}
-	for _, g := range goroutines {
-		b.Run(fmt.Sprintf("mode=sharded/goroutines=%d", g), func(b *testing.B) {
-			s := NewSharded(0)
-			b.ReportAllocs()
-			runAppliers(b, g, func(w int, router, key string) {
-				s.Apply(router, key, func(st *Store) {
-					applyUpload(st, router)
-				})
-			})
-			reportUploadsPerSec(b)
-		})
-	}
-}
-
-func reportUploadsPerSec(b *testing.B) {
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "uploads/s")
-}
-
-// BenchmarkDedupeMark isolates the bounded idempotency index.
-func BenchmarkDedupeMark(b *testing.B) {
-	var idx AppliedIndex
-	keys := make([]string, 1<<16)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("router:nonce:/v1/uptime:%d", i)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		idx.Mark(keys[i&(len(keys)-1)])
-	}
-}
-
-func benchRouterIDs(n int) []string {
-	out := make([]string, n)
-	for i := range out {
-		out[i] = fmt.Sprintf("bench-router-%03d", i)
-	}
-	return out
-}
-
-// benchPopulated builds a sharded store with rows across every data set,
-// shared by the save/merge benchmarks.
-var (
-	benchPopOnce sync.Once
-	benchPop     *Sharded
-)
-
-func populatedSharded() *Sharded {
-	benchPopOnce.Do(func() {
-		s := NewSharded(0)
-		t0 := benchRow.ReportedAt
-		for r := 0; r < 200; r++ {
-			id := fmt.Sprintf("save-router-%03d", r)
-			s.Append(id, func(st *Store) {
-				st.RouterCountry[id] = "US"
-				for i := 0; i < 50; i++ {
-					st.Uptime = append(st.Uptime, UptimeReport{RouterID: id, ReportedAt: t0, Uptime: time.Duration(i) * time.Second})
-					st.Throughput = append(st.Throughput, ThroughputSample{RouterID: id, Minute: t0, Dir: "up", PeakBps: 1e6, TotalBytes: 1 << 20})
-					st.Flows = append(st.Flows, FlowRecord{RouterID: id, Proto: "tcp", First: t0, Last: t0, UpBytes: 1000, DownBytes: 9000, UpPkts: 10, DownPkts: 70, Conns: 1})
-				}
-			})
-		}
-		benchPop = s
-	})
-	return benchPop
-}
+// The store-append, dedupe-mark and sharded-merge benchmarks that used
+// to live here are natbench per-layer probes now (dataset.apply_ns_per_row,
+// dataset.apply_scaling_p2, dataset.dedupe_mark_ns, dataset.merge_rows_per_s
+// in BENCHMARK.json). CSV save is the one store cost no probe covers.
 
 func BenchmarkStoreSave(b *testing.B) {
-	s := populatedSharded()
+	s := NewSharded(0)
+	t0 := time.Date(2013, 4, 1, 0, 0, 0, 0, time.UTC)
+	for r := 0; r < 200; r++ {
+		id := fmt.Sprintf("save-router-%03d", r)
+		s.Append(id, func(st *Store) {
+			st.RouterCountry[id] = "US"
+			for i := 0; i < 50; i++ {
+				st.Uptime = append(st.Uptime, UptimeReport{RouterID: id, ReportedAt: t0, Uptime: time.Duration(i) * time.Second})
+				st.Throughput = append(st.Throughput, ThroughputSample{RouterID: id, Minute: t0, Dir: "up", PeakBps: 1e6, TotalBytes: 1 << 20})
+				st.Flows = append(st.Flows, FlowRecord{RouterID: id, Proto: "tcp", First: t0, Last: t0, UpBytes: 1000, DownBytes: 9000, UpPkts: 10, DownPkts: 70, Conns: 1})
+			}
+		})
+	}
 	m := s.Merge()
 	dir := b.TempDir()
 	b.ReportAllocs()
@@ -198,18 +33,6 @@ func BenchmarkStoreSave(b *testing.B) {
 		if err := m.Save(dir); err != nil {
 			b.Fatal(err)
 		}
-	}
-	rows := len(m.Uptime) + len(m.Throughput) + len(m.Flows)
-	b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
-}
-
-func BenchmarkShardedMerge(b *testing.B) {
-	s := populatedSharded()
-	b.ReportAllocs()
-	b.ResetTimer()
-	var m *Store
-	for i := 0; i < b.N; i++ {
-		m = s.Merge()
 	}
 	rows := len(m.Uptime) + len(m.Throughput) + len(m.Flows)
 	b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")

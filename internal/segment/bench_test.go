@@ -9,67 +9,9 @@ import (
 	"natpeek/internal/segment"
 )
 
-// BenchmarkSegmentFlush prices the full durability path: ingest a batch
-// of rows into the memtable, then seal it into an encoded, CRC'd,
-// fsync'd segment file. rows/s here is the sustained rate at which a
-// collector can push ingest to disk.
-func BenchmarkSegmentFlush(b *testing.B) {
-	const rows = 5000
-	s, err := segment.Open(segment.Options{Dir: b.TempDir(), NoCompaction: true, FlushRows: 1 << 30})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := rng.New(uint64(i))
-		for j := 0; j < rows; j++ {
-			id := fmt.Sprintf("bismark-%03d", r.Intn(12))
-			s.Apply(id, fmt.Sprintf("k:%d:%d", i, j), func(st *dataset.Store) {
-				st.RouterCountry[id] = "US"
-				addRandomRow(st, id, j, r.Child("row").ChildN("i", j))
-			})
-		}
-		if err := s.Flush(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
-}
-
-// BenchmarkSegmentReopen prices crash recovery / analysis startup:
-// opening a directory of sealed segments and merging them into one
-// analysis-ready store.
-func BenchmarkSegmentReopen(b *testing.B) {
-	dir := b.TempDir()
-	s, err := segment.Open(segment.Options{Dir: dir, NoCompaction: true, FlushRows: 1 << 30})
-	if err != nil {
-		b.Fatal(err)
-	}
-	const rows = 20000
-	applyChunked(s, rows, 99, func() {
-		if err := s.Flush(); err != nil {
-			b.Fatal(err)
-		}
-	})
-	if err := s.Close(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		re, err := segment.Open(segment.Options{Dir: dir, NoCompaction: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		re.Merge()
-		if err := re.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
-}
+// Flush and reopen cost are natbench probes (segment.flush_rows_per_s,
+// segment.open_ms); the sealed-segment scan keeps its package benchmark
+// for the -cpu curve.
 
 // BenchmarkSegmentMerge prices the sealed-segment scan alone: one Merge
 // over 16 sealed, uncompacted segments of an already-open store (file

@@ -8,24 +8,32 @@ package segment
 import (
 	"time"
 
+	"natpeek/internal/codec"
 	"natpeek/internal/dataset"
 )
 
+// Time-column accessors, one per column, shared by a kind's encoder and
+// decoder.
+func uptimeAt(r *dataset.UptimeReport) *time.Time         { return &r.ReportedAt }
+func capacityAt(r *dataset.CapacityMeasure) *time.Time    { return &r.MeasuredAt }
+func countAt(r *dataset.DeviceCount) *time.Time           { return &r.At }
+func sightingAt(r *dataset.DeviceSighting) *time.Time     { return &r.At }
+func wifiAt(r *dataset.WiFiScan) *time.Time               { return &r.At }
+func flowFirst(r *dataset.FlowRecord) *time.Time          { return &r.First }
+func flowLast(r *dataset.FlowRecord) *time.Time           { return &r.Last }
+func throughputAt(r *dataset.ThroughputSample) *time.Time { return &r.Minute }
+
 func encodeUptime(rows []dataset.UptimeReport) []byte {
-	var e enc
-	var routers strDict
+	var e codec.Enc
+	var routers codec.Dict
 	for _, r := range rows {
-		routers.encode(&e, r.RouterID)
+		routers.Put(&e, r.RouterID)
 	}
-	ts := make([]time.Time, len(rows))
-	for i, r := range rows {
-		ts[i] = r.ReportedAt
-	}
-	encodeTimes(&e, ts)
+	encodeTimes(&e, rows, uptimeAt)
 	for _, r := range rows {
-		e.varint(int64(r.Uptime))
+		e.Varint(int64(r.Uptime))
 	}
-	return e.buf
+	return e.Buf
 }
 
 func (r *Reader) uptime(rows []dataset.UptimeReport) error {
@@ -33,35 +41,31 @@ func (r *Reader) uptime(rows []dataset.UptimeReport) error {
 	if err != nil || d == nil {
 		return err
 	}
-	var routers strUndict
+	var routers codec.Undict
 	for i := range rows {
-		rows[i].RouterID = routers.decode(d)
+		rows[i].RouterID = routers.Get(d)
 	}
-	decodeTimes(d, rows, func(r *dataset.UptimeReport) *time.Time { return &r.ReportedAt })
+	decodeTimes(d, rows, uptimeAt)
 	for i := range rows {
-		rows[i].Uptime = time.Duration(d.varint())
+		rows[i].Uptime = time.Duration(d.Varint())
 	}
-	return d.err
+	return corrupt(d)
 }
 
 func encodeCapacity(rows []dataset.CapacityMeasure) []byte {
-	var e enc
-	var routers strDict
+	var e codec.Enc
+	var routers codec.Dict
 	for _, r := range rows {
-		routers.encode(&e, r.RouterID)
+		routers.Put(&e, r.RouterID)
 	}
-	ts := make([]time.Time, len(rows))
-	for i, r := range rows {
-		ts[i] = r.MeasuredAt
-	}
-	encodeTimes(&e, ts)
+	encodeTimes(&e, rows, capacityAt)
 	for _, r := range rows {
-		e.f64(r.UpBps)
+		e.F64(r.UpBps)
 	}
 	for _, r := range rows {
-		e.f64(r.DownBps)
+		e.F64(r.DownBps)
 	}
-	return e.buf
+	return e.Buf
 }
 
 func (r *Reader) capacity(rows []dataset.CapacityMeasure) error {
@@ -69,41 +73,37 @@ func (r *Reader) capacity(rows []dataset.CapacityMeasure) error {
 	if err != nil || d == nil {
 		return err
 	}
-	var routers strUndict
+	var routers codec.Undict
 	for i := range rows {
-		rows[i].RouterID = routers.decode(d)
+		rows[i].RouterID = routers.Get(d)
 	}
-	decodeTimes(d, rows, func(r *dataset.CapacityMeasure) *time.Time { return &r.MeasuredAt })
+	decodeTimes(d, rows, capacityAt)
 	for i := range rows {
-		rows[i].UpBps = d.f64()
+		rows[i].UpBps = d.F64()
 	}
 	for i := range rows {
-		rows[i].DownBps = d.f64()
+		rows[i].DownBps = d.F64()
 	}
-	return d.err
+	return corrupt(d)
 }
 
 func encodeCounts(rows []dataset.DeviceCount) []byte {
-	var e enc
-	var routers strDict
+	var e codec.Enc
+	var routers codec.Dict
 	for _, r := range rows {
-		routers.encode(&e, r.RouterID)
+		routers.Put(&e, r.RouterID)
 	}
-	ts := make([]time.Time, len(rows))
-	for i, r := range rows {
-		ts[i] = r.At
-	}
-	encodeTimes(&e, ts)
+	encodeTimes(&e, rows, countAt)
 	for _, r := range rows {
-		e.varint(int64(r.Wired))
+		e.Varint(int64(r.Wired))
 	}
 	for _, r := range rows {
-		e.varint(int64(r.W24))
+		e.Varint(int64(r.W24))
 	}
 	for _, r := range rows {
-		e.varint(int64(r.W5))
+		e.Varint(int64(r.W5))
 	}
-	return e.buf
+	return e.Buf
 }
 
 func (r *Reader) counts(rows []dataset.DeviceCount) error {
@@ -111,41 +111,37 @@ func (r *Reader) counts(rows []dataset.DeviceCount) error {
 	if err != nil || d == nil {
 		return err
 	}
-	var routers strUndict
+	var routers codec.Undict
 	for i := range rows {
-		rows[i].RouterID = routers.decode(d)
+		rows[i].RouterID = routers.Get(d)
 	}
-	decodeTimes(d, rows, func(r *dataset.DeviceCount) *time.Time { return &r.At })
+	decodeTimes(d, rows, countAt)
 	for i := range rows {
-		rows[i].Wired = int(d.varint())
-	}
-	for i := range rows {
-		rows[i].W24 = int(d.varint())
+		rows[i].Wired = int(d.Varint())
 	}
 	for i := range rows {
-		rows[i].W5 = int(d.varint())
+		rows[i].W24 = int(d.Varint())
 	}
-	return d.err
+	for i := range rows {
+		rows[i].W5 = int(d.Varint())
+	}
+	return corrupt(d)
 }
 
 func encodeSightings(rows []dataset.DeviceSighting) []byte {
-	var e enc
-	var routers strDict
+	var e codec.Enc
+	var routers codec.Dict
 	for _, r := range rows {
-		routers.encode(&e, r.RouterID)
+		routers.Put(&e, r.RouterID)
 	}
-	ts := make([]time.Time, len(rows))
-	for i, r := range rows {
-		ts[i] = r.At
-	}
-	encodeTimes(&e, ts)
+	encodeTimes(&e, rows, sightingAt)
 	for _, r := range rows {
-		e.mac(r.Device)
+		e.Raw(r.Device[:])
 	}
 	for _, r := range rows {
-		e.uvarint(uint64(r.Kind))
+		e.Uvarint(uint64(r.Kind))
 	}
-	return e.buf
+	return e.Buf
 }
 
 func (r *Reader) sightings(rows []dataset.DeviceSighting) error {
@@ -153,44 +149,40 @@ func (r *Reader) sightings(rows []dataset.DeviceSighting) error {
 	if err != nil || d == nil {
 		return err
 	}
-	var routers strUndict
+	var routers codec.Undict
 	for i := range rows {
-		rows[i].RouterID = routers.decode(d)
+		rows[i].RouterID = routers.Get(d)
 	}
-	decodeTimes(d, rows, func(r *dataset.DeviceSighting) *time.Time { return &r.At })
+	decodeTimes(d, rows, sightingAt)
 	for i := range rows {
-		rows[i].Device = d.mac()
+		d.Fill(rows[i].Device[:])
 	}
 	for i := range rows {
-		rows[i].Kind = dataset.ConnKind(d.uvarint())
+		rows[i].Kind = dataset.ConnKind(d.Uvarint())
 	}
-	return d.err
+	return corrupt(d)
 }
 
 func encodeWiFi(rows []dataset.WiFiScan) []byte {
-	var e enc
-	var routers, bands strDict
+	var e codec.Enc
+	var routers, bands codec.Dict
 	for _, r := range rows {
-		routers.encode(&e, r.RouterID)
+		routers.Put(&e, r.RouterID)
 	}
-	ts := make([]time.Time, len(rows))
-	for i, r := range rows {
-		ts[i] = r.At
-	}
-	encodeTimes(&e, ts)
+	encodeTimes(&e, rows, wifiAt)
 	for _, r := range rows {
-		bands.encode(&e, r.Band)
+		bands.Put(&e, r.Band)
 	}
 	for _, r := range rows {
-		e.varint(int64(r.Channel))
+		e.Varint(int64(r.Channel))
 	}
 	for _, r := range rows {
-		e.varint(int64(r.VisibleAPs))
+		e.Varint(int64(r.VisibleAPs))
 	}
 	for _, r := range rows {
-		e.varint(int64(r.Clients))
+		e.Varint(int64(r.Clients))
 	}
-	return e.buf
+	return e.Buf
 }
 
 func (r *Reader) wifi(rows []dataset.WiFiScan) error {
@@ -198,50 +190,43 @@ func (r *Reader) wifi(rows []dataset.WiFiScan) error {
 	if err != nil || d == nil {
 		return err
 	}
-	var routers, bands strUndict
+	var routers, bands codec.Undict
 	for i := range rows {
-		rows[i].RouterID = routers.decode(d)
+		rows[i].RouterID = routers.Get(d)
 	}
-	decodeTimes(d, rows, func(r *dataset.WiFiScan) *time.Time { return &r.At })
+	decodeTimes(d, rows, wifiAt)
 	for i := range rows {
-		rows[i].Band = bands.decode(d)
-	}
-	for i := range rows {
-		rows[i].Channel = int(d.varint())
+		rows[i].Band = bands.Get(d)
 	}
 	for i := range rows {
-		rows[i].VisibleAPs = int(d.varint())
+		rows[i].Channel = int(d.Varint())
 	}
 	for i := range rows {
-		rows[i].Clients = int(d.varint())
+		rows[i].VisibleAPs = int(d.Varint())
 	}
-	return d.err
+	for i := range rows {
+		rows[i].Clients = int(d.Varint())
+	}
+	return corrupt(d)
 }
 
 func encodeFlows(rows []dataset.FlowRecord) []byte {
-	var e enc
-	var routers, domains, protos strDict
+	var e codec.Enc
+	var routers, domains, protos codec.Dict
 	for _, r := range rows {
-		routers.encode(&e, r.RouterID)
-	}
-	for _, r := range rows {
-		e.mac(r.Device)
+		routers.Put(&e, r.RouterID)
 	}
 	for _, r := range rows {
-		domains.encode(&e, r.Domain)
+		e.Raw(r.Device[:])
 	}
 	for _, r := range rows {
-		protos.encode(&e, r.Proto)
+		domains.Put(&e, r.Domain)
 	}
-	ts := make([]time.Time, len(rows))
-	for i, r := range rows {
-		ts[i] = r.First
+	for _, r := range rows {
+		protos.Put(&e, r.Proto)
 	}
-	encodeTimes(&e, ts)
-	for i, r := range rows {
-		ts[i] = r.Last
-	}
-	encodeTimes(&e, ts)
+	encodeTimes(&e, rows, flowFirst)
+	encodeTimes(&e, rows, flowLast)
 	for _, fld := range []func(*dataset.FlowRecord) int64{
 		func(f *dataset.FlowRecord) int64 { return f.UpBytes },
 		func(f *dataset.FlowRecord) int64 { return f.DownBytes },
@@ -250,10 +235,10 @@ func encodeFlows(rows []dataset.FlowRecord) []byte {
 		func(f *dataset.FlowRecord) int64 { return f.Conns },
 	} {
 		for i := range rows {
-			e.varint(fld(&rows[i]))
+			e.Varint(fld(&rows[i]))
 		}
 	}
-	return e.buf
+	return e.Buf
 }
 
 func (r *Reader) flows(rows []dataset.FlowRecord) error {
@@ -261,60 +246,56 @@ func (r *Reader) flows(rows []dataset.FlowRecord) error {
 	if err != nil || d == nil {
 		return err
 	}
-	var routers, domains, protos strUndict
+	var routers, domains, protos codec.Undict
 	for i := range rows {
-		rows[i].RouterID = routers.decode(d)
+		rows[i].RouterID = routers.Get(d)
 	}
 	for i := range rows {
-		rows[i].Device = d.mac()
+		d.Fill(rows[i].Device[:])
 	}
 	for i := range rows {
-		rows[i].Domain = domains.decode(d)
+		rows[i].Domain = domains.Get(d)
 	}
 	for i := range rows {
-		rows[i].Proto = protos.decode(d)
+		rows[i].Proto = protos.Get(d)
 	}
-	decodeTimes(d, rows, func(r *dataset.FlowRecord) *time.Time { return &r.First })
-	decodeTimes(d, rows, func(r *dataset.FlowRecord) *time.Time { return &r.Last })
+	decodeTimes(d, rows, flowFirst)
+	decodeTimes(d, rows, flowLast)
 	for i := range rows {
-		rows[i].UpBytes = d.varint()
-	}
-	for i := range rows {
-		rows[i].DownBytes = d.varint()
+		rows[i].UpBytes = d.Varint()
 	}
 	for i := range rows {
-		rows[i].UpPkts = d.varint()
+		rows[i].DownBytes = d.Varint()
 	}
 	for i := range rows {
-		rows[i].DownPkts = d.varint()
+		rows[i].UpPkts = d.Varint()
 	}
 	for i := range rows {
-		rows[i].Conns = d.varint()
+		rows[i].DownPkts = d.Varint()
 	}
-	return d.err
+	for i := range rows {
+		rows[i].Conns = d.Varint()
+	}
+	return corrupt(d)
 }
 
 func encodeThroughput(rows []dataset.ThroughputSample) []byte {
-	var e enc
-	var routers, dirs strDict
+	var e codec.Enc
+	var routers, dirs codec.Dict
 	for _, r := range rows {
-		routers.encode(&e, r.RouterID)
+		routers.Put(&e, r.RouterID)
 	}
-	ts := make([]time.Time, len(rows))
-	for i, r := range rows {
-		ts[i] = r.Minute
-	}
-	encodeTimes(&e, ts)
+	encodeTimes(&e, rows, throughputAt)
 	for _, r := range rows {
-		dirs.encode(&e, r.Dir)
+		dirs.Put(&e, r.Dir)
 	}
 	for _, r := range rows {
-		e.f64(r.PeakBps)
+		e.F64(r.PeakBps)
 	}
 	for _, r := range rows {
-		e.varint(r.TotalBytes)
+		e.Varint(r.TotalBytes)
 	}
-	return e.buf
+	return e.Buf
 }
 
 func (r *Reader) throughput(rows []dataset.ThroughputSample) error {
@@ -322,46 +303,46 @@ func (r *Reader) throughput(rows []dataset.ThroughputSample) error {
 	if err != nil || d == nil {
 		return err
 	}
-	var routers, dirs strUndict
+	var routers, dirs codec.Undict
 	for i := range rows {
-		rows[i].RouterID = routers.decode(d)
+		rows[i].RouterID = routers.Get(d)
 	}
-	decodeTimes(d, rows, func(r *dataset.ThroughputSample) *time.Time { return &r.Minute })
+	decodeTimes(d, rows, throughputAt)
 	for i := range rows {
-		rows[i].Dir = dirs.decode(d)
-	}
-	for i := range rows {
-		rows[i].PeakBps = d.f64()
+		rows[i].Dir = dirs.Get(d)
 	}
 	for i := range rows {
-		rows[i].TotalBytes = d.varint()
+		rows[i].PeakBps = d.F64()
 	}
-	return d.err
+	for i := range rows {
+		rows[i].TotalBytes = d.Varint()
+	}
+	return corrupt(d)
 }
 
 func encodeKeys(keys []Key) []byte {
-	var e enc
-	var routers strDict
+	var e codec.Enc
+	var routers codec.Dict
 	for _, k := range keys {
-		routers.encode(&e, k.Router)
+		routers.Put(&e, k.Router)
 	}
 	for _, k := range keys {
-		e.str(k.Key)
+		e.Str(k.Key)
 	}
-	return e.buf
+	return e.Buf
 }
 
-func decodeKeys(d *dec, n int) ([]Key, error) {
+func decodeKeys(d *codec.Dec, n int) ([]Key, error) {
 	out := make([]Key, n)
-	var routers strUndict
+	var routers codec.Undict
 	for i := range out {
-		out[i].Router = routers.decode(d)
+		out[i].Router = routers.Get(d)
 	}
 	for i := range out {
-		out[i].Key = d.str()
+		out[i].Key = d.Str()
 	}
-	if d.err != nil {
-		return nil, d.err
+	if err := corrupt(d); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -33,6 +33,7 @@ import (
 	"sort"
 	"time"
 
+	"natpeek/internal/codec"
 	"natpeek/internal/dataset"
 )
 
@@ -136,53 +137,46 @@ func Encode(st *dataset.Store, keys []Key, seq SeqRange, replaces []SeqRange) []
 	addBlock(blkThroughput, len(st.Throughput), encodeThroughput(st.Throughput))
 	addBlock(blkKeys, len(keys), encodeKeys(keys))
 
-	var f enc
-	f.uvarint(formatVersion)
-	f.uvarint(seq.First)
-	f.uvarint(seq.Last)
-	f.uvarint(uint64(len(replaces)))
+	var f codec.Enc
+	f.Uvarint(formatVersion)
+	f.Uvarint(seq.First)
+	f.Uvarint(seq.Last)
+	f.Uvarint(uint64(len(replaces)))
 	for _, r := range replaces {
-		f.uvarint(r.First)
-		f.uvarint(r.Last)
+		f.Uvarint(r.First)
+		f.Uvarint(r.Last)
 	}
 	minT, maxT, ok := timeRange(st)
+	f.Bool(ok)
 	if ok {
-		f.buf = append(f.buf, 1)
-		f.varint(minT.Unix())
-		f.uvarint(uint64(minT.Nanosecond()))
-		f.varint(maxT.Unix())
-		f.uvarint(uint64(maxT.Nanosecond()))
-	} else {
-		f.buf = append(f.buf, 0)
+		f.Varint(minT.Unix())
+		f.Uvarint(uint64(minT.Nanosecond()))
+		f.Varint(maxT.Unix())
+		f.Uvarint(uint64(maxT.Nanosecond()))
 	}
 	ids := make([]string, 0, len(st.RouterCountry))
 	for id := range st.RouterCountry {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	f.uvarint(uint64(len(ids)))
+	f.Uvarint(uint64(len(ids)))
 	for _, id := range ids {
-		f.str(id)
-		f.str(st.RouterCountry[id])
+		f.Str(id)
+		f.Str(st.RouterCountry[id])
 	}
-	f.uvarint(uint64(len(blocks)))
+	f.Uvarint(uint64(len(blocks)))
 	for _, b := range blocks {
-		f.uvarint(b.kind)
-		f.uvarint(b.off)
-		f.uvarint(b.len)
-		f.uvarint(b.rows)
-		f.buf = append(f.buf,
-			byte(b.crc), byte(b.crc>>8), byte(b.crc>>16), byte(b.crc>>24))
+		f.Uvarint(b.kind)
+		f.Uvarint(b.off)
+		f.Uvarint(b.len)
+		f.Uvarint(b.rows)
+		f.U32(b.crc)
 	}
 
-	out = append(out, f.buf...)
-	fl := uint32(len(f.buf))
-	fcrc := crc32.ChecksumIEEE(f.buf)
-	out = append(out,
-		byte(fl), byte(fl>>8), byte(fl>>16), byte(fl>>24),
-		byte(fcrc), byte(fcrc>>8), byte(fcrc>>16), byte(fcrc>>24))
-	out = append(out, magicTail...)
-	return out
+	t := codec.Enc{Buf: append(out, f.Buf...)}
+	t.U32(uint32(len(f.Buf)))
+	t.U32(crc32.ChecksumIEEE(f.Buf))
+	return append(t.Buf, magicTail...)
 }
 
 // timeRange scans every row timestamp (zero values excluded).
@@ -241,8 +235,8 @@ func NewReader(b []byte) (*Reader, error) {
 	if string(t[8:12]) != string(magicTail) {
 		return nil, fmt.Errorf("%w: bad trailer magic (torn tail?)", errCorrupt)
 	}
-	flen := uint32(t[0]) | uint32(t[1])<<8 | uint32(t[2])<<16 | uint32(t[3])<<24
-	fcrc := uint32(t[4]) | uint32(t[5])<<8 | uint32(t[6])<<16 | uint32(t[7])<<24
+	td := codec.NewDec(t)
+	flen, fcrc := td.U32(), td.U32()
 	body := len(b) - trailerSize
 	if int(flen) > body-len(magicHead) {
 		return nil, fmt.Errorf("%w: footer length %d exceeds file", errCorrupt, flen)
@@ -259,48 +253,35 @@ func NewReader(b []byte) (*Reader, error) {
 }
 
 func (r *Reader) parseFooter(footer []byte, blockEnd uint64) error {
-	d := &dec{buf: footer}
-	if v := d.uvarint(); d.err == nil && v != formatVersion {
+	d := codec.NewDec(footer)
+	if v := d.Uvarint(); d.OK() && v != formatVersion {
 		return fmt.Errorf("segment: unsupported format version %d", v)
 	}
 	m := &r.meta
-	m.Seq.First = d.uvarint()
-	m.Seq.Last = d.uvarint()
+	m.Seq = SeqRange{First: d.Uvarint(), Last: d.Uvarint()}
 	if m.Seq.Last < m.Seq.First {
 		return fmt.Errorf("%w: inverted seq range", errCorrupt)
 	}
-	nr := d.uvarint()
-	if nr > uint64(d.remaining()) {
-		return fmt.Errorf("%w: replaces count %d", errCorrupt, nr)
+	for n := d.Count(); n > 0 && d.OK(); n-- {
+		m.Replaces = append(m.Replaces, SeqRange{First: d.Uvarint(), Last: d.Uvarint()})
 	}
-	for i := uint64(0); i < nr && d.err == nil; i++ {
-		m.Replaces = append(m.Replaces, SeqRange{First: d.uvarint(), Last: d.uvarint()})
-	}
-	switch d.byte() {
-	case 0:
-	case 1:
-		m.HasTimeRange = true
+	if m.HasTimeRange = d.Bool(); m.HasTimeRange {
 		m.MinTime = decodeFooterTime(d)
 		m.MaxTime = decodeFooterTime(d)
-	default:
-		return fmt.Errorf("%w: bad time-range flag", errCorrupt)
 	}
-	nRoster := d.uvarint()
-	if nRoster > uint64(d.remaining()) {
-		return fmt.Errorf("%w: roster count %d", errCorrupt, nRoster)
-	}
+	nRoster := d.Count()
 	m.Roster = make(map[string]string, nRoster)
-	for i := uint64(0); i < nRoster && d.err == nil; i++ {
-		id := d.str()
-		m.Roster[id] = d.str()
+	for ; nRoster > 0 && d.OK(); nRoster-- {
+		id := d.Str()
+		m.Roster[id] = d.Str()
 	}
-	nb := d.uvarint()
+	nb := d.Uvarint()
 	if nb > maxBlocks {
 		return fmt.Errorf("%w: %d blocks", errCorrupt, nb)
 	}
 	for i := uint64(0); i < nb; i++ {
-		b := blockRef{kind: d.uvarint(), off: d.uvarint(), len: d.uvarint(), rows: d.uvarint(), crc: d.u32()}
-		if d.err != nil {
+		b := blockRef{kind: d.Uvarint(), off: d.Uvarint(), len: d.Uvarint(), rows: d.Uvarint(), crc: d.U32()}
+		if !d.OK() {
 			break
 		}
 		if b.off < uint64(len(magicHead)) || b.off+b.len < b.off || b.off+b.len > blockEnd {
@@ -332,14 +313,14 @@ func (r *Reader) parseFooter(footer []byte, blockEnd uint64) error {
 		}
 	}
 	m.Rows.Routers = len(m.Roster)
-	return d.err
+	return corrupt(d)
 }
 
-func decodeFooterTime(d *dec) time.Time {
-	sec := d.varint()
-	nsec := d.uvarint()
+func decodeFooterTime(d *codec.Dec) time.Time {
+	sec := d.Varint()
+	nsec := d.Uvarint()
 	if nsec >= uint64(time.Second) {
-		d.fail(fmt.Errorf("%w: footer time nanoseconds", errCorrupt))
+		d.Failf("footer time of %d nanoseconds within a second", nsec)
 	}
 	return time.Unix(sec, int64(nsec)).UTC()
 }
@@ -351,7 +332,7 @@ func (r *Reader) Meta() Meta { return r.meta }
 // there is nothing to decode (no such block, or an empty one). want is
 // the row count the caller sized its window for; a block that holds any
 // other number is refused before a byte of the window is written.
-func (r *Reader) block(kind uint64, want int) (*dec, error) {
+func (r *Reader) block(kind uint64, want int) (*codec.Dec, error) {
 	for _, b := range r.meta.blocks {
 		if b.kind != kind {
 			continue
@@ -366,7 +347,7 @@ func (r *Reader) block(kind uint64, want int) (*dec, error) {
 		if want == 0 {
 			return nil, nil
 		}
-		return &dec{buf: payload}, nil
+		return codec.NewDec(payload), nil
 	}
 	if want != 0 {
 		return nil, fmt.Errorf("segment: no block %d, window is %d", kind, want)

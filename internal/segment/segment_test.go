@@ -1,6 +1,7 @@
 package segment_test
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -98,6 +99,29 @@ func sameRows(t *testing.T, want, got *dataset.Store, what string) {
 	}
 	if !reflect.DeepEqual(want.RouterCountry, got.RouterCountry) {
 		t.Errorf("%s: roster differs", what)
+	}
+}
+
+// TestEncodingMatchesParent pins "same bytes on disk": the fuzz corpus's
+// seed segment must encode to exactly what the hand-rolled encoder
+// produced at the commit before NPS1 became a schema over internal/codec
+// (testdata/parent_nps1.seg was written there), and that file must
+// decode back to the same rows.
+func TestEncodingMatchesParent(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "parent_nps1.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fuzzSeedVariants()[0]; !bytes.Equal(got, want) {
+		t.Fatalf("NPS1 bytes changed: %d bytes, parent wrote %d", len(got), len(want))
+	}
+	st, keys, _, err := segment.Decode(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRows(t, randomStore(13, 200), st, "parent bytes")
+	if len(keys) != 1 || keys[0] != (segment.Key{Router: "bismark-000", Key: "seed"}) {
+		t.Fatalf("parent bytes decode to keys %v", keys)
 	}
 }
 
@@ -468,7 +492,7 @@ func TestCrashTmpLeftover(t *testing.T) {
 // present at open) resolves to exactly one copy of every row.
 func TestCompactionPreservesOrderAndHealsCrash(t *testing.T) {
 	dir := t.TempDir()
-	s, err := segment.Open(segment.Options{Dir: dir, FlushRows: 150, NoCompaction: true, CompactAt: 1})
+	s, err := segment.Open(segment.Options{Dir: dir, FlushRows: 150, NoCompaction: true})
 	if err != nil {
 		t.Fatal(err)
 	}

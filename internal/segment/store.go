@@ -63,20 +63,16 @@ type Options struct {
 	// row, even below FlushRows, so quiet deployments still reach disk.
 	// 0 disables age-based flushing.
 	FlushAge time.Duration
-	// CompactAt triggers compaction when more than this many live
-	// segments exist. <= 0 means DefaultCompactAt; < 0 after defaulting
-	// is impossible, use NoCompaction to disable.
-	CompactAt int
 	// NoCompaction disables background compaction (crash-window tests
 	// pin specific segment layouts).
 	NoCompaction bool
-	// Shards is the memtable stripe count (<= 0: dataset.DefaultShards).
-	Shards int
 }
 
 // Defaults for Options.
 const (
 	DefaultFlushRows = 1 << 16
+	// DefaultCompactAt triggers the compaction pass that follows a flush
+	// when more than this many live segments exist.
 	DefaultCompactAt = 8
 	// maxCompactInputs bounds one compaction's fan-in so a single run
 	// never rewrites the whole history.
@@ -97,8 +93,8 @@ type memtable struct {
 	born atomic.Int64
 }
 
-func newMemtable(shards int) *memtable {
-	return &memtable{sh: dataset.NewSharded(shards)}
+func newMemtable() *memtable {
+	return &memtable{sh: dataset.NewSharded(0)}
 }
 
 func (m *memtable) addKey(router, key string) {
@@ -164,16 +160,13 @@ func Open(opt Options) (*Store, error) {
 	if opt.FlushRows <= 0 {
 		opt.FlushRows = DefaultFlushRows
 	}
-	if opt.CompactAt <= 0 {
-		opt.CompactAt = DefaultCompactAt
-	}
 	if err := os.MkdirAll(opt.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("segment: %w", err)
 	}
 	s := &Store{
 		opt:    opt,
 		hb:     heartbeat.NewLog(),
-		mem:    newMemtable(opt.Shards),
+		mem:    newMemtable(),
 		roster: make(map[string]string),
 		stopc:  make(chan struct{}),
 		kick:   make(chan struct{}, 1),
@@ -413,7 +406,7 @@ func (s *Store) flushLocked() error {
 		s.rot.Unlock()
 		return nil
 	}
-	fresh := newMemtable(s.opt.Shards)
+	fresh := newMemtable()
 	fresh.sh.AdoptDedupe(old.sh)
 	s.mem = fresh
 	s.segMu.Lock()
@@ -430,7 +423,7 @@ func (s *Store) flushLocked() error {
 	}
 
 	if !s.opt.NoCompaction {
-		if err := s.compactLocked(s.opt.CompactAt); err != nil {
+		if err := s.compactLocked(DefaultCompactAt); err != nil {
 			s.flushErr.Store(err.Error())
 		}
 	}
@@ -650,7 +643,7 @@ func pickCompactRun(segs []segFile, maxIn int) []segFile {
 }
 
 // Compact runs one compaction pass regardless of thresholds (tests and
-// ops tooling): CompactAt gates only the pass that follows a flush.
+// ops tooling): DefaultCompactAt gates only the pass that follows a flush.
 func (s *Store) Compact() error {
 	s.flushMu.Lock()
 	defer s.flushMu.Unlock()

@@ -1,12 +1,12 @@
 package wire
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"time"
 
+	"natpeek/internal/codec"
 	"natpeek/internal/dataset"
 	"natpeek/internal/mac"
 	"natpeek/internal/trace"
@@ -19,20 +19,19 @@ import (
 // allocations — the only per-batch allocations left are the dictionary
 // string copies themselves.
 //
-// Hostile input is bounded, not trusted: every length and count is
-// checked against the bytes actually remaining, so a forged header
-// cannot make the decoder allocate beyond its input's size. A corrupt
-// buffer yields an error from Reset or Next; it never panics.
+// Hostile input is bounded, not trusted: the codec kernel checks every
+// length and count against the bytes actually remaining, so a forged
+// header cannot make the decoder allocate beyond its input's size. A
+// corrupt buffer yields an error from Reset or Next; it never panics.
 //
 // The Item filled by Next reuses the decoder's scratch storage — see
 // Payload's doc for the aliasing rules.
 type Decoder struct {
-	data []byte
-	off  int
-	left int // items not yet decoded
-	prev int64
+	dec  codec.Dec
+	dict codec.Undict
+	left int   // items not yet decoded
+	prev int64 // the batch-wide timestamp delta chain
 
-	dict []string
 	// interned caches dictionary literals across Reset calls. A pooled
 	// decoder sees the same router IDs, domains, protocols, and span
 	// names batch after batch; serving them from the cache makes the
@@ -50,23 +49,22 @@ type Decoder struct {
 	tr         trace.Wire
 }
 
+func corrupt(err error) error { return fmt.Errorf("wire: corrupt batch: %w", err) }
+
 // Reset binds the decoder to buf and decodes the envelope header,
 // returning an error if buf is not an NPB1 batch.
 func (d *Decoder) Reset(buf []byte) error {
-	d.data = buf
-	d.off = 0
-	d.left = 0
+	if d.dict.Intern == nil {
+		d.dict.Intern = d.intern
+	}
+	d.dec.Reset(buf)
+	d.dict.Reset()
 	d.prev = 0
-	d.dict = d.dict[:0]
-	if len(buf) < len(magic) || string(buf[:len(magic)]) != magic {
-		return fmt.Errorf("wire: not an NPB1 batch")
+	d.dec.Magic(magic)
+	d.left = d.dec.Count()
+	if err := d.dec.Err(); err != nil {
+		return corrupt(err)
 	}
-	d.off = len(magic)
-	n, err := d.count()
-	if err != nil {
-		return err
-	}
-	d.left = n
 	return nil
 }
 
@@ -75,352 +73,114 @@ func (d *Decoder) Len() int { return d.left }
 
 // Next decodes the next item into it, reusing the decoder's scratch
 // storage. It returns io.EOF after the last item — and, like the JSON
-// path post-bugfix, rejects trailing bytes after the final item.
+// path post-bugfix, rejects trailing bytes after the final item. The
+// item's schema reads straight through; one check at the end means a
+// failure anywhere inside it hands out nothing.
 func (d *Decoder) Next(it *Item) error {
+	c := &d.dec
 	if d.left == 0 {
-		if d.off != len(d.data) {
-			return fmt.Errorf("wire: %d trailing bytes after batch", len(d.data)-d.off)
+		if err := c.End(); err != nil {
+			return corrupt(err)
 		}
 		return io.EOF
 	}
 	d.left--
 	*it = Item{}
 
-	meta, err := d.uvarint()
-	if err != nil {
-		return err
-	}
+	meta := c.Uvarint()
 	kind := Kind(meta & 0x7)
 	if kind > kindMax {
-		return fmt.Errorf("wire: unknown payload kind %d", kind)
+		c.Failf("unknown payload kind %d", kind)
 	}
 	it.Payload.Kind = kind
 	if kind == KindRaw {
-		if it.Endpoint, err = d.ref(); err != nil {
-			return err
-		}
+		it.Endpoint = d.ref()
 	} else {
 		it.Endpoint = kind.Endpoint()
 	}
-	if it.Key, err = d.str(); err != nil {
-		return err
-	}
+	it.Key = c.Str()
 	if meta&(1<<3) != 0 {
-		if err := d.decodeTrace(it); err != nil {
-			return err
-		}
+		d.decodeTrace(it)
 	}
-	return d.decodePayload(&it.Payload)
+	d.decodePayload(&it.Payload)
+	if err := c.Err(); err != nil {
+		*it = Item{}
+		return corrupt(err)
+	}
+	return nil
 }
 
-func (d *Decoder) decodeTrace(it *Item) error {
-	router, err := d.ref()
-	if err != nil {
-		return err
-	}
-	n, err := d.count()
-	if err != nil {
-		return err
-	}
+// Fields of a composite literal are evaluated in source order, so the
+// literals below read the wire in the order they are written.
+
+func (d *Decoder) decodeTrace(it *Item) {
+	c := &d.dec
+	router := d.ref()
 	spans := d.spans[:0]
-	for i := 0; i < n; i++ {
-		var sp trace.Span
-		if sp.Name, err = d.ref(); err != nil {
-			return err
-		}
-		if sp.Status, err = d.ref(); err != nil {
-			return err
-		}
-		if sp.Start, err = d.time(); err != nil {
-			return err
-		}
-		if sp.End, err = d.time(); err != nil {
-			return err
-		}
-		na, err := d.count()
-		if err != nil {
-			return err
-		}
-		if na > 0 {
+	for n := c.Count(); n > 0 && c.OK(); n-- {
+		sp := trace.Span{Name: d.ref(), Status: d.ref(), Start: d.time(), End: d.time()}
+		if na := c.Count(); na > 0 {
 			// Attrs are freshly allocated, never scratch: span slices are
 			// copied into traces the recorder retains long after this
 			// batch's buffers are reused, and that copy is shallow. Grown
-			// incrementally rather than sized from na — count() only
+			// incrementally rather than sized from na — Count only
 			// guarantees one input byte per element, so an up-front make
 			// would hand a forged count ~32x amplification before the
 			// decode failed.
-			attrs := make([]trace.Attr, 0, min(na, 8))
-			for j := 0; j < na; j++ {
-				var a trace.Attr
-				if a.K, err = d.ref(); err != nil {
-					return err
-				}
-				if a.V, err = d.ref(); err != nil {
-					return err
-				}
-				attrs = append(attrs, a)
+			sp.Attrs = make([]trace.Attr, 0, min(na, 8))
+			for ; na > 0 && c.OK(); na-- {
+				sp.Attrs = append(sp.Attrs, trace.Attr{K: d.ref(), V: d.ref()})
 			}
-			sp.Attrs = attrs
 		}
 		spans = append(spans, sp)
 	}
 	d.spans = spans
 	d.tr = trace.Wire{Router: router, Spans: spans}
 	it.Trace = &d.tr
-	return nil
 }
 
-func (d *Decoder) decodePayload(p *Payload) error {
-	var err error
+func (d *Decoder) decodePayload(p *Payload) {
+	c := &d.dec
 	switch p.Kind {
 	case KindUptime:
-		r := &p.Uptime
-		if r.RouterID, err = d.ref(); err != nil {
-			return err
-		}
-		if r.ReportedAt, err = d.time(); err != nil {
-			return err
-		}
-		up, err := d.varint()
-		if err != nil {
-			return err
-		}
-		r.Uptime = time.Duration(up)
+		p.Uptime = dataset.UptimeReport{RouterID: d.ref(), ReportedAt: d.time(), Uptime: time.Duration(c.Varint())}
 	case KindCapacity:
-		c := &p.Capacity
-		if c.RouterID, err = d.ref(); err != nil {
-			return err
-		}
-		if c.MeasuredAt, err = d.time(); err != nil {
-			return err
-		}
-		if c.UpBps, err = d.f64(); err != nil {
-			return err
-		}
-		if c.DownBps, err = d.f64(); err != nil {
-			return err
-		}
+		p.Capacity = dataset.CapacityMeasure{RouterID: d.ref(), MeasuredAt: d.time(), UpBps: c.F64(), DownBps: c.F64()}
 	case KindDevices:
-		c := &p.Count
-		if c.RouterID, err = d.ref(); err != nil {
-			return err
-		}
-		if c.At, err = d.time(); err != nil {
-			return err
-		}
-		if c.Wired, err = d.intField(); err != nil {
-			return err
-		}
-		if c.W24, err = d.intField(); err != nil {
-			return err
-		}
-		if c.W5, err = d.intField(); err != nil {
-			return err
-		}
-		n, err := d.count()
-		if err != nil {
-			return err
-		}
+		p.Count = dataset.DeviceCount{RouterID: d.ref(), At: d.time(),
+			Wired: int(c.Varint()), W24: int(c.Varint()), W5: int(c.Varint())}
 		rows := d.sightings[:0]
-		for i := 0; i < n; i++ {
-			var s dataset.DeviceSighting
-			if s.RouterID, err = d.ref(); err != nil {
-				return err
-			}
-			if s.At, err = d.time(); err != nil {
-				return err
-			}
-			if s.Device, err = d.mac(); err != nil {
-				return err
-			}
-			k, err := d.intField()
-			if err != nil {
-				return err
-			}
-			s.Kind = dataset.ConnKind(k)
-			rows = append(rows, s)
+		for n := c.Count(); n > 0 && c.OK(); n-- {
+			rows = append(rows, dataset.DeviceSighting{RouterID: d.ref(), At: d.time(),
+				Device: d.mac(), Kind: dataset.ConnKind(c.Varint())})
 		}
-		d.sightings = rows
-		p.Sightings = rows
+		d.sightings, p.Sightings = rows, rows
 	case KindWiFi:
-		n, err := d.count()
-		if err != nil {
-			return err
-		}
 		rows := d.wifi[:0]
-		for i := 0; i < n; i++ {
-			var s dataset.WiFiScan
-			if s.RouterID, err = d.ref(); err != nil {
-				return err
-			}
-			if s.At, err = d.time(); err != nil {
-				return err
-			}
-			if s.Band, err = d.ref(); err != nil {
-				return err
-			}
-			if s.Channel, err = d.intField(); err != nil {
-				return err
-			}
-			if s.VisibleAPs, err = d.intField(); err != nil {
-				return err
-			}
-			if s.Clients, err = d.intField(); err != nil {
-				return err
-			}
-			rows = append(rows, s)
+		for n := c.Count(); n > 0 && c.OK(); n-- {
+			rows = append(rows, dataset.WiFiScan{RouterID: d.ref(), At: d.time(), Band: d.ref(),
+				Channel: int(c.Varint()), VisibleAPs: int(c.Varint()), Clients: int(c.Varint())})
 		}
-		d.wifi = rows
-		p.WiFi = rows
+		d.wifi, p.WiFi = rows, rows
 	case KindFlows:
-		n, err := d.count()
-		if err != nil {
-			return err
-		}
 		rows := d.flows[:0]
-		for i := 0; i < n; i++ {
-			var f dataset.FlowRecord
-			if f.RouterID, err = d.ref(); err != nil {
-				return err
-			}
-			if f.Device, err = d.mac(); err != nil {
-				return err
-			}
-			if f.Domain, err = d.ref(); err != nil {
-				return err
-			}
-			if f.Proto, err = d.ref(); err != nil {
-				return err
-			}
-			if f.First, err = d.time(); err != nil {
-				return err
-			}
-			if f.Last, err = d.time(); err != nil {
-				return err
-			}
-			if f.UpBytes, err = d.varint(); err != nil {
-				return err
-			}
-			if f.DownBytes, err = d.varint(); err != nil {
-				return err
-			}
-			if f.UpPkts, err = d.varint(); err != nil {
-				return err
-			}
-			if f.DownPkts, err = d.varint(); err != nil {
-				return err
-			}
-			if f.Conns, err = d.varint(); err != nil {
-				return err
-			}
-			rows = append(rows, f)
+		for n := c.Count(); n > 0 && c.OK(); n-- {
+			rows = append(rows, dataset.FlowRecord{RouterID: d.ref(), Device: d.mac(),
+				Domain: d.ref(), Proto: d.ref(), First: d.time(), Last: d.time(),
+				UpBytes: c.Varint(), DownBytes: c.Varint(),
+				UpPkts: c.Varint(), DownPkts: c.Varint(), Conns: c.Varint()})
 		}
-		d.flows = rows
-		p.Flows = rows
+		d.flows, p.Flows = rows, rows
 	case KindThroughput:
-		n, err := d.count()
-		if err != nil {
-			return err
-		}
 		rows := d.throughput[:0]
-		for i := 0; i < n; i++ {
-			var s dataset.ThroughputSample
-			if s.RouterID, err = d.ref(); err != nil {
-				return err
-			}
-			if s.Minute, err = d.time(); err != nil {
-				return err
-			}
-			if s.Dir, err = d.ref(); err != nil {
-				return err
-			}
-			if s.PeakBps, err = d.f64(); err != nil {
-				return err
-			}
-			if s.TotalBytes, err = d.varint(); err != nil {
-				return err
-			}
-			rows = append(rows, s)
+		for n := c.Count(); n > 0 && c.OK(); n-- {
+			rows = append(rows, dataset.ThroughputSample{RouterID: d.ref(), Minute: d.time(),
+				Dir: d.ref(), PeakBps: c.F64(), TotalBytes: c.Varint()})
 		}
-		d.throughput = rows
-		p.Throughput = rows
+		d.throughput, p.Throughput = rows, rows
 	default: // KindRaw: zero-copy alias into the input buffer
-		n, err := d.count()
-		if err != nil {
-			return err
-		}
-		if p.Raw, err = d.bytes(n); err != nil {
-			return err
-		}
+		p.Raw = c.Bytes()
 	}
-	return nil
-}
-
-func (d *Decoder) corrupt(what string) error {
-	return fmt.Errorf("wire: corrupt batch: bad %s at offset %d", what, d.off)
-}
-
-func (d *Decoder) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.data[d.off:])
-	if n <= 0 {
-		return 0, d.corrupt("uvarint")
-	}
-	d.off += n
-	return v, nil
-}
-
-func (d *Decoder) varint() (int64, error) {
-	v, n := binary.Varint(d.data[d.off:])
-	if n <= 0 {
-		return 0, d.corrupt("varint")
-	}
-	d.off += n
-	return v, nil
-}
-
-// count reads a element/length count and bounds it by the bytes left in
-// the buffer (every counted element costs at least one byte), so forged
-// counts cannot drive huge allocations.
-func (d *Decoder) count() (int, error) {
-	v, err := d.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > uint64(len(d.data)-d.off) {
-		return 0, d.corrupt("count")
-	}
-	return int(v), nil
-}
-
-func (d *Decoder) intField() (int, error) {
-	v, err := d.varint()
-	if err != nil {
-		return 0, err
-	}
-	return int(v), nil
-}
-
-func (d *Decoder) bytes(n int) ([]byte, error) {
-	if n > len(d.data)-d.off {
-		return nil, d.corrupt("length")
-	}
-	b := d.data[d.off : d.off+n : d.off+n]
-	d.off += n
-	return b, nil
-}
-
-// str reads a length-prefixed string, copying out of the input buffer
-// (strings may be retained by the store past the buffer's lifetime).
-func (d *Decoder) str() (string, error) {
-	n, err := d.count()
-	if err != nil {
-		return "", err
-	}
-	b, err := d.bytes(n)
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
 }
 
 // Dictionary-literal interning bounds: strings longer than
@@ -431,24 +191,17 @@ const (
 	internMaxEntries = 4096
 )
 
-// internStr reads a length-prefixed string like str, but serves
-// repeated values from the cross-batch intern cache without copying.
-// Only dictionary literals come through here — item keys are unique by
+// intern is the dictionary's literal hook: each distinct string is
+// copied once per batch, however many rows carry it — and at most once
+// per pooled decoder lifetime when it fits the intern cache. Only
+// dictionary literals come through here — item keys are unique by
 // design and would only churn the cache.
-func (d *Decoder) internStr() (string, error) {
-	n, err := d.count()
-	if err != nil {
-		return "", err
-	}
-	b, err := d.bytes(n)
-	if err != nil {
-		return "", err
-	}
+func (d *Decoder) intern(b []byte) string {
 	if len(b) == 0 || len(b) > internMaxLen {
-		return string(b), nil
+		return string(b)
 	}
 	if s, ok := d.interned[string(b)]; ok { // no alloc: map index on string(b)
-		return s, nil
+		return s
 	}
 	if len(d.interned) >= internMaxEntries {
 		clear(d.interned)
@@ -458,62 +211,25 @@ func (d *Decoder) internStr() (string, error) {
 	}
 	s := string(b)
 	d.interned[s] = s
-	return s, nil
+	return s
 }
 
-// ref resolves one dictionary-coded string: 0 introduces a literal (and
-// interns it), v>0 reuses entry v-1. Each distinct string is copied
-// exactly once per batch, however many rows carry it — and at most once
-// per pooled decoder lifetime when it fits the intern cache.
-func (d *Decoder) ref() (string, error) {
-	v, err := d.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if v == 0 {
-		s, err := d.internStr()
-		if err != nil {
-			return "", err
-		}
-		d.dict = append(d.dict, s)
-		return s, nil
-	}
-	if v > uint64(len(d.dict)) {
-		return "", d.corrupt("dictionary reference")
-	}
-	return d.dict[v-1], nil
-}
+// ref resolves one dictionary-coded string.
+func (d *Decoder) ref() string { return d.dict.Get(&d.dec) }
 
-func (d *Decoder) f64() (float64, error) {
-	if len(d.data)-d.off < 8 {
-		return 0, d.corrupt("float64")
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.data[d.off:]))
-	d.off += 8
-	return v, nil
-}
-
-func (d *Decoder) mac() (mac.Addr, error) {
-	var a mac.Addr
-	if len(d.data)-d.off < len(a) {
-		return a, d.corrupt("mac")
-	}
-	copy(a[:], d.data[d.off:])
-	d.off += len(a)
-	return a, nil
+func (d *Decoder) mac() (a mac.Addr) {
+	d.dec.Fill(a[:])
+	return a
 }
 
 // time reads one link of the delta chain. Decoded times are UTC, like
 // every timestamp the JSON path parses from RFC 3339 "Z" bodies, so the
 // two decode paths yield identical rows.
-func (d *Decoder) time() (time.Time, error) {
-	delta, err := d.varint()
-	if err != nil {
-		return time.Time{}, err
-	}
+func (d *Decoder) time() time.Time {
+	delta := d.dec.Varint()
 	if delta == math.MinInt64 {
-		return time.Time{}, nil
+		return time.Time{}
 	}
 	d.prev += delta // wrapping, mirrors the encoder exactly
-	return time.Unix(0, d.prev).UTC(), nil
+	return time.Unix(0, d.prev).UTC()
 }

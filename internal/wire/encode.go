@@ -1,9 +1,10 @@
 package wire
 
 import (
-	"encoding/binary"
 	"math"
 	"time"
+
+	"natpeek/internal/codec"
 )
 
 // AppendBatch encodes a whole batch onto dst and returns the extended
@@ -12,18 +13,19 @@ import (
 // disagrees with KindFor(Endpoint) must use KindRaw; PayloadFromJSON
 // guarantees that invariant for transcoded items.
 func AppendBatch(dst []byte, items []Item) []byte {
-	e := encoder{buf: append(dst, magic...), dict: make(map[string]uint64, 16)}
-	e.buf = binary.AppendUvarint(e.buf, uint64(len(items)))
+	e := encoder{Enc: codec.Enc{Buf: append(dst, magic...)}}
+	e.Uvarint(uint64(len(items)))
 	for i := range items {
 		e.item(&items[i])
 	}
-	return e.buf
+	return e.Buf
 }
 
-// encoder carries the per-batch dictionary and timestamp chain.
+// encoder is the codec kernel's Enc plus what spans a whole batch: the
+// string dictionary and the timestamp chain.
 type encoder struct {
-	buf  []byte
-	dict map[string]uint64
+	codec.Enc
+	dict codec.Dict
 	prev int64
 }
 
@@ -32,20 +34,20 @@ func (e *encoder) item(it *Item) {
 	if it.Trace != nil {
 		meta |= 1 << 3
 	}
-	e.buf = binary.AppendUvarint(e.buf, meta)
+	e.Uvarint(meta)
 	if it.Payload.Kind == KindRaw {
 		e.ref(it.Endpoint)
 	}
-	e.str(it.Key)
+	e.Str(it.Key)
 	if it.Trace != nil {
 		e.ref(it.Trace.Router)
-		e.buf = binary.AppendUvarint(e.buf, uint64(len(it.Trace.Spans)))
+		e.Uvarint(uint64(len(it.Trace.Spans)))
 		for _, sp := range it.Trace.Spans {
 			e.ref(sp.Name)
 			e.ref(sp.Status)
 			e.time(sp.Start)
 			e.time(sp.End)
-			e.buf = binary.AppendUvarint(e.buf, uint64(len(sp.Attrs)))
+			e.Uvarint(uint64(len(sp.Attrs)))
 			for _, a := range sp.Attrs {
 				e.ref(a.K)
 				e.ref(a.V)
@@ -60,89 +62,65 @@ func (e *encoder) payload(p *Payload) {
 	case KindUptime:
 		e.ref(p.Uptime.RouterID)
 		e.time(p.Uptime.ReportedAt)
-		e.varint(int64(p.Uptime.Uptime))
+		e.Varint(int64(p.Uptime.Uptime))
 	case KindCapacity:
 		e.ref(p.Capacity.RouterID)
 		e.time(p.Capacity.MeasuredAt)
-		e.f64(p.Capacity.UpBps)
-		e.f64(p.Capacity.DownBps)
+		e.F64(p.Capacity.UpBps)
+		e.F64(p.Capacity.DownBps)
 	case KindDevices:
 		e.ref(p.Count.RouterID)
 		e.time(p.Count.At)
-		e.varint(int64(p.Count.Wired))
-		e.varint(int64(p.Count.W24))
-		e.varint(int64(p.Count.W5))
-		e.buf = binary.AppendUvarint(e.buf, uint64(len(p.Sightings)))
+		e.Varint(int64(p.Count.Wired))
+		e.Varint(int64(p.Count.W24))
+		e.Varint(int64(p.Count.W5))
+		e.Uvarint(uint64(len(p.Sightings)))
 		for _, s := range p.Sightings {
 			e.ref(s.RouterID)
 			e.time(s.At)
-			e.buf = append(e.buf, s.Device[:]...)
-			e.varint(int64(s.Kind))
+			e.Raw(s.Device[:])
+			e.Varint(int64(s.Kind))
 		}
 	case KindWiFi:
-		e.buf = binary.AppendUvarint(e.buf, uint64(len(p.WiFi)))
+		e.Uvarint(uint64(len(p.WiFi)))
 		for _, s := range p.WiFi {
 			e.ref(s.RouterID)
 			e.time(s.At)
 			e.ref(s.Band)
-			e.varint(int64(s.Channel))
-			e.varint(int64(s.VisibleAPs))
-			e.varint(int64(s.Clients))
+			e.Varint(int64(s.Channel))
+			e.Varint(int64(s.VisibleAPs))
+			e.Varint(int64(s.Clients))
 		}
 	case KindFlows:
-		e.buf = binary.AppendUvarint(e.buf, uint64(len(p.Flows)))
+		e.Uvarint(uint64(len(p.Flows)))
 		for _, f := range p.Flows {
 			e.ref(f.RouterID)
-			e.buf = append(e.buf, f.Device[:]...)
+			e.Raw(f.Device[:])
 			e.ref(f.Domain)
 			e.ref(f.Proto)
 			e.time(f.First)
 			e.time(f.Last)
-			e.varint(f.UpBytes)
-			e.varint(f.DownBytes)
-			e.varint(f.UpPkts)
-			e.varint(f.DownPkts)
-			e.varint(f.Conns)
+			e.Varint(f.UpBytes)
+			e.Varint(f.DownBytes)
+			e.Varint(f.UpPkts)
+			e.Varint(f.DownPkts)
+			e.Varint(f.Conns)
 		}
 	case KindThroughput:
-		e.buf = binary.AppendUvarint(e.buf, uint64(len(p.Throughput)))
+		e.Uvarint(uint64(len(p.Throughput)))
 		for _, s := range p.Throughput {
 			e.ref(s.RouterID)
 			e.time(s.Minute)
 			e.ref(s.Dir)
-			e.f64(s.PeakBps)
-			e.varint(s.TotalBytes)
+			e.F64(s.PeakBps)
+			e.Varint(s.TotalBytes)
 		}
 	default: // KindRaw
-		e.buf = binary.AppendUvarint(e.buf, uint64(len(p.Raw)))
-		e.buf = append(e.buf, p.Raw...)
+		e.Bytes(p.Raw)
 	}
 }
 
-// ref dictionary-codes a string: entry v-1 when seen before, else a 0
-// marker plus the literal, which is assigned the next index.
-func (e *encoder) ref(s string) {
-	if idx, ok := e.dict[s]; ok {
-		e.buf = binary.AppendUvarint(e.buf, idx+1)
-		return
-	}
-	e.dict[s] = uint64(len(e.dict))
-	e.buf = binary.AppendUvarint(e.buf, 0)
-	e.str(s)
-}
-
-func (e *encoder) str(s string) {
-	e.buf = binary.AppendUvarint(e.buf, uint64(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
-func (e *encoder) varint(v int64) {
-	e.buf = binary.AppendVarint(e.buf, v)
-}
-
-func (e *encoder) f64(v float64) {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
-}
+func (e *encoder) ref(s string) { e.dict.Put(&e.Enc, s) }
 
 // time appends one link of the batch-wide timestamp delta chain; the
 // zero time is the math.MinInt64 sentinel and leaves the chain as is.
@@ -156,13 +134,13 @@ func (e *encoder) f64(v float64) {
 // skewing every later timestamp in the batch.
 func (e *encoder) time(t time.Time) {
 	if t.IsZero() {
-		e.buf = binary.AppendVarint(e.buf, math.MinInt64)
+		e.Varint(math.MinInt64)
 		return
 	}
 	n := t.UnixNano()
 	if n-e.prev == math.MinInt64 {
 		n++
 	}
-	e.buf = binary.AppendVarint(e.buf, n-e.prev)
+	e.Varint(n - e.prev)
 	e.prev = n
 }

@@ -8,6 +8,12 @@
 // smaller and an order of magnitude cheaper to decode than the JSON
 // envelope.
 //
+// The primitives — varints, length-prefixed and dictionary-coded
+// strings, bounds checks, the sticky decode error — are internal/codec's;
+// this package is the NPB1 schema over them plus what only NPB1 has: the
+// batch-wide timestamp chain, the cross-batch intern cache, and the
+// pooled decoder's scratch reuse.
+//
 // Format (all integers varint-encoded unless noted):
 //
 //	magic "NPB1"
@@ -53,6 +59,7 @@ package wire
 
 import (
 	"encoding/json"
+	"fmt"
 	"time"
 
 	"natpeek/internal/dataset"
@@ -163,9 +170,13 @@ type Payload struct {
 	Throughput []dataset.ThroughputSample
 }
 
-// Router returns the payload's shard-routing router ID, matching the
-// JSON appliers exactly: the census count's router, or the first row's
-// for slice payloads (empty slices route to the empty-ID shard).
+// Router returns the payload's shard-routing router ID — the one rule
+// every ingest path (JSON or binary, collector or cluster front) places
+// a payload by: the census count's router, falling back to the first
+// sighting's for a census that carries sightings only, or the first
+// row's for slice payloads. A payload always carries one router's rows
+// (each gateway uploads its own); an empty one routes to the empty-ID
+// shard, which is safe.
 func (p *Payload) Router() string {
 	switch p.Kind {
 	case KindUptime:
@@ -173,6 +184,9 @@ func (p *Payload) Router() string {
 	case KindCapacity:
 		return p.Capacity.RouterID
 	case KindDevices:
+		if p.Count.RouterID == "" && len(p.Sightings) > 0 {
+			return p.Sightings[0].RouterID
+		}
 		return p.Count.RouterID
 	case KindWiFi:
 		if len(p.WiFi) > 0 {
@@ -208,6 +222,33 @@ func (p *Payload) Rows() int {
 	return 0
 }
 
+// AppendTo appends the payload's rows to st: the one rows-into-store
+// function behind every ingest path (the caller holds the shard lock;
+// the appends copy the rows, which is what makes a Decoder's scratch
+// reuse safe). KindRaw carries no typed rows and appends nothing.
+func (p *Payload) AppendTo(st *dataset.Store) {
+	switch p.Kind {
+	case KindUptime:
+		st.Uptime = append(st.Uptime, p.Uptime)
+	case KindCapacity:
+		st.Capacity = append(st.Capacity, p.Capacity)
+	case KindDevices:
+		// A zero-value count means the upload carries only sightings
+		// (cluster rebalancing streams the two row sets separately);
+		// appending it would invent a row.
+		if p.Count != (dataset.DeviceCount{}) {
+			st.Counts = append(st.Counts, p.Count)
+		}
+		st.Sightings = append(st.Sightings, p.Sightings...)
+	case KindWiFi:
+		st.WiFi = append(st.WiFi, p.WiFi...)
+	case KindFlows:
+		st.Flows = append(st.Flows, p.Flows...)
+	case KindThroughput:
+		st.Throughput = append(st.Throughput, p.Throughput...)
+	}
+}
+
 // JSONBody renders the payload as the JSON body the plain /v1/* path
 // would have carried — the bridge for privacy scanners, journaling, and
 // equivalence tests. KindRaw returns its bytes verbatim.
@@ -229,47 +270,63 @@ func (p *Payload) JSONBody() ([]byte, error) {
 	return p.Raw, nil
 }
 
+// ParseJSON strictly decodes one typed endpoint's JSON body: the decode
+// behind the collector's direct /v1/* endpoints and JSON batch items. An
+// endpoint without a typed schema, or a body that does not decode, is an
+// error; timestamps are not range-checked (a JSON row is stored as sent).
+func ParseJSON(endpoint string, body []byte) (*Payload, error) {
+	p := &Payload{Kind: KindFor(endpoint)}
+	var err error
+	switch p.Kind {
+	case KindUptime:
+		err = json.Unmarshal(body, &p.Uptime)
+	case KindCapacity:
+		err = json.Unmarshal(body, &p.Capacity)
+	case KindDevices:
+		var v Census
+		err = json.Unmarshal(body, &v)
+		p.Count, p.Sightings = v.Count, v.Sightings
+	case KindWiFi:
+		err = json.Unmarshal(body, &p.WiFi)
+	case KindFlows:
+		err = json.Unmarshal(body, &p.Flows)
+	case KindThroughput:
+		err = json.Unmarshal(body, &p.Throughput)
+	default:
+		err = fmt.Errorf("wire: no typed schema for endpoint %q", endpoint)
+	}
+	return p, err
+}
+
 // PayloadFromJSON transcodes one endpoint's JSON body into a typed
 // payload. Anything that does not decode cleanly — an unknown endpoint,
 // a malformed body, or a timestamp outside the safely delta-encodable
 // range — falls back to KindRaw with the body verbatim, so the server's
 // accept/reject behaviour is byte-for-byte the JSON path's.
 func PayloadFromJSON(endpoint string, body []byte) Payload {
-	switch KindFor(endpoint) {
-	case KindUptime:
-		var v dataset.UptimeReport
-		if json.Unmarshal(body, &v) == nil && timeEncodable(v.ReportedAt) {
-			return Payload{Kind: KindUptime, Uptime: v}
-		}
-	case KindCapacity:
-		var v dataset.CapacityMeasure
-		if json.Unmarshal(body, &v) == nil && timeEncodable(v.MeasuredAt) {
-			return Payload{Kind: KindCapacity, Capacity: v}
-		}
-	case KindDevices:
-		var v Census
-		if json.Unmarshal(body, &v) == nil && timeEncodable(v.Count.At) && timesOK(v.Sightings, func(s dataset.DeviceSighting) time.Time { return s.At }) {
-			return Payload{Kind: KindDevices, Count: v.Count, Sightings: v.Sightings}
-		}
-	case KindWiFi:
-		var v []dataset.WiFiScan
-		if json.Unmarshal(body, &v) == nil && timesOK(v, func(s dataset.WiFiScan) time.Time { return s.At }) {
-			return Payload{Kind: KindWiFi, WiFi: v}
-		}
-	case KindFlows:
-		var v []dataset.FlowRecord
-		if json.Unmarshal(body, &v) == nil &&
-			timesOK(v, func(f dataset.FlowRecord) time.Time { return f.First }) &&
-			timesOK(v, func(f dataset.FlowRecord) time.Time { return f.Last }) {
-			return Payload{Kind: KindFlows, Flows: v}
-		}
-	case KindThroughput:
-		var v []dataset.ThroughputSample
-		if json.Unmarshal(body, &v) == nil && timesOK(v, func(s dataset.ThroughputSample) time.Time { return s.Minute }) {
-			return Payload{Kind: KindThroughput, Throughput: v}
-		}
+	if p, err := ParseJSON(endpoint, body); err == nil && p.timesEncodable() {
+		return *p
 	}
 	return Payload{Kind: KindRaw, Raw: body}
+}
+
+// timesEncodable reports whether every row timestamp fits the typed
+// encoding (see timeEncodable).
+func (p *Payload) timesEncodable() bool {
+	ok := timeEncodable(p.Uptime.ReportedAt) && timeEncodable(p.Capacity.MeasuredAt) && timeEncodable(p.Count.At)
+	for i := 0; ok && i < len(p.Sightings); i++ {
+		ok = timeEncodable(p.Sightings[i].At)
+	}
+	for i := 0; ok && i < len(p.WiFi); i++ {
+		ok = timeEncodable(p.WiFi[i].At)
+	}
+	for i := 0; ok && i < len(p.Flows); i++ {
+		ok = timeEncodable(p.Flows[i].First) && timeEncodable(p.Flows[i].Last)
+	}
+	for i := 0; ok && i < len(p.Throughput); i++ {
+		ok = timeEncodable(p.Throughput[i].Minute)
+	}
+	return ok
 }
 
 // timeEncodable bounds the timestamps the typed encoding accepts. The
@@ -284,13 +341,4 @@ func timeEncodable(t time.Time) bool {
 	}
 	y := t.Year()
 	return y >= 1900 && y <= 2100
-}
-
-func timesOK[T any](rows []T, at func(T) time.Time) bool {
-	for _, r := range rows {
-		if !timeEncodable(at(r)) {
-			return false
-		}
-	}
-	return true
 }

@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -380,9 +382,43 @@ func TestRouterMatchesJSONAppliers(t *testing.T) {
 			t.Fatalf("router mismatch after JSON round trip: %q vs %q", rt.Router(), p.Router())
 		}
 	}
-	empty := Payload{Kind: KindWiFi}
-	if empty.Router() != "" {
-		t.Fatal("empty slice payload must route to empty router")
+	sighting := dataset.DeviceSighting{RouterID: "router-07", At: t0()}
+	for _, tc := range []struct {
+		name string
+		p    Payload
+		want string
+	}{
+		{"empty slice payload", Payload{Kind: KindWiFi}, ""},
+		{"census with a count", Payload{Kind: KindDevices, Count: dataset.DeviceCount{RouterID: "router-02"},
+			Sightings: []dataset.DeviceSighting{sighting}}, "router-02"},
+		// What the JSON applier has always done for the sightings-only
+		// census bodies cluster rebalancing streams.
+		{"sightings-only census", Payload{Kind: KindDevices, Sightings: []dataset.DeviceSighting{sighting}}, "router-07"},
+		{"empty census", Payload{Kind: KindDevices}, ""},
+	} {
+		if got := tc.p.Router(); got != tc.want {
+			t.Errorf("%s: Router() = %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestEncodingMatchesParent pins "same bytes on the wire": the sample
+// batch must encode to exactly what the hand-rolled encoder produced at
+// the commit before NPB1 became a schema over internal/codec
+// (testdata/parent_npb1.bin was written there), and that file must
+// decode back to the sample items.
+func TestEncodingMatchesParent(t *testing.T) {
+	want, err := os.ReadFile("testdata/parent_npb1.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := AppendBatch(nil, sampleItems()); !bytes.Equal(got, want) {
+		t.Fatalf("NPB1 bytes changed:\ngot  %x\nwant %x", got, want)
+	}
+	a, _ := json.Marshal(decodeAll(t, want))
+	b, _ := json.Marshal(sampleItems())
+	if string(a) != string(b) {
+		t.Fatalf("parent bytes decode to\n%s\nwant\n%s", a, b)
 	}
 }
 
