@@ -125,7 +125,10 @@ check-cluster:
 #      epochs, version precedence, commit retirement, ring selection;
 #   3. the ownership-extraction suites — dataset and segment stores
 #      carve out a router subset (rows + dedupe keys) without touching
-#      unmatched rows, concurrent with ingest, across restarts;
+#      unmatched rows, concurrent with ingest, across restarts — and the
+#      store-owned dedupe index they read: shared across memtable
+#      generations, FIFO window across a seal and a reopen, replays
+#      racing Flush and ExtractRouters, seal cost flat in index size;
 #   4. the scale-event suite — mid-run join and drain with ownership
 #      accounting, epoch fencing (whole-batch 429 + Retry-After during
 #      cutover), two-front convergence, and the scale-out/drain chaos
@@ -137,7 +140,7 @@ check-cluster:
 #      check-verify).
 check-rebalance:
 	$(GO) test -race -run 'TestRingRelocationProperty|TestRingReplicaSetStability|TestMembership' ./internal/cluster/
-	$(GO) test -race -run 'TestKeyRouter|TestExtract|TestScanRouters|TestSplitRouters' ./internal/dataset/ ./internal/segment/
+	$(GO) test -race -run 'TestKeyRouter|TestExtract|TestScanRouters|TestSplitRouters|TestShardedOverSharedDedupe|TestDedupe|TestReplay|TestSeal' ./internal/dataset/ ./internal/segment/
 	$(GO) test -race -short -run 'TestClusterScaleOutTransfersOwnership|TestClusterDrainViaFrontEndpoint|TestFrontFencesDuringCutover|TestTwoFrontsConvergeOnEpoch|TestChaosSoakScaleOut|TestChaosSoakDrain' ./internal/cluster/
 	$(GO) test -race -short -run 'TestClusterGoldenJoinMidRun|TestClusterGoldenDrainMidRun' ./internal/verify/
 
@@ -151,9 +154,10 @@ check-bench:
 # The segment-storage gate, under the race detector:
 #   1. the segment engine suite — encode/decode round-trips, the
 #      merge-order substitution contract against the sharded store,
-#      dedupe handoff across the flush boundary, crash-window
-#      regressions (truncated tail, torn footer, kill between flush and
-#      handoff, tmp leftovers, compaction supersession healing), and the
+#      one dedupe index across the flush boundary and across a reopen
+#      (inside and older than its FIFO window), crash-window
+#      regressions (truncated tail, torn footer, kill right after the
+#      flush, tmp leftovers, compaction supersession healing), and the
 #      sealed-segment scanner (per-file-decode property at 1 and 4
 #      workers, reads racing Compact/ExtractRouters, a bad segment left
 #      out whole);

@@ -2,10 +2,13 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -424,5 +427,41 @@ func TestClusterRejoinManifestSeedsDedupe(t *testing.T) {
 	}
 	if rows := len(nodeB.Store().Uptime); rows != 0 {
 		t.Fatalf("joiner applied %d rows from replayed keys, want 0", rows)
+	}
+}
+
+// TestForgedBatchCountAllocatesLittle: an NPB1 envelope may claim one
+// item per byte that follows it, and a wire.Item is some hundred times
+// larger than a byte, so sizing the output from the claim lets an 8 MiB
+// body reserve gigabytes before its first item fails to decode. What a
+// body makes the front allocate must stay within a small multiple of its
+// length; honest batches, under and over the pre-size, decode as before.
+func TestForgedBatchCountAllocatesLittle(t *testing.T) {
+	const n = 8 << 20
+	body := binary.AppendUvarint([]byte("NPB1"), n)
+	body = append(body, bytes.Repeat([]byte{0xff}, n)...) // no varint ends: item 0 fails
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	items, err := decodeBatchItems(wire.ContentTypeBinary, body)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatalf("forged batch decoded to %d items", len(items))
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2*n {
+		t.Fatalf("forged count on a %d-byte body allocated %d bytes", len(body), got)
+	}
+
+	for _, count := range []int{0, 1, 64, 3 * transferBatchItems} {
+		want := make([]wire.Item, count)
+		for i := range want {
+			want[i] = uptimeItem(fmt.Sprintf("rt-%03d", i%7), i)
+		}
+		got, err := decodeBatchItems(wire.ContentTypeBinary, wire.AppendBatch(nil, want))
+		if err != nil {
+			t.Fatalf("%d honest items: %v", count, err)
+		}
+		if len(got) != count || (count > 0 && !reflect.DeepEqual(got, want)) {
+			t.Fatalf("%d honest items decoded to %d different ones", count, len(got))
+		}
 	}
 }

@@ -379,7 +379,10 @@ func decodeBatchItems(contentType string, body []byte) ([]wire.Item, error) {
 		if err := dec.Reset(body); err != nil {
 			return nil, err
 		}
-		items := make([]wire.Item, 0, dec.Len())
+		// The claimed count is bounded only by the bytes that follow it,
+		// and an Item is a few hundred times a byte: pre-size for the
+		// largest batch a sender builds and let append follow a longer one.
+		items := make([]wire.Item, 0, min(dec.Len(), transferBatchItems))
 		var it wire.Item
 		for {
 			err := dec.Next(&it)

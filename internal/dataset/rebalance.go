@@ -100,7 +100,7 @@ func (s *Sharded) ScanRouters(match func(string) bool) (*Store, []RouterKey) {
 	}()
 	moved := &Store{RouterCountry: make(map[string]string)}
 	s.collectMatchedLocked(moved, match)
-	return moved, s.matchedKeysLocked(match)
+	return moved, s.dedupe.MatchedKeys(match)
 }
 
 // ExtractRouters implements RebalanceStore: ScanRouters plus removal of
@@ -120,7 +120,7 @@ func (s *Sharded) ExtractRouters(match func(string) bool) (*Store, []RouterKey) 
 	}()
 	moved := &Store{RouterCountry: make(map[string]string)}
 	s.collectMatchedLocked(moved, match)
-	keys := s.matchedKeysLocked(match)
+	keys := s.dedupe.MatchedKeys(match)
 	for _, sh := range s.shards {
 		for id := range sh.store.RouterCountry {
 			if match(id) {
@@ -130,22 +130,6 @@ func (s *Sharded) ExtractRouters(match func(string) bool) (*Store, []RouterKey) 
 		extractShardRows(sh, match)
 	}
 	return moved, keys
-}
-
-// MatchedKeys returns the remembered idempotency keys whose router
-// prefix is selected by match, without touching any rows. The segment
-// store serves its key scans from the live memtable's index (which has
-// adopted every predecessor generation's keys) through this.
-func (s *Sharded) MatchedKeys(match func(string) bool) []RouterKey {
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-	}
-	defer func() {
-		for _, sh := range s.shards {
-			sh.mu.Unlock()
-		}
-	}()
-	return s.matchedKeysLocked(match)
 }
 
 // collectMatchedLocked appends every matched row into out in global
@@ -208,26 +192,6 @@ func (s *Sharded) collectMatchedLocked(out *Store, match func(string) bool) {
 			}
 		}
 	}
-}
-
-// matchedKeysLocked copies out the remembered idempotency keys whose
-// router prefix matches. Caller holds all stripe locks. The seen guard
-// flattens duplicates: adopted dedupe state (segment-store memtable
-// handoff) can re-mark a key in a different stripe than the one its
-// router hashes to.
-func (s *Sharded) matchedKeysLocked(match func(string) bool) []RouterKey {
-	var out []RouterKey
-	seen := make(map[string]bool)
-	for _, sh := range s.shards {
-		for _, k := range sh.applied.Keys() {
-			r := KeyRouter(k)
-			if match(r) && !seen[k] {
-				seen[k] = true
-				out = append(out, RouterKey{Router: r, Key: k})
-			}
-		}
-	}
-	return out
 }
 
 // extractShardRows rebuilds one stripe's slices and segment log without

@@ -2,9 +2,9 @@
 // structure a collector serving thousands of routers appends into. The
 // plain Store is a single struct of slices that forces every writer
 // through one lock; Sharded stripes rows across per-router shards, each
-// with its own mutex and its own slice of the dedupe index, so appends
-// for different routers proceed in parallel and the idempotency check
-// and the append stay atomic under one (shard) lock.
+// with its own mutex, over a dedupe index striped the same way (see
+// Dedupe), so appends for different routers proceed in parallel and the
+// idempotency check and the append stay atomic under one (shard) lock.
 //
 // The striping is an ingest-time optimization only — analyses and CSV
 // persistence still see a plain Store. Merge reassembles one by global
@@ -56,13 +56,12 @@ type segment struct {
 }
 
 // shard is one stripe: a private Store (its Heartbeats field is unused —
-// the heartbeat log is shared and internally synchronized) plus the
-// stripe's slice of the dedupe index.
+// the heartbeat log is shared and internally synchronized) plus its
+// arrival-order segment log.
 type shard struct {
-	mu      sync.Mutex
-	store   *Store
-	segs    []segment
-	applied AppliedIndex
+	mu    sync.Mutex
+	store *Store
+	segs  []segment
 }
 
 // Sharded is a lock-striped store for concurrent ingestion.
@@ -73,16 +72,19 @@ type Sharded struct {
 	Heartbeats *heartbeat.Log
 
 	shards []*shard
+	dedupe *Dedupe // one stripe per shard, routed by the same hash
 	seq    atomic.Uint64
 }
 
 // NewSharded returns an empty sharded store with n stripes (n <= 0 means
-// DefaultShards).
-func NewSharded(n int) *Sharded {
-	if n <= 0 {
-		n = DefaultShards
-	}
-	s := &Sharded{Heartbeats: heartbeat.NewLog(), shards: make([]*shard, n)}
+// DefaultShards) and a dedupe index of its own.
+func NewSharded(n int) *Sharded { return NewShardedOver(NewDedupe(n, 0)) }
+
+// NewShardedOver returns an empty sharded store striped like d that
+// dedupes through d. Of the stores built over one index only one may be
+// written (the segment store's live memtable); the rest are sealed.
+func NewShardedOver(d *Dedupe) *Sharded {
+	s := &Sharded{Heartbeats: heartbeat.NewLog(), shards: make([]*shard, len(d.stripes)), dedupe: d}
 	for i := range s.shards {
 		s.shards[i] = &shard{store: &Store{RouterCountry: make(map[string]string)}}
 	}
@@ -92,19 +94,9 @@ func NewSharded(n int) *Sharded {
 // NumShards returns the stripe count.
 func (s *Sharded) NumShards() int { return len(s.shards) }
 
-// shardFor routes a router ID to its stripe (FNV-1a; the empty ID lands
-// on a fixed stripe, so unattributed payloads still serialize safely).
-func (s *Sharded) shardFor(router string) *shard {
-	h := uint32(2166136261)
-	for i := 0; i < len(router); i++ {
-		h = (h ^ uint32(router[i])) * 16777619
-	}
-	return s.shards[h%uint32(len(s.shards))]
-}
-
 // Apply runs one upload's store mutation under the router's shard lock,
-// honoring the idempotency key: a key already applied anywhere in this
-// store is skipped and Apply reports false. The apply closure must only
+// honoring the idempotency key: a key already in the dedupe index is
+// skipped and Apply reports false. The apply closure must only
 // append rows and set roster entries — it sees the shard's private
 // Store, and anything else it does is invisible to Merge.
 //
@@ -113,10 +105,11 @@ func (s *Sharded) shardFor(router string) *shard {
 // same shard and the mark-then-append pair stays atomic without any
 // global lock.
 func (s *Sharded) Apply(router, key string, apply func(*Store)) bool {
-	sh := s.shardFor(router)
+	i := s.dedupe.stripeOf(router)
+	sh := s.shards[i]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if !sh.applied.Mark(key) {
+	if !s.dedupe.mark(i, key) {
 		return false
 	}
 	before := kindLens(sh.store)
@@ -128,7 +121,7 @@ func (s *Sharded) Apply(router, key string, apply func(*Store)) bool {
 // Append is Apply without deduplication, for writers that manage their
 // own exactly-once semantics (the simulator's direct sink, benchmarks).
 func (s *Sharded) Append(router string, apply func(*Store)) {
-	sh := s.shardFor(router)
+	sh := s.shards[s.dedupe.stripeOf(router)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	before := kindLens(sh.store)
@@ -178,41 +171,9 @@ func (s *Sharded) record(sh *shard, before [numKinds]int) {
 	}
 }
 
-// AdoptDedupe copies src's remembered idempotency keys into s, stripe by
-// stripe and in each stripe's insertion order, so s rejects exactly the
-// replays src would have rejected. Both stores must have the same stripe
-// count (keys carry no router, so cross-stripe routing can't be
-// recomputed). The segment store calls this when it seals a memtable and
-// swaps in an empty successor: exactly-once must not reset at the flush
-// boundary.
-func (s *Sharded) AdoptDedupe(src *Sharded) {
-	if len(s.shards) != len(src.shards) {
-		panic("dataset: AdoptDedupe across different stripe counts")
-	}
-	for i, sh := range s.shards {
-		ssh := src.shards[i]
-		ssh.mu.Lock()
-		keys := ssh.applied.Keys()
-		ssh.mu.Unlock()
-		sh.mu.Lock()
-		for _, k := range keys {
-			sh.applied.Mark(k)
-		}
-		sh.mu.Unlock()
-	}
-}
-
 // DedupeLen returns the number of idempotency keys remembered across all
 // stripes.
-func (s *Sharded) DedupeLen() int {
-	n := 0
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		n += sh.applied.Len()
-		sh.mu.Unlock()
-	}
-	return n
-}
+func (s *Sharded) DedupeLen() int { return s.dedupe.Len() }
 
 // RowCounts summarizes the store without merging it — one lock
 // acquisition per stripe, no copying. Fleet-size progress logs poll

@@ -282,50 +282,101 @@ func TestShardedLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAdoptDedupe pins the dedupe handoff the segment store relies on at
-// memtable rotation: after adoption, the successor rejects exactly the
-// keys the sealed store had applied, including across FIFO eviction
-// order, and fresh keys still apply.
-func TestAdoptDedupe(t *testing.T) {
-	old := NewSharded(4)
-	for i := 0; i < 200; i++ {
-		id := fmt.Sprintf("bismark-%03d", i%9)
-		if !old.Apply(id, fmt.Sprintf("k:%s:%d", id, i), func(st *Store) {
+// TestShardedOverSharedDedupe pins what the segment store relies on at
+// memtable rotation: a successor built over the sealed store's index
+// rejects exactly the keys the sealed one applied, with no key copied,
+// fresh keys still apply, and each stripe keeps its FIFO order.
+func TestShardedOverSharedDedupe(t *testing.T) {
+	d := NewDedupe(4, 0)
+	old := NewShardedOver(d)
+	key := func(i int) (id, k string) {
+		id = fmt.Sprintf("bismark-%03d", i%9)
+		return id, fmt.Sprintf("%s:%d", id, i)
+	}
+	addRow := func(id string) func(*Store) {
+		return func(st *Store) {
 			st.Uptime = append(st.Uptime, UptimeReport{RouterID: id, ReportedAt: shardT0})
-		}) {
+		}
+	}
+	for i := 0; i < 200; i++ {
+		id, k := key(i)
+		if !old.Apply(id, k, addRow(id)) {
 			t.Fatalf("fresh key %d reported duplicate", i)
 		}
 	}
+	order := d.MatchedKeys(func(string) bool { return true })
 
-	fresh := NewSharded(4)
-	fresh.AdoptDedupe(old)
-	if got, want := fresh.DedupeLen(), old.DedupeLen(); got != want {
-		t.Fatalf("adopted %d keys, want %d", got, want)
+	fresh := NewShardedOver(d)
+	if fresh.NumShards() != old.NumShards() || fresh.DedupeLen() != 200 {
+		t.Fatalf("successor: %d shards, %d keys; want %d, 200", fresh.NumShards(), fresh.DedupeLen(), old.NumShards())
 	}
 	// Every replay must be rejected without touching the rows.
 	for i := 0; i < 200; i++ {
-		id := fmt.Sprintf("bismark-%03d", i%9)
-		if fresh.Apply(id, fmt.Sprintf("k:%s:%d", id, i), func(st *Store) {
-			st.Uptime = append(st.Uptime, UptimeReport{RouterID: id, ReportedAt: shardT0})
-		}) {
-			t.Fatalf("replayed key %d applied after adoption", i)
+		id, k := key(i)
+		if fresh.Apply(id, k, addRow(id)) {
+			t.Fatalf("replayed key %d applied by the successor", i)
 		}
 	}
 	if rc := fresh.RowCounts(); rc.Uptime != 0 {
 		t.Fatalf("replays appended %d rows", rc.Uptime)
 	}
-	// New keys still apply.
-	if !fresh.Apply("bismark-000", "k:new", func(st *Store) {}) {
+	if !fresh.Apply("bismark-000", "bismark-000:new", addRow("bismark-000")) {
 		t.Fatal("fresh key rejected")
 	}
-
-	// Keys() preserves FIFO order.
-	var a AppliedIndex
-	for _, k := range []string{"a", "b", "c"} {
-		a.Mark(k)
+	if old.DedupeLen() != 201 || old.RowCounts().Uptime != 200 {
+		t.Fatalf("sealed store: %d keys, %d rows; want the shared 201 and its own 200", old.DedupeLen(), old.RowCounts().Uptime)
 	}
-	if got := a.Keys(); !reflect.DeepEqual(got, []string{"a", "b", "c"}) {
-		t.Fatalf("Keys() = %v, want [a b c]", got)
+
+	// Replays moved nothing: the window is the old one, stripe by stripe
+	// in insertion order, with the new key last in its router's stripe.
+	got := d.MatchedKeys(func(r string) bool { return r != "bismark-000" })
+	was := order[:0:0]
+	for _, rk := range order {
+		if rk.Router != "bismark-000" {
+			was = append(was, rk)
+		}
+	}
+	if !reflect.DeepEqual(got, was) {
+		t.Fatalf("FIFO order moved: %v, was %v", got, was)
+	}
+	if got := d.MatchedKeys(func(r string) bool { return r == "bismark-000" }); len(got) != 24 || got[23].Key != "bismark-000:new" {
+		t.Fatalf("bismark-000 window = %v, want its 23 keys then the new one", got)
+	}
+}
+
+// TestDedupeWindowIsFIFO pins the bound: with room for three keys per
+// stripe the fourth evicts the oldest, whose replay then applies again,
+// while keys still inside the window stay rejected.
+func TestDedupeWindowIsFIFO(t *testing.T) {
+	d := NewDedupe(2, 3)
+	for _, k := range []string{"r:1", "r:2", "r:3", "r:4"} {
+		if !d.Mark("r", k) {
+			t.Fatalf("fresh key %s rejected", k)
+		}
+	}
+	if d.Len() != 3 {
+		t.Fatalf("Len() = %d, want 3", d.Len())
+	}
+	for _, k := range []string{"r:2", "r:3", "r:4"} {
+		if d.Mark("r", k) {
+			t.Fatalf("key %s inside the window re-applied", k)
+		}
+	}
+	if !d.Mark("r", "r:1") { // evicts r:2
+		t.Fatal("key older than the window was still rejected")
+	}
+	want := []RouterKey{{"r", "r:3"}, {"r", "r:4"}, {"r", "r:1"}}
+	if got := d.MatchedKeys(func(string) bool { return true }); !reflect.DeepEqual(got, want) {
+		t.Fatalf("window = %v, want %v", got, want)
+	}
+	// Long run at a small bound: the evicted prefix is compacted away
+	// and the window stays the last three.
+	for i := 0; i < 100; i++ {
+		d.Mark("r", fmt.Sprintf("r:n%d", i))
+	}
+	want = []RouterKey{{"r", "r:n97"}, {"r", "r:n98"}, {"r", "r:n99"}}
+	if got := d.MatchedKeys(func(string) bool { return true }); !reflect.DeepEqual(got, want) {
+		t.Fatalf("window after 100 more = %v, want %v", got, want)
 	}
 }
 

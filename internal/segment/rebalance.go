@@ -24,10 +24,7 @@ var _ dataset.RebalanceStore = (*Store)(nil)
 func (s *Store) ScanRouters(match func(string) bool) (*dataset.Store, []dataset.RouterKey) {
 	hit, _ := dataset.SplitRouters(s.Merge(), match)
 	hit.Heartbeats = nil
-	s.rot.RLock()
-	mem := s.mem
-	s.rot.RUnlock()
-	return hit, mem.sh.MatchedKeys(match)
+	return hit, s.dedupe.MatchedKeys(match)
 }
 
 // ExtractRouters implements dataset.RebalanceStore. It runs under

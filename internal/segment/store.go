@@ -7,24 +7,27 @@
 //     sharded store — same striping, same dedupe, same arrival-order
 //     segment log.
 //   - When the memtable exceeds FlushRows rows (or FlushAge), it is
-//     sealed: a fresh memtable that has adopted the old one's dedupe
-//     index is swapped in under a write lock, the sealed generation is
-//     merged (no writers remain), encoded as one NPS1 segment — rows
-//     plus the idempotency keys they were applied under — and committed
-//     with write-tmp → fsync → rename. Only after the rename is the
-//     sealed generation dropped from the in-memory view, so readers
-//     never see a gap, and seal subscribers receive the sealed rows as
-//     an immutable chunk.
+//     sealed: an empty memtable over the same dedupe index is swapped in
+//     under a write lock (a pointer swap, whatever the index holds), the
+//     sealed generation is merged (no writers remain), encoded as one
+//     NPS1 segment — rows plus the idempotency keys they were applied
+//     under — and committed with write-tmp → fsync → rename. Only after
+//     the rename is the sealed generation dropped from the in-memory
+//     view, so readers never see a gap, and seal subscribers receive the
+//     sealed rows as an immutable chunk.
 //   - Background compaction folds runs of seq-adjacent segments with
 //     overlapping time ranges into one, recording the replaced seq
 //     ranges in the new footer; a crash between the rename and the
 //     input deletion is healed at open time by the supersession check.
 //
-// Exactly-once across the flush boundary: the successor memtable adopts
-// the sealed one's dedupe index before any new row lands (replays racing
-// the flush stay deduped), and the sealed keys travel inside the segment
-// file, so a restart re-seeds the dedupe index from disk, oldest segment
-// first — the same FIFO window a long-running sharded store would hold.
+// Exactly-once across the flush boundary: the dedupe index belongs to
+// the store, not to a memtable. Every generation marks into the one
+// dataset.Dedupe built at Open, so a replay that races a flush or
+// follows a failed commit meets its key wherever its rows now are. The
+// keys a generation applied travel inside its segment file, so a restart
+// re-seeds the index from disk, oldest segment first — the same FIFO
+// window a long-running sharded store would hold. A replay older than
+// that window applies again, in a running store and after a reopen alike.
 //
 // Ordering: Merge() concatenates segment rows in flush (seq) order, then
 // the sealed-but-uncommitted generation, then the live memtable. Each
@@ -50,6 +53,7 @@ import (
 
 	"natpeek/internal/dataset"
 	"natpeek/internal/heartbeat"
+	"natpeek/internal/telemetry"
 )
 
 // Options configures Open.
@@ -93,8 +97,8 @@ type memtable struct {
 	born atomic.Int64
 }
 
-func newMemtable() *memtable {
-	return &memtable{sh: dataset.NewSharded(0)}
+func newMemtable(d *dataset.Dedupe) *memtable {
+	return &memtable{sh: dataset.NewShardedOver(d)}
 }
 
 func (m *memtable) addKey(router, key string) {
@@ -123,6 +127,9 @@ type Store struct {
 	opt Options
 	hb  *heartbeat.Log
 
+	// dedupe outlives memtable generations: each is built over it.
+	dedupe *dataset.Dedupe
+
 	// rot guards the live memtable pointer: appliers hold it shared,
 	// rotation holds it exclusively.
 	rot sync.RWMutex
@@ -145,6 +152,10 @@ type Store struct {
 	kick   chan struct{}
 
 	flushErr atomic.Value // error string of the last failed flush, for ops
+
+	// Seal telemetry: updated once per seal, never per row.
+	gDedupeKeys       *telemetry.Gauge
+	hSealLock, hFlush *telemetry.Histogram
 }
 
 // Open loads (or creates) a segment store in opt.Dir: stray .tmp files
@@ -153,7 +164,10 @@ type Store struct {
 // segments fully covered by a compacted successor are deleted, and the
 // dedupe index is re-seeded from every surviving segment's key block,
 // oldest first.
-func Open(opt Options) (*Store, error) {
+func Open(opt Options) (*Store, error) { return open(opt, dataset.NewDedupe(0, 0)) }
+
+// open is Open over a caller-built dedupe index (tests shrink its window).
+func open(opt Options, dedupe *dataset.Dedupe) (*Store, error) {
 	if opt.Dir == "" {
 		return nil, fmt.Errorf("segment: Options.Dir required")
 	}
@@ -166,21 +180,30 @@ func Open(opt Options) (*Store, error) {
 	s := &Store{
 		opt:    opt,
 		hb:     heartbeat.NewLog(),
-		mem:    newMemtable(),
+		dedupe: dedupe,
+		mem:    newMemtable(dedupe),
 		roster: make(map[string]string),
 		stopc:  make(chan struct{}),
 		kick:   make(chan struct{}, 1),
+
+		gDedupeKeys: telemetry.Default.Gauge("natpeek_segment_dedupe_keys",
+			"Idempotency keys the segment store remembers, as of the last seal."),
+		hSealLock: telemetry.Default.Histogram("natpeek_segment_seal_lock_seconds",
+			"Time a seal held the memtable rotation lock exclusively, appliers locked out.", nil),
+		hFlush: telemetry.Default.Histogram("natpeek_segment_flush_seconds",
+			"Time from sealing a memtable to its segment being durable.", nil),
 	}
 	if err := s.load(); err != nil {
 		return nil, err
 	}
+	s.gDedupeKeys.Set(float64(s.dedupe.Len()))
 	s.bgDone.Add(1)
 	go s.background()
 	return s, nil
 }
 
 // load scans the directory, validates every segment, heals crash
-// leftovers, and seeds the memtable dedupe index.
+// leftovers, and seeds the dedupe index.
 func (s *Store) load() error {
 	ents, err := os.ReadDir(s.opt.Dir)
 	if err != nil {
@@ -264,7 +287,7 @@ func (s *Store) load() error {
 			return fmt.Errorf("segment: %s: %w", filepath.Base(f.path), f.keyErr)
 		}
 		for _, k := range f.keys {
-			s.mem.sh.Apply(k.Router, k.Key, func(*dataset.Store) {})
+			s.dedupe.Mark(k.Router, k.Key)
 		}
 	}
 	return nil
@@ -393,34 +416,35 @@ func (s *Store) flushLocked() error {
 		return err
 	}
 
-	// Swap in a successor that already rejects everything the sealed
-	// generation applied. The write lock excludes appliers, so no row
-	// or key lands in the sealed generation after this point and no
-	// replay slips into the successor before the adoption.
+	// Swap in an empty successor over the same dedupe index: it already
+	// rejects everything the sealed generation applied. The write lock
+	// excludes appliers, so nothing lands in that generation from here on.
 	s.rot.Lock()
+	locked := time.Now()
 	old := s.mem
 	old.keyMu.Lock()
 	nkeys := len(old.keys)
 	old.keyMu.Unlock()
-	if old.rows.Load() == 0 && nkeys == 0 && len(old.sh.Roster()) == 0 {
+	if old.rows.Load() == 0 && nkeys == 0 && old.sh.RowCounts().Routers == 0 {
 		s.rot.Unlock()
 		return nil
 	}
-	fresh := newMemtable()
-	fresh.sh.AdoptDedupe(old.sh)
-	s.mem = fresh
+	s.mem = newMemtable(s.dedupe)
 	s.segMu.Lock()
 	s.frozen = old
 	s.segMu.Unlock()
 	s.rot.Unlock()
+	s.hSealLock.Observe(time.Since(locked).Seconds())
+	s.gDedupeKeys.Set(float64(s.dedupe.Len()))
 
 	if err := s.commitFrozen(); err != nil {
 		// The sealed generation stays in the frozen slot: still
-		// queryable, still deduped (the successor adopted its keys),
+		// queryable, still deduped (its keys are in the store's index),
 		// retried on the next flush trigger.
 		s.flushErr.Store(err.Error())
 		return err
 	}
+	s.hFlush.Observe(time.Since(locked).Seconds())
 
 	if !s.opt.NoCompaction {
 		if err := s.compactLocked(DefaultCompactAt); err != nil {
@@ -820,14 +844,10 @@ func (s *Store) RowCounts() dataset.RowCounts {
 	return rc
 }
 
-// DedupeLen implements dataset.IngestStore. The live memtable's index
-// is the full window: it adopted every predecessor's keys at rotation
-// (and at Open, from disk).
-func (s *Store) DedupeLen() int {
-	s.rot.RLock()
-	defer s.rot.RUnlock()
-	return s.mem.sh.DedupeLen()
-}
+// DedupeLen implements dataset.IngestStore: the size of the store's one
+// dedupe index — every key applied since Open plus those seeded from
+// disk, less FIFO evictions.
+func (s *Store) DedupeLen() int { return s.dedupe.Len() }
 
 // HeartbeatLog implements dataset.IngestStore. Heartbeats live outside
 // the segment files (see the package comment in format.go).
