@@ -23,7 +23,6 @@ package analysis
 
 import (
 	"slices"
-	"sort"
 	"time"
 
 	"natpeek/internal/dataset"
@@ -237,13 +236,8 @@ func (p *Partial) Store(hb *heartbeat.Log) *dataset.Store {
 // Rows summarizes the projected state (diagnostics for the dashboard
 // header).
 func (p *Partial) Rows() dataset.RowCounts {
-	ids := make([]string, 0, len(p.roster))
-	for id := range p.roster {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
 	return dataset.RowCounts{
-		Routers:    len(ids),
+		Routers:    len(p.roster),
 		Uptime:     len(p.uptime),
 		Capacity:   len(p.capacity),
 		Counts:     len(p.counts),

@@ -303,7 +303,7 @@ func (n *Node) rebalanceOnce(ctx context.Context, e *RingEpoch) (uint64, error) 
 	}
 	sess := n.xferSess.Add(1)
 	moved, keys := rs.ExtractRouters(match)
-	rows := storeRows(moved)
+	rows := dataset.CountRows(moved).Total()
 	if rows > 0 || len(moved.RouterCountry) > 0 {
 		chunks := transferChunks(n.cfg.ID, sess, moved, ring, dests)
 		if failed, err := n.sendChunks(ctx, chunks); err != nil {
@@ -316,12 +316,6 @@ func (n *Node) rebalanceOnce(ctx context.Context, e *RingEpoch) (uint64, error) 
 		return 0, err
 	}
 	return uint64(rows), nil
-}
-
-// storeRows counts a snapshot's rows across every data set.
-func storeRows(st *dataset.Store) int {
-	return len(st.Uptime) + len(st.Capacity) + len(st.Counts) + len(st.Sightings) +
-		len(st.WiFi) + len(st.Flows) + len(st.Throughput)
 }
 
 // xferChunk is one transfer batch POST: a destination data address and

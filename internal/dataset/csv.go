@@ -32,19 +32,29 @@ const (
 
 const timeLayout = time.RFC3339Nano
 
-// Column headers, shared by the Store and Sharded save paths.
+// Column headers of the two files that are not row kinds (Kinds holds
+// the rest).
 var (
 	rosterHeader     = []string{"router", "country"}
 	heartbeatsHeader = []string{"router", "start", "interval_sec", "count"}
-	uptimeHeader     = []string{"router", "reported_at", "uptime_sec"}
-	capacityHeader   = []string{"router", "measured_at", "up_bps", "down_bps"}
-	countsHeader     = []string{"router", "at", "wired", "w24", "w5"}
-	sightingsHeader  = []string{"router", "at", "device", "kind"}
-	wifiHeader       = []string{"router", "at", "band", "channel", "visible_aps", "clients"}
-	flowsHeader      = []string{"router", "device", "domain", "proto", "first", "last",
-		"up_bytes", "down_bytes", "up_pkts", "down_pkts", "conns"}
-	throughputHeader = []string{"router", "minute", "dir", "peak_bps", "total_bytes"}
 )
+
+// rowRange is rows [off, off+n) of one kind (an index into Kinds) in st.
+type rowRange struct {
+	st     *Store
+	kind   uint8
+	off, n int
+}
+
+// Save writes every data set as CSV into dir (created if needed), one
+// file per data set.
+func (s *Store) Save(dir string) error {
+	ranges := make([]rowRange, NumKinds)
+	for k := range ranges {
+		ranges[k] = rowRange{st: s, kind: uint8(k), n: Kinds[k].Len(s)}
+	}
+	return saveCSV(dir, s.RouterCountry, s.Heartbeats, ranges)
+}
 
 // csvFile names one output file and the function that writes it.
 type csvFile struct {
@@ -52,14 +62,38 @@ type csvFile struct {
 	fn   func(w *csv.Writer) error
 }
 
-// saveCSVFiles writes the given files into dir (created if needed)
-// concurrently — the files touch disjoint data, so on a fleet-size store
-// the save is bounded by the largest file instead of the sum. Each
-// file's contents depend only on its writer, never on the fan-out, so
-// saves stay byte-identical to a sequential write.
-func saveCSVFiles(dir string, files []csvFile) error {
+// saveCSV writes the standard layout into dir (created if needed): the
+// roster, the heartbeat log, and one file per kind holding its header
+// and then the rows of that kind's ranges in the order given — rows
+// stream from wherever they live, nothing is merged first. The files
+// touch disjoint data and are written concurrently, so on a fleet-size
+// store the save is bounded by the largest file instead of the sum; a
+// file's bytes depend only on its ranges, never on the fan-out.
+func saveCSV(dir string, roster map[string]string, hb *heartbeat.Log, ranges []rowRange) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("dataset: %w", err)
+	}
+	var byKind [NumKinds][]rowRange
+	for _, r := range ranges {
+		byKind[r.kind] = append(byKind[r.kind], r)
+	}
+	files := []csvFile{
+		{FileRoster, func(w *csv.Writer) error { return writeRosterCSV(w, roster) }},
+		{FileHeartbeats, func(w *csv.Writer) error { return writeHeartbeatsCSV(w, hb) }},
+	}
+	for k := range Kinds {
+		kind, rs := &Kinds[k], byKind[k]
+		files = append(files, csvFile{kind.File, func(w *csv.Writer) error {
+			if err := w.Write(kind.Header); err != nil {
+				return err
+			}
+			for _, r := range rs {
+				if err := kind.writeCSV(w, r.st, r.off, r.n); err != nil {
+					return err
+				}
+			}
+			return nil
+		}})
 	}
 	errs := make([]error, len(files))
 	var wg sync.WaitGroup
@@ -79,22 +113,6 @@ func saveCSVFiles(dir string, files []csvFile) error {
 	return nil
 }
 
-// Save writes every data set as CSV into dir (created if needed), one
-// file per data set.
-func (s *Store) Save(dir string) error {
-	return saveCSVFiles(dir, []csvFile{
-		{FileRoster, s.writeRoster},
-		{FileHeartbeats, s.writeHeartbeats},
-		{FileUptime, s.writeUptime},
-		{FileCapacity, s.writeCapacity},
-		{FileCounts, s.writeCounts},
-		{FileSightings, s.writeSightings},
-		{FileWiFi, s.writeWiFi},
-		{FileFlows, s.writeFlows},
-		{FileThroughput, s.writeThroughput},
-	})
-}
-
 func writeFile(path string, fn func(w *csv.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -112,10 +130,6 @@ func writeFile(path string, fn func(w *csv.Writer) error) error {
 	}
 	return f.Close()
 }
-
-// The row writers below emit data rows only (no header); both Store.Save
-// and the streaming Sharded.Save call them, the latter once per shard
-// segment so rows flow straight from shard slices to disk.
 
 func writeRosterCSV(w *csv.Writer, roster map[string]string) error {
 	if err := w.Write(rosterHeader); err != nil {
@@ -156,255 +170,77 @@ func writeHeartbeatsCSV(w *csv.Writer, log *heartbeat.Log) error {
 	return nil
 }
 
-func writeUptimeRows(w *csv.Writer, rows []UptimeReport) error {
-	for _, r := range rows {
-		if err := w.Write([]string{r.RouterID, r.ReportedAt.Format(timeLayout),
-			strconv.FormatFloat(r.Uptime.Seconds(), 'f', 0, 64)}); err != nil {
-			return err
-		}
-	}
-	return nil
+// fields reads the columns of one CSV record, remembering the first that
+// does not parse; readFile checks it once per record.
+type fields struct {
+	rec []string
+	err error
 }
 
-func writeCapacityRows(w *csv.Writer, rows []CapacityMeasure) error {
-	for _, c := range rows {
-		if err := w.Write([]string{c.RouterID, c.MeasuredAt.Format(timeLayout),
-			strconv.FormatFloat(c.UpBps, 'f', 0, 64),
-			strconv.FormatFloat(c.DownBps, 'f', 0, 64)}); err != nil {
-			return err
-		}
+func field[T any](f *fields, i int, parse func(string) (T, error)) T {
+	v, err := parse(f.rec[i])
+	if err != nil && f.err == nil {
+		f.err = fmt.Errorf("field %d: %w", i+1, err)
 	}
-	return nil
+	return v
 }
 
-func writeCountRows(w *csv.Writer, rows []DeviceCount) error {
-	for _, c := range rows {
-		if err := w.Write([]string{c.RouterID, c.At.Format(timeLayout),
-			strconv.Itoa(c.Wired), strconv.Itoa(c.W24), strconv.Itoa(c.W5)}); err != nil {
-			return err
-		}
-	}
-	return nil
+func (f *fields) time(i int) time.Time {
+	return field(f, i, func(s string) (time.Time, error) { return time.Parse(timeLayout, s) })
+}
+func (f *fields) mac(i int) mac.Addr { return field(f, i, mac.Parse) }
+func (f *fields) int(i int) int      { return field(f, i, strconv.Atoi) }
+func (f *fields) int64(i int) int64 {
+	return field(f, i, func(s string) (int64, error) { return strconv.ParseInt(s, 10, 64) })
+}
+func (f *fields) float(i int) float64 {
+	return field(f, i, func(s string) (float64, error) { return strconv.ParseFloat(s, 64) })
+}
+func (f *fields) seconds(i int) time.Duration {
+	return time.Duration(f.float(i) * float64(time.Second))
 }
 
-func writeSightingRows(w *csv.Writer, rows []DeviceSighting) error {
-	for _, d := range rows {
-		if err := w.Write([]string{d.RouterID, d.At.Format(timeLayout),
-			d.Device.String(), d.Kind.String()}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func writeWiFiRows(w *csv.Writer, rows []WiFiScan) error {
-	for _, sc := range rows {
-		if err := w.Write([]string{sc.RouterID, sc.At.Format(timeLayout), sc.Band,
-			strconv.Itoa(sc.Channel), strconv.Itoa(sc.VisibleAPs), strconv.Itoa(sc.Clients)}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func writeFlowRows(w *csv.Writer, rows []FlowRecord) error {
-	for _, f := range rows {
-		if err := w.Write([]string{f.RouterID, f.Device.String(), f.Domain, f.Proto,
-			f.First.Format(timeLayout), f.Last.Format(timeLayout),
-			strconv.FormatInt(f.UpBytes, 10), strconv.FormatInt(f.DownBytes, 10),
-			strconv.FormatInt(f.UpPkts, 10), strconv.FormatInt(f.DownPkts, 10),
-			strconv.FormatInt(f.Conns, 10)}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func writeThroughputRows(w *csv.Writer, rows []ThroughputSample) error {
-	for _, t := range rows {
-		if err := w.Write([]string{t.RouterID, t.Minute.Format(timeLayout), t.Dir,
-			strconv.FormatFloat(t.PeakBps, 'f', 0, 64),
-			strconv.FormatInt(t.TotalBytes, 10)}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (s *Store) writeRoster(w *csv.Writer) error { return writeRosterCSV(w, s.RouterCountry) }
-
-func (s *Store) writeHeartbeats(w *csv.Writer) error { return writeHeartbeatsCSV(w, s.Heartbeats) }
-
-func (s *Store) writeUptime(w *csv.Writer) error {
-	if err := w.Write(uptimeHeader); err != nil {
-		return err
-	}
-	return writeUptimeRows(w, s.Uptime)
-}
-
-func (s *Store) writeCapacity(w *csv.Writer) error {
-	if err := w.Write(capacityHeader); err != nil {
-		return err
-	}
-	return writeCapacityRows(w, s.Capacity)
-}
-
-func (s *Store) writeCounts(w *csv.Writer) error {
-	if err := w.Write(countsHeader); err != nil {
-		return err
-	}
-	return writeCountRows(w, s.Counts)
-}
-
-func (s *Store) writeSightings(w *csv.Writer) error {
-	if err := w.Write(sightingsHeader); err != nil {
-		return err
-	}
-	return writeSightingRows(w, s.Sightings)
-}
-
-func (s *Store) writeWiFi(w *csv.Writer) error {
-	if err := w.Write(wifiHeader); err != nil {
-		return err
-	}
-	return writeWiFiRows(w, s.WiFi)
-}
-
-func (s *Store) writeFlows(w *csv.Writer) error {
-	if err := w.Write(flowsHeader); err != nil {
-		return err
-	}
-	return writeFlowRows(w, s.Flows)
-}
-
-func (s *Store) writeThroughput(w *csv.Writer) error {
-	if err := w.Write(throughputHeader); err != nil {
-		return err
-	}
-	return writeThroughputRows(w, s.Throughput)
-}
-
-// Load reads a directory written by Save.
+// Load reads a directory written by Save. A record with fewer columns
+// than its file's schema, or a time, number or MAC that does not parse,
+// fails the load with a "dataset: parse <file>: …" error.
 func Load(dir string) (*Store, error) {
 	s := NewStore()
 	loaders := []struct {
 		name string
-		fn   func(rec []string) error
+		cols int // the fewest columns a record may have
+		fn   func(f *fields)
 	}{
-		{FileRoster, func(r []string) error {
-			s.RouterCountry[r[0]] = r[1]
-			return nil
+		{FileRoster, 2, func(f *fields) { s.RouterCountry[f.rec[0]] = f.rec[1] }},
+		{FileHeartbeats, 4, func(f *fields) {
+			s.Heartbeats.RecordRun(f.rec[0], heartbeat.Run{Start: f.time(1), Interval: f.seconds(2), Count: f.int(3)})
 		}},
-		{FileHeartbeats, func(r []string) error {
-			at, err := parseTime(r[1])
-			if err != nil {
-				return err
-			}
-			sec, err := strconv.ParseFloat(r[2], 64)
-			if err != nil {
-				return err
-			}
-			count, err := strconv.Atoi(r[3])
-			if err != nil {
-				return err
-			}
-			s.Heartbeats.RecordRun(r[0], heartbeat.Run{
-				Start: at, Interval: time.Duration(sec * float64(time.Second)), Count: count,
-			})
-			return nil
+		{FileUptime, 3, func(f *fields) {
+			s.Uptime = append(s.Uptime, UptimeReport{f.rec[0], f.time(1), f.seconds(2)})
 		}},
-		{FileUptime, func(r []string) error {
-			at, err := parseTime(r[1])
-			if err != nil {
-				return err
-			}
-			sec, err := strconv.ParseFloat(r[2], 64)
-			if err != nil {
-				return err
-			}
-			s.Uptime = append(s.Uptime, UptimeReport{r[0], at, time.Duration(sec * float64(time.Second))})
-			return nil
+		{FileCapacity, 4, func(f *fields) {
+			s.Capacity = append(s.Capacity, CapacityMeasure{f.rec[0], f.time(1), f.float(2), f.float(3)})
 		}},
-		{FileCapacity, func(r []string) error {
-			at, err := parseTime(r[1])
-			if err != nil {
-				return err
-			}
-			up, err1 := strconv.ParseFloat(r[2], 64)
-			down, err2 := strconv.ParseFloat(r[3], 64)
-			if err1 != nil || err2 != nil {
-				return fmt.Errorf("bad capacity row %v", r)
-			}
-			s.Capacity = append(s.Capacity, CapacityMeasure{r[0], at, up, down})
-			return nil
+		{FileCounts, 5, func(f *fields) {
+			s.Counts = append(s.Counts, DeviceCount{f.rec[0], f.time(1), f.int(2), f.int(3), f.int(4)})
 		}},
-		{FileCounts, func(r []string) error {
-			at, err := parseTime(r[1])
-			if err != nil {
-				return err
-			}
-			wired, _ := strconv.Atoi(r[2])
-			w24, _ := strconv.Atoi(r[3])
-			w5, _ := strconv.Atoi(r[4])
-			s.Counts = append(s.Counts, DeviceCount{r[0], at, wired, w24, w5})
-			return nil
+		{FileSightings, 4, func(f *fields) {
+			s.Sightings = append(s.Sightings, DeviceSighting{f.rec[0], f.time(1), f.mac(2), parseKind(f.rec[3])})
 		}},
-		{FileSightings, func(r []string) error {
-			at, err := parseTime(r[1])
-			if err != nil {
-				return err
-			}
-			hw, err := mac.Parse(r[2])
-			if err != nil {
-				return err
-			}
-			s.Sightings = append(s.Sightings, DeviceSighting{r[0], at, hw, parseKind(r[3])})
-			return nil
+		{FileWiFi, 6, func(f *fields) {
+			s.WiFi = append(s.WiFi, WiFiScan{f.rec[0], f.time(1), f.rec[2], f.int(3), f.int(4), f.int(5)})
 		}},
-		{FileWiFi, func(r []string) error {
-			at, err := parseTime(r[1])
-			if err != nil {
-				return err
-			}
-			ch, _ := strconv.Atoi(r[3])
-			aps, _ := strconv.Atoi(r[4])
-			cl, _ := strconv.Atoi(r[5])
-			s.WiFi = append(s.WiFi, WiFiScan{r[0], at, r[2], ch, aps, cl})
-			return nil
-		}},
-		{FileFlows, func(r []string) error {
-			first, err := parseTime(r[4])
-			if err != nil {
-				return err
-			}
-			last, err := parseTime(r[5])
-			if err != nil {
-				return err
-			}
-			hw, err := mac.Parse(r[1])
-			if err != nil {
-				return err
-			}
-			ub, _ := strconv.ParseInt(r[6], 10, 64)
-			db, _ := strconv.ParseInt(r[7], 10, 64)
-			up, _ := strconv.ParseInt(r[8], 10, 64)
-			dp, _ := strconv.ParseInt(r[9], 10, 64)
+		// A flows file from before the conns column has ten: one
+		// connection per record.
+		{FileFlows, 10, func(f *fields) {
 			conns := int64(1)
-			if len(r) > 10 {
-				conns, _ = strconv.ParseInt(r[10], 10, 64)
+			if len(f.rec) > 10 {
+				conns = f.int64(10)
 			}
-			s.Flows = append(s.Flows, FlowRecord{r[0], hw, r[2], r[3], first, last, ub, db, up, dp, conns})
-			return nil
+			s.Flows = append(s.Flows, FlowRecord{f.rec[0], f.mac(1), f.rec[2], f.rec[3], f.time(4), f.time(5),
+				f.int64(6), f.int64(7), f.int64(8), f.int64(9), conns})
 		}},
-		{FileThroughput, func(r []string) error {
-			at, err := parseTime(r[1])
-			if err != nil {
-				return err
-			}
-			peak, _ := strconv.ParseFloat(r[3], 64)
-			total, _ := strconv.ParseInt(r[4], 10, 64)
-			s.Throughput = append(s.Throughput, ThroughputSample{r[0], at, r[2], peak, total})
-			return nil
+		{FileThroughput, 5, func(f *fields) {
+			s.Throughput = append(s.Throughput, ThroughputSample{f.rec[0], f.time(1), f.rec[2], f.float(3), f.int64(4)})
 		}},
 	}
 	// The loaders touch disjoint Store fields (the heartbeat log is
@@ -413,10 +249,10 @@ func Load(dir string) (*Store, error) {
 	var wg sync.WaitGroup
 	for i, ld := range loaders {
 		wg.Add(1)
-		go func(i int, name string, fn func(rec []string) error) {
+		go func(i int, name string, cols int, fn func(f *fields)) {
 			defer wg.Done()
-			errs[i] = readFile(filepath.Join(dir, name), fn)
-		}(i, ld.name, ld.fn)
+			errs[i] = readFile(filepath.Join(dir, name), cols, fn)
+		}(i, ld.name, ld.cols, ld.fn)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -427,7 +263,7 @@ func Load(dir string) (*Store, error) {
 	return s, nil
 }
 
-func readFile(path string, fn func(rec []string) error) error {
+func readFile(path string, cols int, fn func(f *fields)) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("dataset: %w", err)
@@ -448,14 +284,17 @@ func readFile(path string, fn func(rec []string) error) error {
 			first = false // skip header
 			continue
 		}
-		if err := fn(rec); err != nil {
-			return fmt.Errorf("dataset: parse %s: %w", path, err)
+		row := fields{rec: rec}
+		if len(rec) < cols {
+			row.err = fmt.Errorf("record has %d columns, want %d", len(rec), cols)
+		} else {
+			fn(&row)
+		}
+		if row.err != nil {
+			line, _ := r.FieldPos(0)
+			return fmt.Errorf("dataset: parse %s: line %d: %w", path, line, row.err)
 		}
 	}
-}
-
-func parseTime(s string) (time.Time, error) {
-	return time.Parse(timeLayout, s)
 }
 
 func parseKind(s string) ConnKind {

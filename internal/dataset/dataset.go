@@ -3,6 +3,18 @@
 // windows, row schemas, and CSV persistence. Everything the analysis and
 // figure code consumes comes from this package, so the boundary between
 // "what the platform collected" and "what the paper computed" is explicit.
+//
+// Devices is two row slices (counts and sightings) and Traffic two (flows
+// and throughput), so a Store has seven row kinds; Kinds (kinds.go)
+// enumerates them once and every layer that visits "each data set" loops
+// over it. Adding a data set:
+//
+//  1. a row type, a slice field on Store and a RowCounts field;
+//  2. one entry in Kinds;
+//  3. an NPS1 block schema and its rowBlocks entry in segment/blocks.go;
+//  4. a wire.Payload case (and a Load parser if it is saved as CSV);
+//
+// and nothing else: TestKindTableCoversStore fails until 2 is done.
 package dataset
 
 import (
@@ -157,12 +169,6 @@ type Store struct {
 	// RouterCountry maps router IDs to ISO country codes (deployment
 	// metadata, the join key for all per-country analyses).
 	RouterCountry map[string]string
-
-	// Applied remembers which upload idempotency keys have already been
-	// ingested, making the at-least-once upload pipeline safe to retry
-	// (see dedupe.go). Not persisted: the retry horizon is far shorter
-	// than a study, and replays across studies carry fresh keys.
-	Applied AppliedIndex
 }
 
 // NewStore returns an empty store.

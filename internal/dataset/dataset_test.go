@@ -1,7 +1,10 @@
 package dataset
 
 import (
+	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -149,5 +152,66 @@ func TestSaveEmptyStoreAndReload(t *testing.T) {
 	}
 	if len(got.Routers()) != 0 || len(got.Flows) != 0 {
 		t.Fatal("empty store not empty after reload")
+	}
+}
+
+// TestLoadRejectsShortAndMalformedRows damages one file of a saved store
+// at a time: a record short of its schema (which used to index past the
+// record inside a loader goroutine and take the process down) and a
+// number that does not parse (which used to load as 0) must both fail
+// the load with an error naming the file. The one short form Load
+// accepts is a flows record without the conns column.
+func TestLoadRejectsShortAndMalformedRows(t *testing.T) {
+	at := t0.Format(timeLayout)
+	dev := "a4:b1:97:01:02:03"
+	cases := []struct{ file, short, malformed string }{
+		{FileRoster, "r1", ""},
+		{FileHeartbeats, "r1," + at + ",60.000", "r1," + at + ",60.000,two"},
+		{FileUptime, "r1," + at, "r1," + at + ",long"},
+		{FileCapacity, "r1," + at + ",1000000", "r1," + at + ",1000000,fast"},
+		{FileCounts, "r1," + at + ",1,4", "r1," + at + ",1,4,x"},
+		{FileSightings, "r1," + at + "," + dev, "r1," + at + ",not-a-mac,wired"},
+		{FileWiFi, "r1," + at + ",2.4GHz,11,17", "r1," + at + ",2.4GHz,eleven,17,3"},
+		{FileFlows, "r1," + dev + ",netflix.com,tcp," + at + "," + at + ",1,2,3",
+			"r1," + dev + ",netflix.com,tcp," + at + "," + at + ",1,2,3,4,many"},
+		{FileThroughput, "r1," + at + ",down,12000000", "r1," + at + ",down,12000000,9e7x"},
+	}
+	for _, tc := range cases {
+		for what, row := range map[string]string{"short": tc.short, "malformed": tc.malformed} {
+			if row == "" {
+				continue
+			}
+			dir := t.TempDir()
+			if err := sampleStore().Save(dir); err != nil {
+				t.Fatal(err)
+			}
+			f, err := os.OpenFile(filepath.Join(dir, tc.file), os.O_APPEND|os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintln(f, row)
+			f.Close()
+			_, err = Load(dir)
+			if err == nil || !strings.Contains(err.Error(), "dataset: parse") || !strings.Contains(err.Error(), tc.file) {
+				t.Errorf("%s with a %s row %q: err = %v, want a dataset: parse error naming the file", tc.file, what, row, err)
+			}
+		}
+	}
+
+	dir := t.TempDir()
+	if err := sampleStore().Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	tenCols := "router,device,domain,proto,first,last,up_bytes,down_bytes,up_pkts,down_pkts\n" +
+		"r1," + dev + ",netflix.com,tcp," + at + "," + at + ",1,2,3,4\n"
+	if err := os.WriteFile(filepath.Join(dir, FileFlows), []byte(tenCols), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(dir)
+	if err != nil {
+		t.Fatalf("ten-column flows file: %v", err)
+	}
+	if len(got.Flows) != 1 || got.Flows[0].Conns != 1 || got.Flows[0].DownPkts != 4 {
+		t.Fatalf("ten-column flow loaded as %+v, want conns = 1", got.Flows)
 	}
 }

@@ -68,10 +68,6 @@ func (a *AppliedIndex) Keys() []string {
 	return append([]string(nil), a.order[a.head:]...)
 }
 
-// MarkApplied is Store's entry point to the dedupe index; callers must
-// hold whatever lock serializes store mutation (the collector's).
-func (s *Store) MarkApplied(key string) bool { return s.Applied.Mark(key) }
-
 // Dedupe is the idempotency window of one concurrent store: an
 // AppliedIndex per stripe, each behind its own lock. A key lives in
 // exactly one stripe — the one its router hashes to — always.

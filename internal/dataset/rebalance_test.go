@@ -1,10 +1,15 @@
 package dataset
 
 import (
+	"bytes"
 	"fmt"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"natpeek/internal/rng"
 )
 
 // seedRebalance fills a Sharded with uptime rows for routers rt-0..rt-8
@@ -147,55 +152,127 @@ func TestExtractRetainsDedupeKeys(t *testing.T) {
 	}
 }
 
-// TestScanRoutersIsReadOnly: Scan must report the same snapshot an
-// extract would move, without changing the store.
-func TestScanRoutersIsReadOnly(t *testing.T) {
-	s := seedRebalance(t, 3, 120)
-	match := matchPrefixes("rt-1", "rt-7")
-	scanned, keys := s.ScanRouters(match)
-	if len(scanned.Uptime) == 0 || len(keys) != len(scanned.Uptime) {
-		t.Fatalf("scan: %d rows, %d keys", len(scanned.Uptime), len(keys))
+// filterRows is the test's own partition, independent of the kind table:
+// it walks Store's slice fields by reflection and keeps, in order, the
+// rows (and roster entries) whose RouterID keep selects.
+func filterRows(st *Store, keep func(string) bool) *Store {
+	out := newRows()
+	for id, cc := range st.RouterCountry {
+		if keep(id) {
+			out.RouterCountry[id] = cc
+		}
 	}
-	if got := len(s.Merge().Uptime); got != 120 {
-		t.Fatalf("scan mutated the store: %d rows left", got)
+	for _, name := range sliceFields() {
+		in, dst := reflect.ValueOf(st).Elem().FieldByName(name), reflect.ValueOf(out).Elem().FieldByName(name)
+		for i := 0; i < in.Len(); i++ {
+			if keep(in.Index(i).FieldByName("RouterID").String()) {
+				dst.Set(reflect.Append(dst, in.Index(i)))
+			}
+		}
 	}
-	moved, _ := s.ExtractRouters(match)
-	if len(moved.Uptime) != len(scanned.Uptime) {
-		t.Fatalf("extract moved %d rows, scan promised %d", len(moved.Uptime), len(scanned.Uptime))
+	return out
+}
+
+// sameRowsAndRoster compares every slice field (an empty one may be nil
+// on one side only) and the roster.
+func sameRowsAndRoster(t *testing.T, what string, want, got *Store) {
+	t.Helper()
+	for _, name := range sliceFields() {
+		w, g := reflect.ValueOf(want).Elem().FieldByName(name), reflect.ValueOf(got).Elem().FieldByName(name)
+		if w.Len()+g.Len() > 0 && !reflect.DeepEqual(w.Interface(), g.Interface()) {
+			t.Errorf("%s: %s differs (%d rows, want %d)", what, name, g.Len(), w.Len())
+		}
+	}
+	if !reflect.DeepEqual(want.RouterCountry, got.RouterCountry) {
+		t.Errorf("%s: roster differs: %v, want %v", what, got.RouterCountry, want.RouterCountry)
 	}
 }
 
-// TestSplitRoutersPartitionsEveryKind drives the row-set partition
-// helper across all seven measurement kinds plus the roster, checking
-// order preservation per slice and that hit+rest is a clean partition.
+// TestSplitRoutersPartitionsEveryKind runs seeded serial appends of all
+// seven kinds into a plain Store and a Sharded side by side and holds
+// everything built on the kind table to the plain store: Merge equals it
+// slice for slice, Save writes the same bytes, SplitRouters and
+// ExtractRouters cut it into the reflection-built partition with
+// per-kind order kept, and what an extract leaves merges and saves as if
+// the moved rows had never arrived.
 func TestSplitRoutersPartitionsEveryKind(t *testing.T) {
-	st := NewStore()
-	ids := []string{"rt-a", "rt-b", "rt-a", "rt-c", "rt-b", "rt-a"}
-	for i, id := range ids {
-		st.RouterCountry[id] = "US"
-		st.Uptime = append(st.Uptime, UptimeReport{RouterID: id, Uptime: time.Duration(i)})
-		st.Capacity = append(st.Capacity, CapacityMeasure{RouterID: id})
-		st.Counts = append(st.Counts, DeviceCount{RouterID: id, Wired: i})
-		st.Sightings = append(st.Sightings, DeviceSighting{RouterID: id, Kind: ConnKind(i % 3)})
-		st.WiFi = append(st.WiFi, WiFiScan{RouterID: id, Channel: i})
-		st.Flows = append(st.Flows, FlowRecord{RouterID: id, UpBytes: int64(i)})
-		st.Throughput = append(st.Throughput, ThroughputSample{RouterID: id, TotalBytes: int64(i)})
-	}
-	hit, rest := SplitRouters(st, matchPrefixes("rt-a"))
-	if len(hit.Uptime) != 3 || len(rest.Uptime) != 3 {
-		t.Fatalf("uptime split %d/%d, want 3/3", len(hit.Uptime), len(rest.Uptime))
-	}
-	if len(hit.Flows) != 3 || len(rest.Throughput) != 3 || len(hit.Sightings) != 3 {
-		t.Fatal("a kind was not partitioned")
-	}
-	if hit.Uptime[0].Uptime != 0 || hit.Uptime[1].Uptime != 2 || hit.Uptime[2].Uptime != 5 {
-		t.Fatalf("hit order perturbed: %v", hit.Uptime)
-	}
-	if rest.Uptime[0].Uptime != 1 || rest.Uptime[1].Uptime != 3 || rest.Uptime[2].Uptime != 4 {
-		t.Fatalf("rest order perturbed: %v", rest.Uptime)
-	}
-	if len(hit.RouterCountry) != 1 || len(rest.RouterCountry) != 2 {
-		t.Fatalf("roster split %d/%d", len(hit.RouterCountry), len(rest.RouterCountry))
+	for seed := uint64(1); seed <= 6; seed++ {
+		r := rng.New(seed)
+		plain, striped := NewStore(), NewSharded(1+r.Intn(8))
+		for i, n := 0, 300+r.Intn(700); i < n; i++ {
+			id := fmt.Sprintf("rt-%d", r.Intn(10))
+			row := func(st *Store) {
+				st.RouterCountry[id] = "US"
+				applyRandomRow(st, id, i, r.Child("row").ChildN("i", i))
+			}
+			row(plain)
+			if !striped.Apply(id, fmt.Sprintf("%s:k%d", id, i), row) {
+				t.Fatalf("seed %d: fresh key %d deduped", seed, i)
+			}
+		}
+		for _, name := range sliceFields() {
+			if reflect.ValueOf(plain).Elem().FieldByName(name).Len() == 0 {
+				t.Fatalf("seed %d: no %s rows generated", seed, name)
+			}
+		}
+		what := func(s string) string { return fmt.Sprintf("seed %d: %s", seed, s) }
+		sameSave := func(s string, want *Store, got *Sharded) {
+			t.Helper()
+			wantDir, gotDir := t.TempDir(), t.TempDir()
+			want.Heartbeats = got.Heartbeats
+			if err := want.Save(wantDir); err != nil {
+				t.Fatal(err)
+			}
+			if err := got.Save(gotDir); err != nil {
+				t.Fatal(err)
+			}
+			names := []string{FileRoster, FileHeartbeats}
+			for i := range Kinds {
+				names = append(names, Kinds[i].File)
+			}
+			for _, name := range names {
+				if !bytes.Equal(mustRead(t, filepath.Join(wantDir, name)), mustRead(t, filepath.Join(gotDir, name))) {
+					t.Errorf("%s: %s differs", what(s), name)
+				}
+			}
+		}
+
+		sameRowsAndRoster(t, what("Merge vs plain"), plain, striped.Merge())
+		sameSave("Save vs plain", plain, striped)
+		if rc := striped.RowCounts(); rc != CountRows(plain) || striped.Rows() != rc.Total() {
+			t.Errorf("%s", what(fmt.Sprintf("RowCounts %+v, Rows %d, want %+v", rc, striped.Rows(), CountRows(plain))))
+		}
+
+		moving := map[string]bool{}
+		for i := 0; i < 10; i++ {
+			moving[fmt.Sprintf("rt-%d", i)] = r.Intn(3) == 0
+		}
+		match := func(id string) bool { return moving[id] }
+		wantHit := filterRows(plain, match)
+		wantRest := filterRows(plain, func(id string) bool { return !match(id) })
+
+		hit, rest := SplitRouters(plain, match)
+		sameRowsAndRoster(t, what("SplitRouters hit"), wantHit, hit)
+		sameRowsAndRoster(t, what("SplitRouters rest"), wantRest, rest)
+
+		moved, keys := striped.ExtractRouters(match)
+		sameRowsAndRoster(t, what("ExtractRouters moved"), wantHit, moved)
+		sameRowsAndRoster(t, what("Merge after extract"), wantRest, striped.Merge())
+		sameSave("Save after extract", wantRest, striped)
+		if want := CountRows(wantHit).Total(); len(keys) != want {
+			t.Errorf("%s", what(fmt.Sprintf("extract returned %d keys, want one per moved row, %d", len(keys), want)))
+		}
+		// Appends after the extract land on the rebuilt stripes.
+		for i := 0; i < 100; i++ {
+			id := fmt.Sprintf("rt-%d", r.Intn(10))
+			row := func(st *Store) { applyRandomRow(st, id, i, r.Child("late").ChildN("i", i)) }
+			row(wantRest)
+			striped.Append(id, row)
+		}
+		sameRowsAndRoster(t, what("Merge after extract and more appends"), wantRest, striped.Merge())
+		if want := CountRows(wantRest).Total(); striped.Rows() != want {
+			t.Errorf("%s", what(fmt.Sprintf("Rows() = %d after extract, want %d", striped.Rows(), want)))
+		}
 	}
 }
 

@@ -18,7 +18,6 @@
 package dataset
 
 import (
-	"encoding/csv"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -32,36 +31,24 @@ import (
 // keeping Merge's fan-in small.
 const DefaultShards = 32
 
-// rowKind indexes the per-data-set slices a segment can cover.
-type rowKind uint8
-
-const (
-	kindUptime rowKind = iota
-	kindCapacity
-	kindCounts
-	kindSightings
-	kindWiFi
-	kindFlows
-	kindThroughput
-	numKinds
-)
-
 // segment records one contiguous append to one shard slice, stamped with
 // the global arrival sequence so Merge can restore cross-shard order.
 type segment struct {
-	kind rowKind
+	kind uint8 // index into Kinds
 	off  int
 	n    int
 	seq  uint64
 }
 
 // shard is one stripe: a private Store (its Heartbeats field is unused —
-// the heartbeat log is shared and internally synchronized) plus its
-// arrival-order segment log.
+// the heartbeat log is shared and internally synchronized), its
+// arrival-order segment log, and the store's per-kind lengths as of the
+// last recorded apply — what the next apply's growth is measured from.
 type shard struct {
 	mu    sync.Mutex
 	store *Store
 	segs  []segment
+	lens  [NumKinds]int
 }
 
 // Sharded is a lock-striped store for concurrent ingestion.
@@ -74,6 +61,7 @@ type Sharded struct {
 	shards []*shard
 	dedupe *Dedupe // one stripe per shard, routed by the same hash
 	seq    atomic.Uint64
+	rows   atomic.Int64 // rows held across all stripes and kinds
 }
 
 // NewSharded returns an empty sharded store with n stripes (n <= 0 means
@@ -86,13 +74,26 @@ func NewSharded(n int) *Sharded { return NewShardedOver(NewDedupe(n, 0)) }
 func NewShardedOver(d *Dedupe) *Sharded {
 	s := &Sharded{Heartbeats: heartbeat.NewLog(), shards: make([]*shard, len(d.stripes)), dedupe: d}
 	for i := range s.shards {
-		s.shards[i] = &shard{store: &Store{RouterCountry: make(map[string]string)}}
+		s.shards[i] = &shard{store: newRows()}
 	}
 	return s
 }
 
 // NumShards returns the stripe count.
 func (s *Sharded) NumShards() int { return len(s.shards) }
+
+// lockAll takes every stripe lock, for a consistent view of the whole
+// store; the returned function releases them.
+func (s *Sharded) lockAll() (unlock func()) {
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+	}
+	return func() {
+		for _, sh := range s.shards {
+			sh.mu.Unlock()
+		}
+	}
+}
 
 // Apply runs one upload's store mutation under the router's shard lock,
 // honoring the idempotency key: a key already in the dedupe index is
@@ -112,9 +113,8 @@ func (s *Sharded) Apply(router, key string, apply func(*Store)) bool {
 	if !s.dedupe.mark(i, key) {
 		return false
 	}
-	before := kindLens(sh.store)
 	apply(sh.store)
-	s.record(sh, before)
+	s.record(sh)
 	return true
 }
 
@@ -124,26 +124,14 @@ func (s *Sharded) Append(router string, apply func(*Store)) {
 	sh := s.shards[s.dedupe.stripeOf(router)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	before := kindLens(sh.store)
 	apply(sh.store)
-	s.record(sh, before)
-}
-
-func kindLens(st *Store) [numKinds]int {
-	return [numKinds]int{
-		kindUptime:     len(st.Uptime),
-		kindCapacity:   len(st.Capacity),
-		kindCounts:     len(st.Counts),
-		kindSightings:  len(st.Sightings),
-		kindWiFi:       len(st.WiFi),
-		kindFlows:      len(st.Flows),
-		kindThroughput: len(st.Throughput),
-	}
+	s.record(sh)
 }
 
 // record turns the slice growth of one apply into sequence-stamped
-// segments. Must be called with the shard lock held; the sequence is
-// taken after the apply so segments within a shard are seq-ordered.
+// segments and adds it to the row tally. Must be called with the shard
+// lock held; the sequence is taken after the apply so segments within a
+// shard are seq-ordered.
 //
 // Consecutive same-kind growth coalesces: if this shard's last segment
 // holds the globally-latest sequence number, no segment anywhere orders
@@ -153,273 +141,125 @@ func kindLens(st *Store) [numKinds]int {
 // spool batches deliver one router's backlog back-to-back — so this
 // keeps the segment log near-empty in both the serial verify runs and
 // steady-state collection.
-func (s *Sharded) record(sh *shard, before [numKinds]int) {
-	after := kindLens(sh.store)
-	for k := rowKind(0); k < numKinds; k++ {
-		grown := after[k] - before[k]
+func (s *Sharded) record(sh *shard) {
+	total := 0
+	for k := range Kinds {
+		before := sh.lens[k]
+		sh.lens[k] = Kinds[k].Len(sh.store)
+		grown := sh.lens[k] - before
 		if grown <= 0 {
 			continue
 		}
+		total += grown
 		if n := len(sh.segs); n > 0 {
 			last := &sh.segs[n-1]
-			if last.kind == k && last.off+last.n == before[k] && s.seq.Load() == last.seq {
+			if int(last.kind) == k && last.off+last.n == before && s.seq.Load() == last.seq {
 				last.n += grown
 				continue
 			}
 		}
-		sh.segs = append(sh.segs, segment{kind: k, off: before[k], n: grown, seq: s.seq.Add(1)})
+		sh.segs = append(sh.segs, segment{kind: uint8(k), off: before, n: grown, seq: s.seq.Add(1)})
 	}
+	s.rows.Add(int64(total))
 }
+
+// Rows returns the number of rows held across every kind: the running
+// tally of what record saw arrive less what ExtractRouters took out. One
+// atomic load, so the segment store sizes its memtable with it per apply.
+func (s *Sharded) Rows() int { return int(s.rows.Load()) }
 
 // DedupeLen returns the number of idempotency keys remembered across all
 // stripes.
 func (s *Sharded) DedupeLen() int { return s.dedupe.Len() }
 
-// RowCounts summarizes the store without merging it — one lock
+// RowCounts sums the per-stripe slice lengths without merging — one lock
 // acquisition per stripe, no copying. Fleet-size progress logs poll
 // this.
-type RowCounts struct {
-	Routers    int
-	Uptime     int
-	Capacity   int
-	Counts     int
-	Sightings  int
-	WiFi       int
-	Flows      int
-	Throughput int
-}
-
-// RowCounts sums the per-stripe slice lengths.
 func (s *Sharded) RowCounts() RowCounts {
 	var rc RowCounts
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		rc.Routers += len(sh.store.RouterCountry)
-		rc.Uptime += len(sh.store.Uptime)
-		rc.Capacity += len(sh.store.Capacity)
-		rc.Counts += len(sh.store.Counts)
-		rc.Sightings += len(sh.store.Sightings)
-		rc.WiFi += len(sh.store.WiFi)
-		rc.Flows += len(sh.store.Flows)
-		rc.Throughput += len(sh.store.Throughput)
+		rc.Add(CountRows(sh.store))
 		sh.mu.Unlock()
 	}
 	return rc
 }
 
 // Roster returns a merged copy of the router→country metadata across
-// all stripes (one lock acquisition per stripe, no row copying).
+// all stripes.
 func (s *Sharded) Roster() map[string]string {
+	defer s.lockAll()()
+	return s.rosterLocked()
+}
+
+func (s *Sharded) rosterLocked() map[string]string {
 	out := make(map[string]string)
 	for _, sh := range s.shards {
-		sh.mu.Lock()
 		for id, cc := range sh.store.RouterCountry {
 			out[id] = cc
 		}
-		sh.mu.Unlock()
 	}
 	return out
 }
 
 // Merge reassembles a plain Store snapshot in global arrival order. The
 // snapshot shares the (internally synchronized) heartbeat log and copies
-// every row; its dedupe index is empty — dedupe state stays with the
-// sharded store. All stripes are locked for the duration, so the
-// snapshot is consistent.
+// every row; dedupe state stays with the sharded store. All stripes are
+// locked for the duration, so the snapshot is consistent.
 func (s *Sharded) Merge() *Store {
+	defer s.lockAll()()
+	out := &Store{Heartbeats: s.Heartbeats, RouterCountry: s.rosterLocked()}
+	var total RowCounts
 	for _, sh := range s.shards {
-		sh.mu.Lock()
+		total.Add(CountRows(sh.store))
 	}
-	defer func() {
-		for _, sh := range s.shards {
-			sh.mu.Unlock()
-		}
-	}()
-
-	out := &Store{
-		Heartbeats:    s.Heartbeats,
-		RouterCountry: make(map[string]string),
+	for _, k := range Kinds {
+		k.Alloc(out, 0, *k.Count(&total))
 	}
-	var total [numKinds]int
-	nsegs := 0
-	for _, sh := range s.shards {
-		for id, cc := range sh.store.RouterCountry {
-			out.RouterCountry[id] = cc
-		}
-		lens := kindLens(sh.store)
-		for k := rowKind(0); k < numKinds; k++ {
-			total[k] += lens[k]
-		}
-		nsegs += len(sh.segs)
-	}
-	out.Uptime = make([]UptimeReport, 0, total[kindUptime])
-	out.Capacity = make([]CapacityMeasure, 0, total[kindCapacity])
-	out.Counts = make([]DeviceCount, 0, total[kindCounts])
-	out.Sightings = make([]DeviceSighting, 0, total[kindSightings])
-	out.WiFi = make([]WiFiScan, 0, total[kindWiFi])
-	out.Flows = make([]FlowRecord, 0, total[kindFlows])
-	out.Throughput = make([]ThroughputSample, 0, total[kindThroughput])
-
-	all := s.orderedRefs(nsegs)
-	for _, r := range all {
-		st, seg := r.st, r.seg
-		switch seg.kind {
-		case kindUptime:
-			out.Uptime = append(out.Uptime, st.Uptime[seg.off:seg.off+seg.n]...)
-		case kindCapacity:
-			out.Capacity = append(out.Capacity, st.Capacity[seg.off:seg.off+seg.n]...)
-		case kindCounts:
-			out.Counts = append(out.Counts, st.Counts[seg.off:seg.off+seg.n]...)
-		case kindSightings:
-			out.Sightings = append(out.Sightings, st.Sightings[seg.off:seg.off+seg.n]...)
-		case kindWiFi:
-			out.WiFi = append(out.WiFi, st.WiFi[seg.off:seg.off+seg.n]...)
-		case kindFlows:
-			out.Flows = append(out.Flows, st.Flows[seg.off:seg.off+seg.n]...)
-		case kindThroughput:
-			out.Throughput = append(out.Throughput, st.Throughput[seg.off:seg.off+seg.n]...)
-		}
+	for _, r := range s.orderedRefs() {
+		Kinds[r.kind].Append(out, r.st, r.off, r.n)
 	}
 	return out
 }
 
-// ref pairs one shard-local segment with the store that holds its rows.
+// ref is one shard-local segment as a range of the rows it covers, with
+// its arrival stamp and the shard it was recorded in.
 type ref struct {
-	st  *Store
-	seg segment
+	rowRange
+	seq uint64
+	sh  *shard
 }
 
 // orderedRefs collects every shard's segments sorted by global arrival
 // sequence. Callers must hold all stripe locks. Per-shard segment lists
 // are already seq-sorted (seqs are taken under the shard lock), so a
-// k-way merge would do; a plain sort is simpler and both callers (Merge,
-// Save) are far off the hot path.
-func (s *Sharded) orderedRefs(nsegs int) []ref {
-	all := make([]ref, 0, nsegs)
+// k-way merge would do; a plain sort is simpler and every caller (Merge,
+// Save, extract) is far off the hot path.
+func (s *Sharded) orderedRefs() []ref {
+	var all []ref
 	for _, sh := range s.shards {
 		for _, seg := range sh.segs {
-			all = append(all, ref{st: sh.store, seg: seg})
+			all = append(all, ref{rowRange{sh.store, seg.kind, seg.off, seg.n}, seg.seq, sh})
 		}
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].seg.seq < all[j].seg.seq })
+	sort.Slice(all, func(i, j int) bool { return all[i].seq < all[j].seq })
 	return all
 }
 
 // Save persists a consistent snapshot of the store as the standard CSV
-// layout (one file per data set, written concurrently, byte-identical to
-// Merge().Save). Rows stream straight from the shard slices in global
-// arrival order — the previous implementation materialized a full merged
-// copy of every slice just to write CSV, doubling peak memory at exactly
-// the fleet sizes where Save matters. The price is that all stripe locks
-// are held for the duration of the write; Save runs at shutdown or
-// checkpoint time, never on the ingest path.
+// layout, byte-identical to Merge().Save but with rows streamed straight
+// from the shard slices in global arrival order (see saveCSV) — a merged
+// copy of every slice would double peak memory at exactly the fleet
+// sizes where Save matters. The price is that all stripe locks are held
+// for the duration of the write; Save runs at shutdown or checkpoint
+// time, never on the ingest path.
 func (s *Sharded) Save(dir string) error {
-	for _, sh := range s.shards {
-		sh.mu.Lock()
+	defer s.lockAll()()
+	refs := s.orderedRefs()
+	ranges := make([]rowRange, len(refs))
+	for i, r := range refs {
+		ranges[i] = r.rowRange
 	}
-	defer func() {
-		for _, sh := range s.shards {
-			sh.mu.Unlock()
-		}
-	}()
-
-	nsegs := 0
-	roster := make(map[string]string)
-	for _, sh := range s.shards {
-		nsegs += len(sh.segs)
-		for id, cc := range sh.store.RouterCountry {
-			roster[id] = cc
-		}
-	}
-	all := s.orderedRefs(nsegs)
-	kindRefs := func(k rowKind) []ref {
-		out := make([]ref, 0, 8)
-		for _, r := range all {
-			if r.seg.kind == k {
-				out = append(out, r)
-			}
-		}
-		return out
-	}
-	return saveCSVFiles(dir, []csvFile{
-		{FileRoster, func(w *csv.Writer) error { return writeRosterCSV(w, roster) }},
-		{FileHeartbeats, func(w *csv.Writer) error { return writeHeartbeatsCSV(w, s.Heartbeats) }},
-		{FileUptime, func(w *csv.Writer) error {
-			if err := w.Write(uptimeHeader); err != nil {
-				return err
-			}
-			for _, r := range kindRefs(kindUptime) {
-				if err := writeUptimeRows(w, r.st.Uptime[r.seg.off:r.seg.off+r.seg.n]); err != nil {
-					return err
-				}
-			}
-			return nil
-		}},
-		{FileCapacity, func(w *csv.Writer) error {
-			if err := w.Write(capacityHeader); err != nil {
-				return err
-			}
-			for _, r := range kindRefs(kindCapacity) {
-				if err := writeCapacityRows(w, r.st.Capacity[r.seg.off:r.seg.off+r.seg.n]); err != nil {
-					return err
-				}
-			}
-			return nil
-		}},
-		{FileCounts, func(w *csv.Writer) error {
-			if err := w.Write(countsHeader); err != nil {
-				return err
-			}
-			for _, r := range kindRefs(kindCounts) {
-				if err := writeCountRows(w, r.st.Counts[r.seg.off:r.seg.off+r.seg.n]); err != nil {
-					return err
-				}
-			}
-			return nil
-		}},
-		{FileSightings, func(w *csv.Writer) error {
-			if err := w.Write(sightingsHeader); err != nil {
-				return err
-			}
-			for _, r := range kindRefs(kindSightings) {
-				if err := writeSightingRows(w, r.st.Sightings[r.seg.off:r.seg.off+r.seg.n]); err != nil {
-					return err
-				}
-			}
-			return nil
-		}},
-		{FileWiFi, func(w *csv.Writer) error {
-			if err := w.Write(wifiHeader); err != nil {
-				return err
-			}
-			for _, r := range kindRefs(kindWiFi) {
-				if err := writeWiFiRows(w, r.st.WiFi[r.seg.off:r.seg.off+r.seg.n]); err != nil {
-					return err
-				}
-			}
-			return nil
-		}},
-		{FileFlows, func(w *csv.Writer) error {
-			if err := w.Write(flowsHeader); err != nil {
-				return err
-			}
-			for _, r := range kindRefs(kindFlows) {
-				if err := writeFlowRows(w, r.st.Flows[r.seg.off:r.seg.off+r.seg.n]); err != nil {
-					return err
-				}
-			}
-			return nil
-		}},
-		{FileThroughput, func(w *csv.Writer) error {
-			if err := w.Write(throughputHeader); err != nil {
-				return err
-			}
-			for _, r := range kindRefs(kindThroughput) {
-				if err := writeThroughputRows(w, r.st.Throughput[r.seg.off:r.seg.off+r.seg.n]); err != nil {
-					return err
-				}
-			}
-			return nil
-		}},
-	})
+	return saveCSV(dir, s.rosterLocked(), s.Heartbeats, ranges)
 }

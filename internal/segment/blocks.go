@@ -12,6 +12,30 @@ import (
 	"natpeek/internal/dataset"
 )
 
+// rowBlocks pairs each row kind, in dataset.Kinds order, with its NPS1
+// block: the block kind as stored in the footer and the column schema's
+// two halves. Encode, RowsInto and the footer parser loop over it.
+var rowBlocks = [dataset.NumKinds]struct {
+	kind   uint64
+	encode func(st *dataset.Store) []byte
+	decode func(r *Reader, w *dataset.Store) error
+}{
+	{blkUptime, func(st *dataset.Store) []byte { return encodeUptime(st.Uptime) },
+		func(r *Reader, w *dataset.Store) error { return r.uptime(w.Uptime) }},
+	{blkCapacity, func(st *dataset.Store) []byte { return encodeCapacity(st.Capacity) },
+		func(r *Reader, w *dataset.Store) error { return r.capacity(w.Capacity) }},
+	{blkCounts, func(st *dataset.Store) []byte { return encodeCounts(st.Counts) },
+		func(r *Reader, w *dataset.Store) error { return r.counts(w.Counts) }},
+	{blkSightings, func(st *dataset.Store) []byte { return encodeSightings(st.Sightings) },
+		func(r *Reader, w *dataset.Store) error { return r.sightings(w.Sightings) }},
+	{blkWiFi, func(st *dataset.Store) []byte { return encodeWiFi(st.WiFi) },
+		func(r *Reader, w *dataset.Store) error { return r.wifi(w.WiFi) }},
+	{blkFlows, func(st *dataset.Store) []byte { return encodeFlows(st.Flows) },
+		func(r *Reader, w *dataset.Store) error { return r.flows(w.Flows) }},
+	{blkThroughput, func(st *dataset.Store) []byte { return encodeThroughput(st.Throughput) },
+		func(r *Reader, w *dataset.Store) error { return r.throughput(w.Throughput) }},
+}
+
 // Time-column accessors, one per column, shared by a kind's encoder and
 // decoder.
 func uptimeAt(r *dataset.UptimeReport) *time.Time         { return &r.ReportedAt }

@@ -128,13 +128,9 @@ func Encode(st *dataset.Store, keys []Key, seq SeqRange, replaces []SeqRange) []
 		out = append(out, payload...)
 	}
 
-	addBlock(blkUptime, len(st.Uptime), encodeUptime(st.Uptime))
-	addBlock(blkCapacity, len(st.Capacity), encodeCapacity(st.Capacity))
-	addBlock(blkCounts, len(st.Counts), encodeCounts(st.Counts))
-	addBlock(blkSightings, len(st.Sightings), encodeSightings(st.Sightings))
-	addBlock(blkWiFi, len(st.WiFi), encodeWiFi(st.WiFi))
-	addBlock(blkFlows, len(st.Flows), encodeFlows(st.Flows))
-	addBlock(blkThroughput, len(st.Throughput), encodeThroughput(st.Throughput))
+	for i, b := range rowBlocks {
+		addBlock(b.kind, dataset.Kinds[i].Len(st), b.encode(st))
+	}
 	addBlock(blkKeys, len(keys), encodeKeys(keys))
 
 	var f codec.Enc
@@ -193,27 +189,8 @@ func timeRange(st *dataset.Store) (minT, maxT time.Time, ok bool) {
 		}
 		ok = true
 	}
-	for _, r := range st.Uptime {
-		obs(r.ReportedAt)
-	}
-	for _, r := range st.Capacity {
-		obs(r.MeasuredAt)
-	}
-	for _, r := range st.Counts {
-		obs(r.At)
-	}
-	for _, r := range st.Sightings {
-		obs(r.At)
-	}
-	for _, r := range st.WiFi {
-		obs(r.At)
-	}
-	for _, r := range st.Flows {
-		obs(r.First)
-		obs(r.Last)
-	}
-	for _, r := range st.Throughput {
-		obs(r.Minute)
+	for _, k := range dataset.Kinds {
+		k.Times(st, obs)
 	}
 	return minT, maxT, ok
 }
@@ -293,23 +270,13 @@ func (r *Reader) parseFooter(footer []byte, blockEnd uint64) error {
 			return fmt.Errorf("%w: block %d claims %d rows in %d bytes", errCorrupt, b.kind, b.rows, b.len)
 		}
 		m.blocks = append(m.blocks, b)
-		switch b.kind {
-		case blkUptime:
-			m.Rows.Uptime = int(b.rows)
-		case blkCapacity:
-			m.Rows.Capacity = int(b.rows)
-		case blkCounts:
-			m.Rows.Counts = int(b.rows)
-		case blkSightings:
-			m.Rows.Sightings = int(b.rows)
-		case blkWiFi:
-			m.Rows.WiFi = int(b.rows)
-		case blkFlows:
-			m.Rows.Flows = int(b.rows)
-		case blkThroughput:
-			m.Rows.Throughput = int(b.rows)
-		case blkKeys:
+		if b.kind == blkKeys {
 			m.KeyRows = int(b.rows)
+		}
+		for i, rb := range rowBlocks {
+			if rb.kind == b.kind {
+				*dataset.Kinds[i].Count(&m.Rows) = int(b.rows)
+			}
 		}
 	}
 	m.Rows.Routers = len(m.Roster)
@@ -385,25 +352,12 @@ func (r *Reader) Rows() (*dataset.Store, error) {
 // (the file was rewritten since the caller read its footer). w's
 // roster is left alone.
 func (r *Reader) RowsInto(w *dataset.Store) error {
-	if err := r.uptime(w.Uptime); err != nil {
-		return err
+	for _, b := range rowBlocks {
+		if err := b.decode(r, w); err != nil {
+			return err
+		}
 	}
-	if err := r.capacity(w.Capacity); err != nil {
-		return err
-	}
-	if err := r.counts(w.Counts); err != nil {
-		return err
-	}
-	if err := r.sightings(w.Sightings); err != nil {
-		return err
-	}
-	if err := r.wifi(w.WiFi); err != nil {
-		return err
-	}
-	if err := r.flows(w.Flows); err != nil {
-		return err
-	}
-	return r.throughput(w.Throughput)
+	return nil
 }
 
 // Decode is the one-shot convenience: parse, validate, and decode

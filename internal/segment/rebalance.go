@@ -17,16 +17,6 @@ import (
 
 var _ dataset.RebalanceStore = (*Store)(nil)
 
-// ScanRouters implements dataset.RebalanceStore: a snapshot of the
-// matched routers' rows (segments, sealed generation, live memtable —
-// in that order) plus their remembered idempotency keys. Read-only and
-// advisory; ExtractRouters is the atomic operation.
-func (s *Store) ScanRouters(match func(string) bool) (*dataset.Store, []dataset.RouterKey) {
-	hit, _ := dataset.SplitRouters(s.Merge(), match)
-	hit.Heartbeats = nil
-	return hit, s.dedupe.MatchedKeys(match)
-}
-
 // ExtractRouters implements dataset.RebalanceStore. It runs under
 // flushMu, so no seal, flush, or compaction can race it; appliers keep
 // writing to the live memtable throughout, and because the memtable is
@@ -59,7 +49,7 @@ func (s *Store) ExtractRouters(match func(string) bool) (*dataset.Store, []datas
 			continue
 		}
 		hit, rest := dataset.SplitRouters(st, match)
-		if rowsOf(hit) == 0 && len(hit.RouterCountry) == 0 {
+		if dataset.CountRows(hit).Total() == 0 && len(hit.RouterCountry) == 0 {
 			continue
 		}
 		nb := Encode(rest, ks, f.meta.Seq, f.meta.Replaces)
@@ -79,14 +69,9 @@ func (s *Store) ExtractRouters(match func(string) bool) (*dataset.Store, []datas
 	}
 
 	if frozen != nil {
-		hit, _ := frozen.sh.ExtractRouters(match)
-		frozen.rows.Add(-int64(rowsOf(hit)))
-		appendStore(moved, hit)
+		appendStore(moved, frozen.sh.ExtractRows(match))
 	}
-
-	hit, keys := mem.sh.ExtractRouters(match)
-	mem.rows.Add(-int64(rowsOf(hit)))
-	appendStore(moved, hit)
+	appendStore(moved, mem.sh.ExtractRows(match))
 
 	s.segMu.Lock()
 	for id, cc := range s.roster {
@@ -97,5 +82,8 @@ func (s *Store) ExtractRouters(match func(string) bool) (*dataset.Store, []datas
 	}
 	s.segMu.Unlock()
 
-	return moved, keys
+	// One scan of the index the generations share, after the last row is
+	// out: a key is marked before its row lands, so every extracted row's
+	// key is in it (unless the FIFO window has moved past it).
+	return moved, s.dedupe.MatchedKeys(match)
 }

@@ -160,32 +160,6 @@ func TestExtractRetainsDedupeAcrossRestart(t *testing.T) {
 	}
 }
 
-// TestScanRoutersPromisesTheExtract: Scan is the read-only dry run the
-// transfer planner sizes sessions with — it must see the same rows an
-// extract would move (segments, frozen generation, memtable alike)
-// without mutating anything.
-func TestScanRoutersPromisesTheExtract(t *testing.T) {
-	s := openRebalanceStore(t)
-	seedKeyed(t, s, nil, 160, func() {
-		if err := s.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	match := matchSegPrefixes("seg-rt-0", "seg-rt-5")
-	scanned, skeys := s.ScanRouters(match)
-	if rowsTotal(scanned) == 0 || len(skeys) == 0 {
-		t.Fatal("scan found nothing")
-	}
-	if got := rowsTotal(s.Merge()); got != 160 {
-		t.Fatalf("scan mutated the store: %d rows left", got)
-	}
-	moved, mkeys := s.ExtractRouters(match)
-	sameRows(t, scanned, moved, "extract vs scan")
-	if len(mkeys) != len(skeys) {
-		t.Fatalf("extract pushed %d keys, scan promised %d", len(mkeys), len(skeys))
-	}
-}
-
 // TestExtractNoMatchLeavesSegmentsUntouched: a no-op extract must not
 // rewrite any segment file (rewrites cost an fsync per segment and the
 // drain loop runs extract repeatedly until it drains dry).

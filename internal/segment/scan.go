@@ -20,23 +20,11 @@ import (
 // exactly rc's lengths and spare's capacity behind them (nil where both
 // are zero).
 func newWindow(rc, spare dataset.RowCounts) *dataset.Store {
-	return &dataset.Store{
-		RouterCountry: make(map[string]string, rc.Routers),
-		Uptime:        sized[dataset.UptimeReport](rc.Uptime, spare.Uptime),
-		Capacity:      sized[dataset.CapacityMeasure](rc.Capacity, spare.Capacity),
-		Counts:        sized[dataset.DeviceCount](rc.Counts, spare.Counts),
-		Sightings:     sized[dataset.DeviceSighting](rc.Sightings, spare.Sightings),
-		WiFi:          sized[dataset.WiFiScan](rc.WiFi, spare.WiFi),
-		Flows:         sized[dataset.FlowRecord](rc.Flows, spare.Flows),
-		Throughput:    sized[dataset.ThroughputSample](rc.Throughput, spare.Throughput),
+	st := &dataset.Store{RouterCountry: make(map[string]string, rc.Routers)}
+	for _, k := range dataset.Kinds {
+		k.Alloc(st, *k.Count(&rc), *k.Count(&spare))
 	}
-}
-
-func sized[T any](n, spare int) []T {
-	if n+spare == 0 {
-		return nil
-	}
-	return make([]T, n, n+spare)
+	return st
 }
 
 // presized allocates one store holding exactly the rows the cached
@@ -47,20 +35,15 @@ func presized(segs []segFile, spare dataset.RowCounts) (*dataset.Store, func(i i
 	offs := make([]dataset.RowCounts, len(segs)+1)
 	for i, f := range segs {
 		offs[i+1] = offs[i]
-		addCounts(&offs[i+1], f.meta.Rows)
+		offs[i+1].Add(f.meta.Rows)
 	}
 	out := newWindow(offs[len(segs)], spare)
 	return out, func(i int) *dataset.Store {
-		lo, hi := offs[i], offs[i+1]
-		return &dataset.Store{
-			Uptime:     out.Uptime[lo.Uptime:hi.Uptime:hi.Uptime],
-			Capacity:   out.Capacity[lo.Capacity:hi.Capacity:hi.Capacity],
-			Counts:     out.Counts[lo.Counts:hi.Counts:hi.Counts],
-			Sightings:  out.Sightings[lo.Sightings:hi.Sightings:hi.Sightings],
-			WiFi:       out.WiFi[lo.WiFi:hi.WiFi:hi.WiFi],
-			Flows:      out.Flows[lo.Flows:hi.Flows:hi.Flows],
-			Throughput: out.Throughput[lo.Throughput:hi.Throughput:hi.Throughput],
+		w := &dataset.Store{}
+		for _, k := range dataset.Kinds {
+			k.Window(w, out, *k.Count(&offs[i]), *k.Count(&offs[i+1]))
 		}
+		return w
 	}
 }
 

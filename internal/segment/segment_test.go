@@ -256,6 +256,79 @@ func TestMergeMatchesSharded(t *testing.T) {
 	}
 }
 
+// TestMergeMatchesShardedAcrossFlushAndCompact is the seven-kind
+// property on the segment side: a seeded serial upload sequence with
+// seals at random points and compactions folding some of them, a live
+// tail left unflushed, must merge, count and save exactly like the same
+// sequence in a plain Sharded — at every boundary, not just at the end.
+func TestMergeMatchesShardedAcrossFlushAndCompact(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		plain := dataset.NewSharded(0)
+		s, err := segment.Open(segment.Options{Dir: t.TempDir(), FlushRows: 1 << 20, NoCompaction: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rng.New(seed)
+		check := func(i int, what string) {
+			t.Helper()
+			what = fmt.Sprintf("seed %d, %s after row %d", seed, what, i)
+			sameRows(t, plain.Merge(), s.Merge(), what)
+			if rc, prc := s.RowCounts(), plain.RowCounts(); rc != prc {
+				t.Errorf("%s: RowCounts %+v, want %+v", what, rc, prc)
+			}
+		}
+		flushes, compactions := 0, 0
+		for i, n := 0, 1500+r.Intn(1500); i < n; i++ {
+			id := fmt.Sprintf("bismark-%03d", r.Intn(12))
+			key := fmt.Sprintf("k:%s:%d", id, i)
+			row := func(st *dataset.Store) {
+				st.RouterCountry[id] = "US"
+				addRandomRow(st, id, i, r.Child("row").ChildN("i", i))
+			}
+			if !plain.Apply(id, key, row) || !s.Apply(id, key, row) {
+				t.Fatalf("seed %d: fresh key %d deduped", seed, i)
+			}
+			switch r.Intn(150) {
+			case 0, 1, 2:
+				if err := s.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				flushes++
+				check(i, "flush")
+			case 3:
+				before := len(s.Segments())
+				if err := s.Compact(); err != nil {
+					t.Fatal(err)
+				}
+				if len(s.Segments()) < before {
+					compactions++
+				}
+				check(i, "compact")
+			}
+		}
+		if flushes < 3 || compactions < 1 {
+			t.Fatalf("seed %d: %d flushes, %d compactions: the sequence crossed too few boundaries", seed, flushes, compactions)
+		}
+		check(-1, "the live tail")
+		plainDir, segDir := t.TempDir(), t.TempDir()
+		if err := plain.Save(plainDir); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Save(segDir); err != nil {
+			t.Fatal(err)
+		}
+		for i := range dataset.Kinds {
+			name := dataset.Kinds[i].File
+			want, _ := os.ReadFile(filepath.Join(plainDir, name))
+			got, err := os.ReadFile(filepath.Join(segDir, name))
+			if err != nil || len(want) == 0 || !bytes.Equal(want, got) {
+				t.Errorf("seed %d: %s saved from segments differs from Sharded's (%v)", seed, name, err)
+			}
+		}
+		s.Close()
+	}
+}
+
 // TestDedupeAcrossFlush pins exactly-once across the rotation boundary:
 // keys applied before a flush must be rejected when replayed after it.
 func TestDedupeAcrossFlush(t *testing.T) {

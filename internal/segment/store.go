@@ -83,11 +83,11 @@ const (
 	maxCompactInputs = 8
 )
 
-// memtable is one hot generation: a sharded store plus the (router,
-// idempotency key) pairs applied into it, in arrival order.
+// memtable is one hot generation: a sharded store (which keeps its own
+// row tally), the (router, idempotency key) pairs applied into it in
+// arrival order, and its birth time.
 type memtable struct {
-	sh   *dataset.Sharded
-	rows atomic.Int64
+	sh *dataset.Sharded
 
 	keyMu sync.Mutex
 	keys  []Key
@@ -107,11 +107,9 @@ func (m *memtable) addKey(router, key string) {
 	m.keyMu.Unlock()
 }
 
-func (m *memtable) noteRows(n int) {
-	if n <= 0 {
-		return
-	}
-	if m.rows.Add(int64(n)) == int64(n) {
+// noteBirth stamps the generation once it holds a row.
+func (m *memtable) noteBirth() {
+	if m.born.Load() == 0 && m.sh.Rows() > 0 {
 		m.born.CompareAndSwap(0, time.Now().UnixNano())
 	}
 }
@@ -344,29 +342,18 @@ func (s *Store) ageTick() time.Duration {
 	return time.Second
 }
 
-// rowsOf is the per-apply row accounting used to size the memtable.
-func rowsOf(st *dataset.Store) int {
-	return len(st.Uptime) + len(st.Capacity) + len(st.Counts) + len(st.Sightings) +
-		len(st.WiFi) + len(st.Flows) + len(st.Throughput)
-}
-
 // Apply implements dataset.IngestStore: exactly-once ingest into the
 // live memtable, with the applied key tracked for the next flush's key
 // block.
 func (s *Store) Apply(router, key string, apply func(*dataset.Store)) bool {
 	s.rot.RLock()
 	m := s.mem
-	grown := 0
-	ok := m.sh.Apply(router, key, func(st *dataset.Store) {
-		before := rowsOf(st)
-		apply(st)
-		grown = rowsOf(st) - before
-	})
+	ok := m.sh.Apply(router, key, apply)
 	if ok {
 		if key != "" {
 			m.addKey(router, key)
 		}
-		m.noteRows(grown)
+		m.noteBirth()
 	}
 	s.rot.RUnlock()
 	s.maybeKick(m)
@@ -377,19 +364,14 @@ func (s *Store) Apply(router, key string, apply func(*dataset.Store)) bool {
 func (s *Store) Append(router string, apply func(*dataset.Store)) {
 	s.rot.RLock()
 	m := s.mem
-	grown := 0
-	m.sh.Append(router, func(st *dataset.Store) {
-		before := rowsOf(st)
-		apply(st)
-		grown = rowsOf(st) - before
-	})
-	m.noteRows(grown)
+	m.sh.Append(router, apply)
+	m.noteBirth()
 	s.rot.RUnlock()
 	s.maybeKick(m)
 }
 
 func (s *Store) maybeKick(m *memtable) {
-	if int(m.rows.Load()) < s.opt.FlushRows {
+	if m.sh.Rows() < s.opt.FlushRows {
 		return
 	}
 	select {
@@ -425,7 +407,7 @@ func (s *Store) flushLocked() error {
 	old.keyMu.Lock()
 	nkeys := len(old.keys)
 	old.keyMu.Unlock()
-	if old.rows.Load() == 0 && nkeys == 0 && old.sh.RowCounts().Routers == 0 {
+	if old.sh.Rows() == 0 && nkeys == 0 && old.sh.RowCounts().Routers == 0 {
 		s.rot.Unlock()
 		return nil
 	}
@@ -493,32 +475,8 @@ func metaOf(snap *dataset.Store, seq SeqRange, replaces []SeqRange, keyRows int)
 	m.MinTime, m.MaxTime, m.HasTimeRange = timeRange(snap)
 	m.Roster = make(map[string]string, len(snap.RouterCountry))
 	addRoster(m.Roster, snap.RouterCountry)
-	m.Rows = countsOf(snap)
+	m.Rows = dataset.CountRows(snap)
 	return m
-}
-
-func countsOf(st *dataset.Store) dataset.RowCounts {
-	return dataset.RowCounts{
-		Routers:    len(st.RouterCountry),
-		Uptime:     len(st.Uptime),
-		Capacity:   len(st.Capacity),
-		Counts:     len(st.Counts),
-		Sightings:  len(st.Sightings),
-		WiFi:       len(st.WiFi),
-		Flows:      len(st.Flows),
-		Throughput: len(st.Throughput),
-	}
-}
-
-// addCounts adds o's per-kind row counts to rc (Routers is not a sum).
-func addCounts(rc *dataset.RowCounts, o dataset.RowCounts) {
-	rc.Uptime += o.Uptime
-	rc.Capacity += o.Capacity
-	rc.Counts += o.Counts
-	rc.Sightings += o.Sightings
-	rc.WiFi += o.WiFi
-	rc.Flows += o.Flows
-	rc.Throughput += o.Throughput
 }
 
 func segName(seq SeqRange) string {
@@ -722,7 +680,7 @@ func (s *Store) mergeOnce(strict bool) (*dataset.Store, bool) {
 	}
 	tail = append(tail, mem.sh.Merge())
 	for _, st := range tail {
-		addCounts(&spare, countsOf(st))
+		spare.Add(dataset.CountRows(st))
 	}
 
 	var out *dataset.Store
@@ -757,14 +715,11 @@ func addRoster(dst, src map[string]string) {
 	}
 }
 
+// appendStore appends src's rows and roster to dst.
 func appendStore(dst, src *dataset.Store) {
-	dst.Uptime = append(dst.Uptime, src.Uptime...)
-	dst.Capacity = append(dst.Capacity, src.Capacity...)
-	dst.Counts = append(dst.Counts, src.Counts...)
-	dst.Sightings = append(dst.Sightings, src.Sightings...)
-	dst.WiFi = append(dst.WiFi, src.WiFi...)
-	dst.Flows = append(dst.Flows, src.Flows...)
-	dst.Throughput = append(dst.Throughput, src.Throughput...)
+	for _, k := range dataset.Kinds {
+		k.Append(dst, src, 0, k.Len(src))
+	}
 	addRoster(dst.RouterCountry, src.RouterCountry)
 }
 
@@ -828,15 +783,15 @@ func (s *Store) RowCounts() dataset.RowCounts {
 	s.rot.RUnlock()
 
 	for _, f := range segs {
-		addCounts(&rc, f.meta.Rows)
+		rc.Add(f.meta.Rows)
 	}
 	if frozen != nil {
-		addCounts(&rc, frozen.sh.RowCounts())
+		rc.Add(frozen.sh.RowCounts())
 		for id := range frozen.sh.Roster() {
 			roster[id] = struct{}{}
 		}
 	}
-	addCounts(&rc, mem.sh.RowCounts())
+	rc.Add(mem.sh.RowCounts())
 	for id := range mem.sh.Roster() {
 		roster[id] = struct{}{}
 	}
