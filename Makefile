@@ -1,11 +1,12 @@
 # Tier-1 verification plus the race/bench targets the telemetry PR added.
 #
-#   make check           # vet + build + tests with -race + verify + load + cluster + segment + rebalance gates + natbench build
+#   make check           # vet + build + tests with -race + verify + load + cluster + segment + rebalance + figures gates + natbench build
 #   make check-verify    # golden runs, conservation invariants, parser fuzzing
 #   make check-load      # sharded-store stress + admission + loadgen soaks, -race
 #   make check-cluster   # multi-node routing/replication/failover + chaos soak, -race
 #   make check-segment   # segment engine: crash windows, fuzz seeds, goldens, -race
 #   make check-rebalance # elastic scale-in/out: ring property, epoch, soaks, goldens, -race
+#   make check-figures   # incremental analysis + dashboard: snapshot/rollup equivalence, seal handshake, -race; alloc budget without
 #   make check-bench     # the benchmark module builds and its smoke run passes
 #   make lines           # non-test line counts of the packages ROADMAP item 4 tracks
 #   make bench PR=<n>  # natbench, five sets of all four workloads -> BENCH_<n>.json, compared with the previous one
@@ -18,9 +19,9 @@ FUZZTIME ?= 10s
 
 .PHONY: check vet build test race bench bench-paper bench-telemetry \
 	check-reliability check-verify check-load check-cluster check-segment \
-	check-rebalance check-bench fuzz-seeds lines
+	check-rebalance check-figures check-bench fuzz-seeds lines
 
-check: vet build race check-verify check-load check-cluster check-segment check-rebalance check-bench
+check: vet build race check-verify check-load check-cluster check-segment check-rebalance check-figures check-bench
 
 vet:
 	$(GO) vet ./...
@@ -154,6 +155,20 @@ check-rebalance:
 	$(GO) test -race -run 'TestKeyRouter|TestExtract|TestSplitRouters|TestShardedOverSharedDedupe|TestDedupe|TestReplay|TestSeal' ./internal/dataset/ ./internal/segment/
 	$(GO) test -race -short -run 'TestClusterScaleOutTransfersOwnership|TestClusterDrainViaFrontEndpoint|TestFrontFencesDuringCutover|TestTwoFrontsConvergeOnEpoch|TestChaosSoakScaleOut|TestChaosSoakDrain' ./internal/cluster/
 	$(GO) test -race -short -run 'TestClusterGoldenJoinMidRun|TestClusterGoldenDrainMidRun' ./internal/verify/
+
+# The incremental-figures gate:
+#   1. internal/analysis and internal/figures under the race detector —
+#      the copy-free snapshot against the clone-and-fold recipe, the flow
+#      rollup against the per-exhibit oracles, renders racing appends and
+#      seals (every page a whole prefix of the stream), the seal
+#      generation handshake (a page taken between a chunk's publication
+#      and its fold), the page header describing its own snapshot;
+#   2. the snapshot allocation budget — the same handful of allocations
+#      at 10k and at 100k aggregates — which the race detector's own
+#      allocations would drown, so it runs without.
+check-figures:
+	$(GO) test -race ./internal/analysis/ ./internal/figures/
+	$(GO) test -run 'TestSnapshotAllocBudget' ./internal/figures/
 
 # benchmarks/ is a module of its own, so `go build ./... && go test ./...`
 # at the root never compiles it. This does: an internal/ API change that

@@ -6,7 +6,6 @@ import (
 
 	"natpeek/internal/dataset"
 	"natpeek/internal/mac"
-	"natpeek/internal/ouidb"
 	"natpeek/internal/stats"
 )
 
@@ -38,7 +37,8 @@ type ConnectedAverages struct {
 // ConnectedByGroup computes per-group connected-device averages across
 // all census rows.
 func ConnectedByGroup(st *dataset.Store) map[Group]ConnectedAverages {
-	samples := map[Group]struct{ wired, wireless, w24, w5 []float64 }{}
+	type samples struct{ wired, wireless, w24, w5 []float64 }
+	byGroup := map[Group]*samples{}
 	for _, c := range st.Counts {
 		dev, ok := isDeveloped(st, c.RouterID)
 		if !ok {
@@ -48,15 +48,19 @@ func ConnectedByGroup(st *dataset.Store) map[Group]ConnectedAverages {
 		if dev {
 			g = Developed
 		}
-		s := samples[g]
+		s := byGroup[g]
+		if s == nil {
+			series := func() []float64 { return make([]float64, 0, len(st.Counts)) }
+			s = &samples{series(), series(), series(), series()}
+			byGroup[g] = s
+		}
 		s.wired = append(s.wired, float64(c.Wired))
 		s.wireless = append(s.wireless, float64(c.W24+c.W5))
 		s.w24 = append(s.w24, float64(c.W24))
 		s.w5 = append(s.w5, float64(c.W5))
-		samples[g] = s
 	}
 	out := map[Group]ConnectedAverages{}
-	for g, s := range samples {
+	for g, s := range byGroup {
 		out[g] = ConnectedAverages{
 			Wired:    stats.Summarize(s.wired),
 			Wireless: stats.Summarize(s.wireless),
@@ -212,69 +216,37 @@ func VisibleAPsByGroup(st *dataset.Store) map[Group][]float64 {
 	return out
 }
 
-// AllFourPortsShare returns the fraction of homes that ever used all four
-// Ethernet ports (§5.2: "only a few households use all four Ethernet
-// ports (9%)").
-func AllFourPortsShare(st *dataset.Store, g Group) float64 {
+// AllFourPortsShares returns, per group, the fraction of homes that ever
+// used all four Ethernet ports (§5.2: "only a few households use all four
+// Ethernet ports (9%)"). Homes are the group's whole roster.
+func AllFourPortsShares(st *dataset.Store) map[Group]float64 {
 	maxWired := map[string]int{}
 	for _, c := range st.Counts {
 		if c.Wired > maxWired[c.RouterID] {
 			maxWired[c.RouterID] = c.Wired
 		}
 	}
-	ids := RoutersInGroup(st, g)
-	if len(ids) == 0 {
-		return 0
-	}
-	n := 0
-	for _, id := range ids {
+	homes, full := map[Group]int{}, map[Group]int{}
+	for id := range st.RouterCountry {
+		dev, ok := isDeveloped(st, id)
+		if !ok {
+			continue
+		}
+		g := Developing
+		if dev {
+			g = Developed
+		}
+		homes[g]++
 		if maxWired[id] >= 4 {
-			n++
+			full[g]++
 		}
 	}
-	return float64(n) / float64(len(ids))
-}
-
-// ManufacturerCount is one Fig. 12 bar.
-type ManufacturerCount struct {
-	Category ouidb.Category
-	Devices  int
-}
-
-// ManufacturerHistogram counts devices per Fig. 12 category across the
-// Traffic-subset homes, excluding the platform's own Netgear hardware and
-// devices below the paper's 100 KB traffic floor.
-func ManufacturerHistogram(st *dataset.Store, minBytes int64) []ManufacturerCount {
-	// Volume per device across flows.
-	vol := map[mac.Addr]int64{}
-	for _, f := range st.Flows {
-		vol[f.Device] += f.Bytes()
+	out := map[Group]float64{}
+	for g, n := range homes {
+		out[g] = float64(full[g]) / float64(n)
 	}
-	counts := map[ouidb.Category]map[mac.Addr]bool{}
-	for dev, b := range vol {
-		if b < minBytes || ouidb.IsBISmarkRouter(dev) {
-			continue
-		}
-		e := ouidb.Lookup(dev)
-		if e.Category == ouidb.CatUnknown {
-			continue
-		}
-		m := counts[e.Category]
-		if m == nil {
-			m = map[mac.Addr]bool{}
-			counts[e.Category] = m
-		}
-		m[dev] = true
-	}
-	var out []ManufacturerCount
-	for cat, m := range counts {
-		out = append(out, ManufacturerCount{Category: cat, Devices: len(m)})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Devices != out[j].Devices {
-			return out[i].Devices > out[j].Devices
-		}
-		return out[i].Category < out[j].Category
-	})
 	return out
 }
+
+// AllFourPortsShare is AllFourPortsShares for one group.
+func AllFourPortsShare(st *dataset.Store, g Group) float64 { return AllFourPortsShares(st)[g] }

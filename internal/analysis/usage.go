@@ -7,7 +7,6 @@ import (
 	"natpeek/internal/dataset"
 	"natpeek/internal/domains"
 	"natpeek/internal/geo"
-	"natpeek/internal/mac"
 	"natpeek/internal/stats"
 )
 
@@ -171,286 +170,6 @@ func UtilizationSeries(st *dataset.Store, id, dir string) []UtilizationPoint {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Minute.Before(out[j].Minute) })
 	return out
-}
-
-// DeviceShares computes Fig. 17: for each home, the descending fractional
-// volume contribution of its devices.
-func DeviceShares(st *dataset.Store) map[string][]float64 {
-	vol := map[string]map[mac.Addr]float64{}
-	for _, f := range st.Flows {
-		m := vol[f.RouterID]
-		if m == nil {
-			m = map[mac.Addr]float64{}
-			vol[f.RouterID] = m
-		}
-		m[f.Device] += float64(f.Bytes())
-	}
-	out := map[string][]float64{}
-	for id, m := range vol {
-		var vs []float64
-		for _, v := range m {
-			vs = append(vs, v)
-		}
-		out[id] = stats.Share(vs)
-	}
-	return out
-}
-
-// MeanTopDeviceShare averages the dominant device's share across homes
-// with at least minDevices devices (§6.3: ≈60–65%).
-func MeanTopDeviceShare(st *dataset.Store, minDevices int) float64 {
-	var tops []float64
-	for _, shares := range DeviceShares(st) {
-		if len(shares) >= minDevices {
-			tops = append(tops, shares[0])
-		}
-	}
-	return stats.Mean(tops)
-}
-
-// DomainPopularity counts how many homes have a domain in their top-5 and
-// top-10 by volume — Fig. 18. Only named (whitelisted) domains count.
-type DomainPopularity struct {
-	Domain string
-	Top5   int
-	Top10  int
-}
-
-// PopularDomains computes Fig. 18 ranked by top-5 appearances.
-func PopularDomains(st *dataset.Store) []DomainPopularity {
-	perHome := map[string]map[string]float64{}
-	for _, f := range st.Flows {
-		// Fig. 18 plots nameable domains; obfuscated tokens cannot appear
-		// on its x-axis.
-		if f.Domain == "" || isAnonToken(f.Domain) {
-			continue
-		}
-		m := perHome[f.RouterID]
-		if m == nil {
-			m = map[string]float64{}
-			perHome[f.RouterID] = m
-		}
-		m[f.Domain] += float64(f.Bytes())
-	}
-	top5 := stats.NewCounter()
-	top10 := stats.NewCounter()
-	for _, m := range perHome {
-		type dv struct {
-			d string
-			v float64
-		}
-		var ds []dv
-		for d, v := range m {
-			ds = append(ds, dv{d, v})
-		}
-		sort.Slice(ds, func(i, j int) bool {
-			if ds[i].v != ds[j].v {
-				return ds[i].v > ds[j].v
-			}
-			return ds[i].d < ds[j].d
-		})
-		for i, e := range ds {
-			if i < 5 {
-				top5.Add(e.d, 1)
-			}
-			if i < 10 {
-				top10.Add(e.d, 1)
-			} else {
-				break
-			}
-		}
-	}
-	var out []DomainPopularity
-	for _, rc := range top10.Ranked() {
-		out = append(out, DomainPopularity{
-			Domain: rc.Key,
-			Top5:   top5.Get(rc.Key),
-			Top10:  rc.Count,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Top5 != out[j].Top5 {
-			return out[i].Top5 > out[j].Top5
-		}
-		if out[i].Top10 != out[j].Top10 {
-			return out[i].Top10 > out[j].Top10
-		}
-		return out[i].Domain < out[j].Domain
-	})
-	return out
-}
-
-// DomainShareCurves computes Fig. 19: per home, domains ranked by volume
-// with their volume share, connection share, and the connection share of
-// the top-by-volume ranks. Returns the mean curves across homes, truncated
-// to maxRank.
-type DomainShareCurves struct {
-	// VolumeShare[i] is the mean share of total volume of each home's
-	// rank-(i+1) domain by volume (Fig. 19a).
-	VolumeShare []float64
-	// ConnShareByConnRank[i] is the mean share of connections of each
-	// home's rank-(i+1) domain by connections (Fig. 19b).
-	ConnShareByConnRank []float64
-	// ConnShareByVolRank[i] is the mean share of connections of each
-	// home's rank-(i+1) domain *by volume* (Fig. 19c).
-	ConnShareByVolRank []float64
-}
-
-// DomainShares computes the Fig. 19 curves.
-func DomainShares(st *dataset.Store, maxRank int) DomainShareCurves {
-	type homeAgg struct {
-		vol   map[string]float64
-		conns map[string]float64
-	}
-	homes := map[string]*homeAgg{}
-	for _, f := range st.Flows {
-		if f.Domain == "" {
-			continue
-		}
-		h := homes[f.RouterID]
-		if h == nil {
-			h = &homeAgg{vol: map[string]float64{}, conns: map[string]float64{}}
-			homes[f.RouterID] = h
-		}
-		h.vol[f.Domain] += float64(f.Bytes())
-		h.conns[f.Domain] += float64(f.Conns)
-	}
-	volSum := make([]float64, maxRank)
-	connSum := make([]float64, maxRank)
-	connByVolSum := make([]float64, maxRank)
-	n := 0
-	for _, h := range homes {
-		var volTotal, connTotal float64
-		for _, v := range h.vol {
-			volTotal += v
-		}
-		for _, c := range h.conns {
-			connTotal += c
-		}
-		if volTotal == 0 || connTotal == 0 {
-			continue
-		}
-		n++
-		// Rank by volume.
-		type dv struct {
-			d string
-			v float64
-		}
-		var byVol, byConn []dv
-		for d, v := range h.vol {
-			byVol = append(byVol, dv{d, v})
-		}
-		for d, c := range h.conns {
-			byConn = append(byConn, dv{d, c})
-		}
-		less := func(s []dv) func(i, j int) bool {
-			return func(i, j int) bool {
-				if s[i].v != s[j].v {
-					return s[i].v > s[j].v
-				}
-				return s[i].d < s[j].d
-			}
-		}
-		sort.Slice(byVol, less(byVol))
-		sort.Slice(byConn, less(byConn))
-		for i := 0; i < maxRank && i < len(byVol); i++ {
-			volSum[i] += byVol[i].v / volTotal
-			connByVolSum[i] += h.conns[byVol[i].d] / connTotal
-		}
-		for i := 0; i < maxRank && i < len(byConn); i++ {
-			connSum[i] += byConn[i].v / connTotal
-		}
-	}
-	out := DomainShareCurves{
-		VolumeShare:         make([]float64, maxRank),
-		ConnShareByConnRank: make([]float64, maxRank),
-		ConnShareByVolRank:  make([]float64, maxRank),
-	}
-	if n == 0 {
-		return out
-	}
-	for i := 0; i < maxRank; i++ {
-		out.VolumeShare[i] = volSum[i] / float64(n)
-		out.ConnShareByConnRank[i] = connSum[i] / float64(n)
-		out.ConnShareByVolRank[i] = connByVolSum[i] / float64(n)
-	}
-	return out
-}
-
-// WhitelistedVolumeShare returns the fraction of Traffic volume going to
-// named (non-anonymized) domains (§6.4: ≈65%).
-func WhitelistedVolumeShare(st *dataset.Store) float64 {
-	var named, total float64
-	for _, f := range st.Flows {
-		b := float64(f.Bytes())
-		total += b
-		if f.Domain != "" && !isAnonToken(f.Domain) {
-			named += b
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return named / total
-}
-
-func isAnonToken(d string) bool {
-	return len(d) > 5 && d[:5] == "anon-"
-}
-
-// DeviceDomainMix returns one device's volume distribution over domains —
-// Fig. 20's fingerprinting view. Shares are of the device's total volume,
-// ranked descending.
-type DomainShare struct {
-	Domain string
-	Share  float64
-}
-
-// DeviceDomains computes the Fig. 20 mix for a device.
-func DeviceDomains(st *dataset.Store, dev mac.Addr) []DomainShare {
-	vol := map[string]float64{}
-	total := 0.0
-	for _, f := range st.Flows {
-		if f.Device != dev {
-			continue
-		}
-		vol[f.Domain] += float64(f.Bytes())
-		total += float64(f.Bytes())
-	}
-	if total == 0 {
-		return nil
-	}
-	var out []DomainShare
-	for d, v := range vol {
-		out = append(out, DomainShare{Domain: d, Share: v / total})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Share != out[j].Share {
-			return out[i].Share > out[j].Share
-		}
-		return out[i].Domain < out[j].Domain
-	})
-	return out
-}
-
-// TopDevicesByVolume lists the Traffic data set's devices ranked by
-// volume (used to pick Fig. 20 subjects).
-func TopDevicesByVolume(st *dataset.Store) []mac.Addr {
-	vol := map[mac.Addr]float64{}
-	for _, f := range st.Flows {
-		vol[f.Device] += float64(f.Bytes())
-	}
-	devs := make([]mac.Addr, 0, len(vol))
-	for d := range vol {
-		devs = append(devs, d)
-	}
-	sort.Slice(devs, func(i, j int) bool {
-		if vol[devs[i]] != vol[devs[j]] {
-			return vol[devs[i]] > vol[devs[j]]
-		}
-		return devs[i].String() < devs[j].String()
-	})
-	return devs
 }
 
 // GroupUsage summarizes Traffic-data usage structure per country group —

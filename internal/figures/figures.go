@@ -100,7 +100,9 @@ func Table1(st *dataset.Store) *Report {
 }
 
 // Table2 reproduces the data set inventory.
-func Table2(st *dataset.Store) *Report {
+func Table2(st *dataset.Store) *Report { return table2(st, analysis.RollupFlows(st)) }
+
+func table2(st *dataset.Store, flows *analysis.FlowRollup) *Report {
 	r := &Report{
 		ID:         "Table 2",
 		Title:      "Summary of data collected",
@@ -124,8 +126,8 @@ func Table2(st *dataset.Store) *Report {
 	for _, x := range st.WiFi {
 		wf[x.RouterID] = true
 	}
-	for _, x := range st.Flows {
-		tr[x.RouterID] = true
+	for _, id := range flows.Homes() {
+		tr[id] = true
 	}
 	countries := func(ids map[string]bool) int {
 		cs := map[string]bool{}

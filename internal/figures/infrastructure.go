@@ -37,13 +37,14 @@ func Fig7(st *dataset.Store) *Report {
 }
 
 // Fig8 reproduces the connected wired/wireless averages per group.
-func Fig8(st *dataset.Store) *Report {
+func Fig8(st *dataset.Store) *Report { return fig8(analysis.ConnectedByGroup(st)) }
+
+func fig8(byGroup map[analysis.Group]analysis.ConnectedAverages) *Report {
 	r := &Report{
 		ID:         "Figure 8",
 		Title:      "Average devices connected at any time (wired vs wireless, by group)",
 		PaperClaim: "wireless > wired in both groups; developed ≈1 more device overall, gap larger for wired",
 	}
-	byGroup := analysis.ConnectedByGroup(st)
 	for _, g := range []analysis.Group{analysis.Developed, analysis.Developing} {
 		a := byGroup[g]
 		r.add("%-10s wired=%.2f±%.2f  wireless=%.2f±%.2f  total=%.2f",
@@ -54,13 +55,14 @@ func Fig8(st *dataset.Store) *Report {
 }
 
 // Fig9 reproduces the per-band connected averages.
-func Fig9(st *dataset.Store) *Report {
+func Fig9(st *dataset.Store) *Report { return fig9(analysis.ConnectedByGroup(st)) }
+
+func fig9(byGroup map[analysis.Group]analysis.ConnectedAverages) *Report {
 	r := &Report{
 		ID:         "Figure 9",
 		Title:      "Average wireless devices connected per spectrum, by group",
 		PaperClaim: "significantly more devices on 2.4 GHz than on 5 GHz",
 	}
-	byGroup := analysis.ConnectedByGroup(st)
 	for _, g := range []analysis.Group{analysis.Developed, analysis.Developing} {
 		a := byGroup[g]
 		r.add("%-10s 2.4GHz=%.2f±%.2f  5GHz=%.2f±%.2f",
@@ -119,20 +121,22 @@ func Fig11(st *dataset.Store) *Report {
 		r.add("%-10s homes=%-4d CDF: %s  median=%.1f",
 			g, len(xs), cdfLine(xs, ""), stats.Median(xs))
 	}
+	ports := analysis.AllFourPortsShares(st)
 	r.add("all-4-ethernet-ports share: developed=%.0f%% developing=%.0f%% (paper: 9%% both)",
-		100*analysis.AllFourPortsShare(st, analysis.Developed),
-		100*analysis.AllFourPortsShare(st, analysis.Developing))
+		100*ports[analysis.Developed], 100*ports[analysis.Developing])
 	return r
 }
 
 // Fig12 reproduces the manufacturer histogram.
-func Fig12(st *dataset.Store) *Report {
+func Fig12(st *dataset.Store) *Report { return fig12(analysis.RollupFlows(st)) }
+
+func fig12(flows *analysis.FlowRollup) *Report {
 	r := &Report{
 		ID:         "Figure 12",
 		Title:      "Devices by manufacturer/type in the Traffic homes (≥100 KB, Netgear removed)",
 		PaperClaim: "Apple most common, then Intel; Samsung and smart phones also common",
 	}
-	hist := analysis.ManufacturerHistogram(st, 100_000)
+	hist := flows.ManufacturerHistogram(100_000)
 	if len(hist) == 0 {
 		r.add("(no traffic data)")
 		return r

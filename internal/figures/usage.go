@@ -13,13 +13,15 @@ import (
 )
 
 // Fig14 reproduces one home's diurnal utilization time series.
-func Fig14(st *dataset.Store) *Report {
+func Fig14(st *dataset.Store) *Report { return fig14(st, analysis.RollupFlows(st)) }
+
+func fig14(st *dataset.Store, flows *analysis.FlowRollup) *Report {
 	r := &Report{
 		ID:         "Figure 14",
 		Title:      "Diurnal link utilization for one home (per-minute peak vs capacity)",
 		PaperClaim: "capacity flat; utilization tracks daily cycles well below capacity",
 	}
-	id := busiestTrafficHome(st)
+	id := flows.BusiestHome()
 	if id == "" {
 		r.add("(no traffic data)")
 		return r
@@ -54,20 +56,6 @@ func hourSeriesMbps(h stats.HourBins) string {
 		parts = append(parts, fmt.Sprintf("%02d=%.2f", hr, means[hr]/1e6))
 	}
 	return strings.Join(parts, " ")
-}
-
-func busiestTrafficHome(st *dataset.Store) string {
-	vol := map[string]int64{}
-	for _, f := range st.Flows {
-		vol[f.RouterID] += f.Bytes()
-	}
-	best, bestV := "", int64(-1)
-	for _, id := range sortedKeys(vol) {
-		if vol[id] > bestV {
-			best, bestV = id, vol[id]
-		}
-	}
-	return best
 }
 
 // Fig15 reproduces the saturation scatter.
@@ -138,13 +126,15 @@ func fig16(sats []analysis.LinkSaturation) *Report {
 }
 
 // Fig17 reproduces the per-device traffic share breakdown.
-func Fig17(st *dataset.Store) *Report {
+func Fig17(st *dataset.Store) *Report { return fig17(analysis.RollupFlows(st)) }
+
+func fig17(flows *analysis.FlowRollup) *Report {
 	r := &Report{
 		ID:         "Figure 17",
 		Title:      "Breakdown of traffic volume by device rank within each home",
 		PaperClaim: "dominant device ≈60–65% on average; second ≈20%",
 	}
-	shares := analysis.DeviceShares(st)
+	shares := flows.DeviceShares()
 	maxRank := 5
 	sums := make([]float64, maxRank)
 	counts := make([]int, maxRank)
@@ -166,7 +156,7 @@ func Fig17(st *dataset.Store) *Report {
 			i+1, 100*sums[i]/float64(counts[i]), counts[i])
 	}
 	r.add("mean top-device share (homes with ≥3 devices) = %.0f%%",
-		100*analysis.MeanTopDeviceShare(st, 3))
+		100*analysis.MeanTopShare(shares, 3))
 	// Concentration beyond the top shares: Gini over per-device volumes,
 	// averaged across homes (0 = even use, →1 = one device does it all).
 	var ginis []float64
@@ -182,13 +172,15 @@ func Fig17(st *dataset.Store) *Report {
 }
 
 // Fig18 reproduces the top-5/top-10 domain popularity histogram.
-func Fig18(st *dataset.Store) *Report {
+func Fig18(st *dataset.Store) *Report { return fig18(analysis.RollupFlows(st)) }
+
+func fig18(flows *analysis.FlowRollup) *Report {
 	r := &Report{
 		ID:         "Figure 18",
 		Title:      "Homes in which a domain ranks top-5 / top-10 by volume",
 		PaperClaim: "Google, YouTube, Facebook, Amazon, Apple, Twitter consistently popular; long tail",
 	}
-	pop := analysis.PopularDomains(st)
+	pop := flows.PopularDomains()
 	limit := 15
 	for i, p := range pop {
 		if i >= limit {
@@ -204,13 +196,15 @@ func Fig18(st *dataset.Store) *Report {
 }
 
 // Fig19 reproduces the domain share curves.
-func Fig19(st *dataset.Store) *Report {
+func Fig19(st *dataset.Store) *Report { return fig19(analysis.RollupFlows(st)) }
+
+func fig19(flows *analysis.FlowRollup) *Report {
 	r := &Report{
 		ID:         "Figure 19",
 		Title:      "Domain share of volume and connections, by rank",
 		PaperClaim: "top domain ≈38% of volume but <14% of connections; #2 ≈11%/7%; top-by-connections ≈19%",
 	}
-	curves := analysis.DomainShares(st, 10)
+	curves := flows.DomainShares(10)
 	if len(curves.VolumeShare) == 0 || curves.VolumeShare[0] == 0 {
 		r.add("(no traffic data)")
 		return r
@@ -219,7 +213,7 @@ func Fig19(st *dataset.Store) *Report {
 	r.add("(b) conn share by connection rank:    %s", pctSeries(curves.ConnShareByConnRank[:5]))
 	r.add("(c) conn share of top-by-volume rank: %s", pctSeries(curves.ConnShareByVolRank[:5]))
 	r.add("whitelisted share of volume = %.0f%% (paper ≈65%%)",
-		100*analysis.WhitelistedVolumeShare(st))
+		100*flows.WhitelistedVolumeShare())
 	return r
 }
 
@@ -233,19 +227,21 @@ func pctSeries(xs []float64) string {
 
 // Fig20 reproduces the device-fingerprinting domain mixes: the two
 // highest-volume devices with clearly different profiles.
-func Fig20(st *dataset.Store) *Report {
+func Fig20(st *dataset.Store) *Report { return fig20(analysis.RollupFlows(st)) }
+
+func fig20(flows *analysis.FlowRollup) *Report {
 	r := &Report{
 		ID:         "Figure 20",
 		Title:      "Per-device domain mix (device fingerprinting)",
 		PaperClaim: "a desktop splits across many domains (Dropbox-heavy); a Roku is almost all streaming",
 	}
-	devs := analysis.TopDevicesByVolume(st)
+	devs := flows.TopDevicesByVolume()
 	shown := 0
 	for _, d := range devs {
 		if shown == 4 {
 			break
 		}
-		mix := analysis.DeviceDomains(st, d)
+		mix := flows.DeviceDomains(d)
 		if len(mix) == 0 {
 			continue
 		}
@@ -270,14 +266,18 @@ func Fig20(st *dataset.Store) *Report {
 	return r
 }
 
-// All regenerates every exhibit in paper order.
+// All regenerates every exhibit in paper order. Exhibits that read the
+// same intermediate share it: the flow exhibits one rollup of the Traffic
+// flows, Figs. 8/9 the connected-device averages, Figs. 15/16 the links.
 func All(st *dataset.Store, w Windows) []*Report {
-	sats := analysis.Saturation(st) // Fig. 15 and 16 read the same links
+	flows := analysis.RollupFlows(st)
+	conn := analysis.ConnectedByGroup(st)
+	sats := analysis.Saturation(st)
 	return []*Report{
-		Table1(st), Table2(st),
+		Table1(st), table2(st, flows),
 		Fig3(st, w), Fig4(st, w), Fig5(st, w), Fig6(st, w),
-		Fig7(st), Fig8(st), Fig9(st), Table5(st), Fig10(st), Fig11(st), Fig12(st),
-		Fig13(st), Fig14(st), fig15(sats), fig16(sats), Fig17(st), Fig18(st), Fig19(st), Fig20(st),
+		Fig7(st), fig8(conn), fig9(conn), Table5(st), Fig10(st), Fig11(st), fig12(flows),
+		Fig13(st), fig14(st, flows), fig15(sats), fig16(sats), fig17(flows), fig18(flows), fig19(flows), fig20(flows),
 	}
 }
 

@@ -35,7 +35,7 @@ func (s *Store) ExtractRouters(match func(string) bool) (*dataset.Store, []datas
 
 	moved := &dataset.Store{RouterCountry: make(map[string]string)}
 
-	files, frozen, mem := s.view() // flushMu pins all three: rotation needs it
+	files, frozen, mem, _ := s.view() // flushMu pins all three: rotation needs it
 
 	for _, f := range files {
 		b, err := os.ReadFile(f.path)

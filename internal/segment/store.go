@@ -136,12 +136,18 @@ type Store struct {
 	// flushMu serializes seal/flush/compact/subscribe.
 	flushMu sync.Mutex
 
-	// segMu guards segs, frozen, roster, and the seal-subscriber list.
+	// segMu guards segs, frozen, sealGen, roster, and the seal-subscriber
+	// list.
 	segMu  sync.RWMutex
 	segs   []segFile
 	frozen *memtable // sealed, not yet durable; nil otherwise
-	roster map[string]string
-	onSeal []func(*dataset.Store)
+	// sealGen counts the generations published since Open. It moves in
+	// the critical section that takes a generation out of frozen, so a
+	// reader of both knows exactly which sealed chunks its tail is
+	// missing, whether or not the subscribers have heard of them yet.
+	sealGen uint64
+	roster  map[string]string
+	onSeal  []func(*dataset.Store)
 
 	nextSeq uint64
 
@@ -457,6 +463,7 @@ func (s *Store) commitFrozen() error {
 	s.segs = append(s.segs, segFile{path: path, meta: metaOf(snap, seq, nil, len(old.keys))})
 	addRoster(s.roster, snap.RouterCountry)
 	s.frozen = nil
+	s.sealGen++
 	subs := make([]func(*dataset.Store), len(s.onSeal))
 	copy(subs, s.onSeal)
 	s.segMu.Unlock()
@@ -525,7 +532,7 @@ func writeAtomic(path string, b []byte) error {
 // with one worker: it runs beside ingest and leaves the other CPUs to
 // the appliers.
 func (s *Store) compactLocked(minSegs int) error {
-	segs, _, _ := s.view()
+	segs, _, _, _ := s.view()
 	if len(segs) <= minSegs {
 		return nil
 	}
@@ -658,18 +665,19 @@ func (s *Store) Merge() *dataset.Store {
 	return out
 }
 
-// view snapshots the three tiers a reader concatenates: sealed segments,
-// the sealed-but-uncommitted generation (nil if none), the live memtable.
-func (s *Store) view() (segs []segFile, frozen, mem *memtable) {
+// view snapshots the three tiers a reader concatenates — sealed segments,
+// the sealed-but-uncommitted generation (nil if none), the live memtable
+// — and the seal generation they were seen at.
+func (s *Store) view() (segs []segFile, frozen, mem *memtable, gen uint64) {
 	s.rot.RLock()
 	defer s.rot.RUnlock()
 	s.segMu.RLock()
 	defer s.segMu.RUnlock()
-	return append([]segFile(nil), s.segs...), s.frozen, s.mem
+	return append([]segFile(nil), s.segs...), s.frozen, s.mem, s.sealGen
 }
 
 func (s *Store) mergeOnce(strict bool) (*dataset.Store, bool) {
-	segs, frozen, mem := s.view()
+	segs, frozen, mem, _ := s.view()
 
 	// The in-memory generations merge first so the output can be sized
 	// for them too; they are appended last.
@@ -728,29 +736,51 @@ func appendStore(dst, src *dataset.Store) {
 // the heartbeat log. The incremental dashboard folds sealed chunks once
 // and recomputes only this tail per render.
 func (s *Store) Tail() *dataset.Store {
-	out := &dataset.Store{
+	out, _ := s.TailGen()
+	return out
+}
+
+// TailGen returns Tail together with the seal generation it belongs to:
+// the tail holds exactly the rows that the first gen generations sealed
+// since Open do not. A subscriber learns gen from SealGen inside its
+// callback, so it can tell whether every chunk this tail is missing has
+// reached it yet — between a generation's publication and its callbacks
+// the chunk is in neither place.
+func (s *Store) TailGen() (tail *dataset.Store, gen uint64) {
+	_, frozen, mem, gen := s.view()
+	tail = &dataset.Store{
 		Heartbeats:    s.hb,
 		RouterCountry: make(map[string]string),
 	}
-	_, frozen, mem := s.view()
 	if frozen != nil {
-		appendStore(out, frozen.sh.Merge())
+		appendStore(tail, frozen.sh.Merge())
 	}
-	appendStore(out, mem.sh.Merge())
-	return out
+	appendStore(tail, mem.sh.Merge())
+	return tail, gen
+}
+
+// SealGen reports how many generations have been published since Open.
+// Unlike the rest of the store it may be called from a Subscribe
+// callback, where it is the generation of the chunk being delivered
+// (during the replay of existing segments: of the last one sealed).
+func (s *Store) SealGen() uint64 {
+	s.segMu.RLock()
+	defer s.segMu.RUnlock()
+	return s.sealGen
 }
 
 // Subscribe registers fn to receive every sealed segment's rows as an
 // immutable chunk: first each existing on-disk segment (in seq order, on
 // the caller's goroutine, while the next few decode ahead — see scan),
 // then every future seal, with no gap and no duplicate. fn runs on the
-// flushing goroutine and must not call back into the store; the
+// flushing goroutine and must not call back into the store (SealGen
+// excepted); the
 // chunk is never touched by the store again, so fn may retain it but
 // must not mutate it (other subscribers see the same chunk).
 func (s *Store) Subscribe(fn func(chunk *dataset.Store)) error {
 	s.flushMu.Lock()
 	defer s.flushMu.Unlock()
-	segs, _, _ := s.view()
+	segs, _, _, _ := s.view()
 	if _, err := scan(segs, runtime.GOMAXPROCS(0),
 		func(i int) *dataset.Store { return newWindow(segs[i].meta.Rows, dataset.RowCounts{}) },
 		func(_ int, r *Reader, chunk *dataset.Store) error {
