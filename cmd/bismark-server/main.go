@@ -29,7 +29,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
+	"fmt"
+	"log/slog"
 	"os"
 	"os/signal"
 	"strings"
@@ -55,24 +58,93 @@ func mountFigures(seg *segment.Store, srv *collector.Server) error {
 	return nil
 }
 
+// options is what the flags say about the collector this process runs.
+type options struct {
+	udp, http string
+
+	failRate    float64
+	failSeed    uint64
+	traceSample float64
+	traceSlow   time.Duration
+	noBinary    bool
+
+	cluster      bool
+	nodeID, ctrl string
+	peers        []string
+	join         bool
+}
+
+// start brings up the collector the options describe — stand-alone, or
+// wrapped in a cluster node that has joined the ring if asked to — and
+// configures it the same way in both modes. It returns the collector
+// and the node around it (nil stand-alone), which is then what to Close.
+func start(o options, store dataset.IngestStore, log *slog.Logger) (*collector.Server, *cluster.Node, error) {
+	var srv *collector.Server
+	var node *cluster.Node
+	var err error
+	if o.cluster {
+		if o.join && len(o.peers) == 0 {
+			return nil, nil, errors.New("-join needs -peers: a joiner pulls ownership from existing members")
+		}
+		node, err = cluster.NewNode(cluster.NodeConfig{
+			ID:      o.nodeID,
+			UDPAddr: o.udp, HTTPAddr: o.http, CtrlAddr: o.ctrl,
+			Peers: o.peers, Store: store,
+			Joining: o.join,
+		})
+		if err != nil {
+			return nil, nil, fmt.Errorf("cluster node start: %w", err)
+		}
+		if o.join {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
+			err := node.JoinRing(ctx)
+			cancel()
+			if err != nil {
+				node.Close()
+				return nil, nil, fmt.Errorf("ring join: %w", err)
+			}
+			log.Info("joined the routing ring", "node", o.nodeID)
+		}
+		srv = node.Collector()
+	} else if srv, err = collector.NewServer(o.udp, o.http, store); err != nil {
+		return nil, nil, fmt.Errorf("start: %w", err)
+	}
+	if o.failRate > 0 {
+		srv.SetFaultInjection(o.failRate, o.failSeed)
+		log.Warn("fault injection enabled", "rate", o.failRate, "seed", o.failSeed)
+	}
+	srv.SetTraceSampling(o.traceSample, o.traceSlow)
+	if o.noBinary {
+		srv.SetAdvertiseBinary(false)
+		log.Info("binary batch advertisement disabled")
+	}
+	return srv, node, nil
+}
+
 func main() {
-	udp := flag.String("udp", "127.0.0.1:8077", "UDP address for heartbeats")
-	httpAddr := flag.String("http", "127.0.0.1:8080", "HTTP address for measurement uploads, /metrics, /healthz, and pprof")
+	var o options
+	flag.StringVar(&o.udp, "udp", "127.0.0.1:8077", "UDP address for heartbeats")
+	flag.StringVar(&o.http, "http", "127.0.0.1:8080", "HTTP address for measurement uploads, /metrics, /healthz, and pprof")
 	out := flag.String("out", "live-data", "directory to persist data sets on shutdown")
-	statsEvery := flag.Duration("stats-every", 30*time.Second, "how often to log collection progress")
-	failRate := flag.Float64("fail-rate", 0, "fault injection: fraction of uploads to fail (half rejected, half applied with the ack dropped) to exercise gateway retries and server dedupe")
-	failSeed := flag.Uint64("fail-seed", 1, "fault injection RNG seed")
-	traceSample := flag.Float64("trace-sample", 0.05, "tail-sampling keep probability for healthy traces (error, throttled, and slow traces are always kept)")
-	traceSlow := flag.Duration("trace-slow", 500*time.Millisecond, "traces at least this slow are always kept")
-	noBinary := flag.Bool("no-binary", false, "stop advertising the NPB1 binary batch encoding (clients fall back to JSON; binary uploads are still accepted)")
-	clusterMode := flag.Bool("cluster", false, "run as a cluster node: serve the control plane on -ctrl, gossip with -peers, journal replicated writes, and replay them on peer failure")
-	nodeID := flag.String("node-id", "node-0", "cluster mode: this node's stable hash-ring identity")
-	ctrlAddr := flag.String("ctrl", "127.0.0.1:9090", "cluster mode: control-plane HTTP address (gossip, replicate, manifest)")
+	statsEvery := flag.Duration("stats-every", 30*time.Second, "how often to log collection progress (stand-alone mode)")
+	flag.Float64Var(&o.failRate, "fail-rate", 0, "fault injection: fraction of uploads to fail (half rejected, half applied with the ack dropped) to exercise gateway retries and server dedupe")
+	flag.Uint64Var(&o.failSeed, "fail-seed", 1, "fault injection RNG seed")
+	flag.Float64Var(&o.traceSample, "trace-sample", 0.05, "tail-sampling keep probability for healthy traces (error, throttled, and slow traces are always kept)")
+	flag.DurationVar(&o.traceSlow, "trace-slow", 500*time.Millisecond, "traces at least this slow are always kept")
+	flag.BoolVar(&o.noBinary, "no-binary", false, "stop advertising the NPB1 binary batch encoding (clients fall back to JSON; binary uploads are still accepted)")
+	flag.BoolVar(&o.cluster, "cluster", false, "run as a cluster node: serve the control plane on -ctrl, gossip with -peers, journal replicated writes, and replay them on peer failure")
+	flag.StringVar(&o.nodeID, "node-id", "node-0", "cluster mode: this node's stable hash-ring identity")
+	flag.StringVar(&o.ctrl, "ctrl", "127.0.0.1:9090", "cluster mode: control-plane HTTP address (gossip, replicate, manifest)")
 	peers := flag.String("peers", "", "cluster mode: comma-separated control-plane addresses of existing members (empty for the first node)")
-	joinRing := flag.Bool("join", false, "cluster mode: scale-out — start off the routing ring, pull this node's share of ownership from the existing members, then commit a ring epoch that includes it (requires -peers)")
+	flag.BoolVar(&o.join, "join", false, "cluster mode: scale-out — start off the routing ring, pull this node's share of ownership from the existing members, then commit a ring epoch that includes it (requires -peers)")
 	segDir := flag.String("segments", "", "durable columnar segment directory: rows spill from memory to immutable NPS1 segments as they arrive (crash-safe, exactly-once across restarts) and the HTTP listener gains a continuously-updating GET /figures dashboard")
 	segFlushAge := flag.Duration("segment-flush-age", time.Minute, "seal a non-empty memtable this long after its first row even below the row threshold, so quiet deployments still reach disk (0 disables)")
 	flag.Parse()
+	for _, p := range strings.Split(*peers, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			o.peers = append(o.peers, p)
+		}
+	}
 
 	log := telemetry.SetupLogger("bismark-server")
 
@@ -90,82 +162,11 @@ func main() {
 			"segments", len(segStore.Segments()))
 	}
 
-	if *clusterMode {
-		var seedPeers []string
-		for _, p := range strings.Split(*peers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				seedPeers = append(seedPeers, p)
-			}
-		}
-		if *joinRing && len(seedPeers) == 0 {
-			log.Error("-join needs -peers: a joiner pulls ownership from existing members")
-			os.Exit(1)
-		}
-		node, err := cluster.NewNode(cluster.NodeConfig{
-			ID:      *nodeID,
-			UDPAddr: *udp, HTTPAddr: *httpAddr, CtrlAddr: *ctrlAddr,
-			Peers: seedPeers, Store: store,
-			Joining: *joinRing,
-		})
-		if err != nil {
-			log.Error("cluster node start failed", "err", err)
-			os.Exit(1)
-		}
-		if *joinRing {
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
-			if err := node.JoinRing(ctx); err != nil {
-				cancel()
-				log.Error("ring join failed", "err", err)
-				node.Close()
-				os.Exit(1)
-			}
-			cancel()
-			log.Info("joined the routing ring", "node", *nodeID)
-		}
-		node.Collector().SetTraceSampling(*traceSample, *traceSlow)
-		if segStore != nil {
-			if err := mountFigures(segStore, node.Collector()); err != nil {
-				log.Error("figures dashboard failed", "err", err)
-				os.Exit(1)
-			}
-			log.Info("figures dashboard", "url", "http://"+node.DataAddr()+"/figures")
-		}
-		log.Info("cluster node listening",
-			"node", *nodeID,
-			"heartbeats", "udp://"+node.UDPAddr(),
-			"uploads", "http://"+node.DataAddr(),
-			"control", "http://"+node.CtrlAddr(),
-			"members", "http://"+node.CtrlAddr()+"/cluster/members")
-
-		stop := make(chan os.Signal, 1)
-		signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-		<-stop
-		log.Info("shutting down", "out", *out)
-		if err := node.Close(); err != nil {
-			log.Warn("close", "err", err)
-		}
-		if segStore != nil {
-			if err := segStore.Close(); err != nil {
-				log.Warn("segment store close", "err", err)
-			}
-		}
-		if err := store.Save(*out); err != nil {
-			log.Error("save failed", "err", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	srv, err := collector.NewServer(*udp, *httpAddr, store)
+	srv, node, err := start(o, store, log)
 	if err != nil {
-		log.Error("start failed", "err", err)
+		log.Error(err.Error())
 		os.Exit(1)
 	}
-	if *failRate > 0 {
-		srv.SetFaultInjection(*failRate, *failSeed)
-		log.Warn("fault injection enabled", "rate", *failRate, "seed", *failSeed)
-	}
-	srv.SetTraceSampling(*traceSample, *traceSlow)
 	if segStore != nil {
 		if err := mountFigures(segStore, srv); err != nil {
 			log.Error("figures dashboard failed", "err", err)
@@ -173,27 +174,35 @@ func main() {
 		}
 		log.Info("figures dashboard", "url", "http://"+srv.HTTPAddr()+"/figures")
 	}
-	if *noBinary {
-		srv.SetAdvertiseBinary(false)
-		log.Info("binary batch advertisement disabled")
+	listening := []any{
+		"heartbeats", "udp://" + srv.UDPAddr(),
+		"uploads", "http://" + srv.HTTPAddr(),
+		"metrics", "http://" + srv.HTTPAddr() + "/metrics",
+		"healthz", "http://" + srv.HTTPAddr() + "/healthz",
+		"traces", "http://" + srv.HTTPAddr() + "/debug/traces",
+		"pipeline", "http://" + srv.HTTPAddr() + "/pipeline",
+		"pprof", "http://" + srv.HTTPAddr() + "/debug/pprof/"}
+	// Collection progress is a stand-alone server's log line; a cluster
+	// node's rows are a shard, reported cluster-wide by the front.
+	var progress <-chan time.Time
+	closeServer := srv.Close
+	if node != nil {
+		closeServer = node.Close
+		listening = append(listening, "node", o.nodeID,
+			"control", "http://"+node.CtrlAddr(),
+			"members", "http://"+node.CtrlAddr()+"/cluster/members")
+	} else {
+		ticker := time.NewTicker(*statsEvery)
+		defer ticker.Stop()
+		progress = ticker.C
 	}
-	log.Info("listening",
-		"heartbeats", "udp://"+srv.UDPAddr(),
-		"uploads", "http://"+srv.HTTPAddr(),
-		"metrics", "http://"+srv.HTTPAddr()+"/metrics",
-		"healthz", "http://"+srv.HTTPAddr()+"/healthz",
-		"traces", "http://"+srv.HTTPAddr()+"/debug/traces",
-		"pipeline", "http://"+srv.HTTPAddr()+"/pipeline",
-		"pprof", "http://"+srv.HTTPAddr()+"/debug/pprof/")
+	log.Info("listening", listening...)
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	ticker := time.NewTicker(*statsEvery)
-	defer ticker.Stop()
-
 	for {
 		select {
-		case <-ticker.C:
+		case <-progress:
 			beats := 0
 			hb := store.HeartbeatLog()
 			for _, id := range hb.Routers() {
@@ -207,7 +216,7 @@ func main() {
 				"flows", rc.Flows)
 		case <-stop:
 			log.Info("shutting down", "out", *out)
-			if err := srv.Close(); err != nil {
+			if err := closeServer(); err != nil {
 				log.Warn("close", "err", err)
 			}
 			if segStore != nil {

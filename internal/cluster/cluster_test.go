@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -9,6 +10,8 @@ import (
 	"net/http"
 	"reflect"
 	"runtime"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -217,67 +220,250 @@ func TestClusterRetryDeduplicates(t *testing.T) {
 	}
 }
 
-func TestClusterJSONBatchEquivalent(t *testing.T) {
-	tc := startTestCluster(t, 2, 2)
-	jitems := []collector.BatchItem{
-		{Endpoint: "/v1/uptime", Key: "rt-json-1:n:1",
-			Body: json.RawMessage(`{"router_id":"rt-json-1","reported_at":"2013-04-01T12:00:00Z","uptime_ns":3600000000000}`)},
-		{Endpoint: "/v1/register", Key: "",
-			Body: json.RawMessage(`{"router_id":"rt-json-1","country":"US"}`)},
+// equivalenceItems is the collector's seeded equivalence list, for the
+// front: registration, typed kinds, a sightings-only census, a
+// redelivered key, an out-of-range timestamp (stored as sent), a
+// malformed body and an unknown endpoint, spread over two routers so
+// the upload splits across placement groups.
+func equivalenceItems() []collector.BatchItem {
+	raw := func(endpoint, key, body string) collector.BatchItem {
+		return collector.BatchItem{Endpoint: endpoint, Key: key, Body: json.RawMessage(body)}
 	}
-	body, err := json.Marshal(jitems)
-	if err != nil {
-		t.Fatal(err)
+	var items []collector.BatchItem
+	for _, r := range []string{"rt-eq-a", "rt-eq-b"} {
+		up := raw("/v1/uptime", r+":eq:up", `{"RouterID":"`+r+`","ReportedAt":"2013-04-01T12:00:00Z","Uptime":3600000000000}`)
+		items = append(items,
+			raw("/v1/register", "", `{"router_id":"`+r+`","country":"US"}`),
+			up,
+			raw("/v1/capacity", r+":eq:cap", `{"RouterID":"`+r+`","MeasuredAt":"2013-04-01T12:00:00Z","UpBps":1e6,"DownBps":16e6}`),
+			raw("/v1/devices", r+":eq:dev", `{"count":{"RouterID":"`+r+`","At":"2013-04-01T12:00:00Z","Wired":1,"W24":2,"W5":0},`+
+				`"sightings":[{"RouterID":"`+r+`","At":"2013-04-01T12:00:00Z","Device":"00:1c:b3:a1:b2:c3","Kind":1}]}`),
+			raw("/v1/devices", r+":eq:sight", `{"sightings":[{"RouterID":"`+r+`","At":"2013-04-01T12:01:00Z","Device":"00:1c:b3:a1:b2:c3","Kind":0}]}`),
+			raw("/v1/wifi", r+":eq:wifi", `[{"RouterID":"`+r+`","At":"2013-04-01T12:00:00Z","Band":"2.4GHz","Channel":11,"VisibleAPs":7,"Clients":2}]`),
+			up, // redelivered
+			raw("/v1/uptime", r+":eq:old", `{"RouterID":"`+r+`","ReportedAt":"1850-01-01T00:00:00Z","Uptime":1}`),
+			raw("/v1/uptime", r+":eq:bad", `{"RouterID":42}`),
+			raw("/v1/nope", r+":eq:unknown", `{}`))
 	}
-	resp, err := http.Post(frontURL(tc)+"/v1/batch", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
+	return items
+}
+
+// uploadAs sends items through the front in one shape — "npb1" and
+// "json" as one /v1/batch request, "direct" as one keyed POST per item
+// (an unknown endpoint has no direct form: the mux refuses it) — and
+// returns the result as a batch would report it. A direct post answers
+// 204 for applied and deduplicated alike, so that column counts both as
+// applied.
+func uploadAs(t *testing.T, tc *testCluster, shape string, items []collector.BatchItem) collector.BatchResult {
+	t.Helper()
 	var res collector.BatchResult
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-		t.Fatal(err)
+	post := func(path, contentType, key string, body []byte) (int, []byte) {
+		req, err := http.NewRequest(http.MethodPost, frontURL(tc)+path, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", contentType)
+		if key != "" {
+			req.Header.Set("Idempotency-Key", key)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, msg
 	}
-	if resp.StatusCode != http.StatusOK || res.Applied != 2 || len(res.Failed) != 0 {
-		t.Fatalf("JSON batch via front: status %d result %+v", resp.StatusCode, res)
+	if shape == "direct" {
+		for _, it := range items {
+			status, msg := http.StatusBadRequest, []byte("unknown endpoint")
+			if it.Endpoint != "/v1/nope" {
+				status, msg = post(it.Endpoint, "application/json", it.Key, it.Body)
+			}
+			switch status {
+			case http.StatusNoContent:
+				res.Applied++
+			case http.StatusBadRequest:
+				res.Rejected++
+				res.Failed = append(res.Failed, collector.BatchFailure{Endpoint: it.Endpoint, Key: it.Key, Reason: string(bytes.TrimSpace(msg))})
+			default:
+				t.Fatalf("direct %s via front: status %d (%s)", it.Endpoint, status, msg)
+			}
+		}
+		return res
 	}
-	country := ""
-	for _, nd := range tc.nodes {
-		if cc, ok := nd.Store().RouterCountry["rt-json-1"]; ok {
-			country = cc
+	body, contentType := []byte(nil), "application/json"
+	if shape == "npb1" {
+		wireItems := make([]wire.Item, len(items))
+		for i, it := range items {
+			wireItems[i] = wire.Item{Endpoint: it.Endpoint, Key: it.Key, Payload: wire.PayloadFromJSON(it.Endpoint, it.Body)}
+		}
+		body, contentType = wire.AppendBatch(nil, wireItems), wire.ContentTypeBinary
+	} else {
+		var err error
+		if body, err = json.Marshal(items); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if country != "US" {
-		t.Fatalf("register did not land: country %q", country)
+	status, msg := post("/v1/batch", contentType, "", body)
+	if err := json.Unmarshal(msg, &res); err != nil || status != http.StatusOK {
+		t.Fatalf("%s batch via front: status %d: %s", shape, status, msg)
+	}
+	return res
+}
+
+// TestClusterJSONBatchEquivalent sends one seeded payload list through
+// a front as an NPB1 batch, as a JSON batch and as direct posts, each
+// into a fresh cluster: the same rows on the same ring owners, the same
+// per-item outcome and reject reason whichever shape the upload took.
+func TestClusterJSONBatchEquivalent(t *testing.T) {
+	var want struct {
+		rows string
+		res  collector.BatchResult
+	}
+	for _, shape := range []string{"npb1", "json", "direct"} {
+		tc := startTestCluster(t, 2, 2)
+		res := uploadAs(t, tc, shape, equivalenceItems())
+		sort.Slice(res.Failed, func(i, j int) bool { return res.Failed[i].Key < res.Failed[j].Key })
+		var perNode []string
+		for _, nd := range tc.nodes {
+			st := nd.Store()
+			b, err := json.Marshal([]any{st.RouterCountry, st.Uptime, st.Capacity, st.Counts, st.Sightings, st.WiFi})
+			if err != nil {
+				t.Fatal(err)
+			}
+			perNode = append(perNode, nd.ID()+" "+string(b))
+		}
+		rows := strings.Join(perNode, "\n")
+		if shape == "npb1" {
+			want.rows, want.res = rows, res
+			// Per router: 7 applied (registration, five typed items, the
+			// old timestamp), 1 duplicate, 2 rejected.
+			if res.Applied != 14 || res.Duplicates != 2 || res.Rejected != 4 || len(res.Failed) != 4 ||
+				res.Failed[1].Reason != "unknown endpoint" || !strings.HasPrefix(res.Failed[0].Reason, "decode error: ") {
+				t.Fatalf("npb1 via front: %+v", res)
+			}
+			if got := totalRows(tc); got != 2*7 {
+				t.Fatalf("cluster holds %d rows, want 14", got)
+			}
+			continue
+		}
+		if rows != want.rows {
+			t.Errorf("%s via front: rows differ from npb1:\n%s\nnpb1\n%s", shape, rows, want.rows)
+		}
+		if shape == "direct" { // 204 does not tell applied from deduplicated
+			res.Applied, res.Duplicates = res.Applied-want.res.Duplicates, want.res.Duplicates
+		}
+		if !reflect.DeepEqual(res, want.res) {
+			t.Errorf("%s via front: result %+v, npb1 %+v", shape, res, want.res)
+		}
 	}
 }
 
+// TestClusterDirectEndpointProxy posts to the front's direct endpoints:
+// a plain keyed upload, a gzip'd keyed one and an unkeyed gzip'd
+// registration each land once, on the ring owner of their router, and
+// leave one replicate frame in the other node's journal. The gzip'd
+// inputs are the regression for a front that forwarded compressed bytes
+// labelled JSON (owner: 400) and routed an unkeyed one to the owner of "".
 func TestClusterDirectEndpointProxy(t *testing.T) {
 	tc := startTestCluster(t, 2, 2)
-	body := `{"router_id":"rt-direct-1","reported_at":"2013-04-01T12:00:00Z","uptime_ns":60000000000}`
-	req, _ := http.NewRequest(http.MethodPost, frontURL(tc)+"/v1/uptime", bytes.NewReader([]byte(body)))
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Idempotency-Key", "rt-direct-1:d:1")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	ring := NewRing([]string{"node-0", "node-1"}, DefaultVnodes)
+	gz := func(body string) []byte {
+		var buf bytes.Buffer
+		zw := gzip.NewWriter(&buf)
+		zw.Write([]byte(body))
+		zw.Close()
+		return buf.Bytes()
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("direct POST via front: status %d, want 204", resp.StatusCode)
+	for i, in := range []struct {
+		name, path, key, router string
+		body                    []byte
+		gzip                    bool
+	}{
+		{"plain keyed uptime", "/v1/uptime", "rt-direct-1:d:1", "rt-direct-1",
+			[]byte(`{"RouterID":"rt-direct-1","ReportedAt":"2013-04-01T12:00:00Z","Uptime":60000000000}`), false},
+		{"gzip keyed uptime", "/v1/uptime", "rt-direct-2:d:1", "rt-direct-2",
+			gz(`{"RouterID":"rt-direct-2","ReportedAt":"2013-04-01T12:00:00Z","Uptime":60000000000}`), true},
+		{"gzip unkeyed register", "/v1/register", "", "rt-direct-3",
+			gz(`{"router_id":"rt-direct-3","country":"FR"}`), true},
+	} {
+		req, _ := http.NewRequest(http.MethodPost, frontURL(tc)+in.path, bytes.NewReader(in.body))
+		req.Header.Set("Content-Type", "application/json")
+		if in.key != "" {
+			req.Header.Set("Idempotency-Key", in.key)
+		}
+		if in.gzip {
+			req.Header.Set("Content-Encoding", "gzip")
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNoContent {
+			t.Fatalf("%s via front: status %d (%s), want 204", in.name, resp.StatusCode, bytes.TrimSpace(msg))
+		}
+		frames := 0
+		for _, nd := range tc.nodes {
+			st := nd.Store()
+			holds := 0
+			for _, row := range st.Uptime {
+				if row.RouterID == in.router {
+					holds++
+				}
+			}
+			if _, ok := st.RouterCountry[in.router]; ok {
+				holds++
+			}
+			if want := map[bool]int{true: 1}[nd.ID() == ring.Owner(in.router)]; holds != want {
+				t.Errorf("%s: node %s (ring owner %s) holds %d copies, want %d", in.name, nd.ID(), ring.Owner(in.router), holds, want)
+			}
+			f, _, _ := nd.JournalStats()
+			frames += f
+		}
+		// Each direct write was replicated: one more frame in a journal.
+		if frames != i+1 {
+			t.Fatalf("%s: journaled frames = %d, want %d", in.name, frames, i+1)
+		}
 	}
-	if got := totalRows(tc); got != 1 {
-		t.Fatalf("cluster holds %d rows, want 1", got)
-	}
-	// The direct write was replicated: its frame sits in one journal.
-	frames := 0
-	for _, nd := range tc.nodes {
-		f, _, _ := nd.JournalStats()
-		frames += f
-	}
-	if frames != 1 {
-		t.Fatalf("journaled frames = %d, want 1", frames)
+}
+
+// TestFrontBodyLimits: the front refuses bodies exactly as a collector
+// does, because it reads them with the collector's reader — 413 naming
+// the limit for an oversized one, 400 for one that cannot be read (here
+// a body that is not the gzip it claims to be), on /v1/batch and on a
+// direct endpoint alike. The front used to answer 413 for every read
+// error.
+func TestFrontBodyLimits(t *testing.T) {
+	tc := startTestCluster(t, 1, 1)
+	for _, path := range []string{"/v1/batch", "/v1/uptime"} {
+		for _, in := range []struct {
+			body     []byte
+			encoding string
+			status   int
+			says     string
+		}{
+			{bytes.Repeat([]byte(" "), 8<<20+1), "", http.StatusRequestEntityTooLarge, "8388608-byte limit"},
+			{[]byte("not the gzip stream it claims to be"), "gzip", http.StatusBadRequest, "gzip: invalid header"},
+		} {
+			req, _ := http.NewRequest(http.MethodPost, frontURL(tc)+path, bytes.NewReader(in.body))
+			req.Header.Set("Content-Type", "application/json")
+			if in.encoding != "" {
+				req.Header.Set("Content-Encoding", in.encoding)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != in.status || !strings.Contains(string(msg), in.says) {
+				t.Errorf("%s, %d-byte body, encoding %q: status %d (%s), want %d naming %q",
+					path, len(in.body), in.encoding, resp.StatusCode, bytes.TrimSpace(msg), in.status, in.says)
+			}
+		}
 	}
 }
 
@@ -442,7 +628,7 @@ func TestForgedBatchCountAllocatesLittle(t *testing.T) {
 	body = append(body, bytes.Repeat([]byte{0xff}, n)...) // no varint ends: item 0 fails
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	items, err := decodeBatchItems(wire.ContentTypeBinary, body)
+	items, err := decodeItems("/v1/batch", wire.ContentTypeBinary, "", body)
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Fatalf("forged batch decoded to %d items", len(items))
@@ -456,7 +642,7 @@ func TestForgedBatchCountAllocatesLittle(t *testing.T) {
 		for i := range want {
 			want[i] = uptimeItem(fmt.Sprintf("rt-%03d", i%7), i)
 		}
-		got, err := decodeBatchItems(wire.ContentTypeBinary, wire.AppendBatch(nil, want))
+		got, err := decodeItems("/v1/batch", wire.ContentTypeBinary, "", wire.AppendBatch(nil, want))
 		if err != nil {
 			t.Fatalf("%d honest items: %v", count, err)
 		}

@@ -2,9 +2,10 @@ package cluster
 
 import (
 	"bytes"
-	"compress/gzip"
+	"cmp"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -22,9 +23,6 @@ import (
 	"natpeek/internal/trace"
 	"natpeek/internal/wire"
 )
-
-// frontMaxUpload mirrors the collector's data-plane body bound.
-const frontMaxUpload = 8 << 20
 
 // DefaultReplication is the write replication factor when none is
 // configured: every acknowledged write exists on its owner plus one
@@ -154,27 +152,20 @@ func NewFront(cfg FrontConfig) (*Front, error) {
 	f.gsp = newGossiper(cfg.ID, f.ms, f.httpc, cfg.Peers, f.log)
 
 	ctrlMux := http.NewServeMux()
-	ctrlMux.HandleFunc("POST /cluster/gossip", f.handleGossip)
-	ctrlMux.HandleFunc("GET /cluster/members", func(w http.ResponseWriter, r *http.Request) {
-		writeMembersJSON(w, f.ms.view())
-	})
+	ctrlMux.HandleFunc("POST /cluster/gossip", f.gsp.serve)
+	ctrlMux.HandleFunc("GET /cluster/members", f.ms.serveMembers)
 	f.ctrl = &http.Server{Handler: ctrlMux, ReadHeaderTimeout: 10 * time.Second}
 	go f.ctrl.Serve(ctrlLn)
 
 	mux := http.NewServeMux()
-	for _, ep := range collector.Endpoints() {
-		mux.HandleFunc("POST "+ep, f.proxyEndpoint(ep))
+	for _, ep := range append(collector.Endpoints(), "/v1/batch") {
+		mux.HandleFunc("POST "+ep, f.instrument(ep, f.handleUpload(ep)))
 	}
-	mux.HandleFunc("POST /v1/batch", f.instrument("/v1/batch", f.handleBatch))
 	mux.HandleFunc("GET /v1/stats", f.handleStats)
 	mux.HandleFunc("GET /healthz", f.handleHealthz)
 	mux.HandleFunc("POST /v1/cluster/drain", f.handleDrainAdmin)
-	mux.HandleFunc("GET /v1/cluster/epoch", func(w http.ResponseWriter, r *http.Request) {
-		writeEpochJSON(w, f.ms)
-	})
-	mux.HandleFunc("GET /cluster/members", func(w http.ResponseWriter, r *http.Request) {
-		writeMembersJSON(w, f.ms.view())
-	})
+	mux.HandleFunc("GET /v1/cluster/epoch", f.ms.serveEpoch)
+	mux.HandleFunc("GET /cluster/members", f.ms.serveMembers)
 	telemetry.RegisterDebug(mux, reg)
 	trace.RegisterDebug(mux, f.rec)
 	f.httpSrv = &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
@@ -182,7 +173,10 @@ func NewFront(cfg FrontConfig) (*Front, error) {
 
 	f.gsp.learn()
 	f.wg.Add(1)
-	go f.gossipLoop()
+	go func() {
+		defer f.wg.Done()
+		f.gsp.run(f.stop, cfg.Gossip.Interval, func() {})
+	}()
 	f.log.Debug("front up", "http", f.HTTPAddr(), "udp", f.UDPAddr(), "ctrl", f.CtrlAddr())
 	return f, nil
 }
@@ -238,39 +232,6 @@ func (f *Front) Close() error {
 	return err
 }
 
-func (f *Front) gossipLoop() {
-	defer f.wg.Done()
-	t := time.NewTicker(f.cfg.Gossip.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-f.stop:
-			return
-		case <-t.C:
-		}
-		f.gsp.once()
-	}
-}
-
-func (f *Front) handleGossip(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, ctrlMaxBody))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	m, err := DecodeMessage(body)
-	if err != nil || m.Kind != MsgGossip {
-		http.Error(w, "cluster: want gossip", http.StatusBadRequest)
-		return
-	}
-	f.ms.merge(m.Gossip.Members)
-	f.ms.mergeEpochs(m.Gossip.Cur, m.Gossip.Next)
-	cur, next := f.ms.epochs()
-	w.Header().Set("Content-Type", ctrlContentType)
-	w.Write(AppendMessage(nil, &Message{Kind: MsgGossip,
-		Gossip: &Gossip{From: f.cfg.ID, Members: f.ms.snapshot(), Cur: cur, Next: next}}))
-}
-
 // fenceCheck reports whether a router's shard is mid-cutover: a pending
 // ring epoch assigns it a different owner than the current ring. Writes
 // for such a shard are answered 429 + Retry-After — applying them at
@@ -283,12 +244,6 @@ func (f *Front) handleGossip(w http.ResponseWriter, r *http.Request) {
 // liveness judgements.
 func (f *Front) fenceCheck(ring, pending *Ring, router string) bool {
 	return pending != nil && pending.Owner(router) != ring.Owner(router)
-}
-
-// fencedFailure is the uniform cutover answer.
-func fencedFailure(router string) *forwardFailure {
-	return &forwardFailure{status: http.StatusTooManyRequests, retryAfter: "1",
-		msg: "shard for router " + router + " is rebalancing, retry later"}
 }
 
 // instrument wraps a data-plane handler with the collector's admission
@@ -313,120 +268,89 @@ func (f *Front) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc
 	}
 }
 
-// placementGroup is one replica set's slice of a batch.
+// placementGroup is one replica set's slice of an upload.
 type placementGroup struct {
 	placement []string
 	items     []wire.Item
 }
 
-func (f *Front) handleBatch(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, frontMaxUpload))
-	if err != nil {
-		f.mErrors.With("read").Inc()
-		http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
-		return
-	}
-	if r.Header.Get("Content-Encoding") == "gzip" {
-		if body, err = gunzipBounded(body, frontMaxUpload); err != nil {
-			f.mErrors.With("gzip").Inc()
+// handleUpload serves /v1/batch and every direct endpoint through one
+// path: read the body with the collector's reader, open it with the
+// collector's item source, route the items to placement groups, forward
+// each group, answer from the summed result. A direct post is a one-item
+// batch from here on — its owner sees a /v1/batch request — and is
+// mapped back to 204, or 400 with the item's reason, by the same Reply
+// a stand-alone collector answers with.
+func (f *Front) handleUpload(endpoint string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		body, err := collector.ReadBody(w, r)
+		if err != nil {
+			f.mErrors.With("read").Inc()
+			return
+		}
+		defer body.Release()
+		items, err := decodeItems(endpoint, r.Header.Get("Content-Type"), r.Header.Get("Idempotency-Key"), body.Bytes())
+		if err != nil {
+			f.mErrors.With("decode").Inc()
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-	}
-	items, err := decodeBatchItems(r.Header.Get("Content-Type"), body)
-	if err != nil {
-		f.mErrors.With("decode").Inc()
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-
-	groups, fail := f.groupItems(items, start)
-	if fail != nil {
-		if fail.status == http.StatusTooManyRequests {
-			f.mFenced.Inc()
-		} else {
-			f.mErrors.With("no-nodes").Inc()
+		groups, fail := f.route(items, start)
+		var total collector.BatchResult
+		for i := 0; fail == nil && i < len(groups); i++ {
+			var res collector.BatchResult
+			res, fail = f.forward(r.Context(), groups[i], r.Header.Get("Traceparent"), start)
+			total.Add(res)
 		}
-		fail.write(w)
-		return
-	}
-
-	var total collector.BatchResult
-	traceparent := r.Header.Get("Traceparent")
-	for _, g := range groups {
-		res, fail := f.forwardGroup(r.Context(), g, traceparent, start)
 		if fail != nil {
 			fail.write(w)
 			return
 		}
-		total.Applied += res.Applied
-		total.Duplicates += res.Duplicates
-		total.Rejected += res.Rejected
-		total.Failed = append(total.Failed, res.Failed...)
+		total.Reply(w, endpoint)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(total)
 }
 
-// decodeBatchItems turns either wire form of a /v1/batch body into
-// owned wire.Items. JSON items are transcoded to typed payloads
-// (KindRaw verbatim fallback preserves accept/reject behaviour
-// byte-for-byte); NPB1 items are deep-copied out of decoder scratch.
-func decodeBatchItems(contentType string, body []byte) ([]wire.Item, error) {
-	if contentType == wire.ContentTypeBinary || strings.HasPrefix(contentType, wire.ContentTypeBinary+";") {
-		var dec wire.Decoder
-		if err := dec.Reset(body); err != nil {
-			return nil, err
-		}
-		// The claimed count is bounded only by the bytes that follow it,
-		// and an Item is a few hundred times a byte: pre-size for the
-		// largest batch a sender builds and let append follow a longer one.
-		items := make([]wire.Item, 0, min(dec.Len(), transferBatchItems))
-		var it wire.Item
-		for {
-			err := dec.Next(&it)
-			if err == io.EOF {
-				return items, nil
-			}
-			if err != nil {
-				return nil, err
-			}
-			items = append(items, it.Clone())
-		}
-	}
-	var jitems []collector.BatchItem
-	if err := json.Unmarshal(body, &jitems); err != nil {
+// decodeItems drains an upload body through the collector's item source
+// into owned items (cloned out of decoder scratch and the pooled body),
+// for the callers that regroup and re-encode: the front's routing and a
+// node's failover replay.
+func decodeItems(endpoint, contentType, key string, body []byte) ([]wire.Item, error) {
+	src, err := collector.NewItemSource(endpoint, contentType, key, body)
+	if err != nil {
 		return nil, err
 	}
-	items := make([]wire.Item, 0, len(jitems))
-	for _, ji := range jitems {
-		items = append(items, wire.Item{
-			Endpoint: ji.Endpoint,
-			Key:      ji.Key,
-			Payload:  wire.PayloadFromJSON(ji.Endpoint, ji.Body),
-			Trace:    ji.Trace,
-		})
+	defer src.Close()
+	// The claimed count is bounded only by the bytes that follow it, and
+	// an Item is a few hundred times a byte: pre-size for the largest
+	// batch a sender builds and let append follow a longer one.
+	items := make([]wire.Item, 0, min(src.Len(), transferBatchItems))
+	var it wire.Item
+	for {
+		switch err := src.Next(&it); err {
+		case nil:
+			items = append(items, it.Clone())
+		case io.EOF:
+			return items, nil
+		default:
+			return nil, err
+		}
 	}
-	return items, nil
 }
 
-// groupItems splits a batch by replica set, appending the front.route
-// span each traced item carries across the hop. Fails the whole batch
-// when the ring is empty, or with a fence when ANY item's shard is
-// mid-cutover — partial application would ack rows the client has no
-// way to re-send selectively, so the batch is refused before a single
+// route splits an upload by replica set, appending the front.route span
+// each traced item carries across the hop. It refuses the whole upload
+// with 503 when the ring is empty, or with a fence when ANY item's shard
+// is mid-cutover — partial application would ack rows the client has no
+// way to re-send selectively, so the upload is refused before a single
 // item is forwarded and the retry lands intact after the cutover.
-func (f *Front) groupItems(items []wire.Item, start time.Time) ([]*placementGroup, *forwardFailure) {
+func (f *Front) route(items []wire.Item, start time.Time) ([]*placementGroup, *forwardFailure) {
 	ring := f.ms.ring()
 	if ring.Len() == 0 {
-		return nil, &forwardFailure{status: http.StatusServiceUnavailable, msg: "no live collector nodes"}
+		f.mErrors.With("no-nodes").Inc()
+		return nil, &forwardFailure{status: http.StatusServiceUnavailable, retryAfter: "1", msg: "no live collector nodes"}
 	}
 	pending := f.ms.pendingRing()
-	n := f.cfg.Replication
-	if n > ring.Len() {
-		n = ring.Len()
-	}
 	byKey := make(map[string]*placementGroup)
 	var groups []*placementGroup
 	now := time.Now()
@@ -434,9 +358,11 @@ func (f *Front) groupItems(items []wire.Item, start time.Time) ([]*placementGrou
 		it := &items[i]
 		router := routerOfItem(it)
 		if f.fenceCheck(ring, pending, router) {
-			return nil, fencedFailure(router)
+			f.mFenced.Inc()
+			return nil, &forwardFailure{status: http.StatusTooManyRequests, retryAfter: "1",
+				msg: "shard for router " + router + " is rebalancing, retry later"}
 		}
-		placement := ring.Lookup(router, n)
+		placement := ring.Lookup(router, f.cfg.Replication)
 		gk := strings.Join(placement, "\x00")
 		g := byKey[gk]
 		if g == nil {
@@ -477,70 +403,46 @@ func (fail *forwardFailure) write(w http.ResponseWriter) {
 	http.Error(w, fail.msg, fail.status)
 }
 
-// forwardGroup delivers one placement group: the NPB1-encoded sub-batch
-// to the owner's data plane, then a replicate frame to every successor
+// forward delivers one placement group: the NPB1-encoded sub-batch to
+// the owner's data plane, then a replicate frame to every successor
 // journal. The client is acked only when all R copies exist; any
 // failure surfaces as a retryable status and the client's idempotency
-// keys flatten whatever did land.
-func (f *Front) forwardGroup(ctx context.Context, g *placementGroup, traceparent string, start time.Time) (collector.BatchResult, *forwardFailure) {
-	var res collector.BatchResult
-	owner := g.placement[0]
+// keys flatten whatever did land. Unkeyed items — registration in
+// practice — replay as map upserts, so failover cannot duplicate rows
+// through them.
+func (f *Front) forward(ctx context.Context, g *placementGroup, traceparent string, start time.Time) (collector.BatchResult, *forwardFailure) {
+	owner, succs := g.placement[0], g.placement[1:]
 	om, ok := f.ms.lookup(owner)
 	if !ok {
 		f.mErrors.With("owner-unknown").Inc()
-		return res, &forwardFailure{status: http.StatusServiceUnavailable, msg: "owner node unknown"}
+		return collector.BatchResult{}, &forwardFailure{status: http.StatusServiceUnavailable, msg: "owner node unknown"}
 	}
 	enc := wire.AppendBatch(nil, g.items)
-
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		"http://"+om.DataAddr+"/v1/batch", bytes.NewReader(enc))
-	if err != nil {
-		return res, &forwardFailure{status: http.StatusInternalServerError, msg: err.Error()}
-	}
-	req.Header.Set("Content-Type", wire.ContentTypeBinary)
-	if traceparent != "" {
-		req.Header.Set("Traceparent", traceparent)
-	}
-	resp, err := f.httpc.Do(req)
-	if err != nil {
+	res, err := postBatchBinary(ctx, f.httpc, om.DataAddr, enc, traceparent)
+	var answered *postStatus
+	switch {
+	case err == nil:
+	case !errors.As(err, &answered):
 		f.mErrors.With("owner-unreachable").Inc()
 		return res, &forwardFailure{status: http.StatusServiceUnavailable,
 			msg: "owner " + owner + " unreachable: " + err.Error()}
-	}
-	body, rerr := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	resp.Body.Close()
-	switch {
-	case resp.StatusCode == http.StatusTooManyRequests:
+	case answered.code == http.StatusTooManyRequests:
 		f.mErrors.With("owner-throttled").Inc()
-		ra := resp.Header.Get("Retry-After")
-		if ra == "" {
-			ra = "1"
-		}
-		return res, &forwardFailure{status: http.StatusTooManyRequests, retryAfter: ra,
-			msg: "owner " + owner + " saturated: " + strings.TrimSpace(string(body))}
-	case resp.StatusCode != http.StatusOK || rerr != nil:
+		return res, &forwardFailure{status: http.StatusTooManyRequests, retryAfter: cmp.Or(answered.retryAfter, "1"),
+			msg: "owner " + owner + " saturated: " + answered.msg}
+	default:
 		f.mErrors.With("owner-error").Inc()
-		return res, &forwardFailure{status: http.StatusBadGateway,
-			msg: fmt.Sprintf("owner %s: %s: %s", owner, resp.Status, bytes.TrimSpace(body))}
-	}
-	if err := json.Unmarshal(body, &res); err != nil {
-		return res, &forwardFailure{status: http.StatusBadGateway,
-			msg: "owner " + owner + ": bad batch result: " + err.Error()}
+		return res, &forwardFailure{status: http.StatusBadGateway, msg: "owner " + owner + ": " + err.Error()}
 	}
 	f.mRouted.With(owner).Add(int64(len(g.items)))
 
-	succs := g.placement[1:]
 	for _, succ := range succs {
 		sm, ok := f.ms.lookup(succ)
 		if !ok {
 			f.mErrors.With("replica-unknown").Inc()
 			return res, &forwardFailure{status: http.StatusServiceUnavailable, msg: "successor node unknown"}
 		}
-		_, err := postCtrl(f.httpc, sm.CtrlAddr, "/cluster/replicate", &Message{
-			Kind:      MsgReplicate,
-			Replicate: &Replicate{Owner: owner, Successors: succs, Batch: enc},
-		}, 30*time.Second)
-		if err != nil {
+		if err := postReplicate(f.httpc, sm.CtrlAddr, owner, succs, enc); err != nil {
 			f.mErrors.With("replica-unreachable").Inc()
 			return res, &forwardFailure{status: http.StatusServiceUnavailable,
 				msg: "replica " + succ + ": " + err.Error()}
@@ -548,7 +450,7 @@ func (f *Front) forwardGroup(ctx context.Context, g *placementGroup, traceparent
 		f.mReplicated.With(succ).Inc()
 	}
 
-	if trace.Enabled() && len(g.items) > 0 && g.items[0].Key != "" {
+	if trace.Enabled() && g.items[0].Key != "" {
 		f.rec.Finish(&trace.Trace{
 			ID: trace.IDFromKey(g.items[0].Key), Endpoint: "/v1/batch",
 			Router: routerOfItem(&g.items[0]),
@@ -565,103 +467,57 @@ func (f *Front) forwardGroup(ctx context.Context, g *placementGroup, traceparent
 	return res, nil
 }
 
-// proxyEndpoint serves one direct /v1/* endpoint: route by router,
-// forward the body verbatim to the owner, replicate it (wrapped as a
-// one-item NPB1 batch) to the successor journals, and relay the owner's
-// response. Unkeyed direct posts — registration in practice — are only
-// replayed as map upserts, so failover cannot duplicate rows through
-// them.
-func (f *Front) proxyEndpoint(endpoint string) http.HandlerFunc {
-	return f.instrument(endpoint, func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, frontMaxUpload))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
-			return
-		}
-		key := r.Header.Get("Idempotency-Key")
-		router := routerOfDirect(endpoint, body, key)
-		ring := f.ms.ring()
-		if ring.Len() == 0 {
-			f.mErrors.With("no-nodes").Inc()
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, "no live collector nodes", http.StatusServiceUnavailable)
-			return
-		}
-		if f.fenceCheck(ring, f.ms.pendingRing(), router) {
-			f.mFenced.Inc()
-			fencedFailure(router).write(w)
-			return
-		}
-		n := f.cfg.Replication
-		if n > ring.Len() {
-			n = ring.Len()
-		}
-		placement := ring.Lookup(router, n)
-		owner := placement[0]
-		om, ok := f.ms.lookup(owner)
-		if !ok {
-			http.Error(w, "owner node unknown", http.StatusServiceUnavailable)
-			return
-		}
+// postStatus is a data plane's answer to a batch POST that was not
+// 200 + a BatchResult.
+type postStatus struct {
+	code       int
+	retryAfter string
+	msg        string
+}
 
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodPost,
-			"http://"+om.DataAddr+endpoint, bytes.NewReader(body))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		for _, h := range []string{"Content-Type", "Idempotency-Key", "Traceparent"} {
-			if v := r.Header.Get(h); v != "" {
-				req.Header.Set(h, v)
-			}
-		}
-		resp, err := f.httpc.Do(req)
-		if err != nil {
-			f.mErrors.With("owner-unreachable").Inc()
-			http.Error(w, "owner "+owner+" unreachable: "+err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-		respBody, rerr := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		resp.Body.Close()
-		if rerr != nil {
-			http.Error(w, rerr.Error(), http.StatusBadGateway)
-			return
-		}
-		f.mRouted.With(owner).Inc()
+func (e *postStatus) Error() string { return fmt.Sprintf("batch post: status %d: %s", e.code, e.msg) }
 
-		// Replicate only what the owner actually applied.
-		if resp.StatusCode/100 == 2 && len(placement) > 1 {
-			item := wire.Item{Endpoint: endpoint, Key: key,
-				Payload: wire.PayloadFromJSON(endpoint, body)}
-			enc := wire.AppendBatch(nil, []wire.Item{item})
-			succs := placement[1:]
-			for _, succ := range succs {
-				sm, ok := f.ms.lookup(succ)
-				if !ok {
-					http.Error(w, "successor node unknown", http.StatusServiceUnavailable)
-					return
-				}
-				if _, err := postCtrl(f.httpc, sm.CtrlAddr, "/cluster/replicate", &Message{
-					Kind:      MsgReplicate,
-					Replicate: &Replicate{Owner: owner, Successors: succs, Batch: enc},
-				}, 30*time.Second); err != nil {
-					f.mErrors.With("replica-unreachable").Inc()
-					http.Error(w, "replica "+succ+": "+err.Error(), http.StatusServiceUnavailable)
-					return
-				}
-				f.mReplicated.With(succ).Inc()
-			}
+// postBatchBinary POSTs one NPB1 batch to a data plane and decodes the
+// BatchResult: the one /v1/batch request the cluster builds — a front's
+// forward, a node's failover replay and the transfer engine are all
+// normal binary uploads, so admission control, dedupe, tracing and
+// telemetry apply to them unchanged. An error that is not a *postStatus
+// means no answer arrived.
+func postBatchBinary(ctx context.Context, httpc *http.Client, dataAddr string, batch []byte, traceparent string) (collector.BatchResult, error) {
+	var res collector.BatchResult
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
+		"http://"+dataAddr+"/v1/batch", bytes.NewReader(batch))
+	if err != nil {
+		return res, err
+	}
+	req.Header.Set("Content-Type", wire.ContentTypeBinary)
+	if traceparent != "" {
+		req.Header.Set("Traceparent", traceparent)
+	}
+	resp, err := httpc.Do(req)
+	if err != nil {
+		return res, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	if err == nil && resp.StatusCode == http.StatusOK {
+		if err = json.Unmarshal(body, &res); err == nil {
+			return res, nil
 		}
+		body = []byte("bad batch result: " + err.Error())
+	}
+	return res, &postStatus{code: resp.StatusCode, retryAfter: resp.Header.Get("Retry-After"),
+		msg: string(bytes.TrimSpace(body))}
+}
 
-		if ra := resp.Header.Get("Retry-After"); ra != "" {
-			w.Header().Set("Retry-After", ra)
-		}
-		if ct := resp.Header.Get("Content-Type"); ct != "" {
-			w.Header().Set("Content-Type", ct)
-		}
-		w.WriteHeader(resp.StatusCode)
-		w.Write(respBody)
-	})
+// postReplicate delivers one forwarded batch, with the placement that
+// chose its holders, to a successor's journal.
+func postReplicate(httpc *http.Client, ctrlAddr, owner string, succs []string, batch []byte) error {
+	_, err := postCtrl(httpc, ctrlAddr, "/cluster/replicate", &Message{
+		Kind:      MsgReplicate,
+		Replicate: &Replicate{Owner: owner, Successors: succs, Batch: batch},
+	}, 30*time.Second)
+	return err
 }
 
 // handleDrainAdmin is the operator's scale-in entry point:
@@ -772,53 +628,19 @@ func (f *Front) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(h)
 }
 
-// routerOfItem extracts a batch item's routing key: the typed payload's
-// router, a raw payload's sniffed router, or the idempotency key's
-// router prefix (every spool and loadgen key starts with the router
-// ID). An unroutable item maps to the ring position of "" — a constant,
-// so retries land on the same node and still dedupe.
+// routerOfItem extracts an item's routing key: the typed payload's
+// router, a raw payload's as the collector's raw decoder reads it, or the
+// idempotency key's router prefix (every spool and loadgen key starts
+// with the router ID). An unroutable item maps to the ring position of
+// "" — a constant, so retries land on the same node and still dedupe.
 func routerOfItem(it *wire.Item) string {
 	if r := it.Payload.Router(); r != "" {
 		return r
 	}
-	if it.Payload.Kind == wire.KindRaw && len(it.Payload.Raw) > 0 {
-		if r := routerOfDirect(it.Endpoint, it.Payload.Raw, it.Key); r != "" {
+	if it.Payload.Kind == wire.KindRaw {
+		if r, _, err := collector.DecodeRaw(it.Endpoint, it.Payload.Raw); err == nil && r != "" {
 			return r
 		}
 	}
 	return dataset.KeyRouter(it.Key)
-}
-
-// routerOfDirect extracts the routing key from a direct /v1/* body.
-func routerOfDirect(endpoint string, body []byte, key string) string {
-	if p := wire.PayloadFromJSON(endpoint, body); p.Kind != wire.KindRaw {
-		if r := p.Router(); r != "" {
-			return r
-		}
-	}
-	if endpoint == "/v1/register" {
-		var reg struct {
-			RouterID string `json:"router_id"`
-		}
-		if json.Unmarshal(body, &reg) == nil && reg.RouterID != "" {
-			return reg.RouterID
-		}
-	}
-	return dataset.KeyRouter(key)
-}
-
-// gunzipBounded inflates a gzip body, refusing to expand past limit.
-func gunzipBounded(body []byte, limit int64) ([]byte, error) {
-	zr, err := gzip.NewReader(bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	out, err := io.ReadAll(io.LimitReader(zr, limit+1))
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(out)) > limit {
-		return nil, fmt.Errorf("cluster: gzip body exceeds %d bytes", limit)
-	}
-	return out, nil
 }

@@ -134,6 +134,57 @@ func (g *gossiper) pickPeer() string {
 	return addrs[i]
 }
 
+// run is a member's heartbeat until stop closes: every interval one
+// gossip round, then the member's own periodic duty.
+func (g *gossiper) run(stop <-chan struct{}, every time.Duration, then func()) {
+	t := time.NewTicker(every)
+	defer t.Stop()
+	for {
+		select {
+		case <-stop:
+			return
+		case <-t.C:
+		}
+		g.once()
+		then()
+	}
+}
+
+// serve is the answering half of an exchange, for either member kind:
+// absorb the peer's table and epochs, reply with ours.
+func (g *gossiper) serve(w http.ResponseWriter, r *http.Request) {
+	m, ok := readCtrl(w, r, MsgGossip)
+	if !ok {
+		return
+	}
+	g.absorb(m.Gossip)
+	writeCtrl(w, &Message{Kind: MsgGossip, Gossip: g.outbound()})
+}
+
+// readCtrl decodes one NPC1 request of the expected kind.
+func readCtrl(w http.ResponseWriter, r *http.Request, want MsgKind) (*Message, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, ctrlMaxBody))
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return nil, false
+	}
+	m, err := DecodeMessage(body)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return nil, false
+	}
+	if m.Kind != want {
+		http.Error(w, fmt.Sprintf("cluster: want message kind %d, got %d", want, m.Kind), http.StatusBadRequest)
+		return nil, false
+	}
+	return m, true
+}
+
+func writeCtrl(w http.ResponseWriter, m *Message) {
+	w.Header().Set("Content-Type", ctrlContentType)
+	w.Write(AppendMessage(nil, m))
+}
+
 // exchange POSTs one gossip message and returns the peer's table.
 func (g *gossiper) exchange(ctrlAddr string, gm *Gossip) (*Gossip, error) {
 	m, err := postCtrl(g.httpc, ctrlAddr, "/cluster/gossip",

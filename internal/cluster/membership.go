@@ -105,8 +105,15 @@ func (ms *membership) bump() Member {
 	return ms.self
 }
 
-// epochVersionLocked is the highest epoch version this process has
-// seen, pending included. Caller holds mu.
+// epochVersion is the highest epoch version this process has seen,
+// pending included.
+func (ms *membership) epochVersion() uint64 {
+	ms.mu.Lock()
+	defer ms.mu.Unlock()
+	return ms.epochVersionLocked()
+}
+
+// epochVersionLocked is epochVersion for a caller that holds mu.
 func (ms *membership) epochVersionLocked() uint64 {
 	v := uint64(0)
 	if ms.cur != nil {

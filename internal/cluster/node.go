@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -221,14 +220,19 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	mux.HandleFunc("POST /cluster/transfer", n.handleTransfer)
 	mux.HandleFunc("POST /cluster/transferkeys", n.handleTransferKeys)
 	mux.HandleFunc("POST /cluster/drain", n.handleDrain)
-	mux.HandleFunc("GET /cluster/members", n.handleMembers)
-	mux.HandleFunc("GET /cluster/epoch", n.handleEpoch)
+	mux.HandleFunc("GET /cluster/members", n.ms.serveMembers)
+	mux.HandleFunc("GET /cluster/epoch", n.ms.serveEpoch)
 	n.ctrl = &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
 	go n.ctrl.Serve(ln)
 
 	n.join()
+	// The node's heartbeat: bump our beat, exchange tables with a random
+	// live peer, and scan the journal for frames orphaned by a dead owner.
 	n.wg.Add(1)
-	go n.gossipLoop()
+	go func() {
+		defer n.wg.Done()
+		n.gsp.run(n.stop, cfg.Gossip.Interval, n.replayScan)
+	}()
 	n.log.Debug("node up", "data", n.DataAddr(), "ctrl", n.CtrlAddr())
 	return n, nil
 }
@@ -427,24 +431,6 @@ func (n *Node) join() {
 	}
 }
 
-// gossipLoop is the node's heartbeat: bump our beat, exchange tables
-// with a random live peer, and scan the journal for frames orphaned by
-// a dead owner.
-func (n *Node) gossipLoop() {
-	defer n.wg.Done()
-	t := time.NewTicker(n.cfg.Gossip.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-n.stop:
-			return
-		case <-t.C:
-		}
-		n.gsp.once()
-		n.replayScan()
-	}
-}
-
 // replayScan finds journaled frames whose owner lost its store — it is
 // judged dead, or it came back under a new incarnation (a restart wipes
 // the in-memory store, so "alive again" does not mean the rows are) —
@@ -526,95 +512,40 @@ func (n *Node) replayScan() {
 // own data plane, which reproduces the pre-rebalance behavior exactly.
 func (n *Node) replay(e *journalEntry) (collector.BatchResult, error) {
 	var total collector.BatchResult
-	groups := map[string][]byte{}
-	items, err := decodeBatchItems(wire.ContentTypeBinary, e.batch)
+	items, err := decodeItems("/v1/batch", wire.ContentTypeBinary, "", e.batch)
 	if err != nil {
 		return total, err
 	}
-	if ring := n.ms.ring(); ring.Len() > 0 {
-		byAddr := make(map[string][]wire.Item)
-		for _, it := range items {
-			addr := n.DataAddr()
-			if owner := ring.Owner(routerOfItem(&it)); owner != "" && owner != n.cfg.ID {
-				if mem, ok := n.ms.lookup(owner); ok && mem.DataAddr != "" {
-					addr = mem.DataAddr
-				}
+	ring := n.ms.ring()
+	byAddr := make(map[string][]wire.Item)
+	for _, it := range items {
+		addr := n.DataAddr()
+		if owner := ring.Owner(routerOfItem(&it)); owner != "" && owner != n.cfg.ID {
+			if mem, ok := n.ms.lookup(owner); ok && mem.DataAddr != "" {
+				addr = mem.DataAddr
 			}
-			byAddr[addr] = append(byAddr[addr], it)
 		}
-		for addr, its := range byAddr {
-			groups[addr] = wire.AppendBatch(nil, its)
-		}
-	} else {
-		groups[n.DataAddr()] = e.batch
+		byAddr[addr] = append(byAddr[addr], it)
 	}
-	for addr, batch := range groups {
-		res, err := postBatchBinary(n.httpc, addr, batch)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for addr, its := range byAddr {
+		res, err := postBatchBinary(ctx, n.httpc, addr, wire.AppendBatch(nil, its), "")
 		if err != nil {
 			return total, err
 		}
-		total.Applied += res.Applied
-		total.Duplicates += res.Duplicates
-		total.Rejected += res.Rejected
-		total.Failed = append(total.Failed, res.Failed...)
+		total.Add(res)
 	}
 	return total, nil
 }
 
-// postBatchBinary POSTs one NPB1 batch to a data plane and decodes the
-// BatchResult. Shared by failover replay and the transfer engine.
-func postBatchBinary(httpc *http.Client, dataAddr string, batch []byte) (collector.BatchResult, error) {
-	var res collector.BatchResult
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		"http://"+dataAddr+"/v1/batch", bytes.NewReader(batch))
-	if err != nil {
-		return res, err
-	}
-	req.Header.Set("Content-Type", wire.ContentTypeBinary)
-	resp, err := httpc.Do(req)
-	if err != nil {
-		return res, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return res, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return res, fmt.Errorf("batch post: %s: %s", resp.Status, bytes.TrimSpace(body))
-	}
-	err = json.Unmarshal(body, &res)
-	return res, err
-}
-
 func (n *Node) handleGossip(w http.ResponseWriter, r *http.Request) {
-	m, ok := n.readCtrl(w, r, MsgGossip)
-	if !ok {
-		return
-	}
-	n.ms.merge(m.Gossip.Members)
-	n.ms.mergeEpochs(m.Gossip.Cur, m.Gossip.Next)
-	cur, next := n.ms.epochs()
-	n.gEpoch.Set(float64(maxEpochVersion(cur, next)))
-	n.writeCtrl(w, &Message{Kind: MsgGossip,
-		Gossip: &Gossip{From: n.cfg.ID, Members: n.ms.snapshot(), Cur: cur, Next: next}})
-}
-
-func maxEpochVersion(cur, next *RingEpoch) uint64 {
-	v := uint64(0)
-	if cur != nil {
-		v = cur.Version
-	}
-	if next != nil && next.Version > v {
-		v = next.Version
-	}
-	return v
+	n.gsp.serve(w, r)
+	n.gEpoch.Set(float64(n.ms.epochVersion()))
 }
 
 func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
-	m, ok := n.readCtrl(w, r, MsgReplicate)
+	m, ok := readCtrl(w, r, MsgReplicate)
 	if !ok {
 		return
 	}
@@ -652,7 +583,7 @@ func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (n *Node) handleManifest(w http.ResponseWriter, r *http.Request) {
-	m, ok := n.readCtrl(w, r, MsgManifestRequest)
+	m, ok := readCtrl(w, r, MsgManifestRequest)
 	if !ok {
 		return
 	}
@@ -749,35 +680,7 @@ func (n *Node) handleManifest(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	n.mu.Unlock()
-	n.writeCtrl(w, &Message{Kind: MsgManifestResponse, ManifestResp: resp})
-}
-
-func (n *Node) handleMembers(w http.ResponseWriter, r *http.Request) {
-	writeMembersJSON(w, n.ms.view())
-}
-
-// readCtrl decodes one NPC1 request of the expected kind.
-func (n *Node) readCtrl(w http.ResponseWriter, r *http.Request, want MsgKind) (*Message, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, ctrlMaxBody))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return nil, false
-	}
-	m, err := DecodeMessage(body)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return nil, false
-	}
-	if m.Kind != want {
-		http.Error(w, fmt.Sprintf("cluster: want message kind %d, got %d", want, m.Kind), http.StatusBadRequest)
-		return nil, false
-	}
-	return m, true
-}
-
-func (n *Node) writeCtrl(w http.ResponseWriter, m *Message) {
-	w.Header().Set("Content-Type", ctrlContentType)
-	w.Write(AppendMessage(nil, m))
+	writeCtrl(w, &Message{Kind: MsgManifestResponse, ManifestResp: resp})
 }
 
 // scanBatch walks an NPB1 buffer and returns its item count plus the
@@ -821,7 +724,9 @@ type memberViewJSON struct {
 	Beat        uint64 `json:"beat"`
 }
 
-func writeMembersJSON(w http.ResponseWriter, view []MemberView) {
+// serveMembers answers GET /cluster/members on either member kind.
+func (ms *membership) serveMembers(w http.ResponseWriter, _ *http.Request) {
+	view := ms.view()
 	out := make([]memberViewJSON, 0, len(view))
 	for _, mv := range view {
 		out = append(out, memberViewJSON{

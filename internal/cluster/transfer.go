@@ -8,6 +8,7 @@ import (
 	"sort"
 	"time"
 
+	"natpeek/internal/collector"
 	"natpeek/internal/dataset"
 	"natpeek/internal/wire"
 )
@@ -414,12 +415,41 @@ func runs[T any](rows []T, router func(T) string, emit func(router string, run [
 	}
 }
 
+// retry calls try with backoff until it succeeds or ctx expires: every
+// transfer delivery is idempotent (xfer keys, journalSeen hashes, no-op
+// key applies), and its receiver may 429 under load or be mid-restart.
+func (n *Node) retry(ctx context.Context, what string, try func() error) error {
+	backoff := 100 * time.Millisecond
+	for {
+		err := try()
+		if err == nil {
+			return nil
+		}
+		n.log.Warn(what+" failed, retrying", "err", err)
+		select {
+		case <-ctx.Done():
+			return fmt.Errorf("cluster: %s: %w", what, ctx.Err())
+		case <-time.After(backoff):
+		}
+		if backoff < 2*time.Second {
+			backoff *= 2
+		}
+	}
+}
+
 // sendChunks delivers transfer chunks in order, retrying each until ctx
 // expires. On giving up it returns every item not yet acknowledged so
 // the caller can restore them; delivered chunks are final.
 func (n *Node) sendChunks(ctx context.Context, chunks []xferChunk) ([]wire.Item, error) {
 	for i, ch := range chunks {
-		if err := n.postChunk(ctx, ch); err != nil {
+		batch := wire.AppendBatch(nil, ch.items)
+		err := n.retry(ctx, "transfer chunk to "+ch.addr, func() error {
+			ctx, cancel := context.WithTimeout(ctx, 30*time.Second)
+			defer cancel()
+			_, err := postBatchBinary(ctx, n.httpc, ch.addr, batch, "")
+			return err
+		})
+		if err != nil {
 			var rest []wire.Item
 			for _, c := range chunks[i:] {
 				rest = append(rest, c.items...)
@@ -428,29 +458,6 @@ func (n *Node) sendChunks(ctx context.Context, chunks []xferChunk) ([]wire.Item,
 		}
 	}
 	return nil, nil
-}
-
-// postChunk POSTs one transfer batch with backoff until ctx expires
-// (the destination's admission control may 429 under load; the xfer
-// keys make every retry idempotent).
-func (n *Node) postChunk(ctx context.Context, ch xferChunk) error {
-	batch := wire.AppendBatch(nil, ch.items)
-	backoff := 100 * time.Millisecond
-	for {
-		_, err := postBatchBinary(n.httpc, ch.addr, batch)
-		if err == nil {
-			return nil
-		}
-		n.log.Warn("transfer chunk post failed, retrying", "dest", ch.addr, "items", len(ch.items), "err", err)
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("cluster: transfer chunk to %s: %w", ch.addr, ctx.Err())
-		case <-time.After(backoff):
-		}
-		if backoff < 2*time.Second {
-			backoff *= 2
-		}
-	}
 }
 
 // restoreItems re-appends undelivered transfer items into this node's
@@ -463,24 +470,15 @@ func (n *Node) restoreItems(items []wire.Item) {
 	}
 	store := n.srv.Sharded()
 	for i := range items {
-		it := &items[i]
-		router := routerOfItem(it)
-		switch {
-		case it.Payload.Kind != wire.KindRaw:
-			store.Append(router, it.Payload.AppendTo)
-		case it.Endpoint == "/v1/register":
-			var reg struct {
-				RouterID string `json:"router_id"`
-				Country  string `json:"country"`
-			}
-			if json.Unmarshal(it.Payload.Raw, &reg) == nil && reg.RouterID != "" {
-				store.Append(reg.RouterID, func(s *dataset.Store) { s.RouterCountry[reg.RouterID] = reg.Country })
-			}
-		default: // a sightings-only census body
-			if p, err := wire.ParseJSON(it.Endpoint, it.Payload.Raw); err == nil {
-				store.Append(router, p.AppendTo)
+		p := &items[i].Payload
+		router, apply := p.Router(), p.AppendTo
+		if p.Kind == wire.KindRaw { // a roster entry or a sightings-only census body
+			var err error
+			if router, apply, err = collector.DecodeRaw(items[i].Endpoint, p.Raw); err != nil {
+				continue
 			}
 		}
+		store.Append(router, apply)
 	}
 	n.log.Warn("restored undelivered transfer items", "items", len(items))
 }
@@ -564,25 +562,13 @@ func (n *Node) pushKeys(ctx context.Context, ring *Ring, dests map[string]Member
 
 // postTransferKeys delivers one MsgTransferKeys push with retries.
 func (n *Node) postTransferKeys(ctx context.Context, mem Member, entries []ManifestEntry) error {
-	backoff := 100 * time.Millisecond
-	for {
+	return n.retry(ctx, "key push to "+mem.ID, func() error {
 		_, err := postCtrl(n.httpc, mem.CtrlAddr, "/cluster/transferkeys", &Message{
 			Kind:         MsgTransferKeys,
 			TransferKeys: &TransferKeys{From: n.cfg.ID, Entries: entries},
 		}, 30*time.Second)
-		if err == nil {
-			return nil
-		}
-		n.log.Warn("transfer key push failed, retrying", "dest", mem.ID, "err", err)
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("cluster: key push to %s: %w", mem.ID, ctx.Err())
-		case <-time.After(backoff):
-		}
-		if backoff < 2*time.Second {
-			backoff *= 2
-		}
-	}
+		return err
+	})
 }
 
 // rehomeJournal re-replicates the unreplayed frames this node holds as
@@ -630,26 +616,12 @@ func (n *Node) rehomeJournal(ctx context.Context, e *RingEpoch) error {
 				succs = append(succs, s)
 			}
 		}
-		backoff := 100 * time.Millisecond
-		for {
-			_, err := postCtrl(n.httpc, mem.CtrlAddr, "/cluster/replicate", &Message{
-				Kind:      MsgReplicate,
-				Replicate: &Replicate{Owner: en.owner, Successors: succs, Batch: en.batch},
-			}, 30*time.Second)
-			if err == nil {
-				rehomed++
-				break
-			}
-			n.log.Warn("drain: journal re-home failed, retrying", "target", target, "err", err)
-			select {
-			case <-ctx.Done():
-				return fmt.Errorf("cluster: drain: re-home journal to %s: %w", target, ctx.Err())
-			case <-time.After(backoff):
-			}
-			if backoff < 2*time.Second {
-				backoff *= 2
-			}
+		if err := n.retry(ctx, "drain: re-home journal to "+target, func() error {
+			return postReplicate(n.httpc, mem.CtrlAddr, en.owner, succs, en.batch)
+		}); err != nil {
+			return err
 		}
+		rehomed++
 	}
 	if rehomed > 0 {
 		n.log.Info("drain: re-homed journal frames", "frames", rehomed)
@@ -661,7 +633,7 @@ func (n *Node) rehomeJournal(ctx context.Context, e *RingEpoch) error {
 // (fencing this node's own routing view), run transfer sessions until
 // one moves nothing, and answer with the total rows moved.
 func (n *Node) handleTransfer(w http.ResponseWriter, r *http.Request) {
-	m, ok := n.readCtrl(w, r, MsgTransferRequest)
+	m, ok := readCtrl(w, r, MsgTransferRequest)
 	if !ok {
 		return
 	}
@@ -678,7 +650,7 @@ func (n *Node) handleTransfer(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "cluster: transfer: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	n.writeCtrl(w, &Message{Kind: MsgTransferResponse,
+	writeCtrl(w, &Message{Kind: MsgTransferResponse,
 		TransferResp: &TransferResponse{From: n.cfg.ID, Rows: rows}})
 }
 
@@ -686,7 +658,7 @@ func (n *Node) handleTransfer(w http.ResponseWriter, r *http.Request) {
 // dedupe index (a no-op apply, like manifest seeding) and records them
 // so this node's own manifests serve them onward.
 func (n *Node) handleTransferKeys(w http.ResponseWriter, r *http.Request) {
-	m, ok := n.readCtrl(w, r, MsgTransferKeys)
+	m, ok := readCtrl(w, r, MsgTransferKeys)
 	if !ok {
 		return
 	}
@@ -712,7 +684,7 @@ func (n *Node) handleTransferKeys(w http.ResponseWriter, r *http.Request) {
 // handleDrain serves MsgDrain (relayed by a front's admin endpoint):
 // kick off the drain in the background and acknowledge with 202.
 func (n *Node) handleDrain(w http.ResponseWriter, r *http.Request) {
-	m, ok := n.readCtrl(w, r, MsgDrain)
+	m, ok := readCtrl(w, r, MsgDrain)
 	if !ok {
 		return
 	}
@@ -735,11 +707,6 @@ func (n *Node) handleDrain(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusAccepted)
 }
 
-// handleEpoch reports the node's epoch state as JSON (ops/tests).
-func (n *Node) handleEpoch(w http.ResponseWriter, r *http.Request) {
-	writeEpochJSON(w, n.ms)
-}
-
 // epochJSON is the ops-facing shape of one ring epoch.
 type epochJSON struct {
 	Version   uint64   `json:"version"`
@@ -754,7 +721,9 @@ func toEpochJSON(e *RingEpoch) *epochJSON {
 	return &epochJSON{Version: e.Version, Committed: e.Committed, Nodes: e.Nodes}
 }
 
-func writeEpochJSON(w http.ResponseWriter, ms *membership) {
+// serveEpoch reports the epoch state as JSON (ops/tests), on a node's
+// control plane and a front's data plane alike.
+func (ms *membership) serveEpoch(w http.ResponseWriter, _ *http.Request) {
 	cur, next := ms.epochs()
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(struct {

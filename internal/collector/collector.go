@@ -34,7 +34,6 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -67,11 +66,6 @@ const maxUploadBytes = 8 << 20
 // itself has no global serialization to protect.
 const DefaultMaxInflight = 256
 
-// applyFunc decodes one endpoint's payload outside any store lock and
-// returns the originating router (it picks the store shard) plus the
-// mutation to run under that router's shard lock.
-type applyFunc func(body json.RawMessage) (string, func(*dataset.Store), error)
-
 // Server is the collection server. The store is lock-striped
 // (dataset.Sharded): uploads for different routers decode and append
 // concurrently, with no global serialization on the ingest path. The
@@ -80,8 +74,6 @@ type Server struct {
 	mu    sync.Mutex // guards faults only
 	store dataset.IngestStore
 	admit atomic.Value // chan struct{}; see SetMaxInflight
-
-	appliers map[string]applyFunc
 
 	hbRx *heartbeat.Receiver
 	http *http.Server
@@ -153,7 +145,6 @@ func NewServer(udpAddr, httpAddr string, store dataset.IngestStore) (*Server, er
 			"Upload API request handling latency.", nil, "endpoint"),
 		rec: trace.NewRecorder(trace.Config{}),
 	}
-	s.appliers = newAppliers()
 	s.admit.Store(make(chan struct{}, DefaultMaxInflight))
 	s.advertiseBinary.Store(true)
 	rx, err := heartbeat.NewReceiver(udpAddr, store.HeartbeatLog(), nil)
@@ -163,14 +154,13 @@ func NewServer(udpAddr, httpAddr string, store dataset.IngestStore) (*Server, er
 	s.hbRx = rx
 
 	mux := http.NewServeMux()
-	for path := range s.appliers {
+	for _, path := range append(Endpoints(), batchEndpoint) {
 		// Registration is exempt from fault injection: it is the one
 		// synchronous control-plane call, and failing it would keep
 		// demo gateways from ever coming up.
 		injectable := path != "/v1/register"
-		mux.HandleFunc("POST "+path, s.instrument(path, injectable, s.jsonEndpoint(path)))
+		mux.HandleFunc("POST "+path, s.instrument(path, injectable, s.handleUpload(path)))
 	}
-	mux.HandleFunc("POST /v1/batch", s.instrument("/v1/batch", true, s.handleBatch))
 	mux.HandleFunc("GET /v1/stats", s.instrument("/v1/stats", false, s.handleStats))
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	telemetry.RegisterDebug(mux, reg)
@@ -193,50 +183,6 @@ func NewServer(udpAddr, httpAddr string, store dataset.IngestStore) (*Server, er
 	go s.http.Serve(ln)
 	s.log.Debug("listening", "udp", s.UDPAddr(), "http", s.HTTPAddr())
 	return s, nil
-}
-
-// Endpoints returns every logical upload endpoint the server serves
-// ("/v1/register", "/v1/uptime", ...), sorted. The cluster front tier
-// proxies exactly this set.
-func Endpoints() []string {
-	m := newAppliers()
-	out := make([]string, 0, len(m))
-	for p := range m {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// newAppliers builds the decode table for every logical upload
-// endpoint. It is a package-level constructor (rather than inline in
-// NewServer) so request decoding can be exercised — and fuzzed —
-// without sockets or a live server. The six measurement endpoints
-// decode into the same wire.Payload an NPB1 item carries and share its
-// Router and AppendTo, so the two encodings cannot drift on placement
-// or on what counts as a row.
-func newAppliers() map[string]applyFunc {
-	m := map[string]applyFunc{"/v1/register": applyRegister}
-	for k := wire.KindUptime; k <= wire.KindThroughput; k++ { // every typed kind
-		endpoint := k.Endpoint()
-		m[endpoint] = func(body json.RawMessage) (string, func(*dataset.Store), error) {
-			p, err := wire.ParseJSON(endpoint, body)
-			if err != nil {
-				return "", nil, err
-			}
-			return p.Router(), p.AppendTo, nil
-		}
-	}
-	return m
-}
-
-// applyRegister decodes a registration (a router must have an ID).
-func applyRegister(body json.RawMessage) (string, func(*dataset.Store), error) {
-	var req registerReq
-	if err := json.Unmarshal(body, &req); err != nil || req.RouterID == "" {
-		return "", nil, fmt.Errorf("bad register")
-	}
-	return req.RouterID, func(st *dataset.Store) { st.RouterCountry[req.RouterID] = req.Country }, nil
 }
 
 // UDPAddr returns the heartbeat address.
@@ -368,9 +314,9 @@ func (c *countingReader) Read(p []byte) (int, error) {
 func (c *countingReader) Close() error { return c.rc.Close() }
 
 // instrument wraps an endpoint handler with the request/latency/payload
-// metrics, bounds the request body, applies admission control, and
-// applies fault injection to injectable (data-plane) endpoints. Metric
-// handles are resolved once per endpoint at mux build time.
+// metrics, applies admission control, and applies fault injection to
+// injectable (data-plane) endpoints. Metric handles are resolved once
+// per endpoint at mux build time.
 //
 // Admission control is non-blocking: when the in-flight limit is
 // reached the request is answered 429 + Retry-After immediately — load
@@ -418,7 +364,7 @@ func (s *Server) instrument(endpoint string, injectable bool, h http.HandlerFunc
 		}
 		var cr *countingReader
 		if r.Body != nil {
-			cr = &countingReader{rc: http.MaxBytesReader(w, r.Body, maxUploadBytes)}
+			cr = &countingReader{rc: r.Body}
 			r.Body = cr
 		}
 		mode := faultNone
@@ -509,42 +455,39 @@ func (s *Server) SetIngestGate(fn func(router string)) {
 	s.ingestGate.Store(&fn)
 }
 
-// jsonEndpoint serves one logical endpoint directly. Requests may carry
-// an Idempotency-Key header; replays of an applied key are acknowledged
+// handleUpload serves one upload endpoint, /v1/batch or a direct one:
+// read the body, open it as items, apply each, answer from the result.
+// Items may carry an idempotency key (a direct post's is its
+// Idempotency-Key header); replays of an applied key are acknowledged
 // without being re-applied.
-func (s *Server) jsonEndpoint(endpoint string) http.HandlerFunc {
-	af := s.appliers[endpoint]
-	decodeErrs := s.mDecodeErrs.With(endpoint)
+func (s *Server) handleUpload(endpoint string) http.HandlerFunc {
+	decodeErrs, oversized := s.mDecodeErrs.With(endpoint), s.mOversized.With(endpoint)
 	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		bb := s.readBody(w, r, endpoint)
-		if bb == nil {
-			return
-		}
-		router, apply, err := af(bb.b)
-		// The applier's json.Unmarshal copied everything it decoded, so
-		// the pooled buffer is free before the apply runs.
-		putBody(bb)
+		decodeStart := time.Now()
+		body, err := ReadBody(w, r)
 		if err != nil {
-			decodeErrs.Inc()
-			http.Error(w, err.Error(), http.StatusBadRequest)
+			if errors.As(err, new(*http.MaxBytesError)) {
+				oversized.Inc()
+			} else {
+				decodeErrs.Inc()
+			}
 			return
 		}
-		key := r.Header.Get("Idempotency-Key")
-		applied := s.ingest(endpoint, key, router, apply)
-		if key != "" && trace.Enabled() {
-			status := trace.StatusOK
-			if !applied {
-				status = trace.StatusDuplicate
+		defer body.Release()
+		src, err := NewItemSource(endpoint, r.Header.Get("Content-Type"), r.Header.Get("Idempotency-Key"), body.Bytes())
+		if err == nil {
+			defer src.Close()
+			b := s.newBatchIngest(endpoint, decodeStart)
+			if err = b.run(&src); err == nil {
+				for _, t := range b.traces {
+					s.rec.Finish(t)
+				}
+				b.res.Reply(w, endpoint)
+				return
 			}
-			s.rec.Finish(&trace.Trace{
-				ID: trace.IDFromKey(key), Router: router, Endpoint: endpoint,
-				Spans: []trace.Span{{
-					Name: "collector.apply", Start: start, End: time.Now(), Status: status,
-				}},
-			})
 		}
-		w.WriteHeader(http.StatusNoContent)
+		decodeErrs.Inc()
+		http.Error(w, err.Error(), http.StatusBadRequest)
 	}
 }
 
@@ -558,6 +501,15 @@ type BatchItem struct {
 	// gateway export, spool queue-wait, and delivery-attempt spans — so
 	// the server can assemble one end-to-end trace per payload.
 	Trace *trace.Wire `json:"trace,omitempty"`
+}
+
+// wireItem transcodes the item for the binary envelope, conservatively:
+// a body that does not decode cleanly into its endpoint's typed rows
+// rides as raw JSON (wire.PayloadFromJSON), so the accept/reject outcome
+// is the same whichever side of the wire transcodes.
+func (bi *BatchItem) wireItem() wire.Item {
+	return wire.Item{Endpoint: bi.Endpoint, Key: bi.Key, Trace: bi.Trace,
+		Payload: wire.PayloadFromJSON(bi.Endpoint, bi.Body)}
 }
 
 // BatchResult summarizes one /v1/batch ingestion. Failed reports every
@@ -576,95 +528,6 @@ type BatchFailure struct {
 	Endpoint string `json:"endpoint"`
 	Key      string `json:"key"`
 	Reason   string `json:"reason"`
-}
-
-// handleBatch ingests a batch of spooled uploads, JSON or binary (NPB1)
-// by Content-Type. Items are applied independently: an undecodable item
-// is counted, reported in BatchResult.Failed, and skipped without
-// failing the batch (the client's payloads are machine-generated, so a
-// decode error is a bug, not a retryable condition), and duplicate keys
-// are acknowledged without re-applying.
-//
-// The JSON envelope is decoded with json.Unmarshal, not a Decoder:
-// Unmarshal rejects trailing bytes after the array, where the old
-// Decoder-based path silently ignored them and acknowledged a request
-// whose tail was never applied.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	decodeStart := time.Now()
-	bb := s.readBody(w, r, "/v1/batch")
-	if bb == nil {
-		return
-	}
-	defer putBody(bb)
-	if ct := r.Header.Get("Content-Type"); ct == wire.ContentTypeBinary ||
-		strings.HasPrefix(ct, wire.ContentTypeBinary+";") {
-		s.handleBatchWire(w, bb.b, decodeStart)
-		return
-	}
-	var items []BatchItem
-	if err := json.Unmarshal(bb.b, &items); err != nil {
-		s.mDecodeErrs.With("/v1/batch").Inc()
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	var b batchIngest
-	b.begin(s, decodeStart)
-	for _, it := range items {
-		// Pre-sample: decide keep/drop before paying for trace assembly.
-		// Most items are healthy and most healthy traces are sampled away,
-		// so on the hot path only the hashed sampling decision runs per
-		// item (zero allocations when it says skip); the trace itself is
-		// built eagerly when WantTraceKey says keep, or lazily the moment
-		// an item goes wrong.
-		t, lazyKey := b.pre(it.Key, it.Trace, it.Endpoint)
-		s.batchItemJSON(&b, it, t, lazyKey)
-	}
-	b.finish(w)
-}
-
-// itemTrace assembles the server-side trace for one keyed batch item:
-// the client's wire spans plus the shared envelope-decode span, sized in
-// one allocation with room for the apply span to come. Keep is set —
-// the pre-sampler already decided this trace survives, so Finish must
-// not flip the sampling coin again.
-func itemTrace(id string, w *trace.Wire, endpoint string, decodeStart, decodeEnd time.Time) *trace.Trace {
-	t := &trace.Trace{ID: id, Endpoint: endpoint, Keep: true}
-	var wire []trace.Span
-	if w != nil {
-		t.Router = w.Router
-		wire = w.Spans
-	}
-	t.Spans = append(make([]trace.Span, 0, len(wire)+2), wire...)
-	t.Spans = append(t.Spans, trace.Span{
-		Name: "collector.decode", Start: decodeStart, End: decodeEnd,
-	})
-	return t
-}
-
-// lazyTrace builds the trace for an item the pre-sampler skipped once
-// its outcome turns out interesting (rejected or duplicate) — the tail
-// contract says those are never sampled away. No-op when the item is
-// untraced or its trace already exists.
-func lazyTrace(t *trace.Trace, key string, w *trace.Wire, endpoint string, decodeStart, decodeEnd time.Time, traces *[]*trace.Trace) *trace.Trace {
-	if t != nil || key == "" {
-		return t
-	}
-	t = itemTrace(trace.IDFromKey(key), w, endpoint, decodeStart, decodeEnd)
-	*traces = append(*traces, t)
-	return t
-}
-
-// addApply appends the per-item apply span (decode + dedupe + shard
-// mutation) to a batch item's trace. Safe on a nil trace (untraced item).
-func addApply(t *trace.Trace, start time.Time, status, reason string) {
-	if t == nil {
-		return
-	}
-	sp := trace.Span{Name: "collector.apply", Start: start, End: time.Now(), Status: status}
-	if reason != "" {
-		sp.Attrs = []trace.Attr{{K: "reason", V: reason}}
-	}
-	t.Spans = append(t.Spans, sp)
 }
 
 // Close shuts the server down gracefully: the heartbeat socket stops
@@ -1165,22 +1028,14 @@ func (c *Client) sendBatch(ctx context.Context, items []spool.Item) (spool.Resul
 }
 
 // encodeBatch renders one batch request body in the client's negotiated
-// encoding, applying gzip when configured. The binary transcode is
-// conservative: any body that does not decode cleanly into its
-// endpoint's typed rows ships as raw JSON inside the NPB1 envelope, so
-// the server's accept/reject outcome matches the JSON path exactly. The
-// returned buffer is drainer-owned and valid until the next call.
+// encoding, applying gzip when configured. The returned buffer is
+// drainer-owned and valid until the next call.
 func (c *Client) encodeBatch(payload []BatchItem) (body []byte, contentType string, err error) {
 	useBinary := c.wireMode == WireBinary || (c.wireMode == WireAuto && c.binary.Load())
 	if useBinary {
 		wireItems := make([]wire.Item, len(payload))
 		for i := range payload {
-			wireItems[i] = wire.Item{
-				Endpoint: payload[i].Endpoint,
-				Key:      payload[i].Key,
-				Payload:  wire.PayloadFromJSON(payload[i].Endpoint, payload[i].Body),
-				Trace:    payload[i].Trace,
-			}
+			wireItems[i] = payload[i].wireItem()
 		}
 		c.encBuf = wire.AppendBatch(c.encBuf[:0], wireItems)
 		body, contentType = c.encBuf, wire.ContentTypeBinary

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"sort"
 	"testing"
 	"time"
 
@@ -37,35 +36,30 @@ func FuzzRequestDecode(f *testing.F) {
 		`{"endpoint":"/v1/nope","key":"k2","body":{}},{"endpoint":"/v1/wifi","key":"k3","body":"notanarray"}]`))
 	f.Add([]byte(`null`))
 
-	appliers := newAppliers()
-	var endpoints []string
-	for ep := range appliers {
-		endpoints = append(endpoints, ep)
-	}
-	sort.Strings(endpoints)
+	endpoints := append(Endpoints(), batchEndpoint)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Direct endpoint decode: the body is offered to every endpoint,
-		// as a mis-routed client could.
-		for _, ep := range endpoints {
-			if _, apply, err := appliers[ep](data); err == nil {
-				apply(dataset.NewStore())
-			}
-		}
-		// Batch envelope: items route to per-endpoint decoders; unknown
+		// The body is offered to every direct endpoint, as a mis-routed
+		// client could, and to /v1/batch as a JSON envelope, through the
+		// item source and the raw decoder the handler uses: unknown
 		// endpoints and undecodable bodies must be skipped, not fatal.
-		var items []BatchItem
-		if json.Unmarshal(data, &items) == nil {
-			st := dataset.NewStore()
-			for _, it := range items {
-				af := appliers[it.Endpoint]
-				if af == nil {
-					continue
-				}
-				if _, apply, err := af(it.Body); err == nil {
-					apply(st)
-				}
+		for _, ep := range endpoints {
+			src, err := NewItemSource(ep, "application/json", "k", data)
+			if err != nil {
+				continue
 			}
+			st := dataset.NewStore()
+			var it wire.Item
+			for src.Next(&it) == nil {
+				apply := it.Payload.AppendTo
+				if it.Payload.Kind == wire.KindRaw {
+					if _, apply, err = DecodeRaw(it.Endpoint, it.Payload.Raw); err != nil {
+						continue
+					}
+				}
+				apply(st)
+			}
+			src.Close()
 		}
 		// Round-trip every typed payload the client can encode.
 		roundTrip[dataset.UptimeReport](t, data)
@@ -143,7 +137,7 @@ func replayBatch(t *testing.T, contentType string, body []byte) (string, string)
 	req := httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(body))
 	req.Header.Set("Content-Type", contentType)
 	rec := httptest.NewRecorder()
-	srv.handleBatch(rec, req)
+	srv.handleUpload(batchEndpoint)(rec, req)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("%s batch: status %d: %s", contentType, rec.Code, rec.Body)
 	}

@@ -252,10 +252,132 @@ func normalizeRows(t *testing.T, st *dataset.Store, router string) string {
 	return strings.ReplaceAll(string(b), router, "ROUTER")
 }
 
-// TestBinaryBatchMatchesJSON drives the same sink calls through a
-// JSON-pinned client and a binary-pinned client against two servers and
-// requires the resulting stores to be row-for-row identical — the
-// encoding must be invisible to the dataset.
+// equivalenceItems is one seeded payload list that every shape of upload
+// must treat identically: registration, each typed kind, a census that
+// carries sightings only, a redelivered key, a row whose timestamp is
+// outside the typed encoding's range (stored as sent), a malformed body
+// and an unknown endpoint.
+func equivalenceItems(t *testing.T, router string) []BatchItem {
+	t.Helper()
+	mk := func(endpoint, key string, v any) BatchItem {
+		body, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return BatchItem{Endpoint: endpoint, Key: key, Body: body}
+	}
+	dev := mac.MustParse("a4:b1:97:01:02:03")
+	uptime := mk("/v1/uptime", router+":eq:up", dataset.UptimeReport{RouterID: router, ReportedAt: t0, Uptime: 36 * time.Hour})
+	return []BatchItem{
+		mk("/v1/register", "", registerReq{RouterID: router, Country: "US"}),
+		uptime,
+		mk("/v1/capacity", router+":eq:cap", dataset.CapacityMeasure{RouterID: router, MeasuredAt: t0, UpBps: 1e6, DownBps: 16e6}),
+		mk("/v1/devices", router+":eq:dev", wire.Census{
+			Count:     dataset.DeviceCount{RouterID: router, At: t0, Wired: 1, W24: 2, W5: 1},
+			Sightings: []dataset.DeviceSighting{{RouterID: router, At: t0, Device: dev, Kind: dataset.Wireless24}}}),
+		mk("/v1/devices", router+":eq:sight", wire.Census{
+			Sightings: []dataset.DeviceSighting{{RouterID: router, At: t0.Add(time.Minute), Device: dev, Kind: dataset.Wired}}}),
+		mk("/v1/wifi", router+":eq:wifi", []dataset.WiFiScan{{RouterID: router, At: t0, Band: "2.4GHz", Channel: 6, VisibleAPs: 9, Clients: 2}}),
+		mk("/v1/traffic/flows", router+":eq:flow", []dataset.FlowRecord{{RouterID: router, Device: dev, Domain: "netflix.com",
+			Proto: "tcp", First: t0, Last: t0.Add(90 * time.Second), UpBytes: 1 << 20, DownBytes: 50 << 20, UpPkts: 900, DownPkts: 36000, Conns: 2}}),
+		mk("/v1/traffic/throughput", router+":eq:tput", []dataset.ThroughputSample{{RouterID: router, Minute: t0, Dir: "down", PeakBps: 4.2e6, TotalBytes: 9 << 20}}),
+		uptime, // redelivered
+		mk("/v1/uptime", router+":eq:old", dataset.UptimeReport{RouterID: router,
+			ReportedAt: time.Date(1850, 1, 1, 0, 0, 0, 0, time.UTC), Uptime: time.Hour}),
+		{Endpoint: "/v1/uptime", Key: router + ":eq:bad", Body: json.RawMessage(`{"RouterID":42}`)},
+		{Endpoint: "/v1/nope", Key: router + ":eq:unknown", Body: json.RawMessage(`{}`)},
+	}
+}
+
+// uploadAs sends items to srv in one shape — "npb1" and "json" as one
+// /v1/batch request, "direct" as one keyed POST per item (an unknown
+// endpoint has no direct form: the mux refuses it before any handler) —
+// and returns every item's outcome in order: what the ingest observer saw
+// for the applied and deduplicated ones, the reported reason for the
+// refused ones.
+func uploadAs(t *testing.T, srv *Server, shape string, items []BatchItem) []string {
+	t.Helper()
+	var mu sync.Mutex
+	decided := map[string][]string{} // key -> ingest decisions, in order
+	srv.SetIngestObserver(func(endpoint, key, router string, applied bool) {
+		mu.Lock()
+		decided[key] = append(decided[key], fmt.Sprintf("%s -> %s applied=%v", endpoint, router, applied))
+		mu.Unlock()
+	})
+	refused := map[string]string{}
+	switch shape {
+	case "direct":
+		for _, it := range items {
+			if it.Endpoint == "/v1/nope" {
+				refused[it.Key] = "unknown endpoint"
+				continue
+			}
+			req, err := http.NewRequest(http.MethodPost, "http://"+srv.HTTPAddr()+it.Endpoint, bytes.NewReader(it.Body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("Idempotency-Key", it.Key)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			switch resp.StatusCode {
+			case http.StatusNoContent:
+			case http.StatusBadRequest:
+				refused[it.Key] = strings.TrimSpace(string(msg))
+			default:
+				t.Fatalf("direct %s: status %d (%s)", it.Endpoint, resp.StatusCode, msg)
+			}
+		}
+	default:
+		body, contentType := []byte(nil), "application/json"
+		if shape == "npb1" {
+			wireItems := make([]wire.Item, len(items))
+			for i := range items {
+				wireItems[i] = items[i].wireItem()
+			}
+			body, contentType = wire.AppendBatch(nil, wireItems), wire.ContentTypeBinary
+		} else {
+			var err error
+			if body, err = json.Marshal(items); err != nil {
+				t.Fatal(err)
+			}
+		}
+		resp, msg := postBatch(t, srv, contentType, body)
+		var res BatchResult
+		if err := json.Unmarshal([]byte(msg), &res); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s batch: status %d: %s", shape, resp.StatusCode, msg)
+		}
+		if res.Rejected != len(res.Failed) || res.Applied+res.Duplicates+res.Rejected != len(items) {
+			t.Fatalf("%s batch: result %+v does not account for %d items", shape, res, len(items))
+		}
+		for _, f := range res.Failed {
+			refused[f.Key] = f.Reason
+		}
+	}
+	out := make([]string, len(items))
+	for i, it := range items {
+		if reason, ok := refused[it.Key]; ok {
+			out[i] = it.Key + ": rejected: " + reason
+			continue
+		}
+		if len(decided[it.Key]) == 0 {
+			t.Fatalf("%s: item %d (%s %q) neither refused nor ingested", shape, i, it.Endpoint, it.Key)
+		}
+		out[i] = it.Key + ": " + decided[it.Key][0]
+		decided[it.Key] = decided[it.Key][1:]
+	}
+	return out
+}
+
+// TestBinaryBatchMatchesJSON requires the encoding to be invisible to the
+// dataset. First the same sink calls through a JSON-pinned and a
+// binary-pinned client against two servers; then one seeded payload list
+// (equivalenceItems) sent as an NPB1 batch, as a JSON batch and as direct
+// posts against three: row-for-row identical stores, identical placement,
+// identical per-item outcome and reject reason.
 func TestBinaryBatchMatchesJSON(t *testing.T) {
 	stores := map[WireMode]string{}
 	placed := map[WireMode]string{}
@@ -292,6 +414,39 @@ func TestBinaryBatchMatchesJSON(t *testing.T) {
 	}
 	if placed[WireJSON] != placed[WireBinary] || strings.Contains(placed[WireBinary]+"\n", "-> \n") {
 		t.Fatalf("shard routing differs or is empty:\njson\n%s\nbinary\n%s", placed[WireJSON], placed[WireBinary])
+	}
+
+	const router = "eq-router"
+	var want struct{ rows, outcomes string }
+	for _, shape := range []string{"npb1", "json", "direct"} {
+		srv, err := NewServer("127.0.0.1:0", "127.0.0.1:0", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		outcomes := strings.Join(uploadAs(t, srv, shape, equivalenceItems(t, router)), "\n")
+		st := srv.Store()
+		rows := normalizeRows(t, st, router) + " country=" + st.RouterCountry[router]
+		if shape == "npb1" {
+			want.rows, want.outcomes = rows, outcomes
+			for _, sub := range []string{":eq:up: /v1/uptime -> eq-router applied=true", ":eq:up: /v1/uptime -> eq-router applied=false",
+				":eq:sight: /v1/devices -> eq-router applied=true", ":eq:old: /v1/uptime -> eq-router applied=true",
+				":eq:bad: rejected: decode error: ", ":eq:unknown: rejected: unknown endpoint", ": /v1/register -> eq-router applied=true"} {
+				if !strings.Contains(outcomes, sub) {
+					t.Fatalf("npb1 outcomes lack %q:\n%s", sub, outcomes)
+				}
+			}
+			if len(st.Uptime) != 2 || len(st.Counts) != 1 || len(st.Sightings) != 2 || st.Uptime[1].ReportedAt.Year() != 1850 {
+				t.Fatalf("npb1 store: %s", rows)
+			}
+			continue
+		}
+		if rows != want.rows {
+			t.Errorf("%s store differs from npb1:\n%s\nnpb1\n%s", shape, rows, want.rows)
+		}
+		if outcomes != want.outcomes {
+			t.Errorf("%s per-item outcomes differ from npb1:\n%s\nnpb1\n%s", shape, outcomes, want.outcomes)
+		}
 	}
 }
 

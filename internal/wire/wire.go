@@ -91,44 +91,35 @@ const (
 	kindMax = KindThroughput
 )
 
+// kindEndpoints is the upload endpoint each typed kind serves; KindRaw's
+// is carried explicitly.
+var kindEndpoints = [kindMax + 1]string{
+	KindUptime:     "/v1/uptime",
+	KindCapacity:   "/v1/capacity",
+	KindDevices:    "/v1/devices",
+	KindWiFi:       "/v1/wifi",
+	KindFlows:      "/v1/traffic/flows",
+	KindThroughput: "/v1/traffic/throughput",
+}
+
 // KindFor maps an upload endpoint to its typed payload kind (KindRaw
 // for endpoints without a binary schema).
 func KindFor(endpoint string) Kind {
-	switch endpoint {
-	case "/v1/uptime":
-		return KindUptime
-	case "/v1/capacity":
-		return KindCapacity
-	case "/v1/devices":
-		return KindDevices
-	case "/v1/wifi":
-		return KindWiFi
-	case "/v1/traffic/flows":
-		return KindFlows
-	case "/v1/traffic/throughput":
-		return KindThroughput
+	for k := KindUptime; k <= kindMax; k++ {
+		if kindEndpoints[k] == endpoint {
+			return k
+		}
 	}
 	return KindRaw
 }
 
 // Endpoint returns the upload endpoint a typed kind serves ("" for
-// KindRaw, whose endpoint is carried explicitly).
+// KindRaw and for unknown kinds).
 func (k Kind) Endpoint() string {
-	switch k {
-	case KindUptime:
-		return "/v1/uptime"
-	case KindCapacity:
-		return "/v1/capacity"
-	case KindDevices:
-		return "/v1/devices"
-	case KindWiFi:
-		return "/v1/wifi"
-	case KindFlows:
-		return "/v1/traffic/flows"
-	case KindThroughput:
-		return "/v1/traffic/throughput"
+	if k > kindMax {
+		return ""
 	}
-	return ""
+	return kindEndpoints[k]
 }
 
 // Item is one batch entry: the binary equivalent of the JSON
