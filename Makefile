@@ -2,7 +2,7 @@
 #
 #   make check           # vet + build + tests with -race + verify + load + cluster + segment + rebalance + figures gates + natbench build
 #   make check-verify    # golden runs, conservation invariants, parser fuzzing
-#   make check-load      # sharded-store stress + admission + loadgen soaks, -race
+#   make check-load      # sharded-store stress + admission + loadgen soaks, -race; NPB1 apply alloc budget without
 #   make check-cluster   # multi-node routing/replication/failover + chaos soak, -race
 #   make check-segment   # segment engine: crash windows, fuzz seeds, goldens, -race
 #   make check-rebalance # elastic scale-in/out: ring property, epoch, soaks, goldens, -race
@@ -73,10 +73,17 @@ bench-telemetry:
 # spool suite (retry/overflow/journal/concurrency), the collector
 # fault-injection suite (zero row loss through 30% failed POSTs plus a
 # server restart, idempotency dedupe, journal recovery across a client
-# restart), and the gateway export/throttle regressions.
+# restart), the decode-path regressions and the upload-shape
+# equivalence tests (NPB1 batch = JSON batch = direct posts, at a
+# collector and through a front; gzip'd direct posts through a front;
+# the server flags that tune a collector, stand-alone and in a cluster
+# node), and the gateway export/throttle regressions. CI calls this
+# target rather than listing tests of its own.
 check-reliability:
 	$(GO) test -race ./internal/spool/
 	$(GO) test -race -run 'TestZeroRowLoss|TestSpoolJournal|TestBatch|TestIdempotency|TestOversized|TestChunked|TestErrorResponses|TestClientErrSurfacesFailures|TestWire|TestGzip|TestDirectEndpoint|TestBinary' ./internal/collector/
+	$(GO) test -race -run 'TestClusterJSONBatchEquivalent|TestClusterDirectEndpointProxy|TestFrontBodyLimits' ./internal/cluster/
+	$(GO) test -race ./cmd/bismark-server/
 	$(GO) test -race -run 'TestFlowExport|TestPowerOffExports|TestScanThrottle' ./internal/gateway/
 
 # The correctness-harness gate:
@@ -109,10 +116,14 @@ check-verify: fuzz-seeds
 #   3. loadgen soaks — ~200 synthetic routers with strict row accounting,
 #      clean and under fault injection / throttling;
 #   4. analysis figures on a 10k-router synthetic store within their
-#      per-figure time budgets (O(n^2) regression guard).
+#      per-figure time budgets (O(n^2) regression guard);
+#   5. the NPB1 apply allocation budget — the same per-item constant at
+#      8 and at 256 items — which the race detector's own allocations
+#      would drown, so it runs without.
 check-load:
 	$(GO) test -race -run 'TestSharded' ./internal/dataset/
 	$(GO) test -race -run 'TestSaturatedIngest|TestControlPlaneExempt' ./internal/collector/
+	$(GO) test -run 'TestBatchApplyAllocBudget' ./internal/collector/
 	$(GO) test -race ./internal/loadgen/
 	$(GO) test -race -run 'TestScale' ./internal/analysis/
 

@@ -158,7 +158,7 @@ func NewFront(cfg FrontConfig) (*Front, error) {
 	go f.ctrl.Serve(ctrlLn)
 
 	mux := http.NewServeMux()
-	for _, ep := range append(collector.Endpoints(), "/v1/batch") {
+	for _, ep := range append(collector.Endpoints(), collector.BatchEndpoint) {
 		mux.HandleFunc("POST "+ep, f.instrument(ep, f.handleUpload(ep)))
 	}
 	mux.HandleFunc("GET /v1/stats", f.handleStats)
@@ -452,7 +452,7 @@ func (f *Front) forward(ctx context.Context, g *placementGroup, traceparent stri
 
 	if trace.Enabled() && g.items[0].Key != "" {
 		f.rec.Finish(&trace.Trace{
-			ID: trace.IDFromKey(g.items[0].Key), Endpoint: "/v1/batch",
+			ID: trace.IDFromKey(g.items[0].Key), Endpoint: collector.BatchEndpoint,
 			Router: routerOfItem(&g.items[0]),
 			Spans: []trace.Span{{
 				Name: "front.forward", Start: start, End: time.Now(), Status: trace.StatusOK,

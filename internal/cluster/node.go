@@ -512,7 +512,7 @@ func (n *Node) replayScan() {
 // own data plane, which reproduces the pre-rebalance behavior exactly.
 func (n *Node) replay(e *journalEntry) (collector.BatchResult, error) {
 	var total collector.BatchResult
-	items, err := decodeItems("/v1/batch", wire.ContentTypeBinary, "", e.batch)
+	items, err := decodeItems(collector.BatchEndpoint, wire.ContentTypeBinary, "", e.batch)
 	if err != nil {
 		return total, err
 	}

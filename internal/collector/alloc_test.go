@@ -28,7 +28,7 @@ func TestBatchApplyAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	handler := srv.handleUpload(batchEndpoint)
+	handler := srv.handleUpload(BatchEndpoint)
 	const runs = 40
 	perRequest := func(items int) float64 {
 		// Fresh keys per request (a replay would take the dedupe branch),
@@ -45,7 +45,7 @@ func TestBatchApplyAllocBudget(t *testing.T) {
 		}
 		next := 0
 		return testing.AllocsPerRun(runs, func() {
-			req := httptest.NewRequest(http.MethodPost, batchEndpoint, bytes.NewReader(bodies[next]))
+			req := httptest.NewRequest(http.MethodPost, BatchEndpoint, bytes.NewReader(bodies[next]))
 			req.Header.Set("Content-Type", wire.ContentTypeBinary)
 			next++
 			rec := httptest.NewRecorder()

@@ -36,7 +36,7 @@ func FuzzRequestDecode(f *testing.F) {
 		`{"endpoint":"/v1/nope","key":"k2","body":{}},{"endpoint":"/v1/wifi","key":"k3","body":"notanarray"}]`))
 	f.Add([]byte(`null`))
 
-	endpoints := append(Endpoints(), batchEndpoint)
+	endpoints := append(Endpoints(), BatchEndpoint)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The body is offered to every direct endpoint, as a mis-routed
@@ -137,7 +137,7 @@ func replayBatch(t *testing.T, contentType string, body []byte) (string, string)
 	req := httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(body))
 	req.Header.Set("Content-Type", contentType)
 	rec := httptest.NewRecorder()
-	srv.handleUpload(batchEndpoint)(rec, req)
+	srv.handleUpload(BatchEndpoint)(rec, req)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("%s batch: status %d: %s", contentType, rec.Code, rec.Body)
 	}

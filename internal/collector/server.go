@@ -129,7 +129,7 @@ func NewServer(udpAddr, httpAddr string, store dataset.IngestStore) (*Server, er
 		mPayload: reg.CounterVec("natpeek_http_payload_bytes_total",
 			"Upload API request payload bytes actually read, per endpoint.", "endpoint"),
 		mItems: reg.CounterVec("natpeek_collector_batch_items_total",
-			"Spooled payloads ingested through /v1/batch, per logical endpoint.", "endpoint"),
+			"Upload items ingested (batch items and direct posts), per logical endpoint.", "endpoint"),
 		mDedupe: reg.CounterVec("natpeek_collector_dedupe_total",
 			"Uploads skipped because their idempotency key was already applied, per endpoint.", "endpoint"),
 		mInjected: reg.CounterVec("natpeek_collector_injected_failures_total",
@@ -149,7 +149,7 @@ func NewServer(udpAddr, httpAddr string, store dataset.IngestStore) (*Server, er
 	s.hbRx = rx
 
 	mux := http.NewServeMux()
-	for _, path := range append(Endpoints(), batchEndpoint) {
+	for _, path := range append(Endpoints(), BatchEndpoint) {
 		// Registration is exempt from fault injection: it is the one
 		// synchronous control-plane call, and failing it would keep
 		// demo gateways from ever coming up.

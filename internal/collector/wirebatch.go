@@ -33,9 +33,9 @@ import (
 	"natpeek/internal/wire"
 )
 
-// batchEndpoint is the one endpoint whose body is an envelope of items;
+// BatchEndpoint is the one endpoint whose body is an envelope of items;
 // every other upload endpoint's body is one item's payload.
-const batchEndpoint = "/v1/batch"
+const BatchEndpoint = "/v1/batch"
 
 // Body is a pooled request-body buffer. Pooling these (instead of
 // io.ReadAll per request) removes the largest per-request allocation on
@@ -157,7 +157,7 @@ type ItemSource struct {
 func NewItemSource(endpoint, contentType, key string, body []byte) (ItemSource, error) {
 	var src ItemSource
 	switch {
-	case endpoint != batchEndpoint:
+	case endpoint != BatchEndpoint:
 		src.json = []BatchItem{{Endpoint: endpoint, Key: key, Body: body}}
 	case contentType == wire.ContentTypeBinary || strings.HasPrefix(contentType, wire.ContentTypeBinary+";"):
 		src.dec = decoderPool.Get().(*wire.Decoder)
@@ -439,7 +439,7 @@ func (r *BatchResult) Add(o BatchResult) {
 // when applied or deduplicated, 400 with the reason when refused.
 func (r *BatchResult) Reply(w http.ResponseWriter, endpoint string) {
 	switch {
-	case endpoint == batchEndpoint:
+	case endpoint == BatchEndpoint:
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(r)
 	case len(r.Failed) > 0:
