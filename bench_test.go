@@ -197,7 +197,7 @@ func BenchmarkAblationGapThreshold(b *testing.B) {
 		for _, thr := range []time.Duration{2 * time.Minute, 5 * time.Minute, 10 * time.Minute, 20 * time.Minute, time.Hour} {
 			win := w.Availability
 			win.Threshold = thr
-			rates := analysis.DowntimesPerDayByGroup(st, win)
+			rates := analysis.DowntimesPerDayByGroup(st, analysis.NewRoster(st), win)
 			fmt.Printf("   thr=%-5s developed median=%.3f/day  developing median=%.3f/day\n",
 				thr, stats.Median(rates[analysis.Developed]), stats.Median(rates[analysis.Developing]))
 		}
@@ -207,7 +207,7 @@ func BenchmarkAblationGapThreshold(b *testing.B) {
 	win.Threshold = 10 * time.Minute
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = analysis.DowntimesPerDayByGroup(st, win)
+		_ = analysis.DowntimesPerDayByGroup(st, analysis.NewRoster(st), win)
 	}
 }
 

@@ -55,19 +55,20 @@ func fixtureStore() *dataset.Store {
 
 func TestRouterGrouping(t *testing.T) {
 	st := fixtureStore()
-	dev := RoutersInGroup(st, Developed)
-	dvg := RoutersInGroup(st, Developing)
+	ro := NewRoster(st)
+	dev := ro.InGroup(Developed)
+	dvg := ro.InGroup(Developing)
 	if len(dev) != 2 || len(dvg) != 2 {
 		t.Fatalf("groups %v / %v", dev, dvg)
 	}
-	if got := RoutersInCountry(st, "IN"); len(got) != 2 {
+	if got := ro.InCountry("IN"); len(got) != 2 {
 		t.Fatalf("IN routers %v", got)
 	}
 }
 
 func TestDowntimesPerDayByGroup(t *testing.T) {
 	st := fixtureStore()
-	got := DowntimesPerDayByGroup(st, win)
+	got := DowntimesPerDayByGroup(st, NewRoster(st), win)
 	dev, dvg := got[Developed], got[Developing]
 	if len(dev) != 2 || len(dvg) != 2 {
 		t.Fatal("missing samples")
@@ -88,7 +89,7 @@ func TestDowntimesPerDayByGroup(t *testing.T) {
 
 func TestDowntimeDurations(t *testing.T) {
 	st := fixtureStore()
-	got := DowntimeDurationsByGroup(st, win)
+	got := DowntimeDurationsByGroup(st, NewRoster(st), win)
 	if len(got[Developed]) != 1 {
 		t.Fatalf("developed downtimes = %d, want 1", len(got[Developed]))
 	}
@@ -106,7 +107,7 @@ func TestDowntimeDurations(t *testing.T) {
 
 func TestMedianTimeBetweenDowntimes(t *testing.T) {
 	st := fixtureStore()
-	got := MedianTimeBetweenDowntimes(st, win)
+	got := MedianTimeBetweenDowntimes(st, NewRoster(st), win)
 	if got[Developed] <= got[Developing] {
 		t.Fatalf("ordering wrong: %v vs %v", got[Developed], got[Developing])
 	}
@@ -120,7 +121,7 @@ func TestMedianTimeBetweenDowntimes(t *testing.T) {
 
 func TestDowntimesByCountry(t *testing.T) {
 	st := fixtureStore()
-	pts := DowntimesByCountry(st, win, 2)
+	pts := DowntimesByCountry(st, NewRoster(st), win, 2)
 	if len(pts) != 2 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -138,8 +139,8 @@ func TestDowntimesByCountry(t *testing.T) {
 
 func TestMedianUptimeFraction(t *testing.T) {
 	st := fixtureStore()
-	us := MedianUptimeFraction(st, "US", win)
-	in := MedianUptimeFraction(st, "IN", win)
+	us := MedianUptimeFraction(st, NewRoster(st), "US", win)
+	in := MedianUptimeFraction(st, NewRoster(st), "IN", win)
 	if us < 0.99 {
 		t.Fatalf("US uptime %v", us)
 	}
@@ -190,10 +191,10 @@ func TestClassifyAvailability(t *testing.T) {
 func TestFractionWithFrequentDowntime(t *testing.T) {
 	st := fixtureStore()
 	// Developing homes all exceed one downtime per 3 days.
-	if f := FractionWithFrequentDowntime(st, Developing, win, 3); f != 1 {
+	if f := FractionWithFrequentDowntime(st, NewRoster(st), Developing, win, 3); f != 1 {
 		t.Fatalf("developing frequent fraction %v", f)
 	}
-	if f := FractionWithFrequentDowntime(st, Developed, win, 10); f > 0.5 {
+	if f := FractionWithFrequentDowntime(st, NewRoster(st), Developed, win, 10); f > 0.5 {
 		t.Fatalf("developed frequent fraction %v", f)
 	}
 }
@@ -547,7 +548,7 @@ func TestDowntimeCausesTally(t *testing.T) {
 			Uptime:     time.Duration(d)*24*time.Hour + 20*time.Hour,
 		})
 	}
-	tally := DowntimeCauses(st, Developing, win)
+	tally := DowntimeCauses(st, NewRoster(st), Developing, win)
 	if tally[CauseNetwork] == 0 {
 		t.Fatalf("tally %v", tally)
 	}

@@ -43,29 +43,39 @@ func isDeveloped(st *dataset.Store, routerID string) (bool, bool) {
 	return c.Developed, true
 }
 
-// RoutersInGroup returns the router IDs belonging to a group.
-func RoutersInGroup(st *dataset.Store, g Group) []string {
-	var out []string
-	for _, id := range st.Routers() {
-		dev, ok := isDeveloped(st, id)
-		if ok && (dev == (g == Developed)) {
-			out = append(out, id)
-		}
-	}
-	return out
+// Roster is a store's deployment roster indexed once: the router IDs
+// sorted and split per country and per group. A page enumerates routers
+// per group and per country many times over; it builds one Roster and
+// none of those calls sorts or scans the roster again.
+type Roster struct {
+	byCountry map[string][]string
+	byGroup   [2][]string // indexed by Group
 }
 
-// RoutersInCountry returns the router IDs deployed in the country code.
-func RoutersInCountry(st *dataset.Store, code string) []string {
-	var out []string
+// NewRoster indexes st's roster.
+func NewRoster(st *dataset.Store) *Roster {
+	ro := &Roster{byCountry: map[string][]string{}}
 	for _, id := range st.Routers() {
-		if st.RouterCountry[id] == code {
-			out = append(out, id)
+		code := st.RouterCountry[id]
+		ro.byCountry[code] = append(ro.byCountry[code], id)
+		if c, ok := geo.Lookup(code); ok {
+			g := Developing
+			if c.Developed {
+				g = Developed
+			}
+			ro.byGroup[g] = append(ro.byGroup[g], id)
 		}
 	}
-	sort.Strings(out)
-	return out
+	return ro
 }
+
+// InGroup returns the router IDs belonging to a group, sorted. The
+// result is shared: callers must not modify it.
+func (ro *Roster) InGroup(g Group) []string { return ro.byGroup[g] }
+
+// InCountry returns the router IDs deployed in the country code, sorted.
+// The result is shared: callers must not modify it.
+func (ro *Roster) InCountry(code string) []string { return ro.byCountry[code] }
 
 // AvailabilityWindow is the analysis window for heartbeat statistics.
 type AvailabilityWindow struct {
@@ -75,10 +85,10 @@ type AvailabilityWindow struct {
 
 // DowntimesPerDayByGroup computes, per group, each router's average number
 // of downtimes per day — the distribution behind Fig. 3.
-func DowntimesPerDayByGroup(st *dataset.Store, w AvailabilityWindow) map[Group][]float64 {
+func DowntimesPerDayByGroup(st *dataset.Store, ro *Roster, w AvailabilityWindow) map[Group][]float64 {
 	out := map[Group][]float64{}
 	for _, g := range []Group{Developed, Developing} {
-		for _, id := range RoutersInGroup(st, g) {
+		for _, id := range ro.InGroup(g) {
 			out[g] = append(out[g], st.Heartbeats.DowntimesPerDay(id, w.From, w.To, w.Threshold))
 		}
 	}
@@ -87,10 +97,10 @@ func DowntimesPerDayByGroup(st *dataset.Store, w AvailabilityWindow) map[Group][
 
 // DowntimeDurationsByGroup pools every downtime duration (seconds) per
 // group — Fig. 4's distribution.
-func DowntimeDurationsByGroup(st *dataset.Store, w AvailabilityWindow) map[Group][]float64 {
+func DowntimeDurationsByGroup(st *dataset.Store, ro *Roster, w AvailabilityWindow) map[Group][]float64 {
 	out := map[Group][]float64{}
 	for _, g := range []Group{Developed, Developing} {
-		for _, id := range RoutersInGroup(st, g) {
+		for _, id := range ro.InGroup(g) {
 			for _, d := range st.Heartbeats.Downtimes(id, w.From, w.To, w.Threshold) {
 				out[g] = append(out[g], d.Duration().Seconds())
 			}
@@ -103,12 +113,12 @@ func DowntimeDurationsByGroup(st *dataset.Store, w AvailabilityWindow) map[Group
 // router's mean time between downtimes (the §4.1 "more than a month vs
 // less than a day" comparison). Routers with no downtime contribute the
 // window length.
-func MedianTimeBetweenDowntimes(st *dataset.Store, w AvailabilityWindow) map[Group]time.Duration {
+func MedianTimeBetweenDowntimes(st *dataset.Store, ro *Roster, w AvailabilityWindow) map[Group]time.Duration {
 	out := map[Group]time.Duration{}
 	span := w.To.Sub(w.From)
 	for _, g := range []Group{Developed, Developing} {
 		var gaps []float64
-		for _, id := range RoutersInGroup(st, g) {
+		for _, id := range ro.InGroup(g) {
 			n := len(st.Heartbeats.Downtimes(id, w.From, w.To, w.Threshold))
 			if n == 0 {
 				gaps = append(gaps, span.Seconds())
@@ -134,10 +144,10 @@ type CountryDowntime struct {
 
 // DowntimesByCountry computes Fig. 5: the median number of downtimes per
 // home in each country with at least minRouters deployed, against GDP.
-func DowntimesByCountry(st *dataset.Store, w AvailabilityWindow, minRouters int) []CountryDowntime {
+func DowntimesByCountry(st *dataset.Store, ro *Roster, w AvailabilityWindow, minRouters int) []CountryDowntime {
 	var out []CountryDowntime
 	for _, c := range geo.All() {
-		ids := RoutersInCountry(st, c.Code)
+		ids := ro.InCountry(c.Code)
 		if len(ids) < minRouters {
 			continue
 		}
@@ -166,9 +176,9 @@ func DowntimesByCountry(st *dataset.Store, w AvailabilityWindow, minRouters int)
 
 // MedianUptimeFraction returns the median per-router uptime fraction for
 // a country (§4.2: US 98.25%, IN 76.01%, ZA 85.57%).
-func MedianUptimeFraction(st *dataset.Store, code string, w AvailabilityWindow) float64 {
+func MedianUptimeFraction(st *dataset.Store, ro *Roster, code string, w AvailabilityWindow) float64 {
 	var ups []float64
-	for _, id := range RoutersInCountry(st, code) {
+	for _, id := range ro.InCountry(code) {
 		ups = append(ups, st.Heartbeats.UptimeFraction(id, w.From, w.To, w.Threshold))
 	}
 	if len(ups) == 0 {
@@ -231,8 +241,8 @@ func Timeline(st *dataset.Store, id string, w AvailabilityWindow) []heartbeat.Do
 // connectivity interruptions … more frequently than once every 10 days,
 // but about 50% of home networks in developing countries experienced such
 // connectivity interruptions once every 3 days".
-func FractionWithFrequentDowntime(st *dataset.Store, g Group, w AvailabilityWindow, days float64) float64 {
-	ids := RoutersInGroup(st, g)
+func FractionWithFrequentDowntime(st *dataset.Store, ro *Roster, g Group, w AvailabilityWindow, days float64) float64 {
+	ids := ro.InGroup(g)
 	if len(ids) == 0 {
 		return 0
 	}
@@ -302,18 +312,17 @@ func classifyFromReports(reports []dataset.UptimeReport, d heartbeat.Downtime) D
 
 // DowntimeCauses tallies causes for every downtime of a group within the
 // window where Uptime data exists.
-func DowntimeCauses(st *dataset.Store, g Group, w AvailabilityWindow) map[DowntimeCause]int {
-	byRouter := map[string][]dataset.UptimeReport{}
-	for _, r := range st.Uptime {
-		byRouter[r.RouterID] = append(byRouter[r.RouterID], r)
-	}
-	for _, reports := range byRouter {
+func DowntimeCauses(st *dataset.Store, ro *Roster, g Group, w AvailabilityWindow) map[DowntimeCause]int {
+	byRouter := groupBy(st.Uptime,
+		func(r *dataset.UptimeReport) (string, bool) { return r.RouterID, true },
+		func(r *dataset.UptimeReport) dataset.UptimeReport { return *r })
+	for _, reports := range byRouter.vals {
 		sortUptime(reports)
 	}
 	out := map[DowntimeCause]int{}
-	for _, id := range RoutersInGroup(st, g) {
+	for _, id := range ro.InGroup(g) {
 		for _, d := range st.Heartbeats.Downtimes(id, w.From, w.To, w.Threshold) {
-			out[classifyFromReports(byRouter[id], d)]++
+			out[classifyFromReports(byRouter.of(id), d)]++
 		}
 	}
 	return out

@@ -16,8 +16,12 @@
 //
 // The aggregates live in one dense []dataset.FlowRecord — already the
 // form the figure code reads — in first-seen order, beside a key → position
-// index. Materializing the projection is therefore free (Store hands the
-// slice out), and a point-in-time copy is a memcpy (Snapshot).
+// index, so materializing the projection is free (Store hands the slice
+// out). Beside them the Partial folds the flow exhibits' own
+// intermediate, the FlowRollup (rollup.go): each aggregate remembers the
+// rollup entries its rows add to, so a row costs one index lookup either
+// way. A dashboard page reads that rollup frozen, with the live tail's
+// laid over it (Snapshot), and never sums the history again.
 //
 // Ordering: Fold must be called with chunks in stream order (sealed
 // segments in sequence order, then the live tail). Kept rows are
@@ -67,7 +71,9 @@ type Partial struct {
 	// aggregates are also updated in place.
 	st       dataset.Store
 	flowIdx  map[FlowKey]int32 // position of each key's aggregate in st.Flows
-	flowRows int               // raw flow rows folded (pre-collapse)
+	refs     []flowRef         // per aggregate: the rollup entries its rows add to
+	roll     *rollup
+	flowRows int // raw flow rows folded (pre-collapse)
 }
 
 // NewPartial returns an empty accumulator.
@@ -75,6 +81,7 @@ func NewPartial() *Partial {
 	return &Partial{
 		st:      dataset.Store{RouterCountry: make(map[string]string)},
 		flowIdx: make(map[FlowKey]int32),
+		roll:    newRollup(0),
 	}
 }
 
@@ -97,6 +104,7 @@ func (p *Partial) Fold(chunk *dataset.Store) {
 	p.foldKept(chunk)
 	p.flowRows += len(chunk.Flows)
 	p.st.Flows = slices.Grow(p.st.Flows, len(chunk.Flows))
+	p.refs = slices.Grow(p.refs, len(chunk.Flows))
 	for i := range chunk.Flows {
 		p.foldFlow(&chunk.Flows[i])
 	}
@@ -110,15 +118,19 @@ func (p *Partial) foldKept(chunk *dataset.Store) {
 }
 
 // foldFlow adds f — a raw row or another Partial's aggregate — to its
-// key's aggregate, appending a new one on first sight.
+// key's aggregate, appending a new one on first sight, and to the rollup.
 func (p *Partial) foldFlow(f *dataset.FlowRecord) {
 	k := keyOf(f)
-	if i, ok := p.flowIdx[k]; ok {
+	i, ok := p.flowIdx[k]
+	if ok {
 		addFlow(&p.st.Flows[i], f)
-		return
+	} else {
+		i = int32(len(p.st.Flows))
+		p.flowIdx[k] = i
+		p.st.Flows = append(p.st.Flows, *f)
+		p.refs = append(p.refs, unresolved)
 	}
-	p.flowIdx[k] = int32(len(p.st.Flows))
-	p.st.Flows = append(p.st.Flows, *f)
+	p.roll.add(f, &p.refs[i])
 }
 
 // addFlow merges f into the aggregate t of the same key.
@@ -146,13 +158,16 @@ func (p *Partial) Merge(o *Partial) {
 	}
 }
 
-// Clone returns an independent deep copy. Slices are copied at exact
-// capacity so the clone's first append reallocates rather than sharing
-// backing arrays with the original.
+// Clone returns an independent copy. Slices are copied at exact capacity
+// so the clone's first append reallocates rather than sharing backing
+// arrays with the original; the rollup's home versions are shared until
+// either side folds into them (copy on write).
 func (p *Partial) Clone() *Partial {
 	q := &Partial{
 		st:       dataset.Store{RouterCountry: maps.Clone(p.st.RouterCountry)},
 		flowIdx:  maps.Clone(p.flowIdx),
+		refs:     slices.Clone(p.refs),
+		roll:     p.roll.clone(),
 		flowRows: p.flowRows,
 	}
 	for _, k := range dataset.Kinds {
@@ -198,68 +213,60 @@ func (p *Partial) Rows() dataset.RowCounts {
 }
 
 // Snapshot is a Partial frozen at an instant with a live tail on top: the
-// store Clone() → Fold(tail) → Store(hb) would yield, for the cost of one
-// flat copy of the aggregates plus work proportional to the tail. It is
-// built in three steps so that a caller serializing folds behind a lock
-// holds it for the middle one only:
+// kept rows and the FlowRollup that Clone() → Fold(tail) would yield, for
+// work proportional to the tail and the number of homes. It is built in
+// three steps so that a caller serializing folds behind a lock holds it
+// for the middle one only:
 //
-//	sn := analysis.NewSnapshot(tail) // collapses the tail's flows
+//	sn := analysis.NewSnapshot(tail) // rolls up the tail's flows
 //	mu.Lock()
-//	sn.Capture(base, nil) // the flat copy; nothing may fold into base meanwhile
+//	sn.Capture(base) // nothing may fold into base meanwhile
 //	mu.Unlock()
-//	st := sn.Store(hb) // appends the tail's kept rows
+//	st, flows := sn.Store(hb), sn.Flows() // appends the tail's kept rows
 //
 // Kept rows are append-only, so the slice headers Capture takes stay a
-// stable view of base after the lock is gone; aggregates are updated in
-// place, so Capture copies them.
+// stable view of base after the lock is gone. Flows are not copied at
+// all: Capture freezes base's rollup, whose next fold copies each home
+// version it touches instead of changing it, and lays the tail's rollup
+// over it. The snapshot's store carries no flow rows; the flow exhibits
+// read Flows.
 type Snapshot struct {
 	tail  *dataset.Store
-	flows *Partial // the tail's flows alone, collapsed
+	roll  *rollup // the tail's flows alone
 	st    dataset.Store
+	flows *FlowRollup
 }
 
 // NewSnapshot prepares a snapshot over tail, which must not change until
 // Store returns.
 func NewSnapshot(tail *dataset.Store) *Snapshot {
-	sn := &Snapshot{tail: tail, flows: NewPartial()}
-	for i := range tail.Flows {
-		sn.flows.foldFlow(&tail.Flows[i])
-	}
+	// A tail is short, and a third of a live fleet's flows go to a
+	// domain of their own: room for one domain per row saves the index
+	// its growth.
+	sn := &Snapshot{tail: tail, roll: newRollup(len(tail.Flows))}
+	sn.roll.addRows(tail.Flows)
 	return sn
 }
 
 // Capture reads p: the roster is cloned, the kept kinds are taken by
-// slice header, and the aggregates are copied once, with the tail's
-// aggregates merged through p's index. Nothing is allocated, hashed or
-// looked up per aggregate of p. The copy lands in buf's array when that
-// has room for p's aggregates and the tail's — the Flows of an earlier
-// snapshot's store that is no longer in use, say — and otherwise in a new
-// one with room to grow into, so that a caller handing buffers back
-// allocates only now and then.
-func (sn *Snapshot) Capture(p *Partial, buf []dataset.FlowRecord) {
+// slice header, and the tail's rollup is resolved against p's — one
+// lookup per home, domain and device of the tail, and nothing per
+// aggregate or home of p.
+func (sn *Snapshot) Capture(p *Partial) {
 	sn.st.RouterCountry = maps.Clone(p.st.RouterCountry)
 	for _, k := range keptKinds {
 		k.Window(&sn.st, &p.st, 0, k.Len(&p.st))
 	}
-	tail := sn.flows.st.Flows
-	flows := buf[:0]
-	if need := len(p.st.Flows) + len(tail); cap(flows) < need {
-		flows = make([]dataset.FlowRecord, 0, need+need/4)
-	}
-	flows = append(flows, p.st.Flows...)
-	for i := range tail {
-		if j, ok := p.flowIdx[keyOf(&tail[i])]; ok {
-			addFlow(&flows[j], &tail[i])
-		} else {
-			flows = append(flows, tail[i])
-		}
-	}
-	sn.st.Flows = flows
+	sn.flows = p.roll.overlay(sn.roll)
 }
+
+// Flows returns the captured rollup with the tail's laid over it.
+func (sn *Snapshot) Flows() *FlowRollup { return sn.flows }
 
 // Store finishes the snapshot: each kept kind the tail has rows of gets
 // one exact-size slice holding p's rows then the tail's; the others stay
-// shared with p. The result must not be mutated.
+// shared with p. It holds no flows (see Flows). The result must not be
+// mutated.
 func (sn *Snapshot) Store(hb *heartbeat.Log) *dataset.Store {
 	st := sn.st
 	st.Heartbeats = hb

@@ -117,10 +117,9 @@ type AlwaysConnectedShare struct {
 // AlwaysConnected computes Table 5 per group.
 func AlwaysConnected(st *dataset.Store, minSpan time.Duration) map[Group]AlwaysConnectedShare {
 	// Census instants per router.
-	censuses := map[string][]time.Time{}
-	for _, c := range st.Counts {
-		censuses[c.RouterID] = append(censuses[c.RouterID], c.At)
-	}
+	censuses := groupBy(st.Counts,
+		func(c *dataset.DeviceCount) (string, bool) { return c.RouterID, true },
+		func(c *dataset.DeviceCount) time.Time { return c.At })
 	// Sightings grouped per router, then per device, so the scan below
 	// only visits each home's own devices (a flat device map made this
 	// O(homes × fleet-wide devices), which bites at fleet scale).
@@ -144,7 +143,8 @@ func AlwaysConnected(st *dataset.Store, minSpan time.Duration) map[Group]AlwaysC
 		d.kind = s.Kind
 	}
 	out := map[Group]AlwaysConnectedShare{}
-	for id, cs := range censuses {
+	for i, id := range censuses.keys {
+		cs := censuses.vals[i]
 		dev, ok := isDeveloped(st, id)
 		if !ok || len(cs) == 0 {
 			continue
@@ -191,15 +191,12 @@ func AlwaysConnected(st *dataset.Store, minSpan time.Duration) map[Group]AlwaysC
 // VisibleAPsByGroup returns each home's median number of 2.4 GHz visible
 // APs, per group — Fig. 11 (developed median ≈20, developing ≈2).
 func VisibleAPsByGroup(st *dataset.Store) map[Group][]float64 {
-	perHome := map[string][]float64{}
-	for _, s := range st.WiFi {
-		if s.Band != "2.4GHz" {
-			continue
-		}
-		perHome[s.RouterID] = append(perHome[s.RouterID], float64(s.VisibleAPs))
-	}
+	perHome := groupBy(st.WiFi,
+		func(s *dataset.WiFiScan) (string, bool) { return s.RouterID, s.Band == "2.4GHz" },
+		func(s *dataset.WiFiScan) float64 { return float64(s.VisibleAPs) })
 	out := map[Group][]float64{}
-	for id, aps := range perHome {
+	for i, id := range perHome.keys {
+		aps := perHome.vals[i]
 		dev, ok := isDeveloped(st, id)
 		if !ok {
 			continue

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"bytes"
+	"maps"
 	"slices"
 	"sort"
 
@@ -11,26 +12,102 @@ import (
 	"natpeek/internal/stats"
 )
 
-// FlowRollup is the Traffic flows summed once into what the usage
-// exhibits read: per home, the bytes and connections of every domain and
-// the bytes of every device. Table 2 and Figs. 12, 14 and 17–20 are all
-// answered from it, so a page costs one pass over the flows rather than
-// one per exhibit. Sums are kept as integers; they are exact in any
-// order, which is what lets an exhibit computed from the rollup match,
-// bit for bit, one computed row by row.
+// FlowRollup is the Traffic flows summed into what the usage exhibits
+// read: per home, the bytes and connections of every domain, the bytes of
+// every device and of every (device, domain) pair, running totals, and
+// the domains ranked the three ways Figs. 18 and 19 rank them. Table 2
+// and Figs. 12, 14 and 17–20 are all answered from it. Sums are kept as
+// integers; they are exact in any order, which is what lets an exhibit
+// computed from the rollup match, bit for bit, one computed row by row.
+//
+// A FlowRollup is a read-only view. In batch (RollupFlows) it is one
+// rollup of a store's flows. On a dashboard page (Snapshot.Flows) it is a
+// Partial's folded rollup, frozen at Capture, with the live tail's own
+// rollup laid over it: each method adds base and tail per home as it
+// reads, and neither side is copied or changed.
 type FlowRollup struct {
-	flows   []dataset.FlowRecord // Fig. 20 reads its few subjects' rows directly
-	homes   []*homeFlows         // first-seen order
-	devices []deviceTotals       // fleet-wide: a device's bytes across every home it is in
+	homes []*homeFlows   // the base, first-seen order
+	fleet []deviceTotals // the base's fleet-wide device totals
+	tail  *overlay       // nil when nothing lies over the base
 }
 
+// rollup is the foldable state behind a FlowRollup. A home is held as a
+// version (homeFlows): a fold updates the version in place when it is
+// private, and first replaces it with a copy when a FlowRollup may be
+// reading it, so a view never sees a version change under it.
+type rollup struct {
+	homes []*homeFlows   // first-seen order
+	fleet []deviceTotals // fleet-wide: a device's bytes across every home it is in
+	// The indexes are read and written by folds only — and by overlay,
+	// which runs under the same exclusion. A FlowRollup never reads them.
+	byID     map[string]int32
+	domIdx   map[domKey]int32
+	devIdx   map[devKey]int32
+	fleetIdx map[mac.Addr]int32
+	last     int32 // the previous row's home: rows arrive in per-router runs
+	slab     slab
+	// A version made in the current epoch is private. freeze shares
+	// homes, fleet and every version with a view; the next write copies
+	// the two slices and starts a new epoch (thaw).
+	epoch  uint64
+	frozen bool
+}
+
+type domKey struct {
+	home int32
+	name string
+}
+
+type devKey struct {
+	home int32
+	dev  mac.Addr
+}
+
+// flowRef locates the entries a row adds to. A Partial keeps one per
+// aggregate, so a row of a known key costs a few additions and no lookup.
+type flowRef struct{ home, dom, dev, pair int32 }
+
+// unresolved is the ref of a row no entry has been found for yet.
+var unresolved = flowRef{home: -1}
+
+// homeFlows is one version of a home's totals.
 type homeFlows struct {
-	id      string
-	bytes   int64
+	id    string
+	epoch uint64
+	homeTotals
 	domains []domainTotals // first-seen order; may include the unnamed domain ""
-	devices []deviceTotals // first-seen order
-	domIdx  map[string]int32
-	devIdx  map[mac.Addr]int32
+	devices []homeDevice   // first-seen order
+	pairs   []pairTotals   // one per fold key: Fig. 20's device mixes
+	// top caches the positions in domains of the rankDepth best per
+	// rank; stale until the next freeze once domains change.
+	top   [numRanks][]int32
+	stale bool
+}
+
+// homeTotals are a home's running totals: all Traffic volume, the volume
+// and connections of named domains (what Fig. 19's shares divide by), and
+// the volume of whitelisted ones.
+type homeTotals struct {
+	bytes, namedBytes, namedConns, whitelisted int64
+}
+
+func (s *homeTotals) add(domain string, bytes, conns int64) {
+	s.bytes += bytes
+	if domain == "" {
+		return
+	}
+	s.namedBytes += bytes
+	s.namedConns += conns
+	if !isAnonToken(domain) {
+		s.whitelisted += bytes
+	}
+}
+
+func (s *homeTotals) merge(o homeTotals) {
+	s.bytes += o.bytes
+	s.namedBytes += o.namedBytes
+	s.namedConns += o.namedConns
+	s.whitelisted += o.whitelisted
 }
 
 type domainTotals struct {
@@ -38,65 +115,496 @@ type domainTotals struct {
 	bytes, conns int64
 }
 
+type homeDevice struct {
+	dev   mac.Addr
+	fleet int32 // its entry in rollup.fleet
+	bytes int64
+}
+
 type deviceTotals struct {
 	dev   mac.Addr
 	bytes int64
 }
 
+type pairTotals struct {
+	dev   mac.Addr
+	dom   int32
+	bytes int64
+}
+
+// rank is one way of ordering a home's domains.
+type rank int
+
+const (
+	byVolumeWhitelisted rank = iota // Fig. 18
+	byVolumeNamed                   // Fig. 19a and 19c
+	byConnsNamed                    // Fig. 19b
+	numRanks
+)
+
+// rankDepth is how deep a home version caches each ranking — as deep as
+// any exhibit reads.
+const rankDepth = 10
+
+func (rk rank) val(d *domainTotals) int64 {
+	if rk == byConnsNamed {
+		return d.conns
+	}
+	return d.bytes
+}
+
+func (rk rank) keep(domain string) bool {
+	if rk == byVolumeWhitelisted {
+		return domain != "" && !isAnonToken(domain)
+	}
+	return domain != ""
+}
+
+// newRollup returns an empty rollup with room for domains (home, domain)
+// entries — a hint, 0 when unknown.
+func newRollup(domains int) *rollup {
+	return &rollup{
+		byID:     map[string]int32{},
+		domIdx:   make(map[domKey]int32, domains),
+		devIdx:   map[devKey]int32{},
+		fleetIdx: map[mac.Addr]int32{},
+		last:     -1,
+	}
+}
+
+// addRows folds rows that no ref is kept for: each gets entries of its
+// own where a Partial's aggregate would share one.
+func (r *rollup) addRows(rows []dataset.FlowRecord) {
+	for i := range rows {
+		ref := unresolved
+		r.add(&rows[i], &ref)
+	}
+}
+
+// add folds row f into the entries ref points at, finding or making them
+// first when ref is unresolved.
+func (r *rollup) add(f *dataset.FlowRecord, ref *flowRef) {
+	if r.frozen {
+		r.thaw()
+	}
+	if ref.home < 0 {
+		r.resolve(f, ref)
+	}
+	h := r.own(ref.home)
+	b := f.UpBytes + f.DownBytes
+	d := &h.domains[ref.dom]
+	d.bytes += b
+	d.conns += f.Conns
+	h.homeTotals.add(d.name, b, f.Conns)
+	dv := &h.devices[ref.dev]
+	dv.bytes += b
+	r.fleet[dv.fleet].bytes += b
+	h.pairs[ref.pair].bytes += b
+	h.stale = true
+}
+
+// resolve finds the home, domain and device entries of f, making those
+// it lacks, and gives f a pair entry of its own.
+func (r *rollup) resolve(f *dataset.FlowRecord, ref *flowRef) {
+	hi := r.last
+	if hi < 0 || r.homes[hi].id != f.RouterID {
+		var ok bool
+		if hi, ok = r.byID[f.RouterID]; !ok {
+			hi = int32(len(r.homes))
+			r.byID[f.RouterID] = hi
+			r.homes = append(r.homes, r.slab.home(f.RouterID, r.epoch))
+		}
+		r.last = hi
+	}
+	h := r.own(hi)
+	dom, ok := r.domIdx[domKey{hi, f.Domain}]
+	if !ok {
+		dom = int32(len(h.domains))
+		r.domIdx[domKey{hi, f.Domain}] = dom
+		h.domains = append(h.domains, domainTotals{name: f.Domain})
+	}
+	dev, ok := r.devIdx[devKey{hi, f.Device}]
+	if !ok {
+		fl, ok := r.fleetIdx[f.Device]
+		if !ok {
+			fl = int32(len(r.fleet))
+			r.fleetIdx[f.Device] = fl
+			r.fleet = append(r.fleet, deviceTotals{dev: f.Device})
+		}
+		dev = int32(len(h.devices))
+		r.devIdx[devKey{hi, f.Device}] = dev
+		h.devices = append(h.devices, homeDevice{dev: f.Device, fleet: fl})
+	}
+	*ref = flowRef{home: hi, dom: dom, dev: dev, pair: int32(len(h.pairs))}
+	h.pairs = append(h.pairs, pairTotals{dev: f.Device, dom: dom})
+}
+
+// slab hands out new homes and the first entries of their slices from
+// shared arrays, so a rollup of many small homes — a page's tail —
+// allocates once per few dozen homes rather than a doubling series per
+// home and slice. A home that outgrows its first entries moves to an
+// array of its own, as append does.
+type slab struct {
+	homes   []homeFlows
+	domains []domainTotals
+	devices []homeDevice
+	pairs   []pairTotals
+}
+
+const (
+	slabHomes   = 32 // homes per slab array
+	homeEntries = 8  // first entries of each slice of a new home
+)
+
+func (s *slab) home(id string, epoch uint64) *homeFlows {
+	if len(s.homes) == cap(s.homes) {
+		s.homes = make([]homeFlows, 0, slabHomes)
+	}
+	s.homes = append(s.homes, homeFlows{
+		id: id, epoch: epoch,
+		domains: carve(&s.domains), devices: carve(&s.devices), pairs: carve(&s.pairs),
+	})
+	return &s.homes[len(s.homes)-1]
+}
+
+// carve takes homeEntries of room from the slab array *a, empty.
+func carve[T any](a *[]T) []T {
+	if cap(*a)-len(*a) < homeEntries {
+		*a = make([]T, 0, slabHomes*homeEntries)
+	}
+	n := len(*a)
+	*a = (*a)[:n+homeEntries]
+	return (*a)[n : n : n+homeEntries]
+}
+
+// own returns home i's version for writing: itself when it is private,
+// else a copy that replaces it.
+func (r *rollup) own(i int32) *homeFlows {
+	h := r.homes[i]
+	if h.epoch != r.epoch {
+		h = &homeFlows{
+			id: h.id, epoch: r.epoch, homeTotals: h.homeTotals,
+			domains: slices.Clone(h.domains),
+			devices: slices.Clone(h.devices),
+			pairs:   slices.Clone(h.pairs),
+			stale:   true,
+		}
+		r.homes[i] = h
+	}
+	return h
+}
+
+// thaw takes back what freeze shared before the first write after it:
+// the two slices are copied, and the new epoch makes every version copy
+// itself on its first write.
+func (r *rollup) thaw() {
+	r.homes = slices.Clone(r.homes)
+	r.fleet = slices.Clone(r.fleet)
+	r.epoch++
+	r.frozen = false
+}
+
+// freeze readies r to be shared: stale rankings are recomputed, and the
+// next write copies before it writes. A fold that no view was taken
+// behind updates in place, so replaying N chunks costs one pass.
+func (r *rollup) freeze() {
+	if r.frozen {
+		return
+	}
+	for _, h := range r.homes {
+		if h.stale {
+			for rk := range h.top {
+				h.top[rk] = rankInto(h.top[rk][:0], h.domains, rank(rk), rankDepth)
+			}
+			h.stale = false
+		}
+	}
+	r.frozen = true
+}
+
+// view freezes r and returns it as a FlowRollup.
+func (r *rollup) view() *FlowRollup {
+	r.freeze()
+	return &FlowRollup{homes: r.homes, fleet: r.fleet}
+}
+
+// clone returns a rollup that shares r's versions until either side
+// writes: both are frozen, so each copies what it touches first. Only the
+// indexes are copied now.
+func (r *rollup) clone() *rollup {
+	r.freeze()
+	return &rollup{
+		homes: r.homes, fleet: r.fleet,
+		byID: maps.Clone(r.byID), domIdx: maps.Clone(r.domIdx),
+		devIdx: maps.Clone(r.devIdx), fleetIdx: maps.Clone(r.fleetIdx),
+		last: -1, epoch: r.epoch, frozen: true,
+	}
+}
+
+// overlay is a rollup of the rows that follow a base, resolved against
+// it: for each of its homes, domains, devices and fleet devices, the
+// position of the same entry in the base, or -1 where the tail has it
+// first.
+type overlay struct {
+	roll     *rollup
+	onBase   []int32   // base home → tail home, or -1
+	home     []int32   // tail home → base home, or -1
+	dom, dev [][]int32 // per tail home: its domains / devices → the base home's
+	fleet    []int32   // tail fleet device → base fleet device, or -1
+}
+
+// overlay freezes r and lays t, a rollup of the rows after r's, over it.
+// Each entry of t is looked up in r's indexes once, here — the caller
+// holds off folds for the duration — so the FlowRollup never reads them.
+// t must not change afterwards.
+func (r *rollup) overlay(t *rollup) *FlowRollup {
+	v := r.view()
+	if len(t.homes) == 0 {
+		return v
+	}
+	o := &overlay{
+		roll:   t,
+		onBase: make([]int32, len(r.homes)),
+		home:   make([]int32, len(t.homes)),
+		dom:    make([][]int32, len(t.homes)),
+		dev:    make([][]int32, len(t.homes)),
+		fleet:  make([]int32, len(t.fleet)),
+	}
+	for i := range o.onBase {
+		o.onBase[i] = -1
+	}
+	var nd, nv int
+	for _, h := range t.homes {
+		nd, nv = nd+len(h.domains), nv+len(h.devices)
+	}
+	doms, devs := make([]int32, 0, nd), make([]int32, 0, nv)
+	for j, h := range t.homes {
+		bi := find(r.byID, h.id)
+		o.home[j] = bi
+		if bi >= 0 {
+			o.onBase[bi] = int32(j)
+		}
+		d0, v0 := len(doms), len(devs)
+		for _, d := range h.domains {
+			doms = append(doms, find(r.domIdx, domKey{bi, d.name}))
+		}
+		for _, d := range h.devices {
+			devs = append(devs, find(r.devIdx, devKey{bi, d.dev}))
+		}
+		o.dom[j], o.dev[j] = doms[d0:], devs[v0:]
+	}
+	for k, d := range t.fleet {
+		o.fleet[k] = find(r.fleetIdx, d.dev)
+	}
+	v.tail = o
+	return v
+}
+
+// find returns m[k], or -1 when k is absent — as every entry of a home
+// the base lacks (home -1) is.
+func find[K comparable](m map[K]int32, k K) int32 {
+	if i, ok := m[k]; ok {
+		return i
+	}
+	return -1
+}
+
+// homeView is one home as a FlowRollup reads it: its base version, the
+// tail's, or both, with the tail's entries resolved to the base's.
+type homeView struct {
+	b, t     *homeFlows
+	dom, dev []int32
+}
+
+// each calls fn for every home in first-seen order: the base's, then
+// those the tail has first.
+func (r *FlowRollup) each(fn func(homeView)) {
+	o := r.tail
+	for i, b := range r.homes {
+		v := homeView{b: b}
+		if o != nil {
+			if j := o.onBase[i]; j >= 0 {
+				v.t, v.dom, v.dev = o.roll.homes[j], o.dom[j], o.dev[j]
+			}
+		}
+		fn(v)
+	}
+	if o == nil {
+		return
+	}
+	for j, t := range o.roll.homes {
+		if o.home[j] < 0 {
+			fn(homeView{t: t, dom: o.dom[j], dev: o.dev[j]})
+		}
+	}
+}
+
+func (v homeView) id() string {
+	if v.b != nil {
+		return v.b.id
+	}
+	return v.t.id
+}
+
+func (v homeView) totals() homeTotals {
+	var s homeTotals
+	if v.b != nil {
+		s = v.b.homeTotals
+	}
+	if v.t != nil {
+		s.merge(v.t.homeTotals)
+	}
+	return s
+}
+
+// deviceBytes overwrites buf with the home's device volumes: the base's
+// devices in order, then those the tail has first.
+func (v homeView) deviceBytes(buf []float64) []float64 {
+	out := buf[:0]
+	if v.b != nil {
+		for _, d := range v.b.devices {
+			out = append(out, float64(d.bytes))
+		}
+	}
+	if v.t != nil {
+		for j, d := range v.t.devices {
+			if i := v.dev[j]; i >= 0 {
+				out[i] = float64(v.b.devices[i].bytes + d.bytes)
+			} else {
+				out = append(out, float64(d.bytes))
+			}
+		}
+	}
+	return out
+}
+
+func (v homeView) hasDevice(dev mac.Addr) bool {
+	for _, h := range [2]*homeFlows{v.b, v.t} {
+		if h == nil {
+			continue
+		}
+		for _, d := range h.devices {
+			if d.dev == dev {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// rankScratch holds a ranking's buffers across the homes of one call.
+type rankScratch struct {
+	cand, res []domainTotals
+	idx       []int32
+}
+
+// top returns the at most k domains of the home that rank highest by rk,
+// base and tail added, best first; the result lives in sc until the next
+// call. Bytes and connections only grow, so a domain outside the base's
+// cached top k that the tail did not touch still has k domains ahead of
+// it: the candidates are that ranking plus the tail's domains (the base's
+// whole list when k is deeper than the cache).
+func (v homeView) top(rk rank, k int, sc *rankScratch) []domainTotals {
+	cached := v.b != nil && k <= rankDepth
+	cand := sc.cand[:0]
+	switch {
+	case cached:
+		for _, i := range v.b.top[rk] {
+			cand = append(cand, v.b.domains[i])
+		}
+	case v.b != nil:
+		cand = append(cand, v.b.domains...)
+	}
+	if v.t != nil {
+		for j, d := range v.t.domains {
+			if !rk.keep(d.name) {
+				continue
+			}
+			if i := v.dom[j]; i >= 0 {
+				base := &v.b.domains[i]
+				d.bytes += base.bytes
+				d.conns += base.conns
+				pos := int(i)
+				if cached {
+					pos = slices.Index(v.b.top[rk], i)
+				}
+				if pos >= 0 {
+					cand[pos] = d
+					continue
+				}
+			}
+			cand = append(cand, d)
+		}
+	}
+	sc.cand = cand
+	sc.idx = rankInto(sc.idx[:0], cand, rk, k)
+	sc.res = sc.res[:0]
+	for _, i := range sc.idx {
+		sc.res = append(sc.res, cand[i])
+	}
+	return sc.res
+}
+
+// rankInto appends to out the positions in ds of the at most k domains
+// that rank highest by rk, best first — ties broken by name, which is
+// unique within a home. It holds the running top k in order, so a home's
+// long tail of single-flow anonymised domains costs one comparison each,
+// not a sort.
+func rankInto(out []int32, ds []domainTotals, rk rank, k int) []int32 {
+	before := func(a, b int32) bool {
+		if v, w := rk.val(&ds[a]), rk.val(&ds[b]); v != w {
+			return v > w
+		}
+		return ds[a].name < ds[b].name
+	}
+	top := out
+	for i := range ds {
+		switch {
+		case !rk.keep(ds[i].name):
+			continue
+		case len(top) < k:
+			top = append(top, int32(i))
+		case k > 0 && before(int32(i), top[k-1]):
+			top[k-1] = int32(i)
+		default:
+			continue
+		}
+		for j := len(top) - 1; j > 0 && before(top[j], top[j-1]); j-- {
+			top[j], top[j-1] = top[j-1], top[j]
+		}
+	}
+	return top
+}
+
+// fleetTotals returns every device's volume across the homes it is in:
+// the base's devices, then those the tail has first.
+func (r *FlowRollup) fleetTotals() []deviceTotals {
+	out := slices.Clone(r.fleet)
+	if o := r.tail; o != nil {
+		for k, d := range o.roll.fleet {
+			if i := o.fleet[k]; i >= 0 {
+				out[i].bytes += d.bytes
+			} else {
+				out = append(out, d)
+			}
+		}
+	}
+	return out
+}
+
 // RollupFlows makes the one pass over st.Flows.
 func RollupFlows(st *dataset.Store) *FlowRollup {
-	r := &FlowRollup{flows: st.Flows}
-	byID := map[string]*homeFlows{}
-	var h *homeFlows
-	for i := range st.Flows {
-		f := &st.Flows[i]
-		// Rows arrive in per-router runs, so most skip the home lookup.
-		if h == nil || h.id != f.RouterID {
-			if h = byID[f.RouterID]; h == nil {
-				h = &homeFlows{id: f.RouterID, domIdx: map[string]int32{}, devIdx: map[mac.Addr]int32{}}
-				byID[f.RouterID] = h
-				r.homes = append(r.homes, h)
-			}
-		}
-		b := f.UpBytes + f.DownBytes
-		h.bytes += b
-		j, ok := h.domIdx[f.Domain]
-		if !ok {
-			j = int32(len(h.domains))
-			h.domIdx[f.Domain] = j
-			h.domains = append(h.domains, domainTotals{name: f.Domain})
-		}
-		h.domains[j].bytes += b
-		h.domains[j].conns += f.Conns
-		j, ok = h.devIdx[f.Device]
-		if !ok {
-			j = int32(len(h.devices))
-			h.devIdx[f.Device] = j
-			h.devices = append(h.devices, deviceTotals{dev: f.Device})
-		}
-		h.devices[j].bytes += b
-	}
-	idx := map[mac.Addr]int{}
-	for _, h := range r.homes {
-		for _, d := range h.devices {
-			i, ok := idx[d.dev]
-			if !ok {
-				i = len(r.devices)
-				idx[d.dev] = i
-				r.devices = append(r.devices, deviceTotals{dev: d.dev})
-			}
-			r.devices[i].bytes += d.bytes
-		}
-	}
-	return r
+	r := newRollup(0)
+	r.addRows(st.Flows)
+	return r.view()
 }
 
 // Homes lists the routers with any flow row, in first-seen order.
 func (r *FlowRollup) Homes() []string {
-	out := make([]string, len(r.homes))
-	for i, h := range r.homes {
-		out[i] = h.id
-	}
+	out := make([]string, 0, len(r.homes))
+	r.each(func(v homeView) {
+		out = append(out, v.id())
+	})
 	return out
 }
 
@@ -104,11 +612,12 @@ func (r *FlowRollup) Homes() []string {
 // ID among equals), "" when there are no flows — Fig. 14's subject.
 func (r *FlowRollup) BusiestHome() string {
 	best, bestV := "", int64(-1)
-	for _, h := range r.homes {
-		if h.bytes > bestV || h.bytes == bestV && h.id < best {
-			best, bestV = h.id, h.bytes
+	r.each(func(v homeView) {
+		id, b := v.id(), v.totals().bytes
+		if b > bestV || b == bestV && id < best {
+			best, bestV = id, b
 		}
-	}
+	})
 	return best
 }
 
@@ -116,13 +625,11 @@ func (r *FlowRollup) BusiestHome() string {
 // volume contribution of its devices.
 func (r *FlowRollup) DeviceShares() map[string][]float64 {
 	out := make(map[string][]float64, len(r.homes))
-	for _, h := range r.homes {
-		vs := make([]float64, len(h.devices))
-		for i, d := range h.devices {
-			vs[i] = float64(d.bytes)
-		}
-		out[h.id] = stats.Share(vs)
-	}
+	var vs []float64
+	r.each(func(v homeView) {
+		vs = v.deviceBytes(vs)
+		out[v.id()] = stats.Share(vs)
+	})
 	return out
 }
 
@@ -139,42 +646,8 @@ func MeanTopShare(shares map[string][]float64, minDevices int) float64 {
 	return stats.Mean(tops)
 }
 
-// topDomains returns the at most k domains of h that rank highest by val
-// — ties broken by name, which is unique within a home — among those keep
-// accepts. It holds the running top k in order, so a home's long tail of
-// single-flow anonymised domains costs one comparison each, not a sort.
-func topDomains(h *homeFlows, k int, val func(*domainTotals) int64, keep func(*domainTotals) bool) []*domainTotals {
-	before := func(a, b *domainTotals) bool {
-		if v, w := val(a), val(b); v != w {
-			return v > w
-		}
-		return a.name < b.name
-	}
-	top := make([]*domainTotals, 0, k)
-	for i := range h.domains {
-		d := &h.domains[i]
-		switch {
-		case !keep(d):
-			continue
-		case len(top) < k:
-			top = append(top, d)
-		case k > 0 && before(d, top[k-1]):
-			top[k-1] = d
-		default:
-			continue
-		}
-		for j := len(top) - 1; j > 0 && before(top[j], top[j-1]); j-- {
-			top[j], top[j-1] = top[j-1], top[j]
-		}
-	}
-	return top
-}
-
-func domainBytes(d *domainTotals) int64 { return d.bytes }
-func domainConns(d *domainTotals) int64 { return d.conns }
-func isNamed(d *domainTotals) bool      { return d.name != "" }
-func isWhitelisted(d *domainTotals) bool {
-	return d.name != "" && !isAnonToken(d.name)
+func isAnonToken(d string) bool {
+	return len(d) > 5 && d[:5] == "anon-"
 }
 
 // DomainPopularity counts how many homes have a domain in their top-5 and
@@ -190,14 +663,15 @@ type DomainPopularity struct {
 func (r *FlowRollup) PopularDomains() []DomainPopularity {
 	top5 := stats.NewCounter()
 	top10 := stats.NewCounter()
-	for _, h := range r.homes {
-		for i, d := range topDomains(h, 10, domainBytes, isWhitelisted) {
+	var sc rankScratch
+	r.each(func(v homeView) {
+		for i, d := range v.top(byVolumeWhitelisted, 10, &sc) {
 			if i < 5 {
 				top5.Add(d.name, 1)
 			}
 			top10.Add(d.name, 1)
 		}
-	}
+	})
 	var out []DomainPopularity
 	for _, rc := range top10.Ranked() {
 		out = append(out, DomainPopularity{
@@ -241,27 +715,22 @@ func (r *FlowRollup) DomainShares(maxRank int) DomainShareCurves {
 		ConnShareByVolRank:  make([]float64, maxRank),
 	}
 	n := 0
-	for _, h := range r.homes {
-		var vol, conns int64
-		for i := range h.domains {
-			if d := &h.domains[i]; isNamed(d) {
-				vol += d.bytes
-				conns += d.conns
-			}
-		}
-		if vol == 0 || conns == 0 {
-			continue
+	var sc rankScratch
+	r.each(func(v homeView) {
+		s := v.totals()
+		if s.namedBytes == 0 || s.namedConns == 0 {
+			return
 		}
 		n++
-		volTotal, connTotal := float64(vol), float64(conns)
-		for i, d := range topDomains(h, maxRank, domainBytes, isNamed) {
+		volTotal, connTotal := float64(s.namedBytes), float64(s.namedConns)
+		for i, d := range v.top(byVolumeNamed, maxRank, &sc) {
 			out.VolumeShare[i] += float64(d.bytes) / volTotal
 			out.ConnShareByVolRank[i] += float64(d.conns) / connTotal
 		}
-		for i, d := range topDomains(h, maxRank, domainConns, isNamed) {
+		for i, d := range v.top(byConnsNamed, maxRank, &sc) {
 			out.ConnShareByConnRank[i] += float64(d.conns) / connTotal
 		}
-	}
+	})
 	if n == 0 {
 		return out
 	}
@@ -276,29 +745,18 @@ func (r *FlowRollup) DomainShares(maxRank int) DomainShareCurves {
 // WhitelistedVolumeShare returns the fraction of Traffic volume going to
 // named (non-anonymized) domains (§6.4: ≈65%).
 func (r *FlowRollup) WhitelistedVolumeShare() float64 {
-	var named, total int64
-	for _, h := range r.homes {
-		total += h.bytes
-		for i := range h.domains {
-			if d := &h.domains[i]; isWhitelisted(d) {
-				named += d.bytes
-			}
-		}
-	}
-	if total == 0 {
+	var sum homeTotals
+	r.each(func(v homeView) { sum.merge(v.totals()) })
+	if sum.bytes == 0 {
 		return 0
 	}
-	return float64(named) / float64(total)
-}
-
-func isAnonToken(d string) bool {
-	return len(d) > 5 && d[:5] == "anon-"
+	return float64(sum.whitelisted) / float64(sum.bytes)
 }
 
 // TopDevicesByVolume lists the Traffic data set's devices ranked by
 // volume, ties by address (used to pick Fig. 20 subjects).
 func (r *FlowRollup) TopDevicesByVolume() []mac.Addr {
-	vols := slices.Clone(r.devices)
+	vols := r.fleetTotals()
 	sort.Slice(vols, func(i, j int) bool {
 		if vols[i].bytes != vols[j].bytes {
 			return vols[i].bytes > vols[j].bytes
@@ -321,16 +779,26 @@ type DomainShare struct {
 }
 
 // DeviceDomains computes the Fig. 20 mix for a device, ranked descending.
+// It reads the (device, domain) pairs of the homes the device is in.
 func (r *FlowRollup) DeviceDomains(dev mac.Addr) []DomainShare {
 	vol := map[string]int64{}
 	var total int64
-	for i := range r.flows {
-		if f := &r.flows[i]; f.Device == dev {
-			b := f.UpBytes + f.DownBytes
-			vol[f.Domain] += b
-			total += b
+	r.each(func(v homeView) {
+		if !v.hasDevice(dev) {
+			return
 		}
-	}
+		for _, h := range [2]*homeFlows{v.b, v.t} {
+			if h == nil {
+				continue
+			}
+			for _, p := range h.pairs {
+				if p.dev == dev {
+					vol[h.domains[p.dom].name] += p.bytes
+					total += p.bytes
+				}
+			}
+		}
+	})
 	if total == 0 {
 		return nil
 	}
@@ -358,7 +826,7 @@ type ManufacturerCount struct {
 // devices below the paper's 100 KB traffic floor.
 func (r *FlowRollup) ManufacturerHistogram(minBytes int64) []ManufacturerCount {
 	counts := map[ouidb.Category]int{}
-	for _, d := range r.devices {
+	for _, d := range r.fleetTotals() {
 		if d.bytes < minBytes || ouidb.IsBISmarkRouter(d.dev) {
 			continue
 		}
@@ -407,10 +875,9 @@ func WhitelistedVolumeShare(st *dataset.Store) float64 {
 // TopDevicesByVolume is FlowRollup.TopDevicesByVolume over st's flows.
 func TopDevicesByVolume(st *dataset.Store) []mac.Addr { return RollupFlows(st).TopDevicesByVolume() }
 
-// DeviceDomains is FlowRollup.DeviceDomains over st's flows; it needs no
-// sums, only the device's own rows.
+// DeviceDomains is FlowRollup.DeviceDomains over st's flows.
 func DeviceDomains(st *dataset.Store, dev mac.Addr) []DomainShare {
-	return (&FlowRollup{flows: st.Flows}).DeviceDomains(dev)
+	return RollupFlows(st).DeviceDomains(dev)
 }
 
 // ManufacturerHistogram is FlowRollup.ManufacturerHistogram over st's flows.

@@ -183,39 +183,39 @@ func TestScaleFigureBudgets(t *testing.T) {
 	}
 
 	figure("DowntimesPerDayByGroup", func() error {
-		got := DowntimesPerDayByGroup(st, sWin)
+		got := DowntimesPerDayByGroup(st, NewRoster(st), sWin)
 		if len(got[Developed]) == 0 || len(got[Developing]) == 0 {
 			return fmt.Errorf("missing group samples: %d/%d", len(got[Developed]), len(got[Developing]))
 		}
 		return nil
 	})
 	figure("DowntimeDurationsByGroup", func() error {
-		got := DowntimeDurationsByGroup(st, sWin)
+		got := DowntimeDurationsByGroup(st, NewRoster(st), sWin)
 		if len(got[Developing]) == 0 {
 			return fmt.Errorf("no developing downtimes")
 		}
 		return nil
 	})
 	figure("MedianTimeBetweenDowntimes", func() error {
-		got := MedianTimeBetweenDowntimes(st, sWin)
+		got := MedianTimeBetweenDowntimes(st, NewRoster(st), sWin)
 		if got[Developed] == 0 {
 			return fmt.Errorf("no developed median")
 		}
 		return nil
 	})
 	figure("DowntimesByCountry", func() error {
-		pts := DowntimesByCountry(st, sWin, 3)
+		pts := DowntimesByCountry(st, NewRoster(st), sWin, 3)
 		if len(pts) < 10 {
 			return fmt.Errorf("only %d country points", len(pts))
 		}
 		return nil
 	})
 	figure("FractionWithFrequentDowntime", func() error {
-		FractionWithFrequentDowntime(st, Developing, sWin, 1)
+		FractionWithFrequentDowntime(st, NewRoster(st), Developing, sWin, 1)
 		return nil
 	})
 	figure("DowntimeCauses", func() error {
-		got := DowntimeCauses(st, Developing, sWin)
+		got := DowntimeCauses(st, NewRoster(st), Developing, sWin)
 		if len(got) == 0 {
 			return fmt.Errorf("no downtime causes")
 		}

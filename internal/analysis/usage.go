@@ -94,34 +94,26 @@ type LinkSaturation struct {
 // Saturation computes Fig. 15: per home and direction, the 95th
 // percentile of per-minute peak throughput against measured capacity,
 // over minutes with any traffic. One pass groups the throughput samples
-// by link and one groups the capacity measurements by home.
+// by link and two group the positive capacity measurements by home.
 func Saturation(st *dataset.Store) []LinkSaturation {
 	type link struct {
 		id, dir string
 	}
-	peaks := map[link][]float64{}
-	for _, s := range st.Throughput {
-		k := link{s.RouterID, s.Dir}
-		peaks[k] = append(peaks[k], s.PeakBps)
-	}
-	caps := map[string]*capacityRuns{}
-	for _, c := range st.Capacity {
-		m := caps[c.RouterID]
-		if m == nil {
-			m = &capacityRuns{}
-			caps[c.RouterID] = m
-		}
-		m.add(c)
-	}
+	peaks := groupBy(st.Throughput,
+		func(s *dataset.ThroughputSample) (link, bool) { return link{s.RouterID, s.Dir}, true },
+		func(s *dataset.ThroughputSample) float64 { return s.PeakBps })
+	ups := groupBy(st.Capacity,
+		func(c *dataset.CapacityMeasure) (string, bool) { return c.RouterID, c.UpBps > 0 },
+		func(c *dataset.CapacityMeasure) float64 { return c.UpBps })
+	downs := groupBy(st.Capacity,
+		func(c *dataset.CapacityMeasure) (string, bool) { return c.RouterID, c.DownBps > 0 },
+		func(c *dataset.CapacityMeasure) float64 { return c.DownBps })
 	var out []LinkSaturation
-	for k, ps := range peaks {
-		m := caps[k.id]
-		if m == nil {
-			continue
-		}
-		capBps := medianOrZero(m.downs)
+	for i, k := range peaks.keys {
+		ps := peaks.vals[i]
+		capBps := medianOrZero(downs.of(k.id))
 		if k.dir == "up" {
-			capBps = medianOrZero(m.ups)
+			capBps = medianOrZero(ups.of(k.id))
 		}
 		if capBps <= 0 {
 			continue
@@ -236,6 +228,7 @@ func UsageByGroup(st *dataset.Store) map[Group]GroupUsage {
 			}
 		}
 		if len(tops) > 0 {
+			sort.Float64s(tops) // map order must not reach the sum's rounding
 			gu.TopDomainShare = stats.Mean(tops)
 		}
 		out[g] = gu

@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,6 +75,9 @@ type Node struct {
 	// its own collector; idempotency keys make replays converge.
 	journal     []*journalEntry
 	journalSeen map[uint64]bool
+	// lives indexes the journal by owner life, so the gossip tick judges
+	// each life once and walks only the frames of lost ones.
+	lives map[ownerLife]*lifeFrames
 	// ownerKeys indexes every idempotency key this node applied, per
 	// router — the source for the manifests a rejoining node seeds its
 	// dedupe index from.
@@ -115,6 +119,7 @@ type Node struct {
 }
 
 type journalEntry struct {
+	seq   int // position in the journal
 	owner string
 	succs []string
 	items int
@@ -136,15 +141,33 @@ type journalEntry struct {
 	replayed bool
 }
 
-// ownerHoldsRows reports whether the frame's rows are still believed to
-// live at the journaled owner: the owner is not judged dead and has not
-// been reborn under a new incarnation. Mirrors the replayScan verdict.
-func (e *journalEntry) ownerHoldsRows(state map[string]State, incs map[string]uint64) bool {
-	st, known := state[e.owner]
+// ownerLife is one life of a frame's owner: its ID and its incarnation
+// when the frame was journaled (0 if the owner was unknown then).
+type ownerLife struct {
+	owner string
+	inc   uint64
+}
+
+func (e *journalEntry) life() ownerLife { return ownerLife{e.owner, e.ownerInc} }
+
+// lifeFrames are the frames journaled under one owner life, in journal
+// order, and how many of them are not replayed yet.
+type lifeFrames struct {
+	frames  []*journalEntry
+	pending int
+}
+
+// holdsRows reports whether the rows of frames journaled under l are
+// still believed to live at the owner: it is not judged dead and has not
+// been reborn under a new incarnation. An unknown incarnation (0) is lost
+// on death only — a spurious rebirth replay of rows the owner still holds
+// would double-count them cluster-wide.
+func (l ownerLife) holdsRows(state map[string]State, incs map[string]uint64) bool {
+	st, known := state[l.owner]
 	if known && st == StateDead {
 		return false
 	}
-	if e.ownerInc != 0 && known && incs[e.owner] != e.ownerInc {
+	if l.inc != 0 && known && incs[l.owner] != l.inc {
 		return false
 	}
 	return true
@@ -181,6 +204,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		ctrlLn:      ln,
 		httpc:       &http.Client{},
 		journalSeen: make(map[uint64]bool),
+		lives:       make(map[ownerLife]*lifeFrames),
 		ownerKeys:   make(map[string]map[string]bool),
 		routerGate:  make(map[string]chan struct{}),
 		mJournalFrames: reg.CounterVec("natpeek_cluster_journal_frames_total",
@@ -438,11 +462,38 @@ func (n *Node) join() {
 // raw NPB1 bytes into its own collector as a /v1/batch POST. The scan
 // runs every tick, so a replay that fails (or an owner that dies later)
 // is retried until it lands; idempotency keys make every retry converge
-// to exactly-once rows. Frames journaled before the owner was known
-// (ownerInc 0) only replay on death, never on an incarnation change —
-// a spurious rebirth replay of rows the owner still holds would
-// double-count them cluster-wide.
+// to exactly-once rows.
 func (n *Node) replayScan() {
+	for _, e := range n.dueFrames() {
+		res, err := n.replay(e)
+		if err != nil {
+			n.log.Warn("failover replay failed, will retry", "owner", e.owner, "err", err)
+			continue
+		}
+		n.markReplayed(e)
+		n.mReplayed.Inc()
+		n.mReplayRows.Add(int64(res.Applied))
+		n.log.Info("replayed orphaned frame", "owner", e.owner, "items", e.items,
+			"applied", res.Applied, "duplicates", res.Duplicates)
+	}
+}
+
+// markReplayed records that e's replay landed.
+func (n *Node) markReplayed(e *journalEntry) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if !e.replayed {
+		e.replayed = true
+		n.lives[e.life()].pending--
+	}
+}
+
+// dueFrames returns, in journal order, the unreplayed frames of lost
+// owner lives that this node is the first live successor of. Each life is
+// judged once (holdsRows); only the frames of lives that are lost and
+// still hold unreplayed frames are walked, so a tick costs the number of
+// lives, not the length of the journal.
+func (n *Node) dueFrames() []*journalEntry {
 	state := make(map[string]State)
 	incs := make(map[string]uint64)
 	for _, mv := range n.ms.view() {
@@ -450,54 +501,70 @@ func (n *Node) replayScan() {
 		incs[mv.ID] = mv.Incarnation
 	}
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	var due []*journalEntry
-	for _, e := range n.journal {
-		if e.replayed {
+	for life, l := range n.lives {
+		if l.pending == 0 || life.holdsRows(state, incs) {
 			continue
 		}
-		st, known := state[e.owner]
-		ownerLost := known && st == StateDead
-		if !ownerLost && e.ownerInc != 0 && known && incs[e.owner] != e.ownerInc {
-			ownerLost = true
-		}
-		if !ownerLost {
-			continue
-		}
-		// First successor still standing inherits the frame. A
-		// successor that is dead — or reborn under a new incarnation,
-		// meaning its journal died with its previous life — cannot
-		// replay and is skipped. Everyone holding the frame runs the
-		// same rule, so exactly one live node replays it (disagreeing
-		// views would only add replays, which dedupe flattens).
-		for i, s := range e.succs {
-			if state[s] == StateDead {
+		for _, e := range l.frames {
+			if e.replayed {
 				continue
 			}
-			if i < len(e.succIncs) && e.succIncs[i] != 0 && incs[s] != e.succIncs[i] {
-				continue
+			// First successor still standing inherits the frame. A
+			// successor that is dead — or reborn under a new incarnation,
+			// meaning its journal died with its previous life — cannot
+			// replay and is skipped. Everyone holding the frame runs the
+			// same rule, so exactly one live node replays it (disagreeing
+			// views would only add replays, which dedupe flattens).
+			for i, s := range e.succs {
+				if state[s] == StateDead {
+					continue
+				}
+				if i < len(e.succIncs) && e.succIncs[i] != 0 && incs[s] != e.succIncs[i] {
+					continue
+				}
+				if s == n.cfg.ID {
+					due = append(due, e)
+				}
+				break
 			}
-			if s == n.cfg.ID {
-				due = append(due, e)
-			}
-			break
 		}
 	}
-	n.mu.Unlock()
+	slices.SortFunc(due, func(a, b *journalEntry) int { return a.seq - b.seq })
+	return due
+}
 
-	for _, e := range due {
-		res, err := n.replay(e)
-		if err != nil {
-			n.log.Warn("failover replay failed, will retry", "owner", e.owner, "err", err)
-			continue
-		}
-		n.mu.Lock()
-		e.replayed = true
-		n.mu.Unlock()
-		n.mReplayed.Inc()
-		n.mReplayRows.Add(int64(res.Applied))
-		n.log.Info("replayed orphaned frame", "owner", e.owner, "items", e.items,
-			"applied", res.Applied, "duplicates", res.Duplicates)
+// journalFrame records e unless an identical frame is already held,
+// tagging it with the incarnations its owner and successors have as this
+// node knows them now. It reports whether e was new.
+func (n *Node) journalFrame(e *journalEntry) bool {
+	if owner, ok := n.ms.lookup(e.owner); ok {
+		e.ownerInc = owner.Incarnation
 	}
+	e.succIncs = make([]uint64, len(e.succs))
+	for i, s := range e.succs {
+		if mem, ok := n.ms.lookup(s); ok {
+			e.succIncs[i] = mem.Incarnation
+		}
+	}
+	h := hash64(e.batch)
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.journalSeen[h] {
+		return false
+	}
+	n.journalSeen[h] = true
+	e.seq = len(n.journal)
+	n.journal = append(n.journal, e)
+	l := n.lives[e.life()]
+	if l == nil {
+		l = &lifeFrames{}
+		n.lives[e.life()] = l
+	}
+	l.frames = append(l.frames, e)
+	l.pending++
+	return true
 }
 
 // replay routes a journaled frame's items into the data plane of each
@@ -557,28 +624,12 @@ func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "replicate: bad batch: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	var ownerInc uint64
-	if owner, ok := n.ms.lookup(rep.Owner); ok {
-		ownerInc = owner.Incarnation
-	}
-	succIncs := make([]uint64, len(rep.Successors))
-	for i, s := range rep.Successors {
-		if mem, ok := n.ms.lookup(s); ok {
-			succIncs[i] = mem.Incarnation
-		}
-	}
-	h := hash64(rep.Batch)
-	n.mu.Lock()
-	if !n.journalSeen[h] {
-		n.journalSeen[h] = true
-		n.journal = append(n.journal, &journalEntry{
-			owner: rep.Owner, succs: rep.Successors, items: items, batch: rep.Batch,
-			ownerInc: ownerInc, succIncs: succIncs, keys: frameKeys,
-		})
+	if n.journalFrame(&journalEntry{
+		owner: rep.Owner, succs: rep.Successors, items: items, batch: rep.Batch, keys: frameKeys,
+	}) {
 		n.mJournalFrames.Inc()
 		n.gJournalBytes.Add(float64(len(rep.Batch)))
 	}
-	n.mu.Unlock()
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -616,7 +667,7 @@ func (n *Node) handleManifest(w http.ResponseWriter, r *http.Request) {
 	// that replay flatten to duplicates and lose the rows for good.
 	journaled := make(map[string]map[string]bool)
 	for _, e := range n.journal {
-		if !e.replayed && !e.ownerHoldsRows(state, incs) {
+		if !e.replayed && !e.life().holdsRows(state, incs) {
 			continue
 		}
 		for router, keys := range e.keys {

@@ -16,13 +16,14 @@ import (
 // Dashboard maintains a continuously-updating view of every paper
 // exhibit over a segment store. Sealed segments stream in exactly once
 // through the store's subscription and fold into a mergeable
-// analysis.Partial; a render takes an analysis.Snapshot of the partial
-// with the store's live tail on top — a flat copy of the flow aggregates
-// plus work proportional to the tail — and regenerates the figures from
-// it. It never re-reads sealed history and never clones the partial. The
-// rendered output is bit-identical to running the batch figures over the
-// store's full merged view (see the analysis.Partial package comment for
-// the exactness argument).
+// analysis.Partial, flow rollup included; a render takes an
+// analysis.Snapshot of the partial with the store's live tail on top —
+// the folded rollup frozen and the tail's laid over it, work proportional
+// to the tail and the number of homes — and regenerates the figures from
+// it. It never re-reads sealed history, never re-sums the flows and never
+// clones the partial. The rendered output is bit-identical to running the
+// batch figures over the store's full merged view (see the
+// analysis.Partial package comment for the exactness argument).
 type Dashboard struct {
 	src *segment.Store
 	win Windows
@@ -34,9 +35,6 @@ type Dashboard struct {
 	gen    uint64 // the store's seal generation as of the last fold
 
 	lastRender time.Duration
-	// spare is the aggregate array of the last finished render's
-	// snapshot, for the next one to copy into.
-	spare []dataset.FlowRecord
 
 	hRender, hSnapshot, hFold *telemetry.Histogram
 	gAggregates, gSealed      *telemetry.Gauge
@@ -51,7 +49,7 @@ func NewDashboard(src *segment.Store, w Windows) (*Dashboard, error) {
 		hRender: telemetry.Default.Histogram("natpeek_figures_render_seconds",
 			"Time to render every exhibit once: snapshot plus figures.", nil),
 		hSnapshot: telemetry.Default.Histogram("natpeek_figures_snapshot_seconds",
-			"Time a render spent building its snapshot: tail read, flat copy, tail fold.", nil),
+			"Time a render spent building its snapshot: tail read and rollup, capture, tail rows appended.", nil),
 		hFold: telemetry.Default.Histogram("natpeek_figures_fold_seconds",
 			"Time to fold one sealed chunk into the dashboard's partial, renders locked out.", nil),
 		gAggregates: telemetry.Default.Gauge("natpeek_figures_flow_aggregates",
@@ -85,17 +83,17 @@ func (d *Dashboard) fold(chunk *dataset.Store) {
 	d.folded.Broadcast()
 }
 
-// snapshot produces a consistent projected store — sealed chunks 1..n
-// plus the live tail, no chunk counted twice or dropped — and the
-// incremental state it was taken from. The store publishes a sealed
-// generation before it tells its subscribers, so a tail can be missing
-// a chunk the base has not folded yet: the tail comes with the
-// generation it belongs to, and the base is read once it has folded
-// exactly that one. A base that is already past it (a seal landed after
+// snapshot produces a consistent projected store and flow rollup —
+// sealed chunks 1..n plus the live tail, no chunk counted twice or
+// dropped — and the incremental state it was taken from. The store
+// publishes a sealed generation before it tells its subscribers, so a
+// tail can be missing a chunk the base has not folded yet: the tail
+// comes with the generation it belongs to, and the base is read once it
+// has folded exactly that one. A base that is already past it (a seal landed after
 // the tail was read) would count that chunk twice; the tail is read
-// again. d.mu is held for the flat copy only, so a fold never waits
-// behind a render.
-func (d *Dashboard) snapshot() (*dataset.Store, DashboardStats) {
+// again. d.mu is held for the capture only, so a fold never waits behind
+// a render.
+func (d *Dashboard) snapshot() (*dataset.Store, *analysis.FlowRollup, DashboardStats) {
 	for {
 		tail, gen := d.src.TailGen()
 		sn := analysis.NewSnapshot(tail)
@@ -107,11 +105,10 @@ func (d *Dashboard) snapshot() (*dataset.Store, DashboardStats) {
 			d.mu.Unlock()
 			continue
 		}
-		sn.Capture(d.base, d.spare)
-		d.spare = nil
+		sn.Capture(d.base)
 		stats := d.statsLocked()
 		d.mu.Unlock()
-		return sn.Store(d.src.HeartbeatLog()), stats
+		return sn.Store(d.src.HeartbeatLog()), sn.Flows(), stats
 	}
 }
 
@@ -125,15 +122,14 @@ func (d *Dashboard) Render() []*Report {
 // rendered from; LastRenderMs is this render's own duration.
 func (d *Dashboard) render() ([]*Report, DashboardStats) {
 	start := time.Now()
-	st, stats := d.snapshot()
+	st, flows, stats := d.snapshot()
 	d.hSnapshot.Observe(time.Since(start).Seconds())
-	out := All(st, d.win)
+	out := all(st, flows, d.win)
 	took := time.Since(start)
 	d.hRender.Observe(took.Seconds())
 	stats.LastRenderMs = float64(took.Microseconds()) / 1000
 	d.mu.Lock()
 	d.lastRender = took
-	d.spare = st.Flows // the reports hold strings, nothing of st
 	d.mu.Unlock()
 	return out, stats
 }

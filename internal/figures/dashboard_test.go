@@ -12,41 +12,49 @@ import (
 	"testing"
 	"time"
 
+	"natpeek/internal/analysis"
 	"natpeek/internal/dataset"
 	"natpeek/internal/mac"
 	"natpeek/internal/segment"
 )
 
 // unit is the test stream's quantum: one Append adding k rows of the
-// k-th kind (flows under keys no other unit uses, so they never
-// collapse) and one router. A store that holds n whole units holds
-// exactly n·k rows of every kind and n routers.
+// k-th kind and one router. A store that holds n whole units holds
+// exactly n·k rows of every kind and n routers. A unit's flows go to the
+// home of unit u/3, usually one an earlier chunk sealed, so a fold
+// updates homes a page may be reading; they are under keys no other unit
+// uses, so they never collapse, and their volumes differ per unit and
+// device, so every flow exhibit moves with the prefix it is over.
 func appendUnit(seg *segment.Store, u int) {
+	seg.Append(fmt.Sprintf("unit-%05d", u), func(dst *dataset.Store) { unitRows(dst, u) })
+}
+
+// unitRows appends unit u's rows to dst.
+func unitRows(dst *dataset.Store, u int) {
 	id := fmt.Sprintf("unit-%05d", u)
 	at := time.Date(2013, 4, 1, 0, 0, 0, 0, time.UTC).Add(time.Duration(u) * time.Minute)
-	seg.Append(id, func(dst *dataset.Store) {
-		dst.RouterCountry[id] = "US"
-		dst.Uptime = append(dst.Uptime, dataset.UptimeReport{RouterID: id, ReportedAt: at, Uptime: time.Hour})
-		for i := 0; i < 2; i++ {
-			dst.Capacity = append(dst.Capacity, dataset.CapacityMeasure{RouterID: id, MeasuredAt: at, UpBps: 1e6, DownBps: 1e7})
-		}
-		for i := 0; i < 3; i++ {
-			dst.Counts = append(dst.Counts, dataset.DeviceCount{RouterID: id, At: at, Wired: 1, W24: 2, W5: 1})
-		}
-		for i := 0; i < 4; i++ {
-			dst.Sightings = append(dst.Sightings, dataset.DeviceSighting{RouterID: id, At: at, Device: mac.FromOUI(0x001CB3, uint32(i))})
-		}
-		for i := 0; i < 5; i++ {
-			dst.WiFi = append(dst.WiFi, dataset.WiFiScan{RouterID: id, At: at, Band: "2.4GHz", Channel: 1 + i, VisibleAPs: 3})
-		}
-		for i := 0; i < 6; i++ {
-			dst.Flows = append(dst.Flows, dataset.FlowRecord{RouterID: id, Device: mac.FromOUI(0x001CB3, uint32(i)),
-				Domain: "google.com", Proto: "tcp", First: at, Last: at, UpBytes: 10, DownBytes: 1000, Conns: 1})
-		}
-		for i := 0; i < 7; i++ {
-			dst.Throughput = append(dst.Throughput, dataset.ThroughputSample{RouterID: id, Minute: at, Dir: "down", PeakBps: 1e6})
-		}
-	})
+	dst.RouterCountry[id] = "US"
+	dst.Uptime = append(dst.Uptime, dataset.UptimeReport{RouterID: id, ReportedAt: at, Uptime: time.Hour})
+	for i := 0; i < 2; i++ {
+		dst.Capacity = append(dst.Capacity, dataset.CapacityMeasure{RouterID: id, MeasuredAt: at, UpBps: 1e6, DownBps: 1e7})
+	}
+	for i := 0; i < 3; i++ {
+		dst.Counts = append(dst.Counts, dataset.DeviceCount{RouterID: id, At: at, Wired: 1, W24: 2, W5: 1})
+	}
+	for i := 0; i < 4; i++ {
+		dst.Sightings = append(dst.Sightings, dataset.DeviceSighting{RouterID: id, At: at, Device: mac.FromOUI(0x001CB3, uint32(i))})
+	}
+	for i := 0; i < 5; i++ {
+		dst.WiFi = append(dst.WiFi, dataset.WiFiScan{RouterID: id, At: at, Band: "2.4GHz", Channel: 1 + i, VisibleAPs: 3})
+	}
+	for i := 0; i < 6; i++ {
+		dst.Flows = append(dst.Flows, dataset.FlowRecord{RouterID: fmt.Sprintf("unit-%05d", u/3),
+			Device: mac.FromOUI(0x001CB3, uint32(6*u+i)), Domain: []string{"google.com", "youtube.com", "facebook.com"}[i%3],
+			Proto: "tcp", First: at, Last: at, UpBytes: int64(10 + u), DownBytes: int64(30_000 * (1 + i)), Conns: int64(1 + u%4)})
+	}
+	for i := 0; i < 7; i++ {
+		dst.Throughput = append(dst.Throughput, dataset.ThroughputSample{RouterID: id, Minute: at, Dir: "down", PeakBps: 1e6})
+	}
 }
 
 // wholeUnits returns n when rc is exactly n units, else -1.
@@ -56,6 +64,38 @@ func wholeUnits(rc dataset.RowCounts) int {
 		return -1
 	}
 	return n
+}
+
+// pageUnits is wholeUnits of a page's store, which holds no flow rows:
+// checkFlows vouches for those.
+func pageUnits(st *dataset.Store) int {
+	rc := dataset.CountRows(st)
+	rc.Flows = 6 * rc.Uptime
+	return wholeUnits(rc)
+}
+
+// flowReports renders the exhibits that read the flow rollup.
+func flowReports(st *dataset.Store, flows *analysis.FlowRollup) string {
+	var b strings.Builder
+	for _, r := range []*Report{table2(st, flows), fig12(flows), fig14(st, flows),
+		fig17(flows), fig18(flows), fig19(flows), fig20(flows)} {
+		b.WriteString(r.String())
+	}
+	return b.String()
+}
+
+// checkFlows compares a page of n units with the batch exhibits over the
+// same n units: a page whose rollup lost, doubled or half-folded a chunk
+// — or saw a fold change a home under it — reads differently.
+func checkFlows(st *dataset.Store, flows *analysis.FlowRollup, n int) error {
+	batch := dataset.NewStore()
+	for u := 0; u < n; u++ {
+		unitRows(batch, u)
+	}
+	if got, want := flowReports(st, flows), flowReports(batch, analysis.RollupFlows(batch)); got != want {
+		return fmt.Errorf("flow exhibits of a %d-unit page:\n%s\nthe batch exhibits over those units:\n%s", n, got, want)
+	}
+	return nil
 }
 
 func openSeg(t *testing.T) *segment.Store {
@@ -92,29 +132,36 @@ func TestSnapshotSeesChunkBetweenPublishAndFold(t *testing.T) {
 	go func() { flushed <- seg.Flush() }()
 	<-entered // published; the dashboard has not been told
 
-	got := make(chan dataset.RowCounts, 1)
+	got := make(chan error, 1)
 	go func() {
-		st, _ := d.snapshot()
-		got <- dataset.CountRows(st)
+		st, flows, _ := d.snapshot()
+		if n := pageUnits(st); n != units {
+			got <- fmt.Errorf("snapshot inside the seal window holds %d units (%+v), the store %d", n, dataset.CountRows(st), units)
+			return
+		}
+		got <- checkFlows(st, flows, units)
 	}()
 	// A snapshot that comes back while the window is open had better be
 	// whole; one that waits for the fold is let through after a while.
-	var rc dataset.RowCounts
+	var pageErr error
 	waited := false
 	select {
-	case rc = <-got:
+	case pageErr = <-got:
 	case <-time.After(200 * time.Millisecond):
 		waited = true
 	}
 	close(release)
 	if waited {
-		rc = <-got
+		pageErr = <-got
 	}
 	if err := <-flushed; err != nil {
 		t.Fatal(err)
 	}
-	if want := dataset.CountRows(seg.Merge()); rc != want || wholeUnits(rc) != units {
-		t.Fatalf("snapshot inside the seal window holds %+v, the store %+v", rc, want)
+	if pageErr != nil {
+		t.Fatal(pageErr)
+	}
+	if n := wholeUnits(dataset.CountRows(seg.Merge())); n != units {
+		t.Fatalf("the store holds %d units, want %d", n, units)
 	}
 }
 
@@ -123,7 +170,9 @@ func TestSnapshotSeesChunkBetweenPublishAndFold(t *testing.T) {
 // dawdles. Every snapshot is a whole prefix of the stream — the same
 // number of units in every kind, so no chunk is half there or there
 // twice — no shorter than what had been sealed when it began, and no
-// shorter than the reader's previous one.
+// shorter than the reader's previous one; and its flow exhibits are the
+// batch exhibits over that prefix, however many folds have copied the
+// homes it reads since it was taken.
 func TestRendersBesideSeals(t *testing.T) {
 	seg := openSeg(t)
 	if err := seg.Subscribe(func(*dataset.Store) {
@@ -156,12 +205,11 @@ func TestRendersBesideSeals(t *testing.T) {
 				default:
 				}
 				floor := int(sealed.Load())
-				st, stats := d.snapshot()
-				rc := dataset.CountRows(st)
-				n := wholeUnits(rc)
+				st, flows, stats := d.snapshot()
+				n := pageUnits(st)
 				switch {
 				case n < 0:
-					t.Errorf("reader %d: snapshot is no prefix of the stream: %+v", r, rc)
+					t.Errorf("reader %d: snapshot is no prefix of the stream: %+v", r, dataset.CountRows(st))
 					return
 				case n < floor:
 					t.Errorf("reader %d: snapshot holds %d units, %d were sealed before it began", r, n, floor)
@@ -175,7 +223,11 @@ func TestRendersBesideSeals(t *testing.T) {
 				}
 				last = n
 				if pages%8 == 0 {
-					All(st, DefaultWindows()) // the exhibits read what the next fold appends behind
+					all(st, flows, DefaultWindows()) // the exhibits read what the next fold appends behind
+				}
+				if err := checkFlows(st, flows, n); err != nil {
+					t.Errorf("reader %d: %v", r, err)
+					return
 				}
 			}
 		}()
@@ -193,9 +245,12 @@ func TestRendersBesideSeals(t *testing.T) {
 	if flushErr != nil {
 		t.Fatal(flushErr)
 	}
-	st, _ := d.snapshot()
-	if n := wholeUnits(dataset.CountRows(st)); n != units {
+	st, flows, _ := d.snapshot()
+	if n := pageUnits(st); n != units {
 		t.Fatalf("final snapshot holds %d units, want %d", n, units)
+	}
+	if err := checkFlows(st, flows, units); err != nil {
+		t.Fatal(err)
 	}
 }
 

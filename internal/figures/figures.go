@@ -151,34 +151,38 @@ func table2(st *dataset.Store, flows *analysis.FlowRollup) *Report {
 }
 
 // Fig3 reproduces the downtime-frequency CDF.
-func Fig3(st *dataset.Store, w Windows) *Report {
+func Fig3(st *dataset.Store, w Windows) *Report { return fig3(st, analysis.NewRoster(st), w) }
+
+func fig3(st *dataset.Store, ro *analysis.Roster, w Windows) *Report {
 	r := &Report{
 		ID:         "Figure 3",
 		Title:      "Average number of downtimes per day (≥10 min), by group",
 		PaperClaim: "developed median gap > a month (≲0.03/day); developing median < a day (≳0.4/day)",
 	}
-	rates := analysis.DowntimesPerDayByGroup(st, w.Availability)
+	rates := analysis.DowntimesPerDayByGroup(st, ro, w.Availability)
 	for _, g := range []analysis.Group{analysis.Developed, analysis.Developing} {
 		xs := rates[g]
 		r.add("%-10s n=%-3d CDF: %s", g, len(xs), cdfLine(xs, "/day"))
 	}
-	gaps := analysis.MedianTimeBetweenDowntimes(st, w.Availability)
+	gaps := analysis.MedianTimeBetweenDowntimes(st, ro, w.Availability)
 	r.add("median time between downtimes: developed=%s developing=%s",
 		fmtDur(gaps[analysis.Developed]), fmtDur(gaps[analysis.Developing]))
 	r.add("frequent-downtime share: developed >1/10days = %.0f%%, developing >1/3days = %.0f%%",
-		100*analysis.FractionWithFrequentDowntime(st, analysis.Developed, w.Availability, 10),
-		100*analysis.FractionWithFrequentDowntime(st, analysis.Developing, w.Availability, 3))
+		100*analysis.FractionWithFrequentDowntime(st, ro, analysis.Developed, w.Availability, 10),
+		100*analysis.FractionWithFrequentDowntime(st, ro, analysis.Developing, w.Availability, 3))
 	return r
 }
 
 // Fig4 reproduces the downtime-duration CDF.
-func Fig4(st *dataset.Store, w Windows) *Report {
+func Fig4(st *dataset.Store, w Windows) *Report { return fig4(st, analysis.NewRoster(st), w) }
+
+func fig4(st *dataset.Store, ro *analysis.Roster, w Windows) *Report {
 	r := &Report{
 		ID:         "Figure 4",
 		Title:      "Downtime duration, by group",
 		PaperClaim: "median ≈30 min for both; developing has the longer tail (up to days)",
 	}
-	durs := analysis.DowntimeDurationsByGroup(st, w.Availability)
+	durs := analysis.DowntimeDurationsByGroup(st, ro, w.Availability)
 	for _, g := range []analysis.Group{analysis.Developed, analysis.Developing} {
 		xs := durs[g]
 		if len(xs) == 0 {
@@ -199,7 +203,7 @@ func Fig4(st *dataset.Store, w Windows) *Report {
 	}
 	if causeWin.To.After(causeWin.From) {
 		for _, g := range []analysis.Group{analysis.Developed, analysis.Developing} {
-			t := analysis.DowntimeCauses(st, g, causeWin)
+			t := analysis.DowntimeCauses(st, ro, g, causeWin)
 			r.add("%-10s causes (Uptime-overlap window): power-off=%d network=%d unknown=%d",
 				g, t[analysis.CausePowerOff], t[analysis.CauseNetwork], t[analysis.CauseUnknown])
 		}
@@ -208,14 +212,16 @@ func Fig4(st *dataset.Store, w Windows) *Report {
 }
 
 // Fig5 reproduces the GDP scatter.
-func Fig5(st *dataset.Store, w Windows) *Report {
+func Fig5(st *dataset.Store, w Windows) *Report { return fig5(st, analysis.NewRoster(st), w) }
+
+func fig5(st *dataset.Store, ro *analysis.Roster, w Windows) *Report {
 	r := &Report{
 		ID:         "Figure 5",
 		Title:      "Median number of downtimes vs per-capita GDP (≥3 routers)",
 		PaperClaim: "IN and PK (lowest GDP) have by far the most downtimes; PK ≈2/day",
 	}
 	days := w.Availability.To.Sub(w.Availability.From).Hours() / 24
-	for _, pt := range analysis.DowntimesByCountry(st, w.Availability, 3) {
+	for _, pt := range analysis.DowntimesByCountry(st, ro, w.Availability, 3) {
 		r.add("%-3s gdp=$%-6.0f routers=%-3d medianDowntimes=%-6.0f (%.2f/day) medianDur=%s",
 			pt.Code, pt.GDPPPP, pt.Routers, pt.MedianDowntimes,
 			pt.MedianDowntimes/days, fmtDur(pt.MedianDuration))
@@ -224,7 +230,9 @@ func Fig5(st *dataset.Store, w Windows) *Report {
 }
 
 // Fig6 reproduces the availability-mode case studies as day-strips.
-func Fig6(st *dataset.Store, w Windows) *Report {
+func Fig6(st *dataset.Store, w Windows) *Report { return fig6(st, analysis.NewRoster(st), w) }
+
+func fig6(st *dataset.Store, ro *analysis.Roster, w Windows) *Report {
 	r := &Report{
 		ID:         "Figure 6",
 		Title:      "Availability archetypes (10-day strips; '#'=online per hour, '.'=down)",
@@ -257,7 +265,7 @@ func Fig6(st *dataset.Store, w Windows) *Report {
 	// §4.2 medians.
 	for _, code := range []string{"US", "IN", "ZA"} {
 		r.add("median uptime %s = %.2f%% (paper: US 98.25, IN 76.01, ZA 85.57)",
-			code, 100*analysis.MedianUptimeFraction(st, code, w.Availability))
+			code, 100*analysis.MedianUptimeFraction(st, ro, code, w.Availability))
 	}
 	return r
 }

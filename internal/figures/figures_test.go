@@ -59,7 +59,7 @@ func TestAllReportsNonEmpty(t *testing.T) {
 
 func TestFig3DevelopedVsDeveloping(t *testing.T) {
 	st, w := study(t)
-	rates := analysis.DowntimesPerDayByGroup(st, w.Availability)
+	rates := analysis.DowntimesPerDayByGroup(st, analysis.NewRoster(st), w.Availability)
 	devMed := stats.Median(rates[analysis.Developed])
 	dvgMed := stats.Median(rates[analysis.Developing])
 	// Paper: developed median < 1/30 per day; developing > ~1/3 per day.
@@ -76,7 +76,7 @@ func TestFig3DevelopedVsDeveloping(t *testing.T) {
 
 func TestFig4MedianDurationAboutHalfHour(t *testing.T) {
 	st, w := study(t)
-	durs := analysis.DowntimeDurationsByGroup(st, w.Availability)
+	durs := analysis.DowntimeDurationsByGroup(st, analysis.NewRoster(st), w.Availability)
 	all := append(append([]float64{}, durs[analysis.Developed]...), durs[analysis.Developing]...)
 	med := stats.Median(all) / 60
 	// Paper: ≈30 minutes.
@@ -91,7 +91,7 @@ func TestFig4MedianDurationAboutHalfHour(t *testing.T) {
 
 func TestFig5PoorestCountriesWorst(t *testing.T) {
 	st, w := study(t)
-	pts := analysis.DowntimesByCountry(st, w.Availability, 3)
+	pts := analysis.DowntimesByCountry(st, analysis.NewRoster(st), w.Availability, 3)
 	if len(pts) < 4 {
 		t.Fatalf("only %d countries with ≥3 routers", len(pts))
 	}
@@ -116,9 +116,9 @@ func TestFig5PoorestCountriesWorst(t *testing.T) {
 
 func TestFig6UptimeMedians(t *testing.T) {
 	st, w := study(t)
-	us := analysis.MedianUptimeFraction(st, "US", w.Availability)
-	in := analysis.MedianUptimeFraction(st, "IN", w.Availability)
-	za := analysis.MedianUptimeFraction(st, "ZA", w.Availability)
+	us := analysis.MedianUptimeFraction(st, analysis.NewRoster(st), "US", w.Availability)
+	in := analysis.MedianUptimeFraction(st, analysis.NewRoster(st), "IN", w.Availability)
+	za := analysis.MedianUptimeFraction(st, analysis.NewRoster(st), "ZA", w.Availability)
 	if us < 0.95 {
 		t.Fatalf("US uptime %.3f (paper 0.9825)", us)
 	}

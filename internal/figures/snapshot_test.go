@@ -15,21 +15,27 @@ import (
 )
 
 // oldSnapshot is the recipe Dashboard.snapshot replaced: deep-copy the
-// base, fold the tail into the copy row by row, materialize.
-func oldSnapshot(base *analysis.Partial, tail *dataset.Store, hb *heartbeat.Log) *dataset.Store {
+// base, fold the tail into the copy row by row, materialize, and roll the
+// flows up in one batch pass. The store it returns then drops its flows,
+// as a snapshot's holds none.
+func oldSnapshot(base *analysis.Partial, tail *dataset.Store, hb *heartbeat.Log) (*dataset.Store, *analysis.FlowRollup) {
 	p := base.Clone()
 	p.Fold(tail)
-	return p.Store(hb)
+	st := *p.Store(hb)
+	flows := analysis.RollupFlows(&st)
+	st.Flows = nil
+	return &st, flows
 }
 
-func newSnapshot(base *analysis.Partial, tail *dataset.Store, hb *heartbeat.Log) *dataset.Store {
+func newSnapshot(base *analysis.Partial, tail *dataset.Store, hb *heartbeat.Log) (*dataset.Store, *analysis.FlowRollup) {
 	sn := analysis.NewSnapshot(tail)
-	sn.Capture(base, nil)
-	return sn.Store(hb)
+	sn.Capture(base)
+	return sn.Store(hb), sn.Flows()
 }
 
 // diffStores compares two stores kind by kind and, for flows, row by row
-// in order.
+// in order. A snapshot's store holds no flows; compare its rollup with
+// diffRollups instead.
 func diffStores(t *testing.T, what string, want, got *dataset.Store) {
 	t.Helper()
 	if !reflect.DeepEqual(want.RouterCountry, got.RouterCountry) {
@@ -61,10 +67,11 @@ func diffStores(t *testing.T, what string, want, got *dataset.Store) {
 }
 
 // TestSnapshotMatchesCloneFold: over random chunk sequences and random
-// tails the copy-free snapshot is the store the old clone-per-render
-// recipe built, and taking it leaves the base as it was — also once the
-// base has folded its next chunk, which appends behind the slice headers
-// the snapshot still holds and updates aggregates the snapshot copied.
+// tails the copy-free snapshot is the store and the flow rollup the old
+// clone-per-render recipe built, and taking it leaves the base as it was
+// — also once the base has folded its next chunk, which appends behind
+// the slice headers the snapshot still holds and folds into home
+// versions the snapshot's rollup reads.
 func TestSnapshotMatchesCloneFold(t *testing.T) {
 	hb := heartbeat.NewLog()
 	for seed := uint64(1); seed <= 8; seed++ {
@@ -93,9 +100,10 @@ func TestSnapshotMatchesCloneFold(t *testing.T) {
 		for _, tail := range tails {
 			what := fmt.Sprintf("seed %d, %s", seed, tail.name)
 			b, twin := base.Clone(), base.Clone()
-			want := oldSnapshot(twin, tail.rows, hb)
-			got := newSnapshot(b, tail.rows, hb)
+			want, wantFlows := oldSnapshot(twin, tail.rows, hb)
+			got, gotFlows := newSnapshot(b, tail.rows, hb)
 			diffStores(t, what, want, got)
+			diffRollups(t, what, wantFlows, gotFlows)
 			diffStores(t, what+": base afterwards", twin.Store(hb), b.Store(hb))
 
 			// The base folds on — the tail seals, another chunk follows —
@@ -106,14 +114,17 @@ func TestSnapshotMatchesCloneFold(t *testing.T) {
 				twin.Fold(c)
 			}
 			diffStores(t, what+": base after the next folds", twin.Store(hb), b.Store(hb))
+			diffRollups(t, what+": base rollup after the next folds", folded(twin), folded(b))
 			diffStores(t, what+": snapshot held across the next folds", want, got)
+			diffRollups(t, what+": snapshot held across the next folds", wantFlows, gotFlows)
 		}
 	}
 }
 
 // fixtureDashboard seals uploads of loadgen mix into a segment store in
 // a few chunks, leaves tailUploads more in the memtable, and returns a
-// dashboard over it.
+// dashboard over it. The tail is drawn from a stream of its own, so two
+// fixtures that differ only in history have the same tail rows.
 func fixtureDashboard(t testing.TB, uploads, tailUploads, routers int) *Dashboard {
 	t.Helper()
 	seg, err := segment.Open(segment.Options{Dir: t.TempDir(), FlushRows: 1 << 30, NoCompaction: true})
@@ -131,7 +142,9 @@ func fixtureDashboard(t testing.TB, uploads, tailUploads, routers int) *Dashboar
 			t.Fatal(err)
 		}
 	}
-	seg.Append("fixture", func(dst *dataset.Store) { loadgenMix(dst, s, uploads, tailUploads, routers, 0.65) })
+	seg.Append("fixture", func(dst *dataset.Store) {
+		loadgenMix(dst, rng.New(7).Child("tail"), 0, tailUploads, routers, 0.65)
+	})
 	d, err := NewDashboard(seg, DefaultWindows())
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +154,7 @@ func fixtureDashboard(t testing.TB, uploads, tailUploads, routers int) *Dashboar
 
 // TestSnapshotAllocBudget: what a snapshot allocates does not depend on
 // how much history the base holds — ten times the aggregates, the same
-// handful of allocations (the copies themselves are one each).
+// handful of allocations (the tail's rollup and the kept kinds' copies).
 func TestSnapshotAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -160,9 +173,31 @@ func TestSnapshotAllocBudget(t *testing.T) {
 	}
 }
 
+// TestRenderWorkIsTailBound: what a whole render allocates — snapshot,
+// roster, every exhibit — is set by the tail and the fleet, not by how
+// much history is sealed under them: four times the sealed rows, the
+// same tail, allocation counts within 10 %. The fleet is small enough
+// that the shorter history already has rows of every kind from every
+// router, so both renders format the same fleet.
+func TestRenderWorkIsTailBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	var allocs [2]float64
+	for i, uploads := range []int{6_000, 24_000} {
+		d := fixtureDashboard(t, uploads, 256, 64)
+		d.Render()
+		allocs[i] = testing.AllocsPerRun(5, func() { d.Render() })
+	}
+	t.Logf("allocations per render over the same tail: %.0f with H sealed uploads, %.0f with 4H", allocs[0], allocs[1])
+	if allocs[1] > allocs[0]*1.1 {
+		t.Fatalf("render allocations grew with history: %.0f → %.0f", allocs[0], allocs[1])
+	}
+}
+
 // TestSnapshotLockHold measures the longest d.mu is held by a snapshot on
-// the 100k-aggregate fixture: the flat copy, a few milliseconds, so a
-// seal's fold waits behind at most that, never behind a render.
+// the 100k-aggregate fixture: the capture, work proportional to the tail,
+// so a seal's fold waits behind at most that, never behind a render.
 func TestSnapshotLockHold(t *testing.T) {
 	d := fixtureDashboard(t, 45_000, 2_000, 512)
 	d.Render()
@@ -199,7 +234,7 @@ func TestSnapshotLockHold(t *testing.T) {
 	// A lock that covered the figures too would make some sample wait
 	// nearly a whole render; the margin is for a busy test machine.
 	if !raceEnabled && worst > worstRender*3/4 {
-		t.Fatalf("d.mu was held for %v, a render takes %v: the lock covers more than the flat copy", worst, worstRender)
+		t.Fatalf("d.mu was held for %v, a render takes %v: the lock covers more than the capture", worst, worstRender)
 	}
 }
 

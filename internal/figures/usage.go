@@ -268,14 +268,19 @@ func fig20(flows *analysis.FlowRollup) *Report {
 
 // All regenerates every exhibit in paper order. Exhibits that read the
 // same intermediate share it: the flow exhibits one rollup of the Traffic
-// flows, Figs. 8/9 the connected-device averages, Figs. 15/16 the links.
-func All(st *dataset.Store, w Windows) []*Report {
-	flows := analysis.RollupFlows(st)
+// flows, Figs. 3–6 one roster index, Figs. 8/9 the connected-device
+// averages, Figs. 15/16 the links.
+func All(st *dataset.Store, w Windows) []*Report { return all(st, analysis.RollupFlows(st), w) }
+
+// all is All with the flow rollup supplied: the batch path builds it from
+// st, a dashboard page brings its folded one, and st then holds no flows.
+func all(st *dataset.Store, flows *analysis.FlowRollup, w Windows) []*Report {
+	ro := analysis.NewRoster(st)
 	conn := analysis.ConnectedByGroup(st)
 	sats := analysis.Saturation(st)
 	return []*Report{
 		Table1(st), table2(st, flows),
-		Fig3(st, w), Fig4(st, w), Fig5(st, w), Fig6(st, w),
+		fig3(st, ro, w), fig4(st, ro, w), fig5(st, ro, w), fig6(st, ro, w),
 		Fig7(st), fig8(conn), fig9(conn), Table5(st), Fig10(st), Fig11(st), fig12(flows),
 		Fig13(st), fig14(st, flows), fig15(sats), fig16(sats), fig17(flows), fig18(flows), fig19(flows), fig20(flows),
 	}

@@ -12,6 +12,7 @@ import (
 	"natpeek/internal/dataset"
 	"natpeek/internal/rng"
 	"natpeek/internal/segment"
+	"natpeek/internal/telemetry"
 )
 
 // decodeConcat is the scanner's reference: every segment file in dir
@@ -354,4 +355,67 @@ func TestCompactIgnoresThreshold(t *testing.T) {
 		t.Fatalf("Compact() left %d segments, want fewer than 3", n)
 	}
 	sameRows(t, want, s.Merge(), "merge after Compact()")
+}
+
+// TestCompactionMetrics: a pass moves natpeek_segment_compact_seconds by
+// one observation and natpeek_segment_compacted_rows_total by the rows of
+// the segments it replaced, and natpeek_segment_live_segments follows the
+// segment list; a call with nothing to compact moves nothing.
+func TestCompactionMetrics(t *testing.T) {
+	passes := telemetry.Default.Histogram("natpeek_segment_compact_seconds", "", nil)
+	rewritten := telemetry.Default.Counter("natpeek_segment_compacted_rows_total", "")
+	live := telemetry.Default.Gauge("natpeek_segment_live_segments", "")
+	s, err := segment.Open(segment.Options{Dir: t.TempDir(), FlushRows: 1 << 30, NoCompaction: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < 3; i++ {
+		applySequence(s, 200, uint64(90+i))
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if live.Value() != 3 {
+		t.Fatalf("live segments gauge %v after three flushes, want 3", live.Value())
+	}
+	for round := 0; ; round++ {
+		before := s.Segments()
+		p0, r0 := passes.Count(), rewritten.Value()
+		if err := s.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		after := s.Segments()
+		replaced := map[segment.SeqRange]bool{}
+		for _, m := range after {
+			for _, r := range m.Replaces {
+				replaced[r] = true
+			}
+		}
+		wantRows, inputs := 0, 0
+		for _, m := range before {
+			if replaced[m.Seq] {
+				wantRows += m.Rows.Total()
+				inputs++
+			}
+		}
+		if len(after) == len(before) { // nothing left to compact
+			if passes.Count() != p0 || rewritten.Value() != r0 {
+				t.Fatalf("round %d: a call that compacted nothing moved the metrics", round)
+			}
+			if round == 0 {
+				t.Fatal("the first Compact() compacted nothing")
+			}
+			break
+		}
+		if passes.Count() != p0+1 {
+			t.Fatalf("round %d: %d passes observed, want 1", round, passes.Count()-p0)
+		}
+		if got := rewritten.Value() - r0; got != uint64(wantRows) || inputs < 2 {
+			t.Fatalf("round %d: %d rows counted as rewritten, the %d replaced segments held %d", round, got, inputs, wantRows)
+		}
+		if live.Value() != float64(len(after)) {
+			t.Fatalf("round %d: live segments gauge %v, the store reads %d", round, live.Value(), len(after))
+		}
+	}
 }

@@ -157,9 +157,11 @@ type Store struct {
 
 	flushErr atomic.Value // error string of the last failed flush, for ops
 
-	// Seal telemetry: updated once per seal, never per row.
-	gDedupeKeys       *telemetry.Gauge
-	hSealLock, hFlush *telemetry.Histogram
+	// Seal and compaction telemetry: updated once per seal or pass,
+	// never per row.
+	gDedupeKeys, gLiveSegs      *telemetry.Gauge
+	hSealLock, hFlush, hCompact *telemetry.Histogram
+	mCompactedRows              *telemetry.Counter
 }
 
 // Open loads (or creates) a segment store in opt.Dir: stray .tmp files
@@ -196,11 +198,18 @@ func open(opt Options, dedupe *dataset.Dedupe) (*Store, error) {
 			"Time a seal held the memtable rotation lock exclusively, appliers locked out.", nil),
 		hFlush: telemetry.Default.Histogram("natpeek_segment_flush_seconds",
 			"Time from sealing a memtable to its segment being durable.", nil),
+		hCompact: telemetry.Default.Histogram("natpeek_segment_compact_seconds",
+			"Time one compaction pass took to rewrite its run of segments into one.", nil),
+		mCompactedRows: telemetry.Default.Counter("natpeek_segment_compacted_rows_total",
+			"Rows read back and rewritten by compaction passes (their input rows)."),
+		gLiveSegs: telemetry.Default.Gauge("natpeek_segment_live_segments",
+			"Segment files the store reads, as of its last seal, compaction or open."),
 	}
 	if err := s.load(); err != nil {
 		return nil, err
 	}
 	s.gDedupeKeys.Set(float64(s.dedupe.Len()))
+	s.gLiveSegs.Set(float64(len(s.segs)))
 	s.bgDone.Add(1)
 	go s.background()
 	return s, nil
@@ -461,6 +470,7 @@ func (s *Store) commitFrozen() error {
 
 	s.segMu.Lock()
 	s.segs = append(s.segs, segFile{path: path, meta: metaOf(snap, seq, nil, len(old.keys))})
+	s.gLiveSegs.Set(float64(len(s.segs)))
 	addRoster(s.roster, snap.RouterCountry)
 	s.frozen = nil
 	s.sealGen++
@@ -540,6 +550,7 @@ func (s *Store) compactLocked(minSegs int) error {
 	if len(run) < 2 {
 		return nil
 	}
+	start := time.Now()
 
 	merged, window := presized(run, dataset.RowCounts{})
 	var keys []Key
@@ -577,10 +588,17 @@ func (s *Store) compactLocked(minSegs int) error {
 		next = append(next, f)
 	}
 	s.segs = next
+	s.gLiveSegs.Set(float64(len(next)))
 	s.segMu.Unlock()
 	for _, f := range run {
 		os.Remove(f.path)
 	}
+	rows := 0
+	for _, f := range run {
+		rows += f.meta.Rows.Total()
+	}
+	s.mCompactedRows.Add(int64(rows))
+	s.hCompact.Observe(time.Since(start).Seconds())
 	return nil
 }
 
