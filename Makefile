@@ -197,8 +197,10 @@ check-bench:
 #      one dedupe index across the flush boundary and across a reopen
 #      (inside and older than its FIFO window), crash-window
 #      regressions (truncated tail, torn footer, kill right after the
-#      flush, tmp leftovers, compaction supersession healing), and the
-#      sealed-segment scanner (per-file-decode property at 1 and 4
+#      flush, tmp leftovers, compaction supersession healing, also for a
+#      run in mid-list), size-tiered compaction's policy (rows rewritten
+#      once per tier, the flush pass counting tier-0 segments only), and
+#      the sealed-segment scanner (per-file-decode property at 1 and 4
 #      workers, reads racing Compact/ExtractRouters, a bad segment left
 #      out whole);
 #   2. the incremental-analysis equivalence suite — partial folds,

@@ -1,6 +1,8 @@
 package figures
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -341,5 +343,32 @@ func TestFig20DistinctFingerprints(t *testing.T) {
 	r := Fig20(st)
 	if len(r.Lines) < 2 {
 		t.Fatalf("need ≥2 device mixes, got %d", len(r.Lines))
+	}
+}
+
+// TestMeanGiniDeterministic: Fig. 17's mean per-home Gini gives the same
+// bits on every call. The shares are a map, and a float sum taken in map
+// order changes its last bits from call to call; the figure prints %.2f,
+// so no golden would notice.
+func TestMeanGiniDeterministic(t *testing.T) {
+	shares := make(map[string][]float64)
+	for h := 0; h < 300; h++ {
+		sh := make([]float64, 2+h%4)
+		rest := 1.0
+		for i := range sh[:len(sh)-1] {
+			sh[i] = rest * float64(1+(h*31+i*17)%97) / 100
+			rest -= sh[i]
+		}
+		sh[len(sh)-1] = rest
+		shares[fmt.Sprintf("home-%03d", h)] = sh
+	}
+	want, ok := meanGini(shares)
+	if !ok {
+		t.Fatal("no home counted")
+	}
+	for i := 0; i < 50; i++ {
+		if got, _ := meanGini(shares); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: mean Gini %v, the first call %v", i, got, want)
+		}
 	}
 }

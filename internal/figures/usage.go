@@ -157,18 +157,28 @@ func fig17(flows *analysis.FlowRollup) *Report {
 	}
 	r.add("mean top-device share (homes with ≥3 devices) = %.0f%%",
 		100*analysis.MeanTopShare(shares, 3))
-	// Concentration beyond the top shares: Gini over per-device volumes,
-	// averaged across homes (0 = even use, →1 = one device does it all).
+	if g, ok := meanGini(shares); ok {
+		r.add("mean per-home usage Gini = %.2f", g)
+	}
+	return r
+}
+
+// meanGini is the concentration beyond the top shares: Gini over
+// per-device volumes, averaged across homes with at least two devices
+// (0 = even use, →1 = one device does it all); ok is false when there
+// are none. Homes are summed in ID order, so the same shares give the
+// same bits on every call.
+func meanGini(shares map[string][]float64) (g float64, ok bool) {
 	var ginis []float64
-	for _, sh := range shares {
-		if len(sh) >= 2 {
+	for _, id := range sortedKeys(shares) {
+		if sh := shares[id]; len(sh) >= 2 {
 			ginis = append(ginis, stats.Gini(sh))
 		}
 	}
-	if len(ginis) > 0 {
-		r.add("mean per-home usage Gini = %.2f", stats.Mean(ginis))
+	if len(ginis) == 0 {
+		return 0, false
 	}
-	return r
+	return stats.Mean(ginis), true
 }
 
 // Fig18 reproduces the top-5/top-10 domain popularity histogram.

@@ -61,9 +61,10 @@ func (s *Store) ExtractRouters(match func(string) bool) (*dataset.Store, []datas
 		s.segMu.Lock()
 		for i := range s.segs {
 			if s.segs[i].path == f.path {
-				s.segs[i].meta = nm
+				s.segs[i].meta, s.segs[i].size = nm, int64(len(nb))
 			}
 		}
+		s.publishLive()
 		s.segMu.Unlock()
 		appendStore(moved, hit)
 	}

@@ -338,54 +338,105 @@ func TestCompactIgnoresThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 4; i++ {
 		applySequence(s, 200, uint64(70+i))
 		if err := s.Flush(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := len(s.Segments()); n != 3 {
-		t.Fatalf("%d segments after three flushes below CompactAt, want 3", n)
+	if n := len(s.Segments()); n != 4 {
+		t.Fatalf("%d segments after four flushes below CompactAt, want 4", n)
 	}
 	want := s.Merge()
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(s.Segments()); n >= 3 {
-		t.Fatalf("Compact() left %d segments, want fewer than 3", n)
+	if n := len(s.Segments()); n >= 4 {
+		t.Fatalf("Compact() left %d segments, want fewer than 4", n)
 	}
 	sameRows(t, want, s.Merge(), "merge after Compact()")
 }
 
+// fileSizes maps every segment file in dir to its size.
+func fileSizes(t *testing.T, dir string) map[string]int64 {
+	t.Helper()
+	out := map[string]int64{}
+	for _, p := range segFiles(t, dir) {
+		fi, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[p] = fi.Size()
+	}
+	return out
+}
+
+// newBytes sums the sizes of the files in after that are not in before.
+func newBytes(before, after map[string]int64) uint64 {
+	var n uint64
+	for p, size := range after {
+		if _, ok := before[p]; !ok {
+			n += uint64(size)
+		}
+	}
+	return n
+}
+
 // TestCompactionMetrics: a pass moves natpeek_segment_compact_seconds by
-// one observation and natpeek_segment_compacted_rows_total by the rows of
-// the segments it replaced, and natpeek_segment_live_segments follows the
-// segment list; a call with nothing to compact moves nothing.
+// one observation, natpeek_segment_compacted_rows_total by the rows of
+// the segments it replaced and natpeek_segment_compacted_bytes_total by
+// the size of the file it wrote; a flush moves
+// natpeek_segment_flushed_bytes_total by the size of its file;
+// natpeek_segment_live_segments and natpeek_segment_live_bytes follow the
+// files on disk after a flush, a pass and a reopen; a call with nothing
+// to compact moves nothing.
 func TestCompactionMetrics(t *testing.T) {
 	passes := telemetry.Default.Histogram("natpeek_segment_compact_seconds", "", nil)
 	rewritten := telemetry.Default.Counter("natpeek_segment_compacted_rows_total", "")
 	live := telemetry.Default.Gauge("natpeek_segment_live_segments", "")
-	s, err := segment.Open(segment.Options{Dir: t.TempDir(), FlushRows: 1 << 30, NoCompaction: true})
+	liveBytes := telemetry.Default.Gauge("natpeek_segment_live_bytes", "")
+	flushed := telemetry.Default.Counter("natpeek_segment_flushed_bytes_total", "")
+	compacted := telemetry.Default.Counter("natpeek_segment_compacted_bytes_total", "")
+	dir := t.TempDir()
+	checkLive := func(what string) {
+		t.Helper()
+		files := fileSizes(t, dir)
+		if live.Value() != float64(len(files)) || liveBytes.Value() != float64(newBytes(nil, files)) {
+			t.Fatalf("%s: live gauges %v segments / %v bytes, the directory holds %d / %d",
+				what, live.Value(), liveBytes.Value(), len(files), newBytes(nil, files))
+		}
+	}
+	s, err := segment.Open(segment.Options{Dir: dir, FlushRows: 1 << 30, NoCompaction: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	for i := 0; i < 3; i++ {
+	defer func() { s.Close() }()
+	for i := 0; i < 4; i++ {
 		applySequence(s, 200, uint64(90+i))
+		files, f0 := fileSizes(t, dir), flushed.Value()
 		if err := s.Flush(); err != nil {
 			t.Fatal(err)
 		}
+		if got, want := flushed.Value()-f0, newBytes(files, fileSizes(t, dir)); got != want || want == 0 {
+			t.Fatalf("flush %d: %d bytes counted as flushed, it wrote %d", i, got, want)
+		}
+		checkLive(fmt.Sprintf("flush %d", i))
 	}
-	if live.Value() != 3 {
-		t.Fatalf("live segments gauge %v after three flushes, want 3", live.Value())
+	if live.Value() != 4 {
+		t.Fatalf("live segments gauge %v after four flushes, want 4", live.Value())
 	}
 	for round := 0; ; round++ {
 		before := s.Segments()
-		p0, r0 := passes.Count(), rewritten.Value()
+		files := fileSizes(t, dir)
+		p0, r0, c0 := passes.Count(), rewritten.Value(), compacted.Value()
 		if err := s.Compact(); err != nil {
 			t.Fatal(err)
 		}
 		after := s.Segments()
+		if got, want := compacted.Value()-c0, newBytes(files, fileSizes(t, dir)); got != want {
+			t.Fatalf("round %d: %d bytes counted as compacted, the pass wrote %d", round, got, want)
+		}
+		checkLive(fmt.Sprintf("round %d", round))
 		replaced := map[segment.SeqRange]bool{}
 		for _, m := range after {
 			for _, r := range m.Replaces {
@@ -418,4 +469,13 @@ func TestCompactionMetrics(t *testing.T) {
 			t.Fatalf("round %d: live segments gauge %v, the store reads %d", round, live.Value(), len(after))
 		}
 	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	live.Set(0)
+	liveBytes.Set(0)
+	if s, err = segment.Open(segment.Options{Dir: dir, NoCompaction: true}); err != nil {
+		t.Fatal(err)
+	}
+	checkLive("reopen")
 }

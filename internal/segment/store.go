@@ -15,10 +15,13 @@
 //     the rename is the sealed generation dropped from the in-memory
 //     view, so readers never see a gap, and seal subscribers receive the
 //     sealed rows as an immutable chunk.
-//   - Background compaction folds runs of seq-adjacent segments with
-//     overlapping time ranges into one, recording the replaced seq
-//     ranges in the new footer; a crash between the rename and the
-//     input deletion is healed at open time by the supersession check.
+//   - Compaction is size-tiered: a segment's tier is its row count in
+//     powers of compactFanIn flushes' worth, and a pass folds the oldest
+//     run of compactFanIn or more seq-adjacent segments of one tier into
+//     one, so a row is rewritten about once per tier rather than once per
+//     pass. The new footer records the replaced seq ranges; a crash
+//     between the rename and the input deletion is healed at open time by
+//     the supersession check.
 //
 // Exactly-once across the flush boundary: the dedupe index belongs to
 // the store, not to a memtable. Every generation marks into the one
@@ -76,8 +79,15 @@ type Options struct {
 const (
 	DefaultFlushRows = 1 << 16
 	// DefaultCompactAt triggers the compaction pass that follows a flush
-	// when more than this many live segments exist.
+	// when more than this many tier-0 segments are live. It counts tier
+	// 0 only: counted too, the up to three segments each higher tier
+	// keeps would start a pass after nearly every flush, in the middle
+	// of ingest bursts.
 	DefaultCompactAt = 8
+	// compactFanIn is both the fewest segments one pass merges and the
+	// row factor between one size tier and the next, so a row is
+	// rewritten about log4(store rows / FlushRows) times in all.
+	compactFanIn = 4
 	// maxCompactInputs bounds one compaction's fan-in so a single run
 	// never rewrites the whole history.
 	maxCompactInputs = 8
@@ -118,6 +128,7 @@ func (m *memtable) noteBirth() {
 type segFile struct {
 	path string
 	meta Meta
+	size int64 // file bytes
 }
 
 // Store is the segment-backed implementation of dataset.IngestStore.
@@ -159,9 +170,9 @@ type Store struct {
 
 	// Seal and compaction telemetry: updated once per seal or pass,
 	// never per row.
-	gDedupeKeys, gLiveSegs      *telemetry.Gauge
-	hSealLock, hFlush, hCompact *telemetry.Histogram
-	mCompactedRows              *telemetry.Counter
+	gDedupeKeys, gLiveSegs, gLiveBytes             *telemetry.Gauge
+	hSealLock, hFlush, hCompact                    *telemetry.Histogram
+	mCompactedRows, mFlushedBytes, mCompactedBytes *telemetry.Counter
 }
 
 // Open loads (or creates) a segment store in opt.Dir: stray .tmp files
@@ -204,12 +215,18 @@ func open(opt Options, dedupe *dataset.Dedupe) (*Store, error) {
 			"Rows read back and rewritten by compaction passes (their input rows)."),
 		gLiveSegs: telemetry.Default.Gauge("natpeek_segment_live_segments",
 			"Segment files the store reads, as of its last seal, compaction or open."),
+		gLiveBytes: telemetry.Default.Gauge("natpeek_segment_live_bytes",
+			"Bytes of the segment files the store reads, as of its last seal, compaction or open."),
+		mFlushedBytes: telemetry.Default.Counter("natpeek_segment_flushed_bytes_total",
+			"Bytes of segment files written by flushes."),
+		mCompactedBytes: telemetry.Default.Counter("natpeek_segment_compacted_bytes_total",
+			"Bytes of segment files written by compaction passes (their outputs)."),
 	}
 	if err := s.load(); err != nil {
 		return nil, err
 	}
 	s.gDedupeKeys.Set(float64(s.dedupe.Len()))
-	s.gLiveSegs.Set(float64(len(s.segs)))
+	s.publishLive()
 	s.bgDone.Add(1)
 	go s.background()
 	return s, nil
@@ -260,7 +277,7 @@ func (s *Store) load() error {
 			continue
 		}
 		keys, err := r.Keys()
-		files = append(files, loaded{segFile{path: path, meta: r.Meta()}, keys, err})
+		files = append(files, loaded{segFile{path: path, meta: r.Meta(), size: int64(len(b))}, keys, err})
 	}
 	sort.Slice(files, func(i, j int) bool {
 		if files[i].meta.Seq.First != files[j].meta.Seq.First {
@@ -443,12 +460,46 @@ func (s *Store) flushLocked() error {
 	}
 	s.hFlush.Observe(time.Since(locked).Seconds())
 
-	if !s.opt.NoCompaction {
-		if err := s.compactLocked(DefaultCompactAt); err != nil {
+	if !s.opt.NoCompaction && s.tierZero() > DefaultCompactAt {
+		if err := s.compactLocked(); err != nil {
 			s.flushErr.Store(err.Error())
 		}
 	}
 	return nil
+}
+
+// tierZero counts the live tier-0 segments: the ones flushes add.
+func (s *Store) tierZero() int {
+	s.segMu.RLock()
+	defer s.segMu.RUnlock()
+	n := 0
+	for _, f := range s.segs {
+		if s.tier(f) == 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// tier is a segment's size tier: 0 below compactFanIn flushes' worth of
+// rows, one more for each further factor of compactFanIn.
+func (s *Store) tier(f segFile) int {
+	t := 0
+	for n := f.meta.Rows.Total() / s.opt.FlushRows; n >= compactFanIn; n /= compactFanIn {
+		t++
+	}
+	return t
+}
+
+// publishLive sets the live-segment gauges from the segment list. Caller
+// holds segMu (or owns the store, at Open).
+func (s *Store) publishLive() {
+	var n int64
+	for _, f := range s.segs {
+		n += f.size
+	}
+	s.gLiveSegs.Set(float64(len(s.segs)))
+	s.gLiveBytes.Set(float64(n))
 }
 
 // commitFrozen persists the frozen generation (if any) as one segment
@@ -467,10 +518,11 @@ func (s *Store) commitFrozen() error {
 	if err := writeAtomic(path, b); err != nil {
 		return err
 	}
+	s.mFlushedBytes.Add(int64(len(b)))
 
 	s.segMu.Lock()
-	s.segs = append(s.segs, segFile{path: path, meta: metaOf(snap, seq, nil, len(old.keys))})
-	s.gLiveSegs.Set(float64(len(s.segs)))
+	s.segs = append(s.segs, segFile{path: path, meta: metaOf(snap, seq, nil, len(old.keys)), size: int64(len(b))})
+	s.publishLive()
 	addRoster(s.roster, snap.RouterCountry)
 	s.frozen = nil
 	s.sealGen++
@@ -534,20 +586,15 @@ func writeAtomic(path string, b []byte) error {
 	return nil
 }
 
-// compactLocked folds the oldest run of seq-adjacent segments whose
-// time ranges overlap into one segment when more than minSegs are live.
-// Only adjacent-in-seq runs are eligible — compaction must not reorder
-// rows — and the output records the replaced seq ranges so a crash
-// between its rename and the input deletion heals at open. It scans
-// with one worker: it runs beside ingest and leaves the other CPUs to
-// the appliers.
-func (s *Store) compactLocked(minSegs int) error {
+// compactLocked is one compaction pass: it folds the run pickTierRun
+// chooses, if any, into one segment. The output records the replaced
+// seq ranges so a crash between its rename and the input deletion heals
+// at open. It scans with one worker: it runs beside ingest and leaves
+// the other CPUs to the appliers.
+func (s *Store) compactLocked() error {
 	segs, _, _, _ := s.view()
-	if len(segs) <= minSegs {
-		return nil
-	}
-	run := pickCompactRun(segs, maxCompactInputs)
-	if len(run) < 2 {
+	run := s.pickTierRun(segs)
+	if run == nil {
 		return nil
 	}
 	start := time.Now()
@@ -570,10 +617,11 @@ func (s *Store) compactLocked(minSegs int) error {
 	if err := writeAtomic(path, b); err != nil {
 		return err
 	}
+	s.mCompactedBytes.Add(int64(len(b)))
 
 	// Commit point passed: swap the metas, then delete the inputs
 	// (best-effort — open-time supersession covers a crash here).
-	out := segFile{path: path, meta: metaOf(merged, seq, replaces, len(keys))}
+	out := segFile{path: path, meta: metaOf(merged, seq, replaces, len(keys)), size: int64(len(b))}
 	s.segMu.Lock()
 	var next []segFile
 	inserted := false
@@ -588,7 +636,7 @@ func (s *Store) compactLocked(minSegs int) error {
 		next = append(next, f)
 	}
 	s.segs = next
-	s.gLiveSegs.Set(float64(len(next)))
+	s.publishLive()
 	s.segMu.Unlock()
 	for _, f := range run {
 		os.Remove(f.path)
@@ -611,50 +659,34 @@ func inRun(run []segFile, path string) bool {
 	return false
 }
 
-// pickCompactRun extends a run from the oldest segment while the next
-// segment's time range overlaps the union so far (capped at maxIn).
-// Segments with disjoint time ranges are already well-partitioned and
-// stay separate; the scan advances past them looking for the first
-// overlapping adjacent pair.
-func pickCompactRun(segs []segFile, maxIn int) []segFile {
-	for start := 0; start < len(segs)-1; start++ {
-		a := segs[start]
-		if !a.meta.HasTimeRange {
-			// Metadata-only segments merge with anything adjacent.
-			return segs[start : start+2]
+// pickTierRun returns the oldest run of at least compactFanIn segments
+// (at most maxCompactInputs) that are adjacent in seq order and in one
+// size tier; nil if there is none. Only adjacent-in-seq runs are
+// eligible — compaction must not reorder rows. Time ranges play no part:
+// ingest that interleaves time ranges (a backfill beside live uploads)
+// would otherwise leave a run of disjoint neighbours unmergeable in every
+// tier, and the segment count would grow with history.
+func (s *Store) pickTierRun(segs []segFile) []segFile {
+	for start := 0; start+compactFanIn <= len(segs); start++ {
+		end := start + 1
+		for end < len(segs) && end-start < maxCompactInputs && s.tier(segs[end]) == s.tier(segs[start]) {
+			end++
 		}
-		lo, hi := a.meta.MinTime, a.meta.MaxTime
-		run := []segFile{a}
-		for _, f := range segs[start+1:] {
-			if len(run) >= maxIn {
-				break
-			}
-			if f.meta.HasTimeRange && (f.meta.MaxTime.Before(lo) || f.meta.MinTime.After(hi)) {
-				break // disjoint: the run ends here
-			}
-			if f.meta.HasTimeRange {
-				if f.meta.MinTime.Before(lo) {
-					lo = f.meta.MinTime
-				}
-				if f.meta.MaxTime.After(hi) {
-					hi = f.meta.MaxTime
-				}
-			}
-			run = append(run, f)
-		}
-		if len(run) >= 2 {
-			return run
+		if end-start >= compactFanIn {
+			return segs[start:end]
 		}
 	}
 	return nil
 }
 
-// Compact runs one compaction pass regardless of thresholds (tests and
-// ops tooling): DefaultCompactAt gates only the pass that follows a flush.
+// Compact runs one compaction pass by the same rule as the pass after a
+// flush, whatever that pass's trigger says: it merges the oldest run of
+// same-tier segments when there is one and otherwise does nothing (ops
+// tooling, tests, and callers that settle a store between phases).
 func (s *Store) Compact() error {
 	s.flushMu.Lock()
 	defer s.flushMu.Unlock()
-	return s.compactLocked(0)
+	return s.compactLocked()
 }
 
 // Merge implements dataset.IngestStore: the batch view. Sealed segments
