@@ -132,7 +132,11 @@ check-load:
 # The cluster gate, under the race detector:
 #   1. the multi-node suite — consistent-hash routing spread, retry
 #      dedupe through the front, JSON/direct endpoint proxying,
-#      journal-replay failover, and rejoin manifest seeding;
+#      journal-replay failover, the first-write gate (a rejoined node
+#      seeds its dedupe index at each router's first keyed write, on
+#      every path a keyed write arrives by; a reborn node is not served
+#      the keys of frames whose rows died with it), and planned
+#      transfers carrying stored rows unchanged, whatever their times;
 #   2. the chaos soak — a 3-node cluster under a live loadgen fleet
 #      with one node killed mid-run and rejoined, gated on zero lost
 #      and zero duplicated rows;

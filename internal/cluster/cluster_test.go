@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -507,19 +508,15 @@ func TestClusterFailoverReplaysJournal(t *testing.T) {
 	}
 }
 
-// TestClusterRejoinManifestSeedsDedupe pins the rejoin protocol: a
-// node that comes back empty pulls key manifests before taking writes,
-// so a retry of a write acked during its absence dedupes instead of
-// double-applying.
 // TestManifestWithholdsRebornJoinersOrphans pins the race behind the
-// chaos soak's lost rows: a reborn node pulls its join manifests before
-// it gossips, so a peer that has not yet judged the previous life dead
-// still believes the owner holds the rows of the frames it journaled
-// for it — and served their keys. Seeded with those keys, the reborn
-// owner flattened the failover replay of the same frames to duplicates
-// and the rows were gone for good. The requester's own Member entry
-// carries its incarnation; a newer one than the peer knows must
-// withhold the unreplayed frames' keys, in both manifest modes.
+// chaos soak's lost rows: a reborn node can pull keys before a peer has
+// judged its previous life dead, and that peer still believes the owner
+// holds the rows of the frames it journaled for it — and served their
+// keys. Seeded with those keys, the reborn owner flattened the failover
+// replay of the same frames to duplicates and the rows were gone for
+// good. The requester's own Member entry carries its incarnation; a
+// newer one than the peer knows must withhold the unreplayed frames'
+// keys. A request naming no routers is answered empty.
 func TestManifestWithholdsRebornJoinersOrphans(t *testing.T) {
 	tc := startTestCluster(t, 2, 2)
 	owner, holder := tc.nodes[0], tc.nodes[1]
@@ -533,15 +530,11 @@ func TestManifestWithholdsRebornJoinersOrphans(t *testing.T) {
 	if !ok {
 		t.Fatal("holder does not know the owner")
 	}
-	served := func(inc uint64, targeted bool) int {
+	served := func(inc uint64, routers ...string) int {
 		t.Helper()
 		self.Incarnation = inc
-		req := &ManifestRequest{Joiner: owner.ID(), Members: []Member{self}}
-		if targeted {
-			req.Routers = []string{"rt-orphan"}
-		}
-		m, err := postCtrl(holder.httpc, holder.CtrlAddr(), "/cluster/manifest",
-			&Message{Kind: MsgManifestRequest, ManifestReq: req}, 5*time.Second)
+		m, err := postCtrl(holder.httpc, holder.CtrlAddr(), "/cluster/manifest", &Message{Kind: MsgManifestRequest,
+			ManifestReq: &ManifestRequest{Joiner: owner.ID(), Members: []Member{self}, Routers: routers}}, 5*time.Second)
 		if err != nil {
 			t.Fatalf("manifest: %v", err)
 		}
@@ -552,24 +545,39 @@ func TestManifestWithholdsRebornJoinersOrphans(t *testing.T) {
 		return keys
 	}
 	known := self.Incarnation
-	for _, targeted := range []bool{false, true} {
-		if got := served(known, targeted); got != 1 {
-			t.Errorf("targeted=%v: %d keys served to the owner's known life, want the journaled 1", targeted, got)
-		}
-		if got := served(known+1, targeted); got != 0 {
-			t.Errorf("targeted=%v: %d keys of an unreplayed frame served to a reborn owner, want 0", targeted, got)
-		}
+	if got := served(known, "rt-orphan"); got != 1 {
+		t.Errorf("%d keys served to the owner's known life, want the journaled 1", got)
+	}
+	if got := served(known+1, "rt-orphan"); got != 0 {
+		t.Errorf("%d keys of an unreplayed frame served to a reborn owner, want 0", got)
+	}
+	if got := served(known); got != 0 {
+		t.Errorf("%d keys served to a request naming no routers, want 0", got)
 	}
 }
 
-func TestClusterRejoinManifestSeedsDedupe(t *testing.T) {
-	nodeA, err := NewNode(NodeConfig{ID: "node-a",
+// soloNode starts a node outside any test cluster, learning the
+// membership from peers.
+func soloNode(t *testing.T, id string, peers ...string) *Node {
+	t.Helper()
+	nd, err := NewNode(NodeConfig{ID: id,
 		UDPAddr: "127.0.0.1:0", HTTPAddr: "127.0.0.1:0", CtrlAddr: "127.0.0.1:0",
-		Gossip: fastGossip})
+		Peers: peers, Gossip: fastGossip})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer nodeA.Close()
+	t.Cleanup(func() { nd.Close() })
+	return nd
+}
+
+// TestClusterRejoinManifestSeedsDedupe pins how a node that comes up
+// empty learns its peers' keys: not at start — its dedupe index stays
+// empty until a write arrives — but at each router's first keyed write,
+// which the gate holds while it pulls the router's keys from every live
+// peer. So a retry of a write acked elsewhere dedupes instead of
+// double-applying.
+func TestClusterRejoinManifestSeedsDedupe(t *testing.T) {
+	nodeA := soloNode(t, "node-a")
 
 	// Apply keys for many routers on A (alone, it owns everything).
 	var items []wire.Item
@@ -583,13 +591,11 @@ func TestClusterRejoinManifestSeedsDedupe(t *testing.T) {
 	}
 
 	// B joins; the two-node ring hands it roughly half the routers.
-	nodeB, err := NewNode(NodeConfig{ID: "node-b",
-		UDPAddr: "127.0.0.1:0", HTTPAddr: "127.0.0.1:0", CtrlAddr: "127.0.0.1:0",
-		Peers: []string{nodeA.CtrlAddr()}, Gossip: fastGossip})
-	if err != nil {
-		t.Fatal(err)
+	nodeB := soloNode(t, "node-b", nodeA.CtrlAddr())
+	if got := nodeB.Collector().Sharded().DedupeLen(); got != 0 {
+		t.Fatalf("joiner's dedupe index holds %d keys before its first write, want 0", got)
 	}
-	defer nodeB.Close()
+	seeded := nodeB.mSeeded.Value()
 
 	ring := NewRing([]string{"node-a", "node-b"}, DefaultVnodes)
 	var bItems []wire.Item
@@ -603,7 +609,7 @@ func TestClusterRejoinManifestSeedsDedupe(t *testing.T) {
 		t.Fatal("node-b owns no seeded routers; widen the router set")
 	}
 	// Replaying those keys directly against B must dedupe via the
-	// manifest-seeded index, not re-apply.
+	// index the gate seeded, not re-apply.
 	res, status, err = tryPostBatch("http://"+nodeB.DataAddr(), bItems)
 	if err != nil || status != http.StatusOK {
 		t.Fatalf("replay at joiner: status %d err %v", status, err)
@@ -613,6 +619,150 @@ func TestClusterRejoinManifestSeedsDedupe(t *testing.T) {
 	}
 	if rows := len(nodeB.Store().Uptime); rows != 0 {
 		t.Fatalf("joiner applied %d rows from replayed keys, want 0", rows)
+	}
+	if got := nodeB.mSeeded.Value() - seeded; got != uint64(len(bItems)) {
+		t.Fatalf("joiner seeded %d keys from its peer, want the %d replayed", got, len(bItems))
+	}
+}
+
+// TestFirstWriteGateSeesEveryKeyedPath: the first-write gate is the only
+// way a node learns its peers' keys, so it must hold every path a keyed
+// write reaches a node by — a client batch a front forwards, a failover
+// replay, a transfer chunk — while an unkeyed write, which never
+// consults the dedupe index, pulls nothing.
+func TestFirstWriteGateSeesEveryKeyedPath(t *testing.T) {
+	tc := startTestCluster(t, 2, 2)
+	gated := func(nd *Node, router string) bool {
+		nd.mu.Lock()
+		defer nd.mu.Unlock()
+		_, ok := nd.routerGate[router]
+		return ok
+	}
+	var routers []string
+	var items []wire.Item
+	for i := 0; i < 24; i++ {
+		routers = append(routers, fmt.Sprintf("rt-gate-%02d", i))
+		items = append(items, uptimeItem(routers[i], i))
+	}
+	unkeyed := uptimeItem("rt-gate-unkeyed", 0)
+	unkeyed.Key = ""
+	// owned lists the routers ring assigns to id, failing the test on none.
+	owned := func(ring *Ring, id string) []string {
+		var out []string
+		for _, r := range routers {
+			if ring.Owner(r) == id {
+				out = append(out, r)
+			}
+		}
+		if len(out) == 0 {
+			t.Fatalf("the ring assigns %s none of the routers; widen the set", id)
+		}
+		return out
+	}
+
+	// Client batches a front forwards.
+	postBatch(t, frontURL(tc), append(items, unkeyed))
+	ring := NewRing([]string{"node-0", "node-1"}, DefaultVnodes)
+	for _, nd := range tc.nodes {
+		for _, r := range owned(ring, nd.ID()) {
+			if !gated(nd, r) {
+				t.Fatalf("forwarded batch: owner %s applied %s without the gate", nd.ID(), r)
+			}
+		}
+		if gated(nd, unkeyed.Payload.Router()) {
+			t.Fatalf("%s gated an unkeyed write", nd.ID())
+		}
+	}
+
+	// Transfer chunks: node-2 joins and takes its share from both.
+	joiner := addJoiningNode(t, tc, "node-2")
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := joiner.JoinRing(ctx); err != nil {
+		t.Fatalf("JoinRing: %v", err)
+	}
+	ring = NewRing([]string{"node-0", "node-1", "node-2"}, DefaultVnodes)
+	for _, r := range owned(ring, "node-2") {
+		if !gated(joiner, r) {
+			t.Fatalf("transfer chunk: joiner applied %s without the gate", r)
+		}
+	}
+
+	// Failover replays: node-0 dies, node-1 replays its frames into the
+	// routers' owners among the survivors.
+	victim := owned(ring, "node-0")
+	tc.nodes[0].Kill()
+	survivors := NewRing([]string{"node-1", "node-2"}, DefaultVnodes)
+	byID := map[string]*Node{"node-1": tc.nodes[1], "node-2": joiner}
+	waitFor(t, 10*time.Second, "failover replays through the new owners' gates", func() bool {
+		for _, r := range victim {
+			if !gated(byID[survivors.Owner(r)], r) {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// storeRows renders every row of a store, roster entries included, as
+// one JSON line each, sorted: the order-free form two stores compare in.
+func storeRows(st *dataset.Store) []string {
+	var rows []string
+	for _, set := range []any{st.Uptime, st.Capacity, st.Counts, st.Sightings, st.WiFi, st.Flows, st.Throughput} {
+		v := reflect.ValueOf(set)
+		for i := 0; i < v.Len(); i++ {
+			b, _ := json.Marshal(v.Index(i).Interface())
+			rows = append(rows, string(b))
+		}
+	}
+	for id, country := range st.RouterCountry {
+		rows = append(rows, "register "+id+" "+country)
+	}
+	sort.Strings(rows)
+	return rows
+}
+
+// TestTransferKeepsStoredTimes: a JSON upload is stored with whatever
+// time it was sent with, and a planned transfer re-encodes stored rows,
+// so it must carry every time it finds. Every row kind for two routers,
+// each row of the second from the year 1500 — which has no UnixNano, so
+// typed NPB1 turned it into 2084 — must come out of the transfer chunks
+// as stored: decoded and applied through a destination's data plane,
+// and restored into the source as when the chunks cannot be delivered.
+func TestTransferKeepsStoredTimes(t *testing.T) {
+	moved := dataset.NewStore()
+	for i, r := range []string{"rt-ts-a", "rt-ts-b"} {
+		at := time.Date(2013, 4, 1, 12, 0, 0, 0, time.UTC)
+		if i == 1 {
+			at = time.Date(1500, 1, 1, 0, 0, 0, 0, time.UTC)
+		}
+		moved.RouterCountry[r] = "US"
+		moved.Uptime = append(moved.Uptime, dataset.UptimeReport{RouterID: r, ReportedAt: at, Uptime: time.Hour})
+		moved.Capacity = append(moved.Capacity, dataset.CapacityMeasure{RouterID: r, MeasuredAt: at, UpBps: 1e6, DownBps: 16e6})
+		moved.Counts = append(moved.Counts, dataset.DeviceCount{RouterID: r, At: at, Wired: 1, W24: 2})
+		moved.Sightings = append(moved.Sightings, dataset.DeviceSighting{RouterID: r, At: at, Kind: dataset.Wireless24})
+		moved.WiFi = append(moved.WiFi, dataset.WiFiScan{RouterID: r, At: at, Band: "2.4GHz", Channel: 11, VisibleAPs: 7, Clients: 2})
+		moved.Flows = append(moved.Flows, dataset.FlowRecord{RouterID: r, Domain: "example.com", Proto: "tcp",
+			First: at, Last: at.Add(time.Minute), UpBytes: 10, DownBytes: 20, UpPkts: 1, DownPkts: 2, Conns: 1})
+		moved.Throughput = append(moved.Throughput, dataset.ThroughputSample{RouterID: r, Minute: at, Dir: "down", PeakBps: 8e6, TotalBytes: 1 << 20})
+	}
+	chunks := transferChunks("src", 1, moved, NewRing([]string{"dst"}, DefaultVnodes), map[string]Member{"dst": {}})
+	dst, src := soloNode(t, "ts-dst"), soloNode(t, "ts-src")
+	var sent []wire.Item
+	for _, ch := range chunks {
+		items, err := decodeItems(collector.BatchEndpoint, wire.ContentTypeBinary, "", wire.AppendBatch(nil, ch.items))
+		if err != nil {
+			t.Fatal(err)
+		}
+		postBatch(t, "http://"+dst.DataAddr(), items)
+		sent = append(sent, ch.items...)
+	}
+	src.restoreItems(sent)
+	want := storeRows(moved)
+	for path, nd := range map[string]*Node{"delivered": dst, "restored": src} {
+		if got := storeRows(nd.Store()); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s rows differ from the moved store:\n%s\nwant\n%s", path, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 
 // The control plane speaks a small binary protocol ("NPC1") over plain
 // HTTP POSTs between peers: membership gossip, the key manifests a
-// rejoining node pulls to rebuild its dedupe index, and the replicate
+// node's first-write gate pulls to seed its dedupe index, and the replicate
 // frames the front fans out to a write's successor nodes. This file is
 // the NPC1 schema — which field comes next — over internal/codec, which
 // owns the varint framing and the bounds checks: counts and lengths are
@@ -121,13 +121,12 @@ type Gossip struct {
 	Next *RingEpoch
 }
 
-// ManifestRequest asks a peer for applied idempotency keys. With
-// Routers empty it is the join-time bulk pull: keys the peer applied
-// for every router the joiner would own under the prospective
-// membership. With Routers set it is a targeted query — keys for
-// exactly those routers, regardless of ring ownership — used by the
-// first-write gate to catch writes applied elsewhere during an
-// ownership change.
+// ManifestRequest is the first-write gate's pull: the idempotency keys
+// the peer applied or journaled for exactly Routers, regardless of ring
+// ownership (none named, none served). Joiner is the requester, and its
+// own entry in Members carries its incarnation — which the peer trusts
+// over its own view, to withhold the keys of frames whose rows died
+// with the requester's previous life.
 type ManifestRequest struct {
 	Joiner  string
 	Members []Member
@@ -148,9 +147,11 @@ type ManifestResponse struct {
 
 // Replicate carries one acknowledged write to a successor node: the
 // placement that chose it plus the raw NPB1 batch bytes, journaled
-// verbatim. The successor never decodes rows — if the owner dies, the
-// first live successor replays the bytes as a plain /v1/batch POST and
-// the idempotency keys inside make the replay converge.
+// verbatim. The successor applies no rows: it decodes the batch once to
+// refuse bytes that could not replay and to index the frame's keys for
+// manifests. If the owner dies, the first live successor replays the
+// bytes as a plain /v1/batch POST and the idempotency keys inside make
+// the replay converge.
 type Replicate struct {
 	Owner      string
 	Successors []string
@@ -176,9 +177,9 @@ type TransferResponse struct {
 
 // TransferKeys pushes moved routers' idempotency keys to their new
 // owner, chunked, so client retries that land there after cutover
-// dedupe instead of re-applying. (The first-write manifest gate would
-// eventually pull the same keys; pushing them makes the window not
-// depend on the source staying alive — essential for drains.)
+// dedupe instead of re-applying. (The new owner's first-write gate would
+// pull the same keys; pushing them makes the window not depend on the
+// source staying alive — essential for drains.)
 type TransferKeys struct {
 	From    string
 	Entries []ManifestEntry

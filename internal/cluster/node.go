@@ -57,7 +57,7 @@ type NodeConfig struct {
 // untouched semantics — admission control, dedupe, tracing) plus the
 // control plane that makes it a cluster: gossip membership, a
 // replication journal for batches it is a successor for, key manifests
-// for rejoining peers, and failover replay when an owner dies.
+// for peers' first-write gates, and failover replay when an owner dies.
 type Node struct {
 	cfg NodeConfig
 	srv *collector.Server
@@ -79,16 +79,17 @@ type Node struct {
 	// each life once and walks only the frames of lost ones.
 	lives map[ownerLife]*lifeFrames
 	// ownerKeys indexes every idempotency key this node applied, per
-	// router — the source for the manifests a rejoining node seeds its
-	// dedupe index from.
+	// router — with keyFrames, the source of the manifests a peer's
+	// first-write gate seeds its dedupe index from.
 	ownerKeys map[string]map[string]bool
-	// Journaled frames' keys are indexed per entry (journalEntry.keys):
-	// manifests serve a frame's keys only while its owner still holds
-	// the rows (or after the replay landed them somewhere) — serving
-	// them for a dead owner's unreplayed frame would seed the replay
-	// destination's dedupe index with keys whose rows exist nowhere yet,
-	// and the replay itself would then flatten to duplicates and lose
-	// the rows.
+	// keyFrames lists, per router, the journaled frames holding keys of
+	// it (journalEntry.keys): manifests serve a frame's keys only while
+	// its owner still holds the rows (or after the replay landed them
+	// somewhere) — serving them for a dead owner's unreplayed frame would
+	// seed the replay destination's dedupe index with keys whose rows
+	// exist nowhere yet, and the replay itself would then flatten to
+	// duplicates and lose the rows.
+	keyFrames map[string][]*journalEntry
 	// routerGate tracks the first-write check per router (see gateRouter):
 	// each router's first keyed write since process start blocks until
 	// this node has pulled that router's applied keys from its live
@@ -110,6 +111,8 @@ type Node struct {
 	mReplayRows    *telemetry.Counter
 	mXferRows      *telemetry.Counter
 	mXferKeys      *telemetry.Counter
+	mSeeded        *telemetry.Counter
+	hGateWait      *telemetry.Histogram
 	gEpoch         *telemetry.Gauge
 
 	stop    chan struct{}
@@ -174,11 +177,11 @@ func (l ownerLife) holdsRows(state map[string]State, incs map[string]uint64) boo
 }
 
 // NewNode starts a cluster node: collector listeners, control-plane
-// listener, a learn-only join against the seed peers, the key-manifest
-// pull that seeds its dedupe index (so retries of writes applied during
-// a previous life or a dead window are recognized as duplicates), and
-// the gossip loop. The node is invisible to peers until the manifests
-// are seeded — it never takes a write it could mistake for new.
+// listener, a learn-only join against the seed peers, and the gossip
+// loop. It starts with an empty dedupe index: the first-write gate
+// (gateRouter) seeds each router's keys from the live peers before that
+// router's first keyed write applies, so a retry of a write applied
+// during a previous life or a dead window is recognized as a duplicate.
 func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.ID == "" {
 		return nil, fmt.Errorf("cluster: node needs an ID")
@@ -206,6 +209,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		journalSeen: make(map[uint64]bool),
 		lives:       make(map[ownerLife]*lifeFrames),
 		ownerKeys:   make(map[string]map[string]bool),
+		keyFrames:   make(map[string][]*journalEntry),
 		routerGate:  make(map[string]chan struct{}),
 		mJournalFrames: reg.CounterVec("natpeek_cluster_journal_frames_total",
 			"Replicate frames journaled as a successor, per node.", "node").With(cfg.ID),
@@ -219,6 +223,10 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			"Rows streamed to new owners by planned rebalancing, per node.", "node").With(cfg.ID),
 		mXferKeys: reg.CounterVec("natpeek_cluster_transfer_keys_total",
 			"Idempotency keys pushed to new owners by planned rebalancing, per node.", "node").With(cfg.ID),
+		mSeeded: reg.CounterVec("natpeek_cluster_seeded_keys_total",
+			"Idempotency keys marked in the dedupe index from peers (first-write pulls, transfer pushes), per node.", "node").With(cfg.ID),
+		hGateWait: reg.HistogramVec("natpeek_cluster_gate_wait_seconds",
+			"Time a router's first keyed write waited for its key pull from the live peers, per node.", nil, "node").With(cfg.ID),
 		gEpoch: reg.GaugeVec("natpeek_cluster_ring_epoch",
 			"Highest ring-epoch version this node has seen, per node.", "node").With(cfg.ID),
 		stop: make(chan struct{}),
@@ -249,7 +257,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	n.ctrl = &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
 	go n.ctrl.Serve(ln)
 
-	n.join()
+	n.gsp.learn()
 	// The node's heartbeat: bump our beat, exchange tables with a random
 	// live peer, and scan the journal for frames orphaned by a dead owner.
 	n.wg.Add(1)
@@ -335,33 +343,42 @@ func (n *Node) shutdown(graceful bool) error {
 }
 
 // observeIngest runs on the collector's ingest path for every keyed
-// decision and records applied keys per router. Only the map insert is
-// under the node lock; manifests read the same index.
+// decision and records applied keys per router.
 func (n *Node) observeIngest(_, key, router string, applied bool) {
-	if key == "" || !applied {
-		return
+	if key != "" && applied {
+		n.recordKeys(router, key)
 	}
+}
+
+// recordKeys adds keys to the router's applied-key index that manifests
+// serve. Only the map inserts are under the node lock.
+func (n *Node) recordKeys(router string, keys ...string) {
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	ks := n.ownerKeys[router]
 	if ks == nil {
-		ks = make(map[string]bool)
+		ks = make(map[string]bool, len(keys))
 		n.ownerKeys[router] = ks
 	}
-	ks[key] = true
-	n.mu.Unlock()
+	for _, k := range keys {
+		ks[k] = true
+	}
 }
 
 // gateRouter runs before every keyed apply (the collector's ingest
 // gate) and blocks a router's first keyed write since process start
 // until this node has pulled the router's applied keys from its live
-// peers. This closes the duplicate window the join-time bulk pull
-// cannot: a batch partially applied at an interim owner while this
-// node's ownership was in flux, then retried here after routing
-// flipped. The interim apply necessarily precedes the routing flip,
-// which precedes the first write arriving here — so a pull at first
-// write always observes it. Later writes for the router pass straight
-// through; the whole check costs one targeted manifest RPC per router
-// per process lifetime.
+// peers. It is the only way a node learns its peers' keys on its own,
+// and every keyed write reaches it — a front-forwarded client batch, a
+// failover replay, a transfer chunk all arrive as /v1/batch uploads;
+// unkeyed writes never consult the dedupe index. The pull catches a
+// retry of a write acked during this node's previous life or a dead
+// window, and a batch partially applied at an interim owner while
+// ownership was in flux: the interim apply necessarily precedes the
+// routing flip, which precedes the first write arriving here — so a
+// pull at first write always observes it. Later writes for the router
+// pass straight through; the whole check costs one manifest RPC per
+// peer per router per process lifetime.
 func (n *Node) gateRouter(router string) {
 	n.mu.Lock()
 	done, ok := n.routerGate[router]
@@ -373,7 +390,9 @@ func (n *Node) gateRouter(router string) {
 	done = make(chan struct{})
 	n.routerGate[router] = done
 	n.mu.Unlock()
+	start := time.Now()
 	n.seedRouterKeys(router)
+	n.hGateWait.Observe(time.Since(start).Seconds())
 	close(done)
 }
 
@@ -383,76 +402,35 @@ func (n *Node) gateRouter(router string) {
 // write is also in a journal, and an unacked write will be retried by
 // the client either way).
 func (n *Node) seedRouterKeys(router string) {
-	var donors []Member
-	for _, mv := range n.ms.view() {
-		if mv.Role == RoleNode && mv.State != StateDead && mv.ID != n.cfg.ID {
-			donors = append(donors, mv.Member)
-		}
-	}
-	store := n.srv.Sharded()
 	self, _ := n.ms.lookup(n.cfg.ID) // carries our incarnation, see handleManifest
-	for _, donor := range donors {
-		m, err := postCtrl(n.httpc, donor.CtrlAddr, "/cluster/manifest", &Message{
-			Kind:        MsgManifestRequest,
-			ManifestReq: &ManifestRequest{Joiner: n.cfg.ID, Members: []Member{self}, Routers: []string{router}},
-		}, 5*time.Second)
-		if err != nil || m.Kind != MsgManifestResponse {
-			n.log.Warn("first-write key pull failed", "router", router, "peer", donor.ID, "err", err)
+	req := &Message{Kind: MsgManifestRequest,
+		ManifestReq: &ManifestRequest{Joiner: n.cfg.ID, Members: []Member{self}, Routers: []string{router}}}
+	for _, mv := range n.ms.view() {
+		if mv.Role != RoleNode || mv.State == StateDead || mv.ID == n.cfg.ID {
 			continue
 		}
-		for _, en := range m.ManifestResp.Entries {
-			for _, k := range en.Keys {
-				store.Apply(en.Router, k, func(*dataset.Store) {})
-			}
+		m, err := postCtrl(n.httpc, mv.CtrlAddr, "/cluster/manifest", req, 5*time.Second)
+		if err != nil || m.Kind != MsgManifestResponse {
+			n.log.Warn("first-write key pull failed", "router", router, "peer", mv.ID, "err", err)
+			continue
 		}
+		n.seedKeys(m.ManifestResp.Entries)
 	}
 }
 
-// join runs the three-step entry protocol: learn the membership from
-// seed peers (without revealing ourselves), pull applied-key manifests
-// for every router we would own, and seed the dedupe index. Peers that
-// are down are skipped — a manifest is a dedupe optimization against
-// ack-lost retries, and the writes themselves are safe either way.
-func (n *Node) join() {
-	n.gsp.learn()
-
-	// Prospective membership: everyone alive now, plus us.
-	var prospective []Member
-	var donors []Member
-	for _, mv := range n.ms.view() {
-		if mv.State == StateDead || mv.ID == n.cfg.ID {
-			continue
-		}
-		if mv.Role == RoleNode {
-			prospective = append(prospective, mv.Member)
-			donors = append(donors, mv.Member)
-		}
-	}
-	self, _ := n.ms.lookup(n.cfg.ID)
-	prospective = append(prospective, self)
-
+// seedKeys marks keys a peer sent — a manifest answer or a transfer
+// push — applied in the local dedupe index: a no-op apply adds no rows.
+func (n *Node) seedKeys(entries []ManifestEntry) {
+	store := n.srv.Sharded()
 	seeded := 0
-	for _, donor := range donors {
-		m, err := postCtrl(n.httpc, donor.CtrlAddr, "/cluster/manifest", &Message{
-			Kind:        MsgManifestRequest,
-			ManifestReq: &ManifestRequest{Joiner: n.cfg.ID, Members: prospective},
-		}, 30*time.Second)
-		if err != nil || m.Kind != MsgManifestResponse {
-			n.log.Warn("join: manifest pull failed", "peer", donor.ID, "err", err)
-			continue
-		}
-		store := n.srv.Sharded()
-		for _, en := range m.ManifestResp.Entries {
-			for _, k := range en.Keys {
-				// A no-op apply marks the key applied without adding rows.
-				store.Apply(en.Router, k, func(*dataset.Store) {})
+	for _, en := range entries {
+		for _, k := range en.Keys {
+			if store.Apply(en.Router, k, func(*dataset.Store) {}) {
 				seeded++
 			}
 		}
 	}
-	if seeded > 0 {
-		n.log.Info("join: seeded dedupe index", "keys", seeded)
-	}
+	n.mSeeded.Add(int64(seeded))
 }
 
 // replayScan finds journaled frames whose owner lost its store — it is
@@ -564,6 +542,9 @@ func (n *Node) journalFrame(e *journalEntry) bool {
 	}
 	l.frames = append(l.frames, e)
 	l.pending++
+	for router := range e.keys {
+		n.keyFrames[router] = append(n.keyFrames[router], e)
+	}
 	return true
 }
 
@@ -633,29 +614,32 @@ func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
+// handleManifest answers a peer's first-write pull with the keys of
+// exactly the routers it names (none named, none served), ownership
+// ignored.
 func (n *Node) handleManifest(w http.ResponseWriter, r *http.Request) {
 	m, ok := readCtrl(w, r, MsgManifestRequest)
 	if !ok {
 		return
 	}
 	req := m.ManifestReq
-	resp := &ManifestResponse{From: n.cfg.ID}
 	state := make(map[string]State)
 	incs := make(map[string]uint64)
 	for _, mv := range n.ms.view() {
 		state[mv.ID] = mv.State
 		incs[mv.ID] = mv.Incarnation
 	}
-	// The requester speaks for its own incarnation: a reborn joiner pulls
-	// manifests before it gossips, so this node may still believe the
-	// previous life is alive — and would then serve the keys of frames
-	// whose rows died with it (see the carve-out below).
+	// The requester speaks for its own incarnation: a reborn node may
+	// pull before this node has judged its previous life dead — and this
+	// node would then serve the keys of frames whose rows died with it
+	// (see the carve-out below).
 	for _, mem := range req.Members {
 		if mem.ID == req.Joiner && mem.Incarnation > incs[mem.ID] {
 			incs[mem.ID] = mem.Incarnation
 			state[mem.ID] = StateAlive
 		}
 	}
+	resp := &ManifestResponse{From: n.cfg.ID}
 	n.mu.Lock()
 	// A manifest entry is the union of keys this node applied and keys
 	// inside frames it journaled: a journaled key was acked by an owner
@@ -665,69 +649,19 @@ func (n *Node) handleManifest(w http.ResponseWriter, r *http.Request) {
 	// happened yet is withheld — its rows exist nowhere right now, and
 	// seeding its keys into the node the replay will route to would make
 	// that replay flatten to duplicates and lose the rows for good.
-	journaled := make(map[string]map[string]bool)
-	for _, e := range n.journal {
-		if !e.replayed && !e.life().holdsRows(state, incs) {
-			continue
+	for _, router := range req.Routers {
+		keys := make([]string, 0, len(n.ownerKeys[router]))
+		for k := range n.ownerKeys[router] {
+			keys = append(keys, k)
 		}
-		for router, keys := range e.keys {
-			idx := journaled[router]
-			if idx == nil {
-				idx = make(map[string]bool)
-				journaled[router] = idx
-			}
-			for _, k := range keys {
-				idx[k] = true
+		for _, e := range n.keyFrames[router] {
+			if e.replayed || e.life().holdsRows(state, incs) {
+				keys = append(keys, e.keys[router]...)
 			}
 		}
-	}
-	keyUnion := func(router string) []string {
-		applied, jkeys := n.ownerKeys[router], journaled[router]
-		if len(applied) == 0 && len(jkeys) == 0 {
-			return nil
-		}
-		out := make([]string, 0, len(applied)+len(jkeys))
-		for k := range applied {
-			out = append(out, k)
-		}
-		for k := range jkeys {
-			if !applied[k] {
-				out = append(out, k)
-			}
-		}
-		return out
-	}
-	if len(req.Routers) > 0 {
-		// Targeted query: exactly these routers, ownership ignored.
-		for _, router := range req.Routers {
-			if keys := keyUnion(router); len(keys) > 0 {
-				resp.Entries = append(resp.Entries, ManifestEntry{Router: router, Keys: keys})
-			}
-		}
-	} else {
-		// Join-time bulk pull: every router the joiner would own under
-		// the prospective membership.
-		var ids []string
-		for _, mem := range req.Members {
-			if mem.Role == RoleNode {
-				ids = append(ids, mem.ID)
-			}
-		}
-		ring := NewRing(ids, DefaultVnodes)
-		routers := make(map[string]bool, len(n.ownerKeys)+len(journaled))
-		for router := range n.ownerKeys {
-			routers[router] = true
-		}
-		for router := range journaled {
-			routers[router] = true
-		}
-		for router := range routers {
-			if ring.Owner(router) != req.Joiner {
-				continue
-			}
-			if keys := keyUnion(router); len(keys) > 0 {
-				resp.Entries = append(resp.Entries, ManifestEntry{Router: router, Keys: keys})
-			}
+		if len(keys) > 0 {
+			slices.Sort(keys)
+			resp.Entries = append(resp.Entries, ManifestEntry{Router: router, Keys: slices.Compact(keys)})
 		}
 	}
 	n.mu.Unlock()

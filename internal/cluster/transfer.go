@@ -331,9 +331,9 @@ type xferChunk struct {
 // (so redelivery dedupes) and rows stay in extraction order within each
 // destination. Roster entries travel first as /v1/register items so the
 // destination knows a router before its rows. Device sightings ride as
-// JSON censusUpload bodies without a count row — a typed KindDevices
-// item cannot carry sightings alone, and counts and sightings moved
-// independently cannot be re-paired.
+// a census without a count row: counts and sightings moved
+// independently cannot be re-paired. Stored rows hold whatever time
+// they were sent with, so every payload goes through wire.Portable.
 func transferChunks(src string, sess uint64, moved *dataset.Store, ring *Ring, dests map[string]Member) []xferChunk {
 	byOwner := make(map[string][]wire.Item)
 	idx := make(map[string]int)
@@ -342,7 +342,7 @@ func transferChunks(src string, sess uint64, moved *dataset.Store, ring *Ring, d
 		ik := fmt.Sprintf("%s\x00%d", router, kind)
 		key := fmt.Sprintf("%s:xfer:%s:%d:%d:%d", router, src, sess, kind, idx[ik])
 		idx[ik]++
-		byOwner[owner] = append(byOwner[owner], wire.Item{Endpoint: endpoint, Key: key, Payload: p})
+		byOwner[owner] = append(byOwner[owner], wire.Item{Endpoint: endpoint, Key: key, Payload: wire.Portable(p)})
 	}
 
 	routers := make([]string, 0, len(moved.RouterCountry))
@@ -367,10 +367,7 @@ func transferChunks(src string, sess uint64, moved *dataset.Store, ring *Ring, d
 		add(row.RouterID, xfkCount, "/v1/devices", wire.Payload{Kind: wire.KindDevices, Count: row})
 	}
 	runs(moved.Sightings, func(r dataset.DeviceSighting) string { return r.RouterID }, func(router string, run []dataset.DeviceSighting) {
-		body, _ := json.Marshal(struct {
-			Sightings []dataset.DeviceSighting `json:"sightings"`
-		}{run})
-		add(router, xfkSightings, "/v1/devices", wire.Payload{Kind: wire.KindRaw, Raw: body})
+		add(router, xfkSightings, "/v1/devices", wire.Payload{Kind: wire.KindDevices, Sightings: run})
 	})
 	runs(moved.WiFi, func(r dataset.WiFiScan) string { return r.RouterID }, func(router string, run []dataset.WiFiScan) {
 		add(router, xfkWiFi, "/v1/wifi", wire.Payload{Kind: wire.KindWiFi, WiFi: run})
@@ -472,7 +469,7 @@ func (n *Node) restoreItems(items []wire.Item) {
 	for i := range items {
 		p := &items[i].Payload
 		router, apply := p.Router(), p.AppendTo
-		if p.Kind == wire.KindRaw { // a roster entry or a sightings-only census body
+		if p.Kind == wire.KindRaw { // a roster entry or rows with an unencodable time
 			var err error
 			if router, apply, err = collector.DecodeRaw(items[i].Endpoint, p.Raw); err != nil {
 				continue
@@ -485,8 +482,8 @@ func (n *Node) restoreItems(items []wire.Item) {
 
 // pushKeys streams the moved routers' idempotency keys to their new
 // owners, chunked, retrying until ctx expires. The keys also remain at
-// the source (manifest pulls still serve them); the push makes the new
-// owner self-sufficient before the source drains away.
+// the source (first-write pulls still find them there); the push makes
+// the new owner self-sufficient before the source drains away.
 func (n *Node) pushKeys(ctx context.Context, ring *Ring, dests map[string]Member, keys []dataset.RouterKey) error {
 	if len(keys) == 0 {
 		return nil
@@ -655,28 +652,16 @@ func (n *Node) handleTransfer(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTransferKeys seeds pushed idempotency keys into the local
-// dedupe index (a no-op apply, like manifest seeding) and records them
-// so this node's own manifests serve them onward.
+// dedupe index, as a first-write pull does, and records them as applied
+// here — their rows moved here — so this node's manifests serve them.
 func (n *Node) handleTransferKeys(w http.ResponseWriter, r *http.Request) {
 	m, ok := readCtrl(w, r, MsgTransferKeys)
 	if !ok {
 		return
 	}
-	store := n.srv.Sharded()
+	n.seedKeys(m.TransferKeys.Entries)
 	for _, en := range m.TransferKeys.Entries {
-		for _, k := range en.Keys {
-			store.Apply(en.Router, k, func(*dataset.Store) {})
-		}
-		n.mu.Lock()
-		ks := n.ownerKeys[en.Router]
-		if ks == nil {
-			ks = make(map[string]bool)
-			n.ownerKeys[en.Router] = ks
-		}
-		for _, k := range en.Keys {
-			ks[k] = true
-		}
-		n.mu.Unlock()
+		n.recordKeys(en.Router, en.Keys...)
 	}
 	w.WriteHeader(http.StatusNoContent)
 }

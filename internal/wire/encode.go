@@ -126,12 +126,12 @@ func (e *encoder) ref(s string) { e.dict.Put(&e.Enc, s) }
 // zero time is the math.MinInt64 sentinel and leaves the chain as is.
 //
 // A non-zero instant whose delta lands exactly on the sentinel is
-// nudged forward 1 ns. Payload times never get here — PayloadFromJSON's
-// timeEncodable guard confines them to a range whose deltas cannot
-// reach MinInt64 — but span times come straight from client clocks, and
-// without the nudge such a delta would decode as the zero time AND
-// leave the decoder's chain un-advanced while the encoder's moved,
-// skewing every later timestamp in the batch.
+// nudged forward 1 ns. Payload times never get here — the timeEncodable
+// guard of PayloadFromJSON and Portable confines them to a range whose
+// deltas cannot reach MinInt64 — but span times come straight from
+// client clocks, and without the nudge such a delta would decode as the
+// zero time AND leave the decoder's chain un-advanced while the
+// encoder's moved, skewing every later timestamp in the batch.
 func (e *encoder) time(t time.Time) {
 	if t.IsZero() {
 		e.Varint(math.MinInt64)

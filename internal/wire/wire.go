@@ -301,6 +301,25 @@ func PayloadFromJSON(endpoint string, body []byte) Payload {
 	return Payload{Kind: KindRaw, Raw: body}
 }
 
+// Portable returns p as a batch can carry it: p itself when every row
+// time fits the typed encoding, its JSON body as KindRaw otherwise (the
+// receiver parses that without the range check). Rows read back from a
+// store need it before AppendBatch — a JSON upload is stored with
+// whatever time it was sent with, and a time outside the range may have
+// no UnixNano at all.
+func Portable(p Payload) Payload {
+	if p.timesEncodable() {
+		return p
+	}
+	body, err := p.JSONBody()
+	if err != nil {
+		// A NaN or infinite float has no JSON: keep the typed form, exact
+		// for every time that has a UnixNano.
+		return p
+	}
+	return Payload{Kind: KindRaw, Raw: body}
+}
+
 // timesEncodable reports whether every row timestamp fits the typed
 // encoding (see timeEncodable).
 func (p *Payload) timesEncodable() bool {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"os"
 	"reflect"
 	"strings"
@@ -345,6 +346,37 @@ func TestPayloadFromJSONFallsBackToRaw(t *testing.T) {
 				t.Fatalf("raw body not verbatim: %q", p.Raw)
 			}
 		})
+	}
+}
+
+// TestPortable: a stored row travels typed while its times fit the
+// typed encoding and as its JSON body once one does not — unless a float
+// JSON cannot render forces the typed form, exact for any time that has
+// a UnixNano.
+func TestPortable(t *testing.T) {
+	capacity := func(year int, up float64) Payload {
+		return Payload{Kind: KindCapacity, Capacity: dataset.CapacityMeasure{
+			RouterID: "r", MeasuredAt: time.Date(year, 1, 1, 0, 0, 0, 0, time.UTC), UpBps: up}}
+	}
+	for _, tc := range []struct {
+		p    Payload
+		want Kind
+	}{
+		{capacity(2013, 1e6), KindCapacity},
+		{capacity(1500, 1e6), KindRaw},
+		{capacity(2200, math.NaN()), KindCapacity},
+	} {
+		got := Portable(tc.p)
+		if got.Kind != tc.want {
+			t.Fatalf("%v: kind %v, want %v", tc.p.Capacity, got.Kind, tc.want)
+		}
+		if got.Kind != KindRaw {
+			continue
+		}
+		back, err := ParseJSON("/v1/capacity", got.Raw)
+		if err != nil || back.Capacity != tc.p.Capacity {
+			t.Fatalf("JSON form %s parses to %v (%v), want %v", got.Raw, back.Capacity, err, tc.p.Capacity)
+		}
 	}
 }
 
