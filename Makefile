@@ -179,7 +179,8 @@ check-rebalance:
 #      rollup against the per-exhibit oracles, renders racing appends and
 #      seals (every page a whole prefix of the stream), the seal
 #      generation handshake (a page taken between a chunk's publication
-#      and its fold), the page header describing its own snapshot;
+#      and its fold), the page header describing its own snapshot, Fig.
+#      15/16 taking only "up" and "down" links (batch and page alike);
 #   2. the allocation budgets — a snapshot's: the same handful at 10k and
 #      at 100k aggregates; a whole render's: within 10 % over the same
 #      tail with four times the sealed history — which the race

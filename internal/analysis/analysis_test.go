@@ -428,6 +428,29 @@ func TestSaturation(t *testing.T) {
 	}
 }
 
+// TestSaturationDirections: a link is "up" or "down". Throughput rows
+// with any other Dir are stored but have no capacity of their own, so
+// they make no Fig. 15 point — they used to count as downlinks.
+func TestSaturationDirections(t *testing.T) {
+	st := usageStore()
+	for i, dir := range []string{"up", "up", "sideways", "", "DOWN"} {
+		st.Throughput = append(st.Throughput, dataset.ThroughputSample{
+			RouterID: "us-1", Minute: aFrom.Add(time.Duration(i) * time.Minute),
+			Dir: dir, PeakBps: 3e6, TotalBytes: 1e6,
+		})
+	}
+	sats := Saturation(st)
+	if len(sats) != 2 {
+		t.Fatalf("%d points, want one per direction: %+v", len(sats), sats)
+	}
+	if d := sats[0]; d.Dir != "down" || d.CapacityBps != 16e6 || d.Minutes != 20 {
+		t.Fatalf("downlink point %+v, want 20 minutes against 16 Mbps", d)
+	}
+	if u := sats[1]; u.Dir != "up" || u.CapacityBps != 2e6 || u.Minutes != 2 || u.MinutesOver != 2 {
+		t.Fatalf("uplink point %+v, want 2 minutes, both over 2 Mbps", u)
+	}
+}
+
 func TestUtilizationSeriesSorted(t *testing.T) {
 	st := usageStore()
 	series := UtilizationSeries(st, "us-1", "down")

@@ -13,11 +13,15 @@ import (
 // ever connected — Fig. 7's distribution.
 func UniqueDevicesPerHome(st *dataset.Store) map[string]int {
 	seen := map[string]map[mac.Addr]bool{}
+	var id string
+	var m map[mac.Addr]bool // id's devices: sightings come in per-router runs
 	for _, s := range st.Sightings {
-		m := seen[s.RouterID]
-		if m == nil {
-			m = map[mac.Addr]bool{}
-			seen[s.RouterID] = m
+		if m == nil || s.RouterID != id {
+			id = s.RouterID
+			if m = seen[id]; m == nil {
+				m = map[mac.Addr]bool{}
+				seen[id] = m
+			}
 		}
 		m[s.Device] = true
 	}
@@ -80,18 +84,35 @@ func UniqueDevicesPerBand(st *dataset.Store) (b24, b5 []float64) {
 	}
 	seen := map[key]map[mac.Addr]bool{}
 	homes := map[string]bool{}
-	for _, s := range st.Sightings {
-		homes[s.RouterID] = true
-		if s.Kind == dataset.Wired {
-			continue
-		}
-		k := key{s.RouterID, s.Kind}
+	devices := func(k key) map[mac.Addr]bool {
 		m := seen[k]
 		if m == nil {
 			m = map[mac.Addr]bool{}
 			seen[k] = m
 		}
-		m[s.Device] = true
+		return m
+	}
+	// Sightings come in per-router runs: a run marks its home and looks
+	// up each band's devices once.
+	var id string
+	var w24, w5 map[mac.Addr]bool
+	for i, s := range st.Sightings {
+		if i == 0 || s.RouterID != id {
+			id, w24, w5 = s.RouterID, nil, nil
+			homes[id] = true
+		}
+		switch s.Kind {
+		case dataset.Wireless24:
+			if w24 == nil {
+				w24 = devices(key{id, s.Kind})
+			}
+			w24[s.Device] = true
+		case dataset.Wireless5:
+			if w5 == nil {
+				w5 = devices(key{id, s.Kind})
+			}
+			w5[s.Device] = true
+		}
 	}
 	for id := range homes {
 		b24 = append(b24, float64(len(seen[key{id, dataset.Wireless24}])))
@@ -128,11 +149,15 @@ func AlwaysConnected(st *dataset.Store, minSpan time.Duration) map[Group]AlwaysC
 		kind  dataset.ConnKind
 	}
 	sightings := map[string]map[mac.Addr]*devInfo{}
+	var id string
+	var m map[mac.Addr]*devInfo // id's devices, kept while its run lasts
 	for _, s := range st.Sightings {
-		m := sightings[s.RouterID]
-		if m == nil {
-			m = map[mac.Addr]*devInfo{}
-			sightings[s.RouterID] = m
+		if m == nil || s.RouterID != id {
+			id = s.RouterID
+			if m = sightings[id]; m == nil {
+				m = map[mac.Addr]*devInfo{}
+				sightings[id] = m
+			}
 		}
 		d := m[s.Device]
 		if d == nil {

@@ -94,13 +94,17 @@ type LinkSaturation struct {
 // Saturation computes Fig. 15: per home and direction, the 95th
 // percentile of per-minute peak throughput against measured capacity,
 // over minutes with any traffic. One pass groups the throughput samples
-// by link and two group the positive capacity measurements by home.
+// by link and two group the positive capacity measurements by home. A
+// link is "up" or "down"; samples with any other Dir stay stored but
+// have no capacity to be measured against, so they are left out.
 func Saturation(st *dataset.Store) []LinkSaturation {
 	type link struct {
 		id, dir string
 	}
 	peaks := groupBy(st.Throughput,
-		func(s *dataset.ThroughputSample) (link, bool) { return link{s.RouterID, s.Dir}, true },
+		func(s *dataset.ThroughputSample) (link, bool) {
+			return link{s.RouterID, s.Dir}, s.Dir == "up" || s.Dir == "down"
+		},
 		func(s *dataset.ThroughputSample) float64 { return s.PeakBps })
 	ups := groupBy(st.Capacity,
 		func(c *dataset.CapacityMeasure) (string, bool) { return c.RouterID, c.UpBps > 0 },

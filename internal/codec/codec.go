@@ -125,7 +125,15 @@ func (d *Dec) End() error {
 	return d.err
 }
 
+// Uvarint and Varint return a one-byte value (below 0x80: dictionary
+// refs, nanoseconds, small deltas, most counts) straight from the
+// buffer; longer ones, and the failures, take encoding/binary's path.
+// After a failure buf is nil, so the short path cannot fire.
 func (d *Dec) Uvarint() uint64 {
+	if d.off < len(d.buf) && d.buf[d.off] < 0x80 {
+		d.off++
+		return uint64(d.buf[d.off-1])
+	}
 	v, n := binary.Uvarint(d.buf[d.off:])
 	if n <= 0 {
 		d.Failf("bad uvarint")
@@ -136,6 +144,11 @@ func (d *Dec) Uvarint() uint64 {
 }
 
 func (d *Dec) Varint() int64 {
+	if d.off < len(d.buf) && d.buf[d.off] < 0x80 {
+		d.off++
+		b := d.buf[d.off-1]
+		return int64(b>>1) ^ -int64(b&1) // zigzag
+	}
 	v, n := binary.Varint(d.buf[d.off:])
 	if n <= 0 {
 		d.Failf("bad varint")

@@ -2,8 +2,10 @@ package codec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
+	"math/rand/v2"
 	"runtime"
 	"strings"
 	"testing"
@@ -156,6 +158,141 @@ func TestFirstFailureSticks(t *testing.T) {
 	d.Reset([]byte{7})
 	if d.Byte() != 7 || d.End() != nil {
 		t.Error("Reset did not clear the failure")
+	}
+}
+
+// checkVarints reads buf with Uvarint, and again with Varint, at offset
+// skip, and holds each to encoding/binary on the same bytes: the value,
+// the bytes consumed, and whether (and where) the read failed.
+func checkVarints(t *testing.T, buf []byte, skip int) {
+	t.Helper()
+	for _, signed := range []bool{false, true} {
+		d := NewDec(buf)
+		d.Take(skip)
+		var got, want uint64
+		var n int
+		if signed {
+			got = uint64(d.Varint())
+			v, m := binary.Varint(buf[skip:])
+			want, n = uint64(v), m
+		} else {
+			got = d.Uvarint()
+			want, n = binary.Uvarint(buf[skip:])
+		}
+		if n <= 0 {
+			var ce *Error
+			if got != 0 || !errors.As(d.Err(), &ce) || ce.Off != skip || d.Remaining() != 0 {
+				t.Fatalf("% x at %d (signed %v): got %d, err %v, %d left; encoding/binary fails",
+					buf, skip, signed, got, d.Err(), d.Remaining())
+			}
+			continue
+		}
+		if got != want || !d.OK() || d.Remaining() != len(buf)-skip-n {
+			t.Fatalf("% x at %d (signed %v): got %d with %d left (err %v), encoding/binary %d with %d",
+				buf, skip, signed, got, d.Remaining(), d.Err(), want, len(buf)-skip-n)
+		}
+	}
+}
+
+// TestVarintsMatchEncodingBinary is the differential for the varint
+// reads: every 1- and 2-byte input, at offset 0 and behind a byte, the
+// 0x7f/0x80 boundaries of every length, the extremes, overlong and
+// overflowing 10- and 11-byte forms, and truncations.
+func TestVarintsMatchEncodingBinary(t *testing.T) {
+	for a := 0; a < 256; a++ {
+		checkVarints(t, []byte{byte(a)}, 0)
+		checkVarints(t, []byte{0xaa, byte(a)}, 1)
+		for b := 0; b < 256; b++ {
+			checkVarints(t, []byte{byte(a), byte(b)}, 0)
+			checkVarints(t, []byte{0x05, byte(a), byte(b)}, 1)
+		}
+	}
+	checkVarints(t, nil, 0)
+	var vals []uint64
+	for s := 0; s < 64; s += 7 {
+		vals = append(vals, 1<<s-1, 1<<s, 1<<s+1, 0x7f<<s, 0x80<<s)
+	}
+	vals = append(vals, math.MaxUint64, math.MaxUint64-1, math.MaxInt64, 1<<63)
+	for _, v := range vals {
+		u := binary.AppendUvarint(nil, v)
+		for cut := 0; cut <= len(u); cut++ { // truncations, then the whole
+			checkVarints(t, u[:cut], 0)
+		}
+		checkVarints(t, append(u, 0x01), 0)
+		s := binary.AppendVarint(nil, int64(v))
+		checkVarints(t, s, 0)
+		checkVarints(t, binary.AppendVarint(nil, -int64(v)), 0)
+	}
+	checkVarints(t, binary.AppendVarint(nil, math.MinInt64), 0)
+	checkVarints(t, binary.AppendVarint(nil, math.MaxInt64), 0)
+	for _, forged := range [][]byte{
+		{0x80, 0x00},             // overlong zero
+		{0xff, 0x80, 0x80, 0x00}, // overlong 127
+		append(bytes.Repeat([]byte{0x80}, 9), 0x00),  // 10-byte overlong zero
+		append(bytes.Repeat([]byte{0xff}, 9), 0x01),  // 10-byte MaxUint64
+		append(bytes.Repeat([]byte{0xff}, 9), 0x02),  // 10 bytes, overflows
+		append(bytes.Repeat([]byte{0x80}, 10), 0x00), // 11 bytes
+		append(bytes.Repeat([]byte{0xff}, 10), 0x01), // 11 bytes
+		bytes.Repeat([]byte{0x80}, 12),               // never terminates
+	} {
+		checkVarints(t, forged, 0)
+		checkVarints(t, append([]byte{0x01}, forged...), 1)
+	}
+}
+
+// TestVarintStreamsMatchEncodingBinary reads random byte streams as
+// back-to-back varints, half of their bytes single-byte values, and
+// tracks encoding/binary through the same stream: each value and the
+// offset of the first failure must agree, and every read after it is 0.
+func TestVarintStreamsMatchEncodingBinary(t *testing.T) {
+	r := rand.New(rand.NewPCG(25, 3))
+	for i := 0; i < 5000; i++ {
+		buf := make([]byte, r.IntN(40))
+		for j := range buf {
+			buf[j] = byte(r.IntN(256))
+			if r.IntN(2) == 0 {
+				buf[j] &= 0x7f
+			}
+		}
+		d := NewDec(buf)
+		off, failed := 0, false
+		for op := 0; op < 24; op++ {
+			signed := r.IntN(2) == 0
+			var got, want uint64
+			var n int
+			if signed {
+				got = uint64(d.Varint())
+				v, m := binary.Varint(buf[off:])
+				want, n = uint64(v), m
+			} else {
+				got = d.Uvarint()
+				want, n = binary.Uvarint(buf[off:])
+			}
+			if failed || n <= 0 {
+				if got != 0 || d.OK() {
+					t.Fatalf("% x read %d: got %d, OK %v after a failure", buf, op, got, d.OK())
+				}
+				if !failed {
+					if ce := d.Err().(*Error); ce.Off != off {
+						t.Fatalf("% x read %d: failed at %d, encoding/binary at %d", buf, op, ce.Off, off)
+					}
+				}
+				failed = true
+				continue
+			}
+			off += n
+			if got != want || d.Remaining() != len(buf)-off {
+				t.Fatalf("% x read %d: got %d with %d left, encoding/binary %d with %d",
+					buf, op, got, d.Remaining(), want, len(buf)-off)
+			}
+		}
+	}
+	// A failure drops the buffer: a one-byte value after it is not read.
+	d := NewDec([]byte{0x80, 0x80, 0x01, 0x02})
+	d.Take(1)
+	d.Failf("refused")
+	if d.Uvarint() != 0 || d.Varint() != 0 || d.Err().(*Error).Off != 1 {
+		t.Fatalf("a read after Failf returned a value or moved the failure: %v", d.Err())
 	}
 }
 

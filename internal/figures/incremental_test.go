@@ -2,7 +2,9 @@ package figures
 
 import (
 	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"natpeek/internal/analysis"
 	"natpeek/internal/dataset"
@@ -180,6 +182,67 @@ func TestDashboardMatchesBatch(t *testing.T) {
 	sealed := len(batchStore.Flows) - len(chunks[4].Flows)
 	if got := d.Stats().RawFlowRows; got != sealed {
 		t.Fatalf("dashboard folded %d flow rows, the sealed chunks hold %d", got, sealed)
+	}
+}
+
+// TestSaturationDirectionsOnPage: throughput rows whose Dir is neither
+// "up" nor "down" stay stored but make no Fig. 15/16 link, on the batch
+// page and on a dashboard page alike (they used to be three more
+// downlinks here).
+func TestSaturationDirectionsOnPage(t *testing.T) {
+	st := dataset.NewStore()
+	at := time.Date(2013, 4, 1, 0, 0, 0, 0, time.UTC)
+	for _, id := range []string{"us-1", "us-2"} {
+		st.RouterCountry[id] = "US"
+		st.Capacity = append(st.Capacity, dataset.CapacityMeasure{RouterID: id, MeasuredAt: at, UpBps: 1e6, DownBps: 2e7})
+		for i, dir := range []string{"up", "down", "sideways", "", "Down"} {
+			st.Throughput = append(st.Throughput, dataset.ThroughputSample{RouterID: id,
+				Minute: at.Add(time.Duration(i) * time.Minute), Dir: dir, PeakBps: 2e6, TotalBytes: 1e5})
+		}
+	}
+	w := DefaultWindows()
+	chunks := chunkStores(st, 2)
+	plain := dataset.NewSharded(0)
+	feedChunks(plain, chunks, nil)
+	seg, err := segment.Open(segment.Options{Dir: t.TempDir(), FlushRows: 1 << 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+	d, err := NewDashboard(seg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedChunks(seg, chunks, func() {
+		if err := seg.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	merged := plain.Merge()
+	if len(merged.Throughput) != 10 {
+		t.Fatalf("%d throughput rows stored, want all 10", len(merged.Throughput))
+	}
+	reports := All(merged, w)
+	var batch, page []string
+	for _, r := range reports {
+		batch = append(batch, r.String())
+	}
+	for _, r := range d.Render() {
+		page = append(page, r.String())
+	}
+	diffReports(t, batch, page, "dashboard vs batch")
+	for _, r := range reports {
+		switch r.ID {
+		case "Figure 15":
+			if s := r.String(); !strings.Contains(s, "downlink n=2 ") || !strings.Contains(s, "uplink   n=2 ") {
+				t.Errorf("Fig. 15 should have two links per direction:\n%s", s)
+			}
+		case "Figure 16":
+			if s := r.String(); strings.Count(s, "home=") != 2 {
+				t.Errorf("Fig. 16 should list both saturated uplinks once:\n%s", s)
+			}
+		}
 	}
 }
 

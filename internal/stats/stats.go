@@ -6,8 +6,11 @@
 package stats
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -64,6 +67,11 @@ func Mean(xs []float64) float64 {
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
 // interpolation between order statistics (type-7, the default of R and
 // NumPy). It panics on an empty sample or q outside [0, 1].
+//
+// Only the two order statistics around q are needed, so a copy of xs is
+// partially ordered by selection (expected linear time) rather than
+// sorted. The order is sort.Float64s's — NaNs first — so the result is
+// the one a full sort gives.
 func Quantile(xs []float64, q float64) float64 {
 	if len(xs) == 0 {
 		panic("stats: Quantile of empty sample")
@@ -71,23 +79,91 @@ func Quantile(xs []float64, q float64) float64 {
 	if q < 0 || q > 1 {
 		panic(fmt.Sprintf("stats: quantile %v outside [0,1]", q))
 	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, q)
-}
-
-func quantileSorted(sorted []float64, q float64) float64 {
-	if len(sorted) == 1 {
-		return sorted[0]
+	if len(xs) == 1 {
+		return xs[0]
 	}
-	h := q * float64(len(sorted)-1)
+	a := append([]float64(nil), xs...)
+	h := q * float64(len(a)-1)
 	lo := int(math.Floor(h))
-	hi := lo + 1
-	if hi >= len(sorted) {
-		return sorted[len(sorted)-1]
+	selectNth(a, lo, 2*bits.Len(uint(len(a))))
+	if lo+1 >= len(a) {
+		return a[lo]
+	}
+	// Everything after lo is ordered no earlier than a[lo]; the next
+	// order statistic is the least of it.
+	hi := a[lo+1]
+	for _, x := range a[lo+2:] {
+		if cmp.Less(x, hi) {
+			hi = x
+		}
 	}
 	frac := h - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return a[lo]*(1-frac) + hi*frac
+}
+
+// selectNth reorders a so that a[k] holds the value a full sort would put
+// there, nothing before it ordered after it and nothing after it ordered
+// before it. It is an introselect: quickselect with a median-of-three
+// pivot that, after budget partitions, sorts what is left instead, so
+// no input costs more than a sort.
+func selectNth(a []float64, k, budget int) {
+	lo, hi := 0, len(a) // a[lo:hi] holds position k
+	for hi-lo > 16 {
+		if budget == 0 {
+			slices.Sort(a[lo:hi])
+			return
+		}
+		budget--
+		p := lo + partition(a[lo:hi])
+		switch {
+		case k < p:
+			hi = p
+		case k > p:
+			lo = p + 1
+		default:
+			return
+		}
+	}
+	// Insertion sort of the last few.
+	for i := lo + 1; i < hi; i++ {
+		for j := i; j > lo && cmp.Less(a[j], a[j-1]); j-- {
+			a[j], a[j-1] = a[j-1], a[j]
+		}
+	}
+}
+
+// partition splits a (len ≥ 3) around the median of its first, middle and
+// last values and returns the pivot's final index p: a[:p] ≤ a[p] ≤
+// a[p+1:]. Equal values stop both scans, so a run of duplicates splits
+// down the middle instead of to one side.
+func partition(a []float64) int {
+	n, m := len(a), len(a)/2
+	if cmp.Less(a[m], a[0]) {
+		a[m], a[0] = a[0], a[m]
+	}
+	if cmp.Less(a[n-1], a[m]) {
+		a[n-1], a[m] = a[m], a[n-1]
+		if cmp.Less(a[m], a[0]) {
+			a[m], a[0] = a[0], a[m]
+		}
+	}
+	// Pivot to the front; a[0] (the pivot) and a[n-1] (≥ it) bound both
+	// scans, so neither needs an index check.
+	a[0], a[m] = a[m], a[0]
+	p := a[0]
+	i, j := 0, n
+	for {
+		for i++; cmp.Less(a[i], p); i++ {
+		}
+		for j--; cmp.Less(p, a[j]); j-- {
+		}
+		if i >= j {
+			break
+		}
+		a[i], a[j] = a[j], a[i]
+	}
+	a[0], a[j] = a[j], a[0]
+	return j
 }
 
 // Median returns the 0.5-quantile.

@@ -2,9 +2,11 @@ package stats
 
 import (
 	"math"
+	"math/rand/v2"
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func almost(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
@@ -293,6 +295,116 @@ func TestGiniRange(t *testing.T) {
 		return g >= -1e-9 && g <= 1
 	}, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// sortedQuantile is the oracle: a full sort, then type-7 interpolation
+// between the two order statistics around q.
+func sortedQuantile(xs []float64, q float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	if len(s) == 1 {
+		return s[0]
+	}
+	h := q * float64(len(s)-1)
+	lo := int(math.Floor(h))
+	if lo+1 >= len(s) {
+		return s[len(s)-1]
+	}
+	frac := h - float64(lo)
+	return s[lo]*(1-frac) + s[lo+1]*frac
+}
+
+func sameFloat(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+}
+
+// TestQuantileMatchesSortOracle: selection returns the bits a full sort
+// returns, over samples of 1 to 300 values drawn with heavy duplication,
+// NaNs and infinities. (No -0: sort.Float64s leaves -0 and +0 in an
+// unspecified order, so a quantile over both has no single right bits.)
+func TestQuantileMatchesSortOracle(t *testing.T) {
+	r := rand.New(rand.NewPCG(25, 1))
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0}
+	draw := func(pool int) float64 {
+		switch v := r.IntN(100); {
+		case v < 5:
+			return special[r.IntN(len(special))]
+		case v < 60:
+			return float64(r.IntN(pool)) // duplicates
+		default:
+			return r.NormFloat64() * 1e6
+		}
+	}
+	qs := []float64{0, .1, .25, .5, .75, .9, .95, 1, 0}
+	for i := 0; i < 20000; i++ {
+		xs := make([]float64, 1+r.IntN(300))
+		pool := 1 + r.IntN(len(xs))
+		for j := range xs {
+			xs[j] = draw(pool)
+		}
+		qs[len(qs)-1] = r.Float64()
+		for _, q := range qs {
+			if got, want := Quantile(xs, q), sortedQuantile(xs, q); !sameFloat(got, want) {
+				t.Fatalf("sample %d (n=%d) q=%v: got %v, sort gives %v\n%v", i, len(xs), q, got, want, xs)
+			}
+		}
+	}
+}
+
+// TestQuantileAdversarialInputs: the orders that break a naive
+// quickselect — sorted, reversed, all equal, organ pipe, sawtooth — at a
+// million values each. Selection is linear-time on these; a quadratic
+// pass over a million values would take minutes, so the time budget
+// catches one without ever being close for a correct run.
+func TestQuantileAdversarialInputs(t *testing.T) {
+	const n = 1 << 20
+	inputs := map[string]func(i int) float64{
+		"sorted":     func(i int) float64 { return float64(i) },
+		"reversed":   func(i int) float64 { return float64(n - i) },
+		"all-equal":  func(i int) float64 { return 42 },
+		"organ-pipe": func(i int) float64 { return float64(min(i, n-i)) },
+		"sawtooth":   func(i int) float64 { return float64(i % 1024) },
+	}
+	for name, f := range inputs {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = f(i)
+		}
+		for _, q := range []float64{0, .5, .95, 1} {
+			start := time.Now()
+			got := Quantile(xs, q)
+			if took := time.Since(start); took > 5*time.Second {
+				t.Fatalf("%s q=%v: %v for %d values", name, q, took, n)
+			}
+			if want := sortedQuantile(xs, q); !sameFloat(got, want) {
+				t.Fatalf("%s q=%v: got %v, sort gives %v", name, q, got, want)
+			}
+		}
+	}
+}
+
+// TestSelectNthSortFallback: with its partition budget spent, selection
+// sorts what is left, and the element at k is still the sorted one.
+func TestSelectNthSortFallback(t *testing.T) {
+	r := rand.New(rand.NewPCG(25, 2))
+	for i := 0; i < 2000; i++ {
+		xs := make([]float64, 1+r.IntN(200))
+		for j := range xs {
+			xs[j] = float64(r.IntN(50))
+		}
+		want := append([]float64(nil), xs...)
+		sort.Float64s(want)
+		k, budget := r.IntN(len(xs)), r.IntN(3)
+		selectNth(xs, k, budget)
+		if xs[k] != want[k] {
+			t.Fatalf("n=%d k=%d budget=%d: got %v, want %v", len(xs), k, budget, xs[k], want[k])
+		}
+		for j, x := range xs {
+			if j < k && x > xs[k] || j > k && x < xs[k] {
+				t.Fatalf("n=%d k=%d budget=%d: xs[%d]=%v on the wrong side of %v", len(xs), k, budget, j, x, xs[k])
+			}
+		}
 	}
 }
 
