@@ -108,6 +108,7 @@ check-verify: fuzz-seeds
 	$(GO) test -run='^$$' -fuzz='FuzzRequestDecode' -fuzztime=$(FUZZTIME) ./internal/collector/
 	$(GO) test -run='^$$' -fuzz='FuzzCodec' -fuzztime=$(FUZZTIME) ./internal/codec/
 	$(GO) test -run='^$$' -fuzz='FuzzWireDecode' -fuzztime=$(FUZZTIME) ./internal/wire/
+	$(GO) test -run='^$$' -fuzz='FuzzSplit' -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -run='^$$' -fuzz='FuzzSegmentDecode' -fuzztime=$(FUZZTIME) ./internal/segment/
 
 # The scale gate, under the race detector:

@@ -3,7 +3,10 @@ package cluster
 import (
 	"fmt"
 	"testing"
+	"time"
 
+	"natpeek/internal/collector"
+	"natpeek/internal/trace"
 	"natpeek/internal/wire"
 )
 
@@ -59,4 +62,51 @@ func BenchmarkHandoffReplay(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)*items/b.Elapsed().Seconds(), "rows/s")
+}
+
+// BenchmarkFrontSplit prices the front's routing of one 64-item,
+// many-router upload at R=2 on a 3-node ring, untraced and traced — the
+// streaming split ("split") against the decode → clone → regroup →
+// re-encode path it replaced ("parent", the split oracle's reference) —
+// and a successor's index of the same batch both ways.
+func BenchmarkFrontSplit(b *testing.B) {
+	defer trace.SetEnabled(trace.Enabled())
+	f := oracleFront(b, 3, 2)
+	batch := oracleBatches()[3]
+	for _, tracing := range []bool{false, true} {
+		trace.SetEnabled(tracing)
+		b.Run(fmt.Sprintf("split/traced=%v", tracing), func(b *testing.B) {
+			var sp wire.Splitter
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				now := time.Now()
+				if _, _, err := f.route(&sp, batch, now, now); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("parent/traced=%v", tracing), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				now := time.Now()
+				items, err := decodeItems(collector.BatchEndpoint, wire.ContentTypeBinary, "", batch)
+				if err != nil {
+					b.Fatal(err)
+				}
+				referenceRoute(items, f.ms.ring(), 2, f.cfg.ID, tracing, now, now)
+			}
+		})
+	}
+	b.Run("index/split", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			indexFrame(batch)
+		}
+	})
+	b.Run("index/parent", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			referenceIndex(batch)
+		}
+	})
 }

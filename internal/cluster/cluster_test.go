@@ -767,24 +767,38 @@ func TestTransferKeepsStoredTimes(t *testing.T) {
 }
 
 // TestForgedBatchCountAllocatesLittle: an NPB1 envelope may claim one
-// item per byte that follows it, and a wire.Item is some hundred times
-// larger than a byte, so sizing the output from the claim lets an 8 MiB
-// body reserve gigabytes before its first item fails to decode. What a
-// body makes the front allocate must stay within a small multiple of its
+// item per byte that follows it, so sizing anything from the claim lets
+// an 8 MiB body reserve gigabytes before its first item fails to decode.
+// What such a body makes the front's split, a successor's index or the
+// decode helper allocate must stay within a small multiple of its
 // length; honest batches, under and over the pre-size, decode as before.
 func TestForgedBatchCountAllocatesLittle(t *testing.T) {
 	const n = 8 << 20
 	body := binary.AppendUvarint([]byte("NPB1"), n)
 	body = append(body, bytes.Repeat([]byte{0xff}, n)...) // no varint ends: item 0 fails
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	items, err := decodeItems("/v1/batch", wire.ContentTypeBinary, "", body)
-	runtime.ReadMemStats(&after)
-	if err == nil {
-		t.Fatalf("forged batch decoded to %d items", len(items))
-	}
-	if got := after.TotalAlloc - before.TotalAlloc; got > 2*n {
-		t.Fatalf("forged count on a %d-byte body allocated %d bytes", len(body), got)
+	f := &Front{cfg: FrontConfig{Replication: 2}, ms: newMembership(Member{ID: "front"}, GossipConfig{})}
+	var sp wire.Splitter
+	for name, run := range map[string]func() error{
+		"front split": func() error {
+			batch, err := uploadBatch("/v1/batch", wire.ContentTypeBinary, "", body)
+			if err == nil {
+				_, _, err = f.route(&sp, batch, time.Now(), time.Now())
+			}
+			return err
+		},
+		"successor index": func() error { _, _, err := indexFrame(body); return err },
+		"decode helper":   func() error { _, err := decodeItems("/v1/batch", wire.ContentTypeBinary, "", body); return err },
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := run()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: forged batch decoded", name)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 2*n {
+			t.Fatalf("%s: forged count on a %d-byte body allocated %d bytes", name, len(body), got)
+		}
 	}
 
 	for _, count := range []int{0, 1, 64, 3 * transferBatchItems} {

@@ -11,6 +11,8 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -55,9 +57,9 @@ type FrontConfig struct {
 // difference — and routes every upload by router-ID consistent hash to
 // its owning node, replicating each acknowledged write to the R-1
 // successor journals before acking. Batches that span routers are split
-// per placement group, re-encoded as NPB1, and forwarded with a
-// front.route span appended so node-side /debug/traces shows the
-// front→node hop in every waterfall.
+// per placement group — each item decoded in place and streamed into its
+// group's NPB1 — and forwarded with a front.route span appended so
+// node-side /debug/traces shows the front→node hop in every waterfall.
 type Front struct {
 	cfg FrontConfig
 	ms  *membership
@@ -268,19 +270,16 @@ func (f *Front) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc
 	}
 }
 
-// placementGroup is one replica set's slice of an upload.
-type placementGroup struct {
-	placement []string
-	items     []wire.Item
-}
+// splitters pools the splitter that splits uploads at the front and
+// indexes and replays journaled frames at a successor.
+var splitters = sync.Pool{New: func() any { return new(wire.Splitter) }}
 
 // handleUpload serves /v1/batch and every direct endpoint through one
-// path: read the body with the collector's reader, open it with the
-// collector's item source, route the items to placement groups, forward
-// each group, answer from the summed result. A direct post is a one-item
-// batch from here on — its owner sees a /v1/batch request — and is
-// mapped back to 204, or 400 with the item's reason, by the same Reply
-// a stand-alone collector answers with.
+// path: read the body with the collector's reader, take it as one NPB1
+// batch, split it into placement groups, forward each group, answer from
+// the summed result. A direct post is a one-item batch from here on — its
+// owner sees a /v1/batch request — and is mapped back to 204, or 400 with
+// the item's reason, by the same Reply a stand-alone collector answers with.
 func (f *Front) handleUpload(endpoint string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -290,17 +289,23 @@ func (f *Front) handleUpload(endpoint string) http.HandlerFunc {
 			return
 		}
 		defer body.Release()
-		items, err := decodeItems(endpoint, r.Header.Get("Content-Type"), r.Header.Get("Idempotency-Key"), body.Bytes())
+		sp := splitters.Get().(*wire.Splitter)
+		defer splitters.Put(sp)
+		batch, err := uploadBatch(endpoint, r.Header.Get("Content-Type"), r.Header.Get("Idempotency-Key"), body.Bytes())
+		var placements [][]string
+		var fail *forwardFailure
+		if err == nil {
+			placements, fail, err = f.route(sp, batch, start, time.Now())
+		}
 		if err != nil {
 			f.mErrors.With("decode").Inc()
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		groups, fail := f.route(items, start)
 		var total collector.BatchResult
-		for i := 0; fail == nil && i < len(groups); i++ {
+		for i := 0; fail == nil && i < len(placements); i++ {
 			var res collector.BatchResult
-			res, fail = f.forward(r.Context(), groups[i], r.Header.Get("Traceparent"), start)
+			res, fail = f.forward(r.Context(), placements[i], sp.Group(i), r.Header.Get("Traceparent"), start)
 			total.Add(res)
 		}
 		if fail != nil {
@@ -311,81 +316,76 @@ func (f *Front) handleUpload(endpoint string) http.HandlerFunc {
 	}
 }
 
-// decodeItems drains an upload body through the collector's item source
-// into owned items (cloned out of decoder scratch and the pooled body),
-// for the callers that regroup and re-encode: the front's routing and a
-// node's failover replay.
-func decodeItems(endpoint, contentType, key string, body []byte) ([]wire.Item, error) {
+// uploadBatch returns an upload's items as one NPB1 batch: an NPB1
+// /v1/batch body as it came, any other shape — a JSON envelope, a direct
+// post — drained through the collector's item source and encoded once,
+// so every upload takes the same split.
+func uploadBatch(endpoint, contentType, key string, body []byte) ([]byte, error) {
+	if endpoint == collector.BatchEndpoint &&
+		(contentType == wire.ContentTypeBinary || strings.HasPrefix(contentType, wire.ContentTypeBinary+";")) {
+		return body, nil
+	}
 	src, err := collector.NewItemSource(endpoint, contentType, key, body)
 	if err != nil {
 		return nil, err
 	}
 	defer src.Close()
-	// The claimed count is bounded only by the bytes that follow it, and
-	// an Item is a few hundred times a byte: pre-size for the largest
-	// batch a sender builds and let append follow a longer one.
-	items := make([]wire.Item, 0, min(src.Len(), transferBatchItems))
+	var items []wire.Item
 	var it wire.Item
-	for {
-		switch err := src.Next(&it); err {
-		case nil:
-			items = append(items, it.Clone())
-		case io.EOF:
-			return items, nil
-		default:
-			return nil, err
-		}
+	for err = src.Next(&it); err == nil; err = src.Next(&it) {
+		items = append(items, it)
 	}
+	if err != io.EOF {
+		return nil, err
+	}
+	return wire.AppendBatch(nil, items), nil
 }
 
-// route splits an upload by replica set, appending the front.route span
-// each traced item carries across the hop. It refuses the whole upload
-// with 503 when the ring is empty, or with a fence when ANY item's shard
-// is mid-cutover — partial application would ack rows the client has no
-// way to re-send selectively, so the upload is refused before a single
-// item is forwarded and the retry lands intact after the cutover.
-func (f *Front) route(items []wire.Item, start time.Time) ([]*placementGroup, *forwardFailure) {
-	ring := f.ms.ring()
-	if ring.Len() == 0 {
-		f.mErrors.With("no-nodes").Inc()
-		return nil, &forwardFailure{status: http.StatusServiceUnavailable, retryAfter: "1", msg: "no live collector nodes"}
-	}
-	pending := f.ms.pendingRing()
-	byKey := make(map[string]*placementGroup)
-	var groups []*placementGroup
-	now := time.Now()
-	for i := range items {
-		it := &items[i]
-		router := routerOfItem(it)
+// route splits an NPB1 batch into sp's groups, one per replica set (the
+// placements, in group order), looking each distinct router up once; with
+// tracing on, every keyed item carries a front.route span across the
+// hop. A batch that does not decode is the error, judged first. Then the
+// whole upload is refused with 503 when the ring is empty, or with a
+// fence when ANY item's shard is mid-cutover — partial application would
+// ack rows the client has no way to re-send selectively, so the retry
+// must land intact after the cutover.
+func (f *Front) route(sp *wire.Splitter, batch []byte, start, now time.Time) ([][]string, *forwardFailure, error) {
+	ring, pending := f.ms.ring(), f.ms.pendingRing()
+	tracing := trace.Enabled()
+	var placements [][]string
+	var fenced string
+	err := sp.Split(batch, routeFallback, func(router string) int {
+		if ring.Len() == 0 || fenced != "" {
+			return -1
+		}
 		if f.fenceCheck(ring, pending, router) {
-			f.mFenced.Inc()
-			return nil, &forwardFailure{status: http.StatusTooManyRequests, retryAfter: "1",
-				msg: "shard for router " + router + " is rebalancing, retry later"}
+			fenced = router
+			return -1
 		}
 		placement := ring.Lookup(router, f.cfg.Replication)
-		gk := strings.Join(placement, "\x00")
-		g := byKey[gk]
-		if g == nil {
-			g = &placementGroup{placement: placement}
-			byKey[gk] = g
-			groups = append(groups, g)
+		if i := slices.IndexFunc(placements, func(p []string) bool { return slices.Equal(p, placement) }); i >= 0 {
+			return i
 		}
-		if trace.Enabled() && it.Key != "" {
-			if it.Trace == nil {
-				it.Trace = &trace.Wire{Router: router}
-			}
-			it.Trace.Spans = append(it.Trace.Spans, trace.Span{
-				Name: "front.route", Start: start, End: now, Status: trace.StatusOK,
-				Attrs: []trace.Attr{
-					{K: "front", V: f.cfg.ID},
-					{K: "node", V: placement[0]},
-					{K: "replicas", V: fmt.Sprint(len(placement) - 1)},
-				},
-			})
+		var span *trace.Span
+		if tracing {
+			span = &trace.Span{Name: "front.route", Start: start, End: now, Status: trace.StatusOK, Attrs: []trace.Attr{
+				{K: "front", V: f.cfg.ID}, {K: "node", V: placement[0]}, {K: "replicas", V: strconv.Itoa(len(placement) - 1)}}}
 		}
-		g.items = append(g.items, *it)
+		placements = append(placements, placement)
+		return sp.NewGroup(span)
+	})
+	switch {
+	case err != nil:
+		return nil, nil, err
+	case ring.Len() == 0:
+		f.mErrors.With("no-nodes").Inc()
+		return nil, &forwardFailure{status: http.StatusServiceUnavailable, retryAfter: "1", msg: "no live collector nodes"}, nil
+	case fenced != "":
+		f.mFenced.Inc()
+		return nil, &forwardFailure{status: http.StatusTooManyRequests, retryAfter: "1",
+			msg: "shard for router " + fenced + " is rebalancing, retry later"}, nil
 	}
-	return groups, nil
+	return placements, nil, nil
 }
 
 // forwardFailure is a routed request's terminal error: what to tell the
@@ -410,14 +410,14 @@ func (fail *forwardFailure) write(w http.ResponseWriter) {
 // keys flatten whatever did land. Unkeyed items — registration in
 // practice — replay as map upserts, so failover cannot duplicate rows
 // through them.
-func (f *Front) forward(ctx context.Context, g *placementGroup, traceparent string, start time.Time) (collector.BatchResult, *forwardFailure) {
-	owner, succs := g.placement[0], g.placement[1:]
+func (f *Front) forward(ctx context.Context, placement []string, g *wire.Group, traceparent string, start time.Time) (collector.BatchResult, *forwardFailure) {
+	owner, succs := placement[0], placement[1:]
 	om, ok := f.ms.lookup(owner)
 	if !ok {
 		f.mErrors.With("owner-unknown").Inc()
 		return collector.BatchResult{}, &forwardFailure{status: http.StatusServiceUnavailable, msg: "owner node unknown"}
 	}
-	enc := wire.AppendBatch(nil, g.items)
+	enc := g.Bytes()
 	res, err := postBatchBinary(ctx, f.httpc, om.DataAddr, enc, traceparent)
 	var answered *postStatus
 	switch {
@@ -434,7 +434,7 @@ func (f *Front) forward(ctx context.Context, g *placementGroup, traceparent stri
 		f.mErrors.With("owner-error").Inc()
 		return res, &forwardFailure{status: http.StatusBadGateway, msg: "owner " + owner + ": " + err.Error()}
 	}
-	f.mRouted.With(owner).Add(int64(len(g.items)))
+	f.mRouted.With(owner).Add(int64(g.Len()))
 
 	for _, succ := range succs {
 		sm, ok := f.ms.lookup(succ)
@@ -450,16 +450,16 @@ func (f *Front) forward(ctx context.Context, g *placementGroup, traceparent stri
 		f.mReplicated.With(succ).Inc()
 	}
 
-	if trace.Enabled() && g.items[0].Key != "" {
+	if trace.Enabled() && g.FirstKey() != "" {
 		f.rec.Finish(&trace.Trace{
-			ID: trace.IDFromKey(g.items[0].Key), Endpoint: collector.BatchEndpoint,
-			Router: routerOfItem(&g.items[0]),
+			ID: trace.IDFromKey(g.FirstKey()), Endpoint: collector.BatchEndpoint,
+			Router: g.FirstRouter(),
 			Spans: []trace.Span{{
 				Name: "front.forward", Start: start, End: time.Now(), Status: trace.StatusOK,
 				Attrs: []trace.Attr{
 					{K: "node", V: owner},
-					{K: "items", V: fmt.Sprint(len(g.items))},
-					{K: "replicas", V: fmt.Sprint(len(succs))},
+					{K: "items", V: strconv.Itoa(g.Len())},
+					{K: "replicas", V: strconv.Itoa(len(succs))},
 				},
 			}},
 		})
@@ -628,19 +628,17 @@ func (f *Front) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(h)
 }
 
-// routerOfItem extracts an item's routing key: the typed payload's
-// router, a raw payload's as the collector's raw decoder reads it, or the
+// routeFallback names the router of an item whose rows name none, as
+// the collector places it: a raw payload by the router its JSON body
+// names, anything else — and a raw body that names none — by the
 // idempotency key's router prefix (every spool and loadgen key starts
 // with the router ID). An unroutable item maps to the ring position of
 // "" — a constant, so retries land on the same node and still dedupe.
-func routerOfItem(it *wire.Item) string {
-	if r := it.Payload.Router(); r != "" {
-		return r
-	}
-	if it.Payload.Kind == wire.KindRaw {
-		if r, _, err := collector.DecodeRaw(it.Endpoint, it.Payload.Raw); err == nil && r != "" {
+func routeFallback(kind wire.Kind, endpoint string, raw []byte, key string) string {
+	if kind == wire.KindRaw {
+		if r, _, err := collector.DecodeRaw(endpoint, raw); err == nil && r != "" {
 			return r
 		}
 	}
-	return dataset.KeyRouter(it.Key)
+	return dataset.KeyRouter(key)
 }

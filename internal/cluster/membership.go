@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -80,6 +81,8 @@ type membership struct {
 	// gossiped membership, exactly as before epochs existed.
 	cur  *RingEpoch
 	next *RingEpoch
+	// curRing and nextRing memoise ring and pendingRing.
+	curRing, nextRing ringMemo
 }
 
 type peerEntry struct {
@@ -264,14 +267,15 @@ func (ms *membership) view() []MemberView {
 	return out
 }
 
-// ring builds the routing hash ring. With a committed epoch, its node
+// ring returns the routing hash ring. With a committed epoch, its node
 // list IS the ring — filtered by local liveness so a dead epoch member
 // still fails over via journals — and membership only supplies
 // addresses. Without one (a cluster that has never resized), the ring
 // derives from gossiped membership as before: RoleNode, not locally
 // dead, and not mid-join. Suspects stay on the ring — pulling them on
 // the first stalled beat would flap ownership under load spikes; only a
-// dead verdict moves shards.
+// dead verdict moves shards. The ring is rebuilt only when that node
+// list changes; the uploads in between share one.
 func (ms *membership) ring() *Ring {
 	views := ms.view()
 	cur, _ := ms.epochs()
@@ -288,7 +292,7 @@ func (ms *membership) ring() *Ring {
 				ids = append(ids, id)
 			}
 		}
-		return NewRing(ids, DefaultVnodes)
+		return ms.memo(&ms.curRing, ids)
 	}
 	var ids []string
 	for _, mv := range views {
@@ -296,18 +300,35 @@ func (ms *membership) ring() *Ring {
 			ids = append(ids, mv.ID)
 		}
 	}
-	return NewRing(ids, DefaultVnodes)
+	return ms.memo(&ms.curRing, ids)
 }
 
 // pendingRing is the ring a pending epoch proposes, unfiltered by
 // liveness — fencing compares ownership deterministically, the same on
-// every front.
+// every front. Memoised like ring.
 func (ms *membership) pendingRing() *Ring {
 	_, next := ms.epochs()
 	if next == nil {
 		return nil
 	}
-	return NewRing(next.Nodes, DefaultVnodes)
+	return ms.memo(&ms.nextRing, next.Nodes)
+}
+
+// ringMemo is the last ring built and the node list it was built from;
+// memo returns its ring while ids is that list, and builds a new one
+// otherwise.
+type ringMemo struct {
+	ids  []string
+	ring *Ring
+}
+
+func (ms *membership) memo(m *ringMemo, ids []string) *Ring {
+	ms.mu.Lock()
+	defer ms.mu.Unlock()
+	if m.ring == nil || !slices.Equal(m.ids, ids) {
+		m.ids, m.ring = ids, NewRing(ids, DefaultVnodes)
+	}
+	return m.ring
 }
 
 // planningNodes is the node set a coordinator starts a membership

@@ -258,3 +258,58 @@ func TestMembershipCommitEpoch(t *testing.T) {
 		t.Fatalf("next proposal version = %d, want 3", e2.Version)
 	}
 }
+
+// TestMembershipRingMemo: every upload asks for the ring, and between
+// membership changes it must be the same *Ring, not a rebuild; a death
+// verdict and an epoch commit each build a new one, and the pending ring
+// is memoised the same way.
+func TestMembershipRingMemo(t *testing.T) {
+	ms, advance := testMembership("self")
+	ms.merge([]Member{
+		{ID: "n1", Role: RoleNode, Incarnation: 1, Beat: 1},
+		{ID: "n2", Role: RoleNode, Incarnation: 1, Beat: 1},
+	})
+	r := ms.ring()
+	for i := 0; i < 3; i++ {
+		if got := ms.ring(); got != r {
+			t.Fatalf("ring rebuilt on call %d with the membership unchanged", i)
+		}
+	}
+	advance(5 * time.Second) // suspects stay on the ring
+	ms.merge([]Member{{ID: "n1", Role: RoleNode, Incarnation: 1, Beat: 2}})
+	if got := ms.ring(); got != r {
+		t.Fatal("ring rebuilt for a suspect")
+	}
+	advance(6 * time.Second) // n2 dead; n1 advanced 6s ago
+	dead := ms.ring()
+	if dead == r || !reflect.DeepEqual(dead.Nodes(), []string{"n1", "self"}) {
+		t.Fatalf("after n2's death verdict: same ring %v, nodes %v", dead == r, dead.Nodes())
+	}
+	if ms.ring() != dead {
+		t.Fatal("ring rebuilt again after the death verdict")
+	}
+
+	e := ms.proposeEpoch([]string{"n1", "self"})
+	pending := ms.pendingRing()
+	if pending == nil || ms.pendingRing() != pending {
+		t.Fatal("pending ring not memoised")
+	}
+	if ms.ring() != dead {
+		t.Fatal("a proposal rebuilt the current ring")
+	}
+	if _, ok := ms.commitEpoch(e.Version); !ok {
+		t.Fatal("commit failed")
+	}
+	ms.merge([]Member{{ID: "n2", Role: RoleNode, Incarnation: 2, Beat: 1}}) // n2 reborn, outside the epoch
+	committed := ms.ring()
+	if !reflect.DeepEqual(committed.Nodes(), []string{"n1", "self"}) {
+		t.Fatalf("epoch ring = %v", committed.Nodes())
+	}
+	ms.mergeEpochs(&RingEpoch{Version: 9, Committed: true, Nodes: []string{"n1", "n2", "self"}}, nil)
+	if got := ms.ring(); got == committed || !reflect.DeepEqual(got.Nodes(), []string{"n1", "n2", "self"}) {
+		t.Fatalf("after an epoch commit: same ring %v, nodes %v", got == committed, got.Nodes())
+	}
+	if ms.pendingRing() != nil {
+		t.Fatal("pending ring outlived its commit")
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -560,25 +559,30 @@ func (n *Node) journalFrame(e *journalEntry) bool {
 // own data plane, which reproduces the pre-rebalance behavior exactly.
 func (n *Node) replay(e *journalEntry) (collector.BatchResult, error) {
 	var total collector.BatchResult
-	items, err := decodeItems(collector.BatchEndpoint, wire.ContentTypeBinary, "", e.batch)
-	if err != nil {
-		return total, err
-	}
 	ring := n.ms.ring()
-	byAddr := make(map[string][]wire.Item)
-	for _, it := range items {
+	sp := splitters.Get().(*wire.Splitter)
+	defer splitters.Put(sp)
+	var addrs []string
+	err := sp.Split(e.batch, routeFallback, func(router string) int {
 		addr := n.DataAddr()
-		if owner := ring.Owner(routerOfItem(&it)); owner != "" && owner != n.cfg.ID {
+		if owner := ring.Owner(router); owner != "" && owner != n.cfg.ID {
 			if mem, ok := n.ms.lookup(owner); ok && mem.DataAddr != "" {
 				addr = mem.DataAddr
 			}
 		}
-		byAddr[addr] = append(byAddr[addr], it)
+		if i := slices.Index(addrs, addr); i >= 0 {
+			return i
+		}
+		addrs = append(addrs, addr)
+		return sp.NewGroup(nil)
+	})
+	if err != nil {
+		return total, err
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	for addr, its := range byAddr {
-		res, err := postBatchBinary(ctx, n.httpc, addr, wire.AppendBatch(nil, its), "")
+	for i, addr := range addrs {
+		res, err := postBatchBinary(ctx, n.httpc, addr, sp.Group(i).Bytes(), "")
 		if err != nil {
 			return total, err
 		}
@@ -599,8 +603,12 @@ func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	}
 	rep := m.Replicate
 	// Validate before journaling: bytes that cannot replay are refused
-	// now, while the front can still fail the client's request.
-	items, frameKeys, err := scanBatch(rep.Batch)
+	// now, while the front can still fail the client's request. The pooled
+	// splitter decodes the frame in place and lists its keys for the
+	// manifests.
+	sp := splitters.Get().(*wire.Splitter)
+	items, frameKeys, err := sp.Index(rep.Batch, routeFallback)
+	splitters.Put(sp)
 	if err != nil {
 		http.Error(w, "replicate: bad batch: "+err.Error(), http.StatusBadRequest)
 		return
@@ -666,36 +674,6 @@ func (n *Node) handleManifest(w http.ResponseWriter, r *http.Request) {
 	}
 	n.mu.Unlock()
 	writeCtrl(w, &Message{Kind: MsgManifestResponse, ManifestResp: resp})
-}
-
-// scanBatch walks an NPB1 buffer and returns its item count plus the
-// router→keys index of its keyed items, erroring on anything the
-// collector would refuse to decode.
-func scanBatch(batch []byte) (int, map[string][]string, error) {
-	var dec wire.Decoder
-	if err := dec.Reset(batch); err != nil {
-		return 0, nil, err
-	}
-	items := 0
-	var keys map[string][]string
-	var it wire.Item
-	for {
-		err := dec.Next(&it)
-		if err == io.EOF {
-			return items, keys, nil
-		}
-		if err != nil {
-			return 0, nil, err
-		}
-		items++
-		if it.Key != "" {
-			if keys == nil {
-				keys = make(map[string][]string)
-			}
-			router := routerOfItem(&it)
-			keys[router] = append(keys[router], it.Key)
-		}
-	}
 }
 
 // memberViewJSON is the ops-facing /cluster/members entry.

@@ -19,10 +19,7 @@
 //     decoding rows and a failover replay is a plain /v1/batch POST.
 package cluster
 
-import (
-	"hash/fnv"
-	"sort"
-)
+import "sort"
 
 // DefaultVnodes is the number of ring points each node projects.
 // Enough that removing one of three nodes moves only its own ~1/3 of
@@ -38,6 +35,10 @@ const DefaultVnodes = 64
 type Ring struct {
 	nodes  []string
 	points []ringPoint
+	// walks holds, per ring point, the distinct nodes met walking
+	// clockwise from it — len(nodes) entries per point, flat — so a
+	// lookup is a binary search plus a subslice.
+	walks []string
 }
 
 type ringPoint struct {
@@ -77,6 +78,17 @@ func NewRing(ids []string, vnodes int) *Ring {
 		}
 		return a.node < b.node
 	})
+	k, np := len(r.nodes), len(r.points)
+	r.walks = make([]string, 0, np*k)
+	last := make([]int, k) // the point whose walk last met each node, + 1
+	for i := range r.points {
+		for j := i; len(r.walks) < (i+1)*k; j++ {
+			if p := r.points[j%np]; last[p.node] != i+1 {
+				last[p.node] = i + 1
+				r.walks = append(r.walks, r.nodes[p.node])
+			}
+		}
+	}
 	return r
 }
 
@@ -88,27 +100,16 @@ func (r *Ring) Len() int { return len(r.nodes) }
 
 // Lookup returns the replica set for a router: its owner followed by
 // up to n-1 distinct successor nodes clockwise. Returns nil on an
-// empty ring; fewer than n when the ring is smaller than n.
+// empty ring; fewer than n when the ring is smaller than n. The slice
+// is shared with the ring: read it, never write it.
 func (r *Ring) Lookup(router string, n int) []string {
 	if len(r.points) == 0 || n <= 0 {
 		return nil
 	}
-	if n > len(r.nodes) {
-		n = len(r.nodes)
-	}
-	h := hash64str(router)
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	out := make([]string, 0, n)
-	taken := make(map[int]bool, n)
-	for scanned := 0; scanned < len(r.points) && len(out) < n; scanned++ {
-		p := r.points[(i+scanned)%len(r.points)]
-		if taken[p.node] {
-			continue
-		}
-		taken[p.node] = true
-		out = append(out, r.nodes[p.node])
-	}
-	return out
+	h := hash64(router)
+	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h }) % len(r.points)
+	at := i * len(r.nodes)
+	return r.walks[at : at+min(n, len(r.nodes)) : at+min(n, len(r.nodes))]
 }
 
 // Owner returns the router's owning node ("" on an empty ring).
@@ -127,16 +128,13 @@ func (r *Ring) Owner(router string) string {
 // high-order bits barely dispersed, and the ring positions by range
 // over the full word rather than by modulus — without the finalizer,
 // whole ID sequences land in one node's arc.
-func hash64(b []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(b)
-	return mix64(h.Sum64())
-}
-
-func hash64str(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return mix64(h.Sum64())
+func hash64[T string | []byte](b T) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(b); i++ {
+		h ^= uint64(b[i])
+		h *= 1099511628211
+	}
+	return mix64(h)
 }
 
 // mix64 is the murmur3 fmix64 finalizer: full avalanche, so nearby

@@ -2,6 +2,9 @@ package cluster
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -136,5 +139,59 @@ func TestRingReplicaSetStability(t *testing.T) {
 			t.Fatalf("replica set for %q dropped a member without gaining the added node: before %v after %v",
 				key, sb, sa)
 		}
+	}
+}
+
+// lookupOracle is Ring.Lookup as it was before the walks were
+// precomputed: scan clockwise from the router's point, skipping nodes
+// already taken.
+func lookupOracle(r *Ring, router string, n int) []string {
+	if len(r.points) == 0 || n <= 0 {
+		return nil
+	}
+	n = min(n, len(r.nodes))
+	h := hash64(router)
+	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	out := make([]string, 0, n)
+	taken := make(map[int]bool, n)
+	for scanned := 0; scanned < len(r.points) && len(out) < n; scanned++ {
+		p := r.points[(i+scanned)%len(r.points)]
+		if taken[p.node] {
+			continue
+		}
+		taken[p.node] = true
+		out = append(out, r.nodes[p.node])
+	}
+	return out
+}
+
+// TestRingLookupMatchesScan: for random routers, node counts 1..5 and
+// replica-set sizes 0..6, the precomputed lookup equals the clockwise
+// scan.
+func TestRingLookupMatchesScan(t *testing.T) {
+	rnd := rand.New(rand.NewSource(26))
+	for nodes := 1; nodes <= 5; nodes++ {
+		for _, vnodes := range []int{1, 16, DefaultVnodes} {
+			r := NewRing(ringNodes(nodes), vnodes)
+			for i := 0; i < 2000; i++ {
+				router := fmt.Sprintf("rt-%x", rnd.Uint64())
+				for n := 0; n <= 6; n++ {
+					if got, want := r.Lookup(router, n), lookupOracle(r, router, n); !slices.Equal(got, want) {
+						t.Fatalf("%d nodes, %d vnodes: Lookup(%q, %d) = %v, scan %v", nodes, vnodes, router, n, got, want)
+					}
+				}
+			}
+		}
+	}
+	if got := NewRing(nil, 0).Lookup("rt", 2); got != nil {
+		t.Fatalf("empty ring placed a router: %v", got)
+	}
+}
+
+// TestRingLookupAllocs: a lookup is a search and a subslice.
+func TestRingLookupAllocs(t *testing.T) {
+	r := NewRing(ringNodes(3), DefaultVnodes)
+	if allocs := testing.AllocsPerRun(100, func() { r.Lookup("rt-000001", 2) }); allocs != 0 {
+		t.Fatalf("Lookup allocated %.0f times", allocs)
 	}
 }

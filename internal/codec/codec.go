@@ -62,6 +62,10 @@ func (e *Enc) Bytes(b []byte) {
 // domains, bands, span names: a batch or a column carries each once.
 type Dict struct{ idx map[string]uint64 }
 
+// Reset empties the dictionary and keeps its map, so a pooled encoder's
+// dictionary stops allocating once warm.
+func (t *Dict) Reset() { clear(t.idx) }
+
 // Put appends s, as a reference if the dictionary has it.
 func (t *Dict) Put(e *Enc, s string) {
 	if ref, ok := t.idx[s]; ok {

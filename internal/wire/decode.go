@@ -88,10 +88,7 @@ func (d *Decoder) Next(it *Item) error {
 	*it = Item{}
 
 	meta := c.Uvarint()
-	kind := Kind(meta & 0x7)
-	if kind > kindMax {
-		c.Failf("unknown payload kind %d", kind)
-	}
+	kind := checkMeta(c, meta)
 	it.Payload.Kind = kind
 	if kind == KindRaw {
 		it.Endpoint = d.ref()
@@ -99,7 +96,7 @@ func (d *Decoder) Next(it *Item) error {
 		it.Endpoint = kind.Endpoint()
 	}
 	it.Key = c.Str()
-	if meta&(1<<3) != 0 {
+	if meta&metaTrace != 0 {
 		d.decodeTrace(it)
 	}
 	d.decodePayload(&it.Payload)
@@ -108,6 +105,20 @@ func (d *Decoder) Next(it *Item) error {
 		return corrupt(err)
 	}
 	return nil
+}
+
+// checkMeta validates an item's meta value and returns its payload kind.
+// Only bits 0..3 are defined; a sender's future flag in a higher bit is
+// refused rather than misread as a plain item of the kind in bits 0..2.
+func checkMeta(c *codec.Dec, meta uint64) Kind {
+	if meta >= metaTrace<<1 {
+		c.Failf("undefined meta bits %#x", meta)
+	}
+	kind := Kind(meta & 0x7)
+	if kind > kindMax {
+		c.Failf("unknown payload kind %d", kind)
+	}
+	return kind
 }
 
 // Fields of a composite literal are evaluated in source order, so the

@@ -32,7 +32,7 @@ type encoder struct {
 func (e *encoder) item(it *Item) {
 	meta := uint64(it.Payload.Kind)
 	if it.Trace != nil {
-		meta |= 1 << 3
+		meta |= metaTrace
 	}
 	e.Uvarint(meta)
 	if it.Payload.Kind == KindRaw {

@@ -47,6 +47,37 @@ func TestSpanTimeSentinelCollision(t *testing.T) {
 	}
 }
 
+// TestUndefinedMetaBitsRejected is the regression for a decoder that read
+// the kind from bits 0..2 and the trace flag from bit 3 and dropped every
+// higher bit: a sender's future flag (meta 0x31 here) decoded as a plain
+// uptime item instead of being refused. The batch splitter shares the
+// rule; the encoders never set these bits.
+func TestUndefinedMetaBitsRejected(t *testing.T) {
+	item := []byte{0, 1, 'r'}            // router ref: literal "r"
+	item = binary.AppendVarint(item, 1)  // reported-at delta
+	item = binary.AppendVarint(item, 60) // uptime
+	batch := func(meta uint64) []byte {
+		buf := binary.AppendUvarint([]byte(magic), 1)
+		buf = binary.AppendUvarint(buf, meta)
+		buf = append(buf, 0) // key: empty string
+		return append(buf, item...)
+	}
+	if got := decodeAll(t, batch(uint64(KindUptime))); len(got) != 1 || got[0].Payload.Uptime.RouterID != "r" {
+		t.Fatalf("control batch decoded to %+v", got)
+	}
+	for _, meta := range []uint64{0x31, 0x10, 1 << 40} {
+		var d Decoder
+		var it Item
+		err := d.Reset(batch(meta))
+		if err == nil {
+			err = d.Next(&it)
+		}
+		if err == nil {
+			t.Errorf("meta %#x decoded as a %s item, want an error", meta, it.Endpoint)
+		}
+	}
+}
+
 // TestForgedAttrCountAllocationBounded is the regression for sizing the
 // span-attr slice from the claimed count: count() only guarantees one
 // input byte per claimed element, so an up-front make([]trace.Attr, na)

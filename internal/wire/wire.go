@@ -19,7 +19,8 @@
 //	magic "NPB1"
 //	uvarint item count
 //	per item:
-//	  uvarint meta            — bits 0..2 payload kind, bit 3 "has trace"
+//	  uvarint meta            — bits 0..2 payload kind, bit 3 "has trace";
+//	                            higher bits are undefined and refused
 //	  stringRef endpoint      — KindRaw only (typed kinds imply theirs)
 //	  string    key           — idempotency key, verbatim bytes
 //	  trace                   — if bit 3: stringRef router, uvarint span
@@ -90,6 +91,10 @@ const (
 
 	kindMax = KindThroughput
 )
+
+// metaTrace is the item meta's "has trace" bit; bits 0..2 hold the kind,
+// and no bit above metaTrace is defined.
+const metaTrace = 1 << 3
 
 // kindEndpoints is the upload endpoint each typed kind serves; KindRaw's
 // is carried explicitly.
