@@ -77,13 +77,15 @@ bench-telemetry:
 # server restart, idempotency dedupe, journal recovery across a client
 # restart), the decode-path regressions and the upload-shape
 # equivalence tests (NPB1 batch = JSON batch = direct posts, at a
-# collector and through a front; gzip'd direct posts through a front;
+# collector and through a front, and FuzzBatchTranscode's seeds; the
+# front's rows through failover replay and transfer; gzip'd direct
+# posts through a front;
 # the server flags that tune a collector, stand-alone and in a cluster
 # node), and the gateway export/throttle regressions. CI calls this
 # target rather than listing tests of its own.
 check-reliability:
 	$(GO) test -race ./internal/spool/
-	$(GO) test -race -run 'TestZeroRowLoss|TestSpoolJournal|TestBatch|TestIdempotency|TestOversized|TestChunked|TestErrorResponses|TestClientErrSurfacesFailures|TestWire|TestGzip|TestDirectEndpoint|TestBinary' ./internal/collector/
+	$(GO) test -race -run 'TestZeroRowLoss|TestSpoolJournal|TestBatch|TestIdempotency|TestOversized|TestChunked|TestErrorResponses|TestClientErrSurfacesFailures|TestWire|TestGzip|TestDirectEndpoint|TestBinary|FuzzBatchTranscode' ./internal/collector/
 	$(GO) test -race -run 'TestClusterJSONBatchEquivalent|TestClusterDirectEndpointProxy|TestFrontBodyLimits' ./internal/cluster/
 	$(GO) test -race ./cmd/bismark-server/
 	$(GO) test -race -run 'TestFlowExport|TestPowerOffExports|TestScanThrottle' ./internal/gateway/
@@ -106,9 +108,11 @@ check-verify: fuzz-seeds
 	$(GO) test -run='^$$' -fuzz='FuzzDecode' -fuzztime=$(FUZZTIME) ./internal/packet/
 	$(GO) test -run='^$$' -fuzz='FuzzJournalReplay' -fuzztime=$(FUZZTIME) ./internal/spool/
 	$(GO) test -run='^$$' -fuzz='FuzzRequestDecode' -fuzztime=$(FUZZTIME) ./internal/collector/
+	$(GO) test -run='^$$' -fuzz='FuzzBatchTranscode' -fuzztime=$(FUZZTIME) ./internal/collector/
 	$(GO) test -run='^$$' -fuzz='FuzzCodec' -fuzztime=$(FUZZTIME) ./internal/codec/
 	$(GO) test -run='^$$' -fuzz='FuzzWireDecode' -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -run='^$$' -fuzz='FuzzSplit' -fuzztime=$(FUZZTIME) ./internal/wire/
+	$(GO) test -run='^$$' -fuzz='FuzzWireRoundTrip' -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -run='^$$' -fuzz='FuzzSegmentDecode' -fuzztime=$(FUZZTIME) ./internal/segment/
 
 # The scale gate, under the race detector:

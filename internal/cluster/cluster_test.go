@@ -223,13 +223,15 @@ func TestClusterRetryDeduplicates(t *testing.T) {
 
 // equivalenceItems is the collector's seeded equivalence list, for the
 // front: registration, typed kinds, a sightings-only census, a
-// redelivered key, an out-of-range timestamp (stored as sent), a
-// malformed body and an unknown endpoint, spread over two routers so
-// the upload splits across placement groups.
+// redelivered key, a year-1850 timestamp, a malformed body and an
+// unknown endpoint, spread over two routers so the upload splits across
+// placement groups. Each router also sends one row of every kind at each
+// of pathInstants, and one row stamped +05:30.
 func equivalenceItems() []collector.BatchItem {
 	raw := func(endpoint, key, body string) collector.BatchItem {
 		return collector.BatchItem{Endpoint: endpoint, Key: key, Body: json.RawMessage(body)}
 	}
+	body := func(v any) json.RawMessage { b, _ := json.Marshal(v); return b }
 	var items []collector.BatchItem
 	for _, r := range []string{"rt-eq-a", "rt-eq-b"} {
 		up := raw("/v1/uptime", r+":eq:up", `{"RouterID":"`+r+`","ReportedAt":"2013-04-01T12:00:00Z","Uptime":3600000000000}`)
@@ -244,22 +246,60 @@ func equivalenceItems() []collector.BatchItem {
 			up, // redelivered
 			raw("/v1/uptime", r+":eq:old", `{"RouterID":"`+r+`","ReportedAt":"1850-01-01T00:00:00Z","Uptime":1}`),
 			raw("/v1/uptime", r+":eq:bad", `{"RouterID":42}`),
-			raw("/v1/nope", r+":eq:unknown", `{}`))
+			raw("/v1/nope", r+":eq:unknown", `{}`),
+			raw("/v1/capacity", r+":eq:zone", `{"RouterID":"`+r+`","MeasuredAt":"2013-04-01T17:30:00.5+05:30","UpBps":2e6,"DownBps":8e6}`))
+		for i, at := range pathInstants {
+			st := instantRows(r, at)
+			key := func(kind string) string { return fmt.Sprintf("%s:eq:t%d:%s", r, i, kind) }
+			items = append(items,
+				collector.BatchItem{Endpoint: "/v1/uptime", Key: key("up"), Body: body(st.Uptime[0])},
+				collector.BatchItem{Endpoint: "/v1/capacity", Key: key("cap"), Body: body(st.Capacity[0])},
+				collector.BatchItem{Endpoint: "/v1/devices", Key: key("dev"), Body: body(wire.Census{Count: st.Counts[0], Sightings: st.Sightings})},
+				collector.BatchItem{Endpoint: "/v1/wifi", Key: key("wifi"), Body: body(st.WiFi)},
+				collector.BatchItem{Endpoint: "/v1/traffic/flows", Key: key("flow"), Body: body(st.Flows)},
+				collector.BatchItem{Endpoint: "/v1/traffic/throughput", Key: key("tput"), Body: body(st.Throughput)})
+		}
 	}
 	return items
 }
 
-// uploadAs sends items through the front in one shape — "npb1" and
+// pathInstants are instants every path a row can take must store
+// exactly: none fits NPB1's delta chain, and the first and last lie at
+// the edges of what RFC 3339 carries.
+var pathInstants = []time.Time{
+	time.Date(1, 1, 1, 0, 0, 0, 1, time.UTC),
+	time.Date(1500, 1, 1, 0, 0, 0, 0, time.UTC),
+	time.Date(1677, 1, 1, 0, 0, 0, 0, time.UTC),
+	time.Date(2263, 1, 1, 0, 0, 0, 0, time.UTC),
+	time.Date(9999, 12, 31, 23, 59, 59, 999999999, time.UTC),
+}
+
+// instantRows is one row of every kind for router r, each stamped at.
+func instantRows(r string, at time.Time) *dataset.Store {
+	st := dataset.NewStore()
+	st.Uptime = append(st.Uptime, dataset.UptimeReport{RouterID: r, ReportedAt: at, Uptime: time.Hour})
+	st.Capacity = append(st.Capacity, dataset.CapacityMeasure{RouterID: r, MeasuredAt: at, UpBps: 1e6, DownBps: 16e6})
+	st.Counts = append(st.Counts, dataset.DeviceCount{RouterID: r, At: at, Wired: 1, W24: 2})
+	st.Sightings = append(st.Sightings, dataset.DeviceSighting{RouterID: r, At: at, Kind: dataset.Wireless24})
+	st.WiFi = append(st.WiFi, dataset.WiFiScan{RouterID: r, At: at, Band: "2.4GHz", Channel: 11, VisibleAPs: 7, Clients: 2})
+	st.Flows = append(st.Flows, dataset.FlowRecord{RouterID: r, Domain: "example.com", Proto: "tcp",
+		First: at, Last: at, UpBytes: 10, DownBytes: 20, UpPkts: 1, DownPkts: 2, Conns: 1})
+	st.Throughput = append(st.Throughput, dataset.ThroughputSample{RouterID: r, Minute: at, Dir: "down", PeakBps: 8e6, TotalBytes: 1 << 20})
+	return st
+}
+
+// uploadAs sends items to baseURL, a front or a collector, in one
+// shape — "npb1" and
 // "json" as one /v1/batch request, "direct" as one keyed POST per item
 // (an unknown endpoint has no direct form: the mux refuses it) — and
 // returns the result as a batch would report it. A direct post answers
 // 204 for applied and deduplicated alike, so that column counts both as
 // applied.
-func uploadAs(t *testing.T, tc *testCluster, shape string, items []collector.BatchItem) collector.BatchResult {
+func uploadAs(t *testing.T, baseURL, shape string, items []collector.BatchItem) collector.BatchResult {
 	t.Helper()
 	var res collector.BatchResult
 	post := func(path, contentType, key string, body []byte) (int, []byte) {
-		req, err := http.NewRequest(http.MethodPost, frontURL(tc)+path, bytes.NewReader(body))
+		req, err := http.NewRequest(http.MethodPost, baseURL+path, bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,7 +328,7 @@ func uploadAs(t *testing.T, tc *testCluster, shape string, items []collector.Bat
 				res.Rejected++
 				res.Failed = append(res.Failed, collector.BatchFailure{Endpoint: it.Endpoint, Key: it.Key, Reason: string(bytes.TrimSpace(msg))})
 			default:
-				t.Fatalf("direct %s via front: status %d (%s)", it.Endpoint, status, msg)
+				t.Fatalf("direct %s to %s: status %d (%s)", it.Endpoint, baseURL, status, msg)
 			}
 		}
 		return res
@@ -308,7 +348,7 @@ func uploadAs(t *testing.T, tc *testCluster, shape string, items []collector.Bat
 	}
 	status, msg := post("/v1/batch", contentType, "", body)
 	if err := json.Unmarshal(msg, &res); err != nil || status != http.StatusOK {
-		t.Fatalf("%s batch via front: status %d: %s", shape, status, msg)
+		t.Fatalf("%s batch to %s: status %d: %s", shape, baseURL, status, msg)
 	}
 	return res
 }
@@ -317,6 +357,10 @@ func uploadAs(t *testing.T, tc *testCluster, shape string, items []collector.Bat
 // a front as an NPB1 batch, as a JSON batch and as direct posts, each
 // into a fresh cluster: the same rows on the same ring owners, the same
 // per-item outcome and reject reason whichever shape the upload took.
+// The rows must also survive every other path unchanged — direct posts
+// to a stand-alone collector, the failover replay of a killed owner's
+// journaled frames, and a transfer of the survivor's store — stamped in
+// years 1 to 9999 or +05:30 as they are.
 func TestClusterJSONBatchEquivalent(t *testing.T) {
 	var want struct {
 		rows string
@@ -324,12 +368,12 @@ func TestClusterJSONBatchEquivalent(t *testing.T) {
 	}
 	for _, shape := range []string{"npb1", "json", "direct"} {
 		tc := startTestCluster(t, 2, 2)
-		res := uploadAs(t, tc, shape, equivalenceItems())
+		res := uploadAs(t, frontURL(tc), shape, equivalenceItems())
 		sort.Slice(res.Failed, func(i, j int) bool { return res.Failed[i].Key < res.Failed[j].Key })
 		var perNode []string
 		for _, nd := range tc.nodes {
 			st := nd.Store()
-			b, err := json.Marshal([]any{st.RouterCountry, st.Uptime, st.Capacity, st.Counts, st.Sightings, st.WiFi})
+			b, err := json.Marshal([]any{st.RouterCountry, st.Uptime, st.Capacity, st.Counts, st.Sightings, st.WiFi, st.Flows, st.Throughput})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -338,15 +382,17 @@ func TestClusterJSONBatchEquivalent(t *testing.T) {
 		rows := strings.Join(perNode, "\n")
 		if shape == "npb1" {
 			want.rows, want.res = rows, res
-			// Per router: 7 applied (registration, five typed items, the
-			// old timestamp), 1 duplicate, 2 rejected.
-			if res.Applied != 14 || res.Duplicates != 2 || res.Rejected != 4 || len(res.Failed) != 4 ||
+			// Per router: 38 applied (registration, five typed items, the
+			// old timestamp, the zoned row, six per instant), 1 duplicate,
+			// 2 rejected; 43 rows (7 per instant).
+			if res.Applied != 76 || res.Duplicates != 2 || res.Rejected != 4 || len(res.Failed) != 4 ||
 				res.Failed[1].Reason != "unknown endpoint" || !strings.HasPrefix(res.Failed[0].Reason, "decode error: ") {
 				t.Fatalf("npb1 via front: %+v", res)
 			}
-			if got := totalRows(tc); got != 2*7 {
-				t.Fatalf("cluster holds %d rows, want 14", got)
+			if got := totalRows(tc); got != 2*43 {
+				t.Fatalf("cluster holds %d rows, want 86", got)
 			}
+			checkOtherPaths(t, tc)
 			continue
 		}
 		if rows != want.rows {
@@ -359,6 +405,55 @@ func TestClusterJSONBatchEquivalent(t *testing.T) {
 			t.Errorf("%s via front: result %+v, npb1 %+v", shape, res, want.res)
 		}
 	}
+}
+
+// checkOtherPaths takes the rows tc's nodes hold together through the
+// paths that do not start at a front: direct posts to a stand-alone
+// collector, the failover replay of the owner of rt-eq-a's journaled
+// frames after it is killed, and a transfer of the survivor's store,
+// delivered to one node and restored into another. Each must hold
+// exactly those rows.
+func checkOtherPaths(t *testing.T, tc *testCluster) {
+	t.Helper()
+	want := append(storeRows(tc.nodes[0].Store()), storeRows(tc.nodes[1].Store())...)
+	sort.Strings(want)
+	same := func(path string, st *dataset.Store) {
+		t.Helper()
+		if got := storeRows(st); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s rows differ from the front's:\n%s\nwant\n%s", path, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+	}
+
+	srv, err := collector.NewServer("127.0.0.1:0", "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	uploadAs(t, "http://"+srv.HTTPAddr(), "direct", equivalenceItems())
+	same("stand-alone direct", srv.Store())
+
+	victim, survivor := tc.nodes[0], tc.nodes[1]
+	if NewRing([]string{"node-0", "node-1"}, DefaultVnodes).Owner("rt-eq-a") != victim.ID() {
+		victim, survivor = survivor, victim
+	}
+	if err := victim.Kill(); err != nil {
+		t.Fatalf("kill: %v", err)
+	}
+	waitFor(t, 10*time.Second, "journal replay to restore every row", func() bool {
+		return len(storeRows(survivor.Store())) == len(want)
+	})
+	same("failover replay", survivor.Store())
+
+	chunks := transferChunks("src", 1, survivor.Store(), NewRing([]string{"dst"}, DefaultVnodes), map[string]Member{"dst": {}})
+	dst, src := soloNode(t, "eq-dst"), soloNode(t, "eq-src")
+	var sent []wire.Item
+	for _, ch := range chunks {
+		postBatch(t, "http://"+dst.DataAddr(), ch.items)
+		sent = append(sent, ch.items...)
+	}
+	src.restoreItems(sent)
+	same("transfer", dst.Store())
+	same("restored transfer", src.Store())
 }
 
 // TestClusterDirectEndpointProxy posts to the front's direct endpoints:
@@ -722,29 +817,27 @@ func storeRows(st *dataset.Store) []string {
 	return rows
 }
 
-// TestTransferKeepsStoredTimes: a JSON upload is stored with whatever
-// time it was sent with, and a planned transfer re-encodes stored rows,
-// so it must carry every time it finds. Every row kind for two routers,
-// each row of the second from the year 1500 — which has no UnixNano, so
-// typed NPB1 turned it into 2084 — must come out of the transfer chunks
-// as stored: decoded and applied through a destination's data plane,
-// and restored into the source as when the chunks cannot be delivered.
+// TestTransferKeepsStoredTimes: a planned transfer re-encodes stored
+// rows, so it must carry every time a store can hold. Every row kind for
+// one router per instant — one in 2013, the rest pathInstants, which
+// have no place on NPB1's delta chain (the year 1500 has no UnixNano:
+// typed NPB1 once turned it into 2084) — must come out of the transfer
+// chunks as stored: decoded and applied through a destination's data
+// plane, and restored into the source as when the chunks cannot be
+// delivered.
 func TestTransferKeepsStoredTimes(t *testing.T) {
 	moved := dataset.NewStore()
-	for i, r := range []string{"rt-ts-a", "rt-ts-b"} {
-		at := time.Date(2013, 4, 1, 12, 0, 0, 0, time.UTC)
-		if i == 1 {
-			at = time.Date(1500, 1, 1, 0, 0, 0, 0, time.UTC)
-		}
+	for i, at := range append([]time.Time{time.Date(2013, 4, 1, 12, 0, 0, 0, time.UTC)}, pathInstants...) {
+		r := fmt.Sprintf("rt-ts-%d", i)
+		st := instantRows(r, at)
 		moved.RouterCountry[r] = "US"
-		moved.Uptime = append(moved.Uptime, dataset.UptimeReport{RouterID: r, ReportedAt: at, Uptime: time.Hour})
-		moved.Capacity = append(moved.Capacity, dataset.CapacityMeasure{RouterID: r, MeasuredAt: at, UpBps: 1e6, DownBps: 16e6})
-		moved.Counts = append(moved.Counts, dataset.DeviceCount{RouterID: r, At: at, Wired: 1, W24: 2})
-		moved.Sightings = append(moved.Sightings, dataset.DeviceSighting{RouterID: r, At: at, Kind: dataset.Wireless24})
-		moved.WiFi = append(moved.WiFi, dataset.WiFiScan{RouterID: r, At: at, Band: "2.4GHz", Channel: 11, VisibleAPs: 7, Clients: 2})
-		moved.Flows = append(moved.Flows, dataset.FlowRecord{RouterID: r, Domain: "example.com", Proto: "tcp",
-			First: at, Last: at.Add(time.Minute), UpBytes: 10, DownBytes: 20, UpPkts: 1, DownPkts: 2, Conns: 1})
-		moved.Throughput = append(moved.Throughput, dataset.ThroughputSample{RouterID: r, Minute: at, Dir: "down", PeakBps: 8e6, TotalBytes: 1 << 20})
+		moved.Uptime = append(moved.Uptime, st.Uptime...)
+		moved.Capacity = append(moved.Capacity, st.Capacity...)
+		moved.Counts = append(moved.Counts, st.Counts...)
+		moved.Sightings = append(moved.Sightings, st.Sightings...)
+		moved.WiFi = append(moved.WiFi, st.WiFi...)
+		moved.Flows = append(moved.Flows, st.Flows...)
+		moved.Throughput = append(moved.Throughput, st.Throughput...)
 	}
 	chunks := transferChunks("src", 1, moved, NewRing([]string{"dst"}, DefaultVnodes), map[string]Member{"dst": {}})
 	dst, src := soloNode(t, "ts-dst"), soloNode(t, "ts-src")

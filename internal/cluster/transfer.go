@@ -332,8 +332,7 @@ type xferChunk struct {
 // destination. Roster entries travel first as /v1/register items so the
 // destination knows a router before its rows. Device sightings ride as
 // a census without a count row: counts and sightings moved
-// independently cannot be re-paired. Stored rows hold whatever time
-// they were sent with, so every payload goes through wire.Portable.
+// independently cannot be re-paired.
 func transferChunks(src string, sess uint64, moved *dataset.Store, ring *Ring, dests map[string]Member) []xferChunk {
 	byOwner := make(map[string][]wire.Item)
 	idx := make(map[string]int)
@@ -342,7 +341,7 @@ func transferChunks(src string, sess uint64, moved *dataset.Store, ring *Ring, d
 		ik := fmt.Sprintf("%s\x00%d", router, kind)
 		key := fmt.Sprintf("%s:xfer:%s:%d:%d:%d", router, src, sess, kind, idx[ik])
 		idx[ik]++
-		byOwner[owner] = append(byOwner[owner], wire.Item{Endpoint: endpoint, Key: key, Payload: wire.Portable(p)})
+		byOwner[owner] = append(byOwner[owner], wire.Item{Endpoint: endpoint, Key: key, Payload: p})
 	}
 
 	routers := make([]string, 0, len(moved.RouterCountry))
@@ -469,7 +468,7 @@ func (n *Node) restoreItems(items []wire.Item) {
 	for i := range items {
 		p := &items[i].Payload
 		router, apply := p.Router(), p.AppendTo
-		if p.Kind == wire.KindRaw { // a roster entry or rows with an unencodable time
+		if p.Kind == wire.KindRaw { // a roster entry: transfers carry rows typed
 			var err error
 			if router, apply, err = collector.DecodeRaw(items[i].Endpoint, p.Raw); err != nil {
 				continue

@@ -227,12 +227,12 @@ var errUnknownEndpoint = errors.New("unknown endpoint")
 // typed encoding for — into the router that places it and the mutation
 // to run under that router's shard lock. Registration has no typed
 // schema (a router must have an ID). A typed endpoint's body gets here
-// only when wire.PayloadFromJSON refused it, and is re-parsed strictly
-// without the timestamp range check: a JSON row with an out-of-range
-// timestamp is stored as sent, a malformed body is the error. Any other
-// endpoint is unknown. This is the only decoder of either, for the
-// collector and for the cluster (routing, restoring undelivered transfer
-// items) alike.
+// when wire.PayloadFromJSON refused it, and its strict re-parse is what
+// names the reject reason; it also applies the typed KindRaw rows a
+// sender from before NPB1's time escape shipped for years outside
+// 1900–2100. Any other endpoint is unknown. This is the only decoder of
+// either, for the collector and for the cluster (routing, restoring
+// undelivered transfer items) alike.
 func DecodeRaw(endpoint string, body []byte) (router string, apply func(*dataset.Store), err error) {
 	if endpoint == "/v1/register" {
 		var req registerReq

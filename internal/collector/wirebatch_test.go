@@ -8,15 +8,18 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"natpeek/internal/analysis"
 	"natpeek/internal/dataset"
 	"natpeek/internal/mac"
 	"natpeek/internal/spool"
+	"natpeek/internal/stats"
 	"natpeek/internal/trace"
 	"natpeek/internal/wire"
 )
@@ -254,8 +257,8 @@ func normalizeRows(t *testing.T, st *dataset.Store, router string) string {
 
 // equivalenceItems is one seeded payload list that every shape of upload
 // must treat identically: registration, each typed kind, a census that
-// carries sightings only, a redelivered key, a row whose timestamp is
-// outside the typed encoding's range (stored as sent), a malformed body
+// carries sightings only, a redelivered key, a row from the year 1850
+// (outside the delta chain's range: NPB1 escapes it), a malformed body
 // and an unknown endpoint.
 func equivalenceItems(t *testing.T, router string) []BatchItem {
 	t.Helper()
@@ -447,6 +450,62 @@ func TestBinaryBatchMatchesJSON(t *testing.T) {
 		if outcomes != want.outcomes {
 			t.Errorf("%s per-item outcomes differ from npb1:\n%s\nnpb1\n%s", shape, outcomes, want.outcomes)
 		}
+	}
+}
+
+// TestDirectEndpointZonedTimes: one instant posted directly as JSON in
+// two spellings, UTC and +02:00, is stored as ==-identical rows, and
+// Fig. 13 bins it in the same local hour. analysis.localHour reads the
+// hour in the row's own zone, so while a JSON row kept the zone it was
+// sent in, a US census at 10:00Z landed in hour 5 and the same instant
+// spelled 12:00+02:00 in hour 7 — until a flush or a hop moved it.
+func TestDirectEndpointZonedTimes(t *testing.T) {
+	type posted struct {
+		st               *dataset.Store
+		weekday, weekend stats.HourBins
+	}
+	var got []posted
+	for _, at := range []string{"2013-04-01T10:00:00Z", "2013-04-01T12:00:00+02:00"} {
+		srv, err := NewServer("127.0.0.1:0", "127.0.0.1:0", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		for _, post := range []struct{ endpoint, body string }{
+			{"/v1/register", `{"router_id":"rt-zone","country":"US"}`},
+			{"/v1/uptime", `{"RouterID":"rt-zone","ReportedAt":"` + at + `","Uptime":60000000000}`},
+			{"/v1/capacity", `{"RouterID":"rt-zone","MeasuredAt":"` + at + `","UpBps":1e6,"DownBps":16e6}`},
+			{"/v1/devices", `{"count":{"RouterID":"rt-zone","At":"` + at + `","Wired":1,"W24":2,"W5":1},` +
+				`"sightings":[{"RouterID":"rt-zone","At":"` + at + `","Device":"00:1c:b3:a1:b2:c3","Kind":1}]}`},
+			{"/v1/wifi", `[{"RouterID":"rt-zone","At":"` + at + `","Band":"2.4GHz","Channel":11,"VisibleAPs":7,"Clients":2}]`},
+			{"/v1/traffic/flows", `[{"RouterID":"rt-zone","Device":"00:1c:b3:a1:b2:c3","Domain":"example.com","Proto":"tcp",` +
+				`"First":"` + at + `","Last":"` + at + `","UpBytes":1,"DownBytes":2,"UpPkts":1,"DownPkts":1,"Conns":1}]`},
+			{"/v1/traffic/throughput", `[{"RouterID":"rt-zone","Minute":"` + at + `","Dir":"down","PeakBps":8e6,"TotalBytes":1}]`},
+		} {
+			resp, err := http.Post("http://"+srv.HTTPAddr()+post.endpoint, "application/json", strings.NewReader(post.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNoContent {
+				t.Fatalf("%s at %s: status %d", post.endpoint, at, resp.StatusCode)
+			}
+		}
+		st := srv.Store()
+		weekday, weekend := analysis.DiurnalDevices(st)
+		got = append(got, posted{st, weekday, weekend})
+	}
+	a, b := got[0].st, got[1].st
+	if !slices.Equal(a.Uptime, b.Uptime) || !slices.Equal(a.Capacity, b.Capacity) || !slices.Equal(a.Counts, b.Counts) ||
+		!slices.Equal(a.Sightings, b.Sightings) || !slices.Equal(a.WiFi, b.WiFi) || !slices.Equal(a.Flows, b.Flows) ||
+		!slices.Equal(a.Throughput, b.Throughput) {
+		t.Errorf("the two spellings stored different rows:\n%s\n%s", normalizeRows(t, a, "rt-zone"), normalizeRows(t, b, "rt-zone"))
+	}
+	if got[0].weekday != got[1].weekday || got[0].weekend != got[1].weekend {
+		t.Errorf("Fig. 13 bins differ by spelling:\nUTC    %v\n+02:00 %v", got[0].weekday.Count, got[1].weekday.Count)
+	}
+	if got[0].weekday.Count[5] != 1 {
+		t.Errorf("a US census at 10:00Z binned at local hours %v, want 5", got[0].weekday.Count)
 	}
 }
 

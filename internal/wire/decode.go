@@ -3,7 +3,6 @@ package wire
 import (
 	"fmt"
 	"io"
-	"math"
 	"time"
 
 	"natpeek/internal/codec"
@@ -233,14 +232,28 @@ func (d *Decoder) mac() (a mac.Addr) {
 	return a
 }
 
-// time reads one link of the delta chain. Decoded times are UTC, like
-// every timestamp the JSON path parses from RFC 3339 "Z" bodies, so the
-// two decode paths yield identical rows.
+// Escaped instants must lie in years 0000–9999, what RFC 3339 JSON can
+// carry, so every decoded row has a JSONBody.
+const (
+	escapeMin = -62167219200 // 0000-01-01T00:00:00Z
+	escapeMax = 253402300799 // 9999-12-31T23:59:59Z
+)
+
+// time reads one time field (see encoder.time). Decoded times are UTC,
+// as ParseJSON yields them, so every path stores identical rows.
 func (d *Decoder) time() time.Time {
-	delta := d.dec.Varint()
-	if delta == math.MinInt64 {
+	switch delta := d.dec.Varint(); delta {
+	case zeroTime:
 		return time.Time{}
+	case escapeTime:
+		sec, nsec := d.dec.Varint(), d.dec.Uvarint()
+		if sec < escapeMin || sec > escapeMax || nsec >= 1e9 {
+			d.dec.Failf("escaped time %ds %dns outside years 0000-9999", sec, nsec)
+			return time.Time{}
+		}
+		return time.Unix(sec, int64(nsec)).UTC()
+	default:
+		d.prev += delta
+		return time.Unix(0, d.prev).UTC()
 	}
-	d.prev += delta // wrapping, mirrors the encoder exactly
-	return time.Unix(0, d.prev).UTC()
 }

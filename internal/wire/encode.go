@@ -122,25 +122,32 @@ func (e *encoder) payload(p *Payload) {
 
 func (e *encoder) ref(s string) { e.dict.Put(&e.Enc, s) }
 
-// time appends one link of the batch-wide timestamp delta chain; the
-// zero time is the math.MinInt64 sentinel and leaves the chain as is.
-//
-// A non-zero instant whose delta lands exactly on the sentinel is
-// nudged forward 1 ns. Payload times never get here — the timeEncodable
-// guard of PayloadFromJSON and Portable confines them to a range whose
-// deltas cannot reach MinInt64 — but span times come straight from
-// client clocks, and without the nudge such a delta would decode as the
-// zero time AND leave the decoder's chain un-advanced while the
-// encoder's moved, skewing every later timestamp in the batch.
+// The time field's reserved values, and the Unix-second range
+// [1900-01-01Z, 2101-01-01Z) of the instants that join the delta chain:
+// two of those are under 2^63 ns apart, so no delta is either reserved
+// value.
+const (
+	zeroTime   = math.MinInt64
+	escapeTime = math.MaxInt64
+	chainMin   = -2208988800 // 1900-01-01T00:00:00Z
+	chainMax   = 4133980800  // 2101-01-01T00:00:00Z
+)
+
+// time appends one time field: the zero time is the zeroTime sentinel,
+// an instant in the chain's range a link of the batch-wide delta chain,
+// and any other instant escapeTime followed by its Unix seconds and
+// nanoseconds. Only a link advances the chain.
 func (e *encoder) time(t time.Time) {
-	if t.IsZero() {
-		e.Varint(math.MinInt64)
-		return
+	switch sec := t.Unix(); {
+	case t.IsZero():
+		e.Varint(zeroTime)
+	case sec < chainMin || sec >= chainMax:
+		e.Varint(escapeTime)
+		e.Varint(sec)
+		e.Uvarint(uint64(t.Nanosecond()))
+	default:
+		n := t.UnixNano()
+		e.Varint(n - e.prev)
+		e.prev = n
 	}
-	n := t.UnixNano()
-	if n-e.prev == math.MinInt64 {
-		n++
-	}
-	e.Varint(n - e.prev)
-	e.prev = n
 }

@@ -46,6 +46,9 @@ func FuzzWireDecode(f *testing.F) {
 	hostile := AppendBatch(nil, sampleItems())
 	f.Add(hostile[:len(hostile)-3])
 	f.Add(append(AppendBatch(nil, sampleItems()[:2]), 0xde, 0xad))
+	for _, b := range escapeSeeds() {
+		f.Add(b)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		items, ok := drain(data)
@@ -84,10 +87,10 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Add("r\x00weird", "key\xffbytes", "ドメイン", int64(1), int64(1<<40), 1e300, true)
 
 	f.Fuzz(func(t *testing.T, router, key, domain string, unixNano, counter int64, fval float64, withTrace bool) {
-		at := time.Unix(0, unixNano%int64(4e18)).UTC()
-		if !timeEncodable(at) {
-			at = t0()
-		}
+		// Any instant of years 0001–9999, an hour clear of either end so
+		// the flow's Last and the span's End stay inside them too.
+		const first, last = -62135596800 + 3600, 253402300799 - 3600
+		at := time.Unix(first+int64(uint64(unixNano)%(last-first)), int64(uint64(unixNano)%1e9)).UTC()
 		dev := mac.Addr{1, 2, 3, 4, 5, byte(counter)}
 		items := []Item{
 			{Endpoint: "/v1/uptime", Key: key, Payload: Payload{Kind: KindUptime,
@@ -104,9 +107,6 @@ func FuzzWireRoundTrip(f *testing.F) {
 				{Name: "spool.queued", Status: domain, Start: at, End: at.Add(time.Second)},
 				{Name: "spool.send", Start: at, Attrs: []trace.Attr{{K: "attempt", V: key}}},
 			}}
-		}
-		if !timeEncodable(items[1].Payload.Flows[0].Last) {
-			items[1].Payload.Flows[0].Last = at
 		}
 		got, ok := drain(AppendBatch(nil, items))
 		if !ok {

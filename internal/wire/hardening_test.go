@@ -8,43 +8,112 @@ import (
 	"testing"
 	"time"
 
+	"natpeek/internal/dataset"
+	"natpeek/internal/mac"
 	"natpeek/internal/trace"
 )
 
-// TestSpanTimeSentinelCollision pins the encoder's guard against a span
-// timestamp whose delta against the chain is exactly math.MinInt64 —
-// the zero-time sentinel. Unguarded, the collision decodes as the zero
-// time AND desynchronizes the delta chain (the encoder advances its
-// prev, the decoder does not), corrupting every later timestamp in the
-// batch; the encoder nudges such an instant 1 ns forward instead.
-// Payload times cannot get here (PayloadFromJSON's timeEncodable range
-// check), so only span times — straight off client clocks — exercise
-// this path.
+// TestSpanTimeSentinelCollision: every instant in years 0000–9999 must
+// decode exactly (==, so in UTC), as a span time and as a row time of
+// every kind. The
+// delta chain alone could not promise that: a delta of exactly
+// math.MinInt64 (the zero-time sentinel — the first time of a batch at
+// the earliest UnixNano) decoded as the zero time and desynchronized the
+// chain, and an instant with no UnixNano (a span starting in year 1
+// decoded as 1754, one ending in 2500 as 1915) was corrupted outright.
+// Such instants now take the escape, which also carries a stored row
+// whose float JSON cannot render.
 func TestSpanTimeSentinelCollision(t *testing.T) {
-	end := t0()
-	items := []Item{{
-		Endpoint: "/v1/register",
-		Key:      "pfx:nonce:/v1/register:1",
-		Payload:  Payload{Kind: KindRaw, Raw: []byte(`{}`)},
-		Trace: &trace.Wire{Router: "router-01", Spans: []trace.Span{{
-			Name: "absurd.clock", Status: "ok",
-			// First time in the batch, so its delta against the fresh
-			// chain (prev == 0) is exactly the sentinel.
-			Start: time.Unix(0, math.MinInt64),
-			End:   end,
-		}}},
-	}}
-	got := decodeAll(t, AppendBatch(nil, items))
-	sp := got[0].Trace.Spans[0]
-	if sp.Start.IsZero() {
-		t.Fatal("colliding span start decoded as the zero-time sentinel")
+	collision := time.Unix(0, math.MinInt64).UTC()
+	for _, tc := range []struct {
+		name string
+		at   time.Time
+		up   float64 // the capacity row's UpBps
+	}{
+		{"zero", time.Time{}, 1e6},
+		{"year 0", time.Date(0, 1, 1, 0, 0, 0, 0, time.UTC), 1e6},
+		{"fresh-chain collision", collision, 1e6},
+		{"collision-1ns", collision.Add(-1), 1e6},
+		{"collision+1ns", collision.Add(1), 1e6},
+		{"year 1", time.Date(1, 1, 1, 0, 0, 0, 1, time.UTC), 1e6},
+		{"year 1500", time.Date(1500, 1, 1, 0, 0, 0, 0, time.UTC), 1e6},
+		{"year 1677", time.Date(1677, 1, 1, 0, 0, 0, 0, time.UTC), 1e6},
+		{"year 2200, NaN capacity", time.Date(2200, 1, 1, 0, 0, 0, 0, time.UTC), math.NaN()},
+		{"year 2263", time.Date(2263, 1, 1, 0, 0, 0, 0, time.UTC), 1e6},
+		{"year 9999", time.Date(9999, 12, 31, 23, 59, 59, 999999999, time.UTC), 1e6},
+		{"MaxInt64 ns", time.Unix(0, math.MaxInt64).UTC(), 1e6},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			items := instantItems(tc.at, tc.up)
+			got := decodeAll(t, AppendBatch(nil, items))
+			if up := got[2].Payload.Capacity.UpBps; math.Float64bits(up) != math.Float64bits(tc.up) {
+				t.Fatalf("capacity UpBps = %v, want %v", up, tc.up)
+			}
+			want, have := itemTimes(items), itemTimes(got)
+			for i := range want {
+				if have[i] != want[i] {
+					t.Errorf("time %d = %v, want %v", i, have[i], want[i])
+				}
+			}
+		})
 	}
-	if want := time.Unix(0, math.MinInt64+1).UTC(); !sp.Start.Equal(want) {
-		t.Fatalf("span start = %v, want the 1ns-nudged %v", sp.Start, want)
+}
+
+// instantItems stamps a span and one row of every kind with at — the
+// span first, so at opens a fresh delta chain — and ends on a row at t0,
+// which decodes right only if the chain stayed in step.
+func instantItems(at time.Time, up float64) []Item {
+	dev := mac.Addr{0xaa, 0xbb, 0xcc, 0x01, 0x02, 0x03}
+	return []Item{
+		{Endpoint: "/v1/register", Key: "k:0", Payload: Payload{Kind: KindRaw, Raw: []byte(`{}`)},
+			Trace: &trace.Wire{Router: "router-01", Spans: []trace.Span{
+				{Name: "absurd.clock", Status: "ok", Start: at, End: t0()},
+				{Name: "open", Start: t0(), End: at},
+			}}},
+		{Endpoint: "/v1/uptime", Key: "k:1", Payload: Payload{Kind: KindUptime,
+			Uptime: dataset.UptimeReport{RouterID: "router-01", ReportedAt: at, Uptime: time.Hour}}},
+		{Endpoint: "/v1/capacity", Key: "k:2", Payload: Payload{Kind: KindCapacity,
+			Capacity: dataset.CapacityMeasure{RouterID: "router-01", MeasuredAt: at, UpBps: up, DownBps: 16e6}}},
+		{Endpoint: "/v1/devices", Key: "k:3", Payload: Payload{Kind: KindDevices,
+			Count:     dataset.DeviceCount{RouterID: "router-01", At: at, Wired: 1, W24: 2},
+			Sightings: []dataset.DeviceSighting{{RouterID: "router-01", At: at, Device: dev, Kind: dataset.Wireless5}}}},
+		{Endpoint: "/v1/wifi", Key: "k:4", Payload: Payload{Kind: KindWiFi,
+			WiFi: []dataset.WiFiScan{{RouterID: "router-01", At: at, Band: "5GHz", Channel: 36}}}},
+		{Endpoint: "/v1/traffic/flows", Key: "k:5", Payload: Payload{Kind: KindFlows,
+			Flows: []dataset.FlowRecord{{RouterID: "router-01", Device: dev, Domain: "example.com", Proto: "tcp",
+				First: at, Last: at, UpBytes: 1, DownBytes: 2, UpPkts: 1, DownPkts: 1, Conns: 1}}}},
+		{Endpoint: "/v1/traffic/throughput", Key: "k:6", Payload: Payload{Kind: KindThroughput,
+			Throughput: []dataset.ThroughputSample{{RouterID: "router-01", Minute: at, Dir: "down", PeakBps: 8e6, TotalBytes: 1}}}},
+		{Endpoint: "/v1/uptime", Key: "k:7", Payload: Payload{Kind: KindUptime,
+			Uptime: dataset.UptimeReport{RouterID: "router-01", ReportedAt: t0(), Uptime: time.Hour}}},
 	}
-	if !sp.End.Equal(end) {
-		t.Fatalf("span end = %v, want %v — delta chain desynchronized", sp.End, end)
+}
+
+// itemTimes lists every time field of items, span times included.
+func itemTimes(items []Item) []time.Time {
+	var out []time.Time
+	for _, it := range items {
+		if it.Trace != nil {
+			for _, sp := range it.Trace.Spans {
+				out = append(out, sp.Start, sp.End)
+			}
+		}
+		p := &it.Payload
+		out = append(out, p.Uptime.ReportedAt, p.Capacity.MeasuredAt, p.Count.At)
+		for _, s := range p.Sightings {
+			out = append(out, s.At)
+		}
+		for _, s := range p.WiFi {
+			out = append(out, s.At)
+		}
+		for _, f := range p.Flows {
+			out = append(out, f.First, f.Last)
+		}
+		for _, s := range p.Throughput {
+			out = append(out, s.Minute)
+		}
 	}
+	return out
 }
 
 // TestUndefinedMetaBitsRejected is the regression for a decoder that read

@@ -9,7 +9,6 @@ import (
 	"math"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
@@ -363,8 +362,8 @@ func splitSeedsByName() map[string][]byte {
 		{Endpoint: "/v1/register", Payload: Payload{Kind: KindRaw}},
 	})
 
-	// Span times: zero, the sentinel collision on a fresh chain (nudged),
-	// and one a nanosecond either side of it.
+	// Span times: zero, the sentinel collision on a fresh chain, and one a
+	// nanosecond either side of it.
 	spanTimes := uptime("rt-t", "rt-t:k:4")
 	spanTimes.Trace = &trace.Wire{Router: "rt-t", Spans: []trace.Span{
 		{Name: "absurd.clock", Status: "ok", Start: time.Unix(0, math.MinInt64)},
@@ -401,6 +400,9 @@ func splitSeedsByName() map[string][]byte {
 	seeds["trailing-garbage"] = append(bytes.Clone(full), 0xde, 0xad)
 	seeds["truncated"] = full[:len(full)*2/3]
 	seeds["undefined-meta-bits"] = append(append([]byte(magic), 1, 0x31), canon[len(magic)+2:]...)
+	for name, b := range escapeSeeds() {
+		seeds[name] = b
+	}
 	return seeds
 }
 
@@ -412,20 +414,11 @@ func splitSeeds() [][]byte {
 	return out
 }
 
-// TestWriteSplitCorpus regenerates testdata/fuzz/FuzzSplit from
-// splitSeedsByName. Run with WIRE_WRITE_CORPUS=1.
+// TestWriteSplitCorpus adds the seeds of splitSeedsByName missing from
+// testdata/fuzz/FuzzSplit. Run with WIRE_WRITE_CORPUS=1.
 func TestWriteSplitCorpus(t *testing.T) {
 	if os.Getenv("WIRE_WRITE_CORPUS") == "" {
-		t.Skip("set WIRE_WRITE_CORPUS=1 to regenerate testdata/fuzz/FuzzSplit")
+		t.Skip("set WIRE_WRITE_CORPUS=1 to add missing testdata/fuzz/FuzzSplit seeds")
 	}
-	dir := filepath.Join("testdata", "fuzz", "FuzzSplit")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for name, b := range splitSeedsByName() {
-		body := "go test fuzz v1\n[]byte(" + strconv.Quote(string(b)) + ")\nuint8(3)\n"
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	writeCorpus(t, "FuzzSplit", splitSeedsByName(), "uint8(3)\n")
 }

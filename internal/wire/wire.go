@@ -39,16 +39,17 @@
 // distinct string once.
 //
 // Timestamps share one delta chain across the whole batch: each time is
-// the zigzag varint of its UnixNano minus the previous encoded time's
-// (wrapping two's-complement arithmetic, so any in-range instant
-// round-trips exactly). The zero time.Time is the sentinel absolute
-// value math.MinInt64 and does not advance the chain — open trace spans
-// (zero End) survive the trip byte-for-byte. A non-zero instant whose
-// delta would collide with the sentinel (possible only for span times
-// from absurd client clocks; payload times are range-checked) is nudged
-// forward 1 ns instead of desynchronizing the chain. Durations and counters are
-// zigzag varints; floats are 8-byte little-endian IEEE 754; MAC
-// addresses are their 6 raw (already anonymized) bytes.
+// the zigzag varint of its UnixNano minus the previous chained time's.
+// Only instants in Unix seconds [1900-01-01Z, 2101-01-01Z) join the
+// chain, so no delta comes near ±2^63, and two values are reserved. The
+// zero time.Time is math.MinInt64 (open trace spans, zero End, survive
+// the trip). Any other instant outside the chain's range is the escape
+// math.MaxInt64, then its varint Unix seconds and uvarint nanoseconds
+// (NPS1's split). Neither advances the chain, so every instant in years
+// 0000–9999 — what RFC 3339 JSON carries — round-trips exactly, and
+// decodes as UTC. Durations and counters are zigzag varints; floats are
+// 8-byte little-endian IEEE 754; MAC addresses are their 6 raw (already
+// anonymized) bytes.
 //
 // Compatibility: the encoding is negotiated, never assumed. Requests
 // carry Content-Type ContentTypeBinary; the collector advertises
@@ -61,7 +62,6 @@ package wire
 import (
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"natpeek/internal/dataset"
 	"natpeek/internal/trace"
@@ -269,7 +269,8 @@ func (p *Payload) JSONBody() ([]byte, error) {
 // ParseJSON strictly decodes one typed endpoint's JSON body: the decode
 // behind the collector's direct /v1/* endpoints and JSON batch items. An
 // endpoint without a typed schema, or a body that does not decode, is an
-// error; timestamps are not range-checked (a JSON row is stored as sent).
+// error. Every row time comes back in UTC, as both binary decoders yield
+// it, so a row is stored the same whichever path and zone it came in.
 func ParseJSON(endpoint string, body []byte) (*Payload, error) {
 	p := &Payload{Kind: KindFor(endpoint)}
 	var err error
@@ -291,69 +292,36 @@ func ParseJSON(endpoint string, body []byte) (*Payload, error) {
 	default:
 		err = fmt.Errorf("wire: no typed schema for endpoint %q", endpoint)
 	}
+	p.utc()
 	return p, err
 }
 
+// utc converts every row time of p to UTC in place.
+func (p *Payload) utc() {
+	p.Uptime.ReportedAt = p.Uptime.ReportedAt.UTC()
+	p.Capacity.MeasuredAt = p.Capacity.MeasuredAt.UTC()
+	p.Count.At = p.Count.At.UTC()
+	for i := range p.Sightings {
+		p.Sightings[i].At = p.Sightings[i].At.UTC()
+	}
+	for i := range p.WiFi {
+		p.WiFi[i].At = p.WiFi[i].At.UTC()
+	}
+	for i := range p.Flows {
+		p.Flows[i].First, p.Flows[i].Last = p.Flows[i].First.UTC(), p.Flows[i].Last.UTC()
+	}
+	for i := range p.Throughput {
+		p.Throughput[i].Minute = p.Throughput[i].Minute.UTC()
+	}
+}
+
 // PayloadFromJSON transcodes one endpoint's JSON body into a typed
-// payload. Anything that does not decode cleanly — an unknown endpoint,
-// a malformed body, or a timestamp outside the safely delta-encodable
-// range — falls back to KindRaw with the body verbatim, so the server's
-// accept/reject behaviour is byte-for-byte the JSON path's.
+// payload. An unknown endpoint or a body ParseJSON refuses falls back to
+// KindRaw with the body verbatim, so the server's accept/reject
+// behaviour is byte-for-byte the JSON path's.
 func PayloadFromJSON(endpoint string, body []byte) Payload {
-	if p, err := ParseJSON(endpoint, body); err == nil && p.timesEncodable() {
+	if p, err := ParseJSON(endpoint, body); err == nil {
 		return *p
 	}
 	return Payload{Kind: KindRaw, Raw: body}
-}
-
-// Portable returns p as a batch can carry it: p itself when every row
-// time fits the typed encoding, its JSON body as KindRaw otherwise (the
-// receiver parses that without the range check). Rows read back from a
-// store need it before AppendBatch — a JSON upload is stored with
-// whatever time it was sent with, and a time outside the range may have
-// no UnixNano at all.
-func Portable(p Payload) Payload {
-	if p.timesEncodable() {
-		return p
-	}
-	body, err := p.JSONBody()
-	if err != nil {
-		// A NaN or infinite float has no JSON: keep the typed form, exact
-		// for every time that has a UnixNano.
-		return p
-	}
-	return Payload{Kind: KindRaw, Raw: body}
-}
-
-// timesEncodable reports whether every row timestamp fits the typed
-// encoding (see timeEncodable).
-func (p *Payload) timesEncodable() bool {
-	ok := timeEncodable(p.Uptime.ReportedAt) && timeEncodable(p.Capacity.MeasuredAt) && timeEncodable(p.Count.At)
-	for i := 0; ok && i < len(p.Sightings); i++ {
-		ok = timeEncodable(p.Sightings[i].At)
-	}
-	for i := 0; ok && i < len(p.WiFi); i++ {
-		ok = timeEncodable(p.WiFi[i].At)
-	}
-	for i := 0; ok && i < len(p.Flows); i++ {
-		ok = timeEncodable(p.Flows[i].First) && timeEncodable(p.Flows[i].Last)
-	}
-	for i := 0; ok && i < len(p.Throughput); i++ {
-		ok = timeEncodable(p.Throughput[i].Minute)
-	}
-	return ok
-}
-
-// timeEncodable bounds the timestamps the typed encoding accepts. The
-// delta chain round-trips any pair of instants whose UnixNano values
-// exist and whose difference is not exactly the zero-time sentinel;
-// confining typed rows to two centuries around the epoch (the study is
-// 2012–2013, live clocks are "now") makes both impossible, and anything
-// weirder ships as KindRaw JSON instead.
-func timeEncodable(t time.Time) bool {
-	if t.IsZero() {
-		return true
-	}
-	y := t.Year()
-	return y >= 1900 && y <= 2100
 }

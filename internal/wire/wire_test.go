@@ -257,6 +257,11 @@ func TestHostileInputs(t *testing.T) {
 		"count too big":  append([]byte("NPB1"), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01),
 		"truncated item": good[:len(good)/2],
 		"truncated tail": good[:len(good)-1],
+		// Escaped times outside what RFC 3339 carries.
+		"escape nsec 1e9":      escapedUptime(0, 1e9),
+		"escape year 10000":    escapedUptime(253402300800, 0),
+		"escape before year 0": escapedUptime(-62167219201, 999999999),
+		"escape MinInt64 secs": escapedUptime(math.MinInt64, 0),
 	}
 	for name, buf := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -310,18 +315,36 @@ func TestDecoderReuseAcrossBatches(t *testing.T) {
 	itemsEqual(t, itemsB, got)
 }
 
+// TestPayloadFromJSONTyped: a body that parses transcodes typed, its
+// times in UTC and carried exactly by NPB1, years the delta chain cannot
+// hold included.
 func TestPayloadFromJSONTyped(t *testing.T) {
-	body := []byte(`{"RouterID":"r1","ReportedAt":"2013-04-01T12:00:00Z","Uptime":3600000000000}`)
-	p := PayloadFromJSON("/v1/uptime", body)
-	if p.Kind != KindUptime {
-		t.Fatalf("kind = %v, want KindUptime", p.Kind)
-	}
-	var want dataset.UptimeReport
-	if err := json.Unmarshal(body, &want); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(p.Uptime, want) {
-		t.Fatalf("payload %+v != %+v", p.Uptime, want)
+	for name, tc := range map[string]struct {
+		endpoint, body string
+		at             time.Time
+	}{
+		"uptime": {"/v1/uptime", `{"RouterID":"r1","ReportedAt":"2013-04-01T17:30:00+05:30","Uptime":3600000000000}`,
+			time.Date(2013, 4, 1, 12, 0, 0, 0, time.UTC)},
+		"far-future time": {"/v1/uptime", `{"RouterID":"r","ReportedAt":"9999-01-01T00:00:00Z"}`,
+			time.Date(9999, 1, 1, 0, 0, 0, 0, time.UTC)},
+		"ancient time": {"/v1/capacity", `{"RouterID":"r","MeasuredAt":"0001-01-01T00:00:00.000000001Z"}`,
+			time.Date(1, 1, 1, 0, 0, 0, 1, time.UTC)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			p := PayloadFromJSON(tc.endpoint, []byte(tc.body))
+			if p.Kind != KindFor(tc.endpoint) {
+				t.Fatalf("kind = %v, want %v", p.Kind, KindFor(tc.endpoint))
+			}
+			got := decodeAll(t, AppendBatch(nil, []Item{{Endpoint: tc.endpoint, Payload: p}}))[0].Payload
+			for _, at := range []time.Time{p.Uptime.ReportedAt, p.Capacity.MeasuredAt, got.Uptime.ReportedAt, got.Capacity.MeasuredAt} {
+				if !at.IsZero() && at != tc.at {
+					t.Fatalf("time %v, want %v in UTC", at, tc.at)
+				}
+			}
+			if !reflect.DeepEqual(got, p) {
+				t.Fatalf("NPB1 round trip %+v, want %+v", got, p)
+			}
+		})
 	}
 }
 
@@ -333,8 +356,6 @@ func TestPayloadFromJSONFallsBackToRaw(t *testing.T) {
 		"unknown endpoint": {"/v1/register", `{"RouterID":"r"}`},
 		"malformed body":   {"/v1/uptime", `{"RouterID":`},
 		"wrong shape":      {"/v1/wifi", `{"not":"an array"}`},
-		"far-future time":  {"/v1/uptime", `{"RouterID":"r","ReportedAt":"9999-01-01T00:00:00Z"}`},
-		"ancient time":     {"/v1/capacity", `{"RouterID":"r","MeasuredAt":"0001-01-01T00:00:00.000000001Z"}`},
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -346,37 +367,6 @@ func TestPayloadFromJSONFallsBackToRaw(t *testing.T) {
 				t.Fatalf("raw body not verbatim: %q", p.Raw)
 			}
 		})
-	}
-}
-
-// TestPortable: a stored row travels typed while its times fit the
-// typed encoding and as its JSON body once one does not — unless a float
-// JSON cannot render forces the typed form, exact for any time that has
-// a UnixNano.
-func TestPortable(t *testing.T) {
-	capacity := func(year int, up float64) Payload {
-		return Payload{Kind: KindCapacity, Capacity: dataset.CapacityMeasure{
-			RouterID: "r", MeasuredAt: time.Date(year, 1, 1, 0, 0, 0, 0, time.UTC), UpBps: up}}
-	}
-	for _, tc := range []struct {
-		p    Payload
-		want Kind
-	}{
-		{capacity(2013, 1e6), KindCapacity},
-		{capacity(1500, 1e6), KindRaw},
-		{capacity(2200, math.NaN()), KindCapacity},
-	} {
-		got := Portable(tc.p)
-		if got.Kind != tc.want {
-			t.Fatalf("%v: kind %v, want %v", tc.p.Capacity, got.Kind, tc.want)
-		}
-		if got.Kind != KindRaw {
-			continue
-		}
-		back, err := ParseJSON("/v1/capacity", got.Raw)
-		if err != nil || back.Capacity != tc.p.Capacity {
-			t.Fatalf("JSON form %s parses to %v (%v), want %v", got.Raw, back.Capacity, err, tc.p.Capacity)
-		}
 	}
 }
 
