@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -574,5 +575,32 @@ func TestDowntimeCausesTally(t *testing.T) {
 	tally := DowntimeCauses(st, NewRoster(st), Developing, win)
 	if tally[CauseNetwork] == 0 {
 		t.Fatalf("tally %v", tally)
+	}
+}
+
+// TestDowntimeCausesIgnoreUploadOrder: two uptime reports taken at one
+// instant — a router that rebooted half an hour before it reported, and
+// a stale counter read at the same second — tally the same cause
+// whichever was uploaded first. Reports order by (ReportedAt, Uptime),
+// so the first at or after the gap's end is the lower counter.
+func TestDowntimeCausesIgnoreUploadOrder(t *testing.T) {
+	at := aFrom.Add(102 * time.Hour) // us-2's gap is hours 100–101
+	reports := []dataset.UptimeReport{
+		{RouterID: "us-2", ReportedAt: at, Uptime: 10 * time.Hour},
+		{RouterID: "us-2", ReportedAt: at, Uptime: 30 * time.Minute},
+	}
+	var tallies [2]map[DowntimeCause]int
+	for i, order := range [][]int{{0, 1}, {1, 0}} {
+		st := fixtureStore()
+		for _, j := range order {
+			st.Uptime = append(st.Uptime, reports[j])
+		}
+		tallies[i] = DowntimeCauses(st, NewRoster(st), Developed, win)
+	}
+	if !reflect.DeepEqual(tallies[0], tallies[1]) {
+		t.Fatalf("the tally depends on upload order: %v, then %v", tallies[0], tallies[1])
+	}
+	if want := map[DowntimeCause]int{CausePowerOff: 1}; !reflect.DeepEqual(tallies[0], want) {
+		t.Fatalf("tally %v, want %v", tallies[0], want)
 	}
 }

@@ -5,6 +5,8 @@
 package analysis
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"time"
 
@@ -281,11 +283,18 @@ func ClassifyDowntime(st *dataset.Store, id string, d heartbeat.Downtime) Downti
 	return classifyFromReports(reports, d)
 }
 
-// sortUptime orders one router's reports by report time.
+// sortUptime orders one router's reports by report time, then counter:
+// a total order on what classification reads, so reports taken at one
+// instant classify the same whatever order they were uploaded in.
 func sortUptime(reports []dataset.UptimeReport) {
-	sort.Slice(reports, func(i, j int) bool {
-		return reports[i].ReportedAt.Before(reports[j].ReportedAt)
-	})
+	slices.SortFunc(reports, cmpUptime)
+}
+
+func cmpUptime(a, b dataset.UptimeReport) int {
+	if c := a.ReportedAt.Compare(b.ReportedAt); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Uptime, b.Uptime)
 }
 
 // classifyFromReports is ClassifyDowntime over a pre-sorted slice of one
