@@ -180,19 +180,27 @@ check-rebalance:
 
 # The incremental-figures gate:
 #   1. internal/analysis and internal/figures under the race detector —
-#      the copy-free snapshot against the clone-and-fold recipe, the flow
-#      rollup against the per-exhibit oracles, renders racing appends and
-#      seals (every page a whole prefix of the stream), the seal
-#      generation handshake (a page taken between a chunk's publication
-#      and its fold), the page header describing its own snapshot, Fig.
-#      15/16 taking only "up" and "down" links (batch and page alike);
-#   2. the allocation budgets — a snapshot's: the same handful at 10k and
-#      at 100k aggregates; a whole render's: within 10 % over the same
-#      tail with four times the sealed history — which the race
-#      detector's own allocations would drown, so they run without.
+#      the copy-free snapshot against the clone-and-fold recipe, the
+#      rollup (flows and the folded kept kinds) against the per-exhibit
+#      row-scan oracles, renders racing appends and seals (every page a
+#      whole prefix of the stream, every exhibit on it the batch one over
+#      that prefix), the seal generation handshake (a page taken between
+#      a chunk's publication and its fold), the page header describing
+#      its own snapshot, Fig. 15/16 taking only "up" and "down" links
+#      (batch and page alike);
+#   2. the allocation budgets — a snapshot's: the same at 10k and at
+#      100k aggregates; a whole render's: counts and bytes each within
+#      10 % over the same tail with four times the sealed history — which
+#      the race detector's own allocations would drown, so they run
+#      without; and the exhibit ledger (testdata/exhibits.sha256: every
+#      exhibit's printed text over three inputs, batch and page), too
+#      heavy for -race;
+#   3. selection over sorted runs against a full sort (stats.QuantileRuns,
+#      random splits into 1–8 runs, ±0, empty runs).
 check-figures:
 	$(GO) test -race ./internal/analysis/ ./internal/figures/
-	$(GO) test -run 'TestSnapshotAllocBudget|TestRenderWorkIsTailBound' ./internal/figures/
+	$(GO) test -run 'TestSnapshotAllocBudget|TestRenderWorkIsTailBound|TestExhibitLedger' ./internal/figures/
+	$(GO) test -run 'TestQuantileMatchesSortOracle|TestQuantileAdversarialInputs|TestQuantileRunsZerosAndEmpties' ./internal/stats/
 
 # benchmarks/ is a module of its own, so `go build ./... && go test ./...`
 # at the root never compiles it. This does: an internal/ API change that

@@ -5,8 +5,6 @@
 package analysis
 
 import (
-	"cmp"
-	"slices"
 	"sort"
 	"time"
 
@@ -50,13 +48,15 @@ func isDeveloped(st *dataset.Store, routerID string) (bool, bool) {
 // per group and per country many times over; it builds one Roster and
 // none of those calls sorts or scans the roster again.
 type Roster struct {
+	countries map[string]string // router → country code: st's roster
 	byCountry map[string][]string
 	byGroup   [2][]string // indexed by Group
 }
 
-// NewRoster indexes st's roster.
+// NewRoster indexes st's roster. It keeps st.RouterCountry, which must
+// not change while the Roster is in use.
 func NewRoster(st *dataset.Store) *Roster {
-	ro := &Roster{byCountry: map[string][]string{}}
+	ro := &Roster{countries: st.RouterCountry, byCountry: map[string][]string{}}
 	for _, id := range st.Routers() {
 		code := st.RouterCountry[id]
 		ro.byCountry[code] = append(ro.byCountry[code], id)
@@ -69,6 +69,28 @@ func NewRoster(st *dataset.Store) *Roster {
 		}
 	}
 	return ro
+}
+
+// country resolves a router's country, ok false when the roster does not
+// know the router or its country.
+func (ro *Roster) country(id string) (geo.Country, bool) {
+	code, ok := ro.countries[id]
+	if !ok {
+		return geo.Country{}, false
+	}
+	return geo.Lookup(code)
+}
+
+// group resolves a router's group, as isDeveloped does.
+func (ro *Roster) group(id string) (Group, bool) {
+	c, ok := ro.country(id)
+	if !ok {
+		return 0, false
+	}
+	if c.Developed {
+		return Developed, true
+	}
+	return Developing, true
 }
 
 // InGroup returns the router IDs belonging to a group, sorted. The
@@ -205,30 +227,25 @@ const (
 // with uptime counters that reset at every report → appliance (the
 // router is being power-cycled); low availability with long-running
 // uptime counters → the ISP is flaky while the router stays powered.
-func ClassifyAvailability(st *dataset.Store, id string, w AvailabilityWindow) AvailabilityMode {
-	frac := st.Heartbeats.UptimeFraction(id, w.From, w.To, w.Threshold)
+func (r *Rollup) ClassifyAvailability(hb *heartbeat.Log, id string, w AvailabilityWindow) AvailabilityMode {
+	frac := hb.UptimeFraction(id, w.From, w.To, w.Threshold)
 	if frac >= 0.93 {
 		return ModeAlwaysOn
 	}
-	var reports []dataset.UptimeReport
-	for _, r := range st.Uptime {
-		if r.RouterID == id {
-			reports = append(reports, r)
-		}
-	}
-	if len(reports) == 0 {
+	b, t := r.kept.of(id).both()
+	n := len(b.uptime.sorted) + len(t.uptime.sorted)
+	if n == 0 {
 		return ModeAppliance
 	}
-	long := 0
-	for _, r := range reports {
-		if r.Uptime >= 24*time.Hour {
-			long++
-		}
-	}
-	if float64(long)/float64(len(reports)) >= 0.5 {
+	if float64(b.longUp+t.longUp)/float64(n) >= 0.5 {
 		return ModeFlakyISP
 	}
 	return ModeAppliance
+}
+
+// ClassifyAvailability is Rollup.ClassifyAvailability over st.
+func ClassifyAvailability(st *dataset.Store, id string, w AvailabilityWindow) AvailabilityMode {
+	return keptRollup(st).ClassifyAvailability(st.Heartbeats, id, w)
 }
 
 // Timeline returns a router's availability as on-intervals derived from
@@ -272,45 +289,22 @@ const (
 )
 
 // ClassifyDowntime infers the cause of one downtime for a router.
-func ClassifyDowntime(st *dataset.Store, id string, d heartbeat.Downtime) DowntimeCause {
-	var reports []dataset.UptimeReport
-	for _, r := range st.Uptime {
-		if r.RouterID == id {
-			reports = append(reports, r)
+func (r *Rollup) ClassifyDowntime(id string, d heartbeat.Downtime) DowntimeCause {
+	b, t := r.kept.of(id).both()
+	// The first uptime report at or after the gap's end, in (ReportedAt,
+	// Uptime) order, tells us when the router last booted: the earlier of
+	// the first in the base's run and the first in the tail's.
+	var first *uptimeReport
+	for _, reports := range [2][]uptimeReport{b.uptime.sorted, t.uptime.sorted} {
+		i := sort.Search(len(reports), func(i int) bool { return !reports[i].at.Before(d.End) })
+		if i < len(reports) && (first == nil || cmpReport(reports[i], *first) < 0) {
+			first = &reports[i]
 		}
 	}
-	sortUptime(reports)
-	return classifyFromReports(reports, d)
-}
-
-// sortUptime orders one router's reports by report time, then counter:
-// a total order on what classification reads, so reports taken at one
-// instant classify the same whatever order they were uploaded in.
-func sortUptime(reports []dataset.UptimeReport) {
-	slices.SortFunc(reports, cmpUptime)
-}
-
-func cmpUptime(a, b dataset.UptimeReport) int {
-	if c := a.ReportedAt.Compare(b.ReportedAt); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.Uptime, b.Uptime)
-}
-
-// classifyFromReports is ClassifyDowntime over a pre-sorted slice of one
-// router's uptime reports, so callers tallying many downtimes can index
-// once and binary-search per gap.
-func classifyFromReports(reports []dataset.UptimeReport, d heartbeat.Downtime) DowntimeCause {
-	// The first uptime report at or after the gap's end tells us when the
-	// router last booted.
-	i := sort.Search(len(reports), func(i int) bool {
-		return !reports[i].ReportedAt.Before(d.End)
-	})
-	if i == len(reports) || reports[i].ReportedAt.Sub(d.End) > 24*time.Hour {
+	if first == nil || first.at.Sub(d.End) > 24*time.Hour {
 		return CauseUnknown
 	}
-	best := reports[i]
-	bootedAt := best.ReportedAt.Add(-best.Uptime)
+	bootedAt := first.at.Add(-first.up)
 	// Booted before the gap began (with slack for report cadence): the
 	// router was powered throughout — a network outage.
 	if bootedAt.Before(d.Start.Add(-time.Minute)) {
@@ -319,20 +313,24 @@ func classifyFromReports(reports []dataset.UptimeReport, d heartbeat.Downtime) D
 	return CausePowerOff
 }
 
+// ClassifyDowntime is Rollup.ClassifyDowntime over st's uptime reports.
+func ClassifyDowntime(st *dataset.Store, id string, d heartbeat.Downtime) DowntimeCause {
+	return keptRollup(st).ClassifyDowntime(id, d)
+}
+
 // DowntimeCauses tallies causes for every downtime of a group within the
 // window where Uptime data exists.
-func DowntimeCauses(st *dataset.Store, ro *Roster, g Group, w AvailabilityWindow) map[DowntimeCause]int {
-	byRouter := groupBy(st.Uptime,
-		func(r *dataset.UptimeReport) (string, bool) { return r.RouterID, true },
-		func(r *dataset.UptimeReport) dataset.UptimeReport { return *r })
-	for _, reports := range byRouter.vals {
-		sortUptime(reports)
-	}
+func (r *Rollup) DowntimeCauses(hb *heartbeat.Log, ro *Roster, g Group, w AvailabilityWindow) map[DowntimeCause]int {
 	out := map[DowntimeCause]int{}
 	for _, id := range ro.InGroup(g) {
-		for _, d := range st.Heartbeats.Downtimes(id, w.From, w.To, w.Threshold) {
-			out[classifyFromReports(byRouter.of(id), d)]++
+		for _, d := range hb.Downtimes(id, w.From, w.To, w.Threshold) {
+			out[r.ClassifyDowntime(id, d)]++
 		}
 	}
 	return out
+}
+
+// DowntimeCauses is Rollup.DowntimeCauses over st.
+func DowntimeCauses(st *dataset.Store, ro *Roster, g Group, w AvailabilityWindow) map[DowntimeCause]int {
+	return keptRollup(st).DowntimeCauses(st.Heartbeats, ro, g, w)
 }

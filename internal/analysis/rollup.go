@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"bytes"
+	"cmp"
 	"maps"
 	"slices"
 	"sort"
@@ -12,34 +13,38 @@ import (
 	"natpeek/internal/stats"
 )
 
-// FlowRollup is the Traffic flows summed into what the usage exhibits
-// read: per home, the bytes and connections of every domain, the bytes of
-// every device and of every (device, domain) pair, running totals, and
-// the domains ranked the three ways Figs. 18 and 19 rank them. Table 2
-// and Figs. 12, 14 and 17–20 are all answered from it. Sums are kept as
-// integers; they are exact in any order, which is what lets an exhibit
-// computed from the rollup match, bit for bit, one computed row by row.
+// Rollup is a store's rows summed into what the exhibits read. For the
+// Traffic flows: per home, the bytes and connections of every domain, the
+// bytes of every device and of every (device, domain) pair, running
+// totals, and the domains ranked the three ways Figs. 18 and 19 rank
+// them — Table 2's Traffic row and Figs. 12, 14 and 17–20 are answered
+// from those. For the six kept kinds, each router's exact state
+// (kept.go), which answers every other exhibit but the heartbeat ones.
+// Sums are kept as integers and samples as sorted runs; both are exact in
+// any order, which is what lets an exhibit computed from the rollup
+// match, bit for bit, one computed row by row.
 //
-// A FlowRollup is a read-only view. In batch (RollupFlows) it is one
-// rollup of a store's flows. On a dashboard page (Snapshot.Flows) it is a
+// A Rollup is a read-only view. In batch (RollupOf) it is one rollup of
+// a store's rows. On a dashboard page (Snapshot.Rollup) it is a
 // Partial's folded rollup, frozen at Capture, with the live tail's own
 // rollup laid over it: each method adds base and tail per home as it
 // reads, and neither side is copied or changed.
-type FlowRollup struct {
+type Rollup struct {
 	homes []*homeFlows   // the base, first-seen order
 	fleet []deviceTotals // the base's fleet-wide device totals
 	tail  *overlay       // nil when nothing lies over the base
+	kept  keptView       // the kept kinds (kept.go)
 }
 
-// rollup is the foldable state behind a FlowRollup. A home is held as a
+// rollup is the foldable state behind a Rollup. A home is held as a
 // version (homeFlows): a fold updates the version in place when it is
-// private, and first replaces it with a copy when a FlowRollup may be
+// private, and first replaces it with a copy when a Rollup may be
 // reading it, so a view never sees a version change under it.
 type rollup struct {
 	homes []*homeFlows   // first-seen order
 	fleet []deviceTotals // fleet-wide: a device's bytes across every home it is in
 	// The indexes are read and written by folds only — and by overlay,
-	// which runs under the same exclusion. A FlowRollup never reads them.
+	// which runs under the same exclusion. A Rollup never reads them.
 	byID     map[string]int32
 	domIdx   map[domKey]int32
 	devIdx   map[devKey]int32
@@ -51,6 +56,15 @@ type rollup struct {
 	// the two slices and starts a new epoch (thaw).
 	epoch  uint64
 	frozen bool
+
+	// The kept kinds' versions (kept.go), first-seen order, under the
+	// same epoch. Their index is shared with the views taken in the epoch
+	// it was made in, so a new router after those goes into a copy.
+	kept         []*keptHome
+	keptIdx      map[string]int32
+	keptIdxEpoch uint64
+	keptLast     int32
+	keptRows     dataset.RowCounts
 }
 
 type domKey struct {
@@ -169,6 +183,8 @@ func newRollup(domains int) *rollup {
 		devIdx:   map[devKey]int32{},
 		fleetIdx: map[mac.Addr]int32{},
 		last:     -1,
+		keptIdx:  map[string]int32{},
+		keptLast: -1,
 	}
 }
 
@@ -239,13 +255,14 @@ func (r *rollup) resolve(f *dataset.FlowRecord, ref *flowRef) {
 	h.pairs = append(h.pairs, pairTotals{dev: f.Device, dom: dom})
 }
 
-// slab hands out new homes and the first entries of their slices from
-// shared arrays, so a rollup of many small homes — a page's tail —
-// allocates once per few dozen homes rather than a doubling series per
-// home and slice. A home that outgrows its first entries moves to an
-// array of its own, as append does.
+// slab hands out new homes — flow homes with the first entries of their
+// slices, and kept routers' states — from shared arrays, so a rollup of
+// many small homes — a page's tail — allocates once per few dozen homes
+// rather than a doubling series per home and slice. A home that outgrows
+// its first entries moves to an array of its own, as append does.
 type slab struct {
 	homes   []homeFlows
+	kept    []keptHome
 	domains []domainTotals
 	devices []homeDevice
 	pairs   []pairTotals
@@ -300,11 +317,13 @@ func (r *rollup) own(i int32) *homeFlows {
 func (r *rollup) thaw() {
 	r.homes = slices.Clone(r.homes)
 	r.fleet = slices.Clone(r.fleet)
+	r.kept = slices.Clone(r.kept)
 	r.epoch++
 	r.frozen = false
 }
 
-// freeze readies r to be shared: stale rankings are recomputed, and the
+// freeze readies r to be shared: stale rankings are recomputed, kept
+// values folded since the last freeze are sorted into their runs, and the
 // next write copies before it writes. A fold that no view was taken
 // behind updates in place, so replaying N chunks costs one pass.
 func (r *rollup) freeze() {
@@ -319,18 +338,19 @@ func (r *rollup) freeze() {
 			h.stale = false
 		}
 	}
+	r.settleKept()
 	r.frozen = true
 }
 
-// view freezes r and returns it as a FlowRollup.
-func (r *rollup) view() *FlowRollup {
+// view freezes r and returns it as a Rollup.
+func (r *rollup) view() *Rollup {
 	r.freeze()
-	return &FlowRollup{homes: r.homes, fleet: r.fleet}
+	return &Rollup{homes: r.homes, fleet: r.fleet, kept: r.keptView()}
 }
 
 // clone returns a rollup that shares r's versions until either side
 // writes: both are frozen, so each copies what it touches first. Only the
-// indexes are copied now.
+// flow indexes are copied now; the kept index is shared as with a view.
 func (r *rollup) clone() *rollup {
 	r.freeze()
 	return &rollup{
@@ -338,6 +358,8 @@ func (r *rollup) clone() *rollup {
 		byID: maps.Clone(r.byID), domIdx: maps.Clone(r.domIdx),
 		devIdx: maps.Clone(r.devIdx), fleetIdx: maps.Clone(r.fleetIdx),
 		last: -1, epoch: r.epoch, frozen: true,
+		kept: r.kept, keptIdx: r.keptIdx, keptIdxEpoch: r.keptIdxEpoch,
+		keptLast: -1, keptRows: r.keptRows,
 	}
 }
 
@@ -355,10 +377,13 @@ type overlay struct {
 
 // overlay freezes r and lays t, a rollup of the rows after r's, over it.
 // Each entry of t is looked up in r's indexes once, here — the caller
-// holds off folds for the duration — so the FlowRollup never reads them.
+// holds off folds for the duration — so the Rollup never reads them.
 // t must not change afterwards.
-func (r *rollup) overlay(t *rollup) *FlowRollup {
+func (r *rollup) overlay(t *rollup) *Rollup {
 	v := r.view()
+	if len(t.kept) > 0 {
+		v.kept.tail = r.overlayKept(t)
+	}
 	if len(t.homes) == 0 {
 		return v
 	}
@@ -409,7 +434,7 @@ func find[K comparable](m map[K]int32, k K) int32 {
 	return -1
 }
 
-// homeView is one home as a FlowRollup reads it: its base version, the
+// homeView is one home as a Rollup reads it: its base version, the
 // tail's, or both, with the tail's entries resolved to the base's.
 type homeView struct {
 	b, t     *homeFlows
@@ -418,7 +443,7 @@ type homeView struct {
 
 // each calls fn for every home in first-seen order: the base's, then
 // those the tail has first.
-func (r *FlowRollup) each(fn func(homeView)) {
+func (r *Rollup) each(fn func(homeView)) {
 	o := r.tail
 	for i, b := range r.homes {
 		v := homeView{b: b}
@@ -578,7 +603,7 @@ func rankInto(out []int32, ds []domainTotals, rk rank, k int) []int32 {
 
 // fleetTotals returns every device's volume across the homes it is in:
 // the base's devices, then those the tail has first.
-func (r *FlowRollup) fleetTotals() []deviceTotals {
+func (r *Rollup) fleetTotals() []deviceTotals {
 	out := slices.Clone(r.fleet)
 	if o := r.tail; o != nil {
 		for k, d := range o.roll.fleet {
@@ -592,15 +617,24 @@ func (r *FlowRollup) fleetTotals() []deviceTotals {
 	return out
 }
 
-// RollupFlows makes the one pass over st.Flows.
-func RollupFlows(st *dataset.Store) *FlowRollup {
+// RollupOf makes the one pass over st's rows.
+func RollupOf(st *dataset.Store) *Rollup {
+	r := newRollup(0)
+	r.addRows(st.Flows)
+	r.addKept(st)
+	return r.view()
+}
+
+// flowRollup folds st's flows alone: the stand-alone forms of the flow
+// exhibits read it.
+func flowRollup(st *dataset.Store) *Rollup {
 	r := newRollup(0)
 	r.addRows(st.Flows)
 	return r.view()
 }
 
 // Homes lists the routers with any flow row, in first-seen order.
-func (r *FlowRollup) Homes() []string {
+func (r *Rollup) Homes() []string {
 	out := make([]string, 0, len(r.homes))
 	r.each(func(v homeView) {
 		out = append(out, v.id())
@@ -610,7 +644,7 @@ func (r *FlowRollup) Homes() []string {
 
 // BusiestHome returns the home with the most Traffic volume (the lowest
 // ID among equals), "" when there are no flows — Fig. 14's subject.
-func (r *FlowRollup) BusiestHome() string {
+func (r *Rollup) BusiestHome() string {
 	best, bestV := "", int64(-1)
 	r.each(func(v homeView) {
 		id, b := v.id(), v.totals().bytes
@@ -623,7 +657,7 @@ func (r *FlowRollup) BusiestHome() string {
 
 // DeviceShares computes Fig. 17: for each home, the descending fractional
 // volume contribution of its devices.
-func (r *FlowRollup) DeviceShares() map[string][]float64 {
+func (r *Rollup) DeviceShares() map[string][]float64 {
 	out := make(map[string][]float64, len(r.homes))
 	var vs []float64
 	r.each(func(v homeView) {
@@ -660,7 +694,7 @@ type DomainPopularity struct {
 
 // PopularDomains computes Fig. 18 ranked by top-5 appearances. Fig. 18
 // plots nameable domains; obfuscated tokens cannot appear on its x-axis.
-func (r *FlowRollup) PopularDomains() []DomainPopularity {
+func (r *Rollup) PopularDomains() []DomainPopularity {
 	top5 := stats.NewCounter()
 	top10 := stats.NewCounter()
 	var sc rankScratch
@@ -708,7 +742,7 @@ type DomainShareCurves struct {
 }
 
 // DomainShares computes the Fig. 19 curves over the named domains.
-func (r *FlowRollup) DomainShares(maxRank int) DomainShareCurves {
+func (r *Rollup) DomainShares(maxRank int) DomainShareCurves {
 	out := DomainShareCurves{
 		VolumeShare:         make([]float64, maxRank),
 		ConnShareByConnRank: make([]float64, maxRank),
@@ -744,7 +778,7 @@ func (r *FlowRollup) DomainShares(maxRank int) DomainShareCurves {
 
 // WhitelistedVolumeShare returns the fraction of Traffic volume going to
 // named (non-anonymized) domains (§6.4: ≈65%).
-func (r *FlowRollup) WhitelistedVolumeShare() float64 {
+func (r *Rollup) WhitelistedVolumeShare() float64 {
 	var sum homeTotals
 	r.each(func(v homeView) { sum.merge(v.totals()) })
 	if sum.bytes == 0 {
@@ -755,18 +789,49 @@ func (r *FlowRollup) WhitelistedVolumeShare() float64 {
 
 // TopDevicesByVolume lists the Traffic data set's devices ranked by
 // volume, ties by address (used to pick Fig. 20 subjects).
-func (r *FlowRollup) TopDevicesByVolume() []mac.Addr {
+func (r *Rollup) TopDevicesByVolume() []mac.Addr {
 	vols := r.fleetTotals()
-	sort.Slice(vols, func(i, j int) bool {
-		if vols[i].bytes != vols[j].bytes {
-			return vols[i].bytes > vols[j].bytes
+	slices.SortFunc(vols, func(a, b deviceTotals) int {
+		if a.bytes != b.bytes {
+			return cmp.Compare(b.bytes, a.bytes)
 		}
 		// Addr.String is fixed-width hex, so the bytes order as it does.
-		return bytes.Compare(vols[i].dev[:], vols[j].dev[:]) < 0
+		return bytes.Compare(a.dev[:], b.dev[:])
 	})
 	devs := make([]mac.Addr, len(vols))
 	for i, v := range vols {
 		devs[i] = v.dev
+	}
+	return devs
+}
+
+// TopDevices is the head of TopDevicesByVolume — its at most k first
+// devices — found by one pass holding the running top k, not a sort of
+// the fleet.
+func (r *Rollup) TopDevices(k int) []mac.Addr {
+	before := func(a, b deviceTotals) bool {
+		if a.bytes != b.bytes {
+			return a.bytes > b.bytes
+		}
+		return bytes.Compare(a.dev[:], b.dev[:]) < 0
+	}
+	top := make([]deviceTotals, 0, k)
+	for _, d := range r.fleetTotals() {
+		switch {
+		case len(top) < k:
+			top = append(top, d)
+		case k > 0 && before(d, top[k-1]):
+			top[k-1] = d
+		default:
+			continue
+		}
+		for j := len(top) - 1; j > 0 && before(top[j], top[j-1]); j-- {
+			top[j], top[j-1] = top[j-1], top[j]
+		}
+	}
+	devs := make([]mac.Addr, len(top))
+	for i, d := range top {
+		devs[i] = d.dev
 	}
 	return devs
 }
@@ -780,7 +845,7 @@ type DomainShare struct {
 
 // DeviceDomains computes the Fig. 20 mix for a device, ranked descending.
 // It reads the (device, domain) pairs of the homes the device is in.
-func (r *FlowRollup) DeviceDomains(dev mac.Addr) []DomainShare {
+func (r *Rollup) DeviceDomains(dev mac.Addr) []DomainShare {
 	vol := map[string]int64{}
 	var total int64
 	r.each(func(v homeView) {
@@ -824,7 +889,7 @@ type ManufacturerCount struct {
 // ManufacturerHistogram counts devices per Fig. 12 category across the
 // Traffic-subset homes, excluding the platform's own Netgear hardware and
 // devices below the paper's 100 KB traffic floor.
-func (r *FlowRollup) ManufacturerHistogram(minBytes int64) []ManufacturerCount {
+func (r *Rollup) ManufacturerHistogram(minBytes int64) []ManufacturerCount {
 	counts := map[ouidb.Category]int{}
 	for _, d := range r.fleetTotals() {
 		if d.bytes < minBytes || ouidb.IsBISmarkRouter(d.dev) {
@@ -851,36 +916,36 @@ func (r *FlowRollup) ManufacturerHistogram(minBytes int64) []ManufacturerCount {
 // its own; code that renders several (figures.All) builds one and calls
 // the methods.
 
-// DeviceShares is FlowRollup.DeviceShares over st's flows.
-func DeviceShares(st *dataset.Store) map[string][]float64 { return RollupFlows(st).DeviceShares() }
+// DeviceShares is Rollup.DeviceShares over st's flows.
+func DeviceShares(st *dataset.Store) map[string][]float64 { return flowRollup(st).DeviceShares() }
 
 // MeanTopDeviceShare is MeanTopShare of st's DeviceShares.
 func MeanTopDeviceShare(st *dataset.Store, minDevices int) float64 {
 	return MeanTopShare(DeviceShares(st), minDevices)
 }
 
-// PopularDomains is FlowRollup.PopularDomains over st's flows.
-func PopularDomains(st *dataset.Store) []DomainPopularity { return RollupFlows(st).PopularDomains() }
+// PopularDomains is Rollup.PopularDomains over st's flows.
+func PopularDomains(st *dataset.Store) []DomainPopularity { return flowRollup(st).PopularDomains() }
 
-// DomainShares is FlowRollup.DomainShares over st's flows.
+// DomainShares is Rollup.DomainShares over st's flows.
 func DomainShares(st *dataset.Store, maxRank int) DomainShareCurves {
-	return RollupFlows(st).DomainShares(maxRank)
+	return flowRollup(st).DomainShares(maxRank)
 }
 
-// WhitelistedVolumeShare is FlowRollup.WhitelistedVolumeShare over st's flows.
+// WhitelistedVolumeShare is Rollup.WhitelistedVolumeShare over st's flows.
 func WhitelistedVolumeShare(st *dataset.Store) float64 {
-	return RollupFlows(st).WhitelistedVolumeShare()
+	return flowRollup(st).WhitelistedVolumeShare()
 }
 
-// TopDevicesByVolume is FlowRollup.TopDevicesByVolume over st's flows.
-func TopDevicesByVolume(st *dataset.Store) []mac.Addr { return RollupFlows(st).TopDevicesByVolume() }
+// TopDevicesByVolume is Rollup.TopDevicesByVolume over st's flows.
+func TopDevicesByVolume(st *dataset.Store) []mac.Addr { return flowRollup(st).TopDevicesByVolume() }
 
-// DeviceDomains is FlowRollup.DeviceDomains over st's flows.
+// DeviceDomains is Rollup.DeviceDomains over st's flows.
 func DeviceDomains(st *dataset.Store, dev mac.Addr) []DomainShare {
-	return RollupFlows(st).DeviceDomains(dev)
+	return flowRollup(st).DeviceDomains(dev)
 }
 
-// ManufacturerHistogram is FlowRollup.ManufacturerHistogram over st's flows.
+// ManufacturerHistogram is Rollup.ManufacturerHistogram over st's flows.
 func ManufacturerHistogram(st *dataset.Store, minBytes int64) []ManufacturerCount {
-	return RollupFlows(st).ManufacturerHistogram(minBytes)
+	return flowRollup(st).ManufacturerHistogram(minBytes)
 }

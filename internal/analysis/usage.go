@@ -1,81 +1,77 @@
 package analysis
 
 import (
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"natpeek/internal/dataset"
 	"natpeek/internal/domains"
-	"natpeek/internal/geo"
 	"natpeek/internal/stats"
 )
 
-// localHour converts a UTC instant to the router's local hour and weekend
-// flag using the deployment roster.
-func localHour(st *dataset.Store, id string, at time.Time) (hour int, weekend bool, ok bool) {
-	code, found := st.RouterCountry[id]
-	if !found {
-		return 0, false, false
-	}
-	c, found := geo.Lookup(code)
-	if !found {
-		return 0, false, false
-	}
-	local := at.Add(c.UTCOffset)
-	d := local.Weekday()
-	return local.Hour(), d == time.Saturday || d == time.Sunday, true
-}
-
 // DiurnalDevices aggregates the Devices censuses into mean connected
-// wireless devices per local hour, split weekday/weekend — Fig. 13.
-func DiurnalDevices(st *dataset.Store) (weekday, weekend stats.HourBins) {
-	for _, c := range st.Counts {
-		h, we, ok := localHour(st, c.RouterID, c.At)
+// wireless devices per local hour, split weekday/weekend — Fig. 13. Each
+// router's half-hour-of-week bins are rotated by its country's offset;
+// routers of unknown country are left out.
+func (r *Rollup) DiurnalDevices(ro *Roster) (weekday, weekend stats.HourBins) {
+	var sums [2][24]int64
+	var counts [2][24]int
+	r.kept.each(func(p keptPair) {
+		c, ok := ro.country(p.id())
 		if !ok {
-			continue
+			return
 		}
-		v := float64(c.W24 + c.W5)
-		if we {
-			weekend.Add(h, v)
-		} else {
-			weekday.Add(h, v)
+		shift := int(c.UTCOffset / (30 * time.Minute))
+		for _, h := range [2]*keptHome{p.b, p.t} {
+			if h == nil {
+				continue
+			}
+			for _, b := range h.census.bins {
+				if b.n == 0 {
+					continue
+				}
+				local := (int(b.at) + shift + weekHalfHours) % weekHalfHours
+				we := 0
+				if day := time.Weekday(local / 48); day == time.Saturday || day == time.Sunday {
+					we = 1
+				}
+				sums[we][local%48/2] += b.sum
+				counts[we][local%48/2] += int(b.n)
+			}
 		}
+	})
+	for h := 0; h < 24; h++ {
+		weekday.Sum[h], weekday.Count[h] = float64(sums[0][h]), counts[0][h]
+		weekend.Sum[h], weekend.Count[h] = float64(sums[1][h]), counts[1][h]
 	}
 	return weekday, weekend
 }
 
-// capacityRuns collects one home's positive capacity measurements per
-// direction.
-type capacityRuns struct {
-	ups, downs []float64
+// DiurnalDevices is Rollup.DiurnalDevices over st's censuses.
+func DiurnalDevices(st *dataset.Store) (weekday, weekend stats.HourBins) {
+	return keptRollup(st).DiurnalDevices(NewRoster(st))
 }
 
-func (m *capacityRuns) add(c dataset.CapacityMeasure) {
-	if c.UpBps > 0 {
-		m.ups = append(m.ups, c.UpBps)
-	}
-	if c.DownBps > 0 {
-		m.downs = append(m.downs, c.DownBps)
-	}
-}
-
-func medianOrZero(xs []float64) float64 {
-	if len(xs) == 0 {
+// medianOrZero is the median of the sorted runs, 0 when they are empty.
+func medianOrZero(a, b []float64) float64 {
+	if len(a)+len(b) == 0 {
 		return 0
 	}
-	return stats.Median(xs)
+	return stats.QuantileRuns(0.5, a, b)
 }
 
 // HomeCapacity returns a home's median measured capacity per direction
 // over the Capacity data set.
+func (r *Rollup) HomeCapacity(id string) (upBps, downBps float64) {
+	b, t := r.kept.of(id).both()
+	return medianOrZero(b.capUp.sorted, t.capUp.sorted), medianOrZero(b.capDown.sorted, t.capDown.sorted)
+}
+
+// HomeCapacity is Rollup.HomeCapacity over st's capacity rows.
 func HomeCapacity(st *dataset.Store, id string) (upBps, downBps float64) {
-	var m capacityRuns
-	for _, c := range st.Capacity {
-		if c.RouterID == id {
-			m.add(c)
-		}
-	}
-	return medianOrZero(m.ups), medianOrZero(m.downs)
+	return keptRollup(st).HomeCapacity(id)
 }
 
 // LinkSaturation is one Fig. 15 point: a home's capacity vs its 95th
@@ -93,59 +89,57 @@ type LinkSaturation struct {
 
 // Saturation computes Fig. 15: per home and direction, the 95th
 // percentile of per-minute peak throughput against measured capacity,
-// over minutes with any traffic. One pass groups the throughput samples
-// by link and two group the positive capacity measurements by home. A
-// link is "up" or "down"; samples with any other Dir stay stored but
-// have no capacity to be measured against, so they are left out.
-func Saturation(st *dataset.Store) []LinkSaturation {
-	type link struct {
-		id, dir string
-	}
-	peaks := groupBy(st.Throughput,
-		func(s *dataset.ThroughputSample) (link, bool) {
-			return link{s.RouterID, s.Dir}, s.Dir == "up" || s.Dir == "down"
-		},
-		func(s *dataset.ThroughputSample) float64 { return s.PeakBps })
-	ups := groupBy(st.Capacity,
-		func(c *dataset.CapacityMeasure) (string, bool) { return c.RouterID, c.UpBps > 0 },
-		func(c *dataset.CapacityMeasure) float64 { return c.UpBps })
-	downs := groupBy(st.Capacity,
-		func(c *dataset.CapacityMeasure) (string, bool) { return c.RouterID, c.DownBps > 0 },
-		func(c *dataset.CapacityMeasure) float64 { return c.DownBps })
-	var out []LinkSaturation
-	for i, k := range peaks.keys {
-		ps := peaks.vals[i]
-		capBps := medianOrZero(downs.of(k.id))
-		if k.dir == "up" {
-			capBps = medianOrZero(ups.of(k.id))
-		}
-		if capBps <= 0 {
-			continue
-		}
-		over := 0
-		for _, p := range ps {
-			if p > capBps {
-				over++
+// over minutes with any traffic. The percentile, the capacity median
+// and the minutes over capacity are selections and binary searches over
+// each link's sorted peaks and each home's sorted capacities, base and
+// tail. A link is "up" or "down"; samples with any other Dir stay stored
+// but have no capacity to be measured against, so they are left out.
+func (r *Rollup) Saturation() []LinkSaturation {
+	out := make([]LinkSaturation, 0, 2*len(r.kept.homes))
+	r.kept.each(func(p keptPair) {
+		b, t := p.both()
+		for l, dir := range linkDirs {
+			bp, tp := b.links[l].peaks.sorted, t.links[l].peaks.sorted
+			if len(bp)+len(tp) == 0 {
+				continue
 			}
+			capBps := medianOrZero(b.capDown.sorted, t.capDown.sorted)
+			if dir == "up" {
+				capBps = medianOrZero(b.capUp.sorted, t.capUp.sorted)
+			}
+			if capBps <= 0 {
+				continue
+			}
+			p95 := stats.QuantileRuns(0.95, bp, tp)
+			out = append(out, LinkSaturation{
+				RouterID:    p.id(),
+				Dir:         dir,
+				CapacityBps: capBps,
+				P95Bps:      p95,
+				Utilization: p95 / capBps,
+				Minutes:     len(bp) + len(tp),
+				MinutesOver: countAbove(bp, capBps) + countAbove(tp, capBps),
+			})
 		}
-		p95 := stats.Percentile(ps, 95)
-		out = append(out, LinkSaturation{
-			RouterID:    k.id,
-			Dir:         k.dir,
-			CapacityBps: capBps,
-			P95Bps:      p95,
-			Utilization: p95 / capBps,
-			Minutes:     len(ps),
-			MinutesOver: over,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].RouterID != out[j].RouterID {
-			return out[i].RouterID < out[j].RouterID
-		}
-		return out[i].Dir < out[j].Dir
 	})
+	slices.SortFunc(out, func(a, b LinkSaturation) int {
+		if c := strings.Compare(a.RouterID, b.RouterID); c != 0 {
+			return c
+		}
+		return strings.Compare(a.Dir, b.Dir)
+	})
+	if len(out) == 0 {
+		return nil
+	}
 	return out
+}
+
+// Saturation is Rollup.Saturation over st's rows.
+func Saturation(st *dataset.Store) []LinkSaturation { return keptRollup(st).Saturation() }
+
+// countAbove counts the values of a sorted run greater than x.
+func countAbove(run []float64, x float64) int {
+	return len(run) - sort.Search(len(run), func(i int) bool { return run[i] > x })
 }
 
 // UtilizationPoint is one sample of a home's utilization time series
@@ -156,16 +150,27 @@ type UtilizationPoint struct {
 }
 
 // UtilizationSeries returns a home's per-minute peak throughput series in
-// one direction, sorted by time.
-func UtilizationSeries(st *dataset.Store, id, dir string) []UtilizationPoint {
-	var out []UtilizationPoint
-	for _, s := range st.Throughput {
-		if s.RouterID == id && s.Dir == dir {
-			out = append(out, UtilizationPoint{s.Minute, s.PeakBps})
-		}
+// one direction, "up" or "down", sorted by time. Its samples are taken in
+// arrival order and sorted as one slice, so minutes that repeat come out
+// as a row scan would have them.
+func (r *Rollup) UtilizationSeries(id, dir string) []UtilizationPoint {
+	l := linkOf(dir)
+	if l < 0 {
+		return nil
 	}
+	b, t := r.kept.of(id).both()
+	bs, ts := b.links[l].series, t.links[l].series
+	if len(bs)+len(ts) == 0 {
+		return nil
+	}
+	out := append(append(make([]UtilizationPoint, 0, len(bs)+len(ts)), bs...), ts...)
 	sort.Slice(out, func(i, j int) bool { return out[i].Minute.Before(out[j].Minute) })
 	return out
+}
+
+// UtilizationSeries is Rollup.UtilizationSeries over st's rows.
+func UtilizationSeries(st *dataset.Store, id, dir string) []UtilizationPoint {
+	return keptRollup(st).UtilizationSeries(id, dir)
 }
 
 // GroupUsage summarizes Traffic-data usage structure per country group —

@@ -58,8 +58,6 @@ func NewDashboard(src *segment.Store, w Windows) (*Dashboard, error) {
 			"Sealed chunks folded into the dashboard's partial."),
 	}
 	d.folded = sync.NewCond(&d.mu)
-	// The store's footers already say how much the replay will fold.
-	d.base.Grow(src.RowCounts())
 	if err := src.Subscribe(d.fold); err != nil {
 		return nil, err
 	}
@@ -93,7 +91,7 @@ func (d *Dashboard) fold(chunk *dataset.Store) {
 // the tail was read) would count that chunk twice; the tail is read
 // again. d.mu is held for the capture only, so a fold never waits behind
 // a render.
-func (d *Dashboard) snapshot() (*dataset.Store, *analysis.FlowRollup, DashboardStats) {
+func (d *Dashboard) snapshot() (*dataset.Store, *analysis.Rollup, DashboardStats) {
 	for {
 		tail, gen := d.src.TailGen()
 		sn := analysis.NewSnapshot(tail)
@@ -108,7 +106,7 @@ func (d *Dashboard) snapshot() (*dataset.Store, *analysis.FlowRollup, DashboardS
 		sn.Capture(d.base)
 		stats := d.statsLocked()
 		d.mu.Unlock()
-		return sn.Store(d.src.HeartbeatLog()), sn.Flows(), stats
+		return sn.Store(d.src.HeartbeatLog()), sn.Rollup(), stats
 	}
 }
 
@@ -122,9 +120,9 @@ func (d *Dashboard) Render() []*Report {
 // rendered from; LastRenderMs is this render's own duration.
 func (d *Dashboard) render() ([]*Report, DashboardStats) {
 	start := time.Now()
-	st, flows, stats := d.snapshot()
+	st, v, stats := d.snapshot()
 	d.hSnapshot.Observe(time.Since(start).Seconds())
-	out := all(st, flows, d.win)
+	out := all(st, v, d.win)
 	took := time.Since(start)
 	d.hRender.Observe(took.Seconds())
 	stats.LastRenderMs = float64(took.Microseconds()) / 1000

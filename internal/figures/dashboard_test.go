@@ -66,36 +66,36 @@ func wholeUnits(rc dataset.RowCounts) int {
 	return n
 }
 
-// pageUnits is wholeUnits of a page's store, which holds no flow rows:
-// checkFlows vouches for those.
-func pageUnits(st *dataset.Store) int {
-	rc := dataset.CountRows(st)
+// pageUnits is wholeUnits of a page: its roster's routers and its
+// rollup's kept rows. A page's store holds no rows, and its rollup counts
+// aggregates, not flow rows: checkPage vouches for the flows.
+func pageUnits(st *dataset.Store, v *analysis.Rollup) int {
+	rc := v.KeptRows()
+	rc.Routers = len(st.RouterCountry)
 	rc.Flows = 6 * rc.Uptime
 	return wholeUnits(rc)
 }
 
-// flowReports renders the exhibits that read the flow rollup.
-func flowReports(st *dataset.Store, flows *analysis.FlowRollup) string {
-	var b strings.Builder
-	for _, r := range []*Report{table2(st, flows), fig12(flows), fig14(st, flows),
-		fig17(flows), fig18(flows), fig19(flows), fig20(flows)} {
-		b.WriteString(r.String())
-	}
-	return b.String()
-}
-
-// checkFlows compares a page of n units with the batch exhibits over the
+// checkPage compares a page of n units with the batch exhibits over the
 // same n units: a page whose rollup lost, doubled or half-folded a chunk
 // — or saw a fold change a home under it — reads differently.
-func checkFlows(st *dataset.Store, flows *analysis.FlowRollup, n int) error {
+func checkPage(st *dataset.Store, v *analysis.Rollup, n int) error {
 	batch := dataset.NewStore()
 	for u := 0; u < n; u++ {
 		unitRows(batch, u)
 	}
-	if got, want := flowReports(st, flows), flowReports(batch, analysis.RollupFlows(batch)); got != want {
-		return fmt.Errorf("flow exhibits of a %d-unit page:\n%s\nthe batch exhibits over those units:\n%s", n, got, want)
+	if got, want := renderString(all(st, v, DefaultWindows())), renderString(All(batch, DefaultWindows())); got != want {
+		return fmt.Errorf("exhibits of a %d-unit page:\n%s\nthe batch exhibits over those units:\n%s", n, got, want)
 	}
 	return nil
+}
+
+func renderString(reports []*Report) string {
+	var b strings.Builder
+	for _, r := range reports {
+		b.WriteString(r.String())
+	}
+	return b.String()
 }
 
 func openSeg(t *testing.T) *segment.Store {
@@ -134,12 +134,12 @@ func TestSnapshotSeesChunkBetweenPublishAndFold(t *testing.T) {
 
 	got := make(chan error, 1)
 	go func() {
-		st, flows, _ := d.snapshot()
-		if n := pageUnits(st); n != units {
-			got <- fmt.Errorf("snapshot inside the seal window holds %d units (%+v), the store %d", n, dataset.CountRows(st), units)
+		st, v, _ := d.snapshot()
+		if n := pageUnits(st, v); n != units {
+			got <- fmt.Errorf("snapshot inside the seal window holds %d units (%+v), the store %d", n, v.KeptRows(), units)
 			return
 		}
-		got <- checkFlows(st, flows, units)
+		got <- checkPage(st, v, units)
 	}()
 	// A snapshot that comes back while the window is open had better be
 	// whole; one that waits for the fold is let through after a while.
@@ -170,9 +170,9 @@ func TestSnapshotSeesChunkBetweenPublishAndFold(t *testing.T) {
 // dawdles. Every snapshot is a whole prefix of the stream — the same
 // number of units in every kind, so no chunk is half there or there
 // twice — no shorter than what had been sealed when it began, and no
-// shorter than the reader's previous one; and its flow exhibits are the
-// batch exhibits over that prefix, however many folds have copied the
-// homes it reads since it was taken.
+// shorter than the reader's previous one; and every exhibit on it, flow
+// and kept kinds alike, is the batch exhibit over that prefix, however
+// many folds have copied the home versions it reads since it was taken.
 func TestRendersBesideSeals(t *testing.T) {
 	seg := openSeg(t)
 	if err := seg.Subscribe(func(*dataset.Store) {
@@ -205,11 +205,11 @@ func TestRendersBesideSeals(t *testing.T) {
 				default:
 				}
 				floor := int(sealed.Load())
-				st, flows, stats := d.snapshot()
-				n := pageUnits(st)
+				st, v, stats := d.snapshot()
+				n := pageUnits(st, v)
 				switch {
 				case n < 0:
-					t.Errorf("reader %d: snapshot is no prefix of the stream: %+v", r, dataset.CountRows(st))
+					t.Errorf("reader %d: snapshot is no prefix of the stream: %d routers, %+v", r, len(st.RouterCountry), v.KeptRows())
 					return
 				case n < floor:
 					t.Errorf("reader %d: snapshot holds %d units, %d were sealed before it began", r, n, floor)
@@ -222,10 +222,7 @@ func TestRendersBesideSeals(t *testing.T) {
 					return
 				}
 				last = n
-				if pages%8 == 0 {
-					all(st, flows, DefaultWindows()) // the exhibits read what the next fold appends behind
-				}
-				if err := checkFlows(st, flows, n); err != nil {
+				if err := checkPage(st, v, n); err != nil {
 					t.Errorf("reader %d: %v", r, err)
 					return
 				}
@@ -245,11 +242,11 @@ func TestRendersBesideSeals(t *testing.T) {
 	if flushErr != nil {
 		t.Fatal(flushErr)
 	}
-	st, flows, _ := d.snapshot()
-	if n := pageUnits(st); n != units {
+	st, v, _ := d.snapshot()
+	if n := pageUnits(st, v); n != units {
 		t.Fatalf("final snapshot holds %d units, want %d", n, units)
 	}
-	if err := checkFlows(st, flows, units); err != nil {
+	if err := checkPage(st, v, units); err != nil {
 		t.Fatal(err)
 	}
 }

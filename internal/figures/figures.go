@@ -100,47 +100,30 @@ func Table1(st *dataset.Store) *Report {
 }
 
 // Table2 reproduces the data set inventory.
-func Table2(st *dataset.Store) *Report { return table2(st, analysis.RollupFlows(st)) }
+func Table2(st *dataset.Store) *Report { return table2(st, analysis.RollupOf(st)) }
 
-func table2(st *dataset.Store, flows *analysis.FlowRollup) *Report {
+func table2(st *dataset.Store, v *analysis.Rollup) *Report {
 	r := &Report{
 		ID:         "Table 2",
 		Title:      "Summary of data collected",
 		PaperClaim: "Heartbeats 126 routers Oct'12–Apr'13; Uptime/Devices 113; WiFi 93; Traffic 25; Capacity 126",
 	}
-	distinct := func(ids map[string]bool) int { return len(ids) }
-	hb := map[string]bool{}
-	for _, id := range st.Heartbeats.Routers() {
-		hb[id] = true
-	}
-	up, cp, dv, wf, tr := map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string]bool{}
-	for _, x := range st.Uptime {
-		up[x.RouterID] = true
-	}
-	for _, x := range st.Capacity {
-		cp[x.RouterID] = true
-	}
-	for _, x := range st.Counts {
-		dv[x.RouterID] = true
-	}
-	for _, x := range st.WiFi {
-		wf[x.RouterID] = true
-	}
-	for _, id := range flows.Homes() {
-		tr[id] = true
-	}
-	countries := func(ids map[string]bool) int {
+	countries := func(ids []string) int {
 		cs := map[string]bool{}
-		for id := range ids {
+		for _, id := range ids {
 			cs[st.RouterCountry[id]] = true
 		}
 		return len(cs)
 	}
-	row := func(name string, ids map[string]bool, from, to time.Time) {
+	row := func(name string, ids []string, from, to time.Time) {
 		r.add("%-11s routers=%-4d countries=%-3d %s – %s",
-			name, distinct(ids), countries(ids),
+			name, len(ids), countries(ids),
 			from.Format("2006-01-02"), to.Format("2006-01-02"))
 	}
+	hb := st.Heartbeats.Routers()
+	up, cp := v.RoutersWith(analysis.HasUptime), v.RoutersWith(analysis.HasCapacity)
+	dv, wf := v.RoutersWith(analysis.HasCensus), v.RoutersWith(analysis.HasWiFi)
+	tr := v.Homes()
 	row("Heartbeats", hb, dataset.HeartbeatsFrom, dataset.HeartbeatsTo)
 	row("Capacity", cp, dataset.CapacityFrom, dataset.CapacityTo)
 	row("Uptime", up, dataset.UptimeFrom, dataset.UptimeTo)
@@ -174,9 +157,11 @@ func fig3(st *dataset.Store, ro *analysis.Roster, w Windows) *Report {
 }
 
 // Fig4 reproduces the downtime-duration CDF.
-func Fig4(st *dataset.Store, w Windows) *Report { return fig4(st, analysis.NewRoster(st), w) }
+func Fig4(st *dataset.Store, w Windows) *Report {
+	return fig4(st, analysis.NewRoster(st), analysis.RollupOf(st), w)
+}
 
-func fig4(st *dataset.Store, ro *analysis.Roster, w Windows) *Report {
+func fig4(st *dataset.Store, ro *analysis.Roster, v *analysis.Rollup, w Windows) *Report {
 	r := &Report{
 		ID:         "Figure 4",
 		Title:      "Downtime duration, by group",
@@ -203,7 +188,7 @@ func fig4(st *dataset.Store, ro *analysis.Roster, w Windows) *Report {
 	}
 	if causeWin.To.After(causeWin.From) {
 		for _, g := range []analysis.Group{analysis.Developed, analysis.Developing} {
-			t := analysis.DowntimeCauses(st, ro, g, causeWin)
+			t := v.DowntimeCauses(st.Heartbeats, ro, g, causeWin)
 			r.add("%-10s causes (Uptime-overlap window): power-off=%d network=%d unknown=%d",
 				g, t[analysis.CausePowerOff], t[analysis.CauseNetwork], t[analysis.CauseUnknown])
 		}
@@ -230,9 +215,11 @@ func fig5(st *dataset.Store, ro *analysis.Roster, w Windows) *Report {
 }
 
 // Fig6 reproduces the availability-mode case studies as day-strips.
-func Fig6(st *dataset.Store, w Windows) *Report { return fig6(st, analysis.NewRoster(st), w) }
+func Fig6(st *dataset.Store, w Windows) *Report {
+	return fig6(st, analysis.NewRoster(st), analysis.RollupOf(st), w)
+}
 
-func fig6(st *dataset.Store, ro *analysis.Roster, w Windows) *Report {
+func fig6(st *dataset.Store, ro *analysis.Roster, v *analysis.Rollup, w Windows) *Report {
 	r := &Report{
 		ID:         "Figure 6",
 		Title:      "Availability archetypes (10-day strips; '#'=online per hour, '.'=down)",
@@ -241,7 +228,7 @@ func fig6(st *dataset.Store, ro *analysis.Roster, w Windows) *Report {
 	// Pick one example per mode.
 	found := map[analysis.AvailabilityMode]string{}
 	for _, id := range st.Heartbeats.Routers() {
-		m := analysis.ClassifyAvailability(st, id, w.Availability)
+		m := v.ClassifyAvailability(st.Heartbeats, id, w.Availability)
 		if _, ok := found[m]; !ok {
 			found[m] = id
 		}

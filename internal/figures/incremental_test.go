@@ -8,6 +8,7 @@ import (
 
 	"natpeek/internal/analysis"
 	"natpeek/internal/dataset"
+	"natpeek/internal/heartbeat"
 	"natpeek/internal/segment"
 )
 
@@ -44,12 +45,22 @@ func chunkStores(st *dataset.Store, n int) []*dataset.Store {
 }
 
 func renderAll(st *dataset.Store, w Windows) []string {
+	return render(All(st, w), st)
+}
+
+// renderPartial renders what p folded: the exhibits off its rollup, Ext.
+// §7 off its aggregates.
+func renderPartial(p *analysis.Partial, hb *heartbeat.Log, w Windows) []string {
+	st := p.Store(hb)
+	return render(all(st, p.Rollup(), w), st)
+}
+
+func render(reports []*Report, st *dataset.Store) []string {
 	var out []string
-	for _, r := range All(st, w) {
+	for _, r := range reports {
 		out = append(out, r.String())
 	}
-	out = append(out, ExtUsageByCountry(st).String())
-	return out
+	return append(out, ExtUsageByCountry(st).String())
 }
 
 func diffReports(t *testing.T, want, got []string, what string) {
@@ -81,7 +92,7 @@ func TestPartialEquivalence(t *testing.T) {
 		t.Fatalf("flow projection did not compress: %d aggregates from %d rows",
 			p.FlowAggregates(), p.RawFlowRows())
 	}
-	diffReports(t, batch, renderAll(p.Store(st.Heartbeats), w), "sequential fold")
+	diffReports(t, batch, renderPartial(p, st.Heartbeats, w), "sequential fold")
 
 	// Mergeability: two independently-accumulated partials combine into
 	// the same state.
@@ -94,7 +105,7 @@ func TestPartialEquivalence(t *testing.T) {
 		p2.Fold(c)
 	}
 	p1.Merge(p2)
-	diffReports(t, batch, renderAll(p1.Store(st.Heartbeats), w), "merged partials")
+	diffReports(t, batch, renderPartial(p1, st.Heartbeats, w), "merged partials")
 
 	// Clone independence: folding the tail into a clone leaves the base
 	// renderable and unchanged.
@@ -102,11 +113,11 @@ func TestPartialEquivalence(t *testing.T) {
 	for _, c := range chunks[:6] {
 		base.Fold(c)
 	}
-	before := renderAll(base.Store(st.Heartbeats), w)
+	before := renderPartial(base, st.Heartbeats, w)
 	cl := base.Clone()
 	cl.Fold(chunks[6])
-	diffReports(t, batch, renderAll(cl.Store(st.Heartbeats), w), "clone+tail")
-	diffReports(t, before, renderAll(base.Store(st.Heartbeats), w), "base after clone fold")
+	diffReports(t, batch, renderPartial(cl, st.Heartbeats, w), "clone+tail")
+	diffReports(t, before, renderPartial(base, st.Heartbeats, w), "base after clone fold")
 }
 
 // feedChunks drives the same chunked upload sequence into any ingest

@@ -10,17 +10,19 @@ import (
 )
 
 // Fig7 reproduces the devices-per-home CDF.
-func Fig7(st *dataset.Store) *Report {
+func Fig7(st *dataset.Store) *Report { return fig7(analysis.RollupOf(st)) }
+
+func fig7(v *analysis.Rollup) *Report {
 	r := &Report{
 		ID:         "Figure 7",
 		Title:      "Number of unique devices per home network",
 		PaperClaim: "more than half of homes have ≥5 devices; ≈7 devices on average",
 	}
-	uniq := analysis.UniqueDevicesPerHome(st)
-	var xs []float64
+	uniq := v.UniqueDevicesPerHome()
+	// Counts sum exactly in any order: no need to sort the homes.
+	xs := make([]float64, 0, len(uniq))
 	atLeast5 := 0
-	for _, id := range sortedKeys(uniq) {
-		n := uniq[id]
+	for _, n := range uniq {
 		xs = append(xs, float64(n))
 		if n >= 5 {
 			atLeast5++
@@ -72,13 +74,15 @@ func fig9(byGroup map[analysis.Group]analysis.ConnectedAverages) *Report {
 }
 
 // Table5 reproduces the always-connected household shares.
-func Table5(st *dataset.Store) *Report {
+func Table5(st *dataset.Store) *Report { return table5(analysis.RollupOf(st), analysis.NewRoster(st)) }
+
+func table5(v *analysis.Rollup, ro *analysis.Roster) *Report {
 	r := &Report{
 		ID:         "Table 5",
 		Title:      "Households with a device that never disconnects (≥5 weeks)",
 		PaperClaim: "developed: 43% wired / 20% wireless; developing: 12% / 12%",
 	}
-	shares := analysis.AlwaysConnected(st, 35*24*time.Hour)
+	shares := v.AlwaysConnected(ro, 35*24*time.Hour)
 	for _, g := range []analysis.Group{analysis.Developed, analysis.Developing} {
 		s := shares[g]
 		r.add("%-10s homes=%-4d always-wired=%d (%.0f%%)  always-wireless=%d (%.0f%%)",
@@ -88,13 +92,15 @@ func Table5(st *dataset.Store) *Report {
 }
 
 // Fig10 reproduces the unique-devices-per-band CDF.
-func Fig10(st *dataset.Store) *Report {
+func Fig10(st *dataset.Store) *Report { return fig10(analysis.RollupOf(st)) }
+
+func fig10(v *analysis.Rollup) *Report {
 	r := &Report{
 		ID:         "Figure 10",
 		Title:      "Unique devices seen per wireless spectrum",
 		PaperClaim: "median ≈5 devices on 2.4 GHz, ≈2 on 5 GHz",
 	}
-	b24, b5 := analysis.UniqueDevicesPerBand(st)
+	b24, b5 := v.UniqueDevicesPerBand()
 	if len(b24) == 0 {
 		r.add("(no data)")
 		return r
@@ -105,13 +111,15 @@ func Fig10(st *dataset.Store) *Report {
 }
 
 // Fig11 reproduces the visible-APs CDF.
-func Fig11(st *dataset.Store) *Report {
+func Fig11(st *dataset.Store) *Report { return fig11(analysis.RollupOf(st), analysis.NewRoster(st)) }
+
+func fig11(v *analysis.Rollup, ro *analysis.Roster) *Report {
 	r := &Report{
 		ID:         "Figure 11",
 		Title:      "Access points visible on 2.4 GHz, by group",
 		PaperClaim: "developed median ≈20, bimodal (very few or a lot); developing median ≈2",
 	}
-	byGroup := analysis.VisibleAPsByGroup(st)
+	byGroup := v.VisibleAPsByGroup(ro)
 	for _, g := range []analysis.Group{analysis.Developed, analysis.Developing} {
 		xs := byGroup[g]
 		if len(xs) == 0 {
@@ -121,16 +129,16 @@ func Fig11(st *dataset.Store) *Report {
 		r.add("%-10s homes=%-4d CDF: %s  median=%.1f",
 			g, len(xs), cdfLine(xs, ""), stats.Median(xs))
 	}
-	ports := analysis.AllFourPortsShares(st)
+	ports := v.AllFourPortsShares(ro)
 	r.add("all-4-ethernet-ports share: developed=%.0f%% developing=%.0f%% (paper: 9%% both)",
 		100*ports[analysis.Developed], 100*ports[analysis.Developing])
 	return r
 }
 
 // Fig12 reproduces the manufacturer histogram.
-func Fig12(st *dataset.Store) *Report { return fig12(analysis.RollupFlows(st)) }
+func Fig12(st *dataset.Store) *Report { return fig12(analysis.RollupOf(st)) }
 
-func fig12(flows *analysis.FlowRollup) *Report {
+func fig12(flows *analysis.Rollup) *Report {
 	r := &Report{
 		ID:         "Figure 12",
 		Title:      "Devices by manufacturer/type in the Traffic homes (≥100 KB, Netgear removed)",
@@ -159,13 +167,15 @@ func bar(n int) string {
 }
 
 // Fig13 reproduces the diurnal device-count curves.
-func Fig13(st *dataset.Store) *Report {
+func Fig13(st *dataset.Store) *Report { return fig13(analysis.RollupOf(st), analysis.NewRoster(st)) }
+
+func fig13(v *analysis.Rollup, ro *analysis.Roster) *Report {
 	r := &Report{
 		ID:         "Figure 13",
 		Title:      "Mean wireless devices online by local hour (weekday vs weekend)",
 		PaperClaim: "weekday clearly diurnal (evening peak, afternoon trough); weekend flatter",
 	}
-	weekday, weekend := analysis.DiurnalDevices(st)
+	weekday, weekend := v.DiurnalDevices(ro)
 	r.add("weekday: %s", hourSeries(weekday))
 	r.add("weekend: %s", hourSeries(weekend))
 	r.add("peak/trough ratio: weekday=%.2f weekend=%.2f",

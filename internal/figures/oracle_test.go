@@ -1,6 +1,6 @@
 package figures
 
-// The per-exhibit flow analyses as they stood before analysis.FlowRollup:
+// The per-exhibit flow analyses as they stood before analysis.Rollup:
 // every one its own pass over st.Flows, its own maps, full sorts. Kept as
 // the reference the rollup is compared against (TestRollupMatchesOracles).
 

@@ -6,14 +6,17 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"time"
 
 	"natpeek/internal/analysis"
 	"natpeek/internal/dataset"
+	"natpeek/internal/heartbeat"
 	"natpeek/internal/rng"
+	"natpeek/internal/stats"
 )
 
 // TestRollupMatchesOracles: every flow exhibit read off the one
-// FlowRollup equals the same exhibit computed by its former stand-alone
+// Rollup equals the same exhibit computed by its former stand-alone
 // implementation — on the study, on loadgen mix (35% of flows under
 // per-flow anonymised domains, so homes have long single-row tails and
 // many rank ties to break), and on both after the Partial collapsed them.
@@ -31,7 +34,7 @@ func TestRollupMatchesOracles(t *testing.T) {
 		"loadgen mix": mix, "loadgen mix collapsed": collapsed(mix),
 		"empty": dataset.NewStore(),
 	} {
-		r := analysis.RollupFlows(st)
+		r := analysis.RollupOf(st)
 		same := func(what string, want, got any) {
 			t.Helper()
 			if !reflect.DeepEqual(want, got) {
@@ -85,10 +88,11 @@ func TestRollupMatchesOracles(t *testing.T) {
 	}
 }
 
-// diffRollups compares every FlowRollup method's output. Two rollups of
-// the same rows iterate homes in the same order, so the float sums must
-// agree to the bit.
-func diffRollups(t *testing.T, what string, want, got *analysis.FlowRollup) {
+// diffRollups compares the output of every method of two Rollups, the
+// kept-kind exhibits under roster ro. Two rollups of the same rows
+// iterate homes in the same order, so the float sums must agree to the
+// bit.
+func diffRollups(t *testing.T, what string, ro *analysis.Roster, want, got *analysis.Rollup) {
 	t.Helper()
 	same := func(method string, w, g any) {
 		t.Helper()
@@ -113,34 +117,88 @@ func diffRollups(t *testing.T, what string, want, got *analysis.FlowRollup) {
 	for _, floor := range []int64{0, 100_000} {
 		same(fmt.Sprintf("ManufacturerHistogram(%d)", floor), want.ManufacturerHistogram(floor), got.ManufacturerHistogram(floor))
 	}
+
+	same("KeptRows", want.KeptRows(), got.KeptRows())
+	for _, k := range []analysis.KindSet{analysis.HasUptime, analysis.HasCapacity, analysis.HasCensus, analysis.HasWiFi} {
+		same(fmt.Sprintf("RoutersWith(%d)", k), sorted(want.RoutersWith(k)), sorted(got.RoutersWith(k)))
+	}
+	same("Saturation", want.Saturation(), got.Saturation())
+	same("ConnectedByGroup", want.ConnectedByGroup(ro), got.ConnectedByGroup(ro))
+	same("UniqueDevicesPerHome", want.UniqueDevicesPerHome(), got.UniqueDevicesPerHome())
+	wb24, wb5 := want.UniqueDevicesPerBand()
+	gb24, gb5 := got.UniqueDevicesPerBand()
+	same("UniqueDevicesPerBand", [2][]float64{wb24, wb5}, [2][]float64{gb24, gb5})
+	for _, span := range []time.Duration{0, 30 * time.Hour} {
+		same(fmt.Sprintf("AlwaysConnected(%v)", span), want.AlwaysConnected(ro, span), got.AlwaysConnected(ro, span))
+	}
+	same("VisibleAPsByGroup", want.VisibleAPsByGroup(ro), got.VisibleAPsByGroup(ro))
+	same("AllFourPortsShares", want.AllFourPortsShares(ro), got.AllFourPortsShares(ro))
+	wd, we := want.DiurnalDevices(ro)
+	gd, ge := got.DiurnalDevices(ro)
+	same("DiurnalDevices", [2]stats.HourBins{wd, we}, [2]stats.HourBins{gd, ge})
+	ids := sorted(want.RoutersWith(analysis.HasCapacity | analysis.HasUptime))
+	for _, id := range ids[:min(8, len(ids))] {
+		wu, wdn := want.HomeCapacity(id)
+		gu, gdn := got.HomeCapacity(id)
+		same("HomeCapacity("+id+")", [2]float64{wu, wdn}, [2]float64{gu, gdn})
+		for _, dir := range []string{"up", "down"} {
+			same("UtilizationSeries("+id+", "+dir+")", want.UtilizationSeries(id, dir), got.UtilizationSeries(id, dir))
+		}
+		gap := heartbeat.Downtime{Start: time.Date(2013, 4, 3, 0, 0, 0, 0, time.UTC), End: time.Date(2013, 4, 3, 2, 0, 0, 0, time.UTC)}
+		same("ClassifyDowntime("+id+")", want.ClassifyDowntime(id, gap), got.ClassifyDowntime(id, gap))
+	}
 }
 
 // folded reads p's rollup as a page with an empty tail does.
-func folded(p *analysis.Partial) *analysis.FlowRollup {
+func folded(p *analysis.Partial) *analysis.Rollup {
 	sn := analysis.NewSnapshot(dataset.NewStore())
 	sn.Capture(p)
-	return sn.Flows()
+	return sn.Rollup()
 }
 
-// flowChunks cuts st's flows at n-1 random points into n chunks.
-func flowChunks(st *dataset.Store, s *rng.Stream, n int) []*dataset.Store {
-	cuts := []int{0, len(st.Flows)}
-	for i := 1; i < n; i++ {
-		cuts = append(cuts, s.Intn(len(st.Flows)+1))
-	}
-	slices.Sort(cuts)
+// sorted returns the IDs in order: the views list routers in the order
+// their rows were folded in, which differs with the chunking.
+func sorted(ids []string) []string {
+	slices.Sort(ids)
+	return ids
+}
+
+// rowChunks cuts each of st's row kinds at n-1 random points into n
+// chunks.
+func rowChunks(st *dataset.Store, s *rng.Stream, n int) []*dataset.Store {
 	out := make([]*dataset.Store, n)
 	for i := range out {
-		out[i] = &dataset.Store{RouterCountry: map[string]string{}, Flows: st.Flows[cuts[i]:cuts[i+1]]}
+		out[i] = &dataset.Store{RouterCountry: map[string]string{}}
+	}
+	for _, k := range dataset.Kinds {
+		cuts := []int{0, k.Len(st)}
+		for i := 1; i < n; i++ {
+			cuts = append(cuts, s.Intn(k.Len(st)+1))
+		}
+		slices.Sort(cuts)
+		for i, c := range out {
+			k.Window(c, st, cuts[i], cuts[i+1])
+		}
 	}
 	return out
 }
 
+// joined is the rows of chunks, in order, as one store.
+func joined(chunks []*dataset.Store) *dataset.Store {
+	st := dataset.NewStore()
+	for _, c := range chunks {
+		for _, k := range dataset.Kinds {
+			k.Append(st, c, 0, k.Len(c))
+		}
+	}
+	return st
+}
+
 // TestFoldedRollupMatchesBatch: the rollup a Partial folds chunk by chunk
 // — read on its own, with a tail laid over it, or after a Merge of two
-// partials folded apart — answers every method as RollupFlows over the
-// same rows does; and a rollup read part-way keeps answering for the rows
-// it was read over while the folds go on.
+// partials folded apart — answers every method, flow and kept kinds
+// alike, as RollupOf over the same rows does; and a rollup read part-way
+// keeps answering for the rows it was read over while the folds go on.
 func TestFoldedRollupMatchesBatch(t *testing.T) {
 	study, _ := study(t)
 	for seed := uint64(1); seed <= 6; seed++ {
@@ -152,31 +210,31 @@ func TestFoldedRollupMatchesBatch(t *testing.T) {
 			st   *dataset.Store
 		}{{"study", study}, {"loadgen mix", mix}} {
 			what := fmt.Sprintf("seed %d, %s", seed, in.name)
-			want := analysis.RollupFlows(in.st)
-			chunks := flowChunks(in.st, s, 2+s.Intn(7))
+			ro := analysis.NewRoster(in.st)
+			want := analysis.RollupOf(in.st)
+			chunks := rowChunks(in.st, s, 2+s.Intn(7))
 
 			// Chunk by chunk, a view taken after a random few.
 			p := analysis.NewPartial()
 			body := len(chunks) - s.Intn(2) // the last chunk is a tail or not
-			var early *analysis.FlowRollup
-			var earlyRows []dataset.FlowRecord
+			var early *analysis.Rollup
+			var earlyRows *dataset.Store
 			for i, c := range chunks[:body] {
 				p.Fold(c)
 				if early == nil && s.Bool(0.5) {
 					early = folded(p)
-					earlyRows = in.st.Flows[:countFlows(chunks[:i+1])]
+					earlyRows = joined(chunks[:i+1])
 				}
 			}
 			got := folded(p)
 			if body < len(chunks) {
 				sn := analysis.NewSnapshot(chunks[body])
 				sn.Capture(p)
-				got = sn.Flows()
+				got = sn.Rollup()
 			}
-			diffRollups(t, what, want, got)
+			diffRollups(t, what, ro, want, got)
 			if early != nil {
-				diffRollups(t, what+": a view taken part-way",
-					analysis.RollupFlows(&dataset.Store{Flows: earlyRows}), early)
+				diffRollups(t, what+": a view taken part-way", ro, analysis.RollupOf(earlyRows), early)
 			}
 
 			// Two partials folded apart, then merged.
@@ -189,15 +247,7 @@ func TestFoldedRollupMatchesBatch(t *testing.T) {
 				p2.Fold(c)
 			}
 			p1.Merge(p2)
-			diffRollups(t, what+": merged partials", want, folded(p1))
+			diffRollups(t, what+": merged partials", ro, want, folded(p1))
 		}
 	}
-}
-
-func countFlows(chunks []*dataset.Store) int {
-	n := 0
-	for _, c := range chunks {
-		n += len(c.Flows)
-	}
-	return n
 }

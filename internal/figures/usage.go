@@ -13,20 +13,20 @@ import (
 )
 
 // Fig14 reproduces one home's diurnal utilization time series.
-func Fig14(st *dataset.Store) *Report { return fig14(st, analysis.RollupFlows(st)) }
+func Fig14(st *dataset.Store) *Report { return fig14(st, analysis.RollupOf(st)) }
 
-func fig14(st *dataset.Store, flows *analysis.FlowRollup) *Report {
+func fig14(st *dataset.Store, v *analysis.Rollup) *Report {
 	r := &Report{
 		ID:         "Figure 14",
 		Title:      "Diurnal link utilization for one home (per-minute peak vs capacity)",
 		PaperClaim: "capacity flat; utilization tracks daily cycles well below capacity",
 	}
-	id := flows.BusiestHome()
+	id := v.BusiestHome()
 	if id == "" {
 		r.add("(no traffic data)")
 		return r
 	}
-	up, down := analysis.HomeCapacity(st, id)
+	up, down := v.HomeCapacity(id)
 	r.add("home=%s capacity: up=%.1f Mbps down=%.1f Mbps", id, up/1e6, down/1e6)
 	// Bin by the home's local hour so the diurnal shape reads correctly.
 	var offset time.Duration
@@ -34,7 +34,7 @@ func fig14(st *dataset.Store, flows *analysis.FlowRollup) *Report {
 		offset = c.UTCOffset
 	}
 	for _, dir := range []string{"up", "down"} {
-		series := analysis.UtilizationSeries(st, id, dir)
+		series := v.UtilizationSeries(id, dir)
 		if len(series) == 0 {
 			continue
 		}
@@ -59,7 +59,7 @@ func hourSeriesMbps(h stats.HourBins) string {
 }
 
 // Fig15 reproduces the saturation scatter.
-func Fig15(st *dataset.Store) *Report { return fig15(analysis.Saturation(st)) }
+func Fig15(st *dataset.Store) *Report { return fig15(analysis.RollupOf(st).Saturation()) }
 
 func fig15(sats []analysis.LinkSaturation) *Report {
 	r := &Report{
@@ -102,7 +102,7 @@ func fig15(sats []analysis.LinkSaturation) *Report {
 }
 
 // Fig16 reproduces the bufferbloat case studies.
-func Fig16(st *dataset.Store) *Report { return fig16(analysis.Saturation(st)) }
+func Fig16(st *dataset.Store) *Report { return fig16(analysis.RollupOf(st).Saturation()) }
 
 func fig16(sats []analysis.LinkSaturation) *Report {
 	r := &Report{
@@ -126,9 +126,9 @@ func fig16(sats []analysis.LinkSaturation) *Report {
 }
 
 // Fig17 reproduces the per-device traffic share breakdown.
-func Fig17(st *dataset.Store) *Report { return fig17(analysis.RollupFlows(st)) }
+func Fig17(st *dataset.Store) *Report { return fig17(analysis.RollupOf(st)) }
 
-func fig17(flows *analysis.FlowRollup) *Report {
+func fig17(flows *analysis.Rollup) *Report {
 	r := &Report{
 		ID:         "Figure 17",
 		Title:      "Breakdown of traffic volume by device rank within each home",
@@ -182,9 +182,9 @@ func meanGini(shares map[string][]float64) (g float64, ok bool) {
 }
 
 // Fig18 reproduces the top-5/top-10 domain popularity histogram.
-func Fig18(st *dataset.Store) *Report { return fig18(analysis.RollupFlows(st)) }
+func Fig18(st *dataset.Store) *Report { return fig18(analysis.RollupOf(st)) }
 
-func fig18(flows *analysis.FlowRollup) *Report {
+func fig18(flows *analysis.Rollup) *Report {
 	r := &Report{
 		ID:         "Figure 18",
 		Title:      "Homes in which a domain ranks top-5 / top-10 by volume",
@@ -206,9 +206,9 @@ func fig18(flows *analysis.FlowRollup) *Report {
 }
 
 // Fig19 reproduces the domain share curves.
-func Fig19(st *dataset.Store) *Report { return fig19(analysis.RollupFlows(st)) }
+func Fig19(st *dataset.Store) *Report { return fig19(analysis.RollupOf(st)) }
 
-func fig19(flows *analysis.FlowRollup) *Report {
+func fig19(flows *analysis.Rollup) *Report {
 	r := &Report{
 		ID:         "Figure 19",
 		Title:      "Domain share of volume and connections, by rank",
@@ -237,15 +237,17 @@ func pctSeries(xs []float64) string {
 
 // Fig20 reproduces the device-fingerprinting domain mixes: the two
 // highest-volume devices with clearly different profiles.
-func Fig20(st *dataset.Store) *Report { return fig20(analysis.RollupFlows(st)) }
+func Fig20(st *dataset.Store) *Report { return fig20(analysis.RollupOf(st)) }
 
-func fig20(flows *analysis.FlowRollup) *Report {
+func fig20(flows *analysis.Rollup) *Report {
 	r := &Report{
 		ID:         "Figure 20",
 		Title:      "Per-device domain mix (device fingerprinting)",
 		PaperClaim: "a desktop splits across many domains (Dropbox-heavy); a Roku is almost all streaming",
 	}
-	devs := flows.TopDevicesByVolume()
+	// A device's mix is empty only when its volume is zero, and those
+	// rank last: the first four devices are the ones shown.
+	devs := flows.TopDevices(4)
 	shown := 0
 	for _, d := range devs {
 		if shown == 4 {
@@ -276,23 +278,25 @@ func fig20(flows *analysis.FlowRollup) *Report {
 	return r
 }
 
-// All regenerates every exhibit in paper order. Exhibits that read the
-// same intermediate share it: the flow exhibits one rollup of the Traffic
-// flows, Figs. 3–6 one roster index, Figs. 8/9 the connected-device
-// averages, Figs. 15/16 the links.
-func All(st *dataset.Store, w Windows) []*Report { return all(st, analysis.RollupFlows(st), w) }
+// All regenerates every exhibit in paper order. Every exhibit but the
+// heartbeat ones reads one Rollup of st's rows; exhibits that read the
+// same intermediate share it: Figs. 3–6 and the group-wise exhibits one
+// roster index, Figs. 8/9 the connected-device averages, Figs. 15/16 the
+// links.
+func All(st *dataset.Store, w Windows) []*Report { return all(st, analysis.RollupOf(st), w) }
 
-// all is All with the flow rollup supplied: the batch path builds it from
-// st, a dashboard page brings its folded one, and st then holds no flows.
-func all(st *dataset.Store, flows *analysis.FlowRollup, w Windows) []*Report {
+// all is All with the rollup supplied: the batch path builds it from st,
+// a dashboard page brings its folded one, and st then holds the roster
+// and the heartbeats but no rows.
+func all(st *dataset.Store, v *analysis.Rollup, w Windows) []*Report {
 	ro := analysis.NewRoster(st)
-	conn := analysis.ConnectedByGroup(st)
-	sats := analysis.Saturation(st)
+	conn := v.ConnectedByGroup(ro)
+	sats := v.Saturation()
 	return []*Report{
-		Table1(st), table2(st, flows),
-		fig3(st, ro, w), fig4(st, ro, w), fig5(st, ro, w), fig6(st, ro, w),
-		Fig7(st), fig8(conn), fig9(conn), Table5(st), Fig10(st), Fig11(st), fig12(flows),
-		Fig13(st), fig14(st, flows), fig15(sats), fig16(sats), fig17(flows), fig18(flows), fig19(flows), fig20(flows),
+		Table1(st), table2(st, v),
+		fig3(st, ro, w), fig4(st, ro, v, w), fig5(st, ro, w), fig6(st, ro, v, w),
+		fig7(v), fig8(conn), fig9(conn), table5(v, ro), fig10(v), fig11(v, ro), fig12(v),
+		fig13(v, ro), fig14(st, v), fig15(sats), fig16(sats), fig17(v), fig18(v), fig19(v), fig20(v),
 	}
 }
 

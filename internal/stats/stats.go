@@ -9,6 +9,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/big"
 	"math/bits"
 	"slices"
 	"sort"
@@ -48,6 +49,62 @@ func Summarize(xs []float64) Summary {
 			ss += d * d
 		}
 		s.Stddev = math.Sqrt(ss / float64(len(xs)-1))
+	}
+	return s
+}
+
+// Moments accumulates an integer sample as exact sums: its size, Σx,
+// Σx², least and greatest. Sums add in any order to the same values, so
+// moments folded in parts and merged summarize exactly what one pass
+// would.
+type Moments struct {
+	N, Sum, SumSq, Min, Max int64
+}
+
+// Add records x.
+func (m *Moments) Add(x int64) {
+	if m.N == 0 || x < m.Min {
+		m.Min = x
+	}
+	if m.N == 0 || x > m.Max {
+		m.Max = x
+	}
+	m.N++
+	m.Sum += x
+	m.SumSq += x * x
+}
+
+// Merge adds o's sample to m's.
+func (m *Moments) Merge(o Moments) {
+	if o.N == 0 {
+		return
+	}
+	if m.N == 0 || o.Min < m.Min {
+		m.Min = o.Min
+	}
+	if m.N == 0 || o.Max > m.Max {
+		m.Max = o.Max
+	}
+	m.N += o.N
+	m.Sum += o.Sum
+	m.SumSq += o.SumSq
+}
+
+// Summary summarizes the sample as Summarize does. The mean is Σx / N;
+// the sample variance is (N·Σx² − (Σx)²) / (N(N−1)), its numerator
+// computed exactly and rounded once, so the result does not depend on
+// the order the values were added in. It agrees with Summarize's
+// two-pass float sum to within that sum's rounding.
+func (m Moments) Summary() Summary {
+	if m.N == 0 {
+		return Summary{}
+	}
+	s := Summary{N: int(m.N), Mean: float64(m.Sum) / float64(m.N), Min: float64(m.Min), Max: float64(m.Max)}
+	if m.N > 1 {
+		num := new(big.Int).Mul(big.NewInt(m.N), big.NewInt(m.SumSq))
+		num.Sub(num, new(big.Int).Mul(big.NewInt(m.Sum), big.NewInt(m.Sum)))
+		v, _ := new(big.Float).SetInt(num).Float64()
+		s.Stddev = math.Sqrt(v / (float64(m.N) * float64(m.N-1)))
 	}
 	return s
 }
@@ -164,6 +221,153 @@ func partition(a []float64) int {
 	}
 	a[0], a[j] = a[j], a[0]
 	return j
+}
+
+// QuantileRuns is Quantile over the concatenation of runs, each already
+// in sort.Float64s's order (NaNs first), without concatenating or
+// copying them: the two order statistics are selected across the runs
+// by binary search. The result is Quantile's to the bit for any split of
+// a sample into runs, empty ones included — up to the sign of a zero
+// where both -0 and +0 occur, which Quantile leaves unspecified too. It
+// panics as Quantile does.
+func QuantileRuns(q float64, runs ...[]float64) float64 {
+	n := 0
+	for _, r := range runs {
+		n += len(r)
+	}
+	if n == 0 {
+		panic("stats: Quantile of empty sample")
+	}
+	if q < 0 || q > 1 {
+		panic(fmt.Sprintf("stats: quantile %v outside [0,1]", q))
+	}
+	h := q * float64(n-1)
+	lo := int(math.Floor(h))
+	var a, b float64
+	if x, y, two := twoRuns(runs); two {
+		a, b = nthOfTwo(lo, x, y)
+	} else {
+		a = nthOfRuns(lo, runs)
+		if lo+1 < n {
+			b = nthOfRuns(lo+1, runs)
+		}
+	}
+	if lo+1 >= n {
+		return a
+	}
+	frac := h - float64(lo)
+	return a*(1-frac) + b*frac
+}
+
+// twoRuns returns the two non-empty runs when there are exactly two —
+// a page's base and tail.
+func twoRuns(runs [][]float64) (x, y []float64, ok bool) {
+	for _, r := range runs {
+		switch {
+		case len(r) == 0:
+		case x == nil:
+			x = r
+		case y == nil:
+			y = r
+		default:
+			return nil, nil, false
+		}
+	}
+	return x, y, y != nil
+}
+
+// nthOfTwo returns the values at positions k and k+1 (0 when there is
+// none) of the sorted concatenation of the sorted runs a and b. It
+// binary-searches how many of the first k+1 come from a: the fewest i
+// for which a[i] is not ordered before b[k-i].
+func nthOfTwo(k int, a, b []float64) (kth, next float64) {
+	lo, hi := max(0, k+1-len(b)), min(k+1, len(a))
+	for lo < hi {
+		i := int(uint(lo+hi) >> 1)
+		if cmp.Less(a[i], b[k-i]) {
+			lo = i + 1
+		} else {
+			hi = i
+		}
+	}
+	i, j := lo, k+1-lo // a[:i] and b[:j] are the first k+1
+	switch {
+	case i == 0:
+		kth = b[j-1]
+	case j == 0 || cmp.Less(b[j-1], a[i-1]):
+		kth = a[i-1]
+	default:
+		kth = b[j-1]
+	}
+	switch {
+	case i == len(a) && j == len(b):
+	case i == len(a):
+		next = b[j]
+	case j == len(b) || !cmp.Less(b[j], a[i]):
+		next = a[i]
+	default:
+		next = b[j]
+	}
+	return kth, next
+}
+
+// nthOfRuns returns the value at position k of the sorted concatenation
+// of the sorted runs. Each round takes the middle of the widest window
+// as pivot and, by binary search in every window, keeps only the values
+// ordered before it or only those after it — at least half of the widest
+// window goes — until k is the pivot's or one window is left.
+func nthOfRuns(k int, runs [][]float64) float64 {
+	var loBuf, hiBuf, ltBuf, leBuf [8]int
+	lo, hi := loBuf[:0], hiBuf[:0]
+	for _, r := range runs {
+		lo, hi = append(lo, 0), append(hi, len(r))
+	}
+	lt, le := append(ltBuf[:0], lo...), append(leBuf[:0], lo...)
+	for {
+		wide, open := 0, 0
+		for i := range runs {
+			if hi[i] > lo[i] {
+				open++
+				if hi[i]-lo[i] > hi[wide]-lo[wide] {
+					wide = i
+				}
+			}
+		}
+		if open == 1 {
+			return runs[wide][lo[wide]+k]
+		}
+		p := runs[wide][(lo[wide]+hi[wide])/2]
+		less, upTo := 0, 0
+		for i, r := range runs {
+			lt[i] = searchRun(r, lo[i], hi[i], func(x float64) bool { return !cmp.Less(x, p) })
+			le[i] = searchRun(r, lt[i], hi[i], func(x float64) bool { return cmp.Less(p, x) })
+			less += lt[i] - lo[i]
+			upTo += le[i] - lo[i]
+		}
+		switch {
+		case k < less:
+			copy(hi, lt)
+		case k < upTo:
+			return p
+		default:
+			k -= upTo
+			copy(lo, le)
+		}
+	}
+}
+
+// searchRun returns the first i in [lo, hi) with after(r[i]), hi if none;
+// after must be false up to some point of r[lo:hi] and true past it.
+func searchRun(r []float64, lo, hi int, after func(float64) bool) int {
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if after(r[m]) {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
 }
 
 // Median returns the 0.5-quantile.

@@ -344,11 +344,64 @@ func TestQuantileMatchesSortOracle(t *testing.T) {
 			xs[j] = draw(pool)
 		}
 		qs[len(qs)-1] = r.Float64()
+		runs := splitRuns(r, xs)
 		for _, q := range qs {
-			if got, want := Quantile(xs, q), sortedQuantile(xs, q); !sameFloat(got, want) {
+			want := sortedQuantile(xs, q)
+			if got := Quantile(xs, q); !sameFloat(got, want) {
 				t.Fatalf("sample %d (n=%d) q=%v: got %v, sort gives %v\n%v", i, len(xs), q, got, want, xs)
 			}
+			if got := QuantileRuns(q, runs...); !sameFloat(got, want) {
+				t.Fatalf("sample %d (n=%d) q=%v over %d runs: got %v, sort gives %v\n%v", i, len(xs), q, len(runs), got, want, runs)
+			}
 		}
+	}
+}
+
+// splitRuns deals xs at random into 1 to 8 runs — some possibly empty —
+// and sorts each, as the analysis keeps a sample split between a folded
+// base and a page's tail.
+func splitRuns(r *rand.Rand, xs []float64) [][]float64 {
+	runs := make([][]float64, 1+r.IntN(8))
+	for _, x := range xs {
+		i := r.IntN(len(runs))
+		runs[i] = append(runs[i], x)
+	}
+	for _, run := range runs {
+		sort.Float64s(run)
+	}
+	return runs
+}
+
+// TestQuantileRunsZerosAndEmpties: where a sample holds both -0 and +0,
+// the quantile over runs equals a full sort's as a number, whatever the
+// split; empty runs change nothing; no runs, or only empty ones, panic.
+func TestQuantileRunsZerosAndEmpties(t *testing.T) {
+	r := rand.New(rand.NewPCG(25, 3))
+	for i := 0; i < 5000; i++ {
+		xs := make([]float64, 1+r.IntN(40))
+		for j := range xs {
+			xs[j] = []float64{math.Copysign(0, -1), 0, 1, -1, math.NaN()}[r.IntN(5)]
+		}
+		for _, q := range []float64{0, .25, .5, .95, 1, r.Float64()} {
+			want := sortedQuantile(xs, q)
+			got := QuantileRuns(q, splitRuns(r, xs)...)
+			if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Fatalf("n=%d q=%v: got %v, sort gives %v\n%v", len(xs), q, got, want, xs)
+			}
+		}
+	}
+	if got := QuantileRuns(0.5, nil, []float64{1, 2, 3}, nil); got != 2 {
+		t.Fatalf("median of [1 2 3] beside empty runs = %v", got)
+	}
+	for _, runs := range [][][]float64{nil, {nil, {}}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("QuantileRuns over %d empty runs did not panic", len(runs))
+				}
+			}()
+			QuantileRuns(0.5, runs...)
+		}()
 	}
 }
 
@@ -359,6 +412,7 @@ func TestQuantileMatchesSortOracle(t *testing.T) {
 // catches one without ever being close for a correct run.
 func TestQuantileAdversarialInputs(t *testing.T) {
 	const n = 1 << 20
+	r := rand.New(rand.NewPCG(25, 5))
 	inputs := map[string]func(i int) float64{
 		"sorted":     func(i int) float64 { return float64(i) },
 		"reversed":   func(i int) float64 { return float64(n - i) },
@@ -371,14 +425,24 @@ func TestQuantileAdversarialInputs(t *testing.T) {
 		for i := range xs {
 			xs[i] = f(i)
 		}
+		runs := splitRuns(r, xs)
 		for _, q := range []float64{0, .5, .95, 1} {
 			start := time.Now()
 			got := Quantile(xs, q)
 			if took := time.Since(start); took > 5*time.Second {
 				t.Fatalf("%s q=%v: %v for %d values", name, q, took, n)
 			}
-			if want := sortedQuantile(xs, q); !sameFloat(got, want) {
+			want := sortedQuantile(xs, q)
+			if !sameFloat(got, want) {
 				t.Fatalf("%s q=%v: got %v, sort gives %v", name, q, got, want)
+			}
+			start = time.Now()
+			got = QuantileRuns(q, runs...)
+			if took := time.Since(start); took > time.Second {
+				t.Fatalf("%s q=%v over %d runs: %v for %d values", name, q, len(runs), took, n)
+			}
+			if !sameFloat(got, want) {
+				t.Fatalf("%s q=%v over %d runs: got %v, sort gives %v", name, q, len(runs), got, want)
 			}
 		}
 	}
