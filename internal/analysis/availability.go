@@ -30,19 +30,6 @@ func (g Group) String() string {
 	return "developing"
 }
 
-// isDeveloped resolves a router's group through the roster.
-func isDeveloped(st *dataset.Store, routerID string) (bool, bool) {
-	code, ok := st.RouterCountry[routerID]
-	if !ok {
-		return false, false
-	}
-	c, ok := geo.Lookup(code)
-	if !ok {
-		return false, false
-	}
-	return c.Developed, true
-}
-
 // Roster is a store's deployment roster indexed once: the router IDs
 // sorted and split per country and per group. A page enumerates routers
 // per group and per country many times over; it builds one Roster and
@@ -81,7 +68,7 @@ func (ro *Roster) country(id string) (geo.Country, bool) {
 	return geo.Lookup(code)
 }
 
-// group resolves a router's group, as isDeveloped does.
+// group resolves a router's group.
 func (ro *Roster) group(id string) (Group, bool) {
 	c, ok := ro.country(id)
 	if !ok {

@@ -161,7 +161,8 @@ func (p *Partial) FlowAggregates() int { return len(p.st.Flows) }
 // shared read-only with the Partial (capacity clipped, so an append on
 // either side cannot reach the other). It holds no kept rows — those are
 // folded into the rollup (Rollup) — so it is what Ext. §7 and the
-// heartbeat exhibits read, not a store to run the batch figures over.
+// heartbeat exhibits read, not a store to run the batch figures over:
+// the exhibits read the rollup, through a Snapshot.
 // The result must not be mutated, and the Partial must not fold while
 // the store is in use — a fold updates aggregates in place. hb supplies
 // the heartbeat log, which is already an incremental structure of its
@@ -169,10 +170,6 @@ func (p *Partial) FlowAggregates() int { return len(p.st.Flows) }
 func (p *Partial) Store(hb *heartbeat.Log) *dataset.Store {
 	return &dataset.Store{Heartbeats: hb, RouterCountry: p.st.RouterCountry, Flows: slices.Clip(p.st.Flows)}
 }
-
-// Rollup freezes p's rollup and returns it: a view that later folds do
-// not change.
-func (p *Partial) Rollup() *Rollup { return p.roll.view() }
 
 // Rows summarizes the projected state (diagnostics for the dashboard
 // header).

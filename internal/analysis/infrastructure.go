@@ -13,8 +13,8 @@ import (
 func (r *Rollup) UniqueDevicesPerHome() map[string]int {
 	out := map[string]int{}
 	r.kept.each(func(p keptPair) {
-		if p.sighted() {
-			out[p.id()] = p.deviceCount()
+		if n := p.deviceCount(); n > 0 {
+			out[p.id()] = n
 		}
 	})
 	return out
@@ -66,11 +66,9 @@ func ConnectedByGroup(st *dataset.Store) map[Group]ConnectedAverages {
 func (r *Rollup) UniqueDevicesPerBand() (b24, b5 []float64) {
 	w24, w5 := kindBit(dataset.Wireless24), kindBit(dataset.Wireless5)
 	r.kept.each(func(p keptPair) {
-		if !p.sighted() {
-			return
-		}
-		var n24, n5 int
+		var n, n24, n5 int
 		p.eachDevice(func(d deviceSeen) {
+			n++
 			if d.kinds&w24 != 0 {
 				n24++
 			}
@@ -78,6 +76,9 @@ func (r *Rollup) UniqueDevicesPerBand() (b24, b5 []float64) {
 				n5++
 			}
 		})
+		if n == 0 {
+			return
+		}
 		b24 = append(b24, float64(n24))
 		b5 = append(b5, float64(n5))
 	})

@@ -53,7 +53,7 @@ type keptHome struct {
 	stale bool // runs hold values not yet sorted in; freeze sorts them
 	has   KindSet
 
-	// Uptime reports (Fig. 4's causes), in cmpUptime order, and how many
+	// Uptime reports (Fig. 4's causes), in cmpReport order, and how many
 	// read at least a day (Fig. 6's modes).
 	uptime run[uptimeReport]
 	longUp int
@@ -70,7 +70,9 @@ type uptimeReport struct {
 	up time.Duration
 }
 
-// cmpReport orders one router's reports as sortUptime does.
+// cmpReport orders one router's reports by report time, then counter: a
+// total order on what classification reads, so reports taken at one
+// instant classify the same whatever order they were uploaded in.
 func cmpReport(a, b uptimeReport) int {
 	if c := a.at.Compare(b.at); c != 0 {
 		return c
@@ -477,8 +479,6 @@ func (p keptPair) id() string {
 	return p.t.id
 }
 
-func (p keptPair) ok() bool { return p.b != nil || p.t != nil }
-
 // both returns the base's and the tail's versions, nil ones replaced by
 // an empty state.
 func (p keptPair) both() (b, t *keptHome) {
@@ -534,11 +534,6 @@ func (p keptPair) eachDevice(fn func(deviceSeen)) {
 	}
 }
 
-func (p keptPair) sighted() bool {
-	b, t := p.both()
-	return len(b.devices)+len(t.devices) > 0
-}
-
 // deviceCount counts the router's distinct devices, base and tail.
 func (p keptPair) deviceCount() int {
 	b, t := p.both()
@@ -576,7 +571,7 @@ func (v *keptView) each(fn func(keptPair)) {
 	}
 }
 
-// of returns id's state; ok() is false when id has no kept rows.
+// of returns id's state: both nil when id has no kept rows.
 func (v *keptView) of(id string) keptPair {
 	var p keptPair
 	o := v.tail

@@ -185,7 +185,7 @@ func oracleConnectedByGroup(st *dataset.Store) map[Group]ConnectedAverages {
 	type samples struct{ wired, wireless, w24, w5 []float64 }
 	byGroup := map[Group]*samples{}
 	for _, c := range st.Counts {
-		dev, ok := isDeveloped(st, c.RouterID)
+		dev, ok := oracleIsDeveloped(st, c.RouterID)
 		if !ok {
 			continue
 		}
@@ -299,7 +299,7 @@ func oracleAlwaysConnected(st *dataset.Store, minSpan time.Duration) map[Group]A
 	out := map[Group]AlwaysConnectedShare{}
 	for i, id := range censuses.keys {
 		cs := censuses.vals[i]
-		dev, ok := isDeveloped(st, id)
+		dev, ok := oracleIsDeveloped(st, id)
 		if !ok || len(cs) == 0 {
 			continue
 		}
@@ -351,7 +351,7 @@ func oracleVisibleAPsByGroup(st *dataset.Store) map[Group][]float64 {
 	out := map[Group][]float64{}
 	for i, id := range perHome.keys {
 		aps := perHome.vals[i]
-		dev, ok := isDeveloped(st, id)
+		dev, ok := oracleIsDeveloped(st, id)
 		if !ok {
 			continue
 		}
@@ -379,7 +379,7 @@ func oracleAllFourPortsShares(st *dataset.Store) map[Group]float64 {
 	}
 	homes, full := map[Group]int{}, map[Group]int{}
 	for id := range st.RouterCountry {
-		dev, ok := isDeveloped(st, id)
+		dev, ok := oracleIsDeveloped(st, id)
 		if !ok {
 			continue
 		}
@@ -568,4 +568,17 @@ func (g *oracleGroups[K, V]) of(k K) []V {
 		return g.vals[j]
 	}
 	return nil
+}
+
+// oracleIsDeveloped resolves a router's group through the roster.
+func oracleIsDeveloped(st *dataset.Store, routerID string) (bool, bool) {
+	code, ok := st.RouterCountry[routerID]
+	if !ok {
+		return false, false
+	}
+	c, ok := geo.Lookup(code)
+	if !ok {
+		return false, false
+	}
+	return c.Developed, true
 }

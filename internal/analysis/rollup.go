@@ -791,49 +791,46 @@ func (r *Rollup) WhitelistedVolumeShare() float64 {
 // volume, ties by address (used to pick Fig. 20 subjects).
 func (r *Rollup) TopDevicesByVolume() []mac.Addr {
 	vols := r.fleetTotals()
-	slices.SortFunc(vols, func(a, b deviceTotals) int {
-		if a.bytes != b.bytes {
-			return cmp.Compare(b.bytes, a.bytes)
-		}
-		// Addr.String is fixed-width hex, so the bytes order as it does.
-		return bytes.Compare(a.dev[:], b.dev[:])
-	})
-	devs := make([]mac.Addr, len(vols))
-	for i, v := range vols {
-		devs[i] = v.dev
-	}
-	return devs
+	slices.SortFunc(vols, cmpDevices)
+	return deviceAddrs(vols)
 }
 
 // TopDevices is the head of TopDevicesByVolume — its at most k first
 // devices — found by one pass holding the running top k, not a sort of
 // the fleet.
 func (r *Rollup) TopDevices(k int) []mac.Addr {
-	before := func(a, b deviceTotals) bool {
-		if a.bytes != b.bytes {
-			return a.bytes > b.bytes
-		}
-		return bytes.Compare(a.dev[:], b.dev[:]) < 0
-	}
 	top := make([]deviceTotals, 0, k)
 	for _, d := range r.fleetTotals() {
 		switch {
 		case len(top) < k:
 			top = append(top, d)
-		case k > 0 && before(d, top[k-1]):
+		case k > 0 && cmpDevices(d, top[k-1]) < 0:
 			top[k-1] = d
 		default:
 			continue
 		}
-		for j := len(top) - 1; j > 0 && before(top[j], top[j-1]); j-- {
+		for j := len(top) - 1; j > 0 && cmpDevices(top[j], top[j-1]) < 0; j-- {
 			top[j], top[j-1] = top[j-1], top[j]
 		}
 	}
-	devs := make([]mac.Addr, len(top))
-	for i, d := range top {
-		devs[i] = d.dev
+	return deviceAddrs(top)
+}
+
+// cmpDevices ranks devices by volume, most first, ties by address.
+func cmpDevices(a, b deviceTotals) int {
+	if a.bytes != b.bytes {
+		return cmp.Compare(b.bytes, a.bytes)
 	}
-	return devs
+	// Addr.String is fixed-width hex, so the bytes order as it does.
+	return bytes.Compare(a.dev[:], b.dev[:])
+}
+
+func deviceAddrs(ds []deviceTotals) []mac.Addr {
+	out := make([]mac.Addr, len(ds))
+	for i, d := range ds {
+		out[i] = d.dev
+	}
+	return out
 }
 
 // DomainShare is one domain of a device's volume distribution — Fig. 20's

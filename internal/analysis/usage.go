@@ -187,6 +187,7 @@ type GroupUsage struct {
 
 // UsageByGroup computes the extension comparison.
 func UsageByGroup(st *dataset.Store) map[Group]GroupUsage {
+	ro := NewRoster(st)
 	type agg struct {
 		named, streaming, total float64
 		homes                   map[string]bool
@@ -196,13 +197,9 @@ func UsageByGroup(st *dataset.Store) map[Group]GroupUsage {
 		Developing: {homes: map[string]bool{}},
 	}
 	for _, f := range st.Flows {
-		dev, ok := isDeveloped(st, f.RouterID)
+		g, ok := ro.group(f.RouterID)
 		if !ok {
 			continue
-		}
-		g := Developing
-		if dev {
-			g = Developed
 		}
 		a := groups[g]
 		b := float64(f.Bytes())
@@ -231,8 +228,7 @@ func UsageByGroup(st *dataset.Store) map[Group]GroupUsage {
 		}
 		var tops []float64
 		for id, top := range topByHome {
-			dev, ok := isDeveloped(st, id)
-			if ok && dev == (g == Developed) {
+			if hg, ok := ro.group(id); ok && hg == g {
 				tops = append(tops, top)
 			}
 		}

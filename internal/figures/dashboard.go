@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"runtime"
 	"sync"
 	"time"
 
@@ -106,6 +107,11 @@ func (d *Dashboard) snapshot() (*dataset.Store, *analysis.Rollup, DashboardStats
 		sn.Capture(d.base)
 		stats := d.statsLocked()
 		d.mu.Unlock()
+		// Unlock queues a goroutine that waited on d.mu — a seal's fold —
+		// to run next on this processor, and the render would keep it
+		// there until preempted, a scheduler time slice, whenever a GC
+		// worker holds the other processors. Hand it the processor now.
+		runtime.Gosched()
 		return sn.Store(d.src.HeartbeatLog()), sn.Rollup(), stats
 	}
 }

@@ -52,7 +52,7 @@ func renderAll(st *dataset.Store, w Windows) []string {
 // §7 off its aggregates.
 func renderPartial(p *analysis.Partial, hb *heartbeat.Log, w Windows) []string {
 	st := p.Store(hb)
-	return render(all(st, p.Rollup(), w), st)
+	return render(all(st, folded(p), w), st)
 }
 
 func render(reports []*Report, st *dataset.Store) []string {

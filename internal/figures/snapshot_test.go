@@ -23,7 +23,7 @@ func oldSnapshot(base *analysis.Partial, tail *dataset.Store, hb *heartbeat.Log)
 	p.Fold(tail)
 	st := *p.Store(hb)
 	st.Flows = nil
-	return &st, p.Rollup()
+	return &st, folded(p)
 }
 
 func newSnapshot(base *analysis.Partial, tail *dataset.Store, hb *heartbeat.Log) (*dataset.Store, *analysis.Rollup) {

@@ -243,72 +243,12 @@ func QuantileRuns(q float64, runs ...[]float64) float64 {
 	}
 	h := q * float64(n-1)
 	lo := int(math.Floor(h))
-	var a, b float64
-	if x, y, two := twoRuns(runs); two {
-		a, b = nthOfTwo(lo, x, y)
-	} else {
-		a = nthOfRuns(lo, runs)
-		if lo+1 < n {
-			b = nthOfRuns(lo+1, runs)
-		}
-	}
+	a := nthOfRuns(lo, runs)
 	if lo+1 >= n {
 		return a
 	}
 	frac := h - float64(lo)
-	return a*(1-frac) + b*frac
-}
-
-// twoRuns returns the two non-empty runs when there are exactly two —
-// a page's base and tail.
-func twoRuns(runs [][]float64) (x, y []float64, ok bool) {
-	for _, r := range runs {
-		switch {
-		case len(r) == 0:
-		case x == nil:
-			x = r
-		case y == nil:
-			y = r
-		default:
-			return nil, nil, false
-		}
-	}
-	return x, y, y != nil
-}
-
-// nthOfTwo returns the values at positions k and k+1 (0 when there is
-// none) of the sorted concatenation of the sorted runs a and b. It
-// binary-searches how many of the first k+1 come from a: the fewest i
-// for which a[i] is not ordered before b[k-i].
-func nthOfTwo(k int, a, b []float64) (kth, next float64) {
-	lo, hi := max(0, k+1-len(b)), min(k+1, len(a))
-	for lo < hi {
-		i := int(uint(lo+hi) >> 1)
-		if cmp.Less(a[i], b[k-i]) {
-			lo = i + 1
-		} else {
-			hi = i
-		}
-	}
-	i, j := lo, k+1-lo // a[:i] and b[:j] are the first k+1
-	switch {
-	case i == 0:
-		kth = b[j-1]
-	case j == 0 || cmp.Less(b[j-1], a[i-1]):
-		kth = a[i-1]
-	default:
-		kth = b[j-1]
-	}
-	switch {
-	case i == len(a) && j == len(b):
-	case i == len(a):
-		next = b[j]
-	case j == len(b) || !cmp.Less(b[j], a[i]):
-		next = a[i]
-	default:
-		next = b[j]
-	}
-	return kth, next
+	return a*(1-frac) + nthOfRuns(lo+1, runs)*frac
 }
 
 // nthOfRuns returns the value at position k of the sorted concatenation
