@@ -153,11 +153,29 @@ type deviceSeen struct {
 	kinds uint8
 }
 
-// link is one direction of a router's throughput: its per-minute peaks
-// sorted, and its (minute, peak) pairs in arrival order.
+// link is one direction of a router's throughput: its (minute, peak)
+// pairs in arrival order, and the peaks of those settled so far, sorted.
+// Like a run's sorted slice, peaks is never written once settled.
 type link struct {
-	peaks  run[float64]
 	series []UtilizationPoint
+	peaks  []float64 // the peaks of series[:len(peaks)]
+}
+
+// settle sorts the peaks that arrived since the last settle in.
+func (l *link) settle() {
+	if len(l.peaks) == len(l.series) {
+		return
+	}
+	add := make([]float64, 0, len(l.series)-len(l.peaks))
+	for _, p := range l.series[len(l.peaks):] {
+		add = append(add, p.PeakBps)
+	}
+	slices.Sort(add)
+	if len(l.peaks) == 0 {
+		l.peaks = add
+	} else {
+		l.peaks = mergeRuns(l.peaks, add, cmp.Compare[float64])
+	}
 }
 
 // linkDirs names the links; throughput in any other direction is stored
@@ -179,23 +197,23 @@ func linkOf(dir string) int {
 // — a version copy shares it — so settle merges into a new one.
 type run[T any] struct{ sorted, add []T }
 
-func (r *run[T]) push(x T) { r.add = appendSmall(r.add, x) }
-
-// appendSmall is append, but a nil slice starts with room for a few: a
-// page's tail holds a handful of values per router and run, which would
-// otherwise cost a doubling series each.
-func appendSmall[T any](s []T, x T) []T {
-	if s == nil {
-		s = make([]T, 0, 8)
+// push adds x. A run's first values get room for a few: a page's tail
+// holds a handful per router and run, which would otherwise cost a
+// doubling series each.
+func (r *run[T]) push(x T) {
+	if r.add == nil {
+		r.add = make([]T, 0, 8)
 	}
-	return append(s, x)
+	r.add = append(r.add, x)
 }
 
-func (r *run[T]) settle(cmp func(a, b T) int) {
+// settle sorts the values added since the last settle (by sort, into
+// cmp's order) and merges them in.
+func (r *run[T]) settle(sort func([]T), cmp func(a, b T) int) {
 	if len(r.add) == 0 {
 		return
 	}
-	slices.SortFunc(r.add, cmp)
+	sort(r.add)
 	if len(r.sorted) == 0 {
 		r.sorted = r.add
 	} else {
@@ -223,12 +241,12 @@ func mergeRuns[T any](a, b []T, cmp func(a, b T) int) []T {
 }
 
 func (h *keptHome) settle() {
-	h.uptime.settle(cmpReport)
-	h.capUp.settle(cmp.Compare[float64])
-	h.capDown.settle(cmp.Compare[float64])
-	h.aps.settle(cmp.Compare[float64])
+	h.uptime.settle(func(s []uptimeReport) { slices.SortFunc(s, cmpReport) }, cmpReport)
+	for _, r := range []*run[float64]{&h.capUp, &h.capDown, &h.aps} {
+		r.settle(slices.Sort[[]float64], cmp.Compare[float64])
+	}
 	for i := range h.links {
-		h.links[i].peaks.settle(cmp.Compare[float64])
+		h.links[i].settle()
 	}
 	h.stale = false
 }
@@ -284,12 +302,27 @@ func (r *rollup) addKept(c *dataset.Store) {
 			h.aps.push(float64(s.VisibleAPs))
 		}
 	}
-	for i := range c.Throughput {
-		s := &c.Throughput[i]
-		if l := linkOf(s.Dir); l >= 0 {
-			h := r.keptHome(s.RouterID)
-			h.links[l].peaks.push(s.PeakBps)
-			h.links[l].series = appendSmall(h.links[l].series, UtilizationPoint{s.Minute, s.PeakBps})
+	// Throughput is most of the kept rows and arrives in per-router
+	// runs: each run's links grow once.
+	for i, j := 0, 0; i < len(c.Throughput); i = j {
+		id := c.Throughput[i].RouterID
+		var n [2]int
+		for j = i; j < len(c.Throughput) && c.Throughput[j].RouterID == id; j++ {
+			if l := linkOf(c.Throughput[j].Dir); l >= 0 {
+				n[l]++
+			}
+		}
+		if n[0]+n[1] == 0 {
+			continue
+		}
+		h := r.keptHome(id)
+		for l := range h.links {
+			h.links[l].series = slices.Grow(h.links[l].series, n[l])
+		}
+		for _, s := range c.Throughput[i:j] {
+			if l := linkOf(s.Dir); l >= 0 {
+				h.links[l].series = append(h.links[l].series, UtilizationPoint{s.Minute, s.PeakBps})
+			}
 		}
 	}
 	rc := dataset.CountRows(c)
@@ -371,7 +404,6 @@ func (r *rollup) mergeKept(o *rollup) {
 		}
 		h.aps.absorb(&oh.aps)
 		for l := range h.links {
-			h.links[l].peaks.absorb(&oh.links[l].peaks)
 			h.links[l].series = append(h.links[l].series, oh.links[l].series...)
 		}
 	}

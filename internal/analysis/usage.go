@@ -99,7 +99,7 @@ func (r *Rollup) Saturation() []LinkSaturation {
 	r.kept.each(func(p keptPair) {
 		b, t := p.both()
 		for l, dir := range linkDirs {
-			bp, tp := b.links[l].peaks.sorted, t.links[l].peaks.sorted
+			bp, tp := b.links[l].peaks, t.links[l].peaks
 			if len(bp)+len(tp) == 0 {
 				continue
 			}

@@ -17,11 +17,11 @@ import (
 // Dashboard maintains a continuously-updating view of every paper
 // exhibit over a segment store. Sealed segments stream in exactly once
 // through the store's subscription and fold into a mergeable
-// analysis.Partial, flow rollup included; a render takes an
-// analysis.Snapshot of the partial with the store's live tail on top —
-// the folded rollup frozen and the tail's laid over it, work proportional
-// to the tail and the number of homes — and regenerates the figures from
-// it. It never re-reads sealed history, never re-sums the flows and never
+// analysis.Partial and its rollup; a render takes an analysis.Snapshot
+// of the partial with the store's live tail on top — the folded rollup
+// frozen and the tail's laid over it, work proportional to the tail and
+// the number of homes — and regenerates the figures from it. It never
+// re-reads sealed history, never copies or regroups its rows, and never
 // clones the partial. The rendered output is bit-identical to running the
 // batch figures over the store's full merged view (see the
 // analysis.Partial package comment for the exactness argument).
@@ -50,7 +50,7 @@ func NewDashboard(src *segment.Store, w Windows) (*Dashboard, error) {
 		hRender: telemetry.Default.Histogram("natpeek_figures_render_seconds",
 			"Time to render every exhibit once: snapshot plus figures.", nil),
 		hSnapshot: telemetry.Default.Histogram("natpeek_figures_snapshot_seconds",
-			"Time a render spent building its snapshot: tail read and rollup, capture, tail rows appended.", nil),
+			"Time a render spent building its snapshot: tail read and rollup, capture.", nil),
 		hFold: telemetry.Default.Histogram("natpeek_figures_fold_seconds",
 			"Time to fold one sealed chunk into the dashboard's partial, renders locked out.", nil),
 		gAggregates: telemetry.Default.Gauge("natpeek_figures_flow_aggregates",
@@ -82,7 +82,7 @@ func (d *Dashboard) fold(chunk *dataset.Store) {
 	d.folded.Broadcast()
 }
 
-// snapshot produces a consistent projected store and flow rollup —
+// snapshot produces a consistent roster and rollup —
 // sealed chunks 1..n plus the live tail, no chunk counted twice or
 // dropped — and the incremental state it was taken from. The store
 // publishes a sealed generation before it tells its subscribers, so a
