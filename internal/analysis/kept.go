@@ -157,19 +157,71 @@ type deviceSeen struct {
 // pairs in arrival order, and the peaks of those settled so far, sorted.
 // Like a run's sorted slice, peaks is never written once settled.
 type link struct {
-	series []UtilizationPoint
-	peaks  []float64 // the peaks of series[:len(peaks)]
+	series series
+	peaks  []float64 // the peaks of the series' first len(peaks) points
+}
+
+// series holds points in arrival order in blocks that are never copied
+// as it grows: a series folded chunk by chunk allocates about its own
+// size once, not a copy per chunk, and a replay whose size is known
+// carves every block from one arena (rollup.reserve).
+type series struct {
+	blocks [][]UtilizationPoint
+	n      int
+}
+
+// add appends pts, into the last block while it has room, then into a
+// block from arena when that has room, else into a block of its own of
+// a quarter of the series or more.
+func (s *series) add(pts []UtilizationPoint, arena *[]UtilizationPoint) {
+	k := len(pts)
+	if last := len(s.blocks) - 1; last >= 0 && cap(s.blocks[last])-len(s.blocks[last]) >= k {
+		s.blocks[last] = append(s.blocks[last], pts...)
+	} else {
+		var b []UtilizationPoint
+		if a := *arena; cap(a)-len(a) >= k {
+			b, *arena = a[len(a):len(a):len(a)+k], a[:len(a)+k]
+		} else {
+			b = make([]UtilizationPoint, 0, max(k, s.n/4, 8))
+		}
+		s.blocks = append(s.blocks, append(b, pts...))
+	}
+	s.n += k
+}
+
+// each calls fn for the points from the i-th on, in arrival order.
+func (s *series) each(i int, fn func(UtilizationPoint)) {
+	for _, b := range s.blocks {
+		if i >= len(b) {
+			i -= len(b)
+			continue
+		}
+		for _, p := range b[i:] {
+			fn(p)
+		}
+		i = 0
+	}
+}
+
+// clip returns s for a new version: its blocks list copied and its last
+// block full, so neither version's appends reach the other's.
+func (s series) clip() series {
+	if len(s.blocks) == 0 {
+		return s
+	}
+	s.blocks = slices.Clone(s.blocks)
+	last := len(s.blocks) - 1
+	s.blocks[last] = slices.Clip(s.blocks[last])
+	return s
 }
 
 // settle sorts the peaks that arrived since the last settle in.
 func (l *link) settle() {
-	if len(l.peaks) == len(l.series) {
+	if len(l.peaks) == l.series.n {
 		return
 	}
-	add := make([]float64, 0, len(l.series)-len(l.peaks))
-	for _, p := range l.series[len(l.peaks):] {
-		add = append(add, p.PeakBps)
-	}
+	add := make([]float64, 0, l.series.n-len(l.peaks))
+	l.series.each(len(l.peaks), func(p UtilizationPoint) { add = append(add, p.PeakBps) })
 	slices.Sort(add)
 	if len(l.peaks) == 0 {
 		l.peaks = add
@@ -303,25 +355,24 @@ func (r *rollup) addKept(c *dataset.Store) {
 		}
 	}
 	// Throughput is most of the kept rows and arrives in per-router
-	// runs: each run's links grow once.
+	// runs: each run's points go to its links' series a link at a time.
+	var pts [2][]UtilizationPoint
 	for i, j := 0, 0; i < len(c.Throughput); i = j {
 		id := c.Throughput[i].RouterID
-		var n [2]int
+		pts[0], pts[1] = pts[0][:0], pts[1][:0]
 		for j = i; j < len(c.Throughput) && c.Throughput[j].RouterID == id; j++ {
-			if l := linkOf(c.Throughput[j].Dir); l >= 0 {
-				n[l]++
+			s := &c.Throughput[j]
+			if l := linkOf(s.Dir); l >= 0 {
+				pts[l] = append(pts[l], UtilizationPoint{s.Minute, s.PeakBps})
 			}
 		}
-		if n[0]+n[1] == 0 {
+		if len(pts[0])+len(pts[1]) == 0 {
 			continue
 		}
 		h := r.keptHome(id)
 		for l := range h.links {
-			h.links[l].series = slices.Grow(h.links[l].series, n[l])
-		}
-		for _, s := range c.Throughput[i:j] {
-			if l := linkOf(s.Dir); l >= 0 {
-				h.links[l].series = append(h.links[l].series, UtilizationPoint{s.Minute, s.PeakBps})
+			if len(pts[l]) > 0 {
+				h.links[l].series.add(pts[l], &r.arena)
 			}
 		}
 	}
@@ -404,7 +455,9 @@ func (r *rollup) mergeKept(o *rollup) {
 		}
 		h.aps.absorb(&oh.aps)
 		for l := range h.links {
-			h.links[l].series = append(h.links[l].series, oh.links[l].series...)
+			for _, b := range oh.links[l].series.blocks {
+				h.links[l].series.add(b, &r.arena)
+			}
 		}
 	}
 	r.keptRows.Add(o.keptRows)
@@ -437,7 +490,7 @@ func (r *rollup) keptHome(id string) *keptHome {
 		c.devices = maps.Clone(h.devices)
 		c.census.bins = slices.Clone(h.census.bins)
 		for l := range c.links {
-			c.links[l].series = slices.Clip(h.links[l].series)
+			c.links[l].series = h.links[l].series.clip()
 		}
 		h = &c
 		r.kept[i] = h
@@ -646,10 +699,19 @@ func (r *Rollup) RoutersWith(k KindSet) []string {
 	return out
 }
 
+// reserve makes room for n more throughput points in one arena, which
+// the links' series carve their blocks from.
+func (r *rollup) reserve(n int) {
+	if cap(r.arena)-len(r.arena) < n {
+		r.arena = make([]UtilizationPoint, 0, n)
+	}
+}
+
 // keptRollup folds the kept rows of st alone: the stand-alone forms of
 // the kept-kind exhibits read it.
 func keptRollup(st *dataset.Store) *Rollup {
 	r := newRollup(0)
+	r.reserve(len(st.Throughput))
 	r.addKept(st)
 	return r.view()
 }

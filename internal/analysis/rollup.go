@@ -65,6 +65,7 @@ type rollup struct {
 	keptIdxEpoch uint64
 	keptLast     int32
 	keptRows     dataset.RowCounts
+	arena        []UtilizationPoint // room reserved for throughput series
 }
 
 type domKey struct {
@@ -621,6 +622,7 @@ func (r *Rollup) fleetTotals() []deviceTotals {
 func RollupOf(st *dataset.Store) *Rollup {
 	r := newRollup(0)
 	r.addRows(st.Flows)
+	r.reserve(len(st.Throughput))
 	r.addKept(st)
 	return r.view()
 }

@@ -159,11 +159,14 @@ func (r *Rollup) UtilizationSeries(id, dir string) []UtilizationPoint {
 		return nil
 	}
 	b, t := r.kept.of(id).both()
-	bs, ts := b.links[l].series, t.links[l].series
-	if len(bs)+len(ts) == 0 {
+	bs, ts := &b.links[l].series, &t.links[l].series
+	if bs.n+ts.n == 0 {
 		return nil
 	}
-	out := append(append(make([]UtilizationPoint, 0, len(bs)+len(ts)), bs...), ts...)
+	out := make([]UtilizationPoint, 0, bs.n+ts.n)
+	add := func(p UtilizationPoint) { out = append(out, p) }
+	bs.each(0, add)
+	ts.each(0, add)
 	sort.Slice(out, func(i, j int) bool { return out[i].Minute.Before(out[j].Minute) })
 	return out
 }

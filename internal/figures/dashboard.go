@@ -59,6 +59,8 @@ func NewDashboard(src *segment.Store, w Windows) (*Dashboard, error) {
 			"Sealed chunks folded into the dashboard's partial."),
 	}
 	d.folded = sync.NewCond(&d.mu)
+	// The store's footers already say how much the replay will fold.
+	d.base.Grow(src.RowCounts())
 	if err := src.Subscribe(d.fold); err != nil {
 		return nil, err
 	}
