@@ -170,23 +170,23 @@ type series struct {
 	n      int
 }
 
-// add appends pts, into the last block while it has room, then into a
-// block from arena when that has room, else into a block of its own of
-// a quarter of the series or more.
-func (s *series) add(pts []UtilizationPoint, arena *[]UtilizationPoint) {
-	k := len(pts)
-	if last := len(s.blocks) - 1; last >= 0 && cap(s.blocks[last])-len(s.blocks[last]) >= k {
-		s.blocks[last] = append(s.blocks[last], pts...)
-	} else {
-		var b []UtilizationPoint
-		if a := *arena; cap(a)-len(a) >= k {
-			b, *arena = a[len(a):len(a):len(a)+k], a[:len(a)+k]
-		} else {
-			b = make([]UtilizationPoint, 0, max(k, s.n/4, 8))
-		}
-		s.blocks = append(s.blocks, append(b, pts...))
-	}
+// grow makes room for k more points and returns the block to append
+// them to: the last block while it has room, then a block from arena
+// when that has room, else a block of its own of a quarter of the series
+// or more. The caller appends exactly k points before growing s again.
+func (s *series) grow(k int, arena *[]UtilizationPoint) *[]UtilizationPoint {
 	s.n += k
+	if last := len(s.blocks) - 1; last >= 0 && cap(s.blocks[last])-len(s.blocks[last]) >= k {
+		return &s.blocks[last]
+	}
+	var b []UtilizationPoint
+	if a := *arena; cap(a)-len(a) >= k {
+		b, *arena = a[len(a):len(a):len(a)+k], a[:len(a)+k]
+	} else {
+		b = make([]UtilizationPoint, 0, max(k, (s.n-k)/4, 8))
+	}
+	s.blocks = append(s.blocks, b)
+	return &s.blocks[len(s.blocks)-1]
 }
 
 // each calls fn for the points from the i-th on, in arrival order.
@@ -355,24 +355,28 @@ func (r *rollup) addKept(c *dataset.Store) {
 		}
 	}
 	// Throughput is most of the kept rows and arrives in per-router
-	// runs: each run's points go to its links' series a link at a time.
-	var pts [2][]UtilizationPoint
+	// runs: each run's links grow once, by the run's count.
 	for i, j := 0, 0; i < len(c.Throughput); i = j {
 		id := c.Throughput[i].RouterID
-		pts[0], pts[1] = pts[0][:0], pts[1][:0]
+		var n [2]int
 		for j = i; j < len(c.Throughput) && c.Throughput[j].RouterID == id; j++ {
-			s := &c.Throughput[j]
-			if l := linkOf(s.Dir); l >= 0 {
-				pts[l] = append(pts[l], UtilizationPoint{s.Minute, s.PeakBps})
+			if l := linkOf(c.Throughput[j].Dir); l >= 0 {
+				n[l]++
 			}
 		}
-		if len(pts[0])+len(pts[1]) == 0 {
+		if n[0]+n[1] == 0 {
 			continue
 		}
 		h := r.keptHome(id)
+		var dst [2]*[]UtilizationPoint
 		for l := range h.links {
-			if len(pts[l]) > 0 {
-				h.links[l].series.add(pts[l], &r.arena)
+			if n[l] > 0 {
+				dst[l] = h.links[l].series.grow(n[l], &r.arena)
+			}
+		}
+		for _, s := range c.Throughput[i:j] {
+			if l := linkOf(s.Dir); l >= 0 {
+				*dst[l] = append(*dst[l], UtilizationPoint{s.Minute, s.PeakBps})
 			}
 		}
 	}
@@ -456,7 +460,8 @@ func (r *rollup) mergeKept(o *rollup) {
 		h.aps.absorb(&oh.aps)
 		for l := range h.links {
 			for _, b := range oh.links[l].series.blocks {
-				h.links[l].series.add(b, &r.arena)
+				dst := h.links[l].series.grow(len(b), &r.arena)
+				*dst = append(*dst, b...)
 			}
 		}
 	}
