@@ -220,7 +220,7 @@ func (r *Rollup) ClassifyAvailability(hb *heartbeat.Log, id string, w Availabili
 		return ModeAlwaysOn
 	}
 	b, t := r.kept.of(id).both()
-	n := len(b.uptime.sorted) + len(t.uptime.sorted)
+	n := b.uptime.n + t.uptime.n
 	if n == 0 {
 		return ModeAppliance
 	}
@@ -279,10 +279,11 @@ const (
 func (r *Rollup) ClassifyDowntime(id string, d heartbeat.Downtime) DowntimeCause {
 	b, t := r.kept.of(id).both()
 	// The first uptime report at or after the gap's end, in (ReportedAt,
-	// Uptime) order, tells us when the router last booted: the earlier of
-	// the first in the base's run and the first in the tail's.
+	// Uptime) order, tells us when the router last booted: the earliest
+	// of the first in each of the base's runs and the tail's.
 	var first *uptimeReport
-	for _, reports := range [2][]uptimeReport{b.uptime.sorted, t.uptime.sorted} {
+	var buf [32][]uptimeReport
+	for _, reports := range bothRuns(buf[:], &b.uptime, &t.uptime) {
 		i := sort.Search(len(reports), func(i int) bool { return !reports[i].at.Before(d.End) })
 		if i < len(reports) && (first == nil || cmpReport(reports[i], *first) < 0) {
 			first = &reports[i]

@@ -74,12 +74,10 @@ func NewPartial() *Partial {
 // Grow reserves room for rc more rows, so a caller that knows what it
 // is about to fold (a segment store knows from its footers) pays one
 // allocation for each structure the rows grow rather than a growth
-// series: the flow aggregates and their refs (at most one per row) and
-// the throughput series.
+// series: the flow aggregates and their refs (at most one per row).
 func (p *Partial) Grow(rc dataset.RowCounts) {
 	p.st.Flows = slices.Grow(p.st.Flows, rc.Flows)
 	p.refs = slices.Grow(p.refs, rc.Flows)
-	p.roll.reserve(rc.Throughput)
 }
 
 // Fold accumulates one chunk of rows. The chunk is not retained and not
@@ -222,7 +220,6 @@ func NewSnapshot(tail *dataset.Store) *Snapshot {
 	// its growth.
 	sn := &Snapshot{tail: tail, roll: newRollup(len(tail.Flows))}
 	sn.roll.addRows(tail.Flows)
-	sn.roll.reserve(len(tail.Throughput))
 	sn.roll.addKept(tail)
 	sn.roll.settleKept()
 	return sn

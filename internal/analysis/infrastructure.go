@@ -159,11 +159,11 @@ func (r *Rollup) VisibleAPsByGroup(ro *Roster) map[Group][]float64 {
 	out := map[Group][]float64{}
 	r.kept.each(func(p keptPair) {
 		b, t := p.both()
-		if len(b.aps.sorted)+len(t.aps.sorted) == 0 {
+		if b.aps.n+t.aps.n == 0 {
 			return
 		}
 		if g, ok := ro.group(p.id()); ok {
-			out[g] = append(out[g], stats.QuantileRuns(0.5, b.aps.sorted, t.aps.sorted))
+			out[g] = append(out[g], quantile(0.5, &b.aps, &t.aps))
 		}
 	})
 	for g := range out {

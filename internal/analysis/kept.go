@@ -25,9 +25,10 @@ import (
 // Every family is exact, whatever the chunking and whatever the mix of
 // base and tail:
 //   - order statistics (Figs. 11, 14–16's capacities and percentiles)
-//     are kept as sorted runs and selected across base and tail
-//     (stats.QuantileRuns): a sample's order statistics do not depend on
-//     the order its values came in;
+//     are kept as a few sorted runs each and selected across all of
+//     them, base and tail (stats.QuantileRuns): a sample's order
+//     statistics do not depend on the order its values came in, nor on
+//     how they are split into runs;
 //   - sums (Figs. 8/9's moments, Fig. 13's bins, the census and
 //     sighting counts) are integers, exact in any order;
 //   - last-wins state (a device's kind) follows stream order: the tail
@@ -155,37 +156,33 @@ type deviceSeen struct {
 
 // link is one direction of a router's throughput: its (minute, peak)
 // pairs in arrival order, and the peaks of those settled so far, sorted.
-// Like a run's sorted slice, peaks is never written once settled.
 type link struct {
 	series series
-	peaks  []float64 // the peaks of the series' first len(peaks) points
+	peaks  run[float64] // the peaks of the series' first peaks.n points
 }
 
 // series holds points in arrival order in blocks that are never copied
 // as it grows: a series folded chunk by chunk allocates about its own
-// size once, not a copy per chunk, and a replay whose size is known
-// carves every block from one arena (rollup.reserve).
+// size once, not a copy per chunk. A version reads its blocks up to the
+// lengths its own headers hold, so the next version of the same rollup
+// appends into the spare room of the last block they share; a version
+// shared by two rollups (clone) is copied with its last block clipped,
+// so their appends land in blocks of their own (fork).
 type series struct {
 	blocks [][]UtilizationPoint
 	n      int
 }
 
 // grow makes room for k more points and returns the block to append
-// them to: the last block while it has room, then a block from arena
-// when that has room, else a block of its own of a quarter of the series
-// or more. The caller appends exactly k points before growing s again.
-func (s *series) grow(k int, arena *[]UtilizationPoint) *[]UtilizationPoint {
+// them to: the last block while it has room, else a new block of a
+// quarter of the series or more. The caller appends exactly k points
+// before growing s again.
+func (s *series) grow(k int) *[]UtilizationPoint {
 	s.n += k
 	if last := len(s.blocks) - 1; last >= 0 && cap(s.blocks[last])-len(s.blocks[last]) >= k {
 		return &s.blocks[last]
 	}
-	var b []UtilizationPoint
-	if a := *arena; cap(a)-len(a) >= k {
-		b, *arena = a[len(a):len(a):len(a)+k], a[:len(a)+k]
-	} else {
-		b = make([]UtilizationPoint, 0, max(k, (s.n-k)/4, 8))
-	}
-	s.blocks = append(s.blocks, b)
+	s.blocks = append(s.blocks, make([]UtilizationPoint, 0, max(k, (s.n-k)/4, 8)))
 	return &s.blocks[len(s.blocks)-1]
 }
 
@@ -203,31 +200,31 @@ func (s *series) each(i int, fn func(UtilizationPoint)) {
 	}
 }
 
-// clip returns s for a new version: its blocks list copied and its last
-// block full, so neither version's appends reach the other's.
-func (s series) clip() series {
+// copied returns s for a new version: its blocks list copied, since a
+// version writes the last block's header as it appends. When fork is
+// set the last block is clipped too, so that two versions that may both
+// append never append into the same room.
+func (s series) copied(fork bool) series {
 	if len(s.blocks) == 0 {
 		return s
 	}
 	s.blocks = slices.Clone(s.blocks)
-	last := len(s.blocks) - 1
-	s.blocks[last] = slices.Clip(s.blocks[last])
+	if fork {
+		last := len(s.blocks) - 1
+		s.blocks[last] = slices.Clip(s.blocks[last])
+	}
 	return s
 }
 
 // settle sorts the peaks that arrived since the last settle in.
 func (l *link) settle() {
-	if len(l.peaks) == l.series.n {
+	if l.peaks.n == l.series.n {
 		return
 	}
-	add := make([]float64, 0, l.series.n-len(l.peaks))
-	l.series.each(len(l.peaks), func(p UtilizationPoint) { add = append(add, p.PeakBps) })
+	add := make([]float64, 0, l.series.n-l.peaks.n)
+	l.series.each(l.peaks.n, func(p UtilizationPoint) { add = append(add, p.PeakBps) })
 	slices.Sort(add)
-	if len(l.peaks) == 0 {
-		l.peaks = add
-	} else {
-		l.peaks = mergeRuns(l.peaks, add, cmp.Compare[float64])
-	}
+	l.peaks.insert(add, cmp.Compare[float64])
 }
 
 // linkDirs names the links; throughput in any other direction is stored
@@ -244,10 +241,18 @@ func linkOf(dir string) int {
 	return -1
 }
 
-// run is a sample kept sorted: values folded since the last settle wait
-// in add, unordered. A settled run's sorted slice is never written again
-// — a version copy shares it — so settle merges into a new one.
-type run[T any] struct{ sorted, add []T }
+// run is a sample kept as a few sorted runs, each more than twice as
+// long as the next, so n values are at most log2(n)+1 runs and a value
+// is merged O(log n) times in all: settling k new values costs
+// O(k log n) amortized, however long the sample already is. Values
+// folded since the last settle wait in add, unordered. A settled run,
+// and the list of them, is never written again — a version copy shares
+// them — so settle builds a new list and merges into new runs.
+type run[T any] struct {
+	runs [][]T
+	n    int // values in runs
+	add  []T
+}
 
 // push adds x. A run's first values get room for a few: a page's tail
 // holds a handful per router and run, which would otherwise cost a
@@ -266,17 +271,33 @@ func (r *run[T]) settle(sort func([]T), cmp func(a, b T) int) {
 		return
 	}
 	sort(r.add)
-	if len(r.sorted) == 0 {
-		r.sorted = r.add
-	} else {
-		r.sorted = mergeRuns(r.sorted, r.add, cmp)
-	}
+	r.insert(r.add, cmp)
 	r.add = nil
+}
+
+// insert adds s, sorted by cmp, as the last run, and merges the last two
+// runs while the one before is at most twice the last.
+func (r *run[T]) insert(s []T, cmp func(a, b T) int) {
+	runs := append(slices.Clip(r.runs), s)
+	for n := len(runs); n > 1 && len(runs[n-2]) <= 2*len(runs[n-1]); n = len(runs) {
+		runs[n-2] = mergeRuns(runs[n-2], runs[n-1], cmp)
+		runs = runs[:n-1]
+	}
+	r.runs = runs
+	r.n += len(s)
 }
 
 // absorb adds o's values, settled or not.
 func (r *run[T]) absorb(o *run[T]) {
-	r.add = append(append(r.add, o.sorted...), o.add...)
+	for _, s := range o.runs {
+		r.add = append(r.add, s...)
+	}
+	r.add = append(r.add, o.add...)
+}
+
+// bothRuns returns a's runs and b's as one list; buf is room for it.
+func bothRuns[T any](buf [][]T, a, b *run[T]) [][]T {
+	return append(append(buf[:0], a.runs...), b.runs...)
 }
 
 // mergeRuns merges two sorted runs into a new one, a's first among equals.
@@ -371,7 +392,7 @@ func (r *rollup) addKept(c *dataset.Store) {
 		var dst [2]*[]UtilizationPoint
 		for l := range h.links {
 			if n[l] > 0 {
-				dst[l] = h.links[l].series.grow(n[l], &r.arena)
+				dst[l] = h.links[l].series.grow(n[l])
 			}
 		}
 		for _, s := range c.Throughput[i:j] {
@@ -460,7 +481,7 @@ func (r *rollup) mergeKept(o *rollup) {
 		h.aps.absorb(&oh.aps)
 		for l := range h.links {
 			for _, b := range oh.links[l].series.blocks {
-				dst := h.links[l].series.grow(len(b), &r.arena)
+				dst := h.links[l].series.grow(len(b))
 				*dst = append(*dst, b...)
 			}
 		}
@@ -495,7 +516,7 @@ func (r *rollup) keptHome(id string) *keptHome {
 		c.devices = maps.Clone(h.devices)
 		c.census.bins = slices.Clone(h.census.bins)
 		for l := range c.links {
-			c.links[l].series = h.links[l].series.clip()
+			c.links[l].series = h.links[l].series.copied(h.epoch <= r.forked)
 		}
 		h = &c
 		r.kept[i] = h
@@ -704,19 +725,10 @@ func (r *Rollup) RoutersWith(k KindSet) []string {
 	return out
 }
 
-// reserve makes room for n more throughput points in one arena, which
-// the links' series carve their blocks from.
-func (r *rollup) reserve(n int) {
-	if cap(r.arena)-len(r.arena) < n {
-		r.arena = make([]UtilizationPoint, 0, n)
-	}
-}
-
 // keptRollup folds the kept rows of st alone: the stand-alone forms of
 // the kept-kind exhibits read it.
 func keptRollup(st *dataset.Store) *Rollup {
 	r := newRollup(0)
-	r.reserve(len(st.Throughput))
 	r.addKept(st)
 	return r.view()
 }

@@ -3,7 +3,9 @@ package analysis
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -109,7 +111,16 @@ func TestKeptMatchesOracles(t *testing.T) {
 		if pr := NewRoster(sn.Store(st.Heartbeats)); !reflect.DeepEqual(pr, ro) {
 			t.Fatalf("%s: the page's roster differs", name)
 		}
-		for view, v := range map[string]*Rollup{"batch": batch, "page": page} {
+		// A live base is read after every seal, so its samples are split
+		// into several sorted runs, not one.
+		live := NewPartial()
+		for _, c := range chunksOf(st, 13) {
+			live.Fold(c)
+			NewSnapshot(dataset.NewStore()).Capture(live)
+		}
+		paged := NewSnapshot(dataset.NewStore())
+		paged.Capture(live)
+		for view, v := range map[string]*Rollup{"batch": batch, "page": page, "paged": paged.Rollup()} {
 			what := name + ", " + view
 			same := func(exhibit string, want, got any) {
 				t.Helper()
@@ -165,5 +176,132 @@ func TestKeptMatchesOracles(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// throughputChunk is k upstream throughput samples of router id, a
+// minute apart from minute m on.
+func throughputChunk(id string, m, k int) *dataset.Store {
+	c := dataset.NewStore()
+	start := time.Date(2013, 3, 25, 0, 0, 0, 0, time.UTC)
+	for i := m; i < m+k; i++ {
+		c.Throughput = append(c.Throughput, dataset.ThroughputSample{RouterID: id,
+			Minute: start.Add(time.Duration(i) * time.Minute), Dir: "up", PeakBps: float64(i%97) * 1e4})
+	}
+	c.Capacity = append(c.Capacity, dataset.CapacityMeasure{RouterID: id, MeasuredAt: start.Add(time.Duration(m) * time.Minute),
+		UpBps: 5e5, DownBps: 1e6})
+	return c
+}
+
+// TestLiveSeriesAllocatesItsSize: a base read after every seal, as a
+// live dashboard's is, holds its throughput series in about its own
+// size — what the heap keeps grows with the points, not with the points
+// times the seals — and its sorted samples in a handful of runs; and
+// every page keeps reading what it captured while later seals append
+// behind it.
+func TestLiveSeriesAllocatesItsSize(t *testing.T) {
+	const seals, k = 1000, 5
+	chunks := make([]*dataset.Store, seals)
+	for i := range chunks {
+		chunks[i] = throughputChunk("r", i*k, k)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	p := NewPartial()
+	var pages []*Rollup
+	for i, c := range chunks {
+		p.Fold(c)
+		sn := NewSnapshot(dataset.NewStore())
+		sn.Capture(p)
+		if i%200 == 0 {
+			pages = append(pages, sn.Rollup())
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	kept := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	runtime.KeepAlive(chunks)
+
+	p.roll.freeze()
+	h := p.roll.kept[p.roll.keptIdx["r"]]
+	s := h.links[0].series
+	t.Logf("%d points in %d blocks; peaks in %d runs, capacities in %d; %d bytes kept",
+		s.n, len(s.blocks), len(h.links[0].peaks.runs), len(h.capUp.runs), kept)
+	// A point is 24 bytes in its series and 8 as a peak; the capacities
+	// are two more values per seal.
+	if size := int64(s.n)*32 + seals*16; kept > 2*size+64<<10 {
+		t.Errorf("%d points (%d bytes) keep %d bytes of heap", s.n, size, kept)
+	}
+	logN := bits.Len(uint(s.n))
+	if len(s.blocks) > 4*logN || len(h.links[0].peaks.runs) > logN+1 || len(h.capUp.runs) > logN+1 {
+		t.Errorf("%d blocks, %d and %d runs for %d points", len(s.blocks), len(h.links[0].peaks.runs), len(h.capUp.runs), s.n)
+	}
+	for i, v := range pages {
+		want := oracleUtilizationSeries(throughputChunk("r", 0, (i*200+1)*k), "r", "up")
+		if got := v.UtilizationSeries("r", "up"); !reflect.DeepEqual(got, want) {
+			t.Fatalf("page %d: reads %d points, want %d", i, len(got), len(want))
+		}
+	}
+}
+
+// TestClonesAppendApart: a clone and its original share the series they
+// had and then fold different rows; neither reads the other's.
+func TestClonesAppendApart(t *testing.T) {
+	p := NewPartial()
+	p.Fold(throughputChunk("r", 0, 10))
+	NewSnapshot(dataset.NewStore()).Capture(p) // the next fold copies a version
+	p.Fold(throughputChunk("r", 10, 3))        // room to spare in the last block
+	q := p.Clone()
+	p.Fold(throughputChunk("r", 100, 2))
+	q.Fold(throughputChunk("r", 200, 2))
+	for name, c := range map[string]struct {
+		p    *Partial
+		next int
+	}{"original": {p, 100}, "clone": {q, 200}} {
+		want := throughputChunk("r", 0, 13)
+		want.Throughput = append(want.Throughput, throughputChunk("r", c.next, 2).Throughput...)
+		sn := NewSnapshot(dataset.NewStore())
+		sn.Capture(c.p)
+		if got, w := sn.Rollup().UtilizationSeries("r", "up"), oracleUtilizationSeries(want, "r", "up"); !reflect.DeepEqual(got, w) {
+			t.Errorf("%s reads %v, want %v", name, got, w)
+		}
+	}
+}
+
+// TestCaptureAfterSealIsHistoryFree: the first capture after a seal
+// settles what the seal folded — sorts it and merges sorted runs — and
+// what that allocates, over many seals, does not follow the history
+// beneath: four times the history, the same bytes within 10 %.
+func TestCaptureAfterSealIsHistoryFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const routers, seals, k = 64, 32, 4
+	id := func(r int) string { return fmt.Sprintf("r%02d", r) }
+	var bytes [2]float64
+	for i, history := range []int{2_000, 8_000} {
+		p := NewPartial()
+		for r := 0; r < routers; r++ {
+			p.Fold(throughputChunk(id(r), 0, history))
+		}
+		NewSnapshot(dataset.NewStore()).Capture(p)
+		var total uint64
+		for seal := 0; seal < seals; seal++ {
+			for r := 0; r < routers; r++ {
+				p.Fold(throughputChunk(id(r), history+seal*k, k))
+			}
+			sn := NewSnapshot(dataset.NewStore())
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			sn.Capture(p)
+			runtime.ReadMemStats(&after)
+			total += after.TotalAlloc - before.TotalAlloc
+		}
+		bytes[i] = float64(total) / seals
+	}
+	t.Logf("bytes per capture after a seal: %.0f with %d points per link, %.0f with 4×", bytes[0], 2_000, bytes[1])
+	if bytes[1] > bytes[0]*1.1 {
+		t.Errorf("capture bytes grew with history: %.0f → %.0f", bytes[0], bytes[1])
 	}
 }

@@ -65,7 +65,9 @@ type rollup struct {
 	keptIdxEpoch uint64
 	keptLast     int32
 	keptRows     dataset.RowCounts
-	arena        []UtilizationPoint // room reserved for throughput series
+	// forked is the epoch of the last clone: a version from it or before
+	// may be shared with another rollup that also writes (series.copied).
+	forked uint64
 }
 
 type domKey struct {
@@ -354,13 +356,14 @@ func (r *rollup) view() *Rollup {
 // flow indexes are copied now; the kept index is shared as with a view.
 func (r *rollup) clone() *rollup {
 	r.freeze()
+	r.forked = r.epoch
 	return &rollup{
 		homes: r.homes, fleet: r.fleet,
 		byID: maps.Clone(r.byID), domIdx: maps.Clone(r.domIdx),
 		devIdx: maps.Clone(r.devIdx), fleetIdx: maps.Clone(r.fleetIdx),
 		last: -1, epoch: r.epoch, frozen: true,
 		kept: r.kept, keptIdx: r.keptIdx, keptIdxEpoch: r.keptIdxEpoch,
-		keptLast: -1, keptRows: r.keptRows,
+		keptLast: -1, keptRows: r.keptRows, forked: r.epoch,
 	}
 }
 
@@ -622,7 +625,6 @@ func (r *Rollup) fleetTotals() []deviceTotals {
 func RollupOf(st *dataset.Store) *Rollup {
 	r := newRollup(0)
 	r.addRows(st.Flows)
-	r.reserve(len(st.Throughput))
 	r.addKept(st)
 	return r.view()
 }
@@ -795,27 +797,6 @@ func (r *Rollup) TopDevicesByVolume() []mac.Addr {
 	vols := r.fleetTotals()
 	slices.SortFunc(vols, cmpDevices)
 	return deviceAddrs(vols)
-}
-
-// TopDevices is the head of TopDevicesByVolume — its at most k first
-// devices — found by one pass holding the running top k, not a sort of
-// the fleet.
-func (r *Rollup) TopDevices(k int) []mac.Addr {
-	top := make([]deviceTotals, 0, k)
-	for _, d := range r.fleetTotals() {
-		switch {
-		case len(top) < k:
-			top = append(top, d)
-		case k > 0 && cmpDevices(d, top[k-1]) < 0:
-			top[k-1] = d
-		default:
-			continue
-		}
-		for j := len(top) - 1; j > 0 && cmpDevices(top[j], top[j-1]) < 0; j-- {
-			top[j], top[j-1] = top[j-1], top[j]
-		}
-	}
-	return deviceAddrs(top)
 }
 
 // cmpDevices ranks devices by volume, most first, ties by address.

@@ -54,19 +54,26 @@ func DiurnalDevices(st *dataset.Store) (weekday, weekend stats.HourBins) {
 	return keptRollup(st).DiurnalDevices(NewRoster(st))
 }
 
-// medianOrZero is the median of the sorted runs, 0 when they are empty.
-func medianOrZero(a, b []float64) float64 {
-	if len(a)+len(b) == 0 {
+// quantile is the q-quantile of a's values and b's, which must not both
+// be empty.
+func quantile(q float64, a, b *run[float64]) float64 {
+	var buf [32][]float64
+	return stats.QuantileRuns(q, bothRuns(buf[:], a, b)...)
+}
+
+// medianOrZero is the median of a's values and b's, 0 when there are none.
+func medianOrZero(a, b *run[float64]) float64 {
+	if a.n+b.n == 0 {
 		return 0
 	}
-	return stats.QuantileRuns(0.5, a, b)
+	return quantile(0.5, a, b)
 }
 
 // HomeCapacity returns a home's median measured capacity per direction
 // over the Capacity data set.
 func (r *Rollup) HomeCapacity(id string) (upBps, downBps float64) {
 	b, t := r.kept.of(id).both()
-	return medianOrZero(b.capUp.sorted, t.capUp.sorted), medianOrZero(b.capDown.sorted, t.capDown.sorted)
+	return medianOrZero(&b.capUp, &t.capUp), medianOrZero(&b.capDown, &t.capDown)
 }
 
 // HomeCapacity is Rollup.HomeCapacity over st's capacity rows.
@@ -99,25 +106,25 @@ func (r *Rollup) Saturation() []LinkSaturation {
 	r.kept.each(func(p keptPair) {
 		b, t := p.both()
 		for l, dir := range linkDirs {
-			bp, tp := b.links[l].peaks, t.links[l].peaks
-			if len(bp)+len(tp) == 0 {
+			bp, tp := &b.links[l].peaks, &t.links[l].peaks
+			if bp.n+tp.n == 0 {
 				continue
 			}
-			capBps := medianOrZero(b.capDown.sorted, t.capDown.sorted)
+			capBps := medianOrZero(&b.capDown, &t.capDown)
 			if dir == "up" {
-				capBps = medianOrZero(b.capUp.sorted, t.capUp.sorted)
+				capBps = medianOrZero(&b.capUp, &t.capUp)
 			}
 			if capBps <= 0 {
 				continue
 			}
-			p95 := stats.QuantileRuns(0.95, bp, tp)
+			p95 := quantile(0.95, bp, tp)
 			out = append(out, LinkSaturation{
 				RouterID:    p.id(),
 				Dir:         dir,
 				CapacityBps: capBps,
 				P95Bps:      p95,
 				Utilization: p95 / capBps,
-				Minutes:     len(bp) + len(tp),
+				Minutes:     bp.n + tp.n,
 				MinutesOver: countAbove(bp, capBps) + countAbove(tp, capBps),
 			})
 		}
@@ -137,9 +144,13 @@ func (r *Rollup) Saturation() []LinkSaturation {
 // Saturation is Rollup.Saturation over st's rows.
 func Saturation(st *dataset.Store) []LinkSaturation { return keptRollup(st).Saturation() }
 
-// countAbove counts the values of a sorted run greater than x.
-func countAbove(run []float64, x float64) int {
-	return len(run) - sort.Search(len(run), func(i int) bool { return run[i] > x })
+// countAbove counts the values of r greater than x.
+func countAbove(r *run[float64], x float64) int {
+	n := r.n
+	for _, s := range r.runs {
+		n -= sort.Search(len(s), func(i int) bool { return s[i] > x })
+	}
+	return n
 }
 
 // UtilizationPoint is one sample of a home's utilization time series
