@@ -190,9 +190,11 @@ check-rebalance:
 #      (batch and page alike);
 #   2. the allocation budgets — a snapshot's: the same at 10k and at
 #      100k aggregates; a whole render's: counts and bytes each within
-#      10 % over the same tail with four times the sealed history — which
-#      the race detector's own allocations would drown, so they run
-#      without; and the exhibit ledger (testdata/exhibits.sha256: every
+#      10 % over the same tail with four times the sealed history; a
+#      capture's bytes after each seal: within 10 % over four times the
+#      history; the heap a series keeps over 1,000 seals with a page
+#      after each: about its size — which the race detector's own
+#      allocations would drown, so they run without; and the exhibit ledger (testdata/exhibits.sha256: every
 #      exhibit's printed text over three inputs, batch and page), too
 #      heavy for -race;
 #   3. selection over sorted runs against a full sort (stats.QuantileRuns,
@@ -200,6 +202,7 @@ check-rebalance:
 check-figures:
 	$(GO) test -race ./internal/analysis/ ./internal/figures/
 	$(GO) test -run 'TestSnapshotAllocBudget|TestRenderWorkIsTailBound|TestExhibitLedger' ./internal/figures/
+	$(GO) test -run 'TestCaptureAfterSealIsHistoryFree|TestLiveSeriesAllocatesItsSize' ./internal/analysis/
 	$(GO) test -run 'TestQuantileMatchesSortOracle|TestQuantileAdversarialInputs|TestQuantileRunsZerosAndEmpties' ./internal/stats/
 
 # benchmarks/ is a module of its own, so `go build ./... && go test ./...`

@@ -282,7 +282,7 @@ func (r *Rollup) ClassifyDowntime(id string, d heartbeat.Downtime) DowntimeCause
 	// Uptime) order, tells us when the router last booted: the earliest
 	// of the first in each of the base's runs and the tail's.
 	var first *uptimeReport
-	var buf [32][]uptimeReport
+	var buf [4][]uptimeReport
 	for _, reports := range bothRuns(buf[:], &b.uptime, &t.uptime) {
 		i := sort.Search(len(reports), func(i int) bool { return !reports[i].at.Before(d.End) })
 		if i < len(reports) && (first == nil || cmpReport(reports[i], *first) < 0) {

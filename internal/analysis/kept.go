@@ -242,12 +242,13 @@ func linkOf(dir string) int {
 }
 
 // run is a sample kept as a few sorted runs, each more than twice as
-// long as the next, so n values are at most log2(n)+1 runs and a value
-// is merged O(log n) times in all: settling k new values costs
-// O(k log n) amortized, however long the sample already is. Values
-// folded since the last settle wait in add, unordered. A settled run,
-// and the list of them, is never written again — a version copy shares
-// them — so settle builds a new list and merges into new runs.
+// long as the next, but for a last one shorter than minRun, so n values
+// are at most log2(n/minRun)+2 runs and a value is merged O(log n) times
+// in all: settling k new values costs O(k log n + minRun) amortized,
+// however long the sample already is. Values folded since the last
+// settle wait in add, unordered. A settled run, and the list of them, is
+// never written again — a version copy shares them — so settle builds a
+// new list and merges into new runs.
 type run[T any] struct {
 	runs [][]T
 	n    int // values in runs
@@ -275,11 +276,18 @@ func (r *run[T]) settle(sort func([]T), cmp func(a, b T) int) {
 	r.add = nil
 }
 
+// minRun is the length below which a run is merged into the next one
+// whatever that one's length: a page selects across every run, and a
+// live base settles a few values per seal, which would otherwise stand as
+// a run each until they add up.
+const minRun = 256
+
 // insert adds s, sorted by cmp, as the last run, and merges the last two
-// runs while the one before is at most twice the last.
+// runs while the one before is at most twice the last or shorter than
+// minRun.
 func (r *run[T]) insert(s []T, cmp func(a, b T) int) {
 	runs := append(slices.Clip(r.runs), s)
-	for n := len(runs); n > 1 && len(runs[n-2]) <= 2*len(runs[n-1]); n = len(runs) {
+	for n := len(runs); n > 1 && (len(runs[n-2]) <= 2*len(runs[n-1]) || len(runs[n-2]) < minRun); n = len(runs) {
 		runs[n-2] = mergeRuns(runs[n-2], runs[n-1], cmp)
 		runs = runs[:n-1]
 	}
@@ -295,8 +303,15 @@ func (r *run[T]) absorb(o *run[T]) {
 	r.add = append(r.add, o.add...)
 }
 
-// bothRuns returns a's runs and b's as one list; buf is room for it.
+// bothRuns returns a's runs and b's as one list: one side's own when
+// the other has none, else a list in buf.
 func bothRuns[T any](buf [][]T, a, b *run[T]) [][]T {
+	switch {
+	case len(b.runs) == 0:
+		return a.runs
+	case len(a.runs) == 0:
+		return b.runs
+	}
 	return append(append(buf[:0], a.runs...), b.runs...)
 }
 

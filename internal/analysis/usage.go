@@ -57,7 +57,7 @@ func DiurnalDevices(st *dataset.Store) (weekday, weekend stats.HourBins) {
 // quantile is the q-quantile of a's values and b's, which must not both
 // be empty.
 func quantile(q float64, a, b *run[float64]) float64 {
-	var buf [32][]float64
+	var buf [8][]float64
 	return stats.QuantileRuns(q, bothRuns(buf[:], a, b)...)
 }
 

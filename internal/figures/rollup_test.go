@@ -67,7 +67,10 @@ func TestRollupMatchesOracles(t *testing.T) {
 		}
 		same("WhitelistedVolumeShare", oracleWhitelistedVolumeShare(st), r.WhitelistedVolumeShare())
 		devs := oracleTopDevicesByVolume(st)
-		same("TopDevicesByVolume", devs, r.TopDevicesByVolume())
+		same("TopDevices(all)", devs, r.TopDevices(len(devs)+1))
+		for _, k := range []int{0, 1, 4, 7} {
+			same(fmt.Sprintf("TopDevices(%d)", k), devs[:min(k, len(devs))], r.TopDevices(k))
+		}
 		for i := 0; i < len(devs) && i < 6; i++ {
 			same("DeviceDomains", oracleDeviceDomains(st, devs[i]), r.DeviceDomains(devs[i]))
 		}
@@ -82,7 +85,7 @@ func TestRollupMatchesOracles(t *testing.T) {
 		}
 		// The stand-alone entry points are the rollup's.
 		same("analysis.PopularDomains", r.PopularDomains(), analysis.PopularDomains(st))
-		same("analysis.TopDevicesByVolume", r.TopDevicesByVolume(), analysis.TopDevicesByVolume(st))
+		same("analysis.TopDevicesByVolume", devs, analysis.TopDevicesByVolume(st))
 		same("Fig20", fig20(r).String(), Fig20(st).String())
 		same("Table2", table2(st, r).String(), Table2(st).String())
 	}
@@ -109,8 +112,9 @@ func diffRollups(t *testing.T, what string, ro *analysis.Roster, want, got *anal
 		same(fmt.Sprintf("DomainShares(%d)", maxRank), want.DomainShares(maxRank), got.DomainShares(maxRank))
 	}
 	same("WhitelistedVolumeShare", want.WhitelistedVolumeShare(), got.WhitelistedVolumeShare())
-	devs := want.TopDevicesByVolume()
-	same("TopDevicesByVolume", devs, got.TopDevicesByVolume())
+	devs := want.TopDevices(math.MaxInt)
+	same("TopDevices(all)", devs, got.TopDevices(math.MaxInt))
+	same("TopDevices(4)", want.TopDevices(4), got.TopDevices(4))
 	for i := 0; i < len(devs) && i < 6; i++ {
 		same(fmt.Sprintf("DeviceDomains(%s)", devs[i]), want.DeviceDomains(devs[i]), got.DeviceDomains(devs[i]))
 	}

@@ -245,7 +245,9 @@ func fig20(flows *analysis.Rollup) *Report {
 		Title:      "Per-device domain mix (device fingerprinting)",
 		PaperClaim: "a desktop splits across many domains (Dropbox-heavy); a Roku is almost all streaming",
 	}
-	devs := flows.TopDevicesByVolume()
+	// A device's mix is empty only when its volume is zero, and those
+	// rank last: the first four devices are the ones shown.
+	devs := flows.TopDevices(4)
 	shown := 0
 	for _, d := range devs {
 		if shown == 4 {

@@ -8,6 +8,7 @@ package segment
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -74,6 +75,10 @@ func scan(segs []segFile, workers int, window func(i int) *dataset.Store,
 	for i := 0; i < workers; i++ {
 		ahead <- struct{}{}
 	}
+	// A file's bytes are not needed once its rows are decoded (every
+	// string is copied out) and emitted: its buffer goes to the next
+	// segment read, so a scan holds a few files' bytes, not all of them.
+	bufs := make(chan []byte, workers+1)
 	quit := make(chan struct{})
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -92,7 +97,12 @@ func scan(segs []segFile, workers int, window func(i int) *dataset.Store,
 					return
 				}
 				d := decoded{rows: window(i)}
-				d.r, d.err = readInto(segs[i].path, d.rows)
+				var buf []byte
+				select {
+				case buf = <-bufs:
+				default:
+				}
+				d.r, d.err = readInto(segs[i].path, d.rows, buf)
 				results[i] <- d
 			}
 		}()
@@ -108,13 +118,17 @@ func scan(segs []segFile, workers int, window func(i int) *dataset.Store,
 		if err := emit(i, d.r, d.rows); err != nil {
 			return i, err
 		}
+		select {
+		case bufs <- d.r.buf:
+		default:
+		}
 	}
 	return 0, nil
 }
 
 // readInto reads one segment file and decodes its rows over w.
-func readInto(path string, w *dataset.Store) (*Reader, error) {
-	b, err := os.ReadFile(path)
+func readInto(path string, w *dataset.Store, buf []byte) (*Reader, error) {
+	b, err := readFile(path, buf)
 	if err != nil {
 		return nil, fmt.Errorf("segment: %w", err)
 	}
@@ -126,4 +140,26 @@ func readInto(path string, w *dataset.Store) (*Reader, error) {
 		return nil, fmt.Errorf("segment: %s: %w", filepath.Base(path), err)
 	}
 	return r, nil
+}
+
+// readFile reads path into buf, reallocated if the file is larger.
+func readFile(path string, buf []byte) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	n := int(fi.Size())
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	if _, err := io.ReadFull(f, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
 }

@@ -257,7 +257,7 @@ func QuantileRuns(q float64, runs ...[]float64) float64 {
 // ordered before it or only those after it — at least half of the widest
 // window goes — until k is the pivot's or one window is left.
 func nthOfRuns(k int, runs [][]float64) float64 {
-	var loBuf, hiBuf, ltBuf, leBuf [32]int
+	var loBuf, hiBuf, ltBuf, leBuf [8]int
 	lo, hi := loBuf[:0], hiBuf[:0]
 	for _, r := range runs {
 		lo, hi = append(lo, 0), append(hi, len(r))
