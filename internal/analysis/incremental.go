@@ -227,7 +227,10 @@ func NewSnapshot(tail *dataset.Store) *Snapshot {
 
 // Capture reads p: the roster is cloned, and the tail's rollup is
 // resolved against p's — one lookup per home, domain and device of the
-// tail, and nothing per row, aggregate or home of p.
+// tail, and nothing per row or aggregate of p. The first capture after a
+// fold also freezes what that fold wrote: it re-ranks the homes the fold
+// touched and settles their new kept values into sorted runs, O(k log n)
+// amortized for k values (see run).
 func (sn *Snapshot) Capture(p *Partial) {
 	sn.st.RouterCountry = maps.Clone(p.st.RouterCountry)
 	sn.view = p.roll.overlay(sn.roll)

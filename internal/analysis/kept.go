@@ -241,11 +241,11 @@ func linkOf(dir string) int {
 	return -1
 }
 
-// run is a sample kept as a few sorted runs, each more than twice as
-// long as the next, but for a last one shorter than minRun, so n values
-// are at most log2(n/minRun)+2 runs and a value is merged O(log n) times
-// in all: settling k new values costs O(k log n + minRun) amortized,
-// however long the sample already is. Values folded since the last
+// run is a sample kept as a few sorted runs; every run but the last is
+// at least minRun long and more than twice as long as the next, so n
+// values are at most log2(n/minRun)+2 runs and a value is merged
+// O(log n) times in all: settling k new values costs O(k log n + minRun)
+// amortized, however long the sample already is. Values folded since the last
 // settle wait in add, unordered. A settled run, and the list of them, is
 // never written again — a version copy shares them — so settle builds a
 // new list and merges into new runs.

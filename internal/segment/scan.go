@@ -77,7 +77,8 @@ func scan(segs []segFile, workers int, window func(i int) *dataset.Store,
 	}
 	// A file's bytes are not needed once its rows are decoded (every
 	// string is copied out) and emitted: its buffer goes to the next
-	// segment read, so a scan holds a few files' bytes, not all of them.
+	// segment read. At most one buffer per worker and the one being
+	// emitted are in use at once, which is what the channel holds.
 	bufs := make(chan []byte, workers+1)
 	quit := make(chan struct{})
 	var next atomic.Int64
