@@ -36,16 +36,18 @@ race:
 	$(GO) test -race ./...
 
 # Non-test lines of Go per package ROADMAP item 4 tracks, and the
-# five-package total its target is stated in. codec, and the read side's
-# analysis and figures, are listed beside it, outside the total.
+# five-package total its target is stated in. The read side — codec,
+# analysis, figures and stats — is listed beside it, outside the total,
+# with a subtotal of its own.
 LINES_PKGS = wire segment cluster dataset collector
-LINES_BESIDE = codec analysis figures
+LINES_BESIDE = codec analysis figures stats
 lines:
-	@total=0; for p in $(LINES_PKGS) $(LINES_BESIDE); do \
+	@total=0; read=0; for p in $(LINES_PKGS) $(LINES_BESIDE); do \
 		n=$$(ls internal/$$p/*.go | grep -v _test.go | xargs cat | wc -l); \
 		printf '%-10s %6d\n' $$p $$n; \
-		case " $(LINES_BESIDE) " in *" $$p "*) ;; *) total=$$((total + n));; esac; \
-	done; printf '%-10s %6d  ($(LINES_PKGS))\n' total $$total
+		case " $(LINES_BESIDE) " in *" $$p "*) read=$$((read + n));; *) total=$$((total + n));; esac; \
+	done; printf '%-10s %6d  ($(LINES_PKGS))\n' total $$total; \
+	printf '%-10s %6d  ($(LINES_BESIDE))\n' read-side $$read
 
 # The repository's one benchmark and its checked-in trajectory: natbench
 # (benchmarks/, catalogue in BENCHMARK.json) runs all four workloads

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -152,11 +153,11 @@ func TestMedianUptimeFraction(t *testing.T) {
 
 func TestClassifyAvailability(t *testing.T) {
 	st := fixtureStore()
-	if m := ClassifyAvailability(st, "us-1", win); m != ModeAlwaysOn {
+	if m := RollupOf(st).ClassifyAvailability(st.Heartbeats, "us-1", win); m != ModeAlwaysOn {
 		t.Fatalf("us-1 = %v", m)
 	}
 	// in-1 (50% availability) with no uptime reports → appliance.
-	if m := ClassifyAvailability(st, "in-1", win); m != ModeAppliance {
+	if m := RollupOf(st).ClassifyAvailability(st.Heartbeats, "in-1", win); m != ModeAppliance {
 		t.Fatalf("in-1 = %v", m)
 	}
 	// Short uptime counters at every report → still appliance.
@@ -167,7 +168,7 @@ func TestClassifyAvailability(t *testing.T) {
 			Uptime:     4 * time.Hour,
 		})
 	}
-	if m := ClassifyAvailability(st, "in-1", win); m != ModeAppliance {
+	if m := RollupOf(st).ClassifyAvailability(st.Heartbeats, "in-1", win); m != ModeAppliance {
 		t.Fatalf("in-1 with short counters = %v", m)
 	}
 	// A low-availability router whose uptime counters keep growing is a
@@ -184,7 +185,7 @@ func TestClassifyAvailability(t *testing.T) {
 			Uptime:     time.Duration(d+2) * 24 * time.Hour,
 		})
 	}
-	if m := ClassifyAvailability(st, "in-3", win); m != ModeFlakyISP {
+	if m := RollupOf(st).ClassifyAvailability(st.Heartbeats, "in-3", win); m != ModeFlakyISP {
 		t.Fatalf("in-3 = %v", m)
 	}
 }
@@ -223,11 +224,11 @@ func TestUniqueDevicesPerHomeAndBand(t *testing.T) {
 	st.RouterCountry["us-1"] = "US"
 	addCensus(st, "us-1", aFrom, []mac.Addr{dev(1)}, []mac.Addr{dev(2), dev(3)}, []mac.Addr{dev(4)})
 	addCensus(st, "us-1", aFrom.Add(time.Hour), []mac.Addr{dev(1)}, []mac.Addr{dev(2), dev(5)}, nil)
-	uniq := UniqueDevicesPerHome(st)
+	uniq := RollupOf(st).UniqueDevicesPerHome()
 	if uniq["us-1"] != 5 {
 		t.Fatalf("unique = %d, want 5", uniq["us-1"])
 	}
-	b24, b5 := UniqueDevicesPerBand(st)
+	b24, b5 := RollupOf(st).UniqueDevicesPerBand()
 	if len(b24) != 1 || b24[0] != 3 {
 		t.Fatalf("b24 = %v", b24)
 	}
@@ -242,7 +243,7 @@ func TestConnectedByGroup(t *testing.T) {
 	st.RouterCountry["in-1"] = "IN"
 	addCensus(st, "us-1", aFrom, []mac.Addr{dev(1)}, []mac.Addr{dev(2), dev(3)}, []mac.Addr{dev(4)})
 	addCensus(st, "in-1", aFrom, nil, []mac.Addr{dev(5)}, nil)
-	got := ConnectedByGroup(st)
+	got := RollupOf(st).ConnectedByGroup(NewRoster(st))
 	d := got[Developed]
 	if d.Wired.Mean != 1 || d.Wireless.Mean != 3 || d.W5.Mean != 1 {
 		t.Fatalf("developed %+v", d)
@@ -275,7 +276,7 @@ func TestAlwaysConnected(t *testing.T) {
 		}
 		addCensus(st, "us-2", at, wired, nil, nil)
 	}
-	got := AlwaysConnected(st, 35*24*time.Hour)
+	got := RollupOf(st).AlwaysConnected(NewRoster(st), 35*24*time.Hour)
 	d := got[Developed]
 	if d.Homes != 2 {
 		t.Fatalf("homes = %d", d.Homes)
@@ -295,7 +296,7 @@ func TestAlwaysConnectedRequiresSpan(t *testing.T) {
 	for i := 0; i < 48; i++ {
 		addCensus(st, "us-1", aFrom.Add(time.Duration(i)*time.Hour), []mac.Addr{dev(1)}, nil, nil)
 	}
-	got := AlwaysConnected(st, 35*24*time.Hour)
+	got := RollupOf(st).AlwaysConnected(NewRoster(st), 35*24*time.Hour)
 	if got[Developed].WithWired != 0 {
 		t.Fatal("short span counted as always-connected")
 	}
@@ -313,7 +314,7 @@ func TestVisibleAPsByGroup(t *testing.T) {
 			dataset.WiFiScan{RouterID: "in-1", At: at, Band: "2.4GHz", Channel: 11, VisibleAPs: 2},
 		)
 	}
-	got := VisibleAPsByGroup(st)
+	got := RollupOf(st).VisibleAPsByGroup(NewRoster(st))
 	if len(got[Developed]) != 1 || got[Developed][0] != 20 {
 		t.Fatalf("developed %v", got[Developed])
 	}
@@ -328,7 +329,7 @@ func TestAllFourPortsShare(t *testing.T) {
 	st.RouterCountry["us-2"] = "US"
 	addCensus(st, "us-1", aFrom, []mac.Addr{dev(1), dev(2), dev(3), dev(4)}, nil, nil)
 	addCensus(st, "us-2", aFrom, []mac.Addr{dev(5)}, nil, nil)
-	if got := AllFourPortsShare(st, Developed); got != 0.5 {
+	if got := RollupOf(st).AllFourPortsShares(NewRoster(st))[Developed]; got != 0.5 {
 		t.Fatalf("share = %v", got)
 	}
 }
@@ -352,7 +353,7 @@ func TestManufacturerHistogram(t *testing.T) {
 	flow(netgear, 1e9) // must be excluded
 	flow(tiny, 10)     // below 100 KB floor
 
-	hist := ManufacturerHistogram(st, 100_000)
+	hist := RollupOf(st).ManufacturerHistogram(100_000)
 	if len(hist) != 2 {
 		t.Fatalf("hist = %v", hist)
 	}
@@ -376,7 +377,7 @@ func TestDiurnalDevices(t *testing.T) {
 		dataset.DeviceCount{RouterID: "us-1", At: afternoon, W24: 1},
 		dataset.DeviceCount{RouterID: "us-1", At: saturday, W24: 3},
 	)
-	weekday, weekend := DiurnalDevices(st)
+	weekday, weekend := RollupOf(st).DiurnalDevices(NewRoster(st))
 	if weekday.Means()[20] != 4 || weekday.Means()[14] != 1 {
 		t.Fatalf("weekday bins wrong: %v", weekday.Means())
 	}
@@ -415,7 +416,7 @@ func usageStore() *dataset.Store {
 
 func TestSaturation(t *testing.T) {
 	st := usageStore()
-	sats := Saturation(st)
+	sats := RollupOf(st).Saturation()
 	if len(sats) != 1 {
 		t.Fatalf("points = %d", len(sats))
 	}
@@ -440,7 +441,7 @@ func TestSaturationDirections(t *testing.T) {
 			Dir: dir, PeakBps: 3e6, TotalBytes: 1e6,
 		})
 	}
-	sats := Saturation(st)
+	sats := RollupOf(st).Saturation()
 	if len(sats) != 2 {
 		t.Fatalf("%d points, want one per direction: %+v", len(sats), sats)
 	}
@@ -454,7 +455,7 @@ func TestSaturationDirections(t *testing.T) {
 
 func TestUtilizationSeriesSorted(t *testing.T) {
 	st := usageStore()
-	series := UtilizationSeries(st, "us-1", "down")
+	series := RollupOf(st).UtilizationSeries("us-1", "down")
 	if len(series) != 20 {
 		t.Fatalf("len = %d", len(series))
 	}
@@ -467,21 +468,22 @@ func TestUtilizationSeriesSorted(t *testing.T) {
 
 func TestDeviceShares(t *testing.T) {
 	st := usageStore()
-	shares := DeviceShares(st)["us-1"]
+	all := RollupOf(st).DeviceShares()
+	shares := all["us-1"]
 	if len(shares) != 2 {
 		t.Fatalf("shares = %v", shares)
 	}
 	if shares[0] < 0.8 { // 8.5e8 of 1e9
 		t.Fatalf("top share = %v", shares[0])
 	}
-	if top := MeanTopDeviceShare(st, 2); top != shares[0] {
+	if top := MeanTopShare(all, 2); top != shares[0] {
 		t.Fatalf("mean top = %v", top)
 	}
 }
 
 func TestPopularDomains(t *testing.T) {
 	st := usageStore()
-	pop := PopularDomains(st)
+	pop := RollupOf(st).PopularDomains()
 	if len(pop) == 0 || pop[0].Top5 != 1 {
 		t.Fatalf("pop = %v", pop)
 	}
@@ -489,7 +491,7 @@ func TestPopularDomains(t *testing.T) {
 
 func TestDomainShares(t *testing.T) {
 	st := usageStore()
-	curves := DomainShares(st, 5)
+	curves := RollupOf(st).DomainShares(5)
 	// netflix: 8e8 of 1e9 = 80% volume but 4/114 conns.
 	if curves.VolumeShare[0] < 0.7 {
 		t.Fatalf("top volume share %v", curves.VolumeShare[0])
@@ -505,7 +507,7 @@ func TestDomainShares(t *testing.T) {
 
 func TestWhitelistedVolumeShare(t *testing.T) {
 	st := usageStore()
-	got := WhitelistedVolumeShare(st)
+	got := RollupOf(st).WhitelistedVolumeShare()
 	want := (8e8 + 5e7 + 1e8) / 1e9
 	if got < want-0.01 || got > want+0.01 {
 		t.Fatalf("share = %v, want %v", got, want)
@@ -514,15 +516,16 @@ func TestWhitelistedVolumeShare(t *testing.T) {
 
 func TestDeviceDomainsFingerprint(t *testing.T) {
 	st := usageStore()
-	top := TopDevicesByVolume(st)
+	v := RollupOf(st)
+	top := v.TopDevices(math.MaxInt)
 	if len(top) != 2 || top[0] != dev(1) {
 		t.Fatalf("top devices %v", top)
 	}
-	mix := DeviceDomains(st, dev(1))
+	mix := v.DeviceDomains(dev(1))
 	if mix[0].Domain != "netflix.com" || mix[0].Share < 0.9 {
 		t.Fatalf("mix = %v", mix)
 	}
-	if DeviceDomains(st, dev(99)) != nil {
+	if v.DeviceDomains(dev(99)) != nil {
 		t.Fatal("unknown device has a mix")
 	}
 }
@@ -534,14 +537,14 @@ func TestClassifyDowntime(t *testing.T) {
 		End:   aFrom.Add(11 * time.Hour),
 	}
 	// No uptime reports at all → unknown.
-	if c := ClassifyDowntime(st, "us-2", gap); c != CauseUnknown {
+	if c := RollupOf(st).ClassifyDowntime("us-2", gap); c != CauseUnknown {
 		t.Fatalf("no reports: %v", c)
 	}
 	// Counter spanning the gap → network outage.
 	st.Uptime = append(st.Uptime, dataset.UptimeReport{
 		RouterID: "us-2", ReportedAt: aFrom.Add(12 * time.Hour), Uptime: 12 * time.Hour,
 	})
-	if c := ClassifyDowntime(st, "us-2", gap); c != CauseNetwork {
+	if c := RollupOf(st).ClassifyDowntime("us-2", gap); c != CauseNetwork {
 		t.Fatalf("spanning counter: %v", c)
 	}
 	// Counter starting inside the gap → power-off.
@@ -549,7 +552,7 @@ func TestClassifyDowntime(t *testing.T) {
 	st2.Uptime = append(st2.Uptime, dataset.UptimeReport{
 		RouterID: "us-2", ReportedAt: aFrom.Add(12 * time.Hour), Uptime: 70 * time.Minute,
 	})
-	if c := ClassifyDowntime(st2, "us-2", gap); c != CausePowerOff {
+	if c := RollupOf(st2).ClassifyDowntime("us-2", gap); c != CausePowerOff {
 		t.Fatalf("reset counter: %v", c)
 	}
 	// Report too far after the gap → unknown.
@@ -557,7 +560,7 @@ func TestClassifyDowntime(t *testing.T) {
 	st3.Uptime = append(st3.Uptime, dataset.UptimeReport{
 		RouterID: "us-2", ReportedAt: aFrom.Add(9 * 24 * time.Hour), Uptime: time.Hour,
 	})
-	if c := ClassifyDowntime(st3, "us-2", gap); c != CauseUnknown {
+	if c := RollupOf(st3).ClassifyDowntime("us-2", gap); c != CauseUnknown {
 		t.Fatalf("stale report: %v", c)
 	}
 }
@@ -572,7 +575,7 @@ func TestDowntimeCausesTally(t *testing.T) {
 			Uptime:     time.Duration(d)*24*time.Hour + 20*time.Hour,
 		})
 	}
-	tally := DowntimeCauses(st, NewRoster(st), Developing, win)
+	tally := RollupOf(st).DowntimeCauses(st.Heartbeats, NewRoster(st), Developing, win)
 	if tally[CauseNetwork] == 0 {
 		t.Fatalf("tally %v", tally)
 	}
@@ -595,7 +598,7 @@ func TestDowntimeCausesIgnoreUploadOrder(t *testing.T) {
 		for _, j := range order {
 			st.Uptime = append(st.Uptime, reports[j])
 		}
-		tallies[i] = DowntimeCauses(st, NewRoster(st), Developed, win)
+		tallies[i] = RollupOf(st).DowntimeCauses(st.Heartbeats, NewRoster(st), Developed, win)
 	}
 	if !reflect.DeepEqual(tallies[0], tallies[1]) {
 		t.Fatalf("the tally depends on upload order: %v, then %v", tallies[0], tallies[1])

@@ -1,7 +1,8 @@
 // Package analysis computes the paper's statistics from the collected
 // data sets. It is organized by paper section: availability (§4),
-// infrastructure (§5), and usage (§6). All functions are pure reads over
-// a dataset.Store.
+// infrastructure (§5), and usage (§6). The heartbeat exhibits are pure
+// reads over a dataset.Store; every other exhibit is a method of a
+// Rollup, a store's rows folded once (rollup.go): RollupOf(st).X(…).
 package analysis
 
 import (
@@ -219,7 +220,7 @@ func (r *Rollup) ClassifyAvailability(hb *heartbeat.Log, id string, w Availabili
 	if frac >= 0.93 {
 		return ModeAlwaysOn
 	}
-	b, t := r.kept.of(id).both()
+	b, t := r.of(id).both()
 	n := b.uptime.n + t.uptime.n
 	if n == 0 {
 		return ModeAppliance
@@ -228,17 +229,6 @@ func (r *Rollup) ClassifyAvailability(hb *heartbeat.Log, id string, w Availabili
 		return ModeFlakyISP
 	}
 	return ModeAppliance
-}
-
-// ClassifyAvailability is Rollup.ClassifyAvailability over st.
-func ClassifyAvailability(st *dataset.Store, id string, w AvailabilityWindow) AvailabilityMode {
-	return keptRollup(st).ClassifyAvailability(st.Heartbeats, id, w)
-}
-
-// Timeline returns a router's availability as on-intervals derived from
-// its heartbeat runs, for rendering Fig. 6 style strips.
-func Timeline(st *dataset.Store, id string, w AvailabilityWindow) []heartbeat.Downtime {
-	return st.Heartbeats.Downtimes(id, w.From, w.To, w.Threshold)
 }
 
 // FractionWithFrequentDowntime returns the share of a group's routers
@@ -277,7 +267,7 @@ const (
 
 // ClassifyDowntime infers the cause of one downtime for a router.
 func (r *Rollup) ClassifyDowntime(id string, d heartbeat.Downtime) DowntimeCause {
-	b, t := r.kept.of(id).both()
+	b, t := r.of(id).both()
 	// The first uptime report at or after the gap's end, in (ReportedAt,
 	// Uptime) order, tells us when the router last booted: the earliest
 	// of the first in each of the base's runs and the tail's.
@@ -301,11 +291,6 @@ func (r *Rollup) ClassifyDowntime(id string, d heartbeat.Downtime) DowntimeCause
 	return CausePowerOff
 }
 
-// ClassifyDowntime is Rollup.ClassifyDowntime over st's uptime reports.
-func ClassifyDowntime(st *dataset.Store, id string, d heartbeat.Downtime) DowntimeCause {
-	return keptRollup(st).ClassifyDowntime(id, d)
-}
-
 // DowntimeCauses tallies causes for every downtime of a group within the
 // window where Uptime data exists.
 func (r *Rollup) DowntimeCauses(hb *heartbeat.Log, ro *Roster, g Group, w AvailabilityWindow) map[DowntimeCause]int {
@@ -316,9 +301,4 @@ func (r *Rollup) DowntimeCauses(hb *heartbeat.Log, ro *Roster, g Group, w Availa
 		}
 	}
 	return out
-}
-
-// DowntimeCauses is Rollup.DowntimeCauses over st.
-func DowntimeCauses(st *dataset.Store, ro *Roster, g Group, w AvailabilityWindow) map[DowntimeCause]int {
-	return keptRollup(st).DowntimeCauses(st.Heartbeats, ro, g, w)
 }

@@ -3,11 +3,12 @@
 // fold sealed segment chunks into it as they arrive and the dashboard
 // never has to re-scan history.
 //
-// The projection keeps no row verbatim. The six kept kinds (uptime,
-// capacity, censuses, sightings, WiFi scans, per-minute throughput) fold
-// into exact per-router state (kept.go). The one unbounded kind, flow
-// records, collapses into per-(router, device, domain, proto) running
-// totals. Every figure that reads flows consumes only RouterID, Device,
+// The projection keeps no row verbatim. Each router is one version of
+// state in the Partial's rollup (rollup.go): its flow totals, and its six
+// kept kinds (uptime, capacity, censuses, sightings, WiFi scans,
+// per-minute throughput) folded exactly (kept.go). The one unbounded
+// kind, flow records, also collapses into per-(router, device, domain,
+// proto) running totals. Every figure that reads flows consumes only RouterID, Device,
 // Domain, Bytes() and Conns, so the collapse is lossless for analysis;
 // and because byte/connection counts are integers whose sums stay far
 // below 2^53, the float64 arithmetic downstream is exact regardless of
@@ -15,10 +16,9 @@
 // bit-identical to a batch run over the raw rows.
 //
 // The aggregates live in one dense []dataset.FlowRecord in first-seen
-// order, beside a key → position index. Beside them the Partial folds
-// what the exhibits read, the Rollup (rollup.go, kept.go): each aggregate
-// remembers the rollup entries its rows add to, so a row costs one index
-// lookup either way. A dashboard page reads that rollup frozen, with the
+// order, beside a key → position index. Each aggregate remembers the
+// rollup entries its rows add to, so a row costs one index lookup either
+// way. A dashboard page reads that rollup frozen, with the
 // live tail's laid over it (Snapshot), and never reads the history's
 // rows or sums them again.
 //
@@ -169,9 +169,9 @@ func (p *Partial) FlowAggregates() int { return len(p.st.Flows) }
 // dataset.Store, at no per-row cost: the aggregates and the roster are
 // shared read-only with the Partial (capacity clipped, so an append on
 // either side cannot reach the other). It holds no kept rows — those are
-// folded into the rollup (Rollup) — so it is what Ext. §7 and the
-// heartbeat exhibits read, not a store to run the batch figures over:
-// the exhibits read the rollup, through a Snapshot.
+// folded into the rollup (Rollup) — so it is what the heartbeat exhibits
+// read, not a store to run the batch figures over: the exhibits read the
+// rollup, through a Snapshot.
 // The result must not be mutated, and the Partial must not fold while
 // the store is in use — a fold updates aggregates in place. hb supplies
 // the heartbeat log, which is already an incremental structure of its
@@ -221,7 +221,7 @@ func NewSnapshot(tail *dataset.Store) *Snapshot {
 	sn := &Snapshot{tail: tail, roll: newRollup(len(tail.Flows))}
 	sn.roll.addRows(tail.Flows)
 	sn.roll.addKept(tail)
-	sn.roll.settleKept()
+	sn.roll.settle(false)
 	return sn
 }
 

@@ -12,17 +12,12 @@ import (
 // ever connected — Fig. 7's distribution.
 func (r *Rollup) UniqueDevicesPerHome() map[string]int {
 	out := map[string]int{}
-	r.kept.each(func(p keptPair) {
-		if n := p.deviceCount(); n > 0 {
-			out[p.id()] = n
+	r.each(func(v homeView) {
+		if n := v.deviceCount(); n > 0 {
+			out[v.id()] = n
 		}
 	})
 	return out
-}
-
-// UniqueDevicesPerHome is Rollup.UniqueDevicesPerHome over st's sightings.
-func UniqueDevicesPerHome(st *dataset.Store) map[string]int {
-	return keptRollup(st).UniqueDevicesPerHome()
 }
 
 // ConnectedAverages is Fig. 8/9's summary: the mean (and stddev) number of
@@ -36,9 +31,9 @@ type ConnectedAverages struct {
 // stats.Moments for how the deviation is computed).
 func (r *Rollup) ConnectedByGroup(ro *Roster) map[Group]ConnectedAverages {
 	var sums [2]censusTotals
-	r.kept.each(func(p keptPair) {
-		if g, ok := ro.group(p.id()); ok {
-			c := p.census()
+	r.each(func(v homeView) {
+		if g, ok := ro.group(v.id()); ok {
+			c := v.census()
 			sums[g].merge(&c)
 		}
 	})
@@ -56,18 +51,13 @@ func (r *Rollup) ConnectedByGroup(ro *Roster) map[Group]ConnectedAverages {
 	return out
 }
 
-// ConnectedByGroup is Rollup.ConnectedByGroup over st's censuses.
-func ConnectedByGroup(st *dataset.Store) map[Group]ConnectedAverages {
-	return keptRollup(st).ConnectedByGroup(NewRoster(st))
-}
-
 // UniqueDevicesPerBand counts each home's distinct devices per wireless
 // band — Fig. 10 (paper: median 5 on 2.4 GHz, 2 on 5 GHz).
 func (r *Rollup) UniqueDevicesPerBand() (b24, b5 []float64) {
 	w24, w5 := kindBit(dataset.Wireless24), kindBit(dataset.Wireless5)
-	r.kept.each(func(p keptPair) {
+	r.each(func(v homeView) {
 		var n, n24, n5 int
-		p.eachDevice(func(d deviceSeen) {
+		v.eachDevice(func(d deviceSeen) {
 			n++
 			if d.kinds&w24 != 0 {
 				n24++
@@ -87,11 +77,6 @@ func (r *Rollup) UniqueDevicesPerBand() (b24, b5 []float64) {
 	return b24, b5
 }
 
-// UniqueDevicesPerBand is Rollup.UniqueDevicesPerBand over st's sightings.
-func UniqueDevicesPerBand(st *dataset.Store) (b24, b5 []float64) {
-	return keptRollup(st).UniqueDevicesPerBand()
-}
-
 // AlwaysConnectedShare computes Table 5: the fraction of homes in each
 // group with at least one device present in *every* census its router
 // took over a span of at least minSpan (five weeks in the paper), split
@@ -109,9 +94,9 @@ type AlwaysConnectedShare struct {
 // last seen as.
 func (r *Rollup) AlwaysConnected(ro *Roster, minSpan time.Duration) map[Group]AlwaysConnectedShare {
 	out := map[Group]AlwaysConnectedShare{}
-	r.kept.each(func(p keptPair) {
-		c := p.census()
-		g, ok := ro.group(p.id())
+	r.each(func(v homeView) {
+		c := v.census()
+		g, ok := ro.group(v.id())
 		if !ok || c.n == 0 {
 			return
 		}
@@ -119,7 +104,7 @@ func (r *Rollup) AlwaysConnected(ro *Roster, minSpan time.Duration) map[Group]Al
 		share.Homes++
 		if c.last.Sub(c.first) >= minSpan {
 			wired, wireless := false, false
-			p.eachDevice(func(d deviceSeen) {
+			v.eachDevice(func(d deviceSeen) {
 				if int64(d.count) < c.n {
 					return
 				}
@@ -148,21 +133,16 @@ func (r *Rollup) AlwaysConnected(ro *Roster, minSpan time.Duration) map[Group]Al
 	return out
 }
 
-// AlwaysConnected is Rollup.AlwaysConnected over st.
-func AlwaysConnected(st *dataset.Store, minSpan time.Duration) map[Group]AlwaysConnectedShare {
-	return keptRollup(st).AlwaysConnected(NewRoster(st), minSpan)
-}
-
 // VisibleAPsByGroup returns each home's median number of 2.4 GHz visible
 // APs, per group — Fig. 11 (developed median ≈20, developing ≈2).
 func (r *Rollup) VisibleAPsByGroup(ro *Roster) map[Group][]float64 {
 	out := map[Group][]float64{}
-	r.kept.each(func(p keptPair) {
-		b, t := p.both()
+	r.each(func(v homeView) {
+		b, t := v.both()
 		if b.aps.n+t.aps.n == 0 {
 			return
 		}
-		if g, ok := ro.group(p.id()); ok {
+		if g, ok := ro.group(v.id()); ok {
 			out[g] = append(out[g], quantile(0.5, &b.aps, &t.aps))
 		}
 	})
@@ -172,21 +152,16 @@ func (r *Rollup) VisibleAPsByGroup(ro *Roster) map[Group][]float64 {
 	return out
 }
 
-// VisibleAPsByGroup is Rollup.VisibleAPsByGroup over st.
-func VisibleAPsByGroup(st *dataset.Store) map[Group][]float64 {
-	return keptRollup(st).VisibleAPsByGroup(NewRoster(st))
-}
-
 // AllFourPortsShares returns, per group, the fraction of homes that ever
 // used all four Ethernet ports (§5.2: "only a few households use all four
 // Ethernet ports (9%)"). Homes are the group's whole roster.
 func (r *Rollup) AllFourPortsShares(ro *Roster) map[Group]float64 {
 	var full [2]int
-	r.kept.each(func(p keptPair) {
-		if p.census().maxWired < 4 {
+	r.each(func(v homeView) {
+		if v.census().maxWired < 4 {
 			return
 		}
-		if g, ok := ro.group(p.id()); ok {
+		if g, ok := ro.group(v.id()); ok {
 			full[g]++
 		}
 	})
@@ -198,11 +173,3 @@ func (r *Rollup) AllFourPortsShares(ro *Roster) map[Group]float64 {
 	}
 	return out
 }
-
-// AllFourPortsShares is Rollup.AllFourPortsShares over st.
-func AllFourPortsShares(st *dataset.Store) map[Group]float64 {
-	return keptRollup(st).AllFourPortsShares(NewRoster(st))
-}
-
-// AllFourPortsShare is AllFourPortsShares for one group.
-func AllFourPortsShare(st *dataset.Store, g Group) float64 { return AllFourPortsShares(st)[g] }

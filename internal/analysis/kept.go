@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"cmp"
-	"maps"
 	"slices"
 	"time"
 
@@ -12,15 +11,12 @@ import (
 )
 
 // The six kept row kinds — uptime, capacity, censuses, sightings, WiFi
-// scans and per-minute throughput — folded into exact per-router state.
-// A router's state is a version (keptHome) held by the rollup beside its
-// flow homes, under the same epoch: a fold updates a private version in
-// place and copies one a view may be reading before it writes, and
-// freeze readies every version it touched for reading. The exhibits read
-// a version as it is, or a base's with a page's tail laid over it, and
-// resolve each router's group and country against the roster when they
-// read, never when they fold: a router's rows may arrive before its
-// country does.
+// scans and per-minute throughput — folded into exact per-router state:
+// the kept half of each router's version (home), beside its flows and
+// under the same copy-on-write rule. The exhibits read a version as it
+// is, or a base's with a page's tail laid over it, and resolve each
+// router's group and country against the roster when they read, never
+// when they fold: a router's rows may arrive before its country does.
 //
 // Every family is exact, whatever the chunking and whatever the mix of
 // base and tail:
@@ -36,7 +32,7 @@ import (
 //   - Fig. 14's one series keeps its rows in arrival order, base then
 //     tail, and is sorted as the row scan sorted it.
 
-// KindSet records which kept kinds a router has rows of (Table 2).
+// KindSet records which kinds a router has rows of (Table 2).
 type KindSet uint8
 
 // The kinds Table 2 lists a router under.
@@ -45,26 +41,8 @@ const (
 	HasCapacity
 	HasCensus
 	HasWiFi
+	HasTraffic
 )
-
-// keptHome is one version of a router's kept-kind state.
-type keptHome struct {
-	id    string
-	epoch uint64
-	stale bool // runs hold values not yet sorted in; freeze sorts them
-	has   KindSet
-
-	// Uptime reports (Fig. 4's causes), in cmpReport order, and how many
-	// read at least a day (Fig. 6's modes).
-	uptime run[uptimeReport]
-	longUp int
-	// Positive capacity measurements per direction (Figs. 14–16).
-	capUp, capDown run[float64]
-	census         censusTotals
-	devices        map[mac.Addr]deviceSeen // Figs. 7, 10, Table 5
-	aps            run[float64]            // 2.4 GHz visible APs (Fig. 11)
-	links          [2]link                 // "up", "down" (Figs. 14–16)
-}
 
 type uptimeReport struct {
 	at time.Time
@@ -328,17 +306,6 @@ func mergeRuns[T any](a, b []T, cmp func(a, b T) int) []T {
 	return append(append(out, a...), b...)
 }
 
-func (h *keptHome) settle() {
-	h.uptime.settle(func(s []uptimeReport) { slices.SortFunc(s, cmpReport) }, cmpReport)
-	for _, r := range []*run[float64]{&h.capUp, &h.capDown, &h.aps} {
-		r.settle(slices.Sort[[]float64], cmp.Compare[float64])
-	}
-	for i := range h.links {
-		h.links[i].settle()
-	}
-	h.stale = false
-}
-
 // addKept folds the kept rows of c.
 func (r *rollup) addKept(c *dataset.Store) {
 	if r.frozen {
@@ -346,7 +313,7 @@ func (r *rollup) addKept(c *dataset.Store) {
 	}
 	for i := range c.Uptime {
 		u := &c.Uptime[i]
-		h := r.keptHome(u.RouterID)
+		h := r.write(u.RouterID)
 		h.has |= HasUptime
 		h.uptime.push(uptimeReport{u.ReportedAt, u.Uptime})
 		if u.Uptime >= 24*time.Hour {
@@ -355,7 +322,7 @@ func (r *rollup) addKept(c *dataset.Store) {
 	}
 	for i := range c.Capacity {
 		m := &c.Capacity[i]
-		h := r.keptHome(m.RouterID)
+		h := r.write(m.RouterID)
 		h.has |= HasCapacity
 		if m.UpBps > 0 {
 			h.capUp.push(m.UpBps)
@@ -366,25 +333,25 @@ func (r *rollup) addKept(c *dataset.Store) {
 	}
 	for i := range c.Counts {
 		d := &c.Counts[i]
-		h := r.keptHome(d.RouterID)
+		h := r.write(d.RouterID)
 		h.has |= HasCensus
 		h.census.add(d)
 	}
 	for i := range c.Sightings {
 		s := &c.Sightings[i]
-		h := r.keptHome(s.RouterID)
-		if h.devices == nil {
-			h.devices = map[mac.Addr]deviceSeen{}
+		h := r.write(s.RouterID)
+		if h.seen == nil {
+			h.seen = map[mac.Addr]deviceSeen{}
 		}
-		d := h.devices[s.Device]
+		d := h.seen[s.Device]
 		d.count++
 		d.kind = s.Kind
 		d.kinds |= kindBit(s.Kind)
-		h.devices[s.Device] = d
+		h.seen[s.Device] = d
 	}
 	for i := range c.WiFi {
 		s := &c.WiFi[i]
-		h := r.keptHome(s.RouterID)
+		h := r.write(s.RouterID)
 		h.has |= HasWiFi
 		if s.Band == "2.4GHz" {
 			h.aps.push(float64(s.VisibleAPs))
@@ -403,7 +370,7 @@ func (r *rollup) addKept(c *dataset.Store) {
 		if n[0]+n[1] == 0 {
 			continue
 		}
-		h := r.keptHome(id)
+		h := r.write(id)
 		var dst [2]*[]UtilizationPoint
 		for l := range h.links {
 			if n[l] > 0 {
@@ -470,9 +437,9 @@ func (r *rollup) mergeKept(o *rollup) {
 	if r.frozen {
 		r.thaw()
 	}
-	for _, oh := range o.kept {
-		h := r.keptHome(oh.id)
-		h.has |= oh.has
+	for _, oh := range o.homes {
+		h := r.write(oh.id)
+		h.has |= oh.has &^ HasTraffic // set by the flows' own fold
 		h.uptime.absorb(&oh.uptime)
 		h.longUp += oh.longUp
 		h.capUp.absorb(&oh.capUp)
@@ -483,15 +450,15 @@ func (r *rollup) mergeKept(o *rollup) {
 				h.census.bins.add(int(b.at), b.sum, b.n)
 			}
 		}
-		if len(oh.devices) > 0 && h.devices == nil {
-			h.devices = make(map[mac.Addr]deviceSeen, len(oh.devices))
+		if len(oh.seen) > 0 && h.seen == nil {
+			h.seen = make(map[mac.Addr]deviceSeen, len(oh.seen))
 		}
-		for dev, od := range oh.devices {
-			d := h.devices[dev]
+		for dev, od := range oh.seen {
+			d := h.seen[dev]
 			d.count += od.count
 			d.kind = od.kind
 			d.kinds |= od.kinds
-			h.devices[dev] = d
+			h.seen[dev] = d
 		}
 		h.aps.absorb(&oh.aps)
 		for l := range h.links {
@@ -504,246 +471,92 @@ func (r *rollup) mergeKept(o *rollup) {
 	r.keptRows.Add(o.keptRows)
 }
 
-// keptHome returns id's version for writing, making the router's state
-// on first sight. Rows arrive in per-router runs, so the last router's
-// position is tried before the index.
-func (r *rollup) keptHome(id string) *keptHome {
-	i := r.keptLast
-	if i < 0 || r.kept[i].id != id {
-		var ok bool
-		if i, ok = r.keptIdx[id]; !ok {
-			// The index is shared with the views taken before this
-			// epoch; a new entry goes into a copy.
-			if r.keptIdxEpoch != r.epoch {
-				r.keptIdx = maps.Clone(r.keptIdx)
-				r.keptIdxEpoch = r.epoch
-			}
-			i = int32(len(r.kept))
-			r.keptIdx[id] = i
-			r.kept = append(r.kept, r.slab.keptHome(id, r.epoch))
-		}
-		r.keptLast = i
-	}
-	h := r.kept[i]
-	if h.epoch != r.epoch {
-		c := *h
-		c.epoch = r.epoch
-		c.devices = maps.Clone(h.devices)
-		c.census.bins = slices.Clone(h.census.bins)
-		for l := range c.links {
-			c.links[l].series = h.links[l].series.copied(h.epoch <= r.forked)
-		}
-		h = &c
-		r.kept[i] = h
-	}
-	h.stale = true
-	return h
-}
-
-// keptHome hands out a new router's state from a shared array, as home
-// does a flow home's.
-func (s *slab) keptHome(id string, epoch uint64) *keptHome {
-	if len(s.kept) == cap(s.kept) {
-		s.kept = make([]keptHome, 0, slabHomes)
-	}
-	s.kept = append(s.kept, keptHome{id: id, epoch: epoch})
-	return &s.kept[len(s.kept)-1]
-}
-
-// settleKept sorts every touched version's new values into its runs.
-func (r *rollup) settleKept() {
-	for _, h := range r.kept {
-		if h.stale {
-			h.settle()
-		}
-	}
-}
-
-// keptView is the kept half of a Rollup: a frozen base and, on a page,
-// the tail's versions laid over it.
-type keptView struct {
-	homes []*keptHome // first-seen order
-	idx   map[string]int32
-	rows  dataset.RowCounts
-	tail  *keptOverlay // nil when nothing lies over the base
-}
-
-// keptOverlay is a tail's kept versions resolved against a base.
-type keptOverlay struct {
-	homes  []*keptHome
-	idx    map[string]int32
-	rows   dataset.RowCounts
-	onBase []int32 // base home → tail home, or -1
-	only   []int32 // the tail homes the base lacks
-}
-
-// overlayKept resolves t's kept versions against r's: one index lookup
-// per tail router.
-func (r *rollup) overlayKept(t *rollup) *keptOverlay {
-	o := &keptOverlay{homes: t.kept, idx: t.keptIdx, rows: t.keptRows, onBase: make([]int32, len(r.kept))}
-	for i := range o.onBase {
-		o.onBase[i] = -1
-	}
-	for j, h := range t.kept {
-		if i := find(r.keptIdx, h.id); i >= 0 {
-			o.onBase[i] = int32(j)
-		} else {
-			o.only = append(o.only, int32(j))
-		}
-	}
-	return o
-}
-
-// keptPair is one router's kept state as a view reads it: the base's
-// version, the tail's, or both.
-type keptPair struct{ b, t *keptHome }
-
-func (p keptPair) id() string {
-	if p.b != nil {
-		return p.b.id
-	}
-	return p.t.id
-}
-
 // both returns the base's and the tail's versions, nil ones replaced by
 // an empty state.
-func (p keptPair) both() (b, t *keptHome) {
-	b, t = p.b, p.t
+func (v homeView) both() (b, t *home) {
+	b, t = v.b, v.t
 	if b == nil {
-		b = &noKept
+		b = &noHome
 	}
 	if t == nil {
-		t = &noKept
+		t = &noHome
 	}
 	return b, t
 }
 
-var noKept keptHome
+var noHome home
 
-func (p keptPair) has() KindSet {
-	b, t := p.both()
+func (v homeView) has() KindSet {
+	b, t := v.both()
 	return b.has | t.has
 }
 
 // census returns the router's census totals, base and tail added, but
 // for the bins (left out).
-func (p keptPair) census() censusTotals {
-	b, t := p.both()
+func (v homeView) census() censusTotals {
+	b, t := v.both()
 	c := b.census
 	c.bins = nil
 	c.merge(&t.census)
 	return c
 }
 
-// eachDevice calls fn for each device of the router, with base and tail
-// added: the kind is the tail's where it has the device.
-func (p keptPair) eachDevice(fn func(deviceSeen)) {
-	b, t := p.both()
-	if len(t.devices) == 0 {
-		for _, d := range b.devices {
+// eachDevice calls fn for each sighted device of the router, with base
+// and tail added: the kind is the tail's where it has the device.
+func (v homeView) eachDevice(fn func(deviceSeen)) {
+	b, t := v.both()
+	if len(t.seen) == 0 {
+		for _, d := range b.seen {
 			fn(d)
 		}
 		return
 	}
-	for dev, d := range b.devices {
-		if td, ok := t.devices[dev]; ok {
+	for dev, d := range b.seen {
+		if td, ok := t.seen[dev]; ok {
 			d.count += td.count
 			d.kind = td.kind
 			d.kinds |= td.kinds
 		}
 		fn(d)
 	}
-	for dev, d := range t.devices {
-		if _, ok := b.devices[dev]; !ok {
+	for dev, d := range t.seen {
+		if _, ok := b.seen[dev]; !ok {
 			fn(d)
 		}
 	}
 }
 
-// deviceCount counts the router's distinct devices, base and tail.
-func (p keptPair) deviceCount() int {
-	b, t := p.both()
-	n := len(b.devices)
-	for dev := range t.devices {
-		if _, ok := b.devices[dev]; !ok {
+// deviceCount counts the router's distinct sighted devices, base and
+// tail.
+func (v homeView) deviceCount() int {
+	b, t := v.both()
+	n := len(b.seen)
+	for dev := range t.seen {
+		if _, ok := b.seen[dev]; !ok {
 			n++
 		}
 	}
 	return n
 }
 
-// view returns the kept half of a view of r: r must be frozen.
-func (r *rollup) keptView() keptView {
-	return keptView{homes: r.kept, idx: r.keptIdx, rows: r.keptRows}
-}
-
-// each calls fn for every router with kept rows: the base's in
-// first-seen order, then those the tail has first.
-func (v *keptView) each(fn func(keptPair)) {
-	o := v.tail
-	for i, b := range v.homes {
-		p := keptPair{b: b}
-		if o != nil {
-			if j := o.onBase[i]; j >= 0 {
-				p.t = o.homes[j]
-			}
-		}
-		fn(p)
-	}
-	if o != nil {
-		for _, j := range o.only {
-			fn(keptPair{t: o.homes[j]})
-		}
-	}
-}
-
-// of returns id's state: both nil when id has no kept rows.
-func (v *keptView) of(id string) keptPair {
-	var p keptPair
-	o := v.tail
-	if i, ok := v.idx[id]; ok {
-		p.b = v.homes[i]
-		if o != nil {
-			if j := o.onBase[i]; j >= 0 {
-				p.t = o.homes[j]
-			}
-		}
-		return p
-	}
-	if o != nil {
-		if j, ok := o.idx[id]; ok {
-			p.t = o.homes[j]
-		}
-	}
-	return p
-}
-
 // KeptRows counts the kept rows the view was folded from, per kind;
 // Routers and Flows are zero.
 func (r *Rollup) KeptRows() dataset.RowCounts {
-	rc := r.kept.rows
-	if o := r.kept.tail; o != nil {
-		rc.Add(o.rows)
+	rc := r.keptRows
+	if r.tail != nil {
+		rc.Add(r.tail.roll.keptRows)
 	}
 	return rc
 }
 
-// RoutersWith lists the routers with rows of any kind in k (Table 2):
-// the base's in first-seen order, then those the tail has first.
+// RoutersWith lists the routers with rows of any kind in k (Table 2), in
+// no promised order.
 func (r *Rollup) RoutersWith(k KindSet) []string {
 	var out []string
-	r.kept.each(func(p keptPair) {
-		if p.has()&k != 0 {
-			out = append(out, p.id())
+	r.each(func(v homeView) {
+		if v.has()&k != 0 {
+			out = append(out, v.id())
 		}
 	})
 	return out
-}
-
-// keptRollup folds the kept rows of st alone: the stand-alone forms of
-// the kept-kind exhibits read it.
-func keptRollup(st *dataset.Store) *Rollup {
-	r := newRollup(0)
-	r.addKept(st)
-	return r.view()
 }

@@ -224,7 +224,7 @@ func TestLiveSeriesAllocatesItsSize(t *testing.T) {
 	runtime.KeepAlive(chunks)
 
 	p.roll.freeze()
-	h := p.roll.kept[p.roll.keptIdx["r"]]
+	h := p.roll.homes[p.roll.byID["r"]]
 	s := h.links[0].series
 	t.Logf("%d points in %d blocks; peaks in %d runs, capacities in %d; %d bytes kept",
 		s.n, len(s.blocks), len(h.links[0].peaks.runs), len(h.capUp.runs), kept)

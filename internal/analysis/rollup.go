@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"cmp"
 	"maps"
-	"math"
 	"slices"
 	"sort"
 
@@ -14,13 +13,12 @@ import (
 	"natpeek/internal/stats"
 )
 
-// Rollup is a store's rows summed into what the exhibits read. For the
-// Traffic flows: per home, the bytes and connections of every domain, the
-// bytes of every device and of every (device, domain) pair, running
-// totals, and the domains ranked the three ways Figs. 18 and 19 rank
-// them — Table 2's Traffic row and Figs. 12, 14 and 17–20 are answered
-// from those. For the six kept kinds, each router's exact state
-// (kept.go), which answers every other exhibit but the heartbeat ones.
+// Rollup is a store's rows summed into what the exhibits read: one state
+// per router (home) with its Traffic flows and its six kept kinds
+// (kept.go). For the flows: the bytes and connections of every domain,
+// the bytes of every device and of every (device, domain) pair, running
+// totals, and the domains ranked the three ways Figs. 18 and 19 rank them.
+// Table 2 and every exhibit but the heartbeat ones are answered from it.
 // Sums are kept as integers and samples as sorted runs; both are exact in
 // any order, which is what lets an exhibit computed from the rollup
 // match, bit for bit, one computed row by row.
@@ -31,41 +29,39 @@ import (
 // rollup laid over it: each method adds base and tail per home as it
 // reads, and neither side is copied or changed.
 type Rollup struct {
-	homes []*homeFlows   // the base, first-seen order
-	fleet []deviceTotals // the base's fleet-wide device totals
-	tail  *overlay       // nil when nothing lies over the base
-	kept  keptView       // the kept kinds (kept.go)
+	homes     []*home          // the base, first-seen order
+	byID      map[string]int32 // the base's home positions
+	fleet     []deviceTotals   // the base's fleet-wide device totals
+	flowHomes int32            // the base's homes with flow rows
+	keptRows  dataset.RowCounts
+	tail      *overlay // nil when nothing lies over the base
 }
 
-// rollup is the foldable state behind a Rollup. A home is held as a
-// version (homeFlows): a fold updates the version in place when it is
+// rollup is the foldable state behind a Rollup. A router is held as a
+// version (home): a fold updates the version in place when it is
 // private, and first replaces it with a copy when a Rollup may be
 // reading it, so a view never sees a version change under it.
 type rollup struct {
-	homes []*homeFlows   // first-seen order
+	homes []*home        // first-seen order, of any kind
 	fleet []deviceTotals // fleet-wide: a device's bytes across every home it is in
-	// The indexes are read and written by folds only — and by overlay,
-	// which runs under the same exclusion. A Rollup never reads them.
-	byID     map[string]int32
-	domIdx   map[domKey]int32
-	devIdx   map[devKey]int32
-	fleetIdx map[mac.Addr]int32
-	last     int32 // the previous row's home: rows arrive in per-router runs
-	slab     slab
+	// byID is shared with the views taken in the epoch it was made in
+	// (idEpoch), so a new router after those goes into a copy. The other
+	// indexes are read and written by folds only — and by overlay, which
+	// runs under the same exclusion. A Rollup never reads them.
+	byID      map[string]int32
+	idEpoch   uint64
+	domIdx    map[domKey]int32
+	devIdx    map[devKey]int32
+	fleetIdx  map[mac.Addr]int32
+	last      int32 // the previous row's home: rows arrive in per-router runs
+	flowHomes int32 // homes with flow rows: the next first-flow ordinal
+	keptRows  dataset.RowCounts
+	slab      slab
 	// A version made in the current epoch is private. freeze shares
 	// homes, fleet and every version with a view; the next write copies
 	// the two slices and starts a new epoch (thaw).
 	epoch  uint64
 	frozen bool
-
-	// The kept kinds' versions (kept.go), first-seen order, under the
-	// same epoch. Their index is shared with the views taken in the epoch
-	// it was made in, so a new router after those goes into a copy.
-	kept         []*keptHome
-	keptIdx      map[string]int32
-	keptIdxEpoch uint64
-	keptLast     int32
-	keptRows     dataset.RowCounts
 	// forked is the epoch of the last clone: a version from it or before
 	// may be shared with another rollup that also writes (series.copied).
 	forked uint64
@@ -88,18 +84,36 @@ type flowRef struct{ home, dom, dev, pair int32 }
 // unresolved is the ref of a row no entry has been found for yet.
 var unresolved = flowRef{home: -1}
 
-// homeFlows is one version of a home's totals.
-type homeFlows struct {
+// home is one version of a router's state, flows and kept kinds alike.
+type home struct {
 	id    string
 	epoch uint64
+	stale bool    // changed since it was last settled
+	has   KindSet // the kinds the router has rows of
+	// first is the home's first-flow ordinal, once has holds HasTraffic:
+	// how many homes had flow rows before its first one. Fig. 19 sums
+	// over homes in this order, the one a chunked fold and a batch agree on.
+	first int32
+
 	homeTotals
 	domains []domainTotals // first-seen order; may include the unnamed domain ""
 	devices []homeDevice   // first-seen order
 	pairs   []pairTotals   // one per fold key: Fig. 20's device mixes
-	// top caches the positions in domains of the rankDepth best per
-	// rank; stale until the next freeze once domains change.
-	top   [numRanks][]int32
-	stale bool
+	// top caches the positions in domains of the ntop[rk] ≤ rankDepth
+	// best by each rank rk, as of the last settle.
+	top  [numRanks][rankDepth]int32
+	ntop [numRanks]uint8
+
+	// The kept kinds. Uptime reports (Fig. 4's causes), in cmpReport
+	// order, and how many read at least a day (Fig. 6's modes).
+	uptime run[uptimeReport]
+	longUp int
+	// Positive capacity measurements per direction (Figs. 14–16).
+	capUp, capDown run[float64]
+	census         censusTotals
+	seen           map[mac.Addr]deviceSeen // sighted devices: Figs. 7, 10, Table 5
+	aps            run[float64]            // 2.4 GHz visible APs (Fig. 11)
+	links          [2]link                 // "up", "down" (Figs. 14–16)
 }
 
 // homeTotals are a home's running totals: all Traffic volume, the volume
@@ -187,8 +201,6 @@ func newRollup(domains int) *rollup {
 		devIdx:   map[devKey]int32{},
 		fleetIdx: map[mac.Addr]int32{},
 		last:     -1,
-		keptIdx:  map[string]int32{},
-		keptLast: -1,
 	}
 }
 
@@ -220,23 +232,20 @@ func (r *rollup) add(f *dataset.FlowRecord, ref *flowRef) {
 	dv.bytes += b
 	r.fleet[dv.fleet].bytes += b
 	h.pairs[ref.pair].bytes += b
-	h.stale = true
 }
 
 // resolve finds the home, domain and device entries of f, making those
-// it lacks, and gives f a pair entry of its own.
+// it lacks, and gives f a pair entry of its own. A home's first flow row
+// gives it its first-flow ordinal and the first entries of its slices.
 func (r *rollup) resolve(f *dataset.FlowRecord, ref *flowRef) {
-	hi := r.last
-	if hi < 0 || r.homes[hi].id != f.RouterID {
-		var ok bool
-		if hi, ok = r.byID[f.RouterID]; !ok {
-			hi = int32(len(r.homes))
-			r.byID[f.RouterID] = hi
-			r.homes = append(r.homes, r.slab.home(f.RouterID, r.epoch))
-		}
-		r.last = hi
-	}
+	hi := r.at(f.RouterID)
 	h := r.own(hi)
+	if h.has&HasTraffic == 0 {
+		h.has |= HasTraffic
+		h.first = r.flowHomes
+		r.flowHomes++
+		h.domains, h.devices, h.pairs = carve(&r.slab.domains), carve(&r.slab.devices), carve(&r.slab.pairs)
+	}
 	dom, ok := r.domIdx[domKey{hi, f.Domain}]
 	if !ok {
 		dom = int32(len(h.domains))
@@ -259,14 +268,34 @@ func (r *rollup) resolve(f *dataset.FlowRecord, ref *flowRef) {
 	h.pairs = append(h.pairs, pairTotals{dev: f.Device, dom: dom})
 }
 
-// slab hands out new homes — flow homes with the first entries of their
-// slices, and kept routers' states — from shared arrays, so a rollup of
-// many small homes — a page's tail — allocates once per few dozen homes
-// rather than a doubling series per home and slice. A home that outgrows
-// its first entries moves to an array of its own, as append does.
+// at returns the position of id's home, making it on first sight. Rows
+// arrive in per-router runs, so the last row's home is tried before the
+// index.
+func (r *rollup) at(id string) int32 {
+	if i := r.last; i >= 0 && r.homes[i].id == id {
+		return i
+	}
+	i, ok := r.byID[id]
+	if !ok {
+		if r.idEpoch != r.epoch {
+			r.byID = maps.Clone(r.byID)
+			r.idEpoch = r.epoch
+		}
+		i = int32(len(r.homes))
+		r.byID[id] = i
+		r.homes = append(r.homes, r.slab.home(id, r.epoch))
+	}
+	r.last = i
+	return i
+}
+
+// slab hands out new homes, and the first entries of a flow home's
+// slices, from shared arrays, so a rollup of many small homes — a page's
+// tail — allocates once per few dozen homes rather than a doubling series
+// per home and slice. A home that outgrows its first entries moves to an
+// array of its own, as append does.
 type slab struct {
-	homes   []homeFlows
-	kept    []keptHome
+	homes   []home
 	domains []domainTotals
 	devices []homeDevice
 	pairs   []pairTotals
@@ -274,17 +303,14 @@ type slab struct {
 
 const (
 	slabHomes   = 32 // homes per slab array
-	homeEntries = 8  // first entries of each slice of a new home
+	homeEntries = 8  // first entries of each slice of a new flow home
 )
 
-func (s *slab) home(id string, epoch uint64) *homeFlows {
+func (s *slab) home(id string, epoch uint64) *home {
 	if len(s.homes) == cap(s.homes) {
-		s.homes = make([]homeFlows, 0, slabHomes)
+		s.homes = make([]home, 0, slabHomes)
 	}
-	s.homes = append(s.homes, homeFlows{
-		id: id, epoch: epoch,
-		domains: carve(&s.domains), devices: carve(&s.devices), pairs: carve(&s.pairs),
-	})
+	s.homes = append(s.homes, home{id: id, epoch: epoch})
 	return &s.homes[len(s.homes)-1]
 }
 
@@ -298,22 +324,33 @@ func carve[T any](a *[]T) []T {
 	return (*a)[n : n : n+homeEntries]
 }
 
-// own returns home i's version for writing: itself when it is private,
-// else a copy that replaces it.
-func (r *rollup) own(i int32) *homeFlows {
+// own returns home i's version for writing, marked stale: itself when it
+// is private, else a copy that replaces it. A copy clones what folds
+// write in place — the flow entries, the device map, the bins — and
+// shares the settled runs, which are never written again (run); each
+// series copies its list of blocks only (series.copied).
+func (r *rollup) own(i int32) *home {
 	h := r.homes[i]
 	if h.epoch != r.epoch {
-		h = &homeFlows{
-			id: h.id, epoch: r.epoch, homeTotals: h.homeTotals,
-			domains: slices.Clone(h.domains),
-			devices: slices.Clone(h.devices),
-			pairs:   slices.Clone(h.pairs),
-			stale:   true,
+		c := *h
+		c.epoch = r.epoch
+		c.domains = slices.Clone(h.domains)
+		c.devices = slices.Clone(h.devices)
+		c.pairs = slices.Clone(h.pairs)
+		c.seen = maps.Clone(h.seen)
+		c.census.bins = slices.Clone(h.census.bins)
+		for l := range c.links {
+			c.links[l].series = h.links[l].series.copied(h.epoch <= r.forked)
 		}
+		h = &c
 		r.homes[i] = h
 	}
+	h.stale = true
 	return h
 }
+
+// write returns id's version for writing (at, then own).
+func (r *rollup) write(id string) *home { return r.own(r.at(id)) }
 
 // thaw takes back what freeze shared before the first write after it:
 // the two slices are copied, and the new epoch makes every version copy
@@ -321,50 +358,64 @@ func (r *rollup) own(i int32) *homeFlows {
 func (r *rollup) thaw() {
 	r.homes = slices.Clone(r.homes)
 	r.fleet = slices.Clone(r.fleet)
-	r.kept = slices.Clone(r.kept)
 	r.epoch++
 	r.frozen = false
 }
 
-// freeze readies r to be shared: stale rankings are recomputed, kept
-// values folded since the last freeze are sorted into their runs, and the
-// next write copies before it writes. A fold that no view was taken
-// behind updates in place, so replaying N chunks costs one pass.
+// freeze readies r to be shared: every version changed since the last
+// freeze is settled, and the next write copies before it writes. A fold
+// that no view was taken behind updates in place, so replaying N chunks
+// costs one pass.
 func (r *rollup) freeze() {
 	if r.frozen {
 		return
 	}
-	for _, h := range r.homes {
-		if h.stale {
-			for rk := range h.top {
-				h.top[rk] = rankInto(h.top[rk][:0], h.domains, rank(rk), rankDepth)
-			}
-			h.stale = false
-		}
-	}
-	r.settleKept()
+	r.settle(true)
 	r.frozen = true
+}
+
+// settle readies every version changed since the last settle for
+// reading: the kept values folded since then are sorted into their runs
+// and, when ranked is set, the domains re-ranked. A page's tail is
+// settled unranked: only a base's rankings are read (homeView.top).
+func (r *rollup) settle(ranked bool) {
+	for _, h := range r.homes {
+		if !h.stale {
+			continue
+		}
+		if ranked {
+			for rk := range h.top {
+				h.ntop[rk] = uint8(len(rankInto(h.top[rk][:0], h.domains, rank(rk), rankDepth)))
+			}
+		}
+		h.uptime.settle(func(s []uptimeReport) { slices.SortFunc(s, cmpReport) }, cmpReport)
+		for _, r := range []*run[float64]{&h.capUp, &h.capDown, &h.aps} {
+			r.settle(slices.Sort[[]float64], cmp.Compare[float64])
+		}
+		for i := range h.links {
+			h.links[i].settle()
+		}
+		h.stale = false
+	}
 }
 
 // view freezes r and returns it as a Rollup.
 func (r *rollup) view() *Rollup {
 	r.freeze()
-	return &Rollup{homes: r.homes, fleet: r.fleet, kept: r.keptView()}
+	return &Rollup{homes: r.homes, byID: r.byID, fleet: r.fleet, flowHomes: r.flowHomes, keptRows: r.keptRows}
 }
 
 // clone returns a rollup that shares r's versions until either side
-// writes: both are frozen, so each copies what it touches first. Only the
-// flow indexes are copied now; the kept index is shared as with a view.
+// writes: both are frozen, so each copies what it touches first. The
+// router index is shared as with a view; the flow indexes are copied.
 func (r *rollup) clone() *rollup {
 	r.freeze()
 	r.forked = r.epoch
 	return &rollup{
-		homes: r.homes, fleet: r.fleet,
-		byID: maps.Clone(r.byID), domIdx: maps.Clone(r.domIdx),
-		devIdx: maps.Clone(r.devIdx), fleetIdx: maps.Clone(r.fleetIdx),
-		last: -1, epoch: r.epoch, frozen: true,
-		kept: r.kept, keptIdx: r.keptIdx, keptIdxEpoch: r.keptIdxEpoch,
-		keptLast: -1, keptRows: r.keptRows, forked: r.epoch,
+		homes: r.homes, fleet: r.fleet, byID: r.byID, idEpoch: r.idEpoch,
+		domIdx: maps.Clone(r.domIdx), devIdx: maps.Clone(r.devIdx), fleetIdx: maps.Clone(r.fleetIdx),
+		last: -1, flowHomes: r.flowHomes, keptRows: r.keptRows,
+		epoch: r.epoch, frozen: true, forked: r.epoch,
 	}
 }
 
@@ -386,9 +437,6 @@ type overlay struct {
 // t must not change afterwards.
 func (r *rollup) overlay(t *rollup) *Rollup {
 	v := r.view()
-	if len(t.kept) > 0 {
-		v.kept.tail = r.overlayKept(t)
-	}
 	if len(t.homes) == 0 {
 		return v
 	}
@@ -440,10 +488,17 @@ func find[K comparable](m map[K]int32, k K) int32 {
 }
 
 // homeView is one home as a Rollup reads it: its base version, the
-// tail's, or both, with the tail's entries resolved to the base's.
+// tail's, or both, with the tail's flow entries resolved to the base's.
 type homeView struct {
-	b, t     *homeFlows
+	b, t     *home
 	dom, dev []int32
+}
+
+// lay lays tail home j over v; j < 0 lays nothing.
+func (o *overlay) lay(v *homeView, j int32) {
+	if j >= 0 {
+		v.t, v.dom, v.dev = o.roll.homes[j], o.dom[j], o.dev[j]
+	}
 }
 
 // each calls fn for every home in first-seen order: the base's, then
@@ -453,20 +508,34 @@ func (r *Rollup) each(fn func(homeView)) {
 	for i, b := range r.homes {
 		v := homeView{b: b}
 		if o != nil {
-			if j := o.onBase[i]; j >= 0 {
-				v.t, v.dom, v.dev = o.roll.homes[j], o.dom[j], o.dev[j]
-			}
+			o.lay(&v, o.onBase[i])
 		}
 		fn(v)
 	}
 	if o == nil {
 		return
 	}
-	for j, t := range o.roll.homes {
+	for j := range o.roll.homes {
 		if o.home[j] < 0 {
-			fn(homeView{t: t, dom: o.dom[j], dev: o.dev[j]})
+			var v homeView
+			o.lay(&v, int32(j))
+			fn(v)
 		}
 	}
+}
+
+// of returns id's home; both versions are nil when no row names it.
+func (r *Rollup) of(id string) homeView {
+	var v homeView
+	if i, ok := r.byID[id]; ok {
+		v.b = r.homes[i]
+		if r.tail != nil {
+			r.tail.lay(&v, r.tail.onBase[i])
+		}
+	} else if r.tail != nil {
+		r.tail.lay(&v, find(r.tail.roll.byID, id))
+	}
+	return v
 }
 
 func (v homeView) id() string {
@@ -509,7 +578,7 @@ func (v homeView) deviceBytes(buf []float64) []float64 {
 }
 
 func (v homeView) hasDevice(dev mac.Addr) bool {
-	for _, h := range [2]*homeFlows{v.b, v.t} {
+	for _, h := range [2]*home{v.b, v.t} {
 		if h == nil {
 			continue
 		}
@@ -536,10 +605,14 @@ type rankScratch struct {
 // whole list when k is deeper than the cache).
 func (v homeView) top(rk rank, k int, sc *rankScratch) []domainTotals {
 	cached := v.b != nil && k <= rankDepth
+	var top []int32
+	if cached {
+		top = v.b.top[rk][:v.b.ntop[rk]]
+	}
 	cand := sc.cand[:0]
 	switch {
 	case cached:
-		for _, i := range v.b.top[rk] {
+		for _, i := range top {
 			cand = append(cand, v.b.domains[i])
 		}
 	case v.b != nil:
@@ -556,7 +629,7 @@ func (v homeView) top(rk rank, k int, sc *rankScratch) []domainTotals {
 				d.conns += base.conns
 				pos := int(i)
 				if cached {
-					pos = slices.Index(v.b.top[rk], i)
+					pos = slices.Index(top, i)
 				}
 				if pos >= 0 {
 					cand[pos] = d
@@ -630,28 +703,14 @@ func RollupOf(st *dataset.Store) *Rollup {
 	return r.view()
 }
 
-// flowRollup folds st's flows alone: the stand-alone forms of the flow
-// exhibits read it.
-func flowRollup(st *dataset.Store) *Rollup {
-	r := newRollup(0)
-	r.addRows(st.Flows)
-	return r.view()
-}
-
-// Homes lists the routers with any flow row, in first-seen order.
-func (r *Rollup) Homes() []string {
-	out := make([]string, 0, len(r.homes))
-	r.each(func(v homeView) {
-		out = append(out, v.id())
-	})
-	return out
-}
-
 // BusiestHome returns the home with the most Traffic volume (the lowest
 // ID among equals), "" when there are no flows — Fig. 14's subject.
 func (r *Rollup) BusiestHome() string {
 	best, bestV := "", int64(-1)
 	r.each(func(v homeView) {
+		if v.has()&HasTraffic == 0 {
+			return
+		}
 		id, b := v.id(), v.totals().bytes
 		if b > bestV || b == bestV && id < best {
 			best, bestV = id, b
@@ -663,9 +722,12 @@ func (r *Rollup) BusiestHome() string {
 // DeviceShares computes Fig. 17: for each home, the descending fractional
 // volume contribution of its devices.
 func (r *Rollup) DeviceShares() map[string][]float64 {
-	out := make(map[string][]float64, len(r.homes))
+	out := make(map[string][]float64, r.flowHomes)
 	var vs []float64
 	r.each(func(v homeView) {
+		if v.has()&HasTraffic == 0 {
+			return
+		}
 		vs = v.deviceBytes(vs)
 		out[v.id()] = stats.Share(vs)
 	})
@@ -755,10 +817,10 @@ func (r *Rollup) DomainShares(maxRank int) DomainShareCurves {
 	}
 	n := 0
 	var sc rankScratch
-	r.each(func(v homeView) {
+	for _, v := range r.byFirstFlow() {
 		s := v.totals()
 		if s.namedBytes == 0 || s.namedConns == 0 {
-			return
+			continue
 		}
 		n++
 		volTotal, connTotal := float64(s.namedBytes), float64(s.namedConns)
@@ -769,7 +831,7 @@ func (r *Rollup) DomainShares(maxRank int) DomainShareCurves {
 		for i, d := range v.top(byConnsNamed, maxRank, &sc) {
 			out.ConnShareByConnRank[i] += float64(d.conns) / connTotal
 		}
-	})
+	}
 	if n == 0 {
 		return out
 	}
@@ -779,6 +841,28 @@ func (r *Rollup) DomainShares(maxRank int) DomainShareCurves {
 		out.ConnShareByVolRank[i] /= float64(n)
 	}
 	return out
+}
+
+// byFirstFlow returns the homes with flow rows in the order of their
+// first flow row, which float sums over homes must follow to give a
+// chunked fold's bits: a home the tail has first flows of comes after
+// the base's, in the tail's order.
+func (r *Rollup) byFirstFlow() []homeView {
+	n := r.flowHomes
+	if r.tail != nil {
+		n += r.tail.roll.flowHomes
+	}
+	out := make([]homeView, n)
+	r.each(func(v homeView) {
+		switch {
+		case v.b != nil && v.b.has&HasTraffic != 0:
+			out[v.b.first] = v
+		case v.t != nil && v.t.has&HasTraffic != 0:
+			out[r.flowHomes+v.t.first] = v
+		}
+	})
+	// A home with flows in both has a tail ordinal it does not take.
+	return slices.DeleteFunc(out, func(v homeView) bool { return v.b == nil && v.t == nil })
 }
 
 // WhitelistedVolumeShare returns the fraction of Traffic volume going to
@@ -864,7 +948,7 @@ func (r *Rollup) DeviceDomains(dev mac.Addr) []DomainShare {
 		if !v.hasDevice(dev) {
 			return
 		}
-		for _, h := range [2]*homeFlows{v.b, v.t} {
+		for _, h := range [2]*home{v.b, v.t} {
 			if h == nil {
 				continue
 			}
@@ -922,45 +1006,4 @@ func (r *Rollup) ManufacturerHistogram(minBytes int64) []ManufacturerCount {
 		return out[i].Category < out[j].Category
 	})
 	return out
-}
-
-// The stand-alone forms of the exhibits above. Each pays for a rollup of
-// its own; code that renders several (figures.All) builds one and calls
-// the methods.
-
-// DeviceShares is Rollup.DeviceShares over st's flows.
-func DeviceShares(st *dataset.Store) map[string][]float64 { return flowRollup(st).DeviceShares() }
-
-// MeanTopDeviceShare is MeanTopShare of st's DeviceShares.
-func MeanTopDeviceShare(st *dataset.Store, minDevices int) float64 {
-	return MeanTopShare(DeviceShares(st), minDevices)
-}
-
-// PopularDomains is Rollup.PopularDomains over st's flows.
-func PopularDomains(st *dataset.Store) []DomainPopularity { return flowRollup(st).PopularDomains() }
-
-// DomainShares is Rollup.DomainShares over st's flows.
-func DomainShares(st *dataset.Store, maxRank int) DomainShareCurves {
-	return flowRollup(st).DomainShares(maxRank)
-}
-
-// WhitelistedVolumeShare is Rollup.WhitelistedVolumeShare over st's flows.
-func WhitelistedVolumeShare(st *dataset.Store) float64 {
-	return flowRollup(st).WhitelistedVolumeShare()
-}
-
-// TopDevicesByVolume ranks every device of st's flows as
-// Rollup.TopDevices does.
-func TopDevicesByVolume(st *dataset.Store) []mac.Addr {
-	return flowRollup(st).TopDevices(math.MaxInt)
-}
-
-// DeviceDomains is Rollup.DeviceDomains over st's flows.
-func DeviceDomains(st *dataset.Store, dev mac.Addr) []DomainShare {
-	return flowRollup(st).DeviceDomains(dev)
-}
-
-// ManufacturerHistogram is Rollup.ManufacturerHistogram over st's flows.
-func ManufacturerHistogram(st *dataset.Store, minBytes int64) []ManufacturerCount {
-	return flowRollup(st).ManufacturerHistogram(minBytes)
 }

@@ -83,55 +83,55 @@ func TestScaleFigureBudgets(t *testing.T) {
 		return nil
 	})
 	figure("DowntimeCauses", func() error {
-		got := DowntimeCauses(st, NewRoster(st), Developing, sWin)
+		got := RollupOf(st).DowntimeCauses(st.Heartbeats, NewRoster(st), Developing, sWin)
 		if len(got) == 0 {
 			return fmt.Errorf("no downtime causes")
 		}
 		return nil
 	})
 	figure("UniqueDevicesPerHome", func() error {
-		got := UniqueDevicesPerHome(st)
+		got := RollupOf(st).UniqueDevicesPerHome()
 		if len(got) != scalestore.Routers {
 			return fmt.Errorf("devices for %d homes, want %d", len(got), scalestore.Routers)
 		}
 		return nil
 	})
 	figure("ConnectedByGroup", func() error {
-		got := ConnectedByGroup(st)
+		got := RollupOf(st).ConnectedByGroup(NewRoster(st))
 		if got[Developed].Wired.N == 0 || got[Developing].Wired.N == 0 {
 			return fmt.Errorf("empty group: %+v", got)
 		}
 		return nil
 	})
 	figure("AlwaysConnected", func() error {
-		got := AlwaysConnected(st, 12*time.Hour)
+		got := RollupOf(st).AlwaysConnected(NewRoster(st), 12*time.Hour)
 		if got[Developed].WithWired+got[Developed].WithWireless == 0 {
 			return fmt.Errorf("no always-connected devices found: %+v", got)
 		}
 		return nil
 	})
 	figure("VisibleAPsByGroup", func() error {
-		got := VisibleAPsByGroup(st)
+		got := RollupOf(st).VisibleAPsByGroup(NewRoster(st))
 		if len(got[Developed]) == 0 || len(got[Developing]) == 0 {
 			return fmt.Errorf("missing AP samples")
 		}
 		return nil
 	})
 	figure("AllFourPortsShare", func() error {
-		if share := AllFourPortsShare(st, Developed); share == 0 {
+		if share := RollupOf(st).AllFourPortsShares(NewRoster(st))[Developed]; share == 0 {
 			return fmt.Errorf("no four-port homes in a 10k fleet")
 		}
 		return nil
 	})
 	figure("ManufacturerHistogram", func() error {
-		got := ManufacturerHistogram(st, 100_000)
+		got := RollupOf(st).ManufacturerHistogram(100_000)
 		if len(got) == 0 {
 			return fmt.Errorf("no manufacturer categories")
 		}
 		return nil
 	})
 	figure("DiurnalDevices", func() error {
-		weekday, _ := DiurnalDevices(st)
+		weekday, _ := RollupOf(st).DiurnalDevices(NewRoster(st))
 		means := weekday.Means()
 		total := 0.0
 		for _, m := range means {
@@ -143,41 +143,41 @@ func TestScaleFigureBudgets(t *testing.T) {
 		return nil
 	})
 	figure("Saturation", func() error {
-		got := Saturation(st)
+		got := RollupOf(st).Saturation()
 		if len(got) == 0 {
 			return fmt.Errorf("no saturation points")
 		}
 		return nil
 	})
 	figure("DeviceShares", func() error {
-		got := DeviceShares(st)
+		got := RollupOf(st).DeviceShares()
 		if len(got) == 0 {
 			return fmt.Errorf("no device shares")
 		}
 		return nil
 	})
 	figure("PopularDomains", func() error {
-		got := PopularDomains(st)
+		got := RollupOf(st).PopularDomains()
 		if len(got) == 0 {
 			return fmt.Errorf("no popular domains")
 		}
 		return nil
 	})
 	figure("DomainShares", func() error {
-		got := DomainShares(st, 10)
+		got := RollupOf(st).DomainShares(10)
 		if got.VolumeShare[0] == 0 {
 			return fmt.Errorf("empty rank-1 volume share")
 		}
 		return nil
 	})
 	figure("WhitelistedVolumeShare", func() error {
-		if share := WhitelistedVolumeShare(st); share <= 0 || share >= 1 {
+		if share := RollupOf(st).WhitelistedVolumeShare(); share <= 0 || share >= 1 {
 			return fmt.Errorf("whitelisted share %v outside (0,1)", share)
 		}
 		return nil
 	})
 	figure("UsageByGroup", func() error {
-		got := UsageByGroup(st)
+		got := RollupOf(st).UsageByGroup(NewRoster(st))
 		if len(got) == 0 {
 			return fmt.Errorf("no usage groups")
 		}

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"natpeek/internal/dataset"
 	"natpeek/internal/domains"
 	"natpeek/internal/stats"
 )
@@ -18,13 +17,13 @@ import (
 func (r *Rollup) DiurnalDevices(ro *Roster) (weekday, weekend stats.HourBins) {
 	var sums [2][24]int64
 	var counts [2][24]int
-	r.kept.each(func(p keptPair) {
-		c, ok := ro.country(p.id())
+	r.each(func(v homeView) {
+		c, ok := ro.country(v.id())
 		if !ok {
 			return
 		}
 		shift := int(c.UTCOffset / (30 * time.Minute))
-		for _, h := range [2]*keptHome{p.b, p.t} {
+		for _, h := range [2]*home{v.b, v.t} {
 			if h == nil {
 				continue
 			}
@@ -49,11 +48,6 @@ func (r *Rollup) DiurnalDevices(ro *Roster) (weekday, weekend stats.HourBins) {
 	return weekday, weekend
 }
 
-// DiurnalDevices is Rollup.DiurnalDevices over st's censuses.
-func DiurnalDevices(st *dataset.Store) (weekday, weekend stats.HourBins) {
-	return keptRollup(st).DiurnalDevices(NewRoster(st))
-}
-
 // quantile is the q-quantile of a's values and b's, which must not both
 // be empty.
 func quantile(q float64, a, b *run[float64]) float64 {
@@ -72,13 +66,8 @@ func medianOrZero(a, b *run[float64]) float64 {
 // HomeCapacity returns a home's median measured capacity per direction
 // over the Capacity data set.
 func (r *Rollup) HomeCapacity(id string) (upBps, downBps float64) {
-	b, t := r.kept.of(id).both()
+	b, t := r.of(id).both()
 	return medianOrZero(&b.capUp, &t.capUp), medianOrZero(&b.capDown, &t.capDown)
-}
-
-// HomeCapacity is Rollup.HomeCapacity over st's capacity rows.
-func HomeCapacity(st *dataset.Store, id string) (upBps, downBps float64) {
-	return keptRollup(st).HomeCapacity(id)
 }
 
 // LinkSaturation is one Fig. 15 point: a home's capacity vs its 95th
@@ -102,9 +91,9 @@ type LinkSaturation struct {
 // tail. A link is "up" or "down"; samples with any other Dir stay stored
 // but have no capacity to be measured against, so they are left out.
 func (r *Rollup) Saturation() []LinkSaturation {
-	out := make([]LinkSaturation, 0, 2*len(r.kept.homes))
-	r.kept.each(func(p keptPair) {
-		b, t := p.both()
+	out := make([]LinkSaturation, 0, 2*len(r.homes))
+	r.each(func(v homeView) {
+		b, t := v.both()
 		for l, dir := range linkDirs {
 			bp, tp := &b.links[l].peaks, &t.links[l].peaks
 			if bp.n+tp.n == 0 {
@@ -119,7 +108,7 @@ func (r *Rollup) Saturation() []LinkSaturation {
 			}
 			p95 := quantile(0.95, bp, tp)
 			out = append(out, LinkSaturation{
-				RouterID:    p.id(),
+				RouterID:    v.id(),
 				Dir:         dir,
 				CapacityBps: capBps,
 				P95Bps:      p95,
@@ -140,9 +129,6 @@ func (r *Rollup) Saturation() []LinkSaturation {
 	}
 	return out
 }
-
-// Saturation is Rollup.Saturation over st's rows.
-func Saturation(st *dataset.Store) []LinkSaturation { return keptRollup(st).Saturation() }
 
 // countAbove counts the values of r greater than x.
 func countAbove(r *run[float64], x float64) int {
@@ -169,7 +155,7 @@ func (r *Rollup) UtilizationSeries(id, dir string) []UtilizationPoint {
 	if l < 0 {
 		return nil
 	}
-	b, t := r.kept.of(id).both()
+	b, t := r.of(id).both()
 	bs, ts := &b.links[l].series, &t.links[l].series
 	if bs.n+ts.n == 0 {
 		return nil
@@ -180,11 +166,6 @@ func (r *Rollup) UtilizationSeries(id, dir string) []UtilizationPoint {
 	ts.each(0, add)
 	sort.Slice(out, func(i, j int) bool { return out[i].Minute.Before(out[j].Minute) })
 	return out
-}
-
-// UtilizationSeries is Rollup.UtilizationSeries over st's rows.
-func UtilizationSeries(st *dataset.Store, id, dir string) []UtilizationPoint {
-	return keptRollup(st).UtilizationSeries(id, dir)
 }
 
 // GroupUsage summarizes Traffic-data usage structure per country group —
@@ -199,84 +180,58 @@ type GroupUsage struct {
 	TotalBytes       int64
 }
 
-// UsageByGroup computes the extension comparison.
-func UsageByGroup(st *dataset.Store) map[Group]GroupUsage {
-	ro := NewRoster(st)
+// UsageByGroup computes the extension comparison over the homes with
+// flow rows, grouped by ro. A home's streaming volume is that of its
+// whitelisted domains of the streaming category; its top-domain share is
+// its largest named domain's share of its named volume.
+func (r *Rollup) UsageByGroup(ro *Roster) map[Group]GroupUsage {
 	type agg struct {
-		named, streaming, total float64
-		homes                   map[string]bool
+		homes                   int
+		named, streaming, total int64
+		tops                    []float64
 	}
-	groups := map[Group]*agg{
-		Developed:  {homes: map[string]bool{}},
-		Developing: {homes: map[string]bool{}},
-	}
-	for _, f := range st.Flows {
-		g, ok := ro.group(f.RouterID)
-		if !ok {
-			continue
+	var groups [2]agg
+	var sc rankScratch
+	r.each(func(v homeView) {
+		if v.has()&HasTraffic == 0 {
+			return
 		}
-		a := groups[g]
-		b := float64(f.Bytes())
-		a.total += b
-		a.homes[f.RouterID] = true
-		if f.Domain != "" && !isAnonToken(f.Domain) {
-			a.named += b
-			if domains.CategoryOf(f.Domain) == domains.Streaming {
-				a.streaming += b
+		g, ok := ro.group(v.id())
+		if !ok {
+			return
+		}
+		a := &groups[g]
+		s := v.totals()
+		a.homes++
+		a.total += s.bytes
+		a.named += s.whitelisted
+		for _, h := range [2]*home{v.b, v.t} {
+			if h == nil {
+				continue
+			}
+			for _, d := range h.domains {
+				if byVolumeWhitelisted.keep(d.name) && domains.CategoryOf(d.name) == domains.Streaming {
+					a.streaming += d.bytes
+				}
 			}
 		}
-	}
-	// Mean per-home top-domain share, split by group.
-	topByHome := map[string]float64{}
-	for id, shares := range perHomeDomainShares(st) {
-		if len(shares) > 0 {
-			topByHome[id] = shares[0]
+		if s.namedBytes > 0 {
+			top := v.top(byVolumeNamed, 1, &sc)
+			a.tops = append(a.tops, float64(top[0].bytes)/float64(s.namedBytes))
 		}
-	}
+	})
 	out := map[Group]GroupUsage{}
 	for g, a := range groups {
-		gu := GroupUsage{Homes: len(a.homes), TotalBytes: int64(a.total)}
+		gu := GroupUsage{Homes: a.homes, TotalBytes: a.total}
 		if a.total > 0 {
-			gu.WhitelistedShare = a.named / a.total
-			gu.StreamingShare = a.streaming / a.total
+			gu.WhitelistedShare = float64(a.named) / float64(a.total)
+			gu.StreamingShare = float64(a.streaming) / float64(a.total)
 		}
-		var tops []float64
-		for id, top := range topByHome {
-			if hg, ok := ro.group(id); ok && hg == g {
-				tops = append(tops, top)
-			}
+		if len(a.tops) > 0 {
+			sort.Float64s(a.tops) // home order must not reach the sum's rounding
+			gu.TopDomainShare = stats.Mean(a.tops)
 		}
-		if len(tops) > 0 {
-			sort.Float64s(tops) // map order must not reach the sum's rounding
-			gu.TopDomainShare = stats.Mean(tops)
-		}
-		out[g] = gu
-	}
-	return out
-}
-
-// perHomeDomainShares returns each home's descending domain volume
-// shares (named domains only).
-func perHomeDomainShares(st *dataset.Store) map[string][]float64 {
-	vol := map[string]map[string]float64{}
-	for _, f := range st.Flows {
-		if f.Domain == "" {
-			continue
-		}
-		m := vol[f.RouterID]
-		if m == nil {
-			m = map[string]float64{}
-			vol[f.RouterID] = m
-		}
-		m[f.Domain] += float64(f.Bytes())
-	}
-	out := map[string][]float64{}
-	for id, m := range vol {
-		var vs []float64
-		for _, v := range m {
-			vs = append(vs, v)
-		}
-		out[id] = stats.Share(vs)
+		out[Group(g)] = gu
 	}
 	return out
 }

@@ -492,7 +492,7 @@ func TestDirectEndpointZonedTimes(t *testing.T) {
 			}
 		}
 		st := srv.Store()
-		weekday, weekend := analysis.DiurnalDevices(st)
+		weekday, weekend := analysis.RollupOf(st).DiurnalDevices(analysis.NewRoster(st))
 		got = append(got, posted{st, weekday, weekend})
 	}
 	a, b := got[0].st, got[1].st

@@ -123,7 +123,7 @@ func table2(st *dataset.Store, v *analysis.Rollup) *Report {
 	hb := st.Heartbeats.Routers()
 	up, cp := v.RoutersWith(analysis.HasUptime), v.RoutersWith(analysis.HasCapacity)
 	dv, wf := v.RoutersWith(analysis.HasCensus), v.RoutersWith(analysis.HasWiFi)
-	tr := v.Homes()
+	tr := v.RoutersWith(analysis.HasTraffic)
 	row("Heartbeats", hb, dataset.HeartbeatsFrom, dataset.HeartbeatsTo)
 	row("Capacity", cp, dataset.CapacityFrom, dataset.CapacityTo)
 	row("Uptime", up, dataset.UptimeFrom, dataset.UptimeTo)

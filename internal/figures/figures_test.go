@@ -148,7 +148,7 @@ func TestFig6FindsAllThreeModes(t *testing.T) {
 
 func TestFig7DeviceCounts(t *testing.T) {
 	st, _ := study(t)
-	uniq := analysis.UniqueDevicesPerHome(st)
+	uniq := analysis.RollupOf(st).UniqueDevicesPerHome()
 	var xs []float64
 	atLeast5 := 0
 	for _, n := range uniq {
@@ -168,7 +168,7 @@ func TestFig7DeviceCounts(t *testing.T) {
 
 func TestFig8WirelessDominatesAndDevelopedRicher(t *testing.T) {
 	st, _ := study(t)
-	byGroup := analysis.ConnectedByGroup(st)
+	byGroup := analysis.RollupOf(st).ConnectedByGroup(analysis.NewRoster(st))
 	dev, dvg := byGroup[analysis.Developed], byGroup[analysis.Developing]
 	if dev.Wireless.Mean <= dev.Wired.Mean || dvg.Wireless.Mean <= dvg.Wired.Mean {
 		t.Fatal("wireless does not dominate wired")
@@ -187,7 +187,7 @@ func TestFig8WirelessDominatesAndDevelopedRicher(t *testing.T) {
 
 func TestFig9Band24Dominates(t *testing.T) {
 	st, _ := study(t)
-	byGroup := analysis.ConnectedByGroup(st)
+	byGroup := analysis.RollupOf(st).ConnectedByGroup(analysis.NewRoster(st))
 	for g, a := range byGroup {
 		if a.W24.Mean <= a.W5.Mean {
 			t.Fatalf("%v: 2.4 GHz (%.2f) not above 5 GHz (%.2f)", g, a.W24.Mean, a.W5.Mean)
@@ -197,7 +197,7 @@ func TestFig9Band24Dominates(t *testing.T) {
 
 func TestTable5AlwaysConnected(t *testing.T) {
 	st, _ := study(t)
-	shares := analysis.AlwaysConnected(st, 35*24*3600*1e9)
+	shares := analysis.RollupOf(st).AlwaysConnected(analysis.NewRoster(st), 35*24*3600*1e9)
 	dev := shares[analysis.Developed]
 	dvg := shares[analysis.Developing]
 	if dev.Homes == 0 || dvg.Homes == 0 {
@@ -214,7 +214,7 @@ func TestTable5AlwaysConnected(t *testing.T) {
 
 func TestFig10BandMedians(t *testing.T) {
 	st, _ := study(t)
-	b24, b5 := analysis.UniqueDevicesPerBand(st)
+	b24, b5 := analysis.RollupOf(st).UniqueDevicesPerBand()
 	m24, m5 := stats.Median(b24), stats.Median(b5)
 	if m24 < 3 || m24 > 8 {
 		t.Fatalf("2.4 GHz median %v, paper ≈5", m24)
@@ -229,7 +229,7 @@ func TestFig10BandMedians(t *testing.T) {
 
 func TestFig11APMediansByGroup(t *testing.T) {
 	st, _ := study(t)
-	byGroup := analysis.VisibleAPsByGroup(st)
+	byGroup := analysis.RollupOf(st).VisibleAPsByGroup(analysis.NewRoster(st))
 	devMed := stats.Median(byGroup[analysis.Developed])
 	dvgMed := stats.Median(byGroup[analysis.Developing])
 	if devMed < 8 || devMed > 32 {
@@ -242,7 +242,7 @@ func TestFig11APMediansByGroup(t *testing.T) {
 
 func TestFig12AppleOnTop(t *testing.T) {
 	st, _ := study(t)
-	hist := analysis.ManufacturerHistogram(st, 100_000)
+	hist := analysis.RollupOf(st).ManufacturerHistogram(100_000)
 	if len(hist) < 5 {
 		t.Fatalf("only %d manufacturer categories", len(hist))
 	}
@@ -259,7 +259,7 @@ func TestFig12AppleOnTop(t *testing.T) {
 
 func TestFig13WeekdayMoreDiurnal(t *testing.T) {
 	st, _ := study(t)
-	weekday, weekend := analysis.DiurnalDevices(st)
+	weekday, weekend := analysis.RollupOf(st).DiurnalDevices(analysis.NewRoster(st))
 	wd, we := weekday.PeakToTroughRatio(), weekend.PeakToTroughRatio()
 	if wd <= we {
 		t.Fatalf("weekday ratio %.2f not above weekend %.2f", wd, we)
@@ -271,7 +271,7 @@ func TestFig13WeekdayMoreDiurnal(t *testing.T) {
 
 func TestFig15MostHomesUnderHalf(t *testing.T) {
 	st, _ := study(t)
-	sats := analysis.Saturation(st)
+	sats := analysis.RollupOf(st).Saturation()
 	if len(sats) == 0 {
 		t.Fatal("no saturation points")
 	}
@@ -294,7 +294,7 @@ func TestFig15MostHomesUnderHalf(t *testing.T) {
 
 func TestFig17DominantDevice(t *testing.T) {
 	st, _ := study(t)
-	top := analysis.MeanTopDeviceShare(st, 3)
+	top := analysis.MeanTopShare(analysis.RollupOf(st).DeviceShares(), 3)
 	if top < 0.45 || top > 0.85 {
 		t.Fatalf("mean top-device share %.2f, paper ≈0.60–0.65", top)
 	}
@@ -302,7 +302,7 @@ func TestFig17DominantDevice(t *testing.T) {
 
 func TestFig18ExpectedDomainsPresent(t *testing.T) {
 	st, _ := study(t)
-	pop := analysis.PopularDomains(st)
+	pop := analysis.RollupOf(st).PopularDomains()
 	names := map[string]bool{}
 	for _, p := range pop {
 		names[p.Domain] = true
@@ -323,7 +323,7 @@ func TestFig18ExpectedDomainsPresent(t *testing.T) {
 
 func TestFig19VolumeVsConnections(t *testing.T) {
 	st, _ := study(t)
-	curves := analysis.DomainShares(st, 10)
+	curves := analysis.RollupOf(st).DomainShares(10)
 	top := curves.VolumeShare[0]
 	if top < 0.2 || top > 0.6 {
 		t.Fatalf("top domain volume share %.2f, paper ≈0.38", top)
@@ -332,7 +332,7 @@ func TestFig19VolumeVsConnections(t *testing.T) {
 		t.Fatalf("top-by-volume conn share %.2f not below volume share %.2f",
 			curves.ConnShareByVolRank[0], top)
 	}
-	wl := analysis.WhitelistedVolumeShare(st)
+	wl := analysis.RollupOf(st).WhitelistedVolumeShare()
 	if wl < 0.5 || wl > 0.8 {
 		t.Fatalf("whitelisted volume share %.2f, paper ≈0.65", wl)
 	}

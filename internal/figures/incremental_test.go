@@ -45,22 +45,22 @@ func chunkStores(st *dataset.Store, n int) []*dataset.Store {
 }
 
 func renderAll(st *dataset.Store, w Windows) []string {
-	return render(All(st, w), st)
+	return render(All(st, w), analysis.RollupOf(st), analysis.NewRoster(st))
 }
 
-// renderPartial renders what p folded: the exhibits off its rollup, Ext.
-// §7 off its aggregates.
+// renderPartial renders what p folded: the exhibits and Ext. §7 off its
+// rollup.
 func renderPartial(p *analysis.Partial, hb *heartbeat.Log, w Windows) []string {
-	st := p.Store(hb)
-	return render(all(st, folded(p), w), st)
+	st, v := p.Store(hb), folded(p)
+	return render(all(st, v, w), v, analysis.NewRoster(st))
 }
 
-func render(reports []*Report, st *dataset.Store) []string {
+func render(reports []*Report, v *analysis.Rollup, ro *analysis.Roster) []string {
 	var out []string
 	for _, r := range reports {
 		out = append(out, r.String())
 	}
-	return append(out, ExtUsageByCountry(st).String())
+	return append(out, extUsageByCountry(v, ro).String())
 }
 
 func diffReports(t *testing.T, want, got []string, what string) {

@@ -39,7 +39,9 @@ func fig7(v *analysis.Rollup) *Report {
 }
 
 // Fig8 reproduces the connected wired/wireless averages per group.
-func Fig8(st *dataset.Store) *Report { return fig8(analysis.ConnectedByGroup(st)) }
+func Fig8(st *dataset.Store) *Report {
+	return fig8(analysis.RollupOf(st).ConnectedByGroup(analysis.NewRoster(st)))
+}
 
 func fig8(byGroup map[analysis.Group]analysis.ConnectedAverages) *Report {
 	r := &Report{
@@ -57,7 +59,9 @@ func fig8(byGroup map[analysis.Group]analysis.ConnectedAverages) *Report {
 }
 
 // Fig9 reproduces the per-band connected averages.
-func Fig9(st *dataset.Store) *Report { return fig9(analysis.ConnectedByGroup(st)) }
+func Fig9(st *dataset.Store) *Report {
+	return fig9(analysis.RollupOf(st).ConnectedByGroup(analysis.NewRoster(st)))
+}
 
 func fig9(byGroup map[analysis.Group]analysis.ConnectedAverages) *Report {
 	r := &Report{

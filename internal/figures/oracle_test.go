@@ -9,6 +9,7 @@ import (
 
 	"natpeek/internal/analysis"
 	"natpeek/internal/dataset"
+	"natpeek/internal/domains"
 	"natpeek/internal/mac"
 	"natpeek/internal/ouidb"
 	"natpeek/internal/stats"
@@ -298,4 +299,94 @@ func oracleBusiestTrafficHome(st *dataset.Store) string {
 		}
 	}
 	return best
+}
+
+// oracleUsageByGroup is Ext. §7 as a scan of st's flows: per group, the
+// homes with flow rows, their volume, whitelisted and streaming volume,
+// and the mean of each home's top named domain's share of its named
+// volume.
+func oracleUsageByGroup(st *dataset.Store) map[analysis.Group]analysis.GroupUsage {
+	ro := analysis.NewRoster(st)
+	groupOf := map[string]analysis.Group{}
+	for _, g := range []analysis.Group{analysis.Developed, analysis.Developing} {
+		for _, id := range ro.InGroup(g) {
+			groupOf[id] = g
+		}
+	}
+	type agg struct {
+		named, streaming, total float64
+		homes                   map[string]bool
+	}
+	groups := map[analysis.Group]*agg{
+		analysis.Developed:  {homes: map[string]bool{}},
+		analysis.Developing: {homes: map[string]bool{}},
+	}
+	for _, f := range st.Flows {
+		g, ok := groupOf[f.RouterID]
+		if !ok {
+			continue
+		}
+		a := groups[g]
+		b := float64(f.Bytes())
+		a.total += b
+		a.homes[f.RouterID] = true
+		if f.Domain != "" && !oracleIsAnonToken(f.Domain) {
+			a.named += b
+			if domains.CategoryOf(f.Domain) == domains.Streaming {
+				a.streaming += b
+			}
+		}
+	}
+	topByHome := map[string]float64{}
+	for id, shares := range oraclePerHomeDomainShares(st) {
+		if len(shares) > 0 {
+			topByHome[id] = shares[0]
+		}
+	}
+	out := map[analysis.Group]analysis.GroupUsage{}
+	for g, a := range groups {
+		gu := analysis.GroupUsage{Homes: len(a.homes), TotalBytes: int64(a.total)}
+		if a.total > 0 {
+			gu.WhitelistedShare = a.named / a.total
+			gu.StreamingShare = a.streaming / a.total
+		}
+		var tops []float64
+		for id, top := range topByHome {
+			if hg, ok := groupOf[id]; ok && hg == g {
+				tops = append(tops, top)
+			}
+		}
+		if len(tops) > 0 {
+			sort.Float64s(tops)
+			gu.TopDomainShare = stats.Mean(tops)
+		}
+		out[g] = gu
+	}
+	return out
+}
+
+// oraclePerHomeDomainShares returns each home's descending domain volume
+// shares (named domains only).
+func oraclePerHomeDomainShares(st *dataset.Store) map[string][]float64 {
+	vol := map[string]map[string]float64{}
+	for _, f := range st.Flows {
+		if f.Domain == "" {
+			continue
+		}
+		m := vol[f.RouterID]
+		if m == nil {
+			m = map[string]float64{}
+			vol[f.RouterID] = m
+		}
+		m[f.Domain] += float64(f.Bytes())
+	}
+	out := map[string][]float64{}
+	for id, m := range vol {
+		var vs []float64
+		for _, v := range m {
+			vs = append(vs, v)
+		}
+		out[id] = stats.Share(vs)
+	}
+	return out
 }

@@ -32,7 +32,8 @@ func TestClaimsHoldAcrossSeeds(t *testing.T) {
 		}
 
 		// Infrastructure: wireless > wired; 2.4 > 5 GHz.
-		conn := analysis.ConnectedByGroup(st)
+		v, ro := analysis.RollupOf(st), analysis.NewRoster(st)
+		conn := v.ConnectedByGroup(ro)
 		for g, a := range conn {
 			if a.Wireless.Mean <= a.Wired.Mean {
 				t.Errorf("seed %d %v: wireless %.2f ≤ wired %.2f", seed, g, a.Wireless.Mean, a.Wired.Mean)
@@ -43,23 +44,23 @@ func TestClaimsHoldAcrossSeeds(t *testing.T) {
 		}
 
 		// Spectrum crowding: developed sees more APs.
-		aps := analysis.VisibleAPsByGroup(st)
+		aps := v.VisibleAPsByGroup(ro)
 		if stats.Median(aps[analysis.Developed]) <= stats.Median(aps[analysis.Developing]) {
 			t.Errorf("seed %d: AP crowding ordering broken", seed)
 		}
 
 		// Usage: dominant device and volume/connection disproportionality.
-		if top := analysis.MeanTopDeviceShare(st, 3); top < 0.4 {
+		if top := analysis.MeanTopShare(v.DeviceShares(), 3); top < 0.4 {
 			t.Errorf("seed %d: top-device share %.2f", seed, top)
 		}
-		curves := analysis.DomainShares(st, 5)
+		curves := v.DomainShares(5)
 		if curves.VolumeShare[0] < 0.15 {
 			t.Errorf("seed %d: top-domain volume share %.2f", seed, curves.VolumeShare[0])
 		}
 		if curves.ConnShareByVolRank[0] >= curves.VolumeShare[0] {
 			t.Errorf("seed %d: disproportionality inverted", seed)
 		}
-		wl := analysis.WhitelistedVolumeShare(st)
+		wl := v.WhitelistedVolumeShare()
 		if wl < 0.5 || wl > 0.85 {
 			t.Errorf("seed %d: whitelisted share %.2f", seed, wl)
 		}

@@ -80,12 +80,10 @@ func TestRollupMatchesOracles(t *testing.T) {
 		for _, f := range st.Flows {
 			homes[f.RouterID] = true
 		}
-		if got := r.Homes(); len(got) != len(homes) {
-			t.Errorf("%s: rollup has %d homes, the flows %d", name, len(got), len(homes))
+		if got := r.RoutersWith(analysis.HasTraffic); len(got) != len(homes) {
+			t.Errorf("%s: rollup has %d homes with traffic, the flows %d", name, len(got), len(homes))
 		}
-		// The stand-alone entry points are the rollup's.
-		same("analysis.PopularDomains", r.PopularDomains(), analysis.PopularDomains(st))
-		same("analysis.TopDevicesByVolume", devs, analysis.TopDevicesByVolume(st))
+		same("UsageByGroup", oracleUsageByGroup(st), r.UsageByGroup(analysis.NewRoster(st)))
 		same("Fig20", fig20(r).String(), Fig20(st).String())
 		same("Table2", table2(st, r).String(), Table2(st).String())
 	}
@@ -103,7 +101,6 @@ func diffRollups(t *testing.T, what string, ro *analysis.Roster, want, got *anal
 			t.Errorf("%s: %s differs:\n want %v\n got  %v", what, method, w, g)
 		}
 	}
-	same("Homes", want.Homes(), got.Homes())
 	same("BusiestHome", want.BusiestHome(), got.BusiestHome())
 	same("DeviceShares", want.DeviceShares(), got.DeviceShares())
 	same("PopularDomains", want.PopularDomains(), got.PopularDomains())
@@ -123,7 +120,8 @@ func diffRollups(t *testing.T, what string, ro *analysis.Roster, want, got *anal
 	}
 
 	same("KeptRows", want.KeptRows(), got.KeptRows())
-	for _, k := range []analysis.KindSet{analysis.HasUptime, analysis.HasCapacity, analysis.HasCensus, analysis.HasWiFi} {
+	same("UsageByGroup", want.UsageByGroup(ro), got.UsageByGroup(ro))
+	for _, k := range []analysis.KindSet{analysis.HasUptime, analysis.HasCapacity, analysis.HasCensus, analysis.HasWiFi, analysis.HasTraffic} {
 		same(fmt.Sprintf("RoutersWith(%d)", k), sorted(want.RoutersWith(k)), sorted(got.RoutersWith(k)))
 	}
 	same("Saturation", want.Saturation(), got.Saturation())
@@ -198,60 +196,130 @@ func joined(chunks []*dataset.Store) *dataset.Store {
 	return st
 }
 
+// splitKinds returns st's kept rows and its flows as two stores.
+func splitKinds(st *dataset.Store) (kept, flows *dataset.Store) {
+	k := *st
+	k.Flows = nil
+	return &k, &dataset.Store{RouterCountry: map[string]string{}, Flows: st.Flows}
+}
+
+// withLoners moves some of st's rows to routers of one kind each: every
+// fifth flow row to a router with flows alone, every fifth capacity row
+// to one with capacity alone, both in their source router's country.
+func withLoners(st *dataset.Store) {
+	loner := func(id, kind string) string {
+		l := id + "-" + kind
+		if c, ok := st.RouterCountry[id]; ok {
+			st.RouterCountry[l] = c
+		}
+		return l
+	}
+	for i := 0; i < len(st.Flows); i += 5 {
+		st.Flows[i].RouterID = loner(st.Flows[i].RouterID, "flows")
+	}
+	for i := 0; i < len(st.Capacity); i += 5 {
+		st.Capacity[i].RouterID = loner(st.Capacity[i].RouterID, "capacity")
+	}
+}
+
 // TestFoldedRollupMatchesBatch: the rollup a Partial folds chunk by chunk
 // — read on its own, with a tail laid over it, or after a Merge of two
 // partials folded apart — answers every method, flow and kept kinds
 // alike, as RollupOf over the same rows does; and a rollup read part-way
 // keeps answering for the rows it was read over while the folds go on.
+// Chunks are cut at random points per kind, or hold a router's kept rows
+// one or more chunks before its first flow row, or its flows first; the
+// study has routers with kept rows alone, the mix routers of one kind.
 func TestFoldedRollupMatchesBatch(t *testing.T) {
 	study, _ := study(t)
 	for seed := uint64(1); seed <= 6; seed++ {
 		s := rng.New(seed).Child("folded rollup")
 		mix := dataset.NewStore()
 		loadgenMix(mix, s, 0, 500+s.Intn(2500), 8+s.Intn(56), 0.65)
+		withLoners(mix)
 		for _, in := range []struct {
 			name string
 			st   *dataset.Store
 		}{{"study", study}, {"loadgen mix", mix}} {
-			what := fmt.Sprintf("seed %d, %s", seed, in.name)
 			ro := analysis.NewRoster(in.st)
 			want := analysis.RollupOf(in.st)
-			chunks := rowChunks(in.st, s, 2+s.Intn(7))
-
-			// Chunk by chunk, a view taken after a random few.
-			p := analysis.NewPartial()
-			body := len(chunks) - s.Intn(2) // the last chunk is a tail or not
-			var early *analysis.Rollup
-			var earlyRows *dataset.Store
-			for i, c := range chunks[:body] {
-				p.Fold(c)
-				if early == nil && s.Bool(0.5) {
-					early = folded(p)
-					earlyRows = joined(chunks[:i+1])
-				}
+			kept, flows := splitKinds(in.st)
+			for _, cut := range []struct {
+				name   string
+				chunks []*dataset.Store
+			}{
+				{"random cuts", rowChunks(in.st, s, 2+s.Intn(7))},
+				{"kept first", append(rowChunks(kept, s, 1+s.Intn(3)), rowChunks(flows, s, 1+s.Intn(3))...)},
+				{"flows first", append(rowChunks(flows, s, 1+s.Intn(3)), rowChunks(kept, s, 1+s.Intn(3))...)},
+			} {
+				what := fmt.Sprintf("seed %d, %s, %s", seed, in.name, cut.name)
+				foldedMatchesBatch(t, what, s, ro, want, cut.chunks)
 			}
-			got := folded(p)
-			if body < len(chunks) {
-				sn := analysis.NewSnapshot(chunks[body])
-				sn.Capture(p)
-				got = sn.Rollup()
-			}
-			diffRollups(t, what, ro, want, got)
-			if early != nil {
-				diffRollups(t, what+": a view taken part-way", ro, analysis.RollupOf(earlyRows), early)
-			}
-
-			// Two partials folded apart, then merged.
-			cut := s.Intn(len(chunks) + 1)
-			p1, p2 := analysis.NewPartial(), analysis.NewPartial()
-			for _, c := range chunks[:cut] {
-				p1.Fold(c)
-			}
-			for _, c := range chunks[cut:] {
-				p2.Fold(c)
-			}
-			p1.Merge(p2)
-			diffRollups(t, what+": merged partials", ro, want, folded(p1))
 		}
 	}
+}
+
+// foldedMatchesBatch folds chunks as TestFoldedRollupMatchesBatch says
+// and compares each rollup with want, RollupOf over the same rows.
+func foldedMatchesBatch(t *testing.T, what string, s *rng.Stream, ro *analysis.Roster, want *analysis.Rollup, chunks []*dataset.Store) {
+	t.Helper()
+
+	// Chunk by chunk, a view taken after a random few.
+	p := analysis.NewPartial()
+	body := len(chunks) - s.Intn(2) // the last chunk is a tail or not
+	var early *analysis.Rollup
+	var earlyRows *dataset.Store
+	for i, c := range chunks[:body] {
+		p.Fold(c)
+		if early == nil && s.Bool(0.5) {
+			early = folded(p)
+			earlyRows = joined(chunks[:i+1])
+		}
+	}
+	got := folded(p)
+	if body < len(chunks) {
+		sn := analysis.NewSnapshot(chunks[body])
+		sn.Capture(p)
+		got = sn.Rollup()
+	}
+	diffRollups(t, what, ro, want, got)
+	if early != nil {
+		diffRollups(t, what+": a view taken part-way", ro, analysis.RollupOf(earlyRows), early)
+	}
+
+	// Two partials folded apart, then merged.
+	cut := s.Intn(len(chunks) + 1)
+	p1, p2 := analysis.NewPartial(), analysis.NewPartial()
+	for _, c := range chunks[:cut] {
+		p1.Fold(c)
+	}
+	for _, c := range chunks[cut:] {
+		p2.Fold(c)
+	}
+	p1.Merge(p2)
+	diffRollups(t, what+": merged partials", ro, want, folded(p1))
+}
+
+// TestViewKeepsItsVersionAcrossKinds: a router's flows and kept kinds
+// are one version. A view taken before a fold of router X's kept rows
+// alone, and then of X's flows, reads what it read when it was taken,
+// flow and kept kinds alike, while the partial reads the new rows.
+func TestViewKeepsItsVersionAcrossKinds(t *testing.T) {
+	st := dataset.NewStore()
+	loadgenMix(st, rng.New(3), 0, 1_500, 12, 0.65)
+	ro := analysis.NewRoster(st)
+	p := analysis.NewPartial()
+	p.Fold(st)
+	view := folded(p)
+
+	// X's rows of every kind: known and new devices and domains.
+	x := dataset.NewStore()
+	loadgenMix(x, rng.New(4), 0, 200, 1, 0.65)
+	kept, flows := splitKinds(x)
+	p.Fold(kept)
+	mid := folded(p)
+	p.Fold(flows)
+	diffRollups(t, "the view taken first", ro, analysis.RollupOf(st), view)
+	diffRollups(t, "the view taken between", ro, analysis.RollupOf(joined([]*dataset.Store{st, kept})), mid)
+	diffRollups(t, "the partial", ro, analysis.RollupOf(joined([]*dataset.Store{st, kept, flows})), folded(p))
 }

@@ -305,12 +305,16 @@ func all(st *dataset.Store, v *analysis.Rollup, w Windows) []*Report {
 // ("Expanding the study of usage to more countries"). It is meaningful
 // when the world ran with GlobalTraffic consent.
 func ExtUsageByCountry(st *dataset.Store) *Report {
+	return extUsageByCountry(analysis.RollupOf(st), analysis.NewRoster(st))
+}
+
+func extUsageByCountry(v *analysis.Rollup, ro *analysis.Roster) *Report {
 	r := &Report{
 		ID:         "Extension §7",
 		Title:      "Usage structure by country group (future work implemented)",
 		PaperClaim: "paper's Traffic data covered only US homes; §7 asks how usage differs by country",
 	}
-	byGroup := analysis.UsageByGroup(st)
+	byGroup := v.UsageByGroup(ro)
 	for _, g := range []analysis.Group{analysis.Developed, analysis.Developing} {
 		u := byGroup[g]
 		if u.Homes == 0 {

@@ -99,7 +99,7 @@ func BuildSnapshot(r *Result) *Snapshot {
 	s.Rows["throughput"] = len(st.Throughput)
 	s.Digests["throughput"] = digestJSON(st.Throughput)
 
-	for id, n := range analysis.UniqueDevicesPerHome(st) {
+	for id, n := range analysis.RollupOf(st).UniqueDevicesPerHome() {
 		s.DevicesPerHome[id] = n
 	}
 	for _, f := range st.Flows {
