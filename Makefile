@@ -53,10 +53,10 @@ lines:
 # (benchmarks/, catalogue in BENCHMARK.json) runs all four workloads
 # five times and the result file IS BENCH_<n>.json — header with commit,
 # nproc and GOMAXPROCS, medians and quartiles per metric. It is then
-# compared with the highest-numbered earlier natbench-format file
-# (BENCH_5..9.json are the retired microbenchmark format, kept as
-# history); the compare is a report, not a gate — the box is too noisy
-# to fail a build on. About 20 minutes; run nothing else beside it.
+# compared with the highest-numbered earlier natbench-format file (found
+# by its "frozen_rows_per_s" header key); the compare is a report, not a
+# gate — the box is too noisy to fail a build on. About 20 minutes; run
+# nothing else beside it.
 bench:
 	@test -n "$(PR)" || { echo "usage: make bench PR=<n>"; exit 2; }
 	bash benchmarks/run.sh repeat -n 5 -seed 100 -out BENCH_$(PR).json
@@ -71,7 +71,7 @@ bench-paper:
 # The telemetry-overhead gate: counter/gauge/histogram updates on the
 # capture hot path must stay cheap (< 25 ns/op for counter increments).
 bench-telemetry:
-	$(GO) test -run='^$$' -bench='BenchmarkTelemetry' -benchmem
+	$(GO) test -run='^$$' -bench='BenchmarkTelemetry' -benchmem ./internal/telemetry/ ./internal/capture/
 
 # The upload-pipeline reliability gate, under the race detector: the
 # spool suite (retry/overflow/journal/concurrency), the collector

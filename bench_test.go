@@ -36,7 +36,6 @@ import (
 	"natpeek/internal/rng"
 	"natpeek/internal/shaperprobe"
 	"natpeek/internal/stats"
-	"natpeek/internal/telemetry"
 	"natpeek/internal/trafficgen"
 	"natpeek/internal/world"
 )
@@ -347,66 +346,3 @@ var (
 	extOnce  sync.Once
 	extStore *dataset.Store
 )
-
-// --- Telemetry overhead --------------------------------------------------
-
-// The capture hot path pays one counter increment and one counter add per
-// frame (see capture.Monitor.Process). These benches gate that cost: a
-// counter increment must stay below ~25 ns/op or per-packet
-// instrumentation would distort the very measurements it reports.
-
-func BenchmarkTelemetryCounterInc(b *testing.B) {
-	c := telemetry.Default.Counter("bench_counter_total", "")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.Inc()
-	}
-}
-
-func BenchmarkTelemetryCounterIncParallel(b *testing.B) {
-	c := telemetry.Default.Counter("bench_counter_par_total", "")
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			c.Inc()
-		}
-	})
-}
-
-func BenchmarkTelemetryGaugeSet(b *testing.B) {
-	g := telemetry.Default.Gauge("bench_gauge", "")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g.Set(float64(i))
-	}
-}
-
-func BenchmarkTelemetryHistogramObserve(b *testing.B) {
-	h := telemetry.Default.Histogram("bench_hist_seconds", "", nil)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.Observe(0.003)
-	}
-}
-
-// BenchmarkTelemetryCaptureProcess measures the full per-frame cost of
-// the instrumented capture path — the end-to-end number the counter gate
-// protects.
-func BenchmarkTelemetryCaptureProcess(b *testing.B) {
-	gw := mac.MustParse("20:4e:7f:00:00:01")
-	dev := mac.MustParse("a4:b1:97:00:00:0a")
-	bld := packet.NewBuilder(dev, gw)
-	frame := bld.TCPv4(
-		netip.MustParseAddr("192.168.1.10"), netip.MustParseAddr("203.0.113.80"),
-		packet.TCP{SrcPort: 5000, DstPort: 443, Flags: packet.FlagACK}, 64,
-		make([]byte, 400))
-	m := capture.New(capture.Config{
-		LANPrefix: netip.MustParsePrefix("192.168.1.0/24"),
-	}, anonymize.New([]byte("k")))
-	t0 := time.Date(2013, 4, 1, 0, 0, 0, 0, time.UTC)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Process(frame, capture.Upstream, t0.Add(time.Duration(i)*time.Millisecond))
-	}
-}

@@ -530,6 +530,34 @@ func TestDeviceDomainsFingerprint(t *testing.T) {
 	}
 }
 
+// TestOnePairPerDeviceDomain: rows of one (device, domain) add into one
+// pair entry whatever their protocol, on every path a flow row enters a
+// rollup by — a batch, a page's tail and a Partial's fold.
+func TestOnePairPerDeviceDomain(t *testing.T) {
+	st := dataset.NewStore()
+	for i := 0; i < 100; i++ {
+		st.Flows = append(st.Flows, dataset.FlowRecord{RouterID: "us-1", Device: dev(1), Domain: "netflix.com",
+			Proto: []string{"tcp", "udp"}[i%2], UpBytes: 10, DownBytes: 100, Conns: 1})
+	}
+	p := NewPartial()
+	p.Fold(st)
+	if n := p.FlowAggregates(); n != 1 {
+		t.Errorf("the partial counts %d flow aggregates, want 1", n)
+	}
+	for name, homes := range map[string][]*home{
+		"RollupOf":     RollupOf(st).homes,
+		"page tail":    NewSnapshot(st).roll.homes,
+		"Partial.Fold": p.roll.homes,
+	} {
+		if len(homes) != 1 {
+			t.Fatalf("%s: %d homes, want 1", name, len(homes))
+		}
+		if ps := homes[0].pairs; len(ps) != 1 || ps[0].bytes != 100*110 {
+			t.Errorf("%s: %d pair entries, want one of %d bytes", name, len(ps), 100*110)
+		}
+	}
+}
+
 func TestClassifyDowntime(t *testing.T) {
 	st := fixtureStore()
 	gap := heartbeat.Downtime{

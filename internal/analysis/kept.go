@@ -94,30 +94,30 @@ func weekBinOf(at time.Time) int {
 	return int(u.Weekday())*48 + u.Hour()*2 + u.Minute()/30
 }
 
-// add adds n censuses summing sum to half hour at.
-func (w *weekBins) add(at int, sum int64, n int32) {
+// add adds a census of sum wireless devices to half hour at.
+func (w *weekBins) add(at int, sum int64) {
 	b := *w
 	if len(b) == weekHalfHours {
 		b[at].sum += sum
-		b[at].n += n
+		b[at].n++
 		return
 	}
 	for i := range b {
 		if int(b[i].at) == at {
 			b[i].sum += sum
-			b[i].n += n
+			b[i].n++
 			return
 		}
 	}
 	if len(b) < sparseBins {
-		*w = append(b, weekBin{sum: sum, n: n, at: uint16(at)})
+		*w = append(b, weekBin{sum: sum, n: 1, at: uint16(at)})
 		return
 	}
 	dense := make(weekBins, weekHalfHours)
 	for i := range dense {
 		dense[i].at = uint16(i)
 	}
-	for _, e := range append(b, weekBin{sum: sum, n: n, at: uint16(at)}) {
+	for _, e := range append(b, weekBin{sum: sum, n: 1, at: uint16(at)}) {
 		dense[e.at].sum += e.sum
 		dense[e.at].n += e.n
 	}
@@ -273,14 +273,6 @@ func (r *run[T]) insert(s []T, cmp func(a, b T) int) {
 	r.n += len(s)
 }
 
-// absorb adds o's values, settled or not.
-func (r *run[T]) absorb(o *run[T]) {
-	for _, s := range o.runs {
-		r.add = append(r.add, s...)
-	}
-	r.add = append(r.add, o.add...)
-}
-
 // bothRuns returns a's runs and b's as one list: one side's own when
 // the other has none, else a list in buf.
 func bothRuns[T any](buf [][]T, a, b *run[T]) [][]T {
@@ -408,7 +400,7 @@ func (c *censusTotals) add(d *dataset.DeviceCount) {
 	c.w24.Add(int64(d.W24))
 	c.w5.Add(int64(d.W5))
 	c.maxWired = max(c.maxWired, d.Wired)
-	c.bins.add(weekBinOf(d.At), int64(d.W24+d.W5), 1)
+	c.bins.add(weekBinOf(d.At), int64(d.W24+d.W5))
 }
 
 // merge adds o, the totals of later censuses, to c; bins are left to
@@ -429,46 +421,6 @@ func (c *censusTotals) merge(o *censusTotals) {
 	c.w24.Merge(o.w24)
 	c.w5.Merge(o.w5)
 	c.maxWired = max(c.maxWired, o.maxWired)
-}
-
-// mergeKept folds o, a rollup of rows that come after r's, into r's kept
-// state (Partial.Merge).
-func (r *rollup) mergeKept(o *rollup) {
-	if r.frozen {
-		r.thaw()
-	}
-	for _, oh := range o.homes {
-		h := r.write(oh.id)
-		h.has |= oh.has &^ HasTraffic // set by the flows' own fold
-		h.uptime.absorb(&oh.uptime)
-		h.longUp += oh.longUp
-		h.capUp.absorb(&oh.capUp)
-		h.capDown.absorb(&oh.capDown)
-		h.census.merge(&oh.census)
-		for _, b := range oh.census.bins {
-			if b.n > 0 {
-				h.census.bins.add(int(b.at), b.sum, b.n)
-			}
-		}
-		if len(oh.seen) > 0 && h.seen == nil {
-			h.seen = make(map[mac.Addr]deviceSeen, len(oh.seen))
-		}
-		for dev, od := range oh.seen {
-			d := h.seen[dev]
-			d.count += od.count
-			d.kind = od.kind
-			d.kinds |= od.kinds
-			h.seen[dev] = d
-		}
-		h.aps.absorb(&oh.aps)
-		for l := range h.links {
-			for _, b := range oh.links[l].series.blocks {
-				dst := h.links[l].series.grow(len(b))
-				*dst = append(*dst, b...)
-			}
-		}
-	}
-	r.keptRows.Add(o.keptRows)
 }
 
 // both returns the base's and the tail's versions, nil ones replaced by

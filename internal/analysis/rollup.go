@@ -18,10 +18,12 @@ import (
 // (kept.go). For the flows: the bytes and connections of every domain,
 // the bytes of every device and of every (device, domain) pair, running
 // totals, and the domains ranked the three ways Figs. 18 and 19 rank them.
-// Table 2 and every exhibit but the heartbeat ones are answered from it.
-// Sums are kept as integers and samples as sorted runs; both are exact in
-// any order, which is what lets an exhibit computed from the rollup
-// match, bit for bit, one computed row by row.
+// A flow row has one way in, rollup.add, whether a Partial folds it or a
+// page's tail or a batch store holds it: one pair per (home, device,
+// domain) on every path. Table 2 and every exhibit but the heartbeat ones
+// are answered from it. Sums are kept as integers and samples as sorted
+// runs; both are exact in any order, which is what lets an exhibit
+// computed from the rollup match, bit for bit, one computed row by row.
 //
 // A Rollup is a read-only view. In batch (RollupOf) it is one rollup of
 // a store's rows. On a dashboard page (Snapshot.Rollup) it is a
@@ -55,6 +57,7 @@ type rollup struct {
 	fleetIdx  map[mac.Addr]int32
 	last      int32 // the previous row's home: rows arrive in per-router runs
 	flowHomes int32 // homes with flow rows: the next first-flow ordinal
+	pairs     int   // (home, device, domain) entries
 	keptRows  dataset.RowCounts
 	slab      slab
 	// A version made in the current epoch is private. freeze shares
@@ -77,13 +80,6 @@ type devKey struct {
 	dev  mac.Addr
 }
 
-// flowRef locates the entries a row adds to. A Partial keeps one per
-// aggregate, so a row of a known key costs a few additions and no lookup.
-type flowRef struct{ home, dom, dev, pair int32 }
-
-// unresolved is the ref of a row no entry has been found for yet.
-var unresolved = flowRef{home: -1}
-
 // home is one version of a router's state, flows and kept kinds alike.
 type home struct {
 	id    string
@@ -98,7 +94,7 @@ type home struct {
 	homeTotals
 	domains []domainTotals // first-seen order; may include the unnamed domain ""
 	devices []homeDevice   // first-seen order
-	pairs   []pairTotals   // one per fold key: Fig. 20's device mixes
+	pairs   []pairTotals   // one per (device, domain): Fig. 20's device mixes
 	// top caches the positions in domains of the ntop[rk] ≤ rankDepth
 	// best by each rank rk, as of the last settle.
 	top  [numRanks][rankDepth]int32
@@ -145,6 +141,7 @@ func (s *homeTotals) merge(o homeTotals) {
 type domainTotals struct {
 	name         string
 	bytes, conns int64
+	lastPair     int32 // its latest pair's position in home.pairs, -1 before its first
 }
 
 type homeDevice struct {
@@ -161,6 +158,7 @@ type deviceTotals struct {
 type pairTotals struct {
 	dev   mac.Addr
 	dom   int32
+	next  int32 // the domain's pair made before this one, -1 for none
 	bytes int64
 }
 
@@ -204,40 +202,14 @@ func newRollup(domains int) *rollup {
 	}
 }
 
-// addRows folds rows that no ref is kept for: each gets entries of its
-// own where a Partial's aggregate would share one.
-func (r *rollup) addRows(rows []dataset.FlowRecord) {
-	for i := range rows {
-		ref := unresolved
-		r.add(&rows[i], &ref)
-	}
-}
-
-// add folds row f into the entries ref points at, finding or making them
-// first when ref is unresolved.
-func (r *rollup) add(f *dataset.FlowRecord, ref *flowRef) {
+// add folds flow row f into its home's totals and its domain, device,
+// fleet device and (device, domain) pair entries, making those it lacks.
+// A home's first flow row gives it its first-flow ordinal and the first
+// entries of its slices.
+func (r *rollup) add(f *dataset.FlowRecord) {
 	if r.frozen {
 		r.thaw()
 	}
-	if ref.home < 0 {
-		r.resolve(f, ref)
-	}
-	h := r.own(ref.home)
-	b := f.UpBytes + f.DownBytes
-	d := &h.domains[ref.dom]
-	d.bytes += b
-	d.conns += f.Conns
-	h.homeTotals.add(d.name, b, f.Conns)
-	dv := &h.devices[ref.dev]
-	dv.bytes += b
-	r.fleet[dv.fleet].bytes += b
-	h.pairs[ref.pair].bytes += b
-}
-
-// resolve finds the home, domain and device entries of f, making those
-// it lacks, and gives f a pair entry of its own. A home's first flow row
-// gives it its first-flow ordinal and the first entries of its slices.
-func (r *rollup) resolve(f *dataset.FlowRecord, ref *flowRef) {
 	hi := r.at(f.RouterID)
 	h := r.own(hi)
 	if h.has&HasTraffic == 0 {
@@ -250,7 +222,7 @@ func (r *rollup) resolve(f *dataset.FlowRecord, ref *flowRef) {
 	if !ok {
 		dom = int32(len(h.domains))
 		r.domIdx[domKey{hi, f.Domain}] = dom
-		h.domains = append(h.domains, domainTotals{name: f.Domain})
+		h.domains = append(h.domains, domainTotals{name: f.Domain, lastPair: -1})
 	}
 	dev, ok := r.devIdx[devKey{hi, f.Device}]
 	if !ok {
@@ -264,8 +236,32 @@ func (r *rollup) resolve(f *dataset.FlowRecord, ref *flowRef) {
 		r.devIdx[devKey{hi, f.Device}] = dev
 		h.devices = append(h.devices, homeDevice{dev: f.Device, fleet: fl})
 	}
-	*ref = flowRef{home: hi, dom: dom, dev: dev, pair: int32(len(h.pairs))}
-	h.pairs = append(h.pairs, pairTotals{dev: f.Device, dom: dom})
+	b := f.UpBytes + f.DownBytes
+	d := &h.domains[dom]
+	d.bytes += b
+	d.conns += f.Conns
+	h.homeTotals.add(d.name, b, f.Conns)
+	dv := &h.devices[dev]
+	dv.bytes += b
+	r.fleet[dv.fleet].bytes += b
+	h.pairs[r.pair(h, dom, f.Device)].bytes += b
+}
+
+// pair returns the position of h's (dev, domain dom) entry, making it on
+// first sight. Each domain heads a chain of its pairs, newest first, so
+// the search is over the devices that reached that domain.
+func (r *rollup) pair(h *home, dom int32, dev mac.Addr) int32 {
+	d := &h.domains[dom]
+	for i := d.lastPair; i >= 0; i = h.pairs[i].next {
+		if h.pairs[i].dev == dev {
+			return i
+		}
+	}
+	i := int32(len(h.pairs))
+	h.pairs = append(h.pairs, pairTotals{dev: dev, dom: dom, next: d.lastPair})
+	d.lastPair = i
+	r.pairs++
+	return i
 }
 
 // at returns the position of id's home, making it on first sight. Rows
@@ -414,7 +410,7 @@ func (r *rollup) clone() *rollup {
 	return &rollup{
 		homes: r.homes, fleet: r.fleet, byID: r.byID, idEpoch: r.idEpoch,
 		domIdx: maps.Clone(r.domIdx), devIdx: maps.Clone(r.devIdx), fleetIdx: maps.Clone(r.fleetIdx),
-		last: -1, flowHomes: r.flowHomes, keptRows: r.keptRows,
+		last: -1, flowHomes: r.flowHomes, pairs: r.pairs, keptRows: r.keptRows,
 		epoch: r.epoch, frozen: true, forked: r.epoch,
 	}
 }
@@ -698,7 +694,9 @@ func (r *Rollup) fleetTotals() []deviceTotals {
 // RollupOf makes the one pass over st's rows.
 func RollupOf(st *dataset.Store) *Rollup {
 	r := newRollup(0)
-	r.addRows(st.Flows)
+	for i := range st.Flows {
+		r.add(&st.Flows[i])
+	}
 	r.addKept(st)
 	return r.view()
 }

@@ -16,15 +16,15 @@ import (
 
 // Dashboard maintains a continuously-updating view of every paper
 // exhibit over a segment store. Sealed segments stream in exactly once
-// through the store's subscription and fold into a mergeable
-// analysis.Partial and its rollup; a render takes an analysis.Snapshot
-// of the partial with the store's live tail on top — the folded rollup
-// frozen and the tail's laid over it, work proportional to the tail and
-// the number of homes — and regenerates the figures from it. It never
-// re-reads sealed history, never copies or regroups its rows, and never
-// clones the partial. The rendered output is bit-identical to running the
-// batch figures over the store's full merged view (see the
-// analysis.Partial package comment for the exactness argument).
+// through the store's subscription and fold into an analysis.Partial's
+// rollup; a render takes an analysis.Snapshot of the partial with the
+// store's live tail on top — the folded rollup frozen and the tail's
+// laid over it, work proportional to the tail and the number of homes —
+// and regenerates the figures from it. It never re-reads sealed history,
+// never copies or regroups its rows, and never clones the partial. The
+// rendered output is bit-identical to running the batch figures over the
+// store's full merged view (see the analysis.Partial package comment for
+// the exactness argument).
 type Dashboard struct {
 	src *segment.Store
 	win Windows
@@ -54,13 +54,11 @@ func NewDashboard(src *segment.Store, w Windows) (*Dashboard, error) {
 		hFold: telemetry.Default.Histogram("natpeek_figures_fold_seconds",
 			"Time to fold one sealed chunk into the dashboard's partial, renders locked out.", nil),
 		gAggregates: telemetry.Default.Gauge("natpeek_figures_flow_aggregates",
-			"Flow aggregates the dashboard's partial holds, as of the last fold."),
+			"(home, device, domain) entries the dashboard's partial holds, as of the last fold."),
 		gSealed: telemetry.Default.Gauge("natpeek_figures_sealed_chunks",
 			"Sealed chunks folded into the dashboard's partial."),
 	}
 	d.folded = sync.NewCond(&d.mu)
-	// The store's footers already say how much the replay will fold.
-	d.base.Grow(src.RowCounts())
 	if err := src.Subscribe(d.fold); err != nil {
 		return nil, err
 	}
@@ -146,7 +144,7 @@ type DashboardStats struct {
 	Segments       int               `json:"segments"`
 	Rows           dataset.RowCounts `json:"rows"`
 	RawFlowRows    int               `json:"raw_flow_rows"`
-	FlowAggregates int               `json:"flow_aggregates"`
+	FlowAggregates int               `json:"flow_aggregates"` // (home, device, domain) entries
 	LastRenderMs   float64           `json:"last_render_ms"`
 }
 
@@ -177,7 +175,7 @@ func (d *Dashboard) Register(mux *http.ServeMux) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintf(w, "natpeek figures — incremental render over %d sealed chunks (%d segment files)\n",
 			s.SealedChunks, s.Segments)
-		fmt.Fprintf(w, "projection: %d raw flow rows collapsed to %d aggregates; render took %.1fms\n\n",
+		fmt.Fprintf(w, "projection: %d raw flow rows collapsed to %d (home, device, domain) entries; render took %.1fms\n\n",
 			s.RawFlowRows, s.FlowAggregates, s.LastRenderMs)
 		for _, rep := range reports {
 			fmt.Fprintln(w, rep.String())

@@ -295,7 +295,7 @@ func TestPageDescribesItself(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"over 3 sealed chunks (3 segment files)", "60 raw flow rows collapsed to 60 aggregates", "Table 1"} {
+	for _, want := range []string{"over 3 sealed chunks (3 segment files)", "60 raw flow rows collapsed to 60 (home, device, domain) entries", "Table 1"} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("GET /figures lacks %q:\n%.300s", want, body)
 		}

@@ -84,8 +84,9 @@ func TestPartialEquivalence(t *testing.T) {
 	st, w := study(t)
 	batch := renderAll(st, w)
 
+	chunks := chunkStores(st, 7)
 	p := analysis.NewPartial()
-	for _, c := range chunkStores(st, 7) {
+	for _, c := range chunks {
 		p.Fold(c)
 	}
 	if p.FlowAggregates() >= p.RawFlowRows() {
@@ -93,19 +94,6 @@ func TestPartialEquivalence(t *testing.T) {
 			p.FlowAggregates(), p.RawFlowRows())
 	}
 	diffReports(t, batch, renderPartial(p, st.Heartbeats, w), "sequential fold")
-
-	// Mergeability: two independently-accumulated partials combine into
-	// the same state.
-	chunks := chunkStores(st, 7)
-	p1, p2 := analysis.NewPartial(), analysis.NewPartial()
-	for _, c := range chunks[:3] {
-		p1.Fold(c)
-	}
-	for _, c := range chunks[3:] {
-		p2.Fold(c)
-	}
-	p1.Merge(p2)
-	diffReports(t, batch, renderPartial(p1, st.Heartbeats, w), "merged partials")
 
 	// Clone independence: folding the tail into a clone leaves the base
 	// renderable and unchanged.

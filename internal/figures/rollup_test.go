@@ -17,22 +17,15 @@ import (
 
 // TestRollupMatchesOracles: every flow exhibit read off the one
 // Rollup equals the same exhibit computed by its former stand-alone
-// implementation — on the study, on loadgen mix (35% of flows under
+// implementation — on the study, and on loadgen mix (35% of flows under
 // per-flow anonymised domains, so homes have long single-row tails and
-// many rank ties to break), and on both after the Partial collapsed them.
+// many rank ties to break).
 func TestRollupMatchesOracles(t *testing.T) {
 	study, _ := study(t)
 	mix := dataset.NewStore()
 	loadgenMix(mix, rng.New(11), 0, 6_000, 64, 0.65)
-	collapsed := func(st *dataset.Store) *dataset.Store {
-		p := analysis.NewPartial()
-		p.Fold(st)
-		return p.Store(st.Heartbeats)
-	}
 	for name, st := range map[string]*dataset.Store{
-		"study": study, "study collapsed": collapsed(study),
-		"loadgen mix": mix, "loadgen mix collapsed": collapsed(mix),
-		"empty": dataset.NewStore(),
+		"study": study, "loadgen mix": mix, "empty": dataset.NewStore(),
 	} {
 		r := analysis.RollupOf(st)
 		same := func(what string, want, got any) {
@@ -223,8 +216,7 @@ func withLoners(st *dataset.Store) {
 }
 
 // TestFoldedRollupMatchesBatch: the rollup a Partial folds chunk by chunk
-// — read on its own, with a tail laid over it, or after a Merge of two
-// partials folded apart — answers every method, flow and kept kinds
+// — read on its own or with a tail laid over it — answers every method, flow and kept kinds
 // alike, as RollupOf over the same rows does; and a rollup read part-way
 // keeps answering for the rows it was read over while the folds go on.
 // Chunks are cut at random points per kind, or hold a router's kept rows
@@ -286,18 +278,6 @@ func foldedMatchesBatch(t *testing.T, what string, s *rng.Stream, ro *analysis.R
 	if early != nil {
 		diffRollups(t, what+": a view taken part-way", ro, analysis.RollupOf(earlyRows), early)
 	}
-
-	// Two partials folded apart, then merged.
-	cut := s.Intn(len(chunks) + 1)
-	p1, p2 := analysis.NewPartial(), analysis.NewPartial()
-	for _, c := range chunks[:cut] {
-		p1.Fold(c)
-	}
-	for _, c := range chunks[cut:] {
-		p2.Fold(c)
-	}
-	p1.Merge(p2)
-	diffRollups(t, what+": merged partials", ro, want, folded(p1))
 }
 
 // TestViewKeepsItsVersionAcrossKinds: a router's flows and kept kinds
