@@ -8,7 +8,7 @@
 #   make check-rebalance # elastic scale-in/out: ring property, epoch, soaks, goldens, -race
 #   make check-figures   # incremental analysis + dashboard: snapshot/rollup equivalence, seal handshake, -race; alloc budgets without
 #   make check-bench     # the benchmark module builds and its smoke run passes
-#   make lines           # non-test line counts of the packages ROADMAP item 4 tracks, and of the read side
+#   make lines           # non-test line counts of the packages ROADMAP item 7 tracks, and of the read side
 #   make bench PR=<n>  # natbench, five sets of all four workloads -> BENCH_<n>.json, compared with the previous one
 #   make bench-paper   # full reproduction driver (tables/figures + ablations)
 
@@ -35,7 +35,7 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Non-test lines of Go per package ROADMAP item 4 tracks, and the
+# Non-test lines of Go per package ROADMAP item 7 tracks, and the
 # five-package total its target is stated in. The read side — codec,
 # analysis, figures and stats — is listed beside it, outside the total,
 # with a subtotal of its own.
@@ -228,9 +228,10 @@ check-bench:
 #      out whole);
 #   2. the incremental-analysis equivalence suite — partial folds,
 #      merges, and the live dashboard against the batch figures;
-#   3. the segment-backed verify goldens — the storage engine swapped in
-#      under the full deployment (single-node, JSON wire, 3-node
-#      cluster), snapshots byte-identical to the in-memory golden;
+#   3. the segment-backed verify goldens — the full deployment
+#      ingested into segment stores reopened from disk (single-node,
+#      JSON wire, 3-node cluster), snapshots byte-identical to the
+#      golden;
 #   4. a short fuzz shake-out of the NPS1 decoder on top of its
 #      checked-in seed corpus.
 check-segment:

@@ -18,7 +18,7 @@ import (
 
 func main() {
 	data := flag.String("data", "data", "directory of CSV data sets")
-	segments := flag.String("segments", "", "analyze a columnar segment directory (bismark-server -segments) instead of CSV data sets")
+	segments := flag.String("segments", "", "analyze a columnar segment directory (bismark-server -segments, by default <out>/segments) instead of CSV data sets; fails while a running server holds it")
 	only := flag.String("only", "", `regenerate a single exhibit, e.g. "Figure 19"`)
 	flag.Parse()
 

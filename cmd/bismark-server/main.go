@@ -1,17 +1,21 @@
 // bismark-server runs the central collection server: a UDP sink for
-// router heartbeats and an HTTP API for measurement uploads. On SIGINT it
-// persists everything it collected as CSV data sets.
+// router heartbeats and an HTTP API for measurement uploads. Rows land in
+// a durable columnar segment store (-segments, default <out>/segments)
+// that a restart reloads; on SIGINT the server also writes every data
+// set as CSV into -out, so far the only place heartbeats persist.
 //
 // Observability: the HTTP listener also serves GET /metrics (Prometheus
 // text format), GET /healthz (uptime, heartbeat-port status, row counts),
-// and the pprof handlers under /debug/pprof/. Logging is structured
-// (slog); tune with NATPEEK_LOG_LEVEL / NATPEEK_LOG_FORMAT.
+// the live GET /figures dashboard, and the pprof handlers under
+// /debug/pprof/. Logging is structured (slog); tune with
+// NATPEEK_LOG_LEVEL / NATPEEK_LOG_FORMAT.
 //
 // Cluster mode: -cluster runs this process as one node of a collector
 // cluster — the same data plane, plus a control-plane listener for
 // membership gossip, write replication journals, and failover replay.
 // Point one or more bismark-front processes at the node's -ctrl address
-// and clients at the fronts.
+// and clients at the fronts. Every node needs a -out (or -segments)
+// directory of its own, empty each time it starts (peers replay its past).
 //
 // Scale-out: add -join to a new cluster node and it starts OFF the
 // routing ring, streams its share of ownership from the existing
@@ -23,8 +27,8 @@
 // Usage:
 //
 //	bismark-server -udp 127.0.0.1:8077 -http 127.0.0.1:8080 -out ./live-data
-//	bismark-server -cluster -node-id node-0 -ctrl 127.0.0.1:9090 -peers 127.0.0.1:9091,127.0.0.1:9092
-//	bismark-server -cluster -join -node-id node-3 -ctrl 127.0.0.1:9093 -peers 127.0.0.1:9090
+//	bismark-server -cluster -node-id node-0 -ctrl 127.0.0.1:9090 -peers 127.0.0.1:9091,127.0.0.1:9092 -out ./node-0
+//	bismark-server -cluster -join -node-id node-3 -ctrl 127.0.0.1:9093 -peers 127.0.0.1:9090 -out ./node-3
 package main
 
 import (
@@ -35,32 +39,25 @@ import (
 	"log/slog"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
 
 	"natpeek/internal/cluster"
 	"natpeek/internal/collector"
-	"natpeek/internal/dataset"
 	"natpeek/internal/figures"
 	"natpeek/internal/segment"
 	"natpeek/internal/telemetry"
 )
 
-// mountFigures attaches the incremental figures dashboard to the
-// collector's HTTP mux.
-func mountFigures(seg *segment.Store, srv *collector.Server) error {
-	d, err := figures.NewDashboard(seg, figures.DefaultWindows())
-	if err != nil {
-		return err
-	}
-	d.Register(srv.Mux())
-	return nil
-}
-
-// options is what the flags say about the collector this process runs.
+// options is what the flags say about the collector this process runs
+// and the store it ingests into.
 type options struct {
 	udp, http string
+
+	out, segments        string
+	flushAge, statsEvery time.Duration
 
 	failRate    float64
 	failSeed    uint64
@@ -74,14 +71,59 @@ type options struct {
 	join         bool
 }
 
-// start brings up the collector the options describe — stand-alone, or
-// wrapped in a cluster node that has joined the ring if asked to — and
-// configures it the same way in both modes. It returns the collector
-// and the node around it (nil stand-alone), which is then what to Close.
-func start(o options, store dataset.IngestStore, log *slog.Logger) (*collector.Server, *cluster.Node, error) {
-	var srv *collector.Server
-	var node *cluster.Node
-	var err error
+// parseOptions reads the command line, exiting on a bad one. -segments
+// left empty is <out>/segments.
+func parseOptions(args []string) options {
+	var o options
+	fs := flag.NewFlagSet("bismark-server", flag.ExitOnError)
+	fs.StringVar(&o.udp, "udp", "127.0.0.1:8077", "UDP address for heartbeats")
+	fs.StringVar(&o.http, "http", "127.0.0.1:8080", "HTTP address for measurement uploads, /metrics, /healthz, /figures, and pprof")
+	fs.StringVar(&o.out, "out", "live-data", "data directory: holds the segment store (unless -segments moves it) and receives the CSV data sets on shutdown")
+	fs.DurationVar(&o.statsEvery, "stats-every", 30*time.Second, "how often to log collection progress (stand-alone mode)")
+	fs.Float64Var(&o.failRate, "fail-rate", 0, "fault injection: fraction of uploads to fail (half rejected, half applied with the ack dropped) to exercise gateway retries and server dedupe")
+	fs.Uint64Var(&o.failSeed, "fail-seed", 1, "fault injection RNG seed")
+	fs.Float64Var(&o.traceSample, "trace-sample", 0.05, "tail-sampling keep probability for healthy traces (error, throttled, and slow traces are always kept)")
+	fs.DurationVar(&o.traceSlow, "trace-slow", 500*time.Millisecond, "traces at least this slow are always kept")
+	fs.BoolVar(&o.noBinary, "no-binary", false, "stop advertising the NPB1 binary batch encoding (clients fall back to JSON; binary uploads are still accepted)")
+	fs.BoolVar(&o.cluster, "cluster", false, "run as a cluster node: serve the control plane on -ctrl, gossip with -peers, journal replicated writes, and replay them on peer failure")
+	fs.StringVar(&o.nodeID, "node-id", "node-0", "cluster mode: this node's stable hash-ring identity")
+	fs.StringVar(&o.ctrl, "ctrl", "127.0.0.1:9090", "cluster mode: control-plane HTTP address (gossip, replicate, manifest)")
+	peers := fs.String("peers", "", "cluster mode: comma-separated control-plane addresses of existing members (empty for the first node)")
+	fs.BoolVar(&o.join, "join", false, "cluster mode: scale-out — start off the routing ring, pull this node's share of ownership from the existing members, then commit a ring epoch that includes it (requires -peers)")
+	fs.StringVar(&o.segments, "segments", "", "durable columnar segment directory (default <out>/segments): rows spill from memory to immutable NPS1 segments as they arrive (crash-safe, exactly-once across restarts) and feed the GET /figures dashboard; one directory per process, locked while open, and empty when a -cluster node starts")
+	fs.DurationVar(&o.flushAge, "segment-flush-age", time.Minute, "seal a non-empty memtable this long after its first row even below the row threshold, so quiet deployments still reach disk (0 disables)")
+	fs.Parse(args)
+	for _, p := range strings.Split(*peers, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			o.peers = append(o.peers, p)
+		}
+	}
+	if o.segments == "" {
+		o.segments = filepath.Join(o.out, "segments")
+	}
+	return o
+}
+
+// openStore opens the segment store the server ingests into.
+func openStore(o options) (*segment.Store, error) {
+	return segment.Open(segment.Options{Dir: o.segments, FlushAge: o.flushAge})
+}
+
+// start brings up the collector the options describe over store —
+// stand-alone, or wrapped in a cluster node that has joined the ring if
+// asked to — and configures it the same way in both modes, the figures
+// dashboard mounted. It returns the collector and the node around it
+// (nil stand-alone), which is then what to Close before the store. A
+// cluster node starts only on an empty store: peers replay a reborn
+// node's earlier life, so rows it reloaded would be held twice.
+func start(o options, store *segment.Store, log *slog.Logger) (srv *collector.Server, node *cluster.Node, err error) {
+	if n := len(store.Segments()); o.cluster && n > 0 {
+		return nil, nil, fmt.Errorf("cluster node: %s already holds %d segments from an earlier life, which peers replay on restart; point -segments (or -out) at an empty directory", o.segments, n)
+	}
+	d, err := figures.NewDashboard(store, figures.DefaultWindows())
+	if err != nil {
+		return nil, nil, fmt.Errorf("figures dashboard: %w", err)
+	}
 	if o.cluster {
 		if o.join && len(o.peers) == 0 {
 			return nil, nil, errors.New("-join needs -peers: a joiner pulls ownership from existing members")
@@ -118,65 +160,29 @@ func start(o options, store dataset.IngestStore, log *slog.Logger) (*collector.S
 		srv.SetAdvertiseBinary(false)
 		log.Info("binary batch advertisement disabled")
 	}
+	d.Register(srv.Mux())
 	return srv, node, nil
 }
 
 func main() {
-	var o options
-	flag.StringVar(&o.udp, "udp", "127.0.0.1:8077", "UDP address for heartbeats")
-	flag.StringVar(&o.http, "http", "127.0.0.1:8080", "HTTP address for measurement uploads, /metrics, /healthz, and pprof")
-	out := flag.String("out", "live-data", "directory to persist data sets on shutdown")
-	statsEvery := flag.Duration("stats-every", 30*time.Second, "how often to log collection progress (stand-alone mode)")
-	flag.Float64Var(&o.failRate, "fail-rate", 0, "fault injection: fraction of uploads to fail (half rejected, half applied with the ack dropped) to exercise gateway retries and server dedupe")
-	flag.Uint64Var(&o.failSeed, "fail-seed", 1, "fault injection RNG seed")
-	flag.Float64Var(&o.traceSample, "trace-sample", 0.05, "tail-sampling keep probability for healthy traces (error, throttled, and slow traces are always kept)")
-	flag.DurationVar(&o.traceSlow, "trace-slow", 500*time.Millisecond, "traces at least this slow are always kept")
-	flag.BoolVar(&o.noBinary, "no-binary", false, "stop advertising the NPB1 binary batch encoding (clients fall back to JSON; binary uploads are still accepted)")
-	flag.BoolVar(&o.cluster, "cluster", false, "run as a cluster node: serve the control plane on -ctrl, gossip with -peers, journal replicated writes, and replay them on peer failure")
-	flag.StringVar(&o.nodeID, "node-id", "node-0", "cluster mode: this node's stable hash-ring identity")
-	flag.StringVar(&o.ctrl, "ctrl", "127.0.0.1:9090", "cluster mode: control-plane HTTP address (gossip, replicate, manifest)")
-	peers := flag.String("peers", "", "cluster mode: comma-separated control-plane addresses of existing members (empty for the first node)")
-	flag.BoolVar(&o.join, "join", false, "cluster mode: scale-out — start off the routing ring, pull this node's share of ownership from the existing members, then commit a ring epoch that includes it (requires -peers)")
-	segDir := flag.String("segments", "", "durable columnar segment directory: rows spill from memory to immutable NPS1 segments as they arrive (crash-safe, exactly-once across restarts) and the HTTP listener gains a continuously-updating GET /figures dashboard")
-	segFlushAge := flag.Duration("segment-flush-age", time.Minute, "seal a non-empty memtable this long after its first row even below the row threshold, so quiet deployments still reach disk (0 disables)")
-	flag.Parse()
-	for _, p := range strings.Split(*peers, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			o.peers = append(o.peers, p)
-		}
-	}
-
+	o := parseOptions(os.Args[1:])
 	log := telemetry.SetupLogger("bismark-server")
 
-	var store dataset.IngestStore = dataset.NewSharded(0)
-	var segStore *segment.Store
-	if *segDir != "" {
-		var err error
-		segStore, err = segment.Open(segment.Options{Dir: *segDir, FlushAge: *segFlushAge})
-		if err != nil {
-			log.Error("segment store open failed", "err", err)
-			os.Exit(1)
-		}
-		store = segStore
-		log.Info("segment storage enabled", "dir", *segDir,
-			"segments", len(segStore.Segments()))
+	store, err := openStore(o)
+	if err != nil {
+		log.Error("segment store open failed", "err", err)
+		os.Exit(1)
 	}
-
+	log.Info("segment store", "dir", o.segments, "segments", len(store.Segments()))
 	srv, node, err := start(o, store, log)
 	if err != nil {
 		log.Error(err.Error())
 		os.Exit(1)
 	}
-	if segStore != nil {
-		if err := mountFigures(segStore, srv); err != nil {
-			log.Error("figures dashboard failed", "err", err)
-			os.Exit(1)
-		}
-		log.Info("figures dashboard", "url", "http://"+srv.HTTPAddr()+"/figures")
-	}
 	listening := []any{
 		"heartbeats", "udp://" + srv.UDPAddr(),
 		"uploads", "http://" + srv.HTTPAddr(),
+		"figures", "http://" + srv.HTTPAddr() + "/figures",
 		"metrics", "http://" + srv.HTTPAddr() + "/metrics",
 		"healthz", "http://" + srv.HTTPAddr() + "/healthz",
 		"traces", "http://" + srv.HTTPAddr() + "/debug/traces",
@@ -192,7 +198,7 @@ func main() {
 			"control", "http://"+node.CtrlAddr(),
 			"members", "http://"+node.CtrlAddr()+"/cluster/members")
 	} else {
-		ticker := time.NewTicker(*statsEvery)
+		ticker := time.NewTicker(o.statsEvery)
 		defer ticker.Stop()
 		progress = ticker.C
 	}
@@ -215,16 +221,14 @@ func main() {
 				"counts", rc.Counts, "wifi", rc.WiFi,
 				"flows", rc.Flows)
 		case <-stop:
-			log.Info("shutting down", "out", *out)
+			log.Info("shutting down", "out", o.out)
 			if err := closeServer(); err != nil {
 				log.Warn("close", "err", err)
 			}
-			if segStore != nil {
-				if err := segStore.Close(); err != nil {
-					log.Warn("segment store close", "err", err)
-				}
+			if err := store.Close(); err != nil {
+				log.Warn("segment store close", "err", err)
 			}
-			if err := store.Save(*out); err != nil {
+			if err := store.Merge().Save(o.out); err != nil {
 				log.Error("save failed", "err", err)
 				os.Exit(1)
 			}

@@ -82,6 +82,7 @@ func Open(dir string) (*Study, error) {
 // by a segment-backed collector (bismark-server -segments). The store
 // is opened, merged into one analysis view, and closed again; a flush
 // of any recovered-but-unsealed state is a side effect of the close.
+// It fails on a directory a running collector holds open.
 func OpenSegments(dir string) (*Study, error) {
 	seg, err := segment.Open(segment.Options{Dir: dir, NoCompaction: true})
 	if err != nil {

@@ -39,60 +39,26 @@ var (
 	heartbeatsHeader = []string{"router", "start", "interval_sec", "count"}
 )
 
-// rowRange is rows [off, off+n) of one kind (an index into Kinds) in st.
-type rowRange struct {
-	st     *Store
-	kind   uint8
-	off, n int
-}
-
-// Save writes every data set as CSV into dir (created if needed), one
-// file per data set.
-func (s *Store) Save(dir string) error {
-	ranges := make([]rowRange, NumKinds)
-	for k := range ranges {
-		ranges[k] = rowRange{st: s, kind: uint8(k), n: Kinds[k].Len(s)}
-	}
-	return saveCSV(dir, s.RouterCountry, s.Heartbeats, ranges)
-}
-
-// csvFile names one output file and the function that writes it.
-type csvFile struct {
-	name string
-	fn   func(w *csv.Writer) error
-}
-
-// saveCSV writes the standard layout into dir (created if needed): the
+// Save writes every data set as CSV into dir (created if needed): the
 // roster, the heartbeat log, and one file per kind holding its header
-// and then the rows of that kind's ranges in the order given — rows
-// stream from wherever they live, nothing is merged first. The files
-// touch disjoint data and are written concurrently, so on a fleet-size
-// store the save is bounded by the largest file instead of the sum; a
-// file's bytes depend only on its ranges, never on the fan-out.
-func saveCSV(dir string, roster map[string]string, hb *heartbeat.Log, ranges []rowRange) error {
+// and then its rows. The files touch disjoint data and are written
+// concurrently, so on a fleet-size store the save is bounded by the
+// largest file instead of the sum.
+func (s *Store) Save(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("dataset: %w", err)
 	}
-	var byKind [NumKinds][]rowRange
-	for _, r := range ranges {
-		byKind[r.kind] = append(byKind[r.kind], r)
-	}
 	files := []csvFile{
-		{FileRoster, func(w *csv.Writer) error { return writeRosterCSV(w, roster) }},
-		{FileHeartbeats, func(w *csv.Writer) error { return writeHeartbeatsCSV(w, hb) }},
+		{FileRoster, func(w *csv.Writer) error { return writeRosterCSV(w, s.RouterCountry) }},
+		{FileHeartbeats, func(w *csv.Writer) error { return writeHeartbeatsCSV(w, s.Heartbeats) }},
 	}
 	for k := range Kinds {
-		kind, rs := &Kinds[k], byKind[k]
+		kind := &Kinds[k]
 		files = append(files, csvFile{kind.File, func(w *csv.Writer) error {
 			if err := w.Write(kind.Header); err != nil {
 				return err
 			}
-			for _, r := range rs {
-				if err := kind.writeCSV(w, r.st, r.off, r.n); err != nil {
-					return err
-				}
-			}
-			return nil
+			return kind.writeCSV(w, s)
 		}})
 	}
 	errs := make([]error, len(files))
@@ -111,6 +77,12 @@ func saveCSV(dir string, roster map[string]string, hb *heartbeat.Log, ranges []r
 		}
 	}
 	return nil
+}
+
+// csvFile names one output file and the function that writes it.
+type csvFile struct {
+	name string
+	fn   func(w *csv.Writer) error
 }
 
 func writeFile(path string, fn func(w *csv.Writer) error) error {

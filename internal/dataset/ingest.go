@@ -3,12 +3,13 @@ package dataset
 import "natpeek/internal/heartbeat"
 
 // IngestStore is the contract the collector (and everything above it —
-// cluster nodes, verify harness, loadgen targets) writes into. Two
-// implementations exist: *Sharded, the all-in-memory lock-striped store,
-// and segment.Store, which fronts a bounded Sharded memtable with
-// immutable on-disk columnar segments. Keeping the collector against
-// this interface is what lets the storage engine change underneath a
-// running pipeline without touching ingest, routing, or verification.
+// cluster nodes, verify harness, loadgen targets) writes into. The
+// server's store is segment.Store, which fronts a bounded Sharded
+// memtable with immutable on-disk columnar segments; *Sharded, the
+// all-in-memory lock-striped store, implements it too, for tests and
+// probes that need no disk. Keeping the collector against this
+// interface is what lets the storage engine change underneath a running
+// pipeline without touching ingest, routing, or verification.
 type IngestStore interface {
 	// Apply runs one upload's mutation exactly once per idempotency
 	// key; it reports false for a replayed key.
@@ -25,8 +26,6 @@ type IngestStore interface {
 	// HeartbeatLog exposes the shared, internally-synchronized
 	// heartbeat log (UDP datagrams bypass the row path entirely).
 	HeartbeatLog() *heartbeat.Log
-	// Save persists the standard CSV layout into dir.
-	Save(dir string) error
 }
 
 // HeartbeatLog returns the shared heartbeat log, satisfying IngestStore.

@@ -1,5 +1,5 @@
 // The seven row kinds of a Store, enumerated once. Everything that has
-// to visit "every data set" — Sharded's merge, save and extract, the CSV
+// to visit "every data set" — Sharded's merge and extract, the CSV
 // writer, the segment store's windows, counts and time ranges, the
 // cluster's transfer accounting — loops over Kinds and reaches the rows
 // through a kind's type-erased slice operations, which rows[T]
@@ -43,7 +43,7 @@ type rowOps interface {
 	// Times calls obs with every time column of every row.
 	Times(st *Store, obs func(time.Time))
 
-	writeCSV(w *csv.Writer, st *Store, off, n int) error
+	writeCSV(w *csv.Writer, st *Store) error
 }
 
 // rows implements rowOps for the Store field of element type T.
@@ -93,8 +93,8 @@ func (k *rows[T]) Times(st *Store, obs func(time.Time)) {
 	}
 }
 
-func (k *rows[T]) writeCSV(w *csv.Writer, st *Store, off, n int) error {
-	s := (*k.field(st))[off : off+n]
+func (k *rows[T]) writeCSV(w *csv.Writer, st *Store) error {
+	s := *k.field(st)
 	for i := range s {
 		if err := w.Write(k.csv(&s[i])); err != nil {
 			return err

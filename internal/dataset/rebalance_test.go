@@ -223,7 +223,7 @@ func TestSplitRoutersPartitionsEveryKind(t *testing.T) {
 			if err := want.Save(wantDir); err != nil {
 				t.Fatal(err)
 			}
-			if err := got.Save(gotDir); err != nil {
+			if err := got.Merge().Save(gotDir); err != nil {
 				t.Fatal(err)
 			}
 			names := []string{FileRoster, FileHeartbeats}

@@ -223,43 +223,26 @@ func (s *Sharded) Merge() *Store {
 	return out
 }
 
-// ref is one shard-local segment as a range of the rows it covers, with
-// its arrival stamp and the shard it was recorded in.
+// ref is one shard-local segment with the store it indexes and the
+// shard it was recorded in.
 type ref struct {
-	rowRange
-	seq uint64
-	sh  *shard
+	segment
+	st *Store
+	sh *shard
 }
 
 // orderedRefs collects every shard's segments sorted by global arrival
 // sequence. Callers must hold all stripe locks. Per-shard segment lists
 // are already seq-sorted (seqs are taken under the shard lock), so a
-// k-way merge would do; a plain sort is simpler and every caller (Merge,
-// Save, extract) is far off the hot path.
+// k-way merge would do; a plain sort is simpler and both callers (Merge,
+// extract) are far off the hot path.
 func (s *Sharded) orderedRefs() []ref {
 	var all []ref
 	for _, sh := range s.shards {
 		for _, seg := range sh.segs {
-			all = append(all, ref{rowRange{sh.store, seg.kind, seg.off, seg.n}, seg.seq, sh})
+			all = append(all, ref{seg, sh.store, sh})
 		}
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].seq < all[j].seq })
 	return all
-}
-
-// Save persists a consistent snapshot of the store as the standard CSV
-// layout, byte-identical to Merge().Save but with rows streamed straight
-// from the shard slices in global arrival order (see saveCSV) — a merged
-// copy of every slice would double peak memory at exactly the fleet
-// sizes where Save matters. The price is that all stripe locks are held
-// for the duration of the write; Save runs at shutdown or checkpoint
-// time, never on the ingest path.
-func (s *Sharded) Save(dir string) error {
-	defer s.lockAll()()
-	refs := s.orderedRefs()
-	ranges := make([]rowRange, len(refs))
-	for i, r := range refs {
-		ranges[i] = r.rowRange
-	}
-	return saveCSV(dir, s.rosterLocked(), s.Heartbeats, ranges)
 }

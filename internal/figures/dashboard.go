@@ -116,6 +116,10 @@ func (d *Dashboard) snapshot() (*dataset.Store, *analysis.Rollup, DashboardStats
 	}
 }
 
+// afterSnapshot, when set, runs in render between the snapshot and the
+// figures: a test seam that parks a render where d.mu must be free.
+var afterSnapshot func()
+
 // Render regenerates every exhibit from the current projection.
 func (d *Dashboard) Render() []*Report {
 	out, _ := d.render()
@@ -128,6 +132,9 @@ func (d *Dashboard) render() ([]*Report, DashboardStats) {
 	start := time.Now()
 	st, v, stats := d.snapshot()
 	d.hSnapshot.Observe(time.Since(start).Seconds())
+	if afterSnapshot != nil {
+		afterSnapshot()
+	}
 	out := all(st, v, d.win)
 	took := time.Since(start)
 	d.hRender.Observe(took.Seconds())

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -187,46 +186,46 @@ func TestRenderWorkIsTailBound(t *testing.T) {
 	}
 }
 
-// TestSnapshotLockHold measures the longest d.mu is held by a snapshot on
-// the 100k-aggregate fixture: the capture, work proportional to the tail,
-// so a seal's fold waits behind at most that, never behind a render.
+// TestSnapshotLockHold: d.mu covers a render's capture and not its
+// figures, so a seal's fold never waits behind a render. A render is
+// parked right after its snapshot — where a lock that also covered the
+// figures would still be held — and a seal must fold while it waits.
 func TestSnapshotLockHold(t *testing.T) {
-	d := fixtureDashboard(t, 45_000, 2_000, 512)
-	d.Render()
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { // renders back to back, as the benchmark's reader does
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				d.Render()
-			}
-		}
-	}()
-	var worst time.Duration
-	for i := 0; i < 200; i++ {
-		time.Sleep(500 * time.Microsecond)
-		start := time.Now()
-		d.mu.Lock()
-		wait := time.Since(start)
-		d.mu.Unlock()
-		worst = max(worst, wait)
+	d := fixtureDashboard(t, 600, 50, 16)
+	sealed := d.Stats().SealedChunks
+	parked, release := make(chan struct{}), make(chan struct{})
+	afterSnapshot = func() {
+		parked <- struct{}{}
+		<-release
 	}
-	close(stop)
-	wg.Wait()
-	start := time.Now()
-	d.Render()
-	worstRender := time.Since(start)
-	t.Logf("longest wait for d.mu beside back-to-back renders over %d aggregates: %v (one render: %v)",
-		d.Stats().FlowAggregates, worst, worstRender)
-	// A lock that covered the figures too would make some sample wait
-	// nearly a whole render; the margin is for a busy test machine.
-	if !raceEnabled && worst > worstRender*3/4 {
-		t.Fatalf("d.mu was held for %v, a render takes %v: the lock covers more than the capture", worst, worstRender)
+	defer func() { afterSnapshot = nil }()
+	rendered := make(chan struct{})
+	go func() {
+		defer close(rendered)
+		d.Render()
+	}()
+	<-parked
+	flushed := make(chan error, 1)
+	go func() {
+		d.src.Append("seal", func(dst *dataset.Store) {
+			loadgenMix(dst, rng.New(9).Child("seal"), 0, 20, 16, 0.65)
+		})
+		flushed <- d.src.Flush()
+	}()
+	select {
+	case err := <-flushed:
+		close(release)
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		close(release)
+		<-flushed
+		t.Fatal("a seal's fold waited for a render parked after its snapshot: d.mu covers more than the capture")
+	}
+	<-rendered
+	if got := d.Stats().SealedChunks; got != sealed+1 {
+		t.Fatalf("sealed chunks %d after one seal, want %d", got, sealed+1)
 	}
 }
 

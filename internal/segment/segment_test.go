@@ -311,10 +311,10 @@ func TestMergeMatchesShardedAcrossFlushAndCompact(t *testing.T) {
 		}
 		check(-1, "the live tail")
 		plainDir, segDir := t.TempDir(), t.TempDir()
-		if err := plain.Save(plainDir); err != nil {
+		if err := plain.Merge().Save(plainDir); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Save(segDir); err != nil {
+		if err := s.Merge().Save(segDir); err != nil {
 			t.Fatal(err)
 		}
 		for i := range dataset.Kinds {
@@ -395,8 +395,9 @@ func TestKillBetweenFlushAndHandoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := s.Merge()
-	// "Kill": abandon s without Close; its memtable is empty (all rows
-	// flushed), so the segment file is the entire durable state.
+	// Kill s; its memtable is empty (all rows flushed), so the segment
+	// file is the entire durable state.
+	segment.Kill(s)
 	s2, err := segment.Open(segment.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -461,6 +462,7 @@ func TestCrashTruncatedTailSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	segment.Kill(s)
 	s2, err := segment.Open(segment.Options{Dir: dir, NoCompaction: true})
 	if err != nil {
 		t.Fatal(err)
@@ -692,4 +694,30 @@ func TestOpenRejectsMissingDir(t *testing.T) {
 		!strings.Contains(err.Error(), "Dir required") {
 		t.Fatalf("err = %v", err)
 	}
+}
+
+// TestOpenLocksDir: a second store on a directory that an open store
+// holds fails to open rather than flushing and compacting over the
+// first one's segments; once the first closes, the directory opens.
+func TestOpenLocksDir(t *testing.T) {
+	dir := t.TempDir()
+	s, err := segment.Open(segment.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	applySequence(s, 50, 3)
+	if s2, err := segment.Open(segment.Options{Dir: dir}); err == nil {
+		s2.Close()
+		t.Fatal("a second store opened a directory the first still holds")
+	}
+	want := s.Merge()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := segment.Open(segment.Options{Dir: dir})
+	if err != nil {
+		t.Fatalf("reopen after Close: %v", err)
+	}
+	defer s2.Close()
+	sameRows(t, want, s2.Merge(), "reopened")
 }

@@ -52,6 +52,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"natpeek/internal/dataset"
@@ -133,8 +134,9 @@ type segFile struct {
 
 // Store is the segment-backed implementation of dataset.IngestStore.
 type Store struct {
-	opt Options
-	hb  *heartbeat.Log
+	opt  Options
+	hb   *heartbeat.Log
+	lock *os.File // the directory's LOCK file, flocked until Close
 
 	// dedupe outlives memtable generations: each is built over it.
 	dedupe *dataset.Dedupe
@@ -175,8 +177,9 @@ type Store struct {
 	mCompactedRows, mFlushedBytes, mCompactedBytes *telemetry.Counter
 }
 
-// Open loads (or creates) a segment store in opt.Dir: stray .tmp files
-// from interrupted commits are removed, a torn tail segment (bad magic,
+// Open loads (or creates) a segment store in opt.Dir, which it locks
+// for the store's lifetime: stray .tmp files from interrupted commits
+// are removed, a torn tail segment (bad magic,
 // short file, footer CRC mismatch) is quarantined to <name>.corrupt,
 // segments fully covered by a compacted successor are deleted, and the
 // dedupe index is re-seeded from every surviving segment's key block,
@@ -194,9 +197,14 @@ func open(opt Options, dedupe *dataset.Dedupe) (*Store, error) {
 	if err := os.MkdirAll(opt.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("segment: %w", err)
 	}
+	lock, err := lockDir(opt.Dir)
+	if err != nil {
+		return nil, err
+	}
 	s := &Store{
 		opt:    opt,
 		hb:     heartbeat.NewLog(),
+		lock:   lock,
 		dedupe: dedupe,
 		mem:    newMemtable(dedupe),
 		roster: make(map[string]string),
@@ -223,6 +231,7 @@ func open(opt Options, dedupe *dataset.Dedupe) (*Store, error) {
 			"Bytes of segment files written by compaction passes (their outputs)."),
 	}
 	if err := s.load(); err != nil {
+		lock.Close()
 		return nil, err
 	}
 	s.gDedupeKeys.Set(float64(s.dedupe.Len()))
@@ -230,6 +239,23 @@ func open(opt Options, dedupe *dataset.Dedupe) (*Store, error) {
 	s.bgDone.Add(1)
 	go s.background()
 	return s, nil
+}
+
+// lockDir takes dir's LOCK file exclusively. A second store on the
+// directory, in this process or another, would name its segments from
+// its own sequence, rename over this one's and compact away its inputs;
+// it fails to open instead. The kernel drops the lock with the process,
+// so a crash leaves nothing to clean up.
+func lockDir(dir string) (*os.File, error) {
+	f, err := os.OpenFile(filepath.Join(dir, "LOCK"), os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("segment: %w", err)
+	}
+	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("segment: %s is held by another open store: %w", dir, err)
+	}
+	return f, nil
 }
 
 // load scans the directory, validates every segment, heals crash
@@ -323,8 +349,8 @@ func (s *Store) load() error {
 	return nil
 }
 
-// Close stops background work and flushes the memtable so every
-// ingested row is durable.
+// Close stops background work, flushes the memtable so every ingested
+// row is durable, and unlocks the directory.
 func (s *Store) Close() error {
 	s.flushMu.Lock()
 	select {
@@ -336,7 +362,9 @@ func (s *Store) Close() error {
 	close(s.stopc)
 	s.flushMu.Unlock()
 	s.bgDone.Wait()
-	return s.Flush()
+	err := s.Flush()
+	s.lock.Close()
+	return err
 }
 
 // background runs size-triggered flushes off the ingest path plus the
@@ -887,11 +915,6 @@ func (s *Store) DedupeLen() int { return s.dedupe.Len() }
 // HeartbeatLog implements dataset.IngestStore. Heartbeats live outside
 // the segment files (see the package comment in format.go).
 func (s *Store) HeartbeatLog() *heartbeat.Log { return s.hb }
-
-// Save implements dataset.IngestStore: the standard CSV layout of the
-// full merged view. This is the cold batch path — incremental consumers
-// use Subscribe/Tail.
-func (s *Store) Save(dir string) error { return s.Merge().Save(dir) }
 
 // Segments returns the live segment metadata in seq order (ops and
 // tests).

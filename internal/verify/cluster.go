@@ -3,23 +3,24 @@ package verify
 import (
 	"context"
 	"fmt"
+	"os"
 	"path/filepath"
+	"sync"
 	"time"
 
 	"natpeek/internal/cluster"
-	"natpeek/internal/collector"
 	"natpeek/internal/dataset"
-	"natpeek/internal/gateway"
+	"natpeek/internal/heartbeat"
 	"natpeek/internal/segment"
-	"natpeek/internal/spool"
 	"natpeek/internal/world"
 )
 
 // RunCluster executes the same golden deployment as Run, but through a
 // multi-node collector cluster: every client points at a front-tier
-// router that consistent-hashes uploads across n collector nodes, and
-// the ingested store is the merge of every node's shard plus the
-// front's heartbeat log. The equivalence test asserts the resulting
+// router that consistent-hashes uploads across n collector nodes, each
+// ingesting into a segment store of its own, and the ingested store is
+// the merge of every node's reopened shard plus the front's heartbeat
+// log. The equivalence test asserts the resulting
 // snapshot is byte-identical to the single-node golden — sharding,
 // routing, and replication must be invisible in the data.
 func RunCluster(cfg Config, n int) (*Result, error) {
@@ -56,14 +57,17 @@ func runCluster(cfg Config, n int, op string) (*Result, error) {
 		SuspectAfter: 250 * time.Millisecond,
 		DeadAfter:    time.Second,
 	}
+	dir, err := os.MkdirTemp("", "natpeek-verify-cluster-")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
 	var nodes []*cluster.Node
 	var peers []string
-	var segStores []*segment.Store
+	var stores []*segment.Store
 	defer func() {
-		for _, nd := range nodes {
-			nd.Close()
-		}
-		for _, s := range segStores {
+		closeNodes(nodes)
+		for _, s := range stores {
 			s.Close()
 		}
 	}()
@@ -80,15 +84,12 @@ func runCluster(cfg Config, n int, op string) (*Result, error) {
 			Peers: append([]string(nil), peers...), Gossip: gossip,
 			Joining: op == "join" && i == n,
 		}
-		if cfg.SegmentDir != "" {
-			// Each node persists its shard to its own segment directory.
-			store, seg, err := openVerifyStore(cfg, filepath.Join(cfg.SegmentDir, ncfg.ID))
-			if err != nil {
-				return nil, err
-			}
-			segStores = append(segStores, seg)
-			ncfg.Store = store
+		store, err := openVerifyStore(filepath.Join(dir, ncfg.ID))
+		if err != nil {
+			return nil, err
 		}
+		stores = append(stores, store)
+		ncfg.Store = store
 		nd, err := cluster.NewNode(ncfg)
 		if err != nil {
 			return nil, fmt.Errorf("verify: cluster node %d: %w", i, err)
@@ -128,41 +129,7 @@ func runCluster(cfg Config, n int, op string) (*Result, error) {
 	}
 
 	scanner := newPrivacyScanner(w)
-	wireMode := collector.WireAuto
-	if cfg.ForceJSON {
-		wireMode = collector.WireJSON
-	}
-	err = w.RunWith(func(h *world.Home) (gateway.Sink, func() error, error) {
-		cli, err := collector.NewClient(h.Profile.ID, w.Store.RouterCountry[h.Profile.ID],
-			front.UDPAddr(), front.HTTPAddr(),
-			collector.WithTransport(scanner),
-			collector.WithWireFormat(wireMode),
-			collector.WithSpool(spool.Config{Capacity: 1 << 17, MaxBatch: 256}))
-		if err != nil {
-			return nil, nil, err
-		}
-		sink := &clientSink{Client: cli, hb: front.Heartbeats()}
-		closeFn := func() error {
-			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-			defer cancel()
-			ferr := cli.Flush(ctx)
-			depth := cli.SpoolDepth()
-			uerr := cli.Err()
-			cerr := cli.Close()
-			if ferr != nil {
-				return fmt.Errorf("flush: %w", ferr)
-			}
-			if depth != 0 {
-				return fmt.Errorf("%d uploads still spooled after flush", depth)
-			}
-			if uerr != nil {
-				return fmt.Errorf("upload error: %w", uerr)
-			}
-			return cerr
-		}
-		return sink, closeFn, nil
-	})
-	if err != nil {
+	if err := runHomes(w, cfg, scanner, front.UDPAddr(), front.HTTPAddr(), front.Heartbeats()); err != nil {
 		return nil, err
 	}
 	if opCh != nil {
@@ -175,11 +142,35 @@ func runCluster(cfg Config, n int, op string) (*Result, error) {
 			return nil, fmt.Errorf("verify: cluster %s did not finish", op)
 		}
 	}
-	// Merging across EVERY node (a drained node included — it must hold
-	// nothing) keeps the equivalence check honest: a row left behind or
-	// applied twice during the move shows up as a snapshot diff.
-	merged := mergeClusterStores(front, nodes)
+	// Every node stops before any store closes, so no failover replay
+	// can write into a shard after it has been read. Merging across
+	// EVERY node (a drained node included — it must hold nothing) keeps
+	// the equivalence check honest: a row left behind or applied twice
+	// during the move shows up as a snapshot diff.
+	closeNodes(nodes)
+	shards := make([]*dataset.Store, len(stores))
+	for i, store := range stores {
+		if shards[i], err = reopenMerged(store, filepath.Join(dir, nodes[i].ID())); err != nil {
+			return nil, err
+		}
+	}
+	merged := mergeClusterStores(front.Heartbeats(), shards)
 	return &Result{Cfg: cfg, World: w, Ingested: merged, PrivacyViolations: scanner.take()}, nil
+}
+
+// closeNodes closes every node at once: each stops its failover replay
+// as its Close begins, so none outlives another long enough to judge it
+// dead and replay its journal.
+func closeNodes(nodes []*cluster.Node) {
+	var wg sync.WaitGroup
+	for _, nd := range nodes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			nd.Close()
+		}()
+	}
+	wg.Wait()
 }
 
 // waitAlive blocks until the front judges exactly n collector nodes
@@ -202,24 +193,16 @@ func waitAlive(front *cluster.Front, n int, timeout time.Duration) error {
 }
 
 // mergeClusterStores builds the cluster-wide store image: measurement
-// rows concatenated across every node's shard (snapshot digests sort
-// rows, so concatenation order cannot show through), router countries
-// unioned, and the heartbeat log taken from the front, where cluster
-// heartbeats terminate.
-func mergeClusterStores(front *cluster.Front, nodes []*cluster.Node) *dataset.Store {
-	merged := &dataset.Store{
-		Heartbeats:    front.Heartbeats(),
-		RouterCountry: make(map[string]string),
-	}
-	for _, nd := range nodes {
-		st := nd.Store()
-		merged.Uptime = append(merged.Uptime, st.Uptime...)
-		merged.Capacity = append(merged.Capacity, st.Capacity...)
-		merged.Counts = append(merged.Counts, st.Counts...)
-		merged.Sightings = append(merged.Sightings, st.Sightings...)
-		merged.WiFi = append(merged.WiFi, st.WiFi...)
-		merged.Flows = append(merged.Flows, st.Flows...)
-		merged.Throughput = append(merged.Throughput, st.Throughput...)
+// rows of every kind concatenated across the nodes' shards (snapshot
+// digests sort rows, so concatenation order cannot show through), router
+// countries unioned, and the heartbeat log hb taken from the front,
+// where cluster heartbeats terminate.
+func mergeClusterStores(hb *heartbeat.Log, shards []*dataset.Store) *dataset.Store {
+	merged := &dataset.Store{Heartbeats: hb, RouterCountry: make(map[string]string)}
+	for _, st := range shards {
+		for _, k := range dataset.Kinds {
+			k.Append(merged, st, 0, k.Len(st))
+		}
 		for id, cc := range st.RouterCountry {
 			merged.RouterCountry[id] = cc
 		}

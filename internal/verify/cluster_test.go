@@ -2,8 +2,6 @@ package verify
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -14,14 +12,8 @@ import (
 // byte-identical to the single-node golden. Routing and replication
 // are transport, not data.
 func TestClusterGoldenEquivalence(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "golden", "run-seed1.json"))
-	if err != nil {
-		t.Fatalf("no golden snapshot (generate with TestGoldenRun -update): %v", err)
-	}
-	r, err := RunCluster(Config{Seed: 1}, 3)
-	if err != nil {
-		t.Fatalf("verify.RunCluster: %v", err)
-	}
+	want := goldenSeed1(t)
+	r := runCluster3Seed1(t)
 	if len(r.PrivacyViolations) > 0 {
 		t.Errorf("privacy violations through the cluster path: %v", r.PrivacyViolations)
 	}
@@ -44,10 +36,7 @@ func TestClusterGoldenEquivalenceFiveNodes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-deployment rerun; covered by the 3-node variant in short mode")
 	}
-	want, err := os.ReadFile(filepath.Join("testdata", "golden", "run-seed1.json"))
-	if err != nil {
-		t.Fatalf("no golden snapshot (generate with TestGoldenRun -update): %v", err)
-	}
+	want := goldenSeed1(t)
 	r, err := RunCluster(Config{Seed: 1}, 5)
 	if err != nil {
 		t.Fatalf("verify.RunCluster(5): %v", err)
@@ -65,10 +54,7 @@ func TestClusterGoldenEquivalenceFiveNodes(t *testing.T) {
 // and dedupe-key movement must be invisible in the data.
 func goldenRebalance(t *testing.T, op string, forceJSON bool) {
 	t.Helper()
-	want, err := os.ReadFile(filepath.Join("testdata", "golden", "run-seed1.json"))
-	if err != nil {
-		t.Fatalf("no golden snapshot (generate with TestGoldenRun -update): %v", err)
-	}
+	want := goldenSeed1(t)
 	r, err := RunClusterRebalance(Config{Seed: 1, ForceJSON: forceJSON}, 3, op)
 	if err != nil {
 		t.Fatalf("verify.RunClusterRebalance(%s): %v", op, err)
@@ -123,10 +109,7 @@ func TestClusterGoldenEquivalenceJSON(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-deployment rerun; covered by the binary-wire variant in short mode")
 	}
-	want, err := os.ReadFile(filepath.Join("testdata", "golden", "run-seed1.json"))
-	if err != nil {
-		t.Fatalf("no golden snapshot (generate with TestGoldenRun -update): %v", err)
-	}
+	want := goldenSeed1(t)
 	r, err := RunCluster(Config{Seed: 1, ForceJSON: true}, 3)
 	if err != nil {
 		t.Fatalf("verify.RunCluster(json): %v", err)

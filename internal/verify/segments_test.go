@@ -2,31 +2,58 @@ package verify
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
+	"sync"
 	"testing"
+
+	"natpeek/internal/dataset"
 )
 
-// goldenSeed1 loads the canonical single-node golden snapshot.
-func goldenSeed1(t *testing.T) []byte {
+// jsonSeed1 and cluster3Seed1 are the seed-1 run forced onto the legacy
+// JSON wire and the seed-1 run through a 3-node cluster: made once per
+// test process, shared by every test that needs them.
+var jsonSeed1, cluster3Seed1 struct {
+	once sync.Once
+	r    *Result
+	err  error
+}
+
+func runJSONSeed1(t *testing.T) *Result {
 	t.Helper()
-	want, err := os.ReadFile(filepath.Join("testdata", "golden", "run-seed1.json"))
-	if err != nil {
-		t.Fatalf("no golden snapshot (generate with TestGoldenRun -update): %v", err)
+	jsonSeed1.once.Do(func() { jsonSeed1.r, jsonSeed1.err = Run(Config{Seed: 1, ForceJSON: true}) })
+	if jsonSeed1.err != nil {
+		t.Fatalf("verify.Run(seed=1,json): %v", jsonSeed1.err)
 	}
-	return want
+	return jsonSeed1.r
+}
+
+func runCluster3Seed1(t *testing.T) *Result {
+	t.Helper()
+	cluster3Seed1.once.Do(func() { cluster3Seed1.r, cluster3Seed1.err = RunCluster(Config{Seed: 1}, 3) })
+	if cluster3Seed1.err != nil {
+		t.Fatalf("verify.RunCluster(seed=1): %v", cluster3Seed1.err)
+	}
+	return cluster3Seed1.r
+}
+
+// ingestedRows totals the rows of every kind a run ingested.
+func ingestedRows(r *Result) int {
+	n := 0
+	for _, k := range dataset.Kinds {
+		n += k.Len(r.Ingested)
+	}
+	return n
 }
 
 // TestGoldenSegmentBacked is the storage engine's substitution
-// contract: the same deployment ingested into the columnar segment
-// store — rotating through many sealed segments mid-run, then REOPENED
-// from the segment files alone — must produce a snapshot byte-identical
-// to the in-memory golden. Storage, like the wire format, must be
-// invisible in the data.
+// contract: the deployment ingested into the columnar segment store —
+// rotating through many sealed segments mid-run, then REOPENED from the
+// segment files alone — must produce a snapshot byte-identical to the
+// golden. Storage, like the wire format, must be invisible in the data.
 func TestGoldenSegmentBacked(t *testing.T) {
-	r, err := Run(Config{Seed: 1, SegmentDir: t.TempDir()})
-	if err != nil {
-		t.Fatalf("verify.Run(segments): %v", err)
+	r := runSeed1(t)
+	if n := ingestedRows(r); n < 4*segmentFlushRows {
+		t.Errorf("run ingested %d rows, under 4 flushes of %d: too few sealed segments to test rotation",
+			n, segmentFlushRows)
 	}
 	if fails := CheckAll(r, nil); len(fails) > 0 {
 		for _, f := range fails {
@@ -43,26 +70,23 @@ func TestGoldenSegmentBacked(t *testing.T) {
 // JSON wire encoding — both axes (wire format, storage engine) swapped
 // at once, still byte-identical.
 func TestGoldenSegmentBackedJSON(t *testing.T) {
-	r, err := Run(Config{Seed: 1, ForceJSON: true, SegmentDir: t.TempDir()})
-	if err != nil {
-		t.Fatalf("verify.Run(segments,json): %v", err)
-	}
-	got := BuildSnapshot(r).Encode()
+	got := BuildSnapshot(runJSONSeed1(t)).Encode()
 	if want := goldenSeed1(t); !bytes.Equal(got, want) {
 		t.Errorf("segment-backed JSON snapshot differs from golden:\n%s", snapshotDiff(want, got))
 	}
 }
 
 // TestClusterGoldenSegmentBacked runs the 3-node cluster with every
-// node's shard persisted to its own segment directory; the merged
-// snapshot must still match the single-node in-memory golden.
+// node's shard persisted to its own segment directory and reopened from
+// it; the merged snapshot must still match the single-node golden.
 func TestClusterGoldenSegmentBacked(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster run in -short mode")
 	}
-	r, err := RunCluster(Config{Seed: 1, SegmentDir: t.TempDir()}, 3)
-	if err != nil {
-		t.Fatalf("verify.RunCluster(segments): %v", err)
+	r := runCluster3Seed1(t)
+	if n := ingestedRows(r); n < 2*3*segmentFlushRows {
+		t.Errorf("cluster ingested %d rows, under 2 flushes of %d per node: too few sealed segments to test rotation",
+			n, segmentFlushRows)
 	}
 	if len(r.PrivacyViolations) > 0 {
 		t.Fatalf("privacy violations: %v", r.PrivacyViolations)

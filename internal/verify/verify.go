@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"strings"
 	"sync"
 	"time"
@@ -41,29 +42,38 @@ type Config struct {
 	// snapshots must be byte-identical either way — the wire format is
 	// transport detail, not data.
 	ForceJSON bool
-	// SegmentDir, when non-empty, backs the collector with the columnar
-	// segment store (internal/segment) instead of the in-memory sharded
-	// store, flushing aggressively so the run spans many sealed
-	// segments; the snapshot is then taken from a store REOPENED from
-	// the segment files. The goldens must be byte-identical either way —
-	// the storage engine, like the wire format, must be invisible in the
-	// data. In cluster runs each node gets its own subdirectory.
-	SegmentDir string
 }
 
 // segmentFlushRows keeps verification runs rotating through many small
 // segments so flush boundaries land mid-dataset.
 const segmentFlushRows = 2048
 
-func openVerifyStore(cfg Config, dir string) (dataset.IngestStore, *segment.Store, error) {
-	if dir == "" {
-		return dataset.NewSharded(0), nil, nil
-	}
+// openVerifyStore opens the segment store a run's collector (or one
+// cluster node) ingests into.
+func openVerifyStore(dir string) (*segment.Store, error) {
 	seg, err := segment.Open(segment.Options{Dir: dir, FlushRows: segmentFlushRows})
 	if err != nil {
-		return nil, nil, fmt.Errorf("verify: segment store: %w", err)
+		return nil, fmt.Errorf("verify: segment store: %w", err)
 	}
-	return seg, seg, nil
+	return seg, nil
+}
+
+// reopenMerged closes seg, which seals its tail, and returns the merge of
+// a store reopened from dir's segment files alone: what a run ingested,
+// as the collector would find it after a restart.
+func reopenMerged(seg *segment.Store, dir string) (*dataset.Store, error) {
+	if err := seg.Close(); err != nil {
+		return nil, fmt.Errorf("verify: segment close: %w", err)
+	}
+	re, err := segment.Open(segment.Options{Dir: dir, NoCompaction: true})
+	if err != nil {
+		return nil, fmt.Errorf("verify: segment reopen: %w", err)
+	}
+	st := re.Merge()
+	if err := re.Close(); err != nil {
+		return nil, fmt.Errorf("verify: segment reclose: %w", err)
+	}
+	return st, nil
 }
 
 // Result is everything a verification run produced: the world (with its
@@ -112,17 +122,21 @@ func worldConfig(cfg Config) world.Config {
 func Run(cfg Config) (*Result, error) {
 	w := world.Build(worldConfig(cfg))
 
-	// The collector ingests into the lock-striped store; homes run
-	// serially and each client is flushed before the next home starts,
-	// so the merged snapshot reproduces the exact insertion order a
-	// plain store would have seen — the golden digests don't move.
-	// With SegmentDir set the same ingest lands in the columnar segment
-	// store instead, whose merge preserves that order across flush
-	// boundaries.
-	store, segStore, err := openVerifyStore(cfg, cfg.SegmentDir)
+	// The collector ingests into a segment store in a directory of its
+	// own, flushing often so the run spans many sealed segments; homes
+	// run serially and each client is flushed before the next home
+	// starts, and the store's merge preserves that insertion order across
+	// flush boundaries — the golden digests don't move.
+	dir, err := os.MkdirTemp("", "natpeek-verify-")
 	if err != nil {
 		return nil, err
 	}
+	defer os.RemoveAll(dir)
+	store, err := openVerifyStore(dir)
+	if err != nil {
+		return nil, err
+	}
+	defer store.Close()
 	srv, err := collector.NewServer("127.0.0.1:0", "127.0.0.1:0", store)
 	if err != nil {
 		return nil, fmt.Errorf("verify: collector: %w", err)
@@ -131,20 +145,39 @@ func Run(cfg Config) (*Result, error) {
 
 	scanner := newPrivacyScanner(w)
 
+	if err := runHomes(w, cfg, scanner, srv.UDPAddr(), srv.HTTPAddr(), store.HeartbeatLog()); err != nil {
+		return nil, err
+	}
+	// The snapshot is taken from the segment files alone. The heartbeat
+	// log lives outside them (the server's CSV save persists it), so it
+	// carries over from the live store.
+	ingested, err := reopenMerged(store, dir)
+	if err != nil {
+		return nil, err
+	}
+	ingested.Heartbeats = store.HeartbeatLog()
+	return &Result{Cfg: cfg, World: w, Ingested: ingested, PrivacyViolations: scanner.take()}, nil
+}
+
+// runHomes runs every home of w through a real collector client of its
+// own — spooled, batched, idempotent uploads through scanner to the
+// collector or front at udpAddr/httpAddr — flushed and closed before the
+// next home starts; heartbeats go straight into hb.
+func runHomes(w *world.World, cfg Config, scanner *privacyScanner, udpAddr, httpAddr string, hb *heartbeat.Log) error {
 	wireMode := collector.WireAuto
 	if cfg.ForceJSON {
 		wireMode = collector.WireJSON
 	}
-	err = w.RunWith(func(h *world.Home) (gateway.Sink, func() error, error) {
+	return w.RunWith(func(h *world.Home) (gateway.Sink, func() error, error) {
 		cli, err := collector.NewClient(h.Profile.ID, w.Store.RouterCountry[h.Profile.ID],
-			srv.UDPAddr(), srv.HTTPAddr(),
+			udpAddr, httpAddr,
 			collector.WithTransport(scanner),
 			collector.WithWireFormat(wireMode),
 			collector.WithSpool(spool.Config{Capacity: 1 << 17, MaxBatch: 256}))
 		if err != nil {
 			return nil, nil, err
 		}
-		sink := &clientSink{Client: cli, hb: store.HeartbeatLog()}
+		sink := &clientSink{Client: cli, hb: hb}
 		closeFn := func() error {
 			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 			defer cancel()
@@ -165,31 +198,6 @@ func Run(cfg Config) (*Result, error) {
 		}
 		return sink, closeFn, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	ingested := store.Merge()
-	if segStore != nil {
-		// Durability round-trip: seal the tail, then take the analysis
-		// view from a store reopened off the segment files alone. The
-		// heartbeat log lives outside the segment subsystem (it is
-		// persisted by the CSV save path), so it carries over from the
-		// live store.
-		hb := segStore.HeartbeatLog()
-		if err := segStore.Close(); err != nil {
-			return nil, fmt.Errorf("verify: segment close: %w", err)
-		}
-		re, err := segment.Open(segment.Options{Dir: cfg.SegmentDir, NoCompaction: true})
-		if err != nil {
-			return nil, fmt.Errorf("verify: segment reopen: %w", err)
-		}
-		ingested = re.Merge()
-		if err := re.Close(); err != nil {
-			return nil, fmt.Errorf("verify: segment reclose: %w", err)
-		}
-		ingested.Heartbeats = hb
-	}
-	return &Result{Cfg: cfg, World: w, Ingested: ingested, PrivacyViolations: scanner.take()}, nil
 }
 
 // clientSink is a collector client that additionally accepts

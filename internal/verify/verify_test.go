@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -30,6 +31,33 @@ func runOnce(t *testing.T, seed uint64) *Result {
 	return r
 }
 
+// seed1 is the seed-1 run on the negotiated (binary) wire: made once per
+// test process, shared by every test that needs it.
+var seed1 struct {
+	once sync.Once
+	r    *Result
+	err  error
+}
+
+func runSeed1(t *testing.T) *Result {
+	t.Helper()
+	seed1.once.Do(func() { seed1.r, seed1.err = Run(Config{Seed: 1}) })
+	if seed1.err != nil {
+		t.Fatalf("verify.Run(seed=1): %v", seed1.err)
+	}
+	return seed1.r
+}
+
+// goldenSeed1 loads the canonical single-node golden snapshot.
+func goldenSeed1(t *testing.T) []byte {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", "golden", "run-seed1.json"))
+	if err != nil {
+		t.Fatalf("no golden snapshot (generate with TestGoldenRun -update): %v", err)
+	}
+	return want
+}
+
 // TestGoldenRun drives the full deployment through the real collector
 // and compares the normalized snapshot against the checked-in golden.
 // After an intended behaviour change, regenerate with
@@ -38,7 +66,7 @@ func runOnce(t *testing.T, seed uint64) *Result {
 //
 // and review the golden diff like any other code change.
 func TestGoldenRun(t *testing.T) {
-	r := runOnce(t, 1)
+	r := runSeed1(t)
 	if fails := CheckAll(r, nil); len(fails) > 0 {
 		for _, f := range fails {
 			t.Errorf("invariant %s", f)
@@ -57,11 +85,7 @@ func TestGoldenRun(t *testing.T) {
 		t.Logf("golden updated: %s (%d bytes)", path, len(got))
 		return
 	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("no golden snapshot (run with -update to create): %v", err)
-	}
-	if !bytes.Equal(got, want) {
+	if want := goldenSeed1(t); !bytes.Equal(got, want) {
 		t.Errorf("snapshot drifted from %s.\nIf the change is intended, re-run with -update and review the diff.\n%s",
 			path, snapshotDiff(want, got))
 	}
@@ -114,17 +138,12 @@ func snapshotDiff(want, got []byte) string {
 	return fmt.Sprintf("lengths differ: want %d lines, got %d", len(w), len(g))
 }
 
-// TestGoldenIdenticalAcrossWireFormats pins the tentpole's core
-// promise: the NPB1 binary batch encoding is a transport detail. A run
-// forced onto legacy JSON and a run left to negotiate binary must
-// produce byte-identical snapshots.
+// TestGoldenIdenticalAcrossWireFormats pins that the NPB1 binary batch
+// encoding is a transport detail. A run forced onto legacy JSON and a
+// run left to negotiate binary must produce byte-identical snapshots.
 func TestGoldenIdenticalAcrossWireFormats(t *testing.T) {
-	auto := BuildSnapshot(runOnce(t, 1)).Encode()
-	forced, err := Run(Config{Seed: 1, ForceJSON: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	jsonSnap := BuildSnapshot(forced).Encode()
+	auto := BuildSnapshot(runSeed1(t)).Encode()
+	jsonSnap := BuildSnapshot(runJSONSeed1(t)).Encode()
 	if !bytes.Equal(auto, jsonSnap) {
 		t.Errorf("wire format changed the snapshot:\n%s", snapshotDiff(jsonSnap, auto))
 	}
