@@ -205,7 +205,7 @@ check-figures:
 	$(GO) test -race ./internal/analysis/ ./internal/figures/
 	$(GO) test -run 'TestSnapshotAllocBudget|TestRenderWorkIsTailBound|TestExhibitLedger' ./internal/figures/
 	$(GO) test -run 'TestCaptureAfterSealIsHistoryFree|TestLiveSeriesAllocatesItsSize' ./internal/analysis/
-	$(GO) test -run 'TestQuantileMatchesSortOracle|TestQuantileAdversarialInputs|TestQuantileRunsZerosAndEmpties' ./internal/stats/
+	$(GO) test -run 'TestQuantileMatchesSortOracle|TestQuantileAdversarialInputs|TestQuantileRunsZerosAndEmpties|TestSortFloatsMatchesSort|FuzzSortFloats' ./internal/stats/
 
 # benchmarks/ is a module of its own, so `go build ./... && go test ./...`
 # at the root never compiles it. This does: an internal/ API change that

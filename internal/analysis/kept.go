@@ -201,7 +201,7 @@ func (l *link) settle() {
 	}
 	add := make([]float64, 0, l.series.n-l.peaks.n)
 	l.series.each(l.peaks.n, func(p UtilizationPoint) { add = append(add, p.PeakBps) })
-	slices.Sort(add)
+	stats.SortFloats(add)
 	l.peaks.insert(add, cmp.Compare[float64])
 }
 

@@ -386,7 +386,7 @@ func (r *rollup) settle(ranked bool) {
 		}
 		h.uptime.settle(func(s []uptimeReport) { slices.SortFunc(s, cmpReport) }, cmpReport)
 		for _, r := range []*run[float64]{&h.capUp, &h.capDown, &h.aps} {
-			r.settle(slices.Sort[[]float64], cmp.Compare[float64])
+			r.settle(stats.SortFloats, cmp.Compare[float64])
 		}
 		for i := range h.links {
 			h.links[i].settle()

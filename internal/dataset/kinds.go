@@ -40,6 +40,10 @@ type rowOps interface {
 	Alloc(st *Store, n, spare int)
 	// Window points dst at src's rows [lo, hi), capacity clipped at hi.
 	Window(dst, src *Store, lo, hi int)
+	// Resize gives st n rows in the room its slice already has, growing
+	// it only when that is too small. Rows it keeps hold what they held:
+	// the caller overwrites every one.
+	Resize(st *Store, n int)
 	// Times calls obs with every time column of every row.
 	Times(st *Store, obs func(time.Time))
 
@@ -82,6 +86,14 @@ func (k *rows[T]) Alloc(st *Store, n, spare int) {
 
 func (k *rows[T]) Window(dst, src *Store, lo, hi int) {
 	*k.field(dst) = (*k.field(src))[lo:hi:hi]
+}
+
+func (k *rows[T]) Resize(st *Store, n int) {
+	if f := k.field(st); cap(*f) >= n {
+		*f = (*f)[:n]
+	} else {
+		*f = make([]T, n)
+	}
 }
 
 func (k *rows[T]) Times(st *Store, obs func(time.Time)) {

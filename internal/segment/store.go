@@ -175,6 +175,9 @@ type Store struct {
 	gDedupeKeys, gLiveSegs, gLiveBytes             *telemetry.Gauge
 	hSealLock, hFlush, hCompact                    *telemetry.Histogram
 	mCompactedRows, mFlushedBytes, mCompactedBytes *telemetry.Counter
+	// Subscribe telemetry: once per replay, never per segment or row.
+	hReplay     *telemetry.Histogram
+	mReplayRows *telemetry.Counter
 }
 
 // Open loads (or creates) a segment store in opt.Dir, which it locks
@@ -229,6 +232,10 @@ func open(opt Options, dedupe *dataset.Dedupe) (*Store, error) {
 			"Bytes of segment files written by flushes."),
 		mCompactedBytes: telemetry.Default.Counter("natpeek_segment_compacted_bytes_total",
 			"Bytes of segment files written by compaction passes (their outputs)."),
+		hReplay: telemetry.Default.Histogram("natpeek_segment_replay_seconds",
+			"Time one Subscribe took to replay the sealed segments to its subscriber, fold included.", nil),
+		mReplayRows: telemetry.Default.Counter("natpeek_segment_replay_rows_total",
+			"Rows Subscribe replays have handed to their subscribers."),
 	}
 	if err := s.load(); err != nil {
 		lock.Close()
@@ -847,27 +854,54 @@ func (s *Store) SealGen() uint64 {
 	return s.sealGen
 }
 
-// Subscribe registers fn to receive every sealed segment's rows as an
-// immutable chunk: first each existing on-disk segment (in seq order, on
-// the caller's goroutine, while the next few decode ahead — see scan),
-// then every future seal, with no gap and no duplicate. fn runs on the
+// Subscribe registers fn to receive every sealed segment's rows as a
+// chunk: first each existing on-disk segment (in seq order, on the
+// caller's goroutine, while the next few decode ahead — see scan), then
+// every future seal, with no gap and no duplicate. fn runs on the
 // flushing goroutine and must not call back into the store (SealGen
-// excepted); the
-// chunk is never touched by the store again, so fn may retain it but
-// must not mutate it (other subscribers see the same chunk).
+// excepted). A chunk is lent for the call: fn must not mutate it (other
+// subscribers see the same chunk), and must copy what it keeps, since a
+// replayed chunk's window decodes a later segment once fn returns.
 func (s *Store) Subscribe(fn func(chunk *dataset.Store)) error {
 	s.flushMu.Lock()
 	defer s.flushMu.Unlock()
+	start := time.Now()
 	segs, _, _, _ := s.view()
-	if _, err := scan(segs, runtime.GOMAXPROCS(0),
-		func(i int) *dataset.Store { return newWindow(segs[i].meta.Rows, dataset.RowCounts{}) },
+	workers := runtime.GOMAXPROCS(0)
+	rows := 0
+	// At most one window per worker and the one being emitted are in
+	// use at once, which is what free holds; it goes with the replay.
+	free := make(chan *dataset.Store, workers+1)
+	if _, err := scan(segs, workers,
+		func(i int) *dataset.Store {
+			var w *dataset.Store
+			select {
+			case w = <-free:
+				clear(w.RouterCountry)
+			default:
+				w = &dataset.Store{RouterCountry: make(map[string]string)}
+			}
+			// Every column decoder writes every field of every row, so
+			// what a window held before needs no clearing.
+			for _, k := range dataset.Kinds {
+				k.Resize(w, *k.Count(&segs[i].meta.Rows))
+			}
+			return w
+		},
 		func(_ int, r *Reader, chunk *dataset.Store) error {
 			addRoster(chunk.RouterCountry, r.meta.Roster)
 			fn(chunk)
+			rows += r.meta.Rows.Total()
+			select {
+			case free <- chunk:
+			default:
+			}
 			return nil
 		}); err != nil {
 		return fmt.Errorf("segment: replay: %w", err)
 	}
+	s.hReplay.Observe(time.Since(start).Seconds())
+	s.mReplayRows.Add(int64(rows))
 	s.segMu.Lock()
 	s.onSeal = append(s.onSeal, fn)
 	s.segMu.Unlock()

@@ -1,8 +1,11 @@
 package stats
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -488,5 +491,151 @@ func TestQuantileMatchesSortPosition(t *testing.T) {
 		if !almost(v, q*1000, 1e-9) {
 			t.Fatalf("q=%v: got %v want %v", q, v, q*1000)
 		}
+	}
+}
+
+// sameOrder reports whether got is want's order to the bit wherever
+// sort.Float64s decides it. Its ties — -0 and +0, or any two NaNs — it
+// leaves in either order, so there the two must agree on which tie sits
+// at a position and, over the whole sample, hold the same bit patterns.
+func sameOrder(got, want []float64) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	gb, wb := make([]uint64, len(got)), make([]uint64, len(want))
+	for i := range got {
+		g, w := got[i], want[i]
+		tie := math.IsNaN(g) && math.IsNaN(w) || g == 0 && w == 0
+		if math.Float64bits(g) != math.Float64bits(w) && !tie {
+			return false
+		}
+		gb[i], wb[i] = math.Float64bits(g), math.Float64bits(w)
+	}
+	slices.Sort(gb)
+	slices.Sort(wb)
+	return slices.Equal(gb, wb)
+}
+
+func checkSortFloats(t *testing.T, name string, xs []float64) {
+	t.Helper()
+	got, want := slices.Clone(xs), slices.Clone(xs)
+	SortFloats(got)
+	sort.Float64s(want)
+	if !sameOrder(got, want) {
+		t.Fatalf("%s (n=%d): SortFloats differs from sort.Float64s\n got %v\nwant %v", name, len(xs), got, want)
+	}
+}
+
+// TestSortFloatsMatchesSort: the radix kernel leaves every sample in
+// sort.Float64s's order, on random samples and on the inputs a radix
+// over float bits can get wrong — NaNs of both signs and with payloads,
+// signed zeros, infinities, subnormals — and on lengths around the
+// cutoff where it stops comparing.
+func TestSortFloatsMatchesSort(t *testing.T) {
+	r := rand.New(rand.NewPCG(32, 1))
+	special := []float64{
+		math.NaN(), -math.NaN(), math.Float64frombits(0x7ff0000000000001), math.Float64frombits(0xfff8dead0000beef),
+		math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.Float64frombits(0x000fffffffffffff),
+		math.MaxFloat64, -math.MaxFloat64, 1, -1,
+	}
+	draw := func(pool int) float64 {
+		switch v := r.IntN(100); {
+		case v < 10:
+			return special[r.IntN(len(special))]
+		case v < 50:
+			return float64(r.IntN(pool))
+		case v < 60:
+			return math.Float64frombits(r.Uint64())
+		default:
+			return r.NormFloat64() * 1e6
+		}
+	}
+	lengths := []int{0, 1, 2, sortCutoff - 1, sortCutoff, sortCutoff + 1, 2 * sortCutoff, 20000}
+	for i := 0; i < 200; i++ {
+		lengths = append(lengths, r.IntN(3*sortCutoff))
+	}
+	for i, n := range lengths {
+		xs := make([]float64, n)
+		pool := 1 + r.IntN(n+1)
+		for j := range xs {
+			xs[j] = draw(pool)
+		}
+		checkSortFloats(t, fmt.Sprintf("random %d", i), xs)
+	}
+	for _, n := range []int{sortCutoff - 1, sortCutoff, 3000} {
+		shapes := map[string]func(i int) float64{
+			"all-equal":   func(int) float64 { return 42 },
+			"all-nan":     func(i int) float64 { return special[i%4] },
+			"zeros":       func(i int) float64 { return special[4+i%2] },
+			"specials":    func(i int) float64 { return special[i%len(special)] },
+			"sorted":      func(i int) float64 { return float64(i) },
+			"reversed":    func(i int) float64 { return float64(n - i) },
+			"negative":    func(i int) float64 { return -float64(i) / 7 },
+			"subnormals":  func(i int) float64 { return math.Float64frombits(uint64(i*7919) & 0x800fffffffffffff) },
+			"one-byte":    func(i int) float64 { return math.Float64frombits(0x3ff0000000000000 | uint64(i%256)<<24) },
+			"high-digits": func(i int) float64 { return math.Float64frombits(uint64(n-i) << 52) },
+		}
+		for name, f := range shapes {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = f(i)
+			}
+			checkSortFloats(t, fmt.Sprintf("%s/%d", name, n), xs)
+		}
+	}
+}
+
+// FuzzSortFloats: any bit patterns, repeated to reach n values with the
+// low bits of each repeat perturbed, sort as sort.Float64s sorts them.
+func FuzzSortFloats(f *testing.F) {
+	seed := func(n uint16, xs ...float64) {
+		b := make([]byte, 0, 8*len(xs))
+		for _, x := range xs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		}
+		f.Add(b, n)
+	}
+	seed(3, 1, 2, 3)
+	seed(sortCutoff, math.NaN(), -math.NaN(), math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1))
+	seed(sortCutoff+1, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 1e300, -1e-300)
+	seed(3*sortCutoff, 42)
+	f.Fuzz(func(t *testing.T, raw []byte, n uint16) {
+		var bits []uint64
+		for len(raw) >= 8 {
+			bits = append(bits, binary.LittleEndian.Uint64(raw))
+			raw = raw[8:]
+		}
+		if len(bits) == 0 {
+			return
+		}
+		xs := make([]float64, int(n)%(8*sortCutoff))
+		for i := range xs {
+			xs[i] = math.Float64frombits(bits[i%len(bits)] ^ uint64(i/len(bits)))
+		}
+		checkSortFloats(t, "fuzz", xs)
+	})
+}
+
+func BenchmarkSortFloats(b *testing.B) {
+	r := rand.New(rand.NewPCG(32, 2))
+	for _, n := range []int{256, 768, sortCutoff, 4096, 65536} {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = math.Round(r.ExpFloat64() * 1e7)
+		}
+		a := make([]float64, n)
+		b.Run(fmt.Sprintf("radix/%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(a, xs)
+				SortFloats(a)
+			}
+		})
+		b.Run(fmt.Sprintf("pdq/%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(a, xs)
+				slices.Sort(a)
+			}
+		})
 	}
 }
