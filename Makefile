@@ -189,12 +189,18 @@ check-rebalance:
 #      that prefix), the seal generation handshake (a page taken between
 #      a chunk's publication and its fold), the page header describing
 #      its own snapshot, Fig. 15/16 taking only "up" and "down" links
-#      (batch and page alike);
+#      (batch and page alike), two pages at once extending the kept tail
+#      across appends, a seal, a generation left frozen by a failed commit
+#      and its publication, and across an extraction — each equal to the
+#      batch exhibits over the store; and the memtable cursor: a chain of
+#      MergeFrom reads beside concurrent appends equal to Merge;
 #   2. the allocation budgets — a snapshot's: the same at 10k and at
 #      100k aggregates; a whole render's: counts and bytes each within
 #      10 % over the same tail with four times the sealed history; a
 #      capture's bytes after each seal: within 10 % over four times the
-#      history; the heap a series keeps over 1,000 seals with a page
+#      history; a live page's: counts and bytes each within 10 % over a
+#      256- and a 4,096-upload tail, 8 uploads between pages; the heap
+#      a series keeps over 1,000 seals with a page
 #      after each: about its size — which the race detector's own
 #      allocations would drown, so they run without; and the exhibit ledger (testdata/exhibits.sha256: every
 #      exhibit's printed text over three inputs, batch and page), too
@@ -203,7 +209,8 @@ check-rebalance:
 #      random splits into 1–8 runs, ±0, empty runs).
 check-figures:
 	$(GO) test -race ./internal/analysis/ ./internal/figures/
-	$(GO) test -run 'TestSnapshotAllocBudget|TestRenderWorkIsTailBound|TestExhibitLedger' ./internal/figures/
+	$(GO) test -race -run 'TestMergeFromMatchesMerge' ./internal/dataset/
+	$(GO) test -run 'TestSnapshotAllocBudget|TestRenderWorkIsTailBound|TestPageWorkIsIncrementBound|TestExhibitLedger' ./internal/figures/
 	$(GO) test -run 'TestCaptureAfterSealIsHistoryFree|TestLiveSeriesAllocatesItsSize' ./internal/analysis/
 	$(GO) test -run 'TestQuantileMatchesSortOracle|TestQuantileAdversarialInputs|TestQuantileRunsZerosAndEmpties|TestSortFloatsMatchesSort|FuzzSortFloats' ./internal/stats/
 

@@ -92,9 +92,9 @@ func (p *Partial) Rows() dataset.RowCounts {
 
 // Snapshot is a Partial frozen at an instant with a live tail on top:
 // the roster and the Rollup that Clone() → Fold(tail) would yield, for
-// work proportional to the tail and the number of homes. It is built in
-// three steps so that a caller serializing folds behind a lock holds it
-// for the middle one only:
+// work proportional to the tail's entries and nothing per entry of the
+// Partial. It is built in three steps so that a caller serializing folds
+// behind a lock holds it for the middle one only:
 //
 //	sn := analysis.NewSnapshot(tail) // rolls up the tail's rows
 //	mu.Lock()
@@ -106,37 +106,71 @@ func (p *Partial) Rows() dataset.RowCounts {
 // each home version it touches instead of changing it, and lays the
 // tail's rollup over it. The snapshot's store holds the roster and the
 // heartbeats only; every row-backed exhibit reads the Rollup.
+//
+// A live page need not roll its tail up again: the next page's snapshot
+// is this one's Extended by the rows that arrived since, work
+// proportional to those rows, and its Capture looks up only the tail
+// entries they added.
 type Snapshot struct {
-	tail *dataset.Store
-	roll *rollup // the tail's rows alone
-	st   dataset.Store
-	view *Rollup
+	roll   *rollup           // the tail's rows alone, frozen
+	tail   *Rollup           // roll's view, which Capture lays over a base
+	roster map[string]string // the tail's routers
+	prev   *Snapshot         // the snapshot this one extends, until Capture
+	st     dataset.Store
+	view   *Rollup
 }
 
-// NewSnapshot prepares a snapshot over tail, which must not change until
-// Store returns.
+// NewSnapshot prepares a snapshot over tail, which it does not keep.
 func NewSnapshot(tail *dataset.Store) *Snapshot {
 	// A tail is short, and a third of a live fleet's flows go to a
 	// domain of their own: room for one domain per row saves the index
 	// its growth.
-	sn := &Snapshot{tail: tail, roll: newRollup(len(tail.Flows))}
-	for i := range tail.Flows {
-		sn.roll.add(&tail.Flows[i])
+	r := newRollup(len(tail.Flows))
+	r.unranked = true
+	r.addRows(tail)
+	return &Snapshot{roll: r, tail: r.view(), roster: maps.Clone(tail.RouterCountry)}
+}
+
+// Extend returns a snapshot of sn's tail followed by rows, uncaptured:
+// what NewSnapshot would make of the two concatenated, for work
+// proportional to rows. sn's rollup is frozen, so the rows fold into a
+// copy of the rollup struct whose first writes copy what they touch of
+// what it shares with sn (thaw, own): sn, and a page still reading it,
+// see no change. Successors share sn's indexes, so a snapshot is
+// extended at most once.
+func (sn *Snapshot) Extend(rows *dataset.Store) *Snapshot {
+	r := *sn.roll
+	r.addRows(rows)
+	roster := maps.Clone(sn.roster)
+	maps.Copy(roster, rows.RouterCountry)
+	return &Snapshot{roll: &r, tail: r.view(), roster: roster, prev: sn}
+}
+
+// addRows folds c's flow rows, then its kept rows.
+func (r *rollup) addRows(c *dataset.Store) {
+	for i := range c.Flows {
+		r.add(&c.Flows[i])
 	}
-	sn.roll.addKept(tail)
-	sn.roll.settle(false)
-	return sn
+	r.addKept(c)
 }
 
 // Capture reads p: the roster is cloned, and the tail's rollup is
 // resolved against p's — one lookup per home, domain and device of the
-// tail, and nothing per row or entry of p. The first capture after a
-// fold also freezes what that fold wrote: it re-ranks the homes the fold
-// touched and settles their new kept values into sorted runs, O(k log n)
-// amortized for k values (see run).
+// tail, and nothing per row or entry of p. A snapshot Extended from one
+// captured over p as p still is looks up only the entries its rows
+// added. The first capture after a fold also freezes what that fold
+// wrote: it re-ranks the homes the fold touched and settles their new
+// kept values into sorted runs, O(k log n) amortized for k values (see
+// run). A snapshot is captured once, and the captures of one chain of
+// Extends are serialized — as the lock that holds off folds does.
 func (sn *Snapshot) Capture(p *Partial) {
+	var prev *overlay
+	if sn.prev != nil && sn.prev.view != nil {
+		prev = sn.prev.view.tail
+	}
+	sn.prev = nil
 	sn.st.RouterCountry = maps.Clone(p.roster)
-	sn.view = p.roll.overlay(sn.roll)
+	sn.view = p.roll.overlay(sn.tail, prev)
 }
 
 // Rollup returns the captured rollup with the tail's laid over it.
@@ -148,6 +182,6 @@ func (sn *Snapshot) Rollup() *Rollup { return sn.view }
 func (sn *Snapshot) Store(hb *heartbeat.Log) *dataset.Store {
 	st := sn.st
 	st.Heartbeats = hb
-	maps.Copy(st.RouterCountry, sn.tail.RouterCountry)
+	maps.Copy(st.RouterCountry, sn.roster)
 	return &st
 }

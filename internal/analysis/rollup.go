@@ -65,6 +65,9 @@ type rollup struct {
 	// the two slices and starts a new epoch (thaw).
 	epoch  uint64
 	frozen bool
+	// unranked marks a page's tail, whose domains are never ranked: only
+	// a base's rankings are read (homeView.top).
+	unranked bool
 	// forked is the epoch of the last clone: a version from it or before
 	// may be shared with another rollup that also writes (series.copied).
 	forked uint64
@@ -366,20 +369,19 @@ func (r *rollup) freeze() {
 	if r.frozen {
 		return
 	}
-	r.settle(true)
+	r.settle()
 	r.frozen = true
 }
 
 // settle readies every version changed since the last settle for
 // reading: the kept values folded since then are sorted into their runs
-// and, when ranked is set, the domains re-ranked. A page's tail is
-// settled unranked: only a base's rankings are read (homeView.top).
-func (r *rollup) settle(ranked bool) {
+// and, but in a page's tail, the domains re-ranked.
+func (r *rollup) settle() {
 	for _, h := range r.homes {
 		if !h.stale {
 			continue
 		}
-		if ranked {
+		if !r.unranked {
 			for rk := range h.top {
 				h.ntop[rk] = uint8(len(rankInto(h.top[rk][:0], h.domains, rank(rk), rankDepth)))
 			}
@@ -395,7 +397,8 @@ func (r *rollup) settle(ranked bool) {
 	}
 }
 
-// view freezes r and returns it as a Rollup.
+// view freezes r and returns it as a Rollup: one that holds its own
+// copies of r's slice headers and router index, so r can fold on.
 func (r *rollup) view() *Rollup {
 	r.freeze()
 	return &Rollup{homes: r.homes, byID: r.byID, fleet: r.fleet, flowHomes: r.flowHomes, keptRows: r.keptRows}
@@ -415,60 +418,84 @@ func (r *rollup) clone() *rollup {
 	}
 }
 
-// overlay is a rollup of the rows that follow a base, resolved against
+// overlay is a view of the rows that follow a base, resolved against
 // it: for each of its homes, domains, devices and fleet devices, the
 // position of the same entry in the base, or -1 where the tail has it
-// first.
+// first. It holds the tail's view, not its rollup, so the tail can fold
+// on while a page reads; and the base and epoch it was resolved at, so
+// the overlay of a longer tail over the same base can start from it.
 type overlay struct {
-	roll     *rollup
+	roll     *Rollup
 	onBase   []int32   // base home → tail home, or -1
 	home     []int32   // tail home → base home, or -1
 	dom, dev [][]int32 // per tail home: its domains / devices → the base home's
 	fleet    []int32   // tail fleet device → base fleet device, or -1
+	base     *rollup
+	epoch    uint64
 }
 
-// overlay freezes r and lays t, a rollup of the rows after r's, over it.
-// Each entry of t is looked up in r's indexes once, here — the caller
-// holds off folds for the duration — so the Rollup never reads them.
-// t must not change afterwards.
-func (r *rollup) overlay(t *rollup) *Rollup {
+// overlay freezes r and lays t, a view of the rows after r's, over it.
+// Each entry of t is looked up in r's indexes once — the caller holds
+// off folds into r for the duration — so the Rollup never reads them.
+// prev, if not nil, is an overlay of a shorter view that t extends:
+// when r has not been written since prev was laid over it, prev's
+// lookups stand and only the entries t adds are looked up. Homes,
+// domains, devices and fleet devices are only ever appended, so an
+// entry keeps its position as a tail grows.
+func (r *rollup) overlay(t *Rollup, prev *overlay) *Rollup {
 	v := r.view()
 	if len(t.homes) == 0 {
 		return v
 	}
 	o := &overlay{
-		roll:   t,
-		onBase: make([]int32, len(r.homes)),
-		home:   make([]int32, len(t.homes)),
-		dom:    make([][]int32, len(t.homes)),
-		dev:    make([][]int32, len(t.homes)),
-		fleet:  make([]int32, len(t.fleet)),
+		roll:  t,
+		dom:   make([][]int32, len(t.homes)),
+		dev:   make([][]int32, len(t.homes)),
+		base:  r,
+		epoch: r.epoch,
 	}
-	for i := range o.onBase {
-		o.onBase[i] = -1
+	if prev != nil && prev.base == r && prev.epoch == r.epoch {
+		o.onBase = slices.Clone(prev.onBase)
+		o.home = slices.Clip(prev.home)
+		o.fleet = slices.Clip(prev.fleet)
+		copy(o.dom, prev.dom)
+		copy(o.dev, prev.dev)
+	} else {
+		o.onBase = make([]int32, len(r.homes))
+		for i := range o.onBase {
+			o.onBase[i] = -1
+		}
+		// A tail resolved whole takes its lookups from one array per
+		// kind; each home's share is clipped, so an extension copies it.
+		var nd, nv int
+		for _, h := range t.homes {
+			nd, nv = nd+len(h.domains), nv+len(h.devices)
+		}
+		doms, devs := make([]int32, nd), make([]int32, nv)
+		for j, h := range t.homes {
+			nd, nv = len(h.domains), len(h.devices)
+			o.dom[j], doms = doms[:0:nd], doms[nd:]
+			o.dev[j], devs = devs[:0:nv], devs[nv:]
+		}
 	}
-	var nd, nv int
-	for _, h := range t.homes {
-		nd, nv = nd+len(h.domains), nv+len(h.devices)
-	}
-	doms, devs := make([]int32, 0, nd), make([]int32, 0, nv)
 	for j, h := range t.homes {
-		bi := find(r.byID, h.id)
-		o.home[j] = bi
-		if bi >= 0 {
-			o.onBase[bi] = int32(j)
+		if j == len(o.home) {
+			bi := find(r.byID, h.id)
+			o.home = append(o.home, bi)
+			if bi >= 0 {
+				o.onBase[bi] = int32(j)
+			}
 		}
-		d0, v0 := len(doms), len(devs)
-		for _, d := range h.domains {
-			doms = append(doms, find(r.domIdx, domKey{bi, d.name}))
+		bi := o.home[j]
+		for _, d := range h.domains[len(o.dom[j]):] {
+			o.dom[j] = append(o.dom[j], find(r.domIdx, domKey{bi, d.name}))
 		}
-		for _, d := range h.devices {
-			devs = append(devs, find(r.devIdx, devKey{bi, d.dev}))
+		for _, d := range h.devices[len(o.dev[j]):] {
+			o.dev[j] = append(o.dev[j], find(r.devIdx, devKey{bi, d.dev}))
 		}
-		o.dom[j], o.dev[j] = doms[d0:], devs[v0:]
 	}
-	for k, d := range t.fleet {
-		o.fleet[k] = find(r.fleetIdx, d.dev)
+	for _, d := range t.fleet[len(o.fleet):] {
+		o.fleet = append(o.fleet, find(r.fleetIdx, d.dev))
 	}
 	v.tail = o
 	return v

@@ -93,11 +93,14 @@ func (s *Sharded) ExtractRows(match func(string) bool) *Store {
 // the returned store and its stripe's rebuilt one. Surviving rows keep
 // their segment's sequence stamp, offsets re-based onto the rebuilt
 // slices, and segments left empty vanish — a later Merge interleaves the
-// survivors exactly as if the moved rows had never arrived. Caller holds
-// all stripe locks.
+// survivors exactly as if the moved rows had never arrived. The re-based
+// segments would mislead a cursor taken before, so the extraction is
+// counted, and MergeFrom starts such a cursor over. Caller holds all
+// stripe locks.
 func (s *Sharded) extractLocked(match func(string) bool) *Store {
 	moved := newRows()
-	refs := s.orderedRefs() // before any stripe's log is rebuilt
+	refs := s.refsFrom(Cursor{}) // before any stripe's log is rebuilt
+	s.extracts++
 	for _, sh := range s.shards {
 		for id, cc := range sh.store.RouterCountry {
 			if match(id) {

@@ -62,6 +62,9 @@ type Sharded struct {
 	dedupe *Dedupe // one stripe per shard, routed by the same hash
 	seq    atomic.Uint64
 	rows   atomic.Int64 // rows held across all stripes and kinds
+	// extracts counts extractions; every stripe lock guards it, so a
+	// reader holding all of them sees the segments it counts.
+	extracts uint64
 }
 
 // NewSharded returns an empty sharded store with n stripes (n <= 0 means
@@ -208,38 +211,81 @@ func (s *Sharded) rosterLocked() map[string]string {
 // every row; dedupe state stays with the sharded store. All stripes are
 // locked for the duration, so the snapshot is consistent.
 func (s *Sharded) Merge() *Store {
+	out, _ := s.MergeFrom(Cursor{})
+	return out
+}
+
+// Cursor marks how far a chain of MergeFrom calls has read a Sharded
+// store. The zero Cursor is the start.
+type Cursor struct {
+	seq      uint64 // the last segment read
+	n        int    // its rows read
+	extracts uint64 // the store's extractions as of the read
+}
+
+// Restarted reports whether c, returned by MergeFrom(from), was read
+// from the start because an extraction came between the two reads.
+func (c Cursor) Restarted(from Cursor) bool { return c.extracts != from.extracts }
+
+// MergeFrom is Merge from c on: the rows recorded since the read that
+// returned c, in global arrival order, with the whole roster, and the
+// cursor past them. A record only ever grows the globally latest segment
+// in place (see record), so the rows after c are a suffix of what Merge
+// would return, and a chain of MergeFrom results from the zero Cursor
+// concatenates to Merge. An extraction re-bases the segments a cursor
+// points into: a cursor taken before one reads from the start.
+func (s *Sharded) MergeFrom(c Cursor) (*Store, Cursor) {
 	defer s.lockAll()()
+	if c.extracts != s.extracts {
+		c = Cursor{extracts: s.extracts}
+	}
+	refs := s.refsFrom(c)
 	out := &Store{Heartbeats: s.Heartbeats, RouterCountry: s.rosterLocked()}
 	var total RowCounts
-	for _, sh := range s.shards {
-		total.Add(CountRows(sh.store))
+	for _, r := range refs {
+		*Kinds[r.kind].Count(&total) += r.n
 	}
 	for _, k := range Kinds {
 		k.Alloc(out, 0, *k.Count(&total))
 	}
-	for _, r := range s.orderedRefs() {
+	for _, r := range refs {
 		Kinds[r.kind].Append(out, r.st, r.off, r.n)
 	}
-	return out
+	if len(refs) > 0 {
+		last := refs[len(refs)-1]
+		if last.seq != c.seq {
+			c.seq, c.n = last.seq, 0
+		}
+		c.n += last.n
+	}
+	return out, c
 }
 
-// ref is one shard-local segment with the store it indexes and the
-// shard it was recorded in.
+// ref is one shard-local segment, or the rows of one past a cursor, with
+// the store it indexes and the shard it was recorded in.
 type ref struct {
 	segment
 	st *Store
 	sh *shard
 }
 
-// orderedRefs collects every shard's segments sorted by global arrival
-// sequence. Callers must hold all stripe locks. Per-shard segment lists
-// are already seq-sorted (seqs are taken under the shard lock), so a
-// k-way merge would do; a plain sort is simpler and both callers (Merge,
-// extract) are far off the hot path.
-func (s *Sharded) orderedRefs() []ref {
+// refsFrom collects every shard's segments past c sorted by global
+// arrival sequence; the segment c stopped in contributes the rows
+// recorded into it since. Callers must hold all stripe locks. Per-shard
+// segment lists are already seq-sorted (seqs are taken under the shard
+// lock), so each is searched for its first segment past c; the few
+// collected then sort.
+func (s *Sharded) refsFrom(c Cursor) []ref {
 	var all []ref
 	for _, sh := range s.shards {
-		for _, seg := range sh.segs {
+		i := sort.Search(len(sh.segs), func(i int) bool { return sh.segs[i].seq >= c.seq })
+		for _, seg := range sh.segs[i:] {
+			if seg.seq == c.seq {
+				if seg.n <= c.n {
+					continue
+				}
+				seg.off, seg.n = seg.off+c.n, seg.n-c.n
+			}
 			all = append(all, ref{seg, sh.store, sh})
 		}
 	}

@@ -379,3 +379,114 @@ func TestDedupeWindowIsFIFO(t *testing.T) {
 		t.Fatalf("window after 100 more = %v, want %v", got, want)
 	}
 }
+
+// TestMergeFromMatchesMerge: a chain of MergeFrom reads, each from the
+// cursor the last one returned, concatenates to Merge at every step —
+// across concurrent appends to every shard, across bursts that coalesce
+// into the latest segment on both sides of a read, and across an
+// extraction, which starts the chain over. A reader chains beside the
+// writers throughout and must reach Merge too.
+func TestMergeFromMatchesMerge(t *testing.T) {
+	s := NewSharded(4)
+	var chain *Store
+	var c Cursor
+	step := func(what string) {
+		t.Helper()
+		part, next := s.MergeFrom(c)
+		if next.Restarted(c) {
+			chain = nil
+		}
+		chain, c = chainOn(chain, part), next
+		if want := s.Merge(); !reflect.DeepEqual(chain, want) {
+			t.Fatalf("%s: the chain of MergeFrom reads holds %+v, Merge %+v", what, CountRows(chain), CountRows(want))
+		}
+	}
+	uptime := func(id string, i int) func(*Store) {
+		return func(st *Store) {
+			st.RouterCountry[id] = "US"
+			st.Uptime = append(st.Uptime, UptimeReport{RouterID: id, ReportedAt: shardT0, Uptime: time.Duration(i)})
+		}
+	}
+
+	step("empty store")
+	for i := 0; i < 3; i++ {
+		s.Append("burst", uptime("burst", i))
+	}
+	step("a burst")
+	for i := 3; i < 6; i++ { // coalesces into the segment the last read ended in
+		s.Append("burst", uptime("burst", i))
+	}
+	step("the burst grows past the read")
+
+	stop := make(chan struct{})
+	var rg sync.WaitGroup
+	var beside *Store
+	var bc Cursor
+	rg.Add(1)
+	go func() { // chains beside the writers
+		defer rg.Done()
+		for {
+			part, next := s.MergeFrom(bc)
+			if next.Restarted(bc) {
+				beside = nil
+			}
+			beside, bc = chainOn(beside, part), next
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	for round := 0; round < 6; round++ {
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				r := rng.New(uint64(round)).Child(fmt.Sprintf("writer-%d", w))
+				for i := 0; i < 50; i++ {
+					id := fmt.Sprintf("r-%02d", r.Intn(12))
+					if r.Bool(0.3) { // a run of one router's rows
+						for j := 0; j < 1+r.Intn(4); j++ {
+							s.Append(id, uptime(id, round*1000+i))
+						}
+						continue
+					}
+					s.Append(id, func(st *Store) {
+						st.RouterCountry[id] = "US"
+						applyRandomRow(st, id, round*1000+i, r)
+					})
+				}
+			}()
+		}
+		wg.Wait()
+		step(fmt.Sprintf("round %d", round))
+		if round == 3 {
+			s.ExtractRows(func(id string) bool { return id == "r-05" })
+			step("an extraction")
+		}
+	}
+	close(stop)
+	rg.Wait()
+	part, next := s.MergeFrom(bc)
+	if next.Restarted(bc) {
+		beside = nil
+	}
+	if beside = chainOn(beside, part); !reflect.DeepEqual(beside, s.Merge()) {
+		t.Fatalf("the chain read beside the writers holds %+v, Merge %+v", CountRows(beside), CountRows(s.Merge()))
+	}
+}
+
+// chainOn appends part's rows to chain (nil: none yet) and takes part's
+// roster and heartbeat log, which MergeFrom returns whole.
+func chainOn(chain, part *Store) *Store {
+	if chain == nil {
+		return part
+	}
+	for _, k := range Kinds {
+		k.Append(chain, part, 0, k.Len(part))
+	}
+	chain.RouterCountry, chain.Heartbeats = part.RouterCountry, part.Heartbeats
+	return chain
+}

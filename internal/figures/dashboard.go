@@ -17,10 +17,15 @@ import (
 // Dashboard maintains a continuously-updating view of every paper
 // exhibit over a segment store. Sealed segments stream in exactly once
 // through the store's subscription and fold into an analysis.Partial's
-// rollup; a render takes an analysis.Snapshot of the partial with the
-// store's live tail on top — the folded rollup frozen and the tail's
-// laid over it, work proportional to the tail and the number of homes —
-// and regenerates the figures from it. It never re-reads sealed history,
+// rollup. The live tail's rollup is kept from page to page: a render
+// reads the tail rows recorded since the previous page and extends the
+// previous page's analysis.Snapshot by them, starting the tail over only
+// when a seal is published or an extraction re-bases the memtable. It
+// then lays the tail over the partial's frozen rollup, and regenerates
+// the figures from that over GOMAXPROCS goroutines. A page pays for the
+// rows since the last page, a lookup per tail home, domain and device
+// those rows added (Capture), and the exhibits; it never re-reads sealed
+// history,
 // never copies or regroups its rows, and never clones the partial. The
 // rendered output is bit-identical to running the batch figures over the
 // store's full merged view (see the analysis.Partial package comment for
@@ -28,6 +33,13 @@ import (
 type Dashboard struct {
 	src *segment.Store
 	win Windows
+
+	// tailMu serializes the pages' reads of new tail rows and their folds
+	// into the kept tail: tail is the last page's snapshot, read up to
+	// cursor, which the next page extends.
+	tailMu sync.Mutex
+	cursor segment.TailCursor
+	tail   *analysis.Snapshot
 
 	mu     sync.Mutex
 	folded *sync.Cond // signalled after every fold; L is &mu
@@ -39,6 +51,7 @@ type Dashboard struct {
 
 	hRender, hSnapshot, hFold *telemetry.Histogram
 	gAggregates, gSealed      *telemetry.Gauge
+	mTailRows, mRebuilds      *telemetry.Counter
 }
 
 // NewDashboard subscribes to src and folds all existing segments
@@ -57,6 +70,10 @@ func NewDashboard(src *segment.Store, w Windows) (*Dashboard, error) {
 			"(home, device, domain) entries the dashboard's partial holds, as of the last fold."),
 		gSealed: telemetry.Default.Gauge("natpeek_figures_sealed_chunks",
 			"Sealed chunks folded into the dashboard's partial."),
+		mTailRows: telemetry.Default.Counter("natpeek_figures_tail_rows_total",
+			"Live tail rows that pages folded into the dashboard's kept tail rollup."),
+		mRebuilds: telemetry.Default.Counter("natpeek_figures_tail_rebuilds_total",
+			"Pages that started the kept tail rollup over, after a seal's publication or an extraction."),
 	}
 	d.folded = sync.NewCond(&d.mu)
 	if err := src.Subscribe(d.fold); err != nil {
@@ -88,14 +105,13 @@ func (d *Dashboard) fold(chunk *dataset.Store) {
 // publishes a sealed generation before it tells its subscribers, so a
 // tail can be missing a chunk the base has not folded yet: the tail
 // comes with the generation it belongs to, and the base is read once it
-// has folded exactly that one. A base that is already past it (a seal landed after
-// the tail was read) would count that chunk twice; the tail is read
-// again. d.mu is held for the capture only, so a fold never waits behind
-// a render.
+// has folded exactly that one. A base that is already past it (a seal
+// landed after the tail was read) would count that chunk twice; the tail
+// is read again, from the start. d.mu is held for the capture only, so a
+// fold never waits behind a render.
 func (d *Dashboard) snapshot() (*dataset.Store, *analysis.Rollup, DashboardStats) {
 	for {
-		tail, gen := d.src.TailGen()
-		sn := analysis.NewSnapshot(tail)
+		sn, gen := d.readTail()
 		d.mu.Lock()
 		for d.gen < gen {
 			d.folded.Wait()
@@ -114,6 +130,27 @@ func (d *Dashboard) snapshot() (*dataset.Store, *analysis.Rollup, DashboardStats
 		runtime.Gosched()
 		return sn.Store(d.src.HeartbeatLog()), sn.Rollup(), stats
 	}
+}
+
+// readTail returns a snapshot of the whole live tail, uncaptured, and
+// the seal generation it belongs to: the last page's extended by the
+// rows since, or the tail rolled up anew when the store cannot continue
+// the last page's read.
+func (d *Dashboard) readTail() (*analysis.Snapshot, uint64) {
+	d.tailMu.Lock()
+	defer d.tailMu.Unlock()
+	rows, next, fresh := d.src.TailFrom(d.cursor) // fresh on the first page
+	if fresh {
+		if d.tail != nil {
+			d.mRebuilds.Inc()
+		}
+		d.tail = analysis.NewSnapshot(rows)
+	} else {
+		d.tail = d.tail.Extend(rows)
+	}
+	d.cursor = next
+	d.mTailRows.Add(int64(dataset.CountRows(rows).Total()))
+	return d.tail, next.Gen()
 }
 
 // afterSnapshot, when set, runs in render between the snapshot and the

@@ -1,0 +1,202 @@
+package figures
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
+	"sync"
+	"testing"
+
+	"natpeek/internal/dataset"
+	"natpeek/internal/rng"
+	"natpeek/internal/segment"
+)
+
+// TestPagesAcrossSealsMatchBatch: pages interleaved with appends, with a
+// seal, with a seal whose commit failed — its generation waits in the
+// frozen slot while the live memtable grows behind it — and with that
+// generation's publication. With writes paused at each step, two pages
+// rendered at once both equal the batch exhibits over the store's
+// merged rows. A page that only follows appends extends the last page's
+// tail; one after a publication starts it over.
+func TestPagesAcrossSealsMatchBatch(t *testing.T) {
+	dir := t.TempDir()
+	seg, err := segment.Open(segment.Options{Dir: dir, FlushRows: 1 << 30, NoCompaction: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { seg.Close() })
+	d, err := NewDashboard(seg, DefaultWindows())
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := 0
+	appendUnits := func(n int) {
+		for ; n > 0; n-- {
+			appendUnit(seg, u)
+			u++
+		}
+	}
+	seals := 0
+	flush := func() error {
+		err := seg.Flush()
+		if err == nil {
+			seals++
+		}
+		return err
+	}
+	page := func(step string, rebuilds uint64) {
+		t.Helper()
+		before := d.mRebuilds.Value()
+		var got [2]string
+		var wg sync.WaitGroup
+		for r := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[r] = renderString(d.Render())
+			}()
+		}
+		wg.Wait()
+		want := renderString(All(seg.Merge(), DefaultWindows()))
+		for r, g := range got {
+			if g != want {
+				t.Fatalf("%s: reader %d's page:\n%s\nthe batch exhibits over the store:\n%s", step, r, g, want)
+			}
+		}
+		if n := d.mRebuilds.Value() - before; n != rebuilds {
+			t.Errorf("%s: %d pages started the tail over, want %d", step, n, rebuilds)
+		}
+	}
+
+	page("empty store", 0)
+	appendUnits(3)
+	page("appends", 0)
+	appendUnits(4)
+	page("more appends", 0)
+	if err := flush(); err != nil {
+		t.Fatal(err)
+	}
+	page("a seal", 1)
+	appendUnits(5)
+	page("appends after the seal", 0)
+
+	// A directory where the next commit writes its temporary file fails
+	// that commit: the sealed generation stays frozen, not published.
+	block := filepath.Join(dir, fmt.Sprintf("%016x-%016x.seg.tmp", seals, seals))
+	if err := os.Mkdir(block, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	appendUnits(2)
+	if err := flush(); err == nil {
+		t.Fatal("a commit over a directory succeeded")
+	}
+	page("a generation frozen, not published", 0)
+	appendUnits(6)
+	page("the live memtable grows behind the frozen one", 0)
+	if err := os.Remove(block); err != nil {
+		t.Fatal(err)
+	}
+	if err := flush(); err != nil {
+		t.Fatal(err)
+	}
+	page("the frozen generation and the live one published", 1)
+	appendUnits(3)
+	page("appends after the publication", 0)
+}
+
+// TestPageAfterExtractMatchesBatch: an extraction takes a router's rows
+// out of the memtable a page's tail was read from and re-bases what is
+// left; the next page starts the tail over instead of continuing from a
+// cursor into rows that moved, and equals the batch exhibits over what
+// the store holds.
+func TestPageAfterExtractMatchesBatch(t *testing.T) {
+	seg := openSeg(t)
+	d, err := NewDashboard(seg, DefaultWindows())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u := 0; u < 21; u++ {
+		appendUnit(seg, u)
+		if u == 5 {
+			if err := seg.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	d.Render()
+	// unit-00006's rows, and the flows of units 18–20 that are under it,
+	// are all in the memtable.
+	moved, _ := seg.ExtractRouters(func(id string) bool { return id == "unit-00006" })
+	if rc := dataset.CountRows(moved); rc.Uptime != 1 || rc.Flows != 18 {
+		t.Fatalf("extract moved %+v, want unit 6's rows and units 18–20's flows", rc)
+	}
+	for u := 21; u < 24; u++ {
+		appendUnit(seg, u)
+	}
+	if got, want := renderString(d.Render()), renderString(All(seg.Merge(), DefaultWindows())); got != want {
+		t.Fatalf("page after an extract:\n%s\nthe batch exhibits over the store:\n%s", got, want)
+	}
+}
+
+// TestPageWorkIsIncrementBound: a page over a live tail pays for the rows
+// since the last page, not for the tail: eight uploads appended between
+// pages over a 256-upload tail and over a 4,096-upload tail, the same
+// history under both, and what a page allocates — count and bytes — is
+// the same within 10 %. The fleet is as large as the shorter tail, so
+// both tails hold every router and both pages format the same fleet.
+func TestPageWorkIsIncrementBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const routers, runs = 256, 8
+	var allocs, bytes [2]float64
+	for i, tail := range []int{256, 4_096} {
+		d := fixtureDashboard(t, 24_000, tail, routers)
+		d.Render()
+		inc := rng.New(8).Child("increment")
+		var before, after runtime.MemStats
+		for k := 0; k < runs; k++ {
+			d.src.Append("increment", func(dst *dataset.Store) {
+				loadgenMix(dst, inc, k*8, 8, routers, 0.65)
+			})
+			runtime.ReadMemStats(&before)
+			d.Render()
+			runtime.ReadMemStats(&after)
+			allocs[i] += float64(after.Mallocs-before.Mallocs) / runs
+			bytes[i] += float64(after.TotalAlloc-before.TotalAlloc) / runs
+		}
+	}
+	t.Logf("per page, 8 uploads after the last: %.0f allocations, %.2f MB over a 256-upload tail; %.0f, %.2f MB over 4,096",
+		allocs[0], bytes[0]/1e6, allocs[1], bytes[1]/1e6)
+	if allocs[1] > allocs[0]*1.1 {
+		t.Errorf("page allocations grew with the tail: %.0f → %.0f", allocs[0], allocs[1])
+	}
+	if bytes[1] > bytes[0]*1.1 {
+		t.Errorf("page bytes grew with the tail: %.2f → %.2f MB", bytes[0]/1e6, bytes[1]/1e6)
+	}
+}
+
+// BenchmarkLivePage is figures-live's loop in one process: eight uploads
+// appended between pages over the fixture's history and tail, and a
+// seal every 64 pages, which starts the next page's tail over.
+func BenchmarkLivePage(b *testing.B) {
+	const routers = 512
+	d := fixtureDashboard(b, 45_000, 2_000, routers)
+	d.Render()
+	inc := rng.New(8).Child("increment")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.src.Append("increment", func(dst *dataset.Store) {
+			loadgenMix(dst, inc, i*8, 8, routers, 0.65)
+		})
+		if i%64 == 63 {
+			if err := d.src.Flush(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		d.Render()
+	}
+}

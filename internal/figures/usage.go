@@ -2,7 +2,10 @@ package figures
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"natpeek/internal/analysis"
@@ -287,17 +290,64 @@ func All(st *dataset.Store, w Windows) []*Report { return all(st, analysis.Rollu
 
 // all is All with the rollup supplied: the batch path builds it from st,
 // a dashboard page brings its folded one, and st then holds the roster
-// and the heartbeats but no rows.
+// and the heartbeats but no rows. The exhibits only read — the Rollup,
+// the Roster, st's roster and its heartbeat log, which locks its own
+// reads — so they run on GOMAXPROCS goroutines, the caller one of them:
+// each takes the next exhibit from a shared counter, and reports land in
+// paper order.
 func all(st *dataset.Store, v *analysis.Rollup, w Windows) []*Report {
 	ro := analysis.NewRoster(st)
-	conn := v.ConnectedByGroup(ro)
-	sats := v.Saturation()
-	return []*Report{
-		Table1(st), table2(st, v),
-		fig3(st, ro, w), fig4(st, ro, v, w), fig5(st, ro, w), fig6(st, ro, v, w),
-		fig7(v), fig8(conn), fig9(conn), table5(v, ro), fig10(v), fig11(v, ro), fig12(v),
-		fig13(v, ro), fig14(st, v), fig15(sats), fig16(sats), fig17(v), fig18(v), fig19(v), fig20(v),
+	conn := sync.OnceValue(func() map[analysis.Group]analysis.ConnectedAverages { return v.ConnectedByGroup(ro) })
+	sats := sync.OnceValue(v.Saturation)
+	exhibits := [...]func() *Report{
+		func() *Report { return Table1(st) },
+		func() *Report { return table2(st, v) },
+		func() *Report { return fig3(st, ro, w) },
+		func() *Report { return fig4(st, ro, v, w) },
+		func() *Report { return fig5(st, ro, w) },
+		func() *Report { return fig6(st, ro, v, w) },
+		func() *Report { return fig7(v) },
+		func() *Report { return fig8(conn()) },
+		func() *Report { return fig9(conn()) },
+		func() *Report { return table5(v, ro) },
+		func() *Report { return fig10(v) },
+		func() *Report { return fig11(v, ro) },
+		func() *Report { return fig12(v) },
+		func() *Report { return fig13(v, ro) },
+		func() *Report { return fig14(st, v) },
+		func() *Report { return fig15(sats()) },
+		func() *Report { return fig16(sats()) },
+		func() *Report { return fig17(v) },
+		func() *Report { return fig18(v) },
+		func() *Report { return fig19(v) },
+		func() *Report { return fig20(v) },
 	}
+	// The schedule is paper order rotated to start at Fig. 15: the
+	// costliest, Figs. 15–19, go first.
+	const fig15 = 15
+	out := make([]*Report, len(exhibits))
+	var next atomic.Int32
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(exhibits) {
+				return
+			}
+			k := (fig15 + i) % len(exhibits)
+			out[k] = exhibits[k]()
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(exhibits)) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	return out
 }
 
 // ExtUsageByCountry is the §7 extension exhibit: the usage-structure

@@ -94,10 +94,12 @@ const (
 	maxCompactInputs = 8
 )
 
-// memtable is one hot generation: a sharded store (which keeps its own
-// row tally), the (router, idempotency key) pairs applied into it in
-// arrival order, and its birth time.
+// memtable is one hot generation: its number since Open (from 1), a
+// sharded store (which keeps its own row tally), the (router,
+// idempotency key) pairs applied into it in arrival order, and its birth
+// time.
 type memtable struct {
+	n  uint64
 	sh *dataset.Sharded
 
 	keyMu sync.Mutex
@@ -108,8 +110,8 @@ type memtable struct {
 	born atomic.Int64
 }
 
-func newMemtable(d *dataset.Dedupe) *memtable {
-	return &memtable{sh: dataset.NewShardedOver(d)}
+func newMemtable(d *dataset.Dedupe, n uint64) *memtable {
+	return &memtable{n: n, sh: dataset.NewShardedOver(d)}
 }
 
 func (m *memtable) addKey(router, key string) {
@@ -209,7 +211,7 @@ func open(opt Options, dedupe *dataset.Dedupe) (*Store, error) {
 		hb:     heartbeat.NewLog(),
 		lock:   lock,
 		dedupe: dedupe,
-		mem:    newMemtable(dedupe),
+		mem:    newMemtable(dedupe, 1),
 		roster: make(map[string]string),
 		stopc:  make(chan struct{}),
 		kick:   make(chan struct{}, 1),
@@ -478,7 +480,7 @@ func (s *Store) flushLocked() error {
 		s.rot.Unlock()
 		return nil
 	}
-	s.mem = newMemtable(s.dedupe)
+	s.mem = newMemtable(s.dedupe, old.n+1)
 	s.segMu.Lock()
 	s.frozen = old
 	s.segMu.Unlock()
@@ -818,30 +820,79 @@ func appendStore(dst, src *dataset.Store) {
 
 // Tail returns the rows not yet covered by a sealed segment (the
 // sealed-but-uncommitted generation plus the live memtable), sharing
-// the heartbeat log. The incremental dashboard folds sealed chunks once
-// and recomputes only this tail per render.
+// the heartbeat log.
 func (s *Store) Tail() *dataset.Store {
-	out, _ := s.TailGen()
+	out, _, _ := s.TailFrom(TailCursor{})
 	return out
 }
 
-// TailGen returns Tail together with the seal generation it belongs to:
-// the tail holds exactly the rows that the first gen generations sealed
-// since Open do not. A subscriber learns gen from SealGen inside its
-// callback, so it can tell whether every chunk this tail is missing has
+// TailCursor marks how far a chain of TailFrom calls has read the tail.
+// The zero TailCursor is the start.
+type TailCursor struct {
+	gen uint64 // the seal generation of the read
+	mem uint64 // the number of the memtable the read ended in
+	at  dataset.Cursor
+}
+
+// Gen is the seal generation of the read that returned c: the tail
+// holds exactly the rows that the first Gen generations sealed since
+// Open do not. A subscriber learns the generation from SealGen inside
+// its callback, so it can tell whether every chunk a tail is missing has
 // reached it yet — between a generation's publication and its callbacks
 // the chunk is in neither place.
-func (s *Store) TailGen() (tail *dataset.Store, gen uint64) {
-	_, frozen, mem, gen := s.view()
-	tail = &dataset.Store{
-		Heartbeats:    s.hb,
-		RouterCountry: make(map[string]string),
+func (c TailCursor) Gen() uint64 { return c.gen }
+
+// TailFrom returns the tail rows recorded since the read that returned
+// c, with the whole tail's roster and the heartbeat log, and the cursor
+// past them. The incremental dashboard folds sealed chunks once and
+// each page only the tail rows since the last.
+//
+// It returns the whole tail, and sets fresh, when c cannot be continued:
+// a generation was published since (its rows left the tail), c's
+// memtable is neither the sealed-but-uncommitted one nor the live one,
+// or an extraction re-based them. A rotation not yet published leaves
+// c's memtable frozen, and the read continues through it into the live
+// one.
+func (s *Store) TailFrom(c TailCursor) (tail *dataset.Store, next TailCursor, fresh bool) {
+	for {
+		_, frozen, mem, gen := s.view()
+		next = TailCursor{gen: gen, mem: mem.n}
+		if c.gen == gen && c.mem == mem.n {
+			tail, next.at = mem.sh.MergeFrom(c.at)
+			if !next.at.Restarted(c.at) {
+				if frozen != nil {
+					ro := frozen.sh.Roster()
+					addRoster(ro, tail.RouterCountry)
+					tail.RouterCountry = ro
+				}
+				tail.Heartbeats = s.hb
+				return tail, next, false
+			}
+		}
+		resume := c.gen == gen && frozen != nil && c.mem == frozen.n
+		var from dataset.Cursor
+		if resume {
+			from = c.at
+		}
+		if frozen != nil {
+			tail, from = frozen.sh.MergeFrom(from)
+			resume = resume && !from.Restarted(c.at)
+		}
+		live, at := mem.sh.MergeFrom(dataset.Cursor{})
+		next.at = at
+		if frozen == nil {
+			tail = live
+		} else if _, again := frozen.sh.MergeFrom(from); again.Restarted(from) {
+			// An extraction took rows from both generations between the
+			// two reads, and the live rows were read after it: read again.
+			c = TailCursor{}
+			continue
+		} else {
+			appendStore(tail, live)
+		}
+		tail.Heartbeats = s.hb
+		return tail, next, !resume
 	}
-	if frozen != nil {
-		appendStore(tail, frozen.sh.Merge())
-	}
-	appendStore(tail, mem.sh.Merge())
-	return tail, gen
 }
 
 // SealGen reports how many generations have been published since Open.
