@@ -10,14 +10,13 @@
 #   make check-bench     # the benchmark module builds and its smoke run passes
 #   make lines           # non-test line counts of the packages ROADMAP item 7 tracks, and of the read side
 #   make bench PR=<n>  # natbench, five sets of all four workloads -> BENCH_<n>.json, compared with the previous one
-#   make bench-paper   # full reproduction driver (tables/figures + ablations)
 
 GO ?= go
 
 # Per-target budget for the short fuzz shake-out in check-verify.
 FUZZTIME ?= 10s
 
-.PHONY: check vet build test race bench bench-paper bench-telemetry \
+.PHONY: check vet build test race bench bench-telemetry \
 	check-reliability check-verify check-load check-cluster check-segment \
 	check-rebalance check-figures check-bench fuzz-seeds lines
 
@@ -63,10 +62,6 @@ bench:
 	@prev=$$(grep -l '"frozen_rows_per_s"' BENCH_*.json | sed 's/[^0-9]//g' | awk '$$1 < $(PR)' | sort -n | tail -1); \
 	if [ -n "$$prev" ]; then bash benchmarks/run.sh compare BENCH_$$prev.json BENCH_$(PR).json || true; \
 	else echo "BENCH_$(PR).json is the first natbench-format file: nothing to compare with"; fi
-
-# The full paper-reproduction driver (tables/figures + ablations).
-bench-paper:
-	$(GO) test -bench=. -benchmem
 
 # The telemetry-overhead gate: counter/gauge/histogram updates on the
 # capture hot path must stay cheap (< 25 ns/op for counter increments).
@@ -203,15 +198,16 @@ check-rebalance:
 #      a series keeps over 1,000 seals with a page
 #      after each: about its size — which the race detector's own
 #      allocations would drown, so they run without; and the exhibit ledger (testdata/exhibits.sha256: every
-#      exhibit's printed text over three inputs, batch and page), too
-#      heavy for -race;
+#      exhibit's printed text over three inputs, batch and page) and the
+#      §7 usage-beyond-the-US claim over a GlobalTraffic world, too heavy
+#      for -race;
 #   3. selection over sorted runs against a full sort (stats.QuantileRuns,
 #      random splits into 1–8 runs, ±0, empty runs).
 check-figures:
 	$(GO) test -race ./internal/analysis/ ./internal/figures/
 	$(GO) test -race -run 'TestMergeFromMatchesMerge' ./internal/dataset/
 	$(GO) test -run 'TestSnapshotAllocBudget|TestRenderWorkIsTailBound|TestPageWorkIsIncrementBound|TestExhibitLedger' ./internal/figures/
-	$(GO) test -run 'TestCaptureAfterSealIsHistoryFree|TestLiveSeriesAllocatesItsSize' ./internal/analysis/
+	$(GO) test -run 'TestCaptureAfterSealIsHistoryFree|TestLiveSeriesAllocatesItsSize|TestUsageBeyondTheUS' ./internal/analysis/
 	$(GO) test -run 'TestQuantileMatchesSortOracle|TestQuantileAdversarialInputs|TestQuantileRunsZerosAndEmpties|TestSortFloatsMatchesSort|FuzzSortFloats' ./internal/stats/
 
 # benchmarks/ is a module of its own, so `go build ./... && go test ./...`

@@ -7,6 +7,7 @@ import (
 
 	"natpeek/internal/dataset"
 	"natpeek/internal/mac"
+	"natpeek/internal/world"
 )
 
 // TestUsageByGroupDeterministic: the same store gives the same bits on
@@ -36,5 +37,31 @@ func TestUsageByGroupDeterministic(t *testing.T) {
 				t.Fatalf("call %d: %s TopDomainShare %v, the first call %v", i, g, o, w)
 			}
 		}
+	}
+}
+
+// TestUsageBeyondTheUS is the §7 extension's claim (DESIGN.md §5): with
+// Traffic consent extended past the US, developed homes put a larger
+// share of their volume on streaming than developing ones, while the
+// share the whitelist leaves attributable is the same in both groups.
+func TestUsageBeyondTheUS(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the world run is too heavy for -race; check-figures runs it without")
+	}
+	w := world.Build(world.Config{Seed: 1, Scale: 0.3, GlobalTraffic: true, TrafficHomes: 8})
+	if err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+	u := RollupOf(w.Store).UsageByGroup(NewRoster(w.Store))
+	dev, dvg := u[Developed], u[Developing]
+	t.Logf("developed %+v, developing %+v", dev, dvg)
+	if dev.Homes == 0 || dvg.Homes == 0 {
+		t.Fatalf("traffic homes: developed %d, developing %d", dev.Homes, dvg.Homes)
+	}
+	if dev.StreamingShare < dvg.StreamingShare+0.05 {
+		t.Errorf("streaming share: developed %.3f not above developing %.3f", dev.StreamingShare, dvg.StreamingShare)
+	}
+	if d := math.Abs(dev.WhitelistedShare - dvg.WhitelistedShare); d > 0.03 {
+		t.Errorf("whitelisted share: developed %.3f, developing %.3f", dev.WhitelistedShare, dvg.WhitelistedShare)
 	}
 }

@@ -323,3 +323,33 @@ func TestReplayPcap(t *testing.T) {
 		}
 	}
 }
+
+// TestAblationFlowTimeout is the flow-table idle-timeout ablation
+// (DESIGN.md §4): 100 minutes of one device's traffic over 20
+// long-lived connections, a packet every 3 s. A 30 s timeout splits
+// each connection into at least 10× the records a 5 min timeout keeps;
+// from 2 min up, no gap is long enough to split one, so 2, 5 and 30 min
+// give the same records.
+func TestAblationFlowTimeout(t *testing.T) {
+	records := func(timeout time.Duration) int {
+		m := New(Config{LANPrefix: lanPfx, FlowTimeout: timeout}, anonymize.New([]byte("k")))
+		for i := 0; i < 2000; i++ {
+			now := t0.Add(time.Duration(i) * 3 * time.Second)
+			m.Process(upTCP(devIP, devHW, uint16(5000+i%20), 400), Upstream, now)
+			if i%100 == 0 {
+				m.ExpireFlows(now)
+			}
+		}
+		return len(m.Flows())
+	}
+	base := records(5 * time.Minute)
+	t.Logf("5m0s timeout: %d records", base)
+	if n := records(30 * time.Second); n < 10*base {
+		t.Errorf("30s timeout: %d records, want at least 10× the 5 min timeout's %d", n, base)
+	}
+	for _, to := range []time.Duration{2 * time.Minute, 30 * time.Minute} {
+		if n := records(to); n != base {
+			t.Errorf("%s timeout: %d records, the 5 min timeout %d", to, n, base)
+		}
+	}
+}

@@ -10,7 +10,6 @@ import (
 	"io"
 	"time"
 
-	"natpeek/internal/analysis"
 	"natpeek/internal/dataset"
 	"natpeek/internal/figures"
 	"natpeek/internal/segment"
@@ -119,9 +118,4 @@ func (s *Study) WriteReports(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// Availability exposes the availability window used by the reports.
-func (s *Study) Availability() analysis.AvailabilityWindow {
-	return s.Windows.Availability
 }

@@ -31,7 +31,7 @@ func TestStudyRunProducesAllDatasets(t *testing.T) {
 
 func TestShortWindowsApplied(t *testing.T) {
 	s := smallStudy(t)
-	w := s.Availability()
+	w := s.Windows.Availability
 	if w.To.Sub(w.From) != 10*24*time.Hour {
 		t.Fatalf("availability window %v", w.To.Sub(w.From))
 	}

@@ -1,10 +1,12 @@
 // Package figures regenerates every table and figure of the paper's
-// evaluation from a dataset.Store. Each function returns a Report whose
-// lines are the same rows/series the paper plots, alongside the paper's
-// own headline numbers so reproduction quality is visible at a glance.
+// evaluation from a dataset.Store. All returns one Report per exhibit
+// whose lines are the same rows/series the paper plots, alongside the
+// paper's own headline numbers so reproduction quality is visible at a
+// glance.
 //
-// The benches in the repository root print one Report per paper exhibit;
-// EXPERIMENTS.md records paper-vs-measured for each.
+// bismark-sim -report and bismark-analyze print them; EXPERIMENTS.md
+// records paper-vs-measured for each, and the package's tests assert
+// each exhibit's claim.
 package figures
 
 import (
@@ -72,8 +74,8 @@ func cdfLine(xs []float64, unit string) string {
 	return strings.Join(parts, "  ")
 }
 
-// Table1 reproduces the deployment roster.
-func Table1(st *dataset.Store) *Report {
+// table1 reproduces the deployment roster.
+func table1(st *dataset.Store) *Report {
 	r := &Report{
 		ID:         "Table 1",
 		Title:      "Classification of countries based on GDP per capita",
@@ -99,9 +101,7 @@ func Table1(st *dataset.Store) *Report {
 	return r
 }
 
-// Table2 reproduces the data set inventory.
-func Table2(st *dataset.Store) *Report { return table2(st, analysis.RollupOf(st)) }
-
+// table2 reproduces the data set inventory.
 func table2(st *dataset.Store, v *analysis.Rollup) *Report {
 	r := &Report{
 		ID:         "Table 2",
@@ -133,9 +133,7 @@ func table2(st *dataset.Store, v *analysis.Rollup) *Report {
 	return r
 }
 
-// Fig3 reproduces the downtime-frequency CDF.
-func Fig3(st *dataset.Store, w Windows) *Report { return fig3(st, analysis.NewRoster(st), w) }
-
+// fig3 reproduces the downtime-frequency CDF.
 func fig3(st *dataset.Store, ro *analysis.Roster, w Windows) *Report {
 	r := &Report{
 		ID:         "Figure 3",
@@ -156,11 +154,7 @@ func fig3(st *dataset.Store, ro *analysis.Roster, w Windows) *Report {
 	return r
 }
 
-// Fig4 reproduces the downtime-duration CDF.
-func Fig4(st *dataset.Store, w Windows) *Report {
-	return fig4(st, analysis.NewRoster(st), analysis.RollupOf(st), w)
-}
-
+// fig4 reproduces the downtime-duration CDF.
 func fig4(st *dataset.Store, ro *analysis.Roster, v *analysis.Rollup, w Windows) *Report {
 	r := &Report{
 		ID:         "Figure 4",
@@ -196,9 +190,7 @@ func fig4(st *dataset.Store, ro *analysis.Roster, v *analysis.Rollup, w Windows)
 	return r
 }
 
-// Fig5 reproduces the GDP scatter.
-func Fig5(st *dataset.Store, w Windows) *Report { return fig5(st, analysis.NewRoster(st), w) }
-
+// fig5 reproduces the GDP scatter.
 func fig5(st *dataset.Store, ro *analysis.Roster, w Windows) *Report {
 	r := &Report{
 		ID:         "Figure 5",
@@ -214,11 +206,7 @@ func fig5(st *dataset.Store, ro *analysis.Roster, w Windows) *Report {
 	return r
 }
 
-// Fig6 reproduces the availability-mode case studies as day-strips.
-func Fig6(st *dataset.Store, w Windows) *Report {
-	return fig6(st, analysis.NewRoster(st), analysis.RollupOf(st), w)
-}
-
+// fig6 reproduces the availability-mode case studies as day-strips.
 func fig6(st *dataset.Store, ro *analysis.Roster, v *analysis.Rollup, w Windows) *Report {
 	r := &Report{
 		ID:         "Figure 6",

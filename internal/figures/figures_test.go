@@ -3,9 +3,11 @@ package figures
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"natpeek/internal/analysis"
 	"natpeek/internal/dataset"
@@ -20,6 +22,9 @@ var (
 	once    sync.Once
 	testW   *world.World
 	testWin Windows
+
+	allOnce sync.Once
+	testAll []*Report
 )
 
 func study(t testing.TB) (*dataset.Store, Windows) {
@@ -33,6 +38,43 @@ func study(t testing.TB) (*dataset.Store, Windows) {
 		testWin = DefaultWindows()
 	})
 	return testW.Store, testWin
+}
+
+// exhibit is the report figures.All prints under id for the shared
+// study: the claim tests read what the paper's printer prints.
+func exhibit(t *testing.T, id string) *Report {
+	t.Helper()
+	st, w := study(t)
+	allOnce.Do(func() { testAll = All(st, w) })
+	for _, r := range testAll {
+		if r.ID == id {
+			return r
+		}
+	}
+	t.Fatalf("All printed no %s", id)
+	return nil
+}
+
+// field is the token a report line prints after " key=", up to the
+// next space.
+func field(t *testing.T, line, key string) string {
+	t.Helper()
+	_, rest, ok := strings.Cut(" "+line, " "+key+"=")
+	if !ok {
+		t.Fatalf("no %s= in %q", key, line)
+	}
+	v, _, _ := strings.Cut(rest, " ")
+	return v
+}
+
+// num is field read as a number.
+func num(t *testing.T, line, key string) float64 {
+	t.Helper()
+	x, err := strconv.ParseFloat(field(t, line, key), 64)
+	if err != nil {
+		t.Fatalf("%s= in %q: %v", key, line, err)
+	}
+	return x
 }
 
 func TestAllReportsNonEmpty(t *testing.T) {
@@ -56,6 +98,91 @@ func TestAllReportsNonEmpty(t *testing.T) {
 			strings.Contains(s, "(no device data)") || strings.Contains(s, "(no samples)") {
 			t.Errorf("%s: degenerate output:\n%s", r.ID, s)
 		}
+	}
+}
+
+// TestTable1DeploymentSplit: the deployment splits about 5:2 between
+// developed and developing routers, with routers in every one of the
+// paper's 10 developed and 9 developing countries (paper: 90 routers
+// across 10 countries, 36 across 9), and each router is counted once.
+func TestTable1DeploymentSplit(t *testing.T) {
+	st, _ := study(t)
+	r := exhibit(t, "Table 1")
+	if len(r.Lines) != 2 {
+		t.Fatalf("Table 1 has %d lines, want one per group:\n%s", len(r.Lines), r)
+	}
+	var totals [2]int
+	for i, want := range []struct {
+		group     string
+		countries int
+	}{{"developed", 10}, {"developing", 9}} {
+		line := r.Lines[i]
+		if !strings.HasPrefix(line, want.group+" ") {
+			t.Fatalf("line %d is not the %s group: %q", i, want.group, line)
+		}
+		totals[i] = int(num(t, line, "total"))
+		_, list, _ := strings.Cut(line, "(")
+		present := 0
+		for _, kv := range strings.Fields(strings.TrimSuffix(list, ")")) {
+			if !strings.HasSuffix(kv, "=0") {
+				present++
+			}
+		}
+		if present != want.countries {
+			t.Errorf("%s routers in %d countries, paper %d", want.group, present, want.countries)
+		}
+	}
+	if sum := totals[0] + totals[1]; sum != len(st.RouterCountry) {
+		t.Errorf("Table 1 counts %d routers, the deployment has %d", sum, len(st.RouterCountry))
+	}
+	if ratio := float64(totals[0]) / float64(totals[1]); ratio < 2 || ratio > 3 {
+		t.Errorf("developed:developing = %d:%d (%.2f), paper 90:36 (2.5)", totals[0], totals[1], ratio)
+	}
+}
+
+// TestTable2DatasetCoverage: Heartbeats and Capacity cover every router
+// in all 19 countries, Heartbeats from Oct'12 to Apr'13; Uptime, Devices
+// and WiFi come from the deployment's routers; Traffic only from the
+// consenting US homes (paper: Heartbeats and Capacity 126, Uptime/Devices
+// 113, WiFi 93, Traffic 25, US only).
+func TestTable2DatasetCoverage(t *testing.T) {
+	st, _ := study(t)
+	r := exhibit(t, "Table 2")
+	rows := map[string]string{}
+	for _, l := range r.Lines {
+		rows[strings.Fields(l)[0]] = l
+	}
+	row := func(name string) string {
+		t.Helper()
+		l, ok := rows[name]
+		if !ok {
+			t.Fatalf("Table 2 has no %s row:\n%s", name, r)
+		}
+		return l
+	}
+	routers := len(st.RouterCountry)
+	for _, name := range []string{"Heartbeats", "Capacity"} {
+		if n := int(num(t, row(name), "routers")); n != routers {
+			t.Errorf("%s covers %d routers, the deployment %d", name, n, routers)
+		}
+		if c := int(num(t, row(name), "countries")); c != 19 {
+			t.Errorf("%s covers %d countries, paper 19", name, c)
+		}
+	}
+	for _, name := range []string{"Uptime", "Devices", "WiFi"} {
+		if n := int(num(t, row(name), "routers")); n == 0 || n > routers {
+			t.Errorf("%s covers %d routers of %d", name, n, routers)
+		}
+	}
+	tr := row("Traffic")
+	if n := int(num(t, tr, "routers")); n != 10 {
+		t.Errorf("Traffic covers %d routers, the fixture's consenting homes are 10", n)
+	}
+	if c := int(num(t, tr, "countries")); c != 1 {
+		t.Errorf("Traffic covers %d countries, paper US only", c)
+	}
+	if f := strings.Fields(row("Heartbeats")); f[3] != "2012-10-01" || f[5] != "2013-04-15" {
+		t.Errorf("Heartbeats window %s – %s, paper Oct'12–Apr'13", f[3], f[5])
 	}
 }
 
@@ -136,12 +263,14 @@ func TestFig6UptimeMedians(t *testing.T) {
 }
 
 func TestFig6FindsAllThreeModes(t *testing.T) {
-	st, w := study(t)
-	r := Fig6(st, w)
-	out := r.String()
-	for _, m := range []string{"always-on", "appliance"} {
-		if !strings.Contains(out, m) {
-			t.Errorf("mode %s missing from Fig 6 output", m)
+	r := exhibit(t, "Figure 6")
+	for _, m := range []string{"always-on", "appliance", "flaky-isp"} {
+		found := false
+		for _, l := range r.Lines {
+			found = found || strings.HasPrefix(l, m+" ")
+		}
+		if !found {
+			t.Errorf("mode %s missing from Fig 6 output:\n%s", m, r)
 		}
 	}
 }
@@ -269,6 +398,36 @@ func TestFig13WeekdayMoreDiurnal(t *testing.T) {
 	}
 }
 
+// TestFig14UtilizationBelowCapacity: over the collection window, one
+// home's hourly mean peak tracks a daily cycle — the evening at least
+// twice the small hours — and stays well below the link's capacity in
+// both directions.
+func TestFig14UtilizationBelowCapacity(t *testing.T) {
+	r := exhibit(t, "Figure 14")
+	if len(r.Lines) != 3 {
+		t.Fatalf("Figure 14 has %d lines, want capacity, up and down:\n%s", len(r.Lines), r)
+	}
+	capacity := map[string]float64{"up": num(t, r.Lines[0], "up"), "down": num(t, r.Lines[0], "down")}
+	for _, l := range r.Lines[1:] {
+		dir := strings.Fields(l)[0]
+		if m := num(t, l, "minutes"); m < 7*24*60 {
+			t.Errorf("%s: %.0f minutes, want at least a week", dir, m)
+		}
+		var peak float64
+		for _, hr := range []string{"00", "03", "06", "09", "12", "15", "18", "21"} {
+			peak = max(peak, num(t, l, hr))
+		}
+		if peak > 0.75*capacity[dir] {
+			t.Errorf("%s: hourly mean peak %.2f Mbps not well below capacity %.1f Mbps", dir, peak, capacity[dir])
+		}
+		evening := max(num(t, l, "18"), num(t, l, "21"))
+		night := min(num(t, l, "03"), num(t, l, "06"))
+		if evening < 2*night {
+			t.Errorf("%s: evening %.2f Mbps not twice the small hours' %.2f Mbps", dir, evening, night)
+		}
+	}
+}
+
 func TestFig15MostHomesUnderHalf(t *testing.T) {
 	st, _ := study(t)
 	sats := analysis.RollupOf(st).Saturation()
@@ -289,6 +448,40 @@ func TestFig15MostHomesUnderHalf(t *testing.T) {
 	}
 	if frac := float64(under) / float64(len(downUtils)); frac < 0.5 {
 		t.Fatalf("only %.0f%% of homes under 50%% downlink utilization", frac*100)
+	}
+}
+
+// TestFig16ContinuousUploaders: the homes whose uplink runs past its
+// measured capacity are few (paper: two), each does so nearly all the
+// time — a continuous uploader behind a bloated buffer — and they are
+// exactly Fig. 15's uplinks above 1.0.
+func TestFig16ContinuousUploaders(t *testing.T) {
+	r := exhibit(t, "Figure 16")
+	if strings.HasPrefix(r.Lines[0], "(") {
+		t.Fatalf("no oversaturating home:\n%s", r)
+	}
+	if len(r.Lines) > 3 {
+		t.Errorf("%d homes oversaturate their uplink, paper two", len(r.Lines))
+	}
+	for _, l := range r.Lines {
+		if u := num(t, l, "util"); u <= 1 {
+			t.Errorf("listed home at utilization %.2f: %q", u, l)
+		}
+		over, minutes, _ := strings.Cut(field(t, l, "minutes>capacity"), "/")
+		o, _ := strconv.Atoi(over)
+		m, _ := strconv.Atoi(minutes)
+		if m == 0 || float64(o) < 0.9*float64(m) {
+			t.Errorf("over capacity %s of %s minutes, want a continuous uploader: %q", over, minutes, l)
+		}
+	}
+	var fig15 string
+	for _, l := range exhibit(t, "Figure 15").Lines {
+		if strings.HasPrefix(l, "uplink ") {
+			fig15 = l
+		}
+	}
+	if n := int(num(t, fig15, "homes>1.0")); n != len(r.Lines) {
+		t.Errorf("Fig. 15 counts %d uplinks above 1.0, Fig. 16 lists %d homes", n, len(r.Lines))
 	}
 }
 
@@ -339,10 +532,34 @@ func TestFig19VolumeVsConnections(t *testing.T) {
 }
 
 func TestFig20DistinctFingerprints(t *testing.T) {
-	st, _ := study(t)
-	r := Fig20(st)
+	r := exhibit(t, "Figure 20")
 	if len(r.Lines) < 2 {
 		t.Fatalf("need ≥2 device mixes, got %d", len(r.Lines))
+	}
+}
+
+// TestAblationGapThreshold is the downtime definition's ablation
+// (DESIGN.md §4): as the heartbeat gap that counts as a downtime grows
+// from 2 min to 1 h, the developed median falls, and developing homes
+// stay far ahead at every threshold — the Fig. 3 gap is not an artefact
+// of the paper's 10-min choice.
+func TestAblationGapThreshold(t *testing.T) {
+	st, w := study(t)
+	ro := analysis.NewRoster(st)
+	prevDev := math.Inf(1)
+	for _, thr := range []time.Duration{2 * time.Minute, 5 * time.Minute, 10 * time.Minute, 20 * time.Minute, time.Hour} {
+		win := w.Availability
+		win.Threshold = thr
+		rates := analysis.DowntimesPerDayByGroup(st, ro, win)
+		dev, dvg := stats.Median(rates[analysis.Developed]), stats.Median(rates[analysis.Developing])
+		t.Logf("threshold %-6s developed median %.3f/day, developing %.3f/day", thr, dev, dvg)
+		if dev >= prevDev {
+			t.Errorf("threshold %s: developed median %.3f/day did not fall from %.3f", thr, dev, prevDev)
+		}
+		if dvg < 5*dev {
+			t.Errorf("threshold %s: developing %.3f/day not 5× developed %.3f/day", thr, dvg, dev)
+		}
+		prevDev = dev
 	}
 }
 

@@ -48,8 +48,8 @@ func renderAll(st *dataset.Store, w Windows) []string {
 	return render(All(st, w), analysis.RollupOf(st), analysis.NewRoster(st))
 }
 
-// renderPartial renders what p folded: the exhibits and Ext. §7 off its
-// rollup.
+// renderPartial renders what p folded: the exhibits and the Ext. §7
+// usage comparison off its rollup.
 func renderPartial(p *analysis.Partial, hb *heartbeat.Log, w Windows) []string {
 	st, v := p.Store(hb), folded(p)
 	return render(all(st, v, w), v, analysis.NewRoster(st))
@@ -60,7 +60,7 @@ func render(reports []*Report, v *analysis.Rollup, ro *analysis.Roster) []string
 	for _, r := range reports {
 		out = append(out, r.String())
 	}
-	return append(out, extUsageByCountry(v, ro).String())
+	return append(out, fmt.Sprintf("usage by group: %+v", v.UsageByGroup(ro)))
 }
 
 func diffReports(t *testing.T, want, got []string, what string) {

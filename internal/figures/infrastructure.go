@@ -5,13 +5,10 @@ import (
 	"time"
 
 	"natpeek/internal/analysis"
-	"natpeek/internal/dataset"
 	"natpeek/internal/stats"
 )
 
-// Fig7 reproduces the devices-per-home CDF.
-func Fig7(st *dataset.Store) *Report { return fig7(analysis.RollupOf(st)) }
-
+// fig7 reproduces the devices-per-home CDF.
 func fig7(v *analysis.Rollup) *Report {
 	r := &Report{
 		ID:         "Figure 7",
@@ -38,11 +35,7 @@ func fig7(v *analysis.Rollup) *Report {
 	return r
 }
 
-// Fig8 reproduces the connected wired/wireless averages per group.
-func Fig8(st *dataset.Store) *Report {
-	return fig8(analysis.RollupOf(st).ConnectedByGroup(analysis.NewRoster(st)))
-}
-
+// fig8 reproduces the connected wired/wireless averages per group.
 func fig8(byGroup map[analysis.Group]analysis.ConnectedAverages) *Report {
 	r := &Report{
 		ID:         "Figure 8",
@@ -58,11 +51,7 @@ func fig8(byGroup map[analysis.Group]analysis.ConnectedAverages) *Report {
 	return r
 }
 
-// Fig9 reproduces the per-band connected averages.
-func Fig9(st *dataset.Store) *Report {
-	return fig9(analysis.RollupOf(st).ConnectedByGroup(analysis.NewRoster(st)))
-}
-
+// fig9 reproduces the per-band connected averages.
 func fig9(byGroup map[analysis.Group]analysis.ConnectedAverages) *Report {
 	r := &Report{
 		ID:         "Figure 9",
@@ -77,9 +66,7 @@ func fig9(byGroup map[analysis.Group]analysis.ConnectedAverages) *Report {
 	return r
 }
 
-// Table5 reproduces the always-connected household shares.
-func Table5(st *dataset.Store) *Report { return table5(analysis.RollupOf(st), analysis.NewRoster(st)) }
-
+// table5 reproduces the always-connected household shares.
 func table5(v *analysis.Rollup, ro *analysis.Roster) *Report {
 	r := &Report{
 		ID:         "Table 5",
@@ -95,9 +82,7 @@ func table5(v *analysis.Rollup, ro *analysis.Roster) *Report {
 	return r
 }
 
-// Fig10 reproduces the unique-devices-per-band CDF.
-func Fig10(st *dataset.Store) *Report { return fig10(analysis.RollupOf(st)) }
-
+// fig10 reproduces the unique-devices-per-band CDF.
 func fig10(v *analysis.Rollup) *Report {
 	r := &Report{
 		ID:         "Figure 10",
@@ -114,9 +99,7 @@ func fig10(v *analysis.Rollup) *Report {
 	return r
 }
 
-// Fig11 reproduces the visible-APs CDF.
-func Fig11(st *dataset.Store) *Report { return fig11(analysis.RollupOf(st), analysis.NewRoster(st)) }
-
+// fig11 reproduces the visible-APs CDF.
 func fig11(v *analysis.Rollup, ro *analysis.Roster) *Report {
 	r := &Report{
 		ID:         "Figure 11",
@@ -139,9 +122,7 @@ func fig11(v *analysis.Rollup, ro *analysis.Roster) *Report {
 	return r
 }
 
-// Fig12 reproduces the manufacturer histogram.
-func Fig12(st *dataset.Store) *Report { return fig12(analysis.RollupOf(st)) }
-
+// fig12 reproduces the manufacturer histogram.
 func fig12(flows *analysis.Rollup) *Report {
 	r := &Report{
 		ID:         "Figure 12",
@@ -170,9 +151,7 @@ func bar(n int) string {
 	return string(out)
 }
 
-// Fig13 reproduces the diurnal device-count curves.
-func Fig13(st *dataset.Store) *Report { return fig13(analysis.RollupOf(st), analysis.NewRoster(st)) }
-
+// fig13 reproduces the diurnal device-count curves.
 func fig13(v *analysis.Rollup, ro *analysis.Roster) *Report {
 	r := &Report{
 		ID:         "Figure 13",

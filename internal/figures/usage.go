@@ -15,9 +15,7 @@ import (
 	"natpeek/internal/stats"
 )
 
-// Fig14 reproduces one home's diurnal utilization time series.
-func Fig14(st *dataset.Store) *Report { return fig14(st, analysis.RollupOf(st)) }
-
+// fig14 reproduces one home's diurnal utilization time series.
 func fig14(st *dataset.Store, v *analysis.Rollup) *Report {
 	r := &Report{
 		ID:         "Figure 14",
@@ -61,9 +59,7 @@ func hourSeriesMbps(h stats.HourBins) string {
 	return strings.Join(parts, " ")
 }
 
-// Fig15 reproduces the saturation scatter.
-func Fig15(st *dataset.Store) *Report { return fig15(analysis.RollupOf(st).Saturation()) }
-
+// fig15 reproduces the saturation scatter.
 func fig15(sats []analysis.LinkSaturation) *Report {
 	r := &Report{
 		ID:         "Figure 15",
@@ -104,9 +100,7 @@ func fig15(sats []analysis.LinkSaturation) *Report {
 	return r
 }
 
-// Fig16 reproduces the bufferbloat case studies.
-func Fig16(st *dataset.Store) *Report { return fig16(analysis.RollupOf(st).Saturation()) }
-
+// fig16 reproduces the bufferbloat case studies.
 func fig16(sats []analysis.LinkSaturation) *Report {
 	r := &Report{
 		ID:         "Figure 16",
@@ -128,9 +122,7 @@ func fig16(sats []analysis.LinkSaturation) *Report {
 	return r
 }
 
-// Fig17 reproduces the per-device traffic share breakdown.
-func Fig17(st *dataset.Store) *Report { return fig17(analysis.RollupOf(st)) }
-
+// fig17 reproduces the per-device traffic share breakdown.
 func fig17(flows *analysis.Rollup) *Report {
 	r := &Report{
 		ID:         "Figure 17",
@@ -184,9 +176,7 @@ func meanGini(shares map[string][]float64) (g float64, ok bool) {
 	return stats.Mean(ginis), true
 }
 
-// Fig18 reproduces the top-5/top-10 domain popularity histogram.
-func Fig18(st *dataset.Store) *Report { return fig18(analysis.RollupOf(st)) }
-
+// fig18 reproduces the top-5/top-10 domain popularity histogram.
 func fig18(flows *analysis.Rollup) *Report {
 	r := &Report{
 		ID:         "Figure 18",
@@ -208,9 +198,7 @@ func fig18(flows *analysis.Rollup) *Report {
 	return r
 }
 
-// Fig19 reproduces the domain share curves.
-func Fig19(st *dataset.Store) *Report { return fig19(analysis.RollupOf(st)) }
-
+// fig19 reproduces the domain share curves.
 func fig19(flows *analysis.Rollup) *Report {
 	r := &Report{
 		ID:         "Figure 19",
@@ -238,10 +226,8 @@ func pctSeries(xs []float64) string {
 	return strings.Join(parts, " ")
 }
 
-// Fig20 reproduces the device-fingerprinting domain mixes: the two
+// fig20 reproduces the device-fingerprinting domain mixes: the two
 // highest-volume devices with clearly different profiles.
-func Fig20(st *dataset.Store) *Report { return fig20(analysis.RollupOf(st)) }
-
 func fig20(flows *analysis.Rollup) *Report {
 	r := &Report{
 		ID:         "Figure 20",
@@ -300,7 +286,7 @@ func all(st *dataset.Store, v *analysis.Rollup, w Windows) []*Report {
 	conn := sync.OnceValue(func() map[analysis.Group]analysis.ConnectedAverages { return v.ConnectedByGroup(ro) })
 	sats := sync.OnceValue(v.Saturation)
 	exhibits := [...]func() *Report{
-		func() *Report { return Table1(st) },
+		func() *Report { return table1(st) },
 		func() *Report { return table2(st, v) },
 		func() *Report { return fig3(st, ro, w) },
 		func() *Report { return fig4(st, ro, v, w) },
@@ -348,32 +334,4 @@ func all(st *dataset.Store, v *analysis.Rollup, w Windows) []*Report {
 	work()
 	wg.Wait()
 	return out
-}
-
-// ExtUsageByCountry is the §7 extension exhibit: the usage-structure
-// comparison across country groups the paper left as future work
-// ("Expanding the study of usage to more countries"). It is meaningful
-// when the world ran with GlobalTraffic consent.
-func ExtUsageByCountry(st *dataset.Store) *Report {
-	return extUsageByCountry(analysis.RollupOf(st), analysis.NewRoster(st))
-}
-
-func extUsageByCountry(v *analysis.Rollup, ro *analysis.Roster) *Report {
-	r := &Report{
-		ID:         "Extension §7",
-		Title:      "Usage structure by country group (future work implemented)",
-		PaperClaim: "paper's Traffic data covered only US homes; §7 asks how usage differs by country",
-	}
-	byGroup := v.UsageByGroup(ro)
-	for _, g := range []analysis.Group{analysis.Developed, analysis.Developing} {
-		u := byGroup[g]
-		if u.Homes == 0 {
-			r.add("%-10s (no consenting traffic homes — run the world with GlobalTraffic)", g)
-			continue
-		}
-		r.add("%-10s homes=%-3d volume=%.1f GB  whitelisted=%.0f%%  streaming=%.0f%%  topDomain(mean)=%.0f%%",
-			g, u.Homes, float64(u.TotalBytes)/1e9,
-			100*u.WhitelistedShare, 100*u.StreamingShare, 100*u.TopDomainShare)
-	}
-	return r
 }

@@ -167,3 +167,27 @@ func TestTrainLengthAccuracyTradeoff(t *testing.T) {
 		t.Fatalf("short train should overestimate, got %.0f", short.SustainedBps)
 	}
 }
+
+// TestAblationTrainLength is the train-length ablation (DESIGN.md §4):
+// on a 5 Mbps link with a 300 KB PowerBoost bucket, trains of up to 150
+// packets never leave the bucket, read its 40 Mbps peak and flag no
+// burst; trains of 400 and more drain it, read the sustained 5.00 Mbps
+// and flag the burst — §6.2's capacity is only meaningful post-burst.
+func TestAblationTrainLength(t *testing.T) {
+	boost := linksim.Config{RateBps: 5e6, PeakBps: 40e6, BurstBytes: 300_000, BufferBytes: 1 << 22}
+	for _, c := range []struct {
+		train int
+		bps   float64
+		burst bool
+	}{{20, 40e6, false}, {60, 40e6, false}, {150, 40e6, false}, {400, 5e6, true}, {1000, 5e6, true}} {
+		clk := clock.NewSim(epoch)
+		e := ProbeSync(clk, linksim.New(clk, nil, boost), Config{TrainLength: c.train})
+		t.Logf("train %-4d estimate %6.2f Mbps, burst detected %v", c.train, e.SustainedBps/1e6, e.BurstDetected)
+		if !within(e.SustainedBps, c.bps, 0.001) {
+			t.Errorf("train %d: estimate %.3f Mbps, want %.2f", c.train, e.SustainedBps/1e6, c.bps/1e6)
+		}
+		if e.BurstDetected != c.burst {
+			t.Errorf("train %d: burst detected %v, want %v", c.train, e.BurstDetected, c.burst)
+		}
+	}
+}
