@@ -75,15 +75,16 @@ bench-telemetry:
 # restart), the decode-path regressions and the upload-shape
 # equivalence tests (NPB1 batch = JSON batch = direct posts, at a
 # collector and through a front, and FuzzBatchTranscode's seeds; the
-# front's rows through failover replay and transfer; gzip'd direct
-# posts through a front;
+# front's rows through failover replay and transfer; gzip'd batches at
+# a collector and gzip'd direct posts through a front; one Accept-Post
+# value from a collector, a cluster node and a front;
 # the server flags that tune a collector, stand-alone and in a cluster
 # node), and the gateway export/throttle regressions. CI calls this
 # target rather than listing tests of its own.
 check-reliability:
 	$(GO) test -race ./internal/spool/
-	$(GO) test -race -run 'TestZeroRowLoss|TestSpoolJournal|TestBatch|TestIdempotency|TestOversized|TestChunked|TestErrorResponses|TestClientErrSurfacesFailures|TestWire|TestGzip|TestDirectEndpoint|TestBinary|FuzzBatchTranscode' ./internal/collector/
-	$(GO) test -race -run 'TestClusterJSONBatchEquivalent|TestClusterDirectEndpointProxy|TestFrontBodyLimits' ./internal/cluster/
+	$(GO) test -race -run 'TestZeroRowLoss|TestSpoolJournal|TestBatch|TestIdempotency|TestOversized|TestChunked|TestErrorResponses|TestClientErrSurfacesFailures|TestGzip|TestDirectEndpoint|TestBinary|FuzzBatchTranscode' ./internal/collector/
+	$(GO) test -race -run 'TestClusterJSONBatchEquivalent|TestClusterDirectEndpointProxy|TestFrontBodyLimits|TestAcceptPostAdvertisement' ./internal/cluster/
 	$(GO) test -race ./cmd/bismark-server/
 	$(GO) test -race -run 'TestFlowExport|TestPowerOffExports|TestScanThrottle' ./internal/gateway/
 
@@ -167,8 +168,7 @@ check-cluster:
 #      zero duplicated rows;
 #   5. the rebalance goldens — a join and a drain fired mid-run through
 #      the full verify deployment, merged snapshots byte-identical to
-#      the single-node golden (JSON-wire variants run in full mode via
-#      check-verify).
+#      the single-node golden.
 check-rebalance:
 	$(GO) test -race -run 'TestRingRelocationProperty|TestRingReplicaSetStability|TestMembership' ./internal/cluster/
 	$(GO) test -race -run 'TestKeyRouter|TestExtract|TestSplitRouters|TestShardedOverSharedDedupe|TestDedupe|TestReplay|TestSeal' ./internal/dataset/ ./internal/segment/
@@ -232,9 +232,8 @@ check-bench:
 #   2. the incremental-analysis equivalence suite — partial folds,
 #      merges, and the live dashboard against the batch figures;
 #   3. the segment-backed verify goldens — the full deployment
-#      ingested into segment stores reopened from disk (single-node,
-#      JSON wire, 3-node cluster), snapshots byte-identical to the
-#      golden;
+#      ingested into segment stores reopened from disk (single-node and
+#      3-node cluster), snapshots byte-identical to the golden;
 #   4. a short fuzz shake-out of the NPS1 decoder on top of its
 #      checked-in seed corpus.
 check-segment:

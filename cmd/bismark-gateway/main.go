@@ -49,7 +49,6 @@ func main() {
 	seed := flag.Uint64("seed", 42, "household seed")
 	debugAddr := flag.String("debug-addr", "", "optional listen address for /metrics and pprof (e.g. 127.0.0.1:9090)")
 	spoolDir := flag.String("spool-dir", "", "optional directory for the upload spool journal (uploads survive a gateway restart, like the firmware's flash buffers)")
-	wireFmt := flag.String("wire", "auto", "batch encoding: auto (negotiate NPB1 via Accept-Post), binary, or json")
 	flag.Parse()
 
 	log := telemetry.SetupLogger("bismark-gateway")
@@ -59,20 +58,7 @@ func main() {
 		log.Error("unknown country", "country", *country)
 		os.Exit(1)
 	}
-	var wireMode collector.WireMode
-	switch *wireFmt {
-	case "auto":
-		wireMode = collector.WireAuto
-	case "binary":
-		wireMode = collector.WireBinary
-	case "json":
-		wireMode = collector.WireJSON
-	default:
-		log.Error("unknown wire format", "wire", *wireFmt)
-		os.Exit(1)
-	}
 	cli, err := collector.NewClient(*id, *country, *udp, *httpAddr,
-		collector.WithWireFormat(wireMode),
 		collector.WithSpool(spool.Config{Dir: *spoolDir}))
 	if err != nil {
 		log.Error("connect failed", "err", err)

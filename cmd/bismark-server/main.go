@@ -63,7 +63,6 @@ type options struct {
 	failSeed    uint64
 	traceSample float64
 	traceSlow   time.Duration
-	noBinary    bool
 
 	cluster      bool
 	nodeID, ctrl string
@@ -84,7 +83,6 @@ func parseOptions(args []string) options {
 	fs.Uint64Var(&o.failSeed, "fail-seed", 1, "fault injection RNG seed")
 	fs.Float64Var(&o.traceSample, "trace-sample", 0.05, "tail-sampling keep probability for healthy traces (error, throttled, and slow traces are always kept)")
 	fs.DurationVar(&o.traceSlow, "trace-slow", 500*time.Millisecond, "traces at least this slow are always kept")
-	fs.BoolVar(&o.noBinary, "no-binary", false, "stop advertising the NPB1 binary batch encoding (clients fall back to JSON; binary uploads are still accepted)")
 	fs.BoolVar(&o.cluster, "cluster", false, "run as a cluster node: serve the control plane on -ctrl, gossip with -peers, journal replicated writes, and replay them on peer failure")
 	fs.StringVar(&o.nodeID, "node-id", "node-0", "cluster mode: this node's stable hash-ring identity")
 	fs.StringVar(&o.ctrl, "ctrl", "127.0.0.1:9090", "cluster mode: control-plane HTTP address (gossip, replicate, manifest)")
@@ -156,10 +154,6 @@ func start(o options, store *segment.Store, log *slog.Logger) (srv *collector.Se
 		log.Warn("fault injection enabled", "rate", o.failRate, "seed", o.failSeed)
 	}
 	srv.SetTraceSampling(o.traceSample, o.traceSlow)
-	if o.noBinary {
-		srv.SetAdvertiseBinary(false)
-		log.Info("binary batch advertisement disabled")
-	}
 	d.Register(srv.Mux())
 	return srv, node, nil
 }

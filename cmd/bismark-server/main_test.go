@@ -19,16 +19,16 @@ import (
 
 var discard = slog.New(slog.NewTextHandler(io.Discard, nil))
 
-// TestCollectorFlagsApplyInBothModes is the regression for -fail-rate,
-// -fail-seed and -no-binary parsing in cluster mode and doing nothing:
-// they were applied in the stand-alone branch of main only. With
-// -fail-rate 1 every data-plane upload is answered 503 (rejected, or
-// applied with the ack dropped), and with -no-binary no response
-// advertises NPB1 — on a stand-alone collector and on a cluster node's.
+// TestCollectorFlagsApplyInBothModes is the regression for -fail-rate
+// and -fail-seed parsing in cluster mode and doing nothing: they were
+// applied in the stand-alone branch of main only. With -fail-rate 1
+// every data-plane upload is answered 503 (rejected, or applied with the
+// ack dropped), and even that answer advertises NPB1 — on a stand-alone
+// collector and on a cluster node's.
 func TestCollectorFlagsApplyInBothModes(t *testing.T) {
 	for _, cluster := range []bool{false, true} {
 		o := options{udp: "127.0.0.1:0", http: "127.0.0.1:0", ctrl: "127.0.0.1:0", nodeID: "flags-node",
-			segments: t.TempDir(), cluster: cluster, failRate: 1, failSeed: 7, noBinary: true}
+			segments: t.TempDir(), cluster: cluster, failRate: 1, failSeed: 7}
 		store, err := openStore(o)
 		if err != nil {
 			t.Fatal(err)
@@ -54,8 +54,8 @@ func TestCollectorFlagsApplyInBothModes(t *testing.T) {
 		if resp.StatusCode != http.StatusServiceUnavailable {
 			t.Errorf("cluster=%v: -fail-rate 1 answered an upload %d, want 503", cluster, resp.StatusCode)
 		}
-		if ap := resp.Header.Get("Accept-Post"); ap != "" {
-			t.Errorf("cluster=%v: -no-binary still advertises %q", cluster, ap)
+		if ap, want := resp.Header.Get("Accept-Post"), "application/x-natpeek-batch, application/json"; ap != want {
+			t.Errorf("cluster=%v: Accept-Post = %q, want %q", cluster, ap, want)
 		}
 		closeServer()
 		store.Close()

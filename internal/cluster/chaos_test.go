@@ -32,13 +32,14 @@ func TestChaosSoakKillRejoin(t *testing.T) {
 	tc := startTestCluster(t, 3, 2)
 
 	cfg := loadgen.Config{
-		BaseURL:  frontURL(tc),
-		Routers:  routers,
-		Cycles:   cycles,
-		Interval: 50 * time.Millisecond,
-		Ramp:     200 * time.Millisecond,
-		Workers:  6,
-		Seed:     1,
+		BaseURL:        frontURL(tc),
+		Routers:        routers,
+		Cycles:         cycles,
+		Interval:       50 * time.Millisecond,
+		Ramp:           200 * time.Millisecond,
+		DirectFraction: 0.1,
+		Workers:        6,
+		Seed:           1,
 	}
 	type outcome struct {
 		rep *loadgen.Report
@@ -86,6 +87,9 @@ func TestChaosSoakKillRejoin(t *testing.T) {
 		t.Fatalf("loadgen run: %v", out.err)
 	}
 	rep := out.rep
+	if rep.Direct == 0 {
+		t.Fatal("soak posted no direct uploads")
+	}
 	t.Logf("soak: %d rows generated, %d requests, %d retries, lost=%d",
 		rep.Generated.Total(), rep.Requests, rep.Retries, rep.Lost)
 

@@ -456,6 +456,39 @@ func checkOtherPaths(t *testing.T, tc *testCluster) {
 	same("restored transfer", src.Store())
 }
 
+// TestAcceptPostAdvertisement: a stand-alone collector, a cluster node
+// and a front answer every upload endpoint, whether they accept the body
+// or refuse it, with the same Accept-Post value. Gateways already
+// deployed with a negotiating client switch their batches to NPB1 on it.
+func TestAcceptPostAdvertisement(t *testing.T) {
+	const want = "application/x-natpeek-batch, application/json"
+	tc := startTestCluster(t, 1, 1)
+	srv, err := collector.NewServer("127.0.0.1:0", "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for _, target := range []struct{ name, addr string }{
+		{"collector", srv.HTTPAddr()}, {"node", tc.nodes[0].DataAddr()}, {"front", tc.front.HTTPAddr()},
+	} {
+		for _, ep := range append(collector.Endpoints(), collector.BatchEndpoint) {
+			body, contentType := []byte("{}"), "application/json"
+			if ep == collector.BatchEndpoint {
+				body, contentType = wire.AppendBatch(nil, []wire.Item{uptimeItem("rt-accept", 0)}), wire.ContentTypeBinary
+			}
+			resp, err := http.Post("http://"+target.addr+ep, contentType, bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if got := resp.Header.Get("Accept-Post"); got != want {
+				t.Errorf("%s POST %s (status %d): Accept-Post = %q, want %q", target.name, ep, resp.StatusCode, got, want)
+			}
+		}
+	}
+}
+
 // TestClusterDirectEndpointProxy posts to the front's direct endpoints:
 // a plain keyed upload, a gzip'd keyed one and an unkeyed gzip'd
 // registration each land once, on the ring owner of their router, and

@@ -2,7 +2,6 @@ package collector
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
 	"encoding/json"
 	"errors"
@@ -12,7 +11,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"natpeek/internal/dataset"
@@ -45,37 +43,16 @@ type Client struct {
 	mUploads  *telemetry.CounterVec
 	mFailures *telemetry.CounterVec
 
-	wireMode WireMode
-	gzipOn   bool
-	// binary records whether the server advertised NPB1 support
-	// (Accept-Post on the registration response); WireAuto keys off it.
-	binary atomic.Bool
-
 	mu       sync.Mutex
 	lastErr  error
 	window   *trace.Span  // open export-window span, nil outside a window
 	attempts []trace.Span // failed delivery attempts since the last ack
-	encBuf   []byte       // drainer-owned binary encode buffer, reused per batch
-	zipBuf   bytes.Buffer // drainer-owned gzip buffer, reused per batch
+	encBuf   []byte       // drainer-owned NPB1 encode buffer, reused per batch
 }
 
 // maxAttemptSpans bounds the retained failed-attempt history per batch;
 // a long outage keeps the first few and most recent failures.
 const maxAttemptSpans = 16
-
-// WireMode selects the encoding a Client uses for /v1/batch uploads.
-type WireMode int
-
-const (
-	// WireAuto (the default) uses the binary encoding when the server
-	// advertises it on the registration response, JSON otherwise — new
-	// clients against old servers degrade to JSON automatically.
-	WireAuto WireMode = iota
-	// WireJSON always sends the JSON envelope.
-	WireJSON
-	// WireBinary always sends NPB1, regardless of advertisement.
-	WireBinary
-)
 
 // Option tunes a Client.
 type Option func(*clientOptions)
@@ -83,19 +60,6 @@ type Option func(*clientOptions)
 type clientOptions struct {
 	transport http.RoundTripper
 	spool     spool.Config
-	wire      WireMode
-	gzip      bool
-}
-
-// WithWireFormat pins the batch encoding instead of auto-negotiating.
-func WithWireFormat(m WireMode) Option {
-	return func(o *clientOptions) { o.wire = m }
-}
-
-// WithGzip compresses batch request bodies (either encoding). Worth it
-// on constrained uplinks; the collector always accepts gzip.
-func WithGzip(on bool) Option {
-	return func(o *clientOptions) { o.gzip = on }
 }
 
 // WithTransport installs a custom HTTP transport (e.g. a
@@ -135,8 +99,6 @@ func NewClient(routerID, country, udpAddr, httpAddr string, opts ...Option) (*Cl
 			"Upload payloads produced by this process's collector clients, per endpoint.", "endpoint"),
 		mFailures: reg.CounterVec("natpeek_client_upload_failures_total",
 			"Failed upload delivery attempts, per endpoint.", "endpoint"),
-		wireMode: o.wire,
-		gzipOn:   o.gzip,
 	}
 	o.spool.KeyPrefix = routerID
 	sp, err := spool.New(o.spool, c.sendBatch)
@@ -288,9 +250,6 @@ func (c *Client) post(path string, v any) error {
 	if err != nil {
 		return c.fail(path, fmt.Errorf("collector: POST %s: %w", path, err))
 	}
-	if strings.Contains(resp.Header.Get("Accept-Post"), wire.ContentTypeBinary) {
-		c.binary.Store(true)
-	}
 	msg := drainBody(resp)
 	resp.Body.Close()
 	if resp.StatusCode >= 300 {
@@ -310,12 +269,11 @@ func (c *Client) post(path string, v any) error {
 }
 
 // sendBatch is the spool's Sender: one POST of a whole batch to
-// /v1/batch, JSON or NPB1 per the negotiated wire mode. Any transport
-// error or non-2xx status leaves the batch queued; the server's
-// idempotency keys make the redelivery safe. On success, per-item
-// decode failures from the server's BatchResult come back as the
-// spool.Result so malformed payloads dead-letter instead of counting
-// as delivered.
+// /v1/batch, encoded as NPB1. Any transport error or non-2xx status
+// leaves the batch queued; the server's idempotency keys make the
+// redelivery safe. On success, per-item decode failures from the
+// server's BatchResult come back as the spool.Result so malformed
+// payloads dead-letter instead of counting as delivered.
 func (c *Client) sendBatch(ctx context.Context, items []spool.Item) (spool.Result, error) {
 	tracing := trace.Enabled()
 	now := time.Now()
@@ -342,18 +300,11 @@ func (c *Client) sendBatch(ctx context.Context, items []spool.Item) (spool.Resul
 			payload[i].Trace = w
 		}
 	}
-	body, contentType, err := c.encodeBatch(payload)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.baseURL+"/v1/batch", bytes.NewReader(c.encodeBatch(payload)))
 	if err != nil {
 		return spool.Result{}, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.baseURL+"/v1/batch", bytes.NewReader(body))
-	if err != nil {
-		return spool.Result{}, err
-	}
-	req.Header.Set("Content-Type", contentType)
-	if c.gzipOn {
-		req.Header.Set("Content-Encoding", "gzip")
-	}
+	req.Header.Set("Content-Type", wire.ContentTypeBinary)
 	if tracing {
 		for i := range payload {
 			if payload[i].Trace != nil {
@@ -410,37 +361,15 @@ func (c *Client) sendBatch(ctx context.Context, items []spool.Item) (spool.Resul
 	return res, nil
 }
 
-// encodeBatch renders one batch request body in the client's negotiated
-// encoding, applying gzip when configured. The returned buffer is
-// drainer-owned and valid until the next call.
-func (c *Client) encodeBatch(payload []BatchItem) (body []byte, contentType string, err error) {
-	useBinary := c.wireMode == WireBinary || (c.wireMode == WireAuto && c.binary.Load())
-	if useBinary {
-		wireItems := make([]wire.Item, len(payload))
-		for i := range payload {
-			wireItems[i] = payload[i].wireItem()
-		}
-		c.encBuf = wire.AppendBatch(c.encBuf[:0], wireItems)
-		body, contentType = c.encBuf, wire.ContentTypeBinary
-	} else {
-		body, err = json.Marshal(payload)
-		if err != nil {
-			return nil, "", err
-		}
-		contentType = "application/json"
+// encodeBatch renders one batch request body as NPB1. The returned
+// buffer is drainer-owned and valid until the next call.
+func (c *Client) encodeBatch(payload []BatchItem) []byte {
+	wireItems := make([]wire.Item, len(payload))
+	for i := range payload {
+		wireItems[i] = payload[i].wireItem()
 	}
-	if c.gzipOn {
-		c.zipBuf.Reset()
-		zw := gzip.NewWriter(&c.zipBuf)
-		if _, err := zw.Write(body); err != nil {
-			return nil, "", err
-		}
-		if err := zw.Close(); err != nil {
-			return nil, "", err
-		}
-		body = c.zipBuf.Bytes()
-	}
-	return body, contentType, nil
+	c.encBuf = wire.AppendBatch(c.encBuf[:0], wireItems)
+	return c.encBuf
 }
 
 // recordAttempt remembers one failed delivery attempt; the history rides

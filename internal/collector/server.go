@@ -91,10 +91,6 @@ type Server struct {
 	rec    *trace.Recorder
 	faults *faultInjector
 
-	// advertiseBinary gates the Accept-Post header through which clients
-	// discover NPB1 support (default on; bismark-server -no-binary).
-	advertiseBinary atomic.Bool
-
 	// ingestObs, when set, sees every keyed ingest decision; see
 	// SetIngestObserver.
 	ingestObs atomic.Pointer[func(endpoint, key, router string, applied bool)]
@@ -141,7 +137,6 @@ func NewServer(udpAddr, httpAddr string, store dataset.IngestStore) (*Server, er
 		rec: trace.NewRecorder(trace.Config{}),
 	}
 	s.admit.Store(make(chan struct{}, DefaultMaxInflight))
-	s.advertiseBinary.Store(true)
 	rx, err := heartbeat.NewReceiver(udpAddr, store.HeartbeatLog(), nil)
 	if err != nil {
 		return nil, err
@@ -217,13 +212,6 @@ func (s *Server) SetMaxInflight(n int) {
 // TraceRecorder exposes the server's flight recorder (also mounted on
 // the API mux at /debug/traces).
 func (s *Server) TraceRecorder() *trace.Recorder { return s.rec }
-
-// SetAdvertiseBinary toggles the Accept-Post advertisement through which
-// clients discover binary batch support (bismark-server -no-binary).
-// With it off, auto-negotiating clients stay on JSON; the server still
-// accepts binary requests from clients explicitly configured to send
-// them.
-func (s *Server) SetAdvertiseBinary(on bool) { s.advertiseBinary.Store(on) }
 
 // SetTraceSampling replaces the tail-sampling knobs: rate is the keep
 // probability for healthy traces, slow the always-keep latency threshold
@@ -327,11 +315,10 @@ func (s *Server) instrument(endpoint string, injectable bool, h http.HandlerFunc
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		reqs.Inc()
-		// Advertise the binary batch encoding; clients capture this from
-		// the registration response and switch /v1/batch to NPB1.
-		if s.advertiseBinary.Load() {
-			w.Header().Set("Accept-Post", wire.ContentTypeBinary+", application/json")
-		}
+		// Advertise the binary batch encoding on every response: older
+		// gateways that negotiate read it from their registration
+		// response and switch /v1/batch to NPB1.
+		w.Header().Set("Accept-Post", wire.ContentTypeBinary+", application/json")
 		// The Traceparent header names the batch's representative trace
 		// (its first item). It correlates 429s, injected faults, and
 		// latency exemplars back to the originating upload.

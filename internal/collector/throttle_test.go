@@ -38,31 +38,24 @@ func TestSaturatedIngestReturns429(t *testing.T) {
 		}
 		blocked <- err
 	}()
-	pw.Write([]byte(`{"RouterID":`)) // partial body: handler is now inside ReadAll
+	pw.Write([]byte(`{"RouterID":`)) // partial body: the handler blocks inside ReadAll
+	// Wait for the slot-holder to be admitted: an upload that beat it to
+	// the slot would be applied, not throttled.
+	waitFor(t, func() bool { return len(srv.admit.Load().(chan struct{})) == 1 })
 
-	// Every further upload must be rejected, not queued.
+	// A further upload must be rejected, not queued.
 	body, _ := json.Marshal(dataset.UptimeReport{RouterID: "router-1", ReportedAt: t0, Uptime: time.Hour})
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, err := http.Post("http://"+srv.HTTPAddr()+"/v1/uptime", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		status, retryAfter := resp.StatusCode, resp.Header.Get("Retry-After")
-		resp.Body.Close()
-		if status == http.StatusTooManyRequests {
-			if retryAfter == "" {
-				t.Fatal("429 without Retry-After header")
-			}
-			break
-		}
-		// The slot-holder may not have entered the handler yet; retry
-		// briefly before declaring admission control absent.
-		if time.Now().After(deadline) {
-			t.Fatalf("saturated server answered %d, want 429", status)
-		}
-		time.Sleep(5 * time.Millisecond)
+	resp, err := http.Post("http://"+srv.HTTPAddr()+"/v1/uptime", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("saturated server answered %d, want 429", resp.StatusCode)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("429 without Retry-After header")
 	}
 	if got := srv.stats().Uptime; got != 0 {
 		t.Fatalf("uptime rows = %d, want 0 (throttled uploads must not apply)", got)
@@ -73,7 +66,7 @@ func TestSaturatedIngestReturns429(t *testing.T) {
 	pw.Close() // ReadAll returns (truncated JSON decodes to an error; slot released either way)
 	<-blocked
 	ok := false
-	for time.Now().Before(deadline) {
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
 		resp, err := http.Post("http://"+srv.HTTPAddr()+"/v1/uptime", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -209,33 +208,6 @@ func TestBatchReportsMalformedItems(t *testing.T) {
 	}
 }
 
-// wireModeClient builds a second client against srv with an explicit
-// wire mode, registered under its own router ID.
-func wireModeClient(t *testing.T, srv *Server, router string, opts ...Option) *Client {
-	t.Helper()
-	cli, err := NewClient(router, "US", srv.UDPAddr(), srv.HTTPAddr(), opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cli.Close() })
-	return cli
-}
-
-func driveSink(cli *Client, router string) {
-	cli.UptimeReport(dataset.UptimeReport{RouterID: router, ReportedAt: t0, Uptime: 36 * time.Hour})
-	cli.CapacityMeasure(dataset.CapacityMeasure{RouterID: router, MeasuredAt: t0, UpBps: 1e6, DownBps: 16e6})
-	cli.DeviceCensus(
-		dataset.DeviceCount{RouterID: router, At: t0, Wired: 1, W24: 2, W5: 1},
-		[]dataset.DeviceSighting{{RouterID: router, At: t0, Device: mac.MustParse("a4:b1:97:01:02:03"), Kind: dataset.Wireless24}})
-	cli.WiFiScan([]dataset.WiFiScan{{RouterID: router, At: t0, Band: "2.4GHz", Channel: 6, VisibleAPs: 9, Clients: 2}})
-	cli.TrafficFlows([]dataset.FlowRecord{{
-		RouterID: router, Device: mac.MustParse("a4:b1:97:01:02:03"),
-		Domain: "netflix.com", Proto: "tcp", First: t0, Last: t0.Add(90 * time.Second),
-		UpBytes: 1 << 20, DownBytes: 50 << 20, UpPkts: 900, DownPkts: 36000, Conns: 2}})
-	cli.TrafficThroughput([]dataset.ThroughputSample{{
-		RouterID: router, Minute: t0, Dir: "down", PeakBps: 4.2e6, TotalBytes: 9 << 20}})
-}
-
 // normalizeRows renders a store's rows as JSON with router IDs unified,
 // so stores fed by different clients compare structurally.
 func normalizeRows(t *testing.T, st *dataset.Store, router string) string {
@@ -292,6 +264,24 @@ func equivalenceItems(t *testing.T, router string) []BatchItem {
 	}
 }
 
+// batchBody encodes items as one /v1/batch request body: an NPB1 batch
+// for shape "npb1", a JSON envelope otherwise.
+func batchBody(t *testing.T, shape string, items []BatchItem) (body []byte, contentType string) {
+	t.Helper()
+	if shape == "npb1" {
+		wireItems := make([]wire.Item, len(items))
+		for i := range items {
+			wireItems[i] = items[i].wireItem()
+		}
+		return wire.AppendBatch(nil, wireItems), wire.ContentTypeBinary
+	}
+	body, err := json.Marshal(items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body, "application/json"
+}
+
 // uploadAs sends items to srv in one shape — "npb1" and "json" as one
 // /v1/batch request, "direct" as one keyed POST per item (an unknown
 // endpoint has no direct form: the mux refuses it before any handler) —
@@ -335,19 +325,7 @@ func uploadAs(t *testing.T, srv *Server, shape string, items []BatchItem) []stri
 			}
 		}
 	default:
-		body, contentType := []byte(nil), "application/json"
-		if shape == "npb1" {
-			wireItems := make([]wire.Item, len(items))
-			for i := range items {
-				wireItems[i] = items[i].wireItem()
-			}
-			body, contentType = wire.AppendBatch(nil, wireItems), wire.ContentTypeBinary
-		} else {
-			var err error
-			if body, err = json.Marshal(items); err != nil {
-				t.Fatal(err)
-			}
-		}
+		body, contentType := batchBody(t, shape, items)
 		resp, msg := postBatch(t, srv, contentType, body)
 		var res BatchResult
 		if err := json.Unmarshal([]byte(msg), &res); err != nil || resp.StatusCode != http.StatusOK {
@@ -376,49 +354,11 @@ func uploadAs(t *testing.T, srv *Server, shape string, items []BatchItem) []stri
 }
 
 // TestBinaryBatchMatchesJSON requires the encoding to be invisible to the
-// dataset. First the same sink calls through a JSON-pinned and a
-// binary-pinned client against two servers; then one seeded payload list
-// (equivalenceItems) sent as an NPB1 batch, as a JSON batch and as direct
-// posts against three: row-for-row identical stores, identical placement,
-// identical per-item outcome and reject reason.
+// dataset: one seeded payload list (equivalenceItems) sent as an NPB1
+// batch, as a JSON batch and as direct posts against three servers gives
+// row-for-row identical stores, identical placement, identical per-item
+// outcome and reject reason.
 func TestBinaryBatchMatchesJSON(t *testing.T) {
-	stores := map[WireMode]string{}
-	placed := map[WireMode]string{}
-	for mode, name := range map[WireMode]string{WireJSON: "json-router", WireBinary: "bin-router"} {
-		srv, err := NewServer("127.0.0.1:0", "127.0.0.1:0", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { srv.Close() })
-		var mu sync.Mutex
-		var routed []string
-		srv.SetIngestObserver(func(endpoint, _, router string, _ bool) {
-			mu.Lock()
-			routed = append(routed, endpoint+" -> "+router)
-			mu.Unlock()
-		})
-		cli := wireModeClient(t, srv, name, WithWireFormat(mode))
-		driveSink(cli, name)
-		// A census that carries sightings only (what cluster rebalancing
-		// streams): no count row may be invented, and both encodings must
-		// place it by its first sighting's router.
-		cli.DeviceCensus(dataset.DeviceCount{}, []dataset.DeviceSighting{
-			{RouterID: name, At: t0.Add(time.Minute), Device: mac.MustParse("a4:b1:97:0a:0b:0c"), Kind: dataset.Wired}})
-		flush(t, cli)
-		if st := srv.Store(); len(st.Counts) != 1 || len(st.Sightings) != 2 {
-			t.Fatalf("%s: %d count rows and %d sightings, want 1 and 2", name, len(st.Counts), len(st.Sightings))
-		}
-		stores[mode] = normalizeRows(t, srv.Store(), name)
-		sort.Strings(routed)
-		placed[mode] = strings.ReplaceAll(strings.Join(routed, "\n"), name, "ROUTER")
-	}
-	if stores[WireJSON] != stores[WireBinary] {
-		t.Fatalf("stores differ:\njson   %s\nbinary %s", stores[WireJSON], stores[WireBinary])
-	}
-	if placed[WireJSON] != placed[WireBinary] || strings.Contains(placed[WireBinary]+"\n", "-> \n") {
-		t.Fatalf("shard routing differs or is empty:\njson\n%s\nbinary\n%s", placed[WireJSON], placed[WireBinary])
-	}
-
 	const router = "eq-router"
 	var want struct{ rows, outcomes string }
 	for _, shape := range []string{"npb1", "json", "direct"} {
@@ -509,49 +449,50 @@ func TestDirectEndpointZonedTimes(t *testing.T) {
 	}
 }
 
-// TestWireNegotiation pins the Accept-Post handshake: an auto client
-// flips to binary against an advertising server, stays on JSON when the
-// advertisement is off, and the rows land either way.
-func TestWireNegotiation(t *testing.T) {
-	srv, cli := startPair(t)
-	if !cli.binary.Load() {
-		t.Fatal("auto client did not pick up the binary advertisement")
-	}
-	itemsBefore := srv.mItems.With("/v1/uptime").Value()
-	cli.UptimeReport(dataset.UptimeReport{RouterID: "router-1", ReportedAt: t0})
-	flush(t, cli)
-	if got := srv.mItems.With("/v1/uptime").Value() - itemsBefore; got != 1 {
-		t.Fatalf("binary-path items = %d, want 1", got)
-	}
-
-	srv.SetAdvertiseBinary(false)
-	legacy := wireModeClient(t, srv, "legacy-router")
-	if legacy.binary.Load() {
-		t.Fatal("client negotiated binary against a non-advertising server")
-	}
-	legacy.UptimeReport(dataset.UptimeReport{RouterID: "legacy-router", ReportedAt: t0})
-	flush(t, legacy)
-	if n := len(srv.Store().Uptime); n != 2 {
-		t.Fatalf("uptime rows = %d, want 2", n)
-	}
-}
-
-// TestGzipUploads runs both encodings compressed end to end.
+// TestGzipUploads posts equivalenceItems to the server as a gzip'd NPB1
+// batch and as a gzip'd JSON envelope: both inflate, account for every
+// item and store the same rows.
 func TestGzipUploads(t *testing.T) {
-	for mode, name := range map[WireMode]string{WireJSON: "gz-json", WireBinary: "gz-bin"} {
+	const router = "gz-router"
+	var rows []string
+	for _, shape := range []string{"npb1", "json"} {
 		srv, err := NewServer("127.0.0.1:0", "127.0.0.1:0", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { srv.Close() })
-		cli := wireModeClient(t, srv, name, WithWireFormat(mode), WithGzip(true))
-		driveSink(cli, name)
-		flush(t, cli)
-		st := srv.Store()
-		if len(st.Uptime) != 1 || len(st.Flows) != 1 || len(st.Throughput) != 1 {
-			t.Fatalf("%s: rows missing after gzip upload: %d/%d/%d", name,
-				len(st.Uptime), len(st.Flows), len(st.Throughput))
+		body, contentType := batchBody(t, shape, equivalenceItems(t, router))
+		var buf bytes.Buffer
+		zw := gzip.NewWriter(&buf)
+		zw.Write(body)
+		zw.Close()
+		req, err := http.NewRequest(http.MethodPost, "http://"+srv.HTTPAddr()+"/v1/batch", &buf)
+		if err != nil {
+			t.Fatal(err)
 		}
+		req.Header.Set("Content-Type", contentType)
+		req.Header.Set("Content-Encoding", "gzip")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var res BatchResult
+		if err := json.Unmarshal(msg, &res); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("gzip'd %s batch: status %d: %s", shape, resp.StatusCode, msg)
+		}
+		if res.Applied != 9 || res.Duplicates != 1 || res.Rejected != 2 {
+			t.Fatalf("gzip'd %s batch: result %+v, want 9 applied, 1 duplicate, 2 rejected", shape, res)
+		}
+		st := srv.Store()
+		if len(st.Uptime) != 2 || len(st.Flows) != 1 || len(st.Throughput) != 1 {
+			t.Fatalf("gzip'd %s batch: rows missing: %d/%d/%d", shape, len(st.Uptime), len(st.Flows), len(st.Throughput))
+		}
+		rows = append(rows, normalizeRows(t, st, router))
+	}
+	if rows[0] != rows[1] {
+		t.Fatalf("gzip'd bodies stored different rows:\nnpb1 %s\njson %s", rows[0], rows[1])
 	}
 }
 
@@ -566,7 +507,11 @@ func TestBinaryBatchPreservesTraces(t *testing.T) {
 	}
 	t.Cleanup(func() { srv.Close() })
 	srv.SetTraceSampling(1.0, time.Hour) // keep everything
-	cli := wireModeClient(t, srv, "traced-router", WithWireFormat(WireBinary))
+	cli, err := NewClient("traced-router", "US", srv.UDPAddr(), srv.HTTPAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cli.Close() })
 	cli.UptimeReport(dataset.UptimeReport{RouterID: "traced-router", ReportedAt: t0})
 	flush(t, cli)
 

@@ -98,14 +98,14 @@ type Config struct {
 	// BatchSize groups uploads into /v1/batch POSTs (default 32).
 	BatchSize int
 	// DirectFraction routes this share of uploads as individual keyed
-	// /v1/* POSTs instead of batches, covering both server paths
-	// (default 0.1).
+	// /v1/* POSTs instead of batches, covering both server paths. 0
+	// means none; bismark-load -direct defaults to 0.1.
 	DirectFraction float64
 	// Workers is the HTTP delivery concurrency (default 8).
 	Workers int
 	// Wire selects the batch encoding: "binary" (default) ships NPB1,
-	// matching what a deployed gateway negotiates; "json" forces the
-	// legacy encoding so soaks keep covering that server path too.
+	// as every gateway does; "json" sends the JSON envelope that older
+	// gateways send, so soaks keep covering that server path too.
 	// Direct uploads are always JSON — /v1/* endpoints have no binary
 	// form.
 	Wire string
@@ -186,6 +186,7 @@ type Report struct {
 	Generated Rows  `json:"generated"`
 	Uploads   int64 `json:"uploads"`
 	Batches   int64 `json:"batches"`
+	Direct    int64 `json:"direct"` // uploads delivered as individual /v1/* POSTs
 	Requests  int64 `json:"requests"`
 	Retries   int64 `json:"retries"`
 	Throttled int64 `json:"throttled_429"`
@@ -232,8 +233,8 @@ func (r *Report) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "loadgen: %d routers, %d uploads (%d rows) in %v\n",
 		r.Routers, r.Uploads, r.Generated.Total(), r.Duration.Round(time.Millisecond))
-	fmt.Fprintf(&b, "  throughput: %.0f rows/s, %.0f uploads/s over %d requests (%d batches)\n",
-		r.RowsPerSec, r.UploadsPerSec, r.Requests, r.Batches)
+	fmt.Fprintf(&b, "  throughput: %.0f rows/s, %.0f uploads/s over %d requests (%d batches, %d direct)\n",
+		r.RowsPerSec, r.UploadsPerSec, r.Requests, r.Batches, r.Direct)
 	fmt.Fprintf(&b, "  latency:    p50=%v p90=%v p99=%v\n",
 		r.P50.Round(time.Microsecond), r.P90.Round(time.Microsecond), r.P99.Round(time.Microsecond))
 	fmt.Fprintf(&b, "  delivery:   applied=%d duplicates=%d rejected=%d retries=%d throttled=%d\n",
@@ -284,6 +285,7 @@ type runner struct {
 	retries   atomic.Int64
 	throttled atomic.Int64
 	batches   atomic.Int64
+	direct    atomic.Int64
 
 	applied    atomic.Int64
 	duplicates atomic.Int64
@@ -812,6 +814,7 @@ func (r *runner) postDirect(ctx context.Context, up upload) {
 		return req, err
 	}); ok {
 		r.applied.Add(1)
+		r.direct.Add(1)
 		r.recordLineage([]upload{up}, time.Now(), attempts)
 	}
 }
@@ -878,6 +881,7 @@ func (r *runner) report(gen *generator, before, after collector.Stats, dur time.
 		Generated:  rows,
 		Uploads:    gen.uploads.Load(),
 		Batches:    r.batches.Load(),
+		Direct:     r.direct.Load(),
 		Requests:   r.requests.Load(),
 		Retries:    r.retries.Load(),
 		Throttled:  r.throttled.Load(),

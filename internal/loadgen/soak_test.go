@@ -9,7 +9,8 @@ import (
 )
 
 // soakConfig is the deterministic short soak: 200 routers, a compressed
-// ramp, several cycles back-to-back.
+// ramp, several cycles back-to-back, a tenth of the uploads posted
+// directly.
 func soakConfig(baseURL string) Config {
 	return Config{
 		BaseURL:          baseURL,
@@ -19,6 +20,7 @@ func soakConfig(baseURL string) Config {
 		PayloadsPerCycle: 3,
 		Duty:             0.9, // some homes skip cycles, as deployed fleets do
 		BatchSize:        32,
+		DirectFraction:   0.1,
 		Workers:          8,
 		Seed:             42,
 	}
@@ -36,7 +38,8 @@ func startCollector(t *testing.T) (*collector.Server, string) {
 
 // checkRun asserts the accounting invariants every healthy soak must
 // hold: zero lost rows (stats delta == generated), nothing rejected,
-// and the merged store actually contains what stats claims.
+// both server paths taken, and the merged store actually contains what
+// stats claims.
 func checkRun(t *testing.T, srv *collector.Server, rep *Report) {
 	t.Helper()
 	if rep.Lost != 0 {
@@ -48,6 +51,9 @@ func checkRun(t *testing.T, srv *collector.Server, rep *Report) {
 	}
 	if rep.Uploads == 0 || rep.Generated.Total() == 0 {
 		t.Fatal("soak generated no traffic")
+	}
+	if rep.Direct == 0 || rep.Batches == 0 {
+		t.Fatalf("soak posted %d direct uploads and %d batches, want both paths", rep.Direct, rep.Batches)
 	}
 	st := srv.Store()
 	got := int64(len(st.Uptime) + len(st.Capacity) + len(st.Counts) + len(st.Sightings) +

@@ -129,7 +129,7 @@ func runCluster(cfg Config, n int, op string) (*Result, error) {
 	}
 
 	scanner := newPrivacyScanner(w)
-	if err := runHomes(w, cfg, scanner, front.UDPAddr(), front.HTTPAddr(), front.Heartbeats()); err != nil {
+	if err := runHomes(w, scanner, front.UDPAddr(), front.HTTPAddr(), front.Heartbeats()); err != nil {
 		return nil, err
 	}
 	if opCh != nil {

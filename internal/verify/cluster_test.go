@@ -52,10 +52,10 @@ func TestClusterGoldenEquivalenceFiveNodes(t *testing.T) {
 // deployment and asserts the merged snapshot still matches the
 // single-node golden byte for byte: ownership transfer, epoch fencing,
 // and dedupe-key movement must be invisible in the data.
-func goldenRebalance(t *testing.T, op string, forceJSON bool) {
+func goldenRebalance(t *testing.T, op string) {
 	t.Helper()
 	want := goldenSeed1(t)
-	r, err := RunClusterRebalance(Config{Seed: 1, ForceJSON: forceJSON}, 3, op)
+	r, err := RunClusterRebalance(Config{Seed: 1}, 3, op)
 	if err != nil {
 		t.Fatalf("verify.RunClusterRebalance(%s): %v", op, err)
 	}
@@ -77,46 +77,11 @@ func goldenRebalance(t *testing.T, op string, forceJSON bool) {
 // TestClusterGoldenJoinMidRun: a fourth node joins while clients are
 // uploading; the post-join merged snapshot equals the golden.
 func TestClusterGoldenJoinMidRun(t *testing.T) {
-	goldenRebalance(t, "join", false)
+	goldenRebalance(t, "join")
 }
 
 // TestClusterGoldenDrainMidRun: a node drains to zero while clients
 // are uploading; the post-drain merged snapshot equals the golden.
 func TestClusterGoldenDrainMidRun(t *testing.T) {
-	goldenRebalance(t, "drain", false)
-}
-
-// JSON-wire variants cover the front's JSON decode + regroup + NPB1
-// re-encode path under a concurrent scale event.
-func TestClusterGoldenJoinMidRunJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-deployment rerun; covered by the binary-wire variant in short mode")
-	}
-	goldenRebalance(t, "join", true)
-}
-
-func TestClusterGoldenDrainMidRunJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-deployment rerun; covered by the binary-wire variant in short mode")
-	}
-	goldenRebalance(t, "drain", true)
-}
-
-// TestClusterGoldenEquivalenceJSON re-runs the cluster equivalence with
-// clients forced onto the legacy JSON batch encoding, covering the
-// front's JSON decode + regroup + NPB1 re-encode path end to end.
-func TestClusterGoldenEquivalenceJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-deployment rerun; covered by the binary-wire variant in short mode")
-	}
-	want := goldenSeed1(t)
-	r, err := RunCluster(Config{Seed: 1, ForceJSON: true}, 3)
-	if err != nil {
-		t.Fatalf("verify.RunCluster(json): %v", err)
-	}
-	got := BuildSnapshot(r).Encode()
-	if !bytes.Equal(got, want) {
-		t.Errorf("cluster JSON-wire snapshot differs from single-node golden:\n%s",
-			snapshotDiff(want, got))
-	}
+	goldenRebalance(t, "drain")
 }

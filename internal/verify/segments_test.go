@@ -8,22 +8,12 @@ import (
 	"natpeek/internal/dataset"
 )
 
-// jsonSeed1 and cluster3Seed1 are the seed-1 run forced onto the legacy
-// JSON wire and the seed-1 run through a 3-node cluster: made once per
-// test process, shared by every test that needs them.
-var jsonSeed1, cluster3Seed1 struct {
+// cluster3Seed1 is the seed-1 run through a 3-node cluster: made once
+// per test process, shared by every test that needs it.
+var cluster3Seed1 struct {
 	once sync.Once
 	r    *Result
 	err  error
-}
-
-func runJSONSeed1(t *testing.T) *Result {
-	t.Helper()
-	jsonSeed1.once.Do(func() { jsonSeed1.r, jsonSeed1.err = Run(Config{Seed: 1, ForceJSON: true}) })
-	if jsonSeed1.err != nil {
-		t.Fatalf("verify.Run(seed=1,json): %v", jsonSeed1.err)
-	}
-	return jsonSeed1.r
 }
 
 func runCluster3Seed1(t *testing.T) *Result {
@@ -63,16 +53,6 @@ func TestGoldenSegmentBacked(t *testing.T) {
 	got := BuildSnapshot(r).Encode()
 	if want := goldenSeed1(t); !bytes.Equal(got, want) {
 		t.Errorf("segment-backed snapshot differs from golden:\n%s", snapshotDiff(want, got))
-	}
-}
-
-// TestGoldenSegmentBackedJSON re-runs the substitution with the legacy
-// JSON wire encoding — both axes (wire format, storage engine) swapped
-// at once, still byte-identical.
-func TestGoldenSegmentBackedJSON(t *testing.T) {
-	got := BuildSnapshot(runJSONSeed1(t)).Encode()
-	if want := goldenSeed1(t); !bytes.Equal(got, want) {
-		t.Errorf("segment-backed JSON snapshot differs from golden:\n%s", snapshotDiff(want, got))
 	}
 }
 

@@ -37,11 +37,6 @@ type Config struct {
 	// Base anchors the compressed collection windows (default
 	// 2013-04-01, inside the paper's study period).
 	Base time.Time
-	// ForceJSON pins the upload clients to the legacy JSON batch
-	// encoding instead of letting them negotiate NPB1. The golden
-	// snapshots must be byte-identical either way — the wire format is
-	// transport detail, not data.
-	ForceJSON bool
 }
 
 // segmentFlushRows keeps verification runs rotating through many small
@@ -145,7 +140,7 @@ func Run(cfg Config) (*Result, error) {
 
 	scanner := newPrivacyScanner(w)
 
-	if err := runHomes(w, cfg, scanner, srv.UDPAddr(), srv.HTTPAddr(), store.HeartbeatLog()); err != nil {
+	if err := runHomes(w, scanner, srv.UDPAddr(), srv.HTTPAddr(), store.HeartbeatLog()); err != nil {
 		return nil, err
 	}
 	// The snapshot is taken from the segment files alone. The heartbeat
@@ -163,16 +158,11 @@ func Run(cfg Config) (*Result, error) {
 // own — spooled, batched, idempotent uploads through scanner to the
 // collector or front at udpAddr/httpAddr — flushed and closed before the
 // next home starts; heartbeats go straight into hb.
-func runHomes(w *world.World, cfg Config, scanner *privacyScanner, udpAddr, httpAddr string, hb *heartbeat.Log) error {
-	wireMode := collector.WireAuto
-	if cfg.ForceJSON {
-		wireMode = collector.WireJSON
-	}
+func runHomes(w *world.World, scanner *privacyScanner, udpAddr, httpAddr string, hb *heartbeat.Log) error {
 	return w.RunWith(func(h *world.Home) (gateway.Sink, func() error, error) {
 		cli, err := collector.NewClient(h.Profile.ID, w.Store.RouterCountry[h.Profile.ID],
 			udpAddr, httpAddr,
 			collector.WithTransport(scanner),
-			collector.WithWireFormat(wireMode),
 			collector.WithSpool(spool.Config{Capacity: 1 << 17, MaxBatch: 256}))
 		if err != nil {
 			return nil, nil, err

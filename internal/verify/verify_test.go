@@ -31,8 +31,8 @@ func runOnce(t *testing.T, seed uint64) *Result {
 	return r
 }
 
-// seed1 is the seed-1 run on the negotiated (binary) wire: made once per
-// test process, shared by every test that needs it.
+// seed1 is the seed-1 run: made once per test process, shared by every
+// test that needs it.
 var seed1 struct {
 	once sync.Once
 	r    *Result
@@ -136,17 +136,6 @@ func snapshotDiff(want, got []byte) string {
 		}
 	}
 	return fmt.Sprintf("lengths differ: want %d lines, got %d", len(w), len(g))
-}
-
-// TestGoldenIdenticalAcrossWireFormats pins that the NPB1 binary batch
-// encoding is a transport detail. A run forced onto legacy JSON and a
-// run left to negotiate binary must produce byte-identical snapshots.
-func TestGoldenIdenticalAcrossWireFormats(t *testing.T) {
-	auto := BuildSnapshot(runSeed1(t)).Encode()
-	jsonSnap := BuildSnapshot(runJSONSeed1(t)).Encode()
-	if !bytes.Equal(auto, jsonSnap) {
-		t.Errorf("wire format changed the snapshot:\n%s", snapshotDiff(jsonSnap, auto))
-	}
 }
 
 // TestPrivacyScannerSeesThroughBinary guards the scanner itself: a MAC

@@ -51,12 +51,10 @@
 // 8-byte little-endian IEEE 754; MAC addresses are their 6 raw (already
 // anonymized) bytes.
 //
-// Compatibility: the encoding is negotiated, never assumed. Requests
-// carry Content-Type ContentTypeBinary; the collector advertises
-// support via an "Accept-Post" response header and keeps serving JSON
-// clients unchanged. Unknown endpoints ride inside the envelope as
-// KindRaw with their JSON body verbatim, so the binary path never has
-// to reject what the JSON path would have accepted.
+// Requests carry Content-Type ContentTypeBinary. Unknown endpoints ride
+// inside the envelope as KindRaw with their JSON body verbatim, so the
+// binary path never has to reject what the JSON path would have
+// accepted.
 package wire
 
 import (
@@ -67,8 +65,8 @@ import (
 	"natpeek/internal/trace"
 )
 
-// ContentTypeBinary is the negotiated media type for NPB1-encoded batch
-// requests. Anything else on /v1/batch is treated as JSON.
+// ContentTypeBinary is the media type of NPB1-encoded batch requests.
+// Anything else on /v1/batch is treated as JSON.
 const ContentTypeBinary = "application/x-natpeek-batch"
 
 // magic starts every NPB1 buffer ("natpeek binary, version 1").
