@@ -187,8 +187,12 @@ check-rebalance:
 #      (batch and page alike), two pages at once extending the kept tail
 #      across appends, a seal, a generation left frozen by a failed commit
 #      and its publication, and across an extraction — each equal to the
-#      batch exhibits over the store; and the memtable cursor: a chain of
-#      MergeFrom reads beside concurrent appends equal to Merge;
+#      batch exhibits over the store; a seeded schedule of uploads, seals,
+#      compactions and re-registrations with a page after each step equal
+#      to the batch; two readers' pages, which share home summaries and
+#      rosters, racing seals (race_test.go, -race only); and the memtable
+#      cursor: a chain of MergeFrom reads beside concurrent appends equal
+#      to Merge;
 #   2. the allocation budgets — a snapshot's: the same at 10k and at
 #      100k aggregates; a whole render's: counts and bytes each within
 #      10 % over the same tail with four times the sealed history; a
@@ -197,7 +201,9 @@ check-rebalance:
 #      256- and a 4,096-upload tail, 8 uploads between pages; the heap
 #      a series keeps over 1,000 seals with a page
 #      after each: about its size — which the race detector's own
-#      allocations would drown, so they run without; and the exhibit ledger (testdata/exhibits.sha256: every
+#      allocations would drown, so they run without; the home summaries
+#      a live page computes over a 512-router fleet: at most one per home
+#      the rows since the last page, or a seal, touched; and the exhibit ledger (testdata/exhibits.sha256: every
 #      exhibit's printed text over three inputs, batch and page) and the
 #      §7 usage-beyond-the-US claim over a GlobalTraffic world, too heavy
 #      for -race;
@@ -206,7 +212,7 @@ check-rebalance:
 check-figures:
 	$(GO) test -race ./internal/analysis/ ./internal/figures/
 	$(GO) test -race -run 'TestMergeFromMatchesMerge' ./internal/dataset/
-	$(GO) test -run 'TestSnapshotAllocBudget|TestRenderWorkIsTailBound|TestPageWorkIsIncrementBound|TestExhibitLedger' ./internal/figures/
+	$(GO) test -run 'TestSnapshotAllocBudget|TestRenderWorkIsTailBound|TestPageWorkIsIncrementBound|TestPageRecomputesOnlyTouchedHomes|TestExhibitLedger' ./internal/figures/
 	$(GO) test -run 'TestCaptureAfterSealIsHistoryFree|TestLiveSeriesAllocatesItsSize|TestUsageBeyondTheUS' ./internal/analysis/
 	$(GO) test -run 'TestQuantileMatchesSortOracle|TestQuantileAdversarialInputs|TestQuantileRunsZerosAndEmpties|TestSortFloatsMatchesSort|FuzzSortFloats' ./internal/stats/
 

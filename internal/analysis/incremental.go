@@ -26,6 +26,8 @@ package analysis
 
 import (
 	"maps"
+	"sync"
+	"sync/atomic"
 
 	"natpeek/internal/dataset"
 	"natpeek/internal/heartbeat"
@@ -34,9 +36,14 @@ import (
 // Partial is the incremental state. The zero value is not usable;
 // construct with NewPartial.
 type Partial struct {
-	roster   map[string]string // router → country
-	roll     *rollup
-	flowRows int // raw flow rows folded
+	roster    map[string]string // router → country
+	rosterGen uint64            // changes of roster: a registration, or a router's new country
+	roll      *rollup
+	flowRows  int // raw flow rows folded
+	// last is the home summaries of the latest page summarized over the
+	// partial, which the next page takes what still holds of (summary).
+	// Pages store and load it outside the lock that serializes folds.
+	last atomic.Pointer[Rollup]
 }
 
 // NewPartial returns an empty accumulator.
@@ -47,7 +54,12 @@ func NewPartial() *Partial {
 // Fold accumulates one chunk of rows. The chunk is not retained and not
 // mutated. Chunks must arrive in stream order (see package comment).
 func (p *Partial) Fold(chunk *dataset.Store) {
-	maps.Copy(p.roster, chunk.RouterCountry)
+	for id, code := range chunk.RouterCountry {
+		if c, ok := p.roster[id]; !ok || c != code {
+			p.roster[id] = code
+			p.rosterGen++
+		}
+	}
 	p.roll.addKept(chunk)
 	p.flowRows += len(chunk.Flows)
 	for i := range chunk.Flows {
@@ -58,7 +70,7 @@ func (p *Partial) Fold(chunk *dataset.Store) {
 // Clone returns an independent copy: the rollup's home versions are
 // shared until either side folds into them (copy on write).
 func (p *Partial) Clone() *Partial {
-	return &Partial{roster: maps.Clone(p.roster), roll: p.roll.clone(), flowRows: p.flowRows}
+	return &Partial{roster: maps.Clone(p.roster), rosterGen: p.rosterGen, roll: p.roll.clone(), flowRows: p.flowRows}
 }
 
 // RawFlowRows reports how many flow rows were folded; FlowAggregates
@@ -100,24 +112,43 @@ func (p *Partial) Rows() dataset.RowCounts {
 //	mu.Lock()
 //	sn.Capture(base) // nothing may fold into base meanwhile
 //	mu.Unlock()
-//	st, v := sn.Store(hb), sn.Rollup() // the roster, and what the exhibits read
+//	st, ro, v := sn.Store(hb), sn.Roster(), sn.Rollup() // what the exhibits read
 //
 // No row is copied: Capture freezes base's rollup, whose next fold copies
 // each home version it touches instead of changing it, and lays the
 // tail's rollup over it. The snapshot's store holds the roster and the
-// heartbeats only; every row-backed exhibit reads the Rollup.
+// heartbeats only; every row-backed exhibit reads the Rollup. Rollup
+// summarizes the homes first (summary), outside the lock.
 //
 // A live page need not roll its tail up again: the next page's snapshot
 // is this one's Extended by the rows that arrived since, work
-// proportional to those rows, and its Capture looks up only the tail
-// entries they added.
+// proportional to those rows; its Capture looks up only the tail entries
+// they added and, while no router has registered or changed country,
+// takes this page's roster and its index as they are; and its Rollup
+// computes only the summaries of the homes whose versions changed.
 type Snapshot struct {
 	roll   *rollup           // the tail's rows alone, frozen
 	tail   *Rollup           // roll's view, which Capture lays over a base
 	roster map[string]string // the tail's routers
-	prev   *Snapshot         // the snapshot this one extends, until Capture
-	st     dataset.Store
-	view   *Rollup
+	// added names the routers that the rows Extend folded registered in
+	// the tail's roster or gave a new country: a page's roster is the one
+	// of the page it extends when the base's has not changed since and
+	// that one already holds these.
+	added   []string
+	prev    *Snapshot // the snapshot this one extends, until Capture
+	base    *Partial  // what Capture captured
+	routers *pageRoster
+	view    *Rollup
+	summed  bool
+}
+
+// pageRoster is a page's roster, the base's with the tail's routers laid
+// over it, and its index, made once however many pages share it.
+type pageRoster struct {
+	countries map[string]string
+	base      *Partial
+	gen       uint64 // base.rosterGen it was merged at
+	index     func() *Roster
 }
 
 // NewSnapshot prepares a snapshot over tail, which it does not keep.
@@ -141,9 +172,18 @@ func NewSnapshot(tail *dataset.Store) *Snapshot {
 func (sn *Snapshot) Extend(rows *dataset.Store) *Snapshot {
 	r := *sn.roll
 	r.addRows(rows)
-	roster := maps.Clone(sn.roster)
-	maps.Copy(roster, rows.RouterCountry)
-	return &Snapshot{roll: &r, tail: r.view(), roster: roster, prev: sn}
+	var added []string
+	for id, code := range rows.RouterCountry {
+		if c, ok := sn.roster[id]; !ok || c != code {
+			added = append(added, id)
+		}
+	}
+	roster := sn.roster
+	if added != nil {
+		roster = maps.Clone(sn.roster)
+		maps.Copy(roster, rows.RouterCountry)
+	}
+	return &Snapshot{roll: &r, tail: r.view(), roster: roster, added: added, prev: sn}
 }
 
 // addRows folds c's flow rows, then its kept rows.
@@ -154,34 +194,67 @@ func (r *rollup) addRows(c *dataset.Store) {
 	r.addKept(c)
 }
 
-// Capture reads p: the roster is cloned, and the tail's rollup is
-// resolved against p's — one lookup per home, domain and device of the
-// tail, and nothing per row or entry of p. A snapshot Extended from one
-// captured over p as p still is looks up only the entries its rows
-// added. The first capture after a fold also freezes what that fold
-// wrote: it re-ranks the homes the fold touched and settles their new
-// kept values into sorted runs, O(k log n) amortized for k values (see
-// run). A snapshot is captured once, and the captures of one chain of
-// Extends are serialized — as the lock that holds off folds does.
+// Capture reads p: the tail's rollup is resolved against p's — one
+// lookup per home, domain and device of the tail, and nothing per row or
+// entry of p — and p's roster is cloned with the tail's routers laid over
+// it. A snapshot Extended from one captured over p as p still is looks
+// up only the entries its rows added, and takes that one's roster when
+// neither p's nor the tail's has changed since. The first capture after
+// a fold also freezes what that fold wrote: it re-ranks the homes the
+// fold touched and settles their new kept values into sorted runs,
+// O(k log n) amortized for k values (see run). A snapshot is captured
+// once, and the captures of one chain of Extends are serialized — as the
+// lock that holds off folds does.
 func (sn *Snapshot) Capture(p *Partial) {
 	var prev *overlay
-	if sn.prev != nil && sn.prev.view != nil {
-		prev = sn.prev.view.tail
+	if pr := sn.prev; pr != nil && pr.view != nil {
+		prev = pr.view.tail
+		if ro := pr.routers; ro.base == p && ro.gen == p.rosterGen && ro.holds(sn.added, sn.roster) {
+			sn.routers = ro
+		}
 	}
 	sn.prev = nil
-	sn.st.RouterCountry = maps.Clone(p.roster)
+	if sn.routers == nil {
+		countries := maps.Clone(p.roster)
+		maps.Copy(countries, sn.roster)
+		sn.routers = &pageRoster{countries: countries, base: p, gen: p.rosterGen,
+			index: sync.OnceValue(func() *Roster { return NewRoster(&dataset.Store{RouterCountry: countries}) })}
+	}
+	sn.base = p
 	sn.view = p.roll.overlay(sn.tail, prev)
 }
 
-// Rollup returns the captured rollup with the tail's laid over it.
-func (sn *Snapshot) Rollup() *Rollup { return sn.view }
+// holds reports whether ro has each of ids with its country in roster.
+func (ro *pageRoster) holds(ids []string, roster map[string]string) bool {
+	for _, id := range ids {
+		if c, ok := ro.countries[id]; !ok || c != roster[id] {
+			return false
+		}
+	}
+	return true
+}
+
+// Rollup returns the captured rollup with the tail's laid over it. The
+// first call summarizes its homes, taking the summaries of the latest
+// page over the same partial where they still hold; it must not race
+// another call on the same snapshot, and may run beside folds into the
+// partial, since the versions it reads are frozen.
+func (sn *Snapshot) Rollup() *Rollup {
+	if !sn.summed {
+		sn.view.summarize(sn.base.last.Load())
+		sn.base.last.Store(sn.view)
+		sn.summed = true
+	}
+	return sn.view
+}
+
+// Roster returns the captured roster's index; pages that share a roster
+// share it.
+func (sn *Snapshot) Roster() *Roster { return sn.routers.index() }
 
 // Store finishes the snapshot: the captured roster with the tail's
 // routers added, and hb. It holds no rows (see Rollup). The result must
 // not be mutated.
 func (sn *Snapshot) Store(hb *heartbeat.Log) *dataset.Store {
-	st := sn.st
-	st.Heartbeats = hb
-	maps.Copy(st.RouterCountry, sn.roster)
-	return &st
+	return &dataset.Store{Heartbeats: hb, RouterCountry: sn.routers.countries}
 }

@@ -6,6 +6,7 @@ import (
 	"maps"
 	"slices"
 	"sort"
+	"strings"
 
 	"natpeek/internal/dataset"
 	"natpeek/internal/mac"
@@ -29,7 +30,8 @@ import (
 // a store's rows. On a dashboard page (Snapshot.Rollup) it is a
 // Partial's folded rollup, frozen at Capture, with the live tail's own
 // rollup laid over it: each method adds base and tail per home as it
-// reads, and neither side is copied or changed.
+// reads, and neither side is copied or changed. Either way it carries a
+// page summary per home (summary.go), which Figs. 15–19 read.
 type Rollup struct {
 	homes     []*home          // the base, first-seen order
 	byID      map[string]int32 // the base's home positions
@@ -37,6 +39,13 @@ type Rollup struct {
 	flowHomes int32            // the base's homes with flow rows
 	keptRows  dataset.RowCounts
 	tail      *overlay // nil when nothing lies over the base
+	// The page summaries (summary.go): one per home in each's order, their
+	// positions by router ID, Fig. 18's counts over them, and how many
+	// summarize computed rather than took from an earlier view.
+	sums  []*summary
+	order []int32
+	pop   popCounts
+	made  int
 }
 
 // rollup is the foldable state behind a Rollup. A router is held as a
@@ -511,10 +520,12 @@ func find[K comparable](m map[K]int32, k K) int32 {
 }
 
 // homeView is one home as a Rollup reads it: its base version, the
-// tail's, or both, with the tail's flow entries resolved to the base's.
+// tail's, or both, with the tail's flow entries resolved to the base's,
+// and its page summary once the Rollup has them.
 type homeView struct {
 	b, t     *home
 	dom, dev []int32
+	s        *summary
 }
 
 // lay lays tail home j over v; j < 0 lays nothing.
@@ -528,12 +539,17 @@ func (o *overlay) lay(v *homeView, j int32) {
 // those the tail has first.
 func (r *Rollup) each(fn func(homeView)) {
 	o := r.tail
+	k := 0 // the home's position in each's order, and its summary's
 	for i, b := range r.homes {
 		v := homeView{b: b}
+		if k < len(r.sums) {
+			v.s = r.sums[k]
+		}
 		if o != nil {
 			o.lay(&v, o.onBase[i])
 		}
 		fn(v)
+		k++
 	}
 	if o == nil {
 		return
@@ -541,8 +557,12 @@ func (r *Rollup) each(fn func(homeView)) {
 	for j := range o.roll.homes {
 		if o.home[j] < 0 {
 			var v homeView
+			if k < len(r.sums) {
+				v.s = r.sums[k]
+			}
 			o.lay(&v, int32(j))
 			fn(v)
+			k++
 		}
 	}
 }
@@ -622,11 +642,18 @@ type rankScratch struct {
 
 // top returns the at most k domains of the home that rank highest by rk,
 // base and tail added, best first; the result lives in sc until the next
-// call. Bytes and connections only grow, so a domain outside the base's
-// cached top k that the tail did not touch still has k domains ahead of
-// it: the candidates are that ranking plus the tail's domains (the base's
-// whole list when k is deeper than the cache).
+// call, or is the summary's, which must not be changed. A ranking is a
+// total order, so the best k are the first k of the summary's rankDepth.
+// Without a summary, or deeper than it: bytes and connections only grow,
+// so a domain outside the base's cached top k that the tail did not touch
+// still has k domains ahead of it: the candidates are that ranking plus
+// the tail's domains (the base's whole list when k is deeper than the
+// cache).
 func (v homeView) top(rk rank, k int, sc *rankScratch) []domainTotals {
+	if v.s != nil && k <= rankDepth {
+		top := v.s.top[rk]
+		return top[:min(k, len(top))]
+	}
 	cached := v.b != nil && k <= rankDepth
 	var top []int32
 	if cached {
@@ -725,7 +752,9 @@ func RollupOf(st *dataset.Store) *Rollup {
 		r.add(&st.Flows[i])
 	}
 	r.addKept(st)
-	return r.view()
+	v := r.view()
+	v.summarize(nil)
+	return v
 }
 
 // BusiestHome returns the home with the most Traffic volume (the lowest
@@ -745,16 +774,14 @@ func (r *Rollup) BusiestHome() string {
 }
 
 // DeviceShares computes Fig. 17: for each home, the descending fractional
-// volume contribution of its devices.
+// volume contribution of its devices. The shares are the home summaries':
+// callers must not modify them.
 func (r *Rollup) DeviceShares() map[string][]float64 {
 	out := make(map[string][]float64, r.flowHomes)
-	var vs []float64
 	r.each(func(v homeView) {
-		if v.has()&HasTraffic == 0 {
-			return
+		if v.has()&HasTraffic != 0 {
+			out[v.id()] = v.s.shares
 		}
-		vs = v.deviceBytes(vs)
-		out[v.id()] = stats.Share(vs)
 	})
 	return out
 }
@@ -786,34 +813,23 @@ type DomainPopularity struct {
 
 // PopularDomains computes Fig. 18 ranked by top-5 appearances. Fig. 18
 // plots nameable domains; obfuscated tokens cannot appear on its x-axis.
+// The counts are the ones summarize keeps over the home summaries.
 func (r *Rollup) PopularDomains() []DomainPopularity {
-	top5 := stats.NewCounter()
-	top10 := stats.NewCounter()
-	var sc rankScratch
-	r.each(func(v homeView) {
-		for i, d := range v.top(byVolumeWhitelisted, 10, &sc) {
-			if i < 5 {
-				top5.Add(d.name, 1)
-			}
-			top10.Add(d.name, 1)
-		}
-	})
-	var out []DomainPopularity
-	for _, rc := range top10.Ranked() {
-		out = append(out, DomainPopularity{
-			Domain: rc.Key,
-			Top5:   top5.Get(rc.Key),
-			Top10:  rc.Count,
-		})
+	if len(r.pop) == 0 {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Top5 != out[j].Top5 {
-			return out[i].Top5 > out[j].Top5
+	out := make([]DomainPopularity, 0, len(r.pop))
+	for d, c := range r.pop {
+		out = append(out, DomainPopularity{Domain: d, Top5: c.top5, Top10: c.top10})
+	}
+	slices.SortFunc(out, func(a, b DomainPopularity) int {
+		if a.Top5 != b.Top5 {
+			return cmp.Compare(b.Top5, a.Top5)
 		}
-		if out[i].Top10 != out[j].Top10 {
-			return out[i].Top10 > out[j].Top10
+		if a.Top10 != b.Top10 {
+			return cmp.Compare(b.Top10, a.Top10)
 		}
-		return out[i].Domain < out[j].Domain
+		return strings.Compare(a.Domain, b.Domain)
 	})
 	return out
 }
@@ -965,10 +981,13 @@ type DomainShare struct {
 }
 
 // DeviceDomains computes the Fig. 20 mix for a device, ranked descending.
-// It reads the (device, domain) pairs of the homes the device is in.
+// It reads the (device, domain) pairs of the homes the device is in. A
+// domain's pairs are summed by sorting them by name in the slice the mix
+// is returned in, counted first, so the mix costs one allocation of its
+// size. Volumes are integers far below 2^53: their float64 sums are exact.
 func (r *Rollup) DeviceDomains(dev mac.Addr) []DomainShare {
-	vol := map[string]int64{}
-	var total int64
+	var in []*home // the versions of the homes the device is in
+	n := 0
 	r.each(func(v homeView) {
 		if !v.hasDevice(dev) {
 			return
@@ -977,26 +996,46 @@ func (r *Rollup) DeviceDomains(dev mac.Addr) []DomainShare {
 			if h == nil {
 				continue
 			}
+			in = append(in, h)
 			for _, p := range h.pairs {
 				if p.dev == dev {
-					vol[h.domains[p.dom].name] += p.bytes
-					total += p.bytes
+					n++
 				}
 			}
 		}
 	})
+	out := make([]DomainShare, 0, n)
+	var total float64
+	for _, h := range in {
+		for _, p := range h.pairs {
+			if p.dev == dev {
+				out = append(out, DomainShare{Domain: h.domains[p.dom].name, Share: float64(p.bytes)})
+				total += float64(p.bytes)
+			}
+		}
+	}
 	if total == 0 {
 		return nil
 	}
-	out := make([]DomainShare, 0, len(vol))
-	for d, v := range vol {
-		out = append(out, DomainShare{Domain: d, Share: float64(v) / float64(total)})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Share != out[j].Share {
-			return out[i].Share > out[j].Share
+	slices.SortFunc(out, func(a, b DomainShare) int { return strings.Compare(a.Domain, b.Domain) })
+	m := 0
+	for _, d := range out {
+		if m > 0 && d.Domain == out[m-1].Domain {
+			out[m-1].Share += d.Share
+			continue
 		}
-		return out[i].Domain < out[j].Domain
+		out[m] = d
+		m++
+	}
+	out = out[:m]
+	for i := range out {
+		out[i].Share /= total
+	}
+	slices.SortFunc(out, func(a, b DomainShare) int {
+		if a.Share != b.Share {
+			return cmp.Compare(b.Share, a.Share)
+		}
+		return strings.Compare(a.Domain, b.Domain)
 	})
 	return out
 }

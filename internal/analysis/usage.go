@@ -1,9 +1,7 @@
 package analysis
 
 import (
-	"slices"
 	"sort"
-	"strings"
 	"time"
 
 	"natpeek/internal/domains"
@@ -85,47 +83,12 @@ type LinkSaturation struct {
 
 // Saturation computes Fig. 15: per home and direction, the 95th
 // percentile of per-minute peak throughput against measured capacity,
-// over minutes with any traffic. The percentile, the capacity median
-// and the minutes over capacity are selections and binary searches over
-// each link's sorted peaks and each home's sorted capacities, base and
-// tail. A link is "up" or "down"; samples with any other Dir stay stored
-// but have no capacity to be measured against, so they are left out.
+// over minutes with any traffic — each home's links as its summary holds
+// them (homeView.links), by router and direction.
 func (r *Rollup) Saturation() []LinkSaturation {
-	out := make([]LinkSaturation, 0, 2*len(r.homes))
-	r.each(func(v homeView) {
-		b, t := v.both()
-		for l, dir := range linkDirs {
-			bp, tp := &b.links[l].peaks, &t.links[l].peaks
-			if bp.n+tp.n == 0 {
-				continue
-			}
-			capBps := medianOrZero(&b.capDown, &t.capDown)
-			if dir == "up" {
-				capBps = medianOrZero(&b.capUp, &t.capUp)
-			}
-			if capBps <= 0 {
-				continue
-			}
-			p95 := quantile(0.95, bp, tp)
-			out = append(out, LinkSaturation{
-				RouterID:    v.id(),
-				Dir:         dir,
-				CapacityBps: capBps,
-				P95Bps:      p95,
-				Utilization: p95 / capBps,
-				Minutes:     bp.n + tp.n,
-				MinutesOver: countAbove(bp, capBps) + countAbove(tp, capBps),
-			})
-		}
-	})
-	slices.SortFunc(out, func(a, b LinkSaturation) int {
-		if c := strings.Compare(a.RouterID, b.RouterID); c != 0 {
-			return c
-		}
-		return strings.Compare(a.Dir, b.Dir)
-	})
-	if len(out) == 0 {
-		return nil
+	var out []LinkSaturation
+	for _, k := range r.order {
+		out = append(out, r.sums[k].links...)
 	}
 	return out
 }

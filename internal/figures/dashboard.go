@@ -21,15 +21,16 @@ import (
 // reads the tail rows recorded since the previous page and extends the
 // previous page's analysis.Snapshot by them, starting the tail over only
 // when a seal is published or an extraction re-bases the memtable. It
-// then lays the tail over the partial's frozen rollup, and regenerates
-// the figures from that over GOMAXPROCS goroutines. A page pays for the
-// rows since the last page, a lookup per tail home, domain and device
-// those rows added (Capture), and the exhibits; it never re-reads sealed
-// history,
-// never copies or regroups its rows, and never clones the partial. The
-// rendered output is bit-identical to running the batch figures over the
-// store's full merged view (see the analysis.Partial package comment for
-// the exactness argument).
+// then lays the tail over the partial's frozen rollup, summarizes the
+// homes whose versions changed since the last page (analysis.Snapshot's
+// Rollup), and regenerates the figures from that over GOMAXPROCS
+// goroutines. A page pays for the rows since the last page, a lookup per
+// tail home, domain and device those rows added (Capture), a summary per
+// home that they or a seal touched, and the exhibits; it never re-reads
+// sealed history, never copies or regroups its rows, and never clones
+// the partial. The rendered output is bit-identical to running the batch
+// figures over the store's full merged view (see the analysis.Partial
+// package comment for the exactness argument).
 type Dashboard struct {
 	src *segment.Store
 	win Windows
@@ -108,8 +109,8 @@ func (d *Dashboard) fold(chunk *dataset.Store) {
 // has folded exactly that one. A base that is already past it (a seal
 // landed after the tail was read) would count that chunk twice; the tail
 // is read again, from the start. d.mu is held for the capture only, so a
-// fold never waits behind a render.
-func (d *Dashboard) snapshot() (*dataset.Store, *analysis.Rollup, DashboardStats) {
+// fold never waits behind a render: the home summaries are made after.
+func (d *Dashboard) snapshot() (*dataset.Store, *analysis.Roster, *analysis.Rollup, DashboardStats) {
 	for {
 		sn, gen := d.readTail()
 		d.mu.Lock()
@@ -128,7 +129,9 @@ func (d *Dashboard) snapshot() (*dataset.Store, *analysis.Rollup, DashboardStats
 		// there until preempted, a scheduler time slice, whenever a GC
 		// worker holds the other processors. Hand it the processor now.
 		runtime.Gosched()
-		return sn.Store(d.src.HeartbeatLog()), sn.Rollup(), stats
+		v := sn.Rollup()
+		stats.Summaries = v.Summarized()
+		return sn.Store(d.src.HeartbeatLog()), sn.Roster(), v, stats
 	}
 }
 
@@ -167,12 +170,12 @@ func (d *Dashboard) Render() []*Report {
 // rendered from; LastRenderMs is this render's own duration.
 func (d *Dashboard) render() ([]*Report, DashboardStats) {
 	start := time.Now()
-	st, v, stats := d.snapshot()
+	st, ro, v, stats := d.snapshot()
 	d.hSnapshot.Observe(time.Since(start).Seconds())
 	if afterSnapshot != nil {
 		afterSnapshot()
 	}
-	out := all(st, v, d.win)
+	out := all(st, ro, v, d.win)
 	took := time.Since(start)
 	d.hRender.Observe(took.Seconds())
 	stats.LastRenderMs = float64(took.Microseconds()) / 1000
@@ -189,7 +192,10 @@ type DashboardStats struct {
 	Rows           dataset.RowCounts `json:"rows"`
 	RawFlowRows    int               `json:"raw_flow_rows"`
 	FlowAggregates int               `json:"flow_aggregates"` // (home, device, domain) entries
-	LastRenderMs   float64           `json:"last_render_ms"`
+	// Summaries counts the home summaries the page computed, the others
+	// it took from an earlier page: the homes whose rows changed since.
+	Summaries    int     `json:"summaries"`
+	LastRenderMs float64 `json:"last_render_ms"`
 }
 
 // Stats reports fold/render diagnostics (tail rows excluded).

@@ -79,12 +79,12 @@ func pageUnits(st *dataset.Store, v *analysis.Rollup) int {
 // checkPage compares a page of n units with the batch exhibits over the
 // same n units: a page whose rollup lost, doubled or half-folded a chunk
 // — or saw a fold change a home under it — reads differently.
-func checkPage(st *dataset.Store, v *analysis.Rollup, n int) error {
+func checkPage(st *dataset.Store, ro *analysis.Roster, v *analysis.Rollup, n int) error {
 	batch := dataset.NewStore()
 	for u := 0; u < n; u++ {
 		unitRows(batch, u)
 	}
-	if got, want := renderString(all(st, v, DefaultWindows())), renderString(All(batch, DefaultWindows())); got != want {
+	if got, want := renderString(all(st, ro, v, DefaultWindows())), renderString(All(batch, DefaultWindows())); got != want {
 		return fmt.Errorf("exhibits of a %d-unit page:\n%s\nthe batch exhibits over those units:\n%s", n, got, want)
 	}
 	return nil
@@ -134,12 +134,12 @@ func TestSnapshotSeesChunkBetweenPublishAndFold(t *testing.T) {
 
 	got := make(chan error, 1)
 	go func() {
-		st, v, _ := d.snapshot()
+		st, ro, v, _ := d.snapshot()
 		if n := pageUnits(st, v); n != units {
 			got <- fmt.Errorf("snapshot inside the seal window holds %d units (%+v), the store %d", n, v.KeptRows(), units)
 			return
 		}
-		got <- checkPage(st, v, units)
+		got <- checkPage(st, ro, v, units)
 	}()
 	// A snapshot that comes back while the window is open had better be
 	// whole; one that waits for the fold is let through after a while.
@@ -205,7 +205,7 @@ func TestRendersBesideSeals(t *testing.T) {
 				default:
 				}
 				floor := int(sealed.Load())
-				st, v, stats := d.snapshot()
+				st, ro, v, stats := d.snapshot()
 				n := pageUnits(st, v)
 				switch {
 				case n < 0:
@@ -222,7 +222,7 @@ func TestRendersBesideSeals(t *testing.T) {
 					return
 				}
 				last = n
-				if err := checkPage(st, v, n); err != nil {
+				if err := checkPage(st, ro, v, n); err != nil {
 					t.Errorf("reader %d: %v", r, err)
 					return
 				}
@@ -242,11 +242,11 @@ func TestRendersBesideSeals(t *testing.T) {
 	if flushErr != nil {
 		t.Fatal(flushErr)
 	}
-	st, v, _ := d.snapshot()
+	st, ro, v, _ := d.snapshot()
 	if n := pageUnits(st, v); n != units {
 		t.Fatalf("final snapshot holds %d units, want %d", n, units)
 	}
-	if err := checkPage(st, v, units); err != nil {
+	if err := checkPage(st, ro, v, units); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -52,7 +52,8 @@ func renderAll(st *dataset.Store, w Windows) []string {
 // usage comparison off its rollup.
 func renderPartial(p *analysis.Partial, hb *heartbeat.Log, w Windows) []string {
 	st, v := p.Store(hb), folded(p)
-	return render(all(st, v, w), v, analysis.NewRoster(st))
+	ro := analysis.NewRoster(st)
+	return render(all(st, ro, v, w), v, ro)
 }
 
 func render(reports []*Report, v *analysis.Rollup, ro *analysis.Roster) []string {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"natpeek/internal/dataset"
+	"natpeek/internal/geo"
 	"natpeek/internal/rng"
 	"natpeek/internal/segment"
 )
@@ -175,6 +176,125 @@ func TestPageWorkIsIncrementBound(t *testing.T) {
 	}
 	if bytes[1] > bytes[0]*1.1 {
 		t.Errorf("page bytes grew with the tail: %.2f → %.2f MB", bytes[0]/1e6, bytes[1]/1e6)
+	}
+}
+
+// TestPageRecomputesOnlyTouchedHomes: a live page summarizes only the
+// homes whose rows changed since the last page. Over a 512-router
+// fixture, a page after 8 uploads computes a summary for at most the
+// routers those uploads named, plus homes new to the page; a page after
+// a seal, for at most the routers whose rows that seal folded. The first
+// page computes every home's.
+func TestPageRecomputesOnlyTouchedHomes(t *testing.T) {
+	const routers, tail = 512, 16
+	d := fixtureDashboard(t, 4_500, tail, routers)
+	homes := len(d.src.Merge().Routers())
+	if _, st := d.render(); st.Summaries != homes {
+		t.Fatalf("the first page computed %d home summaries, want one per home: %d", st.Summaries, homes)
+	}
+	// unsealed holds the routers the memtable has rows of: the fixture's
+	// tail, then every upload since the last seal.
+	unsealed := map[string]bool{}
+	name := func(u, fleet int) string { return fmt.Sprintf("load-%05d", u%fleet) } // loadgenMix's router of upload u
+	for u := 0; u < tail; u++ {
+		unsealed[name(u, routers)] = true
+	}
+	inc := rng.New(36).Child("increment")
+	next := 0
+	page := func(step string, touched map[string]bool) {
+		t.Helper()
+		_, st := d.render()
+		if st.Summaries > len(touched) {
+			t.Errorf("%s: the page computed %d home summaries; its rows touched %d homes", step, st.Summaries, len(touched))
+		}
+	}
+	uploads := func(step string, fleet int) {
+		t.Helper()
+		touched := map[string]bool{}
+		for u := next; u < next+8; u++ {
+			touched[name(u, fleet)] = true
+			unsealed[name(u, fleet)] = true
+		}
+		d.src.Append("increment", func(dst *dataset.Store) { loadgenMix(dst, inc, next, 8, fleet, 0.65) })
+		next += 8
+		page(step, touched)
+	}
+	seal := func(step string) {
+		t.Helper()
+		if err := d.src.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		page(step, unsealed)
+		unsealed = map[string]bool{}
+	}
+	for round := 0; round < 3; round++ {
+		for k := 0; k < 6; k++ {
+			uploads(fmt.Sprintf("round %d, 8 uploads after page %d", round, k), routers)
+		}
+		seal(fmt.Sprintf("round %d, a seal", round))
+	}
+	// Uploads from a larger fleet name homes no page has seen.
+	next = routers
+	uploads("8 uploads from new routers", routers+8)
+	if got := len(d.src.Merge().Routers()); got != homes+8 {
+		t.Fatalf("the fleet holds %d routers, want %d", got, homes+8)
+	}
+	if got, want := renderString(d.Render()), renderString(All(d.src.Merge(), DefaultWindows())); got != want {
+		t.Fatalf("the last page:\n%s\nthe batch exhibits over the store:\n%s", got, want)
+	}
+}
+
+// TestLivePagesMatchBatchOverSchedule: a seeded schedule of uploads,
+// seals, compactions and re-registrations that move a router to another
+// country — a router of the sealed history or of the live tail — with a
+// page after each step, every page equal byte for byte to the batch
+// exhibits over the store's merged rows. Each page takes what still
+// holds of the last page's home summaries and roster, so a page that
+// kept one a step had changed reads differently from the batch.
+func TestLivePagesMatchBatchOverSchedule(t *testing.T) {
+	const routers = 48
+	seg := openSeg(t)
+	d, err := NewDashboard(seg, DefaultWindows())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := rng.New(36).Child("schedule")
+	codes := geo.All()
+	next := 0
+	for step := 0; step < 60; step++ {
+		var what string
+		switch s.WeightedChoice([]float64{6, 1.5, 0.5, 1.5}) {
+		case 0:
+			n := 1 + s.Intn(12)
+			seg.Append("schedule", func(dst *dataset.Store) { loadgenMix(dst, s, next, n, routers, 0.65) })
+			next += n
+			what = fmt.Sprintf("%d uploads", n)
+		case 1:
+			if err := seg.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			what = "a seal"
+		case 2:
+			if err := seg.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			what = "a compaction"
+		default:
+			// loadgenMix registers router r in codes[r%len(codes)]; any
+			// other code moves it, and its next upload moves it back.
+			r := s.Intn(routers)
+			code := codes[(r+1+s.Intn(len(codes)-1))%len(codes)].Code
+			id := fmt.Sprintf("load-%05d", r)
+			seg.Append(id, func(dst *dataset.Store) { dst.RouterCountry[id] = code })
+			what = fmt.Sprintf("%s re-registered in %s", id, code)
+		}
+		got, want := renderString(d.Render()), renderString(All(seg.Merge(), DefaultWindows()))
+		if got != want {
+			t.Fatalf("step %d (%s): the page:\n%s\nthe batch exhibits over the store:\n%s", step, what, got, want)
+		}
+	}
+	if st := d.Stats(); st.SealedChunks < 5 {
+		t.Fatalf("the schedule sealed %d chunks; it is meant to cross several seals", st.SealedChunks)
 	}
 }
 

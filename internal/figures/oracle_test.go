@@ -61,8 +61,7 @@ func oraclePopularDomains(st *dataset.Store) []analysis.DomainPopularity {
 		}
 		m[f.Domain] += float64(f.Bytes())
 	}
-	top5 := stats.NewCounter()
-	top10 := stats.NewCounter()
+	top5, top10 := map[string]int{}, map[string]int{}
 	for _, m := range perHome {
 		type dv struct {
 			d string
@@ -80,22 +79,18 @@ func oraclePopularDomains(st *dataset.Store) []analysis.DomainPopularity {
 		})
 		for i, e := range ds {
 			if i < 5 {
-				top5.Add(e.d, 1)
+				top5[e.d]++
 			}
 			if i < 10 {
-				top10.Add(e.d, 1)
+				top10[e.d]++
 			} else {
 				break
 			}
 		}
 	}
 	var out []analysis.DomainPopularity
-	for _, rc := range top10.Ranked() {
-		out = append(out, analysis.DomainPopularity{
-			Domain: rc.Key,
-			Top5:   top5.Get(rc.Key),
-			Top10:  rc.Count,
-		})
+	for d, n := range top10 {
+		out = append(out, analysis.DomainPopularity{Domain: d, Top5: top5[d], Top10: n})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Top5 != out[j].Top5 {

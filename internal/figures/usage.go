@@ -272,17 +272,18 @@ func fig20(flows *analysis.Rollup) *Report {
 // same intermediate share it: Figs. 3–6 and the group-wise exhibits one
 // roster index, Figs. 8/9 the connected-device averages, Figs. 15/16 the
 // links.
-func All(st *dataset.Store, w Windows) []*Report { return all(st, analysis.RollupOf(st), w) }
+func All(st *dataset.Store, w Windows) []*Report {
+	return all(st, analysis.NewRoster(st), analysis.RollupOf(st), w)
+}
 
-// all is All with the rollup supplied: the batch path builds it from st,
-// a dashboard page brings its folded one, and st then holds the roster
-// and the heartbeats but no rows. The exhibits only read — the Rollup,
-// the Roster, st's roster and its heartbeat log, which locks its own
-// reads — so they run on GOMAXPROCS goroutines, the caller one of them:
-// each takes the next exhibit from a shared counter, and reports land in
-// paper order.
-func all(st *dataset.Store, v *analysis.Rollup, w Windows) []*Report {
-	ro := analysis.NewRoster(st)
+// all is All with the roster index and the rollup supplied: the batch
+// path builds them from st, a dashboard page brings its captured ones,
+// and st then holds the roster and the heartbeats but no rows. The
+// exhibits only read — the Rollup and its home summaries, the Roster,
+// st's roster and its heartbeat log, which locks its own reads — so they
+// run on GOMAXPROCS goroutines, the caller one of them: each takes the
+// next exhibit from a shared counter, and reports land in paper order.
+func all(st *dataset.Store, ro *analysis.Roster, v *analysis.Rollup, w Windows) []*Report {
 	conn := sync.OnceValue(func() map[analysis.Group]analysis.ConnectedAverages { return v.ConnectedByGroup(ro) })
 	sats := sync.OnceValue(v.Saturation)
 	exhibits := [...]func() *Report{

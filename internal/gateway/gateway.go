@@ -246,9 +246,6 @@ func (a *Agent) Anonymizer() *anonymize.Policy { return a.anon }
 // Running reports whether the router is powered on.
 func (a *Agent) Running() bool { return a.running }
 
-// BootedAt returns the boot time of the current power cycle.
-func (a *Agent) BootedAt() time.Time { return a.bootAt }
-
 // PowerOn boots the router and starts the measurement schedule on sched.
 func (a *Agent) PowerOn(sched *eventsim.Scheduler) {
 	if a.running {

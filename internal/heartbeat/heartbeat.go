@@ -284,21 +284,6 @@ func (l *Log) Runs(id string) []Run {
 	return rs
 }
 
-// Beats returns a sorted copy of the arrivals for id, expanded from the
-// runs. Use only where the beat count is known to be small (tests,
-// single-home views); fleet-scale analysis should use Downtimes, which
-// works on runs directly.
-func (l *Log) Beats(id string) []time.Time {
-	var ats []time.Time
-	for _, r := range l.Runs(id) {
-		for i := 0; i < r.Count; i++ {
-			ats = append(ats, r.Start.Add(time.Duration(i)*r.Interval))
-		}
-	}
-	sort.Slice(ats, func(i, j int) bool { return ats[i].Before(ats[j]) })
-	return ats
-}
-
 // Count returns the number of beats recorded for id.
 func (l *Log) Count(id string) int {
 	l.mu.Lock()

@@ -380,12 +380,6 @@ func (p *Profile) LocalHour(at time.Time) int {
 	return at.Add(p.Country.UTCOffset).Hour()
 }
 
-// IsWeekendLocal reports whether at falls on a local weekend.
-func (p *Profile) IsWeekendLocal(at time.Time) bool {
-	d := at.Add(p.Country.UTCOffset).Weekday()
-	return d == time.Saturday || d == time.Sunday
-}
-
 // Rand exposes the profile's deterministic stream for downstream
 // generators (traffic); children drawn from it never disturb the
 // profile's own draws.

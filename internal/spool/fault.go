@@ -1,7 +1,7 @@
 // Fault injection for the upload pipeline. FaultTransport wraps an
-// http.RoundTripper with configurable error, latency, and blackout
-// injection so tests (and demo binaries) can prove that the spool loses
-// nothing through flaky links; the matching server-side injector lives in
+// http.RoundTripper with configurable error and blackout injection so
+// tests (and demo binaries) can prove that the spool loses nothing
+// through flaky links; the matching server-side injector lives in
 // the collector (SetFaultInjection / bismark-server -fail-rate).
 package spool
 
@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
-	"time"
 
 	"natpeek/internal/rng"
 )
@@ -31,7 +30,6 @@ type FaultTransport struct {
 	mu       sync.Mutex
 	rng      *rng.Stream
 	failRate float64
-	latency  time.Duration
 	blackout bool
 	injected int
 }
@@ -46,13 +44,6 @@ func NewFaultTransport(base http.RoundTripper, failRate float64, seed uint64) *F
 func (t *FaultTransport) SetFailRate(p float64) {
 	t.mu.Lock()
 	t.failRate = p
-	t.mu.Unlock()
-}
-
-// SetLatency adds a fixed delay before every request that is let through.
-func (t *FaultTransport) SetLatency(d time.Duration) {
-	t.mu.Lock()
-	t.latency = d
 	t.mu.Unlock()
 }
 
@@ -78,16 +69,12 @@ func (t *FaultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if fail {
 		t.injected++
 	}
-	delay := t.latency
 	t.mu.Unlock()
 	if fail {
 		if req.Body != nil {
 			req.Body.Close()
 		}
 		return nil, &ErrInjected{URL: req.URL.String()}
-	}
-	if delay > 0 {
-		time.Sleep(delay)
 	}
 	base := t.Base
 	if base == nil {
@@ -100,6 +87,6 @@ func (t *FaultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 func (t *FaultTransport) String() string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return fmt.Sprintf("fault(rate=%.2f latency=%s blackout=%v injected=%d)",
-		t.failRate, t.latency, t.blackout, t.injected)
+	return fmt.Sprintf("fault(rate=%.2f blackout=%v injected=%d)",
+		t.failRate, t.blackout, t.injected)
 }

@@ -533,47 +533,6 @@ func (h *HourBins) PeakToTroughRatio() float64 {
 	return max / min
 }
 
-// Counter counts occurrences of string keys and reports them ranked. It
-// backs the manufacturer histogram (Fig. 12) and domain top-N counts
-// (Fig. 18).
-type Counter struct {
-	counts map[string]int
-}
-
-// NewCounter returns an empty Counter.
-func NewCounter() *Counter { return &Counter{counts: make(map[string]int)} }
-
-// Add increments key by n.
-func (c *Counter) Add(key string, n int) { c.counts[key] += n }
-
-// Get returns the count for key.
-func (c *Counter) Get(key string) int { return c.counts[key] }
-
-// Len returns the number of distinct keys.
-func (c *Counter) Len() int { return len(c.counts) }
-
-// RankedCount is a (key, count) pair.
-type RankedCount struct {
-	Key   string
-	Count int
-}
-
-// Ranked returns all keys sorted by descending count, breaking ties
-// alphabetically so output is deterministic.
-func (c *Counter) Ranked() []RankedCount {
-	out := make([]RankedCount, 0, len(c.counts))
-	for k, v := range c.counts {
-		out = append(out, RankedCount{k, v})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Key < out[j].Key
-	})
-	return out
-}
-
 // Gini computes the Gini coefficient of a non-negative sample — 0 for
 // perfectly even, →1 for fully concentrated. Used to characterize how
 // concentrated per-device and per-domain usage is beyond the paper's

@@ -256,20 +256,6 @@ func TestPeakToTroughRatio(t *testing.T) {
 	}
 }
 
-func TestCounterRankedDeterministic(t *testing.T) {
-	c := NewCounter()
-	c.Add("apple", 5)
-	c.Add("intel", 5)
-	c.Add("roku", 2)
-	r := c.Ranked()
-	if r[0].Key != "apple" || r[1].Key != "intel" || r[2].Key != "roku" {
-		t.Fatalf("ranked = %v", r)
-	}
-	if c.Get("apple") != 5 || c.Len() != 3 {
-		t.Fatal("Get/Len wrong")
-	}
-}
-
 func TestGini(t *testing.T) {
 	if g := Gini([]float64{1, 1, 1, 1}); !almost(g, 0, 1e-12) {
 		t.Fatalf("uniform gini = %v", g)

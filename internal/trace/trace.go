@@ -67,14 +67,6 @@ type Span struct {
 	Attrs  []Attr    `json:"attrs,omitempty"`
 }
 
-// Dur returns the span's duration (zero-End spans report zero).
-func (s Span) Dur() time.Duration {
-	if s.End.IsZero() {
-		return 0
-	}
-	return s.End.Sub(s.Start)
-}
-
 // Trace is one payload's completed end-to-end history.
 type Trace struct {
 	ID       string    `json:"id"`

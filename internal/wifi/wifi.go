@@ -89,9 +89,6 @@ func NewEnvironment() *Environment { return &Environment{} }
 // AddAP registers a neighbouring access point.
 func (e *Environment) AddAP(ap AP) { e.aps = append(e.aps, ap) }
 
-// APs returns all registered APs.
-func (e *Environment) APs() []AP { return e.aps }
-
 // VisibleOn returns the APs beaconing on exactly the given channel and
 // band — what a same-channel scan sees.
 func (e *Environment) VisibleOn(b Band, channel int) []AP {
