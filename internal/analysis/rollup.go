@@ -773,29 +773,32 @@ func (r *Rollup) BusiestHome() string {
 	return best
 }
 
-// DeviceShares computes Fig. 17: for each home, the descending fractional
-// volume contribution of its devices. The shares are the home summaries':
-// callers must not modify them.
-func (r *Rollup) DeviceShares() map[string][]float64 {
-	out := make(map[string][]float64, r.flowHomes)
-	r.each(func(v homeView) {
-		if v.has()&HasTraffic != 0 {
-			out[v.id()] = v.s.shares
+// DeviceShares computes Fig. 17: for each home with flow rows, in
+// router-ID order, the descending fractional volume contribution of its
+// devices. The shares are the home summaries': callers must not modify
+// them.
+func (r *Rollup) DeviceShares() [][]float64 {
+	var out [][]float64
+	for _, k := range r.order {
+		if s := r.sums[k]; (homeView{b: s.b, t: s.t}).has()&HasTraffic != 0 {
+			out = append(out, s.shares)
 		}
-	})
+	}
 	return out
 }
 
 // MeanTopShare averages the dominant device's share across the homes of
 // a DeviceShares result with at least minDevices devices (§6.3: ≈60–65%).
-func MeanTopShare(shares map[string][]float64, minDevices int) float64 {
+// The tops are summed in ascending order, as they always have been, so
+// the mean keeps its bits.
+func MeanTopShare(shares [][]float64, minDevices int) float64 {
 	var tops []float64
 	for _, sh := range shares {
 		if len(sh) >= minDevices {
 			tops = append(tops, sh[0])
 		}
 	}
-	sort.Float64s(tops) // map order must not reach the sum's rounding
+	sort.Float64s(tops)
 	return stats.Mean(tops)
 }
 

@@ -92,11 +92,12 @@ type Member struct {
 // (filtered by local liveness), and a pending epoch fences writes whose
 // ownership is about to move. Versions only grow; gossip merges by
 // version with committed state always superseding a pending proposal of
-// the same version.
+// the same version. The JSON tags are its ops-facing shape (GET
+// /cluster/epoch); NPC1 encodes it by hand.
 type RingEpoch struct {
-	Version   uint64
-	Committed bool
-	Nodes     []string
+	Version   uint64   `json:"version"`
+	Committed bool     `json:"committed"`
+	Nodes     []string `json:"nodes"`
 }
 
 func (e *RingEpoch) clone() *RingEpoch {

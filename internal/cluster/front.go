@@ -18,6 +18,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"natpeek/internal/clock"
 	"natpeek/internal/collector"
 	"natpeek/internal/dataset"
 	"natpeek/internal/heartbeat"
@@ -64,6 +65,7 @@ type Front struct {
 	cfg FrontConfig
 	ms  *membership
 	gsp *gossiper
+	clk clock.Clock
 	log *slog.Logger
 
 	hb   *heartbeat.Log
@@ -92,7 +94,11 @@ type Front struct {
 }
 
 // NewFront starts a front-tier router.
-func NewFront(cfg FrontConfig) (*Front, error) {
+func NewFront(cfg FrontConfig) (*Front, error) { return newFront(cfg, nil, clock.Real{}) }
+
+// newFront is NewFront with every peer call going through rt (nil: the
+// default transport) and all cluster time read from clk.
+func newFront(cfg FrontConfig, rt http.RoundTripper, clk clock.Clock) (*Front, error) {
 	if cfg.ID == "" {
 		return nil, fmt.Errorf("cluster: front needs an ID")
 	}
@@ -124,7 +130,8 @@ func NewFront(cfg FrontConfig) (*Front, error) {
 		hbRx:   hbRx,
 		ln:     ln,
 		ctrlLn: ctrlLn,
-		httpc:  &http.Client{},
+		clk:    clk,
+		httpc:  &http.Client{Transport: rt},
 		rec:    trace.NewRecorder(trace.Config{}),
 		mReqs: reg.CounterVec("natpeek_front_requests_total",
 			"Front-tier requests received, per endpoint.", "endpoint"),
@@ -149,9 +156,10 @@ func NewFront(cfg FrontConfig) (*Front, error) {
 		ID: cfg.ID, Role: RoleFront,
 		CtrlAddr:    ctrlLn.Addr().String(),
 		DataAddr:    ln.Addr().String(),
-		Incarnation: uint64(time.Now().UnixNano()),
+		Incarnation: uint64(clk.Now().UnixNano()),
 	}, cfg.Gossip)
-	f.gsp = newGossiper(cfg.ID, f.ms, f.httpc, cfg.Peers, f.log)
+	f.ms.now = clk.Now
+	f.gsp = newGossiper(f.ms, f.httpc, cfg.Peers, f.log)
 
 	ctrlMux := http.NewServeMux()
 	ctrlMux.HandleFunc("POST /cluster/gossip", f.gsp.serve)
@@ -177,7 +185,7 @@ func NewFront(cfg FrontConfig) (*Front, error) {
 	f.wg.Add(1)
 	go func() {
 		defer f.wg.Done()
-		f.gsp.run(f.stop, cfg.Gossip.Interval, func() {})
+		f.gsp.run(f.stop, clk, func() {})
 	}()
 	f.log.Debug("front up", "http", f.HTTPAddr(), "udp", f.UDPAddr(), "ctrl", f.CtrlAddr())
 	return f, nil
@@ -234,20 +242,6 @@ func (f *Front) Close() error {
 	return err
 }
 
-// fenceCheck reports whether a router's shard is mid-cutover: a pending
-// ring epoch assigns it a different owner than the current ring. Writes
-// for such a shard are answered 429 + Retry-After — applying them at
-// the old owner could race the transfer's extraction (landing after the
-// final sweep and getting stranded), and applying them at the new owner
-// would fork the row set before its history arrives. The client's
-// normal retry loop absorbs the pause; fencing never drops a write.
-// Fencing is deterministic across fronts because the pending ring is
-// built from the proposal's node list alone, unfiltered by local
-// liveness judgements.
-func (f *Front) fenceCheck(ring, pending *Ring, router string) bool {
-	return pending != nil && pending.Owner(router) != ring.Owner(router)
-}
-
 // instrument wraps a data-plane handler with the collector's admission
 // semantics: a full semaphore answers 429 + Retry-After without
 // blocking, and every response advertises the binary batch encoding.
@@ -282,7 +276,7 @@ var splitters = sync.Pool{New: func() any { return new(wire.Splitter) }}
 // the item's reason, by the same Reply a stand-alone collector answers with.
 func (f *Front) handleUpload(endpoint string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
+		start := f.clk.Now()
 		body, err := collector.ReadBody(w, r)
 		if err != nil {
 			f.mErrors.With("read").Inc()
@@ -295,7 +289,7 @@ func (f *Front) handleUpload(endpoint string) http.HandlerFunc {
 		var placements [][]string
 		var fail *forwardFailure
 		if err == nil {
-			placements, fail, err = f.route(sp, batch, start, time.Now())
+			placements, fail, err = f.route(sp, batch, start, f.clk.Now())
 		}
 		if err != nil {
 			f.mErrors.With("decode").Inc()
@@ -358,7 +352,17 @@ func (f *Front) route(sp *wire.Splitter, batch []byte, start, now time.Time) ([]
 		if ring.Len() == 0 || fenced != "" {
 			return -1
 		}
-		if f.fenceCheck(ring, pending, router) {
+		// A shard is mid-cutover when a pending ring epoch assigns it a
+		// different owner than the current ring. Writes for it are
+		// answered 429 + Retry-After — applying them at the old owner
+		// could race the transfer's extraction (landing after the final
+		// sweep and getting stranded), and applying them at the new owner
+		// would fork the row set before its history arrives. The client's
+		// normal retry loop absorbs the pause; fencing never drops a
+		// write. Fencing is deterministic across fronts because the
+		// pending ring is built from the proposal's node list alone,
+		// unfiltered by local liveness judgements.
+		if pending != nil && pending.Owner(router) != ring.Owner(router) {
 			fenced = router
 			return -1
 		}
@@ -455,7 +459,7 @@ func (f *Front) forward(ctx context.Context, placement []string, g *wire.Group, 
 			ID: trace.IDFromKey(g.FirstKey()), Endpoint: collector.BatchEndpoint,
 			Router: g.FirstRouter(),
 			Spans: []trace.Span{{
-				Name: "front.forward", Start: start, End: time.Now(), Status: trace.StatusOK,
+				Name: "front.forward", Start: start, End: f.clk.Now(), Status: trace.StatusOK,
 				Attrs: []trace.Attr{
 					{K: "node", V: owner},
 					{K: "items", V: strconv.Itoa(g.Len())},
@@ -485,21 +489,10 @@ func (e *postStatus) Error() string { return fmt.Sprintf("batch post: status %d:
 // means no answer arrived.
 func postBatchBinary(ctx context.Context, httpc *http.Client, dataAddr string, batch []byte, traceparent string) (collector.BatchResult, error) {
 	var res collector.BatchResult
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		"http://"+dataAddr+"/v1/batch", bytes.NewReader(batch))
-	if err != nil {
+	resp, body, err := call(ctx, httpc, http.MethodPost, "http://"+dataAddr+"/v1/batch", wire.ContentTypeBinary, traceparent, batch)
+	if resp == nil {
 		return res, err
 	}
-	req.Header.Set("Content-Type", wire.ContentTypeBinary)
-	if traceparent != "" {
-		req.Header.Set("Traceparent", traceparent)
-	}
-	resp, err := httpc.Do(req)
-	if err != nil {
-		return res, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	if err == nil && resp.StatusCode == http.StatusOK {
 		if err = json.Unmarshal(body, &res); err == nil {
 			return res, nil
@@ -584,19 +577,16 @@ func (f *Front) fetchStats(ctx context.Context, dataAddr string) (collector.Stat
 	var st collector.Stats
 	ctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+dataAddr+"/v1/stats", nil)
-	if err != nil {
+	resp, body, err := call(ctx, f.httpc, http.MethodGet, "http://"+dataAddr+"/v1/stats", "", "", nil)
+	switch {
+	case resp == nil:
 		return st, err
-	}
-	resp, err := f.httpc.Do(req)
-	if err != nil {
-		return st, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
+	case resp.StatusCode != http.StatusOK:
 		return st, fmt.Errorf("stats: %s", resp.Status)
+	case err != nil:
+		return st, err
 	}
-	return st, json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&st)
+	return st, json.Unmarshal(body, &st)
 }
 
 // frontHealth is the front's /healthz shape.

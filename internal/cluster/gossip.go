@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"natpeek/internal/clock"
 	"natpeek/internal/telemetry"
 )
 
@@ -32,10 +33,13 @@ type gossiper struct {
 	mErrs   *telemetry.Counter
 }
 
-func newGossiper(id string, ms *membership, httpc *http.Client, seeds []string, log *slog.Logger) *gossiper {
+// newGossiper seeds peer selection from the member's (ID, incarnation),
+// so a run on a simulated clock picks the same peers every time.
+func newGossiper(ms *membership, httpc *http.Client, seeds []string, log *slog.Logger) *gossiper {
+	id := ms.self.ID
 	return &gossiper{
 		id: id, ms: ms, httpc: httpc, seeds: seeds, log: log,
-		rand: rand.New(rand.NewSource(time.Now().UnixNano())),
+		rand: rand.New(rand.NewSource(int64(hash64(id) ^ ms.self.Incarnation))),
 		mRounds: telemetry.Default.CounterVec("natpeek_cluster_gossip_rounds_total",
 			"Gossip exchanges initiated, per member.", "member").With(id),
 		mErrs: telemetry.Default.CounterVec("natpeek_cluster_gossip_errors_total",
@@ -134,16 +138,14 @@ func (g *gossiper) pickPeer() string {
 	return addrs[i]
 }
 
-// run is a member's heartbeat until stop closes: every interval one
-// gossip round, then the member's own periodic duty.
-func (g *gossiper) run(stop <-chan struct{}, every time.Duration, then func()) {
-	t := time.NewTicker(every)
-	defer t.Stop()
+// run is a member's heartbeat until stop closes: one gossip round an
+// interval after the last on clk, then the member's own periodic duty.
+func (g *gossiper) run(stop <-chan struct{}, clk clock.Clock, then func()) {
 	for {
 		select {
 		case <-stop:
 			return
-		case <-t.C:
+		case <-clk.After(g.ms.cfg.Interval):
 		}
 		g.once()
 		then()
@@ -199,22 +201,11 @@ func (g *gossiper) exchange(ctrlAddr string, gm *Gossip) (*Gossip, error) {
 }
 
 // postCtrl sends one NPC1 message to a peer's control plane and decodes
-// the NPC1 reply.
+// the NPC1 reply; a status other than 2xx is an error carrying its text.
 func postCtrl(httpc *http.Client, ctrlAddr, path string, m *Message, timeout time.Duration) (*Message, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		"http://"+ctrlAddr+path, bytes.NewReader(AppendMessage(nil, m)))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", ctrlContentType)
-	resp, err := httpc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, ctrlMaxBody))
+	resp, body, err := call(ctx, httpc, http.MethodPost, "http://"+ctrlAddr+path, ctrlContentType, "", AppendMessage(nil, m))
 	if err != nil {
 		return nil, err
 	}
@@ -226,4 +217,31 @@ func postCtrl(httpc *http.Client, ctrlAddr, path string, m *Message, timeout tim
 		return nil, nil
 	}
 	return DecodeMessage(body)
+}
+
+// call is the cluster's one peer request. Every hop — a front's forward
+// and stats pull, replicate frames, gossip, manifests, transfers and
+// drains — goes through it, so the process's one *http.Client, and the
+// RoundTripper under it, carries all of its cluster I/O. It returns the
+// answer with its body read (up to ctrlMaxBody) and closed; a nil
+// response means no answer arrived, and an answer whose body failed to
+// read comes back beside that error.
+func call(ctx context.Context, httpc *http.Client, method, url, contentType, traceparent string, body []byte) (*http.Response, []byte, error) {
+	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
+	if err != nil {
+		return nil, nil, err
+	}
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
+	if traceparent != "" {
+		req.Header.Set("Traceparent", traceparent)
+	}
+	resp, err := httpc.Do(req)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(io.LimitReader(resp.Body, ctrlMaxBody))
+	return resp, b, err
 }

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"natpeek/internal/clock"
 )
 
 // GossipConfig tunes the anti-entropy exchange and the local failure
@@ -70,7 +72,7 @@ type MemberView struct {
 // detector. Shared by nodes and fronts.
 type membership struct {
 	cfg GossipConfig
-	now func() time.Time
+	now func() time.Time // the member's clock: Node.clk or Front.clk
 
 	mu    sync.Mutex
 	self  Member
@@ -93,7 +95,7 @@ type peerEntry struct {
 func newMembership(self Member, cfg GossipConfig) *membership {
 	return &membership{
 		cfg:   cfg.withDefaults(),
-		now:   time.Now,
+		now:   clock.Real{}.Now,
 		self:  self,
 		peers: make(map[string]*peerEntry),
 	}

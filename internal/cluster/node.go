@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"natpeek/internal/clock"
 	"natpeek/internal/collector"
 	"natpeek/internal/dataset"
 	"natpeek/internal/telemetry"
@@ -61,6 +62,7 @@ type Node struct {
 	cfg NodeConfig
 	srv *collector.Server
 	ms  *membership
+	clk clock.Clock
 	log *slog.Logger
 
 	ctrl   *http.Server
@@ -181,7 +183,11 @@ func (l ownerLife) holdsRows(state map[string]State, incs map[string]uint64) boo
 // (gateRouter) seeds each router's keys from the live peers before that
 // router's first keyed write applies, so a retry of a write applied
 // during a previous life or a dead window is recognized as a duplicate.
-func NewNode(cfg NodeConfig) (*Node, error) {
+func NewNode(cfg NodeConfig) (*Node, error) { return newNode(cfg, nil, clock.Real{}) }
+
+// newNode is NewNode with every peer call going through rt (nil: the
+// default transport) and all cluster time read from clk.
+func newNode(cfg NodeConfig, rt http.RoundTripper, clk clock.Clock) (*Node, error) {
 	if cfg.ID == "" {
 		return nil, fmt.Errorf("cluster: node needs an ID")
 	}
@@ -204,7 +210,8 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		srv:         srv,
 		log:         slog.Default().With("component", "cluster-node", "node", cfg.ID),
 		ctrlLn:      ln,
-		httpc:       &http.Client{},
+		clk:         clk,
+		httpc:       &http.Client{Transport: rt},
 		journalSeen: make(map[uint64]bool),
 		lives:       make(map[ownerLife]*lifeFrames),
 		ownerKeys:   make(map[string]map[string]bool),
@@ -236,10 +243,11 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		ID: cfg.ID, Role: RoleNode,
 		CtrlAddr:    ln.Addr().String(),
 		DataAddr:    srv.HTTPAddr(),
-		Incarnation: uint64(time.Now().UnixNano()),
+		Incarnation: uint64(clk.Now().UnixNano()),
 		Joining:     cfg.Joining,
 	}, cfg.Gossip)
-	n.gsp = newGossiper(cfg.ID, n.ms, n.httpc, cfg.Peers, n.log)
+	n.ms.now = clk.Now
+	n.gsp = newGossiper(n.ms, n.httpc, cfg.Peers, n.log)
 
 	srv.SetIngestObserver(n.observeIngest)
 	srv.SetIngestGate(n.gateRouter)
@@ -262,7 +270,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
-		n.gsp.run(n.stop, cfg.Gossip.Interval, n.replayScan)
+		n.gsp.run(n.stop, clk, n.replayScan)
 	}()
 	n.log.Debug("node up", "data", n.DataAddr(), "ctrl", n.CtrlAddr())
 	return n, nil
@@ -389,9 +397,9 @@ func (n *Node) gateRouter(router string) {
 	done = make(chan struct{})
 	n.routerGate[router] = done
 	n.mu.Unlock()
-	start := time.Now()
+	start := n.clk.Now()
 	n.seedRouterKeys(router)
-	n.hGateWait.Observe(time.Since(start).Seconds())
+	n.hGateWait.Observe(n.clk.Now().Sub(start).Seconds())
 	close(done)
 }
 

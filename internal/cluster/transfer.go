@@ -189,50 +189,39 @@ func (n *Node) Drain(ctx context.Context) error {
 // Broadcasting between polls pushes the epoch instead of waiting for
 // random-pair gossip to percolate it.
 func (n *Node) waitEpochVisible(ctx context.Context, version uint64) error {
-	for {
-		lagging := ""
+	return n.retry(ctx, fmt.Sprintf("epoch %d fence", version), func() error {
 		for _, mv := range n.ms.view() {
 			if mv.State != StateDead && mv.EpochVersion < version {
-				lagging = mv.ID
-				break
+				n.gsp.broadcast()
+				return fmt.Errorf("not yet visible at %s", mv.ID)
 			}
 		}
-		if lagging == "" {
-			return nil
-		}
-		n.gsp.broadcast()
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("cluster: epoch %d not visible at %s: %w", version, lagging, ctx.Err())
-		case <-time.After(n.cfg.Gossip.Interval):
-		}
-	}
+		return nil
+	})
 }
 
 // requestTransfer asks one source node to run its transfer sessions for
 // the proposed epoch and reports how many rows it moved. Retries until
 // ctx expires — a source mid-session answers when its lock frees.
-func (n *Node) requestTransfer(ctx context.Context, src string, e *RingEpoch) (uint64, error) {
-	for {
-		if mem, ok := n.ms.lookup(src); ok && mem.CtrlAddr != "" {
-			m, err := postCtrl(n.httpc, mem.CtrlAddr, "/cluster/transfer", &Message{
-				Kind:        MsgTransferRequest,
-				TransferReq: &TransferRequest{From: n.cfg.ID, Epoch: e},
-			}, 2*time.Minute)
-			if err == nil && m != nil && m.Kind == MsgTransferResponse {
-				return m.TransferResp.Rows, nil
-			}
-			if err == nil {
-				err = fmt.Errorf("unexpected transfer reply")
-			}
-			n.log.Warn("transfer request failed, retrying", "src", src, "err", err)
+func (n *Node) requestTransfer(ctx context.Context, src string, e *RingEpoch) (rows uint64, err error) {
+	err = n.retry(ctx, "transfer request to "+src, func() error {
+		mem, ok := n.ms.lookup(src)
+		if !ok || mem.CtrlAddr == "" {
+			return fmt.Errorf("source unknown")
 		}
-		select {
-		case <-ctx.Done():
-			return 0, fmt.Errorf("cluster: transfer request to %s: %w", src, ctx.Err())
-		case <-time.After(250 * time.Millisecond):
+		m, err := postCtrl(n.httpc, mem.CtrlAddr, "/cluster/transfer", &Message{
+			Kind:        MsgTransferRequest,
+			TransferReq: &TransferRequest{From: n.cfg.ID, Epoch: e},
+		}, 2*time.Minute)
+		if err == nil && (m == nil || m.Kind != MsgTransferResponse) {
+			err = fmt.Errorf("unexpected transfer reply")
 		}
-	}
+		if err == nil {
+			rows = m.TransferResp.Rows
+		}
+		return err
+	})
+	return rows, err
 }
 
 // rebalanceLoop runs extract-and-send sessions against the epoch's ring
@@ -294,16 +283,12 @@ func (n *Node) rebalanceOnce(ctx context.Context, e *RingEpoch) (uint64, error) 
 		}
 		dests[id] = mem
 	}
-	rs, ok := n.srv.Sharded().(dataset.RebalanceStore)
-	if !ok {
-		return 0, fmt.Errorf("cluster: store does not support rebalancing")
-	}
 	match := func(router string) bool {
 		o := ring.Owner(router)
 		return o != "" && o != n.cfg.ID
 	}
 	sess := n.xferSess.Add(1)
-	moved, keys := rs.ExtractRouters(match)
+	moved, keys := n.srv.Sharded().ExtractRouters(match)
 	rows := dataset.CountRows(moved).Total()
 	if rows > 0 || len(moved.RouterCountry) > 0 {
 		chunks := transferChunks(n.cfg.ID, sess, moved, ring, dests)
@@ -411,9 +396,12 @@ func runs[T any](rows []T, router func(T) string, emit func(router string, run [
 	}
 }
 
-// retry calls try with backoff until it succeeds or ctx expires: every
-// transfer delivery is idempotent (xfer keys, journalSeen hashes, no-op
-// key applies), and its receiver may 429 under load or be mid-restart.
+// retry is the node's one wait loop: it calls try until it succeeds or
+// ctx expires, backing off on the node's clock from 100 ms, doubling to
+// 2 s. Every transfer delivery is idempotent (xfer keys, journalSeen
+// hashes, no-op key applies), and its receiver may 429 under load or be
+// mid-restart; the fence barrier and transfer requests poll through it
+// too.
 func (n *Node) retry(ctx context.Context, what string, try func() error) error {
 	backoff := 100 * time.Millisecond
 	for {
@@ -424,12 +412,10 @@ func (n *Node) retry(ctx context.Context, what string, try func() error) error {
 		n.log.Warn(what+" failed, retrying", "err", err)
 		select {
 		case <-ctx.Done():
-			return fmt.Errorf("cluster: %s: %w", what, ctx.Err())
-		case <-time.After(backoff):
+			return fmt.Errorf("cluster: %s: %w (last: %v)", what, ctx.Err(), err)
+		case <-n.clk.After(backoff):
 		}
-		if backoff < 2*time.Second {
-			backoff *= 2
-		}
+		backoff = min(2*backoff, 2*time.Second)
 	}
 }
 
@@ -691,19 +677,8 @@ func (n *Node) handleDrain(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusAccepted)
 }
 
-// epochJSON is the ops-facing shape of one ring epoch.
-type epochJSON struct {
-	Version   uint64   `json:"version"`
-	Committed bool     `json:"committed"`
-	Nodes     []string `json:"nodes"`
-}
-
-func toEpochJSON(e *RingEpoch) *epochJSON {
-	if e == nil {
-		return nil
-	}
-	return &epochJSON{Version: e.Version, Committed: e.Committed, Nodes: e.Nodes}
-}
+// epochJSON is an epoch as GET /cluster/epoch reports it.
+type epochJSON = RingEpoch
 
 // serveEpoch reports the epoch state as JSON (ops/tests), on a node's
 // control plane and a front's data plane alike.
@@ -711,7 +686,7 @@ func (ms *membership) serveEpoch(w http.ResponseWriter, _ *http.Request) {
 	cur, next := ms.epochs()
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(struct {
-		Current *epochJSON `json:"current"`
-		Pending *epochJSON `json:"pending"`
-	}{toEpochJSON(cur), toEpochJSON(next)})
+		Current *RingEpoch `json:"current"`
+		Pending *RingEpoch `json:"pending"`
+	}{cur, next})
 }

@@ -26,6 +26,16 @@ type IngestStore interface {
 	// HeartbeatLog exposes the shared, internally-synchronized
 	// heartbeat log (UDP datagrams bypass the row path entirely).
 	HeartbeatLog() *heartbeat.Log
+	// ExtractRouters removes the rows and roster entries of the routers
+	// match selects and returns them with those routers' remembered
+	// idempotency keys — atomically, so no concurrently-arriving row is
+	// ever silently dropped between snapshot and eviction. The keys are
+	// returned but NOT forgotten: the source keeps rejecting replays of
+	// moved uploads, which keeps exactly-once intact while a retry
+	// horizon straddles the move. Heartbeats are not part of the
+	// snapshot (in cluster mode they live at the front tier). The
+	// cluster's transfer engine is its one caller.
+	ExtractRouters(match func(router string) bool) (*Store, []RouterKey)
 }
 
 // HeartbeatLog returns the shared heartbeat log, satisfying IngestStore.

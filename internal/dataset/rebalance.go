@@ -28,25 +28,6 @@ func KeyRouter(key string) string {
 	return ""
 }
 
-// RebalanceStore is the store surface the cluster's transfer engine
-// needs on top of plain ingestion. Both IngestStore implementations
-// (*Sharded and the segment store) provide it.
-//
-// ExtractRouters removes the rows and roster entries of the routers
-// selected by match and returns them with those routers' remembered
-// idempotency keys — atomically, so no concurrently-arriving row is ever
-// silently dropped between snapshot and eviction. The keys are returned
-// but NOT forgotten: the source keeps rejecting replays of moved
-// uploads, which is what keeps exactly-once intact while a retry horizon
-// straddles the move. Heartbeat logs are not part of the snapshot (in
-// cluster mode they live at the front tier).
-type RebalanceStore interface {
-	IngestStore
-	ExtractRouters(match func(router string) bool) (*Store, []RouterKey)
-}
-
-var _ RebalanceStore = (*Sharded)(nil)
-
 // newRows returns a store that holds rows and a roster only: no
 // heartbeat log.
 func newRows() *Store { return &Store{RouterCountry: make(map[string]string)} }
@@ -71,7 +52,7 @@ func SplitRouters(st *Store, match func(string) bool) (hit, rest *Store) {
 	return hit, rest
 }
 
-// ExtractRouters implements RebalanceStore: ExtractRows, and under the
+// ExtractRouters implements IngestStore: ExtractRows, and under the
 // same lock acquisition the matched routers' idempotency keys, which
 // stay in the index.
 func (s *Sharded) ExtractRouters(match func(string) bool) (*Store, []RouterKey) {

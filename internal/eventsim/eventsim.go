@@ -101,16 +101,6 @@ func (s *Scheduler) Every(interval, jitter time.Duration, fn func(now time.Time)
 	return t
 }
 
-// EveryFrom is Every with an explicit first-firing instant.
-func (s *Scheduler) EveryFrom(first time.Time, interval, jitter time.Duration, fn func(now time.Time)) *Task {
-	if interval <= 0 {
-		panic("eventsim: non-positive interval")
-	}
-	t := &Task{}
-	s.scheduleRecur(t, first, interval, jitter, fn)
-	return t
-}
-
 func (s *Scheduler) scheduleRecur(t *Task, at time.Time, interval, jitter time.Duration, fn func(now time.Time)) {
 	fireAt := at
 	if jitter > 0 && s.rnd != nil {

@@ -11,7 +11,6 @@ package figures
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -290,14 +289,4 @@ func fmtDur(d time.Duration) string {
 	default:
 		return fmt.Sprintf("%.0fm", d.Minutes())
 	}
-}
-
-// sortedKeys returns map keys sorted (shared helper).
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -1,8 +1,8 @@
 package figures
 
 import (
-	"fmt"
 	"math"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -564,11 +564,13 @@ func TestAblationGapThreshold(t *testing.T) {
 }
 
 // TestMeanGiniDeterministic: Fig. 17's mean per-home Gini gives the same
-// bits on every call. The shares are a map, and a float sum taken in map
-// order changes its last bits from call to call; the figure prints %.2f,
-// so no golden would notice.
+// bits on every call, and the bits of stats.Gini averaged over the
+// homes in order: meanGini walks each home's descending shares
+// backwards where stats.Gini copies and sorts them, and the figure
+// prints %.2f, so no golden would notice a difference in the last bits.
 func TestMeanGiniDeterministic(t *testing.T) {
-	shares := make(map[string][]float64)
+	var shares [][]float64
+	var ginis []float64
 	for h := 0; h < 300; h++ {
 		sh := make([]float64, 2+h%4)
 		rest := 1.0
@@ -577,15 +579,18 @@ func TestMeanGiniDeterministic(t *testing.T) {
 			rest -= sh[i]
 		}
 		sh[len(sh)-1] = rest
-		shares[fmt.Sprintf("home-%03d", h)] = sh
+		sort.Sort(sort.Reverse(sort.Float64Slice(sh))) // as DeviceShares gives them
+		shares = append(shares, sh)
+		ginis = append(ginis, stats.Gini(sh))
 	}
-	want, ok := meanGini(shares)
-	if !ok {
-		t.Fatal("no home counted")
-	}
+	want := stats.Mean(ginis)
 	for i := 0; i < 50; i++ {
-		if got, _ := meanGini(shares); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("call %d: mean Gini %v, the first call %v", i, got, want)
+		got, ok := meanGini(shares)
+		if !ok {
+			t.Fatal("no home counted")
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: mean Gini %v, stats.Gini's %v", i, got, want)
 		}
 	}
 }

@@ -15,7 +15,8 @@ import (
 	"natpeek/internal/stats"
 )
 
-func oracleDeviceShares(st *dataset.Store) map[string][]float64 {
+// oracleDeviceShares is each home's device shares, in router-ID order.
+func oracleDeviceShares(st *dataset.Store) [][]float64 {
 	vol := map[string]map[mac.Addr]float64{}
 	for _, f := range st.Flows {
 		m := vol[f.RouterID]
@@ -25,14 +26,24 @@ func oracleDeviceShares(st *dataset.Store) map[string][]float64 {
 		}
 		m[f.Device] += float64(f.Bytes())
 	}
-	out := map[string][]float64{}
-	for id, m := range vol {
+	var out [][]float64
+	for _, id := range sortedKeys(vol) {
 		var vs []float64
-		for _, v := range m {
+		for _, v := range vol[id] {
 			vs = append(vs, v)
 		}
-		out[id] = stats.Share(vs)
+		out = append(out, stats.Share(vs))
 	}
+	return out
+}
+
+// sortedKeys returns map keys sorted.
+func sortedKeys[V any](m map[string]V) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
 	return out
 }
 

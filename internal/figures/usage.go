@@ -133,8 +133,8 @@ func fig17(flows *analysis.Rollup) *Report {
 	maxRank := 5
 	sums := make([]float64, maxRank)
 	counts := make([]int, maxRank)
-	for _, id := range sortedKeys(shares) {
-		for i, s := range shares[id] {
+	for _, sh := range shares {
+		for i, s := range sh {
 			if i >= maxRank {
 				break
 			}
@@ -161,14 +161,23 @@ func fig17(flows *analysis.Rollup) *Report {
 // meanGini is the concentration beyond the top shares: Gini over
 // per-device volumes, averaged across homes with at least two devices
 // (0 = even use, →1 = one device does it all); ok is false when there
-// are none. Homes are summed in ID order, so the same shares give the
-// same bits on every call.
-func meanGini(shares map[string][]float64) (g float64, ok bool) {
+// are none. Each home's shares are descending already, so its Gini is
+// stats.Gini's sum taken walking them backwards — no copy, no sort, the
+// same bits.
+func meanGini(shares [][]float64) (g float64, ok bool) {
 	var ginis []float64
-	for _, id := range sortedKeys(shares) {
-		if sh := shares[id]; len(sh) >= 2 {
-			ginis = append(ginis, stats.Gini(sh))
+	for _, sh := range shares {
+		n := len(sh)
+		if n < 2 {
+			continue
 		}
+		var cum, total float64
+		for i := range sh {
+			x := sh[n-1-i]
+			cum += x * float64(i+1)
+			total += x
+		}
+		ginis = append(ginis, (2*cum)/(float64(n)*total)-(float64(n)+1)/float64(n))
 	}
 	if len(ginis) == 0 {
 		return 0, false

@@ -210,6 +210,12 @@ func (r Run) End() time.Time {
 	return r.Start.Add(time.Duration(r.Count-1) * r.Interval)
 }
 
+// holds reports whether at is one of the run's beats.
+func (r Run) holds(at time.Time) bool {
+	d := at.Sub(r.Start)
+	return d == 0 || r.Count > 1 && d > 0 && d%r.Interval == 0 && !at.After(r.End())
+}
+
 // Log stores heartbeat arrival times per router, run-length encoded. It
 // is safe for concurrent use.
 type Log struct {
@@ -222,7 +228,8 @@ func NewLog() *Log {
 	return &Log{runs: make(map[string][]Run)}
 }
 
-// Record appends an arrival for router id.
+// Record appends an arrival for router id. An instant the router's
+// latest run already holds (a repeated datagram) records nothing.
 func (l *Log) Record(id string, at time.Time) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -231,6 +238,8 @@ func (l *Log) Record(id string, at time.Time) {
 	if n := len(rs); n > 0 {
 		last := &rs[n-1]
 		switch {
+		case last.holds(at):
+			return
 		case last.Count == 1 && at.After(last.Start):
 			last.Interval = at.Sub(last.Start)
 			last.Count = 2
@@ -243,7 +252,8 @@ func (l *Log) Record(id string, at time.Time) {
 	l.runs[id] = append(rs, Run{Start: at, Count: 1})
 }
 
-// RecordRun appends a whole run (the simulator's fast path).
+// RecordRun appends a whole run (the simulator's fast path). A run whose
+// every beat the router's latest run already holds records nothing.
 func (l *Log) RecordRun(id string, r Run) {
 	if r.Count <= 0 {
 		return
@@ -253,7 +263,12 @@ func (l *Log) RecordRun(id string, r Run) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.runs[id] = append(l.runs[id], r)
+	rs := l.runs[id]
+	if n := len(rs); n > 0 && rs[n-1].holds(r.Start) && rs[n-1].holds(r.End()) &&
+		(r.Count == 1 || r.Interval%rs[n-1].Interval == 0) {
+		return
+	}
+	l.runs[id] = append(rs, r)
 }
 
 // RecordBulk appends many arrivals at once.

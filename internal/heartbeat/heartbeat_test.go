@@ -1,6 +1,8 @@
 package heartbeat
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -324,6 +326,43 @@ func TestRecordRunIgnoresEmpty(t *testing.T) {
 	l.RecordRun("r", Run{Start: t0, Count: 0})
 	if l.Count("r") != 0 {
 		t.Fatal("empty run recorded")
+	}
+}
+
+// TestRepeatedBeatIsNoOp: recording again what the router's latest run
+// already holds — the instant of any of its beats, as a repeated
+// datagram brings it, or the run itself or any sub-run on its cadence,
+// as a replayed upload brings it — leaves the log unchanged. Arrivals
+// keep a seeded mix of steady cadence, skipped beats and whole runs, so
+// the latest run is sometimes a single beat and sometimes a long run.
+func TestRepeatedBeatIsNoOp(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	l := NewLog()
+	at := t0
+	for i := 0; i < 500; i++ {
+		at = at.Add(time.Duration(1+rng.Intn(3)) * Interval)
+		if rng.Intn(4) == 0 {
+			r := Run{Start: at, Interval: Interval, Count: 1 + rng.Intn(40)}
+			l.RecordRun("r", r)
+			at = r.End()
+		} else {
+			l.Record("r", at)
+		}
+		runs, count := l.Runs("r"), l.Count("r")
+		last := runs[len(runs)-1]
+		k := rng.Intn(last.Count)
+		beat := last.Start.Add(time.Duration(k) * last.Interval)
+		sub := Run{Start: beat, Interval: last.Interval, Count: 1 + rng.Intn(last.Count-k)}
+		for what, repeat := range map[string]func(){
+			"beat":    func() { l.Record("r", beat) },
+			"run":     func() { l.RecordRun("r", last) },
+			"sub-run": func() { l.RecordRun("r", sub) },
+		} {
+			repeat()
+			if got := l.Count("r"); got != count || !reflect.DeepEqual(l.Runs("r"), runs) {
+				t.Fatalf("arrival %d: repeating a %s of the latest run %+v moved the log: count %d, want %d", i, what, last, got, count)
+			}
+		}
 	}
 }
 

@@ -15,9 +15,7 @@ import (
 	"natpeek/internal/dataset"
 )
 
-var _ dataset.RebalanceStore = (*Store)(nil)
-
-// ExtractRouters implements dataset.RebalanceStore. It runs under
+// ExtractRouters implements dataset.IngestStore. It runs under
 // flushMu, so no seal, flush, or compaction can race it; appliers keep
 // writing to the live memtable throughout, and because the memtable is
 // extracted last, a row that lands mid-extract is either caught here or
