@@ -24,7 +24,6 @@ import (
 
 	"natpeek/internal/clock"
 	"natpeek/internal/collector"
-	"natpeek/internal/dataset"
 	"natpeek/internal/eventsim"
 	"natpeek/internal/gateway"
 	"natpeek/internal/geo"
@@ -121,27 +120,7 @@ func main() {
 	// Associate the home's devices on a rotating schedule.
 	sched.Every(time.Hour, 0, func(now time.Time) {
 		for _, d := range home.Devices {
-			online := home.DeviceOnline(d, now)
-			switch d.Conn {
-			case dataset.Wired:
-				if online {
-					env.AttachWired(d.HW)
-				} else {
-					env.DetachWired(d.HW)
-				}
-			case dataset.Wireless24:
-				if online {
-					env.Radio24.Associate(d.HW)
-				} else {
-					env.Radio24.Disassociate(d.HW)
-				}
-			default:
-				if online {
-					env.Radio5.Associate(d.HW)
-				} else {
-					env.Radio5.Disassociate(d.HW)
-				}
-			}
+			env.SetAttached(d.HW, d.Conn, home.DeviceOnline(d, now))
 		}
 	})
 

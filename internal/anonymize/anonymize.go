@@ -13,7 +13,6 @@ package anonymize
 import (
 	"crypto/hmac"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"net/netip"
 	"strings"
@@ -121,18 +120,4 @@ func (p *Policy) hash(data []byte) [32]byte {
 	var out [32]byte
 	copy(out[:], m.Sum(nil))
 	return out
-}
-
-// FlowID derives a stable opaque identifier for a 5-tuple, used when
-// exporting sampled flow statistics without raw addresses.
-func (p *Policy) FlowID(srcIP, dstIP netip.Addr, proto uint8, srcPort, dstPort uint16) uint64 {
-	var buf []byte
-	s, d := srcIP.As16(), dstIP.As16()
-	buf = append(buf, s[:]...)
-	buf = append(buf, d[:]...)
-	buf = append(buf, proto)
-	buf = binary.BigEndian.AppendUint16(buf, srcPort)
-	buf = binary.BigEndian.AppendUint16(buf, dstPort)
-	h := p.hash(buf)
-	return binary.BigEndian.Uint64(h[:8])
 }

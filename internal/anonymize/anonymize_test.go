@@ -63,7 +63,7 @@ func TestMACPreservesOUI(t *testing.T) {
 	if out.OUI() != a.OUI() {
 		t.Fatal("OUI changed")
 	}
-	if out.NIC() == a.NIC() {
+	if out == a { // OUI equal, so only the NIC could differ
 		t.Fatal("NIC unchanged")
 	}
 }
@@ -154,21 +154,5 @@ func TestIPv6Supported(t *testing.T) {
 		if oa16[i] != ob16[i] {
 			t.Fatal("shared /64 broken")
 		}
-	}
-}
-
-func TestFlowIDStableAndSensitive(t *testing.T) {
-	p := New([]byte("k"))
-	a := netip.MustParseAddr("192.168.1.10")
-	b := netip.MustParseAddr("8.8.8.8")
-	id1 := p.FlowID(a, b, 6, 5000, 443)
-	if id1 != p.FlowID(a, b, 6, 5000, 443) {
-		t.Fatal("FlowID unstable")
-	}
-	if id1 == p.FlowID(a, b, 6, 5001, 443) {
-		t.Fatal("port ignored")
-	}
-	if id1 == p.FlowID(a, b, 17, 5000, 443) {
-		t.Fatal("proto ignored")
 	}
 }

@@ -61,16 +61,6 @@ type Manager struct {
 	used        int64
 	perDevice   map[mac.Addr]int64
 	fired       map[float64]bool
-	alerts      []Alert
-	// history keeps per-period totals for trend display.
-	history []PeriodUsage
-}
-
-// PeriodUsage is one completed billing period.
-type PeriodUsage struct {
-	Start time.Time
-	Used  int64
-	Cap   int64
 }
 
 // New returns a manager for the plan, with the billing period containing
@@ -113,9 +103,7 @@ func (m *Manager) Record(dev mac.Addr, bytes int64, at time.Time) []Alert {
 	for _, thr := range m.plan.AlertThresholds {
 		if frac >= thr && !m.fired[thr] {
 			m.fired[thr] = true
-			a := Alert{At: at, Threshold: thr, Used: m.used, Cap: m.plan.MonthlyCapBytes}
-			m.alerts = append(m.alerts, a)
-			fired = append(fired, a)
+			fired = append(fired, Alert{At: at, Threshold: thr, Used: m.used, Cap: m.plan.MonthlyCapBytes})
 		}
 	}
 	return fired
@@ -128,9 +116,6 @@ func (m *Manager) roll(at time.Time) {
 		if at.Before(next) {
 			return
 		}
-		m.history = append(m.history, PeriodUsage{
-			Start: m.periodStart, Used: m.used, Cap: m.plan.MonthlyCapBytes,
-		})
 		m.periodStart = next
 		m.used = 0
 		m.perDevice = make(map[mac.Addr]int64)
@@ -155,11 +140,6 @@ func (m *Manager) Remaining() int64 {
 		return 0
 	}
 	return r
-}
-
-// OverCap reports whether the period's usage exceeds the cap.
-func (m *Manager) OverCap() bool {
-	return m.plan.MonthlyCapBytes > 0 && m.used >= m.plan.MonthlyCapBytes
 }
 
 // DeviceUsage is one device's share of the period.
@@ -205,15 +185,6 @@ func (m *Manager) Projection(now time.Time) int64 {
 func (m *Manager) WillExceed(now time.Time) bool {
 	return m.plan.MonthlyCapBytes > 0 && m.Projection(now) > m.plan.MonthlyCapBytes
 }
-
-// Alerts returns every alert fired this period.
-func (m *Manager) Alerts() []Alert { return append([]Alert(nil), m.alerts...) }
-
-// History returns completed periods, oldest first.
-func (m *Manager) History() []PeriodUsage { return append([]PeriodUsage(nil), m.history...) }
-
-// PeriodStart returns the open period's start.
-func (m *Manager) PeriodStart() time.Time { return m.periodStart }
 
 // ThrottlePolicy decides per-device throttling once usage nears the cap:
 // the heaviest devices are slowed first, protecting light interactive

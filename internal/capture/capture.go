@@ -361,9 +361,6 @@ func (m *Monitor) TakeFinishedFlows() []*Flow {
 	return out
 }
 
-// ActiveFlows returns the number of live flows.
-func (m *Monitor) ActiveFlows() int { return len(m.flows) }
-
 // Flows returns every flow seen (finished first, then live), sorted by
 // first-seen time then key for determinism.
 func (m *Monitor) Flows() []*Flow {
@@ -459,15 +456,6 @@ func (m *Monitor) DomainBytes() map[string]int64 {
 	out := make(map[string]int64)
 	for _, f := range m.Flows() {
 		out[f.Domain] += f.UpBytes + f.DownBytes
-	}
-	return out
-}
-
-// DomainConnections counts distinct flows per domain.
-func (m *Monitor) DomainConnections() map[string]int {
-	out := make(map[string]int)
-	for _, f := range m.Flows() {
-		out[f.Domain]++
 	}
 	return out
 }

@@ -15,7 +15,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"natpeek/internal/clock"
@@ -78,7 +77,7 @@ type Front struct {
 	httpc   *http.Client
 	rec     *trace.Recorder
 
-	admit atomic.Value // chan struct{}
+	admit chan struct{} // data-plane admission semaphore
 
 	mReqs       *telemetry.CounterVec
 	mThrottled  *telemetry.Counter
@@ -151,7 +150,7 @@ func newFront(cfg FrontConfig, rt http.RoundTripper, clk clock.Clock) (*Front, e
 	if maxInflight <= 0 {
 		maxInflight = collector.DefaultMaxInflight
 	}
-	f.admit.Store(make(chan struct{}, maxInflight))
+	f.admit = make(chan struct{}, maxInflight)
 	f.ms = newMembership(Member{
 		ID: cfg.ID, Role: RoleFront,
 		CtrlAddr:    ctrlLn.Addr().String(),
@@ -211,14 +210,6 @@ func (f *Front) View() []MemberView { return f.ms.view() }
 // TraceRecorder exposes the front's recorder (/debug/traces).
 func (f *Front) TraceRecorder() *trace.Recorder { return f.rec }
 
-// SetMaxInflight re-arms the front's admission semaphore.
-func (f *Front) SetMaxInflight(n int) {
-	if n <= 0 {
-		n = collector.DefaultMaxInflight
-	}
-	f.admit.Store(make(chan struct{}, n))
-}
-
 // Close shuts the front down.
 func (f *Front) Close() error {
 	f.closeMu.Lock()
@@ -250,10 +241,9 @@ func (f *Front) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc
 	return func(w http.ResponseWriter, r *http.Request) {
 		reqs.Inc()
 		w.Header().Set("Accept-Post", wire.ContentTypeBinary+", application/json")
-		sem := f.admit.Load().(chan struct{})
 		select {
-		case sem <- struct{}{}:
-			defer func() { <-sem }()
+		case f.admit <- struct{}{}:
+			defer func() { <-f.admit }()
 		default:
 			f.mThrottled.Inc()
 			w.Header().Set("Retry-After", "1")

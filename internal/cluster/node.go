@@ -42,9 +42,6 @@ type NodeConfig struct {
 	Gossip GossipConfig
 	// Store, when non-nil, is ingested into instead of a fresh one.
 	Store dataset.IngestStore
-	// MaxInflight caps concurrent data-plane uploads (collector
-	// SetMaxInflight semantics); 0 keeps the collector default.
-	MaxInflight int
 	// Joining starts the node outside the routing ring: it gossips (so
 	// peers learn its addresses) but owns nothing until JoinRing
 	// commits the epoch that includes it. Scale-out always sets this —
@@ -195,9 +192,6 @@ func newNode(cfg NodeConfig, rt http.RoundTripper, clk clock.Clock) (*Node, erro
 	srv, err := collector.NewServer(cfg.UDPAddr, cfg.HTTPAddr, cfg.Store)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: node %s: %w", cfg.ID, err)
-	}
-	if cfg.MaxInflight > 0 {
-		srv.SetMaxInflight(cfg.MaxInflight)
 	}
 	ln, err := net.Listen("tcp", cfg.CtrlAddr)
 	if err != nil {

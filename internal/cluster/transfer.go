@@ -335,10 +335,7 @@ func transferChunks(src string, sess uint64, moved *dataset.Store, ring *Ring, d
 	}
 	sort.Strings(routers)
 	for _, id := range routers {
-		body, _ := json.Marshal(struct {
-			RouterID string `json:"router_id"`
-			Country  string `json:"country,omitempty"`
-		}{id, moved.RouterCountry[id]})
+		body, _ := json.Marshal(collector.RegisterRequest{RouterID: id, Country: moved.RouterCountry[id]})
 		add(id, xfkRegister, "/v1/register", wire.Payload{Kind: wire.KindRaw, Raw: body})
 	}
 	for _, row := range moved.Uptime {

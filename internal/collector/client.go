@@ -116,7 +116,7 @@ func NewClient(routerID, country, udpAddr, httpAddr string, opts ...Option) (*Cl
 	// healthy deployment.
 	deadline := time.Now().Add(registerRetryWindow)
 	for {
-		err := c.post("/v1/register", registerReq{RouterID: routerID, Country: country})
+		err := c.post("/v1/register", RegisterRequest{RouterID: routerID, Country: country})
 		if err == nil {
 			break
 		}

@@ -67,7 +67,7 @@ func FuzzRequestDecode(f *testing.F) {
 		roundTrip[[]dataset.WiFiScan](t, data)
 		roundTrip[[]dataset.FlowRecord](t, data)
 		roundTrip[[]dataset.ThroughputSample](t, data)
-		roundTrip[registerReq](t, data)
+		roundTrip[RegisterRequest](t, data)
 		roundTrip[[]BatchItem](t, data)
 	})
 }

@@ -61,10 +61,12 @@ const maxUploadBytes = 8 << 20
 // itself has no global serialization to protect.
 const DefaultMaxInflight = 256
 
-// Server is the collection server. The store is lock-striped
-// (dataset.Sharded): uploads for different routers decode and append
-// concurrently, with no global serialization on the ingest path. The
-// server's own mutex only guards the fault injector.
+// Server is the collection server. It ingests into any
+// dataset.IngestStore: every binary passes a segment.Store, and a nil
+// store (as in most tests) means a dataset.Sharded. Both let uploads for
+// different routers decode and append concurrently, with no global
+// serialization on the ingest path. The server's own mutex only guards
+// the fault injector.
 type Server struct {
 	mu    sync.Mutex // guards faults only
 	store dataset.IngestStore
@@ -551,9 +553,11 @@ func (s *Server) shutdown(graceful bool) error {
 	return s.closeErr
 }
 
-type registerReq struct {
+// RegisterRequest is the body of POST /v1/register: a router joining
+// the roster with its country.
+type RegisterRequest struct {
 	RouterID string `json:"router_id"`
-	Country  string `json:"country"`
+	Country  string `json:"country,omitempty"`
 }
 
 // Stats summarizes what the server has collected.

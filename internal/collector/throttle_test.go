@@ -123,7 +123,7 @@ func TestControlPlaneExemptFromAdmission(t *testing.T) {
 		return resp.StatusCode == http.StatusTooManyRequests
 	})
 
-	reg, _ := json.Marshal(registerReq{RouterID: "router-adm", Country: "US"})
+	reg, _ := json.Marshal(RegisterRequest{RouterID: "router-adm", Country: "US"})
 	resp, err := http.Post("http://"+srv.HTTPAddr()+"/v1/register", "application/json", bytes.NewReader(reg))
 	if err != nil {
 		t.Fatal(err)

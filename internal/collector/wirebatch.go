@@ -235,7 +235,7 @@ var errUnknownEndpoint = errors.New("unknown endpoint")
 // undelivered transfer items) alike.
 func DecodeRaw(endpoint string, body []byte) (router string, apply func(*dataset.Store), err error) {
 	if endpoint == "/v1/register" {
-		var req registerReq
+		var req RegisterRequest
 		if err := json.Unmarshal(body, &req); err != nil || req.RouterID == "" {
 			return "", nil, errors.New("bad register")
 		}

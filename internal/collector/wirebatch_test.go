@@ -244,7 +244,7 @@ func equivalenceItems(t *testing.T, router string) []BatchItem {
 	dev := mac.MustParse("a4:b1:97:01:02:03")
 	uptime := mk("/v1/uptime", router+":eq:up", dataset.UptimeReport{RouterID: router, ReportedAt: t0, Uptime: 36 * time.Hour})
 	return []BatchItem{
-		mk("/v1/register", "", registerReq{RouterID: router, Country: "US"}),
+		mk("/v1/register", "", RegisterRequest{RouterID: router, Country: "US"}),
 		uptime,
 		mk("/v1/capacity", router+":eq:cap", dataset.CapacityMeasure{RouterID: router, MeasuredAt: t0, UpBps: 1e6, DownBps: 16e6}),
 		mk("/v1/devices", router+":eq:dev", wire.Census{

@@ -189,15 +189,3 @@ func (s *Store) Routers() []string {
 	sort.Strings(out)
 	return out
 }
-
-// RoutersIn returns the router IDs deployed in the given country group.
-func (s *Store) RoutersIn(developed bool, isDeveloped func(code string) bool) []string {
-	var out []string
-	for id, code := range s.RouterCountry {
-		if isDeveloped(code) == developed {
-			out = append(out, id)
-		}
-	}
-	sort.Strings(out)
-	return out
-}

@@ -81,17 +81,6 @@ func TestRoutersSorted(t *testing.T) {
 	}
 }
 
-func TestRoutersInGroup(t *testing.T) {
-	s := sampleStore()
-	isDev := func(code string) bool { return code == "US" }
-	if got := s.RoutersIn(true, isDev); len(got) != 1 || got[0] != "r-us-1" {
-		t.Fatalf("developed = %v", got)
-	}
-	if got := s.RoutersIn(false, isDev); len(got) != 1 || got[0] != "r-in-1" {
-		t.Fatalf("developing = %v", got)
-	}
-}
-
 func TestSaveLoadRoundTrip(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "data")
 	orig := sampleStore()

@@ -82,9 +82,6 @@ func NewShardedOver(d *Dedupe) *Sharded {
 	return s
 }
 
-// NumShards returns the stripe count.
-func (s *Sharded) NumShards() int { return len(s.shards) }
-
 // lockAll takes every stripe lock, for a consistent view of the whole
 // store; the returned function releases them.
 func (s *Sharded) lockAll() (unlock func()) {

@@ -307,8 +307,8 @@ func TestShardedOverSharedDedupe(t *testing.T) {
 	order := d.MatchedKeys(func(string) bool { return true })
 
 	fresh := NewShardedOver(d)
-	if fresh.NumShards() != old.NumShards() || fresh.DedupeLen() != 200 {
-		t.Fatalf("successor: %d shards, %d keys; want %d, 200", fresh.NumShards(), fresh.DedupeLen(), old.NumShards())
+	if len(fresh.shards) != len(old.shards) || fresh.DedupeLen() != 200 {
+		t.Fatalf("successor: %d shards, %d keys; want %d, 200", len(fresh.shards), fresh.DedupeLen(), len(old.shards))
 	}
 	// Every replay must be rejected without touching the rows.
 	for i := 0; i < 200; i++ {

@@ -9,19 +9,15 @@ package dhcp
 
 import (
 	"errors"
-	"fmt"
 	"net/netip"
-	"sort"
 	"time"
 
 	"natpeek/internal/mac"
 )
 
-// Errors returned by the lease table.
-var (
-	ErrPoolExhausted = errors.New("dhcp: address pool exhausted")
-	ErrNoLease       = errors.New("dhcp: no lease")
-)
+// ErrPoolExhausted is returned when every address is leased and none
+// has expired.
+var ErrPoolExhausted = errors.New("dhcp: address pool exhausted")
 
 // Lease records one device's address assignment.
 type Lease struct {
@@ -30,7 +26,6 @@ type Lease struct {
 	Hostname string
 	Start    time.Time
 	Expiry   time.Time
-	Static   bool // never expires (e.g. media boxes with reservations)
 }
 
 // Server is a DHCP lease table over one IPv4 subnet. It is not safe for
@@ -63,9 +58,6 @@ func NewServer(prefix netip.Prefix, leaseDur time.Duration) *Server {
 	}
 }
 
-// Gateway returns the router's own address.
-func (s *Server) Gateway() netip.Addr { return s.gateway }
-
 // Prefix returns the managed subnet.
 func (s *Server) Prefix() netip.Prefix { return s.prefix }
 
@@ -87,16 +79,6 @@ func (s *Server) Lease(hw mac.Addr, hostname string, now time.Time) (*Lease, err
 	l := &Lease{MAC: hw, IP: ip, Hostname: hostname, Start: now, Expiry: now.Add(s.leaseDur)}
 	s.byMAC[hw] = l
 	s.byIP[ip] = l
-	return l, nil
-}
-
-// Reserve creates a static lease (e.g. for always-on media boxes).
-func (s *Server) Reserve(hw mac.Addr, hostname string, now time.Time) (*Lease, error) {
-	l, err := s.Lease(hw, hostname, now)
-	if err != nil {
-		return nil, err
-	}
-	l.Static = true
 	return l, nil
 }
 
@@ -122,10 +104,10 @@ func (s *Server) allocate(now time.Time) (netip.Addr, error) {
 			break
 		}
 	}
-	// Second pass: reclaim the oldest expired dynamic lease.
+	// Second pass: reclaim the oldest expired lease.
 	var oldest *Lease
 	for _, l := range s.byMAC {
-		if l.Static || l.Expiry.After(now) {
+		if l.Expiry.After(now) {
 			continue
 		}
 		if oldest == nil || l.Expiry.Before(oldest.Expiry) {
@@ -151,46 +133,17 @@ func (s *Server) release(l *Lease) {
 	delete(s.byIP, l.IP)
 }
 
-// Expire removes all dynamic leases whose expiry is at or before now and
-// returns how many were removed.
+// Expire removes all leases whose expiry is at or before now and returns
+// how many were removed.
 func (s *Server) Expire(now time.Time) int {
 	n := 0
 	for _, l := range s.byMAC {
-		if !l.Static && !l.Expiry.After(now) {
+		if !l.Expiry.After(now) {
 			s.release(l)
 			n++
 		}
 	}
 	return n
-}
-
-// ByIP returns the lease owning ip.
-func (s *Server) ByIP(ip netip.Addr) (*Lease, error) {
-	if l, ok := s.byIP[ip]; ok {
-		return l, nil
-	}
-	return nil, fmt.Errorf("%w for %v", ErrNoLease, ip)
-}
-
-// ByMAC returns the lease held by hw.
-func (s *Server) ByMAC(hw mac.Addr) (*Lease, error) {
-	if l, ok := s.byMAC[hw]; ok {
-		return l, nil
-	}
-	return nil, fmt.Errorf("%w for %v", ErrNoLease, hw)
-}
-
-// Active returns leases valid at now, sorted by IP for deterministic
-// iteration.
-func (s *Server) Active(now time.Time) []*Lease {
-	var out []*Lease
-	for _, l := range s.byMAC {
-		if l.Static || l.Expiry.After(now) {
-			out = append(out, l)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].IP.Less(out[j].IP) })
-	return out
 }
 
 // Count returns the number of leases in the table (including expired ones

@@ -60,9 +60,6 @@ type Task struct {
 // inside a callback or between Advance calls).
 func (t *Task) Cancel() { t.cancelled = true }
 
-// Cancelled reports whether Cancel has been called.
-func (t *Task) Cancelled() bool { return t.cancelled }
-
 // At schedules fn once at the absolute instant at.
 func (s *Scheduler) At(at time.Time, fn func(now time.Time)) *Task {
 	t := &Task{}

@@ -44,9 +44,6 @@ func TestCancelBeforeFire(t *testing.T) {
 	if n != 0 {
 		t.Fatal("cancelled task fired")
 	}
-	if !task.Cancelled() {
-		t.Fatal("Cancelled() false after Cancel")
-	}
 }
 
 func TestEveryFiresRepeatedly(t *testing.T) {

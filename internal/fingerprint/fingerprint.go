@@ -15,7 +15,6 @@ import (
 	"math"
 	"sort"
 
-	"natpeek/internal/dataset"
 	"natpeek/internal/domains"
 	"natpeek/internal/mac"
 )
@@ -53,20 +52,6 @@ func Cosine(a, b Signature) float64 {
 		return 0
 	}
 	return dot / (math.Sqrt(na) * math.Sqrt(nb))
-}
-
-// FromFlows builds a device's signature from its Traffic flow records.
-// Anonymized and empty domains fall into the Other category — exactly
-// the information an anonymized data set still carries.
-func FromFlows(flows []dataset.FlowRecord, dev mac.Addr) Signature {
-	sig := Signature{}
-	for _, f := range flows {
-		if f.Device != dev {
-			continue
-		}
-		sig[domains.CategoryOf(f.Domain)] += float64(f.Bytes())
-	}
-	return sig.Normalize()
 }
 
 // Classifier is a nearest-centroid device-type classifier.

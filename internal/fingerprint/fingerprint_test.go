@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"natpeek/internal/dataset"
 	"natpeek/internal/domains"
 	"natpeek/internal/geo"
 	"natpeek/internal/household"
@@ -36,27 +35,6 @@ func TestCosine(t *testing.T) {
 	}
 	if Cosine(a, Signature{}) != 0 {
 		t.Fatal("empty similarity not zero")
-	}
-}
-
-func TestFromFlows(t *testing.T) {
-	dev := mac.FromOUI(0xB0A737, 1)
-	other := mac.FromOUI(0x001CB3, 2)
-	flows := []dataset.FlowRecord{
-		{Device: dev, Domain: "netflix.com", DownBytes: 900},
-		{Device: dev, Domain: "hulu.com", DownBytes: 60},
-		{Device: dev, Domain: "anon-aabbccddeeff", DownBytes: 40},
-		{Device: other, Domain: "dropbox.com", DownBytes: 1000},
-	}
-	sig := FromFlows(flows, dev)
-	if sig[domains.Streaming] != 0.96 {
-		t.Fatalf("streaming share %v", sig[domains.Streaming])
-	}
-	if sig[domains.Other] != 0.04 {
-		t.Fatalf("anon share %v", sig[domains.Other])
-	}
-	if sig[domains.Cloud] != 0 {
-		t.Fatal("other device's flows leaked in")
 	}
 }
 

@@ -54,39 +54,6 @@ func (a *Agent) ForwardUp(raw []byte, now time.Time, deliver func(wireFrame []by
 	return nil
 }
 
-// DeliverDown processes one WAN→LAN frame: destination translation back
-// to the device, then passive capture (post-NAT, so LAN addresses are
-// visible again), then delivery toward the device. Unsolicited frames
-// with no mapping are dropped, as a NAT does.
-func (a *Agent) DeliverDown(raw []byte, now time.Time, deliver func(lanFrame []byte, at time.Time)) error {
-	if !a.running {
-		return errors.New("gateway: powered off")
-	}
-	if a.env.NAT == nil {
-		return ErrNoNAT
-	}
-	lan := append([]byte(nil), raw...)
-	if _, err := a.env.NAT.TranslateIn(lan, now); err != nil {
-		return err
-	}
-	a.HandleFrame(lan, false, now)
-	if a.env.Link == nil {
-		if deliver != nil {
-			deliver(lan, now)
-		}
-		return nil
-	}
-	ok := a.env.Link.Down.Send(len(lan), func(at time.Time) {
-		if deliver != nil {
-			deliver(lan, at)
-		}
-	})
-	if !ok {
-		return ErrLinkDown
-	}
-	return nil
-}
-
 // AttributeExternal answers the NAT-opacity question from the inside:
 // which LAN endpoint owns traffic an outside observer saw on this
 // external port? (§1: without the in-home vantage point, "traffic coming

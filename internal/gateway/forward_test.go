@@ -57,59 +57,6 @@ func TestForwardUpTranslatesAndCaptures(t *testing.T) {
 	}
 }
 
-func TestRoundTripThroughNAT(t *testing.T) {
-	f := forwardFixture(t)
-	var wire []byte
-	if err := f.agent.ForwardUp(lanFrame(f, 5000, 10), f.clk.Now(), func(b []byte, _ time.Time) {
-		wire = b
-	}); err != nil {
-		t.Fatal(err)
-	}
-	f.clk.Advance(time.Second)
-	p, _ := packet.Decode(wire)
-	extPort := p.TCP.SrcPort
-
-	// Build the remote's reply to the WAN endpoint.
-	reply := packet.NewBuilder(mac.MustParse("20:4e:7f:00:00:01"), mac.MustParse(fwdDevHW)).TCPv4(
-		fwdRemote, netip.MustParseAddr("203.0.113.5"),
-		packet.TCP{SrcPort: 443, DstPort: extPort, Flags: packet.FlagACK}, 60, make([]byte, 500))
-	var lan []byte
-	if err := f.agent.DeliverDown(reply, f.clk.Now(), func(b []byte, _ time.Time) {
-		lan = b
-	}); err != nil {
-		t.Fatal(err)
-	}
-	f.clk.Advance(time.Second)
-	pl, err := packet.Decode(lan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pl.DstIP() != fwdDev {
-		t.Fatalf("reply dst = %v, want device", pl.DstIP())
-	}
-	if _, dp := pl.Ports(); dp != 5000 {
-		t.Fatalf("reply dport = %d", dp)
-	}
-	// Both directions landed in one captured flow.
-	flows := f.agent.Monitor().Flows()
-	if len(flows) != 1 || flows[0].UpPkts != 1 || flows[0].DownPkts != 1 {
-		t.Fatalf("flows %+v", flows)
-	}
-}
-
-func TestUnsolicitedInboundDropped(t *testing.T) {
-	f := forwardFixture(t)
-	probe := packet.NewBuilder(mac.MustParse("20:4e:7f:00:00:01"), mac.MustParse(fwdDevHW)).TCPv4(
-		fwdRemote, netip.MustParseAddr("203.0.113.5"),
-		packet.TCP{SrcPort: 443, DstPort: 33333, Flags: packet.FlagSYN}, 60, nil)
-	if err := f.agent.DeliverDown(probe, f.clk.Now(), nil); err == nil {
-		t.Fatal("unsolicited inbound delivered")
-	}
-	if len(f.agent.Monitor().Flows()) != 0 {
-		t.Fatal("dropped frame captured")
-	}
-}
-
 func TestAttributeExternal(t *testing.T) {
 	f := forwardFixture(t)
 	var wire []byte

@@ -132,22 +132,40 @@ type Env struct {
 	// DHCP is the LAN lease table.
 	DHCP *dhcp.Server
 	// NAT is the translation table on the forwarding path (required for
-	// ForwardUp/DeliverDown).
+	// ForwardUp).
 	NAT *nat.Table
 
 	wired map[mac.Addr]bool
 }
 
-// AttachWired plugs a device into an Ethernet port.
-func (e *Env) AttachWired(hw mac.Addr) {
-	if e.wired == nil {
-		e.wired = make(map[mac.Addr]bool)
+// SetAttached puts a device on its link when online — an Ethernet port,
+// or an association with the 2.4 or 5 GHz radio — and takes it off when
+// not.
+func (e *Env) SetAttached(hw mac.Addr, conn dataset.ConnKind, online bool) {
+	switch conn {
+	case dataset.Wired:
+		if !online {
+			delete(e.wired, hw)
+			return
+		}
+		if e.wired == nil {
+			e.wired = make(map[mac.Addr]bool)
+		}
+		e.wired[hw] = true
+	case dataset.Wireless24:
+		setAssociated(e.Radio24, hw, online)
+	default:
+		setAssociated(e.Radio5, hw, online)
 	}
-	e.wired[hw] = true
 }
 
-// DetachWired unplugs a device.
-func (e *Env) DetachWired(hw mac.Addr) { delete(e.wired, hw) }
+func setAssociated(r *wifi.Radio, hw mac.Addr, online bool) {
+	if online {
+		r.Associate(hw)
+	} else {
+		r.Disassociate(hw)
+	}
+}
 
 // WiredCount returns the number of Ethernet-attached devices.
 func (e *Env) WiredCount() int { return len(e.wired) }
@@ -242,9 +260,6 @@ func New(cfg Config, sink Sink, env *Env) *Agent {
 // Anonymizer exposes the agent's privacy policy (the world uses it to
 // anonymize fast-path records identically).
 func (a *Agent) Anonymizer() *anonymize.Policy { return a.anon }
-
-// Running reports whether the router is powered on.
-func (a *Agent) Running() bool { return a.running }
 
 // PowerOn boots the router and starts the measurement schedule on sched.
 func (a *Agent) PowerOn(sched *eventsim.Scheduler) {

@@ -113,7 +113,7 @@ func TestPowerOffCancelsEverything(t *testing.T) {
 	if len(f.sink.beats) != n {
 		t.Fatal("beats after power-off")
 	}
-	if f.agent.Running() {
+	if f.agent.running {
 		t.Fatal("still running")
 	}
 }
@@ -160,7 +160,7 @@ func TestCensusCountsAllKinds(t *testing.T) {
 	devWired := mac.MustParse("00:11:9b:00:00:01")
 	dev24 := mac.MustParse("a4:b1:97:00:00:02")
 	dev5 := mac.MustParse("00:24:8c:00:00:03")
-	f.env.AttachWired(devWired)
+	f.env.SetAttached(devWired, dataset.Wired, true)
 	f.env.Radio24.Associate(dev24)
 	f.env.Radio5.Associate(dev5)
 	f.agent.PowerOn(f.sched)
@@ -331,7 +331,7 @@ func TestCapManagerIntegration(t *testing.T) {
 	if mgr.Used() == 0 {
 		t.Fatal("frames not charged")
 	}
-	if !mgr.OverCap() {
+	if mgr.Remaining() != 0 {
 		t.Fatalf("used %d of 20000, expected over cap", mgr.Used())
 	}
 	alerts := f.agent.CapAlerts()

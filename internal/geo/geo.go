@@ -88,15 +88,3 @@ func filter(dev bool) []Country {
 	}
 	return out
 }
-
-// TotalRouters returns the deployment size per group (Table 1's totals).
-func TotalRouters() (developed, developing int) {
-	for _, c := range table {
-		if c.Developed {
-			developed += c.Routers
-		} else {
-			developing += c.Routers
-		}
-	}
-	return
-}

@@ -228,24 +228,31 @@ func NewLog() *Log {
 	return &Log{runs: make(map[string][]Run)}
 }
 
-// Record appends an arrival for router id. An instant the router's
-// latest run already holds (a repeated datagram) records nothing.
+// Record appends an arrival for router id. An instant one of the
+// router's runs already holds (a repeated datagram) records nothing.
 func (l *Log) Record(id string, at time.Time) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	// Extend the last run when the arrival continues its cadence.
 	rs := l.runs[id]
 	if n := len(rs); n > 0 {
 		last := &rs[n-1]
-		switch {
-		case last.holds(at):
+		if last.holds(at) {
 			return
-		case last.Count == 1 && at.After(last.Start):
+		}
+		// The steady beat extends the last run in O(1).
+		if last.Count > 1 && at.Sub(last.End()) == last.Interval {
+			last.Count++
+			return
+		}
+		// Off the last run's cadence: only here can an older run hold at.
+		for _, r := range rs[:n-1] {
+			if r.holds(at) {
+				return
+			}
+		}
+		if last.Count == 1 && at.After(last.Start) {
 			last.Interval = at.Sub(last.Start)
 			last.Count = 2
-			return
-		case last.Count > 1 && at.Sub(last.End()) == last.Interval:
-			last.Count++
 			return
 		}
 	}
@@ -253,7 +260,7 @@ func (l *Log) Record(id string, at time.Time) {
 }
 
 // RecordRun appends a whole run (the simulator's fast path). A run whose
-// every beat the router's latest run already holds records nothing.
+// every beat one of the router's runs already holds records nothing.
 func (l *Log) RecordRun(id string, r Run) {
 	if r.Count <= 0 {
 		return
@@ -264,18 +271,12 @@ func (l *Log) RecordRun(id string, r Run) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	rs := l.runs[id]
-	if n := len(rs); n > 0 && rs[n-1].holds(r.Start) && rs[n-1].holds(r.End()) &&
-		(r.Count == 1 || r.Interval%rs[n-1].Interval == 0) {
-		return
+	for _, have := range rs {
+		if have.holds(r.Start) && have.holds(r.End()) && (r.Count == 1 || r.Interval%have.Interval == 0) {
+			return
+		}
 	}
 	l.runs[id] = append(rs, r)
-}
-
-// RecordBulk appends many arrivals at once.
-func (l *Log) RecordBulk(id string, ats []time.Time) {
-	for _, at := range ats {
-		l.Record(id, at)
-	}
 }
 
 // Routers returns the IDs present in the log, sorted.

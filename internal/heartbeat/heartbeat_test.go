@@ -157,7 +157,9 @@ func TestEmptyWindow(t *testing.T) {
 func TestLogUptimeFraction(t *testing.T) {
 	l := NewLog()
 	// On for 12 h of a 24 h window.
-	l.RecordBulk("r1", beatsEvery(t0, Interval, 60*12))
+	for _, at := range beatsEvery(t0, Interval, 60*12) {
+		l.Record("r1", at)
+	}
 	got := l.UptimeFraction("r1", t0, t0.Add(24*time.Hour), DefaultGapThreshold)
 	// Downtime = 24h − 11h59m ≈ 12h1m → uptime ≈ 0.4993
 	if got < 0.49 || got > 0.51 {
@@ -174,7 +176,9 @@ func TestLogDowntimesPerDay(t *testing.T) {
 		beats = append(beats, beatsEvery(day, Interval, 12*60)...)
 		beats = append(beats, beatsEvery(day.Add(12*time.Hour+30*time.Minute), Interval, 11*60+30)...)
 	}
-	l.RecordBulk("r", beats)
+	for _, at := range beats {
+		l.Record("r", at)
+	}
 	got := l.DowntimesPerDay("r", t0, t0.Add(10*24*time.Hour), DefaultGapThreshold)
 	if got < 0.9 || got > 1.1 {
 		t.Fatalf("downtimes/day = %v, want ≈1", got)
@@ -362,6 +366,42 @@ func TestRepeatedBeatIsNoOp(t *testing.T) {
 			if got := l.Count("r"); got != count || !reflect.DeepEqual(l.Runs("r"), runs) {
 				t.Fatalf("arrival %d: repeating a %s of the latest run %+v moved the log: count %d, want %d", i, what, last, got, count)
 			}
+		}
+	}
+}
+
+func TestRepeatOfOlderRunIsNoOp(t *testing.T) {
+	m := func(n int) time.Time { return t0.Add(time.Duration(n) * time.Minute) }
+	for _, tc := range []struct {
+		name   string
+		before func(l *Log)
+		repeat func(l *Log)
+	}{
+		{"beat after a later single beat", func(l *Log) {
+			for i := 0; i < 5; i++ {
+				l.Record("r", m(i))
+			}
+			l.Record("r", m(64))
+		}, func(l *Log) { l.Record("r", m(2)) }},
+		{"beat that would extend a one-beat run", func(l *Log) {
+			l.RecordRun("r", Run{Start: m(60), Interval: Interval, Count: 5})
+			l.Record("r", m(0))
+		}, func(l *Log) { l.Record("r", m(62)) }},
+		{"beat off the last run's cadence", func(l *Log) {
+			l.RecordRun("r", Run{Start: m(60), Interval: Interval, Count: 5})
+			l.RecordRun("r", Run{Start: m(0), Interval: Interval, Count: 3})
+		}, func(l *Log) { l.Record("r", m(61)) }},
+		{"sub-run of an older run", func(l *Log) {
+			l.RecordRun("r", Run{Start: m(0), Interval: Interval, Count: 10})
+			l.Record("r", m(70))
+		}, func(l *Log) { l.RecordRun("r", Run{Start: m(2), Interval: 2 * Interval, Count: 3}) }},
+	} {
+		l := NewLog()
+		tc.before(l)
+		runs, count := l.Runs("r"), l.Count("r")
+		tc.repeat(l)
+		if got := l.Count("r"); got != count || !reflect.DeepEqual(l.Runs("r"), runs) {
+			t.Errorf("%s: count %d -> %d, runs %d -> %d", tc.name, count, got, len(runs), len(l.Runs("r")))
 		}
 	}
 }

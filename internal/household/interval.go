@@ -16,33 +16,6 @@ func (iv Interval) Contains(t time.Time) bool {
 	return !t.Before(iv.Start) && t.Before(iv.End)
 }
 
-// Intersect clips two interval lists (both sorted, non-overlapping) to
-// their common spans. It is used to combine "router powered on" with
-// "ISP link up" into "heartbeats reachable".
-func Intersect(a, b []Interval) []Interval {
-	var out []Interval
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		start := a[i].Start
-		if b[j].Start.After(start) {
-			start = b[j].Start
-		}
-		end := a[i].End
-		if b[j].End.Before(end) {
-			end = b[j].End
-		}
-		if end.After(start) {
-			out = append(out, Interval{start, end})
-		}
-		if a[i].End.Before(b[j].End) {
-			i++
-		} else {
-			j++
-		}
-	}
-	return out
-}
-
 // Subtract removes the (sorted, non-overlapping) spans in cut from base
 // (also sorted, non-overlapping).
 func Subtract(base, cut []Interval) []Interval {

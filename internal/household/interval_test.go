@@ -23,28 +23,6 @@ func eq(a, b []Interval) bool {
 	return true
 }
 
-func TestIntersect(t *testing.T) {
-	a := []Interval{iv(0, 10), iv(20, 30)}
-	b := []Interval{iv(5, 25)}
-	got := Intersect(a, b)
-	want := []Interval{iv(5, 10), iv(20, 25)}
-	if !eq(got, want) {
-		t.Fatalf("got %v want %v", got, want)
-	}
-}
-
-func TestIntersectDisjoint(t *testing.T) {
-	if got := Intersect([]Interval{iv(0, 5)}, []Interval{iv(10, 20)}); len(got) != 0 {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func TestIntersectEmpty(t *testing.T) {
-	if Intersect(nil, []Interval{iv(0, 5)}) != nil {
-		t.Fatal("nil intersect wrong")
-	}
-}
-
 func TestSubtractMiddle(t *testing.T) {
 	got := Subtract([]Interval{iv(0, 60)}, []Interval{iv(10, 20), iv(30, 40)})
 	want := []Interval{iv(0, 10), iv(20, 30), iv(40, 60)}
@@ -127,14 +105,16 @@ func TestCoveredAt(t *testing.T) {
 }
 
 func TestIntersectSubtractDuality(t *testing.T) {
-	// For any window W: Intersect(base, cut) and Subtract(base, cut)
-	// partition base.
+	// Subtract(base, cut) and the part of base that cut covers partition
+	// base: every instant of base lies in exactly one of them.
 	base := []Interval{iv(0, 100), iv(150, 200)}
-	cut := []Interval{iv(10, 30), iv(90, 160), iv(190, 300)}
-	inter := Intersect(base, Merge(cut))
-	sub := Subtract(base, Merge(cut))
-	if TotalDuration(inter)+TotalDuration(sub) != TotalDuration(base) {
-		t.Fatalf("partition broken: %v + %v != %v",
-			TotalDuration(inter), TotalDuration(sub), TotalDuration(base))
+	cut := Merge([]Interval{iv(10, 30), iv(90, 160), iv(190, 300)})
+	sub := Subtract(base, cut)
+	for m := -10; m < 310; m++ {
+		at := it0.Add(time.Duration(m) * time.Minute)
+		inBase, inSub, inCut := CoveredAt(base, at), CoveredAt(sub, at), CoveredAt(cut, at)
+		if inSub != (inBase && !inCut) {
+			t.Fatalf("minute %d: in base %v, in cut %v, in Subtract %v", m, inBase, inCut, inSub)
+		}
 	}
 }

@@ -121,9 +121,6 @@ func (d *Direction) RateBps() float64 { return d.rate * 8 }
 // Stats returns a copy of the direction's counters.
 func (d *Direction) Stats() Stats { return d.stats }
 
-// QueueBytes returns the current backlog.
-func (d *Direction) QueueBytes() int { return d.queued }
-
 // QueueDelay returns how long a packet arriving now would wait before
 // transmission begins — the bufferbloat latency.
 func (d *Direction) QueueDelay() time.Duration {

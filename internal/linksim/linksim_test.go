@@ -110,8 +110,8 @@ func TestTailDropWhenBufferFull(t *testing.T) {
 		t.Fatalf("tail drops = %d", st.DroppedBuf)
 	}
 	clk.Run(epoch.Add(time.Second))
-	if d.QueueBytes() != 0 {
-		t.Fatalf("queue not drained: %d", d.QueueBytes())
+	if d.queued != 0 {
+		t.Fatalf("queue not drained: %d", d.queued)
 	}
 }
 
@@ -291,8 +291,8 @@ func TestConservationProperty(t *testing.T) {
 		if st.Bytes != acceptedBytes {
 			t.Fatalf("seed %d: bytes %d vs accepted %d", seed, st.Bytes, acceptedBytes)
 		}
-		if d.QueueBytes() != 0 {
-			t.Fatalf("seed %d: queue not drained: %d", seed, d.QueueBytes())
+		if d.queued != 0 {
+			t.Fatalf("seed %d: queue not drained: %d", seed, d.queued)
 		}
 	}
 }

@@ -820,10 +820,7 @@ func (r *runner) postDirect(ctx context.Context, up upload) {
 }
 
 func (r *runner) register(ctx context.Context, id string) error {
-	body, err := json.Marshal(struct {
-		RouterID string `json:"router_id"`
-		Country  string `json:"country"`
-	}{RouterID: id, Country: "US"})
+	body, err := json.Marshal(collector.RegisterRequest{RouterID: id, Country: "US"})
 	if err != nil {
 		return err
 	}

@@ -68,24 +68,6 @@ func (a Addr) OUI() uint32 {
 	return uint32(a[0])<<16 | uint32(a[1])<<8 | uint32(a[2])
 }
 
-// NIC returns the bottom 24 bits — the per-device portion that the study
-// obfuscates before collection.
-func (a Addr) NIC() uint32 {
-	return uint32(a[3])<<16 | uint32(a[4])<<8 | uint32(a[5])
-}
-
-// IsMulticast reports whether the group bit is set.
-func (a Addr) IsMulticast() bool { return a[0]&0x01 != 0 }
-
-// IsLocallyAdministered reports whether the U/L bit is set (randomized or
-// software-assigned addresses).
-func (a Addr) IsLocallyAdministered() bool { return a[0]&0x02 != 0 }
-
-// IsBroadcast reports whether the address is ff:ff:ff:ff:ff:ff.
-func (a Addr) IsBroadcast() bool {
-	return a == Addr{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
-}
-
 // IsZero reports whether the address is all zero.
 func (a Addr) IsZero() bool { return a == Addr{} }
 

@@ -139,33 +139,7 @@ func (t *Table) TranslateOut(raw []byte, now time.Time) (*Mapping, error) {
 	if err != nil {
 		return nil, err
 	}
-	rewrite(raw, p, t.wan, m.External.Port, true)
-	return m, nil
-}
-
-// TranslateIn rewrites an inbound (WAN→LAN) frame in place: the
-// destination becomes the internal endpoint mapped to the frame's
-// destination port. Frames with no mapping return ErrNoMapping (the
-// paper's NAT opacity: unsolicited inbound traffic has nowhere to go).
-func (t *Table) TranslateIn(raw []byte, now time.Time) (*Mapping, error) {
-	p, err := packet.Decode(raw)
-	if err != nil {
-		return nil, err
-	}
-	if p.IP4 == nil {
-		return nil, ErrNotIPv4
-	}
-	if p.TCP == nil && p.UDP == nil {
-		return nil, ErrUnsupported
-	}
-	_, dport := p.Ports()
-	key := mappingKey{p.Proto(), Endpoint{Addr: p.IP4.Dst, Port: dport}}
-	m, ok := t.byExternal[key]
-	if !ok {
-		return nil, fmt.Errorf("%w: %v/%v", ErrNoMapping, p.Proto(), key.in)
-	}
-	m.LastUsed = now
-	rewrite(raw, p, m.Internal.Addr, m.Internal.Port, false)
+	rewrite(raw, p, t.wan, m.External.Port)
 	return m, nil
 }
 
@@ -253,41 +227,20 @@ func (t *Table) Attribute(proto packet.IPProto, externalPort uint16) (Endpoint, 
 	return Endpoint{}, fmt.Errorf("%w: port %d", ErrNoMapping, externalPort)
 }
 
-// Mappings returns a snapshot of all active mappings (unsorted).
-func (t *Table) Mappings() []*Mapping {
-	out := make([]*Mapping, 0, len(t.byInternal))
-	for _, m := range t.byInternal {
-		out = append(out, m)
-	}
-	return out
-}
-
-// rewrite updates src (outbound) or dst (inbound) address/port in the raw
-// frame and fixes all checksums by re-marshaling the transport segment.
-func rewrite(raw []byte, p *packet.Packet, addr netip.Addr, port uint16, outbound bool) {
+// rewrite updates the source address/port in the raw frame and fixes
+// all checksums by re-marshaling the transport segment.
+func rewrite(raw []byte, p *packet.Packet, addr netip.Addr, port uint16) {
 	ip := *p.IP4
-	if outbound {
-		ip.Src = addr
-	} else {
-		ip.Dst = addr
-	}
+	ip.Src = addr
 	var seg []byte
 	switch {
 	case p.TCP != nil:
 		tcp := *p.TCP
-		if outbound {
-			tcp.SrcPort = port
-		} else {
-			tcp.DstPort = port
-		}
+		tcp.SrcPort = port
 		seg = tcp.Marshal(nil, ip.Src, ip.Dst, p.Payload)
 	case p.UDP != nil:
 		udp := *p.UDP
-		if outbound {
-			udp.SrcPort = port
-		} else {
-			udp.DstPort = port
-		}
+		udp.SrcPort = port
 		seg = udp.Marshal(nil, ip.Src, ip.Dst, p.Payload)
 	}
 	eth := *p.Eth

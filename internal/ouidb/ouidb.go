@@ -150,14 +150,6 @@ func Lookup(a mac.Addr) Entry {
 	return Entry{OUI: a.OUI(), Category: CatUnknown}
 }
 
-// LookupOUI is Lookup on a bare 24-bit OUI.
-func LookupOUI(oui uint32) Entry {
-	if e, ok := byOUI[oui]; ok {
-		return e
-	}
-	return Entry{OUI: oui, Category: CatUnknown}
-}
-
 // Manufacturer returns the manufacturer name for the address, or "" if
 // unknown.
 func Manufacturer(a mac.Addr) string { return Lookup(a).Manufacturer }
@@ -179,28 +171,4 @@ func OUIsFor(manufacturer string) []uint32 {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// Manufacturers returns all registered manufacturer names, sorted and
-// deduplicated.
-func Manufacturers() []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, e := range registry {
-		if !seen[e.Manufacturer] {
-			seen[e.Manufacturer] = true
-			out = append(out, e.Manufacturer)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// AllCategories returns the Fig. 12 category order.
-func AllCategories() []Category {
-	return []Category{
-		CatApple, CatODM, CatIntel, CatSmartPhone, CatSamsung, CatGateway,
-		CatAsus, CatMisc, CatMicrosoft, CatInternetTV, CatGaming, CatWireless,
-		CatVoIP, CatHP, CatHardware, CatVMware, CatRaspberryPi,
-	}
 }

@@ -185,17 +185,6 @@ func (bl *Builder) TCPv4(src, dst netip.Addr, hdr TCP, ttl uint8, payload []byte
 	return ip.Marshal(b, seg)
 }
 
-// ICMPv4Echo builds an ICMP echo request/reply frame.
-func (bl *Builder) ICMPv4Echo(src, dst netip.Addr, typ uint8, id, seq uint16, ttl uint8, payload []byte) []byte {
-	ic := ICMPv4{Type: typ, ID: id, Seq: seq}
-	seg := ic.Marshal(nil, payload)
-	ip := IPv4{TTL: ttl, Protocol: ProtoICMP, Src: src, Dst: dst}
-	eth := bl.eth
-	eth.Type = EtherTypeIPv4
-	b := eth.Marshal(nil)
-	return ip.Marshal(b, seg)
-}
-
 // ARPRequest builds a who-has ARP request frame.
 func (bl *Builder) ARPRequest(senderIP, targetIP netip.Addr) []byte {
 	a := ARP{Op: ARPRequest, SenderHW: bl.eth.Src, SenderIP: senderIP, TargetIP: targetIP}

@@ -28,7 +28,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add(bld.UDPv4(dev, netip.MustParseAddr("8.8.8.8"), 33000, 53, 64, []byte("dns-query")))
 	f.Add(bld.TCPv4(dev, remote, TCP{SrcPort: 44123, DstPort: 443, Seq: 7, Flags: FlagSYN, Window: 65535}, 64, nil))
 	f.Add(bld.TCPv4(remote, dev, TCP{SrcPort: 443, DstPort: 44123, Flags: FlagACK, Window: 65535}, 60, bytes.Repeat([]byte{0xab}, 1446)))
-	f.Add(bld.ICMPv4Echo(dev, remote, ICMPEchoRequest, 9, 1, 64, []byte("ping")))
+	f.Add(icmpEcho(bld, dev, remote, ICMPEchoRequest, 9, 1, []byte("ping")))
 	f.Add(bld.ARPRequest(dev, netip.MustParseAddr("192.168.1.1")))
 	// IPv6 UDP frame (hand-assembled; Builder only does v4).
 	{

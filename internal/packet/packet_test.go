@@ -284,9 +284,18 @@ func TestDecodeTCPStack(t *testing.T) {
 	}
 }
 
+// icmpEcho builds an Ethernet+IPv4+ICMP echo frame with TTL 64.
+func icmpEcho(bl *Builder, src, dst netip.Addr, typ uint8, id, seq uint16, payload []byte) []byte {
+	ic := ICMPv4{Type: typ, ID: id, Seq: seq}
+	ip := IPv4{TTL: 64, Protocol: ProtoICMP, Src: src, Dst: dst}
+	eth := bl.eth
+	eth.Type = EtherTypeIPv4
+	return ip.Marshal(eth.Marshal(nil), ic.Marshal(nil, payload))
+}
+
 func TestDecodeICMPStack(t *testing.T) {
 	bl := NewBuilder(srcMAC, dstMAC)
-	raw := bl.ICMPv4Echo(srcIP, dstIP, ICMPEchoRequest, 1, 2, 64, []byte("x"))
+	raw := icmpEcho(bl, srcIP, dstIP, ICMPEchoRequest, 1, 2, []byte("x"))
 	p, err := Decode(raw)
 	if err != nil {
 		t.Fatal(err)
@@ -306,7 +315,7 @@ func TestDecodeARPStack(t *testing.T) {
 	if p.ARP == nil || p.ARP.Op != ARPRequest {
 		t.Fatal("ARP layer wrong")
 	}
-	if !p.Eth.Dst.IsBroadcast() {
+	if p.Eth.Dst != (mac.Addr{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}) {
 		t.Fatal("ARP request not broadcast")
 	}
 }

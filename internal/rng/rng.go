@@ -231,25 +231,6 @@ func (z *Zipf) Sample(r *Stream) int {
 	return lo
 }
 
-// Shuffle permutes the order of n elements via the swap function
-// (Fisher–Yates).
-func (r *Stream) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *Stream) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
-}
-
 // WeightedChoice returns an index in [0, len(weights)) with probability
 // proportional to weights[i]. Zero or negative total weight panics.
 func (r *Stream) WeightedChoice(weights []float64) int {

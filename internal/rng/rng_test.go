@@ -224,23 +224,6 @@ func TestZipfSamplerMatchesDirect(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	if err := quick.Check(func(seed uint64) bool {
-		r := New(seed)
-		p := r.Perm(20)
-		seen := make([]bool, 20)
-		for _, v := range p {
-			if v < 0 || v >= 20 || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestWeightedChoiceRespectsWeights(t *testing.T) {
 	r := New(19)
 	w := []float64{1, 0, 9}

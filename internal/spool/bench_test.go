@@ -32,7 +32,7 @@ func BenchmarkSpoolDrain(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sp.Enqueue("/v1/uptime", body)
+		sp.EnqueueSpans("/v1/uptime", body, nil)
 		// Keep the queue bounded: drain whenever it approaches capacity so
 		// arbitrarily large b.N never hits the drop path.
 		if sp.Depth() >= 1<<16 {

@@ -304,15 +304,11 @@ func (s *Spooler) queue(endpoint string) *queue {
 	return q
 }
 
-// Enqueue accepts one payload for eventual delivery. It never blocks: a
-// full queue drops its oldest item (counted) to make room.
-func (s *Spooler) Enqueue(endpoint string, body []byte) {
-	s.EnqueueSpans(endpoint, body, nil)
-}
-
-// EnqueueSpans is Enqueue with trace history: spans accumulated before
-// the payload reached the spool (the gateway's export-window span) ride
-// along to the collector, which folds them into the end-to-end trace.
+// EnqueueSpans accepts one payload for eventual delivery. It never
+// blocks: a full queue drops its oldest item (counted) to make room.
+// Spans accumulated before the payload reached the spool (the gateway's
+// export-window span) ride along to the collector, which folds them into
+// the end-to-end trace; nil carries none.
 func (s *Spooler) EnqueueSpans(endpoint string, body []byte, spans []trace.Span) {
 	now := time.Now()
 	s.mu.Lock()

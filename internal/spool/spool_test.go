@@ -101,7 +101,7 @@ func TestBatchingAndOrder(t *testing.T) {
 	defer s.Close()
 	const n = 10
 	for i := 0; i < n; i++ {
-		s.Enqueue("/t/batching", body(i))
+		s.EnqueueSpans("/t/batching", body(i), nil)
 	}
 	mustFlush(t, s)
 
@@ -130,9 +130,9 @@ func TestKeysAreUniqueAndPrefixed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	s.Enqueue("/t/keys", body(0))
-	s.Enqueue("/t/keys", body(1))
-	s.Enqueue("/t/other", body(2))
+	s.EnqueueSpans("/t/keys", body(0), nil)
+	s.EnqueueSpans("/t/keys", body(1), nil)
+	s.EnqueueSpans("/t/other", body(2), nil)
 	mustFlush(t, s)
 
 	seen := make(map[string]bool)
@@ -161,7 +161,7 @@ func TestRetryUntilDelivered(t *testing.T) {
 	}
 	defer s.Close()
 	for i := 0; i < 5; i++ {
-		s.Enqueue("/t/retry", body(i))
+		s.EnqueueSpans("/t/retry", body(i), nil)
 	}
 	// Let a few delivery attempts fail before the "outage" ends.
 	deadline := time.Now().Add(5 * time.Second)
@@ -209,7 +209,7 @@ func TestOverflowDropsOldest(t *testing.T) {
 	}
 	defer s.Close()
 	for i := 0; i < 6; i++ {
-		s.Enqueue(endpoint, body(i))
+		s.EnqueueSpans(endpoint, body(i), nil)
 	}
 	if d := s.Depth(); d != 3 {
 		t.Fatalf("depth = %d, want capacity 3", d)
@@ -242,7 +242,7 @@ func TestFlushTimesOutWhileSenderDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	s.Enqueue("/t/stuck", body(0))
+	s.EnqueueSpans("/t/stuck", body(0), nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	if err := s.Flush(ctx); err == nil {
@@ -262,7 +262,7 @@ func TestEnqueueAfterCloseDroppedAndCloseIdempotent(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s.Enqueue("/t/closed", body(0))
+	s.EnqueueSpans("/t/closed", body(0), nil)
 	if s.Depth() != 0 {
 		t.Fatal("enqueue accepted after close")
 	}
@@ -283,7 +283,7 @@ func TestJournalRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		s1.Enqueue("/t/journal", body(i))
+		s1.EnqueueSpans("/t/journal", body(i), nil)
 	}
 	if err := s1.Close(); err != nil {
 		t.Fatal(err)
@@ -394,9 +394,9 @@ func TestMalformedDeadLettered(t *testing.T) {
 	sentBefore := telemetry.Default.CounterVec("natpeek_spool_sent_total", "", "endpoint").With("/t/dl").Value()
 	malBefore := telemetry.Default.CounterVec("natpeek_spool_malformed_total", "", "endpoint").With("/t/dl").Value()
 
-	s.Enqueue("/t/dl", []byte(`"good-1"`))
-	s.Enqueue("/t/dl", []byte(`"bad-2"`))
-	s.Enqueue("/t/dl", []byte(`"good-3"`))
+	s.EnqueueSpans("/t/dl", []byte(`"good-1"`), nil)
+	s.EnqueueSpans("/t/dl", []byte(`"bad-2"`), nil)
+	s.EnqueueSpans("/t/dl", []byte(`"good-3"`), nil)
 	mustFlush(t, s)
 
 	if got := sends.Load(); got != 3 {
@@ -463,7 +463,7 @@ func TestConcurrentEnqueueDrain(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perProducer; i++ {
 				b, _ := json.Marshal(fmt.Sprintf("p%d-i%d", p, i))
-				s.Enqueue(endpoints[(p+i)%len(endpoints)], b)
+				s.EnqueueSpans(endpoints[(p+i)%len(endpoints)], b, nil)
 			}
 		}(p)
 	}
@@ -571,7 +571,7 @@ func TestSpoolSurvivesBlackoutViaFaultTransport(t *testing.T) {
 	}
 	defer s.Close()
 	for i := 0; i < 6; i++ {
-		s.Enqueue("/t/blackout", body(i))
+		s.EnqueueSpans("/t/blackout", body(i), nil)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	err = s.Flush(ctx)
@@ -602,8 +602,8 @@ func TestHealthGaugesAndSpans(t *testing.T) {
 
 	spans := []trace.Span{{Name: "gateway.export", Start: time.Now().Add(-time.Second), End: time.Now()}}
 	s.EnqueueSpans("/v1/uptime", body(1), spans)
-	s.Enqueue("/v1/uptime", body(2))
-	s.Enqueue("/v1/wifi", body(3))
+	s.EnqueueSpans("/v1/uptime", body(2), nil)
+	s.EnqueueSpans("/v1/wifi", body(3), nil)
 
 	h := s.Health()
 	byEp := make(map[string]EndpointHealth)

@@ -394,46 +394,6 @@ func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
 // Percentile returns the p-th percentile (p in [0, 100]).
 func Percentile(xs []float64, p float64) float64 { return Quantile(xs, p/100) }
 
-// CDFPoint is one step of an empirical CDF.
-type CDFPoint struct {
-	X float64 // sample value
-	P float64 // fraction of samples ≤ X
-}
-
-// CDF computes the empirical CDF of xs: one point per distinct value, with
-// P the fraction of samples ≤ X. The result is sorted by X and ends at
-// P = 1. An empty sample yields nil.
-func CDF(xs []float64) []CDFPoint {
-	if len(xs) == 0 {
-		return nil
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	var out []CDFPoint
-	n := float64(len(sorted))
-	for i := 0; i < len(sorted); i++ {
-		// Collapse runs of equal values to the run's last index.
-		if i+1 < len(sorted) && sorted[i+1] == sorted[i] {
-			continue
-		}
-		out = append(out, CDFPoint{X: sorted[i], P: float64(i+1) / n})
-	}
-	return out
-}
-
-// CDFAt evaluates an empirical CDF (as returned by CDF) at x: the fraction
-// of the sample ≤ x.
-func CDFAt(cdf []CDFPoint, x float64) float64 {
-	p := 0.0
-	for _, pt := range cdf {
-		if pt.X > x {
-			break
-		}
-		p = pt.P
-	}
-	return p
-}
-
 // Histogram bins xs into nbins equal-width bins over [min, max]. Values
 // outside the range clamp to the edge bins. It returns the bin counts and
 // the bin width.

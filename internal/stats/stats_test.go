@@ -93,58 +93,6 @@ func TestPercentile95(t *testing.T) {
 	}
 }
 
-func TestCDFMonotone(t *testing.T) {
-	if err := quick.Check(func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				xs = append(xs, v)
-			}
-		}
-		cdf := CDF(xs)
-		if len(xs) == 0 {
-			return cdf == nil
-		}
-		prevX := math.Inf(-1)
-		prevP := 0.0
-		for _, pt := range cdf {
-			if pt.X <= prevX && len(cdf) > 1 {
-				return false
-			}
-			if pt.P < prevP || pt.P > 1 {
-				return false
-			}
-			prevX, prevP = pt.X, pt.P
-		}
-		return almost(cdf[len(cdf)-1].P, 1, 1e-12)
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCDFDuplicatesCollapse(t *testing.T) {
-	cdf := CDF([]float64{1, 1, 1, 2})
-	if len(cdf) != 2 {
-		t.Fatalf("len = %d, want 2", len(cdf))
-	}
-	if cdf[0].X != 1 || !almost(cdf[0].P, 0.75, 1e-12) {
-		t.Fatalf("first point %+v", cdf[0])
-	}
-}
-
-func TestCDFAt(t *testing.T) {
-	cdf := CDF([]float64{1, 2, 3, 4})
-	if p := CDFAt(cdf, 0); p != 0 {
-		t.Fatalf("CDFAt(0) = %v", p)
-	}
-	if p := CDFAt(cdf, 2); !almost(p, 0.5, 1e-12) {
-		t.Fatalf("CDFAt(2) = %v", p)
-	}
-	if p := CDFAt(cdf, 100); p != 1 {
-		t.Fatalf("CDFAt(100) = %v", p)
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	counts, width := Histogram([]float64{0.5, 1.5, 2.5, 9.5, -4, 40}, 0, 10, 10)
 	if width != 1 {

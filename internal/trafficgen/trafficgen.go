@@ -154,9 +154,6 @@ func New(home *household.Profile) *Generator {
 	return g
 }
 
-// PrimaryStreamingDomain returns the home's dominant streaming service.
-func (g *Generator) PrimaryStreamingDomain() string { return g.primaryStream }
-
 // GenerateDay produces the home's flows and minute loads for the day
 // starting at dayStart (UTC), constrained to the online intervals.
 func (g *Generator) GenerateDay(dayStart time.Time, online []household.Interval) DayTraffic {

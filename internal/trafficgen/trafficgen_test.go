@@ -202,7 +202,7 @@ func TestStreamingConcentration(t *testing.T) {
 	if len(streamVol) == 0 {
 		t.Skip("no streaming this draw")
 	}
-	primary := g.PrimaryStreamingDomain()
+	primary := g.primaryStream
 	var total, prim float64
 	for d, v := range streamVol {
 		total += v

@@ -4,16 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
-	"net/netip"
 	"strings"
 	"testing"
 	"time"
-
-	"natpeek/internal/anonymize"
-	"natpeek/internal/capmgmt"
-	"natpeek/internal/capture"
-	"natpeek/internal/mac"
-	"natpeek/internal/packet"
 )
 
 var t0 = time.Date(2013, 4, 5, 12, 0, 0, 0, time.UTC)
@@ -155,39 +148,5 @@ func TestWhitelistAlreadyPublicIsNoop(t *testing.T) {
 	}
 	if len(wl.Snapshot()) != 0 {
 		t.Fatal("public domain stored as user entry")
-	}
-}
-
-func TestMonitorUsageAdapter(t *testing.T) {
-	mon := capture.New(capture.Config{LANPrefix: netip.MustParsePrefix("192.168.1.0/24")},
-		anonymize.New([]byte("k")))
-	caps := capmgmt.New(capmgmt.Plan{MonthlyCapBytes: 1 << 30}, t0)
-
-	devHW := mac.MustParse("a4:b1:97:00:00:0a")
-	gwHW := mac.MustParse("20:4e:7f:00:00:01")
-	frame := packet.NewBuilder(devHW, gwHW).TCPv4(
-		netip.MustParseAddr("192.168.1.10"), netip.MustParseAddr("203.0.113.80"),
-		packet.TCP{SrcPort: 5000, DstPort: 443, Flags: packet.FlagACK}, 64, make([]byte, 1000))
-	mon.Process(frame, capture.Upstream, t0)
-	caps.Record(devHW, int64(len(frame)), t0)
-
-	snap := MonitorUsage(mon, caps, func() time.Time { return t0 })()
-	if len(snap.Devices) != 1 || snap.Devices[0].Share != 1 {
-		t.Fatalf("devices %+v", snap.Devices)
-	}
-	if snap.CapBytes != 1<<30 || snap.UsedBytes != int64(len(frame)) {
-		t.Fatalf("cap fields %+v", snap)
-	}
-	if snap.ProjectedBytes < snap.UsedBytes {
-		t.Fatal("projection below usage")
-	}
-}
-
-func TestMonitorUsageNoCaps(t *testing.T) {
-	mon := capture.New(capture.Config{LANPrefix: netip.MustParsePrefix("192.168.1.0/24")},
-		anonymize.New([]byte("k")))
-	snap := MonitorUsage(mon, nil, func() time.Time { return t0 })()
-	if snap.CapBytes != 0 || len(snap.Devices) != 0 {
-		t.Fatalf("empty snapshot %+v", snap)
 	}
 }

@@ -13,7 +13,6 @@
 package wifi
 
 import (
-	"fmt"
 	"sort"
 
 	"natpeek/internal/mac"
@@ -43,14 +42,6 @@ func DefaultChannel(b Band) int {
 		return 11
 	}
 	return 36
-}
-
-// ValidChannels returns the usable channels per band (US allocation).
-func ValidChannels(b Band) []int {
-	if b == Band24 {
-		return []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
-	}
-	return []int{36, 40, 44, 48, 149, 153, 157, 161}
 }
 
 // Overlaps reports whether two channels in a band interfere. On 2.4 GHz,
@@ -123,11 +114,6 @@ type Radio struct {
 	clients map[mac.Addr]bool
 	env     *Environment
 	rnd     *rng.Stream
-
-	// scans counts Scan calls; disassociations counts scan-induced client
-	// drops.
-	scans           int
-	disassociations int
 }
 
 // NewRadio returns a radio on the band's default channel.
@@ -141,25 +127,11 @@ func NewRadio(b Band, env *Environment, rnd *rng.Stream) *Radio {
 	}
 }
 
-// SetChannel retunes the radio (users could reconfigure channel 11).
-func (r *Radio) SetChannel(c int) error {
-	for _, v := range ValidChannels(r.Band) {
-		if v == c {
-			r.Channel = c
-			return nil
-		}
-	}
-	return fmt.Errorf("wifi: channel %d invalid on %v", c, r.Band)
-}
-
 // Associate attaches a client to this radio.
 func (r *Radio) Associate(hw mac.Addr) { r.clients[hw] = true }
 
 // Disassociate detaches a client.
 func (r *Radio) Disassociate(hw mac.Addr) { delete(r.clients, hw) }
-
-// Associated reports whether hw is currently attached.
-func (r *Radio) Associated(hw mac.Addr) bool { return r.clients[hw] }
 
 // ClientCount returns the number of associated clients.
 func (r *Radio) ClientCount() int { return len(r.clients) }
@@ -190,7 +162,6 @@ const DisassocProb = 0.02
 // client, the off-channel excursion disassociates that client (it will
 // typically re-associate on its own shortly after; the caller decides).
 func (r *Radio) Scan() ScanResult {
-	r.scans++
 	res := ScanResult{Band: r.Band, Channel: r.Channel}
 	if r.env != nil {
 		res.VisibleAPs = r.env.VisibleOn(r.Band, r.Channel)
@@ -200,15 +171,8 @@ func (r *Radio) Scan() ScanResult {
 			if r.rnd.Bool(DisassocProb) {
 				r.Disassociate(hw)
 				res.ClientsDropped++
-				r.disassociations++
 			}
 		}
 	}
 	return res
 }
-
-// ScanCount returns how many scans have run.
-func (r *Radio) ScanCount() int { return r.scans }
-
-// Disassociations returns the cumulative scan-induced client drops.
-func (r *Radio) Disassociations() int { return r.disassociations }

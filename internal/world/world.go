@@ -392,27 +392,7 @@ func (w *World) emitDeviceCensus(p *household.Profile, agent *gateway.Agent, env
 // the devices online at instant t.
 func (w *World) syncAttachments(p *household.Profile, env *gateway.Env, t time.Time) {
 	for _, d := range p.Devices {
-		online := p.DeviceOnline(d, t)
-		switch d.Conn {
-		case dataset.Wired:
-			if online {
-				env.AttachWired(d.HW)
-			} else {
-				env.DetachWired(d.HW)
-			}
-		case dataset.Wireless24:
-			if online {
-				env.Radio24.Associate(d.HW)
-			} else {
-				env.Radio24.Disassociate(d.HW)
-			}
-		default:
-			if online {
-				env.Radio5.Associate(d.HW)
-			} else {
-				env.Radio5.Disassociate(d.HW)
-			}
-		}
+		env.SetAttached(d.HW, d.Conn, p.DeviceOnline(d, t))
 	}
 }
 
@@ -522,16 +502,6 @@ func (w *World) emitTraffic(p *household.Profile, agent *gateway.Agent, sink gat
 			sink.TrafficThroughput(samples)
 		}
 	}
-}
-
-// HomeByID returns the home with the given router ID.
-func (w *World) HomeByID(id string) *Home {
-	for _, h := range w.Homes {
-		if h.Profile.ID == id {
-			return h
-		}
-	}
-	return nil
 }
 
 // ConsentingHomes returns the Traffic-subset homes.

@@ -192,9 +192,13 @@ func TestCapacityTracksProvisionedRates(t *testing.T) {
 	for _, c := range w.Store.Capacity {
 		byID[c.RouterID] = append(byID[c.RouterID], c)
 	}
+	homes := map[string]*Home{}
+	for _, h := range w.Homes {
+		homes[h.Profile.ID] = h
+	}
 	checked := 0
 	for id, ms := range byID {
-		h := w.HomeByID(id)
+		h := homes[id]
 		if h == nil {
 			t.Fatalf("unknown router %s", id)
 		}
@@ -277,16 +281,18 @@ func TestDeviceMACsAnonymizedButOUIPreserved(t *testing.T) {
 
 func TestDevelopedVsDevelopingGrouping(t *testing.T) {
 	w := runSmall(t)
-	isDev := func(code string) bool {
-		c, _ := geo.Lookup(code)
-		return c.Developed
+	var dev, dvg int
+	for _, code := range w.Store.RouterCountry {
+		if c, _ := geo.Lookup(code); c.Developed {
+			dev++
+		} else {
+			dvg++
+		}
 	}
-	dev := w.Store.RoutersIn(true, isDev)
-	dvg := w.Store.RoutersIn(false, isDev)
-	if len(dev) == 0 || len(dvg) == 0 {
+	if dev == 0 || dvg == 0 {
 		t.Fatal("grouping empty")
 	}
-	if len(dev)+len(dvg) != len(w.Homes) {
+	if dev+dvg != len(w.Homes) {
 		t.Fatal("groups do not partition the roster")
 	}
 }
