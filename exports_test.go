@@ -67,23 +67,7 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 	decls := map[string]int{} // exported func/method name -> declarations under internal/
 	found := map[string]string{}
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
+	eachNonTestFile(t, func(path string, src []byte) error {
 		var s scanner.Scanner
 		s.Init(fset.AddFile(path, -1, len(src)), src, nil, 0)
 		for {
@@ -118,9 +102,6 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 		}
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var dead []string
 	for key, name := range found {
 		if refs[name] > decls[name] {
@@ -160,5 +141,166 @@ func recvName(e ast.Expr) string {
 		default:
 			return "?"
 		}
+	}
+}
+
+// configAllowlist names the exported fields of the config structs under
+// internal/ that no non-test code outside their package sets, each with
+// the reason it stays. Keys are "pkg.Type.Field". Three more fields are
+// set only by tests but need no entry, because live fields share their
+// names: spool.Config.Timeout (the collector tests' seam, like RetryMin
+// and RetryMax) and linksim.Config.PeakBps and BurstBytes (the PowerBoost
+// link of the train-length ablation).
+var configAllowlist = map[string]string{
+	// Test seams.
+	"spool.Config.RetryMin": "test seam: the collector tests shorten the upload backoff",
+	"spool.Config.RetryMax": "test seam: the collector tests shorten the upload backoff",
+	// Fault parameters a test drives.
+	"linksim.Config.LossProb": "fault: the lossy link of shaperprobe's loss test",
+	// Set inside their package from a binary's flags.
+	"trace.Config.SampleRate":    "set through Recorder.SetSampling from bismark-server -trace-sample",
+	"trace.Config.SlowThreshold": "set through Recorder.SetSampling from bismark-server -trace-slow",
+	// Capabilities DESIGN §2/§5 documents; no binary wires them yet.
+	"gateway.Config.Plan":          "DESIGN §5: the usage-cap manager the agent runs under a plan",
+	"gateway.Config.UserWhitelist": "DESIGN §2/§5: user-added domains the capture keeps by name",
+	"webui.Config.GetWhitelist":    "DESIGN §2/§5: the web UI's GET /api/whitelist",
+	"webui.Config.AddWhitelist":    "DESIGN §2/§5: the web UI's POST /api/whitelist",
+	"webui.Config.RemoveWhitelist": "DESIGN §2/§5: the web UI's DELETE /api/whitelist",
+}
+
+// isConfigType reports whether TestConfigFieldsHaveSetters covers the
+// struct type name declared in the package pkg under internal/.
+func isConfigType(pkg, name string) bool {
+	switch pkg + "." + name {
+	case "capmgmt.Plan", "gateway.Env":
+		return true
+	}
+	return strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Opts")
+}
+
+// TestConfigFieldsHaveSetters fails when an exported field of a config
+// struct under internal/ (a type named *Config, *Options or *Opts, or
+// capmgmt.Plan or gateway.Env) is set by no non-test .go file outside
+// its package, as a composite-literal key (F: v) or an assignment
+// target (x.F = v), and configAllowlist gives no reason to keep it. A
+// field only its own package's tests set is a test seam: unexport it.
+// Like TestInternalExportsHaveCallers it matches by name, so it can
+// miss a dead field whose name a live one shares, but it never flags a
+// field that a caller sets.
+func TestConfigFieldsHaveSetters(t *testing.T) {
+	fields := map[string]string{}         // "pkg.Type.Field" -> Field
+	setIn := map[string]map[string]bool{} // field name -> directories of the files that set it
+	set := func(name, dir string) {
+		if setIn[name] == nil {
+			setIn[name] = map[string]bool{}
+		}
+		setIn[name][dir] = true
+	}
+	fset := token.NewFileSet()
+	eachNonTestFile(t, func(path string, src []byte) error {
+		f, err := parser.ParseFile(fset, path, src, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.KeyValueExpr:
+				if id, ok := x.Key.(*ast.Ident); ok {
+					set(id.Name, dir)
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range x.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						set(sel.Sel.Name, dir)
+					}
+				}
+			}
+			return true
+		})
+		pkg, ok := strings.CutPrefix(dir, "internal/")
+		if !ok {
+			return nil
+		}
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.TYPE {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				ts := spec.(*ast.TypeSpec)
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok || !isConfigType(pkg, ts.Name.Name) {
+					continue
+				}
+				for _, field := range st.Fields.List {
+					for _, name := range field.Names {
+						if name.IsExported() {
+							fields[pkg+"."+ts.Name.Name+"."+name.Name] = name.Name
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	setOutside := func(key string) bool {
+		home := "internal/" + key[:strings.Index(key, ".")]
+		for dir := range setIn[fields[key]] {
+			if dir != home {
+				return true
+			}
+		}
+		return false
+	}
+	var unset []string
+	for key := range fields {
+		if setOutside(key) {
+			continue
+		}
+		if reason, ok := configAllowlist[key]; ok && strings.TrimSpace(reason) != "" {
+			continue
+		}
+		unset = append(unset, key)
+	}
+	sort.Strings(unset)
+	for _, key := range unset {
+		t.Errorf("%s: exported config field that no non-test code outside its package sets; make it a constant, unexport it, or give configAllowlist a reason", key)
+	}
+	for key := range configAllowlist {
+		if _, ok := fields[key]; !ok {
+			t.Errorf("configAllowlist: %s is not an exported config field under internal/", key)
+		} else if setOutside(key) {
+			t.Errorf("configAllowlist: %s is set outside its package; drop its entry", key)
+		}
+	}
+}
+
+// eachNonTestFile calls fn with the path and contents of every non-test
+// .go file of the repository, benchmarks/ and examples/ included, and
+// hidden and testdata directories skipped.
+func eachNonTestFile(t *testing.T, fn func(path string, src []byte) error) {
+	t.Helper()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return fn(path, src)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

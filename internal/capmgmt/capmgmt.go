@@ -25,19 +25,16 @@ type Plan struct {
 	MonthlyCapBytes int64
 	// BillingDay is the day of month the cap resets (1–28).
 	BillingDay int
-	// AlertThresholds are fractions of the cap at which alerts fire
-	// (default 0.5, 0.8, 0.95, 1.0).
-	AlertThresholds []float64
 }
+
+// alertThresholds are the fractions of the cap at which alerts fire,
+// in ascending order.
+var alertThresholds = [...]float64{0.5, 0.8, 0.95, 1.0}
 
 func (p *Plan) fill() {
 	if p.BillingDay < 1 || p.BillingDay > 28 {
 		p.BillingDay = 1
 	}
-	if len(p.AlertThresholds) == 0 {
-		p.AlertThresholds = []float64{0.5, 0.8, 0.95, 1.0}
-	}
-	sort.Float64s(p.AlertThresholds)
 }
 
 // Alert is one fired threshold crossing.
@@ -100,7 +97,7 @@ func (m *Manager) Record(dev mac.Addr, bytes int64, at time.Time) []Alert {
 	}
 	var fired []Alert
 	frac := float64(m.used) / float64(m.plan.MonthlyCapBytes)
-	for _, thr := range m.plan.AlertThresholds {
+	for _, thr := range alertThresholds {
 		if frac >= thr && !m.fired[thr] {
 			m.fired[thr] = true
 			fired = append(fired, Alert{At: at, Threshold: thr, Used: m.used, Cap: m.plan.MonthlyCapBytes})

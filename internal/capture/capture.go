@@ -91,13 +91,13 @@ type SecondSample struct {
 type Config struct {
 	// LANPrefix distinguishes home addresses from Internet addresses.
 	LANPrefix netip.Prefix
-	// FlowTimeout idles out flows (default 5 minutes).
-	FlowTimeout time.Duration
-	// MaxFlows caps the flow table (default 65536). When full, the
-	// longest-idle flow is evicted into the finished list.
-	MaxFlows int
 	// UserWhitelist adds user-chosen domains to the Alexa 200.
 	UserWhitelist []string
+	// flowTimeout idles out flows (default 5 minutes).
+	flowTimeout time.Duration
+	// maxFlows caps the flow table (default 65536). When full, the
+	// longest-idle flow is evicted into the finished list.
+	maxFlows int
 }
 
 // Monitor is the passive capture engine. Not safe for concurrent use.
@@ -158,11 +158,11 @@ func (s *secondTracker) flush() {
 
 // New returns a monitor anonymizing with policy.
 func New(cfg Config, policy *anonymize.Policy) *Monitor {
-	if cfg.FlowTimeout <= 0 {
-		cfg.FlowTimeout = 5 * time.Minute
+	if cfg.flowTimeout <= 0 {
+		cfg.flowTimeout = 5 * time.Minute
 	}
-	if cfg.MaxFlows <= 0 {
-		cfg.MaxFlows = 65536
+	if cfg.maxFlows <= 0 {
+		cfg.maxFlows = 65536
 	}
 	reg := telemetry.Default
 	return &Monitor{
@@ -182,7 +182,7 @@ func New(cfg Config, policy *anonymize.Policy) *Monitor {
 		mFinished: reg.Counter("natpeek_capture_flows_finished_total",
 			"Flows moved to the finished list by idle timeout."),
 		mEvicted: reg.Counter("natpeek_capture_flows_evicted_total",
-			"Flows force-evicted because the flow table hit MaxFlows."),
+			"Flows force-evicted because the flow table hit its cap."),
 		gFlows: reg.Gauge("natpeek_capture_active_flows",
 			"Live flow-table entries across all capture monitors."),
 		gAnon: reg.Gauge("natpeek_capture_anon_cache_entries",
@@ -273,7 +273,7 @@ func (m *Monitor) Process(raw []byte, dir Dir, now time.Time) {
 	}
 	f, ok := m.flows[key]
 	if !ok {
-		if len(m.flows) >= m.cfg.MaxFlows {
+		if len(m.flows) >= m.cfg.maxFlows {
 			m.evictOldest()
 		}
 		f = &Flow{Key: key, First: now}
@@ -313,7 +313,7 @@ func (m *Monitor) evictOldest() {
 func (m *Monitor) ExpireFlows(now time.Time) int {
 	n := 0
 	for k, f := range m.flows {
-		if now.Sub(f.Last) >= m.cfg.FlowTimeout {
+		if now.Sub(f.Last) >= m.cfg.flowTimeout {
 			delete(m.flows, k)
 			m.done = append(m.done, f)
 			n++

@@ -173,7 +173,7 @@ func TestGarbageFramesIgnored(t *testing.T) {
 }
 
 func TestFlowExpiry(t *testing.T) {
-	m := New(Config{LANPrefix: lanPfx, FlowTimeout: time.Minute}, anonymize.New([]byte("k")))
+	m := New(Config{LANPrefix: lanPfx, flowTimeout: time.Minute}, anonymize.New([]byte("k")))
 	m.Process(upTCP(devIP, devHW, 5000, 10), Upstream, t0)
 	if n := m.ExpireFlows(t0.Add(30 * time.Second)); n != 0 {
 		t.Fatal("expired too early")
@@ -191,7 +191,7 @@ func TestFlowExpiry(t *testing.T) {
 }
 
 func TestFlowTableCapEvicts(t *testing.T) {
-	m := New(Config{LANPrefix: lanPfx, MaxFlows: 10}, anonymize.New([]byte("k")))
+	m := New(Config{LANPrefix: lanPfx, maxFlows: 10}, anonymize.New([]byte("k")))
 	for i := 0; i < 20; i++ {
 		m.Process(upTCP(devIP, devHW, uint16(5000+i), 10), Upstream, t0.Add(time.Duration(i)*time.Second))
 	}
@@ -337,7 +337,7 @@ func TestReplayPcap(t *testing.T) {
 // give the same records.
 func TestAblationFlowTimeout(t *testing.T) {
 	records := func(timeout time.Duration) int {
-		m := New(Config{LANPrefix: lanPfx, FlowTimeout: timeout}, anonymize.New([]byte("k")))
+		m := New(Config{LANPrefix: lanPfx, flowTimeout: timeout}, anonymize.New([]byte("k")))
 		for i := 0; i < 2000; i++ {
 			now := t0.Add(time.Duration(i) * 3 * time.Second)
 			m.Process(upTCP(devIP, devHW, uint16(5000+i%20), 400), Upstream, now)

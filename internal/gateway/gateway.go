@@ -11,9 +11,14 @@
 //   - continuous passive capture of LAN traffic, anonymized before
 //     export, only in homes that consented (the Traffic subset).
 //
-// The agent is driven by a scheduler over a clock, so the identical code
-// runs against the simulated world (deterministic, fast-forwarded) and
-// against real sockets (cmd/bismark-gateway).
+// The agent is driven by a scheduler over a clock, so the same code runs
+// on a simulated clock (deterministic, fast-forwarded) and against real
+// sockets (cmd/bismark-gateway). The simulated world (internal/world)
+// uses it in layers, as DESIGN §1 tabulates: the agent makes the Uptime,
+// Devices and WiFi rows, and the Traffic rows in frame mode, while the
+// world makes the Heartbeats rows from each home's availability model
+// and the Capacity rows from ShaperProbe runs of its own, without the
+// agent.
 package gateway
 
 import (
@@ -24,7 +29,6 @@ import (
 	"natpeek/internal/capmgmt"
 	"natpeek/internal/capture"
 	"natpeek/internal/dataset"
-	"natpeek/internal/dhcp"
 	"natpeek/internal/eventsim"
 	"natpeek/internal/linksim"
 	"natpeek/internal/mac"
@@ -81,43 +85,27 @@ type Config struct {
 	// UserWhitelist extends the Alexa-200 domain whitelist.
 	UserWhitelist []string
 
-	// Measurement cadence (defaults: 1 min, 12 h, 1 h, 10 min).
-	HeartbeatEvery time.Duration
-	ReportEvery    time.Duration
-	CensusEvery    time.Duration
-	ScanEvery      time.Duration
-
-	// ScanThrottle divides the scan rate when clients are associated
-	// (default 3: scan every 30 min instead of every 10).
-	ScanThrottle int
-
-	// ProbeTrainLength configures ShaperProbe (default 100 packets).
-	ProbeTrainLength int
-
 	// Plan, when set, enables the uCap-style usage-cap manager (§3.1):
 	// every captured frame is charged to its device and threshold alerts
 	// surface through CapAlerts.
 	Plan *capmgmt.Plan
+
+	// scanThrottle divides the scan rate when clients are associated
+	// (default 3: scan every 30 min instead of every 10).
+	scanThrottle int
 }
 
+// The §3.2.2 measurement schedule.
+const (
+	heartbeatEvery = time.Minute
+	reportEvery    = 12 * time.Hour
+	censusEvery    = time.Hour
+	scanEvery      = 10 * time.Minute
+)
+
 func (c *Config) fill() {
-	if c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = time.Minute
-	}
-	if c.ReportEvery <= 0 {
-		c.ReportEvery = 12 * time.Hour
-	}
-	if c.CensusEvery <= 0 {
-		c.CensusEvery = time.Hour
-	}
-	if c.ScanEvery <= 0 {
-		c.ScanEvery = 10 * time.Minute
-	}
-	if c.ScanThrottle <= 0 {
-		c.ScanThrottle = 3
-	}
-	if c.ProbeTrainLength <= 0 {
-		c.ProbeTrainLength = 100
+	if c.scanThrottle <= 0 {
+		c.scanThrottle = 3
 	}
 }
 
@@ -129,8 +117,6 @@ type Env struct {
 	// Radio24/Radio5 are the two radios of the WNDR3800.
 	Radio24 *wifi.Radio
 	Radio5  *wifi.Radio
-	// DHCP is the LAN lease table.
-	DHCP *dhcp.Server
 	// NAT is the translation table on the forwarding path (required for
 	// ForwardUp).
 	NAT *nat.Table
@@ -206,7 +192,7 @@ type Agent struct {
 
 	// scanSkips throttles WiFi scans per radio (index 0 = 2.4 GHz,
 	// 1 = 5 GHz). The counters are independent: with clients on both
-	// bands, each radio still scans every ScanThrottle-th pass instead
+	// bands, each radio still scans every scanThrottle-th pass instead
 	// of the two radios splitting one budget on alternating passes.
 	scanSkips [2]int
 
@@ -272,16 +258,16 @@ func (a *Agent) PowerOn(sched *eventsim.Scheduler) {
 		a.caps = capmgmt.New(*a.cfg.Plan, a.bootAt)
 	}
 
-	hb := sched.Every(a.cfg.HeartbeatEvery, 5*time.Second, func(now time.Time) {
+	hb := sched.Every(heartbeatEvery, 5*time.Second, func(now time.Time) {
 		a.sendHeartbeat(now)
 	})
-	census := sched.Every(a.cfg.CensusEvery, time.Minute, func(now time.Time) {
+	census := sched.Every(censusEvery, time.Minute, func(now time.Time) {
 		a.census(now)
 	})
-	scan := sched.Every(a.cfg.ScanEvery, 30*time.Second, func(now time.Time) {
+	scan := sched.Every(scanEvery, 30*time.Second, func(now time.Time) {
 		a.scan(now)
 	})
-	report := sched.Every(a.cfg.ReportEvery, time.Minute, func(now time.Time) {
+	report := sched.Every(reportEvery, time.Minute, func(now time.Time) {
 		a.report(sched, now)
 	})
 	a.tasks = []*eventsim.Task{hb, census, scan, report}
@@ -360,7 +346,7 @@ func (a *Agent) scan(now time.Time) {
 		}
 		if r.ClientCount() > 0 {
 			a.scanSkips[i]++
-			if a.scanSkips[i]%a.cfg.ScanThrottle != 0 {
+			if a.scanSkips[i]%a.cfg.scanThrottle != 0 {
 				a.mSkips.scan.Inc()
 				continue
 			}
@@ -404,7 +390,7 @@ func (a *Agent) report(sched *eventsim.Scheduler, now time.Time) {
 
 // probeCapacity measures both directions with ShaperProbe.
 func (a *Agent) probeCapacity(sched *eventsim.Scheduler, now time.Time) {
-	cfg := shaperprobe.Config{TrainLength: a.cfg.ProbeTrainLength}
+	cfg := shaperprobe.Config{}
 	var up shaperprobe.Estimate
 	clk := sched.Clock()
 	shaperprobe.Probe(clk, a.env.Link.Up, cfg, func(e shaperprobe.Estimate) {

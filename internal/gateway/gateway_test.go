@@ -8,7 +8,6 @@ import (
 	"natpeek/internal/capmgmt"
 	"natpeek/internal/clock"
 	"natpeek/internal/dataset"
-	"natpeek/internal/dhcp"
 	"natpeek/internal/eventsim"
 	"natpeek/internal/linksim"
 	"natpeek/internal/mac"
@@ -66,7 +65,6 @@ func newFixture(t *testing.T, consent bool) *fixture {
 			linksim.Config{RateBps: 16e6, BufferBytes: 1 << 20}),
 		Radio24: wifi.NewRadio(wifi.Band24, envRadio, rng.New(3)),
 		Radio5:  wifi.NewRadio(wifi.Band5, envRadio, rng.New(4)),
-		DHCP:    dhcp.NewServer(netip.MustParsePrefix("192.168.1.0/24"), 0),
 	}
 	sink := &memSink{}
 	agent := New(Config{
@@ -310,12 +308,20 @@ func TestFramesIgnoredWhilePoweredOff(t *testing.T) {
 	}
 }
 
-func TestHeartbeatCadenceDefaultIsMinute(t *testing.T) {
-	var c Config
-	c.fill()
-	if c.HeartbeatEvery != time.Minute || c.ReportEvery != 12*time.Hour ||
-		c.CensusEvery != time.Hour || c.ScanEvery != 10*time.Minute {
-		t.Fatalf("defaults wrong: %+v", c)
+// TestMeasurementScheduleOverADay runs a powered-on agent for a simulated
+// day and counts what the §3.2.2 schedule emits: a heartbeat every
+// minute, an uptime report every 12 h, a census every hour and, with no
+// clients associated, a scan of each radio every 10 min. Each firing
+// lands less than a minute after its slot, so a run that stops just
+// short of a minute past the day holds the day's last slots and not the
+// next heartbeat.
+func TestMeasurementScheduleOverADay(t *testing.T) {
+	f := newFixture(t, false)
+	f.agent.PowerOn(f.sched)
+	f.clk.Advance(24*time.Hour + time.Minute - time.Nanosecond)
+	got := [4]int{len(f.sink.beats), len(f.sink.uptimes), len(f.sink.counts), len(f.sink.scans)}
+	if want := [4]int{24 * 60, 2, 24, 2 * 24 * 6}; got != want {
+		t.Fatalf("heartbeats, uptime reports, censuses, scan rows in a day = %v, want %v", got, want)
 	}
 }
 

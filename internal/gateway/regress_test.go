@@ -65,11 +65,11 @@ func TestPowerOffExportsLiveFlows(t *testing.T) {
 
 // TestScanThrottleIndependentPerRadio: with clients associated on BOTH
 // bands and an even throttle, each radio must still scan every
-// ScanThrottle-th pass. The old shared skip counter alternated between
+// scanThrottle-th pass. The old shared skip counter alternated between
 // the radios, so one band scanned every pass and the other never did.
 func TestScanThrottleIndependentPerRadio(t *testing.T) {
 	f := newFixture(t, false)
-	f.agent.cfg.ScanThrottle = 2
+	f.agent.cfg.scanThrottle = 2
 	f.env.Radio24.Associate(mac.MustParse("a4:b1:97:00:00:21"))
 	f.env.Radio5.Associate(mac.MustParse("00:24:8c:00:00:22"))
 
@@ -92,7 +92,7 @@ func TestScanThrottleIndependentPerRadio(t *testing.T) {
 // never throttled, regardless of what the other radio is doing.
 func TestScanThrottleOnlyAppliesToBusyRadio(t *testing.T) {
 	f := newFixture(t, false)
-	f.agent.cfg.ScanThrottle = 3
+	f.agent.cfg.scanThrottle = 3
 	f.env.Radio24.Associate(mac.MustParse("a4:b1:97:00:00:23")) // only 2.4 GHz is busy
 
 	const passes = 6

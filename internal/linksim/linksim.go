@@ -72,8 +72,8 @@ type Config struct {
 	PropDelay time.Duration
 	// LossProb is i.i.d. random loss probability per packet.
 	LossProb float64
-	// MTU bounds packet size (0 = 1500).
-	MTU int
+	// mtu bounds packet size (0 = 1500).
+	mtu int
 }
 
 // New returns a direction driven by clk. The rng stream may be nil when
@@ -85,8 +85,8 @@ func New(clk *clock.Sim, rnd *rng.Stream, cfg Config) *Direction {
 	if cfg.BufferBytes <= 0 {
 		cfg.BufferBytes = 64 * 1024
 	}
-	if cfg.MTU <= 0 {
-		cfg.MTU = 1500
+	if cfg.mtu <= 0 {
+		cfg.mtu = 1500
 	}
 	peak := cfg.PeakBps
 	if peak < cfg.RateBps {
@@ -101,7 +101,7 @@ func New(clk *clock.Sim, rnd *rng.Stream, cfg Config) *Direction {
 		buffer:    cfg.BufferBytes,
 		propDelay: cfg.PropDelay,
 		lossProb:  cfg.LossProb,
-		mtu:       cfg.MTU,
+		mtu:       cfg.mtu,
 		tokens:    float64(cfg.BurstBytes),
 		tokensAt:  clk.Now(),
 	}

@@ -32,7 +32,7 @@ func BenchmarkLoadgenEndToEnd(b *testing.B) {
 			BatchSize:        32,
 			Workers:          8,
 			Seed:             uint64(i + 1),
-			SkipRegister:     i > 0, // the fleet registers once
+			skipRegister:     i > 0, // the fleet registers once
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -42,8 +42,7 @@ import (
 	"natpeek/internal/wire"
 )
 
-// Mix weighs the upload endpoints in the generated traffic. Zero-valued
-// mixes fall back to DefaultMix.
+// Mix weighs the upload endpoints in the generated traffic.
 type Mix struct {
 	Uptime     float64
 	Capacity   float64
@@ -58,16 +57,19 @@ type Mix struct {
 var DefaultMix = Mix{Uptime: 1, Capacity: 0.5, Devices: 1, WiFi: 1, Flows: 3, Throughput: 2}
 
 func (m Mix) weights() []float64 {
-	w := []float64{m.Uptime, m.Capacity, m.Devices, m.WiFi, m.Flows, m.Throughput}
-	total := 0.0
-	for _, v := range w {
-		total += v
-	}
-	if total <= 0 {
-		return DefaultMix.weights()
-	}
-	return w
+	return []float64{m.Uptime, m.Capacity, m.Devices, m.WiFi, m.Flows, m.Throughput}
 }
+
+// The shape of the generated rows: slice-valued payloads carry
+// flowsPerPayload flows or samplesPerPayload throughput samples, and
+// timestamps count from studyStart, the start of the BISmark study
+// window.
+const (
+	flowsPerPayload   = 8
+	samplesPerPayload = 6
+)
+
+var studyStart = time.Date(2013, 4, 1, 0, 0, 0, 0, time.UTC)
 
 // Config parameterizes a load run.
 type Config struct {
@@ -87,14 +89,8 @@ type Config struct {
 	// home skips cycles). 0 means always-on.
 	Duty float64
 	// PayloadsPerCycle is how many uploads an active cycle emits
-	// (default 4), drawn from Mix.
+	// (default 4), drawn from DefaultMix.
 	PayloadsPerCycle int
-	// Mix weighs the endpoints; zero value uses DefaultMix.
-	Mix Mix
-	// FlowsPerPayload / SamplesPerPayload size the slice-valued payloads
-	// (defaults 8 and 6).
-	FlowsPerPayload   int
-	SamplesPerPayload int
 	// BatchSize groups uploads into /v1/batch POSTs (default 32).
 	BatchSize int
 	// DirectFraction routes this share of uploads as individual keyed
@@ -115,13 +111,10 @@ type Config struct {
 	// a per-run nonce on top, so re-running the same seed against a
 	// live server still stores fresh rows.
 	Seed uint64
-	// Start anchors generated timestamps (default 2013-04-01, the
-	// BISmark study window).
-	Start time.Time
-	// Registrations: each router registers synchronously before its
-	// first cycle (default true; disable only when re-driving a server
-	// that already knows the fleet).
-	SkipRegister bool
+	// skipRegister skips the synchronous registration each router makes
+	// before its first cycle, for re-driving a server that already
+	// knows the fleet.
+	skipRegister bool
 }
 
 func (c Config) withDefaults() Config {
@@ -137,12 +130,6 @@ func (c Config) withDefaults() Config {
 	if c.PayloadsPerCycle <= 0 {
 		c.PayloadsPerCycle = 4
 	}
-	if c.FlowsPerPayload <= 0 {
-		c.FlowsPerPayload = 8
-	}
-	if c.SamplesPerPayload <= 0 {
-		c.SamplesPerPayload = 6
-	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = 32
 	}
@@ -151,9 +138,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers <= 0 {
 		c.Workers = 8
-	}
-	if c.Start.IsZero() {
-		c.Start = time.Date(2013, 4, 1, 0, 0, 0, 0, time.UTC)
 	}
 	if c.Wire == "" {
 		c.Wire = "binary"
@@ -329,7 +313,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			},
 		},
 		nonce:   hex.EncodeToString(nb[:]),
-		weights: cfg.Mix.weights(),
+		weights: DefaultMix.weights(),
 		work:    make(chan upload, cfg.Workers*cfg.BatchSize),
 		hLatency: reg.Histogram("natpeek_loadgen_request_seconds",
 			"Load-generator request latency (batches and direct uploads).", nil),
@@ -359,7 +343,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	// Router fleet: each router ramps in, registers, then generates its
 	// cycles. Generation is cheap; delivery backpressure comes from the
 	// bounded work channel.
-	gen := &generator{cfg: cfg}
+	gen := &generator{}
 	var routers sync.WaitGroup
 	routerErr := make(chan error, 1)
 	for i := 0; i < cfg.Routers; i++ {
@@ -403,7 +387,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 
 // generator owns the fleet-wide row accounting.
 type generator struct {
-	cfg  Config
 	rows Rows
 
 	uploads atomic.Int64
@@ -443,7 +426,7 @@ func (r *runner) runRouter(ctx context.Context, gen *generator, i int) error {
 		}
 	}
 	id := routerID(i)
-	if !cfg.SkipRegister {
+	if !cfg.skipRegister {
 		if err := r.register(ctx, id); err != nil {
 			return fmt.Errorf("loadgen: register %s: %w", id, err)
 		}
@@ -489,7 +472,7 @@ func (r *runner) runRouter(ctx context.Context, gen *generator, i int) error {
 // paths that ship JSON, so binary runs never round-trip through text.
 func (r *runner) payload(gen *generator, id string, router, cycle, seq int, stream *rng.Stream) (upload, Rows, error) {
 	cfg := r.cfg
-	at := cfg.Start.Add(time.Duration(cycle) * time.Hour).Add(time.Duration(seq%60) * time.Minute)
+	at := studyStart.Add(time.Duration(cycle) * time.Hour).Add(time.Duration(seq%60) * time.Minute)
 	var (
 		endpoint string
 		p        wire.Payload
@@ -538,7 +521,7 @@ func (r *runner) payload(gen *generator, id string, router, cycle, seq int, stre
 		r.mRows.With("wifi").Inc()
 	case 4:
 		endpoint = "/v1/traffic/flows"
-		flows := make([]dataset.FlowRecord, cfg.FlowsPerPayload)
+		flows := make([]dataset.FlowRecord, flowsPerPayload)
 		for j := range flows {
 			flows[j] = dataset.FlowRecord{RouterID: id,
 				Device: mac.FromOUI(0x001CB3, uint32(router*1000+j)),
@@ -554,7 +537,7 @@ func (r *runner) payload(gen *generator, id string, router, cycle, seq int, stre
 		r.mRows.With("flows").Inc()
 	default:
 		endpoint = "/v1/traffic/throughput"
-		samples := make([]dataset.ThroughputSample, cfg.SamplesPerPayload)
+		samples := make([]dataset.ThroughputSample, samplesPerPayload)
 		for j := range samples {
 			samples[j] = dataset.ThroughputSample{RouterID: id,
 				Minute:  at.Add(time.Duration(j) * time.Minute),

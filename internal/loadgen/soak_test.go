@@ -140,7 +140,7 @@ func TestRunDeterministicRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.SkipRegister = true // fleet already registered
+	cfg.skipRegister = true // fleet already registered
 	rep2, err := Run(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)

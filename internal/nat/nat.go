@@ -57,9 +57,6 @@ type Mapping struct {
 type Table struct {
 	wan netip.Addr
 
-	udpTimeout time.Duration
-	tcpTimeout time.Duration
-
 	byInternal map[mappingKey]*Mapping
 	byExternal map[mappingKey]*Mapping // key.in holds the *external* endpoint
 	remotes    map[mappingKey]map[Endpoint]bool
@@ -70,44 +67,39 @@ type Table struct {
 	allocated int
 }
 
+// Idle expiries of a mapping: typical consumer-router values.
+const (
+	udpTimeout = 2 * time.Minute
+	tcpTimeout = 2 * time.Hour
+)
+
 // Config tunes the translator.
 type Config struct {
 	// WANAddr is the gateway's public address.
 	WANAddr netip.Addr
-	// PortLo/PortHi bound the external port range (default 32768–60999).
-	PortLo, PortHi uint16
-	// UDPTimeout and TCPTimeout are idle expiries (defaults 2 min / 2 h,
-	// typical consumer-router values).
-	UDPTimeout, TCPTimeout time.Duration
+	// portLo/portHi bound the external port range (default 32768–60999).
+	portLo, portHi uint16
 }
 
 // New returns an empty translator.
 func New(cfg Config) *Table {
-	if cfg.PortLo == 0 {
-		cfg.PortLo = 32768
+	if cfg.portLo == 0 {
+		cfg.portLo = 32768
 	}
-	if cfg.PortHi == 0 {
-		cfg.PortHi = 60999
+	if cfg.portHi == 0 {
+		cfg.portHi = 60999
 	}
-	if cfg.PortHi <= cfg.PortLo {
+	if cfg.portHi <= cfg.portLo {
 		panic("nat: invalid port range")
-	}
-	if cfg.UDPTimeout <= 0 {
-		cfg.UDPTimeout = 2 * time.Minute
-	}
-	if cfg.TCPTimeout <= 0 {
-		cfg.TCPTimeout = 2 * time.Hour
 	}
 	return &Table{
 		wan:        cfg.WANAddr,
-		udpTimeout: cfg.UDPTimeout,
-		tcpTimeout: cfg.TCPTimeout,
 		byInternal: make(map[mappingKey]*Mapping),
 		byExternal: make(map[mappingKey]*Mapping),
 		remotes:    make(map[mappingKey]map[Endpoint]bool),
-		nextPort:   cfg.PortLo,
-		portLo:     cfg.PortLo,
-		portHi:     cfg.PortHi,
+		nextPort:   cfg.portLo,
+		portLo:     cfg.portLo,
+		portHi:     cfg.portHi,
 	}
 }
 
@@ -194,9 +186,9 @@ func (t *Table) allocPort(proto packet.IPProto, now time.Time) (uint16, error) {
 func (t *Table) Expire(now time.Time) int {
 	n := 0
 	for key, m := range t.byInternal {
-		timeout := t.udpTimeout
+		timeout := udpTimeout
 		if m.Proto == packet.ProtoTCP {
-			timeout = t.tcpTimeout
+			timeout = tcpTimeout
 		}
 		if now.Sub(m.LastUsed) >= timeout {
 			delete(t.byInternal, key)

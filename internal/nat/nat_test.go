@@ -153,7 +153,7 @@ func TestActivityRefreshesMapping(t *testing.T) {
 }
 
 func TestPortExhaustionReclaimsIdle(t *testing.T) {
-	nt := New(Config{WANAddr: wanIP, PortLo: 40000, PortHi: 40004})
+	nt := New(Config{WANAddr: wanIP, portLo: 40000, portHi: 40004})
 	for i := 0; i < 5; i++ {
 		if _, err := nt.TranslateOut(udpFrame(lanA, uint16(5000+i)), t0); err != nil {
 			t.Fatal(err)
@@ -165,7 +165,7 @@ func TestPortExhaustionReclaimsIdle(t *testing.T) {
 		t.Fatalf("no reclaim under exhaustion: %v", err)
 	}
 	// Immediate exhaustion with live mappings must error.
-	nt2 := New(Config{WANAddr: wanIP, PortLo: 40000, PortHi: 40001})
+	nt2 := New(Config{WANAddr: wanIP, portLo: 40000, portHi: 40001})
 	nt2.TranslateOut(udpFrame(lanA, 1), t0)
 	nt2.TranslateOut(udpFrame(lanA, 2), t0)
 	if _, err := nt2.TranslateOut(udpFrame(lanA, 3), t0); err == nil {

@@ -16,25 +16,23 @@ import (
 	"natpeek/internal/linksim"
 )
 
+// packetSize is the probe packet size in bytes.
+const packetSize = 1400
+
 // Config tunes a probe.
 type Config struct {
-	// PacketSize is the probe packet size in bytes (default 1400).
-	PacketSize int
 	// TrainLength is the number of packets per train (default 100).
 	TrainLength int
-	// Timeout abandons the probe if deliveries stall (default 30 s).
-	Timeout time.Duration
+	// timeout abandons the probe if deliveries stall (default 30 s).
+	timeout time.Duration
 }
 
 func (c *Config) fill() {
-	if c.PacketSize <= 0 {
-		c.PacketSize = 1400
-	}
 	if c.TrainLength <= 0 {
 		c.TrainLength = 100
 	}
-	if c.Timeout <= 0 {
-		c.Timeout = 30 * time.Second
+	if c.timeout <= 0 {
+		c.timeout = 30 * time.Second
 	}
 }
 
@@ -72,11 +70,11 @@ func Probe(clk *clock.Sim, dir *linksim.Direction, cfg Config, done func(Estimat
 			return
 		}
 		finished = true
-		done(analyze(arrivals, cfg.PacketSize, lost))
+		done(analyze(arrivals, lost))
 	}
 
 	for i := 0; i < cfg.TrainLength; i++ {
-		ok := dir.Send(cfg.PacketSize, func(at time.Time) {
+		ok := dir.Send(packetSize, func(at time.Time) {
 			arrivals = append(arrivals, at)
 			if len(arrivals)+lost == sent && len(arrivals) == cfg.TrainLength-lost {
 				finish()
@@ -93,13 +91,13 @@ func Probe(clk *clock.Sim, dir *linksim.Direction, cfg Config, done func(Estimat
 		clk.AfterFunc(0, func(time.Time) { finish() })
 		return
 	}
-	clk.AfterFunc(cfg.Timeout, func(time.Time) { finish() })
+	clk.AfterFunc(cfg.timeout, func(time.Time) { finish() })
 }
 
 // analyze converts arrival timestamps into rate levels. It computes
 // per-gap instantaneous rates and splits them into "burst" and
 // "sustained" phases at the largest sustained level shift.
-func analyze(arrivals []time.Time, pktSize, lost int) Estimate {
+func analyze(arrivals []time.Time, lost int) Estimate {
 	e := Estimate{Delivered: len(arrivals), Lost: lost}
 	if len(arrivals) < 3 {
 		return e
@@ -113,7 +111,7 @@ func analyze(arrivals []time.Time, pktSize, lost int) Estimate {
 		if gap <= 0 {
 			continue
 		}
-		rates = append(rates, float64(pktSize*8)/gap)
+		rates = append(rates, float64(packetSize*8)/gap)
 	}
 	if len(rates) == 0 {
 		return e

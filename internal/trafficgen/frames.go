@@ -24,18 +24,16 @@ type FrameOpts struct {
 	GatewayMAC mac.Addr
 	// DeviceIP is the LAN address of the flow's device.
 	DeviceIP netip.Addr
-	// RemoteIP is the server address the flow talks to. If unset, one is
-	// derived from the domain name.
-	RemoteIP netip.Addr
 	// ResolverIP is the upstream DNS server (default 8.8.8.8).
 	ResolverIP netip.Addr
 	// MaxDataPackets bounds emitted data frames per flow (default 40);
 	// byte counts are preserved by inflating the last packets' reported
 	// size only up to the MTU, so totals are approximate at small caps.
 	MaxDataPackets int
-	// MTU for data packets (default 1500).
-	MTU int
 }
+
+// mtu bounds the size of a data frame.
+const mtu = 1500
 
 // FlowFrames is a rendered flow, with the rng-drawn connection identity
 // exposed so callers (the verify harness) can predict the exact flow
@@ -66,16 +64,10 @@ func RenderFlow(f FlowSpec, opts FrameOpts, rnd *rng.Stream) FlowFrames {
 	if opts.MaxDataPackets <= 0 {
 		opts.MaxDataPackets = 40
 	}
-	if opts.MTU <= 0 {
-		opts.MTU = 1500
-	}
 	if !opts.ResolverIP.IsValid() {
 		opts.ResolverIP = netip.MustParseAddr("8.8.8.8")
 	}
-	remote := opts.RemoteIP
-	if !remote.IsValid() {
-		remote = deriveRemoteIP(f.Domain, rnd)
-	}
+	remote := deriveRemoteIP(f.Domain, rnd)
 	devHW := f.Device.HW
 	gw := opts.GatewayMAC
 	devIP := opts.DeviceIP
@@ -116,7 +108,7 @@ func RenderFlow(f FlowSpec, opts FrameOpts, rnd *rng.Stream) FlowFrames {
 	}
 	upLeft, downLeft := f.UpBytes, f.DownBytes
 	nPkts := opts.MaxDataPackets
-	payload := opts.MTU - 54 // eth+ip+tcp headers
+	payload := mtu - 54 // eth+ip+tcp headers
 	for i := 0; i < nPkts && (upLeft > 0 || downLeft > 0); i++ {
 		at = f.Start.Add(time.Duration(float64(span) * float64(i+1) / float64(nPkts+1)))
 		if downLeft > 0 {

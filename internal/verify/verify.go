@@ -34,10 +34,11 @@ import (
 type Config struct {
 	// Seed drives every random draw (the run is a pure function of it).
 	Seed uint64
-	// Base anchors the compressed collection windows (default
-	// 2013-04-01, inside the paper's study period).
-	Base time.Time
 }
+
+// base anchors the compressed collection windows, inside the paper's
+// study period.
+var base = time.Date(2013, 4, 1, 0, 0, 0, 0, time.UTC)
 
 // segmentFlushRows keeps verification runs rotating through many small
 // segments so flush boundaries land mid-dataset.
@@ -87,10 +88,6 @@ type Result struct {
 // seconds, rich enough to exercise every data set and the US/other
 // grouping the analyses rely on.
 func worldConfig(cfg Config) world.Config {
-	base := cfg.Base
-	if base.IsZero() {
-		base = time.Date(2013, 4, 1, 0, 0, 0, 0, time.UTC)
-	}
 	return world.Config{
 		Seed:              cfg.Seed,
 		Countries:         []string{"US", "IN"},
