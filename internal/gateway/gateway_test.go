@@ -308,14 +308,14 @@ func TestFramesIgnoredWhilePoweredOff(t *testing.T) {
 	}
 }
 
-// TestMeasurementScheduleOverADay runs a powered-on agent for a simulated
+// TestHeartbeatCadenceDefaultIsMinute runs a powered-on agent for a simulated
 // day and counts what the §3.2.2 schedule emits: a heartbeat every
 // minute, an uptime report every 12 h, a census every hour and, with no
 // clients associated, a scan of each radio every 10 min. Each firing
 // lands less than a minute after its slot, so a run that stops just
 // short of a minute past the day holds the day's last slots and not the
 // next heartbeat.
-func TestMeasurementScheduleOverADay(t *testing.T) {
+func TestHeartbeatCadenceDefaultIsMinute(t *testing.T) {
 	f := newFixture(t, false)
 	f.agent.PowerOn(f.sched)
 	f.clk.Advance(24*time.Hour + time.Minute - time.Nanosecond)
