@@ -58,10 +58,12 @@ var exportAllowlist = map[string]string{
 // TestInternalExportsHaveCallers fails when an exported function or
 // method declared under internal/ has no identifier reference in any
 // non-test .go file of the repository (benchmarks/ included) other than
-// its declarations, and the allowlist gives no reason to keep it. The
-// match is by name alone, so it can miss dead code — a name shared with
-// a live one counts as live — but it never flags live code, except for
-// calls through an interface or a template, which go in the allowlist.
+// its declarations, and the allowlist gives no reason to keep it. It
+// tokenizes every file for identifiers and parses only internal/ for the
+// declarations. The match is by name alone, so it can miss dead code — a
+// name shared with a live one counts as live. It can also flag live code
+// that no identifier names, such as a method called through an interface
+// or a template; such a method needs an allowlist reason.
 func TestInternalExportsHaveCallers(t *testing.T) {
 	refs := map[string]int{}  // identifier -> occurrences in non-test code
 	decls := map[string]int{} // exported func/method name -> declarations under internal/
@@ -184,9 +186,11 @@ func isConfigType(pkg, name string) bool {
 // its package, as a composite-literal key (F: v) or an assignment
 // target (x.F = v), and configAllowlist gives no reason to keep it. A
 // field only its own package's tests set is a test seam: unexport it.
-// Like TestInternalExportsHaveCallers it matches by name, so it can
-// miss a dead field whose name a live one shares, but it never flags a
-// field that a caller sets.
+// It parses every file. Like TestInternalExportsHaveCallers it matches
+// by name, so it can miss a dead field whose name a live one shares. It
+// can also flag a live field set in a way it does not see: a positional
+// composite literal, a nested target (x.F.G = v), reflection or
+// decoding; such a field needs an allowlist reason.
 func TestConfigFieldsHaveSetters(t *testing.T) {
 	fields := map[string]string{}         // "pkg.Type.Field" -> Field
 	setIn := map[string]map[string]bool{} // field name -> directories of the files that set it

@@ -23,6 +23,9 @@ import (
 	"natpeek/internal/rng"
 )
 
+// mtu bounds packet size in bytes; Send clamps larger packets to it.
+const mtu = 1500
+
 // Direction is one direction of an access link. Not safe for concurrent
 // use; drive it from the clock goroutine.
 type Direction struct {
@@ -36,7 +39,6 @@ type Direction struct {
 	propDelay time.Duration
 	lossProb  float64
 	outage    bool
-	mtu       int
 
 	tokens    float64
 	tokensAt  time.Time
@@ -72,8 +74,6 @@ type Config struct {
 	PropDelay time.Duration
 	// LossProb is i.i.d. random loss probability per packet.
 	LossProb float64
-	// mtu bounds packet size (0 = 1500).
-	mtu int
 }
 
 // New returns a direction driven by clk. The rng stream may be nil when
@@ -84,9 +84,6 @@ func New(clk *clock.Sim, rnd *rng.Stream, cfg Config) *Direction {
 	}
 	if cfg.BufferBytes <= 0 {
 		cfg.BufferBytes = 64 * 1024
-	}
-	if cfg.mtu <= 0 {
-		cfg.mtu = 1500
 	}
 	peak := cfg.PeakBps
 	if peak < cfg.RateBps {
@@ -101,7 +98,6 @@ func New(clk *clock.Sim, rnd *rng.Stream, cfg Config) *Direction {
 		buffer:    cfg.BufferBytes,
 		propDelay: cfg.PropDelay,
 		lossProb:  cfg.LossProb,
-		mtu:       cfg.mtu,
 		tokens:    float64(cfg.BurstBytes),
 		tokensAt:  clk.Now(),
 	}
@@ -140,8 +136,8 @@ func (d *Direction) Send(size int, deliver func(at time.Time)) bool {
 	if size <= 0 {
 		size = 1
 	}
-	if size > d.mtu {
-		size = d.mtu
+	if size > mtu {
+		size = mtu
 	}
 	if d.outage {
 		d.stats.DroppedOut++

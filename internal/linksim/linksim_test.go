@@ -176,7 +176,7 @@ func TestRandomLossRate(t *testing.T) {
 }
 
 func TestMTUClamp(t *testing.T) {
-	d, clk := newDir(t, Config{RateBps: 8e6, mtu: 1500})
+	d, clk := newDir(t, Config{RateBps: 8e6})
 	var at time.Time
 	d.Send(9000, func(ts time.Time) { at = ts })
 	clk.Run(epoch.Add(time.Second))

@@ -19,20 +19,18 @@ import (
 // packetSize is the probe packet size in bytes.
 const packetSize = 1400
 
+// probeTimeout abandons the probe if deliveries stall.
+const probeTimeout = 30 * time.Second
+
 // Config tunes a probe.
 type Config struct {
 	// TrainLength is the number of packets per train (default 100).
 	TrainLength int
-	// timeout abandons the probe if deliveries stall (default 30 s).
-	timeout time.Duration
 }
 
 func (c *Config) fill() {
 	if c.TrainLength <= 0 {
 		c.TrainLength = 100
-	}
-	if c.timeout <= 0 {
-		c.timeout = 30 * time.Second
 	}
 }
 
@@ -91,7 +89,7 @@ func Probe(clk *clock.Sim, dir *linksim.Direction, cfg Config, done func(Estimat
 		clk.AfterFunc(0, func(time.Time) { finish() })
 		return
 	}
-	clk.AfterFunc(cfg.timeout, func(time.Time) { finish() })
+	clk.AfterFunc(probeTimeout, func(time.Time) { finish() })
 }
 
 // analyze converts arrival timestamps into rate levels. It computes
