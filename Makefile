@@ -112,6 +112,7 @@ check-verify: fuzz-seeds
 	$(GO) test -run='^$$' -fuzz='FuzzSplit' -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -run='^$$' -fuzz='FuzzWireRoundTrip' -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -run='^$$' -fuzz='FuzzSegmentDecode' -fuzztime=$(FUZZTIME) ./internal/segment/
+	$(GO) test -run='^$$' -fuzz='FuzzSegmentSplice' -fuzztime=$(FUZZTIME) ./internal/segment/
 
 # The scale gate, under the race detector:
 #   1. sharded-store stress (32 shards, concurrent appliers + replays)
@@ -231,22 +232,26 @@ check-bench:
 #      regressions (truncated tail, torn footer, kill right after the
 #      flush, tmp leftovers, compaction supersession healing, also for a
 #      run in mid-list), size-tiered compaction's policy (rows rewritten
-#      once per tier, the flush pass counting tier-0 segments only), and
-#      the sealed-segment scanner (per-file-decode property at 1 and 4
-#      workers, reads racing Compact/ExtractRouters, a bad segment left
-#      out whole);
+#      once per tier, the flush pass counting tier-0 segments only),
+#      the compaction splice (byte-identical to Encode of the joined
+#      rows, every decoder check kept, a corrupt input failing the pass
+#      with nothing written, an allocation budget of twice the bytes in
+#      and out), and the sealed-segment scanner (per-file-decode
+#      property at 1 and 4 workers, reads racing Compact/ExtractRouters,
+#      a bad segment left out whole);
 #   2. the incremental-analysis equivalence suite — partial folds,
 #      merges, and the live dashboard against the batch figures;
 #   3. the segment-backed verify goldens — the full deployment
 #      ingested into segment stores reopened from disk (single-node and
 #      3-node cluster), snapshots byte-identical to the golden;
-#   4. a short fuzz shake-out of the NPS1 decoder on top of its
-#      checked-in seed corpus.
+#   4. a short fuzz shake-out of the NPS1 decoder and the splice on top
+#      of their checked-in seed corpora.
 check-segment:
 	$(GO) test -race ./internal/segment/
 	$(GO) test -race -run 'TestPartialEquivalence|TestDashboard' ./internal/figures/
 	$(GO) test -race -run 'Segment' ./internal/verify/
 	$(GO) test -run='^$$' -fuzz='FuzzSegmentDecode' -fuzztime=$(FUZZTIME) ./internal/segment/
+	$(GO) test -run='^$$' -fuzz='FuzzSegmentSplice' -fuzztime=$(FUZZTIME) ./internal/segment/
 
 # Replay the checked-in fuzz corpora as plain unit tests (fast, -race).
 fuzz-seeds:

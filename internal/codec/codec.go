@@ -162,6 +162,26 @@ func (d *Dec) Varint() int64 {
 	return v
 }
 
+// Varints consumes n varints, signed or not (they share one byte form),
+// and returns their bytes as Take does, so a schema can move a column of
+// integers without decoding one. A bad varint fails as Uvarint does.
+func (d *Dec) Varints(n int) []byte {
+	start := d.off
+	for ; n > 0; n-- {
+		if d.off < len(d.buf) && d.buf[d.off] < 0x80 {
+			d.off++
+			continue
+		}
+		if _, k := binary.Uvarint(d.buf[d.off:]); k > 0 {
+			d.off += k
+			continue
+		}
+		d.Failf("bad varint")
+		return nil
+	}
+	return d.buf[start:d.off:d.off]
+}
+
 // Take returns the next n bytes, aliasing the input and clipped so an
 // append cannot write into it — or nil, never a short slice, on failure.
 func (d *Dec) Take(n int) []byte {

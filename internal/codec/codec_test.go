@@ -296,6 +296,38 @@ func TestVarintStreamsMatchEncodingBinary(t *testing.T) {
 	}
 }
 
+// TestVarintsSpanMatchesReads: Varints(n) over a random stream consumes
+// exactly the bytes of n Uvarint reads and returns them, and fails where
+// the first failing read fails.
+func TestVarintsSpanMatchesReads(t *testing.T) {
+	r := rand.New(rand.NewPCG(40, 7))
+	for i := 0; i < 5000; i++ {
+		buf := make([]byte, r.IntN(40))
+		for j := range buf {
+			buf[j] = byte(r.IntN(256))
+			if r.IntN(2) == 0 {
+				buf[j] &= 0x7f
+			}
+		}
+		n := r.IntN(12)
+		one, each := NewDec(buf), NewDec(buf)
+		span := one.Varints(n)
+		for k := 0; k < n; k++ {
+			each.Uvarint()
+		}
+		if !each.OK() {
+			if span != nil || one.OK() || one.Err().(*Error).Off != each.Err().(*Error).Off {
+				t.Fatalf("% x, %d varints: span %x, err %v; reads fail with %v", buf, n, span, one.Err(), each.Err())
+			}
+			continue
+		}
+		used := len(buf) - each.Remaining()
+		if !one.OK() || !bytes.Equal(span, buf[:used]) || cap(span) != used || one.Remaining() != each.Remaining() {
+			t.Fatalf("% x, %d varints: span %x (err %v), reads consumed %x", buf, n, span, one.Err(), buf[:used])
+		}
+	}
+}
+
 // TestTakeIsClipped: bytes handed out alias the input but cannot be
 // appended into it.
 func TestTakeIsClipped(t *testing.T) {

@@ -1,9 +1,13 @@
 package segment_test
 
 import (
+	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -155,5 +159,150 @@ func TestCompactionHealsCrashMidList(t *testing.T) {
 		if s2.Apply("chunk", fmt.Sprintf("chunk-%d", i), func(*dataset.Store) {}) {
 			t.Fatalf("upload chunk-%d applied again after the heal", i)
 		}
+	}
+}
+
+// TestCompactionAllocBudget: one pass over eight tier-0 segments
+// allocates at most twice the bytes of its input files and its output
+// file together — it reads each input once and writes the output once,
+// and decodes no row in between. A third of the flow rows carry a
+// one-off domain, as anonymised hashes do, so the flow dictionary is
+// large.
+func TestCompactionAllocBudget(t *testing.T) {
+	dir := t.TempDir()
+	s, err := segment.Open(segment.Options{Dir: dir, FlushRows: 1 << 30, NoCompaction: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < 8; i++ {
+		chunk := randomStore(uint64(300+i), 4096)
+		for j := range chunk.Flows {
+			if j%3 == 0 {
+				chunk.Flows[j].Domain = fmt.Sprintf("h%d-%d.example", i, j)
+			}
+		}
+		sealChunk(t, s, chunk, uint64(300+i))
+	}
+	before := fileSizes(t, dir)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	after := fileSizes(t, dir)
+	if len(after) != 1 {
+		t.Fatalf("%d segments after the pass, want 1", len(after))
+	}
+	in, out := newBytes(nil, before), newBytes(before, after)
+	alloc := m1.TotalAlloc - m0.TotalAlloc
+	t.Logf("pass allocated %d bytes: inputs %d, output %d", alloc, in, out)
+	if alloc > 2*(in+out) {
+		t.Fatalf("pass allocated %d bytes, more than twice its %d input and %d output bytes", alloc, in, out)
+	}
+}
+
+// TestCompactCorruptInput: an input whose block holds a dictionary
+// reference past its dictionary, under a CRC that matches, fails the
+// pass with a corrupt-data error that names the file, and the pass
+// leaves the directory and the segment list as they were.
+func TestCompactCorruptInput(t *testing.T) {
+	dir := t.TempDir()
+	s, err := segment.Open(segment.Options{Dir: dir, FlushRows: 1 << 30, NoCompaction: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < 8; i++ {
+		chunk := dataset.NewStore()
+		for j := 0; j < 4; j++ {
+			chunk.Uptime = append(chunk.Uptime, dataset.UptimeReport{RouterID: "r1", ReportedAt: t0.Add(time.Duration(j) * time.Minute)})
+		}
+		sealChunk(t, s, chunk, uint64(i))
+	}
+	files := segFiles(t, dir)
+	victim := files[3]
+	b, err := os.ReadFile(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The uptime block comes first: its router column is the literal
+	// 0 | len 2 | "r1", then one reference per further row. Point the
+	// second row's reference at entry 5 of a one-entry dictionary.
+	bad, err := segment.Reseal(b, func(blocks []byte) { blocks[4] = 6 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := segment.Decode(bad); err == nil || !strings.Contains(err.Error(), "beyond dictionary") {
+		t.Fatalf("the edited segment decodes with %v, want a reference beyond the dictionary", err)
+	}
+	if err := os.WriteFile(victim, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	list, names := s.Segments(), dirNames(t, dir)
+
+	err = s.Compact()
+	if !errors.Is(err, segment.ErrCorrupt) || !strings.Contains(err.Error(), filepath.Base(victim)) {
+		t.Fatalf("Compact() = %v, want a corrupt-data error naming %s", err, filepath.Base(victim))
+	}
+	if got := dirNames(t, dir); !reflect.DeepEqual(got, names) {
+		t.Fatalf("the failed pass left %v in the directory, it held %v", got, names)
+	}
+	if !reflect.DeepEqual(s.Segments(), list) {
+		t.Fatal("the failed pass changed the segment list")
+	}
+}
+
+// dirNames lists every file in dir, .tmp and LOCK included.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, e := range ents {
+		out = append(out, e.Name())
+	}
+	return out
+}
+
+// TestQuarantineCounted: Open renames a torn segment to .seg.corrupt and
+// counts it in natpeek_segment_quarantined_total; the intact one loads.
+func TestQuarantineCounted(t *testing.T) {
+	quarantined := telemetry.Default.Counter("natpeek_segment_quarantined_total", "")
+	dir := t.TempDir()
+	s, err := segment.Open(segment.Options{Dir: dir, FlushRows: 1 << 30, NoCompaction: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealChunk(t, s, randomStore(1, 100), 1)
+	sealChunk(t, s, randomStore(2, 100), 2)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	files := segFiles(t, dir)
+	b, err := os.ReadFile(files[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(files[1], b[:len(b)-7], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	q0 := quarantined.Value()
+	s2, err := segment.Open(segment.Options{Dir: dir, NoCompaction: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got := quarantined.Value() - q0; got != 1 {
+		t.Fatalf("quarantined counter moved by %d, want 1", got)
+	}
+	if _, err := os.Stat(files[1] + ".corrupt"); err != nil {
+		t.Fatalf("the torn segment was not quarantined: %v", err)
+	}
+	if n := len(s2.Segments()); n != 1 {
+		t.Fatalf("%d segments loaded, want the intact one", n)
 	}
 }

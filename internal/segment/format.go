@@ -97,7 +97,7 @@ type Meta struct {
 	Replaces []SeqRange
 	// MinTime/MaxTime span every row timestamp in the segment (zero
 	// rows excluded); HasTimeRange is false for an all-metadata
-	// segment. Compaction uses the range to find overlapping inputs.
+	// segment. A compacted segment's range is the union of its inputs'.
 	HasTimeRange     bool
 	MinTime, MaxTime time.Time
 	Roster           map[string]string
@@ -113,55 +113,70 @@ type Meta struct {
 // therefore the verify golden snapshots, byte-identical when the segment
 // store substitutes for the in-memory one.
 func Encode(st *dataset.Store, keys []Key, seq SeqRange, replaces []SeqRange) []byte {
-	out := make([]byte, 0, 4096)
-	out = append(out, magicHead...)
-
-	var blocks []blockRef
-	addBlock := func(kind uint64, rows int, payload []byte) {
-		blocks = append(blocks, blockRef{
-			kind: kind,
-			off:  uint64(len(out)),
-			len:  uint64(len(payload)),
-			rows: uint64(rows),
-			crc:  crc32.ChecksumIEEE(payload),
-		})
-		out = append(out, payload...)
-	}
-
+	w := fileWriter{Enc: codec.Enc{Buf: append(make([]byte, 0, 4096), magicHead...)}}
 	for i, b := range rowBlocks {
-		addBlock(b.kind, dataset.Kinds[i].Len(st), b.encode(st))
+		start := len(w.Buf)
+		w.Raw(b.encode(st))
+		w.endBlock(b.kind, dataset.Kinds[i].Len(st), start)
 	}
-	addBlock(blkKeys, len(keys), encodeKeys(keys))
+	start := len(w.Buf)
+	w.Raw(encodeKeys(keys))
+	w.endBlock(blkKeys, len(keys), start)
 
+	m := Meta{Seq: seq, Replaces: replaces, Roster: st.RouterCountry}
+	m.MinTime, m.MaxTime, m.HasTimeRange = timeRange(st)
+	return w.finish(&m)
+}
+
+// fileWriter lays out one NPS1 file: the magic, then blocks, then the
+// footer and trailer that index them. Encode and Splice share it.
+type fileWriter struct {
+	codec.Enc
+	blocks []blockRef
+}
+
+// endBlock indexes Buf[start:] as the block of kind, holding rows rows.
+func (w *fileWriter) endBlock(kind uint64, rows, start int) {
+	w.blocks = append(w.blocks, blockRef{
+		kind: kind,
+		off:  uint64(start),
+		len:  uint64(len(w.Buf) - start),
+		rows: uint64(rows),
+		crc:  crc32.ChecksumIEEE(w.Buf[start:]),
+	})
+}
+
+// finish appends the footer — m's seq ranges, time range and roster,
+// and the block index — and the trailer, and returns the file.
+func (w *fileWriter) finish(m *Meta) []byte {
 	var f codec.Enc
 	f.Uvarint(formatVersion)
-	f.Uvarint(seq.First)
-	f.Uvarint(seq.Last)
-	f.Uvarint(uint64(len(replaces)))
-	for _, r := range replaces {
+	f.Uvarint(m.Seq.First)
+	f.Uvarint(m.Seq.Last)
+	f.Uvarint(uint64(len(m.Replaces)))
+	for _, r := range m.Replaces {
 		f.Uvarint(r.First)
 		f.Uvarint(r.Last)
 	}
-	minT, maxT, ok := timeRange(st)
-	f.Bool(ok)
-	if ok {
-		f.Varint(minT.Unix())
-		f.Uvarint(uint64(minT.Nanosecond()))
-		f.Varint(maxT.Unix())
-		f.Uvarint(uint64(maxT.Nanosecond()))
+	f.Bool(m.HasTimeRange)
+	if m.HasTimeRange {
+		f.Varint(m.MinTime.Unix())
+		f.Uvarint(uint64(m.MinTime.Nanosecond()))
+		f.Varint(m.MaxTime.Unix())
+		f.Uvarint(uint64(m.MaxTime.Nanosecond()))
 	}
-	ids := make([]string, 0, len(st.RouterCountry))
-	for id := range st.RouterCountry {
+	ids := make([]string, 0, len(m.Roster))
+	for id := range m.Roster {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
 	f.Uvarint(uint64(len(ids)))
 	for _, id := range ids {
 		f.Str(id)
-		f.Str(st.RouterCountry[id])
+		f.Str(m.Roster[id])
 	}
-	f.Uvarint(uint64(len(blocks)))
-	for _, b := range blocks {
+	f.Uvarint(uint64(len(w.blocks)))
+	for _, b := range w.blocks {
 		f.Uvarint(b.kind)
 		f.Uvarint(b.off)
 		f.Uvarint(b.len)
@@ -169,7 +184,7 @@ func Encode(st *dataset.Store, keys []Key, seq SeqRange, replaces []SeqRange) []
 		f.U32(b.crc)
 	}
 
-	t := codec.Enc{Buf: append(out, f.Buf...)}
+	t := codec.Enc{Buf: append(w.Buf, f.Buf...)}
 	t.U32(uint32(len(f.Buf)))
 	t.U32(crc32.ChecksumIEEE(f.Buf))
 	return append(t.Buf, magicTail...)
@@ -300,6 +315,15 @@ func (r *Reader) Meta() Meta { return r.meta }
 // the row count the caller sized its window for; a block that holds any
 // other number is refused before a byte of the window is written.
 func (r *Reader) block(kind uint64, want int) (*codec.Dec, error) {
+	p, err := r.payload(kind, want)
+	if err != nil || p == nil {
+		return nil, err
+	}
+	return codec.NewDec(p), nil
+}
+
+// payload is block's CRC-validated bytes (nil when want is 0).
+func (r *Reader) payload(kind uint64, want int) ([]byte, error) {
 	for _, b := range r.meta.blocks {
 		if b.kind != kind {
 			continue
@@ -314,7 +338,7 @@ func (r *Reader) block(kind uint64, want int) (*codec.Dec, error) {
 		if want == 0 {
 			return nil, nil
 		}
-		return codec.NewDec(payload), nil
+		return payload, nil
 	}
 	if want != 0 {
 		return nil, fmt.Errorf("segment: no block %d, window is %d", kind, want)

@@ -1,5 +1,5 @@
-// The sealed-segment scanner: the one read path that Merge, Subscribe
-// replay and compaction share. Row counts sit in every segment's cached
+// The sealed-segment scanner: the one read path that Merge and the
+// Subscribe replay share. Row counts sit in every segment's cached
 // footer, so an output is allocated once at its final length, each
 // segment is handed its disjoint window of it, and windows decode side
 // by side with no lock and no copy — where a row lands depends on the
@@ -58,7 +58,7 @@ func presized(segs []segFile, spare dataset.RowCounts) (*dataset.Store, func(i i
 // and reports that segment's index — the caller restarts from a fresh
 // snapshot rather than keep an output with a hole in it.
 func scan(segs []segFile, workers int, window func(i int) *dataset.Store,
-	emit func(i int, r *Reader, rows *dataset.Store) error) (bad int, err error) {
+	emit func(r *Reader, rows *dataset.Store) error) (bad int, err error) {
 	type decoded struct {
 		r    *Reader
 		rows *dataset.Store
@@ -116,7 +116,7 @@ func scan(segs []segFile, workers int, window func(i int) *dataset.Store,
 			return i, d.err
 		}
 		ahead <- struct{}{}
-		if err := emit(i, d.r, d.rows); err != nil {
+		if err := emit(d.r, d.rows); err != nil {
 			return i, err
 		}
 		select {

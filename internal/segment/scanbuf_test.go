@@ -39,7 +39,7 @@ func TestScanReusesFileBuffers(t *testing.T) {
 	bufs := map[*byte]bool{}
 	rows := 0
 	_, err = scan(files, workers, func(i int) *dataset.Store { return newWindow(files[i].meta.Rows, dataset.RowCounts{}) },
-		func(_ int, r *Reader, w *dataset.Store) error {
+		func(r *Reader, w *dataset.Store) error {
 			bufs[unsafe.SliceData(r.buf)] = true
 			rows += len(w.Throughput)
 			return nil

@@ -19,9 +19,11 @@
 //     powers of compactFanIn flushes' worth, and a pass folds the oldest
 //     run of compactFanIn or more seq-adjacent segments of one tier into
 //     one, so a row is rewritten about once per tier rather than once per
-//     pass. The new footer records the replaced seq ranges; a crash
-//     between the rename and the input deletion is healed at open time by
-//     the supersession check.
+//     pass. A pass splices the inputs' encoded columns (splice.go): it
+//     decodes no row, and writes the bytes Encode would write for the
+//     rows joined. The new footer records the replaced seq ranges; a
+//     crash between the rename and the input deletion is healed at open
+//     time by the supersession check.
 //
 // Exactly-once across the flush boundary: the dedupe index belongs to
 // the store, not to a memtable. Every generation marks into the one
@@ -177,6 +179,7 @@ type Store struct {
 	gDedupeKeys, gLiveSegs, gLiveBytes             *telemetry.Gauge
 	hSealLock, hFlush, hCompact                    *telemetry.Histogram
 	mCompactedRows, mFlushedBytes, mCompactedBytes *telemetry.Counter
+	mQuarantined                                   *telemetry.Counter
 	// Subscribe telemetry: once per replay, never per segment or row.
 	hReplay     *telemetry.Histogram
 	mReplayRows *telemetry.Counter
@@ -234,6 +237,8 @@ func open(opt Options, dedupe *dataset.Dedupe) (*Store, error) {
 			"Bytes of segment files written by flushes."),
 		mCompactedBytes: telemetry.Default.Counter("natpeek_segment_compacted_bytes_total",
 			"Bytes of segment files written by compaction passes (their outputs)."),
+		mQuarantined: telemetry.Default.Counter("natpeek_segment_quarantined_total",
+			"Segment files Open found torn or corrupt and renamed to .seg.corrupt."),
 		hReplay: telemetry.Default.Histogram("natpeek_segment_replay_seconds",
 			"Time one Subscribe took to replay the sealed segments to its subscriber, fold included.", nil),
 		mReplayRows: telemetry.Default.Counter("natpeek_segment_replay_rows_total",
@@ -309,6 +314,7 @@ func (s *Store) load() error {
 			if qerr := os.Rename(path, path+".corrupt"); qerr != nil {
 				return fmt.Errorf("segment: quarantine %s: %w", name, qerr)
 			}
+			s.mQuarantined.Inc()
 			continue
 		}
 		keys, err := r.Keys()
@@ -623,11 +629,12 @@ func writeAtomic(path string, b []byte) error {
 	return nil
 }
 
-// compactLocked is one compaction pass: it folds the run pickTierRun
-// chooses, if any, into one segment. The output records the replaced
-// seq ranges so a crash between its rename and the input deletion heals
-// at open. It scans with one worker: it runs beside ingest and leaves
-// the other CPUs to the appliers.
+// compactLocked is one compaction pass: it splices the run pickTierRun
+// chooses, if any, into one segment — the inputs' encoded columns,
+// never their rows (see Splice) — and swaps it in. The output records
+// the replaced seq ranges so a crash between its rename and the input
+// deletion heals at open. An input that fails any check fails the pass
+// before anything is written.
 func (s *Store) compactLocked() error {
 	segs, _, _, _ := s.view()
 	run := s.pickTierRun(segs)
@@ -636,20 +643,23 @@ func (s *Store) compactLocked() error {
 	}
 	start := time.Now()
 
-	merged, window := presized(run, dataset.RowCounts{})
-	var keys []Key
-	var replaces []SeqRange
-	if _, err := scan(run, 1, window, func(i int, r *Reader, _ *dataset.Store) error {
-		ks, err := r.Keys()
-		keys = append(keys, ks...)
-		addRoster(merged.RouterCountry, r.meta.Roster)
-		replaces = append(replaces, run[i].meta.Seq)
-		return err
-	}); err != nil {
-		return fmt.Errorf("segment: compact: %w", err)
+	in := make([]*Reader, len(run))
+	replaces := make([]SeqRange, len(run))
+	for i, f := range run {
+		b, err := readFile(f.path, nil)
+		if err == nil {
+			in[i], err = NewReader(b)
+		}
+		if err != nil {
+			return fmt.Errorf("segment: compact %s: %w", filepath.Base(f.path), err)
+		}
+		replaces[i] = f.meta.Seq
 	}
 	seq := SeqRange{First: run[0].meta.Seq.First, Last: run[len(run)-1].meta.Seq.Last}
-	b := Encode(merged, keys, seq, replaces)
+	b, meta, bad, err := Splice(in, seq, replaces)
+	if err != nil {
+		return fmt.Errorf("segment: compact %s: %w", filepath.Base(run[bad].path), err)
+	}
 	path := filepath.Join(s.opt.Dir, segName(seq))
 	if err := writeAtomic(path, b); err != nil {
 		return err
@@ -658,7 +668,7 @@ func (s *Store) compactLocked() error {
 
 	// Commit point passed: swap the metas, then delete the inputs
 	// (best-effort — open-time supersession covers a crash here).
-	out := segFile{path: path, meta: metaOf(merged, seq, replaces, len(keys)), size: int64(len(b))}
+	out := segFile{path: path, meta: meta, size: int64(len(b))}
 	s.segMu.Lock()
 	var next []segFile
 	inserted := false
@@ -782,7 +792,7 @@ func (s *Store) mergeOnce(strict bool) (*dataset.Store, bool) {
 	for {
 		var window func(int) *dataset.Store
 		out, window = presized(segs, spare)
-		bad, err := scan(segs, runtime.GOMAXPROCS(0), window, func(_ int, r *Reader, _ *dataset.Store) error {
+		bad, err := scan(segs, runtime.GOMAXPROCS(0), window, func(r *Reader, _ *dataset.Store) error {
 			addRoster(out.RouterCountry, r.meta.Roster)
 			return nil
 		})
@@ -939,7 +949,7 @@ func (s *Store) Subscribe(fn func(chunk *dataset.Store)) error {
 			}
 			return w
 		},
-		func(_ int, r *Reader, chunk *dataset.Store) error {
+		func(r *Reader, chunk *dataset.Store) error {
 			addRoster(chunk.RouterCountry, r.meta.Roster)
 			fn(chunk)
 			rows += r.meta.Rows.Total()
