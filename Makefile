@@ -113,6 +113,7 @@ check-verify: fuzz-seeds
 	$(GO) test -run='^$$' -fuzz='FuzzWireRoundTrip' -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -run='^$$' -fuzz='FuzzSegmentDecode' -fuzztime=$(FUZZTIME) ./internal/segment/
 	$(GO) test -run='^$$' -fuzz='FuzzSegmentSplice' -fuzztime=$(FUZZTIME) ./internal/segment/
+	$(GO) test -run='^$$' -fuzz='FuzzParseMatchesScanf' -fuzztime=$(FUZZTIME) ./internal/mac/
 
 # The scale gate, under the race detector:
 #   1. sharded-store stress (32 shards, concurrent appliers + replays)
@@ -204,7 +205,8 @@ check-rebalance:
 #      after each: about its size — which the race detector's own
 #      allocations would drown, so they run without; the home summaries
 #      a live page computes over a 512-router fleet: at most one per home
-#      the rows since the last page, or a seal, touched; and the exhibit ledger (testdata/exhibits.sha256: every
+#      the rows since the last page, or a seal, touched; Figs. 3–6 over the
+#      seed-7 study: under 5,000 allocations; and the exhibit ledger (testdata/exhibits.sha256: every
 #      exhibit's printed text over three inputs, batch and page) and the
 #      §7 usage-beyond-the-US claim over a GlobalTraffic world, too heavy
 #      for -race;
@@ -213,7 +215,7 @@ check-rebalance:
 check-figures:
 	$(GO) test -race ./internal/analysis/ ./internal/figures/
 	$(GO) test -race -run 'TestMergeFromMatchesMerge' ./internal/dataset/
-	$(GO) test -run 'TestSnapshotAllocBudget|TestRenderWorkIsTailBound|TestPageWorkIsIncrementBound|TestPageRecomputesOnlyTouchedHomes|TestExhibitLedger' ./internal/figures/
+	$(GO) test -run 'TestSnapshotAllocBudget|TestAvailabilityAllocBudget|TestRenderWorkIsTailBound|TestPageWorkIsIncrementBound|TestPageRecomputesOnlyTouchedHomes|TestExhibitLedger' ./internal/figures/
 	$(GO) test -run 'TestCaptureAfterSealIsHistoryFree|TestLiveSeriesAllocatesItsSize|TestUsageBeyondTheUS' ./internal/analysis/
 	$(GO) test -run 'TestQuantileMatchesSortOracle|TestQuantileAdversarialInputs|TestQuantileRunsZerosAndEmpties|TestSortFloatsMatchesSort|FuzzSortFloats' ./internal/stats/
 
@@ -255,4 +257,4 @@ check-segment:
 
 # Replay the checked-in fuzz corpora as plain unit tests (fast, -race).
 fuzz-seeds:
-	$(GO) test -race -run 'Fuzz' ./internal/dns/ ./internal/pcap/ ./internal/packet/ ./internal/spool/ ./internal/collector/ ./internal/codec/ ./internal/wire/ ./internal/cluster/ ./internal/segment/
+	$(GO) test -race -run 'Fuzz' ./internal/dns/ ./internal/pcap/ ./internal/packet/ ./internal/spool/ ./internal/collector/ ./internal/codec/ ./internal/wire/ ./internal/cluster/ ./internal/segment/ ./internal/mac/

@@ -70,7 +70,7 @@ func TestRouterGrouping(t *testing.T) {
 
 func TestDowntimesPerDayByGroup(t *testing.T) {
 	st := fixtureStore()
-	got := DowntimesPerDayByGroup(st, NewRoster(st), win)
+	got := DowntimesPerDayByGroup(NewGapIndex(st.Heartbeats, win), NewRoster(st))
 	dev, dvg := got[Developed], got[Developing]
 	if len(dev) != 2 || len(dvg) != 2 {
 		t.Fatal("missing samples")
@@ -91,7 +91,7 @@ func TestDowntimesPerDayByGroup(t *testing.T) {
 
 func TestDowntimeDurations(t *testing.T) {
 	st := fixtureStore()
-	got := DowntimeDurationsByGroup(st, NewRoster(st), win)
+	got := DowntimeDurationsByGroup(NewGapIndex(st.Heartbeats, win), NewRoster(st))
 	if len(got[Developed]) != 1 {
 		t.Fatalf("developed downtimes = %d, want 1", len(got[Developed]))
 	}
@@ -109,7 +109,7 @@ func TestDowntimeDurations(t *testing.T) {
 
 func TestMedianTimeBetweenDowntimes(t *testing.T) {
 	st := fixtureStore()
-	got := MedianTimeBetweenDowntimes(st, NewRoster(st), win)
+	got := MedianTimeBetweenDowntimes(NewGapIndex(st.Heartbeats, win), NewRoster(st))
 	if got[Developed] <= got[Developing] {
 		t.Fatalf("ordering wrong: %v vs %v", got[Developed], got[Developing])
 	}
@@ -123,7 +123,7 @@ func TestMedianTimeBetweenDowntimes(t *testing.T) {
 
 func TestDowntimesByCountry(t *testing.T) {
 	st := fixtureStore()
-	pts := DowntimesByCountry(st, NewRoster(st), win, 2)
+	pts := DowntimesByCountry(NewGapIndex(st.Heartbeats, win), NewRoster(st), 2)
 	if len(pts) != 2 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -141,8 +141,8 @@ func TestDowntimesByCountry(t *testing.T) {
 
 func TestMedianUptimeFraction(t *testing.T) {
 	st := fixtureStore()
-	us := MedianUptimeFraction(st, NewRoster(st), "US", win)
-	in := MedianUptimeFraction(st, NewRoster(st), "IN", win)
+	us := MedianUptimeFraction(NewGapIndex(st.Heartbeats, win), NewRoster(st), "US")
+	in := MedianUptimeFraction(NewGapIndex(st.Heartbeats, win), NewRoster(st), "IN")
 	if us < 0.99 {
 		t.Fatalf("US uptime %v", us)
 	}
@@ -153,11 +153,11 @@ func TestMedianUptimeFraction(t *testing.T) {
 
 func TestClassifyAvailability(t *testing.T) {
 	st := fixtureStore()
-	if m := RollupOf(st).ClassifyAvailability(st.Heartbeats, "us-1", win); m != ModeAlwaysOn {
+	if m := RollupOf(st).ClassifyAvailability(NewGapIndex(st.Heartbeats, win), "us-1"); m != ModeAlwaysOn {
 		t.Fatalf("us-1 = %v", m)
 	}
 	// in-1 (50% availability) with no uptime reports → appliance.
-	if m := RollupOf(st).ClassifyAvailability(st.Heartbeats, "in-1", win); m != ModeAppliance {
+	if m := RollupOf(st).ClassifyAvailability(NewGapIndex(st.Heartbeats, win), "in-1"); m != ModeAppliance {
 		t.Fatalf("in-1 = %v", m)
 	}
 	// Short uptime counters at every report → still appliance.
@@ -168,7 +168,7 @@ func TestClassifyAvailability(t *testing.T) {
 			Uptime:     4 * time.Hour,
 		})
 	}
-	if m := RollupOf(st).ClassifyAvailability(st.Heartbeats, "in-1", win); m != ModeAppliance {
+	if m := RollupOf(st).ClassifyAvailability(NewGapIndex(st.Heartbeats, win), "in-1"); m != ModeAppliance {
 		t.Fatalf("in-1 with short counters = %v", m)
 	}
 	// A low-availability router whose uptime counters keep growing is a
@@ -185,7 +185,7 @@ func TestClassifyAvailability(t *testing.T) {
 			Uptime:     time.Duration(d+2) * 24 * time.Hour,
 		})
 	}
-	if m := RollupOf(st).ClassifyAvailability(st.Heartbeats, "in-3", win); m != ModeFlakyISP {
+	if m := RollupOf(st).ClassifyAvailability(NewGapIndex(st.Heartbeats, win), "in-3"); m != ModeFlakyISP {
 		t.Fatalf("in-3 = %v", m)
 	}
 }
@@ -193,10 +193,10 @@ func TestClassifyAvailability(t *testing.T) {
 func TestFractionWithFrequentDowntime(t *testing.T) {
 	st := fixtureStore()
 	// Developing homes all exceed one downtime per 3 days.
-	if f := FractionWithFrequentDowntime(st, NewRoster(st), Developing, win, 3); f != 1 {
+	if f := FractionWithFrequentDowntime(NewGapIndex(st.Heartbeats, win), NewRoster(st), Developing, 3); f != 1 {
 		t.Fatalf("developing frequent fraction %v", f)
 	}
-	if f := FractionWithFrequentDowntime(st, NewRoster(st), Developed, win, 10); f > 0.5 {
+	if f := FractionWithFrequentDowntime(NewGapIndex(st.Heartbeats, win), NewRoster(st), Developed, 10); f > 0.5 {
 		t.Fatalf("developed frequent fraction %v", f)
 	}
 }
@@ -606,7 +606,7 @@ func TestDowntimeCausesTally(t *testing.T) {
 			Uptime:     time.Duration(d)*24*time.Hour + 20*time.Hour,
 		})
 	}
-	tally := RollupOf(st).DowntimeCauses(st.Heartbeats, NewRoster(st), Developing, win)
+	tally := RollupOf(st).DowntimeCauses(NewGapIndex(st.Heartbeats, win), NewRoster(st), Developing)
 	if tally[CauseNetwork] == 0 {
 		t.Fatalf("tally %v", tally)
 	}
@@ -629,7 +629,7 @@ func TestDowntimeCausesIgnoreUploadOrder(t *testing.T) {
 		for _, j := range order {
 			st.Uptime = append(st.Uptime, reports[j])
 		}
-		tallies[i] = RollupOf(st).DowntimeCauses(st.Heartbeats, NewRoster(st), Developed, win)
+		tallies[i] = RollupOf(st).DowntimeCauses(NewGapIndex(st.Heartbeats, win), NewRoster(st), Developed)
 	}
 	if !reflect.DeepEqual(tallies[0], tallies[1]) {
 		t.Fatalf("the tally depends on upload order: %v, then %v", tallies[0], tallies[1])

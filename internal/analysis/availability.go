@@ -1,8 +1,8 @@
 // Package analysis computes the paper's statistics from the collected
 // data sets. It is organized by paper section: availability (§4),
-// infrastructure (§5), and usage (§6). The heartbeat exhibits are pure
-// reads over a dataset.Store; every other exhibit is a method of a
-// Rollup, a store's rows folded once (rollup.go): RollupOf(st).X(…).
+// infrastructure (§5), and usage (§6). The heartbeat exhibits read one
+// GapIndex per window; every other exhibit is a method of a Rollup, a
+// store's rows folded once (rollup.go): RollupOf(st).X(…).
 package analysis
 
 import (
@@ -95,13 +95,75 @@ type AvailabilityWindow struct {
 	Threshold time.Duration // gap threshold; 0 = the paper's 10 minutes
 }
 
+// GapIndex is every router's downtimes over one AvailabilityWindow,
+// found once: a page reads a router's downtimes many times over — per
+// group, per country, per cause, per archetype — and builds one index
+// per window for all of those reads. It is a snapshot: what the log
+// records after NewGapIndex does not show.
+type GapIndex struct {
+	w      AvailabilityWindow
+	downs  map[string][]heartbeat.Downtime
+	silent []heartbeat.Downtime // the downtimes of a router with no beats
+}
+
+// NewGapIndex runs the gap analysis over w once for every router of hb.
+// A router hb has no beats of, such as one only the roster names, reads
+// as hb.Downtimes reads it: silent for the whole window.
+func NewGapIndex(hb *heartbeat.Log, w AvailabilityWindow) *GapIndex {
+	ids := hb.Routers()
+	gx := &GapIndex{
+		w:      w,
+		downs:  make(map[string][]heartbeat.Downtime, len(ids)),
+		silent: heartbeat.NewLog().Downtimes("", w.From, w.To, w.Threshold),
+	}
+	for _, id := range ids {
+		gx.downs[id] = hb.Downtimes(id, w.From, w.To, w.Threshold)
+	}
+	return gx
+}
+
+// Window returns the window the index covers.
+func (gx *GapIndex) Window() AvailabilityWindow { return gx.w }
+
+// Downtimes returns router id's downtimes over the window. The result is
+// shared: callers must not modify it.
+func (gx *GapIndex) Downtimes(id string) []heartbeat.Downtime {
+	if downs, ok := gx.downs[id]; ok {
+		return downs
+	}
+	return gx.silent
+}
+
+// UptimeFraction returns the share of the window not covered by router
+// id's downtimes, as heartbeat.Log.UptimeFraction computes it.
+func (gx *GapIndex) UptimeFraction(id string) float64 {
+	if !gx.w.To.After(gx.w.From) {
+		return 0
+	}
+	var down time.Duration
+	for _, d := range gx.Downtimes(id) {
+		down += d.Duration()
+	}
+	return 1 - float64(down)/float64(gx.w.To.Sub(gx.w.From))
+}
+
+// perDay returns router id's average number of downtimes per day over
+// the window — Fig. 3's x-axis.
+func (gx *GapIndex) perDay(id string) float64 {
+	days := gx.w.To.Sub(gx.w.From).Hours() / 24
+	if days <= 0 {
+		return 0
+	}
+	return float64(len(gx.Downtimes(id))) / days
+}
+
 // DowntimesPerDayByGroup computes, per group, each router's average number
 // of downtimes per day — the distribution behind Fig. 3.
-func DowntimesPerDayByGroup(st *dataset.Store, ro *Roster, w AvailabilityWindow) map[Group][]float64 {
+func DowntimesPerDayByGroup(gx *GapIndex, ro *Roster) map[Group][]float64 {
 	out := map[Group][]float64{}
 	for _, g := range []Group{Developed, Developing} {
 		for _, id := range ro.InGroup(g) {
-			out[g] = append(out[g], st.Heartbeats.DowntimesPerDay(id, w.From, w.To, w.Threshold))
+			out[g] = append(out[g], gx.perDay(id))
 		}
 	}
 	return out
@@ -109,11 +171,11 @@ func DowntimesPerDayByGroup(st *dataset.Store, ro *Roster, w AvailabilityWindow)
 
 // DowntimeDurationsByGroup pools every downtime duration (seconds) per
 // group — Fig. 4's distribution.
-func DowntimeDurationsByGroup(st *dataset.Store, ro *Roster, w AvailabilityWindow) map[Group][]float64 {
+func DowntimeDurationsByGroup(gx *GapIndex, ro *Roster) map[Group][]float64 {
 	out := map[Group][]float64{}
 	for _, g := range []Group{Developed, Developing} {
 		for _, id := range ro.InGroup(g) {
-			for _, d := range st.Heartbeats.Downtimes(id, w.From, w.To, w.Threshold) {
+			for _, d := range gx.Downtimes(id) {
 				out[g] = append(out[g], d.Duration().Seconds())
 			}
 		}
@@ -125,13 +187,13 @@ func DowntimeDurationsByGroup(st *dataset.Store, ro *Roster, w AvailabilityWindo
 // router's mean time between downtimes (the §4.1 "more than a month vs
 // less than a day" comparison). Routers with no downtime contribute the
 // window length.
-func MedianTimeBetweenDowntimes(st *dataset.Store, ro *Roster, w AvailabilityWindow) map[Group]time.Duration {
+func MedianTimeBetweenDowntimes(gx *GapIndex, ro *Roster) map[Group]time.Duration {
 	out := map[Group]time.Duration{}
-	span := w.To.Sub(w.From)
+	span := gx.w.To.Sub(gx.w.From)
 	for _, g := range []Group{Developed, Developing} {
 		var gaps []float64
 		for _, id := range ro.InGroup(g) {
-			n := len(st.Heartbeats.Downtimes(id, w.From, w.To, w.Threshold))
+			n := len(gx.Downtimes(id))
 			if n == 0 {
 				gaps = append(gaps, span.Seconds())
 			} else {
@@ -156,7 +218,7 @@ type CountryDowntime struct {
 
 // DowntimesByCountry computes Fig. 5: the median number of downtimes per
 // home in each country with at least minRouters deployed, against GDP.
-func DowntimesByCountry(st *dataset.Store, ro *Roster, w AvailabilityWindow, minRouters int) []CountryDowntime {
+func DowntimesByCountry(gx *GapIndex, ro *Roster, minRouters int) []CountryDowntime {
 	var out []CountryDowntime
 	for _, c := range geo.All() {
 		ids := ro.InCountry(c.Code)
@@ -165,7 +227,7 @@ func DowntimesByCountry(st *dataset.Store, ro *Roster, w AvailabilityWindow, min
 		}
 		var counts, durs []float64
 		for _, id := range ids {
-			downs := st.Heartbeats.Downtimes(id, w.From, w.To, w.Threshold)
+			downs := gx.Downtimes(id)
 			counts = append(counts, float64(len(downs)))
 			for _, d := range downs {
 				durs = append(durs, d.Duration().Seconds())
@@ -188,10 +250,10 @@ func DowntimesByCountry(st *dataset.Store, ro *Roster, w AvailabilityWindow, min
 
 // MedianUptimeFraction returns the median per-router uptime fraction for
 // a country (§4.2: US 98.25%, IN 76.01%, ZA 85.57%).
-func MedianUptimeFraction(st *dataset.Store, ro *Roster, code string, w AvailabilityWindow) float64 {
+func MedianUptimeFraction(gx *GapIndex, ro *Roster, code string) float64 {
 	var ups []float64
 	for _, id := range ro.InCountry(code) {
-		ups = append(ups, st.Heartbeats.UptimeFraction(id, w.From, w.To, w.Threshold))
+		ups = append(ups, gx.UptimeFraction(id))
 	}
 	if len(ups) == 0 {
 		return 0
@@ -215,8 +277,8 @@ const (
 // with uptime counters that reset at every report → appliance (the
 // router is being power-cycled); low availability with long-running
 // uptime counters → the ISP is flaky while the router stays powered.
-func (r *Rollup) ClassifyAvailability(hb *heartbeat.Log, id string, w AvailabilityWindow) AvailabilityMode {
-	frac := hb.UptimeFraction(id, w.From, w.To, w.Threshold)
+func (r *Rollup) ClassifyAvailability(gx *GapIndex, id string) AvailabilityMode {
+	frac := gx.UptimeFraction(id)
 	if frac >= 0.93 {
 		return ModeAlwaysOn
 	}
@@ -237,14 +299,14 @@ func (r *Rollup) ClassifyAvailability(hb *heartbeat.Log, id string, w Availabili
 // connectivity interruptions … more frequently than once every 10 days,
 // but about 50% of home networks in developing countries experienced such
 // connectivity interruptions once every 3 days".
-func FractionWithFrequentDowntime(st *dataset.Store, ro *Roster, g Group, w AvailabilityWindow, days float64) float64 {
+func FractionWithFrequentDowntime(gx *GapIndex, ro *Roster, g Group, days float64) float64 {
 	ids := ro.InGroup(g)
 	if len(ids) == 0 {
 		return 0
 	}
 	n := 0
 	for _, id := range ids {
-		if st.Heartbeats.DowntimesPerDay(id, w.From, w.To, w.Threshold) > 1/days {
+		if gx.perDay(id) > 1/days {
 			n++
 		}
 	}
@@ -292,11 +354,11 @@ func (r *Rollup) ClassifyDowntime(id string, d heartbeat.Downtime) DowntimeCause
 }
 
 // DowntimeCauses tallies causes for every downtime of a group within the
-// window where Uptime data exists.
-func (r *Rollup) DowntimeCauses(hb *heartbeat.Log, ro *Roster, g Group, w AvailabilityWindow) map[DowntimeCause]int {
+// index's window, which should be one where Uptime data exists.
+func (r *Rollup) DowntimeCauses(gx *GapIndex, ro *Roster, g Group) map[DowntimeCause]int {
 	out := map[DowntimeCause]int{}
 	for _, id := range ro.InGroup(g) {
-		for _, d := range hb.Downtimes(id, w.From, w.To, w.Threshold) {
+		for _, d := range gx.Downtimes(id) {
 			out[r.ClassifyDowntime(id, d)]++
 		}
 	}

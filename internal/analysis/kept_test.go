@@ -142,6 +142,7 @@ func TestKeptMatchesOracles(t *testing.T) {
 			same("DiurnalDevices", [2]any{wd, we}, [2]any{gd, ge})
 			same("Saturation", oracleSaturation(st), v.Saturation())
 			wa := AvailabilityWindow{From: time.Date(2013, 3, 25, 0, 0, 0, 0, time.UTC), To: time.Date(2013, 4, 30, 0, 0, 0, 0, time.UTC)}
+			gx := NewGapIndex(st.Heartbeats, wa)
 			for _, id := range st.Routers() {
 				wu, wd := oracleHomeCapacity(st, id)
 				gu, gd := v.HomeCapacity(id)
@@ -149,7 +150,7 @@ func TestKeptMatchesOracles(t *testing.T) {
 				for _, dir := range []string{"up", "down"} {
 					same("UtilizationSeries("+id+", "+dir+")", oracleUtilizationSeries(st, id, dir), v.UtilizationSeries(id, dir))
 				}
-				same("ClassifyAvailability("+id+")", oracleClassifyAvailability(st, id, wa), v.ClassifyAvailability(st.Heartbeats, id, wa))
+				same("ClassifyAvailability("+id+")", oracleClassifyAvailability(st, id, wa), v.ClassifyAvailability(gx, id))
 				for h := 0; h < 36*24; h += 5 {
 					d := heartbeat.Downtime{Start: wa.From.Add(time.Duration(h) * time.Hour)}
 					d.End = d.Start.Add(time.Duration(1+h%7) * 30 * time.Minute)
@@ -157,7 +158,7 @@ func TestKeptMatchesOracles(t *testing.T) {
 				}
 			}
 			for _, g := range []Group{Developed, Developing} {
-				same(fmt.Sprintf("DowntimeCauses(%v)", g), oracleDowntimeCauses(st, ro, g, wa), v.DowntimeCauses(st.Heartbeats, ro, g, wa))
+				same(fmt.Sprintf("DowntimeCauses(%v)", g), oracleDowntimeCauses(st, ro, g, wa), v.DowntimeCauses(gx, ro, g))
 			}
 			want, got := oracleConnectedByGroup(st), v.ConnectedByGroup(ro)
 			if len(want) != len(got) {

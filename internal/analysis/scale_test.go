@@ -51,39 +51,39 @@ func TestScaleFigureBudgets(t *testing.T) {
 	}
 
 	figure("DowntimesPerDayByGroup", func() error {
-		got := DowntimesPerDayByGroup(st, NewRoster(st), sWin)
+		got := DowntimesPerDayByGroup(NewGapIndex(st.Heartbeats, sWin), NewRoster(st))
 		if len(got[Developed]) == 0 || len(got[Developing]) == 0 {
 			return fmt.Errorf("missing group samples: %d/%d", len(got[Developed]), len(got[Developing]))
 		}
 		return nil
 	})
 	figure("DowntimeDurationsByGroup", func() error {
-		got := DowntimeDurationsByGroup(st, NewRoster(st), sWin)
+		got := DowntimeDurationsByGroup(NewGapIndex(st.Heartbeats, sWin), NewRoster(st))
 		if len(got[Developing]) == 0 {
 			return fmt.Errorf("no developing downtimes")
 		}
 		return nil
 	})
 	figure("MedianTimeBetweenDowntimes", func() error {
-		got := MedianTimeBetweenDowntimes(st, NewRoster(st), sWin)
+		got := MedianTimeBetweenDowntimes(NewGapIndex(st.Heartbeats, sWin), NewRoster(st))
 		if got[Developed] == 0 {
 			return fmt.Errorf("no developed median")
 		}
 		return nil
 	})
 	figure("DowntimesByCountry", func() error {
-		pts := DowntimesByCountry(st, NewRoster(st), sWin, 3)
+		pts := DowntimesByCountry(NewGapIndex(st.Heartbeats, sWin), NewRoster(st), 3)
 		if len(pts) < 10 {
 			return fmt.Errorf("only %d country points", len(pts))
 		}
 		return nil
 	})
 	figure("FractionWithFrequentDowntime", func() error {
-		FractionWithFrequentDowntime(st, NewRoster(st), Developing, sWin, 1)
+		FractionWithFrequentDowntime(NewGapIndex(st.Heartbeats, sWin), NewRoster(st), Developing, 1)
 		return nil
 	})
 	figure("DowntimeCauses", func() error {
-		got := RollupOf(st).DowntimeCauses(st.Heartbeats, NewRoster(st), Developing, sWin)
+		got := RollupOf(st).DowntimeCauses(NewGapIndex(st.Heartbeats, sWin), NewRoster(st), Developing)
 		if len(got) == 0 {
 			return fmt.Errorf("no downtime causes")
 		}

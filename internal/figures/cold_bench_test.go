@@ -8,9 +8,11 @@ import (
 )
 
 // BenchmarkColdDashboard times a cold page: the shared study sealed as
-// 16 segments, then per iteration segment.Open, NewDashboard (the
-// replay and its fold) and one Render — the operation natbench's
-// scan-cold reports as op_p50_ms, without its batch half.
+// 16 segments, then per iteration segment.Open, the study's heartbeat
+// runs recorded into the reopened store's log (segments do not carry
+// heartbeats), NewDashboard (the replay and its fold) and one Render —
+// the operation natbench's scan-cold reports as op_p50_ms, without its
+// batch half.
 func BenchmarkColdDashboard(b *testing.B) {
 	st, win := study(b)
 	opt := segment.Options{Dir: b.TempDir(), FlushRows: 1 << 30, NoCompaction: true}
@@ -44,6 +46,11 @@ func BenchmarkColdDashboard(b *testing.B) {
 		seg, err := segment.Open(opt)
 		if err != nil {
 			b.Fatal(err)
+		}
+		for _, id := range st.Heartbeats.Routers() {
+			for _, r := range st.Heartbeats.Runs(id) {
+				seg.HeartbeatLog().RecordRun(id, r)
+			}
 		}
 		d, err := NewDashboard(seg, win)
 		if err != nil {

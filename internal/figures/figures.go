@@ -17,6 +17,7 @@ import (
 	"natpeek/internal/analysis"
 	"natpeek/internal/dataset"
 	"natpeek/internal/geo"
+	"natpeek/internal/heartbeat"
 	"natpeek/internal/stats"
 )
 
@@ -133,34 +134,34 @@ func table2(st *dataset.Store, v *analysis.Rollup) *Report {
 }
 
 // fig3 reproduces the downtime-frequency CDF.
-func fig3(st *dataset.Store, ro *analysis.Roster, w Windows) *Report {
+func fig3(gx *analysis.GapIndex, ro *analysis.Roster) *Report {
 	r := &Report{
 		ID:         "Figure 3",
 		Title:      "Average number of downtimes per day (≥10 min), by group",
 		PaperClaim: "developed median gap > a month (≲0.03/day); developing median < a day (≳0.4/day)",
 	}
-	rates := analysis.DowntimesPerDayByGroup(st, ro, w.Availability)
+	rates := analysis.DowntimesPerDayByGroup(gx, ro)
 	for _, g := range []analysis.Group{analysis.Developed, analysis.Developing} {
 		xs := rates[g]
 		r.add("%-10s n=%-3d CDF: %s", g, len(xs), cdfLine(xs, "/day"))
 	}
-	gaps := analysis.MedianTimeBetweenDowntimes(st, ro, w.Availability)
+	gaps := analysis.MedianTimeBetweenDowntimes(gx, ro)
 	r.add("median time between downtimes: developed=%s developing=%s",
 		fmtDur(gaps[analysis.Developed]), fmtDur(gaps[analysis.Developing]))
 	r.add("frequent-downtime share: developed >1/10days = %.0f%%, developing >1/3days = %.0f%%",
-		100*analysis.FractionWithFrequentDowntime(st, ro, analysis.Developed, w.Availability, 10),
-		100*analysis.FractionWithFrequentDowntime(st, ro, analysis.Developing, w.Availability, 3))
+		100*analysis.FractionWithFrequentDowntime(gx, ro, analysis.Developed, 10),
+		100*analysis.FractionWithFrequentDowntime(gx, ro, analysis.Developing, 3))
 	return r
 }
 
 // fig4 reproduces the downtime-duration CDF.
-func fig4(st *dataset.Store, ro *analysis.Roster, v *analysis.Rollup, w Windows) *Report {
+func fig4(hb *heartbeat.Log, gx *analysis.GapIndex, ro *analysis.Roster, v *analysis.Rollup) *Report {
 	r := &Report{
 		ID:         "Figure 4",
 		Title:      "Downtime duration, by group",
 		PaperClaim: "median ≈30 min for both; developing has the longer tail (up to days)",
 	}
-	durs := analysis.DowntimeDurationsByGroup(st, ro, w.Availability)
+	durs := analysis.DowntimeDurationsByGroup(gx, ro)
 	for _, g := range []analysis.Group{analysis.Developed, analysis.Developing} {
 		xs := durs[g]
 		if len(xs) == 0 {
@@ -170,18 +171,10 @@ func fig4(st *dataset.Store, ro *analysis.Roster, v *analysis.Rollup, w Windows)
 		r.add("%-10s n=%-5d CDF(min): %s  max=%.1fh",
 			g, len(xs), cdfLine(scale(xs, 1.0/60), "m"), stats.Quantile(xs, 1)/3600)
 	}
-	// Cause inference is only possible where the Uptime data set overlaps
-	// (§3.3: the 12-hour uptime reports started in March).
-	causeWin := w.Availability
-	if causeWin.From.Before(dataset.UptimeFrom) {
-		causeWin.From = dataset.UptimeFrom
-	}
-	if causeWin.To.After(dataset.UptimeTo) {
-		causeWin.To = dataset.UptimeTo
-	}
-	if causeWin.To.After(causeWin.From) {
+	if causeWin := causeWindow(gx.Window()); causeWin.To.After(causeWin.From) {
+		causes := analysis.NewGapIndex(hb, causeWin)
 		for _, g := range []analysis.Group{analysis.Developed, analysis.Developing} {
-			t := v.DowntimeCauses(st.Heartbeats, ro, g, causeWin)
+			t := v.DowntimeCauses(causes, ro, g)
 			r.add("%-10s causes (Uptime-overlap window): power-off=%d network=%d unknown=%d",
 				g, t[analysis.CausePowerOff], t[analysis.CauseNetwork], t[analysis.CauseUnknown])
 		}
@@ -189,15 +182,29 @@ func fig4(st *dataset.Store, ro *analysis.Roster, v *analysis.Rollup, w Windows)
 	return r
 }
 
+// causeWindow is w cut to where the Uptime data set overlaps it: cause
+// inference is only possible there (§3.3: the 12-hour uptime reports
+// started in March).
+func causeWindow(w analysis.AvailabilityWindow) analysis.AvailabilityWindow {
+	if w.From.Before(dataset.UptimeFrom) {
+		w.From = dataset.UptimeFrom
+	}
+	if w.To.After(dataset.UptimeTo) {
+		w.To = dataset.UptimeTo
+	}
+	return w
+}
+
 // fig5 reproduces the GDP scatter.
-func fig5(st *dataset.Store, ro *analysis.Roster, w Windows) *Report {
+func fig5(gx *analysis.GapIndex, ro *analysis.Roster) *Report {
 	r := &Report{
 		ID:         "Figure 5",
 		Title:      "Median number of downtimes vs per-capita GDP (≥3 routers)",
 		PaperClaim: "IN and PK (lowest GDP) have by far the most downtimes; PK ≈2/day",
 	}
-	days := w.Availability.To.Sub(w.Availability.From).Hours() / 24
-	for _, pt := range analysis.DowntimesByCountry(st, ro, w.Availability, 3) {
+	w := gx.Window()
+	days := w.To.Sub(w.From).Hours() / 24
+	for _, pt := range analysis.DowntimesByCountry(gx, ro, 3) {
 		r.add("%-3s gdp=$%-6.0f routers=%-3d medianDowntimes=%-6.0f (%.2f/day) medianDur=%s",
 			pt.Code, pt.GDPPPP, pt.Routers, pt.MedianDowntimes,
 			pt.MedianDowntimes/days, fmtDur(pt.MedianDuration))
@@ -206,7 +213,7 @@ func fig5(st *dataset.Store, ro *analysis.Roster, w Windows) *Report {
 }
 
 // fig6 reproduces the availability-mode case studies as day-strips.
-func fig6(st *dataset.Store, ro *analysis.Roster, v *analysis.Rollup, w Windows) *Report {
+func fig6(hb *heartbeat.Log, gx *analysis.GapIndex, ro *analysis.Roster, v *analysis.Rollup) *Report {
 	r := &Report{
 		ID:         "Figure 6",
 		Title:      "Availability archetypes (10-day strips; '#'=online per hour, '.'=down)",
@@ -214,8 +221,8 @@ func fig6(st *dataset.Store, ro *analysis.Roster, v *analysis.Rollup, w Windows)
 	}
 	// Pick one example per mode.
 	found := map[analysis.AvailabilityMode]string{}
-	for _, id := range st.Heartbeats.Routers() {
-		m := v.ClassifyAvailability(st.Heartbeats, id, w.Availability)
+	for _, id := range hb.Routers() {
+		m := v.ClassifyAvailability(gx, id)
 		if _, ok := found[m]; !ok {
 			found[m] = id
 		}
@@ -230,26 +237,25 @@ func fig6(st *dataset.Store, ro *analysis.Roster, v *analysis.Rollup, w Windows)
 			r.add("(%s: no example in data)", m)
 			continue
 		}
-		frac := st.Heartbeats.UptimeFraction(id, w.Availability.From, w.Availability.To, 0)
-		r.add("%-10s %s  uptime=%.2f%%", m, id, frac*100)
-		for _, line := range dayStrips(st, id, w.Availability.From, 10) {
+		r.add("%-10s %s  uptime=%.2f%%", m, id, gx.UptimeFraction(id)*100)
+		for _, line := range dayStrips(hb, id, gx.Window().From, 10) {
 			r.add("  %s", line)
 		}
 	}
 	// §4.2 medians.
 	for _, code := range []string{"US", "IN", "ZA"} {
 		r.add("median uptime %s = %.2f%% (paper: US 98.25, IN 76.01, ZA 85.57)",
-			code, 100*analysis.MedianUptimeFraction(st, ro, code, w.Availability))
+			code, 100*analysis.MedianUptimeFraction(gx, ro, code))
 	}
 	return r
 }
 
 // dayStrips renders per-hour availability for n days from start.
-func dayStrips(st *dataset.Store, id string, start time.Time, n int) []string {
+func dayStrips(hb *heartbeat.Log, id string, start time.Time, n int) []string {
 	var out []string
 	for d := 0; d < n; d++ {
 		day := start.Add(time.Duration(d) * 24 * time.Hour)
-		downs := st.Heartbeats.Downtimes(id, day, day.Add(24*time.Hour), 0)
+		downs := hb.Downtimes(id, day, day.Add(24*time.Hour), 0)
 		var b strings.Builder
 		fmt.Fprintf(&b, "%s ", day.Format("01-02"))
 		for h := 0; h < 24; h++ {

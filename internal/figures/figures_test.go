@@ -188,7 +188,7 @@ func TestTable2DatasetCoverage(t *testing.T) {
 
 func TestFig3DevelopedVsDeveloping(t *testing.T) {
 	st, w := study(t)
-	rates := analysis.DowntimesPerDayByGroup(st, analysis.NewRoster(st), w.Availability)
+	rates := analysis.DowntimesPerDayByGroup(analysis.NewGapIndex(st.Heartbeats, w.Availability), analysis.NewRoster(st))
 	devMed := stats.Median(rates[analysis.Developed])
 	dvgMed := stats.Median(rates[analysis.Developing])
 	// Paper: developed median < 1/30 per day; developing > ~1/3 per day.
@@ -205,7 +205,7 @@ func TestFig3DevelopedVsDeveloping(t *testing.T) {
 
 func TestFig4MedianDurationAboutHalfHour(t *testing.T) {
 	st, w := study(t)
-	durs := analysis.DowntimeDurationsByGroup(st, analysis.NewRoster(st), w.Availability)
+	durs := analysis.DowntimeDurationsByGroup(analysis.NewGapIndex(st.Heartbeats, w.Availability), analysis.NewRoster(st))
 	all := append(append([]float64{}, durs[analysis.Developed]...), durs[analysis.Developing]...)
 	med := stats.Median(all) / 60
 	// Paper: ≈30 minutes.
@@ -220,7 +220,7 @@ func TestFig4MedianDurationAboutHalfHour(t *testing.T) {
 
 func TestFig5PoorestCountriesWorst(t *testing.T) {
 	st, w := study(t)
-	pts := analysis.DowntimesByCountry(st, analysis.NewRoster(st), w.Availability, 3)
+	pts := analysis.DowntimesByCountry(analysis.NewGapIndex(st.Heartbeats, w.Availability), analysis.NewRoster(st), 3)
 	if len(pts) < 4 {
 		t.Fatalf("only %d countries with ≥3 routers", len(pts))
 	}
@@ -245,9 +245,10 @@ func TestFig5PoorestCountriesWorst(t *testing.T) {
 
 func TestFig6UptimeMedians(t *testing.T) {
 	st, w := study(t)
-	us := analysis.MedianUptimeFraction(st, analysis.NewRoster(st), "US", w.Availability)
-	in := analysis.MedianUptimeFraction(st, analysis.NewRoster(st), "IN", w.Availability)
-	za := analysis.MedianUptimeFraction(st, analysis.NewRoster(st), "ZA", w.Availability)
+	gx, ro := analysis.NewGapIndex(st.Heartbeats, w.Availability), analysis.NewRoster(st)
+	us := analysis.MedianUptimeFraction(gx, ro, "US")
+	in := analysis.MedianUptimeFraction(gx, ro, "IN")
+	za := analysis.MedianUptimeFraction(gx, ro, "ZA")
 	if us < 0.95 {
 		t.Fatalf("US uptime %.3f (paper 0.9825)", us)
 	}
@@ -550,7 +551,7 @@ func TestAblationGapThreshold(t *testing.T) {
 	for _, thr := range []time.Duration{2 * time.Minute, 5 * time.Minute, 10 * time.Minute, 20 * time.Minute, time.Hour} {
 		win := w.Availability
 		win.Threshold = thr
-		rates := analysis.DowntimesPerDayByGroup(st, ro, win)
+		rates := analysis.DowntimesPerDayByGroup(analysis.NewGapIndex(st.Heartbeats, win), ro)
 		dev, dvg := stats.Median(rates[analysis.Developed]), stats.Median(rates[analysis.Developing])
 		t.Logf("threshold %-6s developed median %.3f/day, developing %.3f/day", thr, dev, dvg)
 		if dev >= prevDev {

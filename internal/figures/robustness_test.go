@@ -24,7 +24,7 @@ func TestClaimsHoldAcrossSeeds(t *testing.T) {
 		win := DefaultWindows().Availability
 
 		// Availability: developing ≫ developed downtime frequency.
-		rates := analysis.DowntimesPerDayByGroup(st, analysis.NewRoster(st), win)
+		rates := analysis.DowntimesPerDayByGroup(analysis.NewGapIndex(st.Heartbeats, win), analysis.NewRoster(st))
 		devMed := stats.Median(rates[analysis.Developed])
 		dvgMed := stats.Median(rates[analysis.Developing])
 		if dvgMed < 5*devMed {

@@ -279,29 +279,31 @@ func fig20(flows *analysis.Rollup) *Report {
 // All regenerates every exhibit in paper order. Every exhibit but the
 // heartbeat ones reads one Rollup of st's rows; exhibits that read the
 // same intermediate share it: Figs. 3–6 and the group-wise exhibits one
-// roster index, Figs. 8/9 the connected-device averages, Figs. 15/16 the
-// links.
+// roster index, Figs. 3–6 one gap index, Figs. 8/9 the connected-device
+// averages, Figs. 15/16 the links.
 func All(st *dataset.Store, w Windows) []*Report {
 	return all(st, analysis.NewRoster(st), analysis.RollupOf(st), w)
 }
 
 // all is All with the roster index and the rollup supplied: the batch
 // path builds them from st, a dashboard page brings its captured ones,
-// and st then holds the roster and the heartbeats but no rows. The
-// exhibits only read — the Rollup and its home summaries, the Roster,
-// st's roster and its heartbeat log, which locks its own reads — so they
+// and st then holds the roster and the heartbeats but no rows. The gap
+// index is built on every page, batch or live. The exhibits only read —
+// the Rollup and its home summaries, the Roster, the GapIndex, st's
+// roster and its heartbeat log, which locks its own reads — so they
 // run on GOMAXPROCS goroutines, the caller one of them: each takes the
 // next exhibit from a shared counter, and reports land in paper order.
 func all(st *dataset.Store, ro *analysis.Roster, v *analysis.Rollup, w Windows) []*Report {
 	conn := sync.OnceValue(func() map[analysis.Group]analysis.ConnectedAverages { return v.ConnectedByGroup(ro) })
 	sats := sync.OnceValue(v.Saturation)
+	gaps := sync.OnceValue(func() *analysis.GapIndex { return analysis.NewGapIndex(st.Heartbeats, w.Availability) })
 	exhibits := [...]func() *Report{
 		func() *Report { return table1(st) },
 		func() *Report { return table2(st, v) },
-		func() *Report { return fig3(st, ro, w) },
-		func() *Report { return fig4(st, ro, v, w) },
-		func() *Report { return fig5(st, ro, w) },
-		func() *Report { return fig6(st, ro, v, w) },
+		func() *Report { return fig3(gaps(), ro) },
+		func() *Report { return fig4(st.Heartbeats, gaps(), ro, v) },
+		func() *Report { return fig5(gaps(), ro) },
+		func() *Report { return fig6(st.Heartbeats, gaps(), ro, v) },
 		func() *Report { return fig7(v) },
 		func() *Report { return fig8(conn()) },
 		func() *Report { return fig9(conn()) },

@@ -220,12 +220,56 @@ func (r Run) holds(at time.Time) bool {
 // is safe for concurrent use.
 type Log struct {
 	mu   sync.Mutex
-	runs map[string][]Run
+	runs map[string]*history
+}
+
+// history is one router's runs in arrival order. No run holds an
+// instant after latest, so a beat or run that starts after it is new:
+// history recorded in time order never looks back over older runs.
+type history struct {
+	runs   []Run
+	latest time.Time
 }
 
 // NewLog returns an empty log.
 func NewLog() *Log {
-	return &Log{runs: make(map[string][]Run)}
+	return &Log{runs: make(map[string]*history)}
+}
+
+// of returns router id's history, adding an empty one. Callers hold mu.
+func (l *Log) of(id string) *history {
+	h := l.runs[id]
+	if h == nil {
+		h = &history{}
+		l.runs[id] = h
+	}
+	return h
+}
+
+// olderHolds reports whether one of the runs before the last holds at.
+func (h *history) olderHolds(at time.Time) bool {
+	if at.After(h.latest) {
+		return false
+	}
+	for _, r := range h.runs[:len(h.runs)-1] {
+		if r.holds(at) {
+			return true
+		}
+	}
+	return false
+}
+
+// add appends r and advances latest.
+func (h *history) add(r Run) {
+	h.runs = append(h.runs, r)
+	h.extend(r.End())
+}
+
+// extend records that a run now holds end.
+func (h *history) extend(end time.Time) {
+	if end.After(h.latest) {
+		h.latest = end
+	}
 }
 
 // Record appends an arrival for router id. An instant one of the
@@ -233,30 +277,30 @@ func NewLog() *Log {
 func (l *Log) Record(id string, at time.Time) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	rs := l.runs[id]
-	if n := len(rs); n > 0 {
-		last := &rs[n-1]
+	h := l.of(id)
+	if n := len(h.runs); n > 0 {
+		last := &h.runs[n-1]
 		if last.holds(at) {
 			return
 		}
 		// The steady beat extends the last run in O(1).
 		if last.Count > 1 && at.Sub(last.End()) == last.Interval {
 			last.Count++
+			h.extend(at)
 			return
 		}
 		// Off the last run's cadence: only here can an older run hold at.
-		for _, r := range rs[:n-1] {
-			if r.holds(at) {
-				return
-			}
+		if h.olderHolds(at) {
+			return
 		}
 		if last.Count == 1 && at.After(last.Start) {
 			last.Interval = at.Sub(last.Start)
 			last.Count = 2
+			h.extend(at)
 			return
 		}
 	}
-	l.runs[id] = append(rs, Run{Start: at, Count: 1})
+	h.add(Run{Start: at, Count: 1})
 }
 
 // RecordRun appends a whole run (the simulator's fast path). A run whose
@@ -270,13 +314,15 @@ func (l *Log) RecordRun(id string, r Run) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	rs := l.runs[id]
-	for _, have := range rs {
-		if have.holds(r.Start) && have.holds(r.End()) && (r.Count == 1 || r.Interval%have.Interval == 0) {
-			return
+	h := l.of(id)
+	if !r.Start.After(h.latest) {
+		for _, have := range h.runs {
+			if have.holds(r.Start) && have.holds(r.End()) && (r.Count == 1 || r.Interval%have.Interval == 0) {
+				return
+			}
 		}
 	}
-	l.runs[id] = append(rs, r)
+	h.add(r)
 }
 
 // Routers returns the IDs present in the log, sorted.
@@ -294,7 +340,10 @@ func (l *Log) Routers() []string {
 // Runs returns a copy of the stored runs for id, sorted by start.
 func (l *Log) Runs(id string) []Run {
 	l.mu.Lock()
-	rs := append([]Run(nil), l.runs[id]...)
+	var rs []Run
+	if h := l.runs[id]; h != nil {
+		rs = append(rs, h.runs...)
+	}
 	l.mu.Unlock()
 	sort.Slice(rs, func(i, j int) bool { return rs[i].Start.Before(rs[j].Start) })
 	return rs
@@ -305,8 +354,10 @@ func (l *Log) Count(id string) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	n := 0
-	for _, r := range l.runs[id] {
-		n += r.Count
+	if h := l.runs[id]; h != nil {
+		for _, r := range h.runs {
+			n += r.Count
+		}
 	}
 	return n
 }
@@ -436,14 +487,4 @@ func (l *Log) UptimeFraction(id string, from, to time.Time, threshold time.Durat
 		down += d.Duration()
 	}
 	return 1 - float64(down)/float64(to.Sub(from))
-}
-
-// DowntimesPerDay returns the router's average number of downtimes per
-// day over the window — Fig. 3's x-axis.
-func (l *Log) DowntimesPerDay(id string, from, to time.Time, threshold time.Duration) float64 {
-	days := to.Sub(from).Hours() / 24
-	if days <= 0 {
-		return 0
-	}
-	return float64(len(l.Downtimes(id, from, to, threshold))) / days
 }

@@ -17,22 +17,66 @@ import (
 // Addr is a 48-bit MAC address.
 type Addr [6]byte
 
-// Parse parses a MAC address in colon- or dash-separated hex form.
+// Parse parses a MAC address in colon-, dash- or dot-separated hex form:
+// six octets of two bytes each. An octet is two hex digits, or, as
+// fmt.Sscanf's %02x reads it, one hex digit then any other byte, or a
+// space, tab, \v, \f or \r then one hex digit.
 func Parse(s string) (Addr, error) {
 	var a Addr
-	norm := strings.NewReplacer("-", ":", ".", ":").Replace(strings.TrimSpace(s))
-	parts := strings.Split(norm, ":")
-	if len(parts) != 6 {
-		return a, fmt.Errorf("mac: %q: want 6 octets, got %d", s, len(parts))
+	t := strings.TrimSpace(s)
+	seps := 0
+	for i := 0; i < len(t); i++ {
+		if isSep(t[i]) {
+			seps++
+		}
 	}
-	for i, p := range parts {
-		var b byte
-		if _, err := fmt.Sscanf(p, "%02x", &b); err != nil || len(p) != 2 {
+	if seps != 5 {
+		return a, fmt.Errorf("mac: %q: want 6 octets, got %d", s, seps+1)
+	}
+	for i, start := 0, 0; i < 6; i++ {
+		end := start
+		for end < len(t) && !isSep(t[end]) {
+			end++
+		}
+		p, ok := t[start:end], false
+		if len(p) == 2 {
+			a[i], ok = octet(p[0], p[1])
+		}
+		if !ok {
 			return a, fmt.Errorf("mac: %q: bad octet %q", s, p)
 		}
-		a[i] = b
+		start = end + 1
 	}
 	return a, nil
+}
+
+func isSep(c byte) bool { return c == ':' || c == '-' || c == '.' }
+
+// unhex maps a hex digit to its value and every other byte to 0xff.
+var unhex = func() (t [256]byte) {
+	for i := range t {
+		t[i] = 0xff
+	}
+	for i := range 16 {
+		t[hexDigits[i]], t["0123456789ABCDEF"[i]] = byte(i), byte(i)
+	}
+	return t
+}()
+
+const hexDigits = "0123456789abcdef"
+
+// octet reads a two-byte octet the way fmt.Sscanf's %02x does.
+func octet(c0, c1 byte) (byte, bool) {
+	h0, h1 := unhex[c0], unhex[c1]
+	switch {
+	case h0 <= 0xf && h1 <= 0xf:
+		return h0<<4 | h1, true
+	case h0 <= 0xf:
+		return h0, true
+	case h1 <= 0xf && (c0 == ' ' || c0 == '\t' || c0 == '\v' || c0 == '\f' || c0 == '\r'):
+		return h1, true
+	}
+	return 0, false
 }
 
 // MustParse parses s or panics. For tests and embedded tables.
@@ -46,7 +90,14 @@ func MustParse(s string) Addr {
 
 // String formats the address as lower-case colon-separated hex.
 func (a Addr) String() string {
-	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", a[0], a[1], a[2], a[3], a[4], a[5])
+	var b [17]byte
+	for i, o := range a {
+		b[3*i], b[3*i+1] = hexDigits[o>>4], hexDigits[o&0xf]
+		if i < 5 {
+			b[3*i+2] = ':'
+		}
+	}
+	return string(b[:])
 }
 
 // MarshalText implements encoding.TextMarshaler (JSON/CSV friendliness).

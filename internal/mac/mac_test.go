@@ -1,6 +1,8 @@
 package mac
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -121,4 +123,79 @@ func TestAnonymizeInjectiveOnSample(t *testing.T) {
 		}
 		seen[out] = a
 	}
+}
+
+// parseScanf is Parse as it stood before it read octets through a hex
+// table: the reference FuzzParseMatchesScanf and TestOctetsMatchScanf
+// hold Parse to.
+func parseScanf(s string) (Addr, error) {
+	var a Addr
+	norm := strings.NewReplacer("-", ":", ".", ":").Replace(strings.TrimSpace(s))
+	parts := strings.Split(norm, ":")
+	if len(parts) != 6 {
+		return a, fmt.Errorf("mac: %q: want 6 octets, got %d", s, len(parts))
+	}
+	for i, p := range parts {
+		var b byte
+		if _, err := fmt.Sscanf(p, "%02x", &b); err != nil || len(p) != 2 {
+			return a, fmt.Errorf("mac: %q: bad octet %q", s, p)
+		}
+		a[i] = b
+	}
+	return a, nil
+}
+
+// sameParse reports how Parse and parseScanf differ on s, or "".
+func sameParse(s string) string {
+	got, err := Parse(s)
+	want, wantErr := parseScanf(s)
+	switch {
+	case (err == nil) != (wantErr == nil):
+		return fmt.Sprintf("Parse(%q) error %v, Sscanf's %v", s, err, wantErr)
+	case err != nil && err.Error() != wantErr.Error():
+		return fmt.Sprintf("Parse(%q) error %q, Sscanf's %q", s, err, wantErr)
+	case got != want:
+		return fmt.Sprintf("Parse(%q) = %v, Sscanf's %v", s, got, want)
+	}
+	return ""
+}
+
+// TestOctetsMatchScanf: every two-byte octet parses as %02x reads it —
+// including the octets Sscanf accepts that are not two hex digits
+// (" f", "f ", "\tf", "0x", "f~") — each in one of the six positions,
+// taken in turn.
+func TestOctetsMatchScanf(t *testing.T) {
+	if testing.Short() {
+		t.Skip("65,536 octets through Sscanf")
+	}
+	parts := []string{"00", "11", "22", "33", "44", "55"}
+	for i := 0; i < 1<<16; i++ {
+		at := append([]string(nil), parts...)
+		at[i%6] = string([]byte{byte(i >> 8), byte(i)})
+		if diff := sameParse(strings.Join(at, ":")); diff != "" {
+			t.Fatal(diff)
+		}
+	}
+}
+
+func TestStringMatchesSprintf(t *testing.T) {
+	if err := quick.Check(func(raw [6]byte) bool {
+		a := Addr(raw)
+		text, _ := a.MarshalText()
+		want := fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", a[0], a[1], a[2], a[3], a[4], a[5])
+		return a.String() == want && string(text) == want
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzParseMatchesScanf: Parse accepts what parseScanf accepts, with the
+// same address or the same error. Seeds are in
+// testdata/fuzz/FuzzParseMatchesScanf.
+func FuzzParseMatchesScanf(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		if diff := sameParse(s); diff != "" {
+			t.Fatal(diff)
+		}
+	})
 }
