@@ -79,11 +79,16 @@ bench-telemetry:
 # a collector and gzip'd direct posts through a front; one Accept-Post
 # value from a collector, a cluster node and a front;
 # the server flags that tune a collector, stand-alone and in a cluster
-# node), and the gateway export/throttle regressions. CI calls this
-# target rather than listing tests of its own.
+# node), the client's typed uploads (the NPB1 body equals the JSON
+# detour's bytes, the spool owns its rows, dead letters, one registration
+# upload per client) with the enqueue-to-wire allocation budget (without
+# the race detector, whose allocations would drown it), and the gateway
+# export/throttle regressions. CI calls this target rather than listing
+# tests of its own.
 check-reliability:
 	$(GO) test -race ./internal/spool/
-	$(GO) test -race -run 'TestZeroRowLoss|TestSpoolJournal|TestBatch|TestIdempotency|TestOversized|TestChunked|TestErrorResponses|TestClientErrSurfacesFailures|TestGzip|TestDirectEndpoint|TestBinary|FuzzBatchTranscode' ./internal/collector/
+	$(GO) test -race -run 'TestZeroRowLoss|TestSpoolJournal|TestBatch|TestIdempotency|TestOversized|TestChunked|TestErrorResponses|TestClientErrSurfacesFailures|TestGzip|TestDirectEndpoint|TestBinary|FuzzBatchTranscode|TestTypedUploadMatchesJSONDetour|TestSpoolOwnsEnqueuedRows|TestSendBatchDeadLettersMalformedItems|TestRegistrationCountedOnce' ./internal/collector/
+	$(GO) test -run 'TestEnqueueToWireAllocBudget' ./internal/collector/
 	$(GO) test -race -run 'TestClusterJSONBatchEquivalent|TestClusterDirectEndpointProxy|TestFrontBodyLimits|TestAcceptPostAdvertisement' ./internal/cluster/
 	$(GO) test -race ./cmd/bismark-server/
 	$(GO) test -race -run 'TestFlowExport|TestPowerOffExports|TestScanThrottle' ./internal/gateway/

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -25,11 +24,12 @@ import (
 // It implements gateway.Sink.
 //
 // Measurement uploads are spooled, not posted inline: each Sink call
-// marshals its payload, stamps it with an idempotency key, and enqueues
-// it; the spool's drainer delivers batches to /v1/batch with retries
-// under exponential backoff. The Sink methods therefore never block on
-// the network and never lose rows to a transient failure — matching the
-// firmware, which buffered to flash and uploaded opportunistically.
+// enqueues its rows as a typed wire.Payload, which the spool stamps with
+// an idempotency key; the spool's drainer delivers batches to /v1/batch,
+// encoded once as NPB1, with retries under exponential backoff. The Sink
+// methods therefore never block on the network and never lose rows to a
+// transient failure — matching the firmware, which buffered to flash and
+// uploaded opportunistically.
 // Heartbeats stay fire-and-forget UDP by design (a lost heartbeat is
 // itself the signal the Heartbeats data set measures).
 type Client struct {
@@ -48,6 +48,7 @@ type Client struct {
 	window   *trace.Span  // open export-window span, nil outside a window
 	attempts []trace.Span // failed delivery attempts since the last ack
 	encBuf   []byte       // drainer-owned NPB1 encode buffer, reused per batch
+	batch    []wire.Item  // drainer-owned items of the batch in flight
 }
 
 // maxAttemptSpans bounds the retained failed-attempt history per batch;
@@ -107,28 +108,7 @@ func NewClient(routerID, country, udpAddr, httpAddr string, opts ...Option) (*Cl
 		return nil, err
 	}
 	c.sp = sp
-	// Registration is the one synchronous call: a client that cannot
-	// reach the server at all should fail construction, not queue. A
-	// 429, though, is the server's documented "retry later" signal —
-	// admission throttling, or a cluster front fencing the router's
-	// shard during a rebalance cutover — so it is retried with the
-	// advertised backoff for a bounded window rather than failing a
-	// healthy deployment.
-	deadline := time.Now().Add(registerRetryWindow)
-	for {
-		err := c.post("/v1/register", RegisterRequest{RouterID: routerID, Country: country})
-		if err == nil {
-			break
-		}
-		var se *statusError
-		if errors.As(err, &se) && se.status == http.StatusTooManyRequests && time.Now().Before(deadline) {
-			wait := se.retryAfter
-			if wait <= 0 || wait > 5*time.Second {
-				wait = time.Second
-			}
-			time.Sleep(wait)
-			continue
-		}
+	if err := c.register(country); err != nil {
 		sp.Close()
 		hb.Close()
 		return nil, err
@@ -141,19 +121,6 @@ func NewClient(routerID, country, udpAddr, httpAddr string, opts ...Option) (*Cl
 // a throttle that persists for half a minute is a capacity problem the
 // caller should see.
 const registerRetryWindow = 30 * time.Second
-
-// statusError carries a non-2xx upload response, preserving the status
-// code and any Retry-After advice for callers that retry.
-type statusError struct {
-	path       string
-	status     int
-	retryAfter time.Duration
-	msg        string
-}
-
-func (e *statusError) Error() string {
-	return fmt.Sprintf("collector: POST %s: status %d: %s", e.path, e.status, e.msg)
-}
 
 // Close drains the spool (bounded by flushTimeout), stops the drainer,
 // and releases the client's sockets. With a journal configured,
@@ -238,34 +205,47 @@ func drainBody(resp *http.Response) string {
 	return strings.TrimSpace(string(head))
 }
 
-// post performs one synchronous POST (registration only). The error
-// body, if any, is drained before close so the connection is reused.
-func (c *Client) post(path string, v any) error {
+// register is the one synchronous call, one upload however many
+// attempts it takes: a client that cannot reach the server at all should
+// fail construction, not queue. A 429, though, is the server's
+// documented "retry later" signal — admission throttling, or a cluster
+// front fencing the router's shard during a rebalance cutover — so it is
+// retried with the advertised backoff for a bounded window rather than
+// failing a healthy deployment. Each 429 counts as a failed attempt but
+// stays out of Err(), the same contract as a throttled batch. Error
+// bodies are drained before close so the connection is reused.
+func (c *Client) register(country string) error {
+	const path = "/v1/register"
 	c.mUploads.With(path).Inc()
-	body, err := json.Marshal(v)
+	body, err := json.Marshal(RegisterRequest{RouterID: c.routerID, Country: country})
 	if err != nil {
 		return c.fail(path, err)
 	}
-	resp, err := c.httpc.Post(c.baseURL+path, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return c.fail(path, fmt.Errorf("collector: POST %s: %w", path, err))
-	}
-	msg := drainBody(resp)
-	resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		se := &statusError{path: path, status: resp.StatusCode, msg: msg}
-		if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && ra >= 0 {
-			se.retryAfter = time.Duration(ra) * time.Second
+	deadline := time.Now().Add(registerRetryWindow)
+	for {
+		resp, err := c.httpc.Post(c.baseURL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			return c.fail(path, fmt.Errorf("collector: POST %s: %w", path, err))
 		}
-		if resp.StatusCode == http.StatusTooManyRequests {
-			// Backpressure: counted, retried by the caller, but kept
-			// out of Err() — same contract as a throttled batch.
-			c.mFailures.With(path).Inc()
-			return se
+		msg := drainBody(resp)
+		resp.Body.Close()
+		if resp.StatusCode < 300 {
+			return nil
 		}
-		return c.fail(path, se)
+		serr := fmt.Errorf("collector: POST %s: status %d: %s", path, resp.StatusCode, msg)
+		if resp.StatusCode != http.StatusTooManyRequests {
+			return c.fail(path, serr)
+		}
+		c.mFailures.With(path).Inc()
+		if !time.Now().Before(deadline) {
+			return serr
+		}
+		wait := time.Second
+		if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && ra > 0 && ra <= 5 {
+			wait = time.Duration(ra) * time.Second
+		}
+		time.Sleep(wait)
 	}
-	return nil
 }
 
 // sendBatch is the spool's Sender: one POST of a whole batch to
@@ -275,42 +255,16 @@ func (c *Client) post(path string, v any) error {
 // server's BatchResult come back as the spool.Result so malformed
 // payloads dead-letter instead of counting as delivered.
 func (c *Client) sendBatch(ctx context.Context, items []spool.Item) (spool.Result, error) {
-	tracing := trace.Enabled()
 	now := time.Now()
-	payload := make([]BatchItem, len(items))
-	var prior []trace.Span
-	if tracing {
-		c.mu.Lock()
-		prior = append([]trace.Span(nil), c.attempts...)
-		c.mu.Unlock()
-	}
-	for i, it := range items {
-		payload[i] = BatchItem{Endpoint: it.Endpoint, Key: it.Key, Body: it.Body}
-		if tracing && it.Key != "" {
-			w := &trace.Wire{TraceID: trace.IDFromKey(it.Key), Router: c.routerID}
-			w.Spans = append(w.Spans, it.Spans...)
-			if !it.EnqueuedAt.IsZero() {
-				w.Spans = append(w.Spans, trace.Span{Name: "spool.queued", Start: it.EnqueuedAt, End: now})
-			}
-			w.Spans = append(w.Spans, prior...)
-			// Open span: the server sees the in-flight attempt; its own
-			// spans bound when the request actually landed.
-			w.Spans = append(w.Spans, trace.Span{Name: "spool.send", Start: now,
-				Attrs: []trace.Attr{{K: "attempt", V: fmt.Sprint(len(prior) + 1)}}})
-			payload[i].Trace = w
-		}
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.baseURL+"/v1/batch", bytes.NewReader(c.encodeBatch(payload)))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.baseURL+"/v1/batch", bytes.NewReader(c.encode(items, now)))
 	if err != nil {
 		return spool.Result{}, err
 	}
 	req.Header.Set("Content-Type", wire.ContentTypeBinary)
-	if tracing {
-		for i := range payload {
-			if payload[i].Trace != nil {
-				req.Header.Set("Traceparent", trace.FormatTraceparent(payload[i].Trace.TraceID))
-				break
-			}
+	for i := range c.batch {
+		if w := c.batch[i].Trace; w != nil {
+			req.Header.Set("Traceparent", trace.FormatTraceparent(w.TraceID))
+			break
 		}
 	}
 	resp, err := c.httpc.Do(req)
@@ -355,20 +309,43 @@ func (c *Client) sendBatch(ctx context.Context, items []spool.Item) (spool.Resul
 	for _, f := range br.Failed {
 		res.Malformed = append(res.Malformed, spool.ItemError{Key: f.Key, Reason: f.Reason})
 	}
-	if tracing {
-		c.finishBatchTraces(payload, time.Now())
-	}
+	c.finishBatchTraces(time.Now())
 	return res, nil
 }
 
-// encodeBatch renders one batch request body as NPB1. The returned
-// buffer is drainer-owned and valid until the next call.
-func (c *Client) encodeBatch(payload []BatchItem) []byte {
-	wireItems := make([]wire.Item, len(payload))
-	for i := range payload {
-		wireItems[i] = payload[i].wireItem()
+// encode renders items as one NPB1 batch request body: each spooled
+// payload goes to wire.AppendBatch as it was queued, typed, with the
+// item's client-side trace when tracing is on. The items (c.batch) and
+// the returned buffer are drainer-owned and valid until the next call.
+func (c *Client) encode(items []spool.Item, now time.Time) []byte {
+	var prior []trace.Span
+	tracing := trace.Enabled()
+	if tracing {
+		c.mu.Lock()
+		prior = append([]trace.Span(nil), c.attempts...)
+		c.mu.Unlock()
 	}
-	c.encBuf = wire.AppendBatch(c.encBuf[:0], wireItems)
+	clear(c.batch) // drop the last batch's rows before reusing the slice
+	c.batch = c.batch[:0]
+	for i := range items {
+		it := &items[i]
+		wi := wire.Item{Endpoint: it.Endpoint(), Key: it.Key, Payload: it.Payload}
+		if tracing && it.Key != "" {
+			// The spans from before the spool, the queue wait, the failed
+			// attempts so far, and this attempt's open span: the server's
+			// own spans bound when the request actually landed.
+			w := &trace.Wire{TraceID: trace.IDFromKey(it.Key), Router: c.routerID,
+				Spans: make([]trace.Span, 0, len(it.Spans)+len(prior)+2)}
+			w.Spans = append(w.Spans, it.Spans...)
+			w.Spans = append(w.Spans, trace.Span{Name: "spool.queued", Start: it.EnqueuedAt, End: now})
+			w.Spans = append(w.Spans, prior...)
+			w.Spans = append(w.Spans, trace.Span{Name: "spool.send", Start: now,
+				Attrs: []trace.Attr{{K: "attempt", V: strconv.Itoa(len(prior) + 1)}}})
+			wi.Trace = w
+		}
+		c.batch = append(c.batch, wi)
+	}
+	c.encBuf = wire.AppendBatch(c.encBuf[:0], c.batch)
 	return c.encBuf
 }
 
@@ -390,18 +367,18 @@ func (c *Client) recordAttempt(start time.Time, status, detail string) {
 	c.mu.Unlock()
 }
 
-// finishBatchTraces completes the client-side trace for every item the
-// server just acknowledged and clears the attempt history.
-func (c *Client) finishBatchTraces(payload []BatchItem, end time.Time) {
+// finishBatchTraces completes the client-side trace for every item of
+// the batch the server just acknowledged and clears the attempt history.
+func (c *Client) finishBatchTraces(end time.Time) {
 	c.mu.Lock()
 	c.attempts = nil
 	c.mu.Unlock()
-	for i := range payload {
-		w := payload[i].Trace
+	for i := range c.batch {
+		w := c.batch[i].Trace
 		if w == nil {
 			continue
 		}
-		t := &trace.Trace{ID: w.TraceID, Router: c.routerID, Endpoint: payload[i].Endpoint}
+		t := &trace.Trace{ID: w.TraceID, Router: c.routerID, Endpoint: c.batch[i].Endpoint}
 		t.Spans = append(t.Spans, w.Spans...)
 		for j := range t.Spans {
 			if t.Spans[j].Name == "spool.send" && t.Spans[j].End.IsZero() {
@@ -422,23 +399,19 @@ func (c *Client) failBatch(items []spool.Item, err error) error {
 
 func (c *Client) countBatchFailures(items []spool.Item) {
 	seen := make(map[string]bool, 2)
-	for _, it := range items {
-		if !seen[it.Endpoint] {
-			seen[it.Endpoint] = true
-			c.mFailures.With(it.Endpoint).Inc()
+	for i := range items {
+		if ep := items[i].Endpoint(); !seen[ep] {
+			seen[ep] = true
+			c.mFailures.With(ep).Inc()
 		}
 	}
 }
 
 // enqueue spools one measurement payload for background delivery,
-// stamping it with the open export-window span when one is active.
-func (c *Client) enqueue(path string, v any) {
-	c.mUploads.With(path).Inc()
-	body, err := json.Marshal(v)
-	if err != nil {
-		_ = c.fail(path, err)
-		return
-	}
+// stamping it with the open export-window span when one is active. The
+// spool clones p's rows, so the Sink caller keeps its slices.
+func (c *Client) enqueue(p wire.Payload) {
+	c.mUploads.With(p.Kind.Endpoint()).Inc()
 	var spans []trace.Span
 	if trace.Enabled() {
 		c.mu.Lock()
@@ -449,7 +422,7 @@ func (c *Client) enqueue(path string, v any) {
 		}
 		c.mu.Unlock()
 	}
-	c.sp.EnqueueSpans(path, body, spans)
+	c.sp.EnqueueSpans(p, spans)
 }
 
 // Heartbeat implements gateway.Sink. Errors are dropped by design —
@@ -462,29 +435,35 @@ func (c *Client) Heartbeat(_ string, at time.Time) {
 }
 
 // UptimeReport implements gateway.Sink.
-func (c *Client) UptimeReport(r dataset.UptimeReport) { c.enqueue("/v1/uptime", r) }
+func (c *Client) UptimeReport(r dataset.UptimeReport) {
+	c.enqueue(wire.Payload{Kind: wire.KindUptime, Uptime: r})
+}
 
 // CapacityMeasure implements gateway.Sink.
-func (c *Client) CapacityMeasure(m dataset.CapacityMeasure) { c.enqueue("/v1/capacity", m) }
+func (c *Client) CapacityMeasure(m dataset.CapacityMeasure) {
+	c.enqueue(wire.Payload{Kind: wire.KindCapacity, Capacity: m})
+}
 
 // DeviceCensus implements gateway.Sink.
 func (c *Client) DeviceCensus(count dataset.DeviceCount, sightings []dataset.DeviceSighting) {
-	c.enqueue("/v1/devices", wire.Census{Count: count, Sightings: sightings})
+	c.enqueue(wire.Payload{Kind: wire.KindDevices, Count: count, Sightings: sightings})
 }
 
 // WiFiScan implements gateway.Sink.
-func (c *Client) WiFiScan(scans []dataset.WiFiScan) { c.enqueue("/v1/wifi", scans) }
+func (c *Client) WiFiScan(scans []dataset.WiFiScan) {
+	c.enqueue(wire.Payload{Kind: wire.KindWiFi, WiFi: scans})
+}
 
 // TrafficFlows implements gateway.Sink.
 func (c *Client) TrafficFlows(flows []dataset.FlowRecord) {
 	if len(flows) > 0 {
-		c.enqueue("/v1/traffic/flows", flows)
+		c.enqueue(wire.Payload{Kind: wire.KindFlows, Flows: flows})
 	}
 }
 
 // TrafficThroughput implements gateway.Sink.
 func (c *Client) TrafficThroughput(samples []dataset.ThroughputSample) {
 	if len(samples) > 0 {
-		c.enqueue("/v1/traffic/throughput", samples)
+		c.enqueue(wire.Payload{Kind: wire.KindThroughput, Throughput: samples})
 	}
 }

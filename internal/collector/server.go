@@ -475,8 +475,9 @@ func (s *Server) handleUpload(endpoint string) http.HandlerFunc {
 	}
 }
 
-// BatchItem is one spooled payload inside a /v1/batch request. The JSON
-// shape matches spool.Item's wire encoding.
+// BatchItem is one item of a JSON /v1/batch envelope, the shape the
+// server's JSON intake reads (loadgen's JSON mode and the benchmark send
+// it). The agent's client sends NPB1 and never builds one.
 type BatchItem struct {
 	Endpoint string          `json:"endpoint"`
 	Key      string          `json:"key"`
@@ -487,10 +488,10 @@ type BatchItem struct {
 	Trace *trace.Wire `json:"trace,omitempty"`
 }
 
-// wireItem transcodes the item for the binary envelope, conservatively:
-// a body that does not decode cleanly into its endpoint's typed rows
-// rides as raw JSON (wire.PayloadFromJSON), so the accept/reject outcome
-// is the same whichever side of the wire transcodes.
+// wireItem transcodes the item into the wire.Item every intake shape
+// yields, conservatively: a body that does not decode cleanly into its
+// endpoint's typed rows rides as raw JSON (wire.PayloadFromJSON), so the
+// accept/reject outcome is what an NPB1 sender of the same body gets.
 func (bi *BatchItem) wireItem() wire.Item {
 	return wire.Item{Endpoint: bi.Endpoint, Key: bi.Key, Trace: bi.Trace,
 		Payload: wire.PayloadFromJSON(bi.Endpoint, bi.Body)}

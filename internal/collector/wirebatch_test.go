@@ -3,7 +3,6 @@ package collector
 import (
 	"bytes"
 	"compress/gzip"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -17,7 +16,6 @@ import (
 	"natpeek/internal/analysis"
 	"natpeek/internal/dataset"
 	"natpeek/internal/mac"
-	"natpeek/internal/spool"
 	"natpeek/internal/stats"
 	"natpeek/internal/trace"
 	"natpeek/internal/wire"
@@ -169,33 +167,39 @@ func TestReadAllIntoClampsForgedSizeHint(t *testing.T) {
 	}
 }
 
-// TestBatchReportsMalformedItems pins satellite 3: undecodable items are
-// acknowledged (2xx, not retried) but reported per item in
-// BatchResult.Failed, and the client's sendBatch surfaces them as the
-// spool.Result that triggers dead-lettering.
+// TestBatchReportsMalformedItems pins the server half of dead-lettering:
+// undecodable items of a JSON /v1/batch envelope are acknowledged (2xx,
+// not retried) but reported per item in BatchResult.Failed. The client
+// half — sendBatch turning those failures into the spool.Result that
+// dead-letters — is TestSendBatchDeadLettersMalformedItems.
 func TestBatchReportsMalformedItems(t *testing.T) {
-	srv, cli := startPair(t)
+	srv, _ := startPair(t)
 	good, err := json.Marshal(dataset.UptimeReport{RouterID: "router-1", ReportedAt: t0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	items := []spool.Item{
-		{Endpoint: "/v1/uptime", Key: "mf-good", Body: good, Seq: 1},
-		{Endpoint: "/v1/uptime", Key: "mf-bad", Body: []byte(`{"RouterID":42}`), Seq: 2},
-		{Endpoint: "/v1/nope", Key: "mf-unknown", Body: []byte(`{}`), Seq: 3},
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	res, err := cli.sendBatch(ctx, items)
+	body, err := json.Marshal([]BatchItem{
+		{Endpoint: "/v1/uptime", Key: "mf-good", Body: good},
+		{Endpoint: "/v1/uptime", Key: "mf-bad", Body: []byte(`{"RouterID":42}`)},
+		{Endpoint: "/v1/nope", Key: "mf-unknown", Body: []byte(`{}`)},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Malformed) != 2 {
-		t.Fatalf("malformed = %+v, want 2 entries", res.Malformed)
+	resp, msg := postBatch(t, srv, "application/json", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, msg)
+	}
+	var br BatchResult
+	if err := json.Unmarshal([]byte(msg), &br); err != nil {
+		t.Fatal(err)
+	}
+	if len(br.Failed) != 2 {
+		t.Fatalf("failed = %+v, want 2 entries", br.Failed)
 	}
 	byKey := map[string]string{}
-	for _, e := range res.Malformed {
-		byKey[e.Key] = e.Reason
+	for _, f := range br.Failed {
+		byKey[f.Key] = f.Reason
 	}
 	if !strings.Contains(byKey["mf-bad"], "decode error") {
 		t.Fatalf("mf-bad reason = %q", byKey["mf-bad"])

@@ -5,6 +5,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"natpeek/internal/dataset"
+	"natpeek/internal/wire"
 )
 
 // BenchmarkSpoolDrain measures the client-side upload pipeline: enqueue
@@ -27,12 +30,13 @@ func BenchmarkSpoolDrain(b *testing.B) {
 	}
 	defer sp.Close()
 
-	body := []byte(`{"RouterID":"bench-router","ReportedAt":"2013-04-01T00:00:00Z","Uptime":3600000000000}`)
+	p := wire.Payload{Kind: wire.KindUptime, Uptime: dataset.UptimeReport{
+		RouterID: "bench-router", ReportedAt: time.Date(2013, 4, 1, 0, 0, 0, 0, time.UTC), Uptime: time.Hour}}
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sp.EnqueueSpans("/v1/uptime", body, nil)
+		sp.EnqueueSpans(p, nil)
 		// Keep the queue bounded: drain whenever it approaches capacity so
 		// arbitrarily large b.N never hits the drop path.
 		if sp.Depth() >= 1<<16 {

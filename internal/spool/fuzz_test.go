@@ -2,11 +2,18 @@ package spool
 
 import (
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
-	"reflect"
+	"slices"
 	"testing"
+	"time"
+
+	"natpeek/internal/codec"
+	"natpeek/internal/trace"
+	"natpeek/internal/wire"
 )
 
 // FuzzJournalReplay fuzzes journal recovery over raw on-disk bytes — the
@@ -14,19 +21,23 @@ import (
 // torn. Properties:
 //
 //  1. replay never panics, whatever the file holds.
-//  2. rewrite∘replay preserves the pending set: every recovered item
-//     survives a compaction byte-for-byte (bodies canonicalized to
-//     compact JSON), and a second rewrite∘replay round is the identity.
+//  2. replay returns the pending puts of the longest prefix of whole,
+//     CRC-valid frames: the puts that decode, less every put an ack
+//     after it names, in file order (pendingKeys, an independent model).
+//  3. rewrite∘replay is a fixed point: compacting the replayed journal
+//     and replaying and compacting that again writes the same bytes.
 func FuzzJournalReplay(f *testing.F) {
-	f.Add([]byte(`{"op":"put","item":{"endpoint":"/v1/uptime","key":"k1","body":{"RouterID":"r1"},"seq":1}}
-{"op":"ack","key":"k1"}
-{"op":"put","item":{"endpoint":"/v1/wifi","key":"k2","body":[{"RouterID":"r1"}],"seq":2}}
-`))
-	// Torn tail: crash mid-append of an ack record.
-	f.Add([]byte(`{"op":"put","item":{"endpoint":"/v1/capacity","key":"c1","body":{},"seq":9}}
-{"op":"ack","ke`))
-	// Unknown ops, empty lines, and binary garbage interleaved.
-	f.Add([]byte("\n{\"op\":\"nop\"}\n\x00\xff\x00garbage\n{\"op\":\"put\",\"item\":{\"endpoint\":\"/v1/devices\",\"key\":\"d\",\"body\":null,\"seq\":3}}\n"))
+	traced := mkItem("k3", 3)
+	traced.EnqueuedAt = time.Unix(1364774400, 5).UTC()
+	traced.Spans = []trace.Span{{Name: "gateway.export", Start: time.Unix(1364774399, 0).UTC(),
+		End: time.Unix(1364774400, 0).UTC(), Attrs: []trace.Attr{{K: "kind", V: "uptime"}}}}
+	f.Add(frames("k1", "ack:k1", "k2"))
+	f.Add(appendPut(frames("k1", "k2"), &traced))
+	var kinds []byte
+	for i, k := range []wire.Kind{wire.KindUptime, wire.KindCapacity, wire.KindWiFi, wire.KindThroughput} {
+		kinds = appendPut(kinds, &Item{Key: name(i), Payload: named(k, name(i)), Seq: uint64(i)})
+	}
+	f.Add(kinds)
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		dir := t.TempDir()
@@ -34,59 +45,94 @@ func FuzzJournalReplay(f *testing.F) {
 		if err := os.WriteFile(path, b, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		items1, err := replay(path)
+		items, err := replay(path)
 		if err != nil {
-			return // e.g. a single line beyond the scanner's 16MB cap
+			t.Fatalf("replay: %v", err)
 		}
-		j := &journal{path: filepath.Join(dir, "compact.jsonl")}
-		if err := j.rewrite(items1); err != nil {
-			t.Fatalf("rewrite: %v", err)
+		if got, want := keysOf(items), pendingKeys(b); !slices.Equal(got, want) {
+			t.Fatalf("replay recovered keys %q, the valid frames hold %q", got, want)
 		}
-		if err := j.close(); err != nil {
-			t.Fatalf("close: %v", err)
-		}
-		items2, err := replay(j.path)
+		once := rewritten(t, filepath.Join(dir, "once"), items)
+		again, err := replay(filepath.Join(dir, "once"))
 		if err != nil {
-			t.Fatalf("replay of rewritten journal: %v", err)
+			t.Fatalf("replay of the rewritten journal: %v", err)
 		}
-		if len(items2) != len(items1) {
-			t.Fatalf("compaction changed pending count: %d → %d", len(items1), len(items2))
+		if got, want := keysOf(again), keysOf(items); !slices.Equal(got, want) {
+			t.Fatalf("compaction changed the pending keys: %q → %q", want, got)
 		}
-		for i := range items1 {
-			want := items1[i]
-			want.Body = compactJSON(t, want.Body)
-			if !reflect.DeepEqual(want, items2[i]) {
-				t.Fatalf("item %d changed across compaction:\n was %+v\n now %+v", i, want, items2[i])
-			}
-		}
-		// Second round must be the exact identity.
-		j2 := &journal{path: filepath.Join(dir, "compact2.jsonl")}
-		if err := j2.rewrite(items2); err != nil {
-			t.Fatalf("second rewrite: %v", err)
-		}
-		if err := j2.close(); err != nil {
-			t.Fatalf("second close: %v", err)
-		}
-		items3, err := replay(j2.path)
-		if err != nil {
-			t.Fatalf("second replay: %v", err)
-		}
-		if !reflect.DeepEqual(items2, items3) {
-			t.Fatalf("rewrite∘replay not a fixed point:\n %+v\n %+v", items2, items3)
+		if twice := rewritten(t, filepath.Join(dir, "twice"), again); !bytes.Equal(once, twice) {
+			t.Fatalf("rewrite∘replay not a fixed point:\n %x\n %x", once, twice)
 		}
 	})
 }
 
-func compactJSON(t *testing.T, b json.RawMessage) json.RawMessage {
+// rewritten compacts items into a fresh journal at path and returns its
+// bytes.
+func rewritten(t *testing.T, path string, items []Item) []byte {
 	t.Helper()
-	if b == nil {
-		// An absent body field re-encodes as an explicit null, which the
-		// next replay recovers as the literal "null".
-		return json.RawMessage("null")
+	j := &journal{path: path}
+	if err := j.rewrite(items); err != nil {
+		t.Fatalf("rewrite: %v", err)
 	}
-	var buf bytes.Buffer
-	if err := json.Compact(&buf, b); err != nil {
-		t.Fatalf("recovered body is not valid JSON: %v", err)
+	if err := j.close(); err != nil {
+		t.Fatalf("close: %v", err)
 	}
-	return buf.Bytes()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func keysOf(items []Item) []string {
+	var keys []string
+	for _, it := range items {
+		keys = append(keys, it.Key)
+	}
+	return keys
+}
+
+// pendingKeys is the fuzz target's model of replay: walk whole frames
+// whose CRC holds, keep each put whose body decodes as seq, enqueue time
+// and a one-item NPB1 batch, and let each ack drop the puts of its key
+// written before it.
+func pendingKeys(b []byte) []string {
+	var keys []string
+	for len(b) >= 8 {
+		n := int(binary.LittleEndian.Uint32(b))
+		if n < 0 || n > len(b)-8 || crc32.ChecksumIEEE(b[8:8+n]) != binary.LittleEndian.Uint32(b[4:]) {
+			break
+		}
+		body := b[8 : 8+n]
+		b = b[8+n:]
+		if len(body) == 0 {
+			continue
+		}
+		switch body[0] {
+		case 'p':
+			if key, ok := putKey(body[1:]); ok {
+				keys = append(keys, key)
+			}
+		case 'a':
+			keys = slices.DeleteFunc(keys, func(k string) bool { return k == string(body[1:]) })
+		}
+	}
+	return keys
+}
+
+func putKey(body []byte) (string, bool) {
+	c := codec.NewDec(body)
+	c.Uvarint()
+	c.Varint()
+	c.Uvarint()
+	var dec wire.Decoder
+	if c.Err() != nil || dec.Reset(c.Take(c.Remaining())) != nil || dec.Len() != 1 {
+		return "", false
+	}
+	var it wire.Item
+	if dec.Next(&it) != nil {
+		return "", false
+	}
+	key := it.Key
+	return key, dec.Next(&it) == io.EOF
 }

@@ -1,33 +1,53 @@
-// Disk journal for the spool: an append-only JSONL file of put/ack
-// records, compacted in place once enough acks accumulate. This is the
+// Disk journal for the spool: an append-only file of framed put/ack
+// records, compacted once enough acks accumulate. This is the
 // reproduction's stand-in for the firmware's flash-backed measurement
 // buffers — cheap sequential appends on the hot path, recovery by replay
 // on startup.
+//
+//	file  := frame…
+//	frame := uint32le len(body) | uint32le crc32(body) | body
+//	body  := 'p' | uvarint seq | varint enqueuedSec | uvarint enqueuedNsec
+//	             | NPB1 batch of one item (key, pre-spool spans as its
+//	               trace, rows) filling the rest of the body
+//	       | 'a' | key, filling the rest of the body
+//
+// A put's rows are the wire package's NPB1 item, written by
+// wire.AppendBatch and read back by wire.Decoder, so the journal adds a
+// frame and two fields, not a second schema for the rows.
 package spool
 
 import (
-	"bufio"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"time"
+
+	"natpeek/internal/codec"
+	"natpeek/internal/trace"
+	"natpeek/internal/wire"
 )
 
-// journalFile is the single journal inside Config.Dir.
-const journalFile = "spool.jsonl"
-
-// compactEvery triggers a rewrite after this many acks, bounding file
-// growth to roughly the live queue plus one compaction window.
-const compactEvery = 1024
-
-// record is one journal line. Op "put" carries an Item; op "ack" marks
-// the item with the same key delivered (or dropped on overflow).
-type record struct {
-	Op   string `json:"op"`
-	Key  string `json:"key,omitempty"`
-	Item *Item  `json:"item,omitempty"`
-}
+const (
+	// journalFile is the single journal inside Config.Dir.
+	journalFile = "spool.journal"
+	// legacyJournalFile is the JSONL journal of earlier versions. No
+	// reader for it is kept: New refuses a Dir that still holds one
+	// rather than start a second journal beside undelivered rows.
+	legacyJournalFile = "spool.jsonl"
+	// compactEvery triggers a rewrite after this many acks, bounding
+	// file growth to roughly the live queue plus one compaction window.
+	compactEvery = 1024
+	// A frame is an 8-byte header (body length, body CRC-32), then the
+	// body, whose first byte is the op.
+	frameHeader = 8
+	opPut       = 'p'
+	opAck       = 'a'
+)
 
 // journal is not safe for concurrent use; the Spooler serializes access
 // under its mutex. Write errors disable the journal (the spool degrades
@@ -35,20 +55,21 @@ type record struct {
 type journal struct {
 	path  string
 	f     *os.File
-	w     *bufio.Writer
+	frame []byte // the record being appended, reused
 	acks  int
 	bytes int64 // current file size, for the journal-size gauge
 	err   error
 }
-
-// size returns the journal's current on-disk size in bytes.
-func (j *journal) size() int64 { return j.bytes }
 
 // openJournal opens (creating if needed) dir's journal and returns the
 // undelivered items found in it, in original enqueue order.
 func openJournal(dir string) (*journal, []Item, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
+	}
+	legacy := filepath.Join(dir, legacyJournalFile)
+	if _, err := os.Stat(legacy); err == nil {
+		return nil, nil, fmt.Errorf("%s is a JSONL journal from an earlier version, which this one does not read; deliver its items with that version or remove it", legacy)
 	}
 	path := filepath.Join(dir, journalFile)
 	items, err := replay(path)
@@ -63,135 +84,166 @@ func openJournal(dir string) (*journal, []Item, error) {
 	return j, items, nil
 }
 
-// replay reads the journal and reduces put/ack pairs to the pending set.
-// A torn final line (crash mid-append) is tolerated and dropped.
+// appendPut appends the put frame of it to dst.
+func appendPut(dst []byte, it *Item) []byte {
+	start := len(dst)
+	e := codec.Enc{Buf: append(dst, make([]byte, frameHeader)...)}
+	e.Byte(opPut)
+	e.Uvarint(it.Seq)
+	e.Varint(it.EnqueuedAt.Unix())
+	e.Uvarint(uint64(it.EnqueuedAt.Nanosecond()))
+	wi := wire.Item{Endpoint: it.Endpoint(), Key: it.Key, Payload: it.Payload}
+	if len(it.Spans) > 0 {
+		wi.Trace = &trace.Wire{Spans: it.Spans}
+	}
+	return sealFrame(wire.AppendBatch(e.Buf, []wire.Item{wi}), start)
+}
+
+// appendAck appends key's ack frame to dst.
+func appendAck(dst []byte, key string) []byte {
+	start := len(dst)
+	dst = append(append(dst, make([]byte, frameHeader)...), opAck)
+	return sealFrame(append(dst, key...), start)
+}
+
+// sealFrame fills in the header of the frame that starts at buf[start].
+func sealFrame(buf []byte, start int) []byte {
+	body := buf[start+frameHeader:]
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(body))
+	return buf
+}
+
+// replay reads the journal and reduces put/ack records to the pending
+// puts, in the order they were written; an ack removes every earlier put
+// of its key. Replay stops at the first frame that is short or fails its
+// CRC — a crash mid-append tears only the tail, so that frame and
+// anything after it are dropped. A whole frame that does not decode (an
+// unknown op, a put whose NPB1 item does not) is skipped.
 func replay(path string) ([]Item, error) {
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil
 	}
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	pending := make(map[string]int) // key → index into items; -1 = acked
-	var items []Item
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
+	var (
+		items []Item
+		acked = map[string]int{} // key → puts written before its last ack
+		dec   wire.Decoder
+	)
+	for len(b) >= frameHeader {
+		n := binary.LittleEndian.Uint32(b)
+		if uint64(n) > uint64(len(b)-frameHeader) {
+			break
 		}
-		var r record
-		if err := json.Unmarshal(line, &r); err != nil {
-			continue // torn tail or corruption: skip, keep what decodes
+		body := b[frameHeader : frameHeader+int(n)]
+		if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(b[4:]) {
+			break
 		}
-		switch r.Op {
-		case "put":
-			if r.Item != nil {
-				pending[r.Item.Key] = len(items)
-				items = append(items, *r.Item)
+		b = b[frameHeader+int(n):]
+		switch {
+		case len(body) == 0:
+		case body[0] == opPut:
+			if it, ok := decodePut(&dec, body[1:]); ok {
+				items = append(items, it)
 			}
-		case "ack":
-			pending[r.Key] = -1
+		case body[0] == opAck:
+			acked[string(body[1:])] = len(items)
 		}
-	}
-	if err := sc.Err(); err != nil && !errors.Is(err, io.ErrUnexpectedEOF) {
-		return nil, err
 	}
 	out := items[:0]
-	for _, it := range items {
-		if pending[it.Key] >= 0 {
+	for i, it := range items {
+		if acked[it.Key] <= i {
 			out = append(out, it)
 		}
 	}
 	return out, nil
 }
 
+// decodePut reads a put body (after its op byte). The item's slices are
+// cloned out of the decoder's scratch.
+func decodePut(dec *wire.Decoder, body []byte) (Item, bool) {
+	var c codec.Dec
+	c.Reset(body)
+	seq := c.Uvarint()
+	sec, nsec := c.Varint(), c.Uvarint()
+	batch := c.Take(c.Remaining())
+	if c.Err() != nil || dec.Reset(batch) != nil || dec.Len() != 1 {
+		return Item{}, false
+	}
+	var wi, end wire.Item
+	if dec.Next(&wi) != nil || dec.Next(&end) != io.EOF {
+		return Item{}, false
+	}
+	it := Item{Key: wi.Key, Payload: wi.Payload.Clone(), Seq: seq,
+		EnqueuedAt: time.Unix(sec, int64(nsec)).UTC()}
+	if wi.Trace != nil {
+		it.Spans = slices.Clone(wi.Trace.Spans)
+	}
+	return it, true
+}
+
 // rewrite atomically replaces the journal with just the given items.
 func (j *journal) rewrite(items []Item) error {
 	if j.f != nil {
-		j.w.Flush()
 		j.f.Close()
 		j.f = nil
+	}
+	var buf []byte
+	for i := range items {
+		buf = appendPut(buf, &items[i])
 	}
 	tmp := j.path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	w := bufio.NewWriter(f)
-	enc := json.NewEncoder(w)
-	for i := range items {
-		if err := enc.Encode(record{Op: "put", Item: &items[i]}); err != nil {
-			f.Close()
-			return err
-		}
+	if _, err = f.Write(buf); err == nil {
+		err = f.Sync()
 	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
+	if err == nil {
+		err = os.Rename(tmp, j.path)
 	}
-	if err := f.Close(); err != nil {
-		return err
+	if err == nil {
+		f, err = os.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o644)
 	}
-	if err := os.Rename(tmp, j.path); err != nil {
-		return err
-	}
-	f, err = os.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return err
 	}
 	j.f = f
-	j.w = bufio.NewWriter(f)
 	j.acks = 0
-	if fi, err := f.Stat(); err == nil {
-		j.bytes = fi.Size()
-	}
+	j.bytes = int64(len(buf))
 	return nil
 }
 
-func (j *journal) append(r record) {
-	if j.err != nil || j.f == nil {
+// append writes one record, kept in j.frame for the next one's reuse.
+func (j *journal) append(frame []byte) {
+	if j.frame = frame; j.err != nil || j.f == nil {
 		return
 	}
-	b, err := json.Marshal(r)
-	if err == nil {
-		_, err = j.w.Write(append(b, '\n'))
-	}
-	if err == nil {
-		err = j.w.Flush()
-	}
-	if err != nil {
+	if _, err := j.f.Write(frame); err != nil {
 		j.err = err // degrade to in-memory; Close surfaces the error
 		return
 	}
-	j.bytes += int64(len(b)) + 1
+	j.bytes += int64(len(frame))
 }
 
-func (j *journal) put(it Item) { j.append(record{Op: "put", Item: &it}) }
+func (j *journal) put(it *Item) { j.append(appendPut(j.frame[:0], it)) }
 
+// ack records key delivered (or dropped on overflow); the Spooler
+// compacts once acks reach compactEvery.
 func (j *journal) ack(key string) {
-	j.append(record{Op: "ack", Key: key})
-	if j.acks++; j.acks >= compactEvery && j.err == nil {
-		items, err := replay(j.path)
-		if err == nil {
-			err = j.rewrite(items)
-		}
-		if err != nil {
-			j.err = err
-		}
-	}
+	j.append(appendAck(j.frame[:0], key))
+	j.acks++
 }
 
 func (j *journal) close() error {
 	if j.f != nil {
-		j.w.Flush()
 		if err := j.f.Close(); err != nil && j.err == nil {
 			j.err = err
 		}

@@ -1,10 +1,12 @@
 package spool
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"natpeek/internal/wire"
 )
 
 // step is one operation against a live journal.
@@ -14,12 +16,22 @@ type step struct {
 }
 
 func mkItem(key string, seq uint64) Item {
-	return Item{
-		Endpoint: "/v1/uptime",
-		Key:      key,
-		Body:     json.RawMessage(`{"RouterID":"` + key + `"}`),
-		Seq:      seq,
+	return Item{Key: key, Payload: named(wire.KindUptime, key), Seq: seq}
+}
+
+// frames renders put and ack records as journal bytes: a step with a
+// key puts it, an "ack:"-prefixed one acks the rest.
+func frames(steps ...string) []byte {
+	var buf []byte
+	for i, s := range steps {
+		if key, ok := strings.CutPrefix(s, "ack:"); ok {
+			buf = appendAck(buf, key)
+			continue
+		}
+		it := mkItem(s, uint64(i+1))
+		buf = appendPut(buf, &it)
 	}
+	return buf
 }
 
 // TestJournalRoundTrip drives put/ack/rewrite sequences through a live
@@ -83,7 +95,8 @@ func TestJournalRoundTrip(t *testing.T) {
 				switch s.op {
 				case "put":
 					seq++
-					j.put(mkItem(s.key, seq))
+					it := mkItem(s.key, seq)
+					j.put(&it)
 				case "ack":
 					j.ack(s.key)
 				case "compact":
@@ -114,18 +127,13 @@ func TestJournalRoundTrip(t *testing.T) {
 // pre-compaction one before the rename, the compacted one after.
 func TestJournalCompactionCrashWindows(t *testing.T) {
 	// The live state being compacted: a acked, b and c pending.
-	journalLines := `{"op":"put","item":{"endpoint":"/v1/uptime","key":"a","body":{"RouterID":"a"},"seq":1}}
-{"op":"ack","key":"a"}
-{"op":"put","item":{"endpoint":"/v1/uptime","key":"b","body":{"RouterID":"b"},"seq":2}}
-{"op":"put","item":{"endpoint":"/v1/uptime","key":"c","body":{"RouterID":"c"},"seq":3}}
-`
-	compactedLines := `{"op":"put","item":{"endpoint":"/v1/uptime","key":"b","body":{"RouterID":"b"},"seq":2}}
-{"op":"put","item":{"endpoint":"/v1/uptime","key":"c","body":{"RouterID":"c"},"seq":3}}
-`
+	journalLines := string(frames("a", "ack:a", "b", "c"))
+	compactedLines := string(frames("b", "c"))
+	tornPut := string(frames("d"))
 	cases := []struct {
 		name    string
 		journal string
-		tmp     string // contents of spool.jsonl.tmp; "" = absent
+		tmp     string // contents of spool.journal.tmp; "" = absent
 		want    []string
 	}{
 		{
@@ -137,7 +145,7 @@ func TestJournalCompactionCrashWindows(t *testing.T) {
 		{
 			name:    "crash mid tmp write (torn tmp, journal intact)",
 			journal: journalLines,
-			tmp:     compactedLines[:37], // torn mid-record
+			tmp:     compactedLines[:len(compactedLines)-7], // torn mid-record
 			want:    []string{"b", "c"},
 		},
 		{
@@ -154,7 +162,7 @@ func TestJournalCompactionCrashWindows(t *testing.T) {
 		},
 		{
 			name:    "crash mid-append after committed compaction",
-			journal: compactedLines + `{"op":"put","item":{"endpoint":"/v1/upti`,
+			journal: compactedLines + tornPut[:len(tornPut)-7],
 			tmp:     "",
 			want:    []string{"b", "c"},
 		},
@@ -178,7 +186,8 @@ func TestJournalCompactionCrashWindows(t *testing.T) {
 			assertKeys(t, got, tc.want)
 			// The journal must be fully usable after recovery: appends
 			// land, and the next reopen sees them.
-			j.put(mkItem("d", 4))
+			d := mkItem("d", 4)
+			j.put(&d)
 			if err := j.close(); err != nil {
 				t.Fatal(err)
 			}

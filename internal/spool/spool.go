@@ -15,8 +15,10 @@
 // natpeek_spool_dropped_total — overload degrades to bounded, observable
 // loss instead of unbounded memory growth.
 //
-// With Config.Dir set the queue is also journaled to disk, so items
-// survive a process restart (see journal.go).
+// Items hold typed wire.Payloads, never encoded bytes: the sender
+// encodes a batch once, as NPB1, and with Config.Dir set the journal
+// (journal.go) writes each item as a one-item NPB1 batch, so items
+// survive a process restart without a second schema.
 package spool
 
 import (
@@ -29,36 +31,41 @@ import (
 	mrand "math/rand"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"time"
 
 	"natpeek/internal/telemetry"
 	"natpeek/internal/trace"
+	"natpeek/internal/wire"
 )
 
 // Item is one queued payload awaiting delivery.
 type Item struct {
-	// Endpoint is the logical upload endpoint (e.g. "/v1/uptime").
-	Endpoint string `json:"endpoint"`
 	// Key is the item's idempotency key; the server applies each key at
 	// most once, which makes redelivery safe.
-	Key string `json:"key"`
-	// Body is the endpoint's JSON payload.
-	Body json.RawMessage `json:"body"`
+	Key string
+	// Payload is the item's rows, typed; the spool owns its slices.
+	Payload wire.Payload
 	// Seq orders items within their endpoint queue (monotonic per run).
-	Seq uint64 `json:"seq"`
+	Seq uint64
 	// EnqueuedAt timestamps admission into the spool; the drainer turns
-	// it into the trace's queue-wait span. Zero for pre-tracing journals.
-	EnqueuedAt time.Time `json:"enqueued_at,omitzero"`
+	// it into the trace's queue-wait span.
+	EnqueuedAt time.Time
 	// Spans carries trace history accumulated before the item reached the
 	// spool (e.g. the gateway's export-window span). Shipped to the
 	// collector with the item so the server can assemble the full trace.
-	Spans []trace.Span `json:"spans,omitempty"`
+	Spans []trace.Span
 }
+
+// Endpoint is the logical upload endpoint the item's payload kind
+// serves (e.g. "/v1/uptime"); items queue per endpoint.
+func (it *Item) Endpoint() string { return it.Payload.Kind.Endpoint() }
 
 // Sender delivers one batch of items. A nil error acknowledges the whole
 // batch; any error leaves every item queued for retry. The context
-// carries the per-request timeout.
+// carries the per-request timeout. The slice is the drainer's and is
+// reused for the next batch: a Sender that keeps items copies them.
 //
 // The Result distinguishes "applied" from "dropped as malformed": items
 // the server acknowledged but could not decode are listed in
@@ -100,8 +107,10 @@ type Config struct {
 	RetryMax time.Duration
 	// Timeout bounds each Sender call (default 10s).
 	Timeout time.Duration
-	// Dir, when non-empty, journals the queue to Dir/spool.jsonl so
-	// undelivered items survive a process restart.
+	// Dir, when non-empty, journals the queue to Dir/spool.journal
+	// (CRC'd frames holding one-item NPB1 batches; see journal.go) so
+	// undelivered items survive a process restart. New refuses a Dir
+	// that still holds a spool.jsonl, the older JSON journal.
 	Dir string
 }
 
@@ -129,6 +138,7 @@ func (c *Config) fill() {
 type queue struct {
 	items []Item
 	seq   uint64
+	key   string // "prefix:nonce:endpoint:", the items' key before their seq
 }
 
 // Spooler owns the per-endpoint queues and the background drainer.
@@ -136,14 +146,13 @@ type Spooler struct {
 	cfg  Config
 	send Sender
 
-	mu       sync.Mutex
-	queues   map[string]*queue
-	order    []string // endpoint registration order, for fair draining
-	depth    int
-	nonce    string
-	journal  *journal
-	closed   bool
-	inflight bool
+	mu      sync.Mutex
+	queues  map[string]*queue
+	order   []string // endpoint registration order, for fair draining
+	depth   int
+	nonce   string
+	journal *journal
+	closed  bool
 
 	wake chan struct{}
 	done chan struct{}
@@ -244,13 +253,13 @@ func (s *Spooler) updateHealthLocked(now time.Time) {
 		q := s.queues[ep]
 		s.gDepthVec.With(ep).Set(float64(len(q.items)))
 		age := 0.0
-		if len(q.items) > 0 && !q.items[0].EnqueuedAt.IsZero() {
+		if len(q.items) > 0 {
 			age = now.Sub(q.items[0].EnqueuedAt).Seconds()
 		}
 		s.gOldestAge.With(ep).Set(age)
 	}
 	if s.journal != nil {
-		s.gJournal.Set(float64(s.journal.size()))
+		s.gJournal.Set(float64(s.journal.bytes))
 	}
 }
 
@@ -271,7 +280,7 @@ func (s *Spooler) Health() []EndpointHealth {
 	for _, ep := range s.order {
 		q := s.queues[ep]
 		h := EndpointHealth{Endpoint: ep, Depth: len(q.items)}
-		if len(q.items) > 0 && !q.items[0].EnqueuedAt.IsZero() {
+		if len(q.items) > 0 {
 			h.OldestAge = now.Sub(q.items[0].EnqueuedAt)
 		}
 		out = append(out, h)
@@ -283,7 +292,7 @@ func (s *Spooler) Health() []EndpointHealth {
 // delivery that was acked but not yet compacted stays deduplicable) and
 // advancing the endpoint's seq counter past it.
 func (s *Spooler) recover(it Item) {
-	q := s.queue(it.Endpoint)
+	q := s.queue(it.Endpoint())
 	if it.Seq > q.seq {
 		q.seq = it.Seq
 	}
@@ -297,37 +306,42 @@ func (s *Spooler) recover(it Item) {
 func (s *Spooler) queue(endpoint string) *queue {
 	q := s.queues[endpoint]
 	if q == nil {
-		q = &queue{}
+		q = &queue{key: s.cfg.KeyPrefix + ":" + s.nonce + ":" + endpoint + ":"}
 		s.queues[endpoint] = q
 		s.order = append(s.order, endpoint)
 	}
 	return q
 }
 
-// EnqueueSpans accepts one payload for eventual delivery. It never
-// blocks: a full queue drops its oldest item (counted) to make room.
-// Spans accumulated before the payload reached the spool (the gateway's
+// EnqueueSpans accepts one payload for eventual delivery, queued under
+// the endpoint its kind serves. It never blocks: a full queue drops its
+// oldest item (counted) to make room. The spool keeps a clone of p, so
+// the caller may reuse p's slices once the call returns. Spans
+// accumulated before the payload reached the spool (the gateway's
 // export-window span) ride along to the collector, which folds them into
 // the end-to-end trace; nil carries none.
-func (s *Spooler) EnqueueSpans(endpoint string, body []byte, spans []trace.Span) {
+func (s *Spooler) EnqueueSpans(p wire.Payload, spans []trace.Span) {
 	now := time.Now()
+	p = p.Clone()
+	endpoint := p.Kind.Endpoint()
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return
 	}
 	q := s.queue(endpoint)
+	var key [64]byte
 	it := Item{
-		Endpoint:   endpoint,
 		Seq:        q.seq,
-		Key:        fmt.Sprintf("%s:%s:%s:%d", s.cfg.KeyPrefix, s.nonce, endpoint, q.seq),
-		Body:       append(json.RawMessage(nil), body...),
+		Key:        string(strconv.AppendUint(append(key[:0], q.key...), q.seq, 10)),
+		Payload:    p,
 		EnqueuedAt: now,
 		Spans:      spans,
 	}
 	q.seq++
 	if len(q.items) >= s.cfg.Capacity {
 		dropped := q.items[0]
+		q.items[0] = Item{}
 		q.items = q.items[1:]
 		s.depth--
 		s.gDepth.Add(-1)
@@ -341,7 +355,8 @@ func (s *Spooler) EnqueueSpans(endpoint string, body []byte, spans []trace.Span)
 	s.gDepth.Add(1)
 	s.mEnqueued.With(endpoint).Inc()
 	if s.journal != nil {
-		s.journal.put(it)
+		s.journal.put(&it)
+		s.compactJournalLocked()
 	}
 	s.updateHealthLocked(now)
 	s.mu.Unlock()
@@ -362,12 +377,11 @@ func (s *Spooler) Depth() int {
 	return s.depth
 }
 
-// take snapshots up to MaxBatch items from the queue fronts without
+// take appends to out up to MaxBatch items from the queue fronts without
 // removing them; items are only removed once the batch is acknowledged.
-func (s *Spooler) take() []Item {
+func (s *Spooler) take(out []Item) []Item {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var out []Item
 	for _, ep := range s.order {
 		q := s.queues[ep]
 		for _, it := range q.items {
@@ -395,16 +409,18 @@ func (s *Spooler) ack(items []Item, res Result) {
 		}
 	}
 	maxSeq := make(map[string]uint64, len(items))
-	for _, it := range items {
-		if cur, ok := maxSeq[it.Endpoint]; !ok || it.Seq > cur {
-			maxSeq[it.Endpoint] = it.Seq
+	for i := range items {
+		it := &items[i]
+		ep := it.Endpoint()
+		if cur, ok := maxSeq[ep]; !ok || it.Seq > cur {
+			maxSeq[ep] = it.Seq
 		}
 		if reason, bad := malformed[it.Key]; bad {
-			s.mMalformed.With(it.Endpoint).Inc()
+			s.mMalformed.With(ep).Inc()
 			s.deadLetter(it, reason)
 			continue
 		}
-		s.mSent.With(it.Endpoint).Inc()
+		s.mSent.With(ep).Inc()
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -417,31 +433,69 @@ func (s *Spooler) ack(items []Item, res Result) {
 			}
 			n++
 		}
-		q.items = q.items[n:]
+		clear(q.items[:n]) // release the delivered rows
+		if n == len(q.items) {
+			q.items = q.items[:0] // drained: refill the array from here
+		} else {
+			q.items = q.items[n:]
+		}
 		s.depth -= n
 		s.gDepth.Add(float64(-n))
 	}
+	s.compactJournalLocked()
 	s.updateHealthLocked(time.Now())
+}
+
+// compactJournalLocked rewrites the journal from the live queues once
+// compactEvery acks have piled up, bounding the file to roughly the live
+// queue plus one compaction window. It runs only between whole
+// operations, so no item is half-acked when the live set is read; an
+// in-flight batch is still queued and is kept. Callers hold s.mu.
+func (s *Spooler) compactJournalLocked() {
+	j := s.journal
+	if j == nil || j.acks < compactEvery || j.err != nil {
+		return
+	}
+	var live []Item
+	for _, ep := range s.order {
+		live = append(live, s.queues[ep].items...)
+	}
+	if err := j.rewrite(live); err != nil {
+		j.err = err // degrade to in-memory; Close surfaces the error
+	}
 }
 
 // deadLetterFile collects malformed payloads inside Config.Dir.
 const deadLetterFile = "deadletter.jsonl"
 
 // deadLetter journals one malformed item for post-mortem. The row is
-// always logged; with Config.Dir set it is also appended (with its full
-// body) to Dir/deadletter.jsonl. Only the drainer calls this, so the
-// append needs no locking; a write error degrades to log-only.
-func (s *Spooler) deadLetter(it Item, reason string) {
+// always logged; with Config.Dir set it is also appended to
+// Dir/deadletter.jsonl as one JSON line, {at, reason, item}, the item
+// with its payload rendered by wire.Payload.JSONBody — the spool's only
+// JSON, written for a reader, never read back. A payload JSON cannot
+// carry (a NaN, a year past 9999) gets a null body. Only the drainer
+// calls this, so the append needs no locking; a write error degrades to
+// log-only.
+func (s *Spooler) deadLetter(it *Item, reason string) {
 	slog.Warn("spool: server rejected payload as malformed, dead-lettering",
-		"endpoint", it.Endpoint, "key", it.Key, "reason", reason)
+		"endpoint", it.Endpoint(), "key", it.Key, "reason", reason)
 	if s.cfg.Dir == "" {
 		return
+	}
+	body, _ := it.Payload.JSONBody() // on error, nil: a null body
+	type item struct {
+		Endpoint   string          `json:"endpoint"`
+		Key        string          `json:"key"`
+		Body       json.RawMessage `json:"body"`
+		Seq        uint64          `json:"seq"`
+		EnqueuedAt time.Time       `json:"enqueued_at,omitzero"`
+		Spans      []trace.Span    `json:"spans,omitempty"`
 	}
 	line, err := json.Marshal(struct {
 		At     time.Time `json:"at"`
 		Reason string    `json:"reason"`
-		Item   Item      `json:"item"`
-	}{time.Now(), reason, it})
+		Item   item      `json:"item"`
+	}{time.Now(), reason, item{it.Endpoint(), it.Key, body, it.Seq, it.EnqueuedAt, it.Spans}})
 	if err != nil {
 		return
 	}
@@ -464,15 +518,17 @@ func (s *Spooler) deadLetter(it Item, reason string) {
 func (s *Spooler) drain() {
 	defer close(s.dead)
 	backoff := s.cfg.RetryMin
+	var items []Item // the batch in flight; its array is reused
 	for {
-		items := s.take()
+		clear(items) // release the last batch's rows
+		items = s.take(items[:0])
 		if len(items) == 0 {
 			select {
 			case <-s.wake:
 				continue
 			case <-s.done:
 				// Final sweep: anything enqueued between take and Close.
-				if items = s.take(); len(items) == 0 {
+				if items = s.take(items); len(items) == 0 {
 					return
 				}
 			}

@@ -15,8 +15,10 @@ import (
 	"testing"
 	"time"
 
+	"natpeek/internal/dataset"
 	"natpeek/internal/telemetry"
 	"natpeek/internal/trace"
+	"natpeek/internal/wire"
 )
 
 // fastRetry keeps test backoffs tiny so retry loops converge quickly.
@@ -56,14 +58,14 @@ func (r *recorder) setFail(v bool) {
 	r.mu.Unlock()
 }
 
-// delivered returns the bodies of every acknowledged item, in order.
+// delivered returns the names of every acknowledged item, in order.
 func (r *recorder) delivered() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var out []string
 	for _, b := range r.batches {
 		for _, it := range b {
-			out = append(out, string(it.Body))
+			out = append(out, it.Payload.Router())
 		}
 	}
 	return out
@@ -90,7 +92,31 @@ func mustFlush(t *testing.T, s *Spooler) {
 	}
 }
 
-func body(i int) []byte { return []byte(fmt.Sprintf("%q", fmt.Sprintf("item-%d", i))) }
+var t0 = time.Date(2013, 4, 1, 0, 0, 0, 0, time.UTC)
+
+// named returns a one-row payload of kind whose router ID is name, so a
+// test reads an item's identity back with Payload.Router.
+func named(kind wire.Kind, name string) wire.Payload {
+	p := wire.Payload{Kind: kind}
+	switch kind {
+	case wire.KindUptime:
+		p.Uptime = dataset.UptimeReport{RouterID: name, ReportedAt: t0, Uptime: time.Hour}
+	case wire.KindCapacity:
+		p.Capacity = dataset.CapacityMeasure{RouterID: name, MeasuredAt: t0, UpBps: 1e6, DownBps: 8e6}
+	case wire.KindWiFi:
+		p.WiFi = []dataset.WiFiScan{{RouterID: name, At: t0, Band: "5GHz", Channel: 36}}
+	case wire.KindThroughput:
+		p.Throughput = []dataset.ThroughputSample{{RouterID: name, Minute: t0, Dir: "down", TotalBytes: 1 << 20}}
+	default:
+		panic(fmt.Sprintf("named: no test row for kind %d", kind))
+	}
+	return p
+}
+
+// body is the i'th uptime payload, named "item-i".
+func body(i int) wire.Payload { return named(wire.KindUptime, name(i)) }
+
+func name(i int) string { return fmt.Sprintf("item-%d", i) }
 
 func TestBatchingAndOrder(t *testing.T) {
 	rec := &recorder{}
@@ -101,7 +127,7 @@ func TestBatchingAndOrder(t *testing.T) {
 	defer s.Close()
 	const n = 10
 	for i := 0; i < n; i++ {
-		s.EnqueueSpans("/t/batching", body(i), nil)
+		s.EnqueueSpans(body(i), nil)
 	}
 	mustFlush(t, s)
 
@@ -110,7 +136,7 @@ func TestBatchingAndOrder(t *testing.T) {
 		t.Fatalf("delivered %d items, want %d: %v", len(got), n, got)
 	}
 	for i, b := range got {
-		if b != string(body(i)) {
+		if b != name(i) {
 			t.Fatalf("delivery out of order at %d: %q", i, b)
 		}
 	}
@@ -130,9 +156,9 @@ func TestKeysAreUniqueAndPrefixed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	s.EnqueueSpans("/t/keys", body(0), nil)
-	s.EnqueueSpans("/t/keys", body(1), nil)
-	s.EnqueueSpans("/t/other", body(2), nil)
+	s.EnqueueSpans(body(0), nil)
+	s.EnqueueSpans(body(1), nil)
+	s.EnqueueSpans(named(wire.KindWiFi, name(2)), nil)
 	mustFlush(t, s)
 
 	seen := make(map[string]bool)
@@ -161,7 +187,7 @@ func TestRetryUntilDelivered(t *testing.T) {
 	}
 	defer s.Close()
 	for i := 0; i < 5; i++ {
-		s.EnqueueSpans("/t/retry", body(i), nil)
+		s.EnqueueSpans(body(i), nil)
 	}
 	// Let a few delivery attempts fail before the "outage" ends.
 	deadline := time.Now().Add(5 * time.Second)
@@ -198,7 +224,7 @@ func retriesCounter() *telemetry.Counter {
 // sender is down: the newest items must survive, the overflow must be
 // counted, and nothing may block.
 func TestOverflowDropsOldest(t *testing.T) {
-	const endpoint = "/t/overflow"
+	const endpoint = "/v1/capacity"
 	droppedBefore := telemetry.Default.CounterVec("natpeek_spool_dropped_total",
 		"Payloads dropped on queue overflow (oldest first), per endpoint.", "endpoint").
 		With(endpoint).Value()
@@ -209,7 +235,7 @@ func TestOverflowDropsOldest(t *testing.T) {
 	}
 	defer s.Close()
 	for i := 0; i < 6; i++ {
-		s.EnqueueSpans(endpoint, body(i), nil)
+		s.EnqueueSpans(named(wire.KindCapacity, name(i)), nil)
 	}
 	if d := s.Depth(); d != 3 {
 		t.Fatalf("depth = %d, want capacity 3", d)
@@ -226,7 +252,7 @@ func TestOverflowDropsOldest(t *testing.T) {
 	got := rec.delivered()
 	// An attempt snapshotted before the overflow may deliver early items,
 	// but the tail of the queue — the newest three — must all arrive.
-	want := map[string]bool{string(body(3)): true, string(body(4)): true, string(body(5)): true}
+	want := map[string]bool{name(3): true, name(4): true, name(5): true}
 	for _, b := range got {
 		delete(want, b)
 	}
@@ -242,7 +268,7 @@ func TestFlushTimesOutWhileSenderDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	s.EnqueueSpans("/t/stuck", body(0), nil)
+	s.EnqueueSpans(body(0), nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	if err := s.Flush(ctx); err == nil {
@@ -262,7 +288,7 @@ func TestEnqueueAfterCloseDroppedAndCloseIdempotent(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s.EnqueueSpans("/t/closed", body(0), nil)
+	s.EnqueueSpans(body(0), nil)
 	if s.Depth() != 0 {
 		t.Fatal("enqueue accepted after close")
 	}
@@ -283,7 +309,7 @@ func TestJournalRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		s1.EnqueueSpans("/t/journal", body(i), nil)
+		s1.EnqueueSpans(body(i), nil)
 	}
 	if err := s1.Close(); err != nil {
 		t.Fatal(err)
@@ -310,7 +336,7 @@ func TestJournalRecovery(t *testing.T) {
 		t.Fatalf("delivered %d recovered items, want 4: %v", len(got), got)
 	}
 	for i, b := range got {
-		if b != string(body(i)) {
+		if b != name(i) {
 			t.Fatalf("recovered order broken at %d: %q", i, b)
 		}
 	}
@@ -332,21 +358,18 @@ func TestJournalRecovery(t *testing.T) {
 }
 
 // TestJournalToleratesTornTail simulates a crash mid-append: the torn
-// final line is dropped, everything before it is recovered.
+// final frame is dropped, everything before it is recovered.
 func TestJournalToleratesTornTail(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, journalFile)
-	var buf strings.Builder
-	enc := json.NewEncoder(&buf)
+	var buf []byte
 	for i := 0; i < 3; i++ {
-		it := Item{Endpoint: "/t/torn", Key: fmt.Sprintf("k%d", i), Body: body(i), Seq: uint64(i)}
-		if err := enc.Encode(record{Op: "put", Item: &it}); err != nil {
-			t.Fatal(err)
-		}
+		buf = appendPut(buf, &Item{Key: fmt.Sprintf("k%d", i), Payload: body(i), Seq: uint64(i)})
 	}
-	enc.Encode(record{Op: "ack", Key: "k0"})
-	buf.WriteString(`{"op":"put","item":{"endpo`) // torn mid-write
-	if err := os.WriteFile(path, []byte(buf.String()), 0o644); err != nil {
+	buf = appendAck(buf, "k0")
+	torn := appendPut(nil, &Item{Key: "k3", Payload: body(3), Seq: 3})
+	buf = append(buf, torn[:len(torn)/2]...) // torn mid-write
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -379,7 +402,7 @@ func TestMalformedDeadLettered(t *testing.T) {
 		sends.Add(int64(len(items)))
 		var res Result
 		for _, it := range items {
-			if strings.Contains(string(it.Body), "bad") {
+			if strings.Contains(it.Payload.Router(), "bad") {
 				res.Malformed = append(res.Malformed, ItemError{Key: it.Key, Reason: "decode error: not a row"})
 			}
 		}
@@ -391,12 +414,12 @@ func TestMalformedDeadLettered(t *testing.T) {
 	}
 	defer s.Close()
 
-	sentBefore := telemetry.Default.CounterVec("natpeek_spool_sent_total", "", "endpoint").With("/t/dl").Value()
-	malBefore := telemetry.Default.CounterVec("natpeek_spool_malformed_total", "", "endpoint").With("/t/dl").Value()
+	sentBefore := telemetry.Default.CounterVec("natpeek_spool_sent_total", "", "endpoint").With("/v1/traffic/throughput").Value()
+	malBefore := telemetry.Default.CounterVec("natpeek_spool_malformed_total", "", "endpoint").With("/v1/traffic/throughput").Value()
 
-	s.EnqueueSpans("/t/dl", []byte(`"good-1"`), nil)
-	s.EnqueueSpans("/t/dl", []byte(`"bad-2"`), nil)
-	s.EnqueueSpans("/t/dl", []byte(`"good-3"`), nil)
+	s.EnqueueSpans(named(wire.KindThroughput, "good-1"), nil)
+	s.EnqueueSpans(named(wire.KindThroughput, "bad-2"), nil)
+	s.EnqueueSpans(named(wire.KindThroughput, "good-3"), nil)
 	mustFlush(t, s)
 
 	if got := sends.Load(); got != 3 {
@@ -405,8 +428,8 @@ func TestMalformedDeadLettered(t *testing.T) {
 	if d := s.Depth(); d != 0 {
 		t.Fatalf("depth %d after flush, want 0", d)
 	}
-	sent := telemetry.Default.CounterVec("natpeek_spool_sent_total", "", "endpoint").With("/t/dl").Value() - sentBefore
-	mal := telemetry.Default.CounterVec("natpeek_spool_malformed_total", "", "endpoint").With("/t/dl").Value() - malBefore
+	sent := telemetry.Default.CounterVec("natpeek_spool_sent_total", "", "endpoint").With("/v1/traffic/throughput").Value() - sentBefore
+	mal := telemetry.Default.CounterVec("natpeek_spool_malformed_total", "", "endpoint").With("/v1/traffic/throughput").Value() - malBefore
 	if sent != 2 || mal != 1 {
 		t.Fatalf("sent=%d malformed=%d, want 2 and 1", sent, mal)
 	}
@@ -421,13 +444,22 @@ func TestMalformedDeadLettered(t *testing.T) {
 	}
 	var entry struct {
 		Reason string `json:"reason"`
-		Item   Item   `json:"item"`
+		Item   struct {
+			Endpoint string          `json:"endpoint"`
+			Key      string          `json:"key"`
+			Body     json.RawMessage `json:"body"`
+		} `json:"item"`
 	}
 	if err := json.Unmarshal([]byte(lines[0]), &entry); err != nil {
 		t.Fatal(err)
 	}
-	if entry.Reason != "decode error: not a row" || string(entry.Item.Body) != `"bad-2"` {
-		t.Fatalf("dead-letter entry wrong: %+v", entry)
+	var rows []dataset.ThroughputSample
+	if err := json.Unmarshal(entry.Item.Body, &rows); err != nil {
+		t.Fatalf("dead-letter body %s: %v", entry.Item.Body, err)
+	}
+	if entry.Reason != "decode error: not a row" || entry.Item.Endpoint != "/v1/traffic/throughput" ||
+		!strings.HasPrefix(entry.Item.Key, "r1:") || len(rows) != 1 || rows[0].RouterID != "bad-2" {
+		t.Fatalf("dead-letter entry wrong: %s", lines[0])
 	}
 }
 
@@ -441,9 +473,7 @@ func TestConcurrentEnqueueDrain(t *testing.T) {
 		}
 		mu.Lock()
 		for _, it := range items {
-			var b string
-			json.Unmarshal(it.Body, &b)
-			delivered[b]++
+			delivered[it.Payload.Router()]++
 		}
 		mu.Unlock()
 		return Result{}, nil
@@ -455,15 +485,14 @@ func TestConcurrentEnqueueDrain(t *testing.T) {
 	defer s.Close()
 
 	const producers, perProducer = 8, 25
-	endpoints := []string{"/t/a", "/t/b", "/t/c", "/t/d"}
+	kinds := []wire.Kind{wire.KindUptime, wire.KindCapacity, wire.KindWiFi, wire.KindThroughput}
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < perProducer; i++ {
-				b, _ := json.Marshal(fmt.Sprintf("p%d-i%d", p, i))
-				s.EnqueueSpans(endpoints[(p+i)%len(endpoints)], b, nil)
+				s.EnqueueSpans(named(kinds[(p+i)%len(kinds)], fmt.Sprintf("p%d-i%d", p, i)), nil)
 			}
 		}(p)
 	}
@@ -571,7 +600,7 @@ func TestSpoolSurvivesBlackoutViaFaultTransport(t *testing.T) {
 	}
 	defer s.Close()
 	for i := 0; i < 6; i++ {
-		s.EnqueueSpans("/t/blackout", body(i), nil)
+		s.EnqueueSpans(body(i), nil)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	err = s.Flush(ctx)
@@ -601,9 +630,9 @@ func TestHealthGaugesAndSpans(t *testing.T) {
 	defer s.Close()
 
 	spans := []trace.Span{{Name: "gateway.export", Start: time.Now().Add(-time.Second), End: time.Now()}}
-	s.EnqueueSpans("/v1/uptime", body(1), spans)
-	s.EnqueueSpans("/v1/uptime", body(2), nil)
-	s.EnqueueSpans("/v1/wifi", body(3), nil)
+	s.EnqueueSpans(body(1), spans)
+	s.EnqueueSpans(body(2), nil)
+	s.EnqueueSpans(named(wire.KindWiFi, name(3)), nil)
 
 	h := s.Health()
 	byEp := make(map[string]EndpointHealth)
@@ -621,10 +650,10 @@ func TestHealthGaugesAndSpans(t *testing.T) {
 	}
 
 	// Items carry their enqueue time and prior spans to the sender.
-	items := s.take()
+	items := s.take(nil)
 	var found *Item
 	for i := range items {
-		if string(items[i].Body) == string(body(1)) {
+		if items[i].Payload.Router() == name(1) {
 			found = &items[i]
 		}
 	}
@@ -651,7 +680,7 @@ func TestJournalBytesGaugeAndSpanRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	spans := []trace.Span{{Name: "gateway.export", Start: time.Unix(100, 0).UTC(), End: time.Unix(101, 0).UTC()}}
-	s.EnqueueSpans("/v1/uptime", body(1), spans)
+	s.EnqueueSpans(body(1), spans)
 	if g := telemetry.Default.Gauge("natpeek_spool_journal_bytes", ""); g.Value() <= 0 {
 		t.Fatalf("journal bytes gauge = %v, want > 0", g.Value())
 	}
@@ -665,11 +694,82 @@ func TestJournalBytesGaugeAndSpanRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	items := s2.take()
+	items := s2.take(nil)
 	if len(items) != 1 {
 		t.Fatalf("recovered %d items, want 1", len(items))
 	}
 	if items[0].EnqueuedAt.IsZero() || len(items[0].Spans) != 1 || items[0].Spans[0].Name != "gateway.export" {
 		t.Fatalf("trace context lost across restart: %+v", items[0])
+	}
+}
+
+// TestRefusesLegacyJournal: a Dir that still holds the JSONL journal of
+// an earlier version is refused, naming the file, and left as it was —
+// no reader for that format is kept, and starting a second journal
+// beside it would strand its rows.
+func TestRefusesLegacyJournal(t *testing.T) {
+	dir := t.TempDir()
+	legacy := filepath.Join(dir, "spool.jsonl")
+	old := []byte(`{"op":"put","item":{"endpoint":"/v1/uptime","key":"k1","body":{"RouterID":"r1"},"seq":1}}` + "\n")
+	if err := os.WriteFile(legacy, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(fastRetry(Config{KeyPrefix: "r1", Dir: dir}), (&recorder{}).send)
+	if err == nil {
+		s.Close()
+		t.Fatal("New accepted a directory holding a JSONL journal")
+	}
+	if !strings.Contains(err.Error(), legacy) {
+		t.Fatalf("error %q does not name %s", err, legacy)
+	}
+	if got, err := os.ReadFile(legacy); err != nil || string(got) != string(old) {
+		t.Fatalf("legacy journal changed: %q, %v", got, err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, journalFile)); !os.IsNotExist(err) {
+		t.Fatalf("a new journal was started beside the legacy one: %v", err)
+	}
+}
+
+// TestJournalCompactsFromLiveQueues: once compactEvery acks pile up —
+// here every one an overflow drop while the collector is down — the
+// journal is rewritten from the queues in memory, so the file shrinks to
+// exactly the live items' puts, and a restart recovers just those.
+func TestJournalCompactsFromLiveQueues(t *testing.T) {
+	dir := t.TempDir()
+	down := &recorder{fail: true}
+	s, err := New(fastRetry(Config{KeyPrefix: "r1", Capacity: 4, Dir: dir}), down.send)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.EnqueueSpans(named(wire.KindWiFi, "wifi-0"), nil)
+	for i := 0; i < compactEvery+4; i++ {
+		s.EnqueueSpans(body(i), nil)
+	}
+	live := s.take(nil)
+	var want []string
+	var size int64
+	for i := range live {
+		want = append(want, live[i].Payload.Router())
+		size += int64(len(appendPut(nil, &live[i])))
+	}
+	if fi, err := os.Stat(filepath.Join(dir, journalFile)); err != nil || fi.Size() != size {
+		t.Fatalf("journal after compaction: %v, %v; want the %d live puts' %d bytes", fi.Size(), err, len(live), size)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := New(fastRetry(Config{KeyPrefix: "r1", Capacity: 4, Dir: dir}), down.send)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	var got []string
+	for _, it := range s2.take(nil) {
+		got = append(got, it.Payload.Router())
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) || fmt.Sprint(want) != fmt.Sprint([]string{"wifi-0",
+		name(compactEvery), name(compactEvery + 1), name(compactEvery + 2), name(compactEvery + 3)}) {
+		t.Fatalf("recovered %v, want the live %v", got, want)
 	}
 }

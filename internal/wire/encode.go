@@ -2,6 +2,7 @@ package wire
 
 import (
 	"math"
+	"sync"
 	"time"
 
 	"natpeek/internal/codec"
@@ -9,17 +10,27 @@ import (
 
 // AppendBatch encodes a whole batch onto dst and returns the extended
 // buffer. Callers on a delivery loop pass last round's buffer back in
-// (sliced to [:0]) to amortize the allocation. Items whose payload kind
+// (sliced to [:0]) to amortize the allocation; the dictionary's map is
+// amortized here, in a pool of encoders. Items whose payload kind
 // disagrees with KindFor(Endpoint) must use KindRaw; PayloadFromJSON
 // guarantees that invariant for transcoded items.
 func AppendBatch(dst []byte, items []Item) []byte {
-	e := encoder{Enc: codec.Enc{Buf: append(dst, magic...)}}
+	e := encoders.Get().(*encoder)
+	e.Buf, e.prev = append(dst, magic...), 0
+	e.dict.Reset()
 	e.Uvarint(uint64(len(items)))
 	for i := range items {
 		e.item(&items[i])
 	}
-	return e.Buf
+	out := e.Buf
+	e.Buf = nil // the bytes are the caller's
+	encoders.Put(e)
+	return out
 }
+
+// encoders keeps AppendBatch's dictionary maps warm across calls, so a
+// loop encoding batch after batch stops allocating for them.
+var encoders = sync.Pool{New: func() any { return new(encoder) }}
 
 // encoder is the codec kernel's Enc plus what spans a whole batch: the
 // string dictionary and the timestamp chain.

@@ -55,11 +55,18 @@
 // inside the envelope as KindRaw with their JSON body verbatim, so the
 // binary path never has to reject what the JSON path would have
 // accepted.
+//
+// NPB1 is also the agent's one encoding of a queued upload: the spool
+// (internal/spool) holds each Sink call's typed Payload, journals it to
+// disk as a one-item NPB1 batch, and the client's drainer sends it with
+// AppendBatch, so no upload is JSON-encoded on its way out.
 package wire
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"natpeek/internal/dataset"
 	"natpeek/internal/trace"
@@ -243,9 +250,22 @@ func (p *Payload) AppendTo(st *dataset.Store) {
 	}
 }
 
+// Clone returns p with its row slices and raw bytes copied, so the copy
+// outlives the storage p's slices alias: a Decoder's scratch, or the
+// slice a Sink caller may reuse after the call returns.
+func (p Payload) Clone() Payload {
+	p.Raw = bytes.Clone(p.Raw)
+	p.Sightings = slices.Clone(p.Sightings)
+	p.WiFi = slices.Clone(p.WiFi)
+	p.Flows = slices.Clone(p.Flows)
+	p.Throughput = slices.Clone(p.Throughput)
+	return p
+}
+
 // JSONBody renders the payload as the JSON body the plain /v1/* path
-// would have carried — the bridge for privacy scanners, journaling, and
-// equivalence tests. KindRaw returns its bytes verbatim.
+// would have carried — the bridge for privacy scanners, the spool's
+// dead-letter lines, and equivalence tests. KindRaw returns its bytes
+// verbatim.
 func (p *Payload) JSONBody() ([]byte, error) {
 	switch p.Kind {
 	case KindUptime:
