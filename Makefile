@@ -81,13 +81,16 @@ bench-telemetry:
 # the server flags that tune a collector, stand-alone and in a cluster
 # node), the client's typed uploads (the NPB1 body equals the JSON
 # detour's bytes, the spool owns its rows, dead letters, one registration
-# upload per client) with the enqueue-to-wire allocation budget (without
+# upload per client, a row with a time NPB1 does not carry dropped at
+# enqueue, not resent with its batch, and the one time range the client
+# checks and the decoder enforces) with the enqueue-to-wire allocation budget (without
 # the race detector, whose allocations would drown it), and the gateway
 # export/throttle regressions. CI calls this target rather than listing
 # tests of its own.
 check-reliability:
 	$(GO) test -race ./internal/spool/
-	$(GO) test -race -run 'TestZeroRowLoss|TestSpoolJournal|TestBatch|TestIdempotency|TestOversized|TestChunked|TestErrorResponses|TestClientErrSurfacesFailures|TestGzip|TestDirectEndpoint|TestBinary|FuzzBatchTranscode|TestTypedUploadMatchesJSONDetour|TestSpoolOwnsEnqueuedRows|TestSendBatchDeadLettersMalformedItems|TestRegistrationCountedOnce' ./internal/collector/
+	$(GO) test -race -run 'TestZeroRowLoss|TestSpoolJournal|TestBatch|TestIdempotency|TestOversized|TestChunked|TestErrorResponses|TestClientErrSurfacesFailures|TestGzip|TestDirectEndpoint|TestBinary|FuzzBatchTranscode|TestTypedUploadMatchesJSONDetour|TestSpoolOwnsEnqueuedRows|TestSendBatchDeadLettersMalformedItems|TestRegistrationCountedOnce|TestEnqueueDropsTimesNPB1CannotCarry' ./internal/collector/
+	$(GO) test -race -run 'TestCheckTimesMatchesDecoder' ./internal/wire/
 	$(GO) test -run 'TestEnqueueToWireAllocBudget' ./internal/collector/
 	$(GO) test -race -run 'TestClusterJSONBatchEquivalent|TestClusterDirectEndpointProxy|TestFrontBodyLimits|TestAcceptPostAdvertisement' ./internal/cluster/
 	$(GO) test -race ./cmd/bismark-server/
@@ -101,7 +104,8 @@ check-reliability:
 #      (same seed twice → byte-identical snapshots);
 #   3. round-trip and export regressions for the wire/disk formats;
 #   4. a short fuzz shake-out of every wire/disk parser ($(FUZZTIME)
-#      each) on top of their checked-in seed corpora.
+#      each) on top of their checked-in seed corpora, and of Fig. 16's
+#      fixed-point appender against strconv's 'f' format.
 check-verify: fuzz-seeds
 	$(GO) test -race -timeout 60m ./internal/verify/
 	$(GO) test -race -run 'TestThroughput|TestWriterReaderRoundTrip|TestReaderTruncatedStream|TestJournal' \
@@ -119,6 +123,7 @@ check-verify: fuzz-seeds
 	$(GO) test -run='^$$' -fuzz='FuzzSegmentDecode' -fuzztime=$(FUZZTIME) ./internal/segment/
 	$(GO) test -run='^$$' -fuzz='FuzzSegmentSplice' -fuzztime=$(FUZZTIME) ./internal/segment/
 	$(GO) test -run='^$$' -fuzz='FuzzParseMatchesScanf' -fuzztime=$(FUZZTIME) ./internal/mac/
+	$(GO) test -run='^$$' -fuzz='FuzzAppendFixed2' -fuzztime=$(FUZZTIME) ./internal/figures/
 
 # The scale gate, under the race detector:
 #   1. sharded-store stress (32 shards, concurrent appliers + replays)
@@ -208,7 +213,9 @@ check-rebalance:
 #      256- and a 4,096-upload tail, 8 uploads between pages; the heap
 #      a series keeps over 1,000 seals with a page
 #      after each: about its size — which the race detector's own
-#      allocations would drown, so they run without; the home summaries
+#      allocations would drown, so they run without; a live page's
+#      allocations over BenchmarkLivePage's fixture, rendered to the text
+#      GET /figures writes: within a budget; the home summaries
 #      a live page computes over a 512-router fleet: at most one per home
 #      the rows since the last page, or a seal, touched; Figs. 3–6 over the
 #      seed-7 study: under 5,000 allocations; and the exhibit ledger (testdata/exhibits.sha256: every
@@ -216,11 +223,21 @@ check-rebalance:
 #      §7 usage-beyond-the-US claim over a GlobalTraffic world, too heavy
 #      for -race;
 #   3. selection over sorted runs against a full sort (stats.QuantileRuns,
-#      random splits into 1–8 runs, ±0, empty runs).
+#      random splits into 1–8 runs, ±0, empty runs);
+#   4. what a page computes with less, against how it was computed, under
+#      the race detector: Table 2's one-pass counts against counts off the
+#      rows, Fig. 12's fold-time categories against per-page OUI lookups
+#      (and Fig. 20's picks on the same pages against the batch's), the
+#      CDF lines' one sort against five Quantile selections, Fig. 16's
+#      strconv rows against fmt and its fixed-point appender against
+#      strconv's 'f' format, and Fig. 14's merged ascending runs against
+#      a stable sort.
 check-figures:
 	$(GO) test -race ./internal/analysis/ ./internal/figures/
 	$(GO) test -race -run 'TestMergeFromMatchesMerge' ./internal/dataset/
-	$(GO) test -run 'TestSnapshotAllocBudget|TestAvailabilityAllocBudget|TestRenderWorkIsTailBound|TestPageWorkIsIncrementBound|TestPageRecomputesOnlyTouchedHomes|TestExhibitLedger' ./internal/figures/
+	$(GO) test -race -run 'TestTable2CountsMatchStore|TestCDFLineMatchesQuantile|TestOversaturatedRowMatchesFmt|TestAppendFixed2MatchesAppendFloat|TestReportSizeIsItsRendering' ./internal/figures/
+	$(GO) test -race -run 'TestManufacturerHistogramMatchesLookups|TestUtilizationSeriesMergesRuns' ./internal/analysis/
+	$(GO) test -run 'TestSnapshotAllocBudget|TestAvailabilityAllocBudget|TestRenderWorkIsTailBound|TestPageWorkIsIncrementBound|TestLivePageAllocBudget|TestPageRecomputesOnlyTouchedHomes|TestExhibitLedger' ./internal/figures/
 	$(GO) test -run 'TestCaptureAfterSealIsHistoryFree|TestLiveSeriesAllocatesItsSize|TestUsageBeyondTheUS' ./internal/analysis/
 	$(GO) test -run 'TestQuantileMatchesSortOracle|TestQuantileAdversarialInputs|TestQuantileRunsZerosAndEmpties|TestSortFloatsMatchesSort|FuzzSortFloats' ./internal/stats/
 
@@ -262,4 +279,4 @@ check-segment:
 
 # Replay the checked-in fuzz corpora as plain unit tests (fast, -race).
 fuzz-seeds:
-	$(GO) test -race -run 'Fuzz' ./internal/dns/ ./internal/pcap/ ./internal/packet/ ./internal/spool/ ./internal/collector/ ./internal/codec/ ./internal/wire/ ./internal/cluster/ ./internal/segment/ ./internal/mac/
+	$(GO) test -race -run 'Fuzz' ./internal/dns/ ./internal/pcap/ ./internal/packet/ ./internal/spool/ ./internal/collector/ ./internal/codec/ ./internal/wire/ ./internal/cluster/ ./internal/segment/ ./internal/mac/ ./internal/figures/

@@ -455,7 +455,7 @@ func TestSaturationDirections(t *testing.T) {
 
 func TestUtilizationSeriesSorted(t *testing.T) {
 	st := usageStore()
-	series := RollupOf(st).UtilizationSeries("us-1", "down")
+	series := seriesOf(t, RollupOf(st), "us-1", "down")
 	if len(series) != 20 {
 		t.Fatalf("len = %d", len(series))
 	}
@@ -524,11 +524,11 @@ func TestDeviceDomainsFingerprint(t *testing.T) {
 	if len(top) != 2 || top[0] != dev(1) {
 		t.Fatalf("top devices %v", top)
 	}
-	mix := v.DeviceDomains(dev(1))
+	mix := v.DeviceDomains(dev(1), math.MaxInt)
 	if mix[0].Domain != "netflix.com" || mix[0].Share < 0.9 {
 		t.Fatalf("mix = %v", mix)
 	}
-	if v.DeviceDomains(dev(99)) != nil {
+	if v.DeviceDomains(dev(99), math.MaxInt) != nil {
 		t.Fatal("unknown device has a mix")
 	}
 }

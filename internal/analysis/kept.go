@@ -30,7 +30,8 @@ import (
 //   - last-wins state (a device's kind) follows stream order: the tail
 //     comes after the base;
 //   - Fig. 14's one series keeps its rows in arrival order, base then
-//     tail, and is sorted as the row scan sorted it.
+//     tail, and is read in time order, the rows of one minute in
+//     arrival order, as a stable sort of the row scan has them.
 
 // KindSet records which kinds a router has rows of (Table 2).
 type KindSet uint8
@@ -133,10 +134,15 @@ type deviceSeen struct {
 }
 
 // link is one direction of a router's throughput: its (minute, peak)
-// pairs in arrival order, and the peaks of those settled so far, sorted.
+// pairs in arrival order, the positions where that order steps back in
+// time, and the peaks of those settled so far, sorted.
 type link struct {
 	series series
-	peaks  run[float64] // the peaks of the series' first peaks.n points
+	// descents holds the positions of the series' points that are earlier
+	// than the point before them: the starts of its ascending runs after
+	// the first.
+	descents []int32
+	peaks    run[float64] // the peaks of the series' first peaks.n points
 }
 
 // series holds points in arrival order in blocks that are never copied
@@ -175,6 +181,102 @@ func (s *series) each(i int, fn func(UtilizationPoint)) {
 			fn(p)
 		}
 		i = 0
+	}
+}
+
+// last returns the series' last point; ok is false when it has none.
+func (s *series) last() (p UtilizationPoint, ok bool) {
+	if len(s.blocks) == 0 {
+		return p, false
+	}
+	b := s.blocks[len(s.blocks)-1]
+	return b[len(b)-1], true
+}
+
+// cursor reads one ascending run of a series: the points from block
+// blk, offset off on, left of them. run is the run's place in arrival
+// order, which breaks ties between runs.
+type cursor struct {
+	s                   *series
+	blk, off, left, run int32
+}
+
+// runs appends to cs a cursor per ascending run of l's series, in
+// arrival order.
+func (l *link) runs(cs []cursor) []cursor {
+	s := &l.series
+	blk, off, at := 0, 0, 0 // the position of point at
+	for k := 0; k <= len(l.descents); k++ {
+		end := s.n
+		if k < len(l.descents) {
+			end = int(l.descents[k])
+		}
+		if end == at {
+			continue
+		}
+		cs = append(cs, cursor{s: s, blk: int32(blk), off: int32(off), left: int32(end - at), run: int32(len(cs))})
+		for off += end - at; blk < len(s.blocks) && off >= len(s.blocks[blk]); blk++ {
+			off -= len(s.blocks[blk])
+		}
+		at = end
+	}
+	return cs
+}
+
+// descend records that the series' point at i is earlier than the one
+// before it.
+func (l *link) descend(i int) { l.descents = append(l.descents, int32(i)) }
+
+func (c *cursor) peek() UtilizationPoint { return c.s.blocks[c.blk][c.off] }
+
+// advance moves past the point peek returns; it reports whether the run
+// has points left.
+func (c *cursor) advance() bool {
+	c.left--
+	if c.off++; int(c.off) == len(c.s.blocks[c.blk]) {
+		c.blk, c.off = c.blk+1, 0
+	}
+	return c.left > 0
+}
+
+// before orders cursors by their next point's minute, then by run.
+func (c *cursor) before(d *cursor) bool {
+	p, q := c.peek().Minute, d.peek().Minute
+	return p.Before(q) || !q.Before(p) && c.run < d.run
+}
+
+// merge calls fn for every point of the runs cs in time order, the
+// points of one minute in run order — the order a stable sort of the
+// runs one after another gives — through a binary heap of the runs:
+// O(n log runs) comparisons, no copy of the points.
+func merge(cs []cursor, fn func(UtilizationPoint)) {
+	for i := len(cs)/2 - 1; i >= 0; i-- {
+		siftDown(cs, i)
+	}
+	for len(cs) > 0 {
+		fn(cs[0].peek())
+		if !cs[0].advance() {
+			cs[0] = cs[len(cs)-1]
+			cs = cs[:len(cs)-1]
+		}
+		siftDown(cs, 0)
+	}
+}
+
+// siftDown restores the heap order of cs below i.
+func siftDown(cs []cursor, i int) {
+	for {
+		m := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(cs) && cs[c].before(&cs[m]) {
+				m = c
+			}
+		}
+		if m == i {
+			return
+		}
+		cs[i], cs[m] = cs[m], cs[i]
+		i = m
 	}
 }
 
@@ -364,14 +466,24 @@ func (r *rollup) addKept(c *dataset.Store) {
 		}
 		h := r.write(id)
 		var dst [2]*[]UtilizationPoint
+		var last [2]UtilizationPoint // each link's latest point
+		var at [2]int                // the position the next point takes
 		for l := range h.links {
+			last[l], _ = h.links[l].series.last()
+			at[l] = h.links[l].series.n
 			if n[l] > 0 {
 				dst[l] = h.links[l].series.grow(n[l])
 			}
 		}
 		for _, s := range c.Throughput[i:j] {
 			if l := linkOf(s.Dir); l >= 0 {
-				*dst[l] = append(*dst[l], UtilizationPoint{s.Minute, s.PeakBps})
+				p := UtilizationPoint{s.Minute, s.PeakBps}
+				if at[l] > 0 && p.Minute.Before(last[l].Minute) {
+					h.links[l].descend(at[l])
+				}
+				*dst[l] = append(*dst[l], p)
+				last[l] = p
+				at[l]++
 			}
 		}
 	}
@@ -501,14 +613,39 @@ func (r *Rollup) KeptRows() dataset.RowCounts {
 	return rc
 }
 
-// RoutersWith lists the routers with rows of any kind in k (Table 2), in
-// no promised order.
-func (r *Rollup) RoutersWith(k KindSet) []string {
-	var out []string
+// Table 2 lists a router under each kind it has rows of, in this order.
+var tableKinds = [...]KindSet{HasCapacity, HasUptime, HasCensus, HasWiFi, HasTraffic}
+
+// KindCount is one row of Table 2: how many routers have rows of a kind,
+// and in how many countries of roster they are, a router the roster
+// lacks counting as one of country "".
+type KindCount struct{ Routers, Countries int }
+
+// KindCounts counts Table 2's rows in one pass over the homes: a home
+// adds itself to each kind it has rows of, and its country's kinds to
+// one map. Rows come back in Table 2's order: capacity, uptime,
+// censuses, WiFi scans, flows.
+func (r *Rollup) KindCounts(roster map[string]string) [len(tableKinds)]KindCount {
+	var out [len(tableKinds)]KindCount
+	countries := make(map[string]KindSet, 32)
 	r.each(func(v homeView) {
-		if v.has()&k != 0 {
-			out = append(out, v.id())
+		has := v.has()
+		if has == 0 {
+			return
 		}
+		for i, k := range tableKinds {
+			if has&k != 0 {
+				out[i].Routers++
+			}
+		}
+		countries[roster[v.id()]] |= has
 	})
+	for _, has := range countries {
+		for i, k := range tableKinds {
+			if has&k != 0 {
+				out[i].Countries++
+			}
+		}
+	}
 	return out
 }

@@ -6,6 +6,8 @@ import (
 	"math/bits"
 	"reflect"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,6 +15,7 @@ import (
 	"natpeek/internal/geo"
 	"natpeek/internal/heartbeat"
 	"natpeek/internal/mac"
+	"natpeek/internal/ouidb"
 	"natpeek/internal/rng"
 	"natpeek/internal/stats"
 )
@@ -148,7 +151,7 @@ func TestKeptMatchesOracles(t *testing.T) {
 				gu, gd := v.HomeCapacity(id)
 				same("HomeCapacity("+id+")", [2]float64{wu, wd}, [2]float64{gu, gd})
 				for _, dir := range []string{"up", "down"} {
-					same("UtilizationSeries("+id+", "+dir+")", oracleUtilizationSeries(st, id, dir), v.UtilizationSeries(id, dir))
+					same("UtilizationSeries("+id+", "+dir+")", oracleUtilizationSeries(st, id, dir), seriesOf(t, v, id, dir))
 				}
 				same("ClassifyAvailability("+id+")", oracleClassifyAvailability(st, id, wa), v.ClassifyAvailability(gx, id))
 				for h := 0; h < 36*24; h += 5 {
@@ -178,6 +181,17 @@ func TestKeptMatchesOracles(t *testing.T) {
 			}
 		}
 	}
+}
+
+// seriesOf collects what UtilizationSeries reads, nil for no points, and
+// checks the count it returns.
+func seriesOf(t testing.TB, v *Rollup, id, dir string) []UtilizationPoint {
+	t.Helper()
+	var out []UtilizationPoint
+	if n := v.UtilizationSeries(id, dir, func(p UtilizationPoint) { out = append(out, p) }); n != len(out) {
+		t.Fatalf("UtilizationSeries(%s, %s) read %d points and counted %d", id, dir, len(out), n)
+	}
+	return out
 }
 
 // throughputChunk is k upstream throughput samples of router id, a
@@ -240,7 +254,7 @@ func TestLiveSeriesAllocatesItsSize(t *testing.T) {
 	}
 	for i, v := range pages {
 		want := oracleUtilizationSeries(throughputChunk("r", 0, (i*200+1)*k), "r", "up")
-		if got := v.UtilizationSeries("r", "up"); !reflect.DeepEqual(got, want) {
+		if got := seriesOf(t, v, "r", "up"); !reflect.DeepEqual(got, want) {
 			t.Fatalf("page %d: reads %d points, want %d", i, len(got), len(want))
 		}
 	}
@@ -264,7 +278,7 @@ func TestClonesAppendApart(t *testing.T) {
 		want.Throughput = append(want.Throughput, throughputChunk("r", c.next, 2).Throughput...)
 		sn := NewSnapshot(dataset.NewStore())
 		sn.Capture(c.p)
-		if got, w := sn.Rollup().UtilizationSeries("r", "up"), oracleUtilizationSeries(want, "r", "up"); !reflect.DeepEqual(got, w) {
+		if got, w := seriesOf(t, sn.Rollup(), "r", "up"), oracleUtilizationSeries(want, "r", "up"); !reflect.DeepEqual(got, w) {
 			t.Errorf("%s reads %v, want %v", name, got, w)
 		}
 	}
@@ -304,5 +318,125 @@ func TestCaptureAfterSealIsHistoryFree(t *testing.T) {
 	t.Logf("bytes per capture after a seal: %.0f with %d points per link, %.0f with 4×", bytes[0], 2_000, bytes[1])
 	if bytes[1] > bytes[0]*1.1 {
 		t.Errorf("capture bytes grew with history: %.0f → %.0f", bytes[0], bytes[1])
+	}
+}
+
+// TestUtilizationSeriesMergesRuns: a series read by merging its base's
+// and its tail's ascending runs is the rows sorted by minute with the
+// rows of one minute in row order — for series of one run to more runs
+// than UtilizationSeries keeps cursors for without allocating, with
+// minutes repeated within and across runs, folded in chunks with a page
+// after each and the last chunk as the page's tail.
+func TestUtilizationSeriesMergesRuns(t *testing.T) {
+	s := rng.New(16).Child("series")
+	start := time.Date(2013, 4, 1, 0, 0, 0, 0, time.UTC)
+	for trial := 0; trial < 60; trial++ {
+		st := dataset.NewStore()
+		descents := s.Intn(40)
+		at := 0
+		for run := 0; run <= descents; run++ {
+			at = s.Intn(50) // back to an earlier minute, or to the same
+			for k := 1 + s.Intn(6); k > 0; k-- {
+				at += s.Intn(2) // repeats within a run
+				st.Throughput = append(st.Throughput, dataset.ThroughputSample{RouterID: "r",
+					Minute: start.Add(time.Duration(at) * time.Minute), Dir: "up", PeakBps: float64(len(st.Throughput))})
+			}
+		}
+		want := oracleUtilizationSeries(st, "r", "up")
+		chunks := chunksOf(st, 1+s.Intn(4))
+		p := NewPartial()
+		for _, c := range chunks[:len(chunks)-1] {
+			p.Fold(c)
+			NewSnapshot(dataset.NewStore()).Capture(p)
+		}
+		sn := NewSnapshot(chunks[len(chunks)-1])
+		sn.Capture(p)
+		for view, v := range map[string]*Rollup{"batch": RollupOf(st), "page": sn.Rollup()} {
+			if got := seriesOf(t, v, "r", "up"); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d, %s: read %v, want %v", trial, view, got, want)
+			}
+		}
+	}
+}
+
+// TestManufacturerHistogramMatchesLookups: Fig. 12's counts from the
+// categories the fold resolved equal a per-page ouidb lookup of every
+// fleet device's category over its whole volume — on pages whose tail
+// adds volume to base devices across the floor, adds devices, and takes
+// volume off (negative byte counts), at floors below, at and above the
+// volumes. Fig. 20's picks over the same pages equal the batch's.
+func TestManufacturerHistogramMatchesLookups(t *testing.T) {
+	byLookup := func(v *Rollup, minBytes int64) []ManufacturerCount {
+		counts := map[ouidb.Category]int{}
+		for _, d := range v.fleetTotals() {
+			if d.bytes < minBytes || ouidb.IsBISmarkRouter(d.dev) {
+				continue
+			}
+			if cat := ouidb.Lookup(d.dev).Category; cat != ouidb.CatUnknown {
+				counts[cat]++
+			}
+		}
+		var out []ManufacturerCount
+		for cat, n := range counts {
+			out = append(out, ManufacturerCount{Category: cat, Devices: n})
+		}
+		slices.SortFunc(out, func(a, b ManufacturerCount) int {
+			if a.Devices != b.Devices {
+				return b.Devices - a.Devices
+			}
+			return strings.Compare(string(a.Category), string(b.Category))
+		})
+		return out
+	}
+	ouis := []uint32{0x001CB3, 0x204E7F, 0x123456}
+	for _, o := range []string{"Intel", "Samsung", "Microsoft", "Roku"} {
+		ouis = append(ouis, ouidb.OUIsFor(o)...)
+	}
+	s := rng.New(17).Child("fleet")
+	flows := func(n int, sign int64) *dataset.Store {
+		st := dataset.NewStore()
+		for i := 0; i < n; i++ {
+			st.Flows = append(st.Flows, dataset.FlowRecord{RouterID: fmt.Sprintf("h%d", s.Intn(6)),
+				Device: mac.FromOUI(ouis[s.Intn(len(ouis))], uint32(s.Intn(40))), Domain: fmt.Sprintf("d%d", s.Intn(9)),
+				UpBytes: sign * int64(s.Intn(60_000))})
+		}
+		return st
+	}
+	for trial := 0; trial < 20; trial++ {
+		p := NewPartial()
+		first := flows(200, 1)
+		p.Fold(first)
+		tail := flows(60, 1)
+		if trial%4 == 3 {
+			tail.Flows = append(tail.Flows, flows(10, -1).Flows...)
+		}
+		base := NewSnapshot(dataset.NewStore())
+		base.Capture(p)
+		sn := NewSnapshot(tail)
+		sn.Capture(p)
+		for view, v := range map[string]*Rollup{"base": base.Rollup(), "page": sn.Rollup()} {
+			for _, floor := range []int64{0, 1, 100_000, 200_000, math.MaxInt64} {
+				if got, want := v.ManufacturerHistogram(floor), byLookup(v, floor); !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d, %s, floor %d: %v, by lookup %v", trial, view, floor, got, want)
+				}
+			}
+		}
+		// Fig. 20 reads the same fleet without copying it, and devices
+		// that several homes share, or whose volume the tail takes off,
+		// as the batch reads them.
+		all := RollupOf(&dataset.Store{Flows: append(slices.Clone(first.Flows), tail.Flows...)})
+		page := sn.Rollup()
+		for _, k := range []int{1, 4, math.MaxInt} {
+			if got, want := page.TopDevices(k), all.TopDevices(k); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d: TopDevices(%d) %v, batch %v", trial, k, got, want)
+			}
+		}
+		for _, dev := range all.TopDevices(6) {
+			for _, k := range []int{1, 4, math.MaxInt} {
+				if got, want := page.DeviceDomains(dev, k), all.DeviceDomains(dev, k); !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d: DeviceDomains(%s, %d) %v, batch %v", trial, dev, k, got, want)
+				}
+			}
+		}
 	}
 }

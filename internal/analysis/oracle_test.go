@@ -144,7 +144,7 @@ func oracleSaturation(st *dataset.Store) []LinkSaturation {
 }
 
 // oracleUtilizationSeries returns a home's per-minute peak throughput series in
-// one direction, sorted by time.
+// one direction, sorted by time, the points of one minute in row order.
 func oracleUtilizationSeries(st *dataset.Store, id, dir string) []UtilizationPoint {
 	var out []UtilizationPoint
 	for _, s := range st.Throughput {
@@ -152,7 +152,7 @@ func oracleUtilizationSeries(st *dataset.Store, id, dir string) []UtilizationPoi
 			out = append(out, UtilizationPoint{s.Minute, s.PeakBps})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Minute.Before(out[j].Minute) })
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Minute.Before(out[j].Minute) })
 	return out
 }
 

@@ -35,7 +35,7 @@ import (
 type Rollup struct {
 	homes     []*home          // the base, first-seen order
 	byID      map[string]int32 // the base's home positions
-	fleet     []deviceTotals   // the base's fleet-wide device totals
+	fleet     fleetTable       // the base's fleet-wide device totals
 	flowHomes int32            // the base's homes with flow rows
 	keptRows  dataset.RowCounts
 	tail      *overlay // nil when nothing lies over the base
@@ -53,8 +53,8 @@ type Rollup struct {
 // private, and first replaces it with a copy when a Rollup may be
 // reading it, so a view never sees a version change under it.
 type rollup struct {
-	homes []*home        // first-seen order, of any kind
-	fleet []deviceTotals // fleet-wide: a device's bytes across every home it is in
+	homes []*home    // first-seen order, of any kind
+	fleet fleetTable // fleet-wide: a device's bytes across every home it is in
 	// byID is shared with the views taken in the epoch it was made in
 	// (idEpoch), so a new router after those goes into a copy. The other
 	// indexes are read and written by folds only — and by overlay, which
@@ -162,9 +162,83 @@ type homeDevice struct {
 	bytes int64
 }
 
+// fleetTable holds the fleet's device totals in chunks of fleetChunk.
+// A frozen rollup shares the chunks with its views, and its first write
+// to one after that copies that chunk only (own): a page's tail that
+// adds to a few devices copies a few chunks, not the fleet.
+type fleetTable struct {
+	chunks [][]deviceTotals
+	mine   []bool // the chunks copied since the last thaw: written in place
+}
+
+const fleetChunk = 64
+
+func (f *fleetTable) len() int {
+	if len(f.chunks) == 0 {
+		return 0
+	}
+	return (len(f.chunks)-1)*fleetChunk + len(f.chunks[len(f.chunks)-1])
+}
+
+func (f *fleetTable) at(i int32) deviceTotals { return f.chunks[i/fleetChunk][i%fleetChunk] }
+
+// each calls fn for every device, in order.
+func (f *fleetTable) each(fn func(i int32, d deviceTotals)) {
+	for c, ch := range f.chunks {
+		for j, d := range ch {
+			fn(int32(c*fleetChunk+j), d)
+		}
+	}
+}
+
+// own returns chunk c for writing: a copy, the first time since the
+// last thaw.
+func (f *fleetTable) own(c int32) []deviceTotals {
+	if !f.mine[c] {
+		f.chunks[c] = append(make([]deviceTotals, 0, fleetChunk), f.chunks[c]...)
+		f.mine[c] = true
+	}
+	return f.chunks[c]
+}
+
+// push appends d and returns its position.
+func (f *fleetTable) push(d deviceTotals) int32 {
+	i := int32(f.len())
+	if i%fleetChunk == 0 {
+		f.chunks = append(f.chunks, make([]deviceTotals, 0, fleetChunk))
+		f.mine = append(f.mine, true)
+	}
+	c := i / fleetChunk
+	f.chunks[c] = append(f.own(c), d)
+	return i
+}
+
+func (f *fleetTable) add(i int32, bytes int64) { f.own(i / fleetChunk)[i%fleetChunk].bytes += bytes }
+
+// thaw copies the list of chunks, whose every chunk is then shared.
+func (f *fleetTable) thaw() {
+	f.chunks = slices.Clone(f.chunks)
+	f.mine = make([]bool, len(f.chunks))
+}
+
+// deviceTotals is one fleet device: its volume across the homes it is
+// in, and its Fig. 12 category, resolved when the fold first sees it (it
+// fits the padding after dev).
 type deviceTotals struct {
 	dev   mac.Addr
+	cat   uint8
 	bytes int64
+}
+
+// fig12Category is dev's Fig. 12 category as one plus its position in
+// ouidb.Categories, or 0 for a device Fig. 12 leaves out: the platform's
+// own Netgear hardware, and an unregistered OUI.
+func fig12Category(dev mac.Addr) uint8 {
+	cat := ouidb.Lookup(dev).Category
+	if cat == ouidb.CatUnknown || ouidb.IsBISmarkRouter(dev) {
+		return 0
+	}
+	return uint8(slices.Index(ouidb.Categories[:], cat) + 1)
 }
 
 type pairTotals struct {
@@ -240,9 +314,8 @@ func (r *rollup) add(f *dataset.FlowRecord) {
 	if !ok {
 		fl, ok := r.fleetIdx[f.Device]
 		if !ok {
-			fl = int32(len(r.fleet))
+			fl = r.fleet.push(deviceTotals{dev: f.Device, cat: fig12Category(f.Device)})
 			r.fleetIdx[f.Device] = fl
-			r.fleet = append(r.fleet, deviceTotals{dev: f.Device})
 		}
 		dev = int32(len(h.devices))
 		r.devIdx[devKey{hi, f.Device}] = dev
@@ -255,7 +328,7 @@ func (r *rollup) add(f *dataset.FlowRecord) {
 	h.homeTotals.add(d.name, b, f.Conns)
 	dv := &h.devices[dev]
 	dv.bytes += b
-	r.fleet[dv.fleet].bytes += b
+	r.fleet.add(dv.fleet, b)
 	h.pairs[r.pair(h, dom, f.Device)].bytes += b
 }
 
@@ -336,19 +409,21 @@ func carve[T any](a *[]T) []T {
 // is private, else a copy that replaces it. A copy clones what folds
 // write in place — the flow entries, the device map, the bins — and
 // shares the settled runs, which are never written again (run); each
-// series copies its list of blocks only (series.copied).
+// series copies its list of blocks only (series.copied), and its
+// descents are clipped, so the next one lands in an array of its own.
 func (r *rollup) own(i int32) *home {
 	h := r.homes[i]
 	if h.epoch != r.epoch {
 		c := *h
 		c.epoch = r.epoch
-		c.domains = slices.Clone(h.domains)
-		c.devices = slices.Clone(h.devices)
-		c.pairs = slices.Clone(h.pairs)
+		c.domains = roomy(h.domains)
+		c.devices = roomy(h.devices)
+		c.pairs = roomy(h.pairs)
 		c.seen = maps.Clone(h.seen)
 		c.census.bins = slices.Clone(h.census.bins)
 		for l := range c.links {
 			c.links[l].series = h.links[l].series.copied(h.epoch <= r.forked)
+			c.links[l].descents = slices.Clip(h.links[l].descents)
 		}
 		h = &c
 		r.homes[i] = h
@@ -357,15 +432,23 @@ func (r *rollup) own(i int32) *home {
 	return h
 }
 
+// roomy copies s with a quarter again of room: the rows that made a
+// version copy itself go on to add entries to it, which would otherwise
+// copy it once more.
+func roomy[T any](s []T) []T {
+	return append(make([]T, 0, len(s)+len(s)/4+1), s...)
+}
+
 // write returns id's version for writing (at, then own).
 func (r *rollup) write(id string) *home { return r.own(r.at(id)) }
 
 // thaw takes back what freeze shared before the first write after it:
-// the two slices are copied, and the new epoch makes every version copy
-// itself on its first write.
+// the homes are copied, and the fleet's list of chunks; the new epoch
+// makes every version copy itself on its first write, as the fleet does
+// each chunk.
 func (r *rollup) thaw() {
 	r.homes = slices.Clone(r.homes)
-	r.fleet = slices.Clone(r.fleet)
+	r.fleet.thaw()
 	r.epoch++
 	r.frozen = false
 }
@@ -503,8 +586,8 @@ func (r *rollup) overlay(t *Rollup, prev *overlay) *Rollup {
 			o.dev[j] = append(o.dev[j], find(r.devIdx, devKey{bi, d.dev}))
 		}
 	}
-	for _, d := range t.fleet[len(o.fleet):] {
-		o.fleet = append(o.fleet, find(r.fleetIdx, d.dev))
+	for i := len(o.fleet); i < t.fleet.len(); i++ {
+		o.fleet = append(o.fleet, find(r.fleetIdx, t.fleet.at(int32(i)).dev))
 	}
 	v.tail = o
 	return v
@@ -732,15 +815,16 @@ func rankInto(out []int32, ds []domainTotals, rk rank, k int) []int32 {
 // fleetTotals returns every device's volume across the homes it is in:
 // the base's devices, then those the tail has first.
 func (r *Rollup) fleetTotals() []deviceTotals {
-	out := slices.Clone(r.fleet)
+	out := make([]deviceTotals, 0, r.fleet.len())
+	r.fleet.each(func(_ int32, d deviceTotals) { out = append(out, d) })
 	if o := r.tail; o != nil {
-		for k, d := range o.roll.fleet {
+		o.roll.fleet.each(func(k int32, d deviceTotals) {
 			if i := o.fleet[k]; i >= 0 {
 				out[i].bytes += d.bytes
 			} else {
 				out = append(out, d)
 			}
-		}
+		})
 	}
 	return out
 }
@@ -892,21 +976,18 @@ func (r *Rollup) DomainShares(maxRank int) DomainShareCurves {
 // chunked fold's bits: a home the tail has first flows of comes after
 // the base's, in the tail's order.
 func (r *Rollup) byFirstFlow() []homeView {
-	n := r.flowHomes
-	if r.tail != nil {
-		n += r.tail.roll.flowHomes
-	}
-	out := make([]homeView, n)
+	out := make([]homeView, r.flowHomes)
 	r.each(func(v homeView) {
 		switch {
 		case v.b != nil && v.b.has&HasTraffic != 0:
 			out[v.b.first] = v
 		case v.t != nil && v.t.has&HasTraffic != 0:
-			out[r.flowHomes+v.t.first] = v
+			out = append(out, v)
 		}
 	})
-	// A home with flows in both has a tail ordinal it does not take.
-	return slices.DeleteFunc(out, func(v homeView) bool { return v.b == nil && v.t == nil })
+	late := out[r.flowHomes:]
+	slices.SortFunc(late, func(a, b homeView) int { return cmp.Compare(a.t.first, b.t.first) })
+	return out
 }
 
 // WhitelistedVolumeShare returns the fraction of Traffic volume going to
@@ -983,12 +1064,122 @@ type DomainShare struct {
 	Share  float64
 }
 
-// DeviceDomains computes the Fig. 20 mix for a device, ranked descending.
-// It reads the (device, domain) pairs of the homes the device is in. A
-// domain's pairs are summed by sorting them by name in the slice the mix
-// is returned in, counted first, so the mix costs one allocation of its
-// size. Volumes are integers far below 2^53: their float64 sums are exact.
-func (r *Rollup) DeviceDomains(dev mac.Addr) []DomainShare {
+// DeviceDomains computes the first k domains of the Fig. 20 mix for a
+// device, ranked descending. A device in one home — the fleet's rule —
+// has its mix read off that home's (device, domain) pairs with no copy:
+// see topDomains. Otherwise the mix is built whole (deviceMix) and cut.
+func (r *Rollup) DeviceDomains(dev mac.Addr, k int) []DomainShare {
+	var in homeView
+	homes := 0
+	r.each(func(v homeView) {
+		if v.hasDevice(dev) {
+			in = v
+			homes++
+		}
+	})
+	if homes == 1 && k <= maxTopDomains {
+		if out, ok := in.topDomains(dev, k); ok {
+			return out
+		}
+	}
+	out := r.deviceMix(dev)
+	return out[:min(k, len(out))]
+}
+
+// maxTopDomains is the deepest cut of a mix topDomains makes.
+const maxTopDomains = 8
+
+// topDomains is the first k domains of dev's mix over the one home v.
+// The base's pairs go by their base volume and the tail's by their whole
+// volume — the tail's plus the base's pair of the same domain, found on
+// that domain's chain — so a domain both have is seen twice, once short.
+// The short entry ranks below the whole one, so at most 2k-2 entries
+// rank above the whole entry of any of the best k domains: the best 2k
+// entries, each domain's first one kept, start with the best k domains.
+// A share is its domain's volume over the device's, as deviceMix
+// divides it. ok is false when the tail takes volume off a pair, or the
+// device's volume is not positive, where that order does not hold.
+func (v homeView) topDomains(dev mac.Addr, k int) (_ []DomainShare, ok bool) {
+	var total int64
+	for _, h := range [2]*home{v.b, v.t} {
+		if h == nil {
+			continue
+		}
+		for _, p := range h.pairs {
+			if p.dev != dev {
+				continue
+			}
+			if h == v.t && p.bytes < 0 {
+				return nil, false
+			}
+			total += p.bytes
+		}
+	}
+	if total == 0 {
+		return nil, true
+	}
+	if total < 0 {
+		return nil, false
+	}
+	var buf [2 * maxTopDomains]DomainShare
+	top := buf[:0]
+	keep := func(name string, bytes int64) {
+		d := DomainShare{Domain: name, Share: float64(bytes) / float64(total)}
+		i := len(top)
+		for i > 0 && cmpShares(d, top[i-1]) < 0 {
+			i--
+		}
+		if i < 2*k {
+			top = slices.Insert(top[:min(len(top), 2*k-1)], i, d)
+		}
+	}
+	if v.b != nil {
+		for _, p := range v.b.pairs {
+			if p.dev == dev {
+				keep(v.b.domains[p.dom].name, p.bytes)
+			}
+		}
+	}
+	if v.t != nil {
+		for _, p := range v.t.pairs {
+			if p.dev != dev {
+				continue
+			}
+			bytes := p.bytes
+			if i := v.dom[p.dom]; i >= 0 {
+				for x := v.b.domains[i].lastPair; x >= 0; x = v.b.pairs[x].next {
+					if v.b.pairs[x].dev == dev {
+						bytes += v.b.pairs[x].bytes
+						break
+					}
+				}
+			}
+			keep(v.t.domains[p.dom].name, bytes)
+		}
+	}
+	out := make([]DomainShare, 0, min(k, len(top)))
+	for _, d := range top {
+		if len(out) < k && !slices.ContainsFunc(out, func(e DomainShare) bool { return e.Domain == d.Domain }) {
+			out = append(out, d)
+		}
+	}
+	return out, true
+}
+
+// cmpShares ranks a mix's domains: by share, most first, ties by name.
+func cmpShares(a, b DomainShare) int {
+	if a.Share != b.Share {
+		return cmp.Compare(b.Share, a.Share)
+	}
+	return strings.Compare(a.Domain, b.Domain)
+}
+
+// deviceMix is a device's whole Fig. 20 mix, ranked. It reads the
+// (device, domain) pairs of the homes the device is in. A domain's pairs
+// are summed by sorting them by name in the slice the mix is returned
+// in, counted first, so the mix costs one allocation of its size.
+// Volumes are integers far below 2^53: their float64 sums are exact.
+func (r *Rollup) deviceMix(dev mac.Addr) []DomainShare {
 	var in []*home // the versions of the homes the device is in
 	n := 0
 	r.each(func(v homeView) {
@@ -1034,12 +1225,7 @@ func (r *Rollup) DeviceDomains(dev mac.Addr) []DomainShare {
 	for i := range out {
 		out[i].Share /= total
 	}
-	slices.SortFunc(out, func(a, b DomainShare) int {
-		if a.Share != b.Share {
-			return cmp.Compare(b.Share, a.Share)
-		}
-		return strings.Compare(a.Domain, b.Domain)
-	})
+	slices.SortFunc(out, cmpShares)
 	return out
 }
 
@@ -1050,27 +1236,44 @@ type ManufacturerCount struct {
 }
 
 // ManufacturerHistogram counts devices per Fig. 12 category across the
-// Traffic-subset homes, excluding the platform's own Netgear hardware and
-// devices below the paper's 100 KB traffic floor.
+// Traffic-subset homes, excluding the platform's own Netgear hardware,
+// unregistered OUIs and devices below the paper's 100 KB traffic floor.
+// Each device's category was resolved when the fold first saw it
+// (deviceTotals.cat). The base's devices are counted by their base
+// volume; a device the tail adds volume to is then moved in or out of
+// the count by its whole volume, so nothing of the fleet is copied.
 func (r *Rollup) ManufacturerHistogram(minBytes int64) []ManufacturerCount {
-	counts := map[ouidb.Category]int{}
-	for _, d := range r.fleetTotals() {
-		if d.bytes < minBytes || ouidb.IsBISmarkRouter(d.dev) {
-			continue
+	var counts [len(ouidb.Categories) + 1]int
+	r.fleet.each(func(_ int32, d deviceTotals) {
+		if d.bytes >= minBytes {
+			counts[d.cat]++
 		}
-		if cat := ouidb.Lookup(d.dev).Category; cat != ouidb.CatUnknown {
-			counts[cat]++
-		}
+	})
+	if o := r.tail; o != nil {
+		o.roll.fleet.each(func(j int32, d deviceTotals) {
+			if i := o.fleet[j]; i >= 0 {
+				base := r.fleet.at(i).bytes
+				if base >= minBytes {
+					counts[d.cat]--
+				}
+				d.bytes += base
+			}
+			if d.bytes >= minBytes {
+				counts[d.cat]++
+			}
+		})
 	}
 	var out []ManufacturerCount
-	for cat, n := range counts {
-		out = append(out, ManufacturerCount{Category: cat, Devices: n})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Devices != out[j].Devices {
-			return out[i].Devices > out[j].Devices
+	for c, n := range counts[1:] {
+		if n > 0 {
+			out = append(out, ManufacturerCount{Category: ouidb.Categories[c], Devices: n})
 		}
-		return out[i].Category < out[j].Category
+	}
+	slices.SortFunc(out, func(a, b ManufacturerCount) int {
+		if a.Devices != b.Devices {
+			return cmp.Compare(b.Devices, a.Devices)
+		}
+		return strings.Compare(string(a.Category), string(b.Category))
 	})
 	return out
 }

@@ -109,26 +109,23 @@ type UtilizationPoint struct {
 	PeakBps float64
 }
 
-// UtilizationSeries returns a home's per-minute peak throughput series in
-// one direction, "up" or "down", sorted by time. Its samples are taken in
-// arrival order and sorted as one slice, so minutes that repeat come out
-// as a row scan would have them.
-func (r *Rollup) UtilizationSeries(id, dir string) []UtilizationPoint {
+// UtilizationSeries calls fn for each point of a home's per-minute peak
+// throughput series in one direction, "up" or "down", in time order —
+// the points of one minute in arrival order — and returns their number.
+// The series is read where it lies: base and tail each hold it as runs
+// that ascend in time (link.descents), and fn gets the next point of
+// whichever run has the earliest (merge), so a page neither copies nor
+// sorts it.
+func (r *Rollup) UtilizationSeries(id, dir string, fn func(UtilizationPoint)) int {
 	l := linkOf(dir)
 	if l < 0 {
-		return nil
+		return 0
 	}
 	b, t := r.of(id).both()
-	bs, ts := &b.links[l].series, &t.links[l].series
-	if bs.n+ts.n == 0 {
-		return nil
-	}
-	out := make([]UtilizationPoint, 0, bs.n+ts.n)
-	add := func(p UtilizationPoint) { out = append(out, p) }
-	bs.each(0, add)
-	ts.each(0, add)
-	sort.Slice(out, func(i, j int) bool { return out[i].Minute.Before(out[j].Minute) })
-	return out
+	bl, tl := &b.links[l], &t.links[l]
+	var buf [16]cursor
+	merge(tl.runs(bl.runs(buf[:0])), fn)
+	return bl.series.n + tl.series.n
 }
 
 // GroupUsage summarizes Traffic-data usage structure per country group —

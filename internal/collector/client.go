@@ -409,9 +409,13 @@ func (c *Client) countBatchFailures(items []spool.Item) {
 
 // enqueue spools one measurement payload for background delivery,
 // stamping it with the open export-window span when one is active. The
-// spool clones p's rows, so the Sink caller keeps its slices.
+// spool clones p's rows, so the Sink caller keeps its slices. A payload
+// holding an instant NPB1 does not carry is dropped here, a failure of
+// its endpoint: spooled, its batch would be refused on every resend,
+// and every item batched beside it with it.
 func (c *Client) enqueue(p wire.Payload) {
-	c.mUploads.With(p.Kind.Endpoint()).Inc()
+	endpoint := p.Kind.Endpoint()
+	c.mUploads.With(endpoint).Inc()
 	var spans []trace.Span
 	if trace.Enabled() {
 		c.mu.Lock()
@@ -421,6 +425,10 @@ func (c *Client) enqueue(p wire.Payload) {
 			spans = []trace.Span{sp}
 		}
 		c.mu.Unlock()
+	}
+	if err := wire.CheckTimes(&p, spans); err != nil {
+		_ = c.fail(endpoint, err)
+		return
 	}
 	c.sp.EnqueueSpans(p, spans)
 }

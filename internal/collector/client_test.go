@@ -418,3 +418,30 @@ func TestEnqueueToWireAllocBudget(t *testing.T) {
 }
 
 const enqueueToWireBudget = 6
+
+// TestEnqueueDropsTimesNPB1CannotCarry: an uptime row at 10000-01-01
+// encodes (AppendBatch writes any instant) but no collector decodes its
+// batch, so the client drops it at enqueue, as a failure of its
+// endpoint: it shows in Err() and in the failure count, and the healthy
+// row enqueued beside it lands instead of being resent with it.
+func TestEnqueueDropsTimesNPB1CannotCarry(t *testing.T) {
+	srv, cli := startPair(t)
+	failed := cli.mFailures.With("/v1/uptime")
+	before := failed.Value()
+	bad := time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)
+	cli.UptimeReport(dataset.UptimeReport{RouterID: "router-1", ReportedAt: bad, Uptime: time.Hour})
+	cli.UptimeReport(dataset.UptimeReport{RouterID: "router-1", ReportedAt: t0, Uptime: time.Hour})
+	flush(t, cli)
+	if got := srv.Store().Uptime; len(got) != 1 || !got[0].ReportedAt.Equal(t0) {
+		t.Fatalf("the collector holds %v, want the healthy row alone", got)
+	}
+	if err := cli.Err(); err == nil || !strings.Contains(err.Error(), "outside years 0000-9999") {
+		t.Fatalf("Err() = %v, want the refused time", err)
+	}
+	if n := failed.Value() - before; n != 1 {
+		t.Fatalf("%d uptime failures counted, want 1", n)
+	}
+	if d := cli.SpoolDepth(); d != 0 {
+		t.Fatalf("%d items still spooled", d)
+	}
+}

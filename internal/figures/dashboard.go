@@ -3,8 +3,10 @@ package figures
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
@@ -216,6 +218,27 @@ func (d *Dashboard) statsLocked() DashboardStats {
 	}
 }
 
+// pageText is the text GET /figures serves: a header describing the page
+// and each report followed by a blank line, written once into a buffer
+// of its size.
+func pageText(reports []*Report, s DashboardStats) string {
+	n := 256
+	for _, rep := range reports {
+		n += rep.size() + 1
+	}
+	var b strings.Builder
+	b.Grow(n)
+	fmt.Fprintf(&b, "natpeek figures — incremental render over %d sealed chunks (%d segment files)\n",
+		s.SealedChunks, s.Segments)
+	fmt.Fprintf(&b, "projection: %d raw flow rows collapsed to %d (home, device, domain) entries; render took %.1fms\n\n",
+		s.RawFlowRows, s.FlowAggregates, s.LastRenderMs)
+	for _, rep := range reports {
+		rep.writeTo(&b)
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
 // Register mounts the dashboard on mux: GET /figures renders the
 // exhibits as text, GET /api/figures returns them as JSON alongside the
 // incremental-state diagnostics.
@@ -223,13 +246,7 @@ func (d *Dashboard) Register(mux *http.ServeMux) {
 	mux.HandleFunc("GET /figures", func(w http.ResponseWriter, r *http.Request) {
 		reports, s := d.render()
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintf(w, "natpeek figures — incremental render over %d sealed chunks (%d segment files)\n",
-			s.SealedChunks, s.Segments)
-		fmt.Fprintf(w, "projection: %d raw flow rows collapsed to %d (home, device, domain) entries; render took %.1fms\n\n",
-			s.RawFlowRows, s.FlowAggregates, s.LastRenderMs)
-		for _, rep := range reports {
-			fmt.Fprintln(w, rep.String())
-		}
+		io.WriteString(w, pageText(reports, s))
 	})
 	mux.HandleFunc("GET /api/figures", func(w http.ResponseWriter, r *http.Request) {
 		type apiReport struct {

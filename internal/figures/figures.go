@@ -11,6 +11,8 @@ package figures
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -36,14 +38,38 @@ func (r *Report) add(format string, args ...any) {
 // String renders the report.
 func (r *Report) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "== %s: %s ==\n", r.ID, r.Title)
+	b.Grow(r.size())
+	r.writeTo(&b)
+	return b.String()
+}
+
+// writeTo writes the report as String renders it, size bytes.
+func (r *Report) writeTo(b *strings.Builder) {
+	for _, s := range [...]string{"== ", r.ID, ": ", r.Title, " ==\n"} {
+		b.WriteString(s)
+	}
 	if r.PaperClaim != "" {
-		fmt.Fprintf(&b, "   paper: %s\n", r.PaperClaim)
+		b.WriteString("   paper: ")
+		b.WriteString(r.PaperClaim)
+		b.WriteByte('\n')
 	}
 	for _, l := range r.Lines {
-		fmt.Fprintf(&b, "   %s\n", l)
+		b.WriteString("   ")
+		b.WriteString(l)
+		b.WriteByte('\n')
 	}
-	return b.String()
+}
+
+// size is the length of the report's rendering.
+func (r *Report) size() int {
+	n := len("== ") + len(r.ID) + len(": ") + len(r.Title) + len(" ==\n")
+	if r.PaperClaim != "" {
+		n += len("   paper: \n") + len(r.PaperClaim)
+	}
+	for _, l := range r.Lines {
+		n += len("   \n") + len(l)
+	}
+	return n
 }
 
 // Windows bundles the analysis windows (defaults = Table 2).
@@ -61,17 +87,32 @@ func DefaultWindows() Windows {
 	}
 }
 
-// cdfLine formats an empirical CDF as quantile points.
+// cdfPoints are the quantiles a CDF line shows, with their labels.
+var cdfPoints = [...]struct {
+	q     float64
+	label string
+}{{0.10, "p10="}, {0.25, "p25="}, {0.50, "p50="}, {0.75, "p75="}, {0.90, "p90="}}
+
+// cdfLine formats an empirical CDF as quantile points, each %.3g: one
+// sorted copy of xs, and each point read off it (stats.QuantileRuns) —
+// the values stats.Quantile selects, since a sample's order statistics
+// are the same however they are found.
 func cdfLine(xs []float64, unit string) string {
 	if len(xs) == 0 {
 		return "(no samples)"
 	}
-	qs := []float64{0.10, 0.25, 0.50, 0.75, 0.90}
-	parts := make([]string, 0, len(qs))
-	for _, q := range qs {
-		parts = append(parts, fmt.Sprintf("p%02.0f=%.3g%s", q*100, stats.Quantile(xs, q), unit))
+	sorted := slices.Clone(xs)
+	stats.SortFloats(sorted)
+	b := make([]byte, 0, len(cdfPoints)*(len("p10=1.23e+05  ")+len(unit)))
+	for i, p := range cdfPoints {
+		if i > 0 {
+			b = append(b, "  "...)
+		}
+		b = append(b, p.label...)
+		b = strconv.AppendFloat(b, stats.QuantileRuns(p.q, sorted), 'g', 3, 64)
+		b = append(b, unit...)
 	}
-	return strings.Join(parts, "  ")
+	return string(b)
 }
 
 // table1 reproduces the deployment roster.
@@ -101,35 +142,41 @@ func table1(st *dataset.Store) *Report {
 	return r
 }
 
-// table2 reproduces the data set inventory.
+// table2Rows are Table 2's rows after Heartbeats, in the order
+// analysis.Rollup.KindCounts counts them, with their collection windows.
+var table2Rows = [...]struct {
+	name     string
+	from, to time.Time
+}{
+	{"Capacity", dataset.CapacityFrom, dataset.CapacityTo},
+	{"Uptime", dataset.UptimeFrom, dataset.UptimeTo},
+	{"Devices", dataset.DevicesFrom, dataset.DevicesTo},
+	{"WiFi", dataset.WiFiFrom, dataset.WiFiTo},
+	{"Traffic", dataset.TrafficFrom, dataset.TrafficTo},
+}
+
+// table2 reproduces the data set inventory: the heartbeat routers from
+// the log, every other row from one pass over the rollup's homes.
 func table2(st *dataset.Store, v *analysis.Rollup) *Report {
 	r := &Report{
 		ID:         "Table 2",
 		Title:      "Summary of data collected",
 		PaperClaim: "Heartbeats 126 routers Oct'12–Apr'13; Uptime/Devices 113; WiFi 93; Traffic 25; Capacity 126",
 	}
-	countries := func(ids []string) int {
-		cs := map[string]bool{}
-		for _, id := range ids {
-			cs[st.RouterCountry[id]] = true
-		}
-		return len(cs)
-	}
-	row := func(name string, ids []string, from, to time.Time) {
+	row := func(name string, routers, countries int, from, to time.Time) {
 		r.add("%-11s routers=%-4d countries=%-3d %s – %s",
-			name, len(ids), countries(ids),
-			from.Format("2006-01-02"), to.Format("2006-01-02"))
+			name, routers, countries, from.Format("2006-01-02"), to.Format("2006-01-02"))
 	}
 	hb := st.Heartbeats.Routers()
-	up, cp := v.RoutersWith(analysis.HasUptime), v.RoutersWith(analysis.HasCapacity)
-	dv, wf := v.RoutersWith(analysis.HasCensus), v.RoutersWith(analysis.HasWiFi)
-	tr := v.RoutersWith(analysis.HasTraffic)
-	row("Heartbeats", hb, dataset.HeartbeatsFrom, dataset.HeartbeatsTo)
-	row("Capacity", cp, dataset.CapacityFrom, dataset.CapacityTo)
-	row("Uptime", up, dataset.UptimeFrom, dataset.UptimeTo)
-	row("Devices", dv, dataset.DevicesFrom, dataset.DevicesTo)
-	row("WiFi", wf, dataset.WiFiFrom, dataset.WiFiTo)
-	row("Traffic", tr, dataset.TrafficFrom, dataset.TrafficTo)
+	countries := map[string]bool{}
+	for _, id := range hb {
+		countries[st.RouterCountry[id]] = true
+	}
+	row("Heartbeats", len(hb), len(countries), dataset.HeartbeatsFrom, dataset.HeartbeatsTo)
+	for i, c := range v.KindCounts(st.RouterCountry) {
+		k := table2Rows[i]
+		row(k.name, c.Routers, c.Countries, k.from, k.to)
+	}
 	return r
 }
 

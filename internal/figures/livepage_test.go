@@ -300,7 +300,8 @@ func TestLivePagesMatchBatchOverSchedule(t *testing.T) {
 
 // BenchmarkLivePage is figures-live's loop in one process: eight uploads
 // appended between pages over the fixture's history and tail, and a
-// seal every 64 pages, which starts the next page's tail over.
+// seal every 64 pages, which starts the next page's tail over. Each page
+// is rendered to the text GET /figures writes.
 func BenchmarkLivePage(b *testing.B) {
 	const routers = 512
 	d := fixtureDashboard(b, 45_000, 2_000, routers)
@@ -317,6 +318,37 @@ func BenchmarkLivePage(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		d.Render()
+		pageText(d.render())
+	}
+}
+
+// TestLivePageAllocBudget: BenchmarkLivePage's page — eight uploads after
+// the last page over a 512-router fleet, rendered to GET /figures' text
+// — stays within an allocation budget. The per-home rows, the CDF lines
+// and the fleet-wide exhibits each used to allocate per home or per
+// device on every page: about 5,300 allocations a page in all.
+func TestLivePageAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const routers, pages, budget = 512, 16, 3_000
+	d := fixtureDashboard(t, 45_000, 2_000, routers)
+	pageText(d.render())
+	inc := rng.New(8).Child("increment")
+	var before, after runtime.MemStats
+	var allocs uint64
+	for i := 0; i < pages; i++ {
+		d.src.Append("increment", func(dst *dataset.Store) {
+			loadgenMix(dst, inc, i*8, 8, routers, 0.65)
+		})
+		runtime.ReadMemStats(&before)
+		pageText(d.render())
+		runtime.ReadMemStats(&after)
+		allocs += after.Mallocs - before.Mallocs
+	}
+	per := float64(allocs) / pages
+	t.Logf("%.0f allocations per page", per)
+	if per > budget {
+		t.Errorf("a page allocates %.0f times, over its budget of %d", per, budget)
 	}
 }

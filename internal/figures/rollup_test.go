@@ -65,7 +65,11 @@ func TestRollupMatchesOracles(t *testing.T) {
 			same(fmt.Sprintf("TopDevices(%d)", k), devs[:min(k, len(devs))], r.TopDevices(k))
 		}
 		for i := 0; i < len(devs) && i < 6; i++ {
-			same("DeviceDomains", oracleDeviceDomains(st, devs[i]), r.DeviceDomains(devs[i]))
+			mix := oracleDeviceDomains(st, devs[i])
+			same("DeviceDomains", mix, r.DeviceDomains(devs[i], math.MaxInt))
+			for _, k := range []int{1, 4, 8} {
+				same(fmt.Sprintf("DeviceDomains(%d)", k), mix[:min(k, len(mix))], r.DeviceDomains(devs[i], k))
+			}
 		}
 		same("ManufacturerHistogram", oracleManufacturerHistogram(st, 100_000), r.ManufacturerHistogram(100_000))
 		same("busiest home", oracleBusiestTrafficHome(st), r.BusiestHome())
@@ -73,8 +77,8 @@ func TestRollupMatchesOracles(t *testing.T) {
 		for _, f := range st.Flows {
 			homes[f.RouterID] = true
 		}
-		if got := r.RoutersWith(analysis.HasTraffic); len(got) != len(homes) {
-			t.Errorf("%s: rollup has %d homes with traffic, the flows %d", name, len(got), len(homes))
+		if got := r.KindCounts(st.RouterCountry)[4].Routers; got != len(homes) {
+			t.Errorf("%s: rollup has %d homes with traffic, the flows %d", name, got, len(homes))
 		}
 		same("UsageByGroup", oracleUsageByGroup(st), r.UsageByGroup(analysis.NewRoster(st)))
 		same("Fig20", fig20(r).String(), fig20(analysis.RollupOf(st)).String())
@@ -83,11 +87,13 @@ func TestRollupMatchesOracles(t *testing.T) {
 }
 
 // diffRollups compares the output of every method of two Rollups, the
-// kept-kind exhibits under roster ro. Two rollups of the same rows
-// iterate homes in the same order, so the float sums must agree to the
-// bit.
-func diffRollups(t *testing.T, what string, ro *analysis.Roster, want, got *analysis.Rollup) {
+// kept-kind exhibits under the roster of st, and the per-home methods
+// for each router st registers. Two rollups of the same rows iterate
+// homes in the same order, so the float sums must agree to the bit.
+func diffRollups(t *testing.T, what string, st *dataset.Store, want, got *analysis.Rollup) {
 	t.Helper()
+	ro := analysis.NewRoster(st)
+	routers := st.Routers()
 	same := func(method string, w, g any) {
 		t.Helper()
 		if !reflect.DeepEqual(w, g) {
@@ -106,7 +112,9 @@ func diffRollups(t *testing.T, what string, ro *analysis.Roster, want, got *anal
 	same("TopDevices(all)", devs, got.TopDevices(math.MaxInt))
 	same("TopDevices(4)", want.TopDevices(4), got.TopDevices(4))
 	for i := 0; i < len(devs) && i < 6; i++ {
-		same(fmt.Sprintf("DeviceDomains(%s)", devs[i]), want.DeviceDomains(devs[i]), got.DeviceDomains(devs[i]))
+		for _, k := range []int{4, math.MaxInt} {
+			same(fmt.Sprintf("DeviceDomains(%s, %d)", devs[i], k), want.DeviceDomains(devs[i], k), got.DeviceDomains(devs[i], k))
+		}
 	}
 	for _, floor := range []int64{0, 100_000} {
 		same(fmt.Sprintf("ManufacturerHistogram(%d)", floor), want.ManufacturerHistogram(floor), got.ManufacturerHistogram(floor))
@@ -114,8 +122,15 @@ func diffRollups(t *testing.T, what string, ro *analysis.Roster, want, got *anal
 
 	same("KeptRows", want.KeptRows(), got.KeptRows())
 	same("UsageByGroup", want.UsageByGroup(ro), got.UsageByGroup(ro))
-	for _, k := range []analysis.KindSet{analysis.HasUptime, analysis.HasCapacity, analysis.HasCensus, analysis.HasWiFi, analysis.HasTraffic} {
-		same(fmt.Sprintf("RoutersWith(%d)", k), sorted(want.RoutersWith(k)), sorted(got.RoutersWith(k)))
+	same("KindCounts", want.KindCounts(st.RouterCountry), got.KindCounts(st.RouterCountry))
+	// A roster of one router counts it as a country of its own: with two
+	// or more routers holding a kind, the kind's count of countries is 2
+	// when the router is one of them and 1 when it is not, so the rows
+	// of each kind are credited to the same routers. (A kind only one
+	// router holds counts one country whoever holds it.)
+	for _, id := range routers {
+		alone := map[string]string{id: "alone"}
+		same("KindCounts("+id+" alone)", want.KindCounts(alone), got.KindCounts(alone))
 	}
 	same("Saturation", want.Saturation(), got.Saturation())
 	same("ConnectedByGroup", want.ConnectedByGroup(ro), got.ConnectedByGroup(ro))
@@ -131,13 +146,12 @@ func diffRollups(t *testing.T, what string, ro *analysis.Roster, want, got *anal
 	wd, we := want.DiurnalDevices(ro)
 	gd, ge := got.DiurnalDevices(ro)
 	same("DiurnalDevices", [2]stats.HourBins{wd, we}, [2]stats.HourBins{gd, ge})
-	ids := sorted(want.RoutersWith(analysis.HasCapacity | analysis.HasUptime))
-	for _, id := range ids[:min(8, len(ids))] {
+	for _, id := range routers {
 		wu, wdn := want.HomeCapacity(id)
 		gu, gdn := got.HomeCapacity(id)
 		same("HomeCapacity("+id+")", [2]float64{wu, wdn}, [2]float64{gu, gdn})
 		for _, dir := range []string{"up", "down"} {
-			same("UtilizationSeries("+id+", "+dir+")", want.UtilizationSeries(id, dir), got.UtilizationSeries(id, dir))
+			same("UtilizationSeries("+id+", "+dir+")", utilization(want, id, dir), utilization(got, id, dir))
 		}
 		gap := heartbeat.Downtime{Start: time.Date(2013, 4, 3, 0, 0, 0, 0, time.UTC), End: time.Date(2013, 4, 3, 2, 0, 0, 0, time.UTC)}
 		same("ClassifyDowntime("+id+")", want.ClassifyDowntime(id, gap), got.ClassifyDowntime(id, gap))
@@ -151,11 +165,11 @@ func folded(p *analysis.Partial) *analysis.Rollup {
 	return sn.Rollup()
 }
 
-// sorted returns the IDs in order: the views list routers in the order
-// their rows were folded in, which differs with the chunking.
-func sorted(ids []string) []string {
-	slices.Sort(ids)
-	return ids
+// utilization collects what UtilizationSeries reads.
+func utilization(v *analysis.Rollup, id, dir string) []analysis.UtilizationPoint {
+	var out []analysis.UtilizationPoint
+	v.UtilizationSeries(id, dir, func(p analysis.UtilizationPoint) { out = append(out, p) })
+	return out
 }
 
 // rowChunks cuts each of st's row kinds at n-1 random points into n
@@ -233,7 +247,6 @@ func TestFoldedRollupMatchesBatch(t *testing.T) {
 			name string
 			st   *dataset.Store
 		}{{"study", study}, {"loadgen mix", mix}} {
-			ro := analysis.NewRoster(in.st)
 			want := analysis.RollupOf(in.st)
 			kept, flows := splitKinds(in.st)
 			for _, cut := range []struct {
@@ -245,7 +258,7 @@ func TestFoldedRollupMatchesBatch(t *testing.T) {
 				{"flows first", append(rowChunks(flows, s, 1+s.Intn(3)), rowChunks(kept, s, 1+s.Intn(3))...)},
 			} {
 				what := fmt.Sprintf("seed %d, %s, %s", seed, in.name, cut.name)
-				foldedMatchesBatch(t, what, s, ro, want, cut.chunks)
+				foldedMatchesBatch(t, what, s, in.st, want, cut.chunks)
 			}
 		}
 	}
@@ -253,7 +266,7 @@ func TestFoldedRollupMatchesBatch(t *testing.T) {
 
 // foldedMatchesBatch folds chunks as TestFoldedRollupMatchesBatch says
 // and compares each rollup with want, RollupOf over the same rows.
-func foldedMatchesBatch(t *testing.T, what string, s *rng.Stream, ro *analysis.Roster, want *analysis.Rollup, chunks []*dataset.Store) {
+func foldedMatchesBatch(t *testing.T, what string, s *rng.Stream, st *dataset.Store, want *analysis.Rollup, chunks []*dataset.Store) {
 	t.Helper()
 
 	// Chunk by chunk, a view taken after a random few.
@@ -274,9 +287,9 @@ func foldedMatchesBatch(t *testing.T, what string, s *rng.Stream, ro *analysis.R
 		sn.Capture(p)
 		got = sn.Rollup()
 	}
-	diffRollups(t, what, ro, want, got)
+	diffRollups(t, what, st, want, got)
 	if early != nil {
-		diffRollups(t, what+": a view taken part-way", ro, analysis.RollupOf(earlyRows), early)
+		diffRollups(t, what+": a view taken part-way", st, analysis.RollupOf(earlyRows), early)
 	}
 }
 
@@ -287,7 +300,6 @@ func foldedMatchesBatch(t *testing.T, what string, s *rng.Stream, ro *analysis.R
 func TestViewKeepsItsVersionAcrossKinds(t *testing.T) {
 	st := dataset.NewStore()
 	loadgenMix(st, rng.New(3), 0, 1_500, 12, 0.65)
-	ro := analysis.NewRoster(st)
 	p := analysis.NewPartial()
 	p.Fold(st)
 	view := folded(p)
@@ -299,7 +311,7 @@ func TestViewKeepsItsVersionAcrossKinds(t *testing.T) {
 	p.Fold(kept)
 	mid := folded(p)
 	p.Fold(flows)
-	diffRollups(t, "the view taken first", ro, analysis.RollupOf(st), view)
-	diffRollups(t, "the view taken between", ro, analysis.RollupOf(joined([]*dataset.Store{st, kept})), mid)
-	diffRollups(t, "the partial", ro, analysis.RollupOf(joined([]*dataset.Store{st, kept, flows})), folded(p))
+	diffRollups(t, "the view taken first", st, analysis.RollupOf(st), view)
+	diffRollups(t, "the view taken between", st, analysis.RollupOf(joined([]*dataset.Store{st, kept})), mid)
+	diffRollups(t, "the partial", st, analysis.RollupOf(joined([]*dataset.Store{st, kept, flows})), folded(p))
 }

@@ -78,8 +78,7 @@ func TestSnapshotMatchesCloneFold(t *testing.T) {
 			want, wantFlows := oldSnapshot(twin, tail.rows, hb)
 			got, gotFlows := newSnapshot(b, tail.rows, hb)
 			diffStores(t, what, want, got)
-			ro := analysis.NewRoster(want)
-			diffRollups(t, what, ro, wantFlows, gotFlows)
+			diffRollups(t, what, want, wantFlows, gotFlows)
 			diffStores(t, what+": base afterwards", twin.Store(hb), b.Store(hb))
 
 			// The base folds on — the tail seals, another chunk follows —
@@ -90,9 +89,9 @@ func TestSnapshotMatchesCloneFold(t *testing.T) {
 				twin.Fold(c)
 			}
 			diffStores(t, what+": base after the next folds", twin.Store(hb), b.Store(hb))
-			diffRollups(t, what+": base rollup after the next folds", analysis.NewRoster(twin.Store(hb)), folded(twin), folded(b))
+			diffRollups(t, what+": base rollup after the next folds", twin.Store(hb), folded(twin), folded(b))
 			diffStores(t, what+": snapshot held across the next folds", want, got)
-			diffRollups(t, what+": snapshot held across the next folds", ro, wantFlows, gotFlows)
+			diffRollups(t, what+": snapshot held across the next folds", want, wantFlows, gotFlows)
 		}
 	}
 }

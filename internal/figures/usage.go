@@ -1,8 +1,11 @@
 package figures
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -35,17 +38,16 @@ func fig14(st *dataset.Store, v *analysis.Rollup) *Report {
 		offset = c.UTCOffset
 	}
 	for _, dir := range []string{"up", "down"} {
-		series := v.UtilizationSeries(id, dir)
-		if len(series) == 0 {
+		// Daily profile: mean peak by local hour of day, summed in time order.
+		var bins stats.HourBins
+		n := v.UtilizationSeries(id, dir, func(p analysis.UtilizationPoint) {
+			bins.Add(p.Minute.Add(offset).Hour(), p.PeakBps)
+		})
+		if n == 0 {
 			continue
 		}
-		// Daily profile: mean peak by local hour of day.
-		var bins stats.HourBins
-		for _, p := range series {
-			bins.Add(p.Minute.Add(offset).Hour(), p.PeakBps)
-		}
 		r.add("%-4s minutes=%-5d hourly mean peak (Mbps): %s",
-			dir, len(series), hourSeriesMbps(bins))
+			dir, n, hourSeriesMbps(bins))
 	}
 	return r
 }
@@ -100,26 +102,103 @@ func fig15(sats []analysis.LinkSaturation) *Report {
 	return r
 }
 
-// fig16 reproduces the bufferbloat case studies.
+// fig16 reproduces the bufferbloat case studies. Most homes of a large
+// fleet can be listed, so each row is appended with strconv into one
+// reused buffer — the bytes fmt's "%.2f" and "%d" give — and copied out
+// as its line.
 func fig16(sats []analysis.LinkSaturation) *Report {
 	r := &Report{
 		ID:         "Figure 16",
 		Title:      "Homes whose uplink utilization exceeds measured capacity",
 		PaperClaim: "a continuous uploader saturates the uplink; bufferbloat makes measured throughput exceed capacity",
 	}
-	found := 0
-	for _, s := range sats {
-		if s.Dir != "up" || s.Utilization <= 1 {
-			continue
+	over := func(s *analysis.LinkSaturation) bool { return s.Dir == "up" && s.Utilization > 1 }
+	n := 0
+	for i := range sats {
+		if over(&sats[i]) {
+			n++
 		}
-		found++
-		r.add("home=%s upCapacity=%.2f Mbps p95=%.2f Mbps util=%.2f  minutes>capacity=%d/%d",
-			s.RouterID, s.CapacityBps/1e6, s.P95Bps/1e6, s.Utilization, s.MinutesOver, s.Minutes)
 	}
-	if found == 0 {
+	if n == 0 {
 		r.add("(no oversaturating homes in this run)")
+		return r
+	}
+	r.Lines = make([]string, 0, n)
+	var b []byte
+	for i := range sats {
+		if over(&sats[i]) {
+			b = appendOversaturated(b[:0], &sats[i])
+			r.Lines = append(r.Lines, string(b))
+		}
 	}
 	return r
+}
+
+// appendOversaturated appends s as Fig. 16 lists it:
+// "home=%s upCapacity=%.2f Mbps p95=%.2f Mbps util=%.2f  minutes>capacity=%d/%d".
+func appendOversaturated(b []byte, s *analysis.LinkSaturation) []byte {
+	b = append(b, "home="...)
+	b = append(b, s.RouterID...)
+	b = append(b, " upCapacity="...)
+	b = appendFixed2(b, s.CapacityBps/1e6)
+	b = append(b, " Mbps p95="...)
+	b = appendFixed2(b, s.P95Bps/1e6)
+	b = append(b, " Mbps util="...)
+	b = appendFixed2(b, s.Utilization)
+	b = append(b, "  minutes>capacity="...)
+	b = strconv.AppendInt(b, int64(s.MinutesOver), 10)
+	b = append(b, '/')
+	return strconv.AppendInt(b, int64(s.Minutes), 10)
+}
+
+// decades are the powers of ten from 10^-2 to 10^15 as float64: the
+// nearest ones below 1, exact from 1 on.
+var decades = [...]float64{1e-2, 1e-1, 1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
+
+// appendFixed2 appends v as strconv.AppendFloat(b, v, 'f', 2, 64) does.
+// That call takes strconv's multiprecision path for every value. A value
+// of magnitude from 0.01 up to 1e15 is rounded instead by the 'e'
+// format's fixed-digit path to as many significant digits as reach the
+// hundredths (at most 17) — the same rounding: of the exact binary
+// value, to nearest, ties to even — and the digits are laid out with two
+// decimals. Any other value goes through AppendFloat.
+func appendFixed2(b []byte, v float64) []byte {
+	a := math.Abs(v)
+	if !(a >= decades[0] && a < decades[len(decades)-1]) {
+		return strconv.AppendFloat(b, v, 'f', 2, 64)
+	}
+	e := 0 // a < decades[e+1]: its decimal exponent is e-2, it has e+1 digits to the hundredths
+	for a >= decades[e+1] {
+		e++
+	}
+	var buf [32]byte
+	s := strconv.AppendFloat(buf[:0], a, 'e', e, 64) // "d.ddde±xx", or "de±xx"
+	at := bytes.IndexByte(s, 'e')
+	exp := 0 // e-2, or e-1 where rounding carried into a new digit
+	for _, c := range s[at+2:] {
+		exp = exp*10 + int(c-'0')
+	}
+	if s[at+1] == '-' {
+		exp = -exp
+	}
+	// The digits of a in hundredths: the mantissa's, and a 0 for the
+	// hundredths a carry left out.
+	var digits [24]byte
+	d := append(digits[:0], s[0])
+	if at > 1 {
+		d = append(d, s[2:at]...)
+	}
+	for n := exp + 3 - len(d); n > 0; n-- {
+		d = append(d, '0')
+	}
+	if v < 0 {
+		b = append(b, '-')
+	}
+	if len(d) <= 2 {
+		return append(append(b, "0.00"[:4-len(d)]...), d...)
+	}
+	b = append(append(b, d[:len(d)-2]...), '.')
+	return append(b, d[len(d)-2:]...)
 }
 
 // fig17 reproduces the per-device traffic share breakdown.
@@ -251,7 +330,7 @@ func fig20(flows *analysis.Rollup) *Report {
 		if shown == 4 {
 			break
 		}
-		mix := flows.DeviceDomains(d)
+		mix := flows.DeviceDomains(d, 4)
 		if len(mix) == 0 {
 			continue
 		}
@@ -261,10 +340,7 @@ func fig20(flows *analysis.Rollup) *Report {
 			label = e.Manufacturer
 		}
 		var parts []string
-		for i, m := range mix {
-			if i == 4 {
-				break
-			}
+		for _, m := range mix {
 			parts = append(parts, fmt.Sprintf("%s=%.0f%%", m.Domain, 100*m.Share))
 		}
 		r.add("%-16s %s  %s", label, d, strings.Join(parts, " "))

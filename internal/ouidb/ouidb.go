@@ -42,6 +42,14 @@ const (
 	CatUnknown     Category = "Unknown"
 )
 
+// Categories lists every Category, in the order Fig. 12 plots them.
+var Categories = [...]Category{
+	CatApple, CatODM, CatIntel, CatSmartPhone, CatSamsung, CatGateway,
+	CatAsus, CatMisc, CatMicrosoft, CatInternetTV, CatGaming, CatWireless,
+	CatVoIP, CatHP, CatHardware, CatVMware, CatRaspberryPi, CatPrinter,
+	CatUnknown,
+}
+
 // Entry is one OUI registration.
 type Entry struct {
 	OUI          uint32

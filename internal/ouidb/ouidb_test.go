@@ -99,3 +99,24 @@ func TestEveryCategoryHasARegistryEntry(t *testing.T) {
 		t.Error("printer category missing")
 	}
 }
+
+// TestCategoriesListsEveryCategory: every registered OUI's category is
+// in Categories, and no category twice — analysis stores a device's
+// category as its position there.
+func TestCategoriesListsEveryCategory(t *testing.T) {
+	seen := map[Category]bool{}
+	for _, c := range Categories {
+		if seen[c] {
+			t.Errorf("%s listed twice", c)
+		}
+		seen[c] = true
+	}
+	for _, e := range registry {
+		if !seen[e.Category] {
+			t.Errorf("OUI %06x's category %s is not in Categories", e.OUI, e.Category)
+		}
+	}
+	if len(Categories) > 255 {
+		t.Errorf("%d categories do not fit a byte", len(Categories))
+	}
+}

@@ -239,6 +239,59 @@ const (
 	escapeMax = 253402300799 // 9999-12-31T23:59:59Z
 )
 
+// carried reports whether an instant of sec Unix seconds and nsec
+// nanoseconds lies in years 0000–9999: the one range NPB1 carries.
+func carried(sec int64, nsec uint64) bool {
+	return sec >= escapeMin && sec <= escapeMax && nsec < 1e9
+}
+
+// CheckTimes returns an error for the first instant of p or of spans
+// that NPB1 does not carry — one carried rejects — and nil when it
+// carries them all: AppendBatch writes any instant, so an item holding
+// one outside years 0000–9999 encodes to a batch no Decoder reads. The
+// zero time is carried. These are the instants AppendBatch writes of an
+// item with p and spans.
+func CheckTimes(p *Payload, spans []trace.Span) error {
+	var bad time.Time // the first instant not carried; never the zero time
+	check := func(t time.Time) {
+		if bad.IsZero() && !t.IsZero() && !carried(t.Unix(), uint64(t.Nanosecond())) {
+			bad = t
+		}
+	}
+	for _, sp := range spans {
+		check(sp.Start)
+		check(sp.End)
+	}
+	switch p.Kind {
+	case KindUptime:
+		check(p.Uptime.ReportedAt)
+	case KindCapacity:
+		check(p.Capacity.MeasuredAt)
+	case KindDevices:
+		check(p.Count.At)
+		for _, s := range p.Sightings {
+			check(s.At)
+		}
+	case KindWiFi:
+		for _, s := range p.WiFi {
+			check(s.At)
+		}
+	case KindFlows:
+		for _, f := range p.Flows {
+			check(f.First)
+			check(f.Last)
+		}
+	case KindThroughput:
+		for _, s := range p.Throughput {
+			check(s.Minute)
+		}
+	}
+	if !bad.IsZero() {
+		return fmt.Errorf("wire: %s time %s outside years 0000-9999", p.Kind.Endpoint(), bad.UTC().Format(time.RFC3339Nano))
+	}
+	return nil
+}
+
 // time reads one time field (see encoder.time). Decoded times are UTC,
 // as ParseJSON yields them, so every path stores identical rows.
 func (d *Decoder) time() time.Time {
@@ -247,7 +300,7 @@ func (d *Decoder) time() time.Time {
 		return time.Time{}
 	case escapeTime:
 		sec, nsec := d.dec.Varint(), d.dec.Uvarint()
-		if sec < escapeMin || sec > escapeMax || nsec >= 1e9 {
+		if !carried(sec, nsec) {
 			d.dec.Failf("escaped time %ds %dns outside years 0000-9999", sec, nsec)
 			return time.Time{}
 		}

@@ -7,6 +7,8 @@ import (
 	"math"
 	"os"
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -481,5 +483,99 @@ func TestEncodingIsCompact(t *testing.T) {
 	}
 	if len(bin)*2 >= jsonSize {
 		t.Fatalf("binary %dB not meaningfully smaller than JSON ~%dB", len(bin), jsonSize)
+	}
+}
+
+// TestCheckTimesMatchesDecoder: CheckTimes refuses exactly the items
+// whose batch the Decoder refuses — an instant outside years 0000–9999
+// in any time field of any kind, a span's included — at the edges of
+// the range and past them. Each case holds the instant in one field
+// only, found by walking Item, so a time field the encoder comes to
+// write without a check in CheckTimes fails here; a slice holds two
+// rows, the instant in one of them.
+func TestCheckTimesMatchesDecoder(t *testing.T) {
+	times := []time.Time{
+		{},
+		time.Date(2013, 4, 1, 0, 0, 0, 0, time.UTC),
+		time.Date(0, 1, 1, 0, 0, 0, 0, time.UTC),
+		time.Date(0, 1, 1, 0, 0, 0, 0, time.UTC).Add(-time.Nanosecond),
+		time.Date(9999, 12, 31, 23, 59, 59, 999_999_999, time.UTC),
+		time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC),
+		time.Date(-5, 6, 1, 0, 0, 0, 0, time.UTC),
+	}
+	spans := []string{".Trace.Spans[0].Start", ".Trace.Spans[0].End", ".Trace.Spans[1].Start", ".Trace.Spans[1].End"}
+	// The time fields the encoder writes of each kind.
+	carriedBy := map[Kind][]string{
+		KindRaw:      nil,
+		KindUptime:   {".Payload.Uptime.ReportedAt"},
+		KindCapacity: {".Payload.Capacity.MeasuredAt"},
+		KindDevices:  {".Payload.Count.At", ".Payload.Sightings[0].At", ".Payload.Sightings[1].At"},
+		KindWiFi:     {".Payload.WiFi[0].At", ".Payload.WiFi[1].At"},
+		KindFlows: {".Payload.Flows[0].First", ".Payload.Flows[0].Last",
+			".Payload.Flows[1].First", ".Payload.Flows[1].Last"},
+		KindThroughput: {".Payload.Throughput[0].Minute", ".Payload.Throughput[1].Minute"},
+	}
+	var fields []string
+	timeFields(reflect.ValueOf(&Item{}).Elem(), "", func(path string, _ reflect.Value) { fields = append(fields, path) })
+	for _, at := range times {
+		bad := !at.IsZero() && (at.Year() < 0 || at.Year() > 9999)
+		for k := KindRaw; k <= kindMax; k++ {
+			var refused []string
+			for _, field := range fields {
+				it := Item{Endpoint: k.Endpoint(), Key: "k", Payload: Payload{Kind: k}}
+				timeFields(reflect.ValueOf(&it).Elem(), "", func(path string, v reflect.Value) {
+					if path == field {
+						v.Set(reflect.ValueOf(at))
+					}
+				})
+				if k == KindRaw {
+					it.Payload.Raw = []byte(`{}`)
+				}
+				checked := CheckTimes(&it.Payload, it.Trace.Spans)
+				var dec Decoder
+				decoded := dec.Reset(AppendBatch(nil, []Item{it}))
+				var got Item
+				if decoded == nil {
+					decoded = dec.Next(&got)
+				}
+				if (checked == nil) != (decoded == nil) {
+					t.Errorf("%s%s at %v: CheckTimes says %v, the decoder %v", k.Endpoint(), field, at, checked, decoded)
+				}
+				if decoded != nil {
+					refused = append(refused, field)
+				}
+			}
+			var want []string
+			if bad {
+				want = append(slices.Clone(carriedBy[k]), spans...)
+			}
+			if !slices.Equal(refused, want) {
+				t.Errorf("%s at %v: the decoder refuses the instant in %v, want %v", k.Endpoint(), at, refused, want)
+			}
+		}
+	}
+}
+
+// timeFields calls fn with the path and value of each time.Time field
+// under v, after giving each slice under it two zero rows and each nil
+// pointer a zero value; a byte slice is left as it is.
+func timeFields(v reflect.Value, path string, fn func(string, reflect.Value)) {
+	switch {
+	case v.Type() == reflect.TypeFor[time.Time]():
+		fn(path, v)
+	case v.Kind() == reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Type().Field(i); f.IsExported() {
+				timeFields(v.Field(i), path+"."+f.Name, fn)
+			}
+		}
+	case v.Kind() == reflect.Slice && v.Type().Elem().Kind() != reflect.Uint8:
+		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+		for i := 0; i < v.Len(); i++ {
+			timeFields(v.Index(i), path+"["+strconv.Itoa(i)+"]", fn)
+		}
+	case v.Kind() == reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		timeFields(v.Elem(), path, fn)
 	}
 }
