@@ -234,9 +234,9 @@ check-rebalance:
 #      a stable sort.
 check-figures:
 	$(GO) test -race ./internal/analysis/ ./internal/figures/
-	$(GO) test -race -run 'TestMergeFromMatchesMerge' ./internal/dataset/
-	$(GO) test -race -run 'TestTable2CountsMatchStore|TestCDFLineMatchesQuantile|TestOversaturatedRowMatchesFmt|TestAppendFixed2MatchesAppendFloat|TestReportSizeIsItsRendering' ./internal/figures/
-	$(GO) test -race -run 'TestManufacturerHistogramMatchesLookups|TestUtilizationSeriesMergesRuns' ./internal/analysis/
+	$(GO) test -race -run 'TestMergeFromMatchesMerge|TestMergeFromRosterHoldsOnlyChanges' ./internal/dataset/
+	$(GO) test -race -run 'TestTable2CountsMatchStore|TestTailReadsOnlyNewRegistrations|TestCDFLineMatchesQuantile|TestOversaturatedRowMatchesFmt|TestAppendFixed2MatchesAppendFloat|TestReportSizeIsItsRendering' ./internal/figures/
+	$(GO) test -race -run 'TestManufacturerHistogramMatchesLookups|TestUtilizationSeriesMergesRuns|TestCarriedSummariesFollowTheRoster' ./internal/analysis/
 	$(GO) test -run 'TestSnapshotAllocBudget|TestAvailabilityAllocBudget|TestRenderWorkIsTailBound|TestPageWorkIsIncrementBound|TestLivePageAllocBudget|TestPageRecomputesOnlyTouchedHomes|TestExhibitLedger' ./internal/figures/
 	$(GO) test -run 'TestCaptureAfterSealIsHistoryFree|TestLiveSeriesAllocatesItsSize|TestUsageBeyondTheUS' ./internal/analysis/
 	$(GO) test -run 'TestQuantileMatchesSortOracle|TestQuantileAdversarialInputs|TestQuantileRunsZerosAndEmpties|TestSortFloatsMatchesSort|FuzzSortFloats' ./internal/stats/

@@ -49,10 +49,7 @@ func NewRoster(st *dataset.Store) *Roster {
 		code := st.RouterCountry[id]
 		ro.byCountry[code] = append(ro.byCountry[code], id)
 		if c, ok := geo.Lookup(code); ok {
-			g := Developing
-			if c.Developed {
-				g = Developed
-			}
+			g := groupOf(c)
 			ro.byGroup[g] = append(ro.byGroup[g], id)
 		}
 	}
@@ -72,13 +69,15 @@ func (ro *Roster) country(id string) (geo.Country, bool) {
 // group resolves a router's group.
 func (ro *Roster) group(id string) (Group, bool) {
 	c, ok := ro.country(id)
-	if !ok {
-		return 0, false
-	}
+	return groupOf(c), ok
+}
+
+// groupOf is the group of a country.
+func groupOf(c geo.Country) Group {
 	if c.Developed {
-		return Developed, true
+		return Developed
 	}
-	return Developing, true
+	return Developing
 }
 
 // InGroup returns the router IDs belonging to a group, sorted. The

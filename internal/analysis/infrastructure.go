@@ -1,22 +1,24 @@
 package analysis
 
 import (
-	"sort"
 	"time"
 
-	"natpeek/internal/dataset"
 	"natpeek/internal/stats"
 )
+
+// The kept-kind exhibits are passes over the home summaries (summary),
+// which hold what each reads of a home, with the roster laid over them
+// once per page (placed).
 
 // UniqueDevicesPerHome counts the distinct (anonymized) devices each home
 // ever connected — Fig. 7's distribution.
 func (r *Rollup) UniqueDevicesPerHome() map[string]int {
-	out := map[string]int{}
-	r.each(func(v homeView) {
-		if n := v.deviceCount(); n > 0 {
-			out[v.id()] = n
+	out := make(map[string]int, len(r.sums))
+	for _, s := range r.sums {
+		if s.devices > 0 {
+			out[s.id()] = int(s.devices)
 		}
-	})
+	}
 	return out
 }
 
@@ -31,12 +33,11 @@ type ConnectedAverages struct {
 // stats.Moments for how the deviation is computed).
 func (r *Rollup) ConnectedByGroup(ro *Roster) map[Group]ConnectedAverages {
 	var sums [2]censusTotals
-	r.each(func(v homeView) {
-		if g, ok := ro.group(v.id()); ok {
-			c := v.census()
-			sums[g].merge(&c)
+	for k, p := range r.placed(ro) {
+		if p.group >= 0 {
+			sums[p.group].merge(&r.sums[k].census)
 		}
-	})
+	}
 	out := map[Group]ConnectedAverages{}
 	for g, c := range sums {
 		if c.n > 0 {
@@ -52,28 +53,27 @@ func (r *Rollup) ConnectedByGroup(ro *Roster) map[Group]ConnectedAverages {
 }
 
 // UniqueDevicesPerBand counts each home's distinct devices per wireless
-// band — Fig. 10 (paper: median 5 on 2.4 GHz, 2 on 5 GHz).
+// band — Fig. 10 (paper: median 5 on 2.4 GHz, 2 on 5 GHz). Both samples
+// come back sorted.
 func (r *Rollup) UniqueDevicesPerBand() (b24, b5 []float64) {
-	w24, w5 := kindBit(dataset.Wireless24), kindBit(dataset.Wireless5)
-	r.each(func(v homeView) {
-		var n, n24, n5 int
-		v.eachDevice(func(d deviceSeen) {
+	n := 0
+	for _, s := range r.sums {
+		if s.devices > 0 {
 			n++
-			if d.kinds&w24 != 0 {
-				n24++
-			}
-			if d.kinds&w5 != 0 {
-				n5++
-			}
-		})
-		if n == 0 {
-			return
 		}
-		b24 = append(b24, float64(n24))
-		b5 = append(b5, float64(n5))
-	})
-	sort.Float64s(b24)
-	sort.Float64s(b5)
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	b24, b5 = make([]float64, 0, n), make([]float64, 0, n)
+	for _, s := range r.sums {
+		if s.devices > 0 {
+			b24 = append(b24, float64(s.dev24))
+			b5 = append(b5, float64(s.dev5))
+		}
+	}
+	stats.SortFloats(b24)
+	stats.SortFloats(b5)
 	return b24, b5
 }
 
@@ -93,61 +93,45 @@ type AlwaysConnectedShare struct {
 // as often as its router took censuses counts, under the kind it was
 // last seen as.
 func (r *Rollup) AlwaysConnected(ro *Roster, minSpan time.Duration) map[Group]AlwaysConnectedShare {
-	out := map[Group]AlwaysConnectedShare{}
-	r.each(func(v homeView) {
-		c := v.census()
-		g, ok := ro.group(v.id())
-		if !ok || c.n == 0 {
-			return
+	var shares [2]AlwaysConnectedShare
+	for k, p := range r.placed(ro) {
+		s := r.sums[k]
+		if p.group < 0 || s.census.n == 0 {
+			continue
 		}
-		share := out[g]
+		share := &shares[p.group]
 		share.Homes++
-		if c.last.Sub(c.first) >= minSpan {
-			wired, wireless := false, false
-			v.eachDevice(func(d deviceSeen) {
-				if int64(d.count) < c.n {
-					return
-				}
-				if d.kind == dataset.Wired {
-					wired = true
-				} else {
-					wireless = true
-				}
-			})
-			if wired {
+		if s.census.last.Sub(s.census.first) >= minSpan {
+			if s.alwaysWired {
 				share.WithWired++
 			}
-			if wireless {
+			if s.alwaysWireless {
 				share.WithWireless++
 			}
 		}
-		out[g] = share
-	})
-	for g, s := range out {
+	}
+	out := map[Group]AlwaysConnectedShare{}
+	for g, s := range shares {
 		if s.Homes > 0 {
 			s.WiredShare = float64(s.WithWired) / float64(s.Homes)
 			s.WirelessShare = float64(s.WithWireless) / float64(s.Homes)
+			out[Group(g)] = s
 		}
-		out[g] = s
 	}
 	return out
 }
 
 // VisibleAPsByGroup returns each home's median number of 2.4 GHz visible
-// APs, per group — Fig. 11 (developed median ≈20, developing ≈2).
+// APs, per group, sorted — Fig. 11 (developed median ≈20, developing ≈2).
 func (r *Rollup) VisibleAPsByGroup(ro *Roster) map[Group][]float64 {
 	out := map[Group][]float64{}
-	r.each(func(v homeView) {
-		b, t := v.both()
-		if b.aps.n+t.aps.n == 0 {
-			return
+	for k, p := range r.placed(ro) {
+		if s := r.sums[k]; s.aps && p.group >= 0 {
+			out[Group(p.group)] = append(out[Group(p.group)], s.apMedian)
 		}
-		if g, ok := ro.group(v.id()); ok {
-			out[g] = append(out[g], quantile(0.5, &b.aps, &t.aps))
-		}
-	})
+	}
 	for g := range out {
-		sort.Float64s(out[g])
+		stats.SortFloats(out[g])
 	}
 	return out
 }
@@ -157,14 +141,11 @@ func (r *Rollup) VisibleAPsByGroup(ro *Roster) map[Group][]float64 {
 // Ethernet ports (9%)"). Homes are the group's whole roster.
 func (r *Rollup) AllFourPortsShares(ro *Roster) map[Group]float64 {
 	var full [2]int
-	r.each(func(v homeView) {
-		if v.census().maxWired < 4 {
-			return
+	for k, p := range r.placed(ro) {
+		if p.group >= 0 && r.sums[k].census.maxWired >= 4 {
+			full[p.group]++
 		}
-		if g, ok := ro.group(v.id()); ok {
-			full[g]++
-		}
-	})
+	}
 	out := map[Group]float64{}
 	for _, g := range []Group{Developed, Developing} {
 		if n := len(ro.InGroup(g)); n > 0 {

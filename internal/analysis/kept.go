@@ -590,19 +590,6 @@ func (v homeView) eachDevice(fn func(deviceSeen)) {
 	}
 }
 
-// deviceCount counts the router's distinct sighted devices, base and
-// tail.
-func (v homeView) deviceCount() int {
-	b, t := v.both()
-	n := len(b.seen)
-	for dev := range t.seen {
-		if _, ok := b.seen[dev]; !ok {
-			n++
-		}
-	}
-	return n
-}
-
 // KeptRows counts the kept rows the view was folded from, per kind;
 // Routers and Flows are zero.
 func (r *Rollup) KeptRows() dataset.RowCounts {
@@ -621,25 +608,26 @@ var tableKinds = [...]KindSet{HasCapacity, HasUptime, HasCensus, HasWiFi, HasTra
 // lacks counting as one of country "".
 type KindCount struct{ Routers, Countries int }
 
-// KindCounts counts Table 2's rows in one pass over the homes: a home
-// adds itself to each kind it has rows of, and its country's kinds to
-// one map. Rows come back in Table 2's order: capacity, uptime,
+// KindCounts counts Table 2's rows in one pass over the home summaries:
+// a home adds itself to each kind it has rows of, and its country's
+// kinds to one map. Rows come back in Table 2's order: capacity, uptime,
 // censuses, WiFi scans, flows.
 func (r *Rollup) KindCounts(roster map[string]string) [len(tableKinds)]KindCount {
 	var out [len(tableKinds)]KindCount
 	countries := make(map[string]KindSet, 32)
-	r.each(func(v homeView) {
-		has := v.has()
-		if has == 0 {
-			return
+	for _, s := range r.sums {
+		if s.has == 0 {
+			continue
 		}
 		for i, k := range tableKinds {
-			if has&k != 0 {
+			if s.has&k != 0 {
 				out[i].Routers++
 			}
 		}
-		countries[roster[v.id()]] |= has
-	})
+		if c := roster[s.id()]; countries[c]&s.has != s.has {
+			countries[c] |= s.has
+		}
+	}
 	for _, has := range countries {
 		for i, k := range tableKinds {
 			if has&k != 0 {

@@ -5,8 +5,8 @@ import (
 	"cmp"
 	"maps"
 	"slices"
-	"sort"
 	"strings"
+	"sync"
 
 	"natpeek/internal/dataset"
 	"natpeek/internal/mac"
@@ -31,7 +31,8 @@ import (
 // Partial's folded rollup, frozen at Capture, with the live tail's own
 // rollup laid over it: each method adds base and tail per home as it
 // reads, and neither side is copied or changed. Either way it carries a
-// page summary per home (summary.go), which Figs. 15–19 read.
+// page summary per home (summary.go), which every per-home exhibit
+// reads.
 type Rollup struct {
 	homes     []*home          // the base, first-seen order
 	byID      map[string]int32 // the base's home positions
@@ -46,6 +47,10 @@ type Rollup struct {
 	order []int32
 	pop   popCounts
 	made  int
+	// The roster laid over the summaries (placed), for the last roster
+	// asked for.
+	placeMu sync.Mutex
+	place   placement
 }
 
 // rollup is the foldable state behind a Rollup. A router is held as a
@@ -215,6 +220,22 @@ func (f *fleetTable) push(d deviceTotals) int32 {
 
 func (f *fleetTable) add(i int32, bytes int64) { f.own(i / fleetChunk)[i%fleetChunk].bytes += bytes }
 
+// joined records that device i is in one more home than the one its
+// entry names.
+func (f *fleetTable) joined(i int32) { f.own(i / fleetChunk)[i%fleetChunk].home = manyHomes }
+
+// find returns dev's position, -1 when no flow row names it.
+func (f *fleetTable) find(dev mac.Addr) int32 {
+	for c, ch := range f.chunks {
+		for j := range ch {
+			if ch[j].dev == dev {
+				return int32(c*fleetChunk + j)
+			}
+		}
+	}
+	return -1
+}
+
 // thaw copies the list of chunks, whose every chunk is then shared.
 func (f *fleetTable) thaw() {
 	f.chunks = slices.Clone(f.chunks)
@@ -222,13 +243,17 @@ func (f *fleetTable) thaw() {
 }
 
 // deviceTotals is one fleet device: its volume across the homes it is
-// in, and its Fig. 12 category, resolved when the fold first sees it (it
-// fits the padding after dev).
+// in, its Fig. 12 category, resolved when the fold first sees it (it
+// fits the padding after dev), and the position of the one home it is
+// in, manyHomes once it is in more than one (Fig. 20).
 type deviceTotals struct {
 	dev   mac.Addr
 	cat   uint8
+	home  int32
 	bytes int64
 }
+
+const manyHomes = -1
 
 // fig12Category is dev's Fig. 12 category as one plus its position in
 // ouidb.Categories, or 0 for a device Fig. 12 leaves out: the platform's
@@ -314,8 +339,10 @@ func (r *rollup) add(f *dataset.FlowRecord) {
 	if !ok {
 		fl, ok := r.fleetIdx[f.Device]
 		if !ok {
-			fl = r.fleet.push(deviceTotals{dev: f.Device, cat: fig12Category(f.Device)})
+			fl = r.fleet.push(deviceTotals{dev: f.Device, cat: fig12Category(f.Device), home: hi})
 			r.fleetIdx[f.Device] = fl
+		} else {
+			r.fleet.joined(fl)
 		}
 		dev = int32(len(h.devices))
 		r.devIdx[devKey{hi, f.Device}] = dev
@@ -864,7 +891,7 @@ func (r *Rollup) BusiestHome() string {
 func (r *Rollup) DeviceShares() [][]float64 {
 	var out [][]float64
 	for _, k := range r.order {
-		if s := r.sums[k]; (homeView{b: s.b, t: s.t}).has()&HasTraffic != 0 {
+		if s := r.sums[k]; s.has&HasTraffic != 0 {
 			out = append(out, s.shares)
 		}
 	}
@@ -882,7 +909,7 @@ func MeanTopShare(shares [][]float64, minDevices int) float64 {
 			tops = append(tops, sh[0])
 		}
 	}
-	sort.Float64s(tops)
+	stats.SortFloats(tops)
 	return stats.Mean(tops)
 }
 
@@ -1069,21 +1096,41 @@ type DomainShare struct {
 // has its mix read off that home's (device, domain) pairs with no copy:
 // see topDomains. Otherwise the mix is built whole (deviceMix) and cut.
 func (r *Rollup) DeviceDomains(dev mac.Addr, k int) []DomainShare {
-	var in homeView
-	homes := 0
-	r.each(func(v homeView) {
-		if v.hasDevice(dev) {
-			in = v
-			homes++
-		}
-	})
-	if homes == 1 && k <= maxTopDomains {
-		if out, ok := in.topDomains(dev, k); ok {
+	if v, ok := r.homeOf(dev); ok && k <= maxTopDomains {
+		if out, ok := v.topDomains(dev, k); ok {
 			return out
 		}
 	}
 	out := r.deviceMix(dev)
 	return out[:min(k, len(out))]
+}
+
+// homeOf returns the one home dev is in, found from its fleet entries,
+// base and tail; ok is false when it is in none or in more than one.
+func (r *Rollup) homeOf(dev mac.Addr) (v homeView, ok bool) {
+	var id string
+	sides := [2]*Rollup{r}
+	if r.tail != nil {
+		sides[1] = r.tail.roll
+	}
+	for _, side := range sides {
+		if side == nil {
+			continue
+		}
+		i := side.fleet.find(dev)
+		if i < 0 {
+			continue
+		}
+		h := side.fleet.at(i).home
+		if h == manyHomes || ok && side.homes[h].id != id {
+			return v, false
+		}
+		id, ok = side.homes[h].id, true
+	}
+	if !ok {
+		return v, false
+	}
+	return r.of(id), true
 }
 
 // maxTopDomains is the deepest cut of a mix topDomains makes.

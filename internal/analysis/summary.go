@@ -4,35 +4,188 @@ import (
 	"maps"
 	"slices"
 	"strings"
+	"sync/atomic"
+	"time"
 
+	"natpeek/internal/dataset"
 	"natpeek/internal/stats"
 )
 
-// A page summary is what Figs. 15–19 read of one home: its links against
-// its capacity, its devices' volume shares and its best domains by each
-// rank. The exhibits are cross-home aggregates of these per-home
-// statistics, so a page builds them from summaries: Saturation in router
-// order, PopularDomains from counts over them, and DeviceShares and
-// DomainShares (through homeView.top) in each's and first-flow order.
+// A page summary is what every per-home exhibit reads of one home: its
+// links against its capacity, its devices' volume shares and its best
+// domains by each rank (Figs. 15–19), and its kept-kind statistics
+// (Figs. 7–11, 13, Table 5, Table 2). The exhibits are cross-home
+// aggregates of these per-home statistics, so a page builds them from
+// summaries: Saturation in router order, PopularDomains from counts over
+// them, DeviceShares and DomainShares (through homeView.top) in each's
+// and first-flow order, and the kept-kind exhibits in one pass over them
+// with the page's roster laid over it (placed).
 //
 // A summary is computed from one pair of versions, base b and tail t
-// (either may be nil), and never changed after. A version a view may
-// read is never written again (rollup.own), so a later view whose home
-// has the same two versions has the same summary: the identity of the b
-// and t pointers is the whole staleness rule. A live page takes the last
-// page's summary of every home whose versions no fold and no tail row
-// has replaced since (Partial.last), and computes the others — the homes
-// that the rows since the last page, or a seal, touched. Its router
-// order and its Fig. 18 counts it takes from the last page too, changed
-// by the summaries it replaced.
+// (either may be nil), and never changed after, but for Fig. 13's cache
+// (diurnalAt). A version a view may read is never written again
+// (rollup.own), so a later view whose home has the same two versions
+// has the same summary: the identity of the b and t pointers is the
+// whole staleness rule. A live page takes the last page's summary of
+// every home whose versions no fold and no tail row has replaced since
+// (Partial.last), and computes the others — the homes that the rows
+// since the last page, or a seal, touched. Its router order and its
+// Fig. 18 counts it takes from the last page too, changed by the
+// summaries it replaced.
+//
+// Nothing in a summary depends on the roster: a re-registration moves a
+// router to another country without a new version of its home. A home's
+// group and country are looked up once per page (placed).
 type summary struct {
 	b, t   *home
 	links  []LinkSaturation         // its Fig. 15/16 points, by direction
 	shares []float64                // Fig. 17: its devices' shares, descending
 	top    [numRanks][]domainTotals // its ≤ rankDepth best domains by each rank, base and tail added
+	has    KindSet                  // Table 2
+	// Figs. 7 and 10: its distinct sighted devices, and how many of them
+	// were ever seen on 2.4 GHz and on 5 GHz.
+	devices, dev24, dev5 int32
+	// Table 5: whether some device sighted at least as often as the home
+	// took censuses was last seen wired, and whether one was last seen
+	// wireless. Read only where the home has censuses; the span test is
+	// the caller's (AlwaysConnected).
+	alwaysWired, alwaysWireless bool
+	// Fig. 11: whether it has 2.4 GHz scans, and their median.
+	aps      bool
+	apMedian float64
+	census   censusTotals // Figs. 8/9, Fig. 11's ports, Table 5; no bins
+	// diurnal is its Fig. 13 contribution for the last UTC shift a page
+	// asked for (diurnalAt).
+	diurnal atomic.Pointer[diurnal]
 }
 
 func (s *summary) id() string { return homeView{b: s.b, t: s.t}.id() }
+
+// newSummary computes v's summary.
+func newSummary(v homeView, sc *rankScratch, devs *[]float64) *summary {
+	s := &summary{b: v.b, t: v.t, links: v.links(), has: v.has(), census: v.census()}
+	if s.has&HasTraffic != 0 {
+		*devs = v.deviceBytes(*devs)
+		s.shares = stats.Share(*devs)
+		for rk := range s.top {
+			s.top[rk] = slices.Clone(v.top(rank(rk), rankDepth, sc))
+		}
+	}
+	w24, w5 := kindBit(dataset.Wireless24), kindBit(dataset.Wireless5)
+	v.eachDevice(func(d deviceSeen) {
+		s.devices++
+		if d.kinds&w24 != 0 {
+			s.dev24++
+		}
+		if d.kinds&w5 != 0 {
+			s.dev5++
+		}
+		if int64(d.count) >= s.census.n {
+			if d.kind == dataset.Wired {
+				s.alwaysWired = true
+			} else {
+				s.alwaysWireless = true
+			}
+		}
+	})
+	if b, t := v.both(); b.aps.n+t.aps.n > 0 {
+		s.aps, s.apMedian = true, quantile(0.5, &b.aps, &t.aps)
+	}
+	return s
+}
+
+// diurnal is one home's Fig. 13 contribution for a country shift half
+// hours from UTC: its wireless-device sums and census counts in the
+// local hours it has censuses in, in order.
+type diurnal struct {
+	shift int
+	cells []hourCell
+}
+
+// hourCell is one local hour of a week: weekday hours at 0–23, weekend
+// hours at 24–47.
+type hourCell struct {
+	at  uint8
+	n   int32
+	sum int64
+}
+
+// diurnalAt returns s's Fig. 13 contribution for a country shift half
+// hours from UTC: its half-hour-of-week bins rotated into local time.
+// It is kept for the last shift asked for, so a page rotates the bins
+// only of the homes whose versions or country changed since. Pages
+// that share the summary may ask at once: each then reads a
+// contribution made whole before it was stored.
+func (s *summary) diurnalAt(shift int) *diurnal {
+	if d := s.diurnal.Load(); d != nil && d.shift == shift {
+		return d
+	}
+	var hours [48]hourCell
+	used := 0
+	for _, h := range [2]*home{s.b, s.t} {
+		if h == nil {
+			continue
+		}
+		for _, b := range h.census.bins {
+			if b.n == 0 {
+				continue
+			}
+			local := (int(b.at) + shift + weekHalfHours) % weekHalfHours
+			at := local % 48 / 2
+			if day := time.Weekday(local / 48); day == time.Saturday || day == time.Sunday {
+				at += 24
+			}
+			if hours[at].n == 0 {
+				used++
+			}
+			hours[at].sum += b.sum
+			hours[at].n += b.n
+		}
+	}
+	d := &diurnal{shift: shift, cells: make([]hourCell, 0, used)}
+	for at, c := range hours {
+		if c.n > 0 {
+			c.at = uint8(at)
+			d.cells = append(d.cells, c)
+		}
+	}
+	s.diurnal.Store(d)
+	return d
+}
+
+// placement is a roster laid over a view's summaries: each home's group
+// and its country's UTC offset in half hours, by summary position,
+// looked up once per page and roster however many exhibits read them.
+type placement struct {
+	ro    *Roster
+	homes []placed
+}
+
+type placed struct {
+	group int8  // the home's Group, -1 where the roster does not know its country
+	shift int16 // its country's UTC offset, in half hours
+}
+
+// placed returns where ro puts r's homes, by summary position. It is
+// made at the first call with ro and kept for the next ones, and a page
+// whose homes are the last page's at the same positions starts from the
+// last page's (summarize); exhibits may call it at once.
+func (r *Rollup) placed(ro *Roster) []placed {
+	r.placeMu.Lock()
+	defer r.placeMu.Unlock()
+	if r.place.ro == ro && r.place.homes != nil {
+		return r.place.homes
+	}
+	homes := make([]placed, len(r.sums))
+	for k, s := range r.sums {
+		homes[k].group = -1
+		if c, ok := ro.country(s.id()); ok {
+			homes[k] = placed{group: int8(groupOf(c)), shift: int16(c.UTCOffset / (30 * time.Minute))}
+		}
+	}
+	r.place = placement{ro: ro, homes: homes}
+	return homes
+}
 
 // popularity is one domain's Fig. 18 counts: the homes that rank it in
 // their top 5 and in their top 10 by whitelisted volume.
@@ -59,21 +212,14 @@ func (r *Rollup) summarize(prev *Rollup) {
 			sums = append(sums, old[k])
 			return
 		}
-		s := &summary{b: v.b, t: v.t, links: v.links()}
-		if v.has()&HasTraffic != 0 {
-			devs = v.deviceBytes(devs)
-			s.shares = stats.Share(devs)
-			for rk := range s.top {
-				s.top[rk] = slices.Clone(v.top(rank(rk), rankDepth, &sc))
-			}
-		}
-		sums = append(sums, s)
+		sums = append(sums, newSummary(v, &sc, &devs))
 		r.made++
 	})
 	r.sums = sums
 	// The homes' IDs are those at the same positions on the last page
 	// where every summary that changed names the same home: then so does
-	// its router order.
+	// its router order, and so does where the last page's roster put
+	// them (placed).
 	same := prev != nil && len(sums) == len(old)
 	r.pop = popCounts{}
 	if prev != nil {
@@ -93,6 +239,9 @@ func (r *Rollup) summarize(prev *Rollup) {
 	}
 	if same {
 		r.order = prev.order
+		prev.placeMu.Lock()
+		r.place = prev.place
+		prev.placeMu.Unlock()
 		return
 	}
 	r.order = make([]int32, len(sums))

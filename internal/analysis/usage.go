@@ -10,38 +10,24 @@ import (
 
 // DiurnalDevices aggregates the Devices censuses into mean connected
 // wireless devices per local hour, split weekday/weekend — Fig. 13. Each
-// router's half-hour-of-week bins are rotated by its country's offset;
-// routers of unknown country are left out.
+// router's half-hour-of-week bins are rotated by its country's offset
+// (summary.diurnalAt); routers of unknown country are left out.
 func (r *Rollup) DiurnalDevices(ro *Roster) (weekday, weekend stats.HourBins) {
-	var sums [2][24]int64
-	var counts [2][24]int
-	r.each(func(v homeView) {
-		c, ok := ro.country(v.id())
-		if !ok {
-			return
+	var sums [48]int64
+	var counts [48]int
+	for k, p := range r.placed(ro) {
+		s := r.sums[k]
+		if p.group < 0 || s.has&HasCensus == 0 {
+			continue
 		}
-		shift := int(c.UTCOffset / (30 * time.Minute))
-		for _, h := range [2]*home{v.b, v.t} {
-			if h == nil {
-				continue
-			}
-			for _, b := range h.census.bins {
-				if b.n == 0 {
-					continue
-				}
-				local := (int(b.at) + shift + weekHalfHours) % weekHalfHours
-				we := 0
-				if day := time.Weekday(local / 48); day == time.Saturday || day == time.Sunday {
-					we = 1
-				}
-				sums[we][local%48/2] += b.sum
-				counts[we][local%48/2] += int(b.n)
-			}
+		for _, c := range s.diurnalAt(int(p.shift)).cells {
+			sums[c.at] += c.sum
+			counts[c.at] += int(c.n)
 		}
-	})
+	}
 	for h := 0; h < 24; h++ {
-		weekday.Sum[h], weekday.Count[h] = float64(sums[0][h]), counts[0][h]
-		weekend.Sum[h], weekend.Count[h] = float64(sums[1][h]), counts[1][h]
+		weekday.Sum[h], weekday.Count[h] = float64(sums[h]), counts[h]
+		weekend.Sum[h], weekend.Count[h] = float64(sums[24+h]), counts[24+h]
 	}
 	return weekday, weekend
 }

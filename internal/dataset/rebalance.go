@@ -76,20 +76,21 @@ func (s *Sharded) ExtractRows(match func(string) bool) *Store {
 // slices, and segments left empty vanish — a later Merge interleaves the
 // survivors exactly as if the moved rows had never arrived. The re-based
 // segments would mislead a cursor taken before, so the extraction is
-// counted, and MergeFrom starts such a cursor over. Caller holds all
-// stripe locks.
+// counted, and MergeFrom starts such a cursor over — which reads the
+// whole roster, so the roster's change log starts over too. Caller holds
+// all stripe locks.
 func (s *Sharded) extractLocked(match func(string) bool) *Store {
 	moved := newRows()
 	refs := s.refsFrom(Cursor{}) // before any stripe's log is rebuilt
 	s.extracts++
 	for _, sh := range s.shards {
-		for id, cc := range sh.store.RouterCountry {
+		for id, cc := range sh.roster {
 			if match(id) {
 				moved.RouterCountry[id] = cc
-				delete(sh.store.RouterCountry, id)
+				delete(sh.roster, id)
 			}
 		}
-		sh.store, sh.segs, sh.lens = &Store{RouterCountry: sh.store.RouterCountry}, nil, [NumKinds]int{}
+		sh.store, sh.segs, sh.lens, sh.regs = &Store{RouterCountry: sh.store.RouterCountry}, nil, [NumKinds]int{}, nil
 	}
 	for _, r := range refs {
 		kind, kept := &Kinds[r.kind], r.sh.store

@@ -44,11 +44,24 @@ type segment struct {
 // the heartbeat log is shared and internally synchronized), its
 // arrival-order segment log, and the store's per-kind lengths as of the
 // last recorded apply — what the next apply's growth is measured from.
+// Its roster is kept beside the store: an apply registers into the
+// store's RouterCountry, which is empty before it, and record moves what
+// it registered into roster, logging each router whose country that
+// changed in regs.
 type shard struct {
-	mu    sync.Mutex
-	store *Store
-	segs  []segment
-	lens  [NumKinds]int
+	mu     sync.Mutex
+	store  *Store
+	segs   []segment
+	lens   [NumKinds]int
+	roster map[string]string
+	regs   []reg
+}
+
+// reg is one change to a stripe's roster: a router registered, or moved
+// to another country, stamped from the store's registration sequence.
+type reg struct {
+	at uint64
+	id string
 }
 
 // Sharded is a lock-striped store for concurrent ingestion.
@@ -61,7 +74,8 @@ type Sharded struct {
 	shards []*shard
 	dedupe *Dedupe // one stripe per shard, routed by the same hash
 	seq    atomic.Uint64
-	rows   atomic.Int64 // rows held across all stripes and kinds
+	regSeq atomic.Uint64 // stamps roster changes (reg)
+	rows   atomic.Int64  // rows held across all stripes and kinds
 	// extracts counts extractions; every stripe lock guards it, so a
 	// reader holding all of them sees the segments it counts.
 	extracts uint64
@@ -77,7 +91,7 @@ func NewSharded(n int) *Sharded { return NewShardedOver(NewDedupe(n, 0)) }
 func NewShardedOver(d *Dedupe) *Sharded {
 	s := &Sharded{Heartbeats: heartbeat.NewLog(), shards: make([]*shard, len(d.stripes)), dedupe: d}
 	for i := range s.shards {
-		s.shards[i] = &shard{store: newRows()}
+		s.shards[i] = &shard{store: newRows(), roster: make(map[string]string)}
 	}
 	return s
 }
@@ -99,7 +113,8 @@ func (s *Sharded) lockAll() (unlock func()) {
 // honoring the idempotency key: a key already in the dedupe index is
 // skipped and Apply reports false. The apply closure must only
 // append rows and set roster entries — it sees the shard's private
-// Store, and anything else it does is invisible to Merge.
+// Store, whose RouterCountry holds only what it registers, and anything
+// else it does is invisible to Merge.
 //
 // The dedupe index is striped alongside the data: keys are prefixed with
 // the router ID by every client, so a key's replays always route to the
@@ -129,7 +144,8 @@ func (s *Sharded) Append(router string, apply func(*Store)) {
 }
 
 // record turns the slice growth of one apply into sequence-stamped
-// segments and adds it to the row tally. Must be called with the shard
+// segments and adds it to the row tally, and moves what it registered
+// into the stripe's roster (register). Must be called with the shard
 // lock held; the sequence is taken after the apply so segments within a
 // shard are seq-ordered.
 //
@@ -161,6 +177,24 @@ func (s *Sharded) record(sh *shard) {
 		sh.segs = append(sh.segs, segment{kind: uint8(k), off: before, n: grown, seq: s.seq.Add(1)})
 	}
 	s.rows.Add(int64(total))
+	s.register(sh)
+}
+
+// register moves the routers an apply registered into the stripe's
+// roster, and logs those it adds or moves. The next apply registers
+// into a new map: clearing or ranging a map costs as much as it ever
+// held, and an apply that registers is rare.
+func (s *Sharded) register(sh *shard) {
+	if len(sh.store.RouterCountry) == 0 {
+		return
+	}
+	for id, cc := range sh.store.RouterCountry {
+		if old, ok := sh.roster[id]; !ok || old != cc {
+			sh.roster[id] = cc
+			sh.regs = append(sh.regs, reg{at: s.regSeq.Add(1), id: id})
+		}
+	}
+	sh.store.RouterCountry = make(map[string]string)
 }
 
 // Rows returns the number of rows held across every kind: the running
@@ -179,7 +213,7 @@ func (s *Sharded) RowCounts() RowCounts {
 	var rc RowCounts
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		rc.Routers += len(sh.store.RouterCountry)
+		rc.Routers += len(sh.roster)
 		rc.Add(CountRows(sh.store))
 		sh.mu.Unlock()
 	}
@@ -196,7 +230,7 @@ func (s *Sharded) Roster() map[string]string {
 func (s *Sharded) rosterLocked() map[string]string {
 	out := make(map[string]string)
 	for _, sh := range s.shards {
-		for id, cc := range sh.store.RouterCountry {
+		for id, cc := range sh.roster {
 			out[id] = cc
 		}
 	}
@@ -217,6 +251,7 @@ func (s *Sharded) Merge() *Store {
 type Cursor struct {
 	seq      uint64 // the last segment read
 	n        int    // its rows read
+	reg      uint64 // the last roster change read
 	extracts uint64 // the store's extractions as of the read
 }
 
@@ -225,19 +260,24 @@ type Cursor struct {
 func (c Cursor) Restarted(from Cursor) bool { return c.extracts != from.extracts }
 
 // MergeFrom is Merge from c on: the rows recorded since the read that
-// returned c, in global arrival order, with the whole roster, and the
-// cursor past them. A record only ever grows the globally latest segment
-// in place (see record), so the rows after c are a suffix of what Merge
-// would return, and a chain of MergeFrom results from the zero Cursor
-// concatenates to Merge. An extraction re-bases the segments a cursor
-// points into: a cursor taken before one reads from the start.
+// returned c, in global arrival order, the routers registered or moved
+// since, with their countries as Merge has them, and the cursor past
+// them. A record only ever grows the globally latest segment in place
+// (see record), so the rows after c are a suffix of what Merge would
+// return: a chain of MergeFrom results from the zero Cursor concatenates
+// to Merge, and its rosters laid over one another, later ones winning,
+// are Merge's. An extraction re-bases the segments a cursor points into
+// and takes routers off the roster: a cursor taken before one reads from
+// the start, the whole roster included.
 func (s *Sharded) MergeFrom(c Cursor) (*Store, Cursor) {
 	defer s.lockAll()()
 	if c.extracts != s.extracts {
 		c = Cursor{extracts: s.extracts}
 	}
 	refs := s.refsFrom(c)
-	out := &Store{Heartbeats: s.Heartbeats, RouterCountry: s.rosterLocked()}
+	roster := s.rosterSince(c.reg)
+	c.reg = s.regSeq.Load()
+	out := &Store{Heartbeats: s.Heartbeats, RouterCountry: roster}
 	var total RowCounts
 	for _, r := range refs {
 		*Kinds[r.kind].Count(&total) += r.n
@@ -256,6 +296,33 @@ func (s *Sharded) MergeFrom(c Cursor) (*Store, Cursor) {
 		c.n += last.n
 	}
 	return out, c
+}
+
+// rosterSince returns the routers whose registration changed after
+// roster change at, the whole roster for 0, each with the country Merge
+// gives it: a router registered in several stripes has the last
+// stripe's. Callers must hold all stripe locks. Each stripe's log is in
+// stamp order (stamps are taken under the stripe lock), so it is
+// searched for its first change past at.
+func (s *Sharded) rosterSince(at uint64) map[string]string {
+	if at == 0 {
+		return s.rosterLocked()
+	}
+	out := make(map[string]string)
+	for _, sh := range s.shards {
+		i := sort.Search(len(sh.regs), func(i int) bool { return sh.regs[i].at > at })
+		for _, r := range sh.regs[i:] {
+			out[r.id] = ""
+		}
+	}
+	for id := range out {
+		for _, sh := range s.shards {
+			if cc, ok := sh.roster[id]; ok {
+				out[id] = cc
+			}
+		}
+	}
+	return out
 }
 
 // ref is one shard-local segment, or the rows of one past a cursor, with

@@ -4,9 +4,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -478,8 +480,9 @@ func TestMergeFromMatchesMerge(t *testing.T) {
 	}
 }
 
-// chainOn appends part's rows to chain (nil: none yet) and takes part's
-// roster and heartbeat log, which MergeFrom returns whole.
+// chainOn appends part's rows to chain (nil: none yet), lays part's
+// roster — the routers registered or moved since the last read — over
+// chain's, and takes part's heartbeat log.
 func chainOn(chain, part *Store) *Store {
 	if chain == nil {
 		return part
@@ -487,6 +490,59 @@ func chainOn(chain, part *Store) *Store {
 	for _, k := range Kinds {
 		k.Append(chain, part, 0, k.Len(part))
 	}
-	chain.RouterCountry, chain.Heartbeats = part.RouterCountry, part.Heartbeats
+	maps.Copy(chain.RouterCountry, part.RouterCountry)
+	chain.Heartbeats = part.Heartbeats
 	return chain
+}
+
+// TestMergeFromRosterHoldsOnlyChanges: a read from a cursor returns the
+// routers registered or moved since, not the roster: a registration to
+// the country a router already has is no change. Moves follow Merge's
+// roster, also for a router registered in more than one stripe, where
+// Merge gives the last stripe's country; and the chain's rosters, later
+// ones winning, stay Merge's.
+func TestMergeFromRosterHoldsOnlyChanges(t *testing.T) {
+	s := NewSharded(4)
+	var chain *Store
+	var c Cursor
+	read := func(what string, want ...string) {
+		t.Helper()
+		part, next := s.MergeFrom(c)
+		chain, c = chainOn(chain, part), next
+		var got []string
+		for id := range part.RouterCountry {
+			got = append(got, id)
+		}
+		if slices.Sort(got); !slices.Equal(got, want) {
+			t.Errorf("%s: the read's roster names %v, want %v", what, got, want)
+		}
+		if m := s.Merge(); !maps.Equal(chain.RouterCountry, m.RouterCountry) {
+			t.Fatalf("%s: the chain's roster is %v, Merge's %v", what, chain.RouterCountry, m.RouterCountry)
+		}
+	}
+	register := func(stripe string, ids map[string]string) {
+		s.Append(stripe, func(st *Store) { maps.Copy(st.RouterCountry, ids) })
+	}
+	register("a", map[string]string{"r1": "US", "r2": "US", "r3": "IN"})
+	read("first read", "r1", "r2", "r3")
+	read("nothing since")
+	register("a", map[string]string{"r1": "US", "r2": "US"})
+	s.Append("a", func(st *Store) {
+		st.RouterCountry["r1"] = "US"
+		st.Uptime = append(st.Uptime, UptimeReport{RouterID: "r1", ReportedAt: shardT0})
+	})
+	read("the same countries again")
+	register("a", map[string]string{"r2": "PK"})
+	register("b", map[string]string{"r4": "BR"})
+	read("a move and a join", "r2", "r4")
+	// r3 goes into a second stripe too; Merge gives it the later
+	// stripe's country, whichever that is.
+	other := "b"
+	for i := 0; s.dedupe.stripeOf(other) == s.dedupe.stripeOf("a"); i++ {
+		other = fmt.Sprintf("b%d", i)
+	}
+	for _, cc := range []string{"ZA", "IN", "ZA"} {
+		register(other, map[string]string{"r3": cc})
+		read("r3 registered in a second stripe as "+cc, "r3")
+	}
 }

@@ -93,16 +93,22 @@ var cdfPoints = [...]struct {
 	label string
 }{{0.10, "p10="}, {0.25, "p25="}, {0.50, "p50="}, {0.75, "p75="}, {0.90, "p90="}}
 
-// cdfLine formats an empirical CDF as quantile points, each %.3g: one
-// sorted copy of xs, and each point read off it (stats.QuantileRuns) —
-// the values stats.Quantile selects, since a sample's order statistics
-// are the same however they are found.
+// cdfLine formats an empirical CDF as quantile points, each %.3g, from
+// one sorted copy of xs (cdfSorted).
 func cdfLine(xs []float64, unit string) string {
-	if len(xs) == 0 {
-		return "(no samples)"
-	}
 	sorted := slices.Clone(xs)
 	stats.SortFloats(sorted)
+	return cdfSorted(sorted, unit)
+}
+
+// cdfSorted is cdfLine of a sample already in stats.SortFloats' order:
+// each point is read off it (stats.QuantileRuns) — the values
+// stats.Quantile selects, since a sample's order statistics are the
+// same however they are found.
+func cdfSorted(sorted []float64, unit string) string {
+	if len(sorted) == 0 {
+		return "(no samples)"
+	}
 	b := make([]byte, 0, len(cdfPoints)*(len("p10=1.23e+05  ")+len(unit)))
 	for i, p := range cdfPoints {
 		if i > 0 {

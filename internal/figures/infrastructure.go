@@ -16,7 +16,7 @@ func fig7(v *analysis.Rollup) *Report {
 		PaperClaim: "more than half of homes have ≥5 devices; ≈7 devices on average",
 	}
 	uniq := v.UniqueDevicesPerHome()
-	// Counts sum exactly in any order: no need to sort the homes.
+	// Counts sum exactly in any order: the sample is sorted in place.
 	xs := make([]float64, 0, len(uniq))
 	atLeast5 := 0
 	for _, n := range uniq {
@@ -29,7 +29,8 @@ func fig7(v *analysis.Rollup) *Report {
 		r.add("(no device data)")
 		return r
 	}
-	r.add("homes=%d  CDF: %s", len(xs), cdfLine(xs, ""))
+	stats.SortFloats(xs)
+	r.add("homes=%d  CDF: %s", len(xs), cdfSorted(xs, ""))
 	r.add("mean=%.2f  share with ≥5 devices=%.0f%%",
 		stats.Mean(xs), 100*float64(atLeast5)/float64(len(xs)))
 	return r
@@ -94,8 +95,8 @@ func fig10(v *analysis.Rollup) *Report {
 		r.add("(no data)")
 		return r
 	}
-	r.add("2.4GHz CDF: %s  median=%.1f", cdfLine(b24, ""), stats.Median(b24))
-	r.add("5GHz   CDF: %s  median=%.1f", cdfLine(b5, ""), stats.Median(b5))
+	r.add("2.4GHz CDF: %s  median=%.1f", cdfSorted(b24, ""), stats.QuantileRuns(0.5, b24))
+	r.add("5GHz   CDF: %s  median=%.1f", cdfSorted(b5, ""), stats.QuantileRuns(0.5, b5))
 	return r
 }
 
@@ -114,7 +115,7 @@ func fig11(v *analysis.Rollup, ro *analysis.Roster) *Report {
 			continue
 		}
 		r.add("%-10s homes=%-4d CDF: %s  median=%.1f",
-			g, len(xs), cdfLine(xs, ""), stats.Median(xs))
+			g, len(xs), cdfSorted(xs, ""), stats.QuantileRuns(0.5, xs))
 	}
 	ports := v.AllFourPortsShares(ro)
 	r.add("all-4-ethernet-ports share: developed=%.0f%% developing=%.0f%% (paper: 9%% both)",

@@ -84,11 +84,13 @@ func fig15(sats []analysis.LinkSaturation) *Report {
 			downUtil = append(downUtil, s.Utilization)
 		}
 	}
+	stats.SortFloats(downUtil)
+	stats.SortFloats(upUtil)
 	if len(downUtil) > 0 {
-		r.add("downlink n=%-3d util CDF: %s", len(downUtil), cdfLine(downUtil, ""))
+		r.add("downlink n=%-3d util CDF: %s", len(downUtil), cdfSorted(downUtil, ""))
 	}
 	if len(upUtil) > 0 {
-		r.add("uplink   n=%-3d util CDF: %s  homes>1.0=%d", len(upUtil), cdfLine(upUtil, ""), over)
+		r.add("uplink   n=%-3d util CDF: %s  homes>1.0=%d", len(upUtil), cdfSorted(upUtil, ""), over)
 	}
 	under50 := 0
 	for _, u := range downUtil {

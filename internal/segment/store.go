@@ -853,9 +853,11 @@ type TailCursor struct {
 func (c TailCursor) Gen() uint64 { return c.gen }
 
 // TailFrom returns the tail rows recorded since the read that returned
-// c, with the whole tail's roster and the heartbeat log, and the cursor
-// past them. The incremental dashboard folds sealed chunks once and
-// each page only the tail rows since the last.
+// c, the routers registered or moved in the tail since (each with its
+// country as the whole tail's roster has it), the heartbeat log, and
+// the cursor past them. The incremental dashboard folds sealed chunks
+// once and each page only the tail rows since the last; a chain of
+// reads laid over one another, later rosters winning, is the tail.
 //
 // It returns the whole tail, and sets fresh, when c cannot be continued:
 // a generation was published since (its rows left the tail), c's
@@ -870,11 +872,6 @@ func (s *Store) TailFrom(c TailCursor) (tail *dataset.Store, next TailCursor, fr
 		if c.gen == gen && c.mem == mem.n {
 			tail, next.at = mem.sh.MergeFrom(c.at)
 			if !next.at.Restarted(c.at) {
-				if frozen != nil {
-					ro := frozen.sh.Roster()
-					addRoster(ro, tail.RouterCountry)
-					tail.RouterCountry = ro
-				}
 				tail.Heartbeats = s.hb
 				return tail, next, false
 			}
