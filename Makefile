@@ -236,8 +236,10 @@ check-figures:
 	$(GO) test -race ./internal/analysis/ ./internal/figures/
 	$(GO) test -race -run 'TestMergeFromMatchesMerge|TestMergeFromRosterHoldsOnlyChanges' ./internal/dataset/
 	$(GO) test -race -run 'TestTable2CountsMatchStore|TestTailReadsOnlyNewRegistrations|TestCDFLineMatchesQuantile|TestOversaturatedRowMatchesFmt|TestAppendFixed2MatchesAppendFloat|TestReportSizeIsItsRendering' ./internal/figures/
-	$(GO) test -race -run 'TestManufacturerHistogramMatchesLookups|TestUtilizationSeriesMergesRuns|TestCarriedSummariesFollowTheRoster' ./internal/analysis/
-	$(GO) test -run 'TestSnapshotAllocBudget|TestAvailabilityAllocBudget|TestRenderWorkIsTailBound|TestPageWorkIsIncrementBound|TestLivePageAllocBudget|TestPageRecomputesOnlyTouchedHomes|TestExhibitLedger' ./internal/figures/
+	$(GO) test -race -run 'TestManufacturerHistogramMatchesLookups|TestUtilizationSeriesMergesRuns|TestCarriedSummariesFollowTheRoster|TestUsageCarriesAcrossPages' ./internal/analysis/
+	$(GO) test -race -run 'TestCarriedUsageMatchesBatch|TestPageRecomputesOnlyTouchedHomes' ./internal/figures/
+	$(GO) test -race -run 'TestRosterFollowsLatestRegistration' ./internal/dataset/
+	$(GO) test -run 'TestSnapshotAllocBudget|TestAvailabilityAllocBudget|TestRenderWorkIsTailBound|TestPageWorkIsIncrementBound|TestLivePageAllocBudget|TestLivePageBytesBudget|TestPageRecomputesOnlyTouchedHomes|TestExhibitLedger' ./internal/figures/
 	$(GO) test -run 'TestCaptureAfterSealIsHistoryFree|TestLiveSeriesAllocatesItsSize|TestUsageBeyondTheUS' ./internal/analysis/
 	$(GO) test -run 'TestQuantileMatchesSortOracle|TestQuantileAdversarialInputs|TestQuantileRunsZerosAndEmpties|TestSortFloatsMatchesSort|FuzzSortFloats' ./internal/stats/
 

@@ -416,7 +416,7 @@ func usageStore() *dataset.Store {
 
 func TestSaturation(t *testing.T) {
 	st := usageStore()
-	sats := RollupOf(st).Saturation()
+	sats := linksOf(RollupOf(st))
 	if len(sats) != 1 {
 		t.Fatalf("points = %d", len(sats))
 	}
@@ -441,7 +441,7 @@ func TestSaturationDirections(t *testing.T) {
 			Dir: dir, PeakBps: 3e6, TotalBytes: 1e6,
 		})
 	}
-	sats := RollupOf(st).Saturation()
+	sats := linksOf(RollupOf(st))
 	if len(sats) != 2 {
 		t.Fatalf("%d points, want one per direction: %+v", len(sats), sats)
 	}
@@ -468,7 +468,8 @@ func TestUtilizationSeriesSorted(t *testing.T) {
 
 func TestDeviceShares(t *testing.T) {
 	st := usageStore()
-	all := RollupOf(st).DeviceShares()
+	v := RollupOf(st)
+	all := sharesOf(v)
 	if len(all) != 1 { // us-1 is the one home with flows
 		t.Fatalf("shares for %d homes, want us-1's", len(all))
 	}
@@ -479,14 +480,14 @@ func TestDeviceShares(t *testing.T) {
 	if shares[0] < 0.8 { // 8.5e8 of 1e9
 		t.Fatalf("top share = %v", shares[0])
 	}
-	if top := MeanTopShare(all, 2); top != shares[0] {
+	if top := v.MeanTopShare(); top != 0 { // two devices: below the three it asks for
 		t.Fatalf("mean top = %v", top)
 	}
 }
 
 func TestPopularDomains(t *testing.T) {
 	st := usageStore()
-	pop := RollupOf(st).PopularDomains()
+	pop, _ := RollupOf(st).PopularDomains(math.MaxInt)
 	if len(pop) == 0 || pop[0].Top5 != 1 {
 		t.Fatalf("pop = %v", pop)
 	}

@@ -5,6 +5,7 @@ import (
 	"maps"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -174,4 +175,140 @@ func TestCarriedSummariesFollowTheRoster(t *testing.T) {
 		}
 		page(step, what)
 	}
+}
+
+// TestUsageCarriesAcrossPages: a chain of pages over one partial. A
+// page with no new rows takes the last page's usage aggregates as they
+// are — its samples, Fig. 16's rows, Fig. 18's counts, the first-flow
+// order — and its base's best devices. A page whose rows touch one home
+// changes the samples by that home's values only, and keeps the
+// first-flow order while no home has its first flow. A fold into the
+// base drops the best devices, and the next page finds them again.
+// Every page's usage exhibits equal a batch rollup's over its rows, to
+// the bit.
+func TestUsageCarriesAcrossPages(t *testing.T) {
+	s := rng.New(45).Child("usage")
+	st := keptMix(s, 40, 3_000)
+	for i := 0; i < 600; i++ {
+		st.Flows = append(st.Flows, dataset.FlowRecord{RouterID: fmt.Sprintf("mix-%03d", s.Intn(30)),
+			Device: dev(uint32(s.Intn(60))), Domain: fmt.Sprintf("d%d.com", s.Intn(25)),
+			DownBytes: int64(1 + s.Intn(1e6)), Conns: int64(1 + s.Intn(5))})
+	}
+	chunks := chunksOf(st, 4)
+	p := NewPartial()
+	for _, c := range chunks[:3] {
+		p.Fold(c)
+	}
+	rows := chunks // the page's rows in order: the base's, then the tail's
+	batch := func(what string, v *Rollup) {
+		t.Helper()
+		all := &dataset.Store{RouterCountry: st.RouterCountry}
+		for _, c := range rows {
+			for _, k := range dataset.Kinds {
+				k.Append(all, c, 0, k.Len(c))
+			}
+		}
+		want := RollupOf(all)
+		for _, m := range []struct {
+			name      string
+			got, want any
+		}{
+			{"Utilization(up)", v.Utilization("up"), want.Utilization("up")},
+			{"Utilization(down)", v.Utilization("down"), want.Utilization("down")},
+			{"Oversaturated", v.Oversaturated(), want.Oversaturated()},
+			{"MeanTopShare", v.MeanTopShare(), want.MeanTopShare()},
+			{"DomainShares", v.DomainShares(10), want.DomainShares(10)},
+			{"WhitelistedVolumeShare", v.WhitelistedVolumeShare(), want.WhitelistedVolumeShare()},
+			{"TopDevices", v.TopDevices(bestDepth), want.TopDevices(bestDepth)},
+		} {
+			if !reflect.DeepEqual(m.got, m.want) {
+				t.Errorf("%s: %s %v, batch %v", what, m.name, m.got, m.want)
+			}
+		}
+		if got, want := v.pop, want.pop; !maps.Equal(got, want) {
+			t.Errorf("%s: Fig. 18's counts %v, batch %v", what, got, want)
+		}
+	}
+	same := func(what string, a, b *Rollup) {
+		t.Helper()
+		for i := range a.samples {
+			if len(a.samples[i]) > 0 && &a.samples[i][0] != &b.samples[i][0] {
+				t.Errorf("%s: sample %d made again", what, i)
+			}
+		}
+		if len(a.over) > 0 && &a.over[0] != &b.over[0] {
+			t.Errorf("%s: Fig. 16's rows made again", what)
+		}
+		if reflect.ValueOf(a.pop).Pointer() != reflect.ValueOf(b.pop).Pointer() {
+			t.Errorf("%s: Fig. 18's counts made again", what)
+		}
+		if len(a.flow) == 0 || &a.flow[0] != &b.flow[0] {
+			t.Errorf("%s: the first-flow order made again", what)
+		}
+	}
+	sn := NewSnapshot(chunks[3])
+	sn.Capture(p)
+	v1 := sn.Rollup()
+	batch("the first page", v1)
+	v1.TopDevices(bestDepth)
+
+	sn = sn.Extend(&dataset.Store{RouterCountry: map[string]string{}})
+	sn.Capture(p)
+	v2 := sn.Rollup()
+	same("a page of no new rows", v1, v2)
+	if v2.best != v1.best || v2.best.devs == nil {
+		t.Error("a page of no new rows found the base's best devices again")
+	}
+	batch("a page of no new rows", v2)
+
+	// One home's rows: a flow to a new domain, a link sample each way.
+	home := &dataset.Store{RouterCountry: map[string]string{}}
+	home.Flows = []dataset.FlowRecord{{RouterID: "mix-001", Device: dev(7), Domain: "new.com", DownBytes: 5e6, Conns: 2}}
+	for _, dir := range []string{"up", "down"} {
+		home.Throughput = append(home.Throughput, dataset.ThroughputSample{RouterID: "mix-001", Dir: dir, PeakBps: 3e7,
+			Minute: time.Date(2013, 4, 1, 0, 0, 0, 0, time.UTC)})
+	}
+	rows = append(slices.Clip(rows), home)
+	sn = sn.Extend(home)
+	sn.Capture(p)
+	v3 := sn.Rollup()
+	for _, dir := range []string{"up", "down"} {
+		a, b := v2.Utilization(dir), v3.Utilization(dir)
+		if n := len(a) + len(b) - 2*commonCount(a, b); n > 2 {
+			t.Errorf("one home's rows changed %d of Fig. 15's %s values", n, dir)
+		}
+	}
+	if &v2.flow[0] != &v3.flow[0] {
+		t.Error("one home's rows made the first-flow order again")
+	}
+	if v3.best != v2.best {
+		t.Error("rows in the tail dropped the base's best devices")
+	}
+	batch("a page after one home's rows", v3)
+
+	p.Fold(home)
+	rows = []*dataset.Store{chunks[0], chunks[1], chunks[2], home, chunks[3]}
+	sn = NewSnapshot(chunks[3])
+	sn.Capture(p)
+	v4 := sn.Rollup()
+	if v4.best == v3.best {
+		t.Error("a fold into the base kept the base's best devices")
+	}
+	batch("a page after a fold", v4)
+}
+
+// commonCount is how many values a and b, both sorted, have in common.
+func commonCount(a, b []float64) int {
+	n := 0
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			a = a[1:]
+		case b[0] < a[0]:
+			b = b[1:]
+		default:
+			n, a, b = n+1, a[1:], b[1:]
+		}
+	}
+	return n
 }

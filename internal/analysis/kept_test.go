@@ -143,7 +143,7 @@ func TestKeptMatchesOracles(t *testing.T) {
 			wd, we := oracleDiurnalDevices(st)
 			gd, ge := v.DiurnalDevices(ro)
 			same("DiurnalDevices", [2]any{wd, we}, [2]any{gd, ge})
-			same("Saturation", oracleSaturation(st), v.Saturation())
+			same("Saturation", oracleSaturation(st), linksOf(v))
 			wa := AvailabilityWindow{From: time.Date(2013, 3, 25, 0, 0, 0, 0, time.UTC), To: time.Date(2013, 4, 30, 0, 0, 0, 0, time.UTC)}
 			gx := NewGapIndex(st.Heartbeats, wa)
 			for _, id := range st.Routers() {
@@ -368,7 +368,7 @@ func TestUtilizationSeriesMergesRuns(t *testing.T) {
 func TestManufacturerHistogramMatchesLookups(t *testing.T) {
 	byLookup := func(v *Rollup, minBytes int64) []ManufacturerCount {
 		counts := map[ouidb.Category]int{}
-		for _, d := range v.fleetTotals() {
+		for _, d := range fleetTotals(v) {
 			if d.bytes < minBytes || ouidb.IsBISmarkRouter(d.dev) {
 				continue
 			}
@@ -439,4 +439,21 @@ func TestManufacturerHistogramMatchesLookups(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fleetTotals is every device of v's fleet with its volume across the
+// homes it is in, base and tail added.
+func fleetTotals(v *Rollup) []deviceTotals {
+	var out []deviceTotals
+	v.fleet.each(func(_ int32, d deviceTotals) { out = append(out, d) })
+	if o := v.tail; o != nil {
+		o.roll.fleet.each(func(j int32, d deviceTotals) {
+			if i := o.fleet[j]; i >= 0 {
+				out[i].bytes += d.bytes
+			} else {
+				out = append(out, d)
+			}
+		})
+	}
+	return out
 }

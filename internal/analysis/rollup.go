@@ -41,12 +41,13 @@ type Rollup struct {
 	keptRows  dataset.RowCounts
 	tail      *overlay // nil when nothing lies over the base
 	// The page summaries (summary.go): one per home in each's order, their
-	// positions by router ID, Fig. 18's counts over them, and how many
-	// summarize computed rather than took from an earlier view.
+	// positions by router ID, their usage aggregates (usage.go), and how
+	// many summarize computed rather than took from an earlier view.
 	sums  []*summary
 	order []int32
-	pop   popCounts
-	made  int
+	usage
+	made int
+	best *fleetBest // the base fleet's best devices (TopDevices)
 	// The roster laid over the summaries (placed), for the last roster
 	// asked for.
 	placeMu sync.Mutex
@@ -85,6 +86,9 @@ type rollup struct {
 	// forked is the epoch of the last clone: a version from it or before
 	// may be shared with another rollup that also writes (series.copied).
 	forked uint64
+	best   *fleetBest // the fleet's best devices as of the last freeze: a write drops it
+	// overlays counts the overlays laid over it (overlay.seq).
+	overlays uint64
 }
 
 type domKey struct {
@@ -112,6 +116,9 @@ type home struct {
 	domains []domainTotals // first-seen order; may include the unnamed domain ""
 	devices []homeDevice   // first-seen order
 	pairs   []pairTotals   // one per (device, domain): Fig. 20's device mixes
+	// flows is the epoch the three were made or copied in: a copy shares
+	// them with its original until a flow row copies them (add).
+	flows uint64
 	// top caches the positions in domains of the ntop[rk] ≤ rankDepth
 	// best by each rank rk, as of the last settle.
 	top  [numRanks][rankDepth]int32
@@ -148,11 +155,12 @@ func (s *homeTotals) add(domain string, bytes, conns int64) {
 	}
 }
 
-func (s *homeTotals) merge(o homeTotals) {
-	s.bytes += o.bytes
-	s.namedBytes += o.namedBytes
-	s.namedConns += o.namedConns
-	s.whitelisted += o.whitelisted
+// merge adds o to s times: 1 adds it, -1 takes it away.
+func (s *homeTotals) merge(o homeTotals, times int64) {
+	s.bytes += times * o.bytes
+	s.namedBytes += times * o.namedBytes
+	s.namedConns += times * o.namedConns
+	s.whitelisted += times * o.whitelisted
 }
 
 type domainTotals struct {
@@ -323,12 +331,16 @@ func (r *rollup) add(f *dataset.FlowRecord) {
 	}
 	hi := r.at(f.RouterID)
 	h := r.own(hi)
-	if h.has&HasTraffic == 0 {
+	switch {
+	case h.has&HasTraffic == 0:
 		h.has |= HasTraffic
 		h.first = r.flowHomes
 		r.flowHomes++
 		h.domains, h.devices, h.pairs = carve(&r.slab.domains), carve(&r.slab.devices), carve(&r.slab.pairs)
+	case h.flows != r.epoch:
+		h.domains, h.devices, h.pairs = roomy(h.domains), roomy(h.devices), roomy(h.pairs)
 	}
+	h.flows = r.epoch
 	dom, ok := r.domIdx[domKey{hi, f.Domain}]
 	if !ok {
 		dom = int32(len(h.domains))
@@ -434,8 +446,9 @@ func carve[T any](a *[]T) []T {
 
 // own returns home i's version for writing, marked stale: itself when it
 // is private, else a copy that replaces it. A copy clones what folds
-// write in place — the flow entries, the device map, the bins — and
-// shares the settled runs, which are never written again (run); each
+// of kept kinds write in place — the device map, the bins — and shares
+// the flow entries until a flow row copies them (add) and the settled
+// runs, which are never written again (run); each
 // series copies its list of blocks only (series.copied), and its
 // descents are clipped, so the next one lands in an array of its own.
 func (r *rollup) own(i int32) *home {
@@ -443,9 +456,6 @@ func (r *rollup) own(i int32) *home {
 	if h.epoch != r.epoch {
 		c := *h
 		c.epoch = r.epoch
-		c.domains = roomy(h.domains)
-		c.devices = roomy(h.devices)
-		c.pairs = roomy(h.pairs)
 		c.seen = maps.Clone(h.seen)
 		c.census.bins = slices.Clone(h.census.bins)
 		for l := range c.links {
@@ -476,6 +486,7 @@ func (r *rollup) write(id string) *home { return r.own(r.at(id)) }
 func (r *rollup) thaw() {
 	r.homes = slices.Clone(r.homes)
 	r.fleet.thaw()
+	r.best = nil
 	r.epoch++
 	r.frozen = false
 }
@@ -520,7 +531,10 @@ func (r *rollup) settle() {
 // copies of r's slice headers and router index, so r can fold on.
 func (r *rollup) view() *Rollup {
 	r.freeze()
-	return &Rollup{homes: r.homes, byID: r.byID, fleet: r.fleet, flowHomes: r.flowHomes, keptRows: r.keptRows}
+	if r.best == nil && !r.unranked {
+		r.best = &fleetBest{}
+	}
+	return &Rollup{homes: r.homes, byID: r.byID, fleet: r.fleet, flowHomes: r.flowHomes, keptRows: r.keptRows, best: r.best}
 }
 
 // clone returns a rollup that shares r's versions until either side
@@ -551,6 +565,10 @@ type overlay struct {
 	fleet    []int32   // tail fleet device → base fleet device, or -1
 	base     *rollup
 	epoch    uint64
+	// seq numbers it among the overlays laid over base; from is the
+	// number of the one it extends, 0 for none. A number, not a pointer:
+	// a chain of overlays would keep every page's tail since the seal.
+	seq, from uint64
 }
 
 // overlay freezes r and lays t, a view of the rows after r's, over it.
@@ -566,14 +584,17 @@ func (r *rollup) overlay(t *Rollup, prev *overlay) *Rollup {
 	if len(t.homes) == 0 {
 		return v
 	}
+	r.overlays++
 	o := &overlay{
 		roll:  t,
 		dom:   make([][]int32, len(t.homes)),
 		dev:   make([][]int32, len(t.homes)),
 		base:  r,
 		epoch: r.epoch,
+		seq:   r.overlays,
 	}
 	if prev != nil && prev.base == r && prev.epoch == r.epoch {
+		o.from = prev.seq
 		o.onBase = slices.Clone(prev.onBase)
 		o.home = slices.Clip(prev.home)
 		o.fleet = slices.Clip(prev.fleet)
@@ -704,7 +725,7 @@ func (v homeView) totals() homeTotals {
 		s = v.b.homeTotals
 	}
 	if v.t != nil {
-		s.merge(v.t.homeTotals)
+		s.merge(v.t.homeTotals, 1)
 	}
 	return s
 }
@@ -758,13 +779,21 @@ type rankScratch struct {
 // so a domain outside the base's cached top k that the tail did not touch
 // still has k domains ahead of it: the candidates are that ranking plus
 // the tail's domains (the base's whole list when k is deeper than the
-// cache).
+// cache, or when the tail takes bytes or connections off a base domain).
 func (v homeView) top(rk rank, k int, sc *rankScratch) []domainTotals {
 	if v.s != nil && k <= rankDepth {
 		top := v.s.top[rk]
 		return top[:min(k, len(top))]
 	}
 	cached := v.b != nil && k <= rankDepth
+	if cached && v.t != nil {
+		for j := range v.t.domains {
+			if v.dom[j] >= 0 && rk.val(&v.t.domains[j]) < 0 {
+				cached = false
+				break
+			}
+		}
+	}
 	var top []int32
 	if cached {
 		top = v.b.top[rk][:v.b.ntop[rk]]
@@ -839,23 +868,6 @@ func rankInto(out []int32, ds []domainTotals, rk rank, k int) []int32 {
 	return top
 }
 
-// fleetTotals returns every device's volume across the homes it is in:
-// the base's devices, then those the tail has first.
-func (r *Rollup) fleetTotals() []deviceTotals {
-	out := make([]deviceTotals, 0, r.fleet.len())
-	r.fleet.each(func(_ int32, d deviceTotals) { out = append(out, d) })
-	if o := r.tail; o != nil {
-		o.roll.fleet.each(func(k int32, d deviceTotals) {
-			if i := o.fleet[k]; i >= 0 {
-				out[i].bytes += d.bytes
-			} else {
-				out = append(out, d)
-			}
-		})
-	}
-	return out
-}
-
 // RollupOf makes the one pass over st's rows.
 func RollupOf(st *dataset.Store) *Rollup {
 	r := newRollup(0)
@@ -884,34 +896,22 @@ func (r *Rollup) BusiestHome() string {
 	return best
 }
 
-// DeviceShares computes Fig. 17: for each home with flow rows, in
-// router-ID order, the descending fractional volume contribution of its
-// devices. The shares are the home summaries': callers must not modify
-// them.
-func (r *Rollup) DeviceShares() [][]float64 {
-	var out [][]float64
+// DeviceShares calls fn for each home with flow rows, in router-ID
+// order, with the descending fractional volume contribution of its
+// devices — Fig. 17. The shares are the home summaries': fn must not
+// modify them.
+func (r *Rollup) DeviceShares(fn func([]float64)) {
 	for _, k := range r.order {
 		if s := r.sums[k]; s.has&HasTraffic != 0 {
-			out = append(out, s.shares)
+			fn(s.shares)
 		}
 	}
-	return out
 }
 
-// MeanTopShare averages the dominant device's share across the homes of
-// a DeviceShares result with at least minDevices devices (§6.3: ≈60–65%).
-// The tops are summed in ascending order, as they always have been, so
-// the mean keeps its bits.
-func MeanTopShare(shares [][]float64, minDevices int) float64 {
-	var tops []float64
-	for _, sh := range shares {
-		if len(sh) >= minDevices {
-			tops = append(tops, sh[0])
-		}
-	}
-	stats.SortFloats(tops)
-	return stats.Mean(tops)
-}
+// MeanTopShare averages the dominant device's share across the homes
+// with at least three devices (§6.3: ≈60–65%). The tops are summed in
+// ascending order, as they always have been, so the mean keeps its bits.
+func (r *Rollup) MeanTopShare() float64 { return stats.Mean(r.samples[topShares]) }
 
 func isAnonToken(d string) bool {
 	return len(d) > 5 && d[:5] == "anon-"
@@ -925,27 +925,26 @@ type DomainPopularity struct {
 	Top10  int
 }
 
-// PopularDomains computes Fig. 18 ranked by top-5 appearances. Fig. 18
-// plots nameable domains; obfuscated tokens cannot appear on its x-axis.
-// The counts are the ones summarize keeps over the home summaries.
-func (r *Rollup) PopularDomains() []DomainPopularity {
-	if len(r.pop) == 0 {
-		return nil
-	}
-	out := make([]DomainPopularity, 0, len(r.pop))
+// PopularDomains computes Fig. 18 ranked by top-5 appearances: its
+// first k domains, and how many it ranks. Fig. 18 plots nameable
+// domains; obfuscated tokens cannot appear on its x-axis. The counts are
+// the ones summarize keeps over the home summaries; a page picks its
+// few from them without sorting them all.
+func (r *Rollup) PopularDomains(k int) (top []DomainPopularity, n int) {
 	for d, c := range r.pop {
-		out = append(out, DomainPopularity{Domain: d, Top5: c.top5, Top10: c.top10})
+		top = keep(top, DomainPopularity{Domain: d, Top5: c.top5, Top10: c.top10}, k, cmpPopularity)
 	}
-	slices.SortFunc(out, func(a, b DomainPopularity) int {
-		if a.Top5 != b.Top5 {
-			return cmp.Compare(b.Top5, a.Top5)
-		}
-		if a.Top10 != b.Top10 {
-			return cmp.Compare(b.Top10, a.Top10)
-		}
-		return strings.Compare(a.Domain, b.Domain)
-	})
-	return out
+	return top, len(r.pop)
+}
+
+func cmpPopularity(a, b DomainPopularity) int {
+	if a.Top5 != b.Top5 {
+		return cmp.Compare(b.Top5, a.Top5)
+	}
+	if a.Top10 != b.Top10 {
+		return cmp.Compare(b.Top10, a.Top10)
+	}
+	return strings.Compare(a.Domain, b.Domain)
 }
 
 // DomainShareCurves is Fig. 19: per home, domains ranked by volume with
@@ -963,28 +962,70 @@ type DomainShareCurves struct {
 	ConnShareByVolRank []float64
 }
 
-// DomainShares computes the Fig. 19 curves over the named domains.
+// shareTerms are one home's Fig. 19 terms to some depth, best first: its
+// domains' shares of its named volume and connections by volume rank
+// (vol, connOfVol) and by connection rank (conn); nil where it has no
+// named volume or no named connections. To rankDepth they lie in buf,
+// one allocation with the struct, which a page reads for every home.
+type shareTerms struct {
+	vol, connOfVol, conn []float64
+	buf                  [3 * rankDepth]float64
+}
+
+func (v homeView) shareTerms(depth int, sc *rankScratch) *shareTerms {
+	s := v.totals()
+	if s.namedBytes == 0 || s.namedConns == 0 {
+		return nil
+	}
+	volTotal, connTotal := float64(s.namedBytes), float64(s.namedConns)
+	byVol := v.top(byVolumeNamed, depth, sc)
+	t := &shareTerms{}
+	buf := t.buf[:2*len(byVol)]
+	if depth > rankDepth {
+		buf = make([]float64, 2*len(byVol), 3*depth)
+	}
+	t.vol, t.connOfVol = buf[:len(byVol)], buf[len(byVol):]
+	for i, d := range byVol {
+		t.vol[i] = float64(d.bytes) / volTotal
+		t.connOfVol[i] = float64(d.conns) / connTotal
+	}
+	t.conn = buf[len(buf):len(buf)]
+	for _, d := range v.top(byConnsNamed, depth, sc) {
+		t.conn = append(t.conn, float64(d.conns)/connTotal)
+	}
+	return t
+}
+
+// DomainShares computes the Fig. 19 curves over the named domains: the
+// homes' terms added in first-flow order, the order whose rounding a
+// chunked fold and a batch agree on. To rankDepth the terms are the
+// summaries'; deeper, each home's are ranked again.
 func (r *Rollup) DomainShares(maxRank int) DomainShareCurves {
 	out := DomainShareCurves{
 		VolumeShare:         make([]float64, maxRank),
 		ConnShareByConnRank: make([]float64, maxRank),
 		ConnShareByVolRank:  make([]float64, maxRank),
 	}
+	terms := func(k int32) *shareTerms { return r.sums[k].terms }
+	if maxRank > rankDepth {
+		var views []homeView
+		r.each(func(v homeView) { views = append(views, v) })
+		var sc rankScratch
+		terms = func(k int32) *shareTerms { return views[k].shareTerms(maxRank, &sc) }
+	}
 	n := 0
-	var sc rankScratch
-	for _, v := range r.byFirstFlow() {
-		s := v.totals()
-		if s.namedBytes == 0 || s.namedConns == 0 {
+	for _, k := range r.flow {
+		t := terms(k)
+		if t == nil {
 			continue
 		}
 		n++
-		volTotal, connTotal := float64(s.namedBytes), float64(s.namedConns)
-		for i, d := range v.top(byVolumeNamed, maxRank, &sc) {
-			out.VolumeShare[i] += float64(d.bytes) / volTotal
-			out.ConnShareByVolRank[i] += float64(d.conns) / connTotal
+		for i, x := range t.vol[:min(maxRank, len(t.vol))] {
+			out.VolumeShare[i] += x
+			out.ConnShareByVolRank[i] += t.connOfVol[i]
 		}
-		for i, d := range v.top(byConnsNamed, maxRank, &sc) {
-			out.ConnShareByConnRank[i] += float64(d.conns) / connTotal
+		for i, x := range t.conn[:min(maxRank, len(t.conn))] {
+			out.ConnShareByConnRank[i] += x
 		}
 	}
 	if n == 0 {
@@ -998,73 +1039,109 @@ func (r *Rollup) DomainShares(maxRank int) DomainShareCurves {
 	return out
 }
 
-// byFirstFlow returns the homes with flow rows in the order of their
-// first flow row, which float sums over homes must follow to give a
-// chunked fold's bits: a home the tail has first flows of comes after
-// the base's, in the tail's order.
-func (r *Rollup) byFirstFlow() []homeView {
-	out := make([]homeView, r.flowHomes)
-	r.each(func(v homeView) {
-		switch {
-		case v.b != nil && v.b.has&HasTraffic != 0:
-			out[v.b.first] = v
-		case v.t != nil && v.t.has&HasTraffic != 0:
-			out = append(out, v)
-		}
-	})
-	late := out[r.flowHomes:]
-	slices.SortFunc(late, func(a, b homeView) int { return cmp.Compare(a.t.first, b.t.first) })
-	return out
-}
-
 // WhitelistedVolumeShare returns the fraction of Traffic volume going to
 // named (non-anonymized) domains (§6.4: ≈65%).
 func (r *Rollup) WhitelistedVolumeShare() float64 {
-	var sum homeTotals
-	r.each(func(v homeView) { sum.merge(v.totals()) })
-	if sum.bytes == 0 {
+	if r.totals.bytes == 0 {
 		return 0
 	}
-	return float64(sum.whitelisted) / float64(sum.bytes)
+	return float64(r.totals.whitelisted) / float64(r.totals.bytes)
 }
+
+// fleetBest is a frozen fleet's bestDepth (Fig. 20's four) best devices,
+// found by the first view that asks and read by every view of the fleet.
+type fleetBest struct {
+	once sync.Once
+	devs []deviceTotals
+}
+
+const bestDepth = 4
 
 // TopDevices lists the k devices of the Traffic data set with the most
 // volume, all of them if there are fewer, ranked by volume, ties by
-// address (Fig. 20 picks its subjects from the first four). The running
-// top k is a heap with its lowest-ranked device on top, so a page ranks
-// its four in one pass over the fleet rather than sorting it.
+// address (Fig. 20 picks its subjects from the first four). To
+// bestDepth they are the page's carried best (bestDevices); where
+// those are unknown, as after a tail row that took volume off one, and
+// for a deeper k, every device is ranked.
 func (r *Rollup) TopDevices(k int) []mac.Addr {
-	vols := r.fleetTotals()
-	n := 0 // the heap is vols[:n]; vols[i] for i ≥ n is yet to be seen
-	for _, d := range vols {
-		j := n
-		switch {
-		case n < k:
-			n++
-		case n > 0 && cmpDevices(d, vols[0]) < 0:
-			j = 0
-		default:
-			continue
-		}
-		vols[j] = d
-		for j > 0 && cmpDevices(vols[(j-1)/2], vols[j]) < 0 { // up
-			vols[j], vols[(j-1)/2] = vols[(j-1)/2], vols[j]
-			j = (j - 1) / 2
-		}
-		for c := 2*j + 1; c < n; c = 2*j + 1 { // down
-			if c+1 < n && cmpDevices(vols[c+1], vols[c]) > 0 {
-				c++
+	if k <= bestDepth && r.devs != nil {
+		return deviceAddrs(r.devs[:min(k, len(r.devs))])
+	}
+	var top []deviceTotals
+	more := map[int32]int64{} // base device → its tail volume
+	if o := r.tail; o != nil {
+		o.roll.fleet.each(func(j int32, d deviceTotals) {
+			if i := o.fleet[j]; i >= 0 {
+				more[i] = d.bytes
+			} else {
+				top = keep(top, d, k, cmpDevices)
 			}
-			if cmpDevices(vols[j], vols[c]) >= 0 {
-				break
-			}
-			vols[j], vols[c] = vols[c], vols[j]
-			j = c
+		})
+	}
+	r.fleet.each(func(i int32, d deviceTotals) {
+		d.bytes += more[i]
+		top = keep(top, d, k, cmpDevices)
+	})
+	return deviceAddrs(top)
+}
+
+// bestDevices returns the page's bestDepth best devices, nil where a
+// tail row took volume off one. Volume only grows, so a device no row
+// touched stays behind the best it was behind: the best are among the
+// base's best and the tail's devices or, where the page's tail extends
+// the last page's over the same base, among the last page's best and
+// the devices of the homes whose summaries came.
+func (r *Rollup) bestDevices(prev *Rollup, came []*summary) []deviceTotals {
+	if r.best == nil {
+		return nil
+	}
+	b := r.best
+	b.once.Do(func() {
+		r.fleet.each(func(_ int32, d deviceTotals) { b.devs = keep(b.devs, d, bestDepth, cmpDevices) })
+	})
+	o, top := r.tail, slices.Clone(b.devs)
+	if o == nil {
+		return top
+	}
+	each := func(fn func(int32)) {
+		for j := range int32(o.roll.fleet.len()) {
+			fn(j)
 		}
 	}
-	top := vols[:n]
-	slices.SortFunc(top, cmpDevices)
-	return deviceAddrs(top)
+	if p := prev.tail; o.from != 0 && p != nil && p.base == o.base && o.from == p.seq && prev.devs != nil {
+		top, each = slices.Clone(prev.devs), func(fn func(int32)) {
+			for _, s := range came {
+				for _, dv := range s.t.devices {
+					fn(dv.fleet)
+				}
+			}
+		}
+	}
+	ok := true
+	each(func(j int32) {
+		d := o.roll.fleet.at(j)
+		if i := o.fleet[j]; i >= 0 {
+			d.bytes += r.fleet.at(i).bytes
+		}
+		if p := slices.IndexFunc(top, func(e deviceTotals) bool { return e.dev == d.dev }); p >= 0 {
+			ok = ok && d.bytes >= top[p].bytes
+			top = slices.Delete(top, p, p+1)
+		}
+		top = keep(top, d, bestDepth, cmpDevices)
+	})
+	if !ok {
+		return nil
+	}
+	return top
+}
+
+// keep puts x into top, which cmp orders, if it ranks among the first k,
+// and returns top: a running top k in one pass, without a sort.
+func keep[T any](top []T, x T, k int, cmp func(a, b T) int) []T {
+	if i, _ := slices.BinarySearchFunc(top, x, cmp); i < k {
+		top = slices.Insert(top[:min(len(top), k-1)], i, x)
+	}
+	return top
 }
 
 // cmpDevices ranks devices by volume, most first, ties by address.

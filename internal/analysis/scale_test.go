@@ -143,21 +143,21 @@ func TestScaleFigureBudgets(t *testing.T) {
 		return nil
 	})
 	figure("Saturation", func() error {
-		got := RollupOf(st).Saturation()
+		got := linksOf(RollupOf(st))
 		if len(got) == 0 {
 			return fmt.Errorf("no saturation points")
 		}
 		return nil
 	})
 	figure("DeviceShares", func() error {
-		got := RollupOf(st).DeviceShares()
+		got := sharesOf(RollupOf(st))
 		if len(got) == 0 {
 			return fmt.Errorf("no device shares")
 		}
 		return nil
 	})
 	figure("PopularDomains", func() error {
-		got := RollupOf(st).PopularDomains()
+		got, _ := RollupOf(st).PopularDomains(10)
 		if len(got) == 0 {
 			return fmt.Errorf("no popular domains")
 		}

@@ -1,7 +1,7 @@
 package analysis
 
 import (
-	"maps"
+	"cmp"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -12,14 +12,13 @@ import (
 )
 
 // A page summary is what every per-home exhibit reads of one home: its
-// links against its capacity, its devices' volume shares and its best
-// domains by each rank (Figs. 15–19), and its kept-kind statistics
-// (Figs. 7–11, 13, Table 5, Table 2). The exhibits are cross-home
-// aggregates of these per-home statistics, so a page builds them from
-// summaries: Saturation in router order, PopularDomains from counts over
-// them, DeviceShares and DomainShares (through homeView.top) in each's
-// and first-flow order, and the kept-kind exhibits in one pass over them
-// with the page's roster laid over it (placed).
+// links against its capacity, its devices' volume shares, its best
+// domains by each rank and their Fig. 19 share terms (Figs. 15–19), and
+// its kept-kind statistics (Figs. 7–11, 13, Table 5, Table 2). The
+// exhibits are cross-home aggregates of these per-home statistics, so a
+// page builds them from summaries: the kept-kind exhibits in one pass
+// over them with the page's roster laid over it (placed), and Figs.
+// 15–19 from aggregates a page carries over from the last (usage.go).
 //
 // A summary is computed from one pair of versions, base b and tail t
 // (either may be nil), and never changed after, but for Fig. 13's cache
@@ -29,18 +28,21 @@ import (
 // whole staleness rule. A live page takes the last page's summary of
 // every home whose versions no fold and no tail row has replaced since
 // (Partial.last), and computes the others — the homes that the rows
-// since the last page, or a seal, touched. Its router order and its
-// Fig. 18 counts it takes from the last page too, changed by the
-// summaries it replaced.
+// since the last page, or a seal, touched. Its router order, its
+// first-flow order and its usage aggregates it takes from the last page
+// too, changed by the summaries it replaced.
 //
 // Nothing in a summary depends on the roster: a re-registration moves a
 // router to another country without a new version of its home. A home's
 // group and country are looked up once per page (placed).
 type summary struct {
 	b, t   *home
-	links  []LinkSaturation         // its Fig. 15/16 points, by direction
+	links  []LinkSaturation         // its Fig. 15 points, by direction
+	over   string                   // Fig. 16: its uplink's row where the uplink is oversaturated, else ""
 	shares []float64                // Fig. 17: its devices' shares, descending
 	top    [numRanks][]domainTotals // its ≤ rankDepth best domains by each rank, base and tail added
+	terms  *shareTerms              // Fig. 19, to rankDepth; nil without named volume and connections
+	totals homeTotals               // its flow totals
 	has    KindSet                  // Table 2
 	// Figs. 7 and 10: its distinct sighted devices, and how many of them
 	// were ever seen on 2.4 GHz and on 5 GHz.
@@ -63,13 +65,16 @@ func (s *summary) id() string { return homeView{b: s.b, t: s.t}.id() }
 
 // newSummary computes v's summary.
 func newSummary(v homeView, sc *rankScratch, devs *[]float64) *summary {
-	s := &summary{b: v.b, t: v.t, links: v.links(), has: v.has(), census: v.census()}
+	s := &summary{b: v.b, t: v.t, links: v.links(), has: v.has(), census: v.census(), totals: v.totals()}
+	s.over = overRow(s.links)
 	if s.has&HasTraffic != 0 {
 		*devs = v.deviceBytes(*devs)
 		s.shares = stats.Share(*devs)
 		for rk := range s.top {
 			s.top[rk] = slices.Clone(v.top(rank(rk), rankDepth, sc))
 		}
+		v.s = s
+		s.terms = v.shareTerms(rankDepth, sc)
 	}
 	w24, w5 := kindBit(dataset.Wireless24), kindBit(dataset.Wireless5)
 	v.eachDevice(func(d deviceSeen) {
@@ -187,23 +192,16 @@ func (r *Rollup) placed(ro *Roster) []placed {
 	return homes
 }
 
-// popularity is one domain's Fig. 18 counts: the homes that rank it in
-// their top 5 and in their top 10 by whitelisted volume.
-type popularity struct{ top5, top10 int }
-
-// popCounts are Fig. 18's counts over a view's summaries, by domain.
-type popCounts map[string]popularity
-
 // summarize gives r a summary per home, in each's order, its router
-// order and its Fig. 18 counts. It takes prev's summary at the same
-// position where that was computed from the home's versions, and makes
-// a new one elsewhere; prev is an earlier view over the same partial,
-// nil for none.
+// order, its first-flow order and its usage aggregates. It takes prev's
+// summary at the same position where that was computed from the home's
+// versions, and makes a new one elsewhere; prev is an earlier view over
+// the same partial, nil for none.
 func (r *Rollup) summarize(prev *Rollup) {
-	var old []*summary
-	if prev != nil {
-		old = prev.sums
+	if prev == nil {
+		prev = &Rollup{usage: usage{pop: popCounts{}}} // a page of no homes
 	}
+	old := prev.sums
 	sums := make([]*summary, 0, max(len(old), len(r.homes)))
 	var sc rankScratch
 	var devs []float64
@@ -220,52 +218,69 @@ func (r *Rollup) summarize(prev *Rollup) {
 	// where every summary that changed names the same home: then so does
 	// its router order, and so does where the last page's roster put
 	// them (placed).
-	same := prev != nil && len(sums) == len(old)
-	r.pop = popCounts{}
-	if prev != nil {
-		r.pop = maps.Clone(prev.pop)
-	}
+	same := len(sums) == len(old)
+	d := usageDelta{pop: popCounts{}}
 	for k := range max(len(sums), len(old)) {
 		switch {
 		case k >= len(old):
-			r.pop.count(sums[k], 1)
+			d.count(sums[k], 1)
 		case k >= len(sums):
-			r.pop.count(old[k], -1)
+			d.count(old[k], -1)
 		case sums[k] != old[k]:
-			r.pop.count(old[k], -1)
-			r.pop.count(sums[k], 1)
+			d.count(old[k], -1)
+			d.count(sums[k], 1)
 			same = same && sums[k].id() == old[k].id()
 		}
 	}
+	r.flow = r.firstFlows(prev.flow)
 	if same {
 		r.order = prev.order
 		prev.placeMu.Lock()
 		r.place = prev.place
 		prev.placeMu.Unlock()
-		return
+	} else {
+		r.order = make([]int32, len(sums))
+		for k := range r.order {
+			r.order[k] = int32(k)
+		}
+		slices.SortFunc(r.order, func(a, b int32) int { return strings.Compare(sums[a].id(), sums[b].id()) })
 	}
-	r.order = make([]int32, len(sums))
-	for k := range r.order {
-		r.order[k] = int32(k)
-	}
-	slices.SortFunc(r.order, func(a, b int32) int { return strings.Compare(sums[a].id(), sums[b].id()) })
+	r.carry(prev, &d, same)
 }
 
-// count adds s's domains to the counts, by ±1 a home; a domain no home
-// ranks is dropped.
-func (pop popCounts) count(s *summary, by int) {
-	for i, d := range s.top[byVolumeWhitelisted] {
-		c := pop[d.name]
-		if i < 5 {
-			c.top5 += by
-		}
-		c.top10 += by
-		if c.top10 == 0 {
-			delete(pop, d.name)
-		} else {
-			pop[d.name] = c
+// firstFlows returns the flow homes' positions in first-flow order, which
+// float sums over homes follow to give a chunked fold's bits: the tail's
+// first flows after the base's. It is last where every home is where it
+// was on the last page.
+func (r *Rollup) firstFlows(last []int32) []int32 {
+	var late []int32
+	for k, s := range r.sums {
+		if (s.b == nil || s.b.has&HasTraffic == 0) && s.t != nil && s.t.has&HasTraffic != 0 {
+			late = append(late, int32(k))
 		}
 	}
+	slices.SortFunc(late, func(a, b int32) int { return cmp.Compare(r.sums[a].t.first, r.sums[b].t.first) })
+	flow, mine := last, false
+	if len(flow) != int(r.flowHomes)+len(late) {
+		flow, mine = make([]int32, int(r.flowHomes)+len(late)), true
+	}
+	put := func(o, k int32) {
+		if flow[o] != k {
+			if !mine {
+				flow, mine = slices.Clone(flow), true
+			}
+			flow[o] = k
+		}
+	}
+	for k, s := range r.sums {
+		if s.b != nil && s.b.has&HasTraffic != 0 {
+			put(s.b.first, int32(k))
+		}
+	}
+	for i, k := range late {
+		put(r.flowHomes+int32(i), k)
+	}
+	return flow
 }
 
 // Summarized reports how many home summaries the view computed; the

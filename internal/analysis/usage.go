@@ -1,7 +1,10 @@
 package analysis
 
 import (
+	"cmp"
+	"maps"
 	"sort"
+	"strconv"
 	"time"
 
 	"natpeek/internal/domains"
@@ -67,16 +70,173 @@ type LinkSaturation struct {
 	Minutes, MinutesOver int
 }
 
-// Saturation computes Fig. 15: per home and direction, the 95th
-// percentile of per-minute peak throughput against measured capacity,
-// over minutes with any traffic — each home's links as its summary holds
-// them (homeView.links), by router and direction.
-func (r *Rollup) Saturation() []LinkSaturation {
-	var out []LinkSaturation
-	for _, k := range r.order {
-		out = append(out, r.sums[k].links...)
+// Utilization returns Fig. 15's sample of link utilizations in one
+// direction, "up" or "down", ascending. It must not be changed.
+func (r *Rollup) Utilization(dir string) []float64 {
+	if l := linkOf(dir); l >= 0 {
+		return r.samples[l]
 	}
-	return out
+	return nil
+}
+
+// Oversaturated returns Fig. 16's rows, one per home whose uplink
+// utilization exceeds 1, in router order. It must not be changed.
+func (r *Rollup) Oversaturated() []string { return r.over }
+
+// overRow is Fig. 16's row for the uplink among links when its
+// utilization exceeds 1, else "".
+func overRow(links []LinkSaturation) string {
+	for i := range links {
+		if l := &links[i]; l.Dir == "up" && l.Utilization > 1 {
+			return string(AppendOversaturated(nil, l))
+		}
+	}
+	return ""
+}
+
+// AppendOversaturated appends s as Fig. 16 lists it:
+// "home=%s upCapacity=%.2f Mbps p95=%.2f Mbps util=%.2f  minutes>capacity=%d/%d",
+// with strconv rather than fmt.
+func AppendOversaturated(b []byte, s *LinkSaturation) []byte {
+	b = append(append(b, "home="...), s.RouterID...)
+	b = stats.AppendFixed2(append(b, " upCapacity="...), s.CapacityBps/1e6)
+	b = stats.AppendFixed2(append(b, " Mbps p95="...), s.P95Bps/1e6)
+	b = stats.AppendFixed2(append(b, " Mbps util="...), s.Utilization)
+	b = strconv.AppendInt(append(b, "  minutes>capacity="...), int64(s.MinutesOver), 10)
+	return strconv.AppendInt(append(b, '/'), int64(s.Minutes), 10)
+}
+
+// usage is a page's Figs. 15–19 aggregates over its home summaries: the
+// last page's, changed by the summaries it replaced (carry). Fig. 19's
+// float sums are not exact in any order: only their order is carried.
+type usage struct {
+	samples [numSamples][]float64 // ascending (resorted)
+	over    []string              // Fig. 16's rows, in router order
+	pop     popCounts             // Fig. 18
+	totals  homeTotals            // every home's flow totals (WhitelistedVolumeShare)
+	flow    []int32               // Fig. 19: flow homes' summary positions, in first-flow order
+	devs    []deviceTotals        // Fig. 20: the best devices (bestDevices), nil for unknown
+}
+
+// The carried samples: Fig. 15's link utilizations, by linkOf, and
+// Fig. 17's top-device shares of the homes with at least topShareMin
+// devices.
+const (
+	topShares, numSamples = len(linkDirs), len(linkDirs) + 1
+	topShareMin           = 3
+)
+
+// usageDelta is what a page's replaced summaries take out and put in.
+type usageDelta struct {
+	out, in [numSamples][]float64
+	pop     popCounts
+	totals  homeTotals
+	over    bool       // a summary that came or went has a Fig. 16 row
+	came    []*summary // those with a tail version that came
+}
+
+// count adds s to d: by 1 for a summary that came, -1 for one that went.
+func (d *usageDelta) count(s *summary, by int) {
+	side := &d.in
+	if by < 0 {
+		side = &d.out
+	}
+	for _, l := range s.links {
+		side[linkOf(l.Dir)] = append(side[linkOf(l.Dir)], l.Utilization)
+	}
+	if len(s.shares) >= topShareMin {
+		side[topShares] = append(side[topShares], s.shares[0])
+	}
+	d.pop.count(s, by)
+	d.totals.merge(s.totals, int64(by))
+	d.over = d.over || s.over != ""
+	if by > 0 && s.t != nil {
+		d.came = append(d.came, s)
+	}
+}
+
+// carry sets r's usage aggregates: prev's, with d applied. same reports
+// that every home is where it was on prev, in the same router order.
+func (r *Rollup) carry(prev *Rollup, d *usageDelta, same bool) {
+	for i := range r.samples {
+		r.samples[i] = resorted(prev.samples[i], d.out[i], d.in[i])
+	}
+	r.totals = prev.totals
+	r.totals.merge(d.totals, 1)
+	r.devs = r.bestDevices(prev, d.came)
+	r.pop = prev.pop
+	if len(d.pop) > 0 {
+		r.pop = maps.Clone(prev.pop)
+		for name, c := range d.pop {
+			r.pop.add(name, c)
+		}
+	}
+	r.over = prev.over
+	if !same || d.over {
+		r.over = make([]string, 0, len(prev.over)+1)
+		for _, k := range r.order {
+			if s := r.sums[k]; s.over != "" {
+				r.over = append(r.over, s.over)
+			}
+		}
+	}
+}
+
+// resorted returns sorted, in stats.SortFloats' order, less gone's
+// values (which it must hold) and with came's: itself when both are
+// empty, else a new slice, as a page may still read sorted. It sorts
+// gone and came.
+func resorted(sorted, gone, came []float64) []float64 {
+	if len(gone)+len(came) == 0 {
+		return sorted
+	}
+	stats.SortFloats(gone)
+	stats.SortFloats(came)
+	if len(sorted) == 0 {
+		return came
+	}
+	out := make([]float64, 0, len(sorted)-len(gone)+len(came))
+	for _, x := range sorted {
+		if len(gone) > 0 && cmp.Compare(x, gone[0]) == 0 {
+			gone = gone[1:]
+			continue
+		}
+		for len(came) > 0 && cmp.Compare(came[0], x) < 0 {
+			out, came = append(out, came[0]), came[1:]
+		}
+		out = append(out, x)
+	}
+	return append(out, came...)
+}
+
+// popularity is one domain's Fig. 18 counts: the homes that rank it in
+// their top 5 and in their top 10 by whitelisted volume.
+type popularity struct{ top5, top10 int }
+
+// popCounts are Fig. 18's counts over a view's summaries, by domain, or
+// a change to them.
+type popCounts map[string]popularity
+
+// count adds s's domains to the counts, by ±1 a home.
+func (pop popCounts) count(s *summary, by int) {
+	for i, d := range s.top[byVolumeWhitelisted] {
+		c := popularity{top10: by}
+		if i < 5 {
+			c.top5 = by
+		}
+		pop.add(d.name, c)
+	}
+}
+
+// add adds c to name's counts; a domain left with none is dropped.
+func (pop popCounts) add(name string, c popularity) {
+	c.top5 += pop[name].top5
+	c.top10 += pop[name].top10
+	if c == (popularity{}) {
+		delete(pop, name)
+	} else {
+		pop[name] = c
+	}
 }
 
 // countAbove counts the values of r greater than x.

@@ -65,3 +65,17 @@ func TestUsageBeyondTheUS(t *testing.T) {
 		t.Errorf("whitelisted share: developed %.3f, developing %.3f", dev.WhitelistedShare, dvg.WhitelistedShare)
 	}
 }
+
+// linksOf collects v's Fig. 15 points, by router and direction.
+func linksOf(v *Rollup) (out []LinkSaturation) {
+	for _, k := range v.order {
+		out = append(out, v.sums[k].links...)
+	}
+	return out
+}
+
+// sharesOf collects v's Fig. 17 device shares, by router.
+func sharesOf(v *Rollup) (out [][]float64) {
+	v.DeviceShares(func(sh []float64) { out = append(out, sh) })
+	return out
+}

@@ -83,15 +83,23 @@ func (s *Sharded) extractLocked(match func(string) bool) *Store {
 	moved := newRows()
 	refs := s.refsFrom(Cursor{}) // before any stripe's log is rebuilt
 	s.extracts++
+	latest := map[string]uint64{} // the moved routers' latest registrations
 	for _, sh := range s.shards {
-		for id, cc := range sh.roster {
+		for id, e := range sh.roster {
 			if match(id) {
-				moved.RouterCountry[id] = cc
+				if e.at >= latest[id] {
+					moved.RouterCountry[id], latest[id] = e.cc, e.at
+				}
 				delete(sh.roster, id)
 			}
 		}
 		sh.store, sh.segs, sh.lens, sh.regs = &Store{RouterCountry: sh.store.RouterCountry}, nil, [NumKinds]int{}, nil
 	}
+	s.regMu.Lock()
+	for id := range latest {
+		delete(s.stripes, id)
+	}
+	s.regMu.Unlock()
 	for _, r := range refs {
 		kind, kept := &Kinds[r.kind], r.sh.store
 		off := kind.Len(kept)

@@ -53,7 +53,7 @@ type shard struct {
 	store  *Store
 	segs   []segment
 	lens   [NumKinds]int
-	roster map[string]string
+	roster map[string]stamped
 	regs   []reg
 }
 
@@ -62,6 +62,14 @@ type shard struct {
 type reg struct {
 	at uint64
 	id string
+}
+
+// stamped is a router's country in a stripe's roster, with the stamp of
+// the registration that set it. A router registered through several
+// stripes has the country of its latest registration, the highest stamp.
+type stamped struct {
+	cc string
+	at uint64
 }
 
 // Sharded is a lock-striped store for concurrent ingestion.
@@ -75,7 +83,12 @@ type Sharded struct {
 	dedupe *Dedupe // one stripe per shard, routed by the same hash
 	seq    atomic.Uint64
 	regSeq atomic.Uint64 // stamps roster changes (reg)
-	rows   atomic.Int64  // rows held across all stripes and kinds
+	// stripes counts the stripe rosters that hold each router. It is
+	// written under a stripe lock and regMu, so a reader holding every
+	// stripe lock needs no more.
+	regMu   sync.Mutex
+	stripes map[string]int
+	rows    atomic.Int64 // rows held across all stripes and kinds
 	// extracts counts extractions; every stripe lock guards it, so a
 	// reader holding all of them sees the segments it counts.
 	extracts uint64
@@ -89,9 +102,9 @@ func NewSharded(n int) *Sharded { return NewShardedOver(NewDedupe(n, 0)) }
 // dedupes through d. Of the stores built over one index only one may be
 // written (the segment store's live memtable); the rest are sealed.
 func NewShardedOver(d *Dedupe) *Sharded {
-	s := &Sharded{Heartbeats: heartbeat.NewLog(), shards: make([]*shard, len(d.stripes)), dedupe: d}
+	s := &Sharded{Heartbeats: heartbeat.NewLog(), shards: make([]*shard, len(d.stripes)), dedupe: d, stripes: map[string]int{}}
 	for i := range s.shards {
-		s.shards[i] = &shard{store: newRows(), roster: make(map[string]string)}
+		s.shards[i] = &shard{store: newRows(), roster: make(map[string]stamped)}
 	}
 	return s
 }
@@ -181,18 +194,27 @@ func (s *Sharded) record(sh *shard) {
 }
 
 // register moves the routers an apply registered into the stripe's
-// roster, and logs those it adds or moves. The next apply registers
-// into a new map: clearing or ranging a map costs as much as it ever
-// held, and an apply that registers is rare.
+// roster, and stamps and logs those it adds or moves — and those it
+// registers again where another stripe holds them too, whose country
+// the latest registration decides. The next apply registers into a new
+// map: clearing or ranging a map costs as much as it ever held, and an
+// apply that registers is rare.
 func (s *Sharded) register(sh *shard) {
 	if len(sh.store.RouterCountry) == 0 {
 		return
 	}
+	s.regMu.Lock()
+	defer s.regMu.Unlock()
 	for id, cc := range sh.store.RouterCountry {
-		if old, ok := sh.roster[id]; !ok || old != cc {
-			sh.roster[id] = cc
-			sh.regs = append(sh.regs, reg{at: s.regSeq.Add(1), id: id})
+		old, ok := sh.roster[id]
+		if !ok {
+			s.stripes[id]++
+		} else if old.cc == cc && s.stripes[id] == 1 {
+			continue
 		}
+		at := s.regSeq.Add(1)
+		sh.roster[id] = stamped{cc, at}
+		sh.regs = append(sh.regs, reg{at: at, id: id})
 	}
 	sh.store.RouterCountry = make(map[string]string)
 }
@@ -213,10 +235,12 @@ func (s *Sharded) RowCounts() RowCounts {
 	var rc RowCounts
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		rc.Routers += len(sh.roster)
 		rc.Add(CountRows(sh.store))
 		sh.mu.Unlock()
 	}
+	s.regMu.Lock()
+	rc.Routers = len(s.stripes)
+	s.regMu.Unlock()
 	return rc
 }
 
@@ -227,11 +251,24 @@ func (s *Sharded) Roster() map[string]string {
 	return s.rosterLocked()
 }
 
+// rosterLocked is Roster with every stripe lock held. A router in one
+// stripe takes its country from it; one in several, from the latest
+// registration among them.
 func (s *Sharded) rosterLocked() map[string]string {
-	out := make(map[string]string)
+	out := make(map[string]string, len(s.stripes))
+	var latest map[string]uint64 // of the routers in several stripes
 	for _, sh := range s.shards {
-		for id, cc := range sh.roster {
-			out[id] = cc
+		for id, e := range sh.roster {
+			if s.stripes[id] > 1 {
+				if latest == nil {
+					latest = map[string]uint64{}
+				}
+				if at, ok := latest[id]; ok && at > e.at {
+					continue
+				}
+				latest[id] = e.at
+			}
+			out[id] = e.cc
 		}
 	}
 	return out
@@ -300,8 +337,8 @@ func (s *Sharded) MergeFrom(c Cursor) (*Store, Cursor) {
 
 // rosterSince returns the routers whose registration changed after
 // roster change at, the whole roster for 0, each with the country Merge
-// gives it: a router registered in several stripes has the last
-// stripe's. Callers must hold all stripe locks. Each stripe's log is in
+// gives it: a router registered in several stripes has its latest
+// registration's. Callers must hold all stripe locks. Each stripe's log is in
 // stamp order (stamps are taken under the stripe lock), so it is
 // searched for its first change past at.
 func (s *Sharded) rosterSince(at uint64) map[string]string {
@@ -316,9 +353,10 @@ func (s *Sharded) rosterSince(at uint64) map[string]string {
 		}
 	}
 	for id := range out {
+		var latest uint64
 		for _, sh := range s.shards {
-			if cc, ok := sh.roster[id]; ok {
-				out[id] = cc
+			if e, ok := sh.roster[id]; ok && e.at >= latest {
+				out[id], latest = e.cc, e.at
 			}
 		}
 	}

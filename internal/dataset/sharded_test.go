@@ -499,8 +499,8 @@ func chainOn(chain, part *Store) *Store {
 // routers registered or moved since, not the roster: a registration to
 // the country a router already has is no change. Moves follow Merge's
 // roster, also for a router registered in more than one stripe, where
-// Merge gives the last stripe's country; and the chain's rosters, later
-// ones winning, stay Merge's.
+// Merge gives the latest registration's country; and the chain's
+// rosters, later ones winning, stay Merge's.
 func TestMergeFromRosterHoldsOnlyChanges(t *testing.T) {
 	s := NewSharded(4)
 	var chain *Store
@@ -535,8 +535,8 @@ func TestMergeFromRosterHoldsOnlyChanges(t *testing.T) {
 	register("a", map[string]string{"r2": "PK"})
 	register("b", map[string]string{"r4": "BR"})
 	read("a move and a join", "r2", "r4")
-	// r3 goes into a second stripe too; Merge gives it the later
-	// stripe's country, whichever that is.
+	// r3 goes into a second stripe too; Merge gives it the country of
+	// its latest registration.
 	other := "b"
 	for i := 0; s.dedupe.stripeOf(other) == s.dedupe.stripeOf("a"); i++ {
 		other = fmt.Sprintf("b%d", i)
@@ -544,5 +544,54 @@ func TestMergeFromRosterHoldsOnlyChanges(t *testing.T) {
 	for _, cc := range []string{"ZA", "IN", "ZA"} {
 		register(other, map[string]string{"r3": cc})
 		read("r3 registered in a second stripe as "+cc, "r3")
+	}
+}
+
+// TestRosterFollowsLatestRegistration: a router registered through two
+// stripes has the country of its latest registration, whatever the
+// stripes' order: in Merge, in a chain of MergeFrom reads, in what an
+// extraction moves, and counted once in RowCounts. x is registered as
+// US through stripe 27, then as PK through stripe 1, then as US again
+// through stripe 27, whose roster already holds it as US.
+func TestRosterFollowsLatestRegistration(t *testing.T) {
+	s := NewSharded(DefaultShards)
+	through := func(stripe int) string {
+		for i := 0; ; i++ {
+			if key := fmt.Sprintf("key-%d", i); s.dedupe.stripeOf(key) == stripe {
+				return key
+			}
+		}
+	}
+	register := func(stripe int, cc string) {
+		s.Append(through(stripe), func(st *Store) { st.RouterCountry["x"] = cc })
+	}
+	var chain *Store
+	var c Cursor
+	check := func(what, want string) {
+		t.Helper()
+		part, next := s.MergeFrom(c)
+		chain, c = chainOn(chain, part), next
+		if got := s.Merge().RouterCountry["x"]; got != want {
+			t.Errorf("%s: Merge has x in %q, want %q", what, got, want)
+		}
+		if got := chain.RouterCountry["x"]; got != want {
+			t.Errorf("%s: the MergeFrom chain has x in %q, want %q", what, got, want)
+		}
+		if got := s.RowCounts().Routers; got != 1 {
+			t.Errorf("%s: RowCounts counts %d routers, want 1", what, got)
+		}
+	}
+	register(27, "US")
+	check("US through stripe 27", "US")
+	register(1, "PK")
+	check("then PK through stripe 1", "PK")
+	register(27, "US")
+	check("then US again through stripe 27", "US")
+	moved := s.ExtractRows(func(id string) bool { return id == "x" })
+	if got := moved.RouterCountry["x"]; got != "US" {
+		t.Errorf("the extraction moved x in %q, want US", got)
+	}
+	if got := s.RowCounts().Routers; got != 0 {
+		t.Errorf("after the extraction RowCounts counts %d routers, want 0", got)
 	}
 }

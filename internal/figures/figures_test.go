@@ -431,15 +431,9 @@ func TestFig14UtilizationBelowCapacity(t *testing.T) {
 
 func TestFig15MostHomesUnderHalf(t *testing.T) {
 	st, _ := study(t)
-	sats := analysis.RollupOf(st).Saturation()
-	if len(sats) == 0 {
+	downUtils := analysis.RollupOf(st).Utilization("down")
+	if len(downUtils) == 0 {
 		t.Fatal("no saturation points")
-	}
-	var downUtils []float64
-	for _, s := range sats {
-		if s.Dir == "down" {
-			downUtils = append(downUtils, s.Utilization)
-		}
 	}
 	under := 0
 	for _, u := range downUtils {
@@ -488,7 +482,7 @@ func TestFig16ContinuousUploaders(t *testing.T) {
 
 func TestFig17DominantDevice(t *testing.T) {
 	st, _ := study(t)
-	top := analysis.MeanTopShare(analysis.RollupOf(st).DeviceShares(), 3)
+	top := analysis.RollupOf(st).MeanTopShare()
 	if top < 0.45 || top > 0.85 {
 		t.Fatalf("mean top-device share %.2f, paper ≈0.60–0.65", top)
 	}
@@ -496,7 +490,7 @@ func TestFig17DominantDevice(t *testing.T) {
 
 func TestFig18ExpectedDomainsPresent(t *testing.T) {
 	st, _ := study(t)
-	pop := analysis.RollupOf(st).PopularDomains()
+	pop, _ := analysis.RollupOf(st).PopularDomains(math.MaxInt)
 	names := map[string]bool{}
 	for _, p := range pop {
 		names[p.Domain] = true
@@ -566,8 +560,9 @@ func TestAblationGapThreshold(t *testing.T) {
 
 // TestMeanGiniDeterministic: Fig. 17's mean per-home Gini gives the same
 // bits on every call, and the bits of stats.Gini averaged over the
-// homes in order: meanGini walks each home's descending shares
-// backwards where stats.Gini copies and sorts them, and the figure
+// homes in order: gini walks each home's descending shares backwards
+// where stats.Gini copies and sorts them, fig17 adds them in order, and
+// the figure
 // prints %.2f, so no golden would notice a difference in the last bits.
 func TestMeanGiniDeterministic(t *testing.T) {
 	var shares [][]float64
@@ -586,10 +581,15 @@ func TestMeanGiniDeterministic(t *testing.T) {
 	}
 	want := stats.Mean(ginis)
 	for i := 0; i < 50; i++ {
-		got, ok := meanGini(shares)
-		if !ok {
-			t.Fatal("no home counted")
+		var sum float64
+		for _, sh := range shares {
+			g, ok := gini(sh)
+			if !ok {
+				t.Fatal("a home of two or more devices not counted")
+			}
+			sum += g
 		}
+		got := sum / float64(len(shares))
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("call %d: mean Gini %v, stats.Gini's %v", i, got, want)
 		}

@@ -4,10 +4,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
+	"natpeek/internal/analysis"
 	"natpeek/internal/dataset"
 	"natpeek/internal/geo"
 	"natpeek/internal/rng"
@@ -184,7 +187,12 @@ func TestPageWorkIsIncrementBound(t *testing.T) {
 // fixture, a page after 8 uploads computes a summary for at most the
 // routers those uploads named, plus homes new to the page; a page after
 // a seal, for at most the routers whose rows that seal folded. The first
-// page computes every home's.
+// page computes every home's. The usage aggregates it carries move with
+// the same homes: Fig. 15's samples lose and gain at most one value per
+// direction a touched home, Fig. 16's rows change for touched homes
+// only, and a page with no new row shares the last page's samples and
+// rows, Fig. 19's order and Fig. 20's devices, whose bits equal the
+// batch's.
 func TestPageRecomputesOnlyTouchedHomes(t *testing.T) {
 	const routers, tail = 512, 16
 	d := fixtureDashboard(t, 4_500, tail, routers)
@@ -201,12 +209,40 @@ func TestPageRecomputesOnlyTouchedHomes(t *testing.T) {
 	}
 	inc := rng.New(36).Child("increment")
 	next := 0
+	_, _, last, _ := d.snapshot()
 	page := func(step string, touched map[string]bool) {
 		t.Helper()
 		_, st := d.render()
 		if st.Summaries > len(touched) {
 			t.Errorf("%s: the page computed %d home summaries; its rows touched %d homes", step, st.Summaries, len(touched))
 		}
+		// A page of no new rows after it: it carries everything.
+		_, _, v, _ := d.snapshot()
+		_, _, again, _ := d.snapshot()
+		for _, dir := range []string{"up", "down"} {
+			if gone, came := changed(last.Utilization(dir), v.Utilization(dir)); len(gone) > len(touched) || len(came) > len(touched) {
+				t.Errorf("%s: Fig. 15's %s sample lost %d and gained %d values; the rows touched %d homes", step, dir, len(gone), len(came), len(touched))
+			}
+			if !sameArray(v.Utilization(dir), again.Utilization(dir)) {
+				t.Errorf("%s: a page with no new rows made Fig. 15's %s sample again", step, dir)
+			}
+		}
+		gone, came := changed(last.Oversaturated(), v.Oversaturated())
+		for _, row := range append(gone, came...) {
+			if id, _, _ := strings.Cut(strings.TrimPrefix(row, "home="), " "); !touched[id] {
+				t.Errorf("%s: Fig. 16's row of untouched %s changed: %s", step, id, row)
+			}
+		}
+		if !sameArray(v.Oversaturated(), again.Oversaturated()) {
+			t.Errorf("%s: a page with no new rows made Fig. 16's rows again", step)
+		}
+		if a, b := again.DomainShares(10), v.DomainShares(10); !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: Fig. 19's curves moved on a page of no new rows: %v, %v", step, a, b)
+		}
+		if a, b := again.TopDevices(4), v.TopDevices(4); !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: Fig. 20's devices moved on a page of no new rows: %v, %v", step, a, b)
+		}
+		last = again
 	}
 	uploads := func(step string, fleet int) {
 		t.Helper()
@@ -242,6 +278,43 @@ func TestPageRecomputesOnlyTouchedHomes(t *testing.T) {
 	if got, want := renderString(d.Render()), renderString(All(d.src.Merge(), DefaultWindows())); got != want {
 		t.Fatalf("the last page:\n%s\nthe batch exhibits over the store:\n%s", got, want)
 	}
+	st := d.src.Merge()
+	_, _, v, _ := d.snapshot()
+	want := analysis.RollupOf(st)
+	if a, b := want.DomainShares(10), v.DomainShares(10); !reflect.DeepEqual(a, b) {
+		t.Errorf("the last page's Fig. 19 curves %v, the batch's %v", b, a)
+	}
+	if a, b := want.TopDevices(4), v.TopDevices(4); !reflect.DeepEqual(a, b) {
+		t.Errorf("the last page's Fig. 20 devices %v, the batch's %v", b, a)
+	}
+}
+
+// changed returns what b lacks of a (gone) and what a lacks of b (came),
+// as multisets.
+func changed[T comparable](a, b []T) (gone, came []T) {
+	n := map[T]int{}
+	for _, x := range a {
+		n[x]++
+	}
+	for _, x := range b {
+		if n[x] > 0 {
+			n[x]--
+		} else {
+			came = append(came, x)
+		}
+	}
+	for x, k := range n {
+		for ; k > 0; k-- {
+			gone = append(gone, x)
+		}
+	}
+	return gone, came
+}
+
+// sameArray reports whether a and b are one slice: the same elements
+// in the same memory.
+func sameArray[T any](a, b []T) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // TestTailReadsOnlyNewRegistrations: the tail rows a page reads after
@@ -357,35 +430,71 @@ func BenchmarkLivePage(b *testing.B) {
 	}
 }
 
-// TestLivePageAllocBudget: BenchmarkLivePage's page — eight uploads after
-// the last page over a 512-router fleet, rendered to GET /figures' text
-// — stays within an allocation budget. The per-home rows, the CDF lines
-// and the fleet-wide exhibits each used to allocate per home or per
-// device on every page: about 5,300 allocations a page in all. The
-// budget is the 2,090 a page makes with the kept-kind statistics in the
-// home summaries, and a quarter again.
-func TestLivePageAllocBudget(t *testing.T) {
+// livePages renders BenchmarkLivePage's page — eight uploads after the
+// last page over a 512-router fleet, rendered to GET /figures' text —
+// pages times after the first, and returns the allocations, the bytes
+// allocated and the bytes left live after a collection, per page.
+func livePages(t *testing.T, pages int) (allocs, bytes, live float64) {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	const routers, pages, budget = 512, 16, 2_610
-	d := fixtureDashboard(t, 45_000, 2_000, routers)
+	d := fixtureDashboard(t, 45_000, 2_000, 512)
 	pageText(d.render())
 	inc := rng.New(8).Child("increment")
-	var before, after runtime.MemStats
-	var allocs uint64
+	var start, before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&start)
 	for i := 0; i < pages; i++ {
 		d.src.Append("increment", func(dst *dataset.Store) {
-			loadgenMix(dst, inc, i*8, 8, routers, 0.65)
+			loadgenMix(dst, inc, i*8, 8, 512, 0.65)
 		})
 		runtime.ReadMemStats(&before)
 		pageText(d.render())
 		runtime.ReadMemStats(&after)
-		allocs += after.Mallocs - before.Mallocs
+		allocs += float64(after.Mallocs - before.Mallocs)
+		bytes += float64(after.TotalAlloc - before.TotalAlloc)
 	}
-	per := float64(allocs) / pages
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	n := float64(pages)
+	return allocs / n, bytes / n, float64(int64(after.HeapAlloc)-int64(start.HeapAlloc)) / n
+}
+
+// TestLivePageAllocBudget: BenchmarkLivePage's page stays within an
+// allocation budget. The per-home rows, the CDF lines and the
+// fleet-wide exhibits each used to allocate per home or per device on
+// every page: about 5,300 allocations a page in all, and 2,090 with the
+// kept-kind statistics in the home summaries. The budget is the 1,585 a
+// page makes with Figs. 15–20 read from aggregates carried from page to
+// page, and a quarter again.
+func TestLivePageAllocBudget(t *testing.T) {
+	const budget = 1_980
+	per, _, _ := livePages(t, 16)
 	t.Logf("%.0f allocations per page", per)
 	if per > budget {
 		t.Errorf("a page allocates %.0f times, over its budget of %d", per, budget)
+	}
+}
+
+// TestLivePageBytesBudget: BenchmarkLivePage's page allocates no more
+// than its budget of bytes, so garbage the size of the fleet — a copy
+// of every home's links or of every fleet device, made on every page —
+// cannot come back unnoticed. With such copies a page allocated 0.80 MB;
+// the budget is the 0.38 MB a page allocates with Figs. 15–20 carried
+// from page to page, and a quarter again. Nor may pages keep earlier
+// pages alive: over 64 pages the heap grows by about 14,600 bytes a
+// page, the rows the uploads add to the memtable and the tail; a page
+// that held a pointer to the last page's overlay, and so a chain of
+// every page's tail since the seal, kept 71,500.
+func TestLivePageBytesBudget(t *testing.T) {
+	const budget, liveBudget = 480_000, 30_000
+	_, per, live := livePages(t, 64)
+	t.Logf("%.0f bytes per page, %.0f left live", per, live)
+	if per > budget {
+		t.Errorf("a page allocates %.0f bytes, over its budget of %d", per, budget)
+	}
+	if live > liveBudget {
+		t.Errorf("a page leaves %.0f bytes live, over its budget of %d", live, liveBudget)
 	}
 }

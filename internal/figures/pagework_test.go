@@ -140,7 +140,7 @@ func TestOversaturatedRowMatchesFmt(t *testing.T) {
 			Minutes: s.Intn(1 << 20), MinutesOver: s.Intn(1<<20) - 10}
 		want := fmt.Sprintf("home=%s upCapacity=%.2f Mbps p95=%.2f Mbps util=%.2f  minutes>capacity=%d/%d",
 			ls.RouterID, ls.CapacityBps/1e6, ls.P95Bps/1e6, ls.Utilization, ls.MinutesOver, ls.Minutes)
-		if got := string(appendOversaturated(nil, &ls)); got != want {
+		if got := string(analysis.AppendOversaturated(nil, &ls)); got != want {
 			t.Fatalf("row %q, fmt %q", got, want)
 		}
 	}
@@ -157,7 +157,7 @@ func FuzzAppendFixed2(f *testing.F) {
 		f.Add(v)
 	}
 	f.Fuzz(func(t *testing.T, v float64) {
-		if got, want := string(appendFixed2([]byte("x"), v)), string(strconv.AppendFloat([]byte("x"), v, 'f', 2, 64)); got != want {
+		if got, want := string(stats.AppendFixed2([]byte("x"), v)), string(strconv.AppendFloat([]byte("x"), v, 'f', 2, 64)); got != want {
 			t.Fatalf("appendFixed2(%v) = %q, AppendFloat %q", v, got, want)
 		}
 	})
@@ -171,7 +171,7 @@ func TestAppendFixed2MatchesAppendFloat(t *testing.T) {
 	s := rng.New(18)
 	check := func(v float64) {
 		t.Helper()
-		if got, want := string(appendFixed2(nil, v)), strconv.FormatFloat(v, 'f', 2, 64); got != want {
+		if got, want := string(stats.AppendFixed2(nil, v)), strconv.FormatFloat(v, 'f', 2, 64); got != want {
 			t.Fatalf("appendFixed2(%v) = %q, AppendFloat %q", v, got, want)
 		}
 	}

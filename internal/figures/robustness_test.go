@@ -50,7 +50,7 @@ func TestClaimsHoldAcrossSeeds(t *testing.T) {
 		}
 
 		// Usage: dominant device and volume/connection disproportionality.
-		if top := analysis.MeanTopShare(v.DeviceShares(), 3); top < 0.4 {
+		if top := v.MeanTopShare(); top < 0.4 {
 			t.Errorf("seed %d: top-device share %.2f", seed, top)
 		}
 		curves := v.DomainShares(5)

@@ -49,9 +49,9 @@ func TestRollupMatchesOracles(t *testing.T) {
 				}
 			}
 		}
-		same("DeviceShares", oracleDeviceShares(st), r.DeviceShares())
-		near("MeanTopDeviceShare", []float64{oracleMeanTopDeviceShare(st, 3)}, []float64{analysis.MeanTopShare(r.DeviceShares(), 3)})
-		same("PopularDomains", oraclePopularDomains(st), r.PopularDomains())
+		same("DeviceShares", oracleDeviceShares(st), sharesOf(r))
+		near("MeanTopDeviceShare", []float64{oracleMeanTopDeviceShare(st, 3)}, []float64{r.MeanTopShare()})
+		same("PopularDomains", oraclePopularDomains(st), popularOf(r))
 		for _, maxRank := range []int{10, 3, 0} {
 			want, got := oracleDomainShares(st, maxRank), r.DomainShares(maxRank)
 			near("DomainShares.VolumeShare", want.VolumeShare, got.VolumeShare)
@@ -101,8 +101,13 @@ func diffRollups(t *testing.T, what string, st *dataset.Store, want, got *analys
 		}
 	}
 	same("BusiestHome", want.BusiestHome(), got.BusiestHome())
-	same("DeviceShares", want.DeviceShares(), got.DeviceShares())
-	same("PopularDomains", want.PopularDomains(), got.PopularDomains())
+	same("DeviceShares", sharesOf(want), sharesOf(got))
+	same("PopularDomains", popularOf(want), popularOf(got))
+	for _, dir := range []string{"up", "down"} {
+		same("Utilization("+dir+")", want.Utilization(dir), got.Utilization(dir))
+	}
+	same("MeanTopShare", want.MeanTopShare(), got.MeanTopShare())
+	same("Oversaturated", want.Oversaturated(), got.Oversaturated())
 	// 12 reaches past the depth a home caches its rankings to.
 	for _, maxRank := range []int{10, 3, 12} {
 		same(fmt.Sprintf("DomainShares(%d)", maxRank), want.DomainShares(maxRank), got.DomainShares(maxRank))
@@ -132,7 +137,6 @@ func diffRollups(t *testing.T, what string, st *dataset.Store, want, got *analys
 		alone := map[string]string{id: "alone"}
 		same("KindCounts("+id+" alone)", want.KindCounts(alone), got.KindCounts(alone))
 	}
-	same("Saturation", want.Saturation(), got.Saturation())
 	same("ConnectedByGroup", want.ConnectedByGroup(ro), got.ConnectedByGroup(ro))
 	same("UniqueDevicesPerHome", want.UniqueDevicesPerHome(), got.UniqueDevicesPerHome())
 	wb24, wb5 := want.UniqueDevicesPerBand()
@@ -314,4 +318,16 @@ func TestViewKeepsItsVersionAcrossKinds(t *testing.T) {
 	diffRollups(t, "the view taken first", st, analysis.RollupOf(st), view)
 	diffRollups(t, "the view taken between", st, analysis.RollupOf(joined([]*dataset.Store{st, kept})), mid)
 	diffRollups(t, "the partial", st, analysis.RollupOf(joined([]*dataset.Store{st, kept, flows})), folded(p))
+}
+
+// sharesOf collects v's Fig. 17 device shares, by router.
+func sharesOf(v *analysis.Rollup) (out [][]float64) {
+	v.DeviceShares(func(sh []float64) { out = append(out, sh) })
+	return out
+}
+
+// popularOf is v's whole Fig. 18 ranking.
+func popularOf(v *analysis.Rollup) []analysis.DomainPopularity {
+	pop, _ := v.PopularDomains(math.MaxInt)
+	return pop
 }

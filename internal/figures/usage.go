@@ -1,11 +1,11 @@
 package figures
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"runtime"
-	"strconv"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -61,168 +61,73 @@ func hourSeriesMbps(h stats.HourBins) string {
 	return strings.Join(parts, " ")
 }
 
-// fig15 reproduces the saturation scatter.
-func fig15(sats []analysis.LinkSaturation) *Report {
+// fig15 reproduces the saturation scatter from the sorted samples.
+func fig15(v *analysis.Rollup) *Report {
 	r := &Report{
 		ID:         "Figure 15",
 		Title:      "95th-percentile link utilization vs measured capacity",
 		PaperClaim: "most homes <50% utilization; only two saturate; some uplinks exceed 1.0 (bufferbloat)",
 	}
-	if len(sats) == 0 {
+	downUtil, upUtil := v.Utilization("down"), v.Utilization("up")
+	if len(downUtil)+len(upUtil) == 0 {
 		r.add("(no traffic data)")
 		return r
 	}
-	var upUtil, downUtil []float64
-	over := 0
-	for _, s := range sats {
-		if s.Dir == "up" {
-			upUtil = append(upUtil, s.Utilization)
-			if s.Utilization > 1 {
-				over++
-			}
-		} else {
-			downUtil = append(downUtil, s.Utilization)
-		}
-	}
-	stats.SortFloats(downUtil)
-	stats.SortFloats(upUtil)
 	if len(downUtil) > 0 {
 		r.add("downlink n=%-3d util CDF: %s", len(downUtil), cdfSorted(downUtil, ""))
 	}
 	if len(upUtil) > 0 {
+		over := len(upUtil) - sort.Search(len(upUtil), func(i int) bool { return upUtil[i] > 1 })
 		r.add("uplink   n=%-3d util CDF: %s  homes>1.0=%d", len(upUtil), cdfSorted(upUtil, ""), over)
 	}
-	under50 := 0
-	for _, u := range downUtil {
-		if u < 0.5 {
-			under50++
-		}
-	}
-	if len(downUtil) > 0 {
+	if len(downUtil) > 0 { // NaNs sort first, and are not under 0.5
+		nan := sort.Search(len(downUtil), func(i int) bool { return !math.IsNaN(downUtil[i]) })
+		under50 := sort.Search(len(downUtil), func(i int) bool { return downUtil[i] >= 0.5 }) - nan
 		r.add("downlink homes under 50%% utilization at p95: %.0f%%", 100*float64(under50)/float64(len(downUtil)))
 	}
 	return r
 }
 
-// fig16 reproduces the bufferbloat case studies. Most homes of a large
-// fleet can be listed, so each row is appended with strconv into one
-// reused buffer — the bytes fmt's "%.2f" and "%d" give — and copied out
-// as its line.
-func fig16(sats []analysis.LinkSaturation) *Report {
+// fig16 reproduces the bufferbloat case studies: rows made with the home
+// summaries, in a list carried from page to page, which it shares.
+func fig16(v *analysis.Rollup) *Report {
 	r := &Report{
 		ID:         "Figure 16",
 		Title:      "Homes whose uplink utilization exceeds measured capacity",
 		PaperClaim: "a continuous uploader saturates the uplink; bufferbloat makes measured throughput exceed capacity",
 	}
-	over := func(s *analysis.LinkSaturation) bool { return s.Dir == "up" && s.Utilization > 1 }
-	n := 0
-	for i := range sats {
-		if over(&sats[i]) {
-			n++
-		}
-	}
-	if n == 0 {
+	rows := v.Oversaturated()
+	if len(rows) == 0 {
 		r.add("(no oversaturating homes in this run)")
 		return r
 	}
-	r.Lines = make([]string, 0, n)
-	var b []byte
-	for i := range sats {
-		if over(&sats[i]) {
-			b = appendOversaturated(b[:0], &sats[i])
-			r.Lines = append(r.Lines, string(b))
-		}
-	}
+	r.Lines = slices.Clip(rows)
 	return r
 }
 
-// appendOversaturated appends s as Fig. 16 lists it:
-// "home=%s upCapacity=%.2f Mbps p95=%.2f Mbps util=%.2f  minutes>capacity=%d/%d".
-func appendOversaturated(b []byte, s *analysis.LinkSaturation) []byte {
-	b = append(b, "home="...)
-	b = append(b, s.RouterID...)
-	b = append(b, " upCapacity="...)
-	b = appendFixed2(b, s.CapacityBps/1e6)
-	b = append(b, " Mbps p95="...)
-	b = appendFixed2(b, s.P95Bps/1e6)
-	b = append(b, " Mbps util="...)
-	b = appendFixed2(b, s.Utilization)
-	b = append(b, "  minutes>capacity="...)
-	b = strconv.AppendInt(b, int64(s.MinutesOver), 10)
-	b = append(b, '/')
-	return strconv.AppendInt(b, int64(s.Minutes), 10)
-}
-
-// decades are the powers of ten from 10^-2 to 10^15 as float64: the
-// nearest ones below 1, exact from 1 on.
-var decades = [...]float64{1e-2, 1e-1, 1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
-
-// appendFixed2 appends v as strconv.AppendFloat(b, v, 'f', 2, 64) does.
-// That call takes strconv's multiprecision path for every value. A value
-// of magnitude from 0.01 up to 1e15 is rounded instead by the 'e'
-// format's fixed-digit path to as many significant digits as reach the
-// hundredths (at most 17) — the same rounding: of the exact binary
-// value, to nearest, ties to even — and the digits are laid out with two
-// decimals. Any other value goes through AppendFloat.
-func appendFixed2(b []byte, v float64) []byte {
-	a := math.Abs(v)
-	if !(a >= decades[0] && a < decades[len(decades)-1]) {
-		return strconv.AppendFloat(b, v, 'f', 2, 64)
-	}
-	e := 0 // a < decades[e+1]: its decimal exponent is e-2, it has e+1 digits to the hundredths
-	for a >= decades[e+1] {
-		e++
-	}
-	var buf [32]byte
-	s := strconv.AppendFloat(buf[:0], a, 'e', e, 64) // "d.ddde±xx", or "de±xx"
-	at := bytes.IndexByte(s, 'e')
-	exp := 0 // e-2, or e-1 where rounding carried into a new digit
-	for _, c := range s[at+2:] {
-		exp = exp*10 + int(c-'0')
-	}
-	if s[at+1] == '-' {
-		exp = -exp
-	}
-	// The digits of a in hundredths: the mantissa's, and a 0 for the
-	// hundredths a carry left out.
-	var digits [24]byte
-	d := append(digits[:0], s[0])
-	if at > 1 {
-		d = append(d, s[2:at]...)
-	}
-	for n := exp + 3 - len(d); n > 0; n-- {
-		d = append(d, '0')
-	}
-	if v < 0 {
-		b = append(b, '-')
-	}
-	if len(d) <= 2 {
-		return append(append(b, "0.00"[:4-len(d)]...), d...)
-	}
-	b = append(append(b, d[:len(d)-2]...), '.')
-	return append(b, d[len(d)-2:]...)
-}
-
-// fig17 reproduces the per-device traffic share breakdown.
+// fig17 reproduces the per-device traffic share breakdown, summed in
+// router order over the home summaries' shares, Ginis included.
 func fig17(flows *analysis.Rollup) *Report {
 	r := &Report{
 		ID:         "Figure 17",
 		Title:      "Breakdown of traffic volume by device rank within each home",
 		PaperClaim: "dominant device ≈60–65% on average; second ≈20%",
 	}
-	shares := flows.DeviceShares()
-	maxRank := 5
-	sums := make([]float64, maxRank)
-	counts := make([]int, maxRank)
-	for _, sh := range shares {
-		for i, s := range sh {
-			if i >= maxRank {
-				break
-			}
+	const maxRank = 5
+	var sums [maxRank]float64
+	var counts [maxRank]int
+	var ginis float64
+	homes := 0
+	flows.DeviceShares(func(sh []float64) {
+		for i, s := range sh[:min(len(sh), maxRank)] {
 			sums[i] += s
 			counts[i]++
 		}
-	}
+		if g, ok := gini(sh); ok {
+			ginis += g
+			homes++
+		}
+	})
 	if counts[0] == 0 {
 		r.add("(no traffic data)")
 		return r
@@ -232,38 +137,29 @@ func fig17(flows *analysis.Rollup) *Report {
 			i+1, 100*sums[i]/float64(counts[i]), counts[i])
 	}
 	r.add("mean top-device share (homes with ≥3 devices) = %.0f%%",
-		100*analysis.MeanTopShare(shares, 3))
-	if g, ok := meanGini(shares); ok {
-		r.add("mean per-home usage Gini = %.2f", g)
+		100*flows.MeanTopShare())
+	if homes > 0 {
+		r.add("mean per-home usage Gini = %.2f", ginis/float64(homes))
 	}
 	return r
 }
 
-// meanGini is the concentration beyond the top shares: Gini over
-// per-device volumes, averaged across homes with at least two devices
-// (0 = even use, →1 = one device does it all); ok is false when there
-// are none. Each home's shares are descending already, so its Gini is
-// stats.Gini's sum taken walking them backwards — no copy, no sort, the
-// same bits.
-func meanGini(shares [][]float64) (g float64, ok bool) {
-	var ginis []float64
-	for _, sh := range shares {
-		n := len(sh)
-		if n < 2 {
-			continue
-		}
-		var cum, total float64
-		for i := range sh {
-			x := sh[n-1-i]
-			cum += x * float64(i+1)
-			total += x
-		}
-		ginis = append(ginis, (2*cum)/(float64(n)*total)-(float64(n)+1)/float64(n))
-	}
-	if len(ginis) == 0 {
+// gini is the concentration beyond the top shares: Gini over one home's
+// per-device volumes (0 = even use, →1 = one device does it all), ok for
+// two or more devices. The shares are descending, so it is stats.Gini's
+// sum walking them backwards — no copy, no sort, the same bits.
+func gini(sh []float64) (g float64, ok bool) {
+	n := len(sh)
+	if n < 2 {
 		return 0, false
 	}
-	return stats.Mean(ginis), true
+	var cum, total float64
+	for i := range sh {
+		x := sh[n-1-i]
+		cum += x * float64(i+1)
+		total += x
+	}
+	return (2*cum)/(float64(n)*total) - (float64(n)+1)/float64(n), true
 }
 
 // fig18 reproduces the top-5/top-10 domain popularity histogram.
@@ -273,16 +169,15 @@ func fig18(flows *analysis.Rollup) *Report {
 		Title:      "Homes in which a domain ranks top-5 / top-10 by volume",
 		PaperClaim: "Google, YouTube, Facebook, Amazon, Apple, Twitter consistently popular; long tail",
 	}
-	pop := flows.PopularDomains()
-	limit := 15
-	for i, p := range pop {
-		if i >= limit {
-			r.add("… %d more domains in the tail", len(pop)-limit)
-			break
-		}
+	const limit = 15
+	pop, n := flows.PopularDomains(limit)
+	for _, p := range pop {
 		r.add("%-28s top5=%-3d top10=%-3d", p.Domain, p.Top5, p.Top10)
 	}
-	if len(pop) == 0 {
+	if n > limit {
+		r.add("… %d more domains in the tail", n-limit)
+	}
+	if n == 0 {
 		r.add("(no traffic data)")
 	}
 	return r
@@ -358,7 +253,7 @@ func fig20(flows *analysis.Rollup) *Report {
 // heartbeat ones reads one Rollup of st's rows; exhibits that read the
 // same intermediate share it: Figs. 3–6 and the group-wise exhibits one
 // roster index, Figs. 3–6 one gap index, Figs. 8/9 the connected-device
-// averages, Figs. 15/16 the links.
+// averages.
 func All(st *dataset.Store, w Windows) []*Report {
 	return all(st, analysis.NewRoster(st), analysis.RollupOf(st), w)
 }
@@ -373,7 +268,6 @@ func All(st *dataset.Store, w Windows) []*Report {
 // next exhibit from a shared counter, and reports land in paper order.
 func all(st *dataset.Store, ro *analysis.Roster, v *analysis.Rollup, w Windows) []*Report {
 	conn := sync.OnceValue(func() map[analysis.Group]analysis.ConnectedAverages { return v.ConnectedByGroup(ro) })
-	sats := sync.OnceValue(v.Saturation)
 	gaps := sync.OnceValue(func() *analysis.GapIndex { return analysis.NewGapIndex(st.Heartbeats, w.Availability) })
 	exhibits := [...]func() *Report{
 		func() *Report { return table1(st) },
@@ -391,8 +285,8 @@ func all(st *dataset.Store, ro *analysis.Roster, v *analysis.Rollup, w Windows) 
 		func() *Report { return fig12(v) },
 		func() *Report { return fig13(v, ro) },
 		func() *Report { return fig14(st, v) },
-		func() *Report { return fig15(sats()) },
-		func() *Report { return fig16(sats()) },
+		func() *Report { return fig15(v) },
+		func() *Report { return fig16(v) },
 		func() *Report { return fig17(v) },
 		func() *Report { return fig18(v) },
 		func() *Report { return fig19(v) },

@@ -6,6 +6,7 @@
 package stats
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"math"
@@ -13,6 +14,7 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"strconv"
 )
 
 // Summary holds the standard moments of a sample.
@@ -516,4 +518,54 @@ func Gini(xs []float64) float64 {
 		return 0
 	}
 	return (2*cum)/(float64(n)*total) - (float64(n)+1)/float64(n)
+}
+
+// decades are the powers of ten from 10^-2 to 10^15 as float64: the
+// nearest ones below 1, exact from 1 on.
+var decades = [...]float64{1e-2, 1e-1, 1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
+
+// AppendFixed2 appends v as strconv.AppendFloat(b, v, 'f', 2, 64) does.
+// That call takes strconv's multiprecision path for every value. A value
+// of magnitude from 0.01 up to 1e15 is rounded instead by the 'e'
+// format's fixed-digit path to as many significant digits as reach the
+// hundredths (at most 17) — the same rounding: of the exact binary
+// value, to nearest, ties to even — and the digits are laid out with two
+// decimals. Any other value goes through AppendFloat.
+func AppendFixed2(b []byte, v float64) []byte {
+	a := math.Abs(v)
+	if !(a >= decades[0] && a < decades[len(decades)-1]) {
+		return strconv.AppendFloat(b, v, 'f', 2, 64)
+	}
+	e := 0 // a < decades[e+1]: its decimal exponent is e-2, it has e+1 digits to the hundredths
+	for a >= decades[e+1] {
+		e++
+	}
+	var buf [32]byte
+	s := strconv.AppendFloat(buf[:0], a, 'e', e, 64) // "d.ddde±xx", or "de±xx"
+	at := bytes.IndexByte(s, 'e')
+	exp := 0 // e-2, or e-1 where rounding carried into a new digit
+	for _, c := range s[at+2:] {
+		exp = exp*10 + int(c-'0')
+	}
+	if s[at+1] == '-' {
+		exp = -exp
+	}
+	// The digits of a in hundredths: the mantissa's, and a 0 for the
+	// hundredths a carry left out.
+	var digits [24]byte
+	d := append(digits[:0], s[0])
+	if at > 1 {
+		d = append(d, s[2:at]...)
+	}
+	for n := exp + 3 - len(d); n > 0; n-- {
+		d = append(d, '0')
+	}
+	if v < 0 {
+		b = append(b, '-')
+	}
+	if len(d) <= 2 {
+		return append(append(b, "0.00"[:4-len(d)]...), d...)
+	}
+	b = append(append(b, d[:len(d)-2]...), '.')
+	return append(b, d[len(d)-2:]...)
 }
