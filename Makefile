@@ -6,7 +6,7 @@
 #   make check-cluster   # multi-node routing/replication/failover + chaos soak, -race
 #   make check-segment   # segment engine: crash windows, fuzz seeds, goldens, -race
 #   make check-rebalance # elastic scale-in/out: ring property, epoch, soaks, goldens, -race
-#   make check-figures   # incremental analysis + dashboard: snapshot/rollup equivalence, seal handshake, -race; alloc budgets without
+#   make check-figures   # incremental analysis + dashboard: FuzzLivePage's schedules and a shake-out, seal handshake, -race; alloc budgets without
 #   make check-bench     # the benchmark module builds and its smoke run passes
 #   make lines           # non-test line counts of the packages ROADMAP item 7 tracks, and of the read side
 #   make bench PR=<n>  # natbench, five sets of all four workloads -> BENCH_<n>.json, compared with the previous one
@@ -196,12 +196,12 @@ check-rebalance:
 #      that prefix), the seal generation handshake (a page taken between
 #      a chunk's publication and its fold), the page header describing
 #      its own snapshot, Fig. 15/16 taking only "up" and "down" links
-#      (batch and page alike), two pages at once extending the kept tail
-#      across appends, a seal, a generation left frozen by a failed commit
-#      and its publication, and across an extraction — each equal to the
-#      batch exhibits over the store; a seeded schedule of uploads, seals,
-#      compactions and re-registrations with a page after each step equal
-#      to the batch; two readers' pages, which share home summaries and
+#      (batch and page alike); FuzzLivePage's checked-in schedules —
+#      uploads of every row kind, rows that take bytes off a pair,
+#      re-registrations through any stripe, seals, failed commits,
+#      compactions, extractions and reopens, with pages between — every
+#      page equal to the batch exhibits over the store and its rollup to
+#      RollupOf's; two readers' pages, which share home summaries and
 #      rosters, racing seals (race_test.go, -race only); and the memtable
 #      cursor: a chain of MergeFrom reads beside concurrent appends equal
 #      to Merge;
@@ -224,7 +224,9 @@ check-rebalance:
 #      for -race;
 #   3. selection over sorted runs against a full sort (stats.QuantileRuns,
 #      random splits into 1–8 runs, ±0, empty runs);
-#   4. what a page computes with less, against how it was computed, under
+#   4. a shake-out of FuzzLivePage past its corpus: a fixed number of
+#      schedules, not a wall-clock budget, so a slow box runs as many;
+#   5. what a page computes with less, against how it was computed, under
 #      the race detector: Table 2's one-pass counts against counts off the
 #      rows, Fig. 12's fold-time categories against per-page OUI lookups
 #      (and Fig. 20's picks on the same pages against the batch's), the
@@ -236,8 +238,9 @@ check-figures:
 	$(GO) test -race ./internal/analysis/ ./internal/figures/
 	$(GO) test -race -run 'TestMergeFromMatchesMerge|TestMergeFromRosterHoldsOnlyChanges' ./internal/dataset/
 	$(GO) test -race -run 'TestTable2CountsMatchStore|TestTailReadsOnlyNewRegistrations|TestCDFLineMatchesQuantile|TestOversaturatedRowMatchesFmt|TestAppendFixed2MatchesAppendFloat|TestReportSizeIsItsRendering' ./internal/figures/
-	$(GO) test -race -run 'TestManufacturerHistogramMatchesLookups|TestUtilizationSeriesMergesRuns|TestCarriedSummariesFollowTheRoster|TestUsageCarriesAcrossPages' ./internal/analysis/
-	$(GO) test -race -run 'TestCarriedUsageMatchesBatch|TestPageRecomputesOnlyTouchedHomes' ./internal/figures/
+	$(GO) test -race -run 'TestManufacturerHistogramMatchesLookups|TestUtilizationSeriesMergesRuns' ./internal/analysis/
+	$(GO) test -race -run 'FuzzLivePage|TestPageRecomputesOnlyTouchedHomes' ./internal/figures/
+	$(GO) test -run='^$$' -fuzz='^FuzzLivePage$$' -fuzztime=2000x ./internal/figures/
 	$(GO) test -race -run 'TestRosterFollowsLatestRegistration' ./internal/dataset/
 	$(GO) test -run 'TestSnapshotAllocBudget|TestAvailabilityAllocBudget|TestRenderWorkIsTailBound|TestPageWorkIsIncrementBound|TestLivePageAllocBudget|TestLivePageBytesBudget|TestPageRecomputesOnlyTouchedHomes|TestExhibitLedger' ./internal/figures/
 	$(GO) test -run 'TestCaptureAfterSealIsHistoryFree|TestLiveSeriesAllocatesItsSize|TestUsageBeyondTheUS' ./internal/analysis/

@@ -179,16 +179,22 @@ func (r *Rollup) carry(prev *Rollup, d *usageDelta, same bool) {
 				r.over = append(r.over, s.over)
 			}
 		}
+		if len(r.over) == 0 {
+			r.over = nil // as a batch over no homes has it
+		}
 	}
 }
 
 // resorted returns sorted, in stats.SortFloats' order, less gone's
 // values (which it must hold) and with came's: itself when both are
-// empty, else a new slice, as a page may still read sorted. It sorts
-// gone and came.
+// empty, nil when none is left, else a new slice, as a page may still
+// read sorted. It sorts gone and came.
 func resorted(sorted, gone, came []float64) []float64 {
-	if len(gone)+len(came) == 0 {
+	switch {
+	case len(gone)+len(came) == 0:
 		return sorted
+	case len(gone) == len(sorted) && len(came) == 0:
+		return nil
 	}
 	stats.SortFloats(gone)
 	stats.SortFloats(came)
