@@ -201,7 +201,8 @@ check-rebalance:
 #      re-registrations through any stripe, seals, failed commits,
 #      compactions, extractions and reopens, with pages between — every
 #      page equal to the batch exhibits over the store and its rollup to
-#      RollupOf's; two readers' pages, which share home summaries and
+#      RollupOf's; a page of no new rows sharing the last page's
+#      aggregates; two readers' pages, which share home summaries and
 #      rosters, racing seals (race_test.go, -race only); and the memtable
 #      cursor: a chain of MergeFrom reads beside concurrent appends equal
 #      to Merge;
@@ -238,7 +239,7 @@ check-figures:
 	$(GO) test -race ./internal/analysis/ ./internal/figures/
 	$(GO) test -race -run 'TestMergeFromMatchesMerge|TestMergeFromRosterHoldsOnlyChanges' ./internal/dataset/
 	$(GO) test -race -run 'TestTable2CountsMatchStore|TestTailReadsOnlyNewRegistrations|TestCDFLineMatchesQuantile|TestOversaturatedRowMatchesFmt|TestAppendFixed2MatchesAppendFloat|TestReportSizeIsItsRendering' ./internal/figures/
-	$(GO) test -race -run 'TestManufacturerHistogramMatchesLookups|TestUtilizationSeriesMergesRuns' ./internal/analysis/
+	$(GO) test -race -run 'TestManufacturerHistogramMatchesLookups|TestUtilizationSeriesMergesRuns|TestPageOfNoNewRowsShares' ./internal/analysis/
 	$(GO) test -race -run 'FuzzLivePage|TestPageRecomputesOnlyTouchedHomes' ./internal/figures/
 	$(GO) test -run='^$$' -fuzz='^FuzzLivePage$$' -fuzztime=2000x ./internal/figures/
 	$(GO) test -race -run 'TestRosterFollowsLatestRegistration' ./internal/dataset/

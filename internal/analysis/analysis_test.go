@@ -495,7 +495,7 @@ func TestPopularDomains(t *testing.T) {
 
 func TestDomainShares(t *testing.T) {
 	st := usageStore()
-	curves := RollupOf(st).DomainShares(5)
+	curves := RollupOf(st).DomainShares()
 	// netflix: 8e8 of 1e9 = 80% volume but 4/114 conns.
 	if curves.VolumeShare[0] < 0.7 {
 		t.Fatalf("top volume share %v", curves.VolumeShare[0])

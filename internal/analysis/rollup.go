@@ -47,7 +47,6 @@ type Rollup struct {
 	order []int32
 	usage
 	made int
-	best *fleetBest // the base fleet's best devices (TopDevices)
 	// The roster laid over the summaries (placed), for the last roster
 	// asked for.
 	placeMu sync.Mutex
@@ -86,9 +85,6 @@ type rollup struct {
 	// forked is the epoch of the last clone: a version from it or before
 	// may be shared with another rollup that also writes (series.copied).
 	forked uint64
-	best   *fleetBest // the fleet's best devices as of the last freeze: a write drops it
-	// overlays counts the overlays laid over it (overlay.seq).
-	overlays uint64
 }
 
 type domKey struct {
@@ -231,18 +227,6 @@ func (f *fleetTable) add(i int32, bytes int64) { f.own(i / fleetChunk)[i%fleetCh
 // joined records that device i is in one more home than the one its
 // entry names.
 func (f *fleetTable) joined(i int32) { f.own(i / fleetChunk)[i%fleetChunk].home = manyHomes }
-
-// find returns dev's position, -1 when no flow row names it.
-func (f *fleetTable) find(dev mac.Addr) int32 {
-	for c, ch := range f.chunks {
-		for j := range ch {
-			if ch[j].dev == dev {
-				return int32(c*fleetChunk + j)
-			}
-		}
-	}
-	return -1
-}
 
 // thaw copies the list of chunks, whose every chunk is then shared.
 func (f *fleetTable) thaw() {
@@ -486,7 +470,6 @@ func (r *rollup) write(id string) *home { return r.own(r.at(id)) }
 func (r *rollup) thaw() {
 	r.homes = slices.Clone(r.homes)
 	r.fleet.thaw()
-	r.best = nil
 	r.epoch++
 	r.frozen = false
 }
@@ -531,10 +514,7 @@ func (r *rollup) settle() {
 // copies of r's slice headers and router index, so r can fold on.
 func (r *rollup) view() *Rollup {
 	r.freeze()
-	if r.best == nil && !r.unranked {
-		r.best = &fleetBest{}
-	}
-	return &Rollup{homes: r.homes, byID: r.byID, fleet: r.fleet, flowHomes: r.flowHomes, keptRows: r.keptRows, best: r.best}
+	return &Rollup{homes: r.homes, byID: r.byID, fleet: r.fleet, flowHomes: r.flowHomes, keptRows: r.keptRows}
 }
 
 // clone returns a rollup that shares r's versions until either side
@@ -565,10 +545,6 @@ type overlay struct {
 	fleet    []int32   // tail fleet device → base fleet device, or -1
 	base     *rollup
 	epoch    uint64
-	// seq numbers it among the overlays laid over base; from is the
-	// number of the one it extends, 0 for none. A number, not a pointer:
-	// a chain of overlays would keep every page's tail since the seal.
-	seq, from uint64
 }
 
 // overlay freezes r and lays t, a view of the rows after r's, over it.
@@ -584,17 +560,14 @@ func (r *rollup) overlay(t *Rollup, prev *overlay) *Rollup {
 	if len(t.homes) == 0 {
 		return v
 	}
-	r.overlays++
 	o := &overlay{
 		roll:  t,
 		dom:   make([][]int32, len(t.homes)),
 		dev:   make([][]int32, len(t.homes)),
 		base:  r,
 		epoch: r.epoch,
-		seq:   r.overlays,
 	}
 	if prev != nil && prev.base == r && prev.epoch == r.epoch {
-		o.from = prev.seq
 		o.onBase = slices.Clone(prev.onBase)
 		o.home = slices.Clip(prev.home)
 		o.fleet = slices.Clip(prev.fleet)
@@ -771,21 +744,21 @@ type rankScratch struct {
 	idx       []int32
 }
 
-// top returns the at most k domains of the home that rank highest by rk,
-// base and tail added, best first; the result lives in sc until the next
-// call, or is the summary's, which must not be changed. A ranking is a
-// total order, so the best k are the first k of the summary's rankDepth.
-// Without a summary, or deeper than it: bytes and connections only grow,
-// so a domain outside the base's cached top k that the tail did not touch
-// still has k domains ahead of it: the candidates are that ranking plus
-// the tail's domains (the base's whole list when k is deeper than the
-// cache, or when the tail takes bytes or connections off a base domain).
+// top returns the at most k ≤ rankDepth domains of the home that rank
+// highest by rk, base and tail added, best first; the result lives in sc
+// until the next call, or is the summary's, which must not be changed. A
+// ranking is a total order, so the best k are the first k of the
+// summary's rankDepth. Without a summary: bytes and connections only
+// grow, so a domain outside the base's cached top k that the tail did not
+// touch still has k domains ahead of it: the candidates are that ranking
+// plus the tail's domains (the base's whole list when the tail takes
+// bytes or connections off a base domain).
 func (v homeView) top(rk rank, k int, sc *rankScratch) []domainTotals {
-	if v.s != nil && k <= rankDepth {
+	if v.s != nil {
 		top := v.s.top[rk]
 		return top[:min(k, len(top))]
 	}
-	cached := v.b != nil && k <= rankDepth
+	cached := v.b != nil
 	if cached && v.t != nil {
 		for j := range v.t.domains {
 			if v.dom[j] >= 0 && rk.val(&v.t.domains[j]) < 0 {
@@ -949,7 +922,7 @@ func cmpPopularity(a, b DomainPopularity) int {
 
 // DomainShareCurves is Fig. 19: per home, domains ranked by volume with
 // their volume share, connection share, and the connection share of the
-// top-by-volume ranks, as mean curves across homes truncated to maxRank.
+// top-by-volume ranks, as mean curves across homes to rankDepth ranks.
 type DomainShareCurves struct {
 	// VolumeShare[i] is the mean share of total volume of each home's
 	// rank-(i+1) domain by volume (Fig. 19a).
@@ -962,76 +935,65 @@ type DomainShareCurves struct {
 	ConnShareByVolRank []float64
 }
 
-// shareTerms are one home's Fig. 19 terms to some depth, best first: its
-// domains' shares of its named volume and connections by volume rank
-// (vol, connOfVol) and by connection rank (conn); nil where it has no
-// named volume or no named connections. To rankDepth they lie in buf,
-// one allocation with the struct, which a page reads for every home.
+// shareTerms are one home's Fig. 19 terms, best first: its domains'
+// shares of its named volume and connections by volume rank (vol,
+// connOfVol) and by connection rank (conn); nil where it has no named
+// volume or no named connections. They lie in buf, one allocation with
+// the struct, which a page reads for every home.
 type shareTerms struct {
 	vol, connOfVol, conn []float64
 	buf                  [3 * rankDepth]float64
 }
 
-func (v homeView) shareTerms(depth int, sc *rankScratch) *shareTerms {
+func (v homeView) shareTerms(sc *rankScratch) *shareTerms {
 	s := v.totals()
 	if s.namedBytes == 0 || s.namedConns == 0 {
 		return nil
 	}
 	volTotal, connTotal := float64(s.namedBytes), float64(s.namedConns)
-	byVol := v.top(byVolumeNamed, depth, sc)
+	byVol := v.top(byVolumeNamed, rankDepth, sc)
 	t := &shareTerms{}
 	buf := t.buf[:2*len(byVol)]
-	if depth > rankDepth {
-		buf = make([]float64, 2*len(byVol), 3*depth)
-	}
 	t.vol, t.connOfVol = buf[:len(byVol)], buf[len(byVol):]
 	for i, d := range byVol {
 		t.vol[i] = float64(d.bytes) / volTotal
 		t.connOfVol[i] = float64(d.conns) / connTotal
 	}
 	t.conn = buf[len(buf):len(buf)]
-	for _, d := range v.top(byConnsNamed, depth, sc) {
+	for _, d := range v.top(byConnsNamed, rankDepth, sc) {
 		t.conn = append(t.conn, float64(d.conns)/connTotal)
 	}
 	return t
 }
 
-// DomainShares computes the Fig. 19 curves over the named domains: the
-// homes' terms added in first-flow order, the order whose rounding a
-// chunked fold and a batch agree on. To rankDepth the terms are the
-// summaries'; deeper, each home's are ranked again.
-func (r *Rollup) DomainShares(maxRank int) DomainShareCurves {
+// DomainShares computes the Fig. 19 curves over the named domains, to
+// rankDepth ranks: the summaries' terms added in first-flow order, the
+// order whose rounding a chunked fold and a batch agree on.
+func (r *Rollup) DomainShares() DomainShareCurves {
 	out := DomainShareCurves{
-		VolumeShare:         make([]float64, maxRank),
-		ConnShareByConnRank: make([]float64, maxRank),
-		ConnShareByVolRank:  make([]float64, maxRank),
-	}
-	terms := func(k int32) *shareTerms { return r.sums[k].terms }
-	if maxRank > rankDepth {
-		var views []homeView
-		r.each(func(v homeView) { views = append(views, v) })
-		var sc rankScratch
-		terms = func(k int32) *shareTerms { return views[k].shareTerms(maxRank, &sc) }
+		VolumeShare:         make([]float64, rankDepth),
+		ConnShareByConnRank: make([]float64, rankDepth),
+		ConnShareByVolRank:  make([]float64, rankDepth),
 	}
 	n := 0
 	for _, k := range r.flow {
-		t := terms(k)
+		t := r.sums[k].terms
 		if t == nil {
 			continue
 		}
 		n++
-		for i, x := range t.vol[:min(maxRank, len(t.vol))] {
+		for i, x := range t.vol {
 			out.VolumeShare[i] += x
 			out.ConnShareByVolRank[i] += t.connOfVol[i]
 		}
-		for i, x := range t.conn[:min(maxRank, len(t.conn))] {
+		for i, x := range t.conn {
 			out.ConnShareByConnRank[i] += x
 		}
 	}
 	if n == 0 {
 		return out
 	}
-	for i := 0; i < maxRank; i++ {
+	for i := 0; i < rankDepth; i++ {
 		out.VolumeShare[i] /= float64(n)
 		out.ConnShareByConnRank[i] /= float64(n)
 		out.ConnShareByVolRank[i] /= float64(n)
@@ -1048,89 +1010,152 @@ func (r *Rollup) WhitelistedVolumeShare() float64 {
 	return float64(r.totals.whitelisted) / float64(r.totals.bytes)
 }
 
-// fleetBest is a frozen fleet's bestDepth (Fig. 20's four) best devices,
-// found by the first view that asks and read by every view of the fleet.
-type fleetBest struct {
-	once sync.Once
-	devs []deviceTotals
-}
-
 const bestDepth = 4
+
+// bestDevice is a device as a page ranks it for Fig. 20: its volume over
+// the page's homes, and the one home it is in, "" for more than one.
+type bestDevice struct {
+	dev   mac.Addr
+	bytes int64
+	home  string
+}
 
 // TopDevices lists the k devices of the Traffic data set with the most
 // volume, all of them if there are fewer, ranked by volume, ties by
-// address (Fig. 20 picks its subjects from the first four). To
-// bestDepth they are the page's carried best (bestDevices); where
-// those are unknown, as after a tail row that took volume off one, and
-// for a deeper k, every device is ranked.
+// address (Fig. 20 picks its subjects from the first four): to bestDepth
+// the page's carried best (bestDevices), deeper every device ranked.
 func (r *Rollup) TopDevices(k int) []mac.Addr {
-	if k <= bestDepth && r.devs != nil {
-		return deviceAddrs(r.devs[:min(k, len(r.devs))])
+	top := r.devs[:min(k, len(r.devs))]
+	if k > bestDepth {
+		top = r.rankDevices(k)
 	}
-	var top []deviceTotals
-	more := map[int32]int64{} // base device → its tail volume
-	if o := r.tail; o != nil {
-		o.roll.fleet.each(func(j int32, d deviceTotals) {
-			if i := o.fleet[j]; i >= 0 {
-				more[i] = d.bytes
-			} else {
-				top = keep(top, d, k, cmpDevices)
-			}
-		})
+	out := make([]mac.Addr, len(top))
+	for i, d := range top {
+		out[i] = d.dev
 	}
-	r.fleet.each(func(i int32, d deviceTotals) {
-		d.bytes += more[i]
-		top = keep(top, d, k, cmpDevices)
-	})
-	return deviceAddrs(top)
+	return out
 }
 
-// bestDevices returns the page's bestDepth best devices, nil where a
-// tail row took volume off one. Volume only grows, so a device no row
-// touched stays behind the best it was behind: the best are among the
-// base's best and the tail's devices or, where the page's tail extends
-// the last page's over the same base, among the last page's best and
-// the devices of the homes whose summaries came.
-func (r *Rollup) bestDevices(prev *Rollup, came []*summary) []deviceTotals {
-	if r.best == nil {
-		return nil
+// device is the page's device at base fleet position i and tail fleet
+// position j, -1 for a side that lacks it.
+func (r *Rollup) device(i, j int32) (d bestDevice) {
+	one := true
+	for side, at := range [2]int32{i, j} {
+		if at < 0 {
+			continue
+		}
+		v := r
+		if side == 1 {
+			v = r.tail.roll
+		}
+		e, id := v.fleet.at(at), ""
+		if e.home != manyHomes {
+			id = v.homes[e.home].id
+		}
+		d.dev, d.bytes = e.dev, d.bytes+e.bytes
+		one = one && id != "" && (d.home == "" || d.home == id)
+		d.home = id
 	}
-	b := r.best
-	b.once.Do(func() {
-		r.fleet.each(func(_ int32, d deviceTotals) { b.devs = keep(b.devs, d, bestDepth, cmpDevices) })
-	})
-	o, top := r.tail, slices.Clone(b.devs)
-	if o == nil {
-		return top
+	if !one {
+		d.home = ""
 	}
-	each := func(fn func(int32)) {
-		for j := range int32(o.roll.fleet.len()) {
-			fn(j)
+	return d
+}
+
+// onTail maps the base fleet's devices the tail has to their tail
+// positions; it is empty without a tail.
+func (o *overlay) onTail() map[int32]int32 {
+	m := map[int32]int32{}
+	if o != nil {
+		for j, i := range o.fleet {
+			if i >= 0 {
+				m[i] = int32(j)
+			}
 		}
 	}
-	if p := prev.tail; o.from != 0 && p != nil && p.base == o.base && o.from == p.seq && prev.devs != nil {
-		top, each = slices.Clone(prev.devs), func(fn func(int32)) {
-			for _, s := range came {
+	return m
+}
+
+// rankDevices returns the page's k best devices, every device ranked.
+func (r *Rollup) rankDevices(k int) []bestDevice {
+	var top []bestDevice
+	onTail := r.tail.onTail()
+	for i := range int32(r.fleet.len()) {
+		top = keep(top, r.device(i, find(onTail, i)), k, cmpDevices)
+	}
+	if o := r.tail; o != nil {
+		for j, i := range o.fleet {
+			if i < 0 {
+				top = keep(top, r.device(-1, int32(j)), k, cmpDevices)
+			}
+		}
+	}
+	return top
+}
+
+// bestDevices returns the page's bestDepth best devices: prev's, changed
+// by the devices of the homes whose summaries went and came (summarize).
+// A device's volume on a page changes only where a home that holds it
+// has a new summary, so a device of no such home stays behind the best
+// it was behind on prev; and of a home whose base version is the one it
+// had on prev, only the tail's devices can have moved. A kept device
+// whose volume fell, or that a summary that went holds and none that
+// came does, may have fallen behind one the list does not name: then,
+// and on the first page over a partial, every device is ranked.
+func (r *Rollup) bestDevices(prev *Rollup, went, came []*summary, same bool) []bestDevice {
+	switch {
+	case prev.sums == nil:
+		return r.rankDevices(bestDepth)
+	case len(went)+len(came) == 0:
+		return prev.devs
+	}
+	// moved calls fn with the devices of each of ss whose volume may have
+	// moved: its tail version's, and its base version's unless its home's
+	// summary in the other list has the same one.
+	moved := func(ss, other []*summary, fn func(dv homeDevice, onBase bool)) {
+		for k, s := range ss {
+			if s.b != nil && !(same && other[k].b == s.b) {
+				for _, dv := range s.b.devices {
+					fn(dv, true)
+				}
+			}
+			if s.t != nil {
 				for _, dv := range s.t.devices {
-					fn(dv.fleet)
+					fn(dv, false)
 				}
 			}
 		}
 	}
-	ok := true
-	each(func(j int32) {
-		d := o.roll.fleet.at(j)
-		if i := o.fleet[j]; i >= 0 {
-			d.bytes += r.fleet.at(i).bytes
+	top := slices.Clone(prev.devs)
+	kept := func(dev mac.Addr) int { return slices.IndexFunc(top, func(e bestDevice) bool { return e.dev == dev }) }
+	var gone []mac.Addr // kept devices of the summaries that went
+	moved(went, came, func(dv homeDevice, _ bool) {
+		if kept(dv.dev) >= 0 {
+			gone = append(gone, dv.dev)
 		}
-		if p := slices.IndexFunc(top, func(e deviceTotals) bool { return e.dev == d.dev }); p >= 0 {
+	})
+	var onTail map[int32]int32 // made for the first base device
+	ok := true
+	moved(came, went, func(dv homeDevice, onBase bool) {
+		i, j := dv.fleet, dv.fleet
+		if onBase {
+			if onTail == nil {
+				onTail = r.tail.onTail()
+			}
+			j = find(onTail, i)
+		} else {
+			i = r.tail.fleet[j]
+		}
+		d := r.device(i, j)
+		gone = slices.DeleteFunc(gone, func(dev mac.Addr) bool { return dev == d.dev })
+		if p := kept(d.dev); p >= 0 {
 			ok = ok && d.bytes >= top[p].bytes
 			top = slices.Delete(top, p, p+1)
 		}
 		top = keep(top, d, bestDepth, cmpDevices)
 	})
-	if !ok {
-		return nil
+	if !ok || len(gone) > 0 {
+		return r.rankDevices(bestDepth)
 	}
 	return top
 }
@@ -1145,20 +1170,12 @@ func keep[T any](top []T, x T, k int, cmp func(a, b T) int) []T {
 }
 
 // cmpDevices ranks devices by volume, most first, ties by address.
-func cmpDevices(a, b deviceTotals) int {
+func cmpDevices(a, b bestDevice) int {
 	if a.bytes != b.bytes {
 		return cmp.Compare(b.bytes, a.bytes)
 	}
 	// Addr.String is fixed-width hex, so the bytes order as it does.
 	return bytes.Compare(a.dev[:], b.dev[:])
-}
-
-func deviceAddrs(ds []deviceTotals) []mac.Addr {
-	out := make([]mac.Addr, len(ds))
-	for i, d := range ds {
-		out[i] = d.dev
-	}
-	return out
 }
 
 // DomainShare is one domain of a device's volume distribution — Fig. 20's
@@ -1169,125 +1186,23 @@ type DomainShare struct {
 }
 
 // DeviceDomains computes the first k domains of the Fig. 20 mix for a
-// device, ranked descending. A device in one home — the fleet's rule —
-// has its mix read off that home's (device, domain) pairs with no copy:
-// see topDomains. Otherwise the mix is built whole (deviceMix) and cut.
+// device, ranked descending: over the one home of one of the page's best
+// devices, which its entry names, and otherwise over every home that has
+// the device.
 func (r *Rollup) DeviceDomains(dev mac.Addr, k int) []DomainShare {
-	if v, ok := r.homeOf(dev); ok && k <= maxTopDomains {
-		if out, ok := v.topDomains(dev, k); ok {
-			return out
-		}
+	var in []*home // the versions of the homes the device is in
+	if i := slices.IndexFunc(r.devs, func(d bestDevice) bool { return d.dev == dev }); i >= 0 && r.devs[i].home != "" {
+		v := r.of(r.devs[i].home)
+		in = []*home{v.b, v.t}
+	} else {
+		r.each(func(v homeView) {
+			if v.hasDevice(dev) {
+				in = append(in, v.b, v.t)
+			}
+		})
 	}
-	out := r.deviceMix(dev)
+	out := deviceMix(dev, in)
 	return out[:min(k, len(out))]
-}
-
-// homeOf returns the one home dev is in, found from its fleet entries,
-// base and tail; ok is false when it is in none or in more than one.
-func (r *Rollup) homeOf(dev mac.Addr) (v homeView, ok bool) {
-	var id string
-	sides := [2]*Rollup{r}
-	if r.tail != nil {
-		sides[1] = r.tail.roll
-	}
-	for _, side := range sides {
-		if side == nil {
-			continue
-		}
-		i := side.fleet.find(dev)
-		if i < 0 {
-			continue
-		}
-		h := side.fleet.at(i).home
-		if h == manyHomes || ok && side.homes[h].id != id {
-			return v, false
-		}
-		id, ok = side.homes[h].id, true
-	}
-	if !ok {
-		return v, false
-	}
-	return r.of(id), true
-}
-
-// maxTopDomains is the deepest cut of a mix topDomains makes.
-const maxTopDomains = 8
-
-// topDomains is the first k domains of dev's mix over the one home v.
-// The base's pairs go by their base volume and the tail's by their whole
-// volume — the tail's plus the base's pair of the same domain, found on
-// that domain's chain — so a domain both have is seen twice, once short.
-// The short entry ranks below the whole one, so at most 2k-2 entries
-// rank above the whole entry of any of the best k domains: the best 2k
-// entries, each domain's first one kept, start with the best k domains.
-// A share is its domain's volume over the device's, as deviceMix
-// divides it. ok is false when the tail takes volume off a pair, or the
-// device's volume is not positive, where that order does not hold.
-func (v homeView) topDomains(dev mac.Addr, k int) (_ []DomainShare, ok bool) {
-	var total int64
-	for _, h := range [2]*home{v.b, v.t} {
-		if h == nil {
-			continue
-		}
-		for _, p := range h.pairs {
-			if p.dev != dev {
-				continue
-			}
-			if h == v.t && p.bytes < 0 {
-				return nil, false
-			}
-			total += p.bytes
-		}
-	}
-	if total == 0 {
-		return nil, true
-	}
-	if total < 0 {
-		return nil, false
-	}
-	var buf [2 * maxTopDomains]DomainShare
-	top := buf[:0]
-	keep := func(name string, bytes int64) {
-		d := DomainShare{Domain: name, Share: float64(bytes) / float64(total)}
-		i := len(top)
-		for i > 0 && cmpShares(d, top[i-1]) < 0 {
-			i--
-		}
-		if i < 2*k {
-			top = slices.Insert(top[:min(len(top), 2*k-1)], i, d)
-		}
-	}
-	if v.b != nil {
-		for _, p := range v.b.pairs {
-			if p.dev == dev {
-				keep(v.b.domains[p.dom].name, p.bytes)
-			}
-		}
-	}
-	if v.t != nil {
-		for _, p := range v.t.pairs {
-			if p.dev != dev {
-				continue
-			}
-			bytes := p.bytes
-			if i := v.dom[p.dom]; i >= 0 {
-				for x := v.b.domains[i].lastPair; x >= 0; x = v.b.pairs[x].next {
-					if v.b.pairs[x].dev == dev {
-						bytes += v.b.pairs[x].bytes
-						break
-					}
-				}
-			}
-			keep(v.t.domains[p.dom].name, bytes)
-		}
-	}
-	out := make([]DomainShare, 0, min(k, len(top)))
-	for _, d := range top {
-		if len(out) < k && !slices.ContainsFunc(out, func(e DomainShare) bool { return e.Domain == d.Domain }) {
-			out = append(out, d)
-		}
-	}
-	return out, true
 }
 
 // cmpShares ranks a mix's domains: by share, most first, ties by name.
@@ -1298,30 +1213,21 @@ func cmpShares(a, b DomainShare) int {
 	return strings.Compare(a.Domain, b.Domain)
 }
 
-// deviceMix is a device's whole Fig. 20 mix, ranked. It reads the
-// (device, domain) pairs of the homes the device is in. A domain's pairs
-// are summed by sorting them by name in the slice the mix is returned
-// in, counted first, so the mix costs one allocation of its size.
-// Volumes are integers far below 2^53: their float64 sums are exact.
-func (r *Rollup) deviceMix(dev mac.Addr) []DomainShare {
-	var in []*home // the versions of the homes the device is in
+// deviceMix is a device's whole Fig. 20 mix, ranked, over in, the
+// versions of the homes it is in (nil for none). A domain's pairs are
+// summed by sorting them by name in the slice the mix is returned in,
+// counted first, so the mix costs one allocation of its size. Volumes
+// are integers far below 2^53: their float64 sums are exact.
+func deviceMix(dev mac.Addr, in []*home) []DomainShare {
+	in = slices.DeleteFunc(in, func(h *home) bool { return h == nil })
 	n := 0
-	r.each(func(v homeView) {
-		if !v.hasDevice(dev) {
-			return
-		}
-		for _, h := range [2]*home{v.b, v.t} {
-			if h == nil {
-				continue
-			}
-			in = append(in, h)
-			for _, p := range h.pairs {
-				if p.dev == dev {
-					n++
-				}
+	for _, h := range in {
+		for _, p := range h.pairs {
+			if p.dev == dev {
+				n++
 			}
 		}
-	})
+	}
 	out := make([]DomainShare, 0, n)
 	var total float64
 	for _, h := range in {

@@ -164,7 +164,7 @@ func TestScaleFigureBudgets(t *testing.T) {
 		return nil
 	})
 	figure("DomainShares", func() error {
-		got := RollupOf(st).DomainShares(10)
+		got := RollupOf(st).DomainShares()
 		if got.VolumeShare[0] == 0 {
 			return fmt.Errorf("empty rank-1 volume share")
 		}

@@ -74,7 +74,7 @@ func newSummary(v homeView, sc *rankScratch, devs *[]float64) *summary {
 			s.top[rk] = slices.Clone(v.top(rank(rk), rankDepth, sc))
 		}
 		v.s = s
-		s.terms = v.shareTerms(rankDepth, sc)
+		s.terms = v.shareTerms(sc)
 	}
 	w24, w5 := kindBit(dataset.Wireless24), kindBit(dataset.Wireless5)
 	v.eachDevice(func(d deviceSeen) {
@@ -214,25 +214,22 @@ func (r *Rollup) summarize(prev *Rollup) {
 		r.made++
 	})
 	r.sums = sums
-	// The homes' IDs are those at the same positions on the last page
-	// where every summary that changed names the same home: then so does
-	// its router order, and so does where the last page's roster put
-	// them (placed).
+	// The summaries that went and came, in position order. The homes'
+	// IDs are those at the same positions on the last page where every
+	// summary that changed names the same home (same): then went[i] and
+	// came[i] are one home's, and the last page's router order holds, as
+	// does where its roster put the homes (placed).
 	same := len(sums) == len(old)
-	d := usageDelta{pop: popCounts{}}
+	var went, came []*summary
 	for k := range max(len(sums), len(old)) {
-		switch {
-		case k >= len(old):
-			d.count(sums[k], 1)
-		case k >= len(sums):
-			d.count(old[k], -1)
-		case sums[k] != old[k]:
-			d.count(old[k], -1)
-			d.count(sums[k], 1)
+		if k < len(old) && (k >= len(sums) || sums[k] != old[k]) {
+			went = append(went, old[k])
+		}
+		if k < len(sums) && (k >= len(old) || sums[k] != old[k]) {
+			came = append(came, sums[k])
 			same = same && sums[k].id() == old[k].id()
 		}
 	}
-	r.flow = r.firstFlows(prev.flow)
 	if same {
 		r.order = prev.order
 		prev.placeMu.Lock()
@@ -245,41 +242,25 @@ func (r *Rollup) summarize(prev *Rollup) {
 		}
 		slices.SortFunc(r.order, func(a, b int32) int { return strings.Compare(sums[a].id(), sums[b].id()) })
 	}
-	r.carry(prev, &d, same)
+	r.carry(prev, went, came, same)
 }
 
 // firstFlows returns the flow homes' positions in first-flow order, which
-// float sums over homes follow to give a chunked fold's bits: the tail's
-// first flows after the base's. It is last where every home is where it
-// was on the last page.
-func (r *Rollup) firstFlows(last []int32) []int32 {
-	var late []int32
+// float sums over homes follow to give a chunked fold's bits: the base's
+// by their ordinals, then those whose first flows are in the tail, by
+// their tail ordinals.
+func (r *Rollup) firstFlows() []int32 {
+	flow := make([]int32, r.flowHomes, len(r.sums))
 	for k, s := range r.sums {
-		if (s.b == nil || s.b.has&HasTraffic == 0) && s.t != nil && s.t.has&HasTraffic != 0 {
-			late = append(late, int32(k))
+		switch {
+		case s.b != nil && s.b.has&HasTraffic != 0:
+			flow[s.b.first] = int32(k)
+		case s.t != nil && s.t.has&HasTraffic != 0:
+			flow = append(flow, int32(k))
 		}
 	}
+	late := flow[r.flowHomes:]
 	slices.SortFunc(late, func(a, b int32) int { return cmp.Compare(r.sums[a].t.first, r.sums[b].t.first) })
-	flow, mine := last, false
-	if len(flow) != int(r.flowHomes)+len(late) {
-		flow, mine = make([]int32, int(r.flowHomes)+len(late)), true
-	}
-	put := func(o, k int32) {
-		if flow[o] != k {
-			if !mine {
-				flow, mine = slices.Clone(flow), true
-			}
-			flow[o] = k
-		}
-	}
-	for k, s := range r.sums {
-		if s.b != nil && s.b.has&HasTraffic != 0 {
-			put(s.b.first, int32(k))
-		}
-	}
-	for i, k := range late {
-		put(r.flowHomes+int32(i), k)
-	}
 	return flow
 }
 

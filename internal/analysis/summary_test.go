@@ -1,12 +1,15 @@
 package analysis
 
 import (
+	"fmt"
 	"maps"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
 
 	"natpeek/internal/dataset"
+	"natpeek/internal/rng"
 )
 
 // TestExtendedPagesCarryWhatHolds: a page Extended from the last one
@@ -64,4 +67,41 @@ func TestExtendedPagesCarryWhatHolds(t *testing.T) {
 	if next.Roster() != sn.Roster() {
 		t.Error("a page whose rows registered no one new built its roster index again")
 	}
+}
+
+// TestPageOfNoNewRowsShares: a page Extended by no rows has no summary
+// that went or came, and takes the last page's usage aggregates as they
+// are — the same samples, Fig. 16 rows, Fig. 18 counts, first-flow order
+// and best devices — without making any of them again.
+func TestPageOfNoNewRowsShares(t *testing.T) {
+	s := rng.New(45).Child("usage")
+	st := keptMix(s, 40, 3_000)
+	for i := 0; i < 600; i++ {
+		st.Flows = append(st.Flows, dataset.FlowRecord{RouterID: fmt.Sprintf("mix-%03d", s.Intn(30)),
+			Device: dev(uint32(s.Intn(60))), Domain: fmt.Sprintf("d%d.com", s.Intn(25)),
+			DownBytes: int64(1 + s.Intn(1e6)), Conns: int64(1 + s.Intn(5))})
+	}
+	chunks := chunksOf(st, 2)
+	p := NewPartial()
+	p.Fold(chunks[0])
+	sn := NewSnapshot(chunks[1])
+	sn.Capture(p)
+	last := sn.Rollup()
+	sn = sn.Extend(dataset.NewStore())
+	sn.Capture(p)
+	v := sn.Rollup()
+	oneArray := func(what string, a, b any) {
+		t.Helper()
+		ra, rb := reflect.ValueOf(a), reflect.ValueOf(b)
+		if ra.Len() == 0 || ra.Len() != rb.Len() || ra.Pointer() != rb.Pointer() {
+			t.Errorf("a page of no new rows made %s again (or has none): %d and %d entries", what, ra.Len(), rb.Len())
+		}
+	}
+	for i := range v.samples {
+		oneArray(fmt.Sprintf("sample %d", i), last.samples[i], v.samples[i])
+	}
+	oneArray("Fig. 16's rows", last.over, v.over)
+	oneArray("Fig. 18's counts", last.pop, v.pop)
+	oneArray("the first-flow order", last.flow, v.flow)
+	oneArray("the best devices", last.devs, v.devs)
 }

@@ -106,16 +106,17 @@ func AppendOversaturated(b []byte, s *LinkSaturation) []byte {
 	return strconv.AppendInt(append(b, '/'), int64(s.Minutes), 10)
 }
 
-// usage is a page's Figs. 15–19 aggregates over its home summaries: the
-// last page's, changed by the summaries it replaced (carry). Fig. 19's
-// float sums are not exact in any order: only their order is carried.
+// usage is a page's Figs. 15–20 aggregates over its home summaries: the
+// last page's, less what the summaries that went put in and plus what
+// those that came put in (carry). Fig. 19's float sums are not exact in
+// any order: only their order is carried.
 type usage struct {
 	samples [numSamples][]float64 // ascending (resorted)
 	over    []string              // Fig. 16's rows, in router order
 	pop     popCounts             // Fig. 18
 	totals  homeTotals            // every home's flow totals (WhitelistedVolumeShare)
 	flow    []int32               // Fig. 19: flow homes' summary positions, in first-flow order
-	devs    []deviceTotals        // Fig. 20: the best devices (bestDevices), nil for unknown
+	devs    []bestDevice          // Fig. 20: the best devices (bestDevices)
 }
 
 // The carried samples: Fig. 15's link utilizations, by linkOf, and
@@ -126,53 +127,54 @@ const (
 	topShareMin           = 3
 )
 
-// usageDelta is what a page's replaced summaries take out and put in.
-type usageDelta struct {
-	out, in [numSamples][]float64
-	pop     popCounts
-	totals  homeTotals
-	over    bool       // a summary that came or went has a Fig. 16 row
-	came    []*summary // those with a tail version that came
-}
-
-// count adds s to d: by 1 for a summary that came, -1 for one that went.
-func (d *usageDelta) count(s *summary, by int) {
-	side := &d.in
-	if by < 0 {
-		side = &d.out
-	}
+// sample appends s's values in sample i to xs: its link's utilization
+// in that direction, or its top device's share.
+func (s *summary) sample(i int, xs []float64) []float64 {
 	for _, l := range s.links {
-		side[linkOf(l.Dir)] = append(side[linkOf(l.Dir)], l.Utilization)
+		if linkOf(l.Dir) == i {
+			xs = append(xs, l.Utilization)
+		}
 	}
-	if len(s.shares) >= topShareMin {
-		side[topShares] = append(side[topShares], s.shares[0])
+	if i == topShares && len(s.shares) >= topShareMin {
+		xs = append(xs, s.shares[0])
 	}
-	d.pop.count(s, by)
-	d.totals.merge(s.totals, int64(by))
-	d.over = d.over || s.over != ""
-	if by > 0 && s.t != nil {
-		d.came = append(d.came, s)
-	}
+	return xs
 }
 
-// carry sets r's usage aggregates: prev's, with d applied. same reports
-// that every home is where it was on prev, in the same router order.
-func (r *Rollup) carry(prev *Rollup, d *usageDelta, same bool) {
-	for i := range r.samples {
-		r.samples[i] = resorted(prev.samples[i], d.out[i], d.in[i])
-	}
+// carry sets r's usage aggregates: prev's, less what the summaries that
+// went put in, plus what those that came put in (summarize). same
+// reports that every home is where it was on prev, in the same router
+// order; where it does not hold, or a changed summary has a row or
+// flows, Fig. 16's rows and the first-flow order are laid out again.
+func (r *Rollup) carry(prev *Rollup, went, came []*summary, same bool) {
+	var moved [numSamples][2][]float64 // by sample: the values out, and in
+	pop := popCounts{}
+	over, flows := !same, !same
 	r.totals = prev.totals
-	r.totals.merge(d.totals, 1)
-	r.devs = r.bestDevices(prev, d.came)
+	for side, ss := range [2][]*summary{went, came} {
+		by := 2*side - 1
+		for _, s := range ss {
+			for i := range moved {
+				moved[i][side] = s.sample(i, moved[i][side])
+			}
+			r.totals.merge(s.totals, int64(by))
+			pop.count(s, by)
+			over = over || s.over != ""
+			flows = flows || s.has&HasTraffic != 0
+		}
+	}
+	for i := range r.samples {
+		r.samples[i] = resorted(prev.samples[i], moved[i][0], moved[i][1])
+	}
 	r.pop = prev.pop
-	if len(d.pop) > 0 {
+	if len(pop) > 0 {
 		r.pop = maps.Clone(prev.pop)
-		for name, c := range d.pop {
+		for name, c := range pop {
 			r.pop.add(name, c)
 		}
 	}
 	r.over = prev.over
-	if !same || d.over {
+	if over {
 		r.over = make([]string, 0, len(prev.over)+1)
 		for _, k := range r.order {
 			if s := r.sums[k]; s.over != "" {
@@ -183,6 +185,11 @@ func (r *Rollup) carry(prev *Rollup, d *usageDelta, same bool) {
 			r.over = nil // as a batch over no homes has it
 		}
 	}
+	r.flow = prev.flow
+	if flows {
+		r.flow = r.firstFlows()
+	}
+	r.devs = r.bestDevices(prev, went, came, same)
 }
 
 // resorted returns sorted, in stats.SortFloats' order, less gone's

@@ -511,7 +511,7 @@ func TestFig18ExpectedDomainsPresent(t *testing.T) {
 
 func TestFig19VolumeVsConnections(t *testing.T) {
 	st, _ := study(t)
-	curves := analysis.RollupOf(st).DomainShares(10)
+	curves := analysis.RollupOf(st).DomainShares()
 	top := curves.VolumeShare[0]
 	if top < 0.2 || top > 0.6 {
 		t.Fatalf("top domain volume share %.2f, paper ≈0.38", top)

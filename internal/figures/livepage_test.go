@@ -104,7 +104,7 @@ func TestPageRecomputesOnlyTouchedHomes(t *testing.T) {
 		if !sameArray(v.Oversaturated(), again.Oversaturated()) {
 			t.Errorf("%s: a page with no new rows made Fig. 16's rows again", step)
 		}
-		if a, b := again.DomainShares(10), v.DomainShares(10); !reflect.DeepEqual(a, b) {
+		if a, b := again.DomainShares(), v.DomainShares(); !reflect.DeepEqual(a, b) {
 			t.Errorf("%s: Fig. 19's curves moved on a page of no new rows: %v, %v", step, a, b)
 		}
 		if a, b := again.TopDevices(4), v.TopDevices(4); !reflect.DeepEqual(a, b) {
@@ -149,7 +149,7 @@ func TestPageRecomputesOnlyTouchedHomes(t *testing.T) {
 	st := d.src.Merge()
 	_, _, v, _ := d.snapshot()
 	want := analysis.RollupOf(st)
-	if a, b := want.DomainShares(10), v.DomainShares(10); !reflect.DeepEqual(a, b) {
+	if a, b := want.DomainShares(), v.DomainShares(); !reflect.DeepEqual(a, b) {
 		t.Errorf("the last page's Fig. 19 curves %v, the batch's %v", b, a)
 	}
 	if a, b := want.TopDevices(4), v.TopDevices(4); !reflect.DeepEqual(a, b) {

@@ -53,7 +53,7 @@ func TestClaimsHoldAcrossSeeds(t *testing.T) {
 		if top := v.MeanTopShare(); top < 0.4 {
 			t.Errorf("seed %d: top-device share %.2f", seed, top)
 		}
-		curves := v.DomainShares(5)
+		curves := v.DomainShares()
 		if curves.VolumeShare[0] < 0.15 {
 			t.Errorf("seed %d: top-domain volume share %.2f", seed, curves.VolumeShare[0])
 		}

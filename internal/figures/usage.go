@@ -190,7 +190,7 @@ func fig19(flows *analysis.Rollup) *Report {
 		Title:      "Domain share of volume and connections, by rank",
 		PaperClaim: "top domain ≈38% of volume but <14% of connections; #2 ≈11%/7%; top-by-connections ≈19%",
 	}
-	curves := flows.DomainShares(10)
+	curves := flows.DomainShares()
 	if len(curves.VolumeShare) == 0 || curves.VolumeShare[0] == 0 {
 		r.add("(no traffic data)")
 		return r
