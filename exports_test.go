@@ -29,7 +29,7 @@ var exportAllowlist = map[string]string{
 	// Reference implementations a test compares against.
 	"domains.Rank":     "reference: the figures oracle ranks domains with it",
 	"heartbeat.GapsIn": "reference: the heartbeat and household tests check gap extraction against it",
-	"stats.Gini":       "reference: figures.TestMeanGiniDeterministic checks meanGini against it",
+	"stats.Gini":       "reference: figures.TestMeanGiniDeterministic checks fig17's gini against it",
 	"stats.Summarize":  "reference: the analysis oracle summarizes samples with it",
 	// Test-harness entry points.
 	"verify.BuildSnapshot":       "harness: the verify goldens snapshot a store with it",

@@ -72,7 +72,7 @@ type schedule struct {
 	at    time.Time // the next upload's time
 	pages int
 	// rebased is set by a step after which a page may start the tail
-	// over: a seal, an extraction, a reopen.
+	// over: a seal (its commit failed or not), an extraction, a reopen.
 	rebased bool
 	// unsealed holds the routers with rows or registrations in the
 	// memtable, sealed those a seal may have written to a segment. The
