@@ -239,8 +239,8 @@ check-figures:
 	$(GO) test -race ./internal/analysis/ ./internal/figures/
 	$(GO) test -race -run 'TestMergeFromMatchesMerge|TestMergeFromRosterHoldsOnlyChanges' ./internal/dataset/
 	$(GO) test -race -run 'TestTable2CountsMatchStore|TestTailReadsOnlyNewRegistrations|TestCDFLineMatchesQuantile|TestOversaturatedRowMatchesFmt|TestAppendFixed2MatchesAppendFloat|TestReportSizeIsItsRendering' ./internal/figures/
-	$(GO) test -race -run 'TestManufacturerHistogramMatchesLookups|TestUtilizationSeriesMergesRuns|TestPageOfNoNewRowsShares' ./internal/analysis/
-	$(GO) test -race -run 'FuzzLivePage|TestPageRecomputesOnlyTouchedHomes' ./internal/figures/
+	$(GO) test -race -run 'TestManufacturerHistogramMatchesLookups|TestUtilizationSeriesMergesRuns|TestCarriedSummariesFollowTheRoster|TestPageOfNoNewRowsShares' ./internal/analysis/
+	$(GO) test -race -run 'FuzzLivePage|TestCarriedUsageMatchesBatch|TestPageRecomputesOnlyTouchedHomes' ./internal/figures/
 	$(GO) test -run='^$$' -fuzz='^FuzzLivePage$$' -fuzztime=2000x ./internal/figures/
 	$(GO) test -race -run 'TestRosterFollowsLatestRegistration' ./internal/dataset/
 	$(GO) test -run 'TestSnapshotAllocBudget|TestAvailabilityAllocBudget|TestRenderWorkIsTailBound|TestPageWorkIsIncrementBound|TestLivePageAllocBudget|TestLivePageBytesBudget|TestPageRecomputesOnlyTouchedHomes|TestExhibitLedger' ./internal/figures/

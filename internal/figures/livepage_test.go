@@ -2,15 +2,147 @@ package figures
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"natpeek/internal/analysis"
 	"natpeek/internal/dataset"
+	"natpeek/internal/geo"
 	"natpeek/internal/rng"
+	"natpeek/internal/segment"
 )
+
+// TestPagesAcrossSealsMatchBatch: pages interleaved with appends, with a
+// seal, with a seal whose commit failed — its generation waits in the
+// frozen slot while the live memtable grows behind it — and with that
+// generation's publication. With writes paused at each step, two pages
+// rendered at once both equal the batch exhibits over the store's
+// merged rows. A page that only follows appends extends the last page's
+// tail; one after a publication starts it over.
+func TestPagesAcrossSealsMatchBatch(t *testing.T) {
+	dir := t.TempDir()
+	seg, err := segment.Open(segment.Options{Dir: dir, FlushRows: 1 << 30, NoCompaction: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { seg.Close() })
+	d, err := NewDashboard(seg, DefaultWindows())
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := 0
+	appendUnits := func(n int) {
+		for ; n > 0; n-- {
+			appendUnit(seg, u)
+			u++
+		}
+	}
+	seals := 0
+	flush := func() error {
+		err := seg.Flush()
+		if err == nil {
+			seals++
+		}
+		return err
+	}
+	page := func(step string, rebuilds uint64) {
+		t.Helper()
+		before := d.mRebuilds.Value()
+		var got [2]string
+		var wg sync.WaitGroup
+		for r := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[r] = renderString(d.Render())
+			}()
+		}
+		wg.Wait()
+		want := renderString(All(seg.Merge(), DefaultWindows()))
+		for r, g := range got {
+			if g != want {
+				t.Fatalf("%s: reader %d's page:\n%s\nthe batch exhibits over the store:\n%s", step, r, g, want)
+			}
+		}
+		if n := d.mRebuilds.Value() - before; n != rebuilds {
+			t.Errorf("%s: %d pages started the tail over, want %d", step, n, rebuilds)
+		}
+	}
+
+	page("empty store", 0)
+	appendUnits(3)
+	page("appends", 0)
+	appendUnits(4)
+	page("more appends", 0)
+	if err := flush(); err != nil {
+		t.Fatal(err)
+	}
+	page("a seal", 1)
+	appendUnits(5)
+	page("appends after the seal", 0)
+
+	// A directory where the next commit writes its temporary file fails
+	// that commit: the sealed generation stays frozen, not published.
+	block := filepath.Join(dir, fmt.Sprintf("%016x-%016x.seg.tmp", seals, seals))
+	if err := os.Mkdir(block, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	appendUnits(2)
+	if err := flush(); err == nil {
+		t.Fatal("a commit over a directory succeeded")
+	}
+	page("a generation frozen, not published", 0)
+	appendUnits(6)
+	page("the live memtable grows behind the frozen one", 0)
+	if err := os.Remove(block); err != nil {
+		t.Fatal(err)
+	}
+	if err := flush(); err != nil {
+		t.Fatal(err)
+	}
+	page("the frozen generation and the live one published", 1)
+	appendUnits(3)
+	page("appends after the publication", 0)
+}
+
+// TestPageAfterExtractMatchesBatch: an extraction takes a router's rows
+// out of the memtable a page's tail was read from and re-bases what is
+// left; the next page starts the tail over instead of continuing from a
+// cursor into rows that moved, and equals the batch exhibits over what
+// the store holds.
+func TestPageAfterExtractMatchesBatch(t *testing.T) {
+	seg := openSeg(t)
+	d, err := NewDashboard(seg, DefaultWindows())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u := 0; u < 21; u++ {
+		appendUnit(seg, u)
+		if u == 5 {
+			if err := seg.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	d.Render()
+	// unit-00006's rows, and the flows of units 18–20 that are under it,
+	// are all in the memtable.
+	moved, _ := seg.ExtractRouters(func(id string) bool { return id == "unit-00006" })
+	if rc := dataset.CountRows(moved); rc.Uptime != 1 || rc.Flows != 18 {
+		t.Fatalf("extract moved %+v, want unit 6's rows and units 18–20's flows", rc)
+	}
+	for u := 21; u < 24; u++ {
+		appendUnit(seg, u)
+	}
+	if got, want := renderString(d.Render()), renderString(All(seg.Merge(), DefaultWindows())); got != want {
+		t.Fatalf("page after an extract:\n%s\nthe batch exhibits over the store:\n%s", got, want)
+	}
+}
 
 // TestPageWorkIsIncrementBound: a page over a live tail pays for the rows
 // since the last page, not for the tail: eight uploads appended between
@@ -218,6 +350,60 @@ func TestTailReadsOnlyNewRegistrations(t *testing.T) {
 	step("8 more", 8, mix(24, routers))
 	step("8 uploads from new routers", 8, mix(routers, routers+8))
 	step("a router moved to another country", 1, func(dst *dataset.Store) { dst.RouterCountry["load-00003"] = "PK" })
+}
+
+// TestLivePagesMatchBatchOverSchedule: a seeded schedule of uploads,
+// seals, compactions and re-registrations that move a router to another
+// country — a router of the sealed history or of the live tail — with a
+// page after each step, every page equal byte for byte to the batch
+// exhibits over the store's merged rows. Each page takes what still
+// holds of the last page's home summaries and roster, so a page that
+// kept one a step had changed reads differently from the batch.
+func TestLivePagesMatchBatchOverSchedule(t *testing.T) {
+	const routers = 48
+	seg := openSeg(t)
+	d, err := NewDashboard(seg, DefaultWindows())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := rng.New(36).Child("schedule")
+	codes := geo.All()
+	next := 0
+	for step := 0; step < 60; step++ {
+		var what string
+		switch s.WeightedChoice([]float64{6, 1.5, 0.5, 1.5}) {
+		case 0:
+			n := 1 + s.Intn(12)
+			seg.Append("schedule", func(dst *dataset.Store) { loadgenMix(dst, s, next, n, routers, 0.65) })
+			next += n
+			what = fmt.Sprintf("%d uploads", n)
+		case 1:
+			if err := seg.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			what = "a seal"
+		case 2:
+			if err := seg.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			what = "a compaction"
+		default:
+			// loadgenMix registers router r in codes[r%len(codes)]; any
+			// other code moves it, and its next upload moves it back.
+			r := s.Intn(routers)
+			code := codes[(r+1+s.Intn(len(codes)-1))%len(codes)].Code
+			id := fmt.Sprintf("load-%05d", r)
+			seg.Append(id, func(dst *dataset.Store) { dst.RouterCountry[id] = code })
+			what = fmt.Sprintf("%s re-registered in %s", id, code)
+		}
+		got, want := renderString(d.Render()), renderString(All(seg.Merge(), DefaultWindows()))
+		if got != want {
+			t.Fatalf("step %d (%s): the page:\n%s\nthe batch exhibits over the store:\n%s", step, what, got, want)
+		}
+	}
+	if st := d.Stats(); st.SealedChunks < 5 {
+		t.Fatalf("the schedule sealed %d chunks; it is meant to cross several seals", st.SealedChunks)
+	}
 }
 
 // BenchmarkLivePage is figures-live's loop in one process: eight uploads

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -173,6 +174,26 @@ func utilization(v *analysis.Rollup, id, dir string) []analysis.UtilizationPoint
 	return out
 }
 
+// rowChunks cuts each of st's row kinds at n-1 random points into n
+// chunks.
+func rowChunks(st *dataset.Store, s *rng.Stream, n int) []*dataset.Store {
+	out := make([]*dataset.Store, n)
+	for i := range out {
+		out[i] = &dataset.Store{RouterCountry: map[string]string{}}
+	}
+	for _, k := range dataset.Kinds {
+		cuts := []int{0, k.Len(st)}
+		for i := 1; i < n; i++ {
+			cuts = append(cuts, s.Intn(k.Len(st)+1))
+		}
+		slices.Sort(cuts)
+		for i, c := range out {
+			k.Window(c, st, cuts[i], cuts[i+1])
+		}
+	}
+	return out
+}
+
 // joined is the rows of chunks, in order, as one store.
 func joined(chunks []*dataset.Store) *dataset.Store {
 	st := dataset.NewStore()
@@ -189,6 +210,89 @@ func splitKinds(st *dataset.Store) (kept, flows *dataset.Store) {
 	k := *st
 	k.Flows = nil
 	return &k, &dataset.Store{RouterCountry: map[string]string{}, Flows: st.Flows}
+}
+
+// withLoners moves some of st's rows to routers of one kind each: every
+// fifth flow row to a router with flows alone, every fifth capacity row
+// to one with capacity alone, both in their source router's country.
+func withLoners(st *dataset.Store) {
+	loner := func(id, kind string) string {
+		l := id + "-" + kind
+		if c, ok := st.RouterCountry[id]; ok {
+			st.RouterCountry[l] = c
+		}
+		return l
+	}
+	for i := 0; i < len(st.Flows); i += 5 {
+		st.Flows[i].RouterID = loner(st.Flows[i].RouterID, "flows")
+	}
+	for i := 0; i < len(st.Capacity); i += 5 {
+		st.Capacity[i].RouterID = loner(st.Capacity[i].RouterID, "capacity")
+	}
+}
+
+// TestFoldedRollupMatchesBatch: the rollup a Partial folds chunk by chunk
+// — read on its own or with a tail laid over it — answers every method, flow and kept kinds
+// alike, as RollupOf over the same rows does; and a rollup read part-way
+// keeps answering for the rows it was read over while the folds go on.
+// Chunks are cut at random points per kind, or hold a router's kept rows
+// one or more chunks before its first flow row, or its flows first; the
+// study has routers with kept rows alone, the mix routers of one kind.
+func TestFoldedRollupMatchesBatch(t *testing.T) {
+	study, _ := study(t)
+	for seed := uint64(1); seed <= 6; seed++ {
+		s := rng.New(seed).Child("folded rollup")
+		mix := dataset.NewStore()
+		loadgenMix(mix, s, 0, 500+s.Intn(2500), 8+s.Intn(56), 0.65)
+		withLoners(mix)
+		for _, in := range []struct {
+			name string
+			st   *dataset.Store
+		}{{"study", study}, {"loadgen mix", mix}} {
+			want := analysis.RollupOf(in.st)
+			kept, flows := splitKinds(in.st)
+			for _, cut := range []struct {
+				name   string
+				chunks []*dataset.Store
+			}{
+				{"random cuts", rowChunks(in.st, s, 2+s.Intn(7))},
+				{"kept first", append(rowChunks(kept, s, 1+s.Intn(3)), rowChunks(flows, s, 1+s.Intn(3))...)},
+				{"flows first", append(rowChunks(flows, s, 1+s.Intn(3)), rowChunks(kept, s, 1+s.Intn(3))...)},
+			} {
+				what := fmt.Sprintf("seed %d, %s, %s", seed, in.name, cut.name)
+				foldedMatchesBatch(t, what, s, in.st, want, cut.chunks)
+			}
+		}
+	}
+}
+
+// foldedMatchesBatch folds chunks as TestFoldedRollupMatchesBatch says
+// and compares each rollup with want, RollupOf over the same rows.
+func foldedMatchesBatch(t *testing.T, what string, s *rng.Stream, st *dataset.Store, want *analysis.Rollup, chunks []*dataset.Store) {
+	t.Helper()
+
+	// Chunk by chunk, a view taken after a random few.
+	p := analysis.NewPartial()
+	body := len(chunks) - s.Intn(2) // the last chunk is a tail or not
+	var early *analysis.Rollup
+	var earlyRows *dataset.Store
+	for i, c := range chunks[:body] {
+		p.Fold(c)
+		if early == nil && s.Bool(0.5) {
+			early = folded(p)
+			earlyRows = joined(chunks[:i+1])
+		}
+	}
+	got := folded(p)
+	if body < len(chunks) {
+		sn := analysis.NewSnapshot(chunks[body])
+		sn.Capture(p)
+		got = sn.Rollup()
+	}
+	diffRollups(t, what, st, want, got)
+	if early != nil {
+		diffRollups(t, what+": a view taken part-way", st, analysis.RollupOf(earlyRows), early)
+	}
 }
 
 // TestViewKeepsItsVersionAcrossKinds: a router's flows and kept kinds

@@ -1,14 +1,100 @@
 package figures
 
 import (
+	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
+	"natpeek/internal/analysis"
 	"natpeek/internal/dataset"
+	"natpeek/internal/heartbeat"
 	"natpeek/internal/rng"
 	"natpeek/internal/segment"
 )
+
+// oldSnapshot is the recipe Dashboard.snapshot replaced: deep-copy the
+// base, fold the tail into the copy, and read the copy's rollup.
+func oldSnapshot(base *analysis.Partial, tail *dataset.Store, hb *heartbeat.Log) (*dataset.Store, *analysis.Rollup) {
+	p := base.Clone()
+	p.Fold(tail)
+	return p.Store(hb), folded(p)
+}
+
+func newSnapshot(base *analysis.Partial, tail *dataset.Store, hb *heartbeat.Log) (*dataset.Store, *analysis.Rollup) {
+	sn := analysis.NewSnapshot(tail)
+	sn.Capture(base)
+	return sn.Store(hb), sn.Rollup()
+}
+
+// diffStores compares two stores' rosters and row counts. A snapshot's
+// store holds no rows; compare its rollup with diffRollups instead.
+func diffStores(t *testing.T, what string, want, got *dataset.Store) {
+	t.Helper()
+	if !reflect.DeepEqual(want.RouterCountry, got.RouterCountry) {
+		t.Errorf("%s: rosters differ: %d vs %d routers", what, len(want.RouterCountry), len(got.RouterCountry))
+	}
+	for _, k := range dataset.Kinds {
+		if k.Len(want) != k.Len(got) {
+			t.Errorf("%s: %s: %d rows, want %d", what, k.File, k.Len(got), k.Len(want))
+		}
+	}
+}
+
+// TestSnapshotMatchesCloneFold: over random chunk sequences and random
+// tails the copy-free snapshot is the roster and the rollup the old
+// clone-per-render recipe built, and taking it leaves the base as it was
+// — also once the base has folded its next chunk, which folds into home
+// versions the snapshot's rollup reads.
+func TestSnapshotMatchesCloneFold(t *testing.T) {
+	hb := heartbeat.NewLog()
+	for seed := uint64(1); seed <= 8; seed++ {
+		s := rng.New(seed).Child("snapshot")
+		routers := 3 + s.Intn(40)
+		base := analysis.NewPartial()
+		next := 0
+		chunk := func(uploads, routers int) *dataset.Store {
+			c := dataset.NewStore()
+			loadgenMix(c, s, next, uploads, routers, 0.65)
+			next += uploads
+			return c
+		}
+		for i, n := 0, int(seed%4); i < n; i++ { // seeds 4 and 8: an empty base
+			base.Fold(chunk(50+s.Intn(600), routers))
+		}
+		tails := []struct {
+			name string
+			rows *dataset.Store
+		}{
+			{"empty tail", dataset.NewStore()},
+			// Named domains hit existing entries, anonymised ones are new.
+			{"same fleet", chunk(1+s.Intn(400), routers)},
+			{"new routers", chunk(1+s.Intn(400), routers+7)},
+		}
+		for _, tail := range tails {
+			what := fmt.Sprintf("seed %d, %s", seed, tail.name)
+			b, twin := base.Clone(), base.Clone()
+			want, wantFlows := oldSnapshot(twin, tail.rows, hb)
+			got, gotFlows := newSnapshot(b, tail.rows, hb)
+			diffStores(t, what, want, got)
+			diffRollups(t, what, want, wantFlows, gotFlows)
+			diffStores(t, what+": base afterwards", twin.Store(hb), b.Store(hb))
+
+			// The base folds on — the tail seals, another chunk follows —
+			// behind the snapshot's back: it ends where a base nobody took
+			// a snapshot of ends, and the snapshot has not moved.
+			for _, c := range []*dataset.Store{tail.rows, chunk(200, routers)} {
+				b.Fold(c)
+				twin.Fold(c)
+			}
+			diffStores(t, what+": base after the next folds", twin.Store(hb), b.Store(hb))
+			diffRollups(t, what+": base rollup after the next folds", twin.Store(hb), folded(twin), folded(b))
+			diffStores(t, what+": snapshot held across the next folds", want, got)
+			diffRollups(t, what+": snapshot held across the next folds", want, wantFlows, gotFlows)
+		}
+	}
+}
 
 // fixtureDashboard seals uploads of loadgen mix into a segment store in
 // a few chunks, leaves tailUploads more in the memtable, and returns a
