@@ -9,14 +9,17 @@ import (
 
 	"natpeek/internal/analysis"
 	"natpeek/internal/dataset"
+	"natpeek/internal/heartbeat"
 	"natpeek/internal/mac"
 	"natpeek/internal/segment"
 )
 
 // FuzzLivePage is the incremental read side's fence: its input decodes
-// to a schedule of uploads, re-registrations, seals (some whose commit
-// fails), compactions, extractions, reopens and pages over a fleet of at
-// most 16 routers (schedule.step), and after every page
+// to a schedule of uploads, re-registrations, registrations of routers
+// with no rows, heartbeats, seals (some whose commit fails),
+// compactions, extractions, reopens and pages over a fleet of at most 16
+// routers with rows, 4 with a registration only and 4 with beats only
+// (schedule.step), and after every page
 //   - the page's text equals the batch exhibits over the store's merged
 //     rows (figures.All),
 //   - the next page, of no new rows, reads the rollup RollupOf reads, to
@@ -35,7 +38,7 @@ func FuzzLivePage(f *testing.F) {
 	f.Add([]byte{0x84, 0x03, 0x10, 0x27, 0x81, 0x05, 0x05, 0x87, 0x06, 0x03, 0x8a, 0x84, 0x13, 0x21, 0x4c, 0x8e})
 	f.Fuzz(func(t *testing.T, in []byte) {
 		s := &schedule{t: t, in: in, dir: t.TempDir(), at: time.Date(2013, 4, 1, 0, 0, 0, 0, time.UTC),
-			unsealed: map[string]bool{}, sealed: map[string]bool{}}
+			unsealed: map[string]bool{}, sealed: map[string]bool{}, beat: map[string]time.Time{}}
 		s.open()
 		t.Cleanup(func() { s.seg.Close() })
 		for step := 0; len(s.in) > 0 && step < maxSteps; step++ {
@@ -80,6 +83,9 @@ type schedule struct {
 	// memtable alone are extracted (as a drain of a cluster node
 	// reopens its store before it serves pages again).
 	unsealed, sealed map[string]bool
+	// beat is each router's last heartbeat, from which its next ones go
+	// on; a router with none yet starts at the first upload's time.
+	beat map[string]time.Time
 }
 
 func (s *schedule) next() byte {
@@ -118,7 +124,8 @@ func (s *schedule) open() {
 //	12    r's rows extracted, where none is sealed
 //	13    the store closed, which seals, and opened again under a new
 //	      dashboard
-//	14    nothing but a page
+//	14    nothing but a page, where bits 4–6 are 0–2; else a heartbeat
+//	      step (schedule.beats) or, at 6, a registration with no rows
 //	15    a seal whose commit fails: its generation stays frozen, not
 //	      published, and the live memtable grows behind it until the
 //	      next seal commits both
@@ -155,7 +162,11 @@ func (s *schedule) step(step int) {
 		s.seal()
 		s.open()
 	case 14:
-		op |= 0x80
+		if op>>4&7 < 3 {
+			op |= 0x80
+			break
+		}
+		what += ": " + s.beats(op>>4&7)
 	case 15:
 		// A directory where the commit writes its temporary file fails it.
 		var seq uint64
@@ -179,6 +190,59 @@ func (s *schedule) step(step int) {
 }
 
 func (s *schedule) router() string { return fmt.Sprintf("r%02d", int(s.next())%scheduleRouters) }
+
+// beats runs a heartbeat step of kind k (3–7) for the router the next
+// byte names: one of the 16 with rows, one of four ("m0"–"m3") that only
+// a registration names, or one of four ("u0"–"u3") that nothing but its
+// beats names. The byte after it sets the step's size:
+//
+//	3  1–8 beats in order, a minute apart
+//	4  a beat off cadence, 2–65 minutes after the last
+//	5  a beat the router has already sent, again
+//	6  no beat: the registration of "m0"–"m3" (by the router's number
+//	   mod 4) in any country, with no rows
+//	7  a run of 1–16 beats 1–4 minutes apart, 0–63 minutes after the
+//	   last, recorded at once (Log.RecordRun)
+func (s *schedule) beats(k byte) string {
+	r, b := int(s.next())%24, s.next()
+	id := fmt.Sprintf("r%02d", r)
+	if r >= scheduleRouters {
+		id = fmt.Sprintf("%c%d", "mu"[r/4-4], r%4)
+	}
+	hb := s.seg.HeartbeatLog()
+	last, ok := s.beat[id]
+	if !ok {
+		last = time.Date(2013, 4, 1, 0, 0, 0, 0, time.UTC)
+	}
+	switch k {
+	case 3:
+		n := 1 + int(b%8)
+		for i := 0; i < n; i++ {
+			last = last.Add(time.Minute)
+			hb.Record(id, last)
+		}
+		s.beat[id] = last
+		return fmt.Sprintf("%d beats in order from %s", n, id)
+	case 4:
+		s.beat[id] = last.Add(time.Duration(2+b%64) * time.Minute)
+		hb.Record(id, s.beat[id])
+		return fmt.Sprintf("a beat off cadence from %s, %v after its last", id, s.beat[id].Sub(last))
+	case 5:
+		hb.Record(id, last)
+		return "a beat from " + id + " again"
+	case 6:
+		id = fmt.Sprintf("m%d", r%4)
+		code := scheduleCountries[int(b)%len(scheduleCountries)]
+		s.unsealed[id] = true
+		s.seg.Append(id, func(dst *dataset.Store) { dst.RouterCountry[id] = code })
+		return fmt.Sprintf("%s registered in %s, with no rows", id, code)
+	default:
+		run := heartbeat.Run{Start: last.Add(time.Duration(b>>2) * time.Minute), Interval: time.Duration(1+b&3) * time.Minute, Count: 1 + int(b>>4)}
+		hb.RecordRun(id, run)
+		s.beat[id] = run.End()
+		return fmt.Sprintf("a run of %d beats %v apart from %s", run.Count, run.Interval, id)
+	}
+}
 
 func (s *schedule) seal() {
 	for id := range s.unsealed {
