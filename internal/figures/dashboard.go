@@ -19,7 +19,8 @@ import (
 // Dashboard maintains a continuously-updating view of every paper
 // exhibit over a segment store. Sealed segments stream in exactly once
 // through the store's subscription and fold into an analysis.Partial's
-// rollup. The live tail's rollup is kept from page to page: a render
+// rollup, which is folded anew when an extraction rewrites them
+// (refold). The live tail's rollup is kept from page to page: a render
 // reads the tail rows recorded since the previous page and extends the
 // previous page's analysis.Snapshot by them, starting the tail over only
 // when a seal is published or an extraction re-bases the memtable. It
@@ -82,7 +83,27 @@ func NewDashboard(src *segment.Store, w Windows) (*Dashboard, error) {
 	if err := src.Subscribe(d.fold); err != nil {
 		return nil, err
 	}
+	src.OnRewrite(d.refold)
 	return d, nil
+}
+
+// refold replaces the partial by one folded anew from the sealed
+// segments, after an extraction took a router's rows out of them: the
+// partial still holds what it folded of those rows. Pages wait for it.
+// It costs what the dashboard's first fold costs, once per extraction
+// that reaches sealed rows — a rebalance's, not a page's.
+func (d *Dashboard) refold(replay func(each func(*dataset.Store)) error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	p, n := analysis.NewPartial(), 0
+	if err := replay(func(chunk *dataset.Store) { p.Fold(chunk); n++ }); err != nil {
+		// A segment that no longer reads: keep what was folded, as a
+		// page of a store it fails to reopen would show no more.
+		return
+	}
+	d.base, d.sealed = p, n
+	d.gAggregates.Set(float64(p.FlowAggregates()))
+	d.gSealed.Set(float64(n))
 }
 
 func (d *Dashboard) fold(chunk *dataset.Store) {

@@ -38,7 +38,7 @@ func FuzzLivePage(f *testing.F) {
 	f.Add([]byte{0x84, 0x03, 0x10, 0x27, 0x81, 0x05, 0x05, 0x87, 0x06, 0x03, 0x8a, 0x84, 0x13, 0x21, 0x4c, 0x8e})
 	f.Fuzz(func(t *testing.T, in []byte) {
 		s := &schedule{t: t, in: in, dir: t.TempDir(), at: time.Date(2013, 4, 1, 0, 0, 0, 0, time.UTC),
-			unsealed: map[string]bool{}, sealed: map[string]bool{}, beat: map[string]time.Time{}}
+			beat: map[string]time.Time{}}
 		s.open()
 		t.Cleanup(func() { s.seg.Close() })
 		for step := 0; len(s.in) > 0 && step < maxSteps; step++ {
@@ -77,12 +77,6 @@ type schedule struct {
 	// rebased is set by a step after which a page may start the tail
 	// over: a seal (its commit failed or not), an extraction, a reopen.
 	rebased bool
-	// unsealed holds the routers with rows or registrations in the
-	// memtable, sealed those a seal may have written to a segment. The
-	// dashboard's partial keeps what it folded, so only routers of the
-	// memtable alone are extracted (as a drain of a cluster node
-	// reopens its store before it serves pages again).
-	unsealed, sealed map[string]bool
 	// beat is each router's last heartbeat, from which its next ones go
 	// on; a router with none yet starts at the first upload's time.
 	beat map[string]time.Time
@@ -121,7 +115,7 @@ func (s *schedule) open() {
 //	9     r re-registered in any country, through the stripe of any key
 //	10    a seal
 //	11    a compaction
-//	12    r's rows extracted, where none is sealed
+//	12    r's rows extracted, sealed ones too
 //	13    the store closed, which seals, and opened again under a new
 //	      dashboard
 //	14    nothing but a page, where bits 4–6 are 0–2; else a heartbeat
@@ -136,30 +130,24 @@ func (s *schedule) step(step int) {
 	switch op & 15 {
 	case 9:
 		id, code, key := s.router(), scheduleCountries[int(s.next())%len(scheduleCountries)], fmt.Sprintf("via-%d", s.next())
-		s.unsealed[id] = true
 		s.seg.Append(key, func(dst *dataset.Store) { dst.RouterCountry[id] = code })
 		what += fmt.Sprintf(": %s re-registered in %s through %s", id, code, key)
 	case 10:
 		if err := s.seg.Flush(); err != nil {
 			s.t.Fatal(err)
 		}
-		s.seal()
 	case 11:
 		if err := s.seg.Compact(); err != nil {
 			s.t.Fatal(err)
 		}
 	case 12:
 		id := s.router()
-		if !s.sealed[id] {
-			s.seg.ExtractRouters(func(r string) bool { return r == id })
-			delete(s.unsealed, id)
-			what += ": " + id + " extracted"
-		}
+		s.seg.ExtractRouters(func(r string) bool { return r == id })
+		what += ": " + id + " extracted"
 	case 13:
 		if err := s.seg.Close(); err != nil {
 			s.t.Fatal(err)
 		}
-		s.seal()
 		s.open()
 	case 14:
 		if op>>4&7 < 3 {
@@ -233,7 +221,6 @@ func (s *schedule) beats(k byte) string {
 	case 6:
 		id = fmt.Sprintf("m%d", r%4)
 		code := scheduleCountries[int(b)%len(scheduleCountries)]
-		s.unsealed[id] = true
 		s.seg.Append(id, func(dst *dataset.Store) { dst.RouterCountry[id] = code })
 		return fmt.Sprintf("%s registered in %s, with no rows", id, code)
 	default:
@@ -242,13 +229,6 @@ func (s *schedule) beats(k byte) string {
 		s.beat[id] = run.End()
 		return fmt.Sprintf("a run of %d beats %v apart from %s", run.Count, run.Interval, id)
 	}
-}
-
-func (s *schedule) seal() {
-	for id := range s.unsealed {
-		s.sealed[id] = true
-	}
-	clear(s.unsealed)
 }
 
 // device is router r's device b names: one of its own eight, or one of
@@ -329,7 +309,6 @@ func (s *schedule) upload(op byte) string {
 			}
 		}
 	}
-	s.unsealed[id] = true
 	s.seg.Append(id, func(dst *dataset.Store) {
 		dst.RouterCountry[id] = home
 		rows(dst)

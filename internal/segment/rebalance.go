@@ -11,6 +11,7 @@ package segment
 
 import (
 	"os"
+	"slices"
 
 	"natpeek/internal/dataset"
 )
@@ -23,7 +24,9 @@ import (
 //
 // Sealed segments are rewritten without the moved rows via the same
 // tmp→fsync→rename discipline as a flush, and the in-memory Meta is
-// rebuilt alongside (RowCounts serves from cached footers). A segment
+// rebuilt alongside (RowCounts serves from cached footers), and each
+// OnRewrite subscriber is handed a replay of the segments as rewritten.
+// A segment
 // that fails to read or rewrite is skipped with the error recorded in
 // LastFlushError: its rows stay at the source — misplaced but present —
 // which the transfer engine prefers over any chance of loss.
@@ -35,6 +38,7 @@ func (s *Store) ExtractRouters(match func(string) bool) (*dataset.Store, []datas
 
 	files, frozen, mem, _ := s.view() // flushMu pins all three: rotation needs it
 
+	rewrote := false
 	for _, f := range files {
 		b, err := os.ReadFile(f.path)
 		if err != nil {
@@ -65,6 +69,15 @@ func (s *Store) ExtractRouters(match func(string) bool) (*dataset.Store, []datas
 		s.publishLive()
 		s.segMu.Unlock()
 		appendStore(moved, hit)
+		rewrote = true
+	}
+	if rewrote {
+		s.segMu.RLock()
+		subs := slices.Clone(s.onRewrite)
+		s.segMu.RUnlock()
+		for _, fn := range subs {
+			fn(s.replay)
+		}
 	}
 
 	if frozen != nil {

@@ -201,3 +201,47 @@ func rowsTotal(st *dataset.Store) int {
 	return len(st.Uptime) + len(st.Capacity) + len(st.Counts) + len(st.Sightings) +
 		len(st.WiFi) + len(st.Flows) + len(st.Throughput)
 }
+
+// TestExtractReplaysRewrittenSegments: an extraction that takes rows out
+// of sealed segments hands each OnRewrite subscriber a replay of the
+// segments as rewritten — the rows the store still seals, none of the
+// moved router's — and one that reaches the memtable alone does not.
+func TestExtractReplaysRewrittenSegments(t *testing.T) {
+	s := openRebalanceStore(t)
+	seedKeyed(t, s, nil, 200, func() {
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	var replays, replayed int
+	s.OnRewrite(func(replay func(func(*dataset.Store)) error) {
+		replays++
+		replayed = 0
+		if err := replay(func(c *dataset.Store) {
+			for _, f := range c.Flows {
+				if f.RouterID == "seg-rt-0" {
+					t.Errorf("the replay holds a flow of extracted seg-rt-0")
+				}
+			}
+			replayed += rowsTotal(c)
+		}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	s.ExtractRouters(matchSegPrefixes("seg-rt-0"))
+	sealed := 0
+	for _, m := range s.Segments() {
+		sealed += rcTotal(m.Rows)
+	}
+	if replays != 1 || replayed != sealed {
+		t.Fatalf("%d replays of %d rows; want one of the %d rows the segments hold", replays, replayed, sealed)
+	}
+	s.Apply("seg-rt-9", "seg-rt-9:k0", func(st *dataset.Store) {
+		st.RouterCountry["seg-rt-9"] = "US"
+		st.Uptime = append(st.Uptime, dataset.UptimeReport{RouterID: "seg-rt-9"})
+	})
+	s.ExtractRouters(matchSegPrefixes("seg-rt-9"))
+	if replays != 1 {
+		t.Fatalf("an extraction from the memtable alone replayed the segments")
+	}
+}

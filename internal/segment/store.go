@@ -153,8 +153,8 @@ type Store struct {
 	// flushMu serializes seal/flush/compact/subscribe.
 	flushMu sync.Mutex
 
-	// segMu guards segs, frozen, sealGen, roster, and the seal-subscriber
-	// list.
+	// segMu guards segs, frozen, sealGen, roster, and the seal and
+	// rewrite subscriber lists.
 	segMu  sync.RWMutex
 	segs   []segFile
 	frozen *memtable // sealed, not yet durable; nil otherwise
@@ -165,6 +165,8 @@ type Store struct {
 	sealGen uint64
 	roster  map[string]string
 	onSeal  []func(*dataset.Store)
+	// onRewrite hears of extractions from sealed segments (OnRewrite).
+	onRewrite []func(replay func(each func(*dataset.Store)) error)
 
 	nextSeq uint64
 
@@ -240,9 +242,9 @@ func open(opt Options, dedupe *dataset.Dedupe) (*Store, error) {
 		mQuarantined: telemetry.Default.Counter("natpeek_segment_quarantined_total",
 			"Segment files Open found torn or corrupt and renamed to .seg.corrupt."),
 		hReplay: telemetry.Default.Histogram("natpeek_segment_replay_seconds",
-			"Time one Subscribe took to replay the sealed segments to its subscriber, fold included.", nil),
+			"Time one replay of the sealed segments to a subscriber took, fold included: a Subscribe, or an extraction's rewrite.", nil),
 		mReplayRows: telemetry.Default.Counter("natpeek_segment_replay_rows_total",
-			"Rows Subscribe replays have handed to their subscribers."),
+			"Rows the replays of Subscribe and of extractions' rewrites have handed to their subscribers."),
 	}
 	if err := s.load(); err != nil {
 		lock.Close()
@@ -923,6 +925,30 @@ func (s *Store) SealGen() uint64 {
 func (s *Store) Subscribe(fn func(chunk *dataset.Store)) error {
 	s.flushMu.Lock()
 	defer s.flushMu.Unlock()
+	if err := s.replay(fn); err != nil {
+		return err
+	}
+	s.segMu.Lock()
+	s.onSeal = append(s.onSeal, fn)
+	s.segMu.Unlock()
+	return nil
+}
+
+// OnRewrite registers fn to hear of every extraction that takes rows
+// out of sealed segments, which a subscriber has folded already: fn is
+// given a replay of the segments as they now are, which lends it their
+// rows chunk by chunk as Subscribe does. fn runs inside the extraction,
+// where no seal can run, before the memtable's rows are taken; it must
+// not call back into the store.
+func (s *Store) OnRewrite(fn func(replay func(each func(*dataset.Store)) error)) {
+	s.segMu.Lock()
+	s.onRewrite = append(s.onRewrite, fn)
+	s.segMu.Unlock()
+}
+
+// replay hands fn every sealed segment's rows, in seq order, while the
+// next few decode ahead (scan). Caller holds flushMu.
+func (s *Store) replay(fn func(chunk *dataset.Store)) error {
 	start := time.Now()
 	segs, _, _, _ := s.view()
 	workers := runtime.GOMAXPROCS(0)
@@ -960,9 +986,6 @@ func (s *Store) Subscribe(fn func(chunk *dataset.Store)) error {
 	}
 	s.hReplay.Observe(time.Since(start).Seconds())
 	s.mReplayRows.Add(int64(rows))
-	s.segMu.Lock()
-	s.onSeal = append(s.onSeal, fn)
-	s.segMu.Unlock()
 	return nil
 }
 
