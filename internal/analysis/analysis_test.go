@@ -68,10 +68,15 @@ func TestRouterGrouping(t *testing.T) {
 	}
 }
 
+// availabilityOf is the batch availability of st over w.
+func availabilityOf(st *dataset.Store, w AvailabilityWindow) *Availability {
+	return RollupOf(st).Availability(st.Heartbeats, NewRoster(st), w)
+}
+
 func TestDowntimesPerDayByGroup(t *testing.T) {
 	st := fixtureStore()
-	got := DowntimesPerDayByGroup(NewGapIndex(st.Heartbeats, win), NewRoster(st))
-	dev, dvg := got[Developed], got[Developing]
+	got := availabilityOf(st, win)
+	dev, dvg := got.DowntimesPerDay(Developed), got.DowntimesPerDay(Developing)
 	if len(dev) != 2 || len(dvg) != 2 {
 		t.Fatal("missing samples")
 	}
@@ -91,25 +96,26 @@ func TestDowntimesPerDayByGroup(t *testing.T) {
 
 func TestDowntimeDurations(t *testing.T) {
 	st := fixtureStore()
-	got := DowntimeDurationsByGroup(NewGapIndex(st.Heartbeats, win), NewRoster(st))
-	if len(got[Developed]) != 1 {
-		t.Fatalf("developed downtimes = %d, want 1", len(got[Developed]))
+	got := availabilityOf(st, win)
+	if n := len(got.DowntimeDurations(Developed)); n != 1 {
+		t.Fatalf("developed downtimes = %d, want 1", n)
 	}
 	// Gap runs from the last beat before the outage (59 s into minute
 	// 99:59) to the first beat after: 1 h plus one heartbeat interval.
-	if got[Developed][0] != 3660 {
-		t.Fatalf("us-2 downtime = %v s", got[Developed][0])
+	if d := got.Downtimes("us-2")[0].Duration(); d != 3660*time.Second || math.Abs(got.DowntimeDurations(Developed)[0]-61) > 1e-9 {
+		t.Fatalf("us-2 downtime = %v, %v min", d, got.DowntimeDurations(Developed)[0])
 	}
-	for _, d := range got[Developing] {
-		if d < 1700 {
-			t.Fatalf("developing downtime %v s too short", d)
+	for _, d := range got.DowntimeDurations(Developing) {
+		if d < 1700.0/60 {
+			t.Fatalf("developing downtime %v min too short", d)
 		}
 	}
 }
 
 func TestMedianTimeBetweenDowntimes(t *testing.T) {
 	st := fixtureStore()
-	got := MedianTimeBetweenDowntimes(NewGapIndex(st.Heartbeats, win), NewRoster(st))
+	av := availabilityOf(st, win)
+	got := map[Group]time.Duration{Developed: av.MedianTimeBetweenDowntimes(Developed), Developing: av.MedianTimeBetweenDowntimes(Developing)}
 	if got[Developed] <= got[Developing] {
 		t.Fatalf("ordering wrong: %v vs %v", got[Developed], got[Developing])
 	}
@@ -123,7 +129,7 @@ func TestMedianTimeBetweenDowntimes(t *testing.T) {
 
 func TestDowntimesByCountry(t *testing.T) {
 	st := fixtureStore()
-	pts := DowntimesByCountry(NewGapIndex(st.Heartbeats, win), NewRoster(st), 2)
+	pts := availabilityOf(st, win).DowntimesByCountry(2)
 	if len(pts) != 2 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -141,8 +147,8 @@ func TestDowntimesByCountry(t *testing.T) {
 
 func TestMedianUptimeFraction(t *testing.T) {
 	st := fixtureStore()
-	us := MedianUptimeFraction(NewGapIndex(st.Heartbeats, win), NewRoster(st), "US")
-	in := MedianUptimeFraction(NewGapIndex(st.Heartbeats, win), NewRoster(st), "IN")
+	us := availabilityOf(st, win).MedianUptimeFraction("US")
+	in := availabilityOf(st, win).MedianUptimeFraction("IN")
 	if us < 0.99 {
 		t.Fatalf("US uptime %v", us)
 	}
@@ -193,10 +199,10 @@ func TestClassifyAvailability(t *testing.T) {
 func TestFractionWithFrequentDowntime(t *testing.T) {
 	st := fixtureStore()
 	// Developing homes all exceed one downtime per 3 days.
-	if f := FractionWithFrequentDowntime(NewGapIndex(st.Heartbeats, win), NewRoster(st), Developing, 3); f != 1 {
+	if f := availabilityOf(st, win).FractionWithFrequentDowntime(Developing, 3); f != 1 {
 		t.Fatalf("developing frequent fraction %v", f)
 	}
-	if f := FractionWithFrequentDowntime(NewGapIndex(st.Heartbeats, win), NewRoster(st), Developed, 10); f > 0.5 {
+	if f := availabilityOf(st, win).FractionWithFrequentDowntime(Developed, 10); f > 0.5 {
 		t.Fatalf("developed frequent fraction %v", f)
 	}
 }

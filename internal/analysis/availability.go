@@ -1,11 +1,14 @@
 // Package analysis computes the paper's statistics from the collected
 // data sets. It is organized by paper section: availability (§4),
-// infrastructure (§5), and usage (§6). The heartbeat exhibits read one
-// GapIndex per window; every other exhibit is a method of a Rollup, a
-// store's rows folded once (rollup.go): RollupOf(st).X(…).
+// infrastructure (§5), and usage (§6). Every exhibit is a method of a
+// Rollup, a store's rows folded once (rollup.go): RollupOf(st).X(…), or
+// of the Availability a Rollup carries with a heartbeat log and a roster
+// (availability.go) — the heartbeat exhibits and Table 2.
 package analysis
 
 import (
+	"maps"
+	"slices"
 	"sort"
 	"time"
 
@@ -37,6 +40,7 @@ func (g Group) String() string {
 // none of those calls sorts or scans the roster again.
 type Roster struct {
 	countries map[string]string // router → country code: st's roster
+	all       []string          // every router, sorted
 	byCountry map[string][]string
 	byGroup   [2][]string // indexed by Group
 }
@@ -44,8 +48,8 @@ type Roster struct {
 // NewRoster indexes st's roster. It keeps st.RouterCountry, which must
 // not change while the Roster is in use.
 func NewRoster(st *dataset.Store) *Roster {
-	ro := &Roster{countries: st.RouterCountry, byCountry: map[string][]string{}}
-	for _, id := range st.Routers() {
+	ro := &Roster{countries: st.RouterCountry, all: st.Routers(), byCountry: map[string][]string{}}
+	for _, id := range ro.all {
 		code := st.RouterCountry[id]
 		ro.byCountry[code] = append(ro.byCountry[code], id)
 		if c, ok := geo.Lookup(code); ok {
@@ -94,116 +98,478 @@ type AvailabilityWindow struct {
 	Threshold time.Duration // gap threshold; 0 = the paper's 10 minutes
 }
 
-// GapIndex is every router's downtimes over one AvailabilityWindow,
-// found once: a page reads a router's downtimes many times over — per
-// group, per country, per cause, per archetype — and builds one index
-// per window for all of those reads. It is a snapshot: what the log
-// records after NewGapIndex does not show.
-type GapIndex struct {
-	w      AvailabilityWindow
-	downs  map[string][]heartbeat.Downtime
-	silent []heartbeat.Downtime // the downtimes of a router with no beats
+// CauseWindow is w cut to where the Uptime data set overlaps it: cause
+// inference is only possible there (§3.3: the 12-hour uptime reports
+// started in March).
+func CauseWindow(w AvailabilityWindow) AvailabilityWindow {
+	if w.From.Before(dataset.UptimeFrom) {
+		w.From = dataset.UptimeFrom
+	}
+	if w.To.After(dataset.UptimeTo) {
+		w.To = dataset.UptimeTo
+	}
+	return w
 }
 
-// NewGapIndex runs the gap analysis over w once for every router of hb.
-// A router hb has no beats of, such as one only the roster names, reads
-// as hb.Downtimes reads it: silent for the whole window.
+// Availability is Figs. 3–6 and Table 2 over one window: an entry per
+// router of the roster, the heartbeat log and the homes, in ID order,
+// and the aggregates the exhibits read of them, carried from page to
+// page as the usage aggregates are (usage.go): a page takes the last
+// page's entry of each router whose key has not moved, makes the others,
+// and changes the last page's aggregates by the entries that went and
+// came (carry). A batch is the same from no last page.
+type Availability struct {
+	hb      *heartbeat.Log
+	ro      *Roster
+	w       AvailabilityWindow
+	entries []*entry
+	made    int // the entries made, not taken from the last
+	// By country geo knows and by group ("developed", "developing"):
+	// sorted samples (samples).
+	samples  map[string]*[numScoped][]float64
+	causes   [2][len(causes)]int  // Fig. 4, by group
+	codes    map[string]kindTally // Table 2's routers, by roster country
+	examples [len(modes)]string   // Fig. 6: the log's first router in each mode
+}
+
+// The samples an entry adds to, in its country's and its group's: its
+// downtimes per day (Fig. 3), the time between them in seconds (Fig.
+// 3's median), their count (Fig. 5), each one's duration in seconds
+// (Fig. 5, Fig. 4's longest) and in minutes (Fig. 4), its uptime
+// fraction (Fig. 6).
+const (
+	perDay, between, counts, seconds, minutes, ups, numScoped = 0, 1, 2, 3, 4, 5, 6
+)
+
+// kindTally counts, per Table 2 row (KindCounts), routers of a country.
+type kindTally [1 + len(tableKinds)]int32
+
+// An entry is one router's availability over a window: its downtimes
+// there and over the cause window, and what Figs. 3–6 and Table 2 read
+// of them. It follows from three things: the router's heartbeat
+// version, its home's summary and its roster country. The version
+// moves whenever the log records a beat of it and a summary is replaced
+// whenever a row of its home comes, so an entry whose three are the
+// last page's is the last page's.
+type entry struct {
+	id                string
+	ver               uint64   // its heartbeat version; 0 without beats
+	s                 *summary // its home's; nil without rows
+	code              string   // its roster country; "" where the roster lacks it
+	downs, causeDowns []heartbeat.Downtime
+	up                float64            // its uptime fraction
+	tally             [len(causes)]int32 // causeDowns by cause
+	mode              uint8              // by modes
+}
+
+// GapIndex is the availability of a heartbeat log's routers alone, with
+// no roster and no homes: their downtimes and uptime fractions over one
+// window (Downtimes, UptimeFraction).
+type GapIndex = Availability
+
+// NewGapIndex finds the downtimes over w of every router of hb.
 func NewGapIndex(hb *heartbeat.Log, w AvailabilityWindow) *GapIndex {
-	ids := hb.Routers()
-	gx := &GapIndex{
-		w:      w,
-		downs:  make(map[string][]heartbeat.Downtime, len(ids)),
-		silent: heartbeat.NewLog().Downtimes("", w.From, w.To, w.Threshold),
-	}
-	for _, id := range ids {
-		gx.downs[id] = hb.Downtimes(id, w.From, w.To, w.Threshold)
-	}
-	return gx
+	return new(Rollup).Availability(hb, new(Roster), w)
 }
 
-// Window returns the window the index covers.
-func (gx *GapIndex) Window() AvailabilityWindow { return gx.w }
+// Availability returns the availability over w of the routers of hb,
+// ro and r's homes. It is made at the first call and kept for the next
+// ones with the same arguments, carried from the last one made or, on a
+// page, from the last page's (summarize); exhibits may call it at once.
+// hb is read at its routers' versions at the call, the history of a
+// router whose version moved as the log holds it then: a beat recorded
+// during a page shows on it or on the next.
+func (r *Rollup) Availability(hb *heartbeat.Log, ro *Roster, w AvailabilityWindow) *Availability {
+	r.availMu.Lock()
+	defer r.availMu.Unlock()
+	last := r.avail.Load()
+	if last != nil && last.hb == hb && last.ro == ro && last.w == w {
+		return last
+	}
+	if last == nil {
+		last = r.from
+	}
+	if last == nil || last.hb != hb || last.w != w {
+		last = &Availability{}
+	}
+	a := &Availability{hb: hb, ro: ro, w: w}
+	a.carry(last, a.walk(last, r))
+	r.avail.Store(a)
+	return a
+}
+
+// walk sets a's entries: one per router of the roster, the log and r's
+// homes, merged in ID order, each the last's where its key holds, and
+// the last's slice where every one does. It returns the last's entries
+// that went and those a made (changes).
+func (a *Availability) walk(last *Availability, r *Rollup) (ch changes) {
+	ids, vers := a.hb.Versions()
+	old, all := last.entries, a.ro.all
+	var out []*entry // nil while every entry is the last's, old[:n]
+	n, i, j, k, p := 0, 0, 0, 0, 0
+	change := func() {
+		if out == nil {
+			out = append(make([]*entry, 0, len(old)+1), old[:n]...)
+		}
+	}
+	home := func(j int) *summary { return r.sums[r.order[j]] }
+	for {
+		key, ok := entry{}, false
+		if i < len(all) {
+			key.id, ok = all[i], true
+		}
+		if j < len(r.order) && (!ok || home(j).id() < key.id) {
+			key.id, ok = home(j).id(), true
+		}
+		if k < len(ids) && (!ok || ids[k] < key.id) {
+			key.id, ok = ids[k], true
+		}
+		for ; p < len(old) && (!ok || old[p].id < key.id); p++ {
+			change()
+			ch.moved[0] = append(ch.moved[0], old[p])
+		}
+		if !ok {
+			break
+		}
+		var was *entry
+		if p < len(old) && old[p].id == key.id {
+			was, p = old[p], p+1
+		}
+		if i < len(all) && all[i] == key.id {
+			key.code, i = a.ro.countries[key.id], i+1
+		}
+		if j < len(r.order) && home(j).id() == key.id {
+			key.s, j = home(j), j+1
+		}
+		if k < len(ids) && ids[k] == key.id {
+			key.ver, k = vers[k], k+1
+		}
+		e := was
+		if was == nil || was.ver != key.ver || was.s != key.s || was.code != key.code {
+			change()
+			e = a.entry(was, key)
+			a.made++
+			switch {
+			case was != nil && was.ver == e.ver && was.code == e.code:
+				ch.held = append(ch.held, [2]*entry{was, e})
+			case was != nil:
+				ch.moved[0] = append(ch.moved[0], was)
+				fallthrough
+			default:
+				ch.moved[1] = append(ch.moved[1], e)
+			}
+		}
+		if out != nil {
+			out = append(out, e)
+		} else {
+			n++
+		}
+	}
+	a.entries = old
+	if out != nil {
+		a.entries = out
+	}
+	return ch
+}
+
+// changes are the entries that went and came, in ID order: those that
+// moved samples, and the pairs where a router's entry was made again for
+// its home's new summary alone, whose downtimes and country, and so
+// samples, held.
+type changes struct {
+	moved [2][]*entry // went, came
+	held  [][2]*entry
+}
+
+// entry makes the entry of key's router for key's version, summary and
+// country, taking from was, its last one, what still holds: the
+// downtimes where the version has not moved, the causes and the mode
+// where the summary has not either.
+func (a *Availability) entry(was *entry, key entry) *entry {
+	e := &key
+	if was != nil && was.ver == e.ver {
+		e.downs, e.causeDowns, e.up = was.downs, was.causeDowns, was.up
+		if was.s == e.s {
+			e.tally, e.mode = was.tally, was.mode
+			return e
+		}
+	} else {
+		cw := CauseWindow(a.w)
+		e.downs = a.hb.Downtimes(e.id, a.w.From, a.w.To, a.w.Threshold)
+		e.causeDowns = a.hb.Downtimes(e.id, cw.From, cw.To, cw.Threshold)
+		e.up = uptime(e.downs, a.w)
+	}
+	var v homeView
+	if e.s != nil {
+		v.b, v.t = e.s.b, e.s.t
+	}
+	for _, d := range e.causeDowns {
+		e.tally[v.cause(d)]++
+	}
+	e.mode = v.mode(e.up)
+	return e
+}
+
+// uptime is the share of w that downs do not cover.
+func uptime(downs []heartbeat.Downtime, w AvailabilityWindow) float64 {
+	if !w.To.After(w.From) {
+		return 0
+	}
+	var down time.Duration
+	for _, d := range downs {
+		down += d.Duration()
+	}
+	return 1 - float64(down)/float64(w.To.Sub(w.From))
+}
+
+// values appends e's values in sample i.
+func (a *Availability) values(e *entry, i int, xs []float64) []float64 {
+	n, span := float64(len(e.downs)), a.w.To.Sub(a.w.From)
+	switch i {
+	case perDay:
+		if span <= 0 {
+			return append(xs, 0)
+		}
+		return append(xs, n/(span.Hours()/24))
+	case between:
+		return append(xs, span.Seconds()/max(n, 1))
+	case counts:
+		return append(xs, n)
+	case ups:
+		return append(xs, e.up)
+	}
+	for _, d := range e.downs {
+		if i == seconds {
+			xs = append(xs, d.Duration().Seconds())
+		} else {
+			xs = append(xs, d.Duration().Seconds()*(1.0/60))
+		}
+	}
+	return xs
+}
+
+// carry sets a's aggregates: last's, less what the entries that went
+// put in, plus what those that came put in. A scope's samples and Table
+// 2's tallies are new only where they moved.
+func (a *Availability) carry(last *Availability, ch changes) {
+	var values map[string]*[numScoped][2][]float64 // by scope and sample: out, and in
+	var rows map[string]kindTally                  // Table 2's net change, by country
+	a.causes, a.examples = last.causes, last.examples
+	examples := false
+	count := func(e *entry, by int32) {
+		examples = examples || e.ver > 0
+		rows = addTally(rows, e.code, e.rows(by))
+		if c, ok := geo.Lookup(e.code); ok {
+			for i, n := range e.tally {
+				a.causes[groupOf(c)][i] += int(by * n)
+			}
+		}
+	}
+	for _, h := range ch.held {
+		if h[0].rows(1) != h[1].rows(1) || h[0].tally != h[1].tally || h[0].mode != h[1].mode {
+			count(h[0], -1)
+			count(h[1], 1)
+		}
+	}
+	for side, es := range ch.moved {
+		by := int32(2*side - 1)
+		for _, e := range es {
+			count(e, by)
+			c, ok := geo.Lookup(e.code)
+			if !ok {
+				continue
+			}
+			g := groupOf(c)
+			if values == nil {
+				values = map[string]*[numScoped][2][]float64{}
+			}
+			for _, scope := range [2]string{e.code, g.String()} {
+				m := values[scope]
+				if m == nil {
+					m = new([numScoped][2][]float64)
+					values[scope] = m
+				}
+				for i := range m {
+					m[i][side] = a.values(e, i, m[i][side])
+				}
+			}
+		}
+	}
+	a.samples, a.codes = last.samples, last.codes
+	var cloned [2]bool
+	for scope, m := range values {
+		var was, now [numScoped][]float64
+		if p := last.samples[scope]; p != nil {
+			was = *p
+		}
+		moves := false
+		for i := range now {
+			now[i] = resorted(was[i], m[i][0], m[i][1])
+			moves = moves || !sameArray(now[i], was[i])
+		}
+		if !moves {
+			continue
+		}
+		a.samples = owned(a.samples, &cloned[0])
+		if now[counts] == nil {
+			delete(a.samples, scope) // its last router went
+		} else {
+			p := new([numScoped][]float64)
+			*p = now
+			a.samples[scope] = p
+		}
+	}
+	for code, d := range rows {
+		if d != (kindTally{}) {
+			a.codes = addTally(owned(a.codes, &cloned[1]), code, d)
+		}
+	}
+	if examples {
+		a.examples = [len(modes)]string{}
+		for _, e := range a.entries {
+			if e.ver > 0 && a.examples[e.mode] == "" {
+				a.examples[e.mode] = e.id
+			}
+		}
+	}
+}
+
+// rows are the Table 2 rows e's router is counted in, by ±1: Heartbeats
+// where the log has its beats, then the kinds its home has rows of.
+func (e *entry) rows(by int32) (t kindTally) {
+	if e.ver > 0 {
+		t[0] = by
+	}
+	for i, k := range tableKinds {
+		if e.s != nil && e.s.has&k != 0 {
+			t[1+i] = by
+		}
+	}
+	return t
+}
+
+// addTally adds t to code's tally in m, made where nil; a tally left at
+// zero is dropped.
+func addTally(m map[string]kindTally, code string, t kindTally) map[string]kindTally {
+	if t == (kindTally{}) {
+		return m
+	}
+	if m == nil {
+		m = map[string]kindTally{}
+	}
+	c := m[code]
+	for i := range c {
+		c[i] += t[i]
+	}
+	if c == (kindTally{}) {
+		delete(m, code)
+	} else {
+		m[code] = c
+	}
+	return m
+}
+
+// owned returns m, the last page's map, to change: cloned the first
+// time, which sets cloned.
+func owned[V any](m map[string]V, cloned *bool) map[string]V {
+	if !*cloned {
+		if m, *cloned = maps.Clone(m), true; m == nil {
+			m = map[string]V{}
+		}
+	}
+	return m
+}
+
+// sameArray reports whether a and b are one slice.
+func sameArray(a, b []float64) bool { return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0]) }
+
+// Made reports how many entries the Availability made; the others it
+// took from the last one it was carried from. A batch makes them all.
+func (a *Availability) Made() int { return a.made }
+
+// Window returns the window the Availability covers.
+func (a *Availability) Window() AvailabilityWindow { return a.w }
+
+// of returns router id's entry, nil where it has none: no beats, no rows
+// and no registration.
+func (a *Availability) of(id string) *entry {
+	i := sort.Search(len(a.entries), func(i int) bool { return a.entries[i].id >= id })
+	if i < len(a.entries) && a.entries[i].id == id {
+		return a.entries[i]
+	}
+	return nil
+}
 
 // Downtimes returns router id's downtimes over the window. The result is
 // shared: callers must not modify it.
-func (gx *GapIndex) Downtimes(id string) []heartbeat.Downtime {
-	if downs, ok := gx.downs[id]; ok {
-		return downs
+func (a *Availability) Downtimes(id string) []heartbeat.Downtime {
+	if e := a.of(id); e != nil {
+		return e.downs
 	}
-	return gx.silent
+	return a.hb.Downtimes(id, a.w.From, a.w.To, a.w.Threshold)
 }
 
 // UptimeFraction returns the share of the window not covered by router
 // id's downtimes, as heartbeat.Log.UptimeFraction computes it.
-func (gx *GapIndex) UptimeFraction(id string) float64 {
-	if !gx.w.To.After(gx.w.From) {
+func (a *Availability) UptimeFraction(id string) float64 {
+	if e := a.of(id); e != nil {
+		return e.up
+	}
+	return uptime(a.Downtimes(id), a.w)
+}
+
+// sample returns sample i of scope, a country code or a group's name,
+// ascending. It must not be changed.
+func (a *Availability) sample(scope string, i int) []float64 {
+	if p := a.samples[scope]; p != nil {
+		return p[i]
+	}
+	return nil
+}
+
+// DowntimesPerDay returns each of a group's routers' average number of
+// downtimes per day, ascending — the distribution behind Fig. 3. It must
+// not be changed.
+func (a *Availability) DowntimesPerDay(g Group) []float64 { return a.sample(g.String(), perDay) }
+
+// DowntimeDurations returns every downtime duration of a group's
+// routers, in minutes, ascending — Fig. 4's distribution. It must not be
+// changed.
+func (a *Availability) DowntimeDurations(g Group) []float64 { return a.sample(g.String(), minutes) }
+
+// LongestDowntime returns the duration of a group's longest downtime,
+// in seconds, 0 without any.
+func (a *Availability) LongestDowntime(g Group) float64 {
+	if s := a.sample(g.String(), seconds); len(s) > 0 {
+		return s[len(s)-1]
+	}
+	return 0
+}
+
+// MedianTimeBetweenDowntimes returns the median of a group's routers'
+// mean time between downtimes (the §4.1 "more than a month vs less than
+// a day" comparison), 0 without routers. Routers with no downtime
+// contribute the window length.
+func (a *Availability) MedianTimeBetweenDowntimes(g Group) time.Duration {
+	if gaps := a.sample(g.String(), between); len(gaps) > 0 {
+		return time.Duration(stats.QuantileRuns(0.5, gaps) * float64(time.Second))
+	}
+	return 0
+}
+
+// FractionWithFrequentDowntime returns the share of a group's routers
+// whose downtime frequency exceeds once per every `days` days — the §1
+// claim "only 10% of home networks in the developed world saw
+// connectivity interruptions … more frequently than once every 10 days,
+// but about 50% of home networks in developing countries experienced such
+// connectivity interruptions once every 3 days".
+func (a *Availability) FractionWithFrequentDowntime(g Group, days float64) float64 {
+	rates := a.DowntimesPerDay(g)
+	if len(rates) == 0 {
 		return 0
 	}
-	var down time.Duration
-	for _, d := range gx.Downtimes(id) {
-		down += d.Duration()
-	}
-	return 1 - float64(down)/float64(gx.w.To.Sub(gx.w.From))
-}
-
-// perDay returns router id's average number of downtimes per day over
-// the window — Fig. 3's x-axis.
-func (gx *GapIndex) perDay(id string) float64 {
-	days := gx.w.To.Sub(gx.w.From).Hours() / 24
-	if days <= 0 {
-		return 0
-	}
-	return float64(len(gx.Downtimes(id))) / days
-}
-
-// DowntimesPerDayByGroup computes, per group, each router's average number
-// of downtimes per day — the distribution behind Fig. 3.
-func DowntimesPerDayByGroup(gx *GapIndex, ro *Roster) map[Group][]float64 {
-	out := map[Group][]float64{}
-	for _, g := range []Group{Developed, Developing} {
-		for _, id := range ro.InGroup(g) {
-			out[g] = append(out[g], gx.perDay(id))
-		}
-	}
-	return out
-}
-
-// DowntimeDurationsByGroup pools every downtime duration (seconds) per
-// group — Fig. 4's distribution.
-func DowntimeDurationsByGroup(gx *GapIndex, ro *Roster) map[Group][]float64 {
-	out := map[Group][]float64{}
-	for _, g := range []Group{Developed, Developing} {
-		for _, id := range ro.InGroup(g) {
-			for _, d := range gx.Downtimes(id) {
-				out[g] = append(out[g], d.Duration().Seconds())
-			}
-		}
-	}
-	return out
-}
-
-// MedianTimeBetweenDowntimes returns the per-group median of each
-// router's mean time between downtimes (the §4.1 "more than a month vs
-// less than a day" comparison). Routers with no downtime contribute the
-// window length.
-func MedianTimeBetweenDowntimes(gx *GapIndex, ro *Roster) map[Group]time.Duration {
-	out := map[Group]time.Duration{}
-	span := gx.w.To.Sub(gx.w.From)
-	for _, g := range []Group{Developed, Developing} {
-		var gaps []float64
-		for _, id := range ro.InGroup(g) {
-			n := len(gx.Downtimes(id))
-			if n == 0 {
-				gaps = append(gaps, span.Seconds())
-			} else {
-				gaps = append(gaps, span.Seconds()/float64(n))
-			}
-		}
-		if len(gaps) > 0 {
-			out[g] = time.Duration(stats.Median(gaps) * float64(time.Second))
-		}
-	}
-	return out
+	n := len(rates) - sort.Search(len(rates), func(i int) bool { return rates[i] > 1/days })
+	return float64(n) / float64(len(rates))
 }
 
 // CountryDowntime is one Fig. 5 scatter point.
@@ -217,29 +583,16 @@ type CountryDowntime struct {
 
 // DowntimesByCountry computes Fig. 5: the median number of downtimes per
 // home in each country with at least minRouters deployed, against GDP.
-func DowntimesByCountry(gx *GapIndex, ro *Roster, minRouters int) []CountryDowntime {
+func (a *Availability) DowntimesByCountry(minRouters int) []CountryDowntime {
 	var out []CountryDowntime
 	for _, c := range geo.All() {
-		ids := ro.InCountry(c.Code)
-		if len(ids) < minRouters {
+		n := a.sample(c.Code, counts)
+		if len(n) == 0 || len(n) < minRouters {
 			continue
 		}
-		var counts, durs []float64
-		for _, id := range ids {
-			downs := gx.Downtimes(id)
-			counts = append(counts, float64(len(downs)))
-			for _, d := range downs {
-				durs = append(durs, d.Duration().Seconds())
-			}
-		}
-		cd := CountryDowntime{
-			Code:            c.Code,
-			GDPPPP:          c.GDPPPP,
-			Routers:         len(ids),
-			MedianDowntimes: stats.Median(counts),
-		}
-		if len(durs) > 0 {
-			cd.MedianDuration = time.Duration(stats.Median(durs) * float64(time.Second))
+		cd := CountryDowntime{Code: c.Code, GDPPPP: c.GDPPPP, Routers: len(n), MedianDowntimes: stats.QuantileRuns(0.5, n)}
+		if durs := a.sample(c.Code, seconds); len(durs) > 0 {
+			cd.MedianDuration = time.Duration(stats.QuantileRuns(0.5, durs) * float64(time.Second))
 		}
 		out = append(out, cd)
 	}
@@ -249,15 +602,11 @@ func DowntimesByCountry(gx *GapIndex, ro *Roster, minRouters int) []CountryDownt
 
 // MedianUptimeFraction returns the median per-router uptime fraction for
 // a country (§4.2: US 98.25%, IN 76.01%, ZA 85.57%).
-func MedianUptimeFraction(gx *GapIndex, ro *Roster, code string) float64 {
-	var ups []float64
-	for _, id := range ro.InCountry(code) {
-		ups = append(ups, gx.UptimeFraction(id))
+func (a *Availability) MedianUptimeFraction(code string) float64 {
+	if xs := a.sample(code, ups); len(xs) > 0 {
+		return stats.QuantileRuns(0.5, xs)
 	}
-	if len(ups) == 0 {
-		return 0
-	}
-	return stats.Median(ups)
+	return 0
 }
 
 // AvailabilityMode classifies a router's availability pattern into the
@@ -271,45 +620,36 @@ const (
 	ModeFlakyISP  AvailabilityMode = "flaky-isp" // Fig. 6c
 )
 
+// modes are the archetypes in Fig. 6's order, which entries index.
+var modes = [...]AvailabilityMode{ModeAlwaysOn, ModeAppliance, ModeFlakyISP}
+
 // ClassifyAvailability labels a router by combining heartbeat uptime with
 // the Uptime data set: high availability → always-on; low availability
 // with uptime counters that reset at every report → appliance (the
 // router is being power-cycled); low availability with long-running
 // uptime counters → the ISP is flaky while the router stays powered.
 func (r *Rollup) ClassifyAvailability(gx *GapIndex, id string) AvailabilityMode {
-	frac := gx.UptimeFraction(id)
-	if frac >= 0.93 {
-		return ModeAlwaysOn
-	}
-	b, t := r.of(id).both()
-	n := b.uptime.n + t.uptime.n
-	if n == 0 {
-		return ModeAppliance
-	}
-	if float64(b.longUp+t.longUp)/float64(n) >= 0.5 {
-		return ModeFlakyISP
-	}
-	return ModeAppliance
+	return modes[r.of(id).mode(gx.UptimeFraction(id))]
 }
 
-// FractionWithFrequentDowntime returns the share of a group's routers
-// whose downtime frequency exceeds once per every `days` days — the §1
-// claim "only 10% of home networks in the developed world saw
-// connectivity interruptions … more frequently than once every 10 days,
-// but about 50% of home networks in developing countries experienced such
-// connectivity interruptions once every 3 days".
-func FractionWithFrequentDowntime(gx *GapIndex, ro *Roster, g Group, days float64) float64 {
-	ids := ro.InGroup(g)
-	if len(ids) == 0 {
+// Example returns the log's first router by ID in mode m, "" where none
+// is: Fig. 6's case study.
+func (a *Availability) Example(m AvailabilityMode) string {
+	return a.examples[slices.Index(modes[:], m)]
+}
+
+// mode is ClassifyAvailability for v's home at uptime fraction up, as an
+// index into modes.
+func (v homeView) mode(up float64) uint8 {
+	if up >= 0.93 {
 		return 0
 	}
-	n := 0
-	for _, id := range ids {
-		if gx.perDay(id) > 1/days {
-			n++
-		}
+	b, t := v.both()
+	n := b.uptime.n + t.uptime.n
+	if n > 0 && float64(b.longUp+t.longUp)/float64(n) >= 0.5 {
+		return 2
 	}
-	return float64(n) / float64(len(ids))
+	return 1
 }
 
 // DowntimeCause labels why a heartbeat gap happened, inferred by
@@ -326,9 +666,18 @@ const (
 	CauseUnknown  DowntimeCause = "unknown"   // no usable report
 )
 
+// causes are the downtime causes in the order Fig. 4 lists them, which
+// entries' tallies index.
+var causes = [...]DowntimeCause{CausePowerOff, CauseNetwork, CauseUnknown}
+
 // ClassifyDowntime infers the cause of one downtime for a router.
 func (r *Rollup) ClassifyDowntime(id string, d heartbeat.Downtime) DowntimeCause {
-	b, t := r.of(id).both()
+	return causes[r.of(id).cause(d)]
+}
+
+// cause is ClassifyDowntime for v's home, as an index into causes.
+func (v homeView) cause(d heartbeat.Downtime) int {
+	b, t := v.both()
 	// The first uptime report at or after the gap's end, in (ReportedAt,
 	// Uptime) order, tells us when the router last booted: the earliest
 	// of the first in each of the base's runs and the tail's.
@@ -341,15 +690,15 @@ func (r *Rollup) ClassifyDowntime(id string, d heartbeat.Downtime) DowntimeCause
 		}
 	}
 	if first == nil || first.at.Sub(d.End) > 24*time.Hour {
-		return CauseUnknown
+		return 2
 	}
 	bootedAt := first.at.Add(-first.up)
 	// Booted before the gap began (with slack for report cadence): the
 	// router was powered throughout — a network outage.
 	if bootedAt.Before(d.Start.Add(-time.Minute)) {
-		return CauseNetwork
+		return 1
 	}
-	return CausePowerOff
+	return 0
 }
 
 // DowntimeCauses tallies causes for every downtime of a group within the
@@ -362,4 +711,36 @@ func (r *Rollup) DowntimeCauses(gx *GapIndex, ro *Roster, g Group) map[DowntimeC
 		}
 	}
 	return out
+}
+
+// DowntimeCauses tallies causes for every downtime of a group's routers
+// within the cause window (CauseWindow).
+func (a *Availability) DowntimeCauses(g Group) map[DowntimeCause]int {
+	out := map[DowntimeCause]int{}
+	for i, n := range a.causes[g] {
+		if n > 0 {
+			out[causes[i]] = n
+		}
+	}
+	return out
+}
+
+// KindCount is one row of Table 2: how many routers have rows of a kind,
+// and in how many countries of the roster they are, a router the roster
+// lacks counting as one of country "".
+type KindCount struct{ Routers, Countries int }
+
+// KindCounts returns Table 2's rows: Heartbeats (the routers of the
+// log), then the kinds of tableKinds, in order: capacity, uptime,
+// censuses, WiFi scans, flows.
+func (a *Availability) KindCounts() (rows [1 + len(tableKinds)]KindCount) {
+	for _, t := range a.codes {
+		for i, n := range t {
+			if n > 0 {
+				rows[i].Routers += int(n)
+				rows[i].Countries++
+			}
+		}
+	}
+	return rows
 }

@@ -10,6 +10,7 @@ import (
 
 	"natpeek/internal/dataset"
 	"natpeek/internal/geo"
+	"natpeek/internal/heartbeat"
 	"natpeek/internal/rng"
 	"natpeek/internal/stats"
 )
@@ -80,6 +81,7 @@ func TestCarriedSummariesFollowTheRoster(t *testing.T) {
 	sn := NewSnapshot(&tailRows)
 
 	codes := geo.All()
+	hb := heartbeat.NewLog()
 	page := func(step int, what string) {
 		t.Helper()
 		sn.Capture(p)
@@ -101,7 +103,8 @@ func TestCarriedSummariesFollowTheRoster(t *testing.T) {
 				t.Errorf("page %d (%s): %s differs:\n oracle %v\n page   %v", step, what, exhibit, want, got)
 			}
 		}
-		same("KindCounts", oracleKindCounts(&o), v.KindCounts(sn.Store(nil).RouterCountry))
+		kinds := v.Availability(hb, ro, win).KindCounts()
+		same("KindCounts", oracleKindCounts(&o), [len(tableKinds)]KindCount(kinds[1:]))
 		same("UniqueDevicesPerHome", oracleUniqueDevicesPerHome(&o), v.UniqueDevicesPerHome())
 		w24, w5 := oracleUniqueDevicesPerBand(&o)
 		g24, g5 := v.UniqueDevicesPerBand()

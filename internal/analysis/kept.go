@@ -602,38 +602,3 @@ func (r *Rollup) KeptRows() dataset.RowCounts {
 
 // Table 2 lists a router under each kind it has rows of, in this order.
 var tableKinds = [...]KindSet{HasCapacity, HasUptime, HasCensus, HasWiFi, HasTraffic}
-
-// KindCount is one row of Table 2: how many routers have rows of a kind,
-// and in how many countries of roster they are, a router the roster
-// lacks counting as one of country "".
-type KindCount struct{ Routers, Countries int }
-
-// KindCounts counts Table 2's rows in one pass over the home summaries:
-// a home adds itself to each kind it has rows of, and its country's
-// kinds to one map. Rows come back in Table 2's order: capacity, uptime,
-// censuses, WiFi scans, flows.
-func (r *Rollup) KindCounts(roster map[string]string) [len(tableKinds)]KindCount {
-	var out [len(tableKinds)]KindCount
-	countries := make(map[string]KindSet, 32)
-	for _, s := range r.sums {
-		if s.has == 0 {
-			continue
-		}
-		for i, k := range tableKinds {
-			if s.has&k != 0 {
-				out[i].Routers++
-			}
-		}
-		if c := roster[s.id()]; countries[c]&s.has != s.has {
-			countries[c] |= s.has
-		}
-	}
-	for _, has := range countries {
-		for i, k := range tableKinds {
-			if has&k != 0 {
-				out[i].Countries++
-			}
-		}
-	}
-	return out
-}

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"natpeek/internal/dataset"
 	"natpeek/internal/mac"
@@ -51,6 +52,11 @@ type Rollup struct {
 	// asked for.
 	placeMu sync.Mutex
 	place   placement
+	// The availability for the last log, roster and window asked for,
+	// and the last page's it is carried from (Availability).
+	availMu sync.Mutex
+	avail   atomic.Pointer[Availability]
+	from    *Availability
 }
 
 // rollup is the foldable state behind a Rollup. A router is held as a
@@ -1188,21 +1194,48 @@ type DomainShare struct {
 // DeviceDomains computes the first k domains of the Fig. 20 mix for a
 // device, ranked descending: over the one home of one of the page's best
 // devices, which its entry names, and otherwise over every home that has
-// the device.
+// the device. Its pairs' volumes are integers far below 2^53: their
+// float64 sums are exact.
 func (r *Rollup) DeviceDomains(dev mac.Addr, k int) []DomainShare {
-	var in []*home // the versions of the homes the device is in
+	var in []homeView // the homes the device is in
 	if i := slices.IndexFunc(r.devs, func(d bestDevice) bool { return d.dev == dev }); i >= 0 && r.devs[i].home != "" {
-		v := r.of(r.devs[i].home)
-		in = []*home{v.b, v.t}
+		in = []homeView{r.of(r.devs[i].home)}
 	} else {
 		r.each(func(v homeView) {
 			if v.hasDevice(dev) {
-				in = append(in, v.b, v.t)
+				in = append(in, v)
 			}
 		})
 	}
-	out := deviceMix(dev, in)
-	return out[:min(k, len(out))]
+	var total int64
+	for _, v := range in {
+		for _, h := range [2]*home{v.b, v.t} {
+			for i := 0; h != nil && i < len(h.pairs); i++ {
+				if p := &h.pairs[i]; p.dev == dev {
+					total += p.bytes
+				}
+			}
+		}
+	}
+	if total == 0 {
+		return nil
+	}
+	top := make([]DomainShare, 0, min(k, 4))
+	add := func(name string, bytes int64) {
+		top = keep(top, DomainShare{Domain: name, Share: float64(bytes) / float64(total)}, k, cmpShares)
+	}
+	if len(in) == 1 { // a home's domains are its own: nothing to sum by name
+		in[0].pairs(dev, add)
+		return top
+	}
+	sums := map[string]int64{}
+	for _, v := range in {
+		v.pairs(dev, func(name string, bytes int64) { sums[name] += bytes })
+	}
+	for name, bytes := range sums {
+		add(name, bytes)
+	}
+	return top
 }
 
 // cmpShares ranks a mix's domains: by share, most first, ties by name.
@@ -1213,50 +1246,35 @@ func cmpShares(a, b DomainShare) int {
 	return strings.Compare(a.Domain, b.Domain)
 }
 
-// deviceMix is a device's whole Fig. 20 mix, ranked, over in, the
-// versions of the homes it is in (nil for none). A domain's pairs are
-// summed by sorting them by name in the slice the mix is returned in,
-// counted first, so the mix costs one allocation of its size. Volumes
-// are integers far below 2^53: their float64 sums are exact.
-func deviceMix(dev mac.Addr, in []*home) []DomainShare {
-	in = slices.DeleteFunc(in, func(h *home) bool { return h == nil })
-	n := 0
-	for _, h := range in {
-		for _, p := range h.pairs {
-			if p.dev == dev {
-				n++
+// pairs calls fn for each domain of v's pairs of dev, with its volume:
+// a base pair's with the tail's of the same domain added, then the
+// tail's others. It allocates for the tail's pairs of dev, nothing per
+// base pair.
+func (v homeView) pairs(dev mac.Addr, fn func(name string, bytes int64)) {
+	b, t := v.both()
+	var late map[int32]int64 // the tail's volume of dev, by base domain
+	for _, p := range t.pairs {
+		if d := v.dom[p.dom]; p.dev == dev && d >= 0 {
+			if late == nil {
+				late = map[int32]int64{}
 			}
+			late[d] = p.bytes
 		}
 	}
-	out := make([]DomainShare, 0, n)
-	var total float64
-	for _, h := range in {
-		for _, p := range h.pairs {
-			if p.dev == dev {
-				out = append(out, DomainShare{Domain: h.domains[p.dom].name, Share: float64(p.bytes)})
-				total += float64(p.bytes)
-			}
+	for _, p := range b.pairs {
+		if p.dev == dev {
+			fn(b.domains[p.dom].name, p.bytes+late[p.dom])
+			delete(late, p.dom)
 		}
 	}
-	if total == 0 {
-		return nil
+	for d, bytes := range late { // a base domain without a base pair of dev
+		fn(b.domains[d].name, bytes)
 	}
-	slices.SortFunc(out, func(a, b DomainShare) int { return strings.Compare(a.Domain, b.Domain) })
-	m := 0
-	for _, d := range out {
-		if m > 0 && d.Domain == out[m-1].Domain {
-			out[m-1].Share += d.Share
-			continue
+	for _, p := range t.pairs {
+		if p.dev == dev && v.dom[p.dom] < 0 {
+			fn(t.domains[p.dom].name, p.bytes)
 		}
-		out[m] = d
-		m++
 	}
-	out = out[:m]
-	for i := range out {
-		out[i].Share /= total
-	}
-	slices.SortFunc(out, cmpShares)
-	return out
 }
 
 // ManufacturerCount is one Fig. 12 bar.

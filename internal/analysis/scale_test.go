@@ -50,36 +50,37 @@ func TestScaleFigureBudgets(t *testing.T) {
 		})
 	}
 
+	// Each availability subtest makes every router's entry anew: over
+	// the roster and the log, without homes.
+	avail := func() *Availability { return new(Rollup).Availability(st.Heartbeats, NewRoster(st), sWin) }
 	figure("DowntimesPerDayByGroup", func() error {
-		got := DowntimesPerDayByGroup(NewGapIndex(st.Heartbeats, sWin), NewRoster(st))
-		if len(got[Developed]) == 0 || len(got[Developing]) == 0 {
-			return fmt.Errorf("missing group samples: %d/%d", len(got[Developed]), len(got[Developing]))
+		a := avail()
+		if len(a.DowntimesPerDay(Developed)) == 0 || len(a.DowntimesPerDay(Developing)) == 0 {
+			return fmt.Errorf("missing group samples: %d/%d", len(a.DowntimesPerDay(Developed)), len(a.DowntimesPerDay(Developing)))
 		}
 		return nil
 	})
 	figure("DowntimeDurationsByGroup", func() error {
-		got := DowntimeDurationsByGroup(NewGapIndex(st.Heartbeats, sWin), NewRoster(st))
-		if len(got[Developing]) == 0 {
+		if len(avail().DowntimeDurations(Developing)) == 0 {
 			return fmt.Errorf("no developing downtimes")
 		}
 		return nil
 	})
 	figure("MedianTimeBetweenDowntimes", func() error {
-		got := MedianTimeBetweenDowntimes(NewGapIndex(st.Heartbeats, sWin), NewRoster(st))
-		if got[Developed] == 0 {
+		if avail().MedianTimeBetweenDowntimes(Developed) == 0 {
 			return fmt.Errorf("no developed median")
 		}
 		return nil
 	})
 	figure("DowntimesByCountry", func() error {
-		pts := DowntimesByCountry(NewGapIndex(st.Heartbeats, sWin), NewRoster(st), 3)
+		pts := avail().DowntimesByCountry(3)
 		if len(pts) < 10 {
 			return fmt.Errorf("only %d country points", len(pts))
 		}
 		return nil
 	})
 	figure("FractionWithFrequentDowntime", func() error {
-		FractionWithFrequentDowntime(NewGapIndex(st.Heartbeats, sWin), NewRoster(st), Developing, 1)
+		avail().FractionWithFrequentDowntime(Developing, 1)
 		return nil
 	})
 	figure("DowntimeCauses", func() error {

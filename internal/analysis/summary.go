@@ -201,6 +201,9 @@ func (r *Rollup) summarize(prev *Rollup) {
 	if prev == nil {
 		prev = &Rollup{usage: usage{pop: popCounts{}}} // a page of no homes
 	}
+	if r.from = prev.avail.Load(); r.from == nil {
+		r.from = prev.from
+	}
 	old := prev.sums
 	sums := make([]*summary, 0, max(len(old), len(r.homes)))
 	var sc rankScratch

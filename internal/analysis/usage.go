@@ -3,6 +3,8 @@ package analysis
 import (
 	"cmp"
 	"maps"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -79,6 +81,10 @@ func (r *Rollup) Utilization(dir string) []float64 {
 	return nil
 }
 
+// DeviceCounts returns Fig. 7's sample: the distinct devices of each
+// home with any, ascending. It must not be changed.
+func (r *Rollup) DeviceCounts() []float64 { return r.samples[deviceCounts] }
+
 // Oversaturated returns Fig. 16's rows, one per home whose uplink
 // utilization exceeds 1, in router order. It must not be changed.
 func (r *Rollup) Oversaturated() []string { return r.over }
@@ -119,12 +125,12 @@ type usage struct {
 	devs    []bestDevice          // Fig. 20: the best devices (bestDevices)
 }
 
-// The carried samples: Fig. 15's link utilizations, by linkOf, and
-// Fig. 17's top-device shares of the homes with at least topShareMin
-// devices.
+// The carried samples: Fig. 15's link utilizations, by linkOf, Fig.
+// 17's top-device shares of the homes with at least topShareMin
+// devices, and Fig. 7's device counts of the homes with any.
 const (
-	topShares, numSamples = len(linkDirs), len(linkDirs) + 1
-	topShareMin           = 3
+	topShares, deviceCounts, numSamples = len(linkDirs), len(linkDirs) + 1, len(linkDirs) + 2
+	topShareMin                         = 3
 )
 
 // sample appends s's values in sample i to xs: its link's utilization
@@ -137,6 +143,9 @@ func (s *summary) sample(i int, xs []float64) []float64 {
 	}
 	if i == topShares && len(s.shares) >= topShareMin {
 		xs = append(xs, s.shares[0])
+	}
+	if i == deviceCounts && s.devices > 0 {
+		xs = append(xs, float64(s.devices))
 	}
 	return xs
 }
@@ -193,9 +202,9 @@ func (r *Rollup) carry(prev *Rollup, went, came []*summary, same bool) {
 }
 
 // resorted returns sorted, in stats.SortFloats' order, less gone's
-// values (which it must hold) and with came's: itself when both are
-// empty, nil when none is left, else a new slice, as a page may still
-// read sorted. It sorts gone and came.
+// values (which it must hold) and with came's: itself when the two hold
+// the same values, nil when none is left, else a new slice, as a page
+// may still read sorted. It sorts gone and came.
 func resorted(sorted, gone, came []float64) []float64 {
 	switch {
 	case len(gone)+len(came) == 0:
@@ -205,6 +214,9 @@ func resorted(sorted, gone, came []float64) []float64 {
 	}
 	stats.SortFloats(gone)
 	stats.SortFloats(came)
+	if slices.EqualFunc(gone, came, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+		return sorted // a home's values replaced by the same ones
+	}
 	if len(sorted) == 0 {
 		return came
 	}

@@ -35,7 +35,7 @@ func sameGaps(gx *analysis.GapIndex, hb *heartbeat.Log, id string) bool {
 func TestGapIndexMatchesLog(t *testing.T) {
 	st, w := study(t)
 	ids := append(append(st.Routers(), st.Heartbeats.Routers()...), "no-such-router")
-	for _, win := range []analysis.AvailabilityWindow{w.Availability, causeWindow(w.Availability)} {
+	for _, win := range []analysis.AvailabilityWindow{w.Availability, analysis.CauseWindow(w.Availability)} {
 		gx := analysis.NewGapIndex(st.Heartbeats, win)
 		for _, id := range ids {
 			if !sameGaps(gx, st.Heartbeats, id) {
@@ -77,26 +77,46 @@ func TestGapIndexMatchesLog(t *testing.T) {
 	}
 }
 
-// TestAvailabilityAllocBudget: Figs. 3–6 over the seed-7 study, as one
-// page builds them, allocate within a budget. While each figure ran the
-// gap analysis of every router again — about six times per router per
-// page — they made 9,915 allocations here; with one GapIndex per window,
-// 3,240.
+// TestAvailabilityAllocBudget: Table 2 and Figs. 3–6 over the seed-7
+// study, as a page builds them, allocate within a budget. While each
+// figure ran the gap analysis of every router again — about six times
+// per router per page — they made 9,915 allocations here; with one
+// GapIndex per window, 3,240. A batch, or a dashboard's first page,
+// still makes every router's entry; a page after it, of no new rows,
+// beats or registrations, takes them all from the last page.
 func TestAvailabilityAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	st, w := study(t)
-	ro, v := analysis.NewRoster(st), analysis.RollupOf(st)
-	allocs := testing.AllocsPerRun(3, func() {
-		gx := analysis.NewGapIndex(st.Heartbeats, w.Availability)
-		fig3(gx, ro)
-		fig4(st.Heartbeats, gx, ro, v)
-		fig5(gx, ro)
-		fig6(st.Heartbeats, gx, ro, v)
-	})
-	t.Logf("Figs. 3–6: %.0f allocations", allocs)
-	if allocs > 5_000 {
-		t.Fatalf("Figs. 3–6 made %.0f allocations, budget 5,000", allocs)
+	exhibits := func(v *analysis.Rollup, ro *analysis.Roster) {
+		a := v.Availability(st.Heartbeats, ro, w.Availability)
+		table2(a)
+		fig3(a)
+		fig4(a)
+		fig5(a)
+		fig6(st.Heartbeats, a)
+	}
+	rollups := make(chan *analysis.Rollup, 4)
+	for range cap(rollups) {
+		rollups <- analysis.RollupOf(st)
+	}
+	ro := analysis.NewRoster(st)
+	batch := testing.AllocsPerRun(3, func() { exhibits(<-rollups, ro) })
+	p := analysis.NewPartial()
+	p.Fold(st)
+	page := func() {
+		sn := analysis.NewSnapshot(dataset.NewStore())
+		sn.Capture(p)
+		exhibits(sn.Rollup(), sn.Roster())
+	}
+	page()
+	carried := testing.AllocsPerRun(3, page)
+	t.Logf("Table 2 and Figs. 3–6: %.0f allocations in a batch, %.0f on a carried page", batch, carried)
+	if batch > 5_000 {
+		t.Errorf("a batch's Table 2 and Figs. 3–6 made %.0f allocations, budget 5,000", batch)
+	}
+	if carried > 5_000 {
+		t.Errorf("a carried page's Table 2 and Figs. 3–6 made %.0f allocations, budget 5,000", carried)
 	}
 }

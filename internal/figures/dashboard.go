@@ -231,7 +231,7 @@ func (d *Dashboard) Stats() DashboardStats {
 func (d *Dashboard) statsLocked() DashboardStats {
 	return DashboardStats{
 		SealedChunks:   d.sealed,
-		Segments:       len(d.src.Segments()),
+		Segments:       d.src.NumSegments(),
 		Rows:           d.base.Rows(),
 		RawFlowRows:    d.base.RawFlowRows(),
 		FlowAggregates: d.base.FlowAggregates(),

@@ -11,7 +11,6 @@ package figures
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -93,18 +92,10 @@ var cdfPoints = [...]struct {
 	label string
 }{{0.10, "p10="}, {0.25, "p25="}, {0.50, "p50="}, {0.75, "p75="}, {0.90, "p90="}}
 
-// cdfLine formats an empirical CDF as quantile points, each %.3g, from
-// one sorted copy of xs (cdfSorted).
-func cdfLine(xs []float64, unit string) string {
-	sorted := slices.Clone(xs)
-	stats.SortFloats(sorted)
-	return cdfSorted(sorted, unit)
-}
-
-// cdfSorted is cdfLine of a sample already in stats.SortFloats' order:
-// each point is read off it (stats.QuantileRuns) — the values
-// stats.Quantile selects, since a sample's order statistics are the
-// same however they are found.
+// cdfSorted formats an empirical CDF as quantile points, each %.3g, of a
+// sample in stats.SortFloats' order: each point is read off it
+// (stats.QuantileRuns) — the values stats.Quantile selects, since a
+// sample's order statistics are the same however they are found.
 func cdfSorted(sorted []float64, unit string) string {
 	if len(sorted) == 0 {
 		return "(no samples)"
@@ -121,16 +112,12 @@ func cdfSorted(sorted []float64, unit string) string {
 	return string(b)
 }
 
-// table1 reproduces the deployment roster.
-func table1(st *dataset.Store) *Report {
+// table1 reproduces the deployment roster from its index.
+func table1(ro *analysis.Roster) *Report {
 	r := &Report{
 		ID:         "Table 1",
 		Title:      "Classification of countries based on GDP per capita",
 		PaperClaim: "90 developed routers across 10 countries; 36 developing across 9",
-	}
-	perCountry := map[string]int{}
-	for _, code := range st.RouterCountry {
-		perCountry[code]++
 	}
 	for _, grp := range []analysis.Group{analysis.Developed, analysis.Developing} {
 		total := 0
@@ -139,7 +126,7 @@ func table1(st *dataset.Store) *Report {
 			if c.Developed != (grp == analysis.Developed) {
 				continue
 			}
-			n := perCountry[c.Code]
+			n := len(ro.InCountry(c.Code))
 			total += n
 			parts = append(parts, fmt.Sprintf("%s=%d", c.Code, n))
 		}
@@ -148,12 +135,14 @@ func table1(st *dataset.Store) *Report {
 	return r
 }
 
-// table2Rows are Table 2's rows after Heartbeats, in the order
-// analysis.Rollup.KindCounts counts them, with their collection windows.
+// table2Rows are Table 2's rows, in the order
+// analysis.Availability.KindCounts counts them, with their collection
+// windows.
 var table2Rows = [...]struct {
 	name     string
 	from, to time.Time
 }{
+	{"Heartbeats", dataset.HeartbeatsFrom, dataset.HeartbeatsTo},
 	{"Capacity", dataset.CapacityFrom, dataset.CapacityTo},
 	{"Uptime", dataset.UptimeFrom, dataset.UptimeTo},
 	{"Devices", dataset.DevicesFrom, dataset.DevicesTo},
@@ -161,9 +150,8 @@ var table2Rows = [...]struct {
 	{"Traffic", dataset.TrafficFrom, dataset.TrafficTo},
 }
 
-// table2 reproduces the data set inventory: the heartbeat routers from
-// the log, every other row from one pass over the rollup's homes.
-func table2(st *dataset.Store, v *analysis.Rollup) *Report {
+// table2 reproduces the data set inventory from the carried counts.
+func table2(a *analysis.Availability) *Report {
 	r := &Report{
 		ID:         "Table 2",
 		Title:      "Summary of data collected",
@@ -173,13 +161,7 @@ func table2(st *dataset.Store, v *analysis.Rollup) *Report {
 		r.add("%-11s routers=%-4d countries=%-3d %s – %s",
 			name, routers, countries, from.Format("2006-01-02"), to.Format("2006-01-02"))
 	}
-	hb := st.Heartbeats.Routers()
-	countries := map[string]bool{}
-	for _, id := range hb {
-		countries[st.RouterCountry[id]] = true
-	}
-	row("Heartbeats", len(hb), len(countries), dataset.HeartbeatsFrom, dataset.HeartbeatsTo)
-	for i, c := range v.KindCounts(st.RouterCountry) {
+	for i, c := range a.KindCounts() {
 		k := table2Rows[i]
 		row(k.name, c.Routers, c.Countries, k.from, k.to)
 	}
@@ -187,47 +169,43 @@ func table2(st *dataset.Store, v *analysis.Rollup) *Report {
 }
 
 // fig3 reproduces the downtime-frequency CDF.
-func fig3(gx *analysis.GapIndex, ro *analysis.Roster) *Report {
+func fig3(a *analysis.Availability) *Report {
 	r := &Report{
 		ID:         "Figure 3",
 		Title:      "Average number of downtimes per day (≥10 min), by group",
 		PaperClaim: "developed median gap > a month (≲0.03/day); developing median < a day (≳0.4/day)",
 	}
-	rates := analysis.DowntimesPerDayByGroup(gx, ro)
 	for _, g := range []analysis.Group{analysis.Developed, analysis.Developing} {
-		xs := rates[g]
-		r.add("%-10s n=%-3d CDF: %s", g, len(xs), cdfLine(xs, "/day"))
+		xs := a.DowntimesPerDay(g)
+		r.add("%-10s n=%-3d CDF: %s", g, len(xs), cdfSorted(xs, "/day"))
 	}
-	gaps := analysis.MedianTimeBetweenDowntimes(gx, ro)
 	r.add("median time between downtimes: developed=%s developing=%s",
-		fmtDur(gaps[analysis.Developed]), fmtDur(gaps[analysis.Developing]))
+		fmtDur(a.MedianTimeBetweenDowntimes(analysis.Developed)), fmtDur(a.MedianTimeBetweenDowntimes(analysis.Developing)))
 	r.add("frequent-downtime share: developed >1/10days = %.0f%%, developing >1/3days = %.0f%%",
-		100*analysis.FractionWithFrequentDowntime(gx, ro, analysis.Developed, 10),
-		100*analysis.FractionWithFrequentDowntime(gx, ro, analysis.Developing, 3))
+		100*a.FractionWithFrequentDowntime(analysis.Developed, 10),
+		100*a.FractionWithFrequentDowntime(analysis.Developing, 3))
 	return r
 }
 
 // fig4 reproduces the downtime-duration CDF.
-func fig4(hb *heartbeat.Log, gx *analysis.GapIndex, ro *analysis.Roster, v *analysis.Rollup) *Report {
+func fig4(a *analysis.Availability) *Report {
 	r := &Report{
 		ID:         "Figure 4",
 		Title:      "Downtime duration, by group",
 		PaperClaim: "median ≈30 min for both; developing has the longer tail (up to days)",
 	}
-	durs := analysis.DowntimeDurationsByGroup(gx, ro)
 	for _, g := range []analysis.Group{analysis.Developed, analysis.Developing} {
-		xs := durs[g]
+		xs := a.DowntimeDurations(g)
 		if len(xs) == 0 {
 			r.add("%-10s (no downtimes)", g)
 			continue
 		}
 		r.add("%-10s n=%-5d CDF(min): %s  max=%.1fh",
-			g, len(xs), cdfLine(scale(xs, 1.0/60), "m"), stats.Quantile(xs, 1)/3600)
+			g, len(xs), cdfSorted(xs, "m"), a.LongestDowntime(g)/3600)
 	}
-	if causeWin := causeWindow(gx.Window()); causeWin.To.After(causeWin.From) {
-		causes := analysis.NewGapIndex(hb, causeWin)
+	if causeWin := analysis.CauseWindow(a.Window()); causeWin.To.After(causeWin.From) {
 		for _, g := range []analysis.Group{analysis.Developed, analysis.Developing} {
-			t := v.DowntimeCauses(causes, ro, g)
+			t := a.DowntimeCauses(g)
 			r.add("%-10s causes (Uptime-overlap window): power-off=%d network=%d unknown=%d",
 				g, t[analysis.CausePowerOff], t[analysis.CauseNetwork], t[analysis.CauseUnknown])
 		}
@@ -235,29 +213,16 @@ func fig4(hb *heartbeat.Log, gx *analysis.GapIndex, ro *analysis.Roster, v *anal
 	return r
 }
 
-// causeWindow is w cut to where the Uptime data set overlaps it: cause
-// inference is only possible there (§3.3: the 12-hour uptime reports
-// started in March).
-func causeWindow(w analysis.AvailabilityWindow) analysis.AvailabilityWindow {
-	if w.From.Before(dataset.UptimeFrom) {
-		w.From = dataset.UptimeFrom
-	}
-	if w.To.After(dataset.UptimeTo) {
-		w.To = dataset.UptimeTo
-	}
-	return w
-}
-
 // fig5 reproduces the GDP scatter.
-func fig5(gx *analysis.GapIndex, ro *analysis.Roster) *Report {
+func fig5(a *analysis.Availability) *Report {
 	r := &Report{
 		ID:         "Figure 5",
 		Title:      "Median number of downtimes vs per-capita GDP (≥3 routers)",
 		PaperClaim: "IN and PK (lowest GDP) have by far the most downtimes; PK ≈2/day",
 	}
-	w := gx.Window()
+	w := a.Window()
 	days := w.To.Sub(w.From).Hours() / 24
-	for _, pt := range analysis.DowntimesByCountry(gx, ro, 3) {
+	for _, pt := range a.DowntimesByCountry(3) {
 		r.add("%-3s gdp=$%-6.0f routers=%-3d medianDowntimes=%-6.0f (%.2f/day) medianDur=%s",
 			pt.Code, pt.GDPPPP, pt.Routers, pt.MedianDowntimes,
 			pt.MedianDowntimes/days, fmtDur(pt.MedianDuration))
@@ -266,39 +231,28 @@ func fig5(gx *analysis.GapIndex, ro *analysis.Roster) *Report {
 }
 
 // fig6 reproduces the availability-mode case studies as day-strips.
-func fig6(hb *heartbeat.Log, gx *analysis.GapIndex, ro *analysis.Roster, v *analysis.Rollup) *Report {
+func fig6(hb *heartbeat.Log, a *analysis.Availability) *Report {
 	r := &Report{
 		ID:         "Figure 6",
 		Title:      "Availability archetypes (10-day strips; '#'=online per hour, '.'=down)",
 		PaperClaim: "(a) always-on; (b) appliance-mode evenings/weekends; (c) powered-on but flaky ISP",
 	}
-	// Pick one example per mode.
-	found := map[analysis.AvailabilityMode]string{}
-	for _, id := range hb.Routers() {
-		m := v.ClassifyAvailability(gx, id)
-		if _, ok := found[m]; !ok {
-			found[m] = id
-		}
-		if len(found) == 3 {
-			break
-		}
-	}
 	order := []analysis.AvailabilityMode{analysis.ModeAlwaysOn, analysis.ModeAppliance, analysis.ModeFlakyISP}
 	for _, m := range order {
-		id, ok := found[m]
-		if !ok {
+		id := a.Example(m)
+		if id == "" {
 			r.add("(%s: no example in data)", m)
 			continue
 		}
-		r.add("%-10s %s  uptime=%.2f%%", m, id, gx.UptimeFraction(id)*100)
-		for _, line := range dayStrips(hb, id, gx.Window().From, 10) {
+		r.add("%-10s %s  uptime=%.2f%%", m, id, a.UptimeFraction(id)*100)
+		for _, line := range dayStrips(hb, id, a.Window().From, 10) {
 			r.add("  %s", line)
 		}
 	}
 	// §4.2 medians.
 	for _, code := range []string{"US", "IN", "ZA"} {
 		r.add("median uptime %s = %.2f%% (paper: US 98.25, IN 76.01, ZA 85.57)",
-			code, 100*analysis.MedianUptimeFraction(gx, ro, code))
+			code, 100*a.MedianUptimeFraction(code))
 	}
 	return r
 }
@@ -327,14 +281,6 @@ func dayStrips(hb *heartbeat.Log, id string, start time.Time, n int) []string {
 			}
 		}
 		out = append(out, b.String())
-	}
-	return out
-}
-
-func scale(xs []float64, k float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = x * k
 	}
 	return out
 }

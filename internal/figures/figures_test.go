@@ -186,11 +186,17 @@ func TestTable2DatasetCoverage(t *testing.T) {
 	}
 }
 
+// heartbeatsOf is st's availability over w, of its roster and its log:
+// what Figs. 3–5 and Fig. 6's medians read, which no row changes.
+func heartbeatsOf(st *dataset.Store, w analysis.AvailabilityWindow) *analysis.Availability {
+	return new(analysis.Rollup).Availability(st.Heartbeats, analysis.NewRoster(st), w)
+}
+
 func TestFig3DevelopedVsDeveloping(t *testing.T) {
 	st, w := study(t)
-	rates := analysis.DowntimesPerDayByGroup(analysis.NewGapIndex(st.Heartbeats, w.Availability), analysis.NewRoster(st))
-	devMed := stats.Median(rates[analysis.Developed])
-	dvgMed := stats.Median(rates[analysis.Developing])
+	a := heartbeatsOf(st, w.Availability)
+	devMed := stats.Median(a.DowntimesPerDay(analysis.Developed))
+	dvgMed := stats.Median(a.DowntimesPerDay(analysis.Developing))
 	// Paper: developed median < 1/30 per day; developing > ~1/3 per day.
 	if devMed > 0.15 {
 		t.Fatalf("developed median %.3f/day too high", devMed)
@@ -205,22 +211,22 @@ func TestFig3DevelopedVsDeveloping(t *testing.T) {
 
 func TestFig4MedianDurationAboutHalfHour(t *testing.T) {
 	st, w := study(t)
-	durs := analysis.DowntimeDurationsByGroup(analysis.NewGapIndex(st.Heartbeats, w.Availability), analysis.NewRoster(st))
-	all := append(append([]float64{}, durs[analysis.Developed]...), durs[analysis.Developing]...)
-	med := stats.Median(all) / 60
+	a := heartbeatsOf(st, w.Availability)
+	dev, dvg := a.DowntimeDurations(analysis.Developed), a.DowntimeDurations(analysis.Developing)
+	med := stats.Median(append(append([]float64{}, dev...), dvg...))
 	// Paper: ≈30 minutes.
 	if med < 12 || med > 90 {
 		t.Fatalf("median downtime %.1f min, want ≈30", med)
 	}
 	// Developing tail longer.
-	if stats.Quantile(durs[analysis.Developing], 0.9) <= stats.Quantile(durs[analysis.Developed], 0.9) {
+	if stats.Quantile(dvg, 0.9) <= stats.Quantile(dev, 0.9) {
 		t.Fatal("developing tail not longer")
 	}
 }
 
 func TestFig5PoorestCountriesWorst(t *testing.T) {
 	st, w := study(t)
-	pts := analysis.DowntimesByCountry(analysis.NewGapIndex(st.Heartbeats, w.Availability), analysis.NewRoster(st), 3)
+	pts := heartbeatsOf(st, w.Availability).DowntimesByCountry(3)
 	if len(pts) < 4 {
 		t.Fatalf("only %d countries with ≥3 routers", len(pts))
 	}
@@ -245,10 +251,10 @@ func TestFig5PoorestCountriesWorst(t *testing.T) {
 
 func TestFig6UptimeMedians(t *testing.T) {
 	st, w := study(t)
-	gx, ro := analysis.NewGapIndex(st.Heartbeats, w.Availability), analysis.NewRoster(st)
-	us := analysis.MedianUptimeFraction(gx, ro, "US")
-	in := analysis.MedianUptimeFraction(gx, ro, "IN")
-	za := analysis.MedianUptimeFraction(gx, ro, "ZA")
+	a := heartbeatsOf(st, w.Availability)
+	us := a.MedianUptimeFraction("US")
+	in := a.MedianUptimeFraction("IN")
+	za := a.MedianUptimeFraction("ZA")
 	if us < 0.95 {
 		t.Fatalf("US uptime %.3f (paper 0.9825)", us)
 	}
@@ -540,13 +546,12 @@ func TestFig20DistinctFingerprints(t *testing.T) {
 // of the paper's 10-min choice.
 func TestAblationGapThreshold(t *testing.T) {
 	st, w := study(t)
-	ro := analysis.NewRoster(st)
 	prevDev := math.Inf(1)
 	for _, thr := range []time.Duration{2 * time.Minute, 5 * time.Minute, 10 * time.Minute, 20 * time.Minute, time.Hour} {
 		win := w.Availability
 		win.Threshold = thr
-		rates := analysis.DowntimesPerDayByGroup(analysis.NewGapIndex(st.Heartbeats, win), ro)
-		dev, dvg := stats.Median(rates[analysis.Developed]), stats.Median(rates[analysis.Developing])
+		a := heartbeatsOf(st, win)
+		dev, dvg := stats.Median(a.DowntimesPerDay(analysis.Developed)), stats.Median(a.DowntimesPerDay(analysis.Developing))
 		t.Logf("threshold %-6s developed median %.3f/day, developing %.3f/day", thr, dev, dvg)
 		if dev >= prevDev {
 			t.Errorf("threshold %s: developed median %.3f/day did not fall from %.3f", thr, dev, prevDev)

@@ -2,6 +2,7 @@ package figures
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"natpeek/internal/analysis"
@@ -15,21 +16,12 @@ func fig7(v *analysis.Rollup) *Report {
 		Title:      "Number of unique devices per home network",
 		PaperClaim: "more than half of homes have ≥5 devices; ≈7 devices on average",
 	}
-	uniq := v.UniqueDevicesPerHome()
-	// Counts sum exactly in any order: the sample is sorted in place.
-	xs := make([]float64, 0, len(uniq))
-	atLeast5 := 0
-	for _, n := range uniq {
-		xs = append(xs, float64(n))
-		if n >= 5 {
-			atLeast5++
-		}
-	}
+	xs := v.DeviceCounts()
 	if len(xs) == 0 {
 		r.add("(no device data)")
 		return r
 	}
-	stats.SortFloats(xs)
+	atLeast5 := len(xs) - sort.SearchFloat64s(xs, 5)
 	r.add("homes=%d  CDF: %s", len(xs), cdfSorted(xs, ""))
 	r.add("mean=%.2f  share with ≥5 devices=%.0f%%",
 		stats.Mean(xs), 100*float64(atLeast5)/float64(len(xs)))

@@ -9,10 +9,12 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"natpeek/internal/analysis"
 	"natpeek/internal/dataset"
 	"natpeek/internal/geo"
+	"natpeek/internal/heartbeat"
 	"natpeek/internal/rng"
 	"natpeek/internal/segment"
 )
@@ -289,6 +291,35 @@ func TestPageRecomputesOnlyTouchedHomes(t *testing.T) {
 	}
 }
 
+// TestPageRecomputesOnlyMovedEntries: a live page makes the availability
+// entry only of a router whose heartbeat version, home summary or roster
+// country moved since the last page. Over the 512-router fixture the
+// first page makes one per router; a page of no new rows, beats or
+// registrations makes none; a page after beats from k routers makes k.
+func TestPageRecomputesOnlyMovedEntries(t *testing.T) {
+	const routers = 512
+	d := fixtureDashboard(t, 4_500, 16, routers)
+	hb := d.src.HeartbeatLog()
+	page := func(step string, want int) {
+		t.Helper()
+		_, ro, v, _ := d.snapshot()
+		if got := v.Availability(hb, ro, DefaultWindows().Availability).Made(); got != want {
+			t.Errorf("%s: the page made %d availability entries, want %d", step, got, want)
+		}
+	}
+	page("the first page", len(d.src.Merge().Routers()))
+	page("a page of nothing new", 0)
+	at := time.Date(2013, 4, 2, 0, 0, 0, 0, time.UTC)
+	for _, k := range []int{1, 8, 64} {
+		for i := 0; i < k; i++ {
+			hb.Record(fmt.Sprintf("load-%05d", (i*37+k)%routers), at)
+		}
+		at = at.Add(time.Hour)
+		page(fmt.Sprintf("a page after beats from %d routers", k), k)
+		page(fmt.Sprintf("a page of nothing new after beats from %d routers", k), 0)
+	}
+}
+
 // changed returns what b lacks of a (gone) and what a lacks of b (came),
 // as multisets.
 func changed[T comparable](a, b []T) (gone, came []T) {
@@ -430,16 +461,52 @@ func BenchmarkLivePage(b *testing.B) {
 	}
 }
 
+// BenchmarkLivePageBeats is BenchmarkLivePage over routers that send
+// heartbeats: each has a week of history, a beat a minute with an hour's
+// gap a day, and after each page's uploads 8 routers beat once more, so
+// each page makes those 8 availability entries again.
+func BenchmarkLivePageBeats(b *testing.B) {
+	const routers = 512
+	d := fixtureDashboard(b, 45_000, 2_000, routers)
+	hb := d.src.HeartbeatLog()
+	start := time.Date(2013, 4, 1, 0, 0, 0, 0, time.UTC)
+	for r := 0; r < routers; r++ {
+		for day := 0; day < 7; day++ {
+			hb.RecordRun(fmt.Sprintf("load-%05d", r), heartbeat.Run{Start: start.Add(time.Duration(day) * 24 * time.Hour),
+				Interval: time.Minute, Count: 23 * 60})
+		}
+	}
+	d.Render()
+	inc := rng.New(8).Child("increment")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.src.Append("increment", func(dst *dataset.Store) {
+			loadgenMix(dst, inc, i*8, 8, routers, 0.65)
+		})
+		at := start.Add(7*24*time.Hour + time.Duration(i)*time.Minute)
+		for j := 0; j < 8; j++ {
+			hb.Record(fmt.Sprintf("load-%05d", (i*8+j)%routers), at)
+		}
+		if i%64 == 63 {
+			if err := d.src.Flush(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		pageText(d.render())
+	}
+}
+
 // livePages renders BenchmarkLivePage's page — eight uploads after the
 // last page over a 512-router fleet, rendered to GET /figures' text —
 // pages times after the first, and returns the allocations, the bytes
 // allocated and the bytes left live after a collection, per page.
-func livePages(t *testing.T, pages int) (allocs, bytes, live float64) {
+func livePages(t *testing.T, pages, routers int) (allocs, bytes, live float64) {
 	t.Helper()
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	d := fixtureDashboard(t, 45_000, 2_000, 512)
+	d := fixtureDashboard(t, 45_000, 2_000, routers)
 	pageText(d.render())
 	inc := rng.New(8).Child("increment")
 	var start, before, after runtime.MemStats
@@ -447,7 +514,7 @@ func livePages(t *testing.T, pages int) (allocs, bytes, live float64) {
 	runtime.ReadMemStats(&start)
 	for i := 0; i < pages; i++ {
 		d.src.Append("increment", func(dst *dataset.Store) {
-			loadgenMix(dst, inc, i*8, 8, 512, 0.65)
+			loadgenMix(dst, inc, i*8, 8, routers, 0.65)
 		})
 		runtime.ReadMemStats(&before)
 		pageText(d.render())
@@ -464,13 +531,14 @@ func livePages(t *testing.T, pages int) (allocs, bytes, live float64) {
 // TestLivePageAllocBudget: BenchmarkLivePage's page stays within an
 // allocation budget. The per-home rows, the CDF lines and the
 // fleet-wide exhibits each used to allocate per home or per device on
-// every page: about 5,300 allocations a page in all, and 2,090 with the
-// kept-kind statistics in the home summaries. The budget is the 1,585 a
-// page makes with Figs. 15–20 read from aggregates carried from page to
-// page, and a quarter again.
+// every page: about 5,300 allocations a page in all, 2,090 with the
+// kept-kind statistics in the home summaries, and 1,585 with Figs.
+// 15–20 read from aggregates carried from page to page. The budget is
+// the 1,340 a page makes with Table 2 and Figs. 3–7 carried too, and a
+// quarter again.
 func TestLivePageAllocBudget(t *testing.T) {
-	const budget = 1_980
-	per, _, _ := livePages(t, 16)
+	const budget = 1_675
+	per, _, _ := livePages(t, 16, 512)
 	t.Logf("%.0f allocations per page", per)
 	if per > budget {
 		t.Errorf("a page allocates %.0f times, over its budget of %d", per, budget)
@@ -480,21 +548,26 @@ func TestLivePageAllocBudget(t *testing.T) {
 // TestLivePageBytesBudget: BenchmarkLivePage's page allocates no more
 // than its budget of bytes, so garbage the size of the fleet — a copy
 // of every home's links or of every fleet device, made on every page —
-// cannot come back unnoticed. With such copies a page allocated 0.80 MB;
-// the budget is the 0.38 MB a page allocates with Figs. 15–20 carried
-// from page to page, and a quarter again. Nor may pages keep earlier
-// pages alive: over 64 pages the heap grows by about 14,600 bytes a
-// page, the rows the uploads add to the memtable and the tail; a page
-// that held a pointer to the last page's overlay, and so a chain of
-// every page's tail since the seal, kept 71,500.
+// cannot come back unnoticed. With such copies a page allocated 0.80 MB,
+// and 0.38 MB with Figs. 15–20 carried from page to page; the budget is
+// the 0.27 MB a page allocates with Table 2 and Figs. 3–7 carried too,
+// and a quarter again. Nor may pages keep earlier pages alive: over 64
+// pages the heap grows by about 17,400 bytes a page, the rows the
+// uploads add to the memtable and the tail — no more over 4,096 routers
+// than over 512; a page that held a pointer to the last page's overlay,
+// and so a chain of every page's tail since the seal, kept 71,500.
 func TestLivePageBytesBudget(t *testing.T) {
-	const budget, liveBudget = 480_000, 30_000
-	_, per, live := livePages(t, 64)
-	t.Logf("%.0f bytes per page, %.0f left live", per, live)
+	const budget, liveBudget = 332_000, 21_750
+	_, per, live := livePages(t, 64, 512)
+	_, _, wide := livePages(t, 64, 4_096)
+	t.Logf("%.0f bytes per page, %.0f left live; %.0f left live over 4,096 routers", per, live, wide)
 	if per > budget {
 		t.Errorf("a page allocates %.0f bytes, over its budget of %d", per, budget)
 	}
 	if live > liveBudget {
 		t.Errorf("a page leaves %.0f bytes live, over its budget of %d", live, liveBudget)
+	}
+	if wide > liveBudget {
+		t.Errorf("a page over 4,096 routers leaves %.0f bytes live, over its budget of %d", wide, liveBudget)
 	}
 }

@@ -6,9 +6,11 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"natpeek/internal/analysis"
 	"natpeek/internal/dataset"
+	"natpeek/internal/geo"
 	"natpeek/internal/rng"
 	"natpeek/internal/stats"
 )
@@ -16,25 +18,28 @@ import (
 // The page computes a few exhibits with less than it used to; these
 // tests hold each against the way it was computed before.
 
-// oracleKindCounts counts Table 2's rows after Heartbeats straight off
-// st's rows, in KindCounts' order: per kind, the routers with a row of
-// it and the countries st registers them in.
+// oracleKindCounts counts Table 2's rows straight off st's log and rows,
+// in KindCounts' order: per row, the routers with beats or a row of its
+// kind and the countries st registers them in.
 func oracleKindCounts(st *dataset.Store) []analysis.KindCount {
-	kinds := []map[string]bool{{}, {}, {}, {}, {}}
-	for _, r := range st.Capacity {
-		kinds[0][r.RouterID] = true
+	kinds := []map[string]bool{{}, {}, {}, {}, {}, {}}
+	for _, id := range st.Heartbeats.Routers() {
+		kinds[0][id] = true
 	}
-	for _, r := range st.Uptime {
+	for _, r := range st.Capacity {
 		kinds[1][r.RouterID] = true
 	}
-	for _, r := range st.Counts {
+	for _, r := range st.Uptime {
 		kinds[2][r.RouterID] = true
 	}
-	for _, r := range st.WiFi {
+	for _, r := range st.Counts {
 		kinds[3][r.RouterID] = true
 	}
-	for _, r := range st.Flows {
+	for _, r := range st.WiFi {
 		kinds[4][r.RouterID] = true
+	}
+	for _, r := range st.Flows {
+		kinds[5][r.RouterID] = true
 	}
 	out := make([]analysis.KindCount, len(kinds))
 	for i, ids := range kinds {
@@ -47,20 +52,60 @@ func oracleKindCounts(st *dataset.Store) []analysis.KindCount {
 	return out
 }
 
-// TestTable2CountsMatchStore: the one-pass Table 2 counts equal counts
-// taken straight off the rows — over the study, over a loadgen mix with
-// routers the roster lacks, and on live pages over a sealed history and
-// a tail that grows between them.
+// oracleTable1 is Table 1 as it was made: its countries counted from a
+// map of st's roster.
+func oracleTable1(st *dataset.Store) string {
+	perCountry := map[string]int{}
+	for _, code := range st.RouterCountry {
+		perCountry[code]++
+	}
+	var lines []string
+	for _, grp := range []analysis.Group{analysis.Developed, analysis.Developing} {
+		total := 0
+		var parts []string
+		for _, c := range geo.All() {
+			if c.Developed == (grp == analysis.Developed) {
+				total += perCountry[c.Code]
+				parts = append(parts, fmt.Sprintf("%s=%d", c.Code, perCountry[c.Code]))
+			}
+		}
+		lines = append(lines, fmt.Sprintf("%-10s total=%d  (%s)", grp, total, strings.Join(parts, " ")))
+	}
+	return strings.Join(lines, "\n")
+}
+
+// TestTable1CountsMatchRoster: Table 1 counted off the roster's index is
+// the text counted from a map of the roster — over the seed-7 study, and
+// over a roster with routers of a country geo does not know and of none.
+func TestTable1CountsMatchRoster(t *testing.T) {
+	study, _ := study(t)
+	odd := dataset.NewStore()
+	for id, code := range map[string]string{"a": "US", "b": "XX", "c": "", "d": "IN", "e": "XX", "f": "US"} {
+		odd.RouterCountry[id] = code
+	}
+	for name, st := range map[string]*dataset.Store{"study": study, "unknown countries": odd} {
+		if got, want := strings.Join(table1(analysis.NewRoster(st)).Lines, "\n"), oracleTable1(st); got != want {
+			t.Errorf("%s: Table 1\n%s\ncounted from the roster's map\n%s", name, got, want)
+		}
+	}
+}
+
+// TestTable2CountsMatchStore: the carried Table 2 counts equal counts
+// taken straight off the log and the rows — over the study, over a
+// loadgen mix with routers the roster lacks, and on live pages over a
+// sealed history and a tail that grows between them, each carrying the
+// last page's counts, with beats from routers with rows, routers the
+// roster alone names and routers nothing else names.
 func TestTable2CountsMatchStore(t *testing.T) {
-	check := func(what string, st *dataset.Store, v *analysis.Rollup, roster map[string]string) {
+	check := func(what string, st *dataset.Store, v *analysis.Rollup, ro *analysis.Roster) {
 		t.Helper()
-		got := v.KindCounts(roster)
+		got := kindCounts(st, v, ro)
 		if want := oracleKindCounts(st); fmt.Sprint(got[:]) != fmt.Sprint(want) {
 			t.Errorf("%s: KindCounts %v, counted off the rows %v", what, got, want)
 		}
 	}
 	study, _ := study(t)
-	check("study", study, analysis.RollupOf(study), study.RouterCountry)
+	check("study", study, analysis.RollupOf(study), analysis.NewRoster(study))
 	mix := dataset.NewStore()
 	loadgenMix(mix, rng.New(12), 0, 2_000, 96, 0.65)
 	for id := range mix.RouterCountry {
@@ -68,19 +113,24 @@ func TestTable2CountsMatchStore(t *testing.T) {
 			delete(mix.RouterCountry, id)
 		}
 	}
-	check("loadgen mix, ten routers unregistered", mix, analysis.RollupOf(mix), mix.RouterCountry)
+	check("loadgen mix, ten routers unregistered", mix, analysis.RollupOf(mix), analysis.NewRoster(mix))
 
 	d := fixtureDashboard(t, 3_000, 200, 96)
 	inc := rng.New(13).Child("increment")
-	for i := 0; i < 4; i++ {
+	hb := d.src.HeartbeatLog()
+	for i := 0; i < 6; i++ {
 		d.src.Append("increment", func(dst *dataset.Store) { loadgenMix(dst, inc, 96+i*8, 8, 104, 0.65) })
-		st, _, v, _ := d.snapshot()
-		check(fmt.Sprintf("page %d", i), d.src.Merge(), v, st.RouterCountry)
+		at := dataset.HeartbeatsFrom.Add(time.Duration(i) * time.Hour)
+		hb.Record(fmt.Sprintf("load-%05d", i*7), at)
+		hb.Record(fmt.Sprintf("load-%05d", 200+i%2), at)
+		hb.Record(fmt.Sprintf("beats-only-%d", i%3), at)
+		_, ro, v, _ := d.snapshot()
+		check(fmt.Sprintf("page %d", i), d.src.Merge(), v, ro)
 	}
 }
 
-// cdfLineByQuantile is cdfLine as it was: five stats.Quantile calls,
-// each selecting over its own copy, formatted with fmt.
+// cdfLineByQuantile is a CDF line as it was made: five stats.Quantile
+// calls, each selecting over its own copy, formatted with fmt.
 func cdfLineByQuantile(xs []float64, unit string) string {
 	if len(xs) == 0 {
 		return "(no samples)"
@@ -92,9 +142,10 @@ func cdfLineByQuantile(xs []float64, unit string) string {
 	return strings.Join(parts, "  ")
 }
 
-// TestCDFLineMatchesQuantile: one sorted copy read at five points gives
-// the text five Quantile selections gave — on samples of every size up
-// to a few hundred, with ties, NaNs, infinities and negative values.
+// TestCDFLineMatchesQuantile: a sorted sample read at five points
+// (cdfSorted) gives the text five Quantile selections gave — on samples
+// of every size up to a few hundred, with ties, NaNs, infinities and
+// negative values.
 func TestCDFLineMatchesQuantile(t *testing.T) {
 	s := rng.New(14)
 	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1, 1e-9, 123456789}
@@ -111,13 +162,10 @@ func TestCDFLineMatchesQuantile(t *testing.T) {
 					xs[i] = s.Range(-1e3, 1e6)
 				}
 			}
-			orig := append([]float64(nil), xs...)
-			got, want := cdfLine(xs, "m"), cdfLineByQuantile(xs, "m")
-			if got != want {
-				t.Fatalf("n=%d: cdfLine %q, five Quantiles %q over %v", n, got, want, xs)
-			}
-			if fmt.Sprint(xs) != fmt.Sprint(orig) {
-				t.Fatalf("n=%d: cdfLine reordered its sample", n)
+			sorted := append([]float64(nil), xs...)
+			stats.SortFloats(sorted)
+			if got, want := cdfSorted(sorted, "m"), cdfLineByQuantile(xs, "m"); got != want {
+				t.Fatalf("n=%d: cdfSorted %q, five Quantiles %q over %v", n, got, want, xs)
 			}
 		}
 	}

@@ -24,9 +24,9 @@ func TestClaimsHoldAcrossSeeds(t *testing.T) {
 		win := DefaultWindows().Availability
 
 		// Availability: developing ≫ developed downtime frequency.
-		rates := analysis.DowntimesPerDayByGroup(analysis.NewGapIndex(st.Heartbeats, win), analysis.NewRoster(st))
-		devMed := stats.Median(rates[analysis.Developed])
-		dvgMed := stats.Median(rates[analysis.Developing])
+		a := heartbeatsOf(st, win)
+		devMed := stats.Median(a.DowntimesPerDay(analysis.Developed))
+		dvgMed := stats.Median(a.DowntimesPerDay(analysis.Developing))
 		if dvgMed < 5*devMed {
 			t.Errorf("seed %d: downtime separation weak: %.3f vs %.3f", seed, devMed, dvgMed)
 		}

@@ -78,12 +78,14 @@ func TestRollupMatchesOracles(t *testing.T) {
 		for _, f := range st.Flows {
 			homes[f.RouterID] = true
 		}
-		if got := r.KindCounts(st.RouterCountry)[4].Routers; got != len(homes) {
+		ro := analysis.NewRoster(st)
+		if got := kindCounts(st, r, ro)[5].Routers; got != len(homes) {
 			t.Errorf("%s: rollup has %d homes with traffic, the flows %d", name, got, len(homes))
 		}
 		same("UsageByGroup", oracleUsageByGroup(st), r.UsageByGroup(analysis.NewRoster(st)))
 		same("Fig20", fig20(r).String(), fig20(analysis.RollupOf(st)).String())
-		same("Table2", table2(st, r).String(), table2(st, analysis.RollupOf(st)).String())
+		same("Table2", table2(r.Availability(st.Heartbeats, ro, DefaultWindows().Availability)).String(),
+			table2(analysis.RollupOf(st).Availability(st.Heartbeats, ro, DefaultWindows().Availability)).String())
 	}
 }
 
@@ -125,16 +127,18 @@ func diffRollups(t *testing.T, what string, st *dataset.Store, want, got *analys
 
 	same("KeptRows", want.KeptRows(), got.KeptRows())
 	same("UsageByGroup", want.UsageByGroup(ro), got.UsageByGroup(ro))
-	same("KindCounts", want.KindCounts(st.RouterCountry), got.KindCounts(st.RouterCountry))
 	// A roster of one router counts it as a country of its own: with two
 	// or more routers holding a kind, the kind's count of countries is 2
 	// when the router is one of them and 1 when it is not, so the rows
 	// of each kind are credited to the same routers. (A kind only one
-	// router holds counts one country whoever holds it.)
+	// router holds counts one country whoever holds it.) The store's
+	// roster comes last: a page after got carries its availability from
+	// the last one made.
 	for _, id := range routers {
-		alone := map[string]string{id: "alone"}
-		same("KindCounts("+id+" alone)", want.KindCounts(alone), got.KindCounts(alone))
+		alone := analysis.NewRoster(&dataset.Store{RouterCountry: map[string]string{id: "alone"}})
+		same("KindCounts("+id+" alone)", kindCounts(st, want, alone), kindCounts(st, got, alone))
 	}
+	same("KindCounts", kindCounts(st, want, ro), kindCounts(st, got, ro))
 	same("ConnectedByGroup", want.ConnectedByGroup(ro), got.ConnectedByGroup(ro))
 	same("UniqueDevicesPerHome", want.UniqueDevicesPerHome(), got.UniqueDevicesPerHome())
 	wb24, wb5 := want.UniqueDevicesPerBand()
@@ -158,6 +162,12 @@ func diffRollups(t *testing.T, what string, st *dataset.Store, want, got *analys
 		gap := heartbeat.Downtime{Start: time.Date(2013, 4, 3, 0, 0, 0, 0, time.UTC), End: time.Date(2013, 4, 3, 2, 0, 0, 0, time.UTC)}
 		same("ClassifyDowntime("+id+")", want.ClassifyDowntime(id, gap), got.ClassifyDowntime(id, gap))
 	}
+}
+
+// kindCounts is Table 2's counts of v's homes and st's heartbeats under
+// ro.
+func kindCounts(st *dataset.Store, v *analysis.Rollup, ro *analysis.Roster) [6]analysis.KindCount {
+	return v.Availability(st.Heartbeats, ro, DefaultWindows().Availability).KindCounts()
 }
 
 // folded reads p's rollup as a page with an empty tail does.

@@ -249,33 +249,36 @@ func fig20(flows *analysis.Rollup) *Report {
 	return r
 }
 
-// All regenerates every exhibit in paper order. Every exhibit but the
-// heartbeat ones reads one Rollup of st's rows; exhibits that read the
-// same intermediate share it: Figs. 3–6 and the group-wise exhibits one
-// roster index, Figs. 3–6 one gap index, Figs. 8/9 the connected-device
-// averages.
+// All regenerates every exhibit in paper order. Every exhibit reads one
+// Rollup of st's rows, or the Availability it carries with st's
+// heartbeat log (the heartbeat exhibits and Table 2); exhibits that read
+// the same intermediate share it: the group-wise exhibits one roster
+// index, Figs. 8/9 the connected-device averages.
 func All(st *dataset.Store, w Windows) []*Report {
 	return all(st, analysis.NewRoster(st), analysis.RollupOf(st), w)
 }
 
 // all is All with the roster index and the rollup supplied: the batch
 // path builds them from st, a dashboard page brings its captured ones,
-// and st then holds the roster and the heartbeats but no rows. The gap
-// index is built on every page, batch or live. The exhibits only read —
-// the Rollup and its home summaries, the Roster, the GapIndex, st's
-// roster and its heartbeat log, which locks its own reads — so they
-// run on GOMAXPROCS goroutines, the caller one of them: each takes the
-// next exhibit from a shared counter, and reports land in paper order.
+// and st then holds the roster and the heartbeats but no rows. A page's
+// availability is the last page's, changed by the entries whose
+// heartbeat version, home summary or country moved (Availability); the
+// batch's is made the same way, from no last page. The exhibits only
+// read — the Rollup and its home summaries, the Availability, the
+// Roster, st's roster and its heartbeat log, which locks its own reads —
+// so they run on GOMAXPROCS goroutines, the caller one of them: each
+// takes the next exhibit from a shared counter, and reports land in
+// paper order.
 func all(st *dataset.Store, ro *analysis.Roster, v *analysis.Rollup, w Windows) []*Report {
 	conn := sync.OnceValue(func() map[analysis.Group]analysis.ConnectedAverages { return v.ConnectedByGroup(ro) })
-	gaps := sync.OnceValue(func() *analysis.GapIndex { return analysis.NewGapIndex(st.Heartbeats, w.Availability) })
+	avail := sync.OnceValue(func() *analysis.Availability { return v.Availability(st.Heartbeats, ro, w.Availability) })
 	exhibits := [...]func() *Report{
-		func() *Report { return table1(st) },
-		func() *Report { return table2(st, v) },
-		func() *Report { return fig3(gaps(), ro) },
-		func() *Report { return fig4(st.Heartbeats, gaps(), ro, v) },
-		func() *Report { return fig5(gaps(), ro) },
-		func() *Report { return fig6(st.Heartbeats, gaps(), ro, v) },
+		func() *Report { return table1(ro) },
+		func() *Report { return table2(avail()) },
+		func() *Report { return fig3(avail()) },
+		func() *Report { return fig4(avail()) },
+		func() *Report { return fig5(avail()) },
+		func() *Report { return fig6(st.Heartbeats, avail()) },
 		func() *Report { return fig7(v) },
 		func() *Report { return fig8(conn()) },
 		func() *Report { return fig9(conn()) },

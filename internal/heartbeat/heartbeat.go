@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -221,14 +222,17 @@ func (r Run) holds(at time.Time) bool {
 type Log struct {
 	mu   sync.Mutex
 	runs map[string]*history
+	ids  []string // the routers of runs, sorted
 }
 
 // history is one router's runs in arrival order. No run holds an
 // instant after latest, so a beat or run that starts after it is new:
 // history recorded in time order never looks back over older runs.
+// version counts the calls that recorded something (extend).
 type history struct {
-	runs   []Run
-	latest time.Time
+	runs    []Run
+	latest  time.Time
+	version uint64
 }
 
 // NewLog returns an empty log.
@@ -242,6 +246,8 @@ func (l *Log) of(id string) *history {
 	if h == nil {
 		h = &history{}
 		l.runs[id] = h
+		i, _ := slices.BinarySearch(l.ids, id)
+		l.ids = slices.Insert(l.ids, i, id)
 	}
 	return h
 }
@@ -265,11 +271,13 @@ func (h *history) add(r Run) {
 	h.extend(r.End())
 }
 
-// extend records that a run now holds end.
+// extend records that a run now holds end: every call that records
+// something ends here, once, and moves the router's version.
 func (h *history) extend(end time.Time) {
 	if end.After(h.latest) {
 		h.latest = end
 	}
+	h.version++
 }
 
 // Record appends an arrival for router id. An instant one of the
@@ -329,12 +337,22 @@ func (l *Log) RecordRun(id string, r Run) {
 func (l *Log) Routers() []string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]string, 0, len(l.runs))
-	for id := range l.runs {
-		out = append(out, id)
+	return slices.Clone(l.ids)
+}
+
+// Versions returns the IDs present in the log, sorted, and each one's
+// version: how many Record and RecordRun calls recorded something for
+// it. A router's downtimes can change only when its version moves, so
+// a reader that found them at one version need not find them again
+// until it has moved.
+func (l *Log) Versions() (ids []string, versions []uint64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	versions = make([]uint64, len(l.ids))
+	for i, id := range l.ids {
+		versions[i] = l.runs[id].version
 	}
-	sort.Strings(out)
-	return out
+	return slices.Clone(l.ids), versions
 }
 
 // Runs returns a copy of the stored runs for id, sorted by start.

@@ -442,3 +442,48 @@ func BenchmarkDowntimesSixMonthLog(b *testing.B) {
 		_ = l.Downtimes("r", from, to, DefaultGapThreshold)
 	}
 }
+
+// TestVersionsMoveWhenSomethingIsRecorded: a router's version moves on
+// each Record or RecordRun that records something — a new beat in
+// order, off cadence or older than the last, a new run — and on none
+// that records nothing: a repeated beat, a beat or a run that the
+// router's runs already hold, an empty run.
+func TestVersionsMoveWhenSomethingIsRecorded(t *testing.T) {
+	l := NewLog()
+	version := func(id string) uint64 {
+		ids, vers := l.Versions()
+		if !reflect.DeepEqual(ids, l.Routers()) {
+			t.Fatalf("Versions names %v, Routers %v", ids, l.Routers())
+		}
+		for i, have := range ids {
+			if have == id {
+				return vers[i]
+			}
+		}
+		return 0
+	}
+	steps := []struct {
+		what  string
+		id    string
+		do    func()
+		moves bool
+	}{
+		{"a first beat", "b", func() { l.Record("b", t0) }, true},
+		{"the same beat", "b", func() { l.Record("b", t0) }, false},
+		{"a beat in order", "b", func() { l.Record("b", t0.Add(time.Minute)) }, true},
+		{"a run", "a", func() { l.RecordRun("a", Run{Start: t0, Interval: time.Minute, Count: 10}) }, true},
+		{"a run the run holds", "a", func() { l.RecordRun("a", Run{Start: t0, Interval: 2 * time.Minute, Count: 5}) }, false},
+		{"a beat the run holds", "a", func() { l.Record("a", t0.Add(3*time.Minute)) }, false},
+		{"an empty run", "a", func() { l.RecordRun("a", Run{Start: t0.Add(time.Hour)}) }, false},
+		{"a beat off cadence", "a", func() { l.Record("a", t0.Add(time.Hour)) }, true},
+		{"a beat older than the last", "a", func() { l.Record("a", t0.Add(-time.Hour)) }, true},
+		{"nothing for another router", "b", func() { l.Record("a", t0.Add(-2*time.Hour)) }, false},
+	}
+	for _, s := range steps {
+		was := version(s.id)
+		s.do()
+		if moved := version(s.id) != was; moved != s.moves {
+			t.Errorf("%s: %s's version moved %v, want %v", s.what, s.id, moved, s.moves)
+		}
+	}
+}
