@@ -36,9 +36,11 @@ var exportAllowlist = map[string]string{
 	"verify.RunCluster":          "harness: the cluster and segment goldens run a deployment through it",
 	"verify.RunClusterRebalance": "harness: the join and drain goldens run through it",
 	// Accessors through which a test observes production behaviour.
-	"analysis.Rollup.KeptRows":     "accessor: the kept rows a rollup view was folded from, per kind",
-	"linksim.Direction.QueueDelay": "accessor: the bufferbloat delay a packet would wait",
-	"segment.Store.LastFlushError": "accessor: the only reader of the background flush/compaction failure the store records",
+	"analysis.Rollup.KeptRows":             "accessor: the kept rows a rollup view was folded from, per kind",
+	"analysis.NewGapIndex":                 "accessor: the downtimes and uptime fractions of a log's routers alone, which the availability oracles read",
+	"analysis.Rollup.ClassifyAvailability": "accessor: one router's Fig. 6 mode, which the kept-kind oracle test reads",
+	"linksim.Direction.QueueDelay":         "accessor: the bufferbloat delay a packet would wait",
+	"segment.Store.LastFlushError":         "accessor: the only reader of the background flush/compaction failure the store records",
 	// Capabilities DESIGN §2–5 documents.
 	"analysis.Rollup.UsageByGroup":          "DESIGN §5: usage beyond the US",
 	"capture.Monitor.SetTrace":              "DESIGN §2: the optional pcap capture mirror",

@@ -199,6 +199,7 @@ func (d *Dashboard) render() ([]*Report, DashboardStats) {
 		afterSnapshot()
 	}
 	out := all(st, ro, v, d.win)
+	stats.Entries = v.Availability(st.Heartbeats, ro, d.win.Availability).Made()
 	took := time.Since(start)
 	d.hRender.Observe(took.Seconds())
 	stats.LastRenderMs = float64(took.Microseconds()) / 1000
@@ -217,7 +218,10 @@ type DashboardStats struct {
 	FlowAggregates int               `json:"flow_aggregates"` // (home, device, domain) entries
 	// Summaries counts the home summaries the page computed, the others
 	// it took from an earlier page: the homes whose rows changed since.
+	// Entries counts the same of the availability entries: the routers
+	// whose beats, home summary or country changed since.
 	Summaries    int     `json:"summaries"`
+	Entries      int     `json:"availability_entries"`
 	LastRenderMs float64 `json:"last_render_ms"`
 }
 

@@ -302,9 +302,8 @@ func TestPageRecomputesOnlyMovedEntries(t *testing.T) {
 	hb := d.src.HeartbeatLog()
 	page := func(step string, want int) {
 		t.Helper()
-		_, ro, v, _ := d.snapshot()
-		if got := v.Availability(hb, ro, DefaultWindows().Availability).Made(); got != want {
-			t.Errorf("%s: the page made %d availability entries, want %d", step, got, want)
+		if _, st := d.render(); st.Entries != want {
+			t.Errorf("%s: the page made %d availability entries, want %d", step, st.Entries, want)
 		}
 	}
 	page("the first page", len(d.src.Merge().Routers()))
