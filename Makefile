@@ -199,10 +199,15 @@ check-rebalance:
 #      (batch and page alike); FuzzLivePage's checked-in schedules —
 #      uploads of every row kind, rows that take bytes off a pair,
 #      re-registrations through any stripe, seals, failed commits,
-#      compactions, extractions and reopens, with pages between — every
+#      compactions, extractions (sealed routers too, the dashboard
+#      folding its partial anew from the rewritten segments), reopens,
+#      heartbeats (in order, off cadence, repeated, recorded runs) and
+#      registrations of routers with no rows, with pages between — every
 #      page equal to the batch exhibits over the store and its rollup to
 #      RollupOf's; a page of no new rows sharing the last page's
-#      aggregates; two readers' pages, which share home summaries and
+#      aggregates; a page making the availability entry only of a router
+#      whose beats, home summary or country moved, and a heartbeat log
+#      whose per-router versions move exactly when it records something; two readers' pages, which share home summaries and
 #      rosters, racing seals (race_test.go, -race only); and the memtable
 #      cursor: a chain of MergeFrom reads beside concurrent appends equal
 #      to Merge;
@@ -216,10 +221,12 @@ check-rebalance:
 #      after each: about its size — which the race detector's own
 #      allocations would drown, so they run without; a live page's
 #      allocations over BenchmarkLivePage's fixture, rendered to the text
-#      GET /figures writes: within a budget; the home summaries
+#      GET /figures writes: within a budget, and the bytes it leaves
+#      live the same at 512 and 4,096 routers; the home summaries
 #      a live page computes over a 512-router fleet: at most one per home
-#      the rows since the last page, or a seal, touched; Figs. 3–6 over the
-#      seed-7 study: under 5,000 allocations; and the exhibit ledger (testdata/exhibits.sha256: every
+#      the rows since the last page, or a seal, touched; Table 2 and Figs.
+#      3–6 over the seed-7 study, as a batch and as a carried page: under
+#      5,000 allocations each; and the exhibit ledger (testdata/exhibits.sha256: every
 #      exhibit's printed text over three inputs, batch and page) and the
 #      §7 usage-beyond-the-US claim over a GlobalTraffic world, too heavy
 #      for -race;
@@ -228,8 +235,9 @@ check-rebalance:
 #   4. a shake-out of FuzzLivePage past its corpus: a fixed number of
 #      schedules, not a wall-clock budget, so a slow box runs as many;
 #   5. what a page computes with less, against how it was computed, under
-#      the race detector: Table 2's one-pass counts against counts off the
-#      rows, Fig. 12's fold-time categories against per-page OUI lookups
+#      the race detector: Table 1's counts off the roster index against a
+#      map of the roster, Table 2's carried counts against counts off the
+#      log and the rows, Fig. 12's fold-time categories against per-page OUI lookups
 #      (and Fig. 20's picks on the same pages against the batch's), the
 #      CDF lines' one sort against five Quantile selections, Fig. 16's
 #      strconv rows against fmt and its fixed-point appender against
@@ -238,9 +246,11 @@ check-rebalance:
 check-figures:
 	$(GO) test -race ./internal/analysis/ ./internal/figures/
 	$(GO) test -race -run 'TestMergeFromMatchesMerge|TestMergeFromRosterHoldsOnlyChanges' ./internal/dataset/
-	$(GO) test -race -run 'TestTable2CountsMatchStore|TestTailReadsOnlyNewRegistrations|TestCDFLineMatchesQuantile|TestOversaturatedRowMatchesFmt|TestAppendFixed2MatchesAppendFloat|TestReportSizeIsItsRendering' ./internal/figures/
+	$(GO) test -race -run 'TestTable1CountsMatchRoster|TestTable2CountsMatchStore|TestTailReadsOnlyNewRegistrations|TestCDFLineMatchesQuantile|TestOversaturatedRowMatchesFmt|TestAppendFixed2MatchesAppendFloat|TestReportSizeIsItsRendering' ./internal/figures/
 	$(GO) test -race -run 'TestManufacturerHistogramMatchesLookups|TestUtilizationSeriesMergesRuns|TestCarriedSummariesFollowTheRoster|TestPageOfNoNewRowsShares' ./internal/analysis/
-	$(GO) test -race -run 'FuzzLivePage|TestCarriedUsageMatchesBatch|TestPageRecomputesOnlyTouchedHomes' ./internal/figures/
+	$(GO) test -race -run 'FuzzLivePage|TestCarriedUsageMatchesBatch|TestPageRecomputesOnlyTouchedHomes|TestPageRecomputesOnlyMovedEntries' ./internal/figures/
+	$(GO) test -race -run 'TestVersionsMoveWhenSomethingIsRecorded' ./internal/heartbeat/
+	$(GO) test -race -run 'TestExtractReplaysRewrittenSegments' ./internal/segment/
 	$(GO) test -run='^$$' -fuzz='^FuzzLivePage$$' -fuzztime=2000x ./internal/figures/
 	$(GO) test -race -run 'TestRosterFollowsLatestRegistration' ./internal/dataset/
 	$(GO) test -run 'TestSnapshotAllocBudget|TestAvailabilityAllocBudget|TestRenderWorkIsTailBound|TestPageWorkIsIncrementBound|TestLivePageAllocBudget|TestLivePageBytesBudget|TestPageRecomputesOnlyTouchedHomes|TestExhibitLedger' ./internal/figures/
