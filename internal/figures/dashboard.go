@@ -235,7 +235,7 @@ func (d *Dashboard) Stats() DashboardStats {
 func (d *Dashboard) statsLocked() DashboardStats {
 	return DashboardStats{
 		SealedChunks:   d.sealed,
-		Segments:       d.src.NumSegments(),
+		Segments:       len(d.src.Segments()),
 		Rows:           d.base.Rows(),
 		RawFlowRows:    d.base.RawFlowRows(),
 		FlowAggregates: d.base.FlowAggregates(),

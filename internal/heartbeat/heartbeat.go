@@ -220,9 +220,10 @@ func (r Run) holds(at time.Time) bool {
 // Log stores heartbeat arrival times per router, run-length encoded. It
 // is safe for concurrent use.
 type Log struct {
-	mu   sync.Mutex
-	runs map[string]*history
-	ids  []string // the routers of runs, sorted
+	mu       sync.Mutex
+	runs     map[string]*history
+	ids      []string // the routers of runs, sorted unless unsorted is set
+	unsorted bool
 }
 
 // history is one router's runs in arrival order. No run holds an
@@ -246,10 +247,23 @@ func (l *Log) of(id string) *history {
 	if h == nil {
 		h = &history{}
 		l.runs[id] = h
-		i, _ := slices.BinarySearch(l.ids, id)
-		l.ids = slices.Insert(l.ids, i, id)
+		if n := len(l.ids); n > 0 && id < l.ids[n-1] {
+			l.unsorted = true
+		}
+		l.ids = append(l.ids, id)
 	}
 	return h
+}
+
+// sorted returns the routers of runs, sorted: they are sorted when a
+// reader first asks after a new router came out of order. Callers hold
+// mu.
+func (l *Log) sorted() []string {
+	if l.unsorted {
+		slices.Sort(l.ids)
+		l.unsorted = false
+	}
+	return l.ids
 }
 
 // olderHolds reports whether one of the runs before the last holds at.
@@ -337,7 +351,7 @@ func (l *Log) RecordRun(id string, r Run) {
 func (l *Log) Routers() []string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return slices.Clone(l.ids)
+	return slices.Clone(l.sorted())
 }
 
 // Versions returns the IDs present in the log, sorted, and each one's
@@ -348,11 +362,12 @@ func (l *Log) Routers() []string {
 func (l *Log) Versions() (ids []string, versions []uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	versions = make([]uint64, len(l.ids))
-	for i, id := range l.ids {
+	ids = slices.Clone(l.sorted())
+	versions = make([]uint64, len(ids))
+	for i, id := range ids {
 		versions[i] = l.runs[id].version
 	}
-	return slices.Clone(l.ids), versions
+	return ids, versions
 }
 
 // Runs returns a copy of the stored runs for id, sorted by start.

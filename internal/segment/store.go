@@ -1043,14 +1043,6 @@ func (s *Store) Segments() []Meta {
 	return out
 }
 
-// NumSegments returns how many segment files the store reads: the
-// length of Segments, without the copy.
-func (s *Store) NumSegments() int {
-	s.segMu.RLock()
-	defer s.segMu.RUnlock()
-	return len(s.segs)
-}
-
 // LastFlushError reports the most recent background flush/compaction
 // failure ("" when healthy).
 func (s *Store) LastFlushError() string {
